@@ -1,11 +1,11 @@
 """Loop-based oracle implementations of the vectorized query/compression kernels.
 
 These are the original (pre-vectorization) per-row Python implementations of
-``theta_join``, ``merge_boxes`` and the ProvRC key-pass greedy run scan.
+``theta_join``, ``merge_boxes``, ``decompress`` and the ProvRC passes.
 They are intentionally simple — one interpreted loop iteration per row or
-box — and define the exact semantics the vectorized kernels in
-:mod:`repro.core.query` and :mod:`repro.core.provrc` must reproduce, down to
-output row ordering.  ``tests/core/test_query_equivalence.py`` checks the
+box, one plain ``np.lexsort`` per sort — and define the exact semantics the
+vectorized kernels in :mod:`repro.core.query` and :mod:`repro.core.provrc`
+must reproduce, down to output row ordering.  ``tests/core/test_query_equivalence.py`` checks the
 kernels against these oracles on randomized relations.
 
 Not to be confused with :mod:`repro.core.reference`, which holds the
@@ -21,12 +21,16 @@ from typing import List, Tuple
 import numpy as np
 
 from .compressed import KIND_REL, CompressedLineage
+from .intervals import Interval
 from .provrc import _run_lengths
+from .relation import LineageRelation
 
 __all__ = [
     "theta_join_reference",
     "merge_boxes_reference",
+    "value_range_pass_reference",
     "key_range_pass_reference",
+    "decompress_reference",
     "theta_join_batch_reference",
     "merge_boxes_batch_reference",
     "execute_path_batch_reference",
@@ -210,6 +214,57 @@ def execute_path_batch_reference(tables, queries, merge: bool = True):
     return [execute_path(list(tables), query, merge=merge) for query in queries]
 
 
+def value_range_pass_reference(
+    key_cols: np.ndarray, val_cols: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The ProvRC value pass as first written: one ``np.lexsort`` over every
+    column per encoded attribute, each column block regrouped on its own."""
+    nkey = key_cols.shape[1]
+    nval = val_cols.shape[1]
+    klo = np.array(key_cols)
+    khi = np.array(key_cols)
+    vlo = np.array(val_cols)
+    vhi = np.array(val_cols)
+    if key_cols.shape[0] == 0:
+        return klo, khi, vlo, vhi
+
+    for vi in range(nval - 1, -1, -1):
+        sort_cols: List[np.ndarray] = [vlo[:, vi]]
+        for j in range(nval - 1, -1, -1):
+            if j == vi:
+                continue
+            sort_cols.append(vhi[:, j])
+            sort_cols.append(vlo[:, j])
+        for j in range(nkey - 1, -1, -1):
+            sort_cols.append(klo[:, j])
+        order = np.lexsort(sort_cols)
+        klo, khi, vlo, vhi = klo[order], khi[order], vlo[order], vhi[order]
+
+        same_other = np.ones(klo.shape[0], dtype=bool)
+        same_other[0] = False
+        for j in range(nkey):
+            same_other[1:] &= klo[1:, j] == klo[:-1, j]
+        for j in range(nval):
+            if j == vi:
+                continue
+            same_other[1:] &= vlo[1:, j] == vlo[:-1, j]
+            same_other[1:] &= vhi[1:, j] == vhi[:-1, j]
+        contiguous = np.zeros(klo.shape[0], dtype=bool)
+        contiguous[1:] = np.subtract(vlo[1:, vi], vhi[:-1, vi], dtype=np.int64) == 1
+
+        new_run = ~(same_other & contiguous)
+        new_run[0] = True
+        firsts = np.flatnonzero(new_run)
+        lasts = np.append(firsts[1:] - 1, klo.shape[0] - 1)
+
+        run_hi = vhi[lasts, vi]
+        klo, khi = klo[firsts], khi[firsts]
+        vlo, vhi = vlo[firsts], vhi[firsts].copy()
+        vhi[:, vi] = run_hi
+
+    return klo, khi, vlo, vhi
+
+
 def key_range_pass_reference(
     klo: np.ndarray,
     khi: np.ndarray,
@@ -348,3 +403,39 @@ def key_range_pass_reference(
         vhi = np.concatenate(out_vhi, axis=0) if out_vhi else vhi[:0]
 
     return klo, khi, vkind, vref, vlo, vhi
+
+
+def _iter_box(intervals: Tuple[Interval, ...]):
+    if not intervals:
+        yield ()
+        return
+    head, tail = intervals[0], intervals[1:]
+    for value in head:
+        for rest in _iter_box(tail):
+            yield (value,) + rest
+
+
+def decompress_reference(table: CompressedLineage) -> LineageRelation:
+    """The original per-cell expansion of a compressed table: one Python
+    iteration per key cell and per contribution edge."""
+    pairs: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []
+    for row in table.rows():
+        for key_cell in _iter_box(row.key):
+            value_intervals = tuple(
+                row.value_interval(i, key_cell) for i in range(table.value_ndim)
+            )
+            for value_cell in _iter_box(value_intervals):
+                if table.key_side == "output":
+                    pairs.append((key_cell, value_cell))
+                else:
+                    pairs.append((value_cell, key_cell))
+    relation = LineageRelation.from_pairs(
+        pairs,
+        table.out_shape,
+        table.in_shape,
+        out_name=table.out_name,
+        in_name=table.in_name,
+        out_axes=table.out_axes,
+        in_axes=table.in_axes,
+    )
+    return relation.deduplicated()

@@ -34,6 +34,26 @@ KIND_ABS = 0
 KIND_REL = 1
 
 
+def _expand_boxes(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Every cell of every closed box ``[lo[b], hi[b]]`` of two ``(m, d)``
+    arrays, as ``(owner, cells)``: ``cells[t]`` belongs to box ``owner[t]``,
+    boxes in order, the cells of one box in row-major order."""
+    lo = lo.astype(np.int64, copy=False)
+    extent = hi - lo + 1
+    if (extent < 1).any():
+        raise ValueError("empty interval: a box has lo > hi")
+    count = extent.prod(axis=1)
+    owner = np.repeat(np.arange(lo.shape[0]), count)
+    # position of each cell inside its box, unravelled by mixed radix
+    local = np.arange(owner.shape[0]) - np.repeat(np.cumsum(count) - count, count)
+    cells = np.empty((owner.shape[0], lo.shape[1]), dtype=np.int64)
+    for axis in range(lo.shape[1] - 1, -1, -1):
+        span = extent[owner, axis]
+        cells[:, axis] = lo[owner, axis] + local % span
+        local //= span
+    return owner, cells
+
+
 def _as_int_column(array) -> np.ndarray:
     """Coerce one interval column, preserving any signed-integer dtype.
 
@@ -358,41 +378,39 @@ class CompressedLineage:
             yield self.row(index)
 
     # ------------------------------------------------------------------
-    # decompression (the lossless inverse used by tests)
+    # decompression (the lossless inverse)
     # ------------------------------------------------------------------
     def decompress(self) -> LineageRelation:
-        """Expand back to the full uncompressed :class:`LineageRelation`."""
-        pairs: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []
-        for row in self.rows():
-            for key_cell in self._iter_box(row.key):
-                value_intervals = [
-                    row.value_interval(i, key_cell) for i in range(self.value_ndim)
-                ]
-                for value_cell in self._iter_box(tuple(value_intervals)):
-                    if self.key_side == "output":
-                        pairs.append((key_cell, value_cell))
-                    else:
-                        pairs.append((value_cell, key_cell))
-        relation = LineageRelation.from_pairs(
-            pairs,
+        """Expand back to the full uncompressed :class:`LineageRelation`, in
+        canonical form (sorted, duplicate-free).
+
+        Every key box is expanded to its cells, the value intervals are
+        de-relativized at each key cell, and every value box is expanded in
+        turn; :func:`repro.core._reference.decompress_reference` is the
+        per-cell loop this must equal row for row.
+        """
+        if len(self) == 0:
+            rows = np.empty(0, dtype=np.int64)  # LineageRelation gives it its columns
+        else:
+            row_of, key_cells = _expand_boxes(self.key_lo, self.key_hi)
+            shift = np.zeros((row_of.shape[0], self.value_ndim), dtype=np.int64)
+            if self.has_relative:
+                cell, attr = np.nonzero(self.val_kind[row_of] == KIND_REL)
+                shift[cell, attr] = key_cells[cell, self.val_ref[row_of[cell], attr]]
+            cell_of, value_cells = _expand_boxes(
+                self.val_lo[row_of] + shift, self.val_hi[row_of] + shift
+            )
+            sides = (key_cells[cell_of], value_cells)
+            rows = np.concatenate(sides if self.key_side == "output" else sides[::-1], axis=1)
+        return LineageRelation(
             self.out_shape,
             self.in_shape,
+            rows,
             out_name=self.out_name,
             in_name=self.in_name,
             out_axes=self.out_axes,
             in_axes=self.in_axes,
-        )
-        return relation.deduplicated()
-
-    @staticmethod
-    def _iter_box(intervals: Tuple[Interval, ...]) -> Iterator[Tuple[int, ...]]:
-        if not intervals:
-            yield ()
-            return
-        head, tail = intervals[0], intervals[1:]
-        for value in head:
-            for rest in CompressedLineage._iter_box(tail):
-                yield (value,) + rest
+        ).deduplicated()
 
     # ------------------------------------------------------------------
     # size accounting

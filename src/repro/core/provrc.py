@@ -17,13 +17,23 @@ The algorithm has two passes over the sorted lineage relation:
    collapsed, exactly mirroring the paper's "non-empty subset of
    ``{a_i, a_i b_1, ..., a_i b_l}`` with the same value" condition.
 
-Both passes are implemented with vectorized numpy primitives end to end.
-The greedy run scan of the key pass is resolved with pointer doubling over
-precomputed run lengths (``O(log n)`` vectorized rounds instead of one
-Python iteration per run), so compression of million-edge relations is
-bounded by numpy throughput rather than the interpreter.  The original
-sequential scan survives as :func:`repro.core._reference.key_range_pass_reference`
-and the equivalence tests assert identical output tables.
+**Cost.**  Both passes are vectorized numpy end to end and every step but
+the sorts is linear in the rows it sees.  A relation is canonicalised
+(sorted, deduplicated) once, by :meth:`LineageRelation.deduplicated`, and
+:func:`compress_both` feeds both orientations from that one copy.  Each
+pass keeps its columns as the rows of one attribute-major table, so an
+encoding step is: one stable sort of one packed int64 row key
+(:func:`repro.core.relation.row_order`; skipped when the rows are already
+in order, as they are for the first step of a backward table), one gather
+of the whole table by that permutation, neighbour comparisons, and one
+gather of the surviving rows.  The key pass measures every candidate run
+with one reversed running minimum (``O(n)``), resolves its greedy run scan
+by pointer doubling over those run lengths (at most ``log2 n`` vectorized
+rounds, fewer when the runs are long), and leaves a step as soon as no two
+neighbouring rows are key-contiguous — which is every step of an
+incompressible (``sort``-like) table.  The original sequential scan
+survives as :func:`repro.core._reference.key_range_pass_reference` and the
+equivalence tests assert identical output tables.
 
 The same routine builds both orientations: ``key="output"`` produces the
 backward table (predicates push down on output indices) and ``key="input"``
@@ -32,12 +42,12 @@ produces the forward table of Section IV.C.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .compressed import KIND_ABS, KIND_REL, CompressedLineage
-from .relation import LineageRelation
+from .relation import LineageRelation, row_order
 
 __all__ = ["compress", "compress_both", "ProvRCStats"]
 
@@ -82,24 +92,43 @@ def compress(
     stats:
         Optional :class:`ProvRCStats` collector.
     """
+    return _compress_canonical(relation.deduplicated(), key, relative, stats)
+
+
+def compress_both(relation: LineageRelation, relative: bool = True) -> Tuple[CompressedLineage, CompressedLineage]:
+    """Return ``(backward_table, forward_table)`` for a relation."""
+    canonical = relation.deduplicated()
+    return (
+        _compress_canonical(canonical, "output", relative),
+        _compress_canonical(canonical, "input", relative),
+    )
+
+
+def _compress_canonical(
+    relation: LineageRelation,
+    key: str,
+    relative: bool = True,
+    stats: Optional[ProvRCStats] = None,
+) -> CompressedLineage:
+    """:func:`compress` for a relation already in canonical form (the result
+    of ``deduplicated()`` or ``decompress()``), which it does not re-derive."""
     if key not in ("output", "input"):
         raise ValueError("key must be 'output' or 'input'")
     if relation.out_ndim == 0 or relation.in_ndim == 0:
         raise ValueError("ProvRC requires arrays with at least one axis; "
                          "reshape scalars to shape (1,) before capture")
 
-    deduped = relation.deduplicated()
-    l = deduped.out_ndim
+    l = relation.out_ndim
     if key == "output":
-        key_cols = deduped.rows[:, :l]
-        val_cols = deduped.rows[:, l:]
+        key_cols = relation.rows[:, :l]
+        val_cols = relation.rows[:, l:]
     else:
-        key_cols = deduped.rows[:, l:]
-        val_cols = deduped.rows[:, :l]
+        key_cols = relation.rows[:, l:]
+        val_cols = relation.rows[:, :l]
 
     if stats is None:
         stats = ProvRCStats()
-    stats.input_rows = len(deduped)
+    stats.input_rows = len(relation)
 
     klo, khi, vlo, vhi = _value_range_pass(key_cols, val_cols)
     stats.after_value_pass = klo.shape[0]
@@ -128,12 +157,30 @@ def compress(
     )
 
 
-def compress_both(relation: LineageRelation, relative: bool = True) -> Tuple[CompressedLineage, CompressedLineage]:
-    """Return ``(backward_table, forward_table)`` for a relation."""
-    return (
-        compress(relation, key="output", relative=relative),
-        compress(relation, key="input", relative=relative),
-    )
+# ----------------------------------------------------------------------
+# the attribute-major working table of a pass
+# ----------------------------------------------------------------------
+# A pass stacks its column blocks as the rows of one ``(attributes, n)``
+# matrix: every attribute is a contiguous vector for the comparisons, and
+# the whole table is regrouped by one fancy index instead of one per block.
+def _sorted_on(table: np.ndarray, attrs: Sequence[int]) -> np.ndarray:
+    """*table* with its columns ordered on attributes *attrs*, most
+    significant first (ties keep their order)."""
+    order = row_order([table[a] for a in attrs])
+    return table if order is None else table[:, order]
+
+
+def _same_as_previous(table: np.ndarray, attrs: Sequence[int]) -> np.ndarray:
+    """``(n - 1,)`` flags: column ``t + 1`` equals column ``t`` on *attrs*."""
+    same = np.ones(table.shape[1] - 1, dtype=bool)
+    for a in attrs:
+        same &= table[a, 1:] == table[a, :-1]
+    return same
+
+
+def _block(table: np.ndarray, first: int, width: int, dtype) -> np.ndarray:
+    """Attributes ``first .. first + width`` as a fresh ``(n, width)`` array."""
+    return np.array(table[first : first + width].T, dtype=dtype, order="C")
 
 
 # ----------------------------------------------------------------------
@@ -148,72 +195,56 @@ def _value_range_pass(
     still degenerate (``lo == hi``) and value attributes have become
     closed intervals.
     """
-    n = key_cols.shape[0]
     nkey = key_cols.shape[1]
     nval = val_cols.shape[1]
     # the pass only compares and regroups, so narrow input columns stay at
-    # their width; contiguity is probed with an explicitly-int64 subtract
-    klo = np.array(key_cols)
-    khi = np.array(key_cols)
-    vlo = np.array(val_cols)
-    vhi = np.array(val_cols)
-    if n == 0:
-        return klo, khi, vlo, vhi
+    # their width; contiguity is probed with an explicitly-int64 subtract.
+    # Key intervals stay degenerate throughout, so one copy stands for both.
+    table = np.concatenate([key_cols.T, val_cols.T, val_cols.T])
+    keys = list(range(nkey))
+    lo = [nkey + i for i in range(nval)]
+    hi = [nkey + nval + i for i in range(nval)]
 
     for vi in range(nval - 1, -1, -1):
+        if table.shape[1] < 2:
+            break
         # Sort so rows agreeing on every other attribute are adjacent and
         # ordered by the attribute being encoded.
-        sort_cols: List[np.ndarray] = [vlo[:, vi]]
-        for j in range(nval - 1, -1, -1):
-            if j == vi:
-                continue
-            sort_cols.append(vhi[:, j])
-            sort_cols.append(vlo[:, j])
-        for j in range(nkey - 1, -1, -1):
-            sort_cols.append(klo[:, j])
-        order = np.lexsort(sort_cols)
-        klo, khi, vlo, vhi = klo[order], khi[order], vlo[order], vhi[order]
+        others = keys + [a for j in range(nval) if j != vi for a in (lo[j], hi[j])]
+        table = _sorted_on(table, others + [lo[vi]])
 
-        same_other = np.ones(klo.shape[0], dtype=bool)
-        same_other[0] = False
-        for j in range(nkey):
-            same_other[1:] &= klo[1:, j] == klo[:-1, j]
-        for j in range(nval):
-            if j == vi:
-                continue
-            same_other[1:] &= vlo[1:, j] == vlo[:-1, j]
-            same_other[1:] &= vhi[1:, j] == vhi[:-1, j]
-        contiguous = np.zeros(klo.shape[0], dtype=bool)
+        joins = _same_as_previous(table, others)
         # int64 subtract: ``hi + 1`` would wrap at a narrow dtype's ceiling
-        contiguous[1:] = np.subtract(vlo[1:, vi], vhi[:-1, vi], dtype=np.int64) == 1
+        joins &= np.subtract(table[lo[vi], 1:], table[hi[vi], :-1], dtype=np.int64) == 1
+        if not joins.any():
+            continue
+        firsts = np.flatnonzero(np.concatenate(([True], ~joins)))
+        lasts = np.append(firsts[1:] - 1, table.shape[1] - 1)
+        run_hi = table[hi[vi], lasts]
+        table = table[:, firsts]
+        table[hi[vi]] = run_hi
 
-        new_run = ~(same_other & contiguous)
-        new_run[0] = True
-        firsts = np.flatnonzero(new_run)
-        lasts = np.append(firsts[1:] - 1, klo.shape[0] - 1)
-
-        run_hi = vhi[lasts, vi]
-        klo, khi = klo[firsts], khi[firsts]
-        vlo, vhi = vlo[firsts], vhi[firsts].copy()
-        vhi[:, vi] = run_hi
-
-    return klo, khi, vlo, vhi
+    klo = _block(table, 0, nkey, key_cols.dtype)
+    return (
+        klo,
+        klo.copy(),
+        _block(table, nkey, nval, val_cols.dtype),
+        _block(table, nkey + nval, nval, val_cols.dtype),
+    )
 
 
 # ----------------------------------------------------------------------
 # pass 2: relative value transformation + key range encoding
 # ----------------------------------------------------------------------
 def _run_lengths(flags: np.ndarray) -> np.ndarray:
-    """For each position ``p`` return how many consecutive ``True`` values
-    start at ``p`` (0 if ``flags[p]`` is ``False``)."""
-    n = flags.shape[0]
+    """For each position ``p`` of the last axis return how many consecutive
+    ``True`` values start at ``p`` (0 if ``flags[..., p]`` is ``False``)."""
+    n = flags.shape[-1]
     positions = np.arange(n)
-    false_pos = np.flatnonzero(~flags)
-    if false_pos.size == 0:
-        return n - positions
-    idx = np.searchsorted(false_pos, positions, side="left")
-    clamped = np.minimum(idx, false_pos.shape[0] - 1)
-    next_false = np.where(idx < false_pos.shape[0], false_pos[clamped], n)
+    # the next False at or after p is a running minimum taken from the right
+    next_false = np.where(flags, n, positions)
+    reverse = next_false[..., ::-1]
+    np.minimum.accumulate(reverse, axis=-1, out=reverse)
     return next_false - positions
 
 
@@ -223,8 +254,9 @@ def _greedy_scan_starts(jump: np.ndarray) -> np.ndarray:
     This resolves the greedy run scan without a per-run Python loop: the
     scan's next start position is a function of the current one, so the set
     of visited positions is the orbit of 0, computed here with pointer
-    doubling — ``ceil(log2(n + 1))`` rounds of vectorized composition
-    instead of one interpreted iteration per emitted row.
+    doubling — at most ``ceil(log2(n + 1))`` rounds of vectorized
+    composition instead of one interpreted iteration per emitted row, and
+    only ``log2`` of the orbit's length when the runs are long.
     """
     n = jump.shape[0]
     if n == 0:
@@ -235,9 +267,10 @@ def _greedy_scan_starts(jump: np.ndarray) -> np.ndarray:
     visited = np.zeros(n + 1, dtype=bool)
     visited[0] = True
     span = 1
-    while span <= n:
-        # invariant: visited holds the orbit prefix of < span steps and hop
-        # advances by span steps, so each round doubles the covered prefix
+    # invariant: visited holds the orbit prefix of < span steps and hop
+    # advances by span steps, so each round doubles the covered prefix;
+    # once span steps from 0 leave the array the prefix is the whole orbit
+    while span <= n and hop[0] < n:
         visited[hop[visited]] = True
         hop = hop[hop]
         span *= 2
@@ -258,106 +291,83 @@ def _key_range_pass(
     nval = vlo.shape[1]
     if klo.shape[0] == 0:
         return klo, khi, vkind, vref, vlo, vhi
-    if relative and vlo.dtype != np.int64:
-        # delta encoding stores value - key differences, which can exceed
-        # the narrow input dtype's range in either direction: this is the
-        # pass's arithmetic-overflow boundary, so the value columns (where
-        # deltas land) are upcast here; key columns stay narrow throughout
-        vlo = vlo.astype(np.int64)
-        vhi = vhi.astype(np.int64)
+    # delta encoding stores value - key differences, which can exceed a
+    # narrow input dtype's range in either direction: this is the pass's
+    # arithmetic-overflow boundary, so the working table is int64.  Key
+    # columns (and value columns when nothing is relativized) are only ever
+    # copied, so they return at the width they came in.
+    val_dtype = np.dtype(np.int64) if relative else vlo.dtype
+    table = np.concatenate([klo.T, khi.T, vkind.T, vref.T, vlo.T, vhi.T], dtype=np.int64)
+    key_lo = list(range(nkey))
+    key_hi = [nkey + j for j in range(nkey)]
+    kind, ref, val_lo, val_hi = (
+        [2 * nkey + block * nval + i for i in range(nval)] for block in range(4)
+    )
+    values = [[kind[i], ref[i], val_lo[i], val_hi[i]] for i in range(nval)]
 
     for kj in range(nkey - 1, -1, -1):
-        n = klo.shape[0]
+        n = table.shape[1]
+        if n < 2:
+            break
         # Sort: group rows by the other key attributes, then order by the
         # attribute being merged; value columns break remaining ties so the
         # scan is deterministic.
-        sort_cols: List[np.ndarray] = []
-        for j in range(nval - 1, -1, -1):
-            sort_cols.append(vhi[:, j])
-            sort_cols.append(vlo[:, j])
-            sort_cols.append(vref[:, j].astype(np.int64))
-            sort_cols.append(vkind[:, j].astype(np.int64))
-        sort_cols.append(klo[:, kj])
-        for j in range(nkey - 1, -1, -1):
-            if j == kj:
-                continue
-            sort_cols.append(khi[:, j])
-            sort_cols.append(klo[:, j])
-        order = np.lexsort(sort_cols)
-        klo, khi = klo[order], khi[order]
-        vkind, vref = vkind[order], vref[order]
-        vlo, vhi = vlo[order], vhi[order]
+        other_keys = [a for j in range(nkey) if j != kj for a in (key_lo[j], key_hi[j])]
+        table = _sorted_on(table, other_keys + [key_lo[kj]] + [a for attr in values for a in attr])
 
-        base_ok = np.ones(n, dtype=bool)
-        base_ok[0] = False
-        for j in range(nkey):
-            if j == kj:
-                continue
-            base_ok[1:] &= klo[1:, j] == klo[:-1, j]
-            base_ok[1:] &= khi[1:, j] == khi[:-1, j]
-        # int64 subtract: ``hi + 1`` would wrap at a narrow dtype's ceiling
-        base_ok[1:] &= np.subtract(klo[1:, kj], khi[:-1, kj], dtype=np.int64) == 1
+        base_ok = _same_as_previous(table, other_keys)
+        base_ok &= table[key_lo[kj], 1:] - table[key_hi[kj], :-1] == 1
+        if not base_ok.any():
+            continue  # nothing is key-contiguous: the sorted rows stand
 
-        keep_eq = np.zeros((nval, n), dtype=bool)
-        delta_eq = np.zeros((nval, n), dtype=bool)
+        # flags[., t]: row t + 1 may join row t — on the key attributes
+        # (row 0), keeping value attribute i as encoded (row 1 + i), or
+        # switching it to a delta on attribute kj (row 1 + nval + i)
+        flags = np.zeros((1 + 2 * nval, n), dtype=bool)
+        flags[0, :-1] = base_ok
         for i in range(nval):
-            keep_eq[i, 1:] = (
-                (vkind[1:, i] == vkind[:-1, i])
-                & (vref[1:, i] == vref[:-1, i])
-                & (vlo[1:, i] == vlo[:-1, i])
-                & (vhi[1:, i] == vhi[:-1, i])
-            )
+            flags[1 + i, :-1] = _same_as_previous(table, values[i])
             if relative:
-                both_abs = (vkind[1:, i] == KIND_ABS) & (vkind[:-1, i] == KIND_ABS)
-                dlo_cur = vlo[1:, i] - klo[1:, kj]
-                dlo_prev = vlo[:-1, i] - klo[:-1, kj]
-                dhi_cur = vhi[1:, i] - klo[1:, kj]
-                dhi_prev = vhi[:-1, i] - klo[:-1, kj]
-                delta_eq[i, 1:] = both_abs & (dlo_cur == dlo_prev) & (dhi_cur == dhi_prev)
-
-        base_run = _run_lengths(base_ok)
-        keep_run = [_run_lengths(keep_eq[i]) for i in range(nval)]
-        delta_run = [_run_lengths(delta_eq[i]) for i in range(nval)]
+                is_abs = table[kind[i]] == KIND_ABS
+                dlo = table[val_lo[i]] - table[key_lo[kj]]
+                dhi = table[val_hi[i]] - table[key_lo[kj]]
+                flags[1 + nval + i, :-1] = (
+                    is_abs[1:] & is_abs[:-1] & (dlo[1:] == dlo[:-1]) & (dhi[1:] == dhi[:-1])
+                )
 
         # Maximal collapsible run length starting at each row: bounded by the
         # key-contiguity run and, per value attribute, by the better of the
         # two candidate encodings (keep absolute vs switch to delta).  The
-        # length is 0 exactly where no merge can start (can_merge is false at
-        # the following row), so the greedy scan reduces to jumping
-        # run_length + 1 rows ahead from each emitted row.
-        run_length = np.zeros(n, dtype=np.int64)
-        if n > 1:
-            best = base_run[1:].copy()
-            for i in range(nval):
-                np.minimum(best, np.maximum(keep_run[i][1:], delta_run[i][1:]), out=best)
-            run_length[:-1] = best
+        # length is 0 exactly where no merge can start, so the greedy scan
+        # reduces to jumping run_length + 1 rows ahead from each emitted row.
+        runs = _run_lengths(flags)
+        run_length = runs[0]
+        for i in range(nval):
+            np.minimum(run_length, np.maximum(runs[1 + i], runs[1 + nval + i]), out=run_length)
 
         starts = _greedy_scan_starts(np.arange(n, dtype=np.int64) + run_length + 1)
+        if starts.shape[0] == n:
+            continue
         length = run_length[starts]
-        ends = starts + length
+        run_hi = table[key_hi[kj], starts + length]
+        keep_run = runs[1 : 1 + nval, starts]
+        table = table[:, starts]
+        table[key_hi[kj]] = run_hi
+        for i in range(nval):
+            # keep the current encoding when it is constant across the run;
+            # otherwise switch to the delta relative to attribute kj
+            switch = np.flatnonzero(keep_run[i] < length)
+            if switch.size:
+                table[kind[i], switch] = KIND_REL
+                table[ref[i], switch] = kj
+                table[val_lo[i], switch] -= table[key_lo[kj], switch]
+                table[val_hi[i], switch] -= table[key_lo[kj], switch]
 
-        # advanced indexing copies, so the in-place edits below are safe
-        new_klo, new_khi = klo[starts], khi[starts]
-        new_vkind, new_vref = vkind[starts], vref[starts]
-        new_vlo, new_vhi = vlo[starts], vhi[starts]
-        new_khi[:, kj] = khi[ends, kj]
-
-        collapsed = length > 0
-        if collapsed.any():
-            succ = np.minimum(starts + 1, n - 1)  # valid wherever collapsed
-            for i in range(nval):
-                # keep the current encoding when it is constant across the
-                # run; otherwise switch to the delta relative to attribute kj
-                switch = collapsed & (keep_run[i][succ] < length)
-                if switch.any():
-                    rows = starts[switch]
-                    new_vkind[switch, i] = KIND_REL
-                    new_vref[switch, i] = kj
-                    new_vlo[switch, i] = vlo[rows, i] - klo[rows, kj]
-                    new_vhi[switch, i] = vhi[rows, i] - klo[rows, kj]
-
-        klo, khi = new_klo, new_khi
-        vkind, vref = new_vkind, new_vref
-        vlo, vhi = new_vlo, new_vhi
-
-    return klo, khi, vkind, vref, vlo, vhi
+    return (
+        _block(table, 0, nkey, klo.dtype),
+        _block(table, nkey, nkey, klo.dtype),
+        _block(table, kind[0], nval, np.int8),
+        _block(table, ref[0], nval, np.int16),
+        _block(table, val_lo[0], nval, val_dtype),
+        _block(table, val_hi[0], nval, val_dtype),
+    )

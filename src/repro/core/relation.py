@@ -13,15 +13,60 @@ All indices are 0-based (numpy convention); the paper's worked examples are
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["LineageRelation", "AxisNames", "default_axis_names"]
+__all__ = ["LineageRelation", "AxisNames", "default_axis_names", "row_order"]
 
 AxisNames = Tuple[str, ...]
 
 Cell = Tuple[int, ...]
+
+_INT64_SPAN = 2**63
+
+
+def _packed_key(columns: Sequence[np.ndarray]) -> Optional[np.ndarray]:
+    """One int64 per row whose order is the lexicographic order of the rows.
+
+    Mixed radix over the *observed* range of each column (indices may be
+    negative or lie outside any declared shape), most significant column
+    first; a constant column contributes no digit.  ``None`` when the
+    ranges multiply past int64 — a property of the input alone.
+    """
+    digits = []
+    span = 1
+    for column in columns:
+        lo, hi = int(column.min()), int(column.max())
+        if hi > lo:
+            span *= hi - lo + 1
+            if span > _INT64_SPAN:
+                return None
+            digits.append((column, lo, hi - lo + 1))
+    key = np.zeros(columns[0].shape[0], dtype=np.int64)
+    for position, (column, lo, extent) in enumerate(digits):
+        if position:  # the leading extent (alone, it may be 2^63) is never a factor
+            key *= extent
+        key += np.subtract(column, lo, dtype=np.int64) if lo else column
+    return key
+
+
+def row_order(columns: Sequence[np.ndarray]) -> Optional[np.ndarray]:
+    """The stable permutation that sorts rows lexicographically on
+    *columns* (equal-length 1-D integer arrays, most significant first), or
+    ``None`` when the rows are already in that order.
+
+    Everything in ``core`` that orders rows does it here: one stable sort of
+    one packed key, ``np.lexsort`` only when no such key fits in int64.
+    """
+    if len(columns) == 0 or columns[0].shape[0] < 2:
+        return None
+    key = _packed_key(columns)
+    if key is None:
+        return np.lexsort(columns[::-1])
+    if (key[1:] >= key[:-1]).all():
+        return None
+    return np.argsort(key, kind="stable")
 
 
 def default_axis_names(prefix: str, ndim: int) -> AxisNames:
@@ -154,18 +199,23 @@ class LineageRelation:
         return {tuple(int(v) for v in row) for row in self.rows}
 
     def deduplicated(self) -> "LineageRelation":
-        """Return a copy with duplicate rows removed (set semantics)."""
-        if len(self) == 0:
-            return self
-        rows = np.unique(self.rows, axis=0)
-        return self._replace_rows(rows)
+        """Return the canonical form: rows sorted lexicographically on
+        ``b1..bl, a1..am`` with duplicates removed (set semantics).  A
+        relation already in that form is returned as is."""
+        rows = self.rows
+        order = row_order(list(rows.T))
+        if order is not None:
+            rows = rows[order]
+        distinct = (rows[1:] != rows[:-1]).any(axis=1)
+        if not distinct.all():
+            rows = rows[np.concatenate(([True], distinct))]
+        return self if rows is self.rows else self._replace_rows(rows)
 
     def sorted(self) -> "LineageRelation":
-        """Return a copy sorted lexicographically on ``b1..bl, a1..am``."""
-        if len(self) == 0:
-            return self
-        order = np.lexsort(self.rows.T[::-1])
-        return self._replace_rows(self.rows[order])
+        """Return the relation sorted lexicographically on ``b1..bl, a1..am``
+        (itself when already in order)."""
+        order = row_order(list(self.rows.T))
+        return self if order is None else self._replace_rows(self.rows[order])
 
     def _replace_rows(self, rows: np.ndarray) -> "LineageRelation":
         return LineageRelation(

@@ -475,9 +475,10 @@ class DSLog:
         Reused tables arrive only in backward orientation; the forward table
         is rebuilt once at ingest (never during queries).
         """
-        from .core.provrc import compress
+        from .core.provrc import _compress_canonical
 
-        return compress(backward.decompress(), key="input")
+        # decompress() returns the canonical relation: no second dedup
+        return _compress_canonical(backward.decompress(), key="input")
 
     def _capture_pair(self, pair, relations, captures, in_arrs, out_arrs):
         in_name, out_name = pair
@@ -975,7 +976,6 @@ class DSLog:
         if load_manifest(root) is not None:
             return cls(root=root, gzip=gzip, backend="segment", **kwargs)
 
-        from .core.provrc import compress
         from .core.serialize import read_compressed
 
         log = cls(root=root, gzip=gzip, **kwargs)
@@ -984,6 +984,5 @@ class DSLog:
             backward = read_compressed(path)
             log.catalog.define_array(backward.in_name, backward.in_shape)
             log.catalog.define_array(backward.out_name, backward.out_shape)
-            forward = compress(backward.decompress(), key="input")
-            log.catalog.add_compressed(backward, forward)
+            log.catalog.add_compressed(backward, cls._reorient(backward))
         return log

@@ -29,6 +29,7 @@ from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
 import numpy as np
 
 from ..core.compressed import CompressedLineage
+from ..core.relation import row_order
 from .reshape import GeneralizedTable, generalize
 
 __all__ = [
@@ -115,16 +116,14 @@ def tables_equal(left: CompressedLineage, right: CompressedLineage) -> bool:
         parts = [
             table.key_lo,
             table.key_hi,
-            table.val_kind.astype(np.int64),
-            table.val_ref.astype(np.int64),
+            table.val_kind,
+            table.val_ref,
             table.val_lo,
             table.val_hi,
         ]
         matrix = np.concatenate(parts, axis=1) if len(table) else np.empty((0, 0), np.int64)
-        if matrix.shape[0] > 1:
-            order = np.lexsort(matrix.T[::-1])
-            matrix = matrix[order]
-        return matrix
+        order = row_order(list(matrix.T))
+        return matrix if order is None else matrix[order]
 
     return np.array_equal(canonical(left), canonical(right))
 

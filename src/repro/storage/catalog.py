@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..core.compressed import CompressedLineage
-from ..core.provrc import compress
+from ..core.provrc import compress_both
 from ..core.relation import LineageRelation
 from ..core.serialize import serialize_compressed, serialize_compressed_gzip
 
@@ -146,8 +146,7 @@ class Catalog:
         replace: bool = False,
     ) -> LineageEntry:
         """Compress a relation into both orientations and store the entry."""
-        backward = compress(relation, key="output")
-        forward = compress(relation, key="input")
+        backward, forward = compress_both(relation)
         return self.add_compressed(
             backward, forward, op_name=op_name, reused=reused, replace=replace
         )

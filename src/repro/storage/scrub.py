@@ -140,11 +140,12 @@ def _rebuild_orientation(store: LineageStore, sibling_payload: bytes, key: str) 
     """Re-derive one orientation's serialized payload from the intact
     sibling: deserialize → decompress to the cell relation → re-compress
     keyed the other way → serialize in the store's on-disk format."""
-    from ..core.provrc import compress
+    from ..core.provrc import _compress_canonical
     from ..core.serialize import deserialize_table
 
     table = deserialize_table(sibling_payload)
-    rebuilt = compress(table.decompress(), key=key)
+    # decompress() returns the canonical relation: no second dedup
+    rebuilt = _compress_canonical(table.decompress(), key=key)
     return serialize_table(rebuilt, gzip=store.gzip)
 
 

@@ -12,15 +12,17 @@ import numpy as np
 import pytest
 
 from repro.core._reference import (
+    decompress_reference,
     execute_path_batch_reference,
     key_range_pass_reference,
     merge_boxes_batch_reference,
     merge_boxes_reference,
     theta_join_batch_reference,
     theta_join_reference,
+    value_range_pass_reference,
 )
 from repro.core.compressed import KIND_REL
-from repro.core.provrc import _key_range_pass, _value_range_pass, compress
+from repro.core.provrc import _key_range_pass, _value_range_pass, compress, compress_both
 from repro.core.query import (
     THETA_JOIN_BLOCK_BUDGET_BYTES,
     CellBoxSet,
@@ -224,6 +226,106 @@ class TestKeyRangePassEquivalence:
         relation = LineageRelation.from_pairs(pairs, (5000,), (5000,))
         assert len(compress(relation)) == 1
         assert len(compress(relation, relative=False)) == 5000
+
+
+TABLE_COLUMNS = ("key_lo", "key_hi", "val_kind", "val_ref", "val_lo", "val_hi")
+
+
+def compress_oracle(relation, key, relative):
+    """The six columns ProvRC must emit, from numpy's own row dedup and the
+    two ``_reference`` passes."""
+    rows = np.unique(relation.rows, axis=0) if len(relation) else relation.rows
+    l = relation.out_ndim
+    if key == "output":
+        key_cols, val_cols = rows[:, :l], rows[:, l:]
+    else:
+        key_cols, val_cols = rows[:, l:], rows[:, :l]
+    klo, khi, vlo, vhi = value_range_pass_reference(key_cols, val_cols)
+    vkind = np.zeros(vlo.shape, dtype=np.int8)
+    vref = np.full(vlo.shape, -1, dtype=np.int16)
+    return key_range_pass_reference(klo, khi, vkind, vref, vlo, vhi, relative=relative)
+
+
+def assert_table_is(table, columns):
+    for name, want in zip(TABLE_COLUMNS, columns):
+        got = getattr(table, name)
+        assert np.array_equal(got, want), name
+        assert got.dtype == want.dtype, name
+
+
+class TestCompressEquivalence:
+    """Whole ``compress`` runs — canonicalisation, value pass, key pass —
+    against the oracle, bit for bit, in both orientations."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("relative", [True, False])
+    def test_both_orientations_match_oracle(self, seed, relative):
+        rng = np.random.default_rng(seed + 4000)
+        for _ in range(25):
+            relation = random_relation(rng)  # keeps its duplicate rows
+            both = compress_both(relation, relative=relative)
+            for key, table in zip(("output", "input"), both):
+                want = compress_oracle(relation, key, relative)
+                assert_table_is(table, want)
+                assert_table_is(compress(relation, key=key, relative=relative), want)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_indices_outside_the_declared_shape(self, seed):
+        # negative and far-out indices change the packed key's radix, never
+        # the table (compress does not validate against the shapes)
+        rng = np.random.default_rng(seed + 5000)
+        for _ in range(10):
+            relation = random_relation(rng)
+            relation.rows = relation.rows * int(rng.integers(1, 2**20)) - int(rng.integers(0, 2**40))
+            for key, table in zip(("output", "input"), compress_both(relation)):
+                assert_table_is(table, compress_oracle(relation, key, True))
+
+    def test_value_pass_matches_reference_on_larger_relations(self):
+        rng = np.random.default_rng(6000)
+        for _ in range(10):
+            relation = random_relation(rng, max_dim=9, max_rows=600).deduplicated()
+            l = relation.out_ndim
+            got = _value_range_pass(relation.rows[:, :l], relation.rows[:, l:])
+            want = value_range_pass_reference(relation.rows[:, :l], relation.rows[:, l:])
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+                assert g.dtype == w.dtype
+
+
+class TestDecompressEquivalence:
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("key", ["output", "input"])
+    @pytest.mark.parametrize("relative", [True, False])
+    def test_rows_match_the_per_cell_loop(self, seed, key, relative):
+        from repro.core.serialize import deserialize_compressed, serialize_compressed
+
+        rng = np.random.default_rng(seed + 7000)
+        for _ in range(15):
+            relation = random_relation(rng)
+            table = compress(relation, key=key, relative=relative)
+            want = decompress_reference(table)
+            hydrated = deserialize_compressed(serialize_compressed(table))  # narrow columns
+            for got in (table.decompress(), hydrated.decompress()):
+                assert np.array_equal(got.rows, want.rows)
+                assert got.rows.dtype == want.rows.dtype
+                assert (got.out_shape, got.in_shape) == (want.out_shape, want.in_shape)
+            assert np.array_equal(want.rows, relation.deduplicated().rows)
+
+    def test_shared_key_reference_expands_the_diagonal(self):
+        # two value attributes relative to one key attribute: a diagonal,
+        # not the box of the two de-relativized intervals
+        pairs = [((i,), (i, i + 1)) for i in range(6)]
+        table = compress(LineageRelation.from_pairs(pairs, (6,), (6, 7)))
+        assert len(table) == 1 and table.shared_ref_mask is not None
+        assert np.array_equal(table.decompress().rows, decompress_reference(table).rows)
+        assert len(table.decompress()) == 6
+
+    def test_empty_interval_is_rejected(self):
+        table = compress(LineageRelation.from_pairs([((0,), (0,))], (2,), (2,)))
+        table.key_hi = table.key_lo - 1
+        for expand in (table.decompress, lambda: decompress_reference(table)):
+            with pytest.raises(ValueError, match="empty interval"):
+                expand()
 
 
 class TestNarrowDtypeEquivalence:
