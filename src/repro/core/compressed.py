@@ -330,18 +330,68 @@ class CompressedLineage:
         """
         cached = getattr(self, "_shared_ref_mask", False)
         if cached is False:
-            if len(self) == 0 or not self.has_relative:
-                cached = None
-            else:
-                counts = np.zeros((len(self), self.key_ndim), dtype=np.int8)
-                for column in range(self.value_ndim):
-                    rel_rows = np.flatnonzero(self.val_kind[:, column] == KIND_REL)
-                    # one contribution per row within a column, so the fancy
-                    # indexed increment never hits duplicate positions
-                    counts[rel_rows, self.val_ref[rel_rows, column]] += 1
-                mask = counts >= 2
-                cached = mask if mask.any() else None
+            cached = None
+            # sharing takes two value columns with relative rows
+            if self.value_ndim >= 2 and len(self):
+                relative = self.val_kind == KIND_REL
+                if np.count_nonzero(relative.any(axis=0)) >= 2:
+                    counts = np.zeros((len(self), self.key_ndim), dtype=np.int8)
+                    for column in range(self.value_ndim):
+                        rel_rows = np.flatnonzero(relative[:, column])
+                        # one contribution per row within a column, so the fancy
+                        # indexed increment never hits duplicate positions
+                        counts[rel_rows, self.val_ref[rel_rows, column]] += 1
+                    mask = counts >= 2
+                    if mask.any():
+                        cached = mask
             self._shared_ref_mask = cached
+        return cached
+
+    @property
+    def key_index(self) -> Tuple[int, Optional[np.ndarray], np.ndarray, np.ndarray]:
+        """``(attr, order, lo, reach)``: the θ-join's window index, computed
+        once and cached.
+
+        ``order`` lists the rows by ascending ``key_lo[:, attr]`` — ``None``
+        when they are stored that way (ProvRC emits its rows sorted on the
+        key, so attribute 0 never pays the one stable ``argsort``); ``lo`` is
+        that column in index order and ``reach`` the running maximum of
+        ``key_hi[:, attr]`` in the same order.  A row overlaps
+        ``[q_lo, q_hi]`` on the attribute only if it sits at an index
+        position in ``[searchsorted(reach, q_lo, "left"),
+        searchsorted(lo, q_hi, "right"))``: every earlier row ends before
+        ``q_lo`` (the running maximum covers nested and overlapping
+        intervals), every later one starts after ``q_hi``.
+
+        ``attr`` is the key attribute whose index discriminates best: the
+        one with the smallest expected window for a uniformly drawn index,
+        ``sum(reach - lo + 1) / extent`` (ties go to the lower attribute).
+        A row-broadcast table, whose every row spans attribute 0, is thus
+        indexed on the attribute its rows differ on.  The arrays keep the
+        columns' stored width (``order`` the narrowest that holds a row
+        number), so the index of a hydrated int8/int16 table — resident
+        with it but not charged by :meth:`nbytes` — stays a fraction of it.
+        """
+        cached = getattr(self, "_key_index", None)
+        if cached is None:
+            n_rows, best = len(self), None
+            # a lone row is its own window on any attribute
+            attrs = range(self.key_ndim if n_rows > 1 else 1)
+            for attr in attrs:
+                lo, reach = self.key_lo[:, attr], self.key_hi[:, attr]
+                order = None
+                if (lo[1:] < lo[:-1]).any():
+                    order = np.argsort(lo, kind="stable")
+                    lo, reach = lo[order], reach[order]
+                    order = order.astype(np.min_scalar_type(-n_rows))
+                lo, reach = np.ascontiguousarray(lo), np.maximum.accumulate(reach)
+                window = 0.0
+                if len(attrs) > 1:
+                    covered = reach.sum(dtype=np.float64) - lo.sum(dtype=np.float64) + n_rows
+                    window = covered / (float(reach[-1]) - float(lo[0]) + 1.0)
+                if best is None or window < best:
+                    best, cached = window, (attr, order, lo, reach)
+            self._key_index = cached
         return cached
 
     @property

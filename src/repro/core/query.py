@@ -14,13 +14,22 @@ of θ-joins executed directly on the compressed tables:
 
 No decompression of the lineage tables happens at any point.
 
-Every kernel here is vectorized: the θ-join is a blocked Q×N×d interval
-intersection (the block size is chosen so scratch arrays never exceed
-:data:`THETA_JOIN_BLOCK_BUDGET_BYTES`), the box merge is a segmented scan
-(lexsort + group-boundary detection + segmented running maxima), and result
-counting uses an exact sweep over a coordinate-compressed disjoint box
-decomposition.  The original per-row loop implementations live on in
-:mod:`repro.core._reference` as oracles for the equivalence tests.
+Every kernel here is vectorized.  The θ-join never scans a table: each
+table carries a window index on its most selective key attribute
+(:attr:`CompressedLineage.key_index` — the rows' order on ``key_lo`` and
+the running maximum of ``key_hi`` in that order), two binary searches per
+query box bound the rows that could overlap it, and only those candidate
+(box, row) pairs get the exact interval test on every key attribute,
+``rel_back`` and the clip.  A hop costs O(Q log N + pairs·d) for Q boxes
+against N rows of key arity d, where ``pairs`` is the total window size
+(the matches themselves when the key intervals are disjoint on the
+indexed attribute; Q·N when no attribute tells the rows apart); candidates are processed in chunks of whole boxes so pair scratch
+never exceeds :data:`THETA_JOIN_BLOCK_BUDGET_BYTES`.  The box merge is a
+segmented scan (lexsort + group-boundary detection + segmented running
+maxima), and result counting uses an exact sweep over a
+coordinate-compressed disjoint box decomposition.  The original per-row
+loop implementations live on in :mod:`repro.core._reference` as oracles for
+the equivalence tests.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -51,10 +60,10 @@ __all__ = [
 
 Cell = Tuple[int, ...]
 
-# Scratch-memory budget for one θ-join block: the two Q_block × N × d
-# intersection arrays plus the Q_block × N match mask must stay under this
-# many bytes, so a 10k-box query against a 100k-row table never materializes
-# the full Q×N×d tensor at once.
+# Scratch-memory budget for one θ-join chunk: the candidate pairs' box and
+# row indices, their two key intersections and the match flags stay under
+# this many bytes, so a query whose windows cover a large table many times
+# over is joined a run of boxes at a time.
 THETA_JOIN_BLOCK_BUDGET_BYTES = 64 * 1024 * 1024
 
 # count_cells builds an occupancy grid over the coordinate-compressed box
@@ -493,7 +502,13 @@ def merge_boxes_batch(
 # ----------------------------------------------------------------------
 @dataclass
 class HopStats:
-    """Per-hop statistics of a path query (used by the benchmark harness)."""
+    """Per-hop statistics of a path query (used by the benchmark harness).
+
+    ``rows_scanned`` counts the rows the hop actually compared: the
+    candidate (box, row) pairs the window index gave this query's boxes —
+    not ``len(table)``.  ``join_blocks`` is the number of candidate chunks
+    the kernel pass processed (shared by every query of a batch).
+    """
 
     array_from: str
     array_to: str
@@ -502,7 +517,7 @@ class HopStats:
     boxes_out_raw: int
     boxes_out_merged: int
     seconds: float
-    join_blocks: int = 0  # number of Q-blocks the blocked θ-join processed
+    join_blocks: int = 0
 
 
 @dataclass
@@ -546,34 +561,6 @@ class QueryResult:
 
     def count_cells(self) -> int:
         return self.cells.count_cells()
-
-
-def _partition_shared_refs(
-    table: CompressedLineage,
-    row_idx: np.ndarray,
-    inter_lo: np.ndarray,
-    inter_hi: np.ndarray,
-):
-    """Split matched (query box, row) pairs into interval-exact pairs and
-    pairs that need per-key-point expansion.
-
-    A pair needs expansion when the row has a key attribute referenced by
-    two or more relative value attributes (see
-    :attr:`CompressedLineage.shared_ref_mask`) *and* the key intersection on
-    such an attribute spans more than one index — a single index point is
-    exact either way.  Returns ``(row_idx, inter_lo, inter_hi, split)`` where
-    ``split`` is ``None`` or the ``(row_idx, inter_lo, inter_hi)`` triple of
-    the deferred pairs.
-    """
-    mask = table.shared_ref_mask
-    if mask is None or row_idx.size == 0:
-        return row_idx, inter_lo, inter_hi, None
-    needs = (mask[row_idx] & (inter_hi > inter_lo)).any(axis=1)
-    if not needs.any():
-        return row_idx, inter_lo, inter_hi, None
-    keep = ~needs
-    split = (row_idx[needs], inter_lo[needs], inter_hi[needs])
-    return row_idx[keep], inter_lo[keep], inter_hi[keep], split
 
 
 def _expand_shared_refs(
@@ -661,6 +648,72 @@ def _rel_back(
     return res_lo, res_hi
 
 
+def _check_joinable(query: CellBoxSet, table: CompressedLineage) -> None:
+    if table.key_name != query.array_name:
+        raise ValueError(
+            f"table is keyed on array {table.key_name!r} but the query targets {query.array_name!r}"
+        )
+    if table.key_ndim != query.ndim:
+        raise ValueError("query dimensionality does not match the table's key arity")
+
+
+def _at_width(ends: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """Query-box ends as search needles at an index array's stored width
+    (clipped into its range, which can only widen a window), so a narrow
+    index is never upcast per call."""
+    if dtype == np.int64:
+        return ends
+    info = np.iinfo(dtype)
+    return np.minimum(np.maximum(ends, info.min), info.max).astype(dtype)
+
+
+def _candidate_pairs(
+    table: CompressedLineage, lo: np.ndarray, hi: np.ndarray
+) -> Tuple[np.ndarray, Iterator[Tuple[np.ndarray, np.ndarray]]]:
+    """The rows each query box could join, from the table's window index.
+
+    Returns ``(count, chunks)``: ``count[b]`` is the size of box *b*'s
+    window on the indexed key attribute (:attr:`CompressedLineage.key_index`) —
+    two binary searches per box, no row is read — and ``chunks`` yields
+    those windows expanded to ``(box_idx, row_idx)`` pair arrays in
+    (box, stored row) order.  A chunk is a run of whole boxes holding at
+    most ``THETA_JOIN_BLOCK_BUDGET_BYTES`` of pair scratch (one box with a
+    wider window than that still goes through alone).  The windows are a
+    superset of the matches: the caller tests every key attribute exactly.
+    """
+    attr, order, index_lo, reach = table.key_index
+    start = reach.searchsorted(_at_width(lo[:, attr], reach.dtype), side="left")
+    count = index_lo.searchsorted(_at_width(hi[:, attr], index_lo.dtype), side="right") - start
+    np.maximum(count, 0, out=count)
+    ends = count.cumsum()
+    # ragged expansion: pair g of the stacked windows sits at index g + shift
+    shift = start - ends + count
+    # per pair: box + row index, two key intersections, the match flag
+    max_pairs = max(1, THETA_JOIN_BLOCK_BUDGET_BYTES // (16 * lo.shape[1] + 17))
+    n_boxes = count.shape[0]
+
+    def chunks() -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        first, done = 0, 0
+        while first < n_boxes:
+            last = n_boxes
+            if ends[-1] - done > max_pairs:
+                last = max(first + 1, int(ends.searchsorted(done + max_pairs, side="right")))
+            total = int(ends[last - 1])
+            box_idx = np.arange(first, last).repeat(count[first:last])
+            row_idx = np.arange(done, total)
+            row_idx += shift[box_idx]
+            if order is not None:
+                # back to stored rows, ascending within each box (which
+                # leaves box_idx as it is): one sort of a packed key
+                packed = box_idx * len(table) + order[row_idx]
+                packed.sort()
+                row_idx = packed - box_idx * len(table)
+            yield box_idx, row_idx
+            first, done = last, total
+
+    return count, chunks()
+
+
 def theta_join(
     query: CellBoxSet,
     table: CompressedLineage,
@@ -670,100 +723,24 @@ def theta_join(
     """One θ-join of a query box set against a compressed lineage table.
 
     The table's key side must correspond to the query's array; the result is
-    a box set over the table's value-side array.
-
-    The join is a single blocked interval-intersection over all Q×N
-    (query box, compressed row) pairs: each block broadcasts a slice of the
-    query against the whole table, keeps the overlapping pairs, and applies
-    ``rel_back`` de-relativization with one flat fancy-indexed gather over
-    every relative value attribute at once.  The block size is derived from
-    :data:`THETA_JOIN_BLOCK_BUDGET_BYTES` so scratch memory stays bounded
-    regardless of query and table sizes.  When *stats* is given, the number
-    of processed blocks is recorded under ``"join_blocks"``.
+    a box set over the table's value-side array.  This is the batch kernel
+    (:func:`_theta_join_batch_raw`) run on a batch of one: window lookup,
+    exact interval test and ``rel_back`` on the candidate pairs only.  When
+    *stats* is given it receives ``"join_blocks"`` (candidate chunks
+    processed) and ``"rows_scanned"`` (candidate pairs compared).
 
     Narrow (int8/int16) table columns are consumed as-is: the interval
     intersections promote against the int64 query boxes, and only the
     matched value gathers are upcast (inside :func:`_rel_back`), so a
-    hydrated table is scanned at its on-disk width.  Query box sets are
+    hydrated table is read at its on-disk width.  Query box sets are
     int64 throughout — results are bit-identical to the int64 oracle.
     """
-    if table.key_name != query.array_name:
-        raise ValueError(
-            f"table is keyed on array {table.key_name!r} but the query targets {query.array_name!r}"
-        )
-    if table.key_ndim != query.ndim:
-        raise ValueError("query dimensionality does not match the table's key arity")
-
-    n_rows = len(table)
-    n_query = len(query)
+    _check_joinable(query, table)
+    lo, hi, _, count = _theta_join_batch_raw(
+        table, query.lo, query.hi, np.zeros(len(query), np.int64), stats=stats
+    )
     if stats is not None:
-        stats["join_blocks"] = 0
-    if n_rows == 0 or n_query == 0:
-        return CellBoxSet.empty(table.value_name, table.value_shape)
-
-    key_ndim = table.key_ndim
-    # scratch per query box: two (n_rows, key_ndim) int64 intersection rows
-    # plus the n_rows boolean match column
-    bytes_per_query_box = n_rows * (2 * key_ndim * 8 + 1)
-    block = max(1, THETA_JOIN_BLOCK_BUDGET_BYTES // max(bytes_per_query_box, 1))
-
-    if n_query == 1:
-        # the one-box case (typical after a hop merge) stays 2-D end to end
-        if stats is not None:
-            stats["join_blocks"] = 1
-        inter_lo = np.maximum(table.key_lo, query.lo[0])
-        inter_hi = np.minimum(table.key_hi, query.hi[0])
-        matched = (inter_lo <= inter_hi).all(axis=1)
-        row_idx = np.flatnonzero(matched)
-        row_idx, ilo, ihi, split = _partition_shared_refs(
-            table, row_idx, inter_lo[row_idx], inter_hi[row_idx]
-        )
-        lo, hi = _rel_back(table, row_idx, ilo, ihi)
-        if split is not None:
-            split_lo, split_hi = _expand_shared_refs(table, *split)
-            lo = np.concatenate([lo, split_lo], axis=0)
-            hi = np.concatenate([hi, split_hi], axis=0)
-    else:
-        key_lo = table.key_lo[None, :, :]
-        key_hi = table.key_hi[None, :, :]
-        out_lo_parts: List[np.ndarray] = []
-        out_hi_parts: List[np.ndarray] = []
-        split_parts: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        for start in range(0, n_query, block):
-            stop = min(start + block, n_query)
-            if stats is not None:
-                stats["join_blocks"] += 1
-            inter_lo = np.maximum(key_lo, query.lo[start:stop, None, :])
-            inter_hi = np.minimum(key_hi, query.hi[start:stop, None, :])
-            matched = (inter_lo <= inter_hi).all(axis=2)
-            q_idx, row_idx = np.nonzero(matched)
-            row_idx, ilo, ihi, split = _partition_shared_refs(
-                table, row_idx, inter_lo[q_idx, row_idx], inter_hi[q_idx, row_idx]
-            )
-            res_lo, res_hi = _rel_back(table, row_idx, ilo, ihi)
-            out_lo_parts.append(res_lo)
-            out_hi_parts.append(res_hi)
-            if split is not None:
-                split_parts.append(split)
-        # shared-reference pairs expand per key point after every exact
-        # block, so the output ordering does not depend on the block size
-        for split in split_parts:
-            split_lo, split_hi = _expand_shared_refs(table, *split)
-            out_lo_parts.append(split_lo)
-            out_hi_parts.append(split_hi)
-        if len(out_lo_parts) == 1:
-            lo, hi = out_lo_parts[0], out_hi_parts[0]
-        else:
-            lo = np.concatenate(out_lo_parts, axis=0)
-            hi = np.concatenate(out_hi_parts, axis=0)
-
-    # clip to the value array's bounds in place (the arrays are fresh
-    # per-block copies), dropping boxes that fall outside entirely
-    np.maximum(lo, 0, out=lo)
-    np.minimum(hi, table.value_bounds, out=hi)
-    keep = (lo <= hi).all(axis=1)
-    if not keep.all():
-        lo, hi = lo[keep], hi[keep]
+        stats["rows_scanned"] = int(count.sum())
     result = CellBoxSet._wrap(table.value_name, table.value_shape, lo, hi)
     if merge:
         result = result.merged()
@@ -796,12 +773,12 @@ def execute_path(
             HopStats(
                 array_from=table.key_name,
                 array_to=table.value_name,
-                rows_scanned=len(table),
+                rows_scanned=join_stats["rows_scanned"],
                 boxes_in=boxes_in,
                 boxes_out_raw=raw_boxes,
                 boxes_out_merged=len(joined),
                 seconds=elapsed,
-                join_blocks=join_stats.get("join_blocks", 0),
+                join_blocks=join_stats["join_blocks"],
             )
         )
         current = joined
@@ -847,48 +824,46 @@ def _theta_join_batch_raw(
     hi: np.ndarray,
     qid: np.ndarray,
     stats: Optional[Dict[str, int]] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One blocked θ-join pass over a whole *batch* of stacked query boxes.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The θ-join kernel: stacked query boxes against one table.
 
-    Identical to the multi-box branch of :func:`theta_join` except that
-    every matched (box, row) pair carries its box's query id through the
-    join, so the output ``(lo, hi, qid)`` segments back into per-query
-    results afterwards.  The output is clipped to the value array's bounds
-    but **not** merged (merging is per-query, via
-    :func:`merge_boxes_batch`); within each query the raw row order is
-    exactly what the single-query join would produce.
+    :func:`_candidate_pairs` names the (box, row) pairs worth comparing;
+    each chunk of them gets the exact interval test on every key attribute,
+    and the matches are de-relativized by :func:`_rel_back` (pairs whose row
+    shares a key reference on a multi-index intersection — see
+    :attr:`CompressedLineage.shared_ref_mask` — by
+    :func:`_expand_shared_refs`, after every exact pair so the output order
+    does not depend on the chunking).  Every matched pair carries its box's
+    query id through the join, so the output ``(lo, hi, qid)`` segments back
+    into per-query results; it is clipped to the value array's bounds but
+    **not** merged (merging is per query, via :func:`merge_boxes_batch`),
+    and within each query the rows come out in (box, stored row) order —
+    what the loop oracle produces.  The fourth return value is the number
+    of candidate pairs per box.  *stats* receives ``"join_blocks"``, the
+    number of chunks processed.
     """
-    n_rows = len(table)
     n_boxes = lo.shape[0]
     if stats is not None:
         stats["join_blocks"] = 0
-    value_ndim = table.value_ndim
-    if n_rows == 0 or n_boxes == 0:
-        empty = np.empty((0, value_ndim), np.int64)
-        return empty, empty.copy(), np.empty(0, np.int64)
+    if len(table) == 0 or n_boxes == 0:
+        empty = np.empty((0, table.value_ndim), np.int64)
+        return empty, empty.copy(), np.empty(0, np.int64), np.zeros(n_boxes, np.int64)
 
-    key_ndim = table.key_ndim
-    bytes_per_query_box = n_rows * (2 * key_ndim * 8 + 1)
-    block = max(1, THETA_JOIN_BLOCK_BUDGET_BYTES // max(bytes_per_query_box, 1))
-
-    key_lo = table.key_lo[None, :, :]
-    key_hi = table.key_hi[None, :, :]
     out_lo_parts: List[np.ndarray] = []
     out_hi_parts: List[np.ndarray] = []
     out_qid_parts: List[np.ndarray] = []
     split_parts: List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
     shared_mask = table.shared_ref_mask
-    for start in range(0, n_boxes, block):
-        stop = min(start + block, n_boxes)
+    count, chunks = _candidate_pairs(table, lo, hi)
+    for box_idx, row_idx in chunks:
         if stats is not None:
             stats["join_blocks"] += 1
-        inter_lo = np.maximum(key_lo, lo[start:stop, None, :])
-        inter_hi = np.minimum(key_hi, hi[start:stop, None, :])
-        matched = (inter_lo <= inter_hi).all(axis=2)
-        b_idx, row_idx = np.nonzero(matched)
-        pair_qid = qid[start + b_idx]
-        ilo = inter_lo[b_idx, row_idx]
-        ihi = inter_hi[b_idx, row_idx]
+        ilo = np.maximum(table.key_lo[row_idx], lo[box_idx])
+        ihi = np.minimum(table.key_hi[row_idx], hi[box_idx])
+        matched = (ilo <= ihi).all(axis=1)
+        if not matched.all():
+            box_idx, row_idx, ilo, ihi = box_idx[matched], row_idx[matched], ilo[matched], ihi[matched]
+        pair_qid = qid[box_idx]
         if shared_mask is not None and row_idx.size:
             needs = (shared_mask[row_idx] & (ihi > ilo)).any(axis=1)
             if needs.any():
@@ -906,17 +881,14 @@ def _theta_join_batch_raw(
         out_lo_parts.append(res_lo)
         out_hi_parts.append(res_hi)
         out_qid_parts.append(pair_qid)
-    # shared-reference pairs expand after every exact block, mirroring the
-    # single-query kernel's ordering (exact pairs first, then expansions)
     for row_idx, ilo, ihi, pair_qid in split_parts:
         split_lo, split_hi = _expand_shared_refs(table, row_idx, ilo, ihi)
         # per-pair expansion count = the Cartesian product of the shared
         # attributes' intersection ranges, in the same pair order
         spans = np.where(shared_mask[row_idx], ihi - ilo + 1, 1)
-        counts = spans.prod(axis=1)
         out_lo_parts.append(split_lo)
         out_hi_parts.append(split_hi)
-        out_qid_parts.append(np.repeat(pair_qid, counts))
+        out_qid_parts.append(np.repeat(pair_qid, spans.prod(axis=1)))
     if len(out_lo_parts) == 1:
         res_lo, res_hi, res_qid = out_lo_parts[0], out_hi_parts[0], out_qid_parts[0]
     else:
@@ -924,12 +896,14 @@ def _theta_join_batch_raw(
         res_hi = np.concatenate(out_hi_parts, axis=0)
         res_qid = np.concatenate(out_qid_parts, axis=0)
 
+    # clip to the value array's bounds in place (the arrays are fresh
+    # copies), dropping boxes that fall outside entirely
     np.maximum(res_lo, 0, out=res_lo)
     np.minimum(res_hi, table.value_bounds, out=res_hi)
     keep = (res_lo <= res_hi).all(axis=1)
     if not keep.all():
         res_lo, res_hi, res_qid = res_lo[keep], res_hi[keep], res_qid[keep]
-    return res_lo, res_hi, res_qid
+    return res_lo, res_hi, res_qid, count
 
 
 def _segment_offsets(qid: np.ndarray, n_queries: int) -> np.ndarray:
@@ -948,29 +922,25 @@ def theta_join_batch(
     stats: Optional[Dict[str, int]] = None,
 ) -> List[CellBoxSet]:
     """θ-join a whole batch of queries against one table in a single
-    blocked pass.
+    kernel pass.
 
     Returns one result box set per query, bit-identical to calling
-    :func:`theta_join` on each query alone, but the Q×N×d interval
-    intersection runs once over the stacked batch: Q here is the *total*
-    box count of the batch, so 64 single-box queries cost one 64×N×d pass
-    instead of 64 separate 1×N×d passes (plus 64 rounds of numpy call
-    overhead).  Per-query segmentation is an offsets array over the
-    qid-sorted output — no Python-level loop touches the box data.
+    :func:`theta_join` on each query alone, but the window lookup, the
+    interval test and ``rel_back`` run once over the stacked boxes of the
+    whole batch, so 64 single-box queries pay one round of numpy call
+    overhead instead of 64.  Per-query segmentation is an offsets array
+    over the qid-sorted output — no Python-level loop touches the box data.
+    *stats* is filled as by :func:`theta_join`, summed over the batch.
     """
     queries = list(queries)
     if not queries:
         return []
     for query in queries:
-        if table.key_name != query.array_name:
-            raise ValueError(
-                f"table is keyed on array {table.key_name!r} but the query "
-                f"targets {query.array_name!r}"
-            )
-        if table.key_ndim != query.ndim:
-            raise ValueError("query dimensionality does not match the table's key arity")
+        _check_joinable(query, table)
     lo, hi, qid = _stack_box_sets(queries)
-    out_lo, out_hi, out_qid = _theta_join_batch_raw(table, lo, hi, qid, stats=stats)
+    out_lo, out_hi, out_qid, count = _theta_join_batch_raw(table, lo, hi, qid, stats=stats)
+    if stats is not None:
+        stats["rows_scanned"] = int(count.sum())
     if merge:
         out_lo, out_hi, out_qid = merge_boxes_batch(out_lo, out_hi, out_qid)
     else:
@@ -993,8 +963,8 @@ def execute_path_batch(
     queries: Sequence[CellBoxSet],
     merge: bool = True,
 ) -> List[QueryResult]:
-    """Run a batch of queries down one hop-table chain, one blocked kernel
-    pass per hop.
+    """Run a batch of queries down one hop-table chain, one kernel pass per
+    hop.
 
     The semantics (results, per-query hop lists, early exit of a query
     whose intermediate result empties) are exactly ``[execute_path(tables,
@@ -1021,9 +991,10 @@ def execute_path_batch(
     for table in tables:
         start = time.perf_counter()
         boxes_in = np.bincount(qid, minlength=n_queries)
-        out_lo, out_hi, out_qid = _theta_join_batch_raw(
+        out_lo, out_hi, out_qid, count = _theta_join_batch_raw(
             table, lo, hi, qid, stats=join_stats
         )
+        rows_scanned = np.bincount(qid, weights=count, minlength=n_queries)
         order = np.argsort(out_qid, kind="stable")
         out_lo, out_hi, out_qid = out_lo[order], out_hi[order], out_qid[order]
         raw_counts = np.bincount(out_qid, minlength=n_queries)
@@ -1034,13 +1005,13 @@ def execute_path_batch(
             merged_counts = raw_counts
         elapsed = time.perf_counter() - start
         offsets = _segment_offsets(out_qid, n_queries)
-        blocks = join_stats.get("join_blocks", 0)
+        blocks = join_stats["join_blocks"]
         for q in np.flatnonzero(alive):
             hops[q].append(
                 HopStats(
                     array_from=table.key_name,
                     array_to=table.value_name,
-                    rows_scanned=len(table),
+                    rows_scanned=int(rows_scanned[q]),
                     boxes_in=int(boxes_in[q]),
                     boxes_out_raw=int(raw_counts[q]),
                     boxes_out_merged=int(merged_counts[q]),

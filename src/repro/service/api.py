@@ -141,7 +141,11 @@ def parse_query_request(body: dict) -> QuerySpec:
 def result_payload(
     result, include_boxes: bool = True, include_cells: bool = False
 ) -> dict:
-    """JSON-encodable form of a :class:`~repro.core.query.QueryResult`."""
+    """JSON-encodable form of a :class:`~repro.core.query.QueryResult`.
+
+    Each ``hops`` entry's ``rows_scanned`` is the number of (box, row)
+    pairs the hop's index lookup made it compare, not the table's length.
+    """
     cells = result.cells
     payload: Dict[str, Any] = {
         "array": cells.array_name,

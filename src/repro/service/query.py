@@ -867,15 +867,22 @@ class QueryExecutor:
     def _prefetch_tables(
         self, paths: Sequence[Sequence[str]], deadline_at: Optional[float] = None
     ) -> None:
-        """Materialize every hop table, grouped by home shard on the pool.
+        """Hydrate the hop tables that are not resident, grouped by home
+        shard.
 
         Lazy entries hydrate through their shard's segment reader and LRU
-        cache; grouping by shard means two shards' reads + gunzips overlap
-        while each shard's own reads stay sequential (one file cursor, one
-        cache) — the per-shard fan-out of the serving tier.
+        cache.  When two or more shards have tables to load, each shard's
+        group goes to the pool so their reads + gunzips overlap while one
+        shard's own reads stay sequential (one file cursor, one cache) —
+        the per-shard fan-out of the serving tier.  One cold shard has
+        nothing to overlap with: its tables hydrate on the calling thread
+        when the join resolves them (which then holds them — loading them
+        here as well would let a tight cache evict one before its hop).
+        With every table resident there is nothing to do at all, so the
+        common warm query pays no thread round trip.
 
-        With a deadline, each shard's hydration is awaited against the
-        remaining budget: one slow/stalled shard raises
+        With a deadline, cold shards always go to the pool and each is
+        awaited against the remaining budget: one slow/stalled shard raises
         :class:`~repro.faults.DeadlineExceeded` naming it, instead of
         wedging the whole query.  (The unsharded backends hydrate as
         pseudo-shard 0 so the deadline applies there too.)
@@ -884,13 +891,17 @@ class QueryExecutor:
             return  # sequential executor: loads happen in-line, unbounded
         catalog = self.log.catalog
         entry_shard = getattr(catalog, "entry_shard", None)
+        # home shard -> its tables still to hydrate (the residency probe
+        # moves no cache counter)
         by_shard: Dict[int, List[Tuple[Any, str]]] = {}
         for path in paths:
             for first, second in zip(path, path[1:]):
                 entry, _ = catalog.entry_between(first, second)
                 pair = (entry.in_name, entry.out_name)
                 shard = entry_shard(pair) if entry_shard is not None else 0
-                by_shard.setdefault(shard, []).append((entry, first))
+                tasks = by_shard.setdefault(shard, [])
+                if not entry.is_resident(first):
+                    tasks.append((entry, first))
 
         def load(shard: int, tasks: List[Tuple[Any, str]]) -> None:
             started = time.monotonic()
@@ -901,23 +912,24 @@ class QueryExecutor:
                 time.monotonic() - started
             )
 
-        if len(by_shard) <= 1 and deadline_at is None:
-            # single failure domain, no budget: skip the pool hop.  With a
-            # trace active, still record the per-shard prefetch span (the
-            # trace contract: one prefetch-shard span per home shard) —
-            # just inline, without paying the pool round trip.
-            if tracing.current_trace() is not None:
-                for shard, tasks in by_shard.items():
-                    load(shard, tasks)
-            return
-
+        cold = [shard for shard, tasks in by_shard.items() if tasks]
+        pooled = cold if len(cold) >= 2 or deadline_at is not None else []
         futures = {
-            self._pool.submit(tracing.wrap_context(load), shard, tasks): shard
-            for shard, tasks in by_shard.items()
+            self._pool.submit(tracing.wrap_context(load), shard, by_shard[shard]): shard
+            for shard in pooled
         }
-        with self._stats_lock:
-            self.parallel_loads += len(futures)
+        if futures:
+            with self._stats_lock:
+                self.parallel_loads += len(futures)
         try:
+            if tracing.current_trace() is not None:
+                # trace contract: one prefetch-shard span per home shard; a
+                # shard that stayed off the pool records an empty one (its
+                # tables load at the join, traced or not)
+                for shard, tasks in by_shard.items():
+                    if shard not in pooled:
+                        with tracing.span("prefetch-shard", shard=shard, tables=len(tasks)):
+                            pass
             for future, shard in futures.items():
                 try:
                     future.result(timeout=self._remaining(deadline_at, shard))

@@ -262,7 +262,8 @@ def encode_result(
 ) -> bytes:
     """Binary form of a :class:`~repro.core.query.QueryResult` — the same
     fields as :func:`~repro.service.api.result_payload`, with the box (and
-    optional cell) coordinates as raw ndarray buffers instead of JSON."""
+    optional cell) coordinates as raw ndarray buffers instead of JSON
+    (``hops[i]["rows_scanned"]`` likewise counts the pairs compared)."""
     cells = result.cells
     header: Dict[str, Any] = {
         "array": cells.array_name,

@@ -81,6 +81,11 @@ class LineageEntry:
             return self.forward
         raise KeyError(f"array {array_name!r} is not part of this lineage entry")
 
+    def is_resident(self, array_name: str) -> bool:
+        """In-memory entries hold their tables; stored entries probe the
+        table cache (:meth:`StoredLineageEntry.is_resident`)."""
+        return True
+
     def storage_bytes(self, gzip: bool = True) -> int:
         """On-disk footprint of the long-term (backward) representation."""
         if gzip:

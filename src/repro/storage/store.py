@@ -129,6 +129,11 @@ class TableCache:
     def __len__(self) -> int:
         return len(self._items)
 
+    def __contains__(self, ref: TableRef) -> bool:
+        """Residency probe: no counter moves, no LRU reordering."""
+        with self._lock:
+            return ref in self._items
+
     def get(self, ref: TableRef) -> Optional[CompressedLineage]:
         with self._lock:
             table = self._items.get(ref)
@@ -188,7 +193,8 @@ class StoredLineageEntry:
 
     Duck-typed against :class:`~repro.storage.catalog.LineageEntry`
     (``in_name`` / ``out_name`` / ``op_name`` / ``reused`` / ``version`` /
-    ``backward`` / ``forward`` / ``table_keyed_on`` / ``storage_bytes``);
+    ``backward`` / ``forward`` / ``table_keyed_on`` / ``is_resident`` /
+    ``storage_bytes``);
     the two orientation attributes are properties that pull the table
     through the store's LRU cache on access.
     """
@@ -230,6 +236,12 @@ class StoredLineageEntry:
         if array_name == self.in_name:
             return self.forward
         raise KeyError(f"array {array_name!r} is not part of this lineage entry")
+
+    def is_resident(self, array_name: str) -> bool:
+        """Whether :meth:`table_keyed_on` would be served from the table
+        cache (a probe: it loads nothing and counts as no cache lookup)."""
+        ref = self.backward_ref if array_name == self.out_name else self.forward_ref
+        return self.store.resolve(ref) in self.store.cache
 
     def storage_bytes(self, gzip: bool = True) -> int:
         """Long-term (backward) footprint.  When the requested format is the

@@ -8,9 +8,14 @@ relations, including relative encodings, out-of-bounds queries and empty
 results.  Seeded numpy generators keep every run reproducible.
 """
 
+import contextlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.core.query as query_mod
 from repro.core._reference import (
     decompress_reference,
     execute_path_batch_reference,
@@ -21,11 +26,13 @@ from repro.core._reference import (
     theta_join_reference,
     value_range_pass_reference,
 )
-from repro.core.compressed import KIND_REL
+from repro.core.compressed import KIND_REL, CompressedLineage
 from repro.core.provrc import _key_range_pass, _value_range_pass, compress, compress_both
 from repro.core.query import (
     THETA_JOIN_BLOCK_BUDGET_BYTES,
     CellBoxSet,
+    _candidate_pairs,
+    execute_path,
     execute_path_batch,
     merge_boxes,
     merge_boxes_batch,
@@ -153,8 +160,6 @@ class TestThetaJoinEquivalence:
     def test_blocked_join_matches_single_block(self, monkeypatch):
         # force a tiny block budget so a moderate query spans many blocks,
         # then check the result is identical to the unblocked oracle
-        import repro.core.query as query_mod
-
         rng = np.random.default_rng(11)
         relation = random_relation(rng, max_ndim=2, max_dim=8, max_rows=120)
         table = compress(relation, key="output")
@@ -581,8 +586,6 @@ class TestThetaJoinBatchEquivalence:
         assert theta_join_batch([], table) == []
 
     def test_blocked_batch_matches_oracle(self, monkeypatch):
-        import repro.core.query as query_mod
-
         rng = np.random.default_rng(13)
         relation = random_relation(rng, max_ndim=2, max_dim=8, max_rows=120)
         table = compress(relation, key="output")
@@ -649,3 +652,188 @@ class TestExecutePathBatchEquivalence:
         results = execute_path_batch([], [query])
         assert len(results) == 1
         assert results[0].cells is query and results[0].hops == []
+
+
+# ----------------------------------------------------------------------
+# the window index: candidates cover the matches, answers equal the oracle
+# ----------------------------------------------------------------------
+COLUMN_DTYPES = [np.int8, np.int16, np.int64]
+
+
+@st.composite
+def int_columns(draw, rows, width, low, high, dtype):
+    cells = st.lists(st.integers(low, high), min_size=width, max_size=width)
+    data = draw(st.lists(cells, min_size=rows, max_size=rows))
+    return np.asarray(data, dtype=dtype).reshape(rows, width)
+
+
+@st.composite
+def hand_built_tables(draw, key_name, value_name, key_shape, value_shape):
+    """A table no compressor made: rows in any order (so the index has to
+    ``argsort``), key intervals nested and overlapping on every attribute
+    (so the window start needs the running maximum), narrow column dtypes,
+    per-row value encodings with shared key references, or no rows at all."""
+    nkey, nval = len(key_shape), len(value_shape)
+    rows = draw(st.integers(0, 14))
+    key_dtype = draw(st.sampled_from(COLUMN_DTYPES))
+    val_dtype = draw(st.sampled_from(COLUMN_DTYPES))
+    key_lo = draw(int_columns(rows, nkey, 0, 11, key_dtype))
+    key_hi = key_lo + draw(int_columns(rows, nkey, 0, 6, key_dtype))
+    if draw(st.booleans()):  # stored in index order: the no-argsort branch
+        order = np.argsort(key_lo[:, 0], kind="stable")
+        key_lo, key_hi = key_lo[order], key_hi[order]
+    val_kind = draw(int_columns(rows, nval, 0, 1, np.int8))
+    val_ref = draw(int_columns(rows, nval, 0, nkey - 1, np.int16))
+    val_ref[val_kind != KIND_REL] = -1
+    val_lo = draw(int_columns(rows, nval, -3, 8, val_dtype))
+    val_hi = val_lo + draw(int_columns(rows, nval, 0, 3, val_dtype))
+    return CompressedLineage(
+        "output", key_name, value_name, key_shape, value_shape,
+        key_lo, key_hi, val_kind, val_ref, val_lo, val_hi,
+    )
+
+
+@st.composite
+def box_sets(draw, name, shape):
+    """Boxes that overlap the key range, miss it on either side, and repeat."""
+    ndim = len(shape)
+    n = draw(st.integers(0, 6))
+    lo = draw(int_columns(n, ndim, -6, 24, np.int64))
+    hi = lo + draw(int_columns(n, ndim, 0, 5, np.int64))
+    # ends past the int8 / int16 range of a narrow index
+    lo -= draw(st.sampled_from([0, 0, 200, 40_000]))
+    hi += draw(st.sampled_from([0, 0, 200, 40_000]))
+    if n and draw(st.booleans()):
+        lo, hi = np.concatenate([lo, lo[:2]]), np.concatenate([hi, hi[:2]])
+    return CellBoxSet(name, shape, lo, hi)
+
+
+@st.composite
+def join_cases(draw):
+    """A two-hop chain ``n0 -> n1 -> n2``, a batch of queries on ``n0`` and
+    a pair-scratch budget (a few pairs per chunk, or the default)."""
+    shapes = [(10,) * draw(st.integers(1, 3)) for _ in range(3)]
+    tables = [
+        draw(hand_built_tables(f"n{k}", f"n{k + 1}", shapes[k], shapes[k + 1]))
+        for k in range(2)
+    ]
+    queries = draw(st.lists(box_sets("n0", shapes[0]), min_size=1, max_size=4))
+    budget = draw(st.sampled_from([100, THETA_JOIN_BLOCK_BUDGET_BYTES]))
+    return tables, queries, budget
+
+
+@contextlib.contextmanager
+def pair_budget(budget):
+    """Run the kernels under another ``THETA_JOIN_BLOCK_BUDGET_BYTES``
+    (``monkeypatch`` is function-scoped and cannot reset per example)."""
+    old = query_mod.THETA_JOIN_BLOCK_BUDGET_BYTES
+    query_mod.THETA_JOIN_BLOCK_BUDGET_BYTES = budget
+    try:
+        yield
+    finally:
+        query_mod.THETA_JOIN_BLOCK_BUDGET_BYTES = old
+
+
+def execute_path_oracle(tables, query, merge):
+    current = query
+    for table in tables:
+        current = theta_join_reference(current, table, merge=merge)
+        if current.is_empty():
+            break
+    return current
+
+
+def mean_windows(table):
+    """Per key attribute: the mean number of rows the window index would
+    name for one index point, over every point of the attribute's extent."""
+    means = []
+    for attr in range(table.key_ndim):
+        lo, hi = (c[:, attr].astype(np.int64) for c in (table.key_lo, table.key_hi))
+        order = np.argsort(lo, kind="stable")
+        lo, reach = lo[order], np.maximum.accumulate(hi[order])
+        points = np.arange(lo.min(), hi.max() + 1)
+        windows = np.searchsorted(lo, points, "right") - np.searchsorted(reach, points, "left")
+        means.append(windows.mean())
+    return np.round(means, 9)  # ties go to the lower attribute
+
+
+class TestWindowIndexProperty:
+    @given(join_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_candidates_cover_the_matches(self, case):
+        (table, _), queries, budget = case
+        lo = np.concatenate([q.lo for q in queries])
+        hi = np.concatenate([q.hi for q in queries])
+        if len(table) == 0 or lo.shape[0] == 0:
+            return  # the kernel returns before it asks for candidates
+        overlap = (
+            (table.key_lo[None, :, :] <= hi[:, None, :])
+            & (table.key_hi[None, :, :] >= lo[:, None, :])
+        ).all(axis=2)
+        with pair_budget(budget):
+            count, chunks = _candidate_pairs(table, lo, hi)
+            chunks = list(chunks)
+        pairs = [pair for chunk in chunks for pair in zip(*map(np.ndarray.tolist, chunk))]
+        # (box, stored row) order, no pair twice, every true match present
+        assert pairs == sorted(set(pairs))
+        assert count.tolist() == [sum(box == b for box, _ in pairs) for b in range(lo.shape[0])]
+        assert set(zip(*map(np.ndarray.tolist, np.nonzero(overlap)))) <= set(pairs)
+        # chunks are runs of whole boxes within the budget (or one wide box)
+        bytes_per_pair = 16 * table.key_ndim + 17
+        for box_idx, _ in chunks:
+            assert box_idx.size * bytes_per_pair <= budget or len(set(box_idx.tolist())) == 1
+        attr, order, index_lo, reach = table.key_index
+        assert (order is None) == bool((np.diff(table.key_lo[:, attr].astype(np.int64)) >= 0).all())
+        assert (np.diff(index_lo) >= 0).all() and (np.diff(reach) >= 0).all()
+        assert index_lo.dtype == table.key_lo.dtype and reach.dtype == table.key_hi.dtype
+        # the indexed attribute has the smallest mean window over its extent
+        assert attr == int(np.argmin(mean_windows(table)))
+
+    @given(join_cases(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_every_entry_point_matches_the_loop_oracle(self, case, merge):
+        tables, queries, budget = case
+        stats = {}
+        with pair_budget(budget):
+            single = [theta_join(q, tables[0], merge=merge, stats=stats) for q in queries]
+            batch = theta_join_batch(queries, tables[0], merge=merge)
+            paths = [execute_path(tables, q, merge=merge) for q in queries]
+            path_batch = execute_path_batch(tables, queries, merge=merge)
+        for q, got, in_batch, path, in_path_batch in zip(
+            queries, single, batch, paths, path_batch
+        ):
+            want = theta_join_reference(q, tables[0], merge=merge)
+            assert_box_sets_identical(got, want)
+            assert_box_sets_identical(in_batch, want)
+            assert got.lo.dtype == np.int64 and in_batch.lo.dtype == np.int64
+            want = execute_path_oracle(tables, q, merge)
+            assert_box_sets_identical(path.cells, want)
+            assert_box_sets_identical(in_path_batch.cells, want)
+            assert_hops_identical(in_path_batch.hops, path.hops)
+        # rows_scanned is the candidate pairs of the query's own boxes
+        last = queries[-1]
+        if len(tables[0]) and len(last):
+            count, _ = _candidate_pairs(tables[0], last.lo, last.hi)
+            assert stats["rows_scanned"] == int(count.sum()) <= len(last) * len(tables[0])
+            assert paths[-1].hops[0].rows_scanned == stats["rows_scanned"]
+
+    @pytest.mark.parametrize("key", ["output", "input"])
+    def test_row_broadcast_table_is_indexed_on_the_attribute_that_differs(self, key):
+        # out[i, j] = in[perm[j]]: keyed on the output every row spans
+        # attribute 0 (the broadcast axis), so only attribute 1 can narrow
+        rng = np.random.default_rng(7)
+        n_rows, n_cols = 6, 400
+        perm = rng.permutation(n_cols)
+        out_cells = np.stack(np.meshgrid(np.arange(n_rows), np.arange(n_cols), indexing="ij"), -1)
+        out_cells = out_cells.reshape(-1, 2)
+        rows = np.concatenate([out_cells, perm[out_cells[:, 1:]]], axis=1)
+        relation = LineageRelation((n_rows, n_cols), (n_cols,), rows)
+        table = compress(relation, key=key)
+        assert len(table) > n_cols // 2
+        cells = rng.integers(0, [n_rows, n_cols] if key == "output" else [n_cols], (25, table.key_ndim))
+        query = CellBoxSet.from_cells(table.key_name, table.key_shape, cells)
+        stats = {}
+        got = theta_join(query, table, merge=False, stats=stats)
+        assert_box_sets_identical(got, theta_join_reference(query, table, merge=False))
+        assert table.key_index[0] == table.key_ndim - 1
+        assert stats["rows_scanned"] <= len(cells)  # one candidate row per cell
