@@ -1,19 +1,47 @@
 """Serialization of ProvRC tables and the ProvRC-GZip variant.
 
 The on-disk format is a compact self-describing binary: a JSON header
-(array names, shapes, axis names, key orientation, column dtypes) followed
-by the raw bytes of each columnar array, each downcast to the smallest
-integer dtype that can represent its values.  ``ProvRC-GZip`` (the format
-DSLog uses by default, Section VII.B) is simply this payload passed through
-zlib, mirroring how the paper stacks GZip on top of the main algorithm.
+(array names, shapes, axis names, key orientation, column dtypes, the
+column ``layout``) followed by the raw bytes of the six columnar arrays,
+each downcast to the smallest integer dtype that can represent what it
+holds.  ``ProvRC-GZip`` (the format DSLog uses by default, Section VII.B)
+is simply this payload passed through zlib, mirroring how the paper stacks
+GZip on top of the main algorithm.
 
-Hydration is **zero-copy**: :func:`deserialize_compressed` accepts any
-buffer (``bytes``, ``memoryview``, an mmap'd segment record) and returns
-read-only ``np.frombuffer`` views directly into it, at the stored narrow
-dtypes — no per-column slice copies and no ``astype(int64)`` upcast.  A
-table stored as int8 therefore occupies its on-disk footprint in memory,
-and the backing buffer (e.g. the segment mmap) stays alive for exactly as
-long as any column view references it.
+**Column layout** (``"layout": "row-delta"``).  ProvRC's own invariants
+make two transforms nearly free, and every table gets both — one rule, no
+per-table choice:
+
+* every ``*_hi`` column is stored as its **extent** ``hi - lo``: zero on
+  every row ProvRC could not merge, which is most rows of the tables that
+  dominate a store (a 20,000-row ``sort`` table is 20,000 degenerate
+  intervals);
+* every ``*_lo`` column is stored as its **row delta** along axis 0 (row 0
+  against zero): rows are in canonical key order, so key deltas are tiny
+  and mostly constant.
+
+Both are computed with wrap-around arithmetic at the columns' own narrow
+dtypes and narrowed once more, so the round trip is exact over the whole
+int64 range and neither needs more bits than the values it encodes.
+``val_kind`` and ``val_ref`` are stored verbatim.  The header records, per
+interval column, the dtype it decodes to (``decoded``) — the dtype the
+column would have been written at verbatim.  A payload whose header has no
+``layout`` field was written before this layout existed: its columns are
+verbatim and hydrate without the decode step.
+
+**Hydration** hands back read-only columns at those narrow dtypes — no
+``astype(int64)`` upcast, so a table stored as int8 is charged its int8
+footprint by :meth:`CompressedLineage.nbytes`.  ``val_kind`` and
+``val_ref`` are ``np.frombuffer`` views straight into the buffer
+:func:`deserialize_compressed` was given (``bytes``, ``memoryview``, an
+mmap'd segment record), which stays alive for exactly as long as a view
+references it; the four interval columns are rebuilt in one pass each
+(``np.add.accumulate`` down the rows for a ``lo``, ``np.add`` for a
+``hi``) into arrays of their own.  Verbatim (pre-layout) payloads hydrate
+as six views.  A gzip store never had views into the segment mmap, only
+into the inflate buffer, so there the decode pass replaces nothing; a
+``gzip=False`` store trades four mmap views per table for a file two
+fifths smaller.
 """
 
 from __future__ import annotations
@@ -172,20 +200,33 @@ def _smallest_int_dtype(array: np.ndarray) -> np.dtype:
 smallest_int_dtype = _smallest_int_dtype
 
 
+def _narrowed(array: np.ndarray) -> np.ndarray:
+    """*array*, C-contiguous, at the narrowest dtype that holds it (no copy
+    when it already is — e.g. the columns of a table hydrated from disk)."""
+    return np.ascontiguousarray(array.astype(_smallest_int_dtype(array), copy=False))
+
+
 def serialize_compressed(table: CompressedLineage) -> bytes:
     """Serialize a compressed lineage table to bytes (no general compression)."""
+    stored = {"val_kind": table.val_kind, "val_ref": table.val_ref}
+    decoded = {}
+    for lo_name, hi_name in (("key_lo", "key_hi"), ("val_lo", "val_hi")):
+        lo = _narrowed(getattr(table, lo_name))
+        hi = _narrowed(getattr(table, hi_name))
+        decoded[lo_name], decoded[hi_name] = lo.dtype.str, hi.dtype.str
+        # both wrap at the narrow dtype: exact modulo 2**bits, which is all
+        # the decode (same arithmetic, same dtype) needs
+        delta = lo.copy()
+        np.subtract(lo[1:], lo[:-1], out=delta[1:])
+        stored[lo_name] = delta
+        stored[hi_name] = hi - lo
     columns = {}
     payload = bytearray()
     for name in _COLUMNS:
-        array = getattr(table, name)
-        dtype = _smallest_int_dtype(array)
-        if array.dtype == dtype:
-            # already at its narrowest (e.g. a table hydrated from disk):
-            # skip the cast — tobytes() below is the only copy made
-            cast = np.ascontiguousarray(array)
-        else:
-            cast = np.ascontiguousarray(array.astype(dtype, copy=False))
-        columns[name] = {"dtype": dtype.str, "shape": list(cast.shape)}
+        cast = _narrowed(stored[name])
+        columns[name] = {"dtype": cast.dtype.str, "shape": list(cast.shape)}
+        if name in decoded:
+            columns[name]["decoded"] = decoded[name]
         payload.extend(cast.tobytes())
     header = {
         "key_side": table.key_side,
@@ -195,17 +236,23 @@ def serialize_compressed(table: CompressedLineage) -> bytes:
         "in_shape": list(table.in_shape),
         "out_axes": list(table.out_axes),
         "in_axes": list(table.in_axes),
+        "layout": "row-delta",
         "columns": columns,
     }
     return json_frame(_MAGIC, header, bytes(payload))
 
 
 def read_column_arrays(data) -> Tuple[dict, Dict[str, np.ndarray]]:
-    """Decode the header and the raw column views of a serialized table.
+    """Decode the header and the six columns of a serialized table.
 
     *data* may be any buffer (``bytes``, ``memoryview``, mmap record).  The
-    returned arrays are **read-only views into that buffer** at their stored
-    dtypes — ``np.frombuffer`` with an offset, no slice copy, no upcast.
+    returned arrays are **read-only** and at the narrow dtypes the table
+    was written from — no upcast.  The columns stored verbatim are views
+    into that buffer (``np.frombuffer`` with an offset, no slice copy);
+    under the ``row-delta`` layout the four interval columns are undone in
+    one pass each, ``lo = cumsum(delta)`` then ``hi = lo + extent``.  A
+    header without a ``layout`` field is a payload from before the layout
+    existed: all six columns are verbatim views.
     A zero-dimensional (scalar-shaped) column has exactly one element: the
     empty shape's index space is the single empty tuple, so its count is the
     empty product 1, not 0.
@@ -225,16 +272,30 @@ def read_column_arrays(data) -> Tuple[dict, Dict[str, np.ndarray]]:
         arr = frombuffer(view, dtype=dtype, count=count, offset=offset)
         arrays[name] = arr.reshape(shape)
         offset += count * dtype.itemsize
+    layout = header.get("layout")
+    if layout is not None:
+        if layout != "row-delta":
+            raise ValueError(f"unknown ProvRC column layout {layout!r}")
+        for lo_name, hi_name in (("key_lo", "key_hi"), ("val_lo", "val_hi")):
+            # a running sum down the rows, then one add: both wrap at the
+            # decoded dtype exactly as the writer's subtractions did
+            lo = np.add.accumulate(
+                arrays[lo_name], axis=0, dtype=_dtype_of(columns[lo_name]["decoded"])
+            )
+            hi = np.add(lo, arrays[hi_name], dtype=_dtype_of(columns[hi_name]["decoded"]))
+            lo.flags.writeable = hi.flags.writeable = False
+            arrays[lo_name], arrays[hi_name] = lo, hi
     return header, arrays
 
 
 def deserialize_compressed(data) -> CompressedLineage:
     """Inverse of :func:`serialize_compressed`.
 
-    Zero-copy: the table's columns are read-only views into *data* at their
-    stored narrow dtypes.  The table keeps the buffer alive through the
-    views' ``base`` chain, so passing a segment mmap here pins its pages
-    until the table (and every array derived from its columns) is dropped.
+    The table's columns are read-only and narrow (see
+    :func:`read_column_arrays`).  Those that are views keep *data* alive
+    through their ``base`` chain, so passing a segment mmap here pins its
+    pages until the table (and every array derived from those columns) is
+    dropped.
     """
     header, arrays = read_column_arrays(data)
     return CompressedLineage._hydrate(
@@ -279,17 +340,26 @@ def deserialize_table(data) -> CompressedLineage:
 
 def peek_table_identity(data) -> Tuple[str, str, str]:
     """Decode only ``(key_side, in_name, out_name)`` from a serialized
-    table payload (plain or gzip), without touching the column bytes.
+    table payload (plain or gzip), without touching the column bytes: of
+    a gzip payload only the header's own bytes are inflated.
 
     The scrub subsystem uses this to verify that the record a manifest ref
     points at really *is* the table the row claims — a checksum proves the
     payload is intact, not that it belongs to this entry.  Raises
     ``ValueError`` (or ``zlib.error``) when the payload is not a table.
     """
+    what = "serialized ProvRC table"
     view = memoryview(data)
     if bytes(view[:4]) != _MAGIC:
-        view = memoryview(zlib.decompress(view))
-    header, _offset = parse_json_frame(view, _MAGIC, "serialized ProvRC table")
+        # inflate the fixed prefix, then exactly the JSON header it sizes —
+        # never the column bytes behind it
+        inflater = zlib.decompressobj()
+        head = inflater.decompress(view, len(_MAGIC) + 4)
+        (header_len,), _ = parse_header(head, _MAGIC, "I", what)
+        if header_len:  # max_length 0 would mean "no limit"
+            head += inflater.decompress(inflater.unconsumed_tail, header_len)
+        view = memoryview(head)
+    header, _offset = parse_json_frame(view, _MAGIC, what)
     return header["key_side"], header["in_name"], header["out_name"]
 
 

@@ -498,10 +498,11 @@ class QueryExecutor:
         per query: the dependency-version read and snapshot pin happen
         once, cache hits peel off before any kernel work, the remaining
         misses are grouped by resolved hop path, each path group's tables
-        are prefetched once, and each group executes as a *single* blocked
-        θ-join pass per hop (:func:`~repro.core.query.execute_path_batch`)
-        with per-query result segmentation — results are bit-identical to
-        running the requests one at a time.  Fresh results are installed in
+        are prefetched right before its join, and each group executes as a
+        *single* blocked θ-join pass per hop
+        (:func:`~repro.core.query.execute_path_batch`) with per-query
+        result segmentation — results are bit-identical to running the
+        requests one at a time.  Fresh results are installed in
         the result cache per query, exactly as single execution would.
         """
         self._check_open()
@@ -565,16 +566,9 @@ class QueryExecutor:
                 groups[group_key] = group
             group[2].append((i, box_set, key))
 
-        # phase 3: one snapshot pin, one prefetch, one kernel pass per group
+        # phase 3: one snapshot pin; one prefetch + one kernel pass per group
         pin = self._pin_stores()
         try:
-            all_paths = [p for paths, _, _ in groups.values() for p in paths]
-            try:
-                with tracing.span("batch-prefetch", groups=len(groups)):
-                    self._prefetch_tables(all_paths, deadline_at=deadline_at)
-            except (DeadlineExceeded, OSError, CorruptRecordError) as error:
-                self._fail_groups(groups, outcomes, error)
-                return outcomes
             for paths, direct, items in groups.values():
                 self._execute_group(
                     paths, direct, items, merge, live, deadline_at, outcomes
@@ -608,7 +602,8 @@ class QueryExecutor:
         outcomes: List[Any],
     ) -> None:
         """Execute one path group of a batch: breaker-gate its home shards,
-        run the batched θ-join chain(s), install per-query cache entries.
+        prefetch its tables, run the batched θ-join chain(s), install
+        per-query cache entries.
         Failures degrade each of the group's queries individually."""
         try:
             shards = self._home_shards(paths)
@@ -624,6 +619,10 @@ class QueryExecutor:
         deps = self._path_deps(live, paths[0]) if direct else self._full_deps(live)
         box_sets = [box_set for _, box_set, _ in items]
         try:
+            # per group, not per batch: hydrating every group's tables up
+            # front lets a cache smaller than the batch's working set evict
+            # them before their joins run, which then load them again
+            self._prefetch_tables(paths, deadline_at=deadline_at)
             self._remaining(deadline_at, None)  # refuse doomed kernel work
             with tracing.span(
                 "batch-join", paths=len(paths), queries=len(items)
@@ -661,19 +660,6 @@ class QueryExecutor:
         for (i, _box_set, key), result in zip(items, results):
             self.cache.store(key, deps, result)
             outcomes[i] = QueryOutcome(result, False, False)
-
-    def _fail_groups(self, groups, outcomes: List[Any], error: BaseException) -> None:
-        """A batch-wide prefetch failure: degrade every grouped query
-        individually against the faulted shard."""
-        shard = self._fault_shard(error, set())
-        self._breaker(shard).record_failure()
-        if isinstance(error, DeadlineExceeded):
-            _DEADLINE_MISSES.inc()
-            with self._stats_lock:
-                self.deadline_misses += 1
-        for _paths, _direct, items in groups.values():
-            for i, _box_set, key in items:
-                outcomes[i] = self._degrade_item(key, {shard}, cause=error)
 
     def _degrade_item(self, key: bytes, blocked: Set[int], cause=None):
         """Per-item :meth:`_degrade`: returns the degraded

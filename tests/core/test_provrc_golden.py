@@ -1,10 +1,21 @@
-"""Golden digest of ProvRC's output bytes.
+"""Golden digests of ProvRC's output: one of the columns, one of the bytes.
 
-The compression kernel may be reorganised for speed, but the tables it
-emits are a stored format: segments written by one commit are read by the
-next, and ``stored_bytes_per_raw_byte`` is compared to the last digit.  The
-digest below was recorded at the commit *before* the packed-row-key kernel
-(PR 12) and must only change together with a deliberate format change.
+``COLUMNS_SHA256`` covers the six columns of every table ProvRC emits, cast
+to int64: *what* the compression kernel decided.  A kernel PR may
+reorganise ``core/provrc.py`` for speed but may **never** change it —
+``stored_bytes_per_raw_byte`` is compared to the last digit and every
+query-equivalence suite assumes the same rows.  It was recorded at the
+commit before the row-delta layout (PR 15), before any edit, and equals
+what the commit before the packed-row-key kernel (PR 12) emitted.
+
+``PAYLOAD_SHA256`` covers ``serialize_compressed``'s bytes: *how* those
+columns are laid out at rest.  A format PR changes it deliberately, once,
+with the column digest unchanged beside it as the proof that only the
+layout moved (re-recorded for the row-delta layout, PR 15).  Payloads of
+the earlier layout stay readable; ``tests/core/test_serialize.py`` holds a
+copy of their writer.
+
+``python tests/core/test_provrc_golden.py`` prints both.
 """
 
 import hashlib
@@ -13,14 +24,15 @@ import numpy as np
 
 from repro.capture.numpy_catalog import pipeline_ops
 from repro.core.provrc import compress_both
-from repro.core.serialize import serialize_compressed
+from repro.core.serialize import _COLUMNS, serialize_compressed
 from repro.workloads.pipelines import (
     image_pipeline,
     relational_pipeline,
     resnet_block_pipeline,
 )
 
-GOLDEN_SHA256 = "e1c450a3232be86f2eba129ce6ef869e282c78bbd417c8c40962984cb0e3db3a"
+COLUMNS_SHA256 = "00e719f2db2d9eb76985ccab169e26ca2b291e57bcf40caa4e00003b71f4f01a"
+PAYLOAD_SHA256 = "76b299c5097a963b10a8685f0536d6dbf9fc2e15660ee61731040e69b589b1fe"
 GOLDEN_TABLES = 186
 
 
@@ -36,21 +48,26 @@ def _relations():
         yield from pipeline.steps
 
 
-def golden_digest():
-    digest = hashlib.sha256()
+def golden_digests():
+    columns = hashlib.sha256()
+    payloads = hashlib.sha256()
     tables = 0
     for relation in _relations():
         for table in compress_both(relation):
+            for name in _COLUMNS:
+                column = np.ascontiguousarray(getattr(table, name), dtype=np.int64)
+                columns.update(repr(column.shape).encode())
+                columns.update(column.tobytes())
             payload = serialize_compressed(table)
-            digest.update(len(payload).to_bytes(8, "little"))
-            digest.update(payload)
+            payloads.update(len(payload).to_bytes(8, "little"))
+            payloads.update(payload)
             tables += 1
-    return digest.hexdigest(), tables
+    return columns.hexdigest(), payloads.hexdigest(), tables
 
 
-def test_serialized_tables_match_recorded_digest():
-    assert golden_digest() == (GOLDEN_SHA256, GOLDEN_TABLES)
+def test_tables_match_recorded_digests():
+    assert golden_digests() == (COLUMNS_SHA256, PAYLOAD_SHA256, GOLDEN_TABLES)
 
 
 if __name__ == "__main__":
-    print(*golden_digest())
+    print("columns  %s\npayloads %s\ntables   %d" % golden_digests())

@@ -1,13 +1,18 @@
 """Round-trip and size tests for ProvRC serialization (ProvRC / ProvRC-GZip),
-including the zero-copy dtype-preservation contract: hydrated tables hold
-read-only views at their stored narrow dtypes, re-serialize to identical
-bytes, and answer queries bit-identically to their int64 originals."""
+including the dtype-preservation contract: hydrated tables hold read-only
+columns at their narrow dtypes, re-serialize to identical bytes, and answer
+queries bit-identically to their int64 originals — under the row-delta
+layout the writer emits and under the verbatim layout earlier commits
+wrote."""
 
 import json
 import struct
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core._reference import theta_join_reference
 from repro.core.compressed import CompressedLineage
@@ -22,6 +27,7 @@ from repro.core.serialize import (
     deserialize_compressed,
     deserialize_compressed_gzip,
     read_column_arrays,
+    peek_table_identity,
     read_compressed,
     serialize_compressed,
     serialize_compressed_gzip,
@@ -260,6 +266,165 @@ class TestDtypePreservation:
         }
         with pytest.raises(ValueError, match="corrupt or foreign"):
             deserialize_compressed(craft_stream(columns))
+
+
+def serialize_verbatim(table):
+    """The writer as it was before the row-delta layout (a copy of the
+    parent commit's ``serialize_compressed``): every column written as it
+    is, narrowed, and no ``layout`` field — what stores written by earlier
+    commits hold."""
+    columns = {}
+    for name in _COLUMNS:
+        array = getattr(table, name)
+        columns[name] = array.astype(_smallest_int_dtype(array), copy=False)
+    return craft_stream(columns, {
+        "key_side": table.key_side,
+        "out_name": table.out_name,
+        "in_name": table.in_name,
+        "out_shape": list(table.out_shape),
+        "in_shape": list(table.in_shape),
+        "out_axes": list(table.out_axes),
+        "in_axes": list(table.in_axes),
+    })
+
+
+@st.composite
+def arbitrary_tables(draw):
+    """Tables the constructor accepts but ProvRC would never emit: any row
+    order, ``hi`` unrelated to ``lo``, negative and out-of-shape indices,
+    each interval column at its own magnitude up to ±2**62 (so extents and
+    row deltas overflow int64 and must wrap)."""
+    rows = draw(st.sampled_from([0, 1, 2, 3, 40]))
+    nkey = draw(st.integers(1, 3))
+    nval = draw(st.integers(1, 3))
+
+    def interval_column(width):
+        bound = draw(st.sampled_from([3, 127, 128, 2**15 - 1, 2**15, 2**31, 2**62]))
+        cells = st.one_of(st.integers(-bound, bound), st.sampled_from([-bound, 0, bound]))
+        flat = draw(st.lists(cells, min_size=rows * width, max_size=rows * width))
+        return np.asarray(flat, dtype=np.int64).reshape(rows, width)
+
+    kind = np.asarray(
+        draw(st.lists(st.integers(0, 1), min_size=rows * nval, max_size=rows * nval)),
+        dtype=np.int64,
+    ).reshape(rows, nval)
+    refs = np.asarray(
+        draw(st.lists(st.integers(0, nkey - 1), min_size=rows * nval, max_size=rows * nval)),
+        dtype=np.int64,
+    ).reshape(rows, nval)
+    key_side = draw(st.sampled_from(["output", "input"]))
+    key_shape, value_shape = (5,) * nkey, (7,) * nval
+    out_shape, in_shape = (
+        (key_shape, value_shape) if key_side == "output" else (value_shape, key_shape)
+    )
+    return CompressedLineage(
+        key_side, "B", "A", out_shape, in_shape,
+        key_lo=interval_column(nkey), key_hi=interval_column(nkey),
+        val_kind=kind, val_ref=np.where(kind == 1, refs, -1),
+        val_lo=interval_column(nval), val_hi=interval_column(nval),
+    )
+
+
+class TestRowDeltaLayout:
+    """The stored layout (row deltas of ``lo``, extents for ``hi``) is
+    invisible above the serializer: hydration hands back the columns the
+    verbatim layout did, value for value and dtype for dtype."""
+
+    @given(arbitrary_tables(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_roundtrip_is_exact_and_dtype_stable(self, table, gzip):
+        hydrated = deserialize_table(serialize_table(table, gzip=gzip))
+        verbatim = deserialize_compressed(serialize_verbatim(table))
+        for name in _COLUMNS:
+            column = getattr(hydrated, name)
+            assert np.array_equal(column, getattr(table, name)), name
+            # the dtype the parent's writer stored, and its reader handed back
+            assert column.dtype == getattr(verbatim, name).dtype, name
+            assert column.shape == getattr(table, name).shape, name
+            assert not column.flags.writeable, name
+        assert hydrated.nbytes() == verbatim.nbytes()
+        assert serialize_compressed(hydrated) == serialize_compressed(table)
+        assert serialize_compressed(verbatim) == serialize_compressed(table)
+
+    def tables(self):
+        rng = np.random.default_rng(5)
+        shuffled = [((int(j),), (i,)) for i, j in enumerate(rng.permutation(300))]
+        windows = [((i,), (j,)) for i in range(200) for j in range(max(0, i - 2), i + 1)]
+        return [
+            sample_table()[0],
+            compress(LineageRelation.from_pairs(shuffled, (300,), (300,))),
+            compress(LineageRelation.from_pairs(windows, (200,), (200,)), key="input"),
+            _interval_table(2**40, 1_000),
+        ]
+
+    def test_verbatim_payload_hydrates_and_queries_identically(self):
+        for table in self.tables():
+            old = deserialize_compressed(serialize_verbatim(table))
+            new = deserialize_compressed(serialize_compressed(table))
+            for name in _COLUMNS:
+                assert getattr(old, name).dtype == getattr(new, name).dtype, name
+                assert np.array_equal(getattr(old, name), getattr(new, name)), name
+                # a verbatim payload is six views into the bytes, as before
+                assert getattr(old, name).base is not None, name
+            top = table.key_shape[0] - 1
+            query = CellBoxSet(
+                table.key_name, table.key_shape,
+                np.array([[0], [top // 2]], np.int64), np.array([[top // 3], [top]], np.int64),
+            )
+            want = theta_join(query, table)
+            for hydrated in (old, new):
+                got = theta_join(query, hydrated)
+                assert np.array_equal(got.lo, want.lo)
+                assert np.array_equal(got.hi, want.hi)
+
+    def test_layout_shrinks_what_zlib_sees(self):
+        # a permutation is all degenerate intervals in ascending key order:
+        # the extents are zeros and the key deltas ones
+        table = self.tables()[1]
+        assert len(table) > 250
+        assert len(serialize_compressed_gzip(table)) < 0.7 * len(
+            zlib.compress(serialize_verbatim(table), 6)
+        )
+
+    def test_unknown_layout_rejected(self):
+        columns = {name: np.zeros((1, 1), np.int8) for name in _COLUMNS}
+        columns["val_ref"] = columns["val_ref"] - 1
+        assert len(deserialize_compressed(craft_stream(columns))) == 1
+        with pytest.raises(ValueError, match="unknown ProvRC column layout"):
+            deserialize_compressed(craft_stream(columns, {"layout": "zigzag"}))
+
+
+class TestPeekTableIdentity:
+    def test_plain_and_gzip(self):
+        table, _ = sample_table()
+        identity = (table.key_side, table.in_name, table.out_name)
+        assert peek_table_identity(serialize_compressed(table)) == identity
+        assert peek_table_identity(memoryview(serialize_compressed_gzip(table))) == identity
+
+    def test_gzip_inflates_the_header_only(self):
+        # a deflate stream that ends right behind the JSON header: inflating
+        # the whole record would fail on it, reading the header does not
+        table, _ = sample_table()
+        plain = serialize_compressed(table)
+        (header_len,) = struct.unpack("<I", plain[4:8])
+        deflater = zlib.compressobj(6)
+        head_only = deflater.compress(plain[: 8 + header_len]) + deflater.flush(zlib.Z_SYNC_FLUSH)
+        with pytest.raises(zlib.error):
+            zlib.decompress(head_only)
+        assert peek_table_identity(head_only) == (table.key_side, table.in_name, table.out_name)
+
+    def test_truncated_and_garbage_rejected(self):
+        table, _ = sample_table()
+        packed = serialize_compressed_gzip(table)
+        for cut in (0, 1, 6, 20):  # inside the zlib header, the prefix, the JSON
+            with pytest.raises((ValueError, zlib.error)):
+                peek_table_identity(packed[:cut])
+        with pytest.raises((ValueError, zlib.error)):
+            peek_table_identity(b"\xff" * 64)
+        with pytest.raises(ValueError):
+            peek_table_identity(zlib.compress(b"NOPE" + b"\x00" * 64))
+        with pytest.raises(ValueError):  # a header length of zero
+            peek_table_identity(zlib.compress(_MAGIC + struct.pack("<I", 0) + b"{}"))
 
 
 class TestSmallestDtypeScan:

@@ -24,14 +24,22 @@ def elementwise(in_name, out_name):
     return LineageRelation.from_pairs(pairs, SHAPE, SHAPE, in_name=in_name, out_name=out_name)
 
 
-def two_shard_path():
-    """Names ``x -> y -> z`` whose hops are homed on shard 0 and shard 1."""
+def two_shard_paths(count):
+    """*count* disjoint name chains ``x -> y -> z`` whose hops are homed on
+    shard 0 and shard 1."""
+    paths = []
     for i in range(10_000):
         names = [f"x{i}", f"y{i}", f"z{i}"]
         homes = [shard_index(a, b, NUM_SHARDS) for a, b in zip(names, names[1:])]
         if homes == [0, 1]:
-            return names
-    raise AssertionError("no path found")
+            paths.append(names)
+            if len(paths) == count:
+                return paths
+    raise AssertionError("not enough paths found")
+
+
+def two_shard_path():
+    return two_shard_paths(1)[0]
 
 
 class Harness:
@@ -179,3 +187,29 @@ def test_traced_prefetch_loads_what_an_untraced_one_does(harness):
         tracing._CURRENT.set(None)
     assert harness.resident() == [True, False]
     assert harness.submits == 0
+
+
+def test_batch_larger_than_the_cache_hydrates_each_table_once(tmp_path):
+    # three path groups, two tables each, and a table cache that holds one
+    # table per shard: prefetching the whole batch up front would evict the
+    # first groups' tables before their joins and load them a second time
+    paths = two_shard_paths(3)
+    log = DSLog(
+        tmp_path / "db", backend="sharded", num_shards=NUM_SHARDS, autosync=False,
+        cache_bytes=NUM_SHARDS,  # one byte per shard: room for the newest table only
+    )
+    for path in paths:
+        for name in path:
+            log.define_array(name, SHAPE)
+        for a, b in zip(path, path[1:]):
+            log.add_lineage(a, b, relation=elementwise(a, b))
+    log.sync()
+    for shard in log.store.shards:
+        shard.cache.clear()
+    with QueryExecutor(log, max_workers=2, cache_entries=0) as executor:
+        before = sum(s["misses"] for s in log.store.cache_stats())
+        outcomes = executor.query_batch([(path, QUERY) for path in paths])
+        hydrations = sum(s["misses"] for s in log.store.cache_stats()) - before
+    assert [o.result.to_cells() for o in outcomes] == [{(1,)}] * len(paths)
+    assert hydrations == 2 * len(paths)
+    log.close()

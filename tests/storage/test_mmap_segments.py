@@ -5,7 +5,8 @@ The load-bearing guarantees:
 
 * ``LineageStore.load_table`` serves records through one cached
   :class:`SegmentReader` per segment — zero per-record opens — and the
-  hydrated tables are read-only narrow views into the mapped pages;
+  hydrated tables are read-only and narrow, their verbatim columns
+  (``val_kind``, ``val_ref``) views into the mapped pages;
 * ``SegmentWriter`` buffers appends and hands each batch to the OS as one
   write (+ one fsync on ``sync``), while readers that race the buffer get
   the pending bytes flushed on demand;
@@ -157,14 +158,29 @@ class TestCoalescedWrites:
 
 class TestMmapLifecycle:
     def test_hydrated_tables_are_narrow_readonly_views(self, tmp_path):
-        log, names = build(tmp_path / "db", 2, gzip=False)
+        log, names = build(tmp_path / "db", 1, gzip=False)
+        # a permutation ProvRC cannot merge: a table of several rows
+        log.define_array("P", SHAPE)
+        shuffled = [((j,), (i,)) for i, j in enumerate([3, 0, 6, 1, 7, 2, 5, 4])]
+        log.add_lineage(
+            names[1], "P",
+            relation=LineageRelation.from_pairs(
+                shuffled, SHAPE, SHAPE, in_name=names[1], out_name="P"
+            ),
+        )
         log.close()
         reopened = DSLog.load(tmp_path / "db", gzip=False)
-        table = reopened.catalog.entry(names[0], names[1]).backward
-        assert table.key_lo.dtype == np.int8
-        assert not table.key_lo.flags.writeable
-        # the column's buffer chain bottoms out in the segment mmap
-        base = table.key_lo
+        table = reopened.catalog.entry(names[1], "P").backward
+        assert len(table) >= 2
+        # the interval columns are decoded in one pass: arrays of their own,
+        # narrow and read-only like the views they replaced
+        for name in ("key_lo", "key_hi", "val_lo", "val_hi"):
+            column = getattr(table, name)
+            assert column.dtype == np.int8, name
+            assert not column.flags.writeable, name
+        # a verbatim column's buffer chain bottoms out in the segment mmap
+        assert not table.val_kind.flags.writeable
+        base = table.val_kind
         while getattr(base, "base", None) is not None:
             base = base.base
         import mmap as mmap_mod
