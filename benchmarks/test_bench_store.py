@@ -1,10 +1,10 @@
-"""Ingest + reopen benchmarks for the segment-backed lineage store.
+"""Ingest + reopen benchmarks for the durable lineage store (one shard).
 
 Builds a 1,000-entry chain catalog once per session, then measures:
 
 * **ingest** — appending entries to segments with one manifest sync at the
   end (the bulk-load pattern, ``autosync=False``);
-* **cold open (lazy)** — ``DSLog.load`` on the segment directory, which
+* **cold open (lazy)** — ``DSLog.load`` on the catalog directory, which
   must be O(manifest): the run asserts that *zero* tables are deserialized;
 * **first query after a cold open** — only the queried path's tables are
   materialized (5 of 2,000 here);
@@ -34,7 +34,7 @@ def elementwise(shape, in_name, out_name):
 
 
 def build_chain(root, n):
-    log = DSLog(root=root, backend="segment", autosync=False)
+    log = DSLog(root=root, num_shards=1, autosync=False)
     names = [f"A{i:05d}" for i in range(n + 1)]
     for name in names:
         log.define_array(name, SHAPE)
@@ -76,7 +76,7 @@ def test_bench_cold_open_is_lazy(benchmark, chain_db):
     log = benchmark.pedantic(cold_open, rounds=5, warmup_rounds=1)
     benchmark.extra_info["entries"] = N_ENTRIES
     benchmark.extra_info["tables_deserialized"] = log.store.tables_deserialized
-    benchmark.extra_info["manifest_generation"] = log.store.manifest.generation
+    benchmark.extra_info["manifest_generation"] = log.store.meta.manifest.generation
 
 
 def test_bench_first_query_after_cold_open(benchmark, chain_db):

@@ -52,7 +52,7 @@ def scrambled(shape, in_name, out_name, seed):
 
 
 def build_catalog(root):
-    log = DSLog(root=root, backend="segment", autosync=False)
+    log = DSLog(root=root, num_shards=1, autosync=False)
     chain = [f"C{i:04d}" for i in range(CHAIN_ENTRIES + 1)]
     for name in chain:
         log.define_array(name, CHAIN_SHAPE)
@@ -98,7 +98,7 @@ def test_bench_cold_hydration(benchmark, zerocopy_db):
 
     log = benchmark.pedantic(hydrate, rounds=3, warmup_rounds=1)
     benchmark.extra_info["tables"] = N_TABLES
-    benchmark.extra_info["cache_bytes"] = log.store.cache.stats()["bytes"]
+    benchmark.extra_info["cache_bytes"] = log.store.meta.cache.stats()["bytes"]
     benchmark.extra_info.update(log.store.reader_stats())
     log.close()
 
@@ -111,7 +111,7 @@ def test_bench_uncached_query_path(benchmark, zerocopy_db):
     paths = [chain[40:48], chain[200:208], list(reversed(chain[100:106])), wide[:3]]
 
     def query_cold():
-        log.store.cache.clear()
+        log.store.meta.cache.clear()
         log._path_cache.clear()  # holds resolved table objects, not bytes
         hits = 0
         for path in paths:
@@ -144,7 +144,7 @@ def test_cache_charges_narrow_footprint(zerocopy_db):
     root, _chain, _wide = zerocopy_db
     log = DSLog.load(root)
     log.catalog.materialize_all()
-    charged = log.store.cache.stats()["bytes"]
+    charged = log.store.meta.cache.stats()["bytes"]
     inflated = sum(
         int64_inflated_nbytes(entry.backward) + int64_inflated_nbytes(entry.forward)
         for entry in log.catalog.entries()
@@ -161,7 +161,7 @@ def test_group_commit_coalescing_gate(tmp_path):
     """Acceptance criterion: a bulk ingest synced once reaches the OS as a
     handful of coalesced writes — records-per-write ≥ 20 (deterministic:
     wait overlap, not parallelism, so it holds on a 1-CPU runner)."""
-    log = DSLog(root=tmp_path / "db", backend="segment", autosync=False)
+    log = DSLog(root=tmp_path / "db", num_shards=1, autosync=False)
     names = [f"A{i}" for i in range(201)]
     for name in names:
         log.define_array(name, CHAIN_SHAPE)

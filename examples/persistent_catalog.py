@@ -1,10 +1,10 @@
-"""Persistent catalogs: the segment-backed store and the lineage graph.
+"""Persistent catalogs: the durable store and the lineage graph.
 
-A DSLog catalog opened with ``backend="segment"`` is a long-lived, on-disk
-artifact: ProvRC tables are appended to segment files, all metadata (op
-names, operation records, reuse-predictor state) rides in one atomic JSON
-manifest, and reopening the directory costs O(manifest) — tables are only
-read back, through an LRU cache, when a query touches them.
+A DSLog opened with a root directory is a long-lived, on-disk artifact:
+ProvRC tables are appended to segment files, all metadata (op names,
+operation records, reuse-predictor state) rides in atomic JSON manifests,
+and reopening the directory costs O(manifest) — tables are only read
+back, through an LRU cache, when a query touches them.
 
 The example builds a branching workflow (a diamond plus a tail), closes the
 catalog, reopens it cold, and then lets the lineage *graph* do the work:
@@ -43,7 +43,7 @@ def main() -> None:
     # 1. ingest a diamond-shaped workflow into a durable catalog
     #        raw -> cleaned -> features -+
     #        raw -> normalized ----------+-> merged -> scores
-    with DSLog(root=root, backend="segment") as log:
+    with DSLog(root) as log:
         for name in ("raw", "cleaned", "features", "normalized", "merged"):
             log.define_array(name, shape)
         log.define_array("scores", (shape[0],))
@@ -71,13 +71,16 @@ def main() -> None:
     # 2b. zero-copy hydration: tables come back as read-only narrow views
     # into the segment mmap, and the cache charges that narrow footprint
     # (an int8 table would cost 8x more after an astype(int64) upcast)
-    print(f"cache before hydration: {log.store.cache.stats()['bytes']} bytes")
+    def cached_bytes():
+        return sum(shard["bytes"] for shard in log.store.cache_stats())
+
+    print(f"cache before hydration: {cached_bytes()} bytes")
     hydrated = log.catalog.entry("raw", "cleaned").backward
-    print(f"cache after one table:  {log.store.cache.stats()['bytes']} bytes "
+    print(f"cache after one table:  {cached_bytes()} bytes "
           f"(key_lo dtype {hydrated.key_lo.dtype}, "
           f"writeable={hydrated.key_lo.flags.writeable})")
     log.catalog.materialize_all()
-    print(f"cache fully hydrated:   {log.store.cache.stats()['bytes']} bytes, "
+    print(f"cache fully hydrated:   {cached_bytes()} bytes, "
           f"mmap readers: {log.store.reader_stats()}")
 
     # 3. graph-planned queries: no hop list, diamonds are unioned
@@ -93,14 +96,14 @@ def main() -> None:
     summary = log.lineage_summary()
     print(f"summary: roots={summary['roots']} leaves={summary['leaves']} "
           f"max_depth={summary['max_depth']} entries={summary['entries']}")
-    print(f"table cache: {log.store.cache.stats()}")
+    print(f"table cache hits per shard: {[shard['hits'] for shard in log.store.cache_stats()]}")
 
     # 5. churn an entry, then compact the dead bytes away
     log.add_lineage("raw", "cleaned", relation=elementwise(shape, "raw", "cleaned"),
                     op_name="fillna_v2", replace=True)
-    stats = log.compact()
-    print(f"compacted: reclaimed {stats['reclaimed_bytes']} bytes "
-          f"({stats['records_copied']} live records kept)")
+    stats = log.compact().values()  # one stats dict per shard
+    print(f"compacted: reclaimed {sum(s['reclaimed_bytes'] for s in stats)} bytes "
+          f"({sum(s['records_copied'] for s in stats)} live records kept)")
     log.close()
 
 

@@ -19,21 +19,19 @@ This module exposes the public API described in Section III of the paper:
 Lineage is compressed with ProvRC on ingest and never decompressed for
 query processing.
 
-Storage backends
-----------------
-``backend="memory"`` (the default) keeps the catalog in RAM; with *root*
-set, every backward table is additionally written as one legacy
-``.provrc[.gz]`` file per entry.  ``backend="segment"`` runs on the durable
-segment store (:mod:`repro.storage.store`): tables are appended to segment
-files, all metadata (op names, operation records, reuse-predictor state)
-rides in an atomic manifest, and reopening a directory is O(manifest) —
-tables materialize lazily, through an LRU cache, on first query.
-``backend="sharded"`` partitions the same durable format over N shard
-directories (:mod:`repro.service.shards`) keyed by a stable hash of each
-entry's ``(input, output)`` pair: per-shard segment files, manifests,
-locks, cache budgets and compaction, which is what the concurrent lineage
-service (:class:`repro.service.LineageService`) ingests into from many
-writer threads at once.  :meth:`DSLog.snapshot` hands out a read-only,
+Storage
+-------
+Without a *root* the catalog lives in RAM.  With one it lives in the
+durable store (:mod:`repro.service.shards`): tables are appended to
+segment files, all metadata (op names, operation records, reuse-predictor
+state) rides in atomic manifests, and reopening a directory is
+O(manifest) — tables materialize lazily, through an LRU cache, on first
+query.  The store partitions entries over N shard directories keyed by a
+stable hash of each entry's ``(input, output)`` pair: per-shard segment
+files, manifests, locks, cache budgets and compaction, which is what the
+concurrent lineage service (:class:`repro.service.LineageService`) ingests
+into from many writer threads at once; ``num_shards=1`` is the plain
+single-writer layout.  :meth:`DSLog.snapshot` hands out a read-only,
 snapshot-isolated view pinned at the current catalog state.
 """
 
@@ -61,11 +59,11 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from .service.query import QueryExecutor
     from .service.server import LineageServer
+    from .service.shards import ShardedLineageStore
 
 from .core.compressed import CompressedLineage
 from .core.query import CellBoxSet, QueryResult, execute_path
 from .core.relation import LineageRelation
-from .core.serialize import write_compressed
 from .faults import FaultPlan
 from .graph import LineageGraph
 from .obs import REGISTRY
@@ -74,8 +72,6 @@ from .storage.catalog import ArrayInfo, Catalog, LineageEntry, OperationRecord
 from .storage.store import (
     DEFAULT_CACHE_BYTES,
     DEFAULT_SEGMENT_MAX_BYTES,
-    LineageStore,
-    StoredCatalog,
     StoredLineageEntry,
     TableRef,
 )
@@ -102,32 +98,31 @@ class DSLog:
     Parameters
     ----------
     root:
-        Directory backing the catalog.  Required for the segment backend;
-        optional for the memory backend, where it enables the legacy
-        one-file-per-entry flush of backward tables.
+        Directory of the durable store; ``None`` keeps the catalog in RAM.
     gzip:
         Whether on-disk tables use the ProvRC-GZip format (the default in
-        the paper's prototype).  For an existing segment directory the
-        manifest's recorded format wins.
+        the paper's prototype).  For an existing directory the recorded
+        format wins.
     reuse_confirmations:
         The ``m`` parameter of the automatic reuse predictor.
     backend:
-        ``"memory"``, ``"segment"`` or ``"sharded"`` (see the module
-        docstring).
+        Follows from *root* and need not be passed: ``"sharded"`` (the
+        durable store) with a root, ``"memory"`` without.  Naming the one
+        that contradicts *root* raises.
     cache_bytes:
-        Byte budget of the segment backend's LRU table cache (split evenly
-        across shards for the sharded backend).
+        Byte budget of the durable store's LRU table cache, split evenly
+        across shards.
     autosync:
-        When true (default), the segment and sharded backends publish a new
-        manifest generation after every ``add_lineage`` /
-        ``register_operation`` call.  Bulk ingest should pass ``False`` and
-        call :meth:`sync` (or :meth:`close`) once at the end; the
-        concurrent service always runs with ``False`` and group-commits.
+        When true (default), a durable log publishes a new manifest
+        generation after every ``add_lineage`` / ``register_operation``
+        call.  Bulk ingest should pass ``False`` and call :meth:`sync` (or
+        :meth:`close`) once at the end; the concurrent service always runs
+        with ``False`` and group-commits.
     segment_max_bytes:
         Roll-over threshold for segment files.
     num_shards:
-        Shard count of the sharded backend (ignored otherwise; an existing
-        directory's ``SHARDS.json`` wins).
+        Shard count of a new durable directory (an existing directory's
+        ``SHARDS.json`` wins); ``1`` is the single-writer layout.
     """
 
     def __init__(
@@ -135,20 +130,21 @@ class DSLog:
         root: Optional[Union[str, Path]] = None,
         gzip: bool = True,
         reuse_confirmations: int = 1,
-        backend: str = "memory",
+        backend: Optional[str] = None,
         cache_bytes: int = DEFAULT_CACHE_BYTES,
         autosync: bool = True,
         segment_max_bytes: int = DEFAULT_SEGMENT_MAX_BYTES,
         num_shards: Optional[int] = None,
         faults: Optional[FaultPlan] = None,
     ) -> None:
-        if backend not in ("memory", "segment", "sharded"):
+        implied = "memory" if root is None else "sharded"
+        if backend not in (None, implied):
             raise ValueError(
-                f"unknown backend {backend!r}; use 'memory', 'segment' or 'sharded'"
+                f"backend={backend!r} does not go with root={root!r}: a root "
+                "directory means the durable store ('sharded'; num_shards=1 "
+                "is the single-writer layout), no root means 'memory'"
             )
-        if backend in ("segment", "sharded") and root is None:
-            raise ValueError(f"the {backend} backend needs a root directory")
-        self.backend = backend
+        self.backend = implied
         self.root = Path(root) if root is not None else None
         self.gzip = gzip
         self.faults = faults
@@ -167,18 +163,11 @@ class DSLog:
         # tuples), so repeated queries skip the cell-to-box conversion
         self._query_box_cache: Dict[Tuple[str, Tuple[Cell, ...]], CellBoxSet] = {}
 
-        if backend == "segment":
-            self.store: Optional[LineageStore] = LineageStore(
-                self.root,
-                gzip=gzip,
-                cache_bytes=cache_bytes,
-                segment_max_bytes=segment_max_bytes,
-                faults=faults,
-            )
-            self.gzip = self.store.gzip
-            self.catalog: Catalog = StoredCatalog(self.store)
-            self._hydrate_from_manifest()
-        elif backend == "sharded":
+        if self.root is None:
+            self.store: Optional["ShardedLineageStore"] = None
+            self.catalog: Catalog = Catalog()
+            self._reuse = ReuseManager(confirmations_required=self.reuse_confirmations)
+        else:
             from .service.shards import DEFAULT_NUM_SHARDS, ShardedCatalog, ShardedLineageStore
 
             self.store = ShardedLineageStore(
@@ -192,15 +181,9 @@ class DSLog:
             self.gzip = self.store.gzip
             self.catalog = ShardedCatalog(self.store)
             self._hydrate_from_shards()
-        else:
-            self.store = None
-            self.catalog = Catalog()
-            self._reuse = ReuseManager(confirmations_required=self.reuse_confirmations)
-            if self.root is not None:
-                self.root.mkdir(parents=True, exist_ok=True)
 
     # ------------------------------------------------------------------
-    # lazy state (segment backend)
+    # lazy state (durable store)
     # ------------------------------------------------------------------
     @property
     def reuse(self) -> ReuseManager:
@@ -220,38 +203,6 @@ class DSLog:
                         )
                     self._reuse = manager
         return self._reuse
-
-    def _hydrate_from_manifest(self) -> None:
-        """Rebuild catalog metadata from the manifest — arrays, lazy entries,
-        operation records and the (still serialized) reuse state.  No table
-        bytes are read here."""
-        manifest = self.store.manifest
-        for name, shape in manifest.arrays.items():
-            self.catalog.define_array(name, tuple(shape))
-        for row in manifest.entries:
-            self.catalog.install_lazy_entry(
-                StoredLineageEntry(
-                    self.store,
-                    in_name=row["in"],
-                    out_name=row["out"],
-                    backward_ref=TableRef.from_json(row["backward"]),
-                    forward_ref=TableRef.from_json(row["forward"]),
-                    op_name=row.get("op_name"),
-                    reused=bool(row.get("reused", False)),
-                    version=int(row.get("version", 1)),
-                )
-            )
-        for row in manifest.operations:
-            record = OperationRecord(
-                op_name=row["op_name"],
-                in_arrs=tuple(row["in_arrs"]),
-                out_arrs=tuple(row["out_arrs"]),
-                op_args=dict(row.get("op_args", {})),
-                reuse_level=row.get("reuse_level"),
-                entries=[tuple(pair) for pair in row.get("entries", [])],
-            )
-            self.catalog.add_operation(record)
-        self._pending_reuse_state = manifest.reuse
 
     def _hydrate_from_shards(self) -> None:
         """Rebuild catalog metadata from every shard's manifest: arrays,
@@ -327,7 +278,6 @@ class DSLog:
         else:
             relation = self._renamed(relation, in_arr, out_arr, in_info, out_info)
         entry = self.catalog.add_relation(relation, op_name=op_name, replace=replace)
-        self._flush(entry)
         self._maybe_sync()
         return entry
 
@@ -434,7 +384,6 @@ class DSLog:
                     entry = self.catalog.add_relation(
                         relation, op_name=op_name, replace=replace
                     )
-                    self._flush(entry)
                 stored[position] = entry.backward
                 record.entries.append(pair)
 
@@ -461,12 +410,9 @@ class DSLog:
             out_axes=source.out_axes,
             in_axes=source.in_axes,
         )
-        forward = self._reorient(backward)
-        entry = self.catalog.add_compressed(
-            backward, forward, op_name=op_name, reused=True, replace=replace
+        return self.catalog.add_compressed(
+            backward, self._reorient(backward), op_name=op_name, reused=True, replace=replace
         )
-        self._flush(entry)
-        return entry
 
     @staticmethod
     def _reorient(backward: CompressedLineage) -> CompressedLineage:
@@ -651,72 +597,16 @@ class DSLog:
         """Total size of the long-term (backward) tables."""
         return self.catalog.storage_bytes(gzip=self.gzip if gzip is None else gzip)
 
-    def _flush(self, entry: LineageEntry) -> None:
-        if self.backend != "memory" or self.root is None:
-            return  # segment/shard entries are appended by the catalog itself
-        filename = f"{entry.in_name}__{entry.out_name}.provrc"
-        if self.gzip:
-            filename += ".gz"
-        write_compressed(entry.backward, self.root / filename, gzip=self.gzip)
-
     def _maybe_sync(self) -> None:
-        if self.backend in ("segment", "sharded") and self.autosync:
+        if self.autosync:
             self.sync()
 
     def sync(self) -> Optional[int]:
-        """Publish a new manifest generation (durable backends only).
-
-        Segment backend: serializes the catalog metadata — arrays, entry
-        rows with their segment refs, operation records, reuse state — into
-        the store's manifest and saves it atomically; returns the new
-        generation.  Sharded backend: exports the reuse state if it changed
-        and publishes every *dirty* shard's manifest (rows are maintained
-        incrementally at ingest, so nothing is rebuilt); returns the summed
-        generation vector.  Memory backend: ``None``.
-        """
-        if self.backend == "sharded":
-            return self._sync_sharded()
-        if self.backend != "segment":
-            return None
-        manifest = self.store.manifest
-        manifest.arrays = {
-            name: list(info.shape) for name, info in self.catalog.arrays.items()
-        }
-        rows = []
-        for entry in self.catalog.entries():
-            pair = (entry.in_name, entry.out_name)
-            backward_ref, forward_ref = self.catalog.entry_refs(pair)
-            rows.append(
-                {
-                    "in": entry.in_name,
-                    "out": entry.out_name,
-                    "op_name": entry.op_name,
-                    "reused": entry.reused,
-                    "version": entry.version,
-                    "backward": backward_ref.to_json(),
-                    "forward": forward_ref.to_json(),
-                }
-            )
-        manifest.entries = rows
-        manifest.operations = [
-            {
-                "op_name": record.op_name,
-                "in_arrs": list(record.in_arrs),
-                "out_arrs": list(record.out_arrs),
-                "op_args": record.op_args,
-                "reuse_level": record.reuse_level,
-                "entries": [list(pair) for pair in record.entries],
-            }
-            for record in self.catalog.operations
-        ]
-        self._export_reuse_into(manifest)
-        return self.store.sync()
-
-    def _sync_sharded(self) -> int:
-        """Group-commit step of the sharded backend: refresh the meta
-        shard's reuse state when it changed, then publish each dirty
-        shard's manifest.  Returns the sum of the generation vector (a
-        monotone progress counter).
+        """Group-commit step of a durable log (``None`` on a memory log):
+        refresh the meta shard's reuse state when it changed, then publish
+        each *dirty* shard's manifest (rows are maintained incrementally
+        at ingest, so nothing is rebuilt).  Returns the sum of the
+        generation vector (a monotone progress counter).
 
         Safe to call from several threads (the committer and an explicit
         ``compact()``/``flush()`` caller): the store's maintenance lock
@@ -724,6 +614,8 @@ class DSLog:
         compaction, the manifest assignment happens under ``meta_lock``,
         and per-shard publishes under each shard's append lock.
         """
+        if self.store is None:
+            return None
         with self.store.maintenance_lock:
             if self._reuse is not None and self._reuse_synced_count != self._reuse.mutation_count:
                 count = self._reuse.mutation_count
@@ -735,21 +627,6 @@ class DSLog:
             self.store.sync_dirty()
             return sum(self.store.generation_vector())
 
-    def _export_reuse_into(self, manifest) -> bool:
-        """Write the reuse-predictor state into *manifest* (segment
-        backend), skipping the export entirely when nothing changed since
-        the last sync (the export walks every stored signature table, so
-        autosync-per-op catalogs would otherwise pay it on every publish).
-        Returns whether the manifest's reuse field was rewritten."""
-        if self._reuse is None:
-            manifest.reuse = self._pending_reuse_state
-            return False
-        if self._reuse_synced_count == self._reuse.mutation_count:
-            return False
-        manifest.reuse = self._reuse.export_state(self._save_reuse_table)
-        self._reuse_synced_count = self._reuse.mutation_count
-        return True
-
     def _save_reuse_table(self, table: CompressedLineage) -> dict:
         ref = self.store.ref_for(table)
         if ref is None:
@@ -759,19 +636,13 @@ class DSLog:
     def compact(self, shard: Optional[int] = None) -> dict:
         """Rewrite live records into fresh segments and drop dead bytes
         (replaced entry versions, unreferenced crash leftovers).  Returns
-        the store's compaction stats; for the sharded backend, a
-        ``{shard index: stats}`` dict (pass *shard* to compact one shard
+        a ``{shard index: stats}`` dict (pass *shard* to compact one shard
         while the others keep serving)."""
-        if self.backend == "sharded":
-            self.sync()
-            stats = self.store.compact(shard=shard)
-            self._pending_reuse_state = self.store.meta.manifest.reuse
-            return stats
-        if self.backend != "segment":
-            raise RuntimeError("compact() requires the segment or sharded backend")
+        if self.store is None:
+            raise RuntimeError("compact() requires a durable log (one opened with a root)")
         self.sync()
-        stats = self.store.compact()
-        self._pending_reuse_state = self.store.manifest.reuse
+        stats = self.store.compact(shard=shard)
+        self._pending_reuse_state = self.store.meta.manifest.reuse
         return stats
 
     def scrub(self, repair: bool = False) -> dict:
@@ -781,34 +652,25 @@ class DSLog:
         with zero valid-record loss (a damaged orientation is rebuilt from
         its intact sibling; see :mod:`repro.storage.scrub`).  Entries
         whose *both* orientations were damaged are dropped from the
-        catalog.  Returns the scrub report (sharded backend: a per-shard
-        report under ``"shards"``)."""
-        if self.backend not in ("segment", "sharded"):
-            raise RuntimeError("scrub() requires the segment or sharded backend")
-        if self.backend == "segment":
-            report = self.store.scrub(repair=repair)
-            dropped = report["dropped_entries"]
-        else:
-            report = self.store.scrub(repair=repair)
-            dropped = [
-                pair
-                for shard_report in report["shards"].values()
-                for pair in shard_report["dropped_entries"]
-            ]
+        catalog.  Returns ``{"clean": ..., "shards": {index: report}}``."""
+        if self.store is None:
+            raise RuntimeError("scrub() requires a durable log (one opened with a root)")
+        report = self.store.scrub(repair=repair)
+        dropped = [
+            tuple(pair)
+            for shard_report in report["shards"].values()
+            for pair in shard_report["dropped_entries"]
+        ]
         if repair and dropped:
             # the manifest rows are already gone; drop the in-memory lazy
             # entries too, or the next sync would resurrect dangling refs
-            for raw in dropped:
-                pair = tuple(raw)
+            for pair in dropped:
                 self.catalog._entries.pop(pair, None)
-                if hasattr(self.catalog, "_entry_refs"):
-                    self.catalog._entry_refs.pop(pair, None)
-                if hasattr(self.catalog, "_rows"):
-                    self.catalog._rows.pop(pair, None)
+                self.catalog._rows.pop(pair, None)
             self.catalog.version += 1
             self._graph = None
             self._path_cache.clear()
-        if repair and not report.get("clean", True):
+        if repair and not report["clean"]:
             self.refresh_entry_refs()
         return report
 
@@ -820,25 +682,13 @@ class DSLog:
         aliases another entry's *valid* record, so remapping it would
         misdirect that donor in turn.  The healed manifest rows are
         authoritative — fold their refs back into the catalog so live
-        queries resolve the healed records, and so the segment backend's
-        next :meth:`sync` (which rebuilds rows from these refs) does not
-        republish the stale, pre-repair addresses.
+        queries resolve the healed records.
         """
-        if self.backend == "segment":
-            items = [((row["in"], row["out"]), row) for row in self.store.manifest.entries]
-        elif self.backend == "sharded":
-            items = list(self.catalog._rows.items())
-        else:
-            return
-        for pair, row in items:
-            backward_ref = TableRef.from_json(row["backward"])
-            forward_ref = TableRef.from_json(row["forward"])
+        for pair, row in list(self.catalog._rows.items()):
             entry = self.catalog._entries.get(pair)
             if isinstance(entry, StoredLineageEntry):
-                entry.backward_ref = backward_ref
-                entry.forward_ref = forward_ref
-            if hasattr(self.catalog, "_entry_refs") and pair in self.catalog._entry_refs:
-                self.catalog._entry_refs[pair] = (backward_ref, forward_ref)
+                entry.backward_ref = TableRef.from_json(row["backward"])
+                entry.forward_ref = TableRef.from_json(row["forward"])
 
     def executor(
         self,
@@ -939,8 +789,8 @@ class DSLog:
         return take_snapshot(self)
 
     def close(self) -> None:
-        """Flush pending state and release file handles (durable backends)."""
-        if self.backend in ("segment", "sharded"):
+        """Flush pending state and release file handles (durable logs)."""
+        if self.store is not None:
             self.sync()
             self.store.close()
 
@@ -952,37 +802,14 @@ class DSLog:
 
     @classmethod
     def load(cls, root: Union[str, Path], gzip: bool = True, **kwargs) -> "DSLog":
-        """Re-open a DSLog directory written by a previous session.
+        """Re-open a DSLog directory written by a previous session:
+        O(manifest), with op names, operation records and reuse state
+        intact, and table bytes left on disk until first query.  An empty
+        or missing directory opens as a new, empty durable catalog.
 
-        A directory with a root ``SHARDS.json`` reopens on the sharded
-        backend; one with a segment-store manifest reopens on the segment
-        backend.  Both are O(manifest), with op names, operation records
-        and reuse state intact, and table bytes left on disk until first
-        query.
-
-        A legacy directory (one ``.provrc[.gz]`` file per entry) is read
-        eagerly: only the long-term backward tables exist on disk, so the
-        forward orientation of each entry is rebuilt at load time and the
-        per-operation metadata is gone — ingest into a
-        ``backend="segment"`` log to keep it.
+        A directory in a layout older builds wrote (a root-level manifest,
+        one ``.provrc[.gz]`` file per entry, wire-v1 segments) raises a
+        ``ValueError`` naming ``python -m repro.tools.upgrade``.
         """
-        from .service.shards import load_shards_file
-        from .storage.manifest import load_manifest
-
-        kwargs.pop("backend", None)  # the on-disk layout decides the backend
-
-        if load_shards_file(root) is not None:
-            return cls(root=root, gzip=gzip, backend="sharded", **kwargs)
-        if load_manifest(root) is not None:
-            return cls(root=root, gzip=gzip, backend="segment", **kwargs)
-
-        from .core.serialize import read_compressed
-
-        log = cls(root=root, gzip=gzip, **kwargs)
-        pattern = "*.provrc.gz" if gzip else "*.provrc"
-        for path in sorted(Path(root).glob(pattern)):
-            backward = read_compressed(path)
-            log.catalog.define_array(backward.in_name, backward.in_shape)
-            log.catalog.define_array(backward.out_name, backward.out_shape)
-            log.catalog.add_compressed(backward, cls._reorient(backward))
-        return log
+        kwargs.pop("backend", None)  # a root always means the durable store
+        return cls(root=root, gzip=gzip, **kwargs)

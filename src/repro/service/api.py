@@ -45,6 +45,7 @@ __all__ = [
     "result_payload",
     "error_info",
     "BadJson",
+    "BodyTooLarge",
     "QueryCoalescer",
     "ServiceCore",
     "storage_stats",
@@ -65,6 +66,10 @@ _COALESCE_FLUSHES = REGISTRY.counter(
 
 class BadJson(ValueError):
     """A body was present but not valid JSON (distinct 400 type)."""
+
+
+class BodyTooLarge(ValueError):
+    """A request declared a body above the transport's size limit (413)."""
 
 
 class QuerySpec(NamedTuple):
@@ -180,6 +185,8 @@ def error_info(error: BaseException) -> Tuple[int, str, str]:
     errors of batched queries, and RPC error frames."""
     if isinstance(error, BadJson):
         return 400, "bad-json", f"malformed JSON body: {error}"
+    if isinstance(error, BodyTooLarge):
+        return 413, "payload-too-large", str(error)
     if isinstance(error, (ValueError, AmbiguousLineageError)):
         return 400, "bad-request", str(error)
     if isinstance(error, KeyError):
@@ -197,20 +204,16 @@ def error_info(error: BaseException) -> Tuple[int, str, str]:
 
 
 def storage_stats(store) -> dict:
-    """One shape for both backends: write coalescing, table cache, and mmap
-    reader stats, pulled from the same objects the metrics registry meters."""
+    """Write coalescing, table cache (one entry per shard) and mmap reader
+    stats, pulled from the same objects the metrics registry meters; empty
+    for a memory log."""
     if store is None:
         return {}
-    stats: Dict[str, Any] = {}
-    if hasattr(store, "write_stats"):
-        stats["writes"] = store.write_stats()
-    if hasattr(store, "cache_stats"):  # sharded: one entry per shard
-        stats["table_cache"] = store.cache_stats()
-    elif hasattr(store, "cache"):
-        stats["table_cache"] = store.cache.stats()
-    if hasattr(store, "reader_stats"):
-        stats["readers"] = store.reader_stats()
-    return stats
+    return {
+        "writes": store.write_stats(),
+        "table_cache": store.cache_stats(),
+        "readers": store.reader_stats(),
+    }
 
 
 class _PendingQuery:
@@ -357,7 +360,7 @@ class ServiceCore:
     Parameters
     ----------
     log:
-        The :class:`~repro.dslog.DSLog` to serve (any backend).  The core
+        The :class:`~repro.dslog.DSLog` to serve (memory or durable).  The core
         only reads; a colocated writer keeps ingesting through the same
         log object and the result cache invalidates per touched shard.
     executor:
@@ -477,7 +480,7 @@ class ServiceCore:
     # -- health / admin -------------------------------------------------
     def healthz_payload(self) -> dict:
         log = self.log
-        store = getattr(log, "store", None)
+        store = log.store
         generations = (
             list(store.generation_vector()) if store is not None else [log.catalog.version]
         )
@@ -505,7 +508,7 @@ class ServiceCore:
     def scrub_payload(self, repair: bool = False) -> dict:
         try:
             report = self.log.scrub(repair=repair)
-        except RuntimeError as error:  # e.g. the memory backend has no segments
+        except RuntimeError as error:  # a memory log has nothing on disk to scrub
             raise ValueError(str(error)) from None
         # reports may carry Paths / int shard keys; normalize to pure JSON
         return {"scrub": json.loads(json.dumps(report, default=str))}

@@ -197,16 +197,16 @@ class IngestTicket:
 
 
 class LineageService:
-    """Concurrent, durable lineage ingest over a sharded DSLog.
+    """Concurrent, durable lineage ingest over a durable DSLog.
 
     Parameters
     ----------
     root:
-        Directory of the sharded catalog (created if absent).  Ignored when
-        *log* is given.
+        Directory of the catalog (created if absent).  Ignored when *log*
+        is given.
     log:
-        An existing ``backend="sharded"`` DSLog to serve instead of opening
-        one.  The service takes ownership: ``close()`` closes it.
+        An existing durable DSLog (one opened with a root) to serve instead
+        of opening one.  The service takes ownership: ``close()`` closes it.
     workers:
         Ingest worker threads.  Compression and serialization run here with
         no lock held, overlapping each other and the committer's fsyncs.
@@ -248,7 +248,6 @@ class LineageService:
                 raise ValueError("LineageService needs a root directory or a log")
             log = DSLog(
                 root,
-                backend="sharded",
                 num_shards=num_shards,
                 gzip=gzip,
                 reuse_confirmations=reuse_confirmations,
@@ -258,11 +257,11 @@ class LineageService:
             )
         if log.backend != "sharded":
             raise ValueError(
-                f"LineageService needs a sharded DSLog, got backend={log.backend!r}"
+                f"LineageService needs a durable DSLog, got backend={log.backend!r}"
             )
         log.autosync = False  # the committer owns publishing
         self.log = log
-        self.faults = getattr(log, "faults", None)
+        self.faults = log.faults
         self.submit_timeout = submit_timeout
         self.commit_interval = float(commit_interval)
         self._queue: "queue.Queue" = queue.Queue(maxsize=int(queue_size))
@@ -409,12 +408,6 @@ class LineageService:
             finally:
                 self._queue.task_done()
 
-    def _torn_epoch(self) -> int:
-        """The backing store's torn-write count (0 for backends that cannot
-        tear, e.g. memory)."""
-        epoch_fn = getattr(getattr(self.log, "store", None), "torn_epoch", None)
-        return 0 if epoch_fn is None else epoch_fn()
-
     def _apply_spec(self, spec: Dict[str, Any]) -> Any:
         if self.faults is not None:
             self.faults.check("service.worker", "pipeline")
@@ -445,7 +438,7 @@ class LineageService:
         # torn flush destroys pending bytes while this op is mid-apply, its
         # record may be among them — the commit-time epoch check will
         # refuse to acknowledge it
-        epoch = self._torn_epoch()
+        epoch = self.log.store.torn_epoch()
         trace = ticket._trace
         if trace is not None:
             trace.add_span("queued", time.monotonic() - ticket.submitted_at)
@@ -530,7 +523,7 @@ class LineageService:
             # record bytes (the op raced the failing flush), so only
             # tickets applied at the current epoch are acknowledged — the
             # rest fail, their dangling rows are scrub's to reconcile
-            epoch = self._torn_epoch()
+            epoch = self.log.store.torn_epoch()
             now = time.monotonic()
             commit_seconds = now - commit_started
             _COMMITS.inc()

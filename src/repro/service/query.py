@@ -26,8 +26,8 @@ Result cache
 :class:`ResultCache` is an LRU keyed on the *query-box digest* — a stable
 hash of the path, the query boxes and the merge flag — whose entries are
 validated against a *dependency vector*: the ``(shard, version)`` pairs the
-result was computed from.  The sharded catalog keeps one applied-mutation
-counter per shard (:attr:`ShardedCatalog.shard_version_vector`), so
+result was computed from.  The catalog keeps one applied-mutation counter
+per shard (:meth:`~repro.storage.catalog.Catalog.shard_version_vector`), so
 
 * a **direct path query** depends only on the home shards of its hop
   entries: writers invalidate exactly the shards they touched, and ingest
@@ -37,8 +37,8 @@ counter per shard (:attr:`ShardedCatalog.shard_version_vector`), so
   the full vector — any shard's write invalidates it, which is the only
   correct answer when a new entry can create a shorter path.
 
-The memory and segment backends have no shards; their dependency vector is
-the catalog's single generation counter, i.e. any write invalidates.
+A memory log (and a snapshot view) is one shard: its vector is the
+catalog's single generation counter, i.e. any write invalidates.
 
 The dependency vector is read *before* entries are resolved (the same
 read-version-first protocol as ``DSLog.prov_query``): a writer landing
@@ -245,8 +245,8 @@ class QueryExecutor:
     Parameters
     ----------
     log:
-        Any :class:`~repro.dslog.DSLog` (memory, segment or sharded
-        backend; a snapshot view works too).  The executor only reads.
+        Any :class:`~repro.dslog.DSLog` (memory or durable; a snapshot
+        view works too).  The executor only reads.
     max_workers:
         Thread-pool width for per-shard prefetch, per-path execution and
         :meth:`map_queries`.  ``1`` disables parallelism (the sequential
@@ -282,7 +282,6 @@ class QueryExecutor:
         self.breaker_failures = int(breaker_failures)
         self.breaker_reset_after = float(breaker_reset_after)
         # per-shard breakers, created on a shard's first recorded fault
-        # (pseudo-shard 0 covers the unsharded backends)
         self._breakers: Dict[int, CircuitBreaker] = {}
         self._breaker_lock = threading.Lock()
         self._pool = (
@@ -325,17 +324,17 @@ class QueryExecutor:
             return {shard: br.stats() for shard, br in self._breakers.items()}
 
     def _home_shards(self, paths: Sequence[Sequence[str]]) -> Set[int]:
-        """The shards a planned query will read from (``{0}`` on the
-        unsharded backends, which have a single failure domain)."""
+        """The shards a planned query will read from.  Each hop is
+        resolved to its *stored* orientation first: shard routing hashes
+        the ``(input, output)`` pair, so a backward hop queried as
+        ``(out, in)`` would otherwise name the wrong shard (and a cached
+        result keyed on it would survive a replace of its entry)."""
         catalog = self.log.catalog
-        entry_shard = getattr(catalog, "entry_shard", None)
-        if entry_shard is None:
-            return {0}
         shards: Set[int] = set()
         for path in paths:
             for first, second in zip(path, path[1:]):
                 entry, _ = catalog.entry_between(first, second)
-                shards.add(entry_shard((entry.in_name, entry.out_name)))
+                shards.add(catalog.entry_shard((entry.in_name, entry.out_name)))
         return shards
 
     def _fault_shard(self, exc: BaseException, shards: Set[int]) -> int:
@@ -363,19 +362,13 @@ class QueryExecutor:
         breaker = self._breakers.get(shard)
         if breaker is None or not breaker.try_probe():
             return
-        store = getattr(self.log, "store", None)
         try:
-            if hasattr(store, "reopen_shard"):
-                store.reopen_shard(shard)
-            elif hasattr(store, "reset_io"):
-                store.reset_io()
-                store.scrub(repair=True)
-            # the repair may have rebuilt records at addresses the remap
-            # chain cannot reach (misdirected refs alias valid records);
-            # re-point the in-memory entries at the healed manifest rows
-            refresh = getattr(self.log, "refresh_entry_refs", None)
-            if refresh is not None:
-                refresh()
+            if self.log.store is not None:
+                self.log.store.reopen_shard(shard)
+                # the repair may have rebuilt records at addresses the remap
+                # chain cannot reach (misdirected refs alias valid records);
+                # re-point the in-memory entries at the healed manifest rows
+                self.log.refresh_entry_refs()
             breaker.record_success()
             with self._stats_lock:
                 self.shard_reopens += 1
@@ -386,32 +379,16 @@ class QueryExecutor:
     # dependency vectors
     # ------------------------------------------------------------------
     def _live_versions(self) -> Dict[int, int]:
-        """Current applied version of every shard (pseudo-shard 0 holds the
-        catalog generation counter on unsharded backends)."""
-        catalog = self.log.catalog
-        vector = getattr(catalog, "shard_version_vector", None)
-        if vector is not None:
-            return dict(enumerate(vector()))
-        return {0: catalog.version}
+        """Current applied version of every shard."""
+        return dict(enumerate(self.log.catalog.shard_version_vector()))
 
     def _full_deps(self, live: Dict[int, int]) -> DepVector:
         return tuple(sorted(live.items()))
 
-    def _path_deps(self, live: Dict[int, int], path: Sequence[str]) -> DepVector:
-        """Dependency vector of a direct path: the home shards of its hop
-        entries only — the precision that lets writers invalidate exactly
-        the shards they touched.  Each hop is resolved to its *stored*
-        orientation first: shard routing hashes the ``(input, output)``
-        pair, so a backward hop queried as ``(out, in)`` would otherwise
-        key on the wrong shard and survive a replace of its entry."""
-        catalog = self.log.catalog
-        entry_shard = getattr(catalog, "entry_shard", None)
-        if entry_shard is None:
-            return self._full_deps(live)
-        shards = set()
-        for first, second in zip(path, path[1:]):
-            entry, _ = catalog.entry_between(first, second)
-            shards.add(entry_shard((entry.in_name, entry.out_name)))
+    def _path_deps(self, live: Dict[int, int], shards: Set[int]) -> DepVector:
+        """Dependency vector of a direct path: its :meth:`_home_shards`
+        only — the precision that lets writers invalidate exactly the
+        shards they touched."""
         return tuple((shard, live[shard]) for shard in sorted(shards))
 
     # ------------------------------------------------------------------
@@ -616,7 +593,7 @@ class QueryExecutor:
             for i, _box_set, key in items:
                 outcomes[i] = self._degrade_item(key, blocked)
             return
-        deps = self._path_deps(live, paths[0]) if direct else self._full_deps(live)
+        deps = self._path_deps(live, shards) if direct else self._full_deps(live)
         box_sets = [box_set for _, box_set, _ in items]
         try:
             # per group, not per batch: hydrating every group's tables up
@@ -725,7 +702,7 @@ class QueryExecutor:
             if blocked:
                 return self._degrade(key, blocked)
 
-            deps = self._path_deps(live, paths[0]) if direct else self._full_deps(live)
+            deps = self._path_deps(live, shards) if direct else self._full_deps(live)
             try:
                 result = self._execute_paths(
                     paths, box_set, merge, parallel=parallel, deadline_at=deadline_at
@@ -870,21 +847,18 @@ class QueryExecutor:
         With a deadline, cold shards always go to the pool and each is
         awaited against the remaining budget: one slow/stalled shard raises
         :class:`~repro.faults.DeadlineExceeded` naming it, instead of
-        wedging the whole query.  (The unsharded backends hydrate as
-        pseudo-shard 0 so the deadline applies there too.)
+        wedging the whole query.
         """
         if self._pool is None:
             return  # sequential executor: loads happen in-line, unbounded
         catalog = self.log.catalog
-        entry_shard = getattr(catalog, "entry_shard", None)
         # home shard -> its tables still to hydrate (the residency probe
         # moves no cache counter)
         by_shard: Dict[int, List[Tuple[Any, str]]] = {}
         for path in paths:
             for first, second in zip(path, path[1:]):
                 entry, _ = catalog.entry_between(first, second)
-                pair = (entry.in_name, entry.out_name)
-                shard = entry_shard(pair) if entry_shard is not None else 0
+                shard = catalog.entry_shard((entry.in_name, entry.out_name))
                 tasks = by_shard.setdefault(shard, [])
                 if not entry.is_resident(first):
                     tasks.append((entry, first))
@@ -973,7 +947,7 @@ class QueryExecutor:
         """Snapshot-pin the backing store(s) for the query's lifetime so a
         concurrent compaction retires (rather than deletes) segment files
         this query may still read.  Returns the release callable."""
-        store = getattr(self.log, "store", None)
+        store = self.log.store
         if store is None:
             return None
         store.pin()

@@ -47,7 +47,8 @@ JSON API
 
 Every failure returns a *structured* JSON payload — ``{"error": {"type",
 "message"}}`` with a matching status code (400 malformed request, 404
-unknown array or endpoint, 405 wrong method, 500 internal; plus the fault
+unknown array or endpoint, 405 wrong method, 413 a declared body above
+:data:`MAX_BODY_BYTES`, refused unread, 500 internal; plus the fault
 taxonomy: 504 ``deadline-exceeded``, 503 ``shard-unavailable`` /
 ``overloaded`` / ``io-error``) — never a hung socket: the handler catches
 everything, and the server always finishes the response it started.
@@ -75,6 +76,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..obs import REGISTRY, log_event, tracing
 from .api import (
     BadJson,
+    BodyTooLarge,
     QueryCoalescer,
     ServiceCore,
     annotate_outcome,
@@ -97,6 +99,10 @@ _HTTP_SECONDS = REGISTRY.histogram(
 
 # endpoints that open a per-request trace (the observability surfaces
 # themselves — /metrics, /debug/traces, /healthz — would only self-spam)
+# request bodies are small JSON (a 64-query batch of 256-cell queries is
+# ~100 KB); a Content-Length above this is refused without reading it
+MAX_BODY_BYTES = 16 * 1024 * 1024
+
 _TRACED_ENDPOINTS = {
     "/query",
     "/query_batch",
@@ -179,10 +185,22 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(status, {"error": {"type": kind, "message": message}})
 
     def _read_body(self) -> dict:
-        length = self.headers.get("Content-Length")
-        if length is None:
-            raise ValueError("a JSON request body is required")
-        raw = self.rfile.read(int(length))
+        declared = (self.headers.get("Content-Length") or "").strip()
+        length = int(declared) if declared.isascii() and declared.isdigit() else -1
+        if not 0 <= length <= MAX_BODY_BYTES:
+            # whatever body follows stays unread (a negative length would
+            # block until the peer hangs up, an oversized one is refused
+            # unseen), so this stream cannot frame another request
+            self.close_connection = True
+            if length > MAX_BODY_BYTES:
+                raise BodyTooLarge(
+                    f"request body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
+                )
+            raise ValueError(
+                "a JSON request body is required: Content-Length must be a "
+                f"non-negative integer, got {declared!r}"
+            )
+        raw = self.rfile.read(length)
         try:
             body = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
@@ -364,7 +382,7 @@ class LineageServer:
     Parameters
     ----------
     log:
-        The :class:`~repro.dslog.DSLog` to serve (any backend).  The server
+        The :class:`~repro.dslog.DSLog` to serve (memory or durable).  The server
         only reads; a colocated writer keeps ingesting through the same log
         object and the result cache invalidates per touched shard.
     host / port:

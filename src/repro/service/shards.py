@@ -1,6 +1,7 @@
-"""The sharded multi-writer lineage store (``ShardedLineageStore``).
+"""The durable lineage store (``ShardedLineageStore``): the one on-disk
+layout behind every ``DSLog`` that has a root directory.
 
-A sharded catalog directory fans the entry set out over *N* shard
+A catalog directory fans the entry set out over *N* shard
 subdirectories, each a complete single-writer store of its own —
 append-only segment files plus an atomic per-shard ``MANIFEST.json``
 (:mod:`repro.storage.store`) — indexed by one root ``SHARDS.json``:
@@ -20,7 +21,8 @@ so two writers touching different pairs usually append to different
 segment files and publish different manifests — the write path is
 partitioned, not merely locked.  ``compact()`` and the LRU table-cache
 byte budget are per shard: one shard can be compacted (or evicted) while
-the others keep serving.
+the others keep serving.  ``num_shards=1`` is the single-writer layout:
+one directory, one manifest, one lock — for catalogs one thread ingests.
 
 Global catalog metadata — tracked arrays, operation records, the reuse
 predictor's state — is not per-pair and lives in the manifest of shard 0,
@@ -41,8 +43,8 @@ Concurrency model
 
 :class:`ShardedCatalog` maintains each shard's manifest rows *incrementally*
 at apply time (one row dict appended or updated per ingested entry), so a
-manifest publish is serialize + fsync + rename — O(shard), with none of the
-full-catalog row rebuilding the single-store backend does on every sync.
+manifest publish is serialize + fsync + rename — O(shard), never a rebuild
+of every row.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ from ..core.serialize import serialize_table
 from ..faults import FaultPlan
 from ..obs import REGISTRY, log_event
 from ..storage.catalog import Catalog, LineageConflictError, LineageEntry, OperationRecord
+from ..storage.manifest import MANIFEST_NAME
 from ..storage.store import (
     DEFAULT_CACHE_BYTES,
     DEFAULT_SEGMENT_MAX_BYTES,
@@ -117,6 +120,38 @@ def load_shards_file(root: Union[str, Path]) -> Optional[dict]:
     return data
 
 
+def write_shards_file(root: Path, num_shards: int, gzip: bool) -> None:
+    """Create ``SHARDS.json`` atomically (written once, never updated)."""
+    path = root / SHARDS_NAME
+    tmp = path.with_suffix(".json.tmp")
+    data = json.dumps(
+        {
+            "format": SHARDS_FORMAT,
+            "format_version": SHARDS_FORMAT_VERSION,
+            "num_shards": num_shards,
+            "gzip": gzip,
+        },
+        separators=(",", ":"),
+    )
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(data)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+
+
+def _refuse_old_layout(root: Path) -> None:
+    """A root without ``SHARDS.json`` must be a new catalog.  Creating one
+    over a directory an older build wrote (a root-level manifest, or one
+    ``.provrc[.gz]`` file per entry) would leave its lineage unreachable
+    beside an empty store, so name the one-shot upgrader instead."""
+    if (root / MANIFEST_NAME).exists() or any(root.glob("*.provrc*")):
+        raise ValueError(
+            f"{root} holds a DSLog layout this build no longer reads; run "
+            f"`python -m repro.tools.upgrade {root}` once, then open it again"
+        )
+
+
 class ShardedLineageStore:
     """N single-writer :class:`LineageStore` shards behind one root."""
 
@@ -140,9 +175,10 @@ class ShardedLineageStore:
         else:
             if num_shards < 1:
                 raise ValueError("a sharded store needs at least one shard")
+            _refuse_old_layout(self.root)
             self.num_shards = int(num_shards)
             self.gzip = gzip
-            self._write_shards_file()
+            write_shards_file(self.root, self.num_shards, self.gzip)
         per_shard_budget = max(1, int(cache_bytes) // self.num_shards)
         self.shards: List[LineageStore] = [
             LineageStore(
@@ -162,25 +198,6 @@ class ShardedLineageStore:
         # export, compaction — against each other (writers never take it);
         # lock order: maintenance → reuse-manager → shard → meta
         self.maintenance_lock = threading.RLock()
-
-    def _write_shards_file(self) -> None:
-        """Create ``SHARDS.json`` atomically (written once, never updated)."""
-        path = self.root / SHARDS_NAME
-        tmp = path.with_suffix(".json.tmp")
-        data = json.dumps(
-            {
-                "format": SHARDS_FORMAT,
-                "format_version": SHARDS_FORMAT_VERSION,
-                "num_shards": self.num_shards,
-                "gzip": self.gzip,
-            },
-            separators=(",", ":"),
-        )
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
 
     # ------------------------------------------------------------------
     # routing
@@ -233,17 +250,6 @@ class ShardedLineageStore:
                         with self.meta_lock:
                             self._dirty.update(d for d in dirty if d not in published)
                         raise
-            return published
-
-    def sync_all(self) -> Dict[int, int]:
-        """Publish every shard regardless of dirtiness (close/checkpoint)."""
-        with self.maintenance_lock:
-            with self.meta_lock:
-                self._dirty.clear()
-            published = {}
-            for idx in range(self.num_shards):
-                with self._shard_locks[idx]:
-                    published[idx] = self.shards[idx].sync(serialize_lock=self.meta_lock)
             return published
 
     def generation_vector(self) -> Tuple[int, ...]:
@@ -561,12 +567,3 @@ class ShardedCatalog(Catalog):
 
     def entry_shard(self, pair: Tuple[str, str]) -> int:
         return self.store.shard_for(*pair)
-
-    def materialize_all(self) -> int:
-        """Force-load every entry's tables; returns tables materialized."""
-        count = 0
-        for entry in self.entries():
-            entry.backward
-            entry.forward
-            count += 2
-        return count

@@ -26,18 +26,17 @@ Isolation protocol
   after the files are unlinked, because each table pins its mapping
   through the columns' buffer chain until the last view is dropped.
 * ``generation_vector`` records the published per-shard manifest
-  generations at snapshot time (a single-element vector for the segment
-  backend) — two snapshots with equal vectors and equal catalog versions
-  saw the same durable state.
+  generations at snapshot time (empty for a memory log) — two snapshots
+  with equal vectors and equal catalog versions saw the same durable
+  state.
 
 Any mutating call on the view raises :class:`SnapshotReadOnlyError`.
 """
 
 from __future__ import annotations
 
-import contextlib
 import threading
-from typing import Optional, Tuple
+from typing import Tuple
 
 from ..dslog import DSLog
 from ..reuse.signatures import ReuseManager
@@ -106,6 +105,11 @@ class SnapshotDSLog(DSLog):
     register_operation = _read_only("register_operation")
     sync = _read_only("sync")
     compact = _read_only("compact")
+    scrub = _read_only("scrub")
+
+    def refresh_entry_refs(self) -> None:
+        """Nothing to re-point: the view shares its entry objects with the
+        live log, whose own refresh moves them."""
 
     def snapshot(self) -> "SnapshotDSLog":
         """Snapshotting a snapshot returns itself (it is already frozen)."""
@@ -129,41 +133,29 @@ class SnapshotDSLog(DSLog):
         )
 
 
+def _frozen_copy(catalog: Catalog) -> Catalog:
+    frozen = Catalog()
+    frozen.arrays = dict(catalog.arrays)
+    frozen._entries = dict(catalog._entries)
+    frozen.operations = list(catalog.operations)
+    frozen.version = catalog.version
+    return frozen
+
+
 def take_snapshot(log: DSLog) -> SnapshotDSLog:
     """Build a :class:`SnapshotDSLog` of *log*'s current catalog state.
 
-    The copy happens under the catalog's mutation lock (sharded backend)
-    so concurrent writers cannot produce a torn cut; the memory and
-    segment backends are single-writer, where a plain copy is already
-    consistent.
+    The copy happens under the durable store's mutation lock so concurrent
+    writers cannot produce a torn cut; a memory log is single-writer,
+    where a plain copy is already consistent (and there is nothing to pin).
     """
-    lock = getattr(getattr(log, "store", None), "meta_lock", None)
-    with lock if lock is not None else contextlib.nullcontext():
-        frozen = Catalog()
-        frozen.arrays = dict(log.catalog.arrays)
-        frozen._entries = dict(log.catalog._entries)
-        frozen.operations = list(log.catalog.operations)
-        frozen.version = log.catalog.version
-        generations = _generation_vector(log)
-        release = _pin_stores(log)
+    store = log.store
+    if store is None:
+        return SnapshotDSLog(_frozen_copy(log.catalog), log, ())
+    with store.meta_lock:
+        frozen = _frozen_copy(log.catalog)
+        generations = store.generation_vector()
+        store.pin()
     view = SnapshotDSLog(frozen, log, generations)
-    view._pin_release = release
+    view._pin_release = store.release_pin
     return view
-
-
-def _generation_vector(log: DSLog) -> Tuple[int, ...]:
-    store = log.store
-    if store is None:
-        return ()
-    vector = getattr(store, "generation_vector", None)
-    if vector is not None:
-        return vector()
-    return (store.manifest.generation,)
-
-
-def _pin_stores(log: DSLog) -> Optional[callable]:
-    store = log.store
-    if store is None:
-        return None
-    store.pin()
-    return store.release_pin

@@ -17,7 +17,6 @@ from .store import (
     DEFAULT_CACHE_BYTES,
     DEFAULT_SEGMENT_MAX_BYTES,
     LineageStore,
-    StoredCatalog,
     StoredLineageEntry,
     TableCache,
     TableRef,
@@ -31,7 +30,6 @@ __all__ = [
     "LineageConflictError",
     "AmbiguousLineageError",
     "LineageStore",
-    "StoredCatalog",
     "StoredLineageEntry",
     "TableCache",
     "TableRef",

@@ -223,6 +223,28 @@ class Catalog:
         raise KeyError(f"no lineage stored between {first!r} and {second!r}")
 
     # ------------------------------------------------------------------
+    # the store protocol: one failure domain, one applied-version counter
+    # (the sharded catalog overrides the first two per home shard)
+    # ------------------------------------------------------------------
+    def entry_shard(self, pair: Tuple[str, str]) -> int:
+        """Home shard of an ``(input, output)`` pair."""
+        return 0
+
+    def shard_version_vector(self) -> Tuple[int, ...]:
+        """The applied-mutation counter of every shard, in shard order."""
+        return (self.version,)
+
+    def materialize_all(self) -> int:
+        """Force-load every entry's tables (the eager-open code path);
+        returns the number of tables materialized or found cached."""
+        count = 0
+        for entry in self.entries():
+            entry.backward
+            entry.forward
+            count += 2
+        return count
+
+    # ------------------------------------------------------------------
     # operations
     # ------------------------------------------------------------------
     def add_operation(self, record: OperationRecord) -> None:

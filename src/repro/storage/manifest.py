@@ -14,8 +14,9 @@ Durability protocol
   manifest generation intact — reopening always sees a consistent catalog.
 * ``generation`` increases by one per save, so stale copies are detectable
   and tests can assert on write counts.
-* Opening a directory costs O(manifest): no segment bytes are read until a
-  table is actually queried.
+* Opening a directory costs O(manifest): beyond the 6-byte header of each
+  live segment (its wire version is checked), no segment bytes are read
+  until a table is actually queried.
 """
 
 from __future__ import annotations

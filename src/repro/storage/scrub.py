@@ -11,7 +11,7 @@ record index) and, in repair mode, heals with zero valid-record loss:
 Corruption classes
 ------------------
 ================== ====================================================
-``checksum``       record frame intact, payload CRC32 mismatch (v2 files)
+``checksum``       record frame intact, payload CRC32 mismatch
 ``misdirected``    frame and checksum intact but the payload is not this
                    entry's table — the ref points at some other (or no)
                    record, e.g. after a torn batch left dangling offsets
@@ -43,7 +43,7 @@ Repair contract
   into the store's remap chain — in-memory lazy entries keep resolving,
   exactly as across a compaction.
 
-Entry points: :meth:`repro.storage.store.LineageStore.scrub`,
+Entry points: :func:`scrub_store` (one shard directory),
 :meth:`repro.service.shards.ShardedLineageStore.scrub` (per shard),
 :meth:`repro.dslog.DSLog.scrub`, the ``python -m repro.tools.scrub`` CLI,
 and the server's ``POST /admin/scrub``.

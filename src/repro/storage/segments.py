@@ -1,23 +1,17 @@
 """Append-only segment files: the byte-level layer of the lineage store.
 
-A segment is a flat file holding many ProvRC tables as length-prefixed
-records.  Two wire versions exist, distinguished by the file header:
+A segment is a flat file holding many ProvRC tables as length-prefixed,
+checksummed records:
 
-    v1:  +--------+---------+------------+---------+ ...
-         | "DSEG" | u16 = 1 | u32 length | payload | ...
-         +--------+---------+------------+---------+ ...
+    +--------+---------+------------+-----------+---------+ ...
+    | "DSEG" | u16 = 2 | u32 length | u32 crc32 | payload | ...
+    +--------+---------+------------+-----------+---------+ ...
 
-    v2:  +--------+---------+------------+-----------+---------+ ...
-         | "DSEG" | u16 = 2 | u32 length | u32 crc32 | payload | ...
-         +--------+---------+------------+-----------+---------+ ...
-
-v2 (the format every new segment is written in) adds a CRC32 of the
-payload to each record, so a reader can tell *bit rot inside a sealed
+The CRC32 of the payload lets a reader tell *bit rot inside a sealed
 record* — flipped bytes, a misdirected write — from the torn-tail and
-truncation cases the length prefix already catches.  v1 segments remain
-fully readable; the record format is a per-file property decided by the
-header, and a writer appending to a pre-existing v1 file keeps writing v1
-records so the file stays self-consistent.
+truncation cases the length prefix already catches.  Wire version 1 (no
+checksum) is retired: ``python -m repro.tools.upgrade`` rewrites such
+files as version 2, and nothing here reads them.
 
 Records are only ever appended; a record becomes *live* when the manifest
 (:mod:`repro.storage.manifest`) references its ``(segment, offset, length)``
@@ -25,14 +19,14 @@ triple and *dead* when no manifest reference remains.  Readers never need
 a segment-level index: the manifest is the index, and anything it does not
 point at is garbage to be reclaimed by
 :meth:`repro.storage.store.LineageStore.compact`.  ``length`` is always
-the *payload* length; the per-record overhead (prefix + checksum) is a
-function of the file's wire version.
+the *payload* length; :func:`record_overhead` bytes of framing (prefix +
+checksum) precede it.
 
 Corruption classes and their exceptions:
 
 * a length prefix that disagrees with the manifest, or bytes missing at
   the end of the file → ``ValueError`` (truncation / torn tail);
-* a CRC mismatch on a v2 record → :class:`CorruptRecordError`;
+* a CRC mismatch → :class:`CorruptRecordError`;
 * both are repairable by the scrub subsystem
   (:mod:`repro.storage.scrub`), which quarantines the bad bytes and
   salvages or rebuilds everything else.
@@ -106,37 +100,51 @@ __all__ = [
     "valid_length",
     "scan_segment",
     "record_overhead",
+    "check_wire_version",
 ]
 
 SEGMENT_MAGIC = b"DSEG"
-SEGMENT_VERSION = 2  # written by every new segment; v1 stays readable
+SEGMENT_VERSION = 2
 SEGMENT_HEADER_SIZE = len(SEGMENT_MAGIC) + 2
-_PREFIX = struct.Struct("<I")
-_CRC = struct.Struct("<I")
+_FRAME = struct.Struct("<II")  # payload length, payload crc32
 
 
-def _header_bytes(version: int) -> bytes:
-    return frame_header(SEGMENT_MAGIC, "H", version)
-
-
-def _check_header(data: bytes, path: Path) -> int:
-    """Validate the 6-byte header; returns the file's wire version."""
+def _check_header(data: bytes, path: Path) -> None:
+    """Validate the 6-byte header: the magic and the one supported version."""
     try:
         (version,), _offset = parse_header(data, SEGMENT_MAGIC, "H", "DSLog segment file")
     except ValueError as error:
         raise ValueError(f"{path} is not a DSLog segment file: {error}") from None
-    if version not in (1, 2):
-        raise ValueError(f"{path} has unsupported segment version {version}")
-    return version
+    if version != SEGMENT_VERSION:
+        raise ValueError(
+            f"{path} has segment version {version}, this build reads only "
+            f"{SEGMENT_VERSION}; run `python -m repro.tools.upgrade` on the "
+            "catalog directory once"
+        )
 
 
-def record_overhead(version: int) -> int:
-    """Bytes of per-record framing before the payload (prefix [+ crc])."""
-    return _PREFIX.size + (_CRC.size if version >= 2 else 0)
+def check_wire_version(path: Union[str, Path]) -> None:
+    """Open-time guard: raise (naming the upgrader) when *path* is a
+    well-formed segment of a wire version this build does not read.  A
+    store that opened lazily over such a file would otherwise hand it to
+    scrub, which can only see every record in it as damage.  A missing
+    file or a garbled header *is* damage, and stays scrub's to report."""
+    try:
+        with open(path, "rb") as fh:
+            header = fh.read(SEGMENT_HEADER_SIZE)
+    except FileNotFoundError:
+        return
+    if len(header) == SEGMENT_HEADER_SIZE and header.startswith(SEGMENT_MAGIC):
+        _check_header(header, Path(path))
+
+
+def record_overhead() -> int:
+    """Bytes of per-record framing before the payload (prefix + crc)."""
+    return _FRAME.size
 
 
 class CorruptRecordError(ValueError):
-    """A record's payload bytes do not match its stored CRC32 (v2)."""
+    """A record's payload bytes do not match its stored CRC32."""
 
     def __init__(self, path, offset: int, stored: int, actual: int) -> None:
         super().__init__(
@@ -148,8 +156,8 @@ class CorruptRecordError(ValueError):
 
 
 class SegmentWriter:
-    """Appends length-prefixed (and, on v2 files, checksummed) records to
-    one segment file, coalescing batches of appends into single writes.
+    """Appends length-prefixed, checksummed records to one segment file,
+    coalescing batches of appends into single writes.
 
     ``append`` only extends the in-memory pending buffer (assigning the
     record its final offset); ``flush_pending`` hands the whole batch to
@@ -157,8 +165,7 @@ class SegmentWriter:
     costs one syscall pair per segment regardless of batch size.  The
     file's 6-byte header is the exception: it is written eagerly at
     creation so the file is identifiable on disk from the first moment a
-    manifest could name it.  A pre-existing file's header decides the
-    record format; new files are created at :data:`SEGMENT_VERSION`.
+    manifest could name it.
 
     Thread-safe: appends arrive under the owning store's append lock, but
     ``flush_pending`` may also be called by a *reader* that needs bytes
@@ -185,10 +192,7 @@ class SegmentWriter:
         existing = self.path.stat().st_size if self.path.exists() else 0
         if existing:
             with open(self.path, "rb") as fh:
-                self.version = _check_header(fh.read(SEGMENT_HEADER_SIZE), self.path)
-        else:
-            self.version = SEGMENT_VERSION
-        self._overhead = record_overhead(self.version)
+                _check_header(fh.read(SEGMENT_HEADER_SIZE), self.path)
         self._fh = open(self.path, "ab")
         self._lock = threading.Lock()
         self._pending: List[bytes] = []
@@ -198,24 +202,17 @@ class SegmentWriter:
         self.torn_writes = 0  # short writes that destroyed pending bytes
         self._pending_records = 0
         if existing == 0:
-            self._fh.write(_header_bytes(self.version))
+            self._fh.write(frame_header(SEGMENT_MAGIC, "H", SEGMENT_VERSION))
             self._fh.flush()
             self._size = SEGMENT_HEADER_SIZE
-            self._flushed = SEGMENT_HEADER_SIZE
         else:
             self._size = existing
-            self._flushed = existing
 
     @property
     def size(self) -> int:
         """Logical file size in bytes, pending buffer included (records are
         appended at this offset)."""
         return self._size
-
-    @property
-    def flushed_size(self) -> int:
-        """Bytes actually handed to the OS (readable through the file)."""
-        return self._flushed
 
     @property
     def pending_bytes(self) -> int:
@@ -226,20 +223,18 @@ class SegmentWriter:
         """Buffer one record; returns ``(offset, payload length)``.
 
         The offset addresses the record's length prefix, so a reader can
-        verify the prefix (and, on v2, the payload checksum) against the
+        verify the prefix and the payload checksum against the
         manifest's recorded length before trusting the payload bytes.  The
         bytes reach the file on the next ``flush_pending``/``sync`` — one
         coalesced write per batch.
         """
         with self._lock:
             offset = self._size
-            self._pending.append(_PREFIX.pack(len(payload)))
-            if self.version >= 2:
-                self._pending.append(_CRC.pack(zlib.crc32(payload) & 0xFFFFFFFF))
+            self._pending.append(_FRAME.pack(len(payload), zlib.crc32(payload) & 0xFFFFFFFF))
             self._pending.append(payload)
-            self._pending_bytes += self._overhead + len(payload)
+            self._pending_bytes += _FRAME.size + len(payload)
             self._pending_records += 1
-            self._size = offset + self._overhead + len(payload)
+            self._size = offset + _FRAME.size + len(payload)
             return offset, len(payload)
 
     def flush_pending(self) -> int:
@@ -268,7 +263,6 @@ class SegmentWriter:
                     self._fh.write(buffer[:partial])
                     self._fh.write(b"\x00" * (len(buffer) - partial))
                     self._fh.flush()
-                    self._flushed += len(buffer)
                     self._pending = []
                     self._pending_bytes = 0
                     self._pending_records = 0
@@ -285,7 +279,6 @@ class SegmentWriter:
             self._fh.flush()
             self._pending = []
             self._pending_bytes = 0
-            self._flushed += len(buffer)
             self.coalesced_writes += 1
             self.coalesced_records += self._pending_records
             records = self._pending_records
@@ -326,8 +319,8 @@ class SegmentReader:
 
     The segment header is validated once at open; each ``read`` validates
     the record's length prefix against the manifest-recorded length (same
-    contract as :func:`read_record`), verifies the payload CRC on v2
-    files, and returns a ``memoryview`` into the mapping — no syscalls, no
+    contract as :func:`read_record`), verifies the payload CRC, and
+    returns a ``memoryview`` into the mapping — no syscalls, no
     payload copy.  The mapping is refreshed lazily when a requested record
     lies beyond the mapped size (the file has grown since the last map).
 
@@ -352,9 +345,7 @@ class SegmentReader:
         if faults is not None:
             faults.check("segment.mmap", scope)
         self._fh = open(self.path, "rb")
-        header = self._fh.read(SEGMENT_HEADER_SIZE)
-        self.version = _check_header(header, self.path)
-        self._overhead = record_overhead(self.version)
+        _check_header(self._fh.read(SEGMENT_HEADER_SIZE), self.path)
         self._lock = threading.Lock()
         self._mm: "mmap.mmap" = None
         self._mapped = 0
@@ -373,7 +364,7 @@ class SegmentReader:
         return self._mapped
 
     def read(self, offset: int, length: int) -> memoryview:
-        """One record's payload as a zero-copy view, prefix- and (on v2)
+        """One record's payload as a zero-copy view, prefix- and
         checksum-validated.
 
         Raises ``FileNotFoundError`` when the reader was closed (a
@@ -387,7 +378,7 @@ class SegmentReader:
         if self.faults is not None:
             self.faults.check("segment.read", self.scope)
         _SEG_READS.inc()
-        end = offset + self._overhead + length
+        end = offset + _FRAME.size + length
         with self._lock:
             if self._mm is None:
                 raise FileNotFoundError(f"{self.path}: segment reader closed")
@@ -397,18 +388,16 @@ class SegmentReader:
                     raise ValueError(
                         f"{self.path}: truncated record payload at offset {offset}"
                     )
-            (stored,) = _PREFIX.unpack_from(self._mm, offset)
+            stored, crc_stored = _FRAME.unpack_from(self._mm, offset)
             if stored != length:
                 raise ValueError(
                     f"{self.path}: record at offset {offset} has length {stored}, "
                     f"manifest expected {length}"
                 )
-            payload = memoryview(self._mm)[offset + self._overhead : end]
-            if self.version >= 2:
-                (crc_stored,) = _CRC.unpack_from(self._mm, offset + _PREFIX.size)
-                crc_actual = zlib.crc32(payload) & 0xFFFFFFFF
-                if crc_stored != crc_actual:
-                    raise CorruptRecordError(self.path, offset, crc_stored, crc_actual)
+            payload = memoryview(self._mm)[offset + _FRAME.size : end]
+            crc_actual = zlib.crc32(payload) & 0xFFFFFFFF
+            if crc_stored != crc_actual:
+                raise CorruptRecordError(self.path, offset, crc_stored, crc_actual)
             return payload
 
     def close(self) -> None:
@@ -434,34 +423,48 @@ class SegmentReader:
 
 def read_record(path: Union[str, Path], offset: int, length: int) -> bytes:
     """Read one record's payload, validating the stored length prefix and
-    (on v2 segments) the payload checksum."""
+    the payload checksum."""
     path = Path(path)
     with open(path, "rb") as fh:
-        version = _check_header(fh.read(SEGMENT_HEADER_SIZE), path)
+        _check_header(fh.read(SEGMENT_HEADER_SIZE), path)
         fh.seek(offset)
-        prefix = fh.read(_PREFIX.size)
-        if len(prefix) != _PREFIX.size:
-            raise ValueError(f"{path}: truncated record prefix at offset {offset}")
-        (stored,) = _PREFIX.unpack(prefix)
+        framing = fh.read(_FRAME.size)
+        if len(framing) != _FRAME.size:
+            raise ValueError(f"{path}: truncated record framing at offset {offset}")
+        stored, crc_stored = _FRAME.unpack(framing)
         if stored != length:
             raise ValueError(
                 f"{path}: record at offset {offset} has length {stored}, "
                 f"manifest expected {length}"
             )
-        crc_stored = None
-        if version >= 2:
-            crc = fh.read(_CRC.size)
-            if len(crc) != _CRC.size:
-                raise ValueError(f"{path}: truncated record checksum at offset {offset}")
-            (crc_stored,) = _CRC.unpack(crc)
         payload = fh.read(length)
         if len(payload) != length:
             raise ValueError(f"{path}: truncated record payload at offset {offset}")
-        if crc_stored is not None:
-            crc_actual = zlib.crc32(payload) & 0xFFFFFFFF
-            if crc_stored != crc_actual:
-                raise CorruptRecordError(path, offset, crc_stored, crc_actual)
+        crc_actual = zlib.crc32(payload) & 0xFFFFFFFF
+        if crc_stored != crc_actual:
+            raise CorruptRecordError(path, offset, crc_stored, crc_actual)
         return payload
+
+
+def _walk(path: Union[str, Path]) -> Iterator[Tuple[int, int, bytes]]:
+    """Yield ``(offset, stored crc, payload)`` for every structurally
+    complete record, in append order.  A trailing partial record (a crash
+    mid-append) ends the walk silently — those bytes are by definition not
+    referenced by any manifest."""
+    path = Path(path)
+    with open(path, "rb") as fh:
+        _check_header(fh.read(SEGMENT_HEADER_SIZE), path)
+        offset = SEGMENT_HEADER_SIZE
+        while True:
+            framing = fh.read(_FRAME.size)
+            if len(framing) < _FRAME.size:
+                return
+            length, crc = _FRAME.unpack(framing)
+            payload = fh.read(length)
+            if len(payload) < length:
+                return
+            yield offset, crc, payload
+            offset += _FRAME.size + length
 
 
 def valid_length(path: Union[str, Path]) -> int:
@@ -472,82 +475,39 @@ def valid_length(path: Union[str, Path]) -> int:
     compaction drops them with the rest of the dead bytes.  Checksums are
     deliberately not verified here (see :func:`scan_segment` for the full
     fsck pass): a flipped byte mid-file does not end the valid prefix."""
-    path = Path(path)
     end = SEGMENT_HEADER_SIZE
-    with open(path, "rb") as fh:
-        version = _check_header(fh.read(SEGMENT_HEADER_SIZE), path)
-        overhead = record_overhead(version)
-        while True:
-            framing = fh.read(overhead)
-            if len(framing) < overhead:
-                return end
-            (length,) = _PREFIX.unpack_from(framing, 0)
-            payload = fh.read(length)
-            if len(payload) < length:
-                return end
-            end += overhead + length
+    for offset, _crc, payload in _walk(path):
+        end = offset + _FRAME.size + len(payload)
+    return end
 
 
 def iter_records(path: Union[str, Path]) -> Iterator[Tuple[int, bytes]]:
-    """Yield every ``(offset, payload)`` in a segment, in append order.
-
-    A trailing partial record (a crash mid-append) ends the iteration
-    silently — those bytes are by definition not referenced by any
-    manifest.  Checksums are not verified (callers that care run
-    :func:`scan_segment`).
-    """
-    path = Path(path)
-    with open(path, "rb") as fh:
-        version = _check_header(fh.read(SEGMENT_HEADER_SIZE), path)
-        overhead = record_overhead(version)
-        offset = SEGMENT_HEADER_SIZE
-        while True:
-            framing = fh.read(overhead)
-            if len(framing) < overhead:
-                return
-            (length,) = _PREFIX.unpack_from(framing, 0)
-            payload = fh.read(length)
-            if len(payload) < length:
-                return
-            yield offset, payload
-            offset += overhead + length
+    """Yield every ``(offset, payload)`` in a segment, in append order,
+    stopping silently at a torn tail.  Checksums are not verified (callers
+    that care run :func:`scan_segment`)."""
+    for offset, _crc, payload in _walk(path):
+        yield offset, payload
 
 
 def scan_segment(path: Union[str, Path]) -> Dict[str, object]:
     """Full fsck pass over one segment: structure *and* checksums.
 
-    Returns a dict with the file's ``version``, ``file_size``, the
-    ``valid_prefix`` offset (same contract as :func:`valid_length`),
-    ``tail_bytes`` beyond it, and ``records`` — one ``(offset, length,
-    crc_ok)`` triple per complete record in append order (``crc_ok`` is
-    always ``True`` on v1 files, which carry no checksum to disagree
-    with).  The scrub subsystem drives its whole repair plan off this.
+    Returns a dict with the ``file_size``, the ``valid_prefix`` offset
+    (same contract as :func:`valid_length`), ``tail_bytes`` beyond it, and
+    ``records`` — one ``(offset, length, crc_ok)`` triple per complete
+    record in append order.  The scrub subsystem drives its whole repair
+    plan off this.
     """
     path = Path(path)
     records: List[Tuple[int, int, bool]] = []
-    with open(path, "rb") as fh:
-        version = _check_header(fh.read(SEGMENT_HEADER_SIZE), path)
-        overhead = record_overhead(version)
-        offset = SEGMENT_HEADER_SIZE
-        while True:
-            framing = fh.read(overhead)
-            if len(framing) < overhead:
-                break
-            (length,) = _PREFIX.unpack_from(framing, 0)
-            payload = fh.read(length)
-            if len(payload) < length:
-                break
-            crc_ok = True
-            if version >= 2:
-                (crc_stored,) = _CRC.unpack_from(framing, _PREFIX.size)
-                crc_ok = crc_stored == (zlib.crc32(payload) & 0xFFFFFFFF)
-            records.append((offset, length, crc_ok))
-            offset += overhead + length
+    end = SEGMENT_HEADER_SIZE
+    for offset, crc, payload in _walk(path):
+        records.append((offset, len(payload), crc == (zlib.crc32(payload) & 0xFFFFFFFF)))
+        end = offset + _FRAME.size + len(payload)
     file_size = path.stat().st_size
     return {
-        "version": version,
         "file_size": file_size,
-        "valid_prefix": offset,
-        "tail_bytes": file_size - offset,
+        "valid_prefix": end,
+        "tail_bytes": file_size - end,
         "records": records,
     }

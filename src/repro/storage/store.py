@@ -1,6 +1,7 @@
 """The durable, segment-based lineage store (``LineageStore``).
 
-This is the storage engine behind ``DSLog(root, backend="segment")``: many
+One ``LineageStore`` is one shard directory of a durable ``DSLog``
+(:mod:`repro.service.shards` puts N of them behind one root): many
 ProvRC tables packed into append-only segment files
 (:mod:`repro.storage.segments`), indexed by one atomic JSON manifest
 (:mod:`repro.storage.manifest`), read back *lazily* through an LRU table
@@ -8,15 +9,13 @@ cache with a byte budget.
 
 Design points
 -------------
-* **O(manifest) open** — ``StoredCatalog`` hydrates lazy
-  :class:`StoredLineageEntry` objects from manifest rows; no segment bytes
-  are read (and no table is deserialized) until a query touches an entry.
+* **O(manifest) open** — the catalog hydrates lazy
+  :class:`StoredLineageEntry` objects from manifest rows; no table is
+  deserialized until a query touches an entry.
   ``LineageStore.tables_deserialized`` counts actual decodes so tests and
   benchmarks can prove it.
-* **Both orientations persisted** — the legacy one-file-per-table format
-  stored only the backward table and rebuilt the forward orientation at
-  load by decompressing and re-compressing every table; segments store both
-  so reopening never touches table bytes at all.  Storage accounting
+* **Both orientations persisted** — so reopening never has to rebuild the
+  forward table from the backward one.  Storage accounting
   (``storage_bytes``) still counts only the backward orientation, matching
   the paper's long-term storage metric.
 * **Crash safety** — segment appends happen before the manifest save; the
@@ -46,15 +45,14 @@ import contextlib
 import threading
 from collections import OrderedDict
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Union
 
 from ..core.compressed import CompressedLineage
 from ..core.serialize import deserialize_table, serialize_table
 from ..faults import FaultPlan
 from ..obs import REGISTRY
-from .catalog import Catalog, LineageEntry
 from .manifest import Manifest, dump_manifest, load_manifest, write_manifest
-from .segments import SegmentReader, SegmentWriter
+from .segments import SegmentReader, SegmentWriter, check_wire_version
 
 __all__ = [
     "DEFAULT_CACHE_BYTES",
@@ -63,7 +61,6 @@ __all__ = [
     "TableCache",
     "StoredLineageEntry",
     "LineageStore",
-    "StoredCatalog",
 ]
 
 DEFAULT_CACHE_BYTES = 256 * 1024 * 1024
@@ -280,6 +277,8 @@ class LineageStore:
         if existing is not None:
             self.manifest = existing
             self.gzip = existing.gzip  # the on-disk format is authoritative
+            for name in existing.segments:
+                check_wire_version(self.root / name)
         else:
             self.manifest = Manifest(gzip=gzip)
             self.gzip = gzip
@@ -529,11 +528,6 @@ class LineageStore:
         _MANIFEST_PUBLISHES.inc()
         return self.manifest.generation
 
-    def generation_vector(self) -> Tuple[int, ...]:
-        """Single-element counterpart of the sharded store's vector, so the
-        serving tier reports durable generations uniformly per backend."""
-        return (self.manifest.generation,)
-
     def close(self) -> None:
         self._retire_writer()
         with self._reader_lock:
@@ -570,17 +564,6 @@ class LineageStore:
                 reader.close()
             self._readers = {}
         self.cache.clear()
-
-    def scrub(self, repair: bool = False) -> dict:
-        """fsck this store: verify every manifest-referenced record against
-        the segment files (structure and checksums), find torn tails and
-        orphan segments; with ``repair=True``, quarantine the damage and
-        rebuild what the intact bytes allow.  See
-        :func:`repro.storage.scrub.scrub_store` for the full report and
-        repair contract."""
-        from .scrub import scrub_store
-
-        return scrub_store(self, repair=repair)
 
     # ------------------------------------------------------------------
     # snapshot pins
@@ -703,69 +686,3 @@ class LineageStore:
             "reclaimed_bytes": bytes_before - self.segment_bytes(),
             "segments_retired": len(old_segments) if retired else 0,
         }
-
-
-class StoredCatalog(Catalog):
-    """A :class:`Catalog` whose entries are durably backed by a store.
-
-    Freshly ingested entries are appended to the segment files immediately
-    (both orientations); entries hydrated from a manifest are lazy
-    :class:`StoredLineageEntry` objects that read through the store's LRU
-    cache on first query.
-    """
-
-    def __init__(self, store: LineageStore) -> None:
-        super().__init__()
-        self.store = store
-        self._entry_refs: Dict[Tuple[str, str], Tuple[TableRef, TableRef]] = {}
-
-    def add_compressed(
-        self,
-        backward: CompressedLineage,
-        forward: CompressedLineage,
-        op_name: Optional[str] = None,
-        reused: bool = False,
-        replace: bool = False,
-    ) -> LineageEntry:
-        entry = super().add_compressed(
-            backward, forward, op_name=op_name, reused=reused, replace=replace
-        )
-        pair = (entry.in_name, entry.out_name)
-        backward_ref = self.store.append_table(entry.backward)
-        forward_ref = self.store.append_table(entry.forward)
-        self._entry_refs[pair] = (backward_ref, forward_ref)
-        # the catalog keeps only the lazy view: the materialized tables stay
-        # hot in the LRU cache but remain *evictable*, so a bulk-ingest
-        # session's memory stays bounded by cache_bytes like any other
-        self._entries[pair] = StoredLineageEntry(
-            self.store,
-            in_name=entry.in_name,
-            out_name=entry.out_name,
-            backward_ref=backward_ref,
-            forward_ref=forward_ref,
-            op_name=entry.op_name,
-            reused=entry.reused,
-            version=entry.version,
-        )
-        return entry
-
-    def install_lazy_entry(self, entry: StoredLineageEntry) -> None:
-        """Register a manifest-hydrated entry without touching its tables."""
-        pair = (entry.in_name, entry.out_name)
-        self._entries[pair] = entry
-        self._entry_refs[pair] = (entry.backward_ref, entry.forward_ref)
-        self.version += 1
-
-    def entry_refs(self, pair: Tuple[str, str]) -> Tuple[TableRef, TableRef]:
-        backward_ref, forward_ref = self._entry_refs[pair]
-        return self.store.resolve(backward_ref), self.store.resolve(forward_ref)
-
-    def materialize_all(self) -> int:
-        """Force-load every entry's tables (the eager-open code path);
-        returns the number of tables materialized or found cached."""
-        count = 0
-        for entry in self.entries():
-            entry.backward
-            entry.forward
-            count += 2
-        return count

@@ -23,18 +23,13 @@ import json
 import sys
 
 from ..dslog import DSLog
+from ..service.shards import load_shards_file
 
 __all__ = ["main"]
 
 
-def _summarize(report: dict, out) -> bool:
-    """Print a human summary of one store's report; returns cleanliness."""
-    shards = report.get("shards")
-    if shards is not None:
-        clean = True
-        for idx in sorted(shards):
-            clean &= _summarize(shards[idx], out)
-        return clean
+def _summarize(report: dict, out) -> None:
+    """Print a human summary of one shard's report."""
     status = "clean" if report["clean"] else "DAMAGED"
     if report.get("repaired"):
         status = "repaired"
@@ -69,15 +64,14 @@ def _summarize(report: dict, out) -> bool:
         )
         for pair in report["dropped_entries"]:
             print(f"  DROPPED entry {pair[0]} -> {pair[1]} (both orientations damaged)", file=out)
-    return report["clean"] or bool(report.get("repaired"))
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.tools.scrub",
-        description="fsck a DSLog catalog directory (segment or sharded backend)",
+        description="fsck a DSLog catalog directory",
     )
-    parser.add_argument("root", help="catalog directory (holds MANIFEST.json or SHARDS.json)")
+    parser.add_argument("root", help="catalog directory (holds SHARDS.json)")
     parser.add_argument(
         "--repair",
         action="store_true",
@@ -89,30 +83,28 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        if load_shards_file(args.root) is None:
+            # opening would create an empty catalog here; fsck must not write
+            raise ValueError(
+                f"{args.root} holds no SHARDS.json: not a DSLog catalog, or one an "
+                "older build wrote (see python -m repro.tools.upgrade)"
+            )
         log = DSLog.load(args.root, autosync=False)
-    except (ValueError, FileNotFoundError, RuntimeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
         report = log.scrub(repair=args.repair)
-    except RuntimeError as exc:  # e.g. the directory held no durable catalog
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     finally:
         log.close()
 
+    shards = report["shards"]
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True, default=str))
-        shards = report.get("shards")
-        if shards is not None:
-            clean = all(
-                r["clean"] or r.get("repaired") for r in shards.values()
-            )
-        else:
-            clean = report["clean"] or bool(report.get("repaired"))
     else:
-        clean = _summarize(report, sys.stdout)
-    return 0 if clean else 1
+        for idx in sorted(shards):
+            _summarize(shards[idx], sys.stdout)
+    return 0 if all(r["clean"] or r["repaired"] for r in shards.values()) else 1
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess

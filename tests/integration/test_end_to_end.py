@@ -106,5 +106,9 @@ class TestReuseEndToEnd:
         assert record.reuse_level == "gen"
         # the reused lineage answers queries identically to a fresh capture
         assert log.prov_query(["F2", "X2"], [(10,)]).to_cells() == {(10, c) for c in range(4)}
-        # and the on-disk files exist for every entry
-        assert len(list((tmp_path / "db").glob("*.provrc.gz"))) == 3
+        # and every entry, reused ones included, is on disk for the next session
+        log.close()
+        reopened = DSLog.load(tmp_path / "db")
+        assert len(reopened.catalog) == 3
+        assert reopened.catalog.entry("X2", "F2").reused is True
+        assert reopened.prov_query(["F2", "X2"], [(10,)]).to_cells() == {(10, c) for c in range(4)}

@@ -256,13 +256,15 @@ def test_request_log_quiet_by_default(client, capfd):
 def test_faults_injected_metric_matches_plan(tmp_path):
     plan = FaultPlan().on("segment.fsync", every=2)
     before = _counter_value("dslog_faults_injected_total", site="segment.fsync", kind="error")
-    log = DSLog(tmp_path / "db", backend="segment", faults=plan, autosync=False)
+    log = DSLog(tmp_path / "db", num_shards=1, faults=plan, autosync=False)
     log.define_array("a", SHAPE)
     log.define_array("b", SHAPE)
     log.add_lineage("a", "b", relation=identity("a", "b"))
     plan.arm()
     failures = 0
     for _ in range(6):
+        # a sync only publishes dirty shards: re-ingest so each one fsyncs
+        log.add_lineage("a", "b", relation=identity("a", "b"), replace=True)
         try:
             log.sync()
         except (InjectedFault, OSError):
@@ -281,7 +283,7 @@ def test_short_write_faults_are_counted_once(tmp_path):
     before = _counter_value(
         "dslog_faults_injected_total", site="segment.write", kind="short_write"
     )
-    log = DSLog(tmp_path / "db", backend="segment", faults=plan, autosync=False)
+    log = DSLog(tmp_path / "db", num_shards=1, faults=plan, autosync=False)
     log.define_array("a", SHAPE)
     log.define_array("b", SHAPE)
     plan.arm()

@@ -15,6 +15,7 @@ import pytest
 from repro import DSLog, LineageClient
 from repro.core.relation import LineageRelation
 from repro.service.server import (
+    MAX_BODY_BYTES,
     LineageConnectionError,
     LineageServer,
     LineageServerError,
@@ -119,6 +120,59 @@ def test_non_object_json_body(server):
     status, payload = _raw_post(server.url, "/query", b'["just", "a", "list"]')
     assert status == 400
     assert payload["error"]["type"] == "bad-json"
+
+
+def _send_head(server, content_length):
+    """Send a ``POST /query`` head declaring *content_length* (``None``: no
+    such header) and **no body**, on a socket with a timeout so a server
+    that sits in ``read()`` fails the test instead of hanging it.  Returns
+    ``(status, payload, hung_up)``."""
+    head = b"POST /query HTTP/1.1\r\nHost: test\r\nContent-Type: application/json\r\n"
+    if content_length is not None:
+        head += b"Content-Length: " + content_length + b"\r\n"
+    with socket.create_connection((server.host, server.port), timeout=5.0) as sock:
+        sock.sendall(head + b"\r\n")
+        response = http.client.HTTPResponse(sock)
+        response.begin()
+        payload = json.loads(response.read().decode("utf-8"))
+        hung_up = sock.recv(1) == b""  # EOF, not a timeout: the server closed
+    return response.status, payload, hung_up
+
+
+@pytest.mark.parametrize("declared", [b"-1", b"-9999999999"])
+def test_negative_content_length_is_400_not_a_blocked_read(server, declared):
+    status, payload, hung_up = _send_head(server, declared)
+    assert status == 400
+    assert payload["error"]["type"] == "bad-request"
+    assert "Content-Length" in payload["error"]["message"]
+    assert hung_up
+
+
+@pytest.mark.parametrize("declared", [b"twelve", b"1e3", b"0x10", b"1_0", b"12 13", b""])
+def test_non_integer_content_length_is_400_not_500(server, declared):
+    status, payload, hung_up = _send_head(server, declared)
+    assert status == 400
+    assert payload["error"]["type"] == "bad-request"
+    assert hung_up
+
+
+def test_missing_content_length_is_400(server):
+    status, payload, hung_up = _send_head(server, None)
+    assert status == 400
+    assert payload["error"]["type"] == "bad-request"
+    assert "body is required" in payload["error"]["message"]
+    assert hung_up
+
+
+def test_oversized_content_length_is_413_without_reading_the_body(server):
+    # no body byte is ever sent: a server that tried to read the declared
+    # length would block until the socket timeout fails this test
+    declared = str(MAX_BODY_BYTES + 1).encode()
+    status, payload, hung_up = _send_head(server, declared)
+    assert status == 413
+    assert payload["error"]["type"] == "payload-too-large"
+    assert str(MAX_BODY_BYTES) in payload["error"]["message"]
+    assert hung_up
 
 
 def test_unknown_array_name(client):

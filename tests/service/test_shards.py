@@ -143,23 +143,24 @@ class TestDurability:
         assert len(rows) == 1  # replaced in place, not appended
         reopened.close()
 
-    def test_sharded_matches_segment_backend_answers(self, tmp_path):
+    def test_four_shards_match_one_shard_answers(self, tmp_path):
         sharded = DSLog(tmp_path / "sharded", backend="sharded", num_shards=4, autosync=False)
-        segment = DSLog(tmp_path / "segment", backend="segment", autosync=False)
-        for log in (sharded, segment):
+        single = DSLog(tmp_path / "single", num_shards=1, autosync=False)
+        for log in (sharded, single):
             build_chain(log, 8)
             log.close()
         sharded = DSLog.load(tmp_path / "sharded")
-        segment = DSLog.load(tmp_path / "segment")
+        single = DSLog.load(tmp_path / "single")
+        assert (sharded.store.num_shards, single.store.num_shards) == (4, 1)
         for path in (["A000", "A001"], ["A002", "A005"], ["A007", "A003"]):
             cells = [(1,), (3,)]
             assert (
                 sharded.prov_query(path, cells).to_cells()
-                == segment.prov_query(path, cells).to_cells()
+                == single.prov_query(path, cells).to_cells()
             )
-        assert sharded.lineage_summary()["entries"] == segment.lineage_summary()["entries"]
+        assert sharded.lineage_summary()["entries"] == single.lineage_summary()["entries"]
         sharded.close()
-        segment.close()
+        single.close()
 
 
 class TestPerShardMaintenance:

@@ -71,6 +71,7 @@ class TestIsolation:
             lambda: snap.register_operation("op", ["A0"], ["A1"]),
             lambda: snap.sync(),
             lambda: snap.compact(),
+            lambda: snap.scrub(repair=True),
         ):
             with pytest.raises(SnapshotReadOnlyError):
                 call()

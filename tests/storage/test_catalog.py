@@ -137,3 +137,17 @@ class TestOperations:
         record = OperationRecord(op_name="neg", in_arrs=("A",), out_arrs=("B",))
         catalog.add_operation(record)
         assert catalog.operations[0].op_name == "neg"
+
+
+class TestStoreProtocol:
+    """What the serving tier asks of any catalog: an in-memory one is a
+    single shard whose applied-version vector is its generation counter."""
+
+    def test_memory_catalog_is_one_shard(self):
+        catalog = Catalog()
+        assert catalog.shard_version_vector() == (0,)
+        catalog.add_relation(relation("A", "B"))
+        catalog.add_relation(relation("B", "C"))
+        assert catalog.entry_shard(("A", "B")) == catalog.entry_shard(("B", "C")) == 0
+        assert catalog.shard_version_vector() == (catalog.version,) == (2,)
+        assert catalog.materialize_all() == 4  # both orientations of both entries

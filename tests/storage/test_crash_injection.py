@@ -29,6 +29,7 @@ from repro.storage.segments import (
 )
 
 SHAPE = (4,)
+STORE = "shard-00"
 
 
 def elementwise(in_name, out_name, shape=SHAPE):
@@ -38,8 +39,10 @@ def elementwise(in_name, out_name, shape=SHAPE):
     )
 
 
-def build(root, n, backend="segment", **kwargs):
-    log = DSLog(root, backend=backend, autosync=False, **kwargs)
+def build(root, n, num_shards=1, **kwargs):
+    """A chain of *n* entries; with one shard the whole store is the
+    ``shard-00`` directory (``STORE``)."""
+    log = DSLog(root, num_shards=num_shards, autosync=False, **kwargs)
     names = [f"A{i}" for i in range(n + 1)]
     for name in names:
         log.define_array(name, SHAPE)
@@ -53,37 +56,37 @@ class TestTornManifestTemp:
     def test_partial_temp_write_recovers_to_published_generation(self, tmp_path):
         root = tmp_path / "db"
         names = build(root, 5)
-        published = load_manifest(root).generation
+        published = load_manifest(root / STORE).generation
 
         # crash mid-write of the next manifest: a torn, non-JSON temp file
-        (root / "MANIFEST.json.tmp").write_bytes(b'{"format": "dslog-seg')
+        (root / STORE / "MANIFEST.json.tmp").write_bytes(b'{"format": "dslog-seg')
 
         reopened = DSLog.load(root, autosync=False)
-        assert reopened.store.manifest.generation == published
+        assert reopened.store.meta.manifest.generation == published
         assert len(reopened.catalog) == 5
         assert reopened.prov_query([names[0], names[2]], [(1,)]).to_cells() == {(1,)}
         # the recovered store keeps publishing cleanly past the torn temp
         reopened.define_array("B", SHAPE)
         reopened.add_lineage(names[5], "B", relation=elementwise(names[5], "B"))
         reopened.sync()
-        assert load_manifest(root).generation == published + 1
+        assert load_manifest(root / STORE).generation == published + 1
         reopened.close()
 
     def test_temp_never_mistaken_for_manifest(self, tmp_path):
         root = tmp_path / "db"
         build(root, 2)
-        manifest_before = (root / MANIFEST_NAME).read_text()
+        manifest_before = (root / STORE / MANIFEST_NAME).read_text()
         # even a *valid-looking* temp with a higher generation must be ignored
         fake = json.loads(manifest_before)
         fake["generation"] = 999
-        (root / "MANIFEST.json.tmp").write_text(json.dumps(fake))
+        (root / STORE / "MANIFEST.json.tmp").write_text(json.dumps(fake))
         reopened = DSLog.load(root)
-        assert reopened.store.manifest.generation == json.loads(manifest_before)["generation"]
+        assert reopened.store.meta.manifest.generation == json.loads(manifest_before)["generation"]
         reopened.close()
 
     def test_sharded_one_shard_torn(self, tmp_path):
         root = tmp_path / "db"
-        names = build(root, 6, backend="sharded", num_shards=3)
+        names = build(root, 6, num_shards=3)
         generations = [load_manifest(root / f"shard-{i:02d}").generation for i in range(3)]
         (root / "shard-01" / "MANIFEST.json.tmp").write_bytes(b"\x00garbage")
         reopened = DSLog.load(root)
@@ -103,8 +106,8 @@ class TestDanglingSegmentTail:
     def test_reopen_recovers_and_new_appends_land_after_tail(self, tmp_path):
         root = tmp_path / "db"
         names = build(root, 4)
-        manifest = load_manifest(root)
-        segment = root / manifest.segments[-1]
+        manifest = load_manifest(root / STORE)
+        segment = root / STORE / manifest.segments[-1]
         complete = valid_length(segment)
         self._torn_append(segment)
         assert valid_length(segment) == complete  # tail is not a record
@@ -112,7 +115,7 @@ class TestDanglingSegmentTail:
         assert size_with_tail > complete
 
         reopened = DSLog.load(root)
-        assert reopened.store.manifest.generation == manifest.generation
+        assert reopened.store.meta.manifest.generation == manifest.generation
         assert len(reopened.catalog) == 4
         # every published record still readable
         assert reopened.catalog.materialize_all() == 8
@@ -133,17 +136,17 @@ class TestDanglingSegmentTail:
     def test_compact_reclaims_the_tail(self, tmp_path):
         root = tmp_path / "db"
         build(root, 4)
-        manifest = load_manifest(root)
-        segment = root / manifest.segments[-1]
+        manifest = load_manifest(root / STORE)
+        segment = root / STORE / manifest.segments[-1]
         self._torn_append(segment)
         tail_bytes = segment.stat().st_size - valid_length(segment)
         assert tail_bytes > 0
 
         log = DSLog.load(root)
-        stats = log.compact()
+        stats = log.compact()[0]
         assert stats["reclaimed_bytes"] >= tail_bytes
-        for name in log.store.manifest.segments:
-            path = root / name
+        for name in log.store.meta.manifest.segments:
+            path = root / STORE / name
             assert valid_length(path) == path.stat().st_size  # no tails left
         assert len(log.catalog) == 4
         log.close()
@@ -153,7 +156,7 @@ class TestDanglingSegmentTail:
         manifest leaves a whole orphan file; reopening removes it."""
         root = tmp_path / "db"
         build(root, 3)
-        orphan = root / "segment-000099.seg"
+        orphan = root / STORE / "segment-000099.seg"
         orphan.write_bytes(b"DSEG" + (1).to_bytes(2, "little") + b"leftover")
         reopened = DSLog.load(root)
         assert not orphan.exists()
@@ -163,8 +166,8 @@ class TestDanglingSegmentTail:
     def test_iter_records_stops_at_tail(self, tmp_path):
         root = tmp_path / "db"
         build(root, 3)
-        manifest = load_manifest(root)
-        segment = root / manifest.segments[-1]
+        manifest = load_manifest(root / STORE)
+        segment = root / STORE / manifest.segments[-1]
         records_before = list(iter_records(segment))
         self._torn_append(segment)
         assert list(iter_records(segment)) == records_before
@@ -172,7 +175,7 @@ class TestDanglingSegmentTail:
 
     def test_sharded_tail_in_one_shard(self, tmp_path):
         root = tmp_path / "db"
-        names = build(root, 8, backend="sharded", num_shards=2)
+        names = build(root, 8, num_shards=2)
         shard_dir = root / "shard-01"
         manifest = load_manifest(shard_dir)
         assert manifest.segments, "expected entries hashed to shard 1"

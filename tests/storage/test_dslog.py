@@ -65,9 +65,50 @@ class TestDefineAndIngest:
     def test_on_disk_flush(self, tmp_path):
         log = DSLog(root=tmp_path / "db")
         build_pipeline(log)
-        files = list((tmp_path / "db").glob("*.provrc.gz"))
-        assert len(files) == 2
         assert log.storage_bytes() > 0
+        # every ingest was published: a second open (no close) sees both entries
+        reopened = DSLog.load(tmp_path / "db")
+        assert len(reopened.catalog) == 2
+        assert reopened.storage_bytes() == log.storage_bytes()
+        assert reopened.prov_query(["C", "B", "A"], [(2,)]).to_cells() == {
+            (2, c) for c in range(4)
+        }
+
+
+class TestBackendFollowsRoot:
+    """``backend`` is no longer a choice: a root means the durable store,
+    no root means memory, and naming anything else raises."""
+
+    def test_defaults(self, tmp_path):
+        assert DSLog().backend == "memory" and DSLog().store is None
+        durable = DSLog(tmp_path / "db")
+        assert durable.backend == "sharded" and durable.store is not None
+        durable.close()
+
+    def test_the_implied_name_is_accepted(self, tmp_path):
+        assert DSLog(backend="memory").backend == "memory"
+        log = DSLog(tmp_path / "db", backend="sharded", num_shards=1)
+        assert log.store.num_shards == 1
+        log.close()
+
+    @pytest.mark.parametrize("backend", ["segment", "memory", "bogus"])
+    def test_contradicting_a_root_raises(self, tmp_path, backend):
+        with pytest.raises(ValueError, match="backend="):
+            DSLog(tmp_path / "db", backend=backend)
+        assert not (tmp_path / "db").exists()  # refused before touching disk
+
+    @pytest.mark.parametrize("backend", ["segment", "sharded"])
+    def test_durable_names_without_a_root_raise(self, backend):
+        with pytest.raises(ValueError, match="backend="):
+            DSLog(backend=backend)
+
+    def test_memory_log_has_nothing_to_compact_or_scrub(self):
+        log = DSLog()
+        assert log.sync() is None
+        for call in (log.compact, log.scrub):
+            with pytest.raises(RuntimeError, match="durable log"):
+                call()
+        log.close()
 
 
 class TestQueries:

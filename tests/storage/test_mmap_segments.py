@@ -22,14 +22,16 @@ from repro import DSLog
 from repro.core.relation import LineageRelation
 from repro.storage.segments import (
     SEGMENT_HEADER_SIZE,
-    SEGMENT_VERSION,
     SegmentReader,
     SegmentWriter,
     record_overhead,
     valid_length,
 )
 
-OVERHEAD = record_overhead(SEGMENT_VERSION)
+OVERHEAD = record_overhead()
+# build() makes one-shard catalogs: the whole store is ``log.store.meta``,
+# on disk under this subdirectory
+STORE = "shard-00"
 
 SHAPE = (8,)
 
@@ -42,7 +44,7 @@ def elementwise(in_name, out_name, shape=SHAPE):
 
 
 def build(root, n, **kwargs):
-    log = DSLog(root, backend="segment", autosync=False, **kwargs)
+    log = DSLog(root, num_shards=1, autosync=False, **kwargs)
     names = [f"A{i}" for i in range(n + 1)]
     for name in names:
         log.define_array(name, SHAPE)
@@ -124,8 +126,8 @@ class TestCoalescedWrites:
         log, names = build(tmp_path / "db", 3)
         log.define_array("Z", SHAPE)
         entry = log.add_lineage(names[3], "Z", relation=elementwise(names[3], "Z"))
-        assert log.store._writer.pending_bytes > 0  # not yet committed
-        log.store.cache.clear()
+        assert log.store.meta._writer.pending_bytes > 0  # not yet committed
+        log.store.meta.cache.clear()
         table = log.catalog.entry(names[3], "Z").backward
         assert table.out_name == "Z"
         assert entry is not None
@@ -148,7 +150,7 @@ class TestCoalescedWrites:
         log.define_array("Z", SHAPE)
         log.add_lineage(names[3], "Z", relation=elementwise(names[3], "Z"))
         # no sync, no close: drop the store like a killed process would
-        segment = root / log.store.manifest.segments[-1]
+        segment = root / STORE / log.store.meta.manifest.segments[-1]
         assert valid_length(segment) == segment.stat().st_size
         reopened = DSLog.load(root)
         assert len(reopened.catalog) == 3  # the unsynced entry is gone
@@ -194,7 +196,7 @@ class TestMmapLifecycle:
         reopened = DSLog.load(tmp_path / "db")
         reopened.catalog.materialize_all()
         stats = reopened.store.reader_stats()
-        assert stats["open_readers"] == len(reopened.store.manifest.segments)
+        assert stats["open_readers"] == len(reopened.store.meta.manifest.segments)
         assert stats["mapped_bytes"] > 0
         reopened.close()
 
@@ -207,10 +209,10 @@ class TestMmapLifecycle:
             name: np.array(getattr(table, name))
             for name in ("key_lo", "key_hi", "val_lo", "val_hi")
         }
-        old_segments = list(log.store.manifest.segments)
+        old_segments = list(log.store.meta.manifest.segments)
         log.compact()
         for name in old_segments:
-            assert not (tmp_path / "db" / name).exists()
+            assert not (tmp_path / "db" / STORE / name).exists()
         assert log.store.reader_stats()["open_readers"] == 0
         for name, expected in snapshot_cols.items():
             assert np.array_equal(getattr(table, name), expected)
@@ -223,14 +225,14 @@ class TestMmapLifecycle:
         view = log.snapshot()
         hydrated = view.catalog.entry(names[1], names[2]).backward
         keep = np.array(hydrated.key_lo)
-        old_segments = list(log.store.manifest.segments)
-        stats = log.compact()
+        old_segments = list(log.store.meta.manifest.segments)
+        stats = log.compact()[0]
         assert stats["segments_retired"] == len(old_segments)
         for name in old_segments:
-            assert (tmp_path / "db" / name).exists()  # retired, not deleted
+            assert (tmp_path / "db" / STORE / name).exists()  # retired, not deleted
         view.close()  # last pin released -> retired files removed
         for name in old_segments:
-            assert not (tmp_path / "db" / name).exists()
+            assert not (tmp_path / "db" / STORE / name).exists()
         assert np.array_equal(hydrated.key_lo, keep)
         log.close()
 
@@ -250,9 +252,9 @@ class TestMmapLifecycle:
         retained = log.store.reader_stats()["open_readers"]
         assert retained >= 1
         view.close()  # last pin: retired files AND their readers go away
-        live = set(log.store.manifest.segments)
-        with log.store._reader_lock:
-            assert set(log.store._readers) <= live
+        live = set(log.store.meta.manifest.segments)
+        with log.store.meta._reader_lock:
+            assert set(log.store.meta._readers) <= live
         log.close()
 
     def test_closed_reader_read_raises_file_not_found(self, tmp_path):

@@ -45,9 +45,16 @@ class TestLoad:
         assert reopened.prov_query(["A", "B", "C"], [(5, 0)]).to_cells() == {(5,)}
 
     def test_load_empty_directory(self, tmp_path):
+        """An empty directory opens as a new, empty durable catalog."""
         (tmp_path / "empty").mkdir()
         log = DSLog.load(tmp_path / "empty")
         assert len(log.catalog) == 0
+        assert log.backend == "sharded" and log.store is not None
+        log.define_array("A", (4,))
+        log.define_array("B", (4,))
+        log.add_lineage("A", "B", relation=elementwise((4,), "A", "B"))
+        log.close()
+        assert DSLog.load(tmp_path / "empty").prov_query(["B", "A"], [(1,)]).to_cells() == {(1,)}
 
     def test_storage_bytes_preserved(self, tmp_path):
         original = self._write(tmp_path / "db")
@@ -55,13 +62,14 @@ class TestLoad:
         assert reopened.storage_bytes() == original.storage_bytes()
 
 
-class TestSegmentBackendRoundTrip:
+class TestSingleShardRoundTrip:
     """Regression for the metadata loss of the legacy loader: op names,
     operation records and the reuse-predictor state must all survive a
-    close/reopen cycle on the segment backend."""
+    close/reopen cycle of the durable store (one shard: the layout the
+    old ``segment`` backend became)."""
 
     def _write(self, root):
-        log = DSLog(root=root, backend="segment")
+        log = DSLog(root=root, num_shards=1)
         log.define_array("A", (8, 3))
         log.define_array("B", (8, 3))
         log.define_array("C", (8,))
@@ -74,7 +82,7 @@ class TestSegmentBackendRoundTrip:
         expected = original.prov_query(["C", "B", "A"], [(4,)]).to_cells()
         original.close()
         reopened = DSLog.load(tmp_path / "db")
-        assert reopened.backend == "segment"
+        assert reopened.backend == "sharded" and reopened.store.num_shards == 1
         assert set(reopened.catalog.arrays) == {"A", "B", "C"}
         assert reopened.prov_query(["C", "B", "A"], [(4,)]).to_cells() == expected
         assert reopened.prov_query(["A", "B", "C"], [(5, 0)]).to_cells() == {(5,)}
@@ -88,7 +96,7 @@ class TestSegmentBackendRoundTrip:
         assert reopened.catalog.entry("A", "B").reused is False
 
     def test_operation_records_survive(self, tmp_path):
-        log = DSLog(root=tmp_path / "db", backend="segment")
+        log = DSLog(root=tmp_path / "db", num_shards=1)
         log.define_array("A", (6,))
         log.define_array("B", (6,))
         record = log.register_operation(
@@ -110,7 +118,7 @@ class TestSegmentBackendRoundTrip:
         assert restored.entries == [("A", "B")]
 
     def test_reuse_state_survives_and_keeps_predicting(self, tmp_path):
-        log = DSLog(root=tmp_path / "db", backend="segment")
+        log = DSLog(root=tmp_path / "db", num_shards=1)
         for name in ("A", "B", "C", "D"):
             log.define_array(name, (8,))
         # two confirmations in the first session promote the dim mapping
@@ -140,7 +148,7 @@ class TestSegmentBackendRoundTrip:
         assert reopened.prov_query(["F", "E"], [(2,)]).to_cells() == {(2,)}
 
     def test_reuse_state_hydrates_lazily(self, tmp_path):
-        log = DSLog(root=tmp_path / "db", backend="segment")
+        log = DSLog(root=tmp_path / "db", num_shards=1)
         log.define_array("A", (8,))
         log.define_array("B", (8,))
         log.register_operation(
@@ -157,7 +165,7 @@ class TestSegmentBackendRoundTrip:
         assert reopened.reuse.stats()["base_entries"] == 1  # hydrates on touch
 
     def test_numpy_op_args_roundtrip_as_native_numbers(self, tmp_path):
-        log = DSLog(root=tmp_path / "db", backend="segment")
+        log = DSLog(root=tmp_path / "db", num_shards=1)
         log.define_array("A", (4,))
         log.define_array("B", (4,))
         log.register_operation(
@@ -172,7 +180,7 @@ class TestSegmentBackendRoundTrip:
         assert reopened.catalog.operations[0].op_args == {"factor": 0.5, "k": 3}
 
     def test_reuse_confirmations_restored_from_manifest(self, tmp_path):
-        log = DSLog(root=tmp_path / "db", backend="segment", reuse_confirmations=3)
+        log = DSLog(root=tmp_path / "db", num_shards=1, reuse_confirmations=3)
         log.define_array("A", (4,))
         log.define_array("B", (4,))
         log.register_operation(
@@ -185,17 +193,9 @@ class TestSegmentBackendRoundTrip:
         reopened = DSLog.load(tmp_path / "db")
         assert reopened.reuse.confirmations_required == 3
 
-    def test_load_accepts_explicit_backend_kwarg(self, tmp_path):
+    def test_load_ignores_a_backend_kwarg(self, tmp_path):
         log = self._write(tmp_path / "db")
         log.close()
-        reopened = DSLog.load(tmp_path / "db", backend="segment")
-        assert reopened.backend == "segment"
-
-    def test_legacy_directory_still_loads(self, tmp_path):
-        legacy = DSLog(root=tmp_path / "old")
-        legacy.define_array("A", (4,))
-        legacy.define_array("B", (4,))
-        legacy.add_lineage("A", "B", relation=elementwise((4,), "A", "B"))
-        reopened = DSLog.load(tmp_path / "old")
-        assert reopened.backend == "memory"
-        assert reopened.prov_query(["B", "A"], [(1,)]).to_cells() == {(1,)}
+        reopened = DSLog.load(tmp_path / "db", backend="memory")
+        assert reopened.backend == "sharded"
+        assert reopened.catalog.entry("A", "B").op_name == "negative"

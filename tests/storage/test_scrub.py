@@ -18,12 +18,15 @@ from repro import DSLog
 from repro.core.relation import LineageRelation
 from repro.storage.manifest import MANIFEST_NAME, load_manifest
 from repro.storage.scrub import QUARANTINE_DIR
-from repro.storage.segments import SEGMENT_VERSION, record_overhead
+from repro.storage.segments import record_overhead
 from repro.storage.store import TableRef
 from repro.tools.scrub import main as scrub_main
 
 SHAPE = (4,)
-OVERHEAD = record_overhead(SEGMENT_VERSION)
+OVERHEAD = record_overhead()
+# a one-shard catalog keeps its whole store (manifest, segments, quarantine)
+# in this subdirectory, and its scrub report under ["shards"][0]
+STORE = "shard-00"
 
 
 def elementwise(in_name, out_name, shape=SHAPE):
@@ -33,8 +36,8 @@ def elementwise(in_name, out_name, shape=SHAPE):
     )
 
 
-def build(root, n, backend="segment", **kwargs):
-    log = DSLog(root, backend=backend, autosync=False, **kwargs)
+def build(root, n, num_shards=1, **kwargs):
+    log = DSLog(root, num_shards=num_shards, autosync=False, **kwargs)
     names = [f"A{i}" for i in range(n + 1)]
     for name in names:
         log.define_array(name, SHAPE)
@@ -84,7 +87,7 @@ class TestDetect:
         root = tmp_path / "db"
         build(root, 4)
         log = DSLog.load(root, autosync=False)
-        report = log.scrub(repair=False)
+        report = log.scrub(repair=False)["shards"][0]
         log.close()
         assert report["clean"]
         assert report["repaired"] is False
@@ -94,10 +97,10 @@ class TestDetect:
     def test_flipped_byte_detected_as_checksum(self, tmp_path):
         root = tmp_path / "db"
         build(root, 3)
-        ref = entry_ref(root, index=1, orient="backward")
-        flip_payload_byte(root, ref)
+        ref = entry_ref(root / STORE, index=1, orient="backward")
+        flip_payload_byte(root / STORE, ref)
         log = DSLog.load(root, autosync=False)
-        report = log.scrub(repair=False)
+        report = log.scrub(repair=False)["shards"][0]
         log.close()
         assert not report["clean"]
         classes = {r["class"] for r in report["corrupt_records"]}
@@ -110,11 +113,11 @@ class TestDetect:
     def test_torn_tail_detected(self, tmp_path):
         root = tmp_path / "db"
         build(root, 3)
-        segment = root / load_manifest(root).segments[-1]
+        segment = root / STORE / load_manifest(root / STORE).segments[-1]
         with open(segment, "ab") as fh:
             fh.write((5000).to_bytes(4, "little") + b"short")
         log = DSLog.load(root, autosync=False)
-        report = log.scrub(repair=False)
+        report = log.scrub(repair=False)["shards"][0]
         log.close()
         assert not report["clean"]
         assert not report["corrupt_records"]  # every referenced record intact
@@ -125,8 +128,8 @@ class TestDetect:
     def test_truncated_segment_detected(self, tmp_path):
         root = tmp_path / "db"
         build(root, 3)
-        manifest = load_manifest(root)
-        segment = root / manifest.segments[-1]
+        manifest = load_manifest(root / STORE)
+        segment = root / STORE / manifest.segments[-1]
         last = max(
             (TableRef.from_json(row[o]) for row in manifest.entries for o in ("backward", "forward")),
             key=lambda r: r.offset,
@@ -134,7 +137,7 @@ class TestDetect:
         with open(segment, "r+b") as fh:
             fh.truncate(last.offset + OVERHEAD + last.length // 2)
         log = DSLog.load(root, autosync=False)
-        report = log.scrub(repair=False)
+        report = log.scrub(repair=False)["shards"][0]
         log.close()
         assert not report["clean"]
         assert any(r["class"] == "truncated" for r in report["corrupt_records"])
@@ -142,13 +145,27 @@ class TestDetect:
     def test_missing_segment_detected(self, tmp_path):
         root = tmp_path / "db"
         build(root, 3)
-        (root / load_manifest(root).segments[-1]).unlink()
+        (root / STORE / load_manifest(root / STORE).segments[-1]).unlink()
         log = DSLog.load(root, autosync=False)
-        report = log.scrub(repair=False)
+        report = log.scrub(repair=False)["shards"][0]
         log.close()
         assert not report["clean"]
         assert any(r["class"] == "missing" for r in report["corrupt_records"])
         assert any(d["reason"] == "missing" for d in report["damaged_segments"])
+
+    def test_garbled_header_opens_and_is_reported(self, tmp_path):
+        # the open-time wire-version guard refuses only well-formed headers
+        # of a retired version; a header that is damage stays scrub's
+        root = tmp_path / "db"
+        build(root, 2)
+        segment = root / STORE / load_manifest(root / STORE).segments[-1]
+        data = bytearray(segment.read_bytes())
+        data[:4] = b"XXXX"
+        segment.write_bytes(bytes(data))
+        log = DSLog.load(root, autosync=False)
+        report = log.scrub(repair=False)["shards"][0]
+        log.close()
+        assert [d["reason"] for d in report["damaged_segments"]] == ["corrupt-header"]
 
     def test_misdirected_ref_detected(self, tmp_path):
         # a valid-checksum record that belongs to a *different* entry (the
@@ -156,9 +173,9 @@ class TestDetect:
         # reassigned): only the identity check can see it
         root = tmp_path / "db"
         build(root, 3)
-        redirect_ref(root, victim=0, donor=1, orient="forward")
+        redirect_ref(root / STORE, victim=0, donor=1, orient="forward")
         log = DSLog.load(root, autosync=False)
-        report = log.scrub(repair=False)
+        report = log.scrub(repair=False)["shards"][0]
         log.close()
         assert not report["clean"]
         [bad] = report["corrupt_records"]
@@ -171,9 +188,9 @@ class TestDetect:
         build(root, 2)
         log = DSLog.load(root, autosync=False)
         # created after open: reopen itself unlinks pre-existing orphans
-        orphan = root / "segment-000099.seg"
+        orphan = root / STORE / "segment-000099.seg"
         orphan.write_bytes(b"DSEG" + (2).to_bytes(2, "little") + b"junk")
-        report = log.scrub(repair=False)
+        report = log.scrub(repair=False)["shards"][0]
         log.close()
         assert not report["clean"]
         assert report["orphan_segments"] == ["segment-000099.seg"]
@@ -183,9 +200,9 @@ class TestRepair:
     def test_misdirected_ref_rebuilt_from_sibling(self, tmp_path):
         root = tmp_path / "db"
         names = build(root, 3)
-        redirect_ref(root, victim=0, donor=1, orient="forward")
+        redirect_ref(root / STORE, victim=0, donor=1, orient="forward")
         log = DSLog.load(root, autosync=False)
-        report = log.scrub(repair=True)
+        report = log.scrub(repair=True)["shards"][0]
         assert report["repaired"]
         assert report["rebuilt_orientations"] == 1
         assert report["dropped_entries"] == []
@@ -196,16 +213,16 @@ class TestRepair:
     def test_flipped_byte_rebuilt_from_sibling(self, tmp_path):
         root = tmp_path / "db"
         names = build(root, 4)
-        flip_payload_byte(root, entry_ref(root, index=2, orient="backward"))
+        flip_payload_byte(root / STORE, entry_ref(root / STORE, index=2, orient="backward"))
         log = DSLog.load(root, autosync=False)
-        report = log.scrub(repair=True)
+        report = log.scrub(repair=True)["shards"][0]
         assert report["repaired"]
         assert report["rebuilt_orientations"] == 1
         assert report["dropped_entries"] == []
         assert log.scrub(repair=False)["clean"]
         log.close()
         assert_fully_readable(root, names)
-        qdir = root / QUARANTINE_DIR
+        qdir = root / STORE / QUARANTINE_DIR
         quarantined = list(qdir.glob("segment-*.seg"))
         assert len(quarantined) == 1
         why = json.loads((qdir / f"{quarantined[0].name}.json").read_text())
@@ -214,12 +231,12 @@ class TestRepair:
     def test_both_orientations_damaged_drops_only_that_entry(self, tmp_path):
         root = tmp_path / "db"
         names = build(root, 4)
-        flip_payload_byte(root, entry_ref(root, index=1, orient="backward"))
-        flip_payload_byte(root, entry_ref(root, index=1, orient="forward"))
-        manifest = load_manifest(root)
+        flip_payload_byte(root / STORE, entry_ref(root / STORE, index=1, orient="backward"))
+        flip_payload_byte(root / STORE, entry_ref(root / STORE, index=1, orient="forward"))
+        manifest = load_manifest(root / STORE)
         dropped_pair = [manifest.entries[1]["in"], manifest.entries[1]["out"]]
         log = DSLog.load(root, autosync=False)
-        report = log.scrub(repair=True)
+        report = log.scrub(repair=True)["shards"][0]
         assert report["dropped_entries"] == [dropped_pair]
         # the catalog pruned the dropped entry: no dangling refs anywhere
         assert len(log.catalog) == 3
@@ -233,11 +250,11 @@ class TestRepair:
     def test_torn_tail_repair_evacuates_all_records(self, tmp_path):
         root = tmp_path / "db"
         names = build(root, 4)
-        segment = root / load_manifest(root).segments[-1]
+        segment = root / STORE / load_manifest(root / STORE).segments[-1]
         with open(segment, "ab") as fh:
             fh.write(b"\xff" * 17)
         log = DSLog.load(root, autosync=False)
-        report = log.scrub(repair=True)
+        report = log.scrub(repair=True)["shards"][0]
         assert report["repaired"]
         assert report["evacuated_records"] >= 1
         assert report["dropped_entries"] == []
@@ -245,13 +262,13 @@ class TestRepair:
         log.close()
         assert_fully_readable(root, names)
         assert not segment.exists()  # quarantined
-        assert (root / QUARANTINE_DIR / segment.name).exists()
+        assert (root / STORE / QUARANTINE_DIR / segment.name).exists()
 
     def test_truncated_segment_salvages_valid_prefix(self, tmp_path):
         root = tmp_path / "db"
         names = build(root, 4)
-        manifest = load_manifest(root)
-        segment = root / manifest.segments[-1]
+        manifest = load_manifest(root / STORE)
+        segment = root / STORE / manifest.segments[-1]
         last = max(
             (TableRef.from_json(row[o]) for row in manifest.entries for o in ("backward", "forward")),
             key=lambda r: r.offset,
@@ -259,7 +276,7 @@ class TestRepair:
         with open(segment, "r+b") as fh:
             fh.truncate(last.offset + 3)  # cut mid-prefix of the last record
         log = DSLog.load(root, autosync=False)
-        report = log.scrub(repair=True)
+        report = log.scrub(repair=True)["shards"][0]
         assert report["repaired"]
         assert report["rebuilt_orientations"] == 1  # the cut record, from sibling
         assert report["evacuated_records"] >= 1  # everything before the cut
@@ -272,13 +289,13 @@ class TestRepair:
         root = tmp_path / "db"
         build(root, 2)
         log = DSLog.load(root, autosync=False)
-        orphan = root / "segment-000099.seg"
+        orphan = root / STORE / "segment-000099.seg"
         orphan.write_bytes(b"DSEG" + (2).to_bytes(2, "little") + b"junk")
-        report = log.scrub(repair=True)
+        report = log.scrub(repair=True)["shards"][0]
         log.close()
         assert "segment-000099.seg" in report["quarantined"]
         assert not orphan.exists()
-        moved = root / QUARANTINE_DIR / "segment-000099.seg"
+        moved = root / STORE / QUARANTINE_DIR / "segment-000099.seg"
         assert moved.exists()
         why = json.loads((moved.parent / "segment-000099.seg.json").read_text())
         assert why["reason"] == "orphan"
@@ -286,7 +303,7 @@ class TestRepair:
     def test_repair_survives_cold_restart_and_keeps_ingesting(self, tmp_path):
         root = tmp_path / "db"
         names = build(root, 3)
-        flip_payload_byte(root, entry_ref(root, index=0, orient="forward"))
+        flip_payload_byte(root / STORE, entry_ref(root / STORE, index=0, orient="forward"))
         log = DSLog.load(root, autosync=False)
         log.scrub(repair=True)
         log.close()
@@ -301,7 +318,7 @@ class TestRepair:
 class TestShardedScrub:
     def test_one_damaged_shard_healed_others_untouched(self, tmp_path):
         root = tmp_path / "db"
-        names = build(root, 8, backend="sharded", num_shards=3)
+        names = build(root, 8, num_shards=3)
         damaged = None
         for idx in range(3):
             manifest = load_manifest(root / f"shard-{idx:02d}")
@@ -332,7 +349,7 @@ class TestScrubCLI:
     def test_exit_codes_detect_repair_clean(self, tmp_path, capsys):
         root = tmp_path / "db"
         build(root, 3)
-        flip_payload_byte(root, entry_ref(root, index=0, orient="backward"))
+        flip_payload_byte(root / STORE, entry_ref(root / STORE, index=0, orient="backward"))
         assert scrub_main([str(root)]) == 1  # damage found, left in place
         out = capsys.readouterr().out
         assert "DAMAGED" in out and "checksum" in out
@@ -357,5 +374,5 @@ class TestScrubCLI:
 
     def test_memory_backend_refuses_scrub(self):
         log = DSLog()
-        with pytest.raises(RuntimeError, match="segment or sharded"):
+        with pytest.raises(RuntimeError, match="durable log"):
             log.scrub()

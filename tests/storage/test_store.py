@@ -23,8 +23,11 @@ def elementwise(shape, in_name="A", out_name="B"):
     return LineageRelation.from_pairs(pairs, shape, shape, in_name=in_name, out_name=out_name)
 
 
+STORE = "shard-00"  # a one-shard catalog's whole store lives here
+
+
 def chain_log(root, n, shape=(6,), **kwargs):
-    log = DSLog(root=root, backend="segment", **kwargs)
+    log = DSLog(root=root, num_shards=1, **kwargs)
     names = [f"A{i:04d}" for i in range(n + 1)]
     for name in names:
         log.define_array(name, shape)
@@ -138,13 +141,13 @@ class TestLineageStore:
 class TestDurability:
     def test_manifest_written_atomically_with_generation(self, tmp_path):
         log, _ = chain_log(tmp_path / "db", 3)
-        first = json.loads((tmp_path / "db" / MANIFEST_NAME).read_text())
+        first = json.loads((tmp_path / "db" / STORE / MANIFEST_NAME).read_text())
         log.add_lineage(
             "A0000", "A0002", relation=elementwise((6,), "A0000", "A0002"), op_name="skip"
         )
-        second = json.loads((tmp_path / "db" / MANIFEST_NAME).read_text())
+        second = json.loads((tmp_path / "db" / STORE / MANIFEST_NAME).read_text())
         assert second["generation"] > first["generation"]
-        assert not (tmp_path / "db" / (MANIFEST_NAME + ".tmp")).exists()
+        assert not (tmp_path / "db" / STORE / (MANIFEST_NAME + ".tmp")).exists()
 
     def test_unsynced_records_invisible_after_reopen(self, tmp_path):
         log, names = chain_log(tmp_path / "db", 3, autosync=False)
@@ -163,7 +166,7 @@ class TestDurability:
     def test_orphan_segments_removed_on_open(self, tmp_path):
         log, _ = chain_log(tmp_path / "db", 2)
         log.close()
-        orphan = tmp_path / "db" / "segment-999999.seg"
+        orphan = tmp_path / "db" / STORE / "segment-999999.seg"
         SegmentWriter(orphan).close()
         assert orphan.exists()
         DSLog.load(tmp_path / "db")
@@ -210,7 +213,7 @@ class TestLazyOpen:
         one_table = compress(elementwise((64,)), key="output").nbytes()
         reopened = DSLog.load(tmp_path / "db", cache_bytes=one_table * 4)
         reopened.catalog.materialize_all()
-        stats = reopened.store.cache.stats()
+        [stats] = reopened.store.cache_stats()
         assert stats["evictions"] > 0
         assert stats["bytes"] <= stats["budget_bytes"]
         # evicted tables transparently reload on demand
@@ -227,7 +230,7 @@ class TestCompaction:
                 replace=True,
             )
         before = log.store.segment_bytes()
-        stats = log.compact()
+        stats = log.compact()[0]
         assert stats["reclaimed_bytes"] > 0
         assert log.store.segment_bytes() < before
         # catalog still answers queries and survives a reopen
@@ -239,9 +242,9 @@ class TestCompaction:
 
     def test_compact_preserves_generation_monotonicity(self, tmp_path):
         log, _ = chain_log(tmp_path / "db", 3)
-        generation = load_manifest(tmp_path / "db").generation
+        generation = load_manifest(tmp_path / "db" / STORE).generation
         log.compact()
-        assert load_manifest(tmp_path / "db").generation > generation
+        assert load_manifest(tmp_path / "db" / STORE).generation > generation
 
     def test_ingest_continues_after_compact(self, tmp_path):
         log, names = chain_log(tmp_path / "db", 3)
