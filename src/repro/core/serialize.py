@@ -1,16 +1,16 @@
 """Serialization of ProvRC tables and the ProvRC-GZip variant.
 
-The on-disk format is a compact self-describing binary: a JSON header
-(array names, shapes, axis names, key orientation, column dtypes, the
-column ``layout``) followed by the raw bytes of the six columnar arrays,
-each downcast to the smallest integer dtype that can represent what it
-holds.  ``ProvRC-GZip`` (the format DSLog uses by default, Section VII.B)
-is simply this payload passed through zlib, mirroring how the paper stacks
-GZip on top of the main algorithm.
+The on-disk format is a compact self-describing binary: the ``PRVC`` magic,
+a ``u32`` length, a JSON header, then the raw little-endian bytes of the six
+columnar arrays, each downcast to the smallest integer dtype that can
+represent what it holds.  ``ProvRC-GZip`` (the format DSLog uses by
+default, Section VII.B) is simply this payload passed through zlib,
+mirroring how the paper stacks GZip on top of the main algorithm.  How hard
+zlib tries is ``_ZLIB_LEVEL``, one constant for every table.
 
-**Column layout** (``"layout": "row-delta"``).  ProvRC's own invariants
-make two transforms nearly free, and every table gets both — one rule, no
-per-table choice:
+**Column layout** (``"layout": "attr-delta"``).  ProvRC's own invariants
+make three transforms nearly free, and every table gets all of them — one
+rule, no per-table choice:
 
 * every ``*_hi`` column is stored as its **extent** ``hi - lo``: zero on
   every row ProvRC could not merge, which is most rows of the tables that
@@ -18,30 +18,57 @@ per-table choice:
   intervals);
 * every ``*_lo`` column is stored as its **row delta** along axis 0 (row 0
   against zero): rows are in canonical key order, so key deltas are tiny
-  and mostly constant.
+  and mostly constant;
+* those four interval columns are written **attribute-major** (the bytes
+  of the transpose): the slow key attribute's run of zero deltas is not
+  interleaved with the fast attribute's steps, so deflate finds its
+  matches at distance 1 instead of searching for them.
 
-Both are computed with wrap-around arithmetic at the columns' own narrow
-dtypes and narrowed once more, so the round trip is exact over the whole
-int64 range and neither needs more bits than the values it encodes.
-``val_kind`` and ``val_ref`` are stored verbatim.  The header records, per
-interval column, the dtype it decodes to (``decoded``) — the dtype the
-column would have been written at verbatim.  A payload whose header has no
-``layout`` field was written before this layout existed: its columns are
-verbatim and hydrate without the decode step.
+Deltas and extents are computed with wrap-around arithmetic at the
+columns' own narrow dtypes and narrowed once more, so the round trip is
+exact over the whole int64 range and neither needs more bits than the
+values it encodes.  ``val_kind`` and ``val_ref`` are stored verbatim,
+row-major.
 
-**Hydration** hands back read-only columns at those narrow dtypes — no
-``astype(int64)`` upcast, so a table stored as int8 is charged its int8
-footprint by :meth:`CompressedLineage.nbytes`.  ``val_kind`` and
-``val_ref`` are ``np.frombuffer`` views straight into the buffer
+**Header.**  What cannot be derived, and nothing else::
+
+    {"layout": "attr-delta", "key_side": "output",
+     "out_name": "B", "in_name": "A", "out_shape": [50], "in_shape": [50, 4],
+     "rows": 50, "stored": [1, 1, 1, 1, 1, 1], "decoded": [1, 1, 1, 1]}
+
+``stored`` is the item size in bytes of the six columns as written, in the
+order ``key_lo, key_hi, val_kind, val_ref, val_lo, val_hi`` (the order
+their bytes follow in); ``decoded`` the item size each of the four
+interval columns decodes to — the dtype it would have been written at
+verbatim.  An item size names a signed integer dtype, so no other dtype
+can be described.  Every column has ``rows`` rows and as many attributes
+as its side of the relation has axes (``key_side`` says which of
+``out_shape`` / ``in_shape`` is the key's), so the six columns cannot
+disagree on a row count.  ``out_axes`` / ``in_axes`` appear only when they
+are not the defaults (``b1, b2, ...`` / ``a1, a2, ...``).
+
+**Older payloads** keep reading through the same entry points:
+``"layout": "row-delta"`` (PRs 15-17: the same deltas and extents,
+row-major, under a header that lists ``dtype``, ``shape`` and ``decoded``
+per column) and payloads with no ``layout`` field (before PR 15: six
+verbatim columns under that header).  Writers emit only ``attr-delta``.
+Whatever the layout, the reader validates each header field before acting
+on it and raises ``ValueError`` naming the field.
+
+**Hydration** hands back read-only, C-contiguous columns at those narrow
+dtypes — no ``astype(int64)`` upcast, so a table stored as int8 is charged
+its int8 footprint by :meth:`CompressedLineage.nbytes`.  ``val_kind`` and
+``val_ref`` are views straight into the buffer
 :func:`deserialize_compressed` was given (``bytes``, ``memoryview``, an
 mmap'd segment record), which stays alive for exactly as long as a view
 references it; the four interval columns are rebuilt in one pass each
 (``np.add.accumulate`` down the rows for a ``lo``, ``np.add`` for a
-``hi``) into arrays of their own.  Verbatim (pre-layout) payloads hydrate
-as six views.  A gzip store never had views into the segment mmap, only
-into the inflate buffer, so there the decode pass replaces nothing; a
-``gzip=False`` store trades four mmap views per table for a file two
-fifths smaller.
+``hi``, each attribute's contiguous run scanned straight into its column
+of the row-major result) into arrays of their own.  Verbatim (pre-layout)
+payloads hydrate as six views.  A gzip store never had views into the
+segment mmap, only into the inflate buffer, so there the decode pass
+replaces nothing; a ``gzip=False`` store trades four mmap views per table
+for a file two fifths smaller.
 """
 
 from __future__ import annotations
@@ -55,6 +82,7 @@ from typing import Dict, Optional, Tuple, Union
 import numpy as np
 
 from .compressed import CompressedLineage
+from .relation import default_axis_names
 
 __all__ = [
     "serialize_compressed",
@@ -74,7 +102,19 @@ __all__ = [
 ]
 
 _MAGIC = b"PRVC"
+_WHAT = "ProvRC serialized table"
 _COLUMNS = ("key_lo", "key_hi", "val_kind", "val_ref", "val_lo", "val_hi")
+_INTERVAL_PAIRS = (("key_lo", "key_hi"), ("val_lo", "val_hi"))
+# the one layout writers emit; "row-delta" and layout-less payloads still read
+_LAYOUT = "attr-delta"
+# the four dtypes a column is ever stored at or decoded to, by item size —
+# what the terse header records of a dtype; little-endian at rest
+_INT_DTYPES = {size: np.dtype(f"<i{size}") for size in (1, 2, 4, 8)}
+
+# Deflate effort of ProvRC-GZip, chosen once on whole catalogs (README, PR 18
+# table): with attribute-major columns level 4 stores fewer bytes than level 6
+# did row-major, in under half the time.  Not tuned per table, by no caller.
+_ZLIB_LEVEL = 4
 
 
 # ----------------------------------------------------------------------
@@ -147,10 +187,20 @@ def parse_json_frame(data, magic: bytes, what: str = "frame") -> Tuple[dict, int
 _DTYPE_CACHE: Dict[str, np.dtype] = {}
 
 
-def _dtype_of(spec: str) -> np.dtype:
-    dtype = _DTYPE_CACHE.get(spec)
+def _dtype_of(spec, column: str) -> np.dtype:
+    """The signed integer dtype a ``row-delta`` / pre-layout header names
+    for *column*; only those are ever cached."""
+    dtype = _DTYPE_CACHE.get(spec) if type(spec) is str else None
     if dtype is None:
-        dtype = _DTYPE_CACHE[spec] = np.dtype(spec)
+        try:
+            dtype = np.dtype(spec)
+        except (TypeError, ValueError):
+            dtype = None
+        if type(spec) is not str or dtype is None or dtype.kind != "i":
+            raise ValueError(
+                f"corrupt {_WHAT} header: {column} dtype {spec!r} is not a signed integer"
+            )
+        _DTYPE_CACHE[spec] = dtype
     return dtype
 
 # chunk size of the single-pass min/max scan: large enough to amortize the
@@ -208,84 +258,253 @@ def _narrowed(array: np.ndarray) -> np.ndarray:
 
 def serialize_compressed(table: CompressedLineage) -> bytes:
     """Serialize a compressed lineage table to bytes (no general compression)."""
-    stored = {"val_kind": table.val_kind, "val_ref": table.val_ref}
-    decoded = {}
-    for lo_name, hi_name in (("key_lo", "key_hi"), ("val_lo", "val_hi")):
+    rows = len(table)
+    stored = {"val_kind": _narrowed(table.val_kind), "val_ref": _narrowed(table.val_ref)}
+    decoded = []
+    for lo_name, hi_name in _INTERVAL_PAIRS:
         lo = _narrowed(getattr(table, lo_name))
         hi = _narrowed(getattr(table, hi_name))
-        decoded[lo_name], decoded[hi_name] = lo.dtype.str, hi.dtype.str
+        decoded += [lo.dtype.itemsize, hi.dtype.itemsize]
         # both wrap at the narrow dtype: exact modulo 2**bits, which is all
         # the decode (same arithmetic, same dtype) needs
         delta = lo.copy()
         np.subtract(lo[1:], lo[:-1], out=delta[1:])
-        stored[lo_name] = delta
-        stored[hi_name] = hi - lo
-    columns = {}
+        # attribute-major: tobytes() of a transpose lays each attribute's
+        # rows end to end
+        stored[lo_name] = _narrowed(delta).T
+        stored[hi_name] = _narrowed(hi - lo).T
+    sizes = []
     payload = bytearray()
-    for name in _COLUMNS:
-        cast = _narrowed(stored[name])
-        columns[name] = {"dtype": cast.dtype.str, "shape": list(cast.shape)}
-        if name in decoded:
-            columns[name]["decoded"] = decoded[name]
-        payload.extend(cast.tobytes())
+    nkey, nval = table.key_ndim, table.value_ndim
+    for name, width in zip(_COLUMNS, (nkey, nkey, nval, nval, nval, nval)):
+        column = stored[name]
+        if column.size != rows * width:
+            # the header carries one row count and derives every shape from it
+            raise ValueError(
+                f"{name} holds {column.size} values, not {rows} rows x {width} attributes"
+            )
+        sizes.append(column.dtype.itemsize)
+        payload += column.astype(_INT_DTYPES[column.dtype.itemsize], copy=False).tobytes()
     header = {
+        "layout": _LAYOUT,
         "key_side": table.key_side,
         "out_name": table.out_name,
         "in_name": table.in_name,
         "out_shape": list(table.out_shape),
         "in_shape": list(table.in_shape),
-        "out_axes": list(table.out_axes),
-        "in_axes": list(table.in_axes),
-        "layout": "row-delta",
-        "columns": columns,
+        "rows": rows,
+        "stored": sizes,
+        "decoded": decoded,
     }
-    return json_frame(_MAGIC, header, bytes(payload))
+    if tuple(table.out_axes) != default_axis_names("b", len(table.out_shape)):
+        header["out_axes"] = list(table.out_axes)
+    if tuple(table.in_axes) != default_axis_names("a", len(table.in_shape)):
+        header["in_axes"] = list(table.in_axes)
+    return json_frame(_MAGIC, header, payload)
+
+
+def _corrupt(field: str, problem: str) -> ValueError:
+    return ValueError(f"corrupt {_WHAT} header: {field} {problem}")
+
+
+def _dims(values, field: str) -> int:
+    """Product of a list of non-negative ints (1 for the empty list: a
+    zero-dimensional column has exactly one element, the empty shape's
+    index space being the single empty tuple)."""
+    if type(values) is not list:
+        raise _corrupt(field, "is not a list")
+    count = 1
+    for dim in values:
+        if type(dim) is not int or dim < 0:
+            raise _corrupt(field, f"holds {dim!r}, not a non-negative int")
+        count *= dim
+    return count
+
+
+def _axis_names(header: dict, field: str, prefix: str, ndim: int) -> tuple:
+    axes = header.get(field)
+    if axes is None:  # the terse header names axes only when they are not these
+        return default_axis_names(prefix, ndim)
+    if type(axes) is not list or len(axes) != ndim:
+        raise _corrupt(repr(field), f"does not name the {ndim} axes of its array")
+    for axis in axes:
+        if type(axis) is not str:
+            raise _corrupt(repr(field), f"holds {axis!r}, not a string")
+    return tuple(axes)
+
+
+def _table_fields(header: dict) -> tuple:
+    """The validated non-column fields of any layout's header:
+    ``(key_side, out_name, in_name, out_shape, in_shape, out_axes, in_axes)``."""
+    key_side = header.get("key_side")
+    if key_side != "output" and key_side != "input":
+        raise _corrupt("'key_side'", f"is {key_side!r}, not 'output' or 'input'")
+    out_name, in_name = header.get("out_name"), header.get("in_name")
+    if type(out_name) is not str or type(in_name) is not str:
+        raise _corrupt("'out_name' / 'in_name'", "is not a string")
+    out_shape, in_shape = header.get("out_shape"), header.get("in_shape")
+    _dims(out_shape, "'out_shape'")
+    _dims(in_shape, "'in_shape'")
+    return (
+        key_side,
+        out_name,
+        in_name,
+        tuple(out_shape),
+        tuple(in_shape),
+        _axis_names(header, "out_axes", "b", len(out_shape)),
+        _axis_names(header, "in_axes", "a", len(in_shape)),
+    )
+
+
+def _item_dtypes(header: dict, field: str, n: int) -> list:
+    sizes = header.get(field)
+    if type(sizes) is list and len(sizes) == n:
+        try:
+            return [_INT_DTYPES[size] for size in sizes]
+        except (KeyError, TypeError):
+            pass
+    raise _corrupt(repr(field), f"is {sizes!r}, not {n} item sizes out of 1, 2, 4, 8")
+
+
+def _undo_deltas(view, offset, rows, width, stored, decoded):
+    """One ``lo``/``hi`` pair of an ``attr-delta`` payload: ``lo =
+    cumsum(delta)`` down the rows and ``hi = lo + extent``, from the two
+    attribute-major columns at *offset* into C-contiguous ``(rows, width)``
+    arrays.  Both wrap at the *decoded* dtypes exactly as the writer's
+    subtractions did.  Returns ``(lo, hi, offset behind the extents)``."""
+    count = rows * width
+    extent_at = offset + count * stored[0].itemsize
+    if width == 1:
+        # one attribute: attribute-major and row-major are the same bytes
+        delta = np.ndarray((rows, 1), stored[0], view, offset)
+        extent = np.ndarray((rows, 1), stored[1], view, extent_at)
+        lo = np.add.accumulate(delta, axis=0, dtype=decoded[0])
+        hi = np.add(lo, extent, dtype=decoded[1])
+    else:
+        # scan each attribute's contiguous run straight into its strided
+        # column of the row-major result: no transposed copy on either side
+        delta = np.ndarray((width, rows), stored[0], view, offset)
+        extent = np.ndarray((width, rows), stored[1], view, extent_at)
+        lo = np.empty((rows, width), decoded[0])
+        hi = np.empty((rows, width), decoded[1])
+        np.add.accumulate(delta, axis=1, dtype=decoded[0], out=lo.T)
+        np.add(lo.T, extent, dtype=decoded[1], out=hi.T)
+    lo.flags.writeable = hi.flags.writeable = False
+    return lo, hi, extent_at + count * stored[1].itemsize
+
+
+def _read_attr_delta(header: dict, nkey: int, nval: int, view: memoryview, offset: int) -> tuple:
+    """The six columns of an ``attr-delta`` payload, decoded straight from
+    its terse header."""
+    rows = header.get("rows")
+    if type(rows) is not int or rows < 0:
+        raise _corrupt("'rows'", f"is {rows!r}, not a non-negative int")
+    stored = _item_dtypes(header, "stored", 6)
+    decoded = _item_dtypes(header, "decoded", 4)
+    size = [dtype.itemsize for dtype in stored]
+    need = rows * (nkey * (size[0] + size[1]) + nval * (size[2] + size[3] + size[4] + size[5]))
+    if need != len(view) - offset:
+        raise ValueError(
+            f"corrupt {_WHAT}: its header describes {need} column bytes "
+            f"({rows} rows), {len(view) - offset} follow it"
+        )
+    key_lo, key_hi, kind_at = _undo_deltas(view, offset, rows, nkey, stored[0:2], decoded[0:2])
+    ref_at = kind_at + rows * nval * size[2]
+    val_lo, val_hi, _end = _undo_deltas(
+        view, ref_at + rows * nval * size[3], rows, nval, stored[4:6], decoded[2:4]
+    )
+    return (
+        key_lo,
+        key_hi,
+        np.ndarray((rows, nval), stored[2], view, kind_at),
+        np.ndarray((rows, nval), stored[3], view, ref_at),
+        val_lo,
+        val_hi,
+    )
+
+
+def _read_listed_columns(header: dict, deltas: bool, view: memoryview, offset: int) -> tuple:
+    """The six columns of a ``row-delta`` (*deltas*) or pre-layout payload:
+    row-major, each with its own dtype and shape in the header."""
+    listed = header.get("columns")
+    if type(listed) is not dict:
+        raise _corrupt("'columns'", "is not an object")
+    columns = []
+    end = len(view)
+    for name in _COLUMNS:
+        meta = listed.get(name)
+        if type(meta) is not dict:
+            raise _corrupt(f"column {name!r}", "is missing")
+        dtype = _dtype_of(meta.get("dtype"), name)
+        shape = meta.get("shape")
+        count = _dims(shape, f"{name} 'shape'")
+        nbytes = count * dtype.itemsize
+        if nbytes > end - offset:
+            raise ValueError(
+                f"corrupt {_WHAT}: {name} needs {nbytes} bytes, {end - offset} are left"
+            )
+        columns.append(np.frombuffer(view, dtype=dtype, count=count, offset=offset).reshape(shape))
+        offset += nbytes
+    if offset != end:
+        raise ValueError(f"corrupt {_WHAT}: {end - offset} bytes left over behind val_hi")
+    if deltas:
+        for lo_at, hi_at in ((0, 1), (4, 5)):
+            delta, extent = columns[lo_at], columns[hi_at]
+            if not delta.ndim or delta.shape != extent.shape:
+                raise _corrupt(
+                    f"{_COLUMNS[lo_at]} / {_COLUMNS[hi_at]} 'shape'",
+                    f"are {delta.shape} and {extent.shape}, not one (rows, attributes) pair",
+                )
+            # a running sum down the rows, then one add: both wrap at the
+            # decoded dtype exactly as the writer's subtractions did
+            lo = np.add.accumulate(
+                delta, axis=0, dtype=_dtype_of(listed[_COLUMNS[lo_at]].get("decoded"), _COLUMNS[lo_at])
+            )
+            hi = np.add(
+                lo, extent, dtype=_dtype_of(listed[_COLUMNS[hi_at]].get("decoded"), _COLUMNS[hi_at])
+            )
+            lo.flags.writeable = hi.flags.writeable = False
+            columns[lo_at], columns[hi_at] = lo, hi
+    return tuple(columns)
+
+
+def _read_table(data) -> Tuple[dict, tuple, tuple]:
+    """``(header, table fields, six columns)`` of a serialized table of any
+    layout, every header field validated before it is acted on."""
+    view = memoryview(data)
+    header, offset = parse_json_frame(view, _MAGIC, _WHAT)
+    fields = _table_fields(header)
+    layout = header.get("layout")
+    if layout == _LAYOUT:
+        nkey, nval = len(fields[3]), len(fields[4])
+        if fields[0] == "input":
+            nkey, nval = nval, nkey
+        columns = _read_attr_delta(header, nkey, nval, view, offset)
+    elif layout is None or layout == "row-delta":
+        columns = _read_listed_columns(header, layout is not None, view, offset)
+    else:
+        raise ValueError(f"unknown ProvRC column layout {layout!r}")
+    return header, fields, columns
 
 
 def read_column_arrays(data) -> Tuple[dict, Dict[str, np.ndarray]]:
     """Decode the header and the six columns of a serialized table.
 
     *data* may be any buffer (``bytes``, ``memoryview``, mmap record).  The
-    returned arrays are **read-only** and at the narrow dtypes the table
-    was written from — no upcast.  The columns stored verbatim are views
-    into that buffer (``np.frombuffer`` with an offset, no slice copy);
-    under the ``row-delta`` layout the four interval columns are undone in
-    one pass each, ``lo = cumsum(delta)`` then ``hi = lo + extent``.  A
-    header without a ``layout`` field is a payload from before the layout
-    existed: all six columns are verbatim views.
-    A zero-dimensional (scalar-shaped) column has exactly one element: the
-    empty shape's index space is the single empty tuple, so its count is the
-    empty product 1, not 0.
+    returned arrays are **read-only**, C-contiguous and at the narrow
+    dtypes the table was written from — no upcast.  The columns stored
+    verbatim are views into that buffer at an offset (no slice copy); under ``attr-delta`` and ``row-delta`` the four
+    interval columns are undone in one pass each, ``lo = cumsum(delta)``
+    then ``hi = lo + extent``.  A header without a ``layout`` field is a
+    payload from before any layout existed: all six columns are views.
+
+    The header is validated before it is acted on, whatever the layout:
+    dtypes are signed integers, dimensions non-negative ints, and the six
+    columns account for exactly the bytes behind the header.  Every
+    failure is a ``ValueError`` naming the field.
     """
-    view = memoryview(data)
-    header, offset = parse_json_frame(view, _MAGIC, "ProvRC serialized table")
-    arrays: Dict[str, np.ndarray] = {}
-    columns = header["columns"]
-    frombuffer = np.frombuffer
-    for name in _COLUMNS:
-        meta = columns[name]
-        dtype = _dtype_of(meta["dtype"])
-        shape = meta["shape"]
-        count = 1
-        for dim in shape:
-            count *= dim
-        arr = frombuffer(view, dtype=dtype, count=count, offset=offset)
-        arrays[name] = arr.reshape(shape)
-        offset += count * dtype.itemsize
-    layout = header.get("layout")
-    if layout is not None:
-        if layout != "row-delta":
-            raise ValueError(f"unknown ProvRC column layout {layout!r}")
-        for lo_name, hi_name in (("key_lo", "key_hi"), ("val_lo", "val_hi")):
-            # a running sum down the rows, then one add: both wrap at the
-            # decoded dtype exactly as the writer's subtractions did
-            lo = np.add.accumulate(
-                arrays[lo_name], axis=0, dtype=_dtype_of(columns[lo_name]["decoded"])
-            )
-            hi = np.add(lo, arrays[hi_name], dtype=_dtype_of(columns[hi_name]["decoded"]))
-            lo.flags.writeable = hi.flags.writeable = False
-            arrays[lo_name], arrays[hi_name] = lo, hi
-    return header, arrays
+    header, _fields, columns = _read_table(data)
+    return header, dict(zip(_COLUMNS, columns))
 
 
 def deserialize_compressed(data) -> CompressedLineage:
@@ -297,27 +516,13 @@ def deserialize_compressed(data) -> CompressedLineage:
     pages until the table (and every array derived from those columns) is
     dropped.
     """
-    header, arrays = read_column_arrays(data)
-    return CompressedLineage._hydrate(
-        header["key_side"],
-        header["out_name"],
-        header["in_name"],
-        tuple(header["out_shape"]),
-        tuple(header["in_shape"]),
-        arrays["key_lo"],
-        arrays["key_hi"],
-        arrays["val_kind"],
-        arrays["val_ref"],
-        arrays["val_lo"],
-        arrays["val_hi"],
-        tuple(header["out_axes"]),
-        tuple(header["in_axes"]),
-    )
+    _header, fields, columns = _read_table(data)
+    return CompressedLineage._hydrate(*fields[:5], *columns, *fields[5:])
 
 
-def serialize_compressed_gzip(table: CompressedLineage, level: int = 6) -> bytes:
+def serialize_compressed_gzip(table: CompressedLineage) -> bytes:
     """ProvRC-GZip: zlib applied to the ProvRC serialization."""
-    return zlib.compress(serialize_compressed(table), level)
+    return zlib.compress(serialize_compressed(table), _ZLIB_LEVEL)
 
 
 def deserialize_compressed_gzip(data) -> CompressedLineage:
@@ -338,29 +543,36 @@ def deserialize_table(data) -> CompressedLineage:
     return deserialize_compressed_gzip(data)
 
 
-def peek_table_identity(data) -> Tuple[str, str, str]:
-    """Decode only ``(key_side, in_name, out_name)`` from a serialized
-    table payload (plain or gzip), without touching the column bytes: of
-    a gzip payload only the header's own bytes are inflated.
+def peek_table(data) -> Tuple[str, str, str, str]:
+    """Decode only ``(key_side, in_name, out_name, layout)`` from a
+    serialized table payload (plain or gzip), without touching the column
+    bytes: of a gzip payload only the header's own bytes are inflated.
+    *layout* is the column layout the payload was written in —
+    ``"attr-delta"``, ``"row-delta"``, or ``"verbatim"`` for a payload from
+    before any layout was named.
 
     The scrub subsystem uses this to verify that the record a manifest ref
     points at really *is* the table the row claims — a checksum proves the
-    payload is intact, not that it belongs to this entry.  Raises
-    ``ValueError`` (or ``zlib.error``) when the payload is not a table.
+    payload is intact, not that it belongs to this entry — and to count the
+    layouts a store still holds.  Raises ``ValueError`` (or ``zlib.error``)
+    when the payload is not a table.
     """
-    what = "serialized ProvRC table"
     view = memoryview(data)
     if bytes(view[:4]) != _MAGIC:
         # inflate the fixed prefix, then exactly the JSON header it sizes —
         # never the column bytes behind it
         inflater = zlib.decompressobj()
         head = inflater.decompress(view, len(_MAGIC) + 4)
-        (header_len,), _ = parse_header(head, _MAGIC, "I", what)
+        (header_len,), _ = parse_header(head, _MAGIC, "I", _WHAT)
         if header_len:  # max_length 0 would mean "no limit"
             head += inflater.decompress(inflater.unconsumed_tail, header_len)
         view = memoryview(head)
-    header, _offset = parse_json_frame(view, _MAGIC, what)
-    return header["key_side"], header["in_name"], header["out_name"]
+    header, _offset = parse_json_frame(view, _MAGIC, _WHAT)
+    key_side, out_name, in_name = _table_fields(header)[:3]
+    layout = header.get("layout", "verbatim")
+    if type(layout) is not str:
+        raise _corrupt("'layout'", f"is {layout!r}, not a string")
+    return key_side, in_name, out_name, layout
 
 
 def write_compressed(

@@ -52,10 +52,11 @@ and the server's ``POST /admin/scrub``.
 from __future__ import annotations
 
 import json
+import zlib
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from ..core.serialize import peek_table_identity, serialize_table
+from ..core.serialize import peek_table, serialize_table
 from ..obs import REGISTRY, log_event
 from .segments import CorruptRecordError, read_record, scan_segment
 from .store import LineageStore, TableRef
@@ -170,6 +171,9 @@ def scrub_store(store: LineageStore, repair: bool = False, serialize_lock=None) 
         "repaired": False,
         "segments_checked": 0,
         "records_checked": 0,
+        # intact table payloads per column layout: an old read branch of the
+        # serializer may go once no store reports its layout here
+        "layouts": {},
         "corrupt_records": [],
         "damaged_segments": [],
         "orphan_segments": [],
@@ -198,6 +202,13 @@ def scrub_store(store: LineageStore, repair: bool = False, serialize_lock=None) 
         report["corrupt_records"].append(row)
         bad_refs.setdefault(ref.segment, []).append(row)
 
+    counted = set()  # reuse state references records entries own: count each once
+
+    def count_layout(ref: TableRef, layout: str) -> None:
+        if ref not in counted:
+            counted.add(ref)
+            report["layouts"][layout] = report["layouts"].get(layout, 0) + 1
+
     # entry refs, both orientations, resolved through any prior remaps
     entry_state: List[dict] = []  # per manifest row: refs, statuses, payloads
     for row in manifest.entries:
@@ -212,11 +223,13 @@ def scrub_store(store: LineageStore, repair: bool = False, serialize_lock=None) 
                 # belongs to this row: verify the table's own identity
                 expected_key = "output" if orient == "backward" else "input"
                 try:
-                    key_side, in_name, out_name = peek_table_identity(payload)
+                    key_side, in_name, out_name, layout = peek_table(payload)
                     identity_ok = (in_name, out_name) == pair and key_side == expected_key
                 except Exception:
                     identity_ok = False
-                if not identity_ok:
+                if identity_ok:
+                    count_layout(ref, layout)
+                else:
                     status, payload = "misdirected", None
             state[orient] = (ref, status, payload)
             if status != "ok":
@@ -230,11 +243,18 @@ def scrub_store(store: LineageStore, repair: bool = False, serialize_lock=None) 
             for item in manifest.reuse.get(section, []):
                 for _key, ref_dict in item.get("tables", []):
                     ref = store.resolve(TableRef.from_json(ref_dict))
-                    status, _payload = _ref_status(root, ref)
+                    status, payload = _ref_status(root, ref)
                     report["records_checked"] += 1
                     reuse_refs.append((ref, status))
                     if status != "ok":
                         note_bad(ref, status, "reuse-state", {})
+                        continue
+                    try:
+                        count_layout(ref, peek_table(payload)[3])
+                    except (ValueError, zlib.error):
+                        # advisory state is checked by checksum only; the
+                        # census still says a payload no reader understands
+                        count_layout(ref, "unreadable")
 
     # per-segment structural damage (torn tails, unreferenced rot)
     for name in list(manifest.segments):

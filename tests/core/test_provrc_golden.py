@@ -11,9 +11,10 @@ what the commit before the packed-row-key kernel (PR 12) emitted.
 ``PAYLOAD_SHA256`` covers ``serialize_compressed``'s bytes: *how* those
 columns are laid out at rest.  A format PR changes it deliberately, once,
 with the column digest unchanged beside it as the proof that only the
-layout moved (re-recorded for the row-delta layout, PR 15).  Payloads of
-the earlier layout stay readable; ``tests/core/test_serialize.py`` holds a
-copy of their writer.
+layout moved (re-recorded for the row-delta layout, PR 15, and for the
+attr-delta layout and its terse header, PR 18).  Payloads of the earlier
+layouts stay readable; ``tests/core/test_serialize.py`` holds a copy of
+each of their writers.
 
 ``python tests/core/test_provrc_golden.py`` prints both.
 """
@@ -32,7 +33,7 @@ from repro.workloads.pipelines import (
 )
 
 COLUMNS_SHA256 = "00e719f2db2d9eb76985ccab169e26ca2b291e57bcf40caa4e00003b71f4f01a"
-PAYLOAD_SHA256 = "76b299c5097a963b10a8685f0536d6dbf9fc2e15660ee61731040e69b589b1fe"
+PAYLOAD_SHA256 = "c33993017ba5fd09484ddf10e5459c2ad14c160d47cfc72c25b35a02c1ce8078"
 GOLDEN_TABLES = 186
 
 

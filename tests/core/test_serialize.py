@@ -1,9 +1,9 @@
 """Round-trip and size tests for ProvRC serialization (ProvRC / ProvRC-GZip),
 including the dtype-preservation contract: hydrated tables hold read-only
 columns at their narrow dtypes, re-serialize to identical bytes, and answer
-queries bit-identically to their int64 originals — under the row-delta
-layout the writer emits and under the verbatim layout earlier commits
-wrote."""
+queries bit-identically to their int64 originals — under the attr-delta
+layout the writer emits and under the row-delta and verbatim layouts
+earlier commits wrote."""
 
 import json
 import struct
@@ -27,7 +27,9 @@ from repro.core.serialize import (
     deserialize_compressed,
     deserialize_compressed_gzip,
     read_column_arrays,
-    peek_table_identity,
+    json_frame,
+    parse_json_frame,
+    peek_table,
     read_compressed,
     serialize_compressed,
     serialize_compressed_gzip,
@@ -95,9 +97,11 @@ class TestOnDisk:
         assert size < relation.nbytes_raw() / 1000
 
 
-def craft_stream(columns, header_overrides=None):
-    """Hand-assemble a serialized-table byte stream (the wire format) so
-    degenerate shapes the public constructor rejects can still be decoded."""
+def craft_stream(columns, header_overrides=None, decoded=None):
+    """Hand-assemble a serialized-table byte stream (the wire format of the
+    layouts that list a dtype and a shape per column) so degenerate shapes
+    the public constructor rejects can still be decoded.  *decoded* maps an
+    interval column to the dtype string a ``row-delta`` header records."""
     header = {
         "key_side": "output",
         "out_name": "B",
@@ -115,6 +119,8 @@ def craft_stream(columns, header_overrides=None):
         arr = np.asarray(columns[name])
         # record the true shape first: ascontiguousarray promotes 0-d to 1-d
         header["columns"][name] = {"dtype": arr.dtype.str, "shape": list(arr.shape)}
+        if decoded and name in decoded:
+            header["columns"][name]["decoded"] = decoded[name]
         payload.extend(np.ascontiguousarray(arr).tobytes())
     header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
     return _MAGIC + struct.pack("<I", len(header_bytes)) + header_bytes + bytes(payload)
@@ -268,16 +274,8 @@ class TestDtypePreservation:
             deserialize_compressed(craft_stream(columns))
 
 
-def serialize_verbatim(table):
-    """The writer as it was before the row-delta layout (a copy of the
-    parent commit's ``serialize_compressed``): every column written as it
-    is, narrowed, and no ``layout`` field — what stores written by earlier
-    commits hold."""
-    columns = {}
-    for name in _COLUMNS:
-        array = getattr(table, name)
-        columns[name] = array.astype(_smallest_int_dtype(array), copy=False)
-    return craft_stream(columns, {
+def _identity_header(table):
+    return {
         "key_side": table.key_side,
         "out_name": table.out_name,
         "in_name": table.in_name,
@@ -285,22 +283,62 @@ def serialize_verbatim(table):
         "in_shape": list(table.in_shape),
         "out_axes": list(table.out_axes),
         "in_axes": list(table.in_axes),
-    })
+    }
+
+
+def serialize_verbatim(table):
+    """The writer as it was before any layout was named (a copy of the
+    pre-PR-15 ``serialize_compressed``): every column written as it is,
+    narrowed, and no ``layout`` field."""
+    columns = {}
+    for name in _COLUMNS:
+        array = getattr(table, name)
+        columns[name] = array.astype(_smallest_int_dtype(array), copy=False)
+    return craft_stream(columns, _identity_header(table))
+
+
+def serialize_row_delta(table):
+    """The writer of PRs 15-17 (``"layout": "row-delta"``): row deltas and
+    extents like today's, but row-major, under the header that lists a
+    dtype, a shape and a ``decoded`` dtype per column."""
+    def narrow(array):
+        return array.astype(_smallest_int_dtype(array), copy=False)
+
+    columns = {"val_kind": narrow(table.val_kind), "val_ref": narrow(table.val_ref)}
+    decoded = {}
+    for lo_name, hi_name in (("key_lo", "key_hi"), ("val_lo", "val_hi")):
+        lo, hi = narrow(getattr(table, lo_name)), narrow(getattr(table, hi_name))
+        decoded[lo_name], decoded[hi_name] = lo.dtype.str, hi.dtype.str
+        delta = lo.copy()
+        np.subtract(lo[1:], lo[:-1], out=delta[1:])
+        columns[lo_name], columns[hi_name] = narrow(delta), narrow(hi - lo)
+    return craft_stream(columns, {**_identity_header(table), "layout": "row-delta"}, decoded)
+
+
+# every signed dtype's own extremes, so the writer's wrap-around
+# subtractions (row deltas, extents) overflow at each width
+DTYPE_EXTREMES = [
+    bound
+    for bits in (8, 16, 32, 64)
+    for bound in (-(2 ** (bits - 1)), 2 ** (bits - 1) - 1)
+]
 
 
 @st.composite
 def arbitrary_tables(draw):
     """Tables the constructor accepts but ProvRC would never emit: any row
     order, ``hi`` unrelated to ``lo``, negative and out-of-shape indices,
-    each interval column at its own magnitude up to ±2**62 (so extents and
-    row deltas overflow int64 and must wrap)."""
+    each interval column at its own magnitude up to the int64 extremes (so
+    extents and row deltas overflow and must wrap), one to four attributes
+    a side, default or custom axis names."""
     rows = draw(st.sampled_from([0, 1, 2, 3, 40]))
-    nkey = draw(st.integers(1, 3))
-    nval = draw(st.integers(1, 3))
+    nkey = draw(st.integers(1, 4))
+    nval = draw(st.integers(1, 4))
 
     def interval_column(width):
-        bound = draw(st.sampled_from([3, 127, 128, 2**15 - 1, 2**15, 2**31, 2**62]))
-        cells = st.one_of(st.integers(-bound, bound), st.sampled_from([-bound, 0, bound]))
+        bits = draw(st.sampled_from([3, 8, 16, 32, 64]))
+        low, high = -(2 ** (bits - 1)), 2 ** (bits - 1) - 1
+        cells = st.one_of(st.integers(low, high), st.sampled_from([low, 0, high]))
         flat = draw(st.lists(cells, min_size=rows * width, max_size=rows * width))
         return np.asarray(flat, dtype=np.int64).reshape(rows, width)
 
@@ -317,34 +355,89 @@ def arbitrary_tables(draw):
     out_shape, in_shape = (
         (key_shape, value_shape) if key_side == "output" else (value_shape, key_shape)
     )
+    custom = draw(st.booleans())
     return CompressedLineage(
         key_side, "B", "A", out_shape, in_shape,
         key_lo=interval_column(nkey), key_hi=interval_column(nkey),
         val_kind=kind, val_ref=np.where(kind == 1, refs, -1),
         val_lo=interval_column(nval), val_hi=interval_column(nval),
+        out_axes=tuple(f"row{i}" for i in range(len(out_shape))) if custom else None,
+        in_axes=tuple(f"col{i}" for i in range(len(in_shape))) if custom else None,
     )
 
 
-class TestRowDeltaLayout:
-    """The stored layout (row deltas of ``lo``, extents for ``hi``) is
-    invisible above the serializer: hydration hands back the columns the
-    verbatim layout did, value for value and dtype for dtype."""
+class TestColumnLayout:
+    """The stored layout (row deltas of ``lo``, extents for ``hi``, the
+    interval columns attribute-major, a terse header) is invisible above
+    the serializer: hydration hands back the columns the row-delta and
+    verbatim layouts did, value for value and dtype for dtype."""
 
     @given(arbitrary_tables(), st.booleans())
     @settings(max_examples=300, deadline=None)
     def test_roundtrip_is_exact_and_dtype_stable(self, table, gzip):
         hydrated = deserialize_table(serialize_table(table, gzip=gzip))
         verbatim = deserialize_compressed(serialize_verbatim(table))
+        row_delta = deserialize_compressed(serialize_row_delta(table))
         for name in _COLUMNS:
             column = getattr(hydrated, name)
             assert np.array_equal(column, getattr(table, name)), name
-            # the dtype the parent's writer stored, and its reader handed back
-            assert column.dtype == getattr(verbatim, name).dtype, name
             assert column.shape == getattr(table, name).shape, name
-            assert not column.flags.writeable, name
-        assert hydrated.nbytes() == verbatim.nbytes()
-        assert serialize_compressed(hydrated) == serialize_compressed(table)
-        assert serialize_compressed(verbatim) == serialize_compressed(table)
+            assert column.flags.c_contiguous and not column.flags.writeable, name
+            for older in (verbatim, row_delta):
+                # the dtype every earlier writer stored and reader handed back
+                assert column.dtype == getattr(older, name).dtype, name
+                assert np.array_equal(column, getattr(older, name)), name
+        # the two columns no layout transforms are views, not copies
+        assert hydrated.val_kind.base is not None and hydrated.val_ref.base is not None
+        assert hydrated.out_axes == table.out_axes and hydrated.in_axes == table.in_axes
+        assert hydrated.nbytes() == verbatim.nbytes() == row_delta.nbytes()
+        for again in (hydrated, verbatim, row_delta):
+            assert serialize_compressed(again) == serialize_compressed(table)
+
+    def test_extremes_of_every_dtype_wrap_and_come_back(self):
+        # one column per dtype whose rows alternate between its two extremes:
+        # every row delta and every extent overflows the dtype it is taken at
+        for low, high in zip(DTYPE_EXTREMES[::2], DTYPE_EXTREMES[1::2]):
+            lo = np.array([[low, high], [high, low], [low, low], [high, high]], np.int64)
+            hi = lo[::-1].copy()
+            kind = np.zeros((4, 2), np.int8)
+            table = CompressedLineage(
+                "output", "B", "A", (9, 9), (9, 9),
+                key_lo=lo, key_hi=hi, val_kind=kind, val_ref=kind - 1, val_lo=hi, val_hi=lo,
+            )
+            hydrated = deserialize_compressed(serialize_compressed(table))
+            for name in INTERVAL_COLUMNS:
+                assert np.array_equal(getattr(hydrated, name), getattr(table, name)), (name, high)
+                assert getattr(hydrated, name).dtype == _smallest_int_dtype(lo), (name, high)
+
+    def test_header_is_terse(self):
+        table, _ = sample_table()
+        header, _offset = parse_json_frame(serialize_compressed(table), _MAGIC)
+        assert header == {
+            "layout": "attr-delta",
+            "key_side": "output",
+            "out_name": table.out_name,
+            "in_name": table.in_name,
+            "out_shape": [50],
+            "in_shape": [50, 4],
+            "rows": len(table),
+            "stored": [1, 1, 1, 1, 1, 1],
+            "decoded": [1, 1, 1, 1],
+        }
+
+    def test_interval_columns_are_attribute_major(self):
+        # two key attributes, three rows: the payload opens with attribute 0's
+        # three row deltas, then attribute 1's, then the extents likewise
+        key_lo = np.array([[1, 10], [2, 20], [4, 40]], np.int64)
+        kind = np.zeros((3, 1), np.int8)
+        table = CompressedLineage(
+            "output", "B", "A", (50, 50), (50,),
+            key_lo=key_lo, key_hi=key_lo + [[0, 5]], val_kind=kind, val_ref=kind - 1,
+            val_lo=kind, val_hi=kind,
+        )
+        data = serialize_compressed(table)
+        _header, offset = parse_json_frame(data, _MAGIC)
+        assert list(data[offset : offset + 12]) == [1, 1, 2, 10, 10, 20, 0, 0, 0, 5, 5, 5]
 
     def tables(self):
         rng = np.random.default_rng(5)
@@ -357,15 +450,17 @@ class TestRowDeltaLayout:
             _interval_table(2**40, 1_000),
         ]
 
-    def test_verbatim_payload_hydrates_and_queries_identically(self):
+    @pytest.mark.parametrize("old_writer", [serialize_verbatim, serialize_row_delta])
+    def test_older_payload_hydrates_and_queries_identically(self, old_writer):
         for table in self.tables():
-            old = deserialize_compressed(serialize_verbatim(table))
+            old = deserialize_compressed(old_writer(table))
             new = deserialize_compressed(serialize_compressed(table))
             for name in _COLUMNS:
                 assert getattr(old, name).dtype == getattr(new, name).dtype, name
                 assert np.array_equal(getattr(old, name), getattr(new, name)), name
-                # a verbatim payload is six views into the bytes, as before
-                assert getattr(old, name).base is not None, name
+                if old_writer is serialize_verbatim:
+                    # a verbatim payload is six views into the bytes, as before
+                    assert getattr(old, name).base is not None, name
             top = table.key_shape[0] - 1
             query = CellBoxSet(
                 table.key_name, table.key_shape,
@@ -385,6 +480,23 @@ class TestRowDeltaLayout:
         assert len(serialize_compressed_gzip(table)) < 0.7 * len(
             zlib.compress(serialize_verbatim(table), 6)
         )
+        # a 2-D table ProvRC barely merges (every cell reads itself and two
+        # cells a few places away): attribute-major keeps the slow attribute's
+        # zeros apart from the fast one's small steps, and the terse header
+        # is under half the size — fewer bytes than row-delta got at level
+        # 6, far fewer than row-delta would get at this writer's level
+        rng = np.random.default_rng(11)
+        shape = (32, 32)
+        pairs = []
+        for flat in range(32 * 32):
+            reads = {flat, *np.clip(flat + rng.integers(-3, 4, 2), 0, 32 * 32 - 1).tolist()}
+            out_cell = tuple(int(v) for v in np.unravel_index(flat, shape))
+            pairs += [(out_cell, tuple(int(v) for v in np.unravel_index(r, shape))) for r in reads]
+        wide = compress(LineageRelation.from_pairs(pairs, shape, shape))
+        assert len(wide) > 1500 and wide.key_ndim == 2
+        packed = len(serialize_compressed_gzip(wide))
+        assert packed < 0.98 * len(zlib.compress(serialize_row_delta(wide), 6))
+        assert packed < 0.92 * len(zlib.compress(serialize_row_delta(wide), 4))
 
     def test_unknown_layout_rejected(self):
         columns = {name: np.zeros((1, 1), np.int8) for name in _COLUMNS}
@@ -394,12 +506,155 @@ class TestRowDeltaLayout:
             deserialize_compressed(craft_stream(columns, {"layout": "zigzag"}))
 
 
-class TestPeekTableIdentity:
+def reheader(data, mutate=None, **changes):
+    """*data* (a plain serialized table) with its parsed JSON header passed
+    through *mutate* and top-level fields replaced by *changes* (``None``
+    removes one); the column bytes are kept as they are."""
+    header, offset = parse_json_frame(data, _MAGIC)
+    if mutate is not None:
+        mutate(header)
+    header.update(changes)
+    header = {key: value for key, value in header.items() if value is not None}
+    return json_frame(_MAGIC, header, bytes(data[offset:]))
+
+
+class TestHeaderValidation:
+    """The reader validates the header it dispatches on: whatever the layout,
+    a malformed field is one ``ValueError`` naming it — the type scrub and
+    the store already handle — never a ``KeyError`` / ``TypeError`` /
+    ``UFuncTypeError`` out of the decode, and never a mis-sliced table."""
+
+    @staticmethod
+    def listed(rows=10, **over):
+        """Columns of a well-formed 1-D, *rows*-row listed-header stream."""
+        columns = {name: np.zeros((rows, 1), np.int8) for name in _COLUMNS}
+        columns["val_ref"] = columns["val_ref"] - 1
+        columns.update(over)
+        return columns
+
+    DECODED = {name: "|i1" for name in INTERVAL_COLUMNS}
+
+    def both_listed_layouts(self, columns, mutate):
+        """The verbatim and the row-delta stream of *columns*, each with its
+        parsed header passed through *mutate*."""
+        for overrides, decoded in ((None, None), ({"layout": "row-delta"}, self.DECODED)):
+            yield reheader(craft_stream(columns, overrides, decoded), mutate)
+
+    def test_well_formed_streams_read(self):
+        for data in self.both_listed_layouts(self.listed(), lambda header: None):
+            assert len(deserialize_compressed(data)) == 10
+
+    def test_missing_column(self):
+        for data in self.both_listed_layouts(self.listed(), lambda h: h["columns"].pop("val_ref")):
+            with pytest.raises(ValueError, match="val_ref"):
+                deserialize_compressed(data)
+        with pytest.raises(ValueError, match="'columns'"):
+            deserialize_compressed(reheader(craft_stream(self.listed()), columns=None))
+
+    @pytest.mark.parametrize("shape", [["10", 1], [10.0, 1], [-10, -1], [True, 10], "10", None])
+    def test_shape_is_not_a_list_of_non_negative_ints(self, shape):
+        def mutate(header):
+            header["columns"]["val_lo"]["shape"] = shape
+
+        for data in self.both_listed_layouts(self.listed(), mutate):
+            with pytest.raises(ValueError, match="val_lo 'shape'"):
+                deserialize_compressed(data)
+
+    @pytest.mark.parametrize("dtype", ["|u1", "<f8", "<U1", "|b1", "nonsense", 1, None, ["|i1"]])
+    def test_dtype_is_not_a_signed_integer(self, dtype):
+        def mutate(header):
+            header["columns"]["key_hi"]["dtype"] = dtype
+
+        for data in self.both_listed_layouts(self.listed(), mutate):
+            with pytest.raises(ValueError, match="key_hi dtype"):
+                deserialize_compressed(data)
+
+    @pytest.mark.parametrize("decoded", ["<f8", "|u1", None, 8])
+    def test_row_delta_decoded_is_not_a_signed_integer(self, decoded):
+        data = craft_stream(
+            self.listed(), {"layout": "row-delta"}, {**self.DECODED, "val_hi": decoded}
+        )
+        with pytest.raises(ValueError, match="val_hi dtype"):
+            deserialize_compressed(data)
+
+    def test_row_delta_row_counts_disagree(self):
+        # byte-consistent, so only the shapes can tell: 10 lows, 5 extents
+        columns = self.listed(key_hi=np.zeros((5, 1), np.int8))
+        data = craft_stream(columns, {"layout": "row-delta"}, self.DECODED)
+        with pytest.raises(ValueError, match="key_lo / key_hi 'shape'"):
+            deserialize_compressed(data)
+        scalar = self.listed(val_lo=np.int8(0), val_hi=np.int8(0))
+        with pytest.raises(ValueError, match="val_lo / val_hi 'shape'"):
+            deserialize_compressed(craft_stream(scalar, {"layout": "row-delta"}, self.DECODED))
+
+    def test_header_claims_fewer_rows_than_the_payload_holds(self):
+        # 3 of 10 rows: every column behind the first would be mis-sliced
+        def mutate(header):
+            for meta in header["columns"].values():
+                meta["shape"] = [3, 1]
+
+        for data in self.both_listed_layouts(self.listed(), mutate):
+            with pytest.raises(ValueError, match="42 bytes left over"):
+                deserialize_compressed(data)
+        table = _interval_table(100, 10)
+        with pytest.raises(ValueError, match=r"describes 18 column bytes \(3 rows\), 60 follow"):
+            deserialize_compressed(reheader(serialize_compressed(table), rows=3))
+
+    def test_header_claims_more_than_the_payload_holds(self):
+        def mutate(header):
+            header["columns"]["val_hi"]["shape"] = [11, 1]
+
+        for data in self.both_listed_layouts(self.listed(), mutate):
+            with pytest.raises(ValueError, match="val_hi needs 11 bytes, 10 are left"):
+                deserialize_compressed(data)
+        data = serialize_compressed(_interval_table(100, 10))
+        for damaged in (data[:-1], data + b"\x00", reheader(data, rows=11)):
+            with pytest.raises(ValueError, match="column bytes"):
+                deserialize_compressed(damaged)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("rows", "10"), ("rows", -1), ("rows", 10.0), ("rows", None),
+            ("stored", [1, 1, 1, 1, 1]), ("stored", [1, 1, 1, 1, 1, 3]),
+            ("stored", "111111"), ("stored", [1, 1, [1], 1, 1, 1]), ("stored", None),
+            ("decoded", [1, 1, 1]), ("decoded", [1, 1, 1, "<f8"]), ("decoded", None),
+        ],
+    )
+    def test_attr_delta_fields(self, field, value):
+        data = serialize_compressed(_interval_table(100, 10))
+        with pytest.raises(ValueError, match=f"'{field}'"):
+            deserialize_compressed(reheader(data, **{field: value}))
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("key_side", "sideways"), ("key_side", None),
+            ("out_name", None), ("in_name", 7),
+            ("out_shape", ["100"]), ("in_shape", [-1]), ("in_shape", None), ("out_shape", 100),
+            ("out_axes", ["b1", "b2"]), ("in_axes", [1]), ("in_axes", "a1"),
+        ],
+    )
+    def test_table_fields_of_every_layout(self, field, value):
+        table = _interval_table(100, 10)
+        for data in (serialize_compressed(table), serialize_row_delta(table), serialize_verbatim(table)):
+            with pytest.raises(ValueError, match=field.split("_")[1]):
+                deserialize_compressed(reheader(data, **{field: value}))
+
+
+class TestPeekTable:
     def test_plain_and_gzip(self):
         table, _ = sample_table()
-        identity = (table.key_side, table.in_name, table.out_name)
-        assert peek_table_identity(serialize_compressed(table)) == identity
-        assert peek_table_identity(memoryview(serialize_compressed_gzip(table))) == identity
+        peeked = (table.key_side, table.in_name, table.out_name, "attr-delta")
+        assert peek_table(serialize_compressed(table)) == peeked
+        assert peek_table(memoryview(serialize_compressed_gzip(table))) == peeked
+
+    def test_names_the_layout_of_older_payloads(self):
+        table, _ = sample_table()
+        assert peek_table(serialize_row_delta(table))[3] == "row-delta"
+        assert peek_table(zlib.compress(serialize_verbatim(table)))[3] == "verbatim"
+        with pytest.raises(ValueError, match="'layout'"):
+            peek_table(reheader(serialize_compressed(table), layout=4))
 
     def test_gzip_inflates_the_header_only(self):
         # a deflate stream that ends right behind the JSON header: inflating
@@ -411,20 +666,20 @@ class TestPeekTableIdentity:
         head_only = deflater.compress(plain[: 8 + header_len]) + deflater.flush(zlib.Z_SYNC_FLUSH)
         with pytest.raises(zlib.error):
             zlib.decompress(head_only)
-        assert peek_table_identity(head_only) == (table.key_side, table.in_name, table.out_name)
+        assert peek_table(head_only)[:3] == (table.key_side, table.in_name, table.out_name)
 
     def test_truncated_and_garbage_rejected(self):
         table, _ = sample_table()
         packed = serialize_compressed_gzip(table)
         for cut in (0, 1, 6, 20):  # inside the zlib header, the prefix, the JSON
             with pytest.raises((ValueError, zlib.error)):
-                peek_table_identity(packed[:cut])
+                peek_table(packed[:cut])
         with pytest.raises((ValueError, zlib.error)):
-            peek_table_identity(b"\xff" * 64)
+            peek_table(b"\xff" * 64)
         with pytest.raises(ValueError):
-            peek_table_identity(zlib.compress(b"NOPE" + b"\x00" * 64))
+            peek_table(zlib.compress(b"NOPE" + b"\x00" * 64))
         with pytest.raises(ValueError):  # a header length of zero
-            peek_table_identity(zlib.compress(_MAGIC + struct.pack("<I", 0) + b"{}"))
+            peek_table(zlib.compress(_MAGIC + struct.pack("<I", 0) + b"{}"))
 
 
 class TestSmallestDtypeScan:
