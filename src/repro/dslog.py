@@ -733,41 +733,24 @@ class DSLog:
         query-request coalescing (``None`` defers to the
         ``DSLOG_COALESCE_MS`` environment variable).  Pass
         ``start=False`` to get an unstarted server for
-        ``serve_forever()`` on a dedicated process's main thread.
+        ``serve_forever()`` in a dedicated process.
         """
         from .service.query import DEFAULT_CACHE_ENTRIES
         from .service.rpc import DualServer, RPCServer
         from .service.server import LineageServer
 
-        entries = DEFAULT_CACHE_ENTRIES if cache_entries is None else cache_entries
+        options = dict(
+            host=host,
+            max_workers=max_workers,
+            cache_entries=DEFAULT_CACHE_ENTRIES if cache_entries is None else cache_entries,
+            coalesce_ms=coalesce_ms,
+        )
         if transport == "http":
-            server = LineageServer(
-                self,
-                host=host,
-                port=port,
-                max_workers=max_workers,
-                cache_entries=entries,
-                coalesce_ms=coalesce_ms,
-            )
+            server = LineageServer(self, port=port, **options)
         elif transport == "rpc":
-            server = RPCServer(
-                self,
-                host=host,
-                port=port,
-                max_workers=max_workers,
-                cache_entries=entries,
-                coalesce_ms=coalesce_ms,
-            )
+            server = RPCServer(self, port=port, **options)
         elif transport == "both":
-            server = DualServer(
-                self,
-                host=host,
-                http_port=port,
-                rpc_port=rpc_port,
-                max_workers=max_workers,
-                cache_entries=entries,
-                coalesce_ms=coalesce_ms,
-            )
+            server = DualServer(self, http_port=port, rpc_port=rpc_port, **options)
         else:
             raise ValueError(
                 f"unknown transport {transport!r}; use 'http', 'rpc' or 'both'"

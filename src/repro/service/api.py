@@ -1,29 +1,34 @@
-"""The transport-agnostic service layer behind both lineage servers.
+"""The transport-agnostic service layer: one endpoint table, one core.
 
-PR 4 built the HTTP server with its request handling inlined; the binary
-RPC tier (:mod:`repro.service.rpc`) serves the *same* catalog operations
-over a different wire, so everything that is about the **service** rather
-than the **transport** lives here:
+Everything about the **service** rather than the **wire** lives here, once:
 
-* :func:`parse_query_request` — validate a query body (shared request
-  shape: ``path`` + ``cells``/``slices`` + flags) into a :class:`QuerySpec`;
+* :data:`ENDPOINTS` — the serving surface, one :class:`Endpoint` row per
+  operation: its name (the :data:`~repro.service.wire.OPCODES` name, also
+  the RPC metric label), its HTTP method and route, whether a request
+  opens a trace, which reply kind the transport encodes, and ``run(core,
+  args)``.  :mod:`repro.service.server` derives ``{(method, route): row}``
+  from it and :mod:`repro.service.rpc` ``{opcode: row}``; the argument
+  checks (``array``, ``limit``, ``repair``) take the HTTP query-string
+  dict and the JSON body alike, so both wires reject the same requests
+  with the same words;
+* :func:`parse_query_request` — validate a query body (``path`` +
+  ``cells``/``slices`` + flags) into a :class:`QuerySpec`;
 * :class:`ServiceCore` — one object owning the
   :class:`~repro.service.query.QueryExecutor`, the optional
-  :class:`QueryCoalescer` and the health/scrub/traces plumbing.  The HTTP
-  server and the RPC server are both thin shells over one core — when
-  ``DSLog.serve(transport="both")`` runs them side by side they share the
-  executor, so a result cached through one transport is a cache hit
-  through the other;
+  :class:`QueryCoalescer` and the health/scrub/traces plumbing; servers
+  sharing a core share its executor, so a result cached through one
+  transport is a cache hit through the other;
 * :func:`error_info` — the one exception → ``(status, type, message)``
   taxonomy, used verbatim for HTTP status codes, per-item batch errors
   and RPC error frames;
 * :func:`result_payload` — the JSON-encodable form of a query result
-  (the HTTP wire format; the RPC transport encodes the same fields
-  binary via :mod:`repro.service.wire`).
+  (the RPC transport encodes the same fields binary via
+  :mod:`repro.service.wire`);
+* :data:`MAX_BODY_BYTES` — the one bound on a request, whichever wire
+  declared it.
 
-The coalescer also lives here: grouping single queries into one executor
-batch is a service-level behavior, not an HTTP one, and the RPC server
-funnels its ``OP_QUERY`` frames through the very same instance.
+What is left to a transport is its codec (one encoder per reply kind) and
+its sockets.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ import json
 import os
 import threading
 import time
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..faults import DeadlineExceeded, IngestOverloaded, ShardUnavailable
 from ..obs import DEFAULT_SIZE_BUCKETS, REGISTRY, tracing
@@ -40,6 +45,9 @@ from ..storage.catalog import AmbiguousLineageError
 from .query import DEFAULT_CACHE_ENTRIES, QueryExecutor, QueryOutcome
 
 __all__ = [
+    "Endpoint",
+    "ENDPOINTS",
+    "MAX_BODY_BYTES",
     "QuerySpec",
     "parse_query_request",
     "result_payload",
@@ -69,7 +77,12 @@ class BadJson(ValueError):
 
 
 class BodyTooLarge(ValueError):
-    """A request declared a body above the transport's size limit (413)."""
+    """A request declared a body above :data:`MAX_BODY_BYTES` (413)."""
+
+
+# requests are small JSON on either wire (a 64-query batch of 256-cell
+# queries is ~100 KB); one that declares more is refused without reading it
+MAX_BODY_BYTES = 16 * 1024 * 1024
 
 
 class QuerySpec(NamedTuple):
@@ -214,6 +227,28 @@ def storage_stats(store) -> dict:
         "table_cache": store.cache_stats(),
         "readers": store.reader_stats(),
     }
+
+
+# argument checks shared by every wire: *args* is the query-string dict of
+# an HTTP GET (string values) or a JSON body / RPC payload (typed values)
+def _array_arg(args: dict) -> str:
+    name = args.get("array")
+    if not isinstance(name, str) or not name:
+        raise ValueError("the 'array' parameter is required")
+    return name
+
+
+def _limit_arg(args: dict) -> Optional[int]:
+    limit = args.get("limit")
+    if limit is None:
+        return None
+    if isinstance(limit, str) and limit.removeprefix("-").isdecimal():
+        limit = int(limit)  # the query-string form
+    if not isinstance(limit, int) or isinstance(limit, bool):
+        raise ValueError("the 'limit' parameter must be an integer")
+    if limit <= 0:
+        raise ValueError("the 'limit' parameter must be positive")
+    return limit
 
 
 class _PendingQuery:
@@ -406,9 +441,13 @@ class ServiceCore:
         self._closed = False
 
     # -- queries --------------------------------------------------------
-    def execute_query(self, body: dict) -> Tuple[QueryOutcome, QuerySpec]:
-        """Validate and run one query body; the transport encodes the
-        outcome (JSON or binary)."""
+    # Every handler below is the ``run`` of one ENDPOINTS row: it takes the
+    # request's argument dict and returns the reply the transport encodes.
+    def execute_query(self, body: dict) -> Tuple[QueryOutcome, QuerySpec, float]:
+        """Validate and run one query body; returns the outcome, the
+        validated request and the milliseconds it took, for the transport
+        to encode (JSON or binary)."""
+        started = time.monotonic()
         spec = parse_query_request(body)
         if self.coalescer is not None:
             outcome = self.coalescer.submit(
@@ -418,17 +457,18 @@ class ServiceCore:
             outcome = self.executor.query(
                 spec.path, spec.query, merge=spec.merge, deadline=spec.deadline
             )
-        return outcome, spec
+        return outcome, spec, (time.monotonic() - started) * 1000.0
 
-    def execute_query_batch(self, body: dict) -> Tuple[List[Any], List[Any]]:
+    def execute_query_batch(self, body: dict) -> Tuple[List[Any], float]:
         """Validate and run a batched query body.
 
-        Returns ``(specs, outcomes)``, one entry per input query and in
-        order: ``specs[i]`` is a :class:`QuerySpec` or the ``ValueError``
-        that rejected it, ``outcomes[i]`` the :class:`QueryOutcome` or the
-        per-item exception.  One malformed or failing entry never fails
-        its batch-mates.
+        Returns ``(entries, elapsed_ms)``, one entry per input query and in
+        order: ``(outcome, spec)`` for the transport to encode, or the
+        structured ``{"error": {...}}`` dict of an entry that was rejected
+        or failed.  One malformed or failing entry never fails its
+        batch-mates.
         """
+        started = time.monotonic()
         items = body.get("queries")
         if not isinstance(items, list) or not items:
             raise ValueError("'queries' must be a non-empty list of query objects")
@@ -441,7 +481,7 @@ class ServiceCore:
                 specs.append(parse_query_request(item))
             except ValueError as error:
                 specs.append(error)
-        outcomes: List[Any] = [None] * len(items)
+        outcomes: List[Any] = list(specs)  # rejected entries keep their error
         # one executor batch per merge flavor (batches share a merge flag);
         # almost all real batches are homogeneous, so this is one call
         for merge_value in (True, False):
@@ -459,26 +499,32 @@ class ServiceCore:
             )
             for i, outcome in zip(idxs, group):
                 outcomes[i] = outcome
-        for i, spec in enumerate(specs):
-            if isinstance(spec, BaseException):
-                outcomes[i] = spec
-        return specs, outcomes
+        entries: List[Any] = []
+        for spec, outcome in zip(specs, outcomes):
+            if isinstance(outcome, BaseException):
+                status, kind, message = error_info(outcome)
+                entries.append({"error": {"type": kind, "message": message, "status": status}})
+            else:
+                entries.append((outcome, spec))
+        return entries, (time.monotonic() - started) * 1000.0
 
     # -- graph ----------------------------------------------------------
-    def impact_payload(self, name: str) -> dict:
+    def impact_payload(self, args: dict) -> dict:
+        name = _array_arg(args)
         return {"array": name, "impact": self.executor.impact(name)}
 
-    def dependencies_payload(self, name: str) -> dict:
+    def dependencies_payload(self, args: dict) -> dict:
+        name = _array_arg(args)
         return {"array": name, "dependencies": self.executor.dependencies(name)}
 
-    def summary_payload(self) -> dict:
+    def summary_payload(self, args: dict) -> dict:
         # copy before annotating: the summary dict is shared with the cache
         payload = dict(self.executor.lineage_summary())
         payload["edges"] = [list(pair) for pair in self.executor.graph_edges()]
         return payload
 
     # -- health / admin -------------------------------------------------
-    def healthz_payload(self) -> dict:
+    def healthz_payload(self, args: dict) -> dict:
         log = self.log
         store = log.store
         generations = (
@@ -500,26 +546,24 @@ class ServiceCore:
             "metrics": REGISTRY.snapshot(),
         }
 
-    def traces_payload(self, limit: Optional[int] = None) -> dict:
-        if limit is not None and limit <= 0:
-            raise ValueError("the trace limit must be positive")
-        return {"traces": tracing.recent_traces(limit)}
+    def traces_payload(self, args: dict) -> dict:
+        return {"traces": tracing.recent_traces(_limit_arg(args))}
 
-    def scrub_payload(self, repair: bool = False) -> dict:
+    def scrub_payload(self, args: dict) -> dict:
         try:
-            report = self.log.scrub(repair=repair)
+            report = self.log.scrub(repair=bool(args.get("repair", False)))
         except RuntimeError as error:  # a memory log has nothing on disk to scrub
             raise ValueError(str(error)) from None
         # reports may carry Paths / int shard keys; normalize to pure JSON
         return {"scrub": json.loads(json.dumps(report, default=str))}
 
-    def metrics_text(self) -> str:
+    def metrics_text(self, args: dict) -> str:
         return REGISTRY.render()
 
     # -- lifecycle ------------------------------------------------------
     def close(self) -> None:
-        """Release the coalescer and (when owned) the executor.  Safe to
-        call once per transport: only the first call acts."""
+        """Release the coalescer and (when owned) the executor; only the
+        first call acts."""
         if self._closed:
             return
         self._closed = True
@@ -528,16 +572,47 @@ class ServiceCore:
         if self._owns_executor:
             self.executor.close()
 
-    def __enter__(self) -> "ServiceCore":
-        return self
 
-    def __exit__(self, *exc) -> None:
-        self.close()
+# ----------------------------------------------------------------------
+# the endpoint table
+# ----------------------------------------------------------------------
+class Endpoint(NamedTuple):
+    """One operation of the serving surface (a row of :data:`ENDPOINTS`).
+
+    *name* is the :data:`~repro.service.wire.OPCODES` name — the RPC
+    dispatch key and metric label; *method* and *route* place the row over
+    HTTP (``None``: RPC only); a *traced* row opens a per-request trace (the
+    observability endpoints themselves would only self-spam);
+    ``run(core, args)`` produces the reply and *reply* names its kind for
+    the transport's encoder — ``"json"`` (a dict), ``"text"`` (a str),
+    ``"query"`` or ``"batch"`` (what :meth:`ServiceCore.execute_query` /
+    :meth:`~ServiceCore.execute_query_batch` return); *bare_ok* lets an
+    HTTP POST omit its JSON body (every argument is optional).
+    """
+
+    name: str
+    method: Optional[str]
+    route: Optional[str]
+    traced: bool
+    reply: str
+    run: Callable[[ServiceCore, dict], Any]
+    bare_ok: bool = False
 
 
-def annotate_outcome(payload: dict, outcome: QueryOutcome, elapsed_ms: float) -> dict:
-    """Attach the transport-shared outcome flags to a result payload."""
-    payload["cached"] = outcome.cached
-    payload["degraded"] = outcome.degraded
-    payload["elapsed_ms"] = elapsed_ms
-    return payload
+ENDPOINTS: Dict[str, Endpoint] = {
+    row.name: row
+    for row in (
+        Endpoint("query", "POST", "/query", True, "query", ServiceCore.execute_query),
+        Endpoint("query_batch", "POST", "/query_batch", True, "batch", ServiceCore.execute_query_batch),
+        Endpoint("impact", "GET", "/graph/impact", True, "json", ServiceCore.impact_payload),
+        Endpoint("dependencies", "GET", "/graph/dependencies", True, "json", ServiceCore.dependencies_payload),
+        Endpoint("summary", "GET", "/graph/summary", True, "json", ServiceCore.summary_payload),
+        Endpoint("healthz", "GET", "/healthz", False, "json", ServiceCore.healthz_payload),
+        Endpoint("metrics", "GET", "/metrics", False, "text", ServiceCore.metrics_text),
+        Endpoint("traces", "GET", "/debug/traces", False, "json", ServiceCore.traces_payload),
+        Endpoint("scrub", "POST", "/admin/scrub", True, "json", ServiceCore.scrub_payload, bare_ok=True),
+        # liveness probe of a framed connection: the empty text is a
+        # zero-byte payload
+        Endpoint("ping", None, None, False, "text", lambda core, args: ""),
+    )
+}

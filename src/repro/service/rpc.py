@@ -5,27 +5,28 @@ browsers, load balancers.  This tier optimizes for the common production
 shape instead: a handful of long-lived clients hammering the catalog with
 small queries, where the per-request costs HTTP cannot shed (request-line
 and header parsing, JSON-encoding every box coordinate) dominate the
-round trip.  Both are thin shells over the same
-:class:`~repro.service.api.ServiceCore`, so they answer identically and
-share one executor, result cache and coalescer — ``DSLog.serve(
-transport="both")`` runs them side by side on one catalog.
+round trip.  The operations are the rows of :data:`repro.service.api.
+ENDPOINTS` (the table is in :mod:`repro.service.server`'s docstring), keyed
+here by opcode; this module owns only the binary codec and the sockets.
 
 * :class:`RPCServer` — a ``socketserver.ThreadingTCPServer`` speaking the
   framed protocol of :mod:`repro.service.wire`: one daemon thread per
   connection reading length-prefixed frames in a loop (the connection
   persists across requests; request ids let a client pipeline), dispatching
-  by opcode to the shared core, answering queries with binary result
-  payloads.  Failures become ``OP_ERROR`` frames carrying the same
-  structured ``(status, type, message)`` taxonomy as the HTTP tier — a
-  broken request never hangs or silently drops the connection.
+  by opcode, answering queries with binary result payloads.  Failures
+  become ``OP_ERROR`` frames carrying the structured ``(status, type,
+  message)`` of :func:`~repro.service.api.error_info` — a broken request
+  never hangs or silently drops the connection.  A request frame may
+  declare at most :data:`~repro.service.api.MAX_BODY_BYTES`; a larger one
+  is answered 413 unread and the connection closed (responses keep the
+  :data:`~repro.service.wire.MAX_FRAME_BYTES` limit).
 * :class:`RPCClient` — a pool of persistent connections (created on
-  demand up to *pool_size*, returned to the pool after each round trip)
-  with the same bounded retry machinery as the HTTP client
-  (:class:`~repro.service.retry.RetryPolicy`): a reset connection, a
-  server restart or a mid-frame close is re-dialed and the (idempotent)
-  request re-sent until the attempt count or retry budget runs out.
-  Query results come back as zero-copy :class:`~repro.service.wire.
-  RPCResult` views.
+  demand up to *pool_size*, returned to the pool after each round trip):
+  a reset connection, a server restart or a mid-frame close is re-dialed
+  and the (idempotent) request re-sent until the attempt count or retry
+  budget runs out.  Query results come back as zero-copy
+  :class:`~repro.service.wire.RPCResult` views.
+* :class:`DualServer` — both transports' listeners over one core.
 
 Fault injection: pass a :class:`~repro.faults.FaultPlan` to the server
 and the response path consults site ``"rpc.send"`` — ``stall`` rules
@@ -42,25 +43,23 @@ import socketserver
 import threading
 import time
 from collections import deque
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from contextlib import nullcontext
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..obs import REGISTRY, log_event, tracing
-from .api import ServiceCore, error_info
+from .api import ENDPOINTS, MAX_BODY_BYTES, BodyTooLarge, Endpoint, ServiceCore, error_info
 from .query import DEFAULT_CACHE_ENTRIES, QueryExecutor
-from .retry import RetryPolicy
-from .server import LineageConnectionError, LineageServer, LineageServerError
+from .server import (
+    LineageServer,
+    LineageServerError,
+    _Client,
+    _Listener,
+    _Server,
+)
 from .wire import (
-    OP_DEPENDENCIES,
+    FRAME_HEADER_SIZE,
     OP_ERROR,
-    OP_HEALTHZ,
-    OP_IMPACT,
-    OP_METRICS,
-    OP_PING,
     OP_QUERY,
-    OP_QUERY_BATCH,
-    OP_SCRUB,
-    OP_SUMMARY,
-    OP_TRACES,
     OPCODES,
     RPCResult,
     ShortRead,
@@ -71,7 +70,9 @@ from .wire import (
     encode_frame,
     encode_json,
     encode_result,
+    parse_frame_header,
     read_frame,
+    recv_exact,
 )
 
 __all__ = ["RPCServer", "RPCClient", "DualServer"]
@@ -91,106 +92,58 @@ _RPC_CONNECTIONS = REGISTRY.gauge(
     "Currently open RPC client connections",
 )
 
-# opcodes that open a per-request trace (mirrors the HTTP tier's list —
-# the observability endpoints themselves would only self-spam)
-_TRACED_OPS = {OP_QUERY, OP_QUERY_BATCH, OP_IMPACT, OP_DEPENDENCIES, OP_SUMMARY, OP_SCRUB}
-
 
 class _ConnectionDropped(Exception):
     """Internal: a fault rule (or peer) killed this connection mid-response."""
 
 
 # ----------------------------------------------------------------------
-# per-opcode handlers (body already JSON-decoded; return the payload bytes)
+# the codec: one encoder and one decoder per reply kind
 # ----------------------------------------------------------------------
-def _op_query(core: ServiceCore, body: dict) -> bytes:
-    started = time.monotonic()
-    outcome, spec = core.execute_query(body)
+def _encode_outcome(outcome, spec, elapsed_ms: float = 0.0) -> bytes:
     return encode_result(
         outcome.result,
         include_boxes=spec.include_boxes,
         include_cells=spec.include_cells,
         cached=outcome.cached,
         degraded=outcome.degraded,
-        elapsed_ms=(time.monotonic() - started) * 1000.0,
+        elapsed_ms=elapsed_ms,
     )
 
 
-def _op_query_batch(core: ServiceCore, body: dict) -> bytes:
-    started = time.monotonic()
-    specs, outcomes = core.execute_query_batch(body)
-    entries: List[Union[bytes, dict]] = []
-    for spec, outcome in zip(specs, outcomes):
-        if isinstance(outcome, BaseException):
-            status, kind, message = error_info(outcome)
-            entries.append({"error": {"type": kind, "message": message, "status": status}})
-        else:
-            entries.append(
-                encode_result(
-                    outcome.result,
-                    include_boxes=spec.include_boxes,
-                    include_cells=spec.include_cells,
-                    cached=outcome.cached,
-                    degraded=outcome.degraded,
-                )
-            )
-    return encode_batch(entries, elapsed_ms=(time.monotonic() - started) * 1000.0)
+def _encode_batch(reply) -> bytes:
+    entries, elapsed_ms = reply
+    return encode_batch(
+        [entry if isinstance(entry, dict) else _encode_outcome(*entry) for entry in entries],
+        elapsed_ms=elapsed_ms,
+    )
 
 
-def _array_arg(body: dict) -> str:
-    name = body.get("array")
-    if not isinstance(name, str) or not name:
-        raise ValueError("the 'array' field is required")
-    return name
-
-
-def _op_impact(core: ServiceCore, body: dict) -> bytes:
-    return encode_json(core.impact_payload(_array_arg(body)))
-
-
-def _op_dependencies(core: ServiceCore, body: dict) -> bytes:
-    return encode_json(core.dependencies_payload(_array_arg(body)))
-
-
-def _op_summary(core: ServiceCore, body: dict) -> bytes:
-    return encode_json(core.summary_payload())
-
-
-def _op_healthz(core: ServiceCore, body: dict) -> bytes:
-    return encode_json(core.healthz_payload())
-
-
-def _op_metrics(core: ServiceCore, body: dict) -> bytes:
-    return core.metrics_text().encode("utf-8")
-
-
-def _op_traces(core: ServiceCore, body: dict) -> bytes:
-    limit = body.get("limit")
-    if limit is not None and (not isinstance(limit, int) or isinstance(limit, bool)):
-        raise ValueError("'limit' must be an integer")
-    return encode_json(core.traces_payload(limit))
-
-
-def _op_scrub(core: ServiceCore, body: dict) -> bytes:
-    return encode_json(core.scrub_payload(repair=bool(body.get("repair", False))))
-
-
-def _op_ping(core: ServiceCore, body: dict) -> bytes:
-    return b""
-
-
-_HANDLERS = {
-    OP_QUERY: _op_query,
-    OP_QUERY_BATCH: _op_query_batch,
-    OP_IMPACT: _op_impact,
-    OP_DEPENDENCIES: _op_dependencies,
-    OP_SUMMARY: _op_summary,
-    OP_HEALTHZ: _op_healthz,
-    OP_METRICS: _op_metrics,
-    OP_TRACES: _op_traces,
-    OP_SCRUB: _op_scrub,
-    OP_PING: _op_ping,
+_ENCODERS: Dict[str, Callable[[Any], bytes]] = {
+    "json": encode_json,
+    "text": lambda reply: reply.encode("utf-8"),
+    "query": lambda reply: _encode_outcome(*reply),
+    "batch": _encode_batch,
 }
+_DECODERS: Dict[str, Callable[[bytes], Any]] = {
+    "json": decode_json,
+    "text": lambda payload: payload.decode("utf-8"),
+    "query": decode_result,
+    "batch": lambda payload: decode_batch(payload)[0],
+}
+# every opcode but the response-only OP_ERROR has a row (KeyError otherwise)
+_OPCODE_OF: Dict[str, int] = {name: op for op, name in OPCODES.items() if op != OP_ERROR}
+_HANDLERS: Dict[int, Endpoint] = {op: ENDPOINTS[name] for name, op in _OPCODE_OF.items()}
+
+
+def _error_fields(payload: bytes) -> dict:
+    """The ``status`` / ``type`` / ``message`` of an ``OP_ERROR`` frame (a
+    malformed one reads as a 500)."""
+    try:
+        info = decode_json(payload)
+        return {"status": info["status"], "type": info["type"], "message": info["message"]}
+    except (ValueError, KeyError, TypeError):
+        return {"status": 500, "type": "internal", "message": payload.decode("utf-8", "replace")}
 
 
 # ----------------------------------------------------------------------
@@ -198,10 +151,10 @@ _HANDLERS = {
 # ----------------------------------------------------------------------
 class _ConnectionHandler(socketserver.BaseRequestHandler):
     """One thread per connection: read frames in a loop until the peer
-    hangs up, answering each on the same socket."""
+    hangs up (or the closing server does), answering each on the same
+    socket."""
 
     def handle(self) -> None:
-        rpc: "RPCServer" = self.server.lineage_rpc
         sock: socket.socket = self.request
         # small frames dominate; never trade latency for Nagle batching
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -210,9 +163,23 @@ class _ConnectionHandler(socketserver.BaseRequestHandler):
             "rpc_connect", level="debug", component="rpc", client=self.client_address[0]
         )
         try:
-            while not rpc._closing:
+            while True:
                 try:
-                    opcode, request_id, payload = read_frame(sock)
+                    header = recv_exact(sock, FRAME_HEADER_SIZE)
+                    opcode, request_id, length = parse_frame_header(header)
+                    if length > MAX_BODY_BYTES:
+                        # refused unread, like an oversized HTTP body: the
+                        # stream cannot frame another request after this one
+                        self._serve_one(
+                            opcode,
+                            request_id,
+                            BodyTooLarge(
+                                f"request frame of {length} bytes exceeds the "
+                                f"{MAX_BODY_BYTES}-byte limit"
+                            ),
+                        )
+                        return
+                    payload = recv_exact(sock, length)
                 except ShortRead:
                     return  # peer closed; between frames this is graceful
                 except ValueError as error:
@@ -225,102 +192,32 @@ class _ConnectionHandler(socketserver.BaseRequestHandler):
                         error=str(error),
                     )
                     return
-                except OSError:
-                    return
-                try:
-                    rpc._serve_one(sock, opcode, request_id, payload, self.client_address)
-                except (_ConnectionDropped, OSError):
-                    return
+                self._serve_one(opcode, request_id, payload)
+        except (_ConnectionDropped, OSError):
+            return
         finally:
             _RPC_CONNECTIONS.dec()
 
-
-class _ThreadingTCPServer(socketserver.ThreadingTCPServer):
-    daemon_threads = True
-    allow_reuse_address = True
-    # the RPCServer installs itself here
-    lineage_rpc: "RPCServer" = None
-
-
-class RPCServer:
-    """Serve a DSLog catalog over the binary framed protocol.
-
-    The constructor mirrors :class:`~repro.service.server.LineageServer`
-    (same *executor* / *max_workers* / *cache_entries* / *coalesce_ms*
-    knobs, same optional pre-built *core* for transport sharing) plus
-    *fault_plan*, the injection hook used by the soak tests.
-    """
-
-    def __init__(
-        self,
-        log,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        executor: Optional[QueryExecutor] = None,
-        max_workers: Optional[int] = None,
-        cache_entries: int = DEFAULT_CACHE_ENTRIES,
-        coalesce_ms: Optional[float] = None,
-        core: Optional[ServiceCore] = None,
-        fault_plan=None,
-    ) -> None:
-        self._owns_core = core is None
-        self.core = core or ServiceCore(
-            log,
-            executor=executor,
-            max_workers=max_workers,
-            cache_entries=cache_entries,
-            coalesce_ms=coalesce_ms,
-        )
-        self.fault_plan = fault_plan
-        self._closing = False
-        self._tcp = _ThreadingTCPServer((host, port), _ConnectionHandler)
-        self._tcp.lineage_rpc = self
-        self.host, self.port = self._tcp.server_address[:2]
-        self._thread: Optional[threading.Thread] = None
-        self._closed = False
-
-    @property
-    def log(self):
-        return self.core.log
-
-    @property
-    def executor(self) -> QueryExecutor:
-        return self.core.executor
-
-    @property
-    def coalescer(self):
-        return self.core.coalescer
-
-    @property
-    def address(self) -> str:
-        return f"{self.host}:{self.port}"
-
-    @property
-    def url(self) -> str:
-        return f"rpc://{self.host}:{self.port}"
-
-    # -- request cycle ---------------------------------------------------
-    def _serve_one(
-        self, sock: socket.socket, opcode: int, request_id: int, payload: bytes, peer
-    ) -> None:
+    def _serve_one(self, opcode: int, request_id: int, payload: Union[bytes, Exception]) -> None:
+        """Answer one request frame; *payload* is its bytes, or the reason
+        the frame was refused unread."""
         started = time.monotonic()
         op_name = OPCODES.get(opcode, f"op{opcode}")
+        row = _HANDLERS.get(opcode)
         trace: Optional[tracing.Trace] = None
-        if opcode in _TRACED_OPS and tracing.tracing_enabled():
+        if row is not None and row.traced and tracing.tracing_enabled():
             trace = tracing.Trace("rpc", op=op_name)
         status = "ok"
         try:
-            handler = _HANDLERS.get(opcode)
-            if handler is None:
+            if isinstance(payload, Exception):
+                raise payload
+            if row is None:
                 raise ValueError(f"unknown RPC opcode {opcode}")
             body = decode_json(payload) if payload else {}
             if not isinstance(body, dict):
                 raise ValueError("the request payload must be a JSON object")
-            if trace is not None:
-                with trace.activate():
-                    response_payload = handler(self.core, body)
-            else:
-                response_payload = handler(self.core, body)
+            with trace.activate() if trace is not None else nullcontext():
+                response_payload = _ENCODERS[row.reply](row.run(self.server.core, body))
             response_op = opcode
         except Exception as error:  # noqa: BLE001 - must answer, never hang
             http_status, kind, message = error_info(error)
@@ -341,16 +238,14 @@ class RPCServer:
             op=op_name,
             status=status,
             ms=round(elapsed * 1000.0, 3),
-            client=peer[0],
+            client=self.client_address[0],
             trace_id=trace.trace_id if trace is not None else None,
         )
-        self._send_frame(sock, response_op, request_id, response_payload)
+        self._send_frame(encode_frame(response_op, request_id, response_payload))
 
-    def _send_frame(
-        self, sock: socket.socket, opcode: int, request_id: int, payload: bytes
-    ) -> None:
-        frame = encode_frame(opcode, request_id, payload)
-        plan = self.fault_plan
+    def _send_frame(self, frame: bytes) -> None:
+        sock: socket.socket = self.request
+        plan = self.server.fault_plan
         if plan is not None:
             # one consultation covers every rule kind at this site: stall
             # rules sleep in place, error/enospc rules raise, short_write
@@ -374,42 +269,39 @@ class RPCServer:
                 raise _ConnectionDropped()
         sock.sendall(frame)
 
-    # -- lifecycle -------------------------------------------------------
-    def start(self) -> "RPCServer":
-        """Serve on a daemon thread; returns self."""
-        if self._thread is None:
-            self._thread = threading.Thread(
-                target=self._tcp.serve_forever,
-                name="lineage-rpc",
-                kwargs={"poll_interval": 0.05},
-                daemon=True,
-            )
-            self._thread.start()
-        return self
 
-    def serve_forever(self) -> None:
-        """Serve on the calling thread (blocks; for dedicated processes)."""
-        self._tcp.serve_forever(poll_interval=0.05)
+class _RPCListener(_Listener, socketserver.ThreadingTCPServer):
+    fault_plan = None  # the RPCServer's injection hook
 
-    def close(self) -> None:
-        """Stop accepting, drop the serving thread, release the core."""
-        if self._closed:
-            return
-        self._closed = True
-        self._closing = True
-        self._tcp.shutdown()
-        self._tcp.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
-        if self._owns_core:
-            self.core.close()
 
-    def __enter__(self) -> "RPCServer":
-        return self.start()
+class RPCServer(_Server):
+    """Serve a DSLog catalog over the binary framed protocol.
 
-    def __exit__(self, *exc) -> None:
-        self.close()
+    *host* / *port* are the bind address (``port=0`` picks a free port; read
+    it, or the whole ``address``, off the server); *fault_plan* is the
+    injection hook used by the soak tests.  The other parameters are
+    :class:`~repro.service.server._Server`'s.
+    """
+
+    def __init__(
+        self,
+        log,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        executor: Optional[QueryExecutor] = None,
+        max_workers: Optional[int] = None,
+        cache_entries: int = DEFAULT_CACHE_ENTRIES,
+        coalesce_ms: Optional[float] = None,
+        core: Optional[ServiceCore] = None,
+        fault_plan=None,
+    ) -> None:
+        super().__init__(log, executor, max_workers, cache_entries, coalesce_ms, core)
+        self.fault_plan = fault_plan
+        listener = _RPCListener((host, port), _ConnectionHandler, self.core)
+        listener.fault_plan = fault_plan
+        self.host, self.port = self._listen(listener)
+        self.address = f"{self.host}:{self.port}"
+        self.url = f"rpc://{self.address}"
 
 
 # ----------------------------------------------------------------------
@@ -429,6 +321,15 @@ class _PooledConnection:
         self.next_request_id = (rid + 1) & 0xFFFFFFFF
         return rid
 
+    def read_reply(self, rid: int) -> Tuple[int, bytes]:
+        """The ``(opcode, payload)`` of the response to request *rid*."""
+        while True:
+            opcode, response_id, payload = read_frame(self.sock)
+            if response_id == rid:
+                return opcode, payload
+            # stale response from an abandoned request on a recycled
+            # connection: drop and keep reading
+
     def close(self) -> None:
         try:
             self.sock.close()
@@ -436,23 +337,23 @@ class _PooledConnection:
             pass
 
 
-class RPCClient:
+class RPCClient(_Client):
     """Pooled persistent-connection client for an :class:`RPCServer`.
 
     Connections are created on demand up to *pool_size*, parked in an idle
     pool between requests (LIFO, so the hottest socket stays hot) and
     re-dialed transparently when the server restarts or a frame is cut
-    short.  All requests are read-only, so transport failures re-send with
-    decorrelated-jitter backoff bounded by the attempt count and the retry
-    budget (:class:`~repro.service.retry.RetryPolicy`), then raise
-    :class:`~repro.service.server.LineageConnectionError`.  Structured
-    server failures (``OP_ERROR`` frames) raise
-    :class:`~repro.service.server.LineageServerError` immediately — the
-    same exception surface as the HTTP client.
+    short.  Retries and errors: :class:`~repro.service.server._Client` —
+    any socket-level failure is retried, a corrupt frame (``ValueError``)
+    is not (the stream is broken, not the transport), and an ``OP_ERROR``
+    frame raises :class:`~repro.service.server.LineageServerError`.
 
     Accepts ``"host:port"``, ``"rpc://host:port"`` or a ``(host, port)``
     tuple as *address*.
     """
+
+    _RETRYABLE = (OSError,)  # reset, refused, short read, timeout
+    _RENDEZVOUS = "ping"
 
     def __init__(
         self,
@@ -464,6 +365,7 @@ class RPCClient:
         retry_budget: Optional[float] = 10.0,
         pool_size: int = 4,
     ) -> None:
+        super().__init__(timeout, retries, backoff, jitter, retry_budget)
         if isinstance(address, str):
             trimmed = address
             if "//" in trimmed:
@@ -477,40 +379,12 @@ class RPCClient:
             self.host, self.port = host, int(port_text)
         else:
             self.host, self.port = address[0], int(address[1])
-        self.timeout = float(timeout)
-        self.retry = RetryPolicy(
-            retries=retries, backoff=backoff, jitter=jitter, retry_budget=retry_budget
-        )
+        self.address = f"{self.host}:{self.port}"
         self.pool_size = max(1, int(pool_size))
         self._lock = threading.Lock()
         self._idle: List[_PooledConnection] = []
         self._closed = False
-        self.requests_sent = 0
-        self.retries_used = 0
         self.dials = 0
-
-    @property
-    def address(self) -> str:
-        return f"{self.host}:{self.port}"
-
-    @classmethod
-    def connect(
-        cls, address: Union[str, Tuple[str, int]], timeout: float = 10.0, **kwargs
-    ) -> "RPCClient":
-        """Build a client and wait (up to *timeout* seconds) for the server
-        to answer a ping — the rendezvous for freshly spawned servers."""
-        client = cls(address, **kwargs)
-        deadline = time.monotonic() + float(timeout)
-        while True:
-            try:
-                client.ping()
-                return client
-            except (LineageConnectionError, LineageServerError):
-                if time.monotonic() >= deadline:
-                    raise LineageConnectionError(
-                        f"no RPC server answered at {client.address} within {timeout}s"
-                    ) from None
-                time.sleep(min(0.05, client.retry.backoff))
 
     # -- connection pool -------------------------------------------------
     def _acquire(self) -> _PooledConnection:
@@ -539,146 +413,43 @@ class RPCClient:
         for conn in idle:
             conn.close()
 
-    def __enter__(self) -> "RPCClient":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     # -- transport -------------------------------------------------------
-    def _request(self, opcode: int, body: Optional[dict] = None) -> Tuple[int, bytes]:
-        """One round trip; returns ``(response opcode, payload)``.
+    def _exchange(self, what: str, exchange: Callable[[_PooledConnection], Any]):
+        """Run *exchange* over a pooled connection, retrying transport
+        failures on a fresh one; whatever it raises, a connection that
+        failed mid-exchange is discarded, never returned to the pool."""
 
-        Transport failures (reset, refused, short read, timeout) discard
-        the connection and retry on a fresh one; a corrupt frame is not
-        retried (the stream is broken, not the transport)."""
-        payload = encode_json(body) if body is not None else b""
-        schedule = self.retry.schedule()
-        last_error: Optional[BaseException] = None
-        while True:
+        def attempt():
+            conn = self._acquire()
             try:
-                conn = self._acquire()
-            except OSError as error:
-                last_error = error
-            else:
-                rid = conn.take_request_id()
-                self.requests_sent += 1
-                try:
-                    conn.sock.sendall(encode_frame(opcode, rid, payload))
-                    while True:
-                        response_op, response_id, response_payload = read_frame(conn.sock)
-                        if response_id == rid:
-                            break
-                        # stale response from an abandoned request on a
-                        # recycled connection: drop and keep reading
-                except (ConnectionError, socket.timeout, TimeoutError) as error:
-                    conn.close()
-                    last_error = error
-                except ValueError:
-                    conn.close()
-                    raise
-                except OSError as error:
-                    conn.close()
-                    last_error = error
-                else:
-                    self._release(conn)
-                    if response_op == OP_ERROR:
-                        raise self._server_error(response_payload)
-                    return response_op, response_payload
-            if not schedule.sleep():
-                raise LineageConnectionError(
-                    f"RPC {OPCODES.get(opcode, opcode)} to {self.address} failed "
-                    f"after {schedule.describe()}: {last_error}"
-                ) from last_error
-            self.retries_used += 1
+                result = exchange(conn)
+            except BaseException:
+                conn.close()
+                raise
+            self._release(conn)
+            return result
 
-    @staticmethod
-    def _server_error(payload: bytes) -> LineageServerError:
-        try:
-            info = decode_json(payload)
-            return LineageServerError(info["status"], info["type"], info["message"])
-        except Exception:  # noqa: BLE001 - malformed error frame
-            return LineageServerError(
-                500, "internal", payload.decode("utf-8", "replace")
-            )
+        return self._retrying(what, attempt)
 
-    # -- API -------------------------------------------------------------
+    def call(self, name: str, body: Optional[dict] = None):
+        opcode = _OPCODE_OF[name]
+        payload = encode_json(body) if body is not None else b""
+
+        def exchange(conn: _PooledConnection) -> Tuple[int, bytes]:
+            rid = conn.take_request_id()
+            self.requests_sent += 1
+            conn.sock.sendall(encode_frame(opcode, rid, payload))
+            return conn.read_reply(rid)
+
+        response_op, reply = self._exchange(f"RPC {name} to {self.address}", exchange)
+        if response_op == OP_ERROR:
+            info = _error_fields(reply)
+            raise LineageServerError(info["status"], info["type"], info["message"])
+        return _DECODERS[ENDPOINTS[name].reply](reply)
+
+    # -- API (the endpoint methods are _Client's) --------------------------
     def ping(self) -> None:
-        self._request(OP_PING)
-
-    def prov_query(
-        self,
-        path: Sequence[str],
-        cells: Optional[Sequence] = None,
-        slices: Optional[Sequence] = None,
-        merge: bool = True,
-        include_boxes: bool = True,
-        include_cells: bool = False,
-        deadline: Optional[float] = None,
-    ) -> RPCResult:
-        """Run a lineage query; returns a zero-copy
-        :class:`~repro.service.wire.RPCResult` (mapping-compatible with
-        the HTTP client's result dict)."""
-        body: Dict[str, Any] = {"path": list(path), "merge": merge}
-        if cells is not None:
-            body["cells"] = [list(cell) for cell in cells]
-        if slices is not None:
-            body["slices"] = [list(pair) if pair is not None else None for pair in slices]
-        body["include_boxes"] = include_boxes
-        body["include_cells"] = include_cells
-        if deadline is not None:
-            body["deadline"] = deadline
-        _, payload = self._request(OP_QUERY, body)
-        return decode_result(payload)
-
-    @staticmethod
-    def _normalize_queries(
-        queries: Sequence[Any],
-        merge: bool,
-        include_boxes: bool,
-        include_cells: bool,
-    ) -> List[dict]:
-        """``(path, cells)`` tuples / raw body dicts → query body dicts."""
-        bodies: List[dict] = []
-        for item in queries:
-            if isinstance(item, dict):
-                entry = dict(item)
-            else:
-                path, cells = item
-                entry = {
-                    "path": list(path),
-                    "cells": [
-                        list(cell) if isinstance(cell, (list, tuple)) else cell
-                        for cell in cells
-                    ],
-                }
-            entry.setdefault("merge", merge)
-            entry.setdefault("include_boxes", include_boxes)
-            entry.setdefault("include_cells", include_cells)
-            bodies.append(entry)
-        return bodies
-
-    def prov_query_batch(
-        self,
-        queries: Sequence[Any],
-        merge: bool = True,
-        include_boxes: bool = True,
-        include_cells: bool = False,
-        deadline: Optional[float] = None,
-    ) -> List[Union[RPCResult, dict]]:
-        """Run many queries in one round trip; one entry per query, in
-        order — an :class:`~repro.service.wire.RPCResult`, or the
-        ``{"error": {...}}`` dict for queries that failed individually."""
-        body: Dict[str, Any] = {
-            "queries": self._normalize_queries(
-                queries, merge, include_boxes, include_cells
-            )
-        }
-        if deadline is not None:
-            body["deadline"] = deadline
-        _, payload = self._request(OP_QUERY_BATCH, body)
-        results, _ = decode_batch(payload)
-        return results
+        self.call("ping")
 
     def prov_query_pipelined(
         self,
@@ -709,34 +480,10 @@ class RPCClient:
             )
         ]
         window = max(1, int(window))
-        schedule = self.retry.schedule()
-        last_error: Optional[BaseException] = None
-        while True:
-            try:
-                conn = self._acquire()
-            except OSError as error:
-                last_error = error
-            else:
-                try:
-                    results = self._pipeline_once(conn, payloads, window)
-                except (ConnectionError, socket.timeout, TimeoutError) as error:
-                    conn.close()
-                    last_error = error
-                except ValueError:
-                    conn.close()
-                    raise
-                except OSError as error:
-                    conn.close()
-                    last_error = error
-                else:
-                    self._release(conn)
-                    return results
-            if not schedule.sleep():
-                raise LineageConnectionError(
-                    f"pipelined RPC query to {self.address} failed after "
-                    f"{schedule.describe()}: {last_error}"
-                ) from last_error
-            self.retries_used += 1
+        return self._exchange(
+            f"pipelined RPC query to {self.address}",
+            lambda conn: self._pipeline_once(conn, payloads, window),
+        )
 
     def _pipeline_once(
         self, conn: _PooledConnection, payloads: Sequence[bytes], window: int
@@ -755,69 +502,27 @@ class RPCClient:
                     sent += 1
                 conn.sock.sendall(b"".join(burst))
             index, rid = pending.popleft()
-            while True:
-                op, response_id, payload = read_frame(conn.sock)
-                if response_id == rid:
-                    break
-                # stale response from an abandoned request on a recycled
-                # connection: drop and keep reading
+            op, payload = conn.read_reply(rid)
             if op == OP_ERROR:
-                try:
-                    results[index] = {"error": decode_json(payload)}
-                except ValueError:
-                    results[index] = {
-                        "error": {
-                            "status": 500,
-                            "type": "internal",
-                            "message": payload.decode("utf-8", "replace"),
-                        }
-                    }
+                results[index] = {"error": _error_fields(payload)}
             else:
                 results[index] = decode_result(payload)
         return results
-
-    def impact(self, name: str) -> Dict[str, int]:
-        _, payload = self._request(OP_IMPACT, {"array": name})
-        return decode_json(payload)["impact"]
-
-    def dependencies(self, name: str) -> Dict[str, int]:
-        _, payload = self._request(OP_DEPENDENCIES, {"array": name})
-        return decode_json(payload)["dependencies"]
-
-    def lineage_summary(self) -> dict:
-        _, payload = self._request(OP_SUMMARY)
-        return decode_json(payload)
-
-    def healthz(self) -> dict:
-        _, payload = self._request(OP_HEALTHZ)
-        return decode_json(payload)
-
-    def scrub(self, repair: bool = False) -> dict:
-        _, payload = self._request(OP_SCRUB, {"repair": repair})
-        return decode_json(payload)["scrub"]
-
-    def metrics_text(self) -> str:
-        _, payload = self._request(OP_METRICS)
-        return payload.decode("utf-8")
-
-    def traces(self, limit: Optional[int] = None) -> list:
-        body = {"limit": limit} if limit is not None else None
-        _, payload = self._request(OP_TRACES, body)
-        return decode_json(payload)["traces"]
 
 
 # ----------------------------------------------------------------------
 # both transports over one core
 # ----------------------------------------------------------------------
-class DualServer:
+class DualServer(_Server):
     """One catalog served over HTTP *and* RPC simultaneously — what
     ``DSLog.serve(transport="both")`` returns.
 
-    Both servers wrap one shared :class:`~repro.service.api.ServiceCore`,
-    so they answer identically and share the executor, the result cache
-    (a query cached via HTTP is a cache hit via RPC and vice versa) and
-    the optional coalescer.  The core is owned here and released once,
-    after both transports stop.
+    :attr:`http` and :attr:`rpc` borrow the one
+    :class:`~repro.service.api.ServiceCore` owned here, so they answer
+    identically and share the executor, the result cache (a query cached
+    via HTTP is a cache hit via RPC and vice versa) and the optional
+    coalescer; this server runs both their listeners and releases the core
+    once, after both have stopped.
     """
 
     def __init__(
@@ -832,55 +537,11 @@ class DualServer:
         coalesce_ms: Optional[float] = None,
         fault_plan=None,
     ) -> None:
-        self.core = ServiceCore(
-            log,
-            executor=executor,
-            max_workers=max_workers,
-            cache_entries=cache_entries,
-            coalesce_ms=coalesce_ms,
-        )
+        super().__init__(log, executor, max_workers, cache_entries, coalesce_ms)
         self.http = LineageServer(log, host=host, port=http_port, core=self.core)
         self.rpc = RPCServer(
             log, host=host, port=rpc_port, core=self.core, fault_plan=fault_plan
         )
-        self._closed = False
-
-    @property
-    def log(self):
-        return self.core.log
-
-    @property
-    def executor(self) -> QueryExecutor:
-        return self.core.executor
-
-    @property
-    def coalescer(self):
-        return self.core.coalescer
-
-    @property
-    def url(self) -> str:
-        """The HTTP URL (the RPC address is :attr:`rpc_address`)."""
-        return self.http.url
-
-    @property
-    def rpc_address(self) -> str:
-        return self.rpc.address
-
-    def start(self) -> "DualServer":
-        self.http.start()
-        self.rpc.start()
-        return self
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self.http.close()
-        self.rpc.close()
-        self.core.close()
-
-    def __enter__(self) -> "DualServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+        self._listeners = self.http._listeners + self.rpc._listeners
+        self.url = self.http.url  # the HTTP URL; the RPC one is rpc_address
+        self.rpc_address = self.rpc.address

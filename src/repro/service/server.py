@@ -1,59 +1,79 @@
-"""The HTTP lineage server and client (``LineageServer`` / ``LineageClient``).
+"""The serving tier: the lifecycle and client core both transports share,
+and the HTTP transport (``LineageServer`` / ``LineageClient``).
 
 Everything before this module answered queries in-process; the serving
 tier makes the catalog reachable from other processes with nothing beyond
-the stdlib: a :class:`http.server.ThreadingHTTPServer` fronting the shared
-:class:`~repro.service.api.ServiceCore` (one handler thread per
-connection, all sharing the core's executor, result cache and optional
-coalescer), and a thin ``http.client``-based client with **persistent
-keep-alive connections** (one per calling thread, transparently re-dialed
-when the server restarts) and bounded retry on transport failures.
+the stdlib.  Which file owns what:
 
-This module is one of two transports over the same service layer — the
-binary RPC tier (:mod:`repro.service.rpc`) is the other.  Pick HTTP for
-interoperability (curl, browsers, load balancers); pick RPC when the
-round trip itself is the cost that matters.
+* :mod:`repro.service.api` — the endpoint table (:data:`~repro.service.
+  api.ENDPOINTS`), argument validation, the error taxonomy and the
+  :class:`~repro.service.api.ServiceCore` every request runs against;
+* this module — what a server is whatever it speaks (:class:`_Server`: core
+  ownership, listener threads, ``start`` / ``serve_forever`` / ``close``,
+  hanging up on open connections) and what a client is whatever it speaks
+  (:class:`_Client`: retry policy and loop, ``connect`` rendezvous, request
+  building, one method per endpoint over a transport's ``call``); then the
+  HTTP codec and sockets: a :class:`http.server.ThreadingHTTPServer` (one
+  handler thread per connection) and an ``http.client`` client with
+  **persistent keep-alive connections**, one per calling thread;
+* :mod:`repro.service.rpc` — the binary codec and sockets: framed
+  persistent connections, a pooled client, pipelining.
 
-JSON API
---------
-=======================  ====  =====================================================
-``/query``               POST  ``{"path": [...], "cells": [[i, j], ...]}`` or
-                               ``{"path": [...], "slices": [[start, stop], ...]}``
-                               (+ optional ``"merge"``, ``"include_boxes"``,
-                               ``"include_cells"``) → result boxes, exact cell
-                               count, per-hop stats, ``"cached"`` flag
-``/query_batch``         POST  ``{"queries": [<query body>, ...]}`` → one
-                               ``results`` entry per query (a result payload or
-                               a per-item ``{"error": ...}``); the server runs
-                               each resolved path's queries as a single batched
-                               θ-join pass
-``/graph/impact``        GET   ``?array=NAME`` → downstream closure with hop counts
-``/graph/dependencies``  GET   ``?array=NAME`` → upstream closure with hop counts
-``/graph/summary``       GET   whole-catalog summary (roots, leaves, fan-in/out…)
-``/healthz``             GET   liveness + catalog size, durable generation vector,
-                               cache/executor stats, per-shard circuit-breaker
-                               states (``"status": "degraded"`` while any breaker
-                               is open)
-``/metrics``             GET   the whole :data:`repro.obs.REGISTRY` in Prometheus
-                               text exposition format (``text/plain;
-                               version=0.0.4``) — the only non-JSON endpoint
-``/debug/traces``        GET   recently finished traces, newest first
-                               (``?limit=N`` caps the reply); spans carry wall
-                               time and tags (shard, cache outcome, fault site)
-``/admin/scrub``         POST  ``{"repair": bool}`` (body optional) → full scrub
-                               report; with ``"repair": true`` the catalog is
-                               healed in place (:mod:`repro.storage.scrub`)
-=======================  ====  =====================================================
+Pick HTTP for interoperability (curl, browsers, load balancers); pick RPC
+when the round trip itself is the cost that matters.
 
-Every failure returns a *structured* JSON payload — ``{"error": {"type",
-"message"}}`` with a matching status code (400 malformed request, 404
-unknown array or endpoint, 405 wrong method, 413 a declared body above
-:data:`MAX_BODY_BYTES`, refused unread, 500 internal; plus the fault
-taxonomy: 504 ``deadline-exceeded``, 503 ``shard-unavailable`` /
-``overloaded`` / ``io-error``) — never a hung socket: the handler catches
+The API
+-------
+One table, two wires.  *op* is the RPC opcode name (:data:`repro.service.
+wire.OPCODES`); *traced* rows open a per-request trace.
+
+===============  ====  =======================  ======  ==========================================
+op               HTTP  route                    traced  request → reply
+===============  ====  =======================  ======  ==========================================
+``query``        POST  ``/query``               yes     ``{"path": [...], "cells": [[i, j], ...]}``
+                                                        or ``{"path": [...], "slices": [[start,
+                                                        stop], ...]}`` (+ optional ``"merge"``,
+                                                        ``"include_boxes"``, ``"include_cells"``,
+                                                        ``"deadline"``) → result boxes, exact cell
+                                                        count, per-hop stats, ``"cached"`` flag
+``query_batch``  POST  ``/query_batch``         yes     ``{"queries": [<query body>, ...]}`` → one
+                                                        ``results`` entry per query (a result or a
+                                                        per-item ``{"error": ...}``); each resolved
+                                                        path's queries run as one batched θ-join
+``impact``       GET   ``/graph/impact``        yes     ``array=NAME`` → downstream closure, hop counts
+``dependencies`` GET   ``/graph/dependencies``  yes     ``array=NAME`` → upstream closure, hop counts
+``summary``      GET   ``/graph/summary``       yes     whole-catalog summary (roots, leaves, fan-in…)
+``healthz``      GET   ``/healthz``             no      liveness + catalog size, durable generation
+                                                        vector, cache/executor stats, per-shard
+                                                        circuit-breaker states (``"status":
+                                                        "degraded"`` while any breaker is open)
+``metrics``      GET   ``/metrics``             no      the whole :data:`repro.obs.REGISTRY` in
+                                                        Prometheus text exposition format
+                                                        (``text/plain; version=0.0.4``) — the only
+                                                        non-JSON reply
+``traces``       GET   ``/debug/traces``        no      recently finished traces, newest first
+                                                        (``limit=N`` caps the reply); spans carry
+                                                        wall time and tags (shard, cache outcome,
+                                                        fault site)
+``scrub``        POST  ``/admin/scrub``         yes     ``{"repair": bool}`` (body optional) → full
+                                                        scrub report; with ``"repair": true`` the
+                                                        catalog is healed in place
+                                                        (:mod:`repro.storage.scrub`)
+``ping``         —     —                        no      RPC only: an empty frame, echoed
+===============  ====  =======================  ======  ==========================================
+
+GET arguments travel in the query string, POST arguments in a JSON body,
+RPC arguments in the frame's JSON payload; the checks are the same code.
+
+Every failure returns a *structured* payload — over HTTP ``{"error":
+{"type", "message"}}`` with a matching status code (400 malformed request,
+404 unknown array or endpoint, 405 wrong method, 413 a declared body above
+:data:`~repro.service.api.MAX_BODY_BYTES`, refused unread, 500 internal;
+plus the fault taxonomy: 504 ``deadline-exceeded``, 503 ``shard-unavailable``
+/ ``overloaded`` / ``io-error``) — never a hung socket: the handler catches
 everything, and the server always finishes the response it started.
-``/query`` responses carry a ``"degraded"`` flag: ``true`` means the home
-shard was unavailable and a stale cached result was served instead
+Query replies carry a ``"degraded"`` flag: ``true`` means the home shard
+was unavailable and a stale cached result was served instead
 (:class:`~repro.service.query.QueryExecutor`'s circuit-breaker path).
 
 Construction sugar: ``DSLog.serve(port)`` / ``LineageService.serve(port)``
@@ -68,18 +88,20 @@ import json
 import socket
 import threading
 import time
-import urllib.error
 import urllib.parse
+from contextlib import nullcontext
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..obs import REGISTRY, log_event, tracing
 from .api import (
+    ENDPOINTS,
+    MAX_BODY_BYTES,
     BadJson,
     BodyTooLarge,
+    Endpoint,
     QueryCoalescer,
     ServiceCore,
-    annotate_outcome,
     error_info,
     result_payload,
 )
@@ -97,26 +119,12 @@ _HTTP_SECONDS = REGISTRY.histogram(
     labelnames=("endpoint",),
 )
 
-# endpoints that open a per-request trace (the observability surfaces
-# themselves — /metrics, /debug/traces, /healthz — would only self-spam)
-# request bodies are small JSON (a 64-query batch of 256-cell queries is
-# ~100 KB); a Content-Length above this is refused without reading it
-MAX_BODY_BYTES = 16 * 1024 * 1024
-
-_TRACED_ENDPOINTS = {
-    "/query",
-    "/query_batch",
-    "/graph/impact",
-    "/graph/dependencies",
-    "/graph/summary",
-    "/admin/scrub",
-}
-
 __all__ = [
     "LineageServer",
     "LineageClient",
     "LineageServerError",
     "LineageConnectionError",
+    "MAX_BODY_BYTES",
     "QueryCoalescer",
     "result_payload",
 ]
@@ -133,12 +141,198 @@ class LineageServerError(RuntimeError):
 
 
 class LineageConnectionError(ConnectionError):
-    """The client exhausted its transport retries without an HTTP response."""
+    """The client exhausted its transport retries without a response."""
 
 
 # ----------------------------------------------------------------------
-# server
+# the server lifecycle (either transport, or both over one core)
 # ----------------------------------------------------------------------
+class _Listener:
+    """``socketserver`` mix-in for a transport's listening socket: carries
+    the core its handler threads serve from and remembers every established
+    connection, so that a closing server can hang up on idle keep-alive and
+    pooled peers instead of leaving their threads to answer from a released
+    core."""
+
+    daemon_threads = True
+    allow_reuse_address = True
+
+    def __init__(self, address: Tuple[str, int], handler, core: ServiceCore) -> None:
+        self.core = core
+        self._open: set = set()
+        self._open_lock = threading.Lock()
+        super().__init__(address, handler)
+
+    def process_request(self, request, client_address) -> None:
+        with self._open_lock:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._open_lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def hang_up(self) -> None:
+        """Shut down every open connection: a handler blocked in a read sees
+        EOF and exits, a peer mid-request sees a reset and re-dials."""
+        with self._open_lock:
+            connections = list(self._open)
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # the peer already went away
+
+
+class _Server:
+    """What every server is, whatever it speaks: the owner (or borrower) of
+    one :class:`~repro.service.api.ServiceCore` and of the listeners that
+    serve from it.
+
+    Parameters
+    ----------
+    log:
+        The :class:`~repro.dslog.DSLog` to serve (memory or durable).  The
+        server only reads; a colocated writer keeps ingesting through the
+        same log object and the result cache invalidates per touched shard.
+    executor:
+        A pre-built :class:`QueryExecutor` to share; by default the server
+        owns one (and closes it on :meth:`close`).
+    max_workers / cache_entries:
+        Forwarded to the owned executor.
+    coalesce_ms:
+        Opt-in request coalescing (see :class:`~repro.service.api.ServiceCore`).
+    core:
+        A pre-built :class:`~repro.service.api.ServiceCore` to serve — how
+        :class:`~repro.service.rpc.DualServer` makes HTTP and RPC share one
+        executor and cache.  Mutually exclusive with *executor* /
+        *max_workers* / *cache_entries* / *coalesce_ms*; a borrowed core is
+        not closed by this server.
+    """
+
+    def __init__(
+        self,
+        log,
+        executor: Optional[QueryExecutor],
+        max_workers: Optional[int],
+        cache_entries: int,
+        coalesce_ms: Optional[float],
+        core: Optional[ServiceCore] = None,
+    ) -> None:
+        self._owns_core = core is None
+        self.core = core or ServiceCore(
+            log,
+            executor=executor,
+            max_workers=max_workers,
+            cache_entries=cache_entries,
+            coalesce_ms=coalesce_ms,
+        )
+        self._listeners: List[_Listener] = []
+        self._threads: List[threading.Thread] = []
+        self._closed = False
+
+    def _listen(self, listener: _Listener) -> Tuple[str, int]:
+        """Adopt a bound listener; returns the ``(host, port)`` it got."""
+        self._listeners.append(listener)
+        return listener.server_address[:2]
+
+    @property
+    def log(self):
+        return self.core.log
+
+    @property
+    def executor(self) -> QueryExecutor:
+        return self.core.executor
+
+    @property
+    def coalescer(self) -> Optional[QueryCoalescer]:
+        return self.core.coalescer
+
+    def start(self):
+        """Serve on daemon threads; returns self (``server = log.serve()``)."""
+        if not self._threads:
+            for listener in self._listeners:
+                thread = threading.Thread(
+                    target=listener.serve_forever,
+                    name="lineage-listener",
+                    kwargs={"poll_interval": 0.05},
+                    daemon=True,
+                )
+                thread.start()
+                self._threads.append(thread)
+        return self
+
+    def serve_forever(self) -> None:
+        """Serve until :meth:`close` (blocks; for dedicated processes)."""
+        for thread in self.start()._threads:
+            thread.join()
+
+    def close(self) -> None:
+        """Stop accepting, hang up on every open connection, join the
+        serving threads, release the core (when owned)."""
+        if self._closed:
+            return
+        self._closed = True
+        for listener in self._listeners:
+            if self._threads:  # shutdown() waits for a loop that must have run
+                listener.shutdown()
+            listener.server_close()
+            listener.hang_up()
+        for thread in self._threads:
+            thread.join(timeout=5)
+        if self._owns_core:
+            self.core.close()
+
+    def __enter__(self):
+        return self.start()
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+# ----------------------------------------------------------------------
+# the HTTP server
+# ----------------------------------------------------------------------
+def _outcome_fields(outcome, spec, elapsed_ms: Optional[float] = None) -> dict:
+    """A query outcome as its JSON result payload plus the outcome flags."""
+    payload = result_payload(
+        outcome.result,
+        include_boxes=spec.include_boxes,
+        include_cells=spec.include_cells,
+    )
+    payload["cached"] = outcome.cached
+    payload["degraded"] = outcome.degraded
+    if elapsed_ms is not None:
+        payload["elapsed_ms"] = elapsed_ms
+    return payload
+
+
+def _batch_fields(entries: list, elapsed_ms: float) -> dict:
+    return {
+        "results": [
+            entry if isinstance(entry, dict) else _outcome_fields(*entry)
+            for entry in entries
+        ],
+        "batch_size": len(entries),
+        "elapsed_ms": elapsed_ms,
+    }
+
+
+# one encoder per reply kind: reply → body text (JSON, but for "text")
+_ENCODERS: Dict[str, Callable[[Any], str]] = {
+    "json": json.dumps,
+    "text": str,
+    "query": lambda reply: json.dumps(_outcome_fields(*reply)),
+    "batch": lambda reply: json.dumps(_batch_fields(*reply)),
+}
+_TEXT = "text/plain; version=0.0.4; charset=utf-8"
+_JSON = "application/json"
+_ROUTES: Dict[Tuple[str, str], Endpoint] = {
+    (row.method, row.route): row for row in ENDPOINTS.values() if row.route is not None
+}
+
+
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "dslog-lineage"
@@ -147,9 +341,6 @@ class _Handler(BaseHTTPRequestHandler):
     # small-write sequence that trips the ~40 ms delayed-ACK stall
     wbufsize = 64 * 1024
     disable_nagle_algorithm = True
-
-    # the LineageServer installs itself here on the subclass it creates
-    lineage: "LineageServer" = None
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         # BaseHTTPRequestHandler's per-response log line, routed through
@@ -165,15 +356,7 @@ class _Handler(BaseHTTPRequestHandler):
         )
 
     # -- plumbing -------------------------------------------------------
-    def _send_json(self, status: int, payload: dict) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_text(self, status: int, text: str, content_type: str) -> None:
+    def _send(self, status: int, content_type: str, text: str) -> None:
         body = text.encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", content_type)
@@ -182,7 +365,7 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _send_error_payload(self, status: int, kind: str, message: str) -> None:
-        self._send_json(status, {"error": {"type": kind, "message": message}})
+        self._send(status, _JSON, json.dumps({"error": {"type": kind, "message": message}}))
 
     def _read_body(self) -> dict:
         declared = (self.headers.get("Content-Length") or "").strip()
@@ -212,9 +395,8 @@ class _Handler(BaseHTTPRequestHandler):
     def _dispatch(self, method: str) -> None:
         parsed = urllib.parse.urlparse(self.path)
         endpoint = parsed.path.rstrip("/") or "/"
-        route = (method, endpoint)
-        handler = _ROUTES.get(route)
-        if handler is None:
+        row = _ROUTES.get((method, endpoint))
+        if row is None:
             if any(existing[1] == endpoint for existing in _ROUTES):
                 self._send_error_payload(
                     405, "method-not-allowed", f"{method} is not supported on {parsed.path}"
@@ -229,9 +411,9 @@ class _Handler(BaseHTTPRequestHandler):
             return
         started = time.monotonic()
         trace: Optional[tracing.Trace] = None
-        if endpoint in _TRACED_ENDPOINTS and tracing.tracing_enabled():
+        if row.traced and tracing.tracing_enabled():
             trace = tracing.Trace("http", endpoint=endpoint, method=method)
-        status = self._run_route(handler, parsed, trace)
+        status = self._answer(row, parsed.query, trace)
         elapsed = time.monotonic() - started
         if trace is not None:
             trace.set_tag("status", status)
@@ -249,26 +431,29 @@ class _Handler(BaseHTTPRequestHandler):
             trace_id=trace.trace_id if trace is not None else None,
         )
 
-    def _run_route(self, handler, parsed, trace: "Optional[tracing.Trace]") -> int:
-        """Execute one route handler inside the request's trace context and
-        send the response (JSON, or raw text for ``(content_type, text)``
-        payloads like /metrics); returns the HTTP status actually sent."""
+    def _run(self, row: Endpoint, query: str) -> str:
+        """Gather the row's arguments (query string of a GET, JSON body of
+        a POST), run it against the core and encode its reply."""
+        if row.method == "GET":
+            args = {key: values[0] for key, values in urllib.parse.parse_qs(query).items()}
+        elif row.bare_ok and (self.headers.get("Content-Length") or "0").strip() == "0":
+            args = {}
+        else:
+            args = self._read_body()
+        return _ENCODERS[row.reply](row.run(self.server.core, args))
+
+    def _answer(self, row: Endpoint, query: str, trace: "Optional[tracing.Trace]") -> int:
+        """Run one routed request inside its trace context and send the
+        response; returns the HTTP status actually sent."""
         try:
-            if trace is not None:
-                with trace.activate():
-                    status, payload = handler(self.lineage, self, parsed)
-            else:
-                status, payload = handler(self.lineage, self, parsed)
+            with trace.activate() if trace is not None else nullcontext():
+                text = self._run(row, query)
         except Exception as error:  # noqa: BLE001 - must never hang the socket
             status, kind, message = error_info(error)
             self._send_error_payload(status, kind, message)
             return status
-        if isinstance(payload, tuple):
-            content_type, text = payload
-            self._send_text(status, text, content_type)
-        else:
-            self._send_json(status, payload)
-        return status
+        self._send(200, _TEXT if row.reply == "text" else _JSON, text)
+        return 200
 
     def do_GET(self) -> None:  # noqa: N802 - stdlib naming
         self._dispatch("GET")
@@ -277,129 +462,15 @@ class _Handler(BaseHTTPRequestHandler):
         self._dispatch("POST")
 
 
-def _route_query(server: "LineageServer", handler: _Handler, parsed) -> Tuple[int, dict]:
-    body = handler._read_body()
-    start = time.monotonic()
-    outcome, spec = server.core.execute_query(body)
-    payload = result_payload(
-        outcome.result,
-        include_boxes=spec.include_boxes,
-        include_cells=spec.include_cells,
-    )
-    return 200, annotate_outcome(payload, outcome, (time.monotonic() - start) * 1000.0)
+class _HTTPListener(_Listener, ThreadingHTTPServer):
+    pass
 
 
-def _route_query_batch(server: "LineageServer", handler: _Handler, parsed) -> Tuple[int, dict]:
-    body = handler._read_body()
-    start = time.monotonic()
-    specs, outcomes = server.core.execute_query_batch(body)
-    elapsed_ms = (time.monotonic() - start) * 1000.0
-    payload_results = []
-    for spec, outcome in zip(specs, outcomes):
-        if isinstance(outcome, BaseException):
-            status, kind, message = error_info(outcome)
-            payload_results.append(
-                {"error": {"type": kind, "message": message, "status": status}}
-            )
-            continue
-        entry = result_payload(
-            outcome.result,
-            include_boxes=spec.include_boxes,
-            include_cells=spec.include_cells,
-        )
-        entry["cached"] = outcome.cached
-        entry["degraded"] = outcome.degraded
-        payload_results.append(entry)
-    return 200, {
-        "results": payload_results,
-        "batch_size": len(specs),
-        "elapsed_ms": elapsed_ms,
-    }
-
-
-def _array_param(parsed) -> str:
-    params = urllib.parse.parse_qs(parsed.query)
-    values = params.get("array")
-    if not values or not values[0]:
-        raise ValueError("the 'array' query parameter is required")
-    return values[0]
-
-
-def _route_impact(server: "LineageServer", handler: _Handler, parsed) -> Tuple[int, dict]:
-    return 200, server.core.impact_payload(_array_param(parsed))
-
-
-def _route_dependencies(server: "LineageServer", handler: _Handler, parsed) -> Tuple[int, dict]:
-    return 200, server.core.dependencies_payload(_array_param(parsed))
-
-
-def _route_summary(server: "LineageServer", handler: _Handler, parsed) -> Tuple[int, dict]:
-    return 200, server.core.summary_payload()
-
-
-def _route_healthz(server: "LineageServer", handler: _Handler, parsed) -> Tuple[int, dict]:
-    return 200, server.core.healthz_payload()
-
-
-def _route_metrics(server: "LineageServer", handler: _Handler, parsed) -> Tuple[int, tuple]:
-    return 200, ("text/plain; version=0.0.4; charset=utf-8", server.core.metrics_text())
-
-
-def _route_traces(server: "LineageServer", handler: _Handler, parsed) -> Tuple[int, dict]:
-    params = urllib.parse.parse_qs(parsed.query)
-    limit = None
-    if params.get("limit"):
-        try:
-            limit = int(params["limit"][0])
-        except ValueError:
-            raise ValueError("the 'limit' query parameter must be an integer") from None
-        if limit <= 0:
-            raise ValueError("the 'limit' query parameter must be positive")
-    return 200, server.core.traces_payload(limit)
-
-
-def _route_scrub(server: "LineageServer", handler: _Handler, parsed) -> Tuple[int, dict]:
-    body = handler._read_body() if handler.headers.get("Content-Length") else {}
-    return 200, server.core.scrub_payload(repair=bool(body.get("repair", False)))
-
-
-_ROUTES = {
-    ("POST", "/query"): _route_query,
-    ("POST", "/query_batch"): _route_query_batch,
-    ("GET", "/graph/impact"): _route_impact,
-    ("GET", "/graph/dependencies"): _route_dependencies,
-    ("GET", "/graph/summary"): _route_summary,
-    ("GET", "/healthz"): _route_healthz,
-    ("GET", "/metrics"): _route_metrics,
-    ("GET", "/debug/traces"): _route_traces,
-    ("POST", "/admin/scrub"): _route_scrub,
-}
-
-
-class LineageServer:
+class LineageServer(_Server):
     """Serve a DSLog catalog over HTTP.
 
-    Parameters
-    ----------
-    log:
-        The :class:`~repro.dslog.DSLog` to serve (memory or durable).  The server
-        only reads; a colocated writer keeps ingesting through the same log
-        object and the result cache invalidates per touched shard.
-    host / port:
-        Bind address; ``port=0`` picks a free port (see :attr:`url`).
-    executor:
-        A pre-built :class:`QueryExecutor` to share; by default the server
-        owns one (and closes it on :meth:`close`).
-    max_workers / cache_entries:
-        Forwarded to the owned executor.
-    coalesce_ms:
-        Opt-in request coalescing (see :class:`~repro.service.api.ServiceCore`).
-    core:
-        A pre-built :class:`~repro.service.api.ServiceCore` to serve —
-        how ``DSLog.serve(transport="both")`` makes HTTP and RPC share one
-        executor and cache.  Mutually exclusive with *executor* /
-        *max_workers* / *cache_entries* / *coalesce_ms*; the core is not
-        closed by this server.
+    *host* / *port* are the bind address; ``port=0`` picks a free port
+    (read it, or the whole ``url``, off the server).  The other parameters are :class:`_Server`'s.
     """
 
     def __init__(
@@ -413,109 +484,225 @@ class LineageServer:
         coalesce_ms: Optional[float] = None,
         core: Optional[ServiceCore] = None,
     ) -> None:
-        self._owns_core = core is None
-        self.core = core or ServiceCore(
-            log,
-            executor=executor,
-            max_workers=max_workers,
-            cache_entries=cache_entries,
-            coalesce_ms=coalesce_ms,
+        super().__init__(log, executor, max_workers, cache_entries, coalesce_ms, core)
+        self.host, self.port = self._listen(_HTTPListener((host, port), _Handler, self.core))
+        self.url = f"http://{self.host}:{self.port}"
+
+
+# ----------------------------------------------------------------------
+# the client core (either transport)
+# ----------------------------------------------------------------------
+class _Client:
+    """What every client is, whatever it speaks: a retry policy and the one
+    loop that applies it, the ``connect`` rendezvous, request building and
+    one method per endpoint — all over the transport's :meth:`call`.
+
+    All requests are read-only (and therefore idempotent), so transport
+    failures (the transport's ``_RETRYABLE`` exceptions) are retried on a
+    fresh connection with decorrelated-jitter backoff bounded by both an
+    attempt count and a total *retry_budget* of sleep seconds
+    (:class:`~repro.service.retry.RetryPolicy`) before
+    :class:`LineageConnectionError` is raised.  Structured server failures
+    raise :class:`LineageServerError` immediately, with the server's
+    ``status``, ``type`` and ``message``.
+    """
+
+    _RETRYABLE: Tuple[type, ...] = ()
+    _RENDEZVOUS = "healthz"  # the endpoint connect() polls
+
+    def __init__(
+        self,
+        timeout: float,
+        retries: int,
+        backoff: float,
+        jitter: float,
+        retry_budget: Optional[float],
+    ) -> None:
+        self.timeout = float(timeout)
+        self.retry = RetryPolicy(
+            retries=retries, backoff=backoff, jitter=jitter, retry_budget=retry_budget
         )
-        handler = type("LineageHandler", (_Handler,), {"lineage": self})
-        self._httpd = ThreadingHTTPServer((host, port), handler)
-        self._httpd.daemon_threads = True
-        self.host, self.port = self._httpd.server_address[:2]
-        self._thread: Optional[threading.Thread] = None
-        self._closed = False
+        self.requests_sent = 0
+        self.retries_used = 0
 
-    # the pre-core attribute surface, kept for callers and tests
-    @property
-    def log(self):
-        return self.core.log
+    @classmethod
+    def connect(cls, address, timeout: float = 10.0, **kwargs):
+        """Build a client and wait (up to *timeout* seconds) for the server
+        to answer — the rendezvous for freshly spawned server processes."""
+        client = cls(address, **kwargs)
+        deadline = time.monotonic() + float(timeout)
+        while True:
+            try:
+                client.call(cls._RENDEZVOUS)
+                return client
+            except (LineageConnectionError, LineageServerError):
+                if time.monotonic() >= deadline:
+                    raise LineageConnectionError(
+                        f"no lineage server answered at {address} within {timeout}s"
+                    ) from None
+                time.sleep(min(0.05, client.retry.backoff))
 
-    @property
-    def executor(self) -> QueryExecutor:
-        return self.core.executor
+    def call(self, name: str, body: Optional[dict] = None):
+        """One round trip to endpoint *name* (a key of :data:`~repro.
+        service.api.ENDPOINTS`); returns the decoded reply."""
+        raise NotImplementedError
 
-    @property
-    def coalescer(self) -> Optional[QueryCoalescer]:
-        return self.core.coalescer
+    def _retrying(self, what: str, attempt: Callable[[], Any]):
+        """Run *attempt* until it returns.  An attempt that raises one of
+        the transport's ``_RETRYABLE`` exceptions has already discarded its
+        connection; it is repeated after the schedule's next sleep."""
+        schedule = self.retry.schedule()
+        while True:
+            try:
+                return attempt()
+            except self._RETRYABLE as error:
+                last_error = error
+            if not schedule.sleep():
+                raise LineageConnectionError(
+                    f"{what} failed after {schedule.describe()}: {last_error}"
+                ) from last_error
+            self.retries_used += 1
 
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def start(self) -> "LineageServer":
-        """Serve on a daemon thread; returns self (``server = log.serve()``)."""
-        if self._thread is None:
-            self._thread = threading.Thread(
-                target=self._httpd.serve_forever,
-                name="lineage-http",
-                kwargs={"poll_interval": 0.05},
-                daemon=True,
-            )
-            self._thread.start()
+    def __enter__(self):
         return self
-
-    def serve_forever(self) -> None:
-        """Serve on the calling thread (blocks; for dedicated processes)."""
-        self._httpd.serve_forever(poll_interval=0.05)
-
-    def close(self) -> None:
-        """Stop accepting, join the serving thread, release the executor."""
-        if self._closed:
-            return
-        self._closed = True
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
-        if self._owns_core:
-            self.core.close()
-
-    def __enter__(self) -> "LineageServer":
-        return self.start()
 
     def __exit__(self, *exc) -> None:
         self.close()
 
+    # -- API ------------------------------------------------------------
+    def prov_query(
+        self,
+        path: Sequence[str],
+        cells: Optional[Sequence] = None,
+        slices: Optional[Sequence] = None,
+        merge: bool = True,
+        include_boxes: bool = True,
+        include_cells: bool = False,
+        deadline: Optional[float] = None,
+    ):
+        """Run a lineage query; returns the server's result (``boxes``,
+        exact ``count``, per-hop stats, ``cached`` and ``degraded`` flags)
+        — a dict over HTTP, a mapping-compatible zero-copy
+        :class:`~repro.service.wire.RPCResult` over RPC.  *deadline* bounds
+        the server-side fan-out — a slow shard turns into a structured 504,
+        never a hang."""
+        body: Dict[str, Any] = {"path": list(path), "merge": merge}
+        if cells is not None:
+            body["cells"] = [list(cell) for cell in cells]
+        if slices is not None:
+            body["slices"] = [list(pair) if pair is not None else None for pair in slices]
+        body["include_boxes"] = include_boxes
+        body["include_cells"] = include_cells
+        if deadline is not None:
+            body["deadline"] = deadline
+        return self.call("query", body)
+
+    @staticmethod
+    def _normalize_queries(
+        queries: Sequence[Any],
+        merge: bool,
+        include_boxes: bool,
+        include_cells: bool,
+    ) -> List[dict]:
+        """``(path, cells)`` tuples / raw body dicts → query body dicts."""
+        bodies: List[dict] = []
+        for item in queries:
+            if isinstance(item, dict):
+                entry = dict(item)
+            else:
+                path, cells = item
+                entry = {
+                    "path": list(path),
+                    "cells": [
+                        list(cell) if isinstance(cell, (list, tuple)) else cell
+                        for cell in cells
+                    ],
+                }
+            entry.setdefault("merge", merge)
+            entry.setdefault("include_boxes", include_boxes)
+            entry.setdefault("include_cells", include_cells)
+            bodies.append(entry)
+        return bodies
+
+    def prov_query_batch(
+        self,
+        queries: Sequence[Any],
+        merge: bool = True,
+        include_boxes: bool = True,
+        include_cells: bool = False,
+        deadline: Optional[float] = None,
+    ) -> list:
+        """Run many lineage queries in one round trip — the server executes
+        them as one θ-join pass per resolved path.
+
+        Each entry of *queries* is either a full request dict (the same
+        shape :meth:`prov_query` builds: ``path`` plus ``cells`` or
+        ``slices``, optionally overriding ``merge`` etc.) or a shorthand
+        ``(path, cells)`` pair.  Returns one entry per query, in order:
+        a result, or ``{"error": {...}}`` for queries that failed
+        individually (a bad query never fails its batch-mates).
+        """
+        body: Dict[str, Any] = {
+            "queries": self._normalize_queries(queries, merge, include_boxes, include_cells)
+        }
+        if deadline is not None:
+            body["deadline"] = deadline
+        return self.call("query_batch", body)
+
+    def impact(self, name: str) -> Dict[str, int]:
+        return self.call("impact", {"array": name})["impact"]
+
+    def dependencies(self, name: str) -> Dict[str, int]:
+        return self.call("dependencies", {"array": name})["dependencies"]
+
+    def lineage_summary(self) -> dict:
+        return self.call("summary")
+
+    def healthz(self) -> dict:
+        return self.call("healthz")
+
+    def scrub(self, repair: bool = False) -> dict:
+        """Run the server-side fsck; returns the scrub report.
+        ``repair=True`` heals the catalog in place."""
+        return self.call("scrub", {"repair": repair})["scrub"]
+
+    def metrics_text(self) -> str:
+        """The metrics registry as raw Prometheus exposition text (the one
+        endpoint whose reply is not JSON)."""
+        return self.call("metrics")
+
+    def traces(self, limit: Optional[int] = None) -> list:
+        """Recently finished traces, newest first."""
+        return self.call("traces", None if limit is None else {"limit": limit})["traces"]
+
 
 # ----------------------------------------------------------------------
-# client
+# the HTTP client
 # ----------------------------------------------------------------------
-# transport-level failures worth a retry: the server restarting, a listen
-# backlog reset, a half-closed keep-alive connection (RemoteDisconnected
-# is exactly the keep-alive case: the server hung up between requests)
-_RETRYABLE = (
-    ConnectionResetError,
-    ConnectionRefusedError,
-    ConnectionAbortedError,
-    BrokenPipeError,
-    http.client.RemoteDisconnected,
-    http.client.BadStatusLine,
-    http.client.CannotSendRequest,
-    http.client.ResponseNotReady,
-    socket.timeout,
-)
-
-
-class LineageClient:
+class LineageClient(_Client):
     """Stdlib HTTP client for a :class:`LineageServer` with **persistent
     connections**: each calling thread keeps one ``http.client.
     HTTPConnection`` alive across requests (HTTP/1.1 keep-alive), so the
     steady-state round trip pays no TCP connect/teardown — the connection
     is re-dialed transparently when the server restarts or the idle socket
-    is reset (``RemoteDisconnected``).
-
-    All requests are read-only (and therefore idempotent), so transport
-    failures are retried with decorrelated-jitter backoff bounded by both
-    an attempt count and a total *retry_budget* of sleep seconds
-    (:class:`~repro.service.retry.RetryPolicy`) before
-    :class:`LineageConnectionError` is raised.  HTTP-level errors are
-    parsed back into :class:`LineageServerError` with the server's
-    structured ``type`` and ``message``.
+    is reset (``RemoteDisconnected``).  Retries and errors: :class:`_Client`.
     """
+
+    # transport-level failures worth a retry: the server restarting, a
+    # listen backlog reset, a half-closed keep-alive connection
+    # (RemoteDisconnected is exactly the keep-alive case: the server hung
+    # up between requests)
+    _RETRYABLE = (
+        ConnectionResetError,
+        ConnectionRefusedError,
+        ConnectionAbortedError,
+        BrokenPipeError,
+        http.client.RemoteDisconnected,
+        http.client.BadStatusLine,
+        http.client.CannotSendRequest,
+        http.client.ResponseNotReady,
+        socket.timeout,
+    )
 
     def __init__(
         self,
@@ -526,69 +713,19 @@ class LineageClient:
         jitter: float = 0.5,
         retry_budget: Optional[float] = 10.0,
     ) -> None:
+        super().__init__(timeout, retries, backoff, jitter, retry_budget)
         self.url = url.rstrip("/")
         parsed = urllib.parse.urlsplit(self.url)
         if parsed.scheme not in ("http", ""):
             raise ValueError(f"LineageClient speaks http:// only, got {url!r}")
         self._host = parsed.hostname or "127.0.0.1"
         self._port = parsed.port or 80
-        self.timeout = float(timeout)
-        self.retry = RetryPolicy(
-            retries=retries, backoff=backoff, jitter=jitter, retry_budget=retry_budget
-        )
-        self.requests_sent = 0
-        self.retries_used = 0
         # one keep-alive connection per calling thread: threads fan out in
-        # parallel (the old one-connection-per-request behavior, minus the
-        # per-request dial), and every opened connection is registered so
-        # close() can drop them all
+        # parallel, and every opened connection is registered so close()
+        # can drop them all
         self._local = threading.local()
         self._conns_lock = threading.Lock()
         self._conns: List[http.client.HTTPConnection] = []
-
-    # retry/backoff knobs kept as (assignable) attributes for callers that
-    # tune an existing client
-    @property
-    def retries(self) -> int:
-        return self.retry.retries
-
-    @retries.setter
-    def retries(self, value: int) -> None:
-        self.retry.retries = int(value)
-
-    @property
-    def backoff(self) -> float:
-        return self.retry.backoff
-
-    @backoff.setter
-    def backoff(self, value: float) -> None:
-        self.retry.backoff = float(value)
-
-    @property
-    def retry_budget(self) -> Optional[float]:
-        return self.retry.retry_budget
-
-    @retry_budget.setter
-    def retry_budget(self, value: Optional[float]) -> None:
-        self.retry.retry_budget = None if value is None else float(value)
-
-    @classmethod
-    def connect(cls, url: str, timeout: float = 10.0, **kwargs) -> "LineageClient":
-        """Build a client and wait (up to *timeout* seconds) for the server
-        to answer ``/healthz`` — the rendezvous for freshly spawned server
-        processes."""
-        client = cls(url, **kwargs)
-        deadline = time.monotonic() + float(timeout)
-        while True:
-            try:
-                client.healthz()
-                return client
-            except (LineageConnectionError, LineageServerError):
-                if time.monotonic() >= deadline:
-                    raise LineageConnectionError(
-                        f"no lineage server answered at {client.url} within {timeout}s"
-                    ) from None
-                time.sleep(min(0.05, client.backoff))
 
     # -- transport ------------------------------------------------------
     def _connection(self) -> http.client.HTTPConnection:
@@ -632,162 +769,48 @@ class LineageClient:
             except OSError:
                 pass
 
-    def __enter__(self) -> "LineageClient":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def _request_raw(self, method: str, route: str, body: Optional[dict] = None):
-        """One request over the thread's persistent connection; returns
-        ``(status, raw bytes)``.  Transport failures are retried (the
-        connection is re-dialed); HTTP error statuses are returned to the
-        caller for structured parsing."""
-        data = None if body is None else json.dumps(body).encode("utf-8")
+    def _round_trip(self, method: str, route: str, data: Optional[bytes]) -> Tuple[int, bytes]:
+        """One attempt over the thread's persistent connection; a failed
+        one drops the connection, so the next attempt re-dials."""
+        self.requests_sent += 1
         headers = {"Content-Type": "application/json"} if data is not None else {}
-        schedule = self.retry.schedule()
-        last_error: Optional[BaseException] = None
-        while True:
-            self.requests_sent += 1
-            try:
-                # dial errors are retryable too: the connection is opened
-                # eagerly (to set TCP_NODELAY), inside the retry loop
-                conn = self._connection()
-                conn.request(method, route, body=data, headers=headers)
-                response = conn.getresponse()
-                # read fully so the connection is reusable for the next call
-                payload = response.read()
-                return response.status, payload
-            except _RETRYABLE as error:
-                last_error = error
-            except (http.client.HTTPException, OSError) as error:
-                # unexpected transport state (half-written request, DNS
-                # failure): not retryable-by-policy, but the connection is
-                # poisoned either way
-                self._drop_connection()
-                raise LineageConnectionError(str(error)) from error
-            self._drop_connection()
-            if not schedule.sleep():
-                raise LineageConnectionError(
-                    f"{method} {route} failed after {schedule.describe()}: {last_error}"
-                ) from last_error
-            self.retries_used += 1
-
-    def _request(self, method: str, route: str, body: Optional[dict] = None) -> dict:
-        status, payload = self._request_raw(method, route, body)
-        if status >= 400:
-            raise self._server_error(status, payload)
-        return json.loads(payload.decode("utf-8"))
-
-    @staticmethod
-    def _server_error(status: int, payload: bytes) -> LineageServerError:
         try:
-            detail = json.loads(payload.decode("utf-8"))["error"]
-            return LineageServerError(status, detail["type"], detail["message"])
-        except Exception:  # noqa: BLE001 - non-JSON error body
-            return LineageServerError(status, "http-error", payload.decode("utf-8", "replace"))
+            # dial errors are retryable too: the connection is opened
+            # eagerly (to set TCP_NODELAY), inside the retry loop
+            conn = self._connection()
+            conn.request(method, route, body=data, headers=headers)
+            response = conn.getresponse()
+            # read fully so the connection is reusable for the next call
+            return response.status, response.read()
+        except (http.client.HTTPException, OSError) as error:
+            self._drop_connection()
+            if isinstance(error, self._RETRYABLE):
+                raise
+            # unexpected transport state (half-written request, DNS
+            # failure): not retryable-by-policy, but the connection is
+            # poisoned either way
+            raise LineageConnectionError(str(error)) from error
 
-    # -- API ------------------------------------------------------------
-    def prov_query(
-        self,
-        path: Sequence[str],
-        cells: Optional[Sequence] = None,
-        slices: Optional[Sequence] = None,
-        merge: bool = True,
-        include_boxes: bool = True,
-        include_cells: bool = False,
-        deadline: Optional[float] = None,
-    ) -> dict:
-        """Run a lineage query; returns the server's result payload
-        (``boxes``, exact ``count``, per-hop stats, ``cached`` and
-        ``degraded`` flags).  *deadline* bounds the server-side fan-out —
-        a slow shard turns into a structured 504, never a hang."""
-        body: Dict[str, Any] = {"path": list(path), "merge": merge}
-        if cells is not None:
-            body["cells"] = [list(cell) for cell in cells]
-        if slices is not None:
-            body["slices"] = [list(pair) if pair is not None else None for pair in slices]
-        body["include_boxes"] = include_boxes
-        body["include_cells"] = include_cells
-        if deadline is not None:
-            body["deadline"] = deadline
-        return self._request("POST", "/query", body)
-
-    def prov_query_batch(
-        self,
-        queries: Sequence[Any],
-        merge: bool = True,
-        include_boxes: bool = True,
-        include_cells: bool = False,
-        deadline: Optional[float] = None,
-    ) -> List[dict]:
-        """Run many lineage queries in one ``POST /query_batch`` round trip
-        — the server executes them as one θ-join pass per resolved path.
-
-        Each entry of *queries* is either a full request dict (the same
-        shape :meth:`prov_query` builds: ``path`` plus ``cells`` or
-        ``slices``, optionally overriding ``merge`` etc.) or a shorthand
-        ``(path, cells)`` pair.  Returns one entry per query, in order:
-        a result payload, or ``{"error": {...}}`` for queries that failed
-        individually (a bad query never fails its batch-mates).
-        """
-        body_queries: List[dict] = []
-        for item in queries:
-            if isinstance(item, dict):
-                entry = dict(item)
-            else:
-                path, cells = item
-                entry = {
-                    "path": list(path),
-                    "cells": [
-                        list(cell) if isinstance(cell, (list, tuple)) else cell
-                        for cell in cells
-                    ],
-                }
-            entry.setdefault("merge", merge)
-            entry.setdefault("include_boxes", include_boxes)
-            entry.setdefault("include_cells", include_cells)
-            body_queries.append(entry)
-        body: Dict[str, Any] = {"queries": body_queries}
-        if deadline is not None:
-            body["deadline"] = deadline
-        return self._request("POST", "/query_batch", body)["results"]
-
-    def impact(self, name: str) -> Dict[str, int]:
-        payload = self._request(
-            "GET", "/graph/impact?" + urllib.parse.urlencode({"array": name})
+    def call(self, name: str, body: Optional[dict] = None):
+        row = ENDPOINTS[name]
+        route, data = row.route, None
+        if row.method == "GET":
+            if body:
+                route += "?" + urllib.parse.urlencode(body)
+        elif body is not None:
+            data = json.dumps(body).encode("utf-8")
+        status, payload = self._retrying(
+            f"{row.method} {route}", lambda: self._round_trip(row.method, route, data)
         )
-        return payload["impact"]
-
-    def dependencies(self, name: str) -> Dict[str, int]:
-        payload = self._request(
-            "GET", "/graph/dependencies?" + urllib.parse.urlencode({"array": name})
-        )
-        return payload["dependencies"]
-
-    def lineage_summary(self) -> dict:
-        return self._request("GET", "/graph/summary")
-
-    def healthz(self) -> dict:
-        return self._request("GET", "/healthz")
-
-    def scrub(self, repair: bool = False) -> dict:
-        """Run the server-side fsck (``POST /admin/scrub``); returns the
-        scrub report.  ``repair=True`` heals the catalog in place."""
-        return self._request("POST", "/admin/scrub", {"repair": repair})["scrub"]
-
-    def metrics_text(self) -> str:
-        """Fetch ``GET /metrics`` as raw Prometheus exposition text (the
-        one endpoint whose payload is not JSON)."""
-        status, payload = self._request_raw("GET", "/metrics")
+        text = payload.decode("utf-8", "replace")
         if status >= 400:
-            raise self._server_error(status, payload)
-        return payload.decode("utf-8")
-
-    def traces(self, limit: Optional[int] = None) -> list:
-        """Fetch recently finished traces (``GET /debug/traces``),
-        newest first."""
-        route = "/debug/traces"
-        if limit is not None:
-            route += "?" + urllib.parse.urlencode({"limit": limit})
-        return self._request("GET", route)["traces"]
+            try:
+                detail = json.loads(text)["error"]
+                error = LineageServerError(status, detail["type"], detail["message"])
+            except (ValueError, KeyError, TypeError):  # non-JSON error body
+                error = LineageServerError(status, "http-error", text)
+            raise error
+        if row.reply == "text":
+            return text
+        reply = json.loads(text)
+        return reply["results"] if row.reply == "batch" else reply

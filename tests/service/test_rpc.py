@@ -1,11 +1,13 @@
-"""The binary RPC transport end to end: every opcode against a live
-server, byte-identical results across the HTTP and RPC transports, the
-shared result cache, connection pooling and re-dial after a server-side
-kill, request-id pipelining, structured errors, and the per-opcode
-observability surface."""
+"""The binary RPC transport end to end: queries against a live server,
+byte-identical results across the HTTP and RPC transports, the shared
+result cache, connection pooling, request-id pipelining, frame-level
+errors (unknown opcode, oversized request, corrupt header) and the
+per-opcode observability surface.  What the RPC client and server share
+with their HTTP twins is in ``test_transports.py``."""
 
 import json
 import socket
+import struct
 import threading
 import time
 
@@ -17,13 +19,16 @@ from repro.obs import REGISTRY
 from repro.service.rpc import DualServer, RPCClient, RPCServer
 from repro.service.server import (
     LineageClient,
-    LineageConnectionError,
     LineageServer,
     LineageServerError,
 )
+from repro.service.api import MAX_BODY_BYTES
 from repro.service.wire import (
+    OP_ERROR,
     OP_PING,
     OP_QUERY,
+    WIRE_MAGIC,
+    WIRE_VERSION,
     encode_frame,
     encode_json,
     read_frame,
@@ -97,46 +102,31 @@ def test_query_batch_mixed(client):
     assert results[2]["error"]["type"] == "bad-request"
 
 
-def test_graph_endpoints(client):
-    assert client.impact("a") == {"b": 1, "c": 2}
-    assert client.dependencies("c") == {"b": 1, "a": 2}
-    summary = client.lineage_summary()
-    assert summary["arrays"] == 3
-    assert ["a", "b"] in summary["edges"]
-
-
-def test_healthz_scrub_traces_metrics(client):
-    health = client.healthz()
-    assert health["status"] == "ok"
-    assert health["backend"] == "sharded"
-    report = client.scrub()
-    assert report["clean"] is True
-    assert isinstance(client.traces(limit=5), list)
-    text = client.metrics_text()
-    assert "dslog_rpc_requests_total" in text
-
-
-def test_structured_errors(client):
-    with pytest.raises(LineageServerError) as excinfo:
-        client.impact("missing")
-    assert excinfo.value.status == 404
-    assert excinfo.value.kind == "not-found"
-    with pytest.raises(LineageServerError) as excinfo:
-        client.prov_query(["a"], cells=[[0, 0]])
-    assert excinfo.value.status == 400
-
-
 def test_unknown_opcode_gets_error_frame(server):
     with socket.create_connection((server.host, server.port), timeout=5) as sock:
         sock.sendall(encode_frame(240, 1, b"{}"))
         opcode, request_id, payload = read_frame(sock)
-    from repro.service.wire import OP_ERROR
-
     assert opcode == OP_ERROR
     assert request_id == 1
     info = json.loads(payload)
     assert info["status"] == 400
     assert "opcode" in info["message"]
+
+
+def test_oversized_request_frame_is_413_without_reading_the_payload(server):
+    """Requests are bounded like HTTP bodies.  Only the header is ever sent:
+    a server that tried to read (or allocate) the declared 17 MiB would
+    block until the socket timeout fails this test."""
+    declared = 17 * 1024 * 1024
+    assert MAX_BODY_BYTES < declared
+    with socket.create_connection((server.host, server.port), timeout=5) as sock:
+        sock.sendall(WIRE_MAGIC + struct.pack("<HIHI", WIRE_VERSION, declared, OP_QUERY, 7))
+        opcode, request_id, payload = read_frame(sock)
+        assert (opcode, request_id) == (OP_ERROR, 7)
+        info = json.loads(payload)
+        assert (info["status"], info["type"]) == (413, "payload-too-large")
+        assert str(MAX_BODY_BYTES) in info["message"]
+        assert sock.recv(1) == b""  # EOF: the stream cannot frame another request
 
 
 def test_corrupt_frame_closes_connection(server):
@@ -245,54 +235,6 @@ def test_pool_grows_under_concurrency(server):
     assert not errors
     assert 1 <= client.dials <= 4
     client.close()
-
-
-def test_client_redials_after_server_side_kill(server, client):
-    """Mid-frame connection loss must degrade to reconnect-and-retry."""
-    assert client.prov_query(["a", "b"], cells=[[1, 1]])["count"] == 1
-    # kill the pooled connection under the client, as a restart would
-    assert len(client._idle) == 1
-    client._idle[0].sock.shutdown(socket.SHUT_RDWR)
-    assert client.prov_query(["a", "b"], cells=[[2, 2]])["count"] == 1
-    assert client.retries_used >= 1
-    assert client.dials == 2
-
-
-def test_retries_exhausted_raises_connection_error(tmp_path):
-    client = RPCClient(("127.0.0.1", 9), retries=2, backoff=0.001)
-    with pytest.raises(LineageConnectionError) as excinfo:
-        client.ping()
-    assert "3 attempts" in str(excinfo.value)
-
-
-def test_retry_budget_bounds_time(tmp_path):
-    client = RPCClient(
-        ("127.0.0.1", 9), retries=8, backoff=30.0, retry_budget=0.05
-    )
-    started = time.monotonic()
-    with pytest.raises(LineageConnectionError) as excinfo:
-        client.ping()
-    assert time.monotonic() - started < 5.0
-    assert "retry budget" in str(excinfo.value)
-
-
-def test_connect_waits_for_late_server(log):
-    server = RPCServer(log)
-    address = server.address
-
-    def start_later():
-        time.sleep(0.2)
-        server.start()
-
-    thread = threading.Thread(target=start_later)
-    thread.start()
-    try:
-        client = RPCClient.connect(address, timeout=10.0, retries=0)
-        client.ping()
-        client.close()
-    finally:
-        thread.join()
-        server.close()
 
 
 # ----------------------------------------------------------------------

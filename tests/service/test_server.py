@@ -1,6 +1,8 @@
 """The HTTP serving tier: endpoint behavior, structured error payloads for
 every failure mode (malformed JSON, unknown arrays, bad parameters), query
-correctness under concurrent compaction, and client retry semantics."""
+correctness under concurrent compaction, and keep-alive / retry behavior
+of the HTTP client.  What the HTTP client and server share with their RPC
+twins is in ``test_transports.py``."""
 
 import http.client
 import json
@@ -17,7 +19,6 @@ from repro.core.relation import LineageRelation
 from repro.service.server import (
     MAX_BODY_BYTES,
     LineageConnectionError,
-    LineageServer,
     LineageServerError,
 )
 
@@ -72,15 +73,6 @@ def _raw_post(url, route, data: bytes):
 # ----------------------------------------------------------------------
 # happy paths
 # ----------------------------------------------------------------------
-def test_healthz(client, log):
-    payload = client.healthz()
-    assert payload["status"] == "ok"
-    assert payload["backend"] == "sharded"
-    assert payload["entries"] == 2
-    assert len(payload["generations"]) == 4
-    assert payload["executor"]["cache"]["max_entries"] > 0
-
-
 def test_query_with_cells_and_cache_flag(client, log):
     payload = client.prov_query(["a", "b", "c"], cells=[[1, 1], [2, 3]])
     assert payload["array"] == "c"
@@ -96,14 +88,6 @@ def test_query_with_slices_and_cells_payload(client, log):
     assert payload["cells"] == [[0, 0], [0, 1], [1, 0], [1, 1]]
     expected = log.prov_query(["a", "b"], [(i, j) for i in range(2) for j in range(2)])
     assert payload["count"] == expected.count_cells()
-
-
-def test_graph_endpoints(client, log):
-    assert client.impact("a") == {"b": 1, "c": 2}
-    assert client.dependencies("c") == {"b": 1, "a": 2}
-    summary = client.lineage_summary()
-    assert summary["entries"] == 2 and summary["roots"] == ["a"]
-    assert summary["edges"] == [["a", "b"], ["b", "c"]]
 
 
 # ----------------------------------------------------------------------
@@ -175,20 +159,6 @@ def test_oversized_content_length_is_413_without_reading_the_body(server):
     assert hung_up
 
 
-def test_unknown_array_name(client):
-    with pytest.raises(LineageServerError) as excinfo:
-        client.prov_query(["nope", "b"], cells=[[1, 1]])
-    assert excinfo.value.status == 404
-    assert excinfo.value.kind == "not-found"
-    assert "nope" in excinfo.value.message
-
-
-def test_unknown_graph_array(client):
-    with pytest.raises(LineageServerError) as excinfo:
-        client.impact("missing")
-    assert excinfo.value.status == 404
-
-
 def test_disconnected_arrays_are_not_found(client, log):
     log.define_array("island", SHAPE)
     with pytest.raises(LineageServerError) as excinfo:
@@ -230,14 +200,15 @@ def test_missing_array_param(server):
         raise AssertionError("expected a 400")
 
 
-def test_unknown_endpoint_and_wrong_method(server, client):
-    with pytest.raises(LineageServerError) as excinfo:
-        client._request("GET", "/nope")
-    assert excinfo.value.status == 404
-    with pytest.raises(LineageServerError) as excinfo:
-        client._request("GET", "/query")  # POST-only endpoint
-    assert excinfo.value.status == 405
-    assert excinfo.value.kind == "method-not-allowed"
+def test_unknown_endpoint_and_wrong_method(server):
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        urllib.request.urlopen(server.url + "/nope", timeout=10)
+    assert excinfo.value.code == 404
+    assert json.loads(excinfo.value.read())["error"]["type"] == "not-found"
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        urllib.request.urlopen(server.url + "/query", timeout=10)  # POST-only endpoint
+    assert excinfo.value.code == 405
+    assert json.loads(excinfo.value.read())["error"]["type"] == "method-not-allowed"
 
 
 # ----------------------------------------------------------------------
@@ -297,8 +268,8 @@ def test_client_retries_exhausted(client, monkeypatch):
         raise ConnectionResetError("peer reset")
 
     monkeypatch.setattr(http.client.HTTPConnection, "request", always_reset)
-    client.retries = 2
-    client.backoff = 0.001
+    client.retry.retries = 2
+    client.retry.backoff = 0.001
     with pytest.raises(LineageConnectionError) as excinfo:
         client.healthz()
     assert "3 attempts" in str(excinfo.value)
@@ -337,40 +308,6 @@ def test_client_reuses_keepalive_connection(server, monkeypatch):
     finally:
         fresh.close()
     assert dials["count"] == 1
-
-
-def test_client_redials_after_server_side_close(server, client):
-    """A half-closed keep-alive socket (server restarted / idle reset) must
-    be re-dialed transparently instead of failing the request."""
-    assert client.healthz()["status"] == "ok"
-    # break the persistent connection under the client the way a remote
-    # close does: the next send sees a dead peer, not a clean socket
-    client._local.conn.sock.shutdown(socket.SHUT_RDWR)
-    assert client.healthz()["status"] == "ok"
-    assert client.retries_used >= 1
-
-
-def test_connect_waits_for_late_server(log):
-    server = LineageServer(log, port=0)
-    url = server.url
-
-    def start_later():
-        time.sleep(0.2)
-        server.start()
-
-    thread = threading.Thread(target=start_later)
-    thread.start()
-    try:
-        client = LineageClient.connect(url, timeout=10.0, retries=0)
-        assert client.healthz()["status"] == "ok"
-    finally:
-        thread.join()
-        server.close()
-
-
-def test_connect_times_out_when_no_server():
-    with pytest.raises(LineageConnectionError):
-        LineageClient.connect("http://127.0.0.1:9", timeout=0.3, retries=0)
 
 
 def test_service_serve_reads_applied_state(tmp_path):

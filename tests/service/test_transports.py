@@ -1,0 +1,326 @@
+"""What the two transports share, tested once over both: the endpoint
+table, the client core (retry loop, ``connect`` rendezvous, re-dial), the
+server lifecycle (a closed server hangs up) and the admin / graph round
+trips.  Transport-only behavior (keep-alive reuse, ``Content-Length``
+edges, pooling, pipelining, frame corruption) stays in ``test_server.py``
+and ``test_rpc.py``."""
+
+import select
+import socket
+import threading
+import time
+from typing import Callable, NamedTuple
+
+import pytest
+
+from repro import DSLog
+from repro.core.relation import LineageRelation
+from repro.service import wire
+from repro.service.api import ENDPOINTS
+from repro.service.rpc import DualServer, RPCClient, RPCServer
+from repro.service.server import (
+    LineageClient,
+    LineageConnectionError,
+    LineageServer,
+    LineageServerError,
+)
+
+SHAPE = (6, 6)
+
+
+class Transport(NamedTuple):
+    server: type
+    client: type
+    address: Callable  # server -> what its client dials
+    dead: str  # an address nothing listens on
+    sockets: Callable  # client -> the sockets it holds open (idle, this thread)
+
+
+TRANSPORTS = [
+    pytest.param(
+        Transport(
+            LineageServer,
+            LineageClient,
+            lambda server: server.url,
+            "http://127.0.0.1:9",
+            lambda client: [client._local.conn.sock],
+        ),
+        id="http",
+    ),
+    pytest.param(
+        Transport(
+            RPCServer,
+            RPCClient,
+            lambda server: server.address,
+            "127.0.0.1:9",
+            lambda client: [conn.sock for conn in client._idle],
+        ),
+        id="rpc",
+    ),
+]
+
+
+def identity(in_name, out_name):
+    pairs = [((i, j), (i, j)) for i in range(SHAPE[0]) for j in range(SHAPE[1])]
+    return LineageRelation.from_pairs(
+        pairs, SHAPE, SHAPE, in_name=in_name, out_name=out_name
+    )
+
+
+@pytest.fixture
+def log(tmp_path):
+    log = DSLog(tmp_path / "db", backend="sharded", num_shards=4)
+    for name in ("a", "b", "c"):
+        log.define_array(name, SHAPE)
+    log.add_lineage("a", "b", relation=identity("a", "b"))
+    log.add_lineage("b", "c", relation=identity("b", "c"))
+    yield log
+    log.close()
+
+
+@pytest.fixture(params=TRANSPORTS)
+def transport(request):
+    return request.param
+
+
+@pytest.fixture
+def server(transport, log):
+    with transport.server(log) as server:
+        yield server
+
+
+@pytest.fixture
+def client(transport, server):
+    with transport.client.connect(transport.address(server), timeout=5.0) as client:
+        yield client
+
+
+# ----------------------------------------------------------------------
+# the endpoint table
+# ----------------------------------------------------------------------
+def test_table_covers_every_opcode_and_route_once():
+    """Every opcode but the response-only ``error`` has a row; every row
+    but ``ping`` has its own ``(method, route)``; the traced set is the
+    six data / admin operations, never an observability endpoint."""
+    assert set(ENDPOINTS) == set(wire.OPCODES.values()) - {"error"}
+    assert all(name == row.name for name, row in ENDPOINTS.items())
+    routed = [(row.method, row.route) for row in ENDPOINTS.values() if row.name != "ping"]
+    assert all(method in ("GET", "POST") and route.startswith("/") for method, route in routed)
+    assert len(set(routed)) == len(routed) == len(ENDPOINTS) - 1
+    assert (ENDPOINTS["ping"].method, ENDPOINTS["ping"].route) == (None, None)
+    assert {name for name, row in ENDPOINTS.items() if row.traced} == {
+        "query", "query_batch", "impact", "dependencies", "summary", "scrub",
+    }
+    assert {row.reply for row in ENDPOINTS.values()} <= {"json", "text", "query", "batch"}
+
+
+def _stable(reply):
+    """A reply in the JSON payload shape, minus what legitimately differs
+    between two executions (wall times, cache flags, live counters)."""
+    if isinstance(reply, wire.RPCResult):
+        reply = reply.to_payload()
+    if isinstance(reply, list):
+        return [_stable(entry) for entry in reply]
+    if not isinstance(reply, dict):
+        return reply
+    trimmed = {
+        key: value
+        for key, value in reply.items()
+        if key not in ("elapsed_ms", "cached", "executor", "metrics", "storage")
+    }
+    if "traces" in trimmed:  # a trace is recorded after its reply is sent
+        trimmed["traces"] = len(trimmed["traces"])
+    if "hops" in trimmed:
+        trimmed["hops"] = [
+            {k: v for k, v in hop.items() if k != "seconds"} for hop in trimmed["hops"]
+        ]
+    return trimmed
+
+
+QUERY = {"path": ["a", "b", "c"], "cells": [[1, 1], [4, 5]]}
+EQUIVALENT_CALLS = [
+    ("query", QUERY),
+    ("query", {"path": ["a", "b"], "slices": [[0, 2], None], "include_cells": True}),
+    ("query", {"path": ["a", "b"], "cells": [[2, 2]], "include_boxes": False, "merge": False}),
+    ("query", {"path": ["a"], "cells": [[0, 0]]}),  # 400: path too short
+    ("query", {"path": ["ghost", "b"], "cells": [[0, 0]]}),  # 404
+    ("query_batch", {"queries": [QUERY, {"path": ["a"]}, {"path": ["ghost", "b"], "cells": [[0, 0]]}]}),
+    ("query_batch", {"queries": []}),  # 400
+    ("impact", {"array": "a"}),
+    ("impact", {"array": "ghost"}),  # 404
+    ("impact", None),  # 400: the array is missing
+    ("dependencies", {"array": "c"}),
+    ("dependencies", {}),  # 400
+    ("summary", None),
+    ("healthz", None),
+    ("traces", {"limit": 3}),
+    ("traces", {"limit": 0}),  # 400: not positive
+    ("traces", {"limit": -2}),  # 400
+    ("traces", {"limit": "three"}),  # 400: not an integer
+    ("traces", {"limit": 1.5}),  # 400
+    ("scrub", {"repair": False}),
+    ("scrub", None),
+]
+
+
+def test_every_endpoint_answers_alike_on_both_wires(log):
+    """The same arguments through both clients give equal payloads — and
+    equal structured errors, word for word, for arguments the table's one
+    set of checks rejects."""
+    assert {name for name, _ in EQUIVALENT_CALLS} == set(ENDPOINTS) - {"metrics", "ping"}
+
+    def answer(client, name, args):
+        try:
+            return _stable(client.call(name, args))
+        except LineageServerError as error:
+            return (error.status, error.kind, error.message)
+
+    with DualServer(log) as dual:
+        with LineageClient.connect(dual.url) as http, RPCClient.connect(dual.rpc_address) as rpc:
+            rejected = 0
+            for name, args in EQUIVALENT_CALLS:
+                over_http, over_rpc = answer(http, name, args), answer(rpc, name, args)
+                assert over_http == over_rpc, (name, args)
+                rejected += isinstance(over_rpc, tuple)
+            assert rejected == 10  # every "# 4xx" line above, and only those
+            assert answer(http, "impact", None)[:2] == (400, "bad-request")
+            # the text reply: scrape both, compare the metric families
+            over_http, over_rpc = (
+                {line.split()[2] for line in text.splitlines() if line.startswith("# TYPE")}
+                for text in (http.metrics_text(), rpc.metrics_text())
+            )
+            assert over_http == over_rpc and "dslog_rpc_requests_total" in over_rpc
+            assert rpc.ping() is None
+
+
+# ----------------------------------------------------------------------
+# round trips (one per endpoint method of the client core)
+# ----------------------------------------------------------------------
+def test_graph_endpoints(client):
+    assert client.impact("a") == {"b": 1, "c": 2}
+    assert client.dependencies("c") == {"b": 1, "a": 2}
+    summary = client.lineage_summary()
+    assert summary["arrays"] == 3
+    assert summary["entries"] == 2 and summary["roots"] == ["a"]
+    assert summary["edges"] == [["a", "b"], ["b", "c"]]
+
+
+def test_healthz_scrub_traces_metrics(client):
+    health = client.healthz()
+    assert health["status"] == "ok"
+    assert health["backend"] == "sharded"
+    assert health["entries"] == 2
+    assert len(health["generations"]) == 4
+    assert health["executor"]["cache"]["max_entries"] > 0
+    assert client.scrub()["clean"] is True
+    assert isinstance(client.traces(limit=5), list)
+    client.prov_query(["a", "b"], cells=[[0, 1]])
+    text = client.metrics_text()
+    assert "dslog_http_requests_total" in text or "dslog_rpc_requests_total" in text
+
+
+def test_structured_errors(client):
+    with pytest.raises(LineageServerError) as excinfo:
+        client.impact("missing")
+    assert excinfo.value.status == 404
+    assert excinfo.value.kind == "not-found"
+    with pytest.raises(LineageServerError) as excinfo:
+        client.prov_query(["nope", "b"], cells=[[1, 1]])
+    assert (excinfo.value.status, excinfo.value.kind) == (404, "not-found")
+    assert "nope" in excinfo.value.message
+    with pytest.raises(LineageServerError) as excinfo:
+        client.prov_query(["a"], cells=[[0, 0]])
+    assert (excinfo.value.status, excinfo.value.kind) == (400, "bad-request")
+
+
+# ----------------------------------------------------------------------
+# the client core: retry loop, rendezvous, re-dial
+# ----------------------------------------------------------------------
+def test_retries_exhausted_raises_connection_error(transport):
+    client = transport.client(transport.dead, retries=2, backoff=0.001)
+    with pytest.raises(LineageConnectionError) as excinfo:
+        client.healthz()
+    assert "3 attempts" in str(excinfo.value)
+    assert client.retries_used == 2
+
+
+def test_retry_budget_bounds_time(transport):
+    client = transport.client(transport.dead, retries=8, backoff=30.0, retry_budget=0.05)
+    started = time.monotonic()
+    with pytest.raises(LineageConnectionError) as excinfo:
+        client.healthz()
+    assert time.monotonic() - started < 5.0
+    assert "retry budget" in str(excinfo.value)
+
+
+def test_connect_times_out_when_no_server(transport):
+    with pytest.raises(LineageConnectionError):
+        transport.client.connect(transport.dead, timeout=0.3, retries=0)
+
+
+def test_connect_waits_for_late_server(transport, log):
+    """``connect`` dials a server that is bound but not yet serving and
+    waits for it.  No sleep: the server starts only once the client's
+    connection is seen pending on the listening socket."""
+    server = transport.server(log)
+    connected = []
+    dialer = threading.Thread(
+        target=lambda: connected.append(
+            transport.client.connect(transport.address(server), timeout=10.0, retries=0)
+        )
+    )
+    dialer.start()
+    try:
+        pending, _, _ = select.select([server._listeners[0].socket], [], [], 10.0)
+        assert pending, "the client never dialed"
+        assert not connected  # nobody is serving yet
+        server.start()
+        dialer.join(timeout=10.0)
+        assert not dialer.is_alive() and connected
+        assert connected[0].healthz()["status"] == "ok"
+        connected[0].close()
+    finally:
+        server.start().close()
+        dialer.join(timeout=10.0)
+
+
+def test_client_redials_after_connection_loss(transport, client):
+    """A connection that dies under the client (idle reset, server-side
+    kill) is re-dialed transparently instead of failing the request."""
+    assert client.prov_query(["a", "b"], cells=[[1, 1]])["count"] == 1
+    (held,) = transport.sockets(client)
+    held.shutdown(socket.SHUT_RDWR)
+    assert client.prov_query(["a", "b"], cells=[[2, 2]])["count"] == 1
+    assert client.retries_used >= 1
+    assert getattr(client, "dials", 2) == 2  # the pooled client counts its dials
+
+
+def test_closed_server_hangs_up_and_client_finds_its_successor(transport, log):
+    """Closing a server hangs up on its established connections; a client
+    holding one re-dials and is answered by the server restarted on the
+    same port — not by a handler thread of the dead instance serving from
+    its released core.  The socket timeout bounds a regression."""
+    first = transport.server(log).start()
+    client = transport.client(transport.address(first), timeout=5.0, backoff=0.01)
+    try:
+        assert client.prov_query(["a", "b"], cells=[[1, 1]])["count"] == 1
+        (held,) = transport.sockets(client)
+        first.close()
+        held.settimeout(5.0)
+        assert held.recv(1) == b""  # EOF: the closed server hung up
+        with transport.server(log, port=first.port) as second:
+            assert second.port == first.port
+            assert client.prov_query(["a", "b", "c"], cells=[[2, 3]])["count"] == 1
+            assert client.retries_used >= 1
+            assert client.healthz()["status"] == "ok"
+    finally:
+        first.close()
+        client.close()
+
+
+def test_close_before_start_does_not_block(transport, log):
+    server = transport.server(log)
+    closer = threading.Thread(target=server.close, daemon=True)
+    closer.start()
+    closer.join(timeout=5.0)
+    assert not closer.is_alive()
