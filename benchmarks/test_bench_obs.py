@@ -84,7 +84,7 @@ def time_pass(executor, mix):
     so every query runs the full instrumented plan/prefetch/join path."""
     start = time.monotonic()
     for _ in range(ROUNDS):
-        executor.map_queries(mix)
+        executor.prov_query_batch(mix)
     wall = time.monotonic() - start
     return ROUNDS * len(mix) / wall
 
@@ -96,7 +96,7 @@ def measure_overhead(root):
     disabled_qps = []
     try:
         with QueryExecutor(log, max_workers=1, cache_entries=0) as ex:
-            ex.map_queries(mix)  # warm the table cache, untimed
+            ex.prov_query_batch(mix)  # warm the table cache, untimed
             for i in range(PASSES):
                 # alternate which arm goes first (ABBA) so thermal drift
                 # and warmup never systematically favor one arm

@@ -7,9 +7,10 @@ router):
 * **cached vs uncached QPS** — a generation-keyed :class:`ResultCache` in
   front of the executor vs the same executor with the cache disabled (the
   table cache stays warm in both: this isolates the *result* cache win);
-* **parallel fan-out** — ``max_workers=4`` vs the sequential executor on a
-  cold table cache at 4 and 8 shards, so per-shard segment reads, gunzips
-  and θ-join chains overlap;
+* **parallel fan-out** — ``max_workers=4`` vs the pool-less executor
+  (``max_workers=1``, tables hydrate in-line) on a cold table cache at 4
+  and 8 shards, so the mix's per-shard segment reads and gunzips overlap
+  inside the pooled prefetch of each path group;
 * **HTTP round trip** — end-to-end ``LineageClient``→``LineageServer``
   QPS on a cache-hot query, i.e. the serving tier's protocol overhead.
 
@@ -100,12 +101,12 @@ def time_mix(log, mix, max_workers, rounds, cache_entries=0, cold=False):
     """Wall-time *rounds* passes of the mix; returns queries per second."""
     with QueryExecutor(log, max_workers=max_workers, cache_entries=cache_entries) as ex:
         if cache_entries:
-            ex.map_queries(mix)  # prime the result cache once, unmeasured
+            ex.prov_query_batch(mix)  # prime the result cache once, unmeasured
         start = time.monotonic()
         for _ in range(rounds):
             if cold:
                 clear_table_caches(log)
-            ex.map_queries(mix)
+            ex.prov_query_batch(mix)
         wall = time.monotonic() - start
     return rounds * len(mix) / wall
 

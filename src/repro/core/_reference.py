@@ -31,9 +31,6 @@ __all__ = [
     "value_range_pass_reference",
     "key_range_pass_reference",
     "decompress_reference",
-    "theta_join_batch_reference",
-    "merge_boxes_batch_reference",
-    "execute_path_batch_reference",
 ]
 
 
@@ -172,46 +169,6 @@ def theta_join_reference(query, table: CompressedLineage, merge: bool = True):
     if merge:
         result = result.merged()
     return result
-
-
-def theta_join_batch_reference(queries, table: CompressedLineage, merge: bool = True):
-    """Loop-over-queries oracle for :func:`repro.core.query.theta_join_batch`:
-    the batched kernel must be bit-identical to joining each query alone."""
-    from .query import theta_join
-
-    return [theta_join(query, table, merge=merge) for query in queries]
-
-
-def merge_boxes_batch_reference(
-    lo: np.ndarray, hi: np.ndarray, qid: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Loop-over-queries oracle for the segmented batch merge: merge each
-    query's boxes alone, then re-stack in ascending query order."""
-    from .query import merge_boxes
-
-    out_lo, out_hi, out_qid = [], [], []
-    for q in np.unique(qid):
-        mask = qid == q
-        mlo, mhi = merge_boxes(lo[mask], hi[mask])
-        out_lo.append(mlo)
-        out_hi.append(mhi)
-        out_qid.append(np.full(mlo.shape[0], q, dtype=np.int64))
-    if not out_lo:
-        return lo[:0], hi[:0], np.asarray(qid, dtype=np.int64)[:0]
-    return (
-        np.concatenate(out_lo, axis=0),
-        np.concatenate(out_hi, axis=0),
-        np.concatenate(out_qid),
-    )
-
-
-def execute_path_batch_reference(tables, queries, merge: bool = True):
-    """Loop-over-queries oracle for
-    :func:`repro.core.query.execute_path_batch`: one independent
-    :func:`~repro.core.query.execute_path` run per query."""
-    from .query import execute_path
-
-    return [execute_path(list(tables), query, merge=merge) for query in queries]
 
 
 def value_range_pass_reference(

@@ -53,7 +53,6 @@ __all__ = [
     "execute_path",
     "execute_path_batch",
     "merge_boxes",
-    "merge_boxes_batch",
     "THETA_JOIN_BLOCK_BUDGET_BYTES",
     "COUNT_GRID_CELL_LIMIT",
 ]
@@ -378,7 +377,7 @@ def _count_union_grid(lo: np.ndarray, hi: np.ndarray) -> int:
     return int(acc)
 
 
-def merge_boxes(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def merge_boxes(lo: np.ndarray, hi: np.ndarray, qid: Optional[np.ndarray] = None):
     """Coalesce boxes with a range-encoding-style segmented sweep.
 
     Duplicate boxes are removed, then for each axis in turn boxes that agree
@@ -393,21 +392,38 @@ def merge_boxes(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]
     duplicate boxes agree on every sort key of the first axis pass, land in
     the same run and collapse there, and the final pass's sort keys fully
     determine the output order, so the result is identical either way.
+
+    Returns ``(lo, hi)``.  With *qid* — one non-decreasing query id per box,
+    as the θ-join kernel emits them — the boxes are a stacked batch and the
+    return is ``(lo, hi, qid)``: every query's segment merged **exactly**
+    as it would be merged alone, queries still contiguous and ascending.
+    The id rides as one extra leading column, a degenerate ``[qid, qid]``
+    interval that gets no pass of its own: it is the most significant sort
+    key and part of every pass's group identity, so runs never span
+    queries and the order within a query is that of the unaugmented pass.
+    A batch whose boxes all belong to one query needs no such column.
     """
-    if lo.shape[0] == 0:
-        return lo, hi
-    ndim = lo.shape[1]
-    if lo.shape[0] == 1:
-        return lo, hi
-    boxes = np.concatenate([lo, hi], axis=1)
+    n, ndim = lo.shape
+    if n <= 1:
+        return (lo, hi) if qid is None else (lo, hi, qid)
+    lead = int(qid is not None and qid[0] != qid[-1])
+    width = ndim + lead
+    boxes = np.empty((n, 2 * width), dtype=np.int64)
+    if lead:
+        boxes[:, 0] = boxes[:, width] = qid
+    boxes[:, lead:width] = lo
+    boxes[:, width + lead :] = hi
     # one band-separation span serves every pass: merging never widens the
     # value range (merged his are maxima of existing his)
     span = int(boxes.max()) - int(boxes.min()) + 2
-    for axis in range(ndim - 1, -1, -1):
-        boxes = _merge_axis_pass(boxes, axis, ndim, span)
+    for axis in range(width - 1, lead - 1, -1):
+        boxes = _merge_axis_pass(boxes, axis, width, span)
         if boxes.shape[0] <= 1:
-            break
-    return boxes[:, :ndim], boxes[:, ndim:]
+            break  # the remaining passes would leave a single row as it is
+    lo, hi = boxes[:, lead:width], boxes[:, width + lead :]
+    if qid is None:
+        return lo, hi
+    return lo, hi, (boxes[:, 0] if lead else qid[: boxes.shape[0]])
 
 
 def _merge_axis_pass(boxes: np.ndarray, axis: int, ndim: int, span: int) -> np.ndarray:
@@ -454,47 +470,6 @@ def _merge_axis_pass(boxes: np.ndarray, axis: int, ndim: int, span: int) -> np.n
     merged = boxes[run_firsts]
     merged[:, ndim + axis] = np.maximum.reduceat(axis_hi, run_firsts)
     return merged
-
-
-def merge_boxes_batch(
-    lo: np.ndarray, hi: np.ndarray, qid: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-query :func:`merge_boxes` over a stacked batch of box sets.
-
-    ``qid`` assigns each box to its query; the output is ``(lo, hi, qid)``
-    with every query's segment merged **exactly** as :func:`merge_boxes`
-    would merge it alone, queries contiguous in ascending ``qid`` order.
-
-    The trick is one extra leading point axis: each box is augmented to
-    ``(qid, *coords)`` with the query id as a degenerate ``[qid, qid]``
-    interval, and the normal per-axis passes run over the *real* axes only.
-    The qid column rides along as the most significant sort key and as part
-    of every pass's group identity, so runs never span queries, the
-    within-query sort order is identical to the unaugmented pass, and no
-    per-query Python loop ever runs.  (The qid axis itself gets no merge
-    pass — boxes identical on every real axis within one query are plain
-    duplicates, which the first real-axis pass already collapses.)
-    """
-    n, ndim = lo.shape
-    if n == 0:
-        return lo, hi, qid
-    qid = np.asarray(qid, dtype=np.int64)
-    if n == 1:
-        return lo, hi, qid
-    aug_ndim = ndim + 1
-    boxes = np.empty((n, 2 * aug_ndim), dtype=np.int64)
-    boxes[:, 0] = qid
-    boxes[:, aug_ndim] = qid
-    boxes[:, 1:aug_ndim] = lo
-    boxes[:, aug_ndim + 1 :] = hi
-    span = int(boxes.max()) - int(boxes.min()) + 2
-    for axis in range(aug_ndim - 1, 0, -1):  # real axes only; axis 0 is qid
-        boxes = _merge_axis_pass(boxes, axis, aug_ndim, span)
-        if boxes.shape[0] <= 1:
-            break
-    # a single surviving row skipped the remaining passes, which would have
-    # left it sorted anyway; queries come out contiguous either way
-    return boxes[:, 1:aug_ndim], boxes[:, aug_ndim + 1 :], boxes[:, 0]
 
 
 # ----------------------------------------------------------------------
@@ -648,12 +623,12 @@ def _rel_back(
     return res_lo, res_hi
 
 
-def _check_joinable(query: CellBoxSet, table: CompressedLineage) -> None:
-    if table.key_name != query.array_name:
+def _check_joinable(array_name: str, ndim: int, table: CompressedLineage) -> None:
+    if table.key_name != array_name:
         raise ValueError(
-            f"table is keyed on array {table.key_name!r} but the query targets {query.array_name!r}"
+            f"table is keyed on array {table.key_name!r} but the query targets {array_name!r}"
         )
-    if table.key_ndim != query.ndim:
+    if table.key_ndim != ndim:
         raise ValueError("query dimensionality does not match the table's key arity")
 
 
@@ -735,7 +710,7 @@ def theta_join(
     hydrated table is read at its on-disk width.  Query box sets are
     int64 throughout — results are bit-identical to the int64 oracle.
     """
-    _check_joinable(query, table)
+    _check_joinable(query.array_name, query.ndim, table)
     lo, hi, _, count = _theta_join_batch_raw(
         table, query.lo, query.hi, np.zeros(len(query), np.int64), stats=stats
     )
@@ -747,75 +722,34 @@ def theta_join(
     return result
 
 
-def execute_path(
-    tables: Sequence[CompressedLineage],
-    query: CellBoxSet,
-    merge: bool = True,
-) -> QueryResult:
-    """Run a multi-hop path query with a left-to-right plan of θ-joins.
-
-    ``tables[i]`` must be keyed on the array produced by hop ``i - 1`` (or
-    the initial query array for ``i = 0``); DSLog's catalog takes care of
-    picking the right backward/forward orientation for each hop.
-    """
-    current = query
-    hops: List[HopStats] = []
-    join_stats: Dict[str, int] = {}
-    for table in tables:
-        start = time.perf_counter()
-        boxes_in = len(current)
-        joined = theta_join(current, table, merge=False, stats=join_stats)
-        raw_boxes = len(joined)
-        if merge:
-            joined = joined.merged()
-        elapsed = time.perf_counter() - start
-        hops.append(
-            HopStats(
-                array_from=table.key_name,
-                array_to=table.value_name,
-                rows_scanned=join_stats["rows_scanned"],
-                boxes_in=boxes_in,
-                boxes_out_raw=raw_boxes,
-                boxes_out_merged=len(joined),
-                seconds=elapsed,
-                join_blocks=join_stats["join_blocks"],
-            )
-        )
-        current = joined
-        if current.is_empty():
-            break
-    return QueryResult(cells=current, hops=hops)
-
-
 # ----------------------------------------------------------------------
-# batched execution: many queries, one kernel pass
+# path execution: any number of queries, one kernel pass per hop
 # ----------------------------------------------------------------------
 def _stack_box_sets(
     queries: Sequence[CellBoxSet],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stack a batch of box sets over one array into ``(lo, hi, qid)``.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[int]]:
+    """Stack a batch of box sets over one array into ``(lo, hi, qid,
+    counts)``, ``counts[q]`` being query *q*'s number of boxes.
 
-    Queries are stacked in order, so a stable sort on ``qid`` downstream
-    reproduces each query's own box order — the invariant the bit-identity
-    of the batched kernels rests on.
+    Queries are stacked in order, so ``qid`` is non-decreasing and each
+    query's boxes keep their own order — the invariant the bit-identity of
+    the batched kernels rests on.  A batch of one is its query's own
+    arrays (the kernels only read them).
     """
     first = queries[0]
+    if len(queries) == 1:
+        return first.lo, first.hi, np.zeros(len(first), np.int64), [len(first)]
     for other in queries[1:]:
         if other.array_name != first.array_name or other.shape != first.shape:
             raise ValueError(
                 "all queries in a batch must target the same array: "
                 f"{first.array_name!r} vs {other.array_name!r}"
             )
-    ndim = first.ndim
     counts = [len(q) for q in queries]
-    total = sum(counts)
-    if total == 0:
-        empty = np.empty((0, ndim), np.int64)
-        return empty, empty.copy(), np.empty(0, np.int64)
     lo = np.concatenate([q.lo for q in queries], axis=0)
     hi = np.concatenate([q.hi for q in queries], axis=0)
     qid = np.repeat(np.arange(len(queries), dtype=np.int64), counts)
-    return lo, hi, qid
+    return lo, hi, qid, counts
 
 
 def _theta_join_batch_raw(
@@ -836,11 +770,17 @@ def _theta_join_batch_raw(
     does not depend on the chunking).  Every matched pair carries its box's
     query id through the join, so the output ``(lo, hi, qid)`` segments back
     into per-query results; it is clipped to the value array's bounds but
-    **not** merged (merging is per query, via :func:`merge_boxes_batch`),
-    and within each query the rows come out in (box, stored row) order —
-    what the loop oracle produces.  The fourth return value is the number
-    of candidate pairs per box.  *stats* receives ``"join_blocks"``, the
-    number of chunks processed.
+    **not** merged (merging is per query, via :func:`merge_boxes`).
+
+    Order contract: *qid* comes in non-decreasing (boxes stacked query by
+    query) and rows come back grouped by query, ascending, exact pairs
+    before expanded pairs within a query, each in (box, stored row) order —
+    what the loop oracle produces for each query alone.  Exact pairs leave
+    the chunks in stacked-box order already; only expanded pairs, appended
+    behind them all, can break it, so only then is there a (stable) sort.
+
+    The fourth return value is the number of candidate pairs per box.
+    *stats* receives ``"join_blocks"``, the number of chunks processed.
     """
     n_boxes = lo.shape[0]
     if stats is not None:
@@ -903,16 +843,37 @@ def _theta_join_batch_raw(
     keep = (res_lo <= res_hi).all(axis=1)
     if not keep.all():
         res_lo, res_hi, res_qid = res_lo[keep], res_hi[keep], res_qid[keep]
+    if split_parts and qid[0] != qid[-1]:
+        order = np.argsort(res_qid, kind="stable")
+        res_lo, res_hi, res_qid = res_lo[order], res_hi[order], res_qid[order]
     return res_lo, res_hi, res_qid, count
 
 
-def _segment_offsets(qid: np.ndarray, n_queries: int) -> np.ndarray:
-    """Start offsets of each query's contiguous segment in qid-sorted
-    arrays: ``offsets[q] : offsets[q + 1]`` slices query *q*'s rows."""
-    counts = np.bincount(qid, minlength=n_queries)
-    offsets = np.zeros(n_queries + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    return offsets
+def _per_query(qid: np.ndarray, n_queries: int, weights: Optional[np.ndarray] = None) -> list:
+    """Per-query totals over stacked rows: how many rows carry each query
+    id, or the sum of their *weights*.  A one-query batch owns every row,
+    so its totals need no pass over the ids."""
+    if n_queries == 1:
+        return [len(qid) if weights is None else int(weights.sum())]
+    return np.bincount(qid, weights=weights, minlength=n_queries).tolist()
+
+
+def _split_by_query(
+    table: CompressedLineage, lo: np.ndarray, hi: np.ndarray, counts: List[int], which: Iterable[int]
+) -> List[CellBoxSet]:
+    """Slice stacked, query-ordered result rows of *table*'s value array
+    back into one box set for each query in *which* (``counts[q]`` rows
+    belong to query *q*)."""
+    ends = list(itertools.accumulate(counts))
+    return [
+        CellBoxSet._wrap(
+            table.value_name,
+            table.value_shape,
+            lo[ends[q] - counts[q] : ends[q]],
+            hi[ends[q] - counts[q] : ends[q]],
+        )
+        for q in which
+    ]
 
 
 def theta_join_batch(
@@ -929,33 +890,22 @@ def theta_join_batch(
     interval test and ``rel_back`` run once over the stacked boxes of the
     whole batch, so 64 single-box queries pay one round of numpy call
     overhead instead of 64.  Per-query segmentation is an offsets array
-    over the qid-sorted output — no Python-level loop touches the box data.
-    *stats* is filled as by :func:`theta_join`, summed over the batch.
+    over the query-ordered output — no Python-level loop touches the box
+    data.  *stats* is filled as by :func:`theta_join`, summed over the batch.
     """
     queries = list(queries)
     if not queries:
         return []
     for query in queries:
-        _check_joinable(query, table)
-    lo, hi, qid = _stack_box_sets(queries)
+        _check_joinable(query.array_name, query.ndim, table)
+    lo, hi, qid, _ = _stack_box_sets(queries)
     out_lo, out_hi, out_qid, count = _theta_join_batch_raw(table, lo, hi, qid, stats=stats)
     if stats is not None:
         stats["rows_scanned"] = int(count.sum())
     if merge:
-        out_lo, out_hi, out_qid = merge_boxes_batch(out_lo, out_hi, out_qid)
-    else:
-        order = np.argsort(out_qid, kind="stable")
-        out_lo, out_hi, out_qid = out_lo[order], out_hi[order], out_qid[order]
-    offsets = _segment_offsets(out_qid, len(queries))
-    return [
-        CellBoxSet._wrap(
-            table.value_name,
-            table.value_shape,
-            out_lo[offsets[q] : offsets[q + 1]],
-            out_hi[offsets[q] : offsets[q + 1]],
-        )
-        for q in range(len(queries))
-    ]
+        out_lo, out_hi, out_qid = merge_boxes(out_lo, out_hi, out_qid)
+    counts = _per_query(out_qid, len(queries))
+    return _split_by_query(table, out_lo, out_hi, counts, range(len(queries)))
 
 
 def execute_path_batch(
@@ -963,16 +913,20 @@ def execute_path_batch(
     queries: Sequence[CellBoxSet],
     merge: bool = True,
 ) -> List[QueryResult]:
-    """Run a batch of queries down one hop-table chain, one kernel pass per
-    hop.
+    """Run queries down one hop-table chain: a left-to-right plan of
+    θ-joins, one kernel pass per hop for the whole batch.
 
-    The semantics (results, per-query hop lists, early exit of a query
-    whose intermediate result empties) are exactly ``[execute_path(tables,
-    q, merge) for q in queries]`` — the loop oracle in
-    :mod:`repro.core._reference` pins this — but the whole batch shares
-    each hop's θ-join pass and segmented per-query merge, so the per-query
-    cost of planning, numpy dispatch and small-array overhead is amortized
-    across the batch.
+    ``tables[i]`` must be keyed on the array produced by hop ``i - 1`` (or
+    the queries' own array for ``i = 0``); DSLog's catalog takes care of
+    picking the right backward/forward orientation for each hop.  This is
+    the one hop-chain driver — a single query is a batch of one
+    (:func:`execute_path`).  Each query gets exactly the result and hop
+    list it would get alone (a query whose intermediate result empties
+    records the hop that emptied it and then drops out; its empty result
+    lives on the array where it died), but the batch shares each hop's
+    θ-join pass and segmented merge, so numpy dispatch and small-array
+    overhead are paid per hop, not per query.  ``HopStats.seconds`` and
+    ``join_blocks`` are those of the shared pass.
     """
     queries = list(queries)
     n_queries = len(queries)
@@ -980,63 +934,57 @@ def execute_path_batch(
         return []
     if not tables:
         return [QueryResult(cells=query, hops=[]) for query in queries]
-    lo, hi, qid = _stack_box_sets(queries)
+    lo, hi, qid, boxes_in = _stack_box_sets(queries)
+    array_name, ndim = queries[0].array_name, queries[0].ndim
     hops: List[List[HopStats]] = [[] for _ in range(n_queries)]
-    # `alive[q]` = query q participates in the next hop: a query whose
-    # intermediate result empties records the hop that emptied it and then
-    # drops out, matching execute_path's early break
-    alive = np.ones(n_queries, dtype=bool)
     final: List[Optional[CellBoxSet]] = [None] * n_queries
+    alive = list(range(n_queries))  # the queries that take part in the next hop
     join_stats: Dict[str, int] = {}
     for table in tables:
         start = time.perf_counter()
-        boxes_in = np.bincount(qid, minlength=n_queries)
+        _check_joinable(array_name, ndim, table)
         out_lo, out_hi, out_qid, count = _theta_join_batch_raw(
             table, lo, hi, qid, stats=join_stats
         )
-        rows_scanned = np.bincount(qid, weights=count, minlength=n_queries)
-        order = np.argsort(out_qid, kind="stable")
-        out_lo, out_hi, out_qid = out_lo[order], out_hi[order], out_qid[order]
-        raw_counts = np.bincount(out_qid, minlength=n_queries)
+        rows_scanned = _per_query(qid, n_queries, weights=count)
+        raw_counts = _per_query(out_qid, n_queries)
         if merge:
-            out_lo, out_hi, out_qid = merge_boxes_batch(out_lo, out_hi, out_qid)
-            merged_counts = np.bincount(out_qid, minlength=n_queries)
+            out_lo, out_hi, out_qid = merge_boxes(out_lo, out_hi, out_qid)
+            merged_counts = _per_query(out_qid, n_queries)
         else:
             merged_counts = raw_counts
         elapsed = time.perf_counter() - start
-        offsets = _segment_offsets(out_qid, n_queries)
-        blocks = join_stats["join_blocks"]
-        for q in np.flatnonzero(alive):
+        for q in alive:
             hops[q].append(
                 HopStats(
                     array_from=table.key_name,
                     array_to=table.value_name,
                     rows_scanned=int(rows_scanned[q]),
-                    boxes_in=int(boxes_in[q]),
-                    boxes_out_raw=int(raw_counts[q]),
-                    boxes_out_merged=int(merged_counts[q]),
+                    boxes_in=boxes_in[q],
+                    boxes_out_raw=raw_counts[q],
+                    boxes_out_merged=merged_counts[q],
                     seconds=elapsed,
-                    join_blocks=blocks,
+                    join_blocks=join_stats["join_blocks"],
                 )
             )
-            if merged_counts[q] == 0:
-                alive[q] = False
-                final[q] = CellBoxSet._wrap(
-                    table.value_name,
-                    table.value_shape,
-                    out_lo[offsets[q] : offsets[q + 1]],
-                    out_hi[offsets[q] : offsets[q + 1]],
-                )
-        lo, hi, qid = out_lo, out_hi, out_qid
-        if not alive.any():
+            if not merged_counts[q]:
+                final[q] = CellBoxSet.empty(table.value_name, table.value_shape)
+        alive = [q for q in alive if merged_counts[q]]
+        # this hop's merged counts are the next hop's boxes_in
+        lo, hi, qid, boxes_in = out_lo, out_hi, out_qid, merged_counts
+        array_name, ndim = table.value_name, table.value_ndim
+        if not alive:
             break
-    offsets = _segment_offsets(qid, n_queries)
-    last = tables[-1]
-    for q in np.flatnonzero(alive):
-        final[q] = CellBoxSet._wrap(
-            last.value_name,
-            last.value_shape,
-            lo[offsets[q] : offsets[q + 1]],
-            hi[offsets[q] : offsets[q + 1]],
-        )
-    return [QueryResult(cells=final[q], hops=hops[q]) for q in range(n_queries)]
+    for q, cells in zip(alive, _split_by_query(tables[-1], lo, hi, boxes_in, alive)):
+        final[q] = cells
+    return [QueryResult(cells=cells, hops=hops_of) for cells, hops_of in zip(final, hops)]
+
+
+def execute_path(
+    tables: Sequence[CompressedLineage],
+    query: CellBoxSet,
+    merge: bool = True,
+) -> QueryResult:
+    """Run one multi-hop path query: :func:`execute_path_batch` on a batch
+    of one."""
+    return execute_path_batch(tables, [query], merge=merge)[0]

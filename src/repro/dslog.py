@@ -82,14 +82,11 @@ Cell = Tuple[int, ...]
 CaptureFn = Callable[[Cell], Iterable[Cell]]
 
 _PROV_QUERIES = REGISTRY.counter(
-    "dslog_prov_queries_total", "In-process prov_query calls (outermost only)"
+    "dslog_prov_queries_total", "In-process prov_query calls"
 )
 _PROV_SECONDS = REGISTRY.histogram(
-    "dslog_prov_query_seconds", "Wall time per outermost in-process prov_query"
+    "dslog_prov_query_seconds", "Wall time per in-process prov_query"
 )
-# graph-planned queries recurse through prov_query once per shortest path;
-# this thread-local guard keeps the metrics to one sample per user call
-_PROV_ACTIVE = threading.local()
 
 
 class DSLog:
@@ -156,9 +153,6 @@ class DSLog:
         self._pending_reuse_state: Optional[dict] = None
         self._graph: Optional[LineageGraph] = None
         self._graph_lock = threading.Lock()
-        # path tuple -> (catalog version, per-hop tables); repeated queries
-        # over the same path skip catalog entry resolution entirely
-        self._path_cache: Dict[Tuple[str, ...], Tuple[int, List[CompressedLineage]]] = {}
         # (array, cells) -> converted CellBoxSet; content-keyed (immutable
         # tuples), so repeated queries skip the cell-to-box conversion
         self._query_box_cache: Dict[Tuple[str, Tuple[Cell, ...]], CellBoxSet] = {}
@@ -476,60 +470,45 @@ class DSLog:
         """
         if len(path) < 2:
             raise ValueError("a query path needs at least two arrays")
-
-        outermost = not getattr(_PROV_ACTIVE, "active", False)
-        if outermost:
-            _PROV_ACTIVE.active = True
-            started = time.monotonic()
-            try:
-                return self._prov_query_impl(path, query_cells, merge)
-            finally:
-                _PROV_ACTIVE.active = False
-                _PROV_QUERIES.inc()
-                _PROV_SECONDS.observe(time.monotonic() - started)
-        return self._prov_query_impl(path, query_cells, merge)
-
-    def _prov_query_impl(
-        self,
-        path: Sequence[str],
-        query_cells: Union[Iterable[Cell], CellBoxSet, Sequence[slice]],
-        merge: bool,
-    ) -> QueryResult:
-        key = tuple(path)
-        # read the version BEFORE resolving entries: if a concurrent writer
-        # lands mid-resolution, the tables are cached under the older
-        # version and simply rebuilt on the next query — never served as
-        # fresher than they are
-        version = self.catalog.version
-        cached = self._path_cache.get(key)
-        if cached is not None and cached[0] == version:
-            tables = cached[1]
-        else:
+        started = time.monotonic()
+        try:
             for name in path:
                 self.catalog.array(name)  # raises KeyError for unknown arrays
-            if len(path) == 2:
-                try:
-                    self.catalog.entry_between(path[0], path[1])
-                except KeyError:
-                    # no direct entry: let the graph plan the hop list
-                    return self._planned_query(path[0], path[1], query_cells, merge)
-            tables = []
-            for first, second in zip(path, path[1:]):
-                entry, _ = self.catalog.entry_between(first, second)
-                tables.append(entry.table_keyed_on(first))
-            if len(self._path_cache) >= 128:
-                self._path_cache.clear()
-            self._path_cache[key] = (version, tables)
+            paths, _ = self.plan_paths(path)
+            query = self._as_box_set(path[0], query_cells)
+            results = [execute_path(self.hop_tables(p), query, merge=merge) for p in paths]
+            return QueryResult.union(results, merge=merge)
+        finally:
+            _PROV_QUERIES.inc()
+            _PROV_SECONDS.observe(time.monotonic() - started)
 
-        query = self._as_box_set(path[0], query_cells)
-        return execute_path(tables, query, merge=merge)
+    def plan_paths(self, path: Sequence[str]) -> Tuple[List[List[str]], bool]:
+        """Resolve a query path to the hop list(s) to execute: ``(paths,
+        direct)``.  *direct* means the path runs as given (``paths`` is
+        just it); a two-array path with no stored entry is planned through
+        the lineage graph instead — every shortest stored path, and a
+        ``KeyError`` when there is none."""
+        if len(path) == 2:
+            try:
+                self.catalog.entry_between(path[0], path[1])
+            except KeyError:
+                planned = self.graph.shortest_paths(path[0], path[1])
+                if not planned:
+                    raise KeyError(
+                        f"no lineage stored between {path[0]!r} and {path[1]!r}"
+                    ) from None
+                return planned, False
+        return [list(path)], True
 
-    def _planned_query(self, src, dst, query_cells, merge: bool) -> QueryResult:
-        paths = self.graph.shortest_paths(src, dst)
-        if not paths:
-            raise KeyError(f"no lineage stored between {src!r} and {dst!r}")
-        results = [self.prov_query(p, query_cells, merge=merge) for p in paths]
-        return QueryResult.union(results, merge=merge)
+    def hop_tables(self, path: Sequence[str]) -> List[CompressedLineage]:
+        """The table of every hop of *path*, each keyed on the array the
+        hop starts from.  Entries are looked up per call, so the only
+        references that keep a hydrated table alive are the caller's and
+        its shard's byte-budgeted ``TableCache``."""
+        return [
+            self.catalog.entry_between(first, second)[0].table_keyed_on(first)
+            for first, second in zip(path, path[1:])
+        ]
 
     @property
     def graph(self) -> LineageGraph:
@@ -669,7 +648,6 @@ class DSLog:
                 self.catalog._rows.pop(pair, None)
             self.catalog.version += 1
             self._graph = None
-            self._path_cache.clear()
         if repair and not report["clean"]:
             self.refresh_entry_refs()
         return report

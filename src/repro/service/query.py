@@ -6,20 +6,38 @@ counterpart: one executor object that plans a ``prov_query`` / ``impact`` /
 over a thread pool, and fronts everything with a generation-keyed LRU so a
 hot query never re-runs the θ-join chain at all.
 
-Execution pipeline
-------------------
-1. **Plan** — an explicit multi-hop path resolves hop-by-hop through
+The read pipeline
+-----------------
+There is one, and it answers a *list* of requests; :meth:`QueryExecutor.query`
+is that pipeline on a list of one (re-raising its item's error) and
+:meth:`QueryExecutor.query_batch` is the batch counters plus the pipeline.
+
+1. **Validate, digest, look up** — the shard versions are read first (see
+   below), then each request is checked (path length, known arrays, cells →
+   boxes) and digested, and result-cache hits are answered on the spot.  A
+   request that fails here, or at any later step, fails alone: its slot in
+   the answer carries the exception.
+2. **Plan and group** — the misses are grouped by path and each group is
+   planned once: an explicit multi-hop path resolves hop-by-hop through
    ``entry_between``; a two-array path with no direct entry is planned by
    the lineage graph (shortest stored path(s), diamond paths unioned).
-2. **Fan out** — every backing store is snapshot-pinned (compaction retires
-   rather than deletes segments while the query reads), then the hop
+   Planning and hop-table resolution are :class:`~repro.dslog.DSLog`'s
+   (``plan_paths`` / ``hop_tables``) — the same code ``DSLog.prov_query``
+   runs.
+3. **Gate, prefetch, join** — every backing store is snapshot-pinned
+   (compaction retires rather than deletes segments while the pipeline
+   reads), the group's home shards pass their circuit breakers, and the hop
    tables are prefetched *per shard* on the thread pool: shards are
    independent single-writer stores, so their segment reads, gunzips and
-   deserializations overlap instead of queueing behind one another.  With
-   several planned paths, the θ-join chains themselves also run in
-   parallel, one task per path.
-3. **Merge** — per-path :class:`~repro.core.query.QueryResult`\\ s are
-   combined with the existing ``QueryResult.union``.
+   deserializations overlap instead of queueing behind one another.  The
+   group then runs as one θ-join chain
+   (:func:`~repro.core.query.execute_path_batch`), one kernel pass per hop
+   however many requests share the path.  Equally short planned paths run
+   one after the other on the calling thread, and their per-path
+   :class:`~repro.core.query.QueryResult`\\ s are combined with
+   ``QueryResult.union``.
+4. **Install** — each fresh result goes into the result cache under its
+   own digest and dependency vector.
 
 Result cache
 ------------
@@ -40,8 +58,7 @@ per shard (:meth:`~repro.storage.catalog.Catalog.shard_version_vector`), so
 A memory log (and a snapshot view) is one shard: its vector is the
 catalog's single generation counter, i.e. any write invalidates.
 
-The dependency vector is read *before* entries are resolved (the same
-read-version-first protocol as ``DSLog.prov_query``): a writer landing
+The dependency vector is read *before* entries are resolved: a writer landing
 mid-execution makes the cached entry validate as stale on the next lookup
 rather than ever serving a result fresher than its key claims.
 
@@ -60,12 +77,13 @@ the shard is reopened-with-scrub
 (:meth:`~repro.service.shards.ShardedLineageStore.reopen_shard`), and the
 breaker closes only when that heal succeeds.
 
-Deadlines: ``query(..., deadline=seconds)`` (or the constructor-wide
-``default_deadline``) bounds the pooled per-shard prefetch and per-path
-execution; a shard that stalls past the budget raises
+Deadlines: ``deadline=seconds`` (or the constructor-wide
+``default_deadline``) bounds the pooled per-shard prefetch and is re-checked
+before the join; a shard that stalls past the budget raises
 :class:`~repro.faults.DeadlineExceeded` (and counts against its breaker)
-instead of wedging the request.  The sequential executor (``max_workers=1``)
-runs everything inline and cannot enforce deadlines.
+instead of wedging the request.  An executor without a pool
+(``max_workers=1``) hydrates in-line, where a stalled read cannot be
+abandoned; it still refuses a join whose budget is already spent.
 """
 
 from __future__ import annotations
@@ -78,7 +96,7 @@ from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from ..core.query import QueryResult, execute_path, execute_path_batch
+from ..core.query import QueryResult, execute_path_batch
 from ..faults import CircuitBreaker, DeadlineExceeded, ShardUnavailable
 from ..obs import DEFAULT_SIZE_BUCKETS, REGISTRY, tracing
 from ..storage.segments import CorruptRecordError
@@ -248,16 +266,16 @@ class QueryExecutor:
         Any :class:`~repro.dslog.DSLog` (memory or durable; a snapshot
         view works too).  The executor only reads.
     max_workers:
-        Thread-pool width for per-shard prefetch, per-path execution and
-        :meth:`map_queries`.  ``1`` disables parallelism (the sequential
-        baseline the serving benchmark compares against).  Defaults to
+        Thread-pool width for the per-shard prefetch; ``1`` means no pool
+        (tables hydrate in-line).  Defaults to
         ``min(8, max(2, os.cpu_count()))``.
     cache_entries:
         Capacity of the :class:`ResultCache`; ``0`` disables caching.
     default_deadline:
-        Seconds each query may spend in pooled prefetch/execution before
-        :class:`~repro.faults.DeadlineExceeded`; ``None`` (default) means
-        unbounded.  Per-call ``deadline`` overrides it.
+        Seconds each call may spend before its joins start (pooled
+        prefetch included) before :class:`~repro.faults.DeadlineExceeded`;
+        ``None`` (default) means unbounded.  Per-call ``deadline``
+        overrides it.
     breaker_failures / breaker_reset_after:
         Per-shard circuit-breaker tuning: consecutive faults before a
         shard is declared unavailable, and seconds before a half-open
@@ -295,7 +313,6 @@ class QueryExecutor:
         self._stats_lock = threading.Lock()
         self.queries = 0
         self.parallel_loads = 0
-        self.parallel_paths = 0
         self.degraded_serves = 0
         self.deadline_misses = 0
         self.shard_reopens = 0
@@ -429,36 +446,23 @@ class QueryExecutor:
 
         Semantics match :meth:`DSLog.prov_query` exactly (including graph
         planning of two-array paths); the differences are the cache in
-        front, the parallel fan-out behind, and the failure envelope: a
+        front, the per-shard prefetch behind, and the failure envelope: a
         *deadline* (seconds; ``default_deadline`` when omitted) bounds the
-        pooled fan-out with :class:`~repro.faults.DeadlineExceeded`, and a
+        pooled prefetch with :class:`~repro.faults.DeadlineExceeded`, and a
         query whose home shard is faulting serves its last cached answer
         flagged degraded (or raises the structured
         :class:`~repro.faults.ShardUnavailable`) instead of hanging.
         """
-        return self._query(path, query_cells, merge, parallel=True, deadline=deadline)
+        self._check_open()
+        (outcome,) = self._answer([(path, query_cells)], merge, deadline)
+        if isinstance(outcome, BaseException):
+            raise outcome
+        return outcome
 
     def prov_query(self, path: Sequence[str], query_cells, merge: bool = True) -> QueryResult:
         """:meth:`query` without the outcome flags — drop-in for ``DSLog.prov_query``."""
         return self.query(path, query_cells, merge=merge)[0]
 
-    def map_queries(self, requests: Sequence[Tuple[Sequence[str], Any]]):
-        """Run a batch of ``(path, query_cells)`` requests, fanned out over
-        the pool (one task per query, each executed sequentially inside its
-        task so batch tasks never wait on nested pool slots).  Returns
-        results in order."""
-        self._check_open()
-        if self._pool is None or len(requests) <= 1:
-            return [self._query(path, cells, True, parallel=True)[0] for path, cells in requests]
-        futures = [
-            self._pool.submit(self._query, path, cells, True, False)
-            for path, cells in requests
-        ]
-        return [future.result()[0] for future in futures]
-
-    # ------------------------------------------------------------------
-    # batched execution
-    # ------------------------------------------------------------------
     def query_batch(
         self,
         requests: Sequence[Tuple[Sequence[str], Any]],
@@ -471,16 +475,12 @@ class QueryExecutor:
         alone raised (unknown array, planning failure, unavailable shard
         with nothing cached).  One bad request never fails the batch.
 
-        The batch pipeline amortizes everything the per-request path pays
-        per query: the dependency-version read and snapshot pin happen
-        once, cache hits peel off before any kernel work, the remaining
-        misses are grouped by resolved hop path, each path group's tables
-        are prefetched right before its join, and each group executes as a
-        *single* blocked θ-join pass per hop
-        (:func:`~repro.core.query.execute_path_batch`) with per-query
-        result segmentation — results are bit-identical to running the
-        requests one at a time.  Fresh results are installed in
-        the result cache per query, exactly as single execution would.
+        A batch amortizes what a request pays alone: the dependency-version
+        read and snapshot pin happen once, requests sharing a path are
+        planned once and execute as a *single* blocked θ-join pass per hop
+        with per-query result segmentation — results are bit-identical to
+        running the requests one at a time, and each fresh result is
+        installed in the result cache under its own key.
         """
         self._check_open()
         requests = list(requests)
@@ -493,67 +493,7 @@ class QueryExecutor:
         trace = tracing.current_trace()
         if trace is not None:
             trace.set_tag("batch_size", len(requests))
-        if deadline is None:
-            deadline = self.default_deadline
-        deadline_at = time.monotonic() + deadline if deadline is not None else None
-
-        outcomes: List[Any] = [None] * len(requests)
-        live = self._live_versions()
-        # phase 1: validate, digest and peel cache hits off the batch
-        pending: List[Tuple[int, List[str], Any, bytes]] = []
-        for i, request in enumerate(requests):
-            try:
-                path, query_cells = request
-                path = list(path)
-                if len(path) < 2:
-                    raise ValueError("a query path needs at least two arrays")
-                for name in path:
-                    self.log.catalog.array(name)  # KeyError for unknown arrays
-                box_set = self.log._as_box_set(path[0], query_cells)
-                key = self._query_digest(path, box_set, merge)
-            except Exception as error:  # noqa: BLE001 - per-item containment
-                outcomes[i] = error
-                continue
-            hit, value = self.cache.lookup(key, live)
-            if hit:
-                outcomes[i] = QueryOutcome(value, True, False)
-            else:
-                pending.append((i, path, box_set, key))
-        if trace is not None:
-            trace.set_tag("batch_misses", len(pending))
-        if not pending:
-            return outcomes
-
-        _QUERIES.inc(len(pending))
-        with self._stats_lock:
-            self.queries += len(pending)
-
-        # phase 2: group the misses by resolved hop path(s)
-        groups: Dict[Any, Tuple[List[List[str]], bool, List[Tuple[int, Any, bytes]]]] = {}
-        for i, path, box_set, key in pending:
-            try:
-                paths, direct = self._plan(path)
-            except Exception as error:  # noqa: BLE001 - per-item containment
-                outcomes[i] = error
-                continue
-            group_key = (tuple(tuple(p) for p in paths), direct)
-            group = groups.get(group_key)
-            if group is None:
-                group = (paths, direct, [])
-                groups[group_key] = group
-            group[2].append((i, box_set, key))
-
-        # phase 3: one snapshot pin; one prefetch + one kernel pass per group
-        pin = self._pin_stores()
-        try:
-            for paths, direct, items in groups.values():
-                self._execute_group(
-                    paths, direct, items, merge, live, deadline_at, outcomes
-                )
-        finally:
-            if pin is not None:
-                pin()
-        return outcomes
+        return self._answer(requests, merge, deadline)
 
     def prov_query_batch(
         self, requests: Sequence[Tuple[Sequence[str], Any]], merge: bool = True
@@ -568,166 +508,129 @@ class QueryExecutor:
                 raise outcome
         return [outcome.result for outcome in outcomes]
 
+    # ------------------------------------------------------------------
+    # the pipeline
+    # ------------------------------------------------------------------
+    def _answer(
+        self,
+        requests: Sequence[Tuple[Sequence[str], Any]],
+        merge: bool,
+        deadline: Optional[float],
+    ) -> List[Any]:
+        """The one read pipeline (see the module docstring): one
+        :class:`QueryOutcome` or exception per request, in order."""
+        outcomes: List[Any] = [None] * len(requests)
+        # read the dependency versions BEFORE resolving entries: a writer
+        # landing mid-execution must make the cached entry stale, never
+        # fresher than its key
+        live = self._live_versions()
+        # the misses, grouped by path: (request index, box set, cache key)
+        groups: Dict[Tuple[str, ...], List[Tuple[int, Any, bytes]]] = {}
+        misses = 0
+        for i, request in enumerate(requests):
+            try:
+                path, query_cells = request
+                path = tuple(path)
+                if len(path) < 2:
+                    raise ValueError("a query path needs at least two arrays")
+                for name in path:
+                    self.log.catalog.array(name)  # KeyError for unknown arrays
+                box_set = self.log._as_box_set(path[0], query_cells)
+                key = self._query_digest(path, box_set, merge)
+            except Exception as error:  # noqa: BLE001 - per-item containment
+                outcomes[i] = error
+                continue
+            hit, value = self.cache.lookup(key, live)
+            if hit:
+                outcomes[i] = QueryOutcome(value, True, False)
+            else:
+                groups.setdefault(path, []).append((i, box_set, key))
+                misses += 1
+        trace = tracing.current_trace()
+        if trace is not None:
+            trace.set_tag("cache", "miss" if misses else "hit")
+            trace.set_tag("batch_misses", misses)
+        if not misses:
+            return outcomes
+
+        _QUERIES.inc(misses)
+        with self._stats_lock:
+            self.queries += misses
+        if deadline is None:
+            deadline = self.default_deadline
+        deadline_at = time.monotonic() + deadline if deadline is not None else None
+        pin = self._pin_stores()
+        try:
+            for path, items in groups.items():
+                if trace is not None:
+                    trace.set_tag("path_len", len(path))
+                for (i, _, _), outcome in zip(
+                    items, self._execute_group(path, items, merge, live, deadline_at)
+                ):
+                    outcomes[i] = outcome
+        finally:
+            if pin is not None:
+                pin()
+        return outcomes
+
     def _execute_group(
         self,
-        paths: List[List[str]],
-        direct: bool,
+        path: Tuple[str, ...],
         items: List[Tuple[int, Any, bytes]],
         merge: bool,
         live: Dict[int, int],
         deadline_at: Optional[float],
-        outcomes: List[Any],
-    ) -> None:
-        """Execute one path group of a batch: breaker-gate its home shards,
-        prefetch its tables, run the batched θ-join chain(s), install
-        per-query cache entries.
-        Failures degrade each of the group's queries individually."""
+    ) -> List[Any]:
+        """Answer the misses that share *path*: plan it, breaker-gate its
+        home shards, prefetch its tables, run the θ-join chain(s) over the
+        whole group, install per-query cache entries.  A failure is every
+        item's: each degrades to its own stale entry or carries the error."""
         try:
-            shards = self._home_shards(paths)
+            with tracing.span("plan") as plan_span:
+                paths, direct = self.log.plan_paths(path)
+                shards = self._home_shards(paths)
+                plan_span.set_tag("paths", len(paths))
+                plan_span.set_tag("shards", sorted(shards))
         except Exception as error:  # noqa: BLE001 - per-item containment
-            for i, _box_set, key in items:
-                outcomes[i] = error
-            return
+            return [error] * len(items)
+        # breaker gate: a tripped home shard means the failing disk is not
+        # touched at all — serve the stale answer or refuse cleanly
         blocked = {s for s in shards if not self._breaker_allows(s)}
         if blocked:
-            for i, _box_set, key in items:
-                outcomes[i] = self._degrade_item(key, blocked)
-            return
+            return [self._degrade(key, blocked) for _, _, key in items]
         deps = self._path_deps(live, shards) if direct else self._full_deps(live)
         box_sets = [box_set for _, box_set, _ in items]
         try:
-            # per group, not per batch: hydrating every group's tables up
+            # per group, not per call: hydrating every group's tables up
             # front lets a cache smaller than the batch's working set evict
             # them before their joins run, which then load them again
-            self._prefetch_tables(paths, deadline_at=deadline_at)
+            with tracing.span("prefetch"):
+                self._prefetch_tables(paths, deadline_at=deadline_at)
             self._remaining(deadline_at, None)  # refuse doomed kernel work
-            with tracing.span(
-                "batch-join", paths=len(paths), queries=len(items)
-            ):
+            with tracing.span("join", paths=len(paths), queries=len(items)):
                 per_path = [
-                    execute_path_batch(self._resolve_tables(p), box_sets, merge=merge)
+                    execute_path_batch(self.log.hop_tables(p), box_sets, merge=merge)
                     for p in paths
                 ]
-                if len(per_path) == 1:
-                    results = per_path[0]
-                else:
-                    results = [
-                        QueryResult.union([r[j] for r in per_path], merge=merge)
-                        for j in range(len(items))
-                    ]
-        except DeadlineExceeded as exc:
-            _DEADLINE_MISSES.inc()
-            with self._stats_lock:
-                self.deadline_misses += 1
-            shard = exc.shard if exc.shard is not None else self._fault_shard(exc, shards)
-            self._breaker(shard).record_failure()
-            for i, _box_set, key in items:
-                outcomes[i] = self._degrade_item(key, {shard}, cause=exc)
-            return
-        except (OSError, CorruptRecordError) as exc:
+                results = [
+                    QueryResult.union(of_query, merge=merge) for of_query in zip(*per_path)
+                ]
+        except (DeadlineExceeded, OSError, CorruptRecordError) as exc:
+            if isinstance(exc, DeadlineExceeded):
+                _DEADLINE_MISSES.inc()
+                with self._stats_lock:
+                    self.deadline_misses += 1
             shard = self._fault_shard(exc, shards)
             self._breaker(shard).record_failure()
-            for i, _box_set, key in items:
-                outcomes[i] = self._degrade_item(key, {shard}, cause=exc)
-            return
+            return [self._degrade(key, {shard}, cause=exc) for _, _, key in items]
         for shard in shards:
             breaker = self._breakers.get(shard)
             if breaker is not None:
                 breaker.record_success()
-        for (i, _box_set, key), result in zip(items, results):
-            self.cache.store(key, deps, result)
-            outcomes[i] = QueryOutcome(result, False, False)
-
-    def _degrade_item(self, key: bytes, blocked: Set[int], cause=None):
-        """Per-item :meth:`_degrade`: returns the degraded
-        :class:`QueryOutcome`, or the exception (instead of raising) so a
-        batch can carry per-item failures."""
-        try:
-            return self._degrade(key, blocked, cause=cause)
-        except BaseException as error:  # noqa: BLE001 - per-item containment
-            return error
-
-    def _query(
-        self,
-        path: Sequence[str],
-        query_cells,
-        merge: bool,
-        parallel: bool,
-        deadline: Optional[float] = None,
-    ) -> QueryOutcome:
-        """The one cache + plan + fan-out pipeline behind every query entry
-        point; *parallel* toggles the pool fan-out (False inside batch
-        tasks, which already run on the pool)."""
-        self._check_open()
-        path = list(path)
-        if len(path) < 2:
-            raise ValueError("a query path needs at least two arrays")
-        for name in path:
-            self.log.catalog.array(name)  # raises KeyError for unknown arrays
-        box_set = self.log._as_box_set(path[0], query_cells)
-        key = self._query_digest(path, box_set, merge)
-
-        # read the dependency versions BEFORE resolving entries (see the
-        # module docstring: a mid-execution writer must make the cached
-        # entry stale, never fresher than its key)
-        live = self._live_versions()
-        hit, value = self.cache.lookup(key, live)
-        trace = tracing.current_trace()
-        if hit:
-            if trace is not None:
-                trace.set_tag("cache", "hit")
-            return QueryOutcome(value, True, False)
-        if trace is not None:
-            trace.set_tag("cache", "miss")
-            trace.set_tag("path_len", len(path))
-
-        _QUERIES.inc()
-        with self._stats_lock:
-            self.queries += 1
-        if deadline is None:
-            deadline = self.default_deadline
-        deadline_at = time.monotonic() + deadline if deadline is not None else None
-
-        pin = self._pin_stores()
-        try:
-            with tracing.span("plan") as plan_span:
-                paths, direct = self._plan(path)
-                shards = self._home_shards(paths)
-                plan_span.set_tag("paths", len(paths))
-                plan_span.set_tag("shards", sorted(shards))
-
-            # breaker gate: a tripped home shard means the failing disk is
-            # not touched at all — serve the stale answer or refuse cleanly
-            blocked = {s for s in shards if not self._breaker_allows(s)}
-            if blocked:
-                return self._degrade(key, blocked)
-
-            deps = self._path_deps(live, shards) if direct else self._full_deps(live)
-            try:
-                result = self._execute_paths(
-                    paths, box_set, merge, parallel=parallel, deadline_at=deadline_at
-                )
-            except DeadlineExceeded as exc:
-                _DEADLINE_MISSES.inc()
-                with self._stats_lock:
-                    self.deadline_misses += 1
-                shard = exc.shard if exc.shard is not None else self._fault_shard(exc, shards)
-                self._breaker(shard).record_failure()
-                return self._degrade(key, {shard}, cause=exc)
-            except (OSError, CorruptRecordError) as exc:
-                shard = self._fault_shard(exc, shards)
-                self._breaker(shard).record_failure()
-                return self._degrade(key, {shard}, cause=exc)
-            for shard in shards:
-                breaker = self._breakers.get(shard)
-                if breaker is not None:
-                    breaker.record_success()
-        finally:
-            if pin is not None:
-                pin()
         with tracing.span("cache-install"):
-            self.cache.store(key, deps, result)
-        return QueryOutcome(result, False, False)
+            for (_, _, key), result in zip(items, results):
+                self.cache.store(key, deps, result)
+        return [QueryOutcome(result, False, False) for result in results]
 
     def _breaker_allows(self, shard: int) -> bool:
         """Gate one home shard: closed passes; half-open triggers (at most)
@@ -739,10 +642,11 @@ class QueryExecutor:
         breaker = self._breakers.get(shard)
         return breaker is None or breaker.allows()
 
-    def _degrade(self, key: bytes, blocked: Set[int], cause=None) -> QueryOutcome:
-        """Serve the stale cached answer for an unavailable-shard query,
-        or raise structured :class:`~repro.faults.ShardUnavailable` /
-        re-raise the underlying fault when there is nothing to serve."""
+    def _degrade(self, key: bytes, blocked: Set[int], cause=None):
+        """The answer of a query whose home shard is unavailable: its stale
+        cached result flagged degraded, or — returned, for the pipeline to
+        hand to that request alone — the underlying fault, or a structured
+        :class:`~repro.faults.ShardUnavailable` when there is neither."""
         stale_hit, stale = self.cache.lookup_stale(key)
         if stale_hit:
             trace = tracing.current_trace()
@@ -753,9 +657,9 @@ class QueryExecutor:
                 self.degraded_serves += 1
             return QueryOutcome(stale, True, True)
         if cause is not None:
-            raise cause
+            return cause
         shard = min(blocked)
-        raise ShardUnavailable(
+        return ShardUnavailable(
             f"shard {shard} is unavailable (circuit breaker open) and this "
             f"query has no cached result to degrade to",
             shard=shard,
@@ -792,31 +696,8 @@ class QueryExecutor:
         return value
 
     # ------------------------------------------------------------------
-    # planning + fan-out
+    # fan-out
     # ------------------------------------------------------------------
-    def _plan(self, path: List[str]) -> Tuple[List[List[str]], bool]:
-        """Resolve the hop list(s): ``(paths, direct)`` where *direct* means
-        the user's own path is executable as stored (its cache key may then
-        depend on the hop entries' home shards only)."""
-        if len(path) == 2:
-            try:
-                self.log.catalog.entry_between(path[0], path[1])
-            except KeyError:
-                planned = self.log.graph.shortest_paths(path[0], path[1])
-                if not planned:
-                    raise KeyError(
-                        f"no lineage stored between {path[0]!r} and {path[1]!r}"
-                    ) from None
-                return planned, False
-        return [path], True
-
-    def _resolve_tables(self, path: Sequence[str]) -> list:
-        catalog = self.log.catalog
-        return [
-            catalog.entry_between(first, second)[0].table_keyed_on(first)
-            for first, second in zip(path, path[1:])
-        ]
-
     @staticmethod
     def _remaining(deadline_at: Optional[float], shard: Optional[int]) -> Optional[float]:
         """Seconds left in the budget; raises when already exhausted."""
@@ -904,45 +785,6 @@ class QueryExecutor:
             for future in futures:
                 future.cancel()  # not-yet-started loads of a doomed query
 
-    def _execute_paths(
-        self,
-        paths: List[List[str]],
-        box_set,
-        merge: bool,
-        parallel: bool,
-        deadline_at: Optional[float] = None,
-    ) -> QueryResult:
-        if parallel:
-            with tracing.span("prefetch"):
-                self._prefetch_tables(paths, deadline_at=deadline_at)
-        with tracing.span("join", paths=len(paths)):
-            if parallel and self._pool is not None and len(paths) > 1:
-                futures = [
-                    self._pool.submit(
-                        tracing.wrap_context(self._execute_one), p, box_set, merge
-                    )
-                    for p in paths
-                ]
-                with self._stats_lock:
-                    self.parallel_paths += len(futures)
-                try:
-                    results = [
-                        future.result(timeout=self._remaining(deadline_at, None))
-                        for future in futures
-                    ]
-                except TimeoutError as exc:
-                    if isinstance(exc, DeadlineExceeded):
-                        raise
-                    raise DeadlineExceeded(
-                        "query deadline exceeded", shard=None
-                    ) from None
-            else:
-                results = [self._execute_one(p, box_set, merge) for p in paths]
-            return QueryResult.union(results, merge=merge)
-
-    def _execute_one(self, path: Sequence[str], box_set, merge: bool) -> QueryResult:
-        return execute_path(self._resolve_tables(path), box_set, merge=merge)
-
     def _pin_stores(self):
         """Snapshot-pin the backing store(s) for the query's lifetime so a
         concurrent compaction retires (rather than deletes) segment files
@@ -966,7 +808,6 @@ class QueryExecutor:
                 "queries": self.queries,
                 "max_workers": self.max_workers,
                 "parallel_loads": self.parallel_loads,
-                "parallel_paths": self.parallel_paths,
                 "degraded_serves": self.degraded_serves,
                 "deadline_misses": self.deadline_misses,
                 "shard_reopens": self.shard_reopens,

@@ -90,7 +90,6 @@ class SnapshotDSLog(DSLog):
         self._pending_reuse_state = None
         self._graph = None
         self._graph_lock = threading.Lock()
-        self._path_cache = {}
         self._query_box_cache = {}
         self._closed = False
         self._pin_release = None

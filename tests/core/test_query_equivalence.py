@@ -18,11 +18,8 @@ from hypothesis import strategies as st
 import repro.core.query as query_mod
 from repro.core._reference import (
     decompress_reference,
-    execute_path_batch_reference,
     key_range_pass_reference,
-    merge_boxes_batch_reference,
     merge_boxes_reference,
-    theta_join_batch_reference,
     theta_join_reference,
     value_range_pass_reference,
 )
@@ -35,7 +32,6 @@ from repro.core.query import (
     execute_path,
     execute_path_batch,
     merge_boxes,
-    merge_boxes_batch,
     theta_join,
     theta_join_batch,
 )
@@ -523,6 +519,59 @@ def assert_hops_identical(got_hops, want_hops):
         assert got.boxes_out_merged == want.boxes_out_merged
 
 
+def execute_path_oracle(tables, query, merge):
+    """The hop chain on the loop oracles alone: ``theta_join_reference``
+    unmerged, then ``merge_boxes_reference``, one query at a time.  Returns
+    the final box set and per hop ``(from, to, boxes_in, raw, merged)``."""
+    current, hops = query, []
+    for table in tables:
+        joined = theta_join_reference(current, table, merge=False)
+        raw = len(joined)
+        if merge:
+            joined = CellBoxSet(
+                joined.array_name, joined.shape, *merge_boxes_reference(joined.lo, joined.hi)
+            )
+        hops.append((table.key_name, table.value_name, len(current), raw, len(joined)))
+        current = joined
+        if current.is_empty():
+            break
+    return current, hops
+
+
+def assert_path_results_match_oracle(tables, queries, merge):
+    """A batch of N equals the loop oracle chained per query *and* N
+    batches of one (``execute_path``), cells and hop statistics alike."""
+    batch = execute_path_batch(tables, queries, merge=merge)
+    assert len(batch) == len(queries)
+    for query, got in zip(queries, batch):
+        want_cells, want_hops = execute_path_oracle(tables, query, merge)
+        assert_box_sets_identical(got.cells, want_cells)
+        got_hops = [
+            (h.array_from, h.array_to, h.boxes_in, h.boxes_out_raw, h.boxes_out_merged)
+            for h in got.hops
+        ]
+        assert got_hops == want_hops
+        alone = execute_path(tables, query, merge=merge)
+        assert_box_sets_identical(got.cells, alone.cells)
+        assert_hops_identical(got.hops, alone.hops)
+    return batch
+
+
+def merge_per_query_oracle(lo, hi, qid):
+    """``merge_boxes_reference`` on each query's boxes alone, re-stacked in
+    ascending query order."""
+    parts = [
+        (*merge_boxes_reference(lo[qid == q], hi[qid == q]), q) for q in np.unique(qid)
+    ]
+    if not parts:
+        return lo[:0], hi[:0], qid[:0]
+    return (
+        np.concatenate([p[0] for p in parts], axis=0),
+        np.concatenate([p[1] for p in parts], axis=0),
+        np.concatenate([np.full(p[0].shape[0], p[2], np.int64) for p in parts]),
+    )
+
+
 class TestMergeBoxesBatchEquivalence:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_random_batches_match_oracle(self, seed):
@@ -533,22 +582,33 @@ class TestMergeBoxesBatchEquivalence:
             n_queries = int(rng.integers(1, 6))
             lo, hi = random_boxes(rng, ndim, n)
             qid = np.sort(rng.integers(0, n_queries, size=n)).astype(np.int64)
-            got = merge_boxes_batch(lo, hi, qid)
-            want = merge_boxes_batch_reference(lo, hi, qid)
+            got = merge_boxes(lo, hi, qid)
+            want = merge_per_query_oracle(lo, hi, qid)
             for g, w in zip(got, want):
                 assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_one_query_batch_is_the_plain_merge(self, seed):
+        # every box in one query: the group column is left out
+        rng = np.random.default_rng(seed)
+        lo, hi = random_boxes(rng, 2, 40)
+        qid = np.full(40, 3, np.int64)
+        out_lo, out_hi, out_qid = merge_boxes(lo, hi, qid)
+        want_lo, want_hi = merge_boxes_reference(lo, hi)
+        assert np.array_equal(out_lo, want_lo) and np.array_equal(out_hi, want_hi)
+        assert np.array_equal(out_qid, np.full(want_lo.shape[0], 3))
 
     def test_qid_segments_stay_contiguous_and_ordered(self):
         rng = np.random.default_rng(7)
         lo, hi = random_boxes(rng, 2, 40)
         qid = np.sort(rng.integers(0, 5, size=40)).astype(np.int64)
-        _, _, out_qid = merge_boxes_batch(lo, hi, qid)
+        _, _, out_qid = merge_boxes(lo, hi, qid)
         assert np.array_equal(out_qid, np.sort(out_qid))
 
     def test_empty(self):
         lo = np.empty((0, 2), np.int64)
         qid = np.empty((0,), np.int64)
-        got = merge_boxes_batch(lo, lo, qid)
+        got = merge_boxes(lo, lo, qid)
         assert got[0].shape == (0, 2) and got[2].shape == (0,)
 
     def test_identical_queries_merge_independently(self):
@@ -557,9 +617,20 @@ class TestMergeBoxesBatchEquivalence:
         lo = np.array([[0], [0]], np.int64)
         hi = np.array([[3], [3]], np.int64)
         qid = np.array([0, 1], np.int64)
-        out_lo, out_hi, out_qid = merge_boxes_batch(lo, hi, qid)
+        out_lo, out_hi, out_qid = merge_boxes(lo, hi, qid)
         assert out_lo.shape == (2, 1)
         assert np.array_equal(out_qid, [0, 1])
+
+
+def assert_joins_match_oracle(queries, table, merge):
+    """A batch of N equals ``theta_join_reference`` per query and N
+    batches of one."""
+    got = theta_join_batch(queries, table, merge=merge)
+    assert len(got) == len(queries)
+    for query, g in zip(queries, got):
+        assert_box_sets_identical(g, theta_join_reference(query, table, merge=merge))
+        (alone,) = theta_join_batch([query], table, merge=merge)
+        assert_box_sets_identical(g, alone)
 
 
 class TestThetaJoinBatchEquivalence:
@@ -574,11 +645,7 @@ class TestThetaJoinBatchEquivalence:
             shape = relation.out_shape if key == "output" else relation.in_shape
             name = relation.out_name if key == "output" else relation.in_name
             queries = random_query_batch(rng, name, shape)
-            got = theta_join_batch(queries, table, merge=merge)
-            want = theta_join_batch_reference(queries, table, merge=merge)
-            assert len(got) == len(want)
-            for g, w in zip(got, want):
-                assert_box_sets_identical(g, w)
+            assert_joins_match_oracle(queries, table, merge)
 
     def test_empty_batch(self):
         relation = random_relation(np.random.default_rng(0))
@@ -593,11 +660,8 @@ class TestThetaJoinBatchEquivalence:
         queries = random_query_batch(rng, relation.out_name, shape, max_queries=16, max_boxes=6)
         stats = {}
         monkeypatch.setattr(query_mod, "THETA_JOIN_BLOCK_BUDGET_BYTES", 256)
-        got = query_mod.theta_join_batch(queries, table, merge=False, stats=stats)
-        monkeypatch.undo()
-        want = theta_join_batch_reference(queries, table, merge=False)
-        for g, w in zip(got, want):
-            assert_box_sets_identical(g, w)
+        assert_joins_match_oracle(queries, table, False)
+        query_mod.theta_join_batch(queries, table, merge=False, stats=stats)
         if len(table) and sum(len(q) for q in queries):
             assert stats["join_blocks"] > 1
 
@@ -608,6 +672,52 @@ class TestThetaJoinBatchEquivalence:
         with pytest.raises(ValueError):
             theta_join_batch([bad], table)
 
+    @pytest.mark.parametrize("merge", [True, False])
+    @pytest.mark.parametrize("budget", [40, 70, THETA_JOIN_BLOCK_BUDGET_BYTES])
+    def test_rows_come_back_in_query_order(self, monkeypatch, merge, budget):
+        # The kernel's order contract.  Diagonal lineage (two value
+        # attributes relative to one key attribute) is expanded per key
+        # point *behind* every exact pair of the whole batch, so queries
+        # with a multi-index intersection on it interleave with queries
+        # that have none; at 33 B of scratch per pair (every box here has
+        # one candidate row) the budgets put one box, or two, in a chunk, so
+        # chunk boundaries fall inside one query's boxes, between queries,
+        # and chunks straddle two queries.
+        pairs = [((i,), (i, i + 1)) for i in range(6)] + [((i,), (0, i)) for i in range(6, 12)]
+        first = compress(
+            LineageRelation.from_pairs(pairs, (12,), (12, 13), out_name="n0", in_name="n1")
+        )
+        assert first.shared_ref_mask is not None
+        rng = np.random.default_rng(5)
+        second = compress(
+            LineageRelation.from_pairs(
+                [((int(i), int(j)), (int(k),)) for i, j, k in rng.integers(0, 12, (80, 3))],
+                (12, 13), (12,), out_name="n1", in_name="n2",
+            )
+        )
+
+        def boxes(*intervals):
+            lo, hi = zip(*intervals)
+            return CellBoxSet("n0", (12,), np.array(lo)[:, None], np.array(hi)[:, None])
+
+        queries = [
+            boxes((0, 3)),  # expanded only
+            boxes((1, 1), (7, 7)),  # exact only
+            boxes((2, 4), (6, 9), (5, 5)),  # both, over three chunks
+            CellBoxSet.empty("n0", (12,)),
+            boxes((8, 11), (0, 5)),  # exact first, then expanded
+            boxes((10, 10)),
+        ]
+        monkeypatch.setattr(query_mod, "THETA_JOIN_BLOCK_BUDGET_BYTES", budget)
+        lo, hi, qid, _ = query_mod._stack_box_sets(queries)
+        stats = {}
+        *_, out_qid, _ = query_mod._theta_join_batch_raw(first, lo, hi, qid, stats=stats)
+        assert (np.diff(out_qid) >= 0).all()
+        assert set(out_qid.tolist()) == {0, 1, 2, 4, 5}
+        assert stats["join_blocks"] == {40: 9, 70: 5}.get(budget, 1)  # of 9 boxes
+        assert_joins_match_oracle(queries, first, merge)
+        assert_path_results_match_oracle([first, second], queries, merge)
+
 
 class TestExecutePathBatchEquivalence:
     @pytest.mark.parametrize("seed", SEEDS)
@@ -617,16 +727,11 @@ class TestExecutePathBatchEquivalence:
         for _ in range(25):
             tables, shape = random_chain(rng)
             queries = random_query_batch(rng, tables[0].key_name, shape)
-            got = execute_path_batch(tables, queries, merge=merge)
-            want = execute_path_batch_reference(tables, queries, merge=merge)
-            assert len(got) == len(want)
-            for g, w in zip(got, want):
-                assert_box_sets_identical(g.cells, w.cells)
-                assert_hops_identical(g.hops, w.hops)
+            assert_path_results_match_oracle(tables, queries, merge)
 
     def test_early_exit_per_query(self):
         # query 0 dies at hop 1 of 2; query 1 survives both hops — each
-        # must get exactly the hop list the sequential path records
+        # must get exactly the hop list it records alone
         r1 = LineageRelation.from_pairs(
             [((0,), (0,))], (4,), (4,), out_name="C", in_name="B"
         )
@@ -636,12 +741,8 @@ class TestExecutePathBatchEquivalence:
         tables = [compress(r1, key="output"), compress(r2, key="output")]
         dead = CellBoxSet.from_cells("C", (4,), [(3,)])  # no lineage rows
         live = CellBoxSet.from_cells("C", (4,), [(0,)])
-        got = execute_path_batch(tables, [dead, live])
-        want = execute_path_batch_reference(tables, [dead, live])
+        got = assert_path_results_match_oracle(tables, [dead, live], True)
         assert len(got[0].hops) == 1 and len(got[1].hops) == 2
-        for g, w in zip(got, want):
-            assert_box_sets_identical(g.cells, w.cells)
-            assert_hops_identical(g.hops, w.hops)
         # the dead query's empty result lives on the array where it died
         assert got[0].cells.array_name == "B"
         assert got[1].cells.array_name == "A"
@@ -652,6 +753,18 @@ class TestExecutePathBatchEquivalence:
         results = execute_path_batch([], [query])
         assert len(results) == 1
         assert results[0].cells is query and results[0].hops == []
+
+    def test_table_keyed_on_another_array_is_rejected(self):
+        # every hop is checked, as theta_join checks its one
+        relation = LineageRelation.from_pairs(
+            [((i,), (i,)) for i in range(4)], (4,), (4,), out_name="B", in_name="A"
+        )
+        table = compress(relation, key="output")
+        query = CellBoxSet.from_cells("B", (4,), [(1,)])
+        with pytest.raises(ValueError, match="keyed on array"):
+            execute_path_batch([table, table], [query])
+        with pytest.raises(ValueError, match="keyed on array"):
+            execute_path([table], CellBoxSet.from_cells("A", (4,), [(1,)]))
 
 
 # ----------------------------------------------------------------------
@@ -734,15 +847,6 @@ def pair_budget(budget):
         query_mod.THETA_JOIN_BLOCK_BUDGET_BYTES = old
 
 
-def execute_path_oracle(tables, query, merge):
-    current = query
-    for table in tables:
-        current = theta_join_reference(current, table, merge=merge)
-        if current.is_empty():
-            break
-    return current
-
-
 def mean_windows(table):
     """Per key attribute: the mean number of rows the window index would
     name for one index point, over every point of the attribute's extent."""
@@ -806,7 +910,7 @@ class TestWindowIndexProperty:
             assert_box_sets_identical(got, want)
             assert_box_sets_identical(in_batch, want)
             assert got.lo.dtype == np.int64 and in_batch.lo.dtype == np.int64
-            want = execute_path_oracle(tables, q, merge)
+            want, _ = execute_path_oracle(tables, q, merge)
             assert_box_sets_identical(path.cells, want)
             assert_box_sets_identical(in_path_batch.cells, want)
             assert_hops_identical(in_path_batch.hops, path.hops)

@@ -66,7 +66,6 @@ def test_planned_diamond_union(log):
     with QueryExecutor(log, max_workers=4) as ex:
         expected = log.prov_query(["a", "c"], QUERY).to_cells()
         assert ex.prov_query(["a", "c"], QUERY).to_cells() == expected
-        assert ex.stats()["parallel_paths"] >= 2
 
 
 def test_cache_hit_and_flag(log):
@@ -93,16 +92,6 @@ def test_unknown_array_raises(log):
             ex.prov_query(["a", "nope"], QUERY)
         with pytest.raises(ValueError):
             ex.prov_query(["a"], QUERY)
-
-
-def test_map_queries_matches_individual(log):
-    requests = [(["a", "b"], QUERY), (["a", "b", "c"], QUERY), (["b", "a"], QUERY)]
-    with QueryExecutor(log, max_workers=4) as ex:
-        batch = ex.map_queries(requests)
-        for (path, cells), result in zip(requests, batch):
-            assert result.to_cells() == log.prov_query(path, cells).to_cells()
-        # the batch populated the cache: re-running serves hits
-        assert ex.query(["a", "b"], QUERY)[1] is True
 
 
 def _pairs_in_distinct_shards(num_shards):
@@ -264,7 +253,7 @@ def test_closed_executor_rejects_queries(log):
     with pytest.raises(RuntimeError):
         ex.prov_query(["a", "b"], QUERY)
     with pytest.raises(RuntimeError):
-        ex.map_queries([(["a", "b"], QUERY), (["b", "c"], QUERY)])
+        ex.prov_query_batch([(["a", "b"], QUERY), (["b", "c"], QUERY)])
     with pytest.raises(RuntimeError):
         ex.impact("a")
 
@@ -376,3 +365,126 @@ def test_batch_racing_replace_and_compaction(tmp_path):
         thread.join()
         log.close()
     assert not errors
+
+
+# ----------------------------------------------------------------------
+# one pipeline: every way in agrees
+# ----------------------------------------------------------------------
+from repro.faults import ShardUnavailable  # noqa: E402
+from repro.service.api import QueryCoalescer  # noqa: E402
+
+OTHER = [(0, 5), (3, 3)]
+# healthy shards: a cache hit, direct misses (two sharing a path, so a batch
+# joins them in one pass), a graph-planned path, a planned diamond, and two
+# requests that fail validation
+ROUND_1 = [
+    (["a", "b"], QUERY),  # primed: hit
+    (["a", "b", "c"], QUERY),
+    (["a", "b", "c"], OTHER),
+    (["d", "c", "b"], QUERY),
+    (["b", "d"], QUERY),  # no entry: planned b -> c -> d
+    (["a", "c"], QUERY),  # no entry: planned a -> b -> c and a -> x -> c
+    (["a", "nope"], QUERY),  # KeyError
+    (["a"], QUERY),  # ValueError
+]
+# (a, b)'s home shard behind an open breaker
+ROUND_2 = [
+    (["c", "d"], QUERY),  # primed after the write: hit, the gate is not reached
+    (["a", "b"], QUERY),  # stale since the write: served degraded
+    (["a", "b"], OTHER),  # never cached: ShardUnavailable
+]
+
+
+def _one_at_a_time(ex, requests):
+    answers = []
+    for path, cells in requests:
+        try:
+            answers.append(ex.query(path, cells))
+        except Exception as error:  # noqa: BLE001 - compared by type below
+            answers.append(error)
+    return answers
+
+
+def _coalesced(ex, requests):
+    """Every request from its own thread through one QueryCoalescer, so
+    they reach the executor as batches of whatever the window caught."""
+    coalescer = QueryCoalescer(ex, window_ms=20)
+    answers = [None] * len(requests)
+
+    def submit(i, path, cells):
+        try:
+            answers[i] = coalescer.submit(path, cells)
+        except Exception as error:  # noqa: BLE001 - compared by type below
+            answers[i] = error
+
+    threads = [
+        threading.Thread(target=submit, args=(i, path, cells))
+        for i, (path, cells) in enumerate(requests)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    coalescer.close()
+    return answers
+
+
+WAYS_IN = {
+    "query": _one_at_a_time,
+    "query_batch": lambda ex, requests: ex.query_batch(requests),
+    "singleton batches": lambda ex, requests: [ex.query_batch([r])[0] for r in requests],
+    "coalescer": _coalesced,
+}
+
+
+def _comparable(answer):
+    if isinstance(answer, BaseException):
+        return type(answer)
+    cells = answer.result.cells
+    hops = [
+        (h.array_from, h.array_to, h.rows_scanned, h.boxes_in, h.boxes_out_raw,
+         h.boxes_out_merged, h.join_blocks)
+        for h in answer.result.hops
+    ]
+    return (cells.array_name, cells.lo.tolist(), cells.hi.tolist(), hops,
+            answer.cached, answer.degraded)
+
+
+def test_every_way_in_agrees(log):
+    """One request list through ``query`` one at a time, ``query_batch``
+    whole, ``query_batch`` as singletons and a ``QueryCoalescer``: answers,
+    flags, error types and the counters agree, and fresh answers are
+    ``DSLog.prov_query``'s."""
+    for name in ("d", "x"):
+        log.define_array(name, SHAPE)
+    for a, b in (("c", "d"), ("a", "x"), ("x", "c")):
+        log.add_lineage(a, b, relation=identity(a, b))
+    home = log.catalog.entry_shard(("a", "b"))
+    seen = {}
+    for way, run in WAYS_IN.items():
+        with QueryExecutor(log, max_workers=2) as ex:
+            ex.query(["a", "b"], QUERY)
+            first = run(ex, ROUND_1)
+            assert ex.query(["a", "b", "c"], QUERY).cached  # the misses were installed
+            # a write makes (a, b)'s entry stale; then its shard starts failing
+            log.add_lineage("a", "b", relation=identity("a", "b"), replace=True)
+            ex.query(["c", "d"], QUERY)
+            for _ in range(ex.breaker_failures):
+                ex._breaker(home).record_failure()
+            second = run(ex, ROUND_2)
+            stats = ex.stats()
+        answers = [_comparable(answer) for answer in first + second]
+        cache = stats["cache"]
+        seen[way] = (answers, stats["queries"], cache["hits"], cache["misses"], cache["stale_hits"])
+
+    answers = seen["query"][0]
+    assert answers[6] is KeyError and answers[7] is ValueError
+    assert answers[10] is ShardUnavailable
+    assert [a[-2:] for a in answers[:6]] == [(True, False)] + [(False, False)] * 5
+    assert [a[-2:] for a in answers[8:10]] == [(True, False), (True, True)]
+    for (path, cells), answer in zip(ROUND_1[:6], answers):
+        want = log.prov_query(path, cells)
+        assert answer[:3] == (want.cells.array_name, want.cells.lo.tolist(), want.cells.hi.tolist())
+        assert [hop[:2] for hop in answer[3]] == [(h.array_from, h.array_to) for h in want.hops]
+    for way, got in seen.items():
+        assert got == seen["query"], way

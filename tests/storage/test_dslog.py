@@ -1,9 +1,12 @@
 """End-to-end tests for the DSLog public API."""
 
+import gc
+
 import numpy as np
 import pytest
 
 from repro import DSLog
+from repro.core.compressed import CompressedLineage
 from repro.core.query import CellBoxSet
 from repro.core.reference import query_path_reference
 from repro.core.relation import LineageRelation
@@ -171,43 +174,48 @@ class TestQueries:
 
 
 class TestQueryCaches:
-    """Invalidation behavior of DSLog's path cache and query-box cache."""
+    """DSLog keeps no hop tables between queries; its query-box cache is
+    content-keyed."""
 
-    def test_path_cache_hit_on_repeat_query(self):
-        log = DSLog()
-        build_pipeline(log)
-        log.prov_query(["A", "B", "C"], [(0, 0)])
-        key = ("A", "B", "C")
-        version, tables = log._path_cache[key]
-        assert version == log.catalog.version
-        log.prov_query(["A", "B", "C"], [(1, 1)])
-        assert log._path_cache[key][1] is tables  # same resolved tables
-
-    def test_path_cache_invalidated_by_version_bump(self):
+    def test_replaced_lineage_is_seen_by_the_next_query(self):
         log = DSLog()
         build_pipeline(log)
         assert log.prov_query(["A", "B"], [(0, 0)]).to_cells() == {(0, 0)}
-        stale_version = log._path_cache[("A", "B")][0]
         # replace the A->B lineage with a row-shifted variant:
         # output (r, c) now derives from input ((r + 1) % 6, c)
         shifted = [((r, c), ((r + 1) % 6, c)) for r in range(6) for c in range(4)]
         relation = LineageRelation.from_pairs(shifted, (6, 4), (6, 4), in_name="A", out_name="B")
         log.add_lineage("A", "B", relation=relation, replace=True)
-        assert log.catalog.version > stale_version
-        # the query must see the new entry, not the cached tables
         assert log.prov_query(["A", "B"], [(0, 0)]).to_cells() == {(5, 0)}
-        assert log._path_cache[("A", "B")][0] == log.catalog.version
 
-    def test_path_cache_wholesale_clear_at_capacity(self):
-        log = DSLog()
-        build_pipeline(log)
-        version = log.catalog.version
-        for i in range(128):
-            log._path_cache[("X", f"Y{i}")] = (version, [])
-        assert len(log._path_cache) == 128
-        log.prov_query(["A", "B"], [(0, 0)])
-        # the 128-entry cap triggers a wholesale clear before inserting
-        assert set(log._path_cache) == {("A", "B")}
+    def test_queries_hold_no_tables_outside_the_cache_budget(self, tmp_path):
+        # more paths than the table caches can hold: once a query returns,
+        # the only hydrated tables left alive are the ones a shard's
+        # byte-budgeted TableCache still holds
+        shape, paths = (40, 3), 12
+        rng = np.random.default_rng(0)
+        log = DSLog(tmp_path / "db", num_shards=2, autosync=False)
+        for i in range(paths):
+            log.define_array(f"x{i}", shape)
+            log.define_array(f"y{i}", shape)
+            pairs = [(cell, (int(rng.integers(shape[0])), cell[1])) for cell in np.ndindex(*shape)]
+            relation = LineageRelation.from_pairs(pairs, shape, shape, in_name=f"x{i}", out_name=f"y{i}")
+            log.add_lineage(f"x{i}", f"y{i}", relation=relation)
+        log.close()
+
+        def live_tables():
+            gc.collect()
+            return sum(isinstance(obj, CompressedLineage) for obj in gc.get_objects())
+
+        before = live_tables()
+        log = DSLog.load(tmp_path / "db", cache_bytes=2)  # a byte a shard: its newest table only
+        for i in range(paths):
+            assert log.prov_query([f"y{i}", f"x{i}"], [(1, 1)]).count_cells() == 1
+        resident = sum(len(shard.cache) for shard in log.store.shards)
+        assert log.store.tables_deserialized == paths
+        assert 0 < resident < paths
+        assert live_tables() - before <= resident
+        log.close()
 
     def test_query_box_cache_reuses_conversion(self):
         log = DSLog()
