@@ -93,8 +93,7 @@ def build_mix():
 
 
 def clear_table_caches(log):
-    for shard in log.store.shards:
-        shard.cache.clear()
+    log.store.cache.clear()
 
 
 def time_mix(log, mix, max_workers, rounds, cache_entries=0, cold=False):

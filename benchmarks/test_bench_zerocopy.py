@@ -98,7 +98,7 @@ def test_bench_cold_hydration(benchmark, zerocopy_db):
 
     log = benchmark.pedantic(hydrate, rounds=3, warmup_rounds=1)
     benchmark.extra_info["tables"] = N_TABLES
-    benchmark.extra_info["cache_bytes"] = log.store.meta.cache.stats()["bytes"]
+    benchmark.extra_info["cache_bytes"] = log.store.cache.stats()["bytes"]
     benchmark.extra_info.update(log.store.reader_stats())
     log.close()
 
@@ -111,7 +111,7 @@ def test_bench_uncached_query_path(benchmark, zerocopy_db):
     paths = [chain[40:48], chain[200:208], list(reversed(chain[100:106])), wide[:3]]
 
     def query_cold():
-        log.store.meta.cache.clear()
+        log.store.cache.clear()
         hits = 0
         for path in paths:
             result = log.prov_query(path, [(3,)])
@@ -143,7 +143,7 @@ def test_cache_charges_narrow_footprint(zerocopy_db):
     root, _chain, _wide = zerocopy_db
     log = DSLog.load(root)
     log.catalog.materialize_all()
-    charged = log.store.meta.cache.stats()["bytes"]
+    charged = log.store.cache.stats()["bytes"]
     inflated = sum(
         int64_inflated_nbytes(entry.backward) + int64_inflated_nbytes(entry.forward)
         for entry in log.catalog.entries()

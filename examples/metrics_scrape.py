@@ -43,7 +43,7 @@ CHAIN = ["raw", "cleaned", "features"]
 REQUIRED = (
     "dslog_segment_flushes_total",    # storage: segment writer
     "dslog_segment_fsyncs_total",     # storage: durability barriers
-    "dslog_table_cache_hits_total",   # storage: table LRU
+    "dslog_table_cache_hits_total",   # storage: table cache
     "dslog_table_cache_bytes",        # storage: cache footprint gauge
     "dslog_manifest_publishes_total", # storage: atomic manifest swaps
     "dslog_queries_total",            # serving: executor queries

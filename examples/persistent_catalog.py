@@ -68,11 +68,12 @@ def main() -> None:
           f"{log.store.tables_deserialized} tables deserialized, "
           f"op name preserved: {log.catalog.entry('raw', 'cleaned').op_name!r}")
 
-    # 2b. zero-copy hydration: tables come back as read-only narrow views
-    # into the segment mmap, and the cache charges that narrow footprint
-    # (an int8 table would cost 8x more after an astype(int64) upcast)
+    # 2b. narrow hydration: tables come back as read-only arrays at the
+    # dtypes they were stored at, and the store's one table cache charges
+    # that footprint (an int8 table would cost 8x more after an
+    # astype(int64) upcast)
     def cached_bytes():
-        return sum(shard["bytes"] for shard in log.store.cache_stats())
+        return log.store.cache.stats()["bytes"]
 
     print(f"cache before hydration: {cached_bytes()} bytes")
     hydrated = log.catalog.entry("raw", "cleaned").backward
@@ -96,7 +97,7 @@ def main() -> None:
     summary = log.lineage_summary()
     print(f"summary: roots={summary['roots']} leaves={summary['leaves']} "
           f"max_depth={summary['max_depth']} entries={summary['entries']}")
-    print(f"table cache hits per shard: {[shard['hits'] for shard in log.store.cache_stats()]}")
+    print(f"table cache hits: {log.store.cache.stats()['hits']}")
 
     # 5. churn an entry, then compact the dead bytes away
     log.add_lineage("raw", "cleaned", relation=elementwise(shape, "raw", "cleaned"),

@@ -57,18 +57,18 @@ on it and raises ``ValueError`` naming the field.
 
 **Hydration** hands back read-only, C-contiguous columns at those narrow
 dtypes — no ``astype(int64)`` upcast, so a table stored as int8 is charged
-its int8 footprint by :meth:`CompressedLineage.nbytes`.  ``val_kind`` and
-``val_ref`` are views straight into the buffer
-:func:`deserialize_compressed` was given (``bytes``, ``memoryview``, an
-mmap'd segment record), which stays alive for exactly as long as a view
-references it; the four interval columns are rebuilt in one pass each
-(``np.add.accumulate`` down the rows for a ``lo``, ``np.add`` for a
-``hi``, each attribute's contiguous run scanned straight into its column
-of the row-major result) into arrays of their own.  Verbatim (pre-layout)
-payloads hydrate as six views.  A gzip store never had views into the
-segment mmap, only into the inflate buffer, so there the decode pass
-replaces nothing; a ``gzip=False`` store trades four mmap views per table
-for a file two fifths smaller.
+its int8 footprint by :meth:`CompressedLineage.nbytes`, and that footprint
+is all an ``attr-delta`` table holds: the four interval columns are
+rebuilt in one pass each (``np.add.accumulate`` down the rows for a
+``lo``, ``np.add`` for a ``hi``, each attribute's contiguous run scanned
+straight into its column of the row-major result) into arrays of their
+own, and ``val_kind`` / ``val_ref`` are two views over one copy of their
+``rows × nval`` items, so the buffer :func:`deserialize_compressed` was
+given (an inflate result, an mmap'd segment record) is referenced by
+nothing once the call returns.  The older layouts hydrate as before —
+``row-delta`` with its two verbatim columns as views into that buffer,
+pre-layout payloads as six views — and keep it alive for as long as a
+view references it.
 """
 
 from __future__ import annotations
@@ -395,7 +395,12 @@ def _undo_deltas(view, offset, rows, width, stored, decoded):
 
 def _read_attr_delta(header: dict, nkey: int, nval: int, view: memoryview, offset: int) -> tuple:
     """The six columns of an ``attr-delta`` payload, decoded straight from
-    its terse header."""
+    its terse header.  None of them references *view* afterwards: the four
+    interval columns are arrays of their own once the deltas are undone,
+    and ``val_kind`` / ``val_ref`` (stored verbatim, ``rows × nval`` items
+    each) share one private copy of their bytes — a hydrated table would
+    otherwise hold its whole inflated payload, or its mapped record, for
+    as long as it is cached."""
     rows = header.get("rows")
     if type(rows) is not int or rows < 0:
         raise _corrupt("'rows'", f"is {rows!r}, not a non-negative int")
@@ -409,15 +414,15 @@ def _read_attr_delta(header: dict, nkey: int, nval: int, view: memoryview, offse
             f"({rows} rows), {len(view) - offset} follow it"
         )
     key_lo, key_hi, kind_at = _undo_deltas(view, offset, rows, nkey, stored[0:2], decoded[0:2])
-    ref_at = kind_at + rows * nval * size[2]
-    val_lo, val_hi, _end = _undo_deltas(
-        view, ref_at + rows * nval * size[3], rows, nval, stored[4:6], decoded[2:4]
-    )
+    kind_len = rows * nval * size[2]
+    lo_at = kind_at + kind_len + rows * nval * size[3]
+    val_lo, val_hi, _end = _undo_deltas(view, lo_at, rows, nval, stored[4:6], decoded[2:4])
+    verbatim = bytes(view[kind_at:lo_at])
     return (
         key_lo,
         key_hi,
-        np.ndarray((rows, nval), stored[2], view, kind_at),
-        np.ndarray((rows, nval), stored[3], view, ref_at),
+        np.ndarray((rows, nval), stored[2], verbatim, 0),
+        np.ndarray((rows, nval), stored[3], verbatim, kind_len),
         val_lo,
         val_hi,
     )
@@ -492,11 +497,13 @@ def read_column_arrays(data) -> Tuple[dict, Dict[str, np.ndarray]]:
 
     *data* may be any buffer (``bytes``, ``memoryview``, mmap record).  The
     returned arrays are **read-only**, C-contiguous and at the narrow
-    dtypes the table was written from — no upcast.  The columns stored
-    verbatim are views into that buffer at an offset (no slice copy); under ``attr-delta`` and ``row-delta`` the four
-    interval columns are undone in one pass each, ``lo = cumsum(delta)``
-    then ``hi = lo + extent``.  A header without a ``layout`` field is a
-    payload from before any layout existed: all six columns are views.
+    dtypes the table was written from — no upcast.  Under ``attr-delta``
+    none of them references *data*: the four interval columns are undone
+    in one pass each (``lo = cumsum(delta)``, then ``hi = lo + extent``)
+    and the two verbatim ones share one small copy.  Under ``row-delta``
+    the interval columns are undone the same way and the verbatim ones are
+    views into *data* at an offset; a header without a ``layout`` field is
+    a payload from before any layout existed: all six columns are views.
 
     The header is validated before it is acted on, whatever the layout:
     dtypes are signed integers, dimensions non-negative ints, and the six
@@ -511,10 +518,11 @@ def deserialize_compressed(data) -> CompressedLineage:
     """Inverse of :func:`serialize_compressed`.
 
     The table's columns are read-only and narrow (see
-    :func:`read_column_arrays`).  Those that are views keep *data* alive
-    through their ``base`` chain, so passing a segment mmap here pins its
-    pages until the table (and every array derived from those columns) is
-    dropped.
+    :func:`read_column_arrays`).  An ``attr-delta`` table (the only layout
+    writers emit) holds no reference to *data*: an inflate buffer or a
+    segment mmap record passed here is free to go when the call returns.
+    The columns of the two older layouts that are views keep *data* alive
+    through their ``base`` chain until the table is dropped.
     """
     _header, fields, columns = _read_table(data)
     return CompressedLineage._hydrate(*fields[:5], *columns, *fields[5:])

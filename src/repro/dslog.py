@@ -25,11 +25,11 @@ Without a *root* the catalog lives in RAM.  With one it lives in the
 durable store (:mod:`repro.service.shards`): tables are appended to
 segment files, all metadata (op names, operation records, reuse-predictor
 state) rides in atomic manifests, and reopening a directory is
-O(manifest) — tables materialize lazily, through an LRU cache, on first
-query.  The store partitions entries over N shard directories keyed by a
-stable hash of each entry's ``(input, output)`` pair: per-shard segment
-files, manifests, locks, cache budgets and compaction, which is what the
-concurrent lineage service (:class:`repro.service.LineageService`) ingests
+O(manifest) — tables materialize lazily, through one table cache bounded
+by ``cache_bytes``, on first query.  The store partitions entries over N
+shard directories keyed by a stable hash of each entry's ``(input,
+output)`` pair: per-shard segment files, manifests, locks and compaction,
+which is what the concurrent lineage service (:class:`repro.service.LineageService`) ingests
 into from many writer threads at once; ``num_shards=1`` is the plain
 single-writer layout.  :meth:`DSLog.snapshot` hands out a read-only,
 snapshot-isolated view pinned at the current catalog state.
@@ -107,8 +107,9 @@ class DSLog:
         durable store) with a root, ``"memory"`` without.  Naming the one
         that contradicts *root* raises.
     cache_bytes:
-        Byte budget of the durable store's LRU table cache, split evenly
-        across shards.
+        Byte budget of the durable store's table cache: hydrated tables
+        of all shards together never exceed it (a table larger than the
+        whole budget is read for its query and not kept).
     autosync:
         When true (default), a durable log publishes a new manifest
         generation after every ``add_lineage`` / ``register_operation``
@@ -504,7 +505,7 @@ class DSLog:
         """The table of every hop of *path*, each keyed on the array the
         hop starts from.  Entries are looked up per call, so the only
         references that keep a hydrated table alive are the caller's and
-        its shard's byte-budgeted ``TableCache``."""
+        the store's byte-budgeted ``TableCache``."""
         return [
             self.catalog.entry_between(first, second)[0].table_keyed_on(first)
             for first, second in zip(path, path[1:])

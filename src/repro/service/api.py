@@ -217,8 +217,8 @@ def error_info(error: BaseException) -> Tuple[int, str, str]:
 
 
 def storage_stats(store) -> dict:
-    """Write coalescing, table cache (one entry per shard) and mmap reader
-    stats, pulled from the same objects the metrics registry meters; empty
+    """Write coalescing, table cache (a list of one: the store's cache)
+    and mmap reader stats, pulled from the same objects the metrics registry meters; empty
     for a memory log."""
     if store is None:
         return {}

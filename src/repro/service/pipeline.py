@@ -225,7 +225,8 @@ class LineageService:
         Single-op durable latency is at least one window — the group-commit
         trade.
     num_shards / gzip / cache_bytes / segment_max_bytes / reuse_confirmations:
-        Forwarded to :class:`DSLog` when the service opens the catalog.
+        Forwarded to :class:`DSLog` when the service opens the catalog
+        (``cache_bytes`` bounds the hydrated tables of all shards together).
     """
 
     def __init__(

@@ -21,16 +21,16 @@ is that pipeline on a list of one (re-raising its item's error) and
    planned once: an explicit multi-hop path resolves hop-by-hop through
    ``entry_between``; a two-array path with no direct entry is planned by
    the lineage graph (shortest stored path(s), diamond paths unioned).
-   Planning and hop-table resolution are :class:`~repro.dslog.DSLog`'s
-   (``plan_paths`` / ``hop_tables``) — the same code ``DSLog.prov_query``
-   runs.
-3. **Gate, prefetch, join** — every backing store is snapshot-pinned
+   Planning is :class:`~repro.dslog.DSLog`'s (``plan_paths``) — the same
+   code ``DSLog.prov_query`` runs.
+3. **Gate, resolve, join** — every backing store is snapshot-pinned
    (compaction retires rather than deletes segments while the pipeline
-   reads), the group's home shards pass their circuit breakers, and the hop
-   tables are prefetched *per shard* on the thread pool: shards are
-   independent single-writer stores, so their segment reads, gunzips and
-   deserializations overlap instead of queueing behind one another.  The
-   group then runs as one θ-join chain
+   reads), the group's home shards pass their circuit breakers, and each
+   hop's table is resolved once and held for the join: resident ones from
+   the table cache, the others hydrated *per shard* on the thread pool —
+   shards are independent single-writer stores, so their segment reads,
+   gunzips and deserializations overlap instead of queueing behind one
+   another.  The group then runs as one θ-join chain
    (:func:`~repro.core.query.execute_path_batch`), one kernel pass per hop
    however many requests share the path.  Equally short planned paths run
    one after the other on the calling thread, and their per-path
@@ -78,7 +78,7 @@ the shard is reopened-with-scrub
 breaker closes only when that heal succeeds.
 
 Deadlines: ``deadline=seconds`` (or the constructor-wide
-``default_deadline``) bounds the pooled per-shard prefetch and is re-checked
+``default_deadline``) bounds the pooled per-shard hydration and is re-checked
 before the join; a shard that stalls past the budget raises
 :class:`~repro.faults.DeadlineExceeded` (and counts against its breaker)
 instead of wedging the request.  An executor without a pool
@@ -601,16 +601,14 @@ class QueryExecutor:
         deps = self._path_deps(live, shards) if direct else self._full_deps(live)
         box_sets = [box_set for _, box_set, _ in items]
         try:
-            # per group, not per call: hydrating every group's tables up
-            # front lets a cache smaller than the batch's working set evict
-            # them before their joins run, which then load them again
+            # per group, not per call: a batch holds one group's tables at
+            # a time, whatever the cache kept of the groups before it
             with tracing.span("prefetch"):
-                self._prefetch_tables(paths, deadline_at=deadline_at)
+                tables = self._resolve_tables(paths, deadline_at=deadline_at)
             self._remaining(deadline_at, None)  # refuse doomed kernel work
             with tracing.span("join", paths=len(paths), queries=len(items)):
                 per_path = [
-                    execute_path_batch(self.log.hop_tables(p), box_sets, merge=merge)
-                    for p in paths
+                    execute_path_batch(of_path, box_sets, merge=merge) for of_path in tables
                 ]
                 results = [
                     QueryResult.union(of_query, merge=merge) for of_query in zip(*per_path)
@@ -708,69 +706,72 @@ class QueryExecutor:
             raise DeadlineExceeded("query deadline exceeded", shard=shard)
         return remaining
 
-    def _prefetch_tables(
+    def _resolve_tables(
         self, paths: Sequence[Sequence[str]], deadline_at: Optional[float] = None
-    ) -> None:
-        """Hydrate the hop tables that are not resident, grouped by home
-        shard.
+    ) -> List[List[Any]]:
+        """The table of every hop of every path, each keyed on the array
+        its hop starts from — resolved exactly once, and held by the
+        caller for its join: the table cache is hard-bounded and may keep
+        nothing of what is loaded here.
 
-        Lazy entries hydrate through their shard's segment reader and LRU
-        cache.  When two or more shards have tables to load, each shard's
-        group goes to the pool so their reads + gunzips overlap while one
-        shard's own reads stay sequential (one file cursor, one cache) —
-        the per-shard fan-out of the serving tier.  One cold shard has
-        nothing to overlap with: its tables hydrate on the calling thread
-        when the join resolves them (which then holds them — loading them
-        here as well would let a tight cache evict one before its hop).
-        With every table resident there is nothing to do at all, so the
-        common warm query pays no thread round trip.
+        A resident table is a cache ``get``.  The others hydrate through
+        their shard's segment reader, grouped by home shard: when two or
+        more shards have tables to load, each shard's group goes to the
+        pool so their reads + gunzips overlap while one shard's own reads
+        stay sequential (one file cursor) — the per-shard fan-out of the
+        serving tier.  One cold shard has nothing to overlap with and
+        hydrates on the calling thread; with every table resident the
+        common warm query pays no thread round trip at all.
 
         With a deadline, cold shards always go to the pool and each is
         awaited against the remaining budget: one slow/stalled shard raises
         :class:`~repro.faults.DeadlineExceeded` naming it, instead of
-        wedging the whole query.
+        wedging the whole query.  An executor without a pool hydrates
+        in-line, unbounded.
         """
-        if self._pool is None:
-            return  # sequential executor: loads happen in-line, unbounded
         catalog = self.log.catalog
-        # home shard -> its tables still to hydrate (the residency probe
-        # moves no cache counter)
-        by_shard: Dict[int, List[Tuple[Any, str]]] = {}
-        for path in paths:
-            for first, second in zip(path, path[1:]):
+        tables: List[List[Any]] = [[None] * (len(path) - 1) for path in paths]
+        # home shard -> its hops still to hydrate, as (path, hop, entry,
+        # keyed-on); the residency probe moves no cache counter
+        by_shard: Dict[int, List[Tuple[int, int, Any, str]]] = {}
+        for p, path in enumerate(paths):
+            for h, (first, second) in enumerate(zip(path, path[1:])):
                 entry, _ = catalog.entry_between(first, second)
                 shard = catalog.entry_shard((entry.in_name, entry.out_name))
                 tasks = by_shard.setdefault(shard, [])
-                if not entry.is_resident(first):
-                    tasks.append((entry, first))
+                if entry.is_resident(first):
+                    tables[p][h] = entry.table_keyed_on(first)
+                else:
+                    tasks.append((p, h, entry, first))
 
-        def load(shard: int, tasks: List[Tuple[Any, str]]) -> None:
+        def load(shard: int) -> None:
+            tasks = by_shard[shard]
             started = time.monotonic()
             with tracing.span("prefetch-shard", shard=shard, tables=len(tasks)):
-                for entry, keyed_on in tasks:
-                    entry.table_keyed_on(keyed_on)
-            _PREFETCH_SECONDS.labels(shard=str(shard)).observe(
-                time.monotonic() - started
-            )
+                for p, h, entry, keyed_on in tasks:
+                    tables[p][h] = entry.table_keyed_on(keyed_on)
+            if tasks:
+                _PREFETCH_SECONDS.labels(shard=str(shard)).observe(
+                    time.monotonic() - started
+                )
 
         cold = [shard for shard, tasks in by_shard.items() if tasks]
         pooled = cold if len(cold) >= 2 or deadline_at is not None else []
+        if self._pool is None:
+            pooled = []
         futures = {
-            self._pool.submit(tracing.wrap_context(load), shard, by_shard[shard]): shard
-            for shard in pooled
+            self._pool.submit(tracing.wrap_context(load), shard): shard for shard in pooled
         }
         if futures:
             with self._stats_lock:
                 self.parallel_loads += len(futures)
+        traced = tracing.current_trace() is not None
         try:
-            if tracing.current_trace() is not None:
-                # trace contract: one prefetch-shard span per home shard; a
-                # shard that stayed off the pool records an empty one (its
-                # tables load at the join, traced or not)
-                for shard, tasks in by_shard.items():
-                    if shard not in pooled:
-                        with tracing.span("prefetch-shard", shard=shard, tables=len(tasks)):
-                            pass
+            for shard, tasks in by_shard.items():
+                # trace contract: one prefetch-shard span per home shard,
+                # warm ones included
+                if shard not in pooled and (tasks or traced):
+                    load(shard)
             for future, shard in futures.items():
                 try:
                     future.result(timeout=self._remaining(deadline_at, shard))
@@ -784,6 +785,7 @@ class QueryExecutor:
         finally:
             for future in futures:
                 future.cancel()  # not-yet-started loads of a doomed query
+        return tables
 
     def _pin_stores(self):
         """Snapshot-pin the backing store(s) for the query's lifetime so a

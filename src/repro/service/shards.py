@@ -19,10 +19,13 @@ append-only segment files plus an atomic per-shard ``MANIFEST.json``
 An entry's home shard is the stable hash of its ``(input, output)`` pair,
 so two writers touching different pairs usually append to different
 segment files and publish different manifests — the write path is
-partitioned, not merely locked.  ``compact()`` and the LRU table-cache
-byte budget are per shard: one shard can be compacted (or evicted) while
-the others keep serving.  ``num_shards=1`` is the single-writer layout:
-one directory, one manifest, one lock — for catalogs one thread ingests.
+partitioned, not merely locked.  ``compact()`` is per shard: one shard can
+be compacted while the others keep serving.  Hydrated tables of every
+shard live in the root's one :class:`~repro.storage.store.TableCache`,
+whose budget is ``cache_bytes`` — not a share of it — and from which a
+shard's compaction or reset drops that shard's tables only.
+``num_shards=1`` is the single-writer layout: one directory, one manifest,
+one lock — for catalogs one thread ingests.
 
 Global catalog metadata — tracked arrays, operation records, the reuse
 predictor's state — is not per-pair and lives in the manifest of shard 0,
@@ -68,6 +71,7 @@ from ..storage.store import (
     DEFAULT_SEGMENT_MAX_BYTES,
     LineageStore,
     StoredLineageEntry,
+    TableCache,
     TableRef,
 )
 
@@ -179,12 +183,12 @@ class ShardedLineageStore:
             self.num_shards = int(num_shards)
             self.gzip = gzip
             write_shards_file(self.root, self.num_shards, self.gzip)
-        per_shard_budget = max(1, int(cache_bytes) // self.num_shards)
+        self.cache = TableCache(cache_bytes)
         self.shards: List[LineageStore] = [
             LineageStore(
                 self.root / f"shard-{idx:02d}",
                 gzip=self.gzip,
-                cache_bytes=per_shard_budget,
+                cache=self.cache,
                 segment_max_bytes=segment_max_bytes,
                 faults=faults,
                 scope=f"shard-{idx:02d}",
@@ -300,7 +304,9 @@ class ShardedLineageStore:
         return sum(shard.live_bytes() for shard in self.shards)
 
     def cache_stats(self) -> List[dict]:
-        return [shard.cache.stats() for shard in self.shards]
+        """The table cache's counters, in the list shape their readers sum
+        over (one dict per cache; a root has one)."""
+        return [self.cache.stats()]
 
     def write_stats(self) -> dict:
         """Aggregate group-commit write coalescing over every shard: how
@@ -361,7 +367,7 @@ class ShardedLineageStore:
         }
 
     def reopen_shard(self, idx: int) -> dict:
-        """Recovery probe for one shard: drop its file handles and cached
+        """Recovery probe for one shard: drop its file handles and its cached
         tables (as a restart would), then scrub-and-repair its directory.
         The shard's :class:`LineageStore` object survives — lazy entries
         hold references to it — with relocated records resolving through

@@ -15,7 +15,7 @@ Isolation protocol
   visible.  Entry objects themselves are immutable once installed
   (a ``replace=True`` re-ingest installs a *new* object), so sharing them
   with the live catalog is safe.
-* Table bytes are still read lazily through the live stores' LRU caches.
+* Table bytes are still read lazily through the live store's table cache.
   Each backing store is **pinned** (:meth:`LineageStore.pin`) for the
   snapshot's lifetime: a compaction that runs while the snapshot is open
   retires its old segment files instead of deleting them, so refs the

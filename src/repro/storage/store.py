@@ -4,8 +4,9 @@ One ``LineageStore`` is one shard directory of a durable ``DSLog``
 (:mod:`repro.service.shards` puts N of them behind one root): many
 ProvRC tables packed into append-only segment files
 (:mod:`repro.storage.segments`), indexed by one atomic JSON manifest
-(:mod:`repro.storage.manifest`), read back *lazily* through an LRU table
-cache with a byte budget.
+(:mod:`repro.storage.manifest`), read back *lazily* through a
+size-aware table cache with a hard byte budget (one cache per root, shared
+by its shards).
 
 Design points
 -------------
@@ -22,18 +23,23 @@ Design points
   manifest is swapped in atomically.  Unreferenced segment bytes are inert
   garbage until :meth:`LineageStore.compact` rewrites the live records into
   fresh segments and deletes the old files.
-* **LRU byte budget** — materialized tables live in
-  :class:`TableCache`; once the configured budget is exceeded the least
-  recently used tables are dropped and will be re-read from their segment
-  on next use, so catalogs larger than memory stay queryable.
-* **Zero-copy hydration** — records are served by per-segment mmap
-  readers (:class:`~repro.storage.segments.SegmentReader`, one handle per
-  segment for the store's lifetime) as views into the mapped pages, and
-  ``deserialize_table`` turns those views into read-only narrow-dtype
-  column arrays without copying the payload.  The cache therefore charges
-  each table its actual (narrow) view footprint, and a table pins its
-  backing mmap through the arrays' buffer chain — which is what lets
-  compaction retire a mapped segment while hydrated tables stay valid.
+* **A byte budget that is a bound** — materialized tables live in
+  :class:`TableCache`, never more than ``cache_bytes`` of them: eviction
+  is GreedyDual-Size (small tables, which cost as much to miss per byte
+  held as nothing else, outlast large ones; untouched tables age out), a
+  table larger than the whole budget is handed to its caller and not
+  kept, and whatever was dropped is re-read from its segment on next
+  use, so catalogs larger than memory stay queryable.
+* **Narrow hydration** — records are served by per-segment mmap readers
+  (:class:`~repro.storage.segments.SegmentReader`, one handle per segment
+  for the store's lifetime) as views into the mapped pages, and
+  ``deserialize_table`` decodes them into read-only narrow-dtype column
+  arrays of the table's own.  The cache charges each table exactly those
+  arrays (``nbytes()``), and that is all a resident table holds: neither
+  the inflated payload nor the mapped record outlives the decode, so
+  compaction can retire a mapped segment whatever is hydrated.  (Payloads
+  in the two layouts older builds wrote still decode to views; such a
+  table keeps its payload referenced until it is dropped.)
 * **Coalesced appends** — the active ``SegmentWriter`` buffers appends
   and hands each batch to the OS as one write + one fsync at ``sync()``
   (the group-commit step), instead of two writes and a flush per record.
@@ -42,10 +48,10 @@ Design points
 from __future__ import annotations
 
 import contextlib
+import heapq
 import threading
-from collections import OrderedDict
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional, Union
+from typing import Dict, Hashable, List, NamedTuple, Optional, Tuple, Union
 
 from ..core.compressed import CompressedLineage
 from ..core.serialize import deserialize_table, serialize_table
@@ -73,10 +79,10 @@ _CACHE_MISSES = REGISTRY.counter(
     "dslog_table_cache_misses_total", "Table cache lookups that fell through to a segment"
 )
 _CACHE_EVICTIONS = REGISTRY.counter(
-    "dslog_table_cache_evictions_total", "Tables dropped by the LRU byte budget"
+    "dslog_table_cache_evictions_total", "Tables evicted to keep a cache within its byte budget"
 )
 # process-wide resident table bytes, maintained as inc/dec deltas because
-# many TableCache instances (one per shard) feed the same series
+# every TableCache (one per open store root) feeds the same series
 _CACHE_BYTES = REGISTRY.gauge(
     "dslog_table_cache_bytes", "Materialized table bytes resident across all caches"
 )
@@ -106,17 +112,54 @@ class TableRef(NamedTuple):
         return cls(str(data["segment"]), int(data["offset"]), int(data["length"]))
 
 
+class _Resident:
+    """One cached table: its charge, its store's scope, and its current
+    eviction priority (``seq`` names the one heap entry that is live)."""
+
+    __slots__ = ("table", "nbytes", "credit", "scope", "priority", "seq")
+
+    def __init__(self, table: CompressedLineage, nbytes: int, scope: Optional[str]) -> None:
+        self.table = table
+        self.nbytes = nbytes
+        self.credit = 1.0 / max(nbytes, 1)
+        self.scope = scope
+        self.priority = 0.0
+        self.seq = 0
+
+
 class TableCache:
-    """LRU cache of materialized tables under an in-memory byte budget.
+    """Materialized tables under a hard in-memory byte budget — one cache
+    per store root, shared by every shard under it.
+
+    ``current_bytes`` never exceeds ``budget_bytes``: a table larger than
+    the whole budget is served to its caller and not retained, and an
+    admitted table evicts until the total fits (itself included, if it
+    ranks lowest).  Replacement is GreedyDual-Size with unit cost (Cao &
+    Irani, USITS 1997): a table's priority is ``floor + 1 / nbytes``, set
+    on admission and again on every hit; the lowest priority goes first and
+    ``floor`` rises to it, so what was not touched since ages out while a
+    stream of large tables cannot flush the many small ones.  Hydration
+    cost is affine in size here, so ``1 / nbytes`` orders tables as
+    measured cost over size would, without a clock.  The order is a heap
+    with lazy deletion (a re-ranked table's older entries are skipped when
+    popped, and the heap is rebuilt before stale entries can outnumber live
+    ones), so a hit is O(1) while ``floor`` stands still and an eviction
+    O(log n) amortised.
+
+    Keys are opaque; *scope* tags an entry with the shard it came from so
+    that shard can drop its own tables (``clear(scope)``) and nobody
+    else's.
 
     Thread-safe: the concurrent lineage service reads tables from worker,
-    reader and snapshot threads at once, and an OrderedDict being reordered
-    from two threads corrupts itself — every access holds a short mutex.
+    reader and snapshot threads at once — every access holds a short mutex.
     """
 
     def __init__(self, budget_bytes: int = DEFAULT_CACHE_BYTES) -> None:
         self.budget_bytes = int(budget_bytes)
-        self._items: "OrderedDict[TableRef, CompressedLineage]" = OrderedDict()
+        self._items: Dict[Hashable, _Resident] = {}
+        self._heap: List[Tuple[float, int, Hashable]] = []
+        self._floor = 0.0
+        self._seq = 0
         self._lock = threading.Lock()
         self.current_bytes = 0
         self.hits = 0
@@ -126,51 +169,76 @@ class TableCache:
     def __len__(self) -> int:
         return len(self._items)
 
-    def __contains__(self, ref: TableRef) -> bool:
-        """Residency probe: no counter moves, no LRU reordering."""
+    def __contains__(self, key: Hashable) -> bool:
+        """Residency probe: no counter moves, no priority is refreshed."""
         with self._lock:
-            return ref in self._items
+            return key in self._items
 
-    def get(self, ref: TableRef) -> Optional[CompressedLineage]:
+    def _reheap(self) -> None:
+        self._heap = [(item.priority, item.seq, key) for key, item in self._items.items()]
+        heapq.heapify(self._heap)
+
+    def _rank(self, key: Hashable, item: _Resident, priority: float) -> None:
+        """Give *item* a new priority and the heap entry that carries it
+        (its older entries are now stale).  Called with the lock held."""
+        self._seq += 1
+        item.priority = priority
+        item.seq = self._seq
+        if len(self._heap) > 2 * len(self._items) + 16:
+            self._reheap()
+        else:
+            heapq.heappush(self._heap, (priority, item.seq, key))
+
+    def get(self, key: Hashable) -> Optional[CompressedLineage]:
         with self._lock:
-            table = self._items.get(ref)
-            if table is None:
+            item = self._items.get(key)
+            if item is None:
                 self.misses += 1
                 _CACHE_MISSES.inc()
                 return None
-            self._items.move_to_end(ref)
+            priority = self._floor + item.credit
+            if priority > item.priority:
+                self._rank(key, item, priority)
             self.hits += 1
             _CACHE_HITS.inc()
-            return table
+            return item.table
 
-    def put(self, ref: TableRef, table: CompressedLineage) -> None:
+    def put(self, key: Hashable, table: CompressedLineage, scope: Optional[str] = None) -> None:
+        nbytes = table.nbytes()
         evicted = 0
         evicted_bytes = 0
         with self._lock:
-            if ref in self._items:
-                self._items.move_to_end(ref)
+            if nbytes > self.budget_bytes or key in self._items:
                 return
-            self._items[ref] = table
-            added = table.nbytes()
-            self.current_bytes += added
-            # evict least recently used down to the budget, but never the entry
-            # just inserted: a single oversized table would otherwise thrash
-            while self.current_bytes > self.budget_bytes and len(self._items) > 1:
-                _old_ref, old_table = self._items.popitem(last=False)
-                dropped = old_table.nbytes()
-                self.current_bytes -= dropped
+            item = self._items[key] = _Resident(table, nbytes, scope)
+            self._rank(key, item, self._floor + item.credit)
+            self.current_bytes += nbytes
+            while self.current_bytes > self.budget_bytes:
+                priority, seq, victim = heapq.heappop(self._heap)
+                old = self._items.get(victim)
+                if old is None or old.seq != seq:
+                    continue  # dropped, or re-ranked since this entry was pushed
+                del self._items[victim]
+                self._floor = priority
+                self.current_bytes -= old.nbytes
                 self.evictions += 1
                 evicted += 1
-                evicted_bytes += dropped
-        _CACHE_BYTES.inc(added - evicted_bytes)
+                evicted_bytes += old.nbytes
+        _CACHE_BYTES.inc(nbytes - evicted_bytes)
         if evicted:
             _CACHE_EVICTIONS.inc(evicted)
 
-    def clear(self) -> None:
+    def clear(self, scope: Optional[str] = None) -> None:
+        """Drop the tables tagged *scope*; every table when it is ``None``."""
         with self._lock:
-            dropped = self.current_bytes
-            self._items.clear()
-            self.current_bytes = 0
+            kept = {} if scope is None else {
+                key: item for key, item in self._items.items() if item.scope != scope
+            }
+            kept_bytes = sum(item.nbytes for item in kept.values())
+            dropped = self.current_bytes - kept_bytes
+            self._items = kept
+            self._reheap()
+            self.current_bytes = kept_bytes
         _CACHE_BYTES.dec(dropped)
 
     def stats(self) -> dict:
@@ -238,7 +306,7 @@ class StoredLineageEntry:
         """Whether :meth:`table_keyed_on` would be served from the table
         cache (a probe: it loads nothing and counts as no cache lookup)."""
         ref = self.backward_ref if array_name == self.out_name else self.forward_ref
-        return self.store.resolve(ref) in self.store.cache
+        return self.store.cache_key(ref) in self.store.cache
 
     def storage_bytes(self, gzip: bool = True) -> int:
         """Long-term (backward) footprint.  When the requested format is the
@@ -256,13 +324,15 @@ class StoredLineageEntry:
 
 
 class LineageStore:
-    """Segment files + manifest + table cache for one catalog directory."""
+    """Segment files + manifest for one catalog directory, read through a
+    table cache: *cache* when the store is one shard of several sharing
+    theirs, a default-budget cache of its own otherwise."""
 
     def __init__(
         self,
         root: Union[str, Path],
         gzip: bool = True,
-        cache_bytes: int = DEFAULT_CACHE_BYTES,
+        cache: Optional[TableCache] = None,
         segment_max_bytes: int = DEFAULT_SEGMENT_MAX_BYTES,
         faults: Optional[FaultPlan] = None,
         scope: Optional[str] = None,
@@ -283,7 +353,7 @@ class LineageStore:
             self.manifest = Manifest(gzip=gzip)
             self.gzip = gzip
         self.segment_max_bytes = int(segment_max_bytes)
-        self.cache = TableCache(cache_bytes)
+        self.cache = cache if cache is not None else TableCache()
         self.tables_deserialized = 0
         self._writer: Optional[SegmentWriter] = None
         # mmap-backed reader per segment, opened lazily on first read and
@@ -420,7 +490,7 @@ class LineageStore:
         if table is not None:
             table._segment_ref = ref
             table._segment_owner = self
-            self.cache.put(ref, table)
+            self.cache.put(self.cache_key(ref), table, self.scope)
         return ref
 
     def ref_for(self, table: CompressedLineage) -> Optional[TableRef]:
@@ -439,6 +509,11 @@ class LineageStore:
         while ref in self._remap:
             ref = self._remap[ref]
         return ref
+
+    def cache_key(self, ref: TableRef) -> Tuple[str, TableRef]:
+        """What the table at *ref* is cached under: refs are shard-local,
+        the cache is not."""
+        return self.scope, self.resolve(ref)
 
     def _reader_for(self, segment: str) -> SegmentReader:
         """The cached mmap reader of one segment (opened on first use)."""
@@ -471,8 +546,9 @@ class LineageStore:
     def load_table(self, ref: TableRef) -> CompressedLineage:
         attempts = 0
         while True:
-            resolved = self.resolve(ref)
-            table = self.cache.get(resolved)
+            key = self.cache_key(ref)
+            resolved = key[1]
+            table = self.cache.get(key)
             if table is not None:
                 return table
             writer = self._writer
@@ -504,7 +580,7 @@ class LineageStore:
             _TABLES_DESERIALIZED.inc()
             table._segment_ref = resolved
             table._segment_owner = self
-            self.cache.put(resolved, table)
+            self.cache.put(key, table, self.scope)
             return table
 
     # ------------------------------------------------------------------
@@ -537,16 +613,16 @@ class LineageStore:
         with self._pin_lock:
             if self._pins == 0:
                 self._delete_retired()
-        # release this store's contribution to the resident-bytes gauge
-        # (compaction repopulates the cache lazily after its own close)
-        self.cache.clear()
+        # release this store's tables and their share of the resident-bytes
+        # gauge (compaction repopulates the cache lazily after its own close)
+        self.cache.clear(self.scope)
 
     def reset_io(self) -> None:
         """Drop every open file handle and cached table, as a process
         restart would: best-effort close of the active writer (a final
         flush that fails against a broken disk is *swallowed* — the bytes
         are simply lost, exactly like a crash, and the dangling refs are
-        scrub's to find), all mmap readers closed, LRU cache cleared.
+        scrub's to find), all mmap readers closed, its cached tables dropped.
         The store stays usable; writers and readers reopen lazily.
         """
         writer, self._writer = self._writer, None
@@ -563,7 +639,7 @@ class LineageStore:
             for reader in self._readers.values():
                 reader.close()
             self._readers = {}
-        self.cache.clear()
+        self.cache.clear(self.scope)
 
     # ------------------------------------------------------------------
     # snapshot pins
@@ -675,7 +751,7 @@ class LineageStore:
         # before the compaction keep their views valid through the
         # mappings' reference chain until the last view is released
         self._drop_readers(old_segments)
-        self.cache.clear()
+        self.cache.clear(self.scope)
         _COMPACTIONS.inc()
         return {
             "records_copied": copied,

@@ -76,7 +76,7 @@ def kill_shard_reads(log, plan, shard):
     shard's table cache so queries must actually hit the disk."""
     plan.on("segment.read", scope=f"shard-{shard:02d}", kind="error", every=1)
     plan.on("segment.mmap", scope=f"shard-{shard:02d}", kind="error", every=1)
-    log.store.shards[shard].cache.clear()
+    log.store.cache.clear(scope=f"shard-{shard:02d}")
     plan.arm()
 
 
@@ -145,7 +145,7 @@ class TestExecutorDeadlines:
         plan.on(
             "segment.read", scope="shard-01", kind="stall", every=1, seconds=0.5
         )
-        log.store.shards[1].cache.clear()
+        log.store.cache.clear(scope="shard-01")
         plan.arm()
         with QueryExecutor(log, max_workers=2) as ex:
             start = time.monotonic()
@@ -265,7 +265,7 @@ class TestServerFaultSurface:
         log, pairs = build_sharded(tmp_path / "db", plan)
         a, b = pairs[0]
         plan.on("segment.read", scope="shard-00", kind="stall", every=1, seconds=0.5)
-        log.store.shards[0].cache.clear()
+        log.store.cache.clear(scope="shard-00")
         plan.arm()
         with LineageServer(log) as server:
             client = LineageClient(server.url, retries=0)

@@ -1,8 +1,9 @@
-"""``QueryExecutor._prefetch_tables``: the pool is for overlap, not for
+"""``QueryExecutor._resolve_tables``: the pool is for overlap, not for
 every query.  Resident tables cost no thread hop, one cold shard hydrates
-on the calling thread (when the join resolves its tables), two cold shards
-fan out, and a deadline still puts every cold shard on the pool so a stall
-is a ``DeadlineExceeded`` naming the shard."""
+on the calling thread, two cold shards fan out, and a deadline still puts
+every cold shard on the pool so a stall is a ``DeadlineExceeded`` naming
+the shard.  Whatever the route, each hop's table is loaded once and the
+join runs on that object — the table cache may keep none of them."""
 
 import time
 
@@ -68,7 +69,7 @@ class Harness:
 
     def evict(self, *shards):
         for shard in shards:
-            self.log.store.shards[shard].cache.clear()
+            self.log.store.cache.clear(scope=f"shard-{shard:02d}")
 
     def resident(self):
         """Per hop: is its table on the query's side in the table cache?"""
@@ -142,18 +143,16 @@ def test_one_cold_shard_with_a_deadline_is_awaited_against_the_budget(harness):
 
 def test_residency_probe_moves_no_cache_counter(harness):
     harness.evict(1)
-    before = harness.log.store.cache_stats()
+    [before] = harness.log.store.cache_stats()
     assert harness.resident() == [True, False]
-    # a warm hop, then a lone cold shard: prefetch probes, loads nothing
-    harness.executor._prefetch_tables([harness.path[:2]])
-    harness.executor._prefetch_tables([harness.path])
-    assert harness.log.store.cache_stats() == before
-    assert harness.resident() == [True, False]
-    # the join's own load is the one counted miss
+    assert harness.log.store.cache_stats() == [before]
+    # the warm hop is one hit, the cold one the one counted miss: telling
+    # them apart cost no lookup of its own
     harness.executor.query(harness.path, QUERY)
-    after = harness.log.store.cache_stats()
-    assert after[1]["misses"] == before[1]["misses"] + 1
-    assert after[0]["misses"] == before[0]["misses"]
+    [after] = harness.log.store.cache_stats()
+    assert after["hits"] == before["hits"] + 1
+    assert after["misses"] == before["misses"] + 1
+    assert harness.resident() == [True, True]
 
 
 @pytest.mark.parametrize("cold", [(), (1,), (0, 1)])
@@ -176,27 +175,28 @@ def test_traced_query_records_one_span_per_home_shard(harness, cold):
     }
 
 
-def test_traced_prefetch_loads_what_an_untraced_one_does(harness):
-    # a lone cold shard is left to the join with a trace active as well
+def test_traced_resolve_loads_what_an_untraced_one_does(harness):
+    # a lone cold shard stays off the pool with a trace active as well
     harness.evict(1)
     trace = tracing.start_trace("test")
     try:
-        harness.executor._prefetch_tables([harness.path])
+        [tables] = harness.executor._resolve_tables([harness.path])
     finally:
         trace.finish()
         tracing._CURRENT.set(None)
-    assert harness.resident() == [True, False]
+    assert [t.in_name for t in tables] == harness.path[:2]
+    assert harness.resident() == [True, True]
     assert harness.submits == 0
 
 
 def test_batch_larger_than_the_cache_hydrates_each_table_once(tmp_path):
-    # three path groups, two tables each, and a table cache that holds one
-    # table per shard: prefetching the whole batch up front would evict the
-    # first groups' tables before their joins and load them a second time
+    # three path groups, two tables each, and a table cache too small to
+    # keep any of them: a join that went back to the cache for the tables
+    # its prefetch loaded would hydrate every one a second time
     paths = two_shard_paths(3)
     log = DSLog(
         tmp_path / "db", backend="sharded", num_shards=NUM_SHARDS, autosync=False,
-        cache_bytes=NUM_SHARDS,  # one byte per shard: room for the newest table only
+        cache_bytes=NUM_SHARDS,  # two bytes: no table fits
     )
     for path in paths:
         for name in path:
@@ -204,12 +204,37 @@ def test_batch_larger_than_the_cache_hydrates_each_table_once(tmp_path):
         for a, b in zip(path, path[1:]):
             log.add_lineage(a, b, relation=elementwise(a, b))
     log.sync()
-    for shard in log.store.shards:
-        shard.cache.clear()
+    log.store.cache.clear()
     with QueryExecutor(log, max_workers=2, cache_entries=0) as executor:
         before = sum(s["misses"] for s in log.store.cache_stats())
         outcomes = executor.query_batch([(path, QUERY) for path in paths])
         hydrations = sum(s["misses"] for s in log.store.cache_stats()) - before
     assert [o.result.to_cells() for o in outcomes] == [{(1,)}] * len(paths)
     assert hydrations == 2 * len(paths)
+    log.close()
+
+
+def test_single_query_over_the_budget_hydrates_each_table_once(tmp_path):
+    # the single-query twin: both shards cold (so both loads run on the
+    # pool) and both tables over budget (so the cache keeps neither)
+    path = two_shard_path()
+    log = DSLog(
+        tmp_path / "db", backend="sharded", num_shards=NUM_SHARDS, autosync=False,
+        cache_bytes=NUM_SHARDS,
+    )
+    for name in path:
+        log.define_array(name, SHAPE)
+    for a, b in zip(path, path[1:]):
+        log.add_lineage(a, b, relation=elementwise(a, b))
+    log.sync()
+    assert len(log.store.cache) == 0
+    with QueryExecutor(log, max_workers=2, cache_entries=0) as executor:
+        [before] = log.store.cache_stats()
+        outcome = executor.query(path, QUERY)
+        [after] = log.store.cache_stats()
+        assert executor.stats()["parallel_loads"] == 2
+    assert outcome.result.to_cells() == {(1,)}
+    assert after["misses"] - before["misses"] == 2
+    assert after["hits"] == before["hits"]
+    assert after["bytes"] == 0 and len(log.store.cache) == 0
     log.close()

@@ -193,9 +193,11 @@ class TestPerShardMaintenance:
         reopened.close()
         log.close()
 
-    def test_per_shard_cache_budget(self, tmp_path):
+    def test_one_cache_holds_the_whole_budget(self, tmp_path):
         store = ShardedLineageStore(tmp_path / "db", num_shards=4, cache_bytes=4000)
-        assert all(shard.cache.budget_bytes == 1000 for shard in store.shards)
+        assert store.cache.budget_bytes == 4000
+        assert all(shard.cache is store.cache for shard in store.shards)
+        assert [stats["budget_bytes"] for stats in store.cache_stats()] == [4000]
         store.close()
 
     def test_storage_accounting_sums_shards(self, tmp_path):

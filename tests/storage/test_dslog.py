@@ -189,9 +189,9 @@ class TestQueryCaches:
         assert log.prov_query(["A", "B"], [(0, 0)]).to_cells() == {(5, 0)}
 
     def test_queries_hold_no_tables_outside_the_cache_budget(self, tmp_path):
-        # more paths than the table caches can hold: once a query returns,
-        # the only hydrated tables left alive are the ones a shard's
-        # byte-budgeted TableCache still holds
+        # more paths than the table cache can hold: once a query returns,
+        # the only hydrated tables left alive are the ones the store's
+        # TableCache still holds, and its budget bounds their bytes
         shape, paths = (40, 3), 12
         rng = np.random.default_rng(0)
         log = DSLog(tmp_path / "db", num_shards=2, autosync=False)
@@ -201,20 +201,22 @@ class TestQueryCaches:
             pairs = [(cell, (int(rng.integers(shape[0])), cell[1])) for cell in np.ndindex(*shape)]
             relation = LineageRelation.from_pairs(pairs, shape, shape, in_name=f"x{i}", out_name=f"y{i}")
             log.add_lineage(f"x{i}", f"y{i}", relation=relation)
+        budget = int(3.5 * log.catalog.entry("x0", "y0").backward.nbytes())
         log.close()
 
-        def live_tables():
+        def live_table_bytes():
             gc.collect()
-            return sum(isinstance(obj, CompressedLineage) for obj in gc.get_objects())
+            return sum(
+                obj.nbytes() for obj in gc.get_objects() if isinstance(obj, CompressedLineage)
+            )
 
-        before = live_tables()
-        log = DSLog.load(tmp_path / "db", cache_bytes=2)  # a byte a shard: its newest table only
+        before = live_table_bytes()
+        log = DSLog.load(tmp_path / "db", cache_bytes=budget)
         for i in range(paths):
             assert log.prov_query([f"y{i}", f"x{i}"], [(1, 1)]).count_cells() == 1
-        resident = sum(len(shard.cache) for shard in log.store.shards)
         assert log.store.tables_deserialized == paths
-        assert 0 < resident < paths
-        assert live_tables() - before <= resident
+        assert 0 < log.store.cache.current_bytes <= budget
+        assert live_table_bytes() - before == log.store.cache.current_bytes
         log.close()
 
     def test_query_box_cache_reuses_conversion(self):

@@ -100,12 +100,13 @@ class TestTableCache:
         assert cache.stats()["evictions"] >= 1
         assert cache.current_bytes <= cache.budget_bytes
 
-    def test_single_oversized_table_is_kept(self):
+    def test_table_over_the_whole_budget_is_not_retained(self):
         table = self._table(64, "big")
-        cache = TableCache(budget_bytes=1)
+        cache = TableCache(budget_bytes=table.nbytes() - 1)
         ref = TableRef("s", 0, 1)
         cache.put(ref, table)
-        assert cache.get(ref) is table
+        assert ref not in cache and cache.get(ref) is None
+        assert cache.current_bytes == 0 and cache.stats()["evictions"] == 0
 
 
 class TestLineageStore:
