@@ -9,13 +9,15 @@ serving tier makes the lineage reachable from anywhere:
 The server is a stdlib ``ThreadingHTTPServer`` fronting a
 ``QueryExecutor``: queries fan out per shard on a thread pool, and hot
 results are served from a generation-keyed LRU — the ``cached`` flag in
-each response shows it working.  When the writer ingests a new entry, only
-the touched shards' versions bump, so cached results over *other* shards
-stay valid while anything the write could affect is recomputed.
+each response shows it working.  A cached result depends on the lineage
+entries of its own hops and on nothing else: when the writer ingests an
+unrelated entry it stays valid, and when the writer replaces one of its
+hops it is recomputed.
 
 The example starts a server, forks two reader processes that issue path
-queries and graph analytics over HTTP, then ingests a new entry mid-flight
-and shows the cache invalidating exactly where it must.
+queries and graph analytics over HTTP, then ingests mid-flight and asserts
+that the cache invalidates exactly where it must (it exits non-zero
+otherwise, which is how CI runs it).
 
 Run with:  python examples/lineage_server.py
 """
@@ -89,18 +91,29 @@ def main() -> None:
         proc.join()
         assert proc.exitcode == 0
 
-    # --- a write invalidates exactly the shards it touches ----------------
+    # --- a write invalidates exactly the results it changed ---------------
     local = LineageClient.connect(server.url)
     warm = local.prov_query(CHAIN, cells=[[4, 4], [8, 8]])
     print(f"\n[writer] before ingest: cached={warm['cached']}")
+    assert warm["cached"]
 
     log.define_array("report", SHAPE)
     log.add_lineage("features", "report", relation=blur3("features", "report"))
 
     after = local.prov_query(CHAIN, cells=[[4, 4], [8, 8]])
     print(f"[writer] after ingesting features->report: cached={after['cached']} "
-          "(direct-path results depend only on their own hop shards)")
-    print(f"[writer] impact of 'raw' now reaches: {local.impact('raw')}")
+          "(a result depends only on the entries of its own hops)")
+    assert after["cached"] and after["count"] == warm["count"]
+    impact = local.impact("raw")
+    print(f"[writer] impact of 'raw' now reaches: {impact}")
+    assert "report" in impact  # graph answers turn over on any catalog change
+
+    a, b = CHAIN[1:3]
+    log.add_lineage(a, b, relation=blur3(a, b), op_name=f"{a}->{b} (v2)", replace=True)
+    replaced = local.prov_query(CHAIN, cells=[[4, 4], [8, 8]])
+    print(f"[writer] after replacing {a}->{b}: cached={replaced['cached']} "
+          "(one of its hops is a new entry)")
+    assert not replaced["cached"] and replaced["count"] == warm["count"]
     print(f"[writer] executor stats: {local.healthz()['executor']['cache']}")
 
     server.close()

@@ -514,21 +514,25 @@ class QueryResult:
 
         All results must target the same array; the box sets are
         concatenated (and coalesced when *merge* is set) and the per-hop
-        statistics of every contributing path are kept in order.
+        statistics of every contributing path are kept in order.  A path
+        along which the query emptied contributes its hops and no cells:
+        its empty result lives on the array where it died, which need not
+        be the one the other paths arrived at.
         """
         if not results:
             raise ValueError("cannot union an empty list of query results")
         if len(results) == 1:
             return results[0]
-        first = results[0].cells
-        for other in results[1:]:
+        arrived = [r for r in results if len(r.cells.lo)] or results[:1]
+        first = arrived[0].cells
+        for other in arrived[1:]:
             if other.cells.array_name != first.array_name or other.cells.shape != first.shape:
                 raise ValueError(
                     "cannot union results over different arrays: "
                     f"{first.array_name!r} vs {other.cells.array_name!r}"
                 )
-        lo = np.concatenate([r.cells.lo for r in results], axis=0)
-        hi = np.concatenate([r.cells.hi for r in results], axis=0)
+        lo = np.concatenate([r.cells.lo for r in arrived], axis=0)
+        hi = np.concatenate([r.cells.hi for r in arrived], axis=0)
         cells = CellBoxSet._wrap(first.array_name, first.shape, lo, hi)
         if merge:
             cells = cells.merged()

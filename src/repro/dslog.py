@@ -475,7 +475,7 @@ class DSLog:
         try:
             for name in path:
                 self.catalog.array(name)  # raises KeyError for unknown arrays
-            paths, _ = self.plan_paths(path)
+            paths = self.plan_paths(path)
             query = self._as_box_set(path[0], query_cells)
             results = [execute_path(self.hop_tables(p), query, merge=merge) for p in paths]
             return QueryResult.union(results, merge=merge)
@@ -483,12 +483,11 @@ class DSLog:
             _PROV_QUERIES.inc()
             _PROV_SECONDS.observe(time.monotonic() - started)
 
-    def plan_paths(self, path: Sequence[str]) -> Tuple[List[List[str]], bool]:
-        """Resolve a query path to the hop list(s) to execute: ``(paths,
-        direct)``.  *direct* means the path runs as given (``paths`` is
-        just it); a two-array path with no stored entry is planned through
-        the lineage graph instead — every shortest stored path, and a
-        ``KeyError`` when there is none."""
+    def plan_paths(self, path: Sequence[str]) -> List[List[str]]:
+        """Resolve a query path to the hop list(s) to execute: the path as
+        given, except that a two-array path with no stored entry is
+        planned through the lineage graph instead — every shortest stored
+        path, and a ``KeyError`` when there is none."""
         if len(path) == 2:
             try:
                 self.catalog.entry_between(path[0], path[1])
@@ -498,8 +497,8 @@ class DSLog:
                     raise KeyError(
                         f"no lineage stored between {path[0]!r} and {path[1]!r}"
                     ) from None
-                return planned, False
-        return [list(path)], True
+                return planned
+        return [list(path)]
 
     def hop_tables(self, path: Sequence[str]) -> List[CompressedLineage]:
         """The table of every hop of *path*, each keyed on the array the
@@ -518,7 +517,7 @@ class DSLog:
         Built once, then maintained *incrementally*: each access folds any
         entries added since the last one into the existing adjacency index
         (:meth:`LineageGraph.refresh`), keyed on the catalog's generation
-        counter — an unchanged catalog costs two comparisons, a changed one
+        counter — an unchanged catalog costs one comparison, a changed one
         costs O(new entries), never a full rebuild.
         """
         with self._graph_lock:
@@ -644,10 +643,7 @@ class DSLog:
         if repair and dropped:
             # the manifest rows are already gone; drop the in-memory lazy
             # entries too, or the next sync would resurrect dangling refs
-            for pair in dropped:
-                self.catalog._entries.pop(pair, None)
-                self.catalog._rows.pop(pair, None)
-            self.catalog.version += 1
+            self.catalog.drop_entries(dropped)
             self._graph = None
         if repair and not report["clean"]:
             self.refresh_entry_refs()

@@ -63,20 +63,23 @@ class LineageGraph:
     def refresh(self) -> bool:
         """Fold catalog changes since the last refresh into the graph.
 
-        Keyed on the catalog's generation counter: when the version is
-        unchanged (and no arrays were defined in the meantime) this is a
-        two-comparison no-op, so calling it on every ``DSLog.graph`` access
-        is free.  Otherwise only the *new* entries' edges are merged into
+        Keyed on the catalog's generation counter, which every mutation
+        bumps (a defined array included): when the version is unchanged
+        this is a one-comparison no-op, so calling it on every
+        ``DSLog.graph`` access is free.  Otherwise only the *new* entries' edges are merged into
         the adjacency index — each touched neighbor list is re-sorted to
         keep traversal deterministic — and the path memo is dropped
         (replaced entries change tables, never edges, so adjacency needs no
         downgrade handling).  Returns whether anything changed.
         """
         catalog = self.catalog
-        if self.version == catalog.version and len(self._out) == len(catalog.arrays):
+        if self.version == catalog.version:
             return False
         with self._lock:
-            if self.version == catalog.version and len(self._out) == len(catalog.arrays):
+            # read before the scan: a mutation landing meanwhile must leave
+            # the graph behind the catalog, never wrongly current
+            version = catalog.version
+            if self.version == version:
                 return False
             for name in catalog.arrays:
                 if name not in self._out:
@@ -100,7 +103,7 @@ class LineageGraph:
             for name in touched_in:
                 self._in[name].sort()
             self._path_memo.clear()
-            self.version = catalog.version
+            self.version = version
             self.refresh_count += 1
             return True
 

@@ -15,7 +15,7 @@ ingest and snapshot-isolated readers.
 * :mod:`repro.service.query` — :class:`QueryExecutor`: the scale-out read
   path — parallel per-shard fan-out over a thread pool behind a
   generation-keyed :class:`ResultCache` (writers invalidate exactly the
-  shards they touched).
+  results computed from the entries they replaced).
 * :mod:`repro.service.server` — :class:`LineageServer` /
   :class:`LineageClient`: the catalog over a stdlib HTTP JSON API
   (``/query``, ``/graph/impact``, ``/graph/dependencies``,

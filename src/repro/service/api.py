@@ -397,7 +397,8 @@ class ServiceCore:
     log:
         The :class:`~repro.dslog.DSLog` to serve (memory or durable).  The core
         only reads; a colocated writer keeps ingesting through the same
-        log object and the result cache invalidates per touched shard.
+        log object and the result cache invalidates per replaced lineage
+        entry.
     executor:
         A pre-built :class:`QueryExecutor` to share; by default the core
         owns one (and closes it on :meth:`close`).

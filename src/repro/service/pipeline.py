@@ -583,7 +583,9 @@ class LineageService:
         """Expose this service's catalog over the HTTP JSON API
         (:mod:`repro.service.server`) on a background thread.  Readers see
         *applied* state — the same cut snapshots see — and the result
-        cache invalidates per shard as the workers land writes."""
+        cache invalidates per lineage entry as the workers land writes: a
+        cached answer turns stale only when one of its own hops is
+        replaced."""
         return self.log.serve(port=port, host=host, **kwargs)
 
     def executor(self, **kwargs):

@@ -12,7 +12,7 @@ There is one, and it answers a *list* of requests; :meth:`QueryExecutor.query`
 is that pipeline on a list of one (re-raising its item's error) and
 :meth:`QueryExecutor.query_batch` is the batch counters plus the pipeline.
 
-1. **Validate, digest, look up** — the shard versions are read first (see
+1. **Validate, digest, look up** — the catalog version is read first (see
    below), then each request is checked (path length, known arrays, cells →
    boxes) and digested, and result-cache hits are answered on the spot.  A
    request that fails here, or at any later step, fails alone: its slot in
@@ -22,7 +22,9 @@ is that pipeline on a list of one (re-raising its item's error) and
    ``entry_between``; a two-array path with no direct entry is planned by
    the lineage graph (shortest stored path(s), diamond paths unioned).
    Planning is :class:`~repro.dslog.DSLog`'s (``plan_paths``) — the same
-   code ``DSLog.prov_query`` runs.
+   code ``DSLog.prov_query`` runs.  The hop entries are resolved here,
+   once: the gate, the join and the cache install below all work on these
+   very objects.
 3. **Gate, resolve, join** — every backing store is snapshot-pinned
    (compaction retires rather than deletes segments while the pipeline
    reads), the group's home shards pass their circuit breakers, and each
@@ -37,35 +39,42 @@ is that pipeline on a list of one (re-raising its item's error) and
    :class:`~repro.core.query.QueryResult`\\ s are combined with
    ``QueryResult.union``.
 4. **Install** — each fresh result goes into the result cache under its
-   own digest and dependency vector.
+   own digest, with the planned paths and the tokens of their hop entries.
 
 Result cache
 ------------
 :class:`ResultCache` is an LRU keyed on the *query-box digest* — a stable
-hash of the path, the query boxes and the merge flag — whose entries are
-validated against a *dependency vector*: the ``(shard, version)`` pairs the
-result was computed from.  The catalog keeps one applied-mutation counter
-per shard (:meth:`~repro.storage.catalog.Catalog.shard_version_vector`), so
+hash of the path, the query boxes and the merge flag — whose entries depend
+on exactly what they were computed from: the lineage *entries* of their
+hops.  Every catalog install gives its entry a ``token`` no other install
+in the process shares, and the catalog keeps one generation counter
+(``catalog.version``) that every mutation bumps.  A cached result records
+the request path, the planned paths with the token of every hop, and the
+version it was last validated at:
 
-* a **direct path query** depends only on the home shards of its hop
-  entries: writers invalidate exactly the shards they touched, and ingest
-  into any other shard leaves the cached result valid;
-* a **graph-planned query** (and ``impact`` / ``dependencies`` /
-  ``lineage_summary``) depends on the whole edge set, so it is keyed on
-  the full vector — any shard's write invalidates it, which is the only
-  correct answer when a new entry can create a shorter path.
+* an unchanged version is a hit on one integer compare;
+* otherwise the path is planned and its hops resolved again (microseconds,
+  once per cached result per catalog change, outside the cache mutex).  The
+  same planned paths over the same tokens restamp the result and hit: a
+  write costs the readers only what it changed.  Anything else — a replaced
+  or dropped hop, a new edge that shortens or widens a graph-planned path —
+  is an invalidation;
+* ``impact`` / ``dependencies`` / ``lineage_summary`` / ``graph_edges``
+  depend on the whole catalog: any version change invalidates them.
 
-A memory log (and a snapshot view) is one shard: its vector is the
-catalog's single generation counter, i.e. any write invalidates.
+Memory logs, one-shard and N-shard stores get the same precision from the
+same code; a snapshot view's frozen catalog never leaves the first case.
 
-The dependency vector is read *before* entries are resolved: a writer landing
-mid-execution makes the cached entry validate as stale on the next lookup
-rather than ever serving a result fresher than its key claims.
+The version is read *before* entries are resolved, and the tokens installed
+with a result are those of the entry objects whose tables the join used: a
+writer landing mid-execution makes the cached entry validate as stale on
+the next lookup rather than ever serving a result fresher than its key
+claims.
 
 Degraded serving
 ----------------
-Invalidated cache entries are kept (marked stale by their dependency
-vector) rather than deleted, because they are the *degraded* answer: each
+Invalidated cache entries are kept rather than deleted, because they are
+the *degraded* answer: each
 shard is wrapped in a :class:`~repro.faults.CircuitBreaker`, and when a
 query's home shard has a tripped breaker, the executor serves the last
 known result for that exact query — flagged ``degraded=True`` in the
@@ -94,7 +103,7 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..core.query import QueryResult, execute_path_batch
 from ..faults import CircuitBreaker, DeadlineExceeded, ShardUnavailable
@@ -121,7 +130,7 @@ _RESULT_MISSES = REGISTRY.counter(
 )
 _RESULT_INVALIDATIONS = REGISTRY.counter(
     "dslog_result_cache_invalidations_total",
-    "Cached results found stale against the shard version vector",
+    "Cached results found stale against the lineage entries they were computed from",
 )
 _RESULT_STALE_SERVES = REGISTRY.counter(
     "dslog_result_cache_stale_serves_total",
@@ -156,17 +165,18 @@ class QueryOutcome(NamedTuple):
     cached: bool
     degraded: bool
 
-# (shard index, applied-version) pairs a cached result was computed from
-DepVector = Tuple[Tuple[int, int], ...]
-
 
 class ResultCache:
-    """LRU of query results keyed on digest, validated by shard versions.
+    """LRU of query results keyed on digest, validated per lineage entry.
 
     Thread-safe: the HTTP server's handler threads and the executor's own
-    pool all go through here.  An entry *hits* only when every shard it
-    depends on still has the version it was computed at; a stale entry is
-    counted as an invalidation but **kept** — it is the degraded answer
+    pool all go through here.  An item is ``(value, path, deps, version)``:
+    the request path, what resolving it gave when the value was computed
+    (the planned paths and the token of every hop; ``path`` and ``deps``
+    are ``None`` for an answer that depends on the whole catalog) and the
+    catalog version it was last validated at.  It *hits* while resolving
+    the path would still give ``deps``; a stale item is counted as an
+    invalidation but **kept** — it is the degraded answer
     :meth:`lookup_stale` serves while the shard that could refresh it is
     behind a tripped breaker.  (A recompute overwrites it in place; LRU
     eviction reclaims it like any other entry.)
@@ -174,7 +184,7 @@ class ResultCache:
 
     def __init__(self, max_entries: int = DEFAULT_CACHE_ENTRIES) -> None:
         self.max_entries = int(max_entries)
-        self._items: "OrderedDict[bytes, Tuple[DepVector, Any]]" = OrderedDict()
+        self._items: "OrderedDict[bytes, Tuple[Any, Any, Any, int]]" = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -189,9 +199,12 @@ class ResultCache:
     def __len__(self) -> int:
         return len(self._items)
 
-    def lookup(self, key: bytes, live_versions: Dict[int, int]) -> Tuple[bool, Any]:
-        """Return ``(hit, value)``; *live_versions* maps shard → current
-        applied version (shards absent from the map never invalidate)."""
+    def lookup(
+        self, key: bytes, version: int, resolve: Callable[[Any], Any]
+    ) -> Tuple[bool, Any]:
+        """Return ``(hit, value)``.  *version* is the catalog's, read before
+        this call; ``resolve(path)`` gives what a result for *path* depends
+        on in the catalog now (or raises when it has no answer any more)."""
         if not self.enabled:
             return False, None
         with self._lock:
@@ -200,17 +213,30 @@ class ResultCache:
                 self.misses += 1
                 _RESULT_MISSES.inc()
                 return False, None
-            deps, value = item
-            for shard, version in deps:
-                if live_versions.get(shard, version) != version:
-                    # stale: miss, but keep the entry — it is the degraded
-                    # fallback should this query's shard become unavailable
-                    self.invalidations += 1
-                    self.misses += 1
-                    _RESULT_INVALIDATIONS.inc()
-                    _RESULT_MISSES.inc()
-                    return False, None
-            self._items.move_to_end(key)
+            value, path, deps, stamp = item
+            if stamp == version:
+                self._items.move_to_end(key)
+                self.hits += 1
+                _RESULT_HITS.inc()
+                return True, value
+        # the catalog changed since this item was last validated: resolve
+        # its path again, outside the mutex — once per item per change
+        try:
+            valid = path is not None and resolve(path) == deps
+        except Exception:  # noqa: BLE001 - a hop is gone: not what was cached
+            valid = False
+        with self._lock:
+            if not valid:
+                # stale: miss, but keep the entry — it is the degraded
+                # fallback should this query's shard become unavailable
+                self.invalidations += 1
+                self.misses += 1
+                _RESULT_INVALIDATIONS.inc()
+                _RESULT_MISSES.inc()
+                return False, None
+            if self._items.get(key) is item:
+                self._items[key] = (value, path, deps, version)
+                self._items.move_to_end(key)
             self.hits += 1
             _RESULT_HITS.inc()
             return True, value
@@ -228,13 +254,13 @@ class ResultCache:
             self._items.move_to_end(key)
             self.stale_hits += 1
             _RESULT_STALE_SERVES.inc()
-            return True, item[1]
+            return True, item[0]
 
-    def store(self, key: bytes, deps: DepVector, value: Any) -> None:
+    def store(self, key: bytes, value: Any, version: int, path=None, deps=None) -> None:
         if not self.enabled:
             return
         with self._lock:
-            self._items[key] = (deps, value)
+            self._items[key] = (value, path, deps, version)
             self._items.move_to_end(key)
             while len(self._items) > self.max_entries:
                 self._items.popitem(last=False)
@@ -340,19 +366,25 @@ class QueryExecutor:
         with self._breaker_lock:
             return {shard: br.stats() for shard, br in self._breakers.items()}
 
-    def _home_shards(self, paths: Sequence[Sequence[str]]) -> Set[int]:
-        """The shards a planned query will read from.  Each hop is
-        resolved to its *stored* orientation first: shard routing hashes
-        the ``(input, output)`` pair, so a backward hop queried as
-        ``(out, in)`` would otherwise name the wrong shard (and a cached
-        result keyed on it would survive a replace of its entry)."""
-        catalog = self.log.catalog
-        shards: Set[int] = set()
-        for path in paths:
-            for first, second in zip(path, path[1:]):
-                entry, _ = catalog.entry_between(first, second)
-                shards.add(catalog.entry_shard((entry.in_name, entry.out_name)))
-        return shards
+    def _plan(self, path: Sequence[str]) -> Tuple[List[List[str]], List[List[Any]]]:
+        """Plan *path* and resolve every hop of every planned path to its
+        catalog entry: ``(paths, entries)``, ``entries[p][h]`` linking
+        ``paths[p][h]`` and ``paths[p][h + 1]`` in either orientation."""
+        paths = self.log.plan_paths(path)
+        between = self.log.catalog.entry_between
+        return paths, [
+            [between(first, second)[0] for first, second in zip(p, p[1:])] for p in paths
+        ]
+
+    @staticmethod
+    def _computed_from(paths: List[List[str]], entries: List[List[Any]]):
+        """What the result cache compares: the planned paths and the token
+        of every hop entry."""
+        return paths, [[entry.token for entry in hops] for hops in entries]
+
+    def _dependencies(self, path: Sequence[str]):
+        """What a result for *path* would be computed from now."""
+        return self._computed_from(*self._plan(path))
 
     def _fault_shard(self, exc: BaseException, shards: Set[int]) -> int:
         """Attribute a fault to the shard it came from: the exception's
@@ -391,22 +423,6 @@ class QueryExecutor:
                 self.shard_reopens += 1
         except Exception:
             breaker.record_failure()
-
-    # ------------------------------------------------------------------
-    # dependency vectors
-    # ------------------------------------------------------------------
-    def _live_versions(self) -> Dict[int, int]:
-        """Current applied version of every shard."""
-        return dict(enumerate(self.log.catalog.shard_version_vector()))
-
-    def _full_deps(self, live: Dict[int, int]) -> DepVector:
-        return tuple(sorted(live.items()))
-
-    def _path_deps(self, live: Dict[int, int], shards: Set[int]) -> DepVector:
-        """Dependency vector of a direct path: its :meth:`_home_shards`
-        only — the precision that lets writers invalidate exactly the
-        shards they touched."""
-        return tuple((shard, live[shard]) for shard in sorted(shards))
 
     # ------------------------------------------------------------------
     # digests
@@ -475,7 +491,7 @@ class QueryExecutor:
         alone raised (unknown array, planning failure, unavailable shard
         with nothing cached).  One bad request never fails the batch.
 
-        A batch amortizes what a request pays alone: the dependency-version
+        A batch amortizes what a request pays alone: the catalog-version
         read and snapshot pin happen once, requests sharing a path are
         planned once and execute as a *single* blocked θ-join pass per hop
         with per-query result segmentation — results are bit-identical to
@@ -520,10 +536,10 @@ class QueryExecutor:
         """The one read pipeline (see the module docstring): one
         :class:`QueryOutcome` or exception per request, in order."""
         outcomes: List[Any] = [None] * len(requests)
-        # read the dependency versions BEFORE resolving entries: a writer
+        # read the catalog version BEFORE resolving entries: a writer
         # landing mid-execution must make the cached entry stale, never
         # fresher than its key
-        live = self._live_versions()
+        version = self.log.catalog.version
         # the misses, grouped by path: (request index, box set, cache key)
         groups: Dict[Tuple[str, ...], List[Tuple[int, Any, bytes]]] = {}
         misses = 0
@@ -540,7 +556,7 @@ class QueryExecutor:
             except Exception as error:  # noqa: BLE001 - per-item containment
                 outcomes[i] = error
                 continue
-            hit, value = self.cache.lookup(key, live)
+            hit, value = self.cache.lookup(key, version, self._dependencies)
             if hit:
                 outcomes[i] = QueryOutcome(value, True, False)
             else:
@@ -565,7 +581,7 @@ class QueryExecutor:
                 if trace is not None:
                     trace.set_tag("path_len", len(path))
                 for (i, _, _), outcome in zip(
-                    items, self._execute_group(path, items, merge, live, deadline_at)
+                    items, self._execute_group(path, items, merge, version, deadline_at)
                 ):
                     outcomes[i] = outcome
         finally:
@@ -578,17 +594,24 @@ class QueryExecutor:
         path: Tuple[str, ...],
         items: List[Tuple[int, Any, bytes]],
         merge: bool,
-        live: Dict[int, int],
+        version: int,
         deadline_at: Optional[float],
     ) -> List[Any]:
         """Answer the misses that share *path*: plan it, breaker-gate its
         home shards, prefetch its tables, run the θ-join chain(s) over the
         whole group, install per-query cache entries.  A failure is every
         item's: each degrades to its own stale entry or carries the error."""
+        catalog = self.log.catalog
         try:
             with tracing.span("plan") as plan_span:
-                paths, direct = self.log.plan_paths(path)
-                shards = self._home_shards(paths)
+                paths, entries = self._plan(path)
+                # home shards by *stored* orientation: routing hashes the
+                # (input, output) pair, whichever way the hop is queried
+                shards = {
+                    catalog.entry_shard((entry.in_name, entry.out_name))
+                    for hops in entries
+                    for entry in hops
+                }
                 plan_span.set_tag("paths", len(paths))
                 plan_span.set_tag("shards", sorted(shards))
         except Exception as error:  # noqa: BLE001 - per-item containment
@@ -598,13 +621,12 @@ class QueryExecutor:
         blocked = {s for s in shards if not self._breaker_allows(s)}
         if blocked:
             return [self._degrade(key, blocked) for _, _, key in items]
-        deps = self._path_deps(live, shards) if direct else self._full_deps(live)
         box_sets = [box_set for _, box_set, _ in items]
         try:
             # per group, not per call: a batch holds one group's tables at
             # a time, whatever the cache kept of the groups before it
             with tracing.span("prefetch"):
-                tables = self._resolve_tables(paths, deadline_at=deadline_at)
+                tables = self._resolve_tables(paths, entries, deadline_at=deadline_at)
             self._remaining(deadline_at, None)  # refuse doomed kernel work
             with tracing.span("join", paths=len(paths), queries=len(items)):
                 per_path = [
@@ -625,9 +647,13 @@ class QueryExecutor:
             breaker = self._breakers.get(shard)
             if breaker is not None:
                 breaker.record_success()
+        # the tokens of the entry objects the join read, never a second look
+        # at the catalog: a replace that landed meanwhile must find this
+        # result stale
+        deps = self._computed_from(paths, entries)
         with tracing.span("cache-install"):
             for (_, _, key), result in zip(items, results):
-                self.cache.store(key, deps, result)
+                self.cache.store(key, result, version, path, deps)
         return [QueryOutcome(result, False, False) for result in results]
 
     def _breaker_allows(self, shard: int) -> bool:
@@ -664,7 +690,7 @@ class QueryExecutor:
         )
 
     def impact(self, name: str) -> Dict[str, int]:
-        """Cached :meth:`DSLog.impact` (keyed on the full shard vector —
+        """Cached :meth:`DSLog.impact` (valid for one catalog version —
         any new entry can extend the closure)."""
         return self._graph_cached("impact", name, lambda: self.log.impact(name))
 
@@ -685,12 +711,12 @@ class QueryExecutor:
     def _graph_cached(self, kind: str, name: str, compute):
         self._check_open()
         key = self._digest(kind, name.encode("utf-8"))
-        live = self._live_versions()
-        hit, value = self.cache.lookup(key, live)
+        version = self.log.catalog.version
+        hit, value = self.cache.lookup(key, version, self._dependencies)
         if hit:
             return value
         value = compute()
-        self.cache.store(key, self._full_deps(live), value)
+        self.cache.store(key, value, version)  # no path: the whole catalog
         return value
 
     # ------------------------------------------------------------------
@@ -707,11 +733,15 @@ class QueryExecutor:
         return remaining
 
     def _resolve_tables(
-        self, paths: Sequence[Sequence[str]], deadline_at: Optional[float] = None
+        self,
+        paths: Sequence[Sequence[str]],
+        entries: Sequence[Sequence[Any]],
+        deadline_at: Optional[float] = None,
     ) -> List[List[Any]]:
-        """The table of every hop of every path, each keyed on the array
-        its hop starts from — resolved exactly once, and held by the
-        caller for its join: the table cache is hard-bounded and may keep
+        """The table of every hop of every path (*entries* as
+        :meth:`_plan` resolved them), each keyed on the array its hop
+        starts from — resolved exactly once, and held by the caller for
+        its join: the table cache is hard-bounded and may keep
         nothing of what is loaded here.
 
         A resident table is a cache ``get``.  The others hydrate through
@@ -735,8 +765,7 @@ class QueryExecutor:
         # keyed-on); the residency probe moves no cache counter
         by_shard: Dict[int, List[Tuple[int, int, Any, str]]] = {}
         for p, path in enumerate(paths):
-            for h, (first, second) in enumerate(zip(path, path[1:])):
-                entry, _ = catalog.entry_between(first, second)
+            for h, (first, entry) in enumerate(zip(path, entries[p])):
                 shard = catalog.entry_shard((entry.in_name, entry.out_name))
                 tasks = by_shard.setdefault(shard, [])
                 if entry.is_resident(first):

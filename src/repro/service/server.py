@@ -195,7 +195,8 @@ class _Server:
     log:
         The :class:`~repro.dslog.DSLog` to serve (memory or durable).  The
         server only reads; a colocated writer keeps ingesting through the
-        same log object and the result cache invalidates per touched shard.
+        same log object and the result cache invalidates per replaced
+        lineage entry.
     executor:
         A pre-built :class:`QueryExecutor` to share; by default the server
         owns one (and closes it on :meth:`close`).

@@ -439,17 +439,13 @@ class ShardedCatalog(Catalog):
         # pairs mid-append: reserved so two writers cannot both pass the
         # conflict check, append, and silently overwrite each other
         self._pending: Set[Tuple[str, str]] = set()
-        # per-shard applied-mutation counters: bumped the moment a mutation
-        # lands in memory (not when it is published), one counter per home
-        # shard — the serving tier's result cache keys on this vector so a
-        # writer invalidates exactly the shards it touched, and an applied-
-        # but-uncommitted entry is already visible as a version bump
-        self._shard_versions: List[int] = [0] * store.num_shards
-
-    def shard_version_vector(self) -> Tuple[int, ...]:
-        """The applied-mutation counter of every shard, in shard order."""
-        with self._meta_lock:
-            return tuple(self._shard_versions)
+        # ``version`` (the base catalog's one counter) is bumped under
+        # ``meta_lock`` the moment a mutation lands in memory, not when it
+        # is published: an applied-but-uncommitted entry is already a new
+        # generation to the serving tier's result cache, which re-validates
+        # a cached answer against the ``token`` of each hop entry — so a
+        # writer invalidates exactly the results computed from what it
+        # replaced, whichever shard that lives in
 
     # ------------------------------------------------------------------
     # arrays + operations (meta shard)
@@ -460,14 +456,12 @@ class ShardedCatalog(Catalog):
             manifest = self.store.meta.manifest
             if manifest.arrays.get(name) != list(info.shape):
                 manifest.arrays[name] = list(info.shape)
-                self._shard_versions[META_SHARD] += 1
                 self.store.mark_dirty(META_SHARD)
             return info
 
     def add_operation(self, record: OperationRecord) -> None:
         with self._meta_lock:
             super().add_operation(record)
-            self._shard_versions[META_SHARD] += 1
             self.store.meta.manifest.operations.append(
                 {
                     "op_name": record.op_name,
@@ -532,6 +526,7 @@ class ShardedCatalog(Catalog):
                         op_name=op_name,
                         reused=reused,
                         version=existing.version + 1 if existing is not None else 1,
+                        token=self.version + 1,
                     )
                     self._entries[pair] = entry
                     row = {
@@ -551,8 +546,7 @@ class ShardedCatalog(Catalog):
                     else:
                         shard.manifest.entries.append(row)
                         self._rows[pair] = row
-                    self.version += 1
-                    self._shard_versions[shard_idx] += 1
+                    self.version = entry.token
                     self.store.mark_dirty(shard_idx)
         except BaseException:
             # on append failure the reservation must not wedge the pair
@@ -566,10 +560,18 @@ class ShardedCatalog(Catalog):
         *row* must be the manifest's own row dict so replaces update it."""
         pair = (entry.in_name, entry.out_name)
         with self._meta_lock:
+            entry.token = self.version + 1
             self._entries[pair] = entry
             self._rows[pair] = row
+            self.version = entry.token
+
+    def drop_entries(self, pairs) -> None:
+        """Forget entries whose manifest rows a repair already removed."""
+        with self._meta_lock:
+            for pair in pairs:
+                self._entries.pop(pair, None)
+                self._rows.pop(pair, None)
             self.version += 1
-            self._shard_versions[self.store.shard_for(*pair)] += 1
 
     def entry_shard(self, pair: Tuple[str, str]) -> int:
         return self.store.shard_for(*pair)

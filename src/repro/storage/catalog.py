@@ -72,6 +72,11 @@ class LineageEntry:
     # bumped each time the pair is explicitly re-ingested with replace=True,
     # so queries and audits can tell a versioned entry from the original
     version: int = 1
+    # the catalog's generation counter as of this entry's install: no other
+    # install in the process shares it (``version`` restarts at 1 when a
+    # dropped pair is re-ingested), so a cached result that names the tokens
+    # of its hops is valid exactly while those installs are the current ones
+    token: int = 0
 
     def table_keyed_on(self, array_name: str) -> CompressedLineage:
         """Return the orientation whose key side is *array_name*."""
@@ -112,12 +117,14 @@ class Catalog:
         self.arrays: Dict[str, ArrayInfo] = {}
         self._entries: Dict[Tuple[str, str], LineageEntry] = {}
         self.operations: List[OperationRecord] = []
-        # the catalog's generation counter: bumped whenever the entry set
-        # changes, so path-resolution caches (DSLog.prov_query) and the
-        # incrementally maintained lineage graph (LineageGraph.refresh)
-        # can cheaply detect staleness.  Concurrent readers may observe it
-        # one bump behind the dicts — consumers must key derived state on
-        # the value read *before* resolving entries, never after.
+        # the catalog's generation counter: bumped by every mutation (a new
+        # array, an installed or dropped entry, an operation record), so the
+        # result cache (service/query.py) and the incrementally maintained
+        # lineage graph (LineageGraph.refresh) detect staleness with one
+        # compare.  Each mutation lands in the dicts first and bumps last:
+        # concurrent readers may observe the counter one bump behind the
+        # dicts, never ahead — consumers must key derived state on the
+        # value read *before* resolving entries, never after.
         self.version = 0
 
     # ------------------------------------------------------------------
@@ -131,7 +138,9 @@ class Catalog:
                 f"array {name!r} already defined with shape {existing.shape}, "
                 f"cannot redefine with {info.shape}"
             )
-        self.arrays[name] = info
+        if existing is None:
+            self.arrays[name] = info
+            self.version += 1
         return info
 
     def array(self, name: str) -> ArrayInfo:
@@ -181,9 +190,10 @@ class Catalog:
             op_name=op_name,
             reused=reused,
             version=existing.version + 1 if existing is not None else 1,
+            token=self.version + 1,
         )
         self._entries[pair] = entry
-        self.version += 1
+        self.version = entry.token
         return entry
 
     def entry(self, in_name: str, out_name: str) -> LineageEntry:
@@ -223,16 +233,12 @@ class Catalog:
         raise KeyError(f"no lineage stored between {first!r} and {second!r}")
 
     # ------------------------------------------------------------------
-    # the store protocol: one failure domain, one applied-version counter
-    # (the sharded catalog overrides the first two per home shard)
+    # the store protocol: one failure domain (the sharded catalog
+    # overrides the home shard per pair)
     # ------------------------------------------------------------------
     def entry_shard(self, pair: Tuple[str, str]) -> int:
         """Home shard of an ``(input, output)`` pair."""
         return 0
-
-    def shard_version_vector(self) -> Tuple[int, ...]:
-        """The applied-mutation counter of every shard, in shard order."""
-        return (self.version,)
 
     def materialize_all(self) -> int:
         """Force-load every entry's tables (the eager-open code path);
@@ -249,6 +255,7 @@ class Catalog:
     # ------------------------------------------------------------------
     def add_operation(self, record: OperationRecord) -> None:
         self.operations.append(record)
+        self.version += 1
 
     # ------------------------------------------------------------------
     # accounting

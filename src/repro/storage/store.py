@@ -258,14 +258,14 @@ class StoredLineageEntry:
 
     Duck-typed against :class:`~repro.storage.catalog.LineageEntry`
     (``in_name`` / ``out_name`` / ``op_name`` / ``reused`` / ``version`` /
-    ``backward`` / ``forward`` / ``table_keyed_on`` / ``is_resident`` /
-    ``storage_bytes``);
+    ``token`` / ``backward`` / ``forward`` / ``table_keyed_on`` /
+    ``is_resident`` / ``storage_bytes``);
     the two orientation attributes are properties that pull the table
     through the store's LRU cache on access.
     """
 
     __slots__ = ("store", "in_name", "out_name", "op_name", "reused", "version",
-                 "backward_ref", "forward_ref")
+                 "token", "backward_ref", "forward_ref")
 
     def __init__(
         self,
@@ -277,6 +277,7 @@ class StoredLineageEntry:
         op_name: Optional[str] = None,
         reused: bool = False,
         version: int = 1,
+        token: int = 0,
     ) -> None:
         self.store = store
         self.in_name = in_name
@@ -286,6 +287,7 @@ class StoredLineageEntry:
         self.op_name = op_name
         self.reused = reused
         self.version = version
+        self.token = token  # set by the catalog that installs the entry
 
     @property
     def backward(self) -> CompressedLineage:

@@ -199,6 +199,32 @@ class TestQueryResultUnion:
         with pytest.raises(ValueError):
             QueryResult.union([a, b])
 
+    def test_path_that_emptied_midway_joins_the_union(self):
+        # A -> B -> D reaches D; along A -> C -> D the query dies on C, and
+        # its empty result lives there.  The diamond's answer is the first
+        # path's (this raised "cannot union results over different arrays")
+        log = DSLog()
+        for name in "ABCD":
+            log.define_array(name, (4,))
+        for a, b in (("A", "B"), ("B", "D"), ("C", "D")):
+            log.add_lineage(a, b, relation=elementwise((4,), a, b))
+        log.add_lineage(
+            "A", "C",
+            relation=LineageRelation.from_pairs([((0,), (0,))], (4,), (4,), in_name="A", out_name="C"),
+        )
+        result = log.prov_query(["A", "D"], [(3,)])
+        assert result.to_cells() == {(3,)} and result.cells.array_name == "D"
+        assert [(h.array_from, h.array_to) for h in result.hops] == [
+            ("A", "B"), ("B", "D"), ("A", "C"),
+        ]
+        # ... and when every path dies, the (empty) answer is the first one's
+        assert log.prov_query(["D", "A"], [(1,)]).to_cells() == {(1,)}
+        log.add_lineage(
+            "A", "B", replace=True,
+            relation=LineageRelation.from_pairs([((0,), (0,))], (4,), (4,), in_name="A", out_name="B"),
+        )
+        assert log.prov_query(["A", "D"], [(3,)]).to_cells() == set()
+
     def test_union_of_empty_list_rejected(self):
         with pytest.raises(ValueError):
             QueryResult.union([])

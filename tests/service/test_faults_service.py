@@ -173,10 +173,10 @@ class TestBreakerDegradedServing:
             assert not fresh.degraded
             expected = fresh.result.to_cells()
 
-            # invalidate the cached result (a write on the home shard),
-            # then make that shard's disk unreadable
-            c, d = pair_for_shard(home, prefix="inval")
-            add_pair(log, c, d)
+            # invalidate the cached result (re-ingest the queried pair:
+            # same relation, so ``expected`` stands), then make that
+            # shard's disk unreadable
+            log.add_lineage(a, b, relation=elementwise(a, b), replace=True)
             log.sync()
             kill_shard_reads(log, plan, home)
 
@@ -232,8 +232,8 @@ class TestServerFaultSurface:
             first = client.prov_query([a, b], cells=QUERY)
             assert first["degraded"] is False
 
-            c, d = pair_for_shard(home, prefix="inval")
-            add_pair(log, c, d)
+            # only a write to the queried pair itself invalidates its result
+            log.add_lineage(a, b, relation=elementwise(a, b), replace=True)
             log.sync()
             kill_shard_reads(log, plan, home)
 

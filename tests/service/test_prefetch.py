@@ -180,7 +180,7 @@ def test_traced_resolve_loads_what_an_untraced_one_does(harness):
     harness.evict(1)
     trace = tracing.start_trace("test")
     try:
-        [tables] = harness.executor._resolve_tables([harness.path])
+        [tables] = harness.executor._resolve_tables(*harness.executor._plan(harness.path))
     finally:
         trace.finish()
         tracing._CURRENT.set(None)

@@ -1,6 +1,6 @@
-"""QueryExecutor + ResultCache: correctness, fan-out and the generation-
-keyed invalidation contract (writers invalidate exactly the shards they
-touched)."""
+"""QueryExecutor + ResultCache: correctness, fan-out and the invalidation
+contract (a write invalidates exactly the results computed from the lineage
+entries it replaced)."""
 
 import pytest
 
@@ -105,10 +105,16 @@ def _pairs_in_distinct_shards(num_shards):
     raise AssertionError("no distinct-shard pair found")
 
 
-def test_write_invalidates_only_touched_shards(tmp_path):
+def test_write_invalidates_only_touched_entries(tmp_path):
     log = DSLog(tmp_path / "db", backend="sharded", num_shards=4)
     (a, b), (u, v) = _pairs_in_distinct_shards(4)
-    for name in (a, b, u, v):
+    home = shard_index(a, b, 4)
+    c, d = next(
+        pair
+        for pair in ((f"c{i}", f"d{i}") for i in range(1000))
+        if shard_index(*pair, 4) == home
+    )
+    for name in (a, b, u, v, c, d):
         log.define_array(name, SHAPE)
     log.add_lineage(a, b, relation=identity(a, b))
     log.add_lineage(u, v, relation=identity(u, v))
@@ -117,11 +123,15 @@ def test_write_invalidates_only_touched_shards(tmp_path):
         ex.prov_query([a, b], QUERY)
         assert ex.query([a, b], QUERY)[1] is True
 
-        # a write to the OTHER pair's shard must not invalidate this result
+        # a write to another pair must not invalidate this result, whether
+        # it lands in another shard or in the queried pair's own
         log.add_lineage(u, v, relation=identity(u, v), replace=True)
         assert ex.query([a, b], QUERY)[1] is True
+        log.add_lineage(c, d, relation=identity(c, d))
+        assert ex.query([a, b], QUERY)[1] is True
+        assert ex.stats()["cache"]["invalidations"] == 0
 
-        # a write to the queried pair's own shard must invalidate it
+        # a write to the queried pair itself must
         log.add_lineage(a, b, relation=identity(a, b), replace=True)
         assert ex.query([a, b], QUERY)[1] is False
         assert ex.stats()["cache"]["invalidations"] == 1
@@ -165,10 +175,10 @@ def test_backward_path_invalidated_by_replace(tmp_path):
     log.close()
 
 
-def test_planned_query_keyed_on_all_shards(tmp_path):
+def test_planned_query_turns_over_when_the_plan_does(tmp_path):
     # a graph-planned (two-array, no direct entry) result depends on the
-    # whole edge set: ingest anywhere must invalidate it, because a new
-    # entry can create a shorter or additional path
+    # plan as well as on its hops: a new entry that creates a shorter or
+    # an additional equally short path must invalidate it
     log = DSLog(tmp_path / "db", backend="sharded", num_shards=4)
     build_chain(log, ["a", "b", "c"])
     with QueryExecutor(log, max_workers=2) as ex:
@@ -184,16 +194,52 @@ def test_planned_query_keyed_on_all_shards(tmp_path):
     log.close()
 
 
-def test_memory_backend_any_write_invalidates():
+def test_memory_backend_invalidates_per_entry():
     log = DSLog()
     build_chain(log, ["a", "b"])
     with QueryExecutor(log) as ex:
-        ex.prov_query(["a", "b"], QUERY)
+        before = ex.prov_query(["a", "b"], QUERY).to_cells()
         assert ex.query(["a", "b"], QUERY)[1] is True
+        # a memory log gets the sharded store's precision from the same
+        # code: a write that touches no hop of the query keeps the hit
         log.define_array("z", SHAPE)
         log.add_lineage("a", "z", relation=identity("a", "z"))
-        # unsharded: the catalog generation counter is the only key
-        assert ex.query(["a", "b"], QUERY)[1] is False
+        assert ex.query(["a", "b"], QUERY)[1] is True
+        assert ex.stats()["cache"]["invalidations"] == 0
+
+        log.add_lineage("a", "b", relation=shift("a", "b"), replace=True)
+        result, cached, _degraded = ex.query(["a", "b"], QUERY)
+        assert cached is False
+        assert result.to_cells() == log.prov_query(["a", "b"], QUERY).to_cells()
+        assert result.to_cells() != before
+
+
+def test_replace_landing_mid_query_leaves_a_stale_entry_never_a_wrong_one(log, monkeypatch):
+    # the writer strikes while the (b, c) hop is being resolved.  Whichever
+    # generation the answer in flight is of, what it installs must name the
+    # entries it was joined from: the next lookup finds it stale
+    path = ["a", "b", "c"]
+    old = log.prov_query(path, QUERY).to_cells()
+    target = log.catalog.entry("b", "c")
+    resolve = type(target).table_keyed_on
+    struck = []
+
+    def strike_then_resolve(entry, array_name):
+        if entry is target and not struck:
+            struck.append(array_name)
+            log.add_lineage("b", "c", relation=shift("b", "c"), replace=True)
+        return resolve(entry, array_name)
+
+    monkeypatch.setattr(type(target), "table_keyed_on", strike_then_resolve)
+    with QueryExecutor(log, max_workers=2) as ex:
+        in_flight = ex.query(path, QUERY)
+        assert struck == ["b"] and not in_flight.cached
+        new = log.prov_query(path, QUERY).to_cells()
+        assert new != old and in_flight.result.to_cells() in (old, new)
+        after = ex.query(path, QUERY)
+        assert after.cached is False
+        assert after.result.to_cells() == new
+        assert ex.query(path, QUERY).cached is True
 
 
 def test_graph_queries_cached_and_invalidated(log):
@@ -210,41 +256,56 @@ def test_graph_queries_cached_and_invalidated(log):
         assert ex.lineage_summary()["entries"] == len(log.catalog)
 
 
+def _never_resolved(path):
+    raise AssertionError("an unchanged catalog version must hit without resolving")
+
+
 def test_result_cache_lru_eviction():
     cache = ResultCache(max_entries=2)
-    live = {0: 1}
     for i, key in enumerate((b"k1", b"k2", b"k3")):
-        cache.store(key, ((0, 1),), i)
-    assert cache.lookup(b"k1", live) == (False, None)  # evicted, oldest
-    assert cache.lookup(b"k3", live) == (True, 2)
-    assert cache.stats()["evictions"] == 1
+        cache.store(key, i, 1, ("a", "b"), "deps")
+    assert cache.lookup(b"k1", 1, _never_resolved) == (False, None)  # evicted, oldest
+    assert cache.lookup(b"k2", 1, _never_resolved) == (True, 1)  # now the newest
+    cache.store(b"k4", 3, 1, ("a", "b"), "deps")
+    assert cache.lookup(b"k3", 1, _never_resolved) == (False, None)
+    assert cache.lookup(b"k2", 1, _never_resolved) == (True, 1)
+    assert cache.stats()["evictions"] == 2
 
 
 def test_result_cache_version_mismatch_keeps_stale_entry():
     cache = ResultCache(max_entries=4)
-    cache.store(b"k", ((0, 1), (2, 5)), "value")
-    assert cache.lookup(b"k", {0: 1, 2: 5}) == (True, "value")
-    assert cache.lookup(b"k", {0: 1, 2: 6}) == (False, None)
-    assert cache.stats()["invalidations"] == 1
+    current = {("a", "b"): "tokens-1"}
+    resolved = []
+
+    def resolve(path):
+        resolved.append(path)
+        return current[path]
+
+    cache.store(b"k", "value", 1, ("a", "b"), "tokens-1")
+    assert cache.lookup(b"k", 1, _never_resolved) == (True, "value")
+    # the catalog moved, the hops did not: one resolve restamps the entry
+    assert cache.lookup(b"k", 2, resolve) == (True, "value")
+    assert cache.lookup(b"k", 2, _never_resolved) == (True, "value")
+    assert resolved == [("a", "b")]
+    # a hop was replaced, then dropped (resolving raises): both are misses
+    current[("a", "b")] = "tokens-2"
+    assert cache.lookup(b"k", 3, resolve) == (False, None)
+    del current[("a", "b")]
+    assert cache.lookup(b"k", 3, resolve) == (False, None)
+    assert cache.stats()["invalidations"] == 2
+    assert cache.stats()["hits"] == 3
     # the stale value is retained for degraded serving, not dropped
     assert len(cache) == 1
     assert cache.lookup_stale(b"k") == (True, "value")
     assert cache.stats()["stale_hits"] == 1
 
 
-def test_shard_version_vector_tracks_home_shards(tmp_path):
-    log = DSLog(tmp_path / "db", backend="sharded", num_shards=4)
-    (a, b), (u, v) = _pairs_in_distinct_shards(4)
-    for name in (a, b, u, v):
-        log.define_array(name, SHAPE)
-    before = log.catalog.shard_version_vector()
-    log.add_lineage(a, b, relation=identity(a, b))
-    after = log.catalog.shard_version_vector()
-    home = shard_index(a, b, 4)
-    changed = [i for i in range(4) if before[i] != after[i]]
-    assert home in changed
-    assert all(i == home or after[i] >= before[i] for i in range(4))
-    log.close()
+def test_result_cache_whole_catalog_entry_turns_over_on_any_version():
+    cache = ResultCache(max_entries=4)
+    cache.store(b"impact", "closure", 7)
+    assert cache.lookup(b"impact", 7, _never_resolved) == (True, "closure")
+    assert cache.lookup(b"impact", 8, _never_resolved) == (False, None)
+    assert cache.stats()["invalidations"] == 1
 
 
 def test_closed_executor_rejects_queries(log):
@@ -266,6 +327,58 @@ import threading  # noqa: E402
 import numpy as np  # noqa: E402
 
 from repro.service.query import QueryOutcome  # noqa: E402
+
+
+def test_readers_racing_a_replacing_writer_never_keep_a_stale_answer(log):
+    """More reader threads than cores look one query up while a writer
+    replaces one of its hops (and defines unrelated arrays) as fast as it
+    can.  Every answer is one of the two generations', and once the writer
+    stops, the cache serves the last one — a restamp or an install that
+    lost a race would leave the other."""
+    import sys
+    import time
+
+    path = ["a", "b", "c"]
+    relations = [identity("b", "c"), shift("b", "c")]
+    legal = []
+    for relation in relations:
+        log.add_lineage("b", "c", relation=relation, replace=True)
+        legal.append(log.prov_query(path, QUERY).to_cells())
+    assert legal[0] != legal[1]
+    done = threading.Event()
+    wrong = []
+
+    def write():
+        try:
+            for i in range(60):
+                log.define_array(f"unrelated{i}", SHAPE)
+                log.add_lineage("b", "c", relation=relations[i % 2], replace=True)
+        finally:
+            done.set()
+
+    def read():
+        deadline = time.monotonic() + 30
+        while not done.is_set() and time.monotonic() < deadline:
+            cells = ex.query(path, QUERY).result.to_cells()
+            if cells not in legal:
+                wrong.append(cells)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with QueryExecutor(log, max_workers=2) as ex:
+            threads = [threading.Thread(target=read) for _ in range(6)]
+            threads.append(threading.Thread(target=write))
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not wrong
+            assert ex.query(path, QUERY).result.to_cells() == legal[1]
+            assert ex.query(path, QUERY).cached
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_batch_matches_individual(log):

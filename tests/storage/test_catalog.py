@@ -140,14 +140,56 @@ class TestOperations:
 
 
 class TestStoreProtocol:
-    """What the serving tier asks of any catalog: an in-memory one is a
-    single shard whose applied-version vector is its generation counter."""
+    """What the serving tier asks of any catalog: a home shard per pair
+    (an in-memory catalog is one shard), one generation counter every
+    mutation bumps, and a token per install that no other install shares."""
 
     def test_memory_catalog_is_one_shard(self):
         catalog = Catalog()
-        assert catalog.shard_version_vector() == (0,)
         catalog.add_relation(relation("A", "B"))
         catalog.add_relation(relation("B", "C"))
         assert catalog.entry_shard(("A", "B")) == catalog.entry_shard(("B", "C")) == 0
-        assert catalog.shard_version_vector() == (catalog.version,) == (2,)
         assert catalog.materialize_all() == 4  # both orientations of both entries
+
+    def test_every_mutation_bumps_the_one_counter(self):
+        catalog = Catalog()
+        seen = [catalog.version]
+        catalog.define_array("A", (8,))
+        seen.append(catalog.version)
+        catalog.define_array("A", (8,))  # already defined: nothing changed
+        assert catalog.version == seen[-1]
+        catalog.add_relation(relation("A", "B"))
+        seen.append(catalog.version)
+        catalog.add_relation(relation("A", "B"), replace=True)
+        seen.append(catalog.version)
+        catalog.add_operation(OperationRecord(op_name="neg", in_arrs=("A",), out_arrs=("B",)))
+        seen.append(catalog.version)
+        assert seen == sorted(set(seen))
+
+    def test_installs_never_share_a_token(self):
+        catalog = Catalog()
+        tokens = [catalog.add_relation(relation("A", "B")).token]
+        catalog.define_array("Z", (8,))
+        tokens.append(catalog.add_relation(relation("B", "C")).token)
+        tokens.append(catalog.add_relation(relation("A", "B"), replace=True).token)
+        assert len(set(tokens)) == 3 and 0 not in tokens
+        assert catalog.entry("A", "B").token == tokens[2]
+
+    def test_dropped_and_re_added_pair_gets_a_fresh_token(self, tmp_path):
+        # ``entry.version`` restarts at 1 here, which is why it cannot be
+        # the token; lazy installs at open take part too
+        from repro import DSLog
+
+        log = DSLog(tmp_path / "db", num_shards=2)
+        for name in "AB":
+            log.define_array(name, (8,))
+        log.add_lineage("A", "B", relation=relation("A", "B"))
+        log.add_lineage("A", "B", relation=relation("A", "B"), replace=True)
+        log.close()
+        log = DSLog.load(tmp_path / "db")
+        seen = {log.catalog.entry("A", "B").token}
+        log.catalog.drop_entries([("A", "B")])
+        again = log.add_lineage("A", "B", relation=relation("A", "B"))
+        assert again.version == 1
+        assert again.token not in seen and again.token == log.catalog.version
+        log.close()

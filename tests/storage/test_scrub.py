@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro import DSLog
+from repro import DSLog, QueryExecutor
 from repro.core.reference import query_path_reference
 from repro.core.relation import LineageRelation
 from repro.storage.manifest import MANIFEST_NAME, load_manifest
@@ -249,6 +249,35 @@ class TestRepair:
         reopened = DSLog.load(root)
         assert len(reopened.catalog) == 3
         reopened.close()
+
+    def test_dropped_entry_leaves_the_result_cache(self, tmp_path):
+        # the cached executor must answer as an uncached one does: before
+        # the cache validated per lineage entry, scrub's drop bumped no
+        # counter it read, and the dropped pair's result kept hitting
+        root = tmp_path / "db"
+        build(root, 4)
+        log = DSLog.load(root, autosync=False)
+        with QueryExecutor(log) as cached, QueryExecutor(log, cache_entries=0) as uncached:
+            for path in (["A2", "A1"], ["A1", "A0"]):
+                cached.query(path, [(1,)])
+                assert cached.query(path, [(1,)]).cached
+            flip_payload_byte(root / STORE, entry_ref(root / STORE, index=1, orient="backward"))
+            flip_payload_byte(root / STORE, entry_ref(root / STORE, index=1, orient="forward"))
+            report = log.scrub(repair=True)["shards"][0]
+            assert report["dropped_entries"] == [["A1", "A2"]]
+            for executor in (uncached, cached):
+                with pytest.raises(KeyError):
+                    executor.query(["A2", "A1"], [(1,)])
+            # re-ingested, the pair is a new install whose per-pair
+            # ``version`` is 1 again: the old result must not come back
+            log.add_lineage("A1", "A2", relation=elementwise("A1", "A2"))
+            assert log.catalog.entry("A1", "A2").version == 1
+            assert not cached.query(["A2", "A1"], [(1,)]).cached
+            # the entries scrub kept still hit
+            kept = cached.query(["A1", "A0"], [(1,)])
+            assert kept.cached and not kept.degraded
+            assert kept.result.to_cells() == uncached.query(["A1", "A0"], [(1,)]).result.to_cells()
+        log.close()
 
     def test_torn_tail_repair_evacuates_all_records(self, tmp_path):
         root = tmp_path / "db"
