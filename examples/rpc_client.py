@@ -12,6 +12,8 @@ The example:
 
 1. builds a 3-hop sharded catalog and serves it over both transports,
 2. proves HTTP and RPC return byte-identical payloads for the same query,
+   one at a time and as one ``prov_query_batch`` (one reply layout: a
+   single RPC result is a batch of one),
 3. races the two transports over an uncached query mix, sequential and
    request-id pipelined (`prov_query_pipelined`: N frames in flight on
    one socket, responses matched by id),
@@ -112,7 +114,10 @@ def main():
             assert stable(http.prov_query(path, **request)) == stable(
                 rpc.prov_query(path, **request)
             )
-        print(f"byte-identical answers across transports: {len(mix)} query shapes")
+        http_batch = http.prov_query_batch(mix)
+        rpc_batch = rpc.prov_query_batch(mix)
+        assert [stable(r) for r in http_batch] == [stable(r) for r in rpc_batch]
+        print(f"byte-identical answers across transports: {len(mix)} query shapes, alone and batched")
 
         # -- 2. uncached round-trip race -------------------------------
         run_mix(http.prov_query, mix, 1)  # warm tables + connections

@@ -176,7 +176,7 @@ def parse_json_frame(data, magic: bytes, what: str = "frame") -> Tuple[dict, int
         )
     try:
         header = json.loads(bytes(view[offset : offset + header_len]).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as error:  # too deeply nested
         raise ValueError(f"corrupt {what} header: {error}") from None
     if not isinstance(header, dict):
         raise ValueError(f"corrupt {what} header: not a JSON object")

@@ -69,7 +69,6 @@ from .wire import (
     encode_batch,
     encode_frame,
     encode_json,
-    encode_result,
     parse_frame_header,
     read_frame,
     recv_exact,
@@ -100,30 +99,16 @@ class _ConnectionDropped(Exception):
 # ----------------------------------------------------------------------
 # the codec: one encoder and one decoder per reply kind
 # ----------------------------------------------------------------------
-def _encode_outcome(outcome, spec, elapsed_ms: float = 0.0) -> bytes:
-    return encode_result(
-        outcome.result,
-        include_boxes=spec.include_boxes,
-        include_cells=spec.include_cells,
-        cached=outcome.cached,
-        degraded=outcome.degraded,
-        elapsed_ms=elapsed_ms,
-    )
-
-
-def _encode_batch(reply) -> bytes:
-    entries, elapsed_ms = reply
-    return encode_batch(
-        [entry if isinstance(entry, dict) else _encode_outcome(*entry) for entry in entries],
-        elapsed_ms=elapsed_ms,
-    )
+def _entry(outcome, spec, elapsed_ms: float = 0.0) -> tuple:
+    """A query outcome as an :func:`~repro.service.wire.encode_batch` entry."""
+    return (outcome.result, spec.include_boxes, spec.include_cells, outcome.cached, outcome.degraded, elapsed_ms)
 
 
 _ENCODERS: Dict[str, Callable[[Any], bytes]] = {
     "json": encode_json,
     "text": lambda reply: reply.encode("utf-8"),
-    "query": lambda reply: _encode_outcome(*reply),
-    "batch": _encode_batch,
+    "query": lambda reply: encode_batch([_entry(*reply)], reply[2]),
+    "batch": lambda reply: encode_batch([e if isinstance(e, dict) else _entry(*e) for e in reply[0]], reply[1]),
 }
 _DECODERS: Dict[str, Callable[[bytes], Any]] = {
     "json": decode_json,

@@ -13,7 +13,7 @@ Every message in either direction is one *frame*::
 
     offset  size  field
     0       4     magic  b"DRPC"
-    4       2     u16    protocol version (currently 1)
+    4       2     u16    protocol version (currently 2)
     6       4     u32    payload length in bytes
     10      2     u16    opcode (requests: the operation; responses: the
                          request's opcode, or OP_ERROR for failures)
@@ -27,25 +27,36 @@ parse_header` helpers (the same pair behind the ProvRC, segment and
 baseline-store formats).  Request payloads are UTF-8 JSON — exactly the
 HTTP body shapes, so both transports share one request parser.  Response
 payloads are JSON for the small endpoints and *binary result payloads*
-(below) for queries, where the savings live.
+(below) for queries, where the savings live.  A peer speaking another
+version is refused at the first frame header, never misread.
 
 Binary result payloads
 ----------------------
-A query result is one inner :func:`~repro.core.serialize.json_frame`
-(magic ``b"DRES"``): a compact JSON header carrying the scalar fields
-(array, shape, count, per-hop stats, cached/degraded flags) plus the
-dtype/length manifest of the binary section, followed by the raw
-little-endian ndarray buffers — box lows, box highs, optionally the
-exact cell coordinates — downcast to the smallest integer dtype that
-holds their values (:func:`~repro.core.serialize.smallest_int_dtype`,
-the ProvRC trick applied to the wire).  The client hydrates each buffer
-with one ``np.frombuffer`` view over the received bytes: zero copies,
-no per-integer work, and ``boxes_lo`` / ``boxes_hi`` arrive as ready
-``(n, ndim)`` ndarrays instead of nested lists.
+Every query reply — ``OP_QUERY`` and ``OP_QUERY_BATCH`` alike — has one
+layout: a single result is a batch of one.  It is one
+:func:`~repro.core.serialize.json_frame` (magic ``b"DRES"``) whose
+compact JSON header holds the reply's ``elapsed_ms``, the ``dtype`` of
+the coordinate block and the ``items``, each either a *row* or a
+per-item ``{"error": {...}}`` dict.  A row is a list in the order of
+:data:`_ROW`: array, shape, box count, exact cell count, hop rows (the
+fields of :data:`_HOP`), the cached / degraded flags, elapsed ms, the
+include-boxes / include-cells flags and the row count of the cell
+listing.
 
-:class:`RPCResult` wraps a decoded payload.  It is mapping-compatible
-with the HTTP result dict (``result["count"]``, ``result["boxes"]`` …)
-so callers can switch transports without rewriting, and exposes the
+One coordinate block follows the header: every item's box lows, box
+highs and optional cell listing, flattened in item order, narrowed
+*once* to the smallest signed little-endian integer dtype that holds
+them all (:func:`~repro.core.serialize.smallest_int_dtype`, the ProvRC
+trick applied to the wire) and written with one ``tobytes``.  The
+decoder checks every row against that block — the rows × ndim the
+items claim must be exactly the values it holds — then makes one
+``np.frombuffer`` over it: every ``boxes_lo`` / ``boxes_hi`` /
+``cells_array`` is a reshaped, read-only view into that one buffer.
+Zero copies, no per-integer work, for a batch as for a single result.
+
+:class:`RPCResult` wraps a decoded row.  It is mapping-compatible with
+the HTTP result dict (``result["count"]``, ``result["boxes"]`` …) so
+callers can switch transports without rewriting, and exposes the
 ndarray views directly for callers that want them.
 """
 
@@ -54,7 +65,7 @@ from __future__ import annotations
 import json
 import socket
 import struct
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -98,7 +109,7 @@ __all__ = [
 ]
 
 WIRE_MAGIC = b"DRPC"
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 _HEADER_LAYOUT = "HIHI"  # version, payload length, opcode, request id
 FRAME_HEADER_SIZE = len(WIRE_MAGIC) + struct.calcsize("<" + _HEADER_LAYOUT)
 
@@ -133,6 +144,16 @@ OPCODES: Dict[int, str] = {
 }
 
 _RESULT_MAGIC = b"DRES"
+# the fields of a result row and of one of its hop rows, by position
+_ROW = (
+    "array", "shape", "boxes_merged", "count", "hops", "cached", "degraded",
+    "elapsed_ms", "include_boxes", "include_cells", "cell_rows",
+)
+# the JSON type of each row field; every int is a count (>= 0)
+_ROW_TYPES = (str, list, int, int, list, bool, bool, float, bool, bool, int)
+_HOP = ("from", "to", "rows_scanned", "boxes_in", "boxes_out_raw", "boxes_out_merged", "seconds")
+# what a coordinate block may be stored as, by the header's dtype string
+_BLOCK_DTYPES = {spec: np.dtype(spec) for spec in ("<i1", "|i1", "<i2", "<i4", "<i8")}
 
 
 class ShortRead(ConnectionError):
@@ -221,35 +242,51 @@ def encode_json(obj: Any) -> bytes:
 def decode_json(payload: bytes) -> Any:
     try:
         return json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as error:
         raise ValueError(f"corrupt JSON frame payload: {error}") from None
 
 
 # ----------------------------------------------------------------------
 # binary result payloads
 # ----------------------------------------------------------------------
-def _buffer_spec(array: np.ndarray) -> Tuple[dict, bytes]:
-    """Downcast an ``(n, ndim)`` int64 array to its narrowest dtype and
-    return the manifest entry + raw little-endian bytes."""
-    n = int(array.shape[0])
-    dtype = smallest_int_dtype(array)
-    packed = np.ascontiguousarray(array.astype(dtype.newbyteorder("<"), copy=False))
-    spec = {"dtype": packed.dtype.str, "n": n, "ndim": int(array.shape[1])}
-    return spec, packed.tobytes()
+def encode_batch(entries: Sequence[Union[tuple, dict]], elapsed_ms: float = 0.0) -> bytes:
+    """One query reply.
 
-
-def _hydrate(view: memoryview, spec: dict, offset: int) -> Tuple[np.ndarray, int]:
-    """One ``np.frombuffer`` view over the wire bytes — zero-copy."""
-    dtype = np.dtype(spec["dtype"])
-    n, ndim = int(spec["n"]), int(spec["ndim"])
-    size = n * ndim * dtype.itemsize
-    if offset + size > len(view):
-        raise ValueError(
-            f"truncated result payload: buffer needs {size} bytes at offset "
-            f"{offset}, frame has {len(view)}"
-        )
-    array = np.frombuffer(view, dtype=dtype, count=n * ndim, offset=offset)
-    return array.reshape(n, ndim), offset + size
+    Each entry is either a result — the tuple ``(result, include_boxes,
+    include_cells, cached, degraded, elapsed_ms)`` over a
+    :class:`~repro.core.query.QueryResult` — or a per-item structured
+    error dict ``{"error": {"type", "message", "status"}}``.  A result's
+    fields are those of :func:`~repro.service.api.result_payload` (its
+    hops' ``rows_scanned`` likewise counts the pairs compared), its
+    coordinates go to the reply's one block.
+    """
+    items: List[Union[list, dict]] = []
+    parts: List[np.ndarray] = []
+    for entry in entries:
+        if isinstance(entry, dict):
+            items.append(entry)
+            continue
+        result, include_boxes, include_cells, cached, degraded, item_ms = entry
+        cells = result.cells
+        cell_rows = 0
+        if include_boxes:
+            parts += (cells.lo, cells.hi)
+        if include_cells:
+            listing = result.to_cells_array()
+            cell_rows = len(listing)
+            parts.append(listing)
+        hops = [
+            [h.array_from, h.array_to, h.rows_scanned, h.boxes_in, h.boxes_out_raw, h.boxes_out_merged, h.seconds]
+            for h in result.hops
+        ]
+        items.append([
+            cells.array_name, list(cells.shape), len(cells), int(result.count_cells()), hops,
+            bool(cached), bool(degraded), float(item_ms), bool(include_boxes), bool(include_cells), cell_rows,
+        ])
+    block = np.concatenate(parts, axis=None) if parts else np.empty(0, np.int8)
+    dtype = smallest_int_dtype(block).newbyteorder("<")
+    header = {"dtype": dtype.str, "elapsed_ms": float(elapsed_ms), "items": items}
+    return json_frame(_RESULT_MAGIC, header, block.astype(dtype, copy=False).tobytes())
 
 
 def encode_result(
@@ -260,151 +297,155 @@ def encode_result(
     degraded: bool = False,
     elapsed_ms: float = 0.0,
 ) -> bytes:
-    """Binary form of a :class:`~repro.core.query.QueryResult` — the same
-    fields as :func:`~repro.service.api.result_payload`, with the box (and
-    optional cell) coordinates as raw ndarray buffers instead of JSON
-    (``hops[i]["rows_scanned"]`` likewise counts the pairs compared)."""
-    cells = result.cells
-    header: Dict[str, Any] = {
-        "array": cells.array_name,
-        "shape": list(cells.shape),
-        "boxes_merged": int(len(cells)),
-        "count": int(result.count_cells()),
-        "hops": [
-            {
-                "from": hop.array_from,
-                "to": hop.array_to,
-                "rows_scanned": hop.rows_scanned,
-                "boxes_in": hop.boxes_in,
-                "boxes_out_raw": hop.boxes_out_raw,
-                "boxes_out_merged": hop.boxes_out_merged,
-                "seconds": hop.seconds,
-            }
-            for hop in result.hops
-        ],
-        "cached": bool(cached),
-        "degraded": bool(degraded),
-        "elapsed_ms": float(elapsed_ms),
-    }
-    buffers: List[bytes] = []
-    if include_boxes:
-        lo_spec, lo_bytes = _buffer_spec(cells.lo)
-        hi_spec, hi_bytes = _buffer_spec(cells.hi)
-        header["boxes_lo"] = lo_spec
-        header["boxes_hi"] = hi_spec
-        buffers += [lo_bytes, hi_bytes]
-    if include_cells:
-        cell_spec, cell_bytes = _buffer_spec(result.to_cells_array())
-        header["cells"] = cell_spec
-        buffers.append(cell_bytes)
-    return json_frame(_RESULT_MAGIC, header, b"".join(buffers))
+    """An ``OP_QUERY`` reply: :func:`encode_batch` of one result."""
+    return encode_batch([(result, include_boxes, include_cells, cached, degraded, elapsed_ms)], elapsed_ms)
+
+
+def _row_fault(row: list) -> Optional[str]:
+    """The first field of a result row that breaks the layout, or None."""
+    if tuple(map(type, row)) != _ROW_TYPES or min(row[2], row[3], row[10]) < 0:
+        for field, kind, value in zip(_ROW, _ROW_TYPES, row):
+            if type(value) is not kind or (kind is int and value < 0):
+                return f"field {field!r} = {value!r:.60}"
+        return f"arity: {len(row)} fields, not {len(_ROW)}"
+    if not all(type(d) is int and d >= 0 for d in row[1]):
+        return f"field 'shape' = {row[1]!r:.60}"
+    if not all(type(h) is list and len(h) == len(_HOP) for h in row[4]):
+        return f"field 'hops': a hop row is not a list of {len(_HOP)}"
+    return None
+
+
+def decode_batch(payload: bytes) -> Tuple[List[Union["RPCResult", dict]], dict]:
+    """Decode a query reply; returns ``(results, meta)`` where each result
+    is an :class:`RPCResult` or the per-item error dict, and *meta* carries
+    ``batch_size`` / ``elapsed_ms``.
+
+    Every field the header gives is checked before any byte is sliced —
+    the dtype, each row's arity and field types, and that the rows claim
+    exactly the values the block holds — and a bad one raises
+    ``ValueError`` naming it.  The arrays are views over *payload*, which
+    backs the results' lifetime.
+    """
+    header, offset = parse_json_frame(payload, _RESULT_MAGIC, "RPC result")
+    spec, items, elapsed_ms = header.get("dtype"), header.get("items"), header.get("elapsed_ms")
+    dtype = _BLOCK_DTYPES.get(spec) if type(spec) is str else None
+    if dtype is None:
+        raise ValueError(f"corrupt RPC result: 'dtype' = {spec!r:.60} is not a signed little-endian integer")
+    if type(items) is not list:
+        raise ValueError(f"corrupt RPC result: 'items' = {items!r:.60} is not a list")
+    if type(elapsed_ms) is not float:
+        raise ValueError(f"corrupt RPC result: 'elapsed_ms' = {elapsed_ms!r:.60}")
+    block_bytes = len(payload) - offset
+    size, ragged = divmod(block_bytes, dtype.itemsize)
+    need = 0
+    for index, item in enumerate(items):
+        if type(item) is dict and "error" in item:
+            continue
+        fault = _row_fault(item) if type(item) is list else "neither a row nor an error"
+        if fault is not None:
+            raise ValueError(f"corrupt RPC result: item {index}: {fault}")
+        need += len(item[1]) * (2 * item[2] * item[8] + item[10] * item[9])
+    if ragged or need != size:
+        raise ValueError(
+            f"corrupt RPC result: the rows claim {need} coordinates of {dtype.str}, "
+            f"the block holds {block_bytes} bytes"
+        )
+    flat = np.frombuffer(payload, dtype, size, offset)
+    results: List[Union[RPCResult, dict]] = []
+    at = 0
+    for item in items:
+        if type(item) is dict:
+            results.append(item)
+            continue
+        ndim, lo, hi, listing = len(item[1]), None, None, None
+        if item[8]:
+            n = 2 * item[2] * ndim
+            lo, hi = flat[at : at + n].reshape(2, item[2], ndim)
+            at += n
+        if item[9]:
+            n = item[10] * ndim
+            listing = flat[at : at + n].reshape(item[10], ndim)
+            at += n
+        results.append(RPCResult(item, lo, hi, listing))
+    return results, {"batch_size": len(items), "elapsed_ms": elapsed_ms}
 
 
 def decode_result(payload: bytes) -> "RPCResult":
-    """Hydrate one binary result payload into an :class:`RPCResult`.
+    """An ``OP_QUERY`` reply: :func:`decode_batch` of exactly one result."""
+    results, _ = decode_batch(payload)
+    if len(results) != 1 or type(results[0]) is dict:
+        raise ValueError("corrupt RPC result: a query reply holds exactly one result row")
+    return results[0]
 
-    The box/cell arrays are ``np.frombuffer`` views over *payload* — no
-    copies are made, so the bytes object backs the result's lifetime.
-    """
-    header, offset = parse_json_frame(payload, _RESULT_MAGIC, "RPC result")
-    view = memoryview(payload)
-    boxes_lo = boxes_hi = cells = None
-    if "boxes_lo" in header:
-        boxes_lo, offset = _hydrate(view, header["boxes_lo"], offset)
-        boxes_hi, offset = _hydrate(view, header["boxes_hi"], offset)
-    if "cells" in header:
-        cells, offset = _hydrate(view, header["cells"], offset)
-    return RPCResult(header, boxes_lo, boxes_hi, cells)
+
+# the keys of the HTTP result payload, in its order, around boxes / cells
+_LEADING = ("array", "shape", "boxes_merged", "count", "hops")
+_TRAILING = ("cached", "degraded", "elapsed_ms")
+_POSITION = {name: _ROW.index(name) for name in _LEADING + _TRAILING if name != "hops"}
 
 
 class RPCResult:
-    """A decoded binary query result.
+    """A decoded binary query result: one row of its reply plus the views
+    of its coordinates.
 
     Exposes the coordinate data as ndarrays (:attr:`boxes_lo` /
-    :attr:`boxes_hi` / :attr:`cells_array`, each ``(n, ndim)`` and possibly
-    a narrow dtype) and is **mapping-compatible with the HTTP result
-    payload**: ``result["count"]``, ``result["boxes"]``, ``result["hops"]``
-    … all answer exactly as the JSON dict does, the list-shaped views being
-    materialized lazily on first access.  :meth:`to_payload` produces the
-    full HTTP-shaped dict (the transport-equivalence contract both test
-    suites pin down).
+    :attr:`boxes_hi` / :attr:`cells_array`, each ``(n, ndim)``, read-only
+    views into the reply's one coordinate block at its narrow dtype, so
+    every result of a batch shares one base) and is **mapping-compatible
+    with the HTTP result payload**: ``result["count"]``, ``result["boxes"]``,
+    ``result["hops"]`` … all answer exactly as the JSON dict does, the
+    list-shaped views (boxes, cells, hop dicts) being materialized lazily
+    on first access.  :meth:`to_payload` produces the full HTTP-shaped dict
+    (the transport-equivalence contract both test suites pin down).
     """
 
-    __slots__ = ("_header", "boxes_lo", "boxes_hi", "cells_array", "_boxes", "_cells")
+    __slots__ = ("_row", "boxes_lo", "boxes_hi", "cells_array", "_boxes", "_cells", "_hops")
 
     def __init__(
         self,
-        header: dict,
+        row: list,
         boxes_lo: Optional[np.ndarray],
         boxes_hi: Optional[np.ndarray],
         cells: Optional[np.ndarray],
     ) -> None:
-        self._header = header
+        self._row = row
         self.boxes_lo = boxes_lo
         self.boxes_hi = boxes_hi
         self.cells_array = cells
         self._boxes: Optional[list] = None
         self._cells: Optional[list] = None
+        self._hops: Optional[List[dict]] = None
 
     # -- scalar fields --------------------------------------------------
-    @property
-    def array(self) -> str:
-        return self._header["array"]
-
-    @property
-    def shape(self) -> List[int]:
-        return self._header["shape"]
-
-    @property
-    def count(self) -> int:
-        return self._header["count"]
-
-    @property
-    def boxes_merged(self) -> int:
-        return self._header["boxes_merged"]
+    array = property(lambda self: self._row[0])
+    shape = property(lambda self: self._row[1])
+    boxes_merged = property(lambda self: self._row[2])
+    count = property(lambda self: self._row[3])
+    cached = property(lambda self: self._row[5])
+    degraded = property(lambda self: self._row[6])
+    elapsed_ms = property(lambda self: self._row[7])
 
     @property
     def hops(self) -> List[dict]:
-        return self._header["hops"]
-
-    @property
-    def cached(self) -> bool:
-        return self._header["cached"]
-
-    @property
-    def degraded(self) -> bool:
-        return self._header["degraded"]
-
-    @property
-    def elapsed_ms(self) -> float:
-        return self._header["elapsed_ms"]
+        if self._hops is None:
+            self._hops = [dict(zip(_HOP, hop)) for hop in self._row[4]]
+        return self._hops
 
     # -- mapping compatibility with the HTTP payload --------------------
-    def _materialize_boxes(self) -> Optional[list]:
-        if self._boxes is None and self.boxes_lo is not None:
-            self._boxes = [
-                [self.boxes_lo[i].tolist(), self.boxes_hi[i].tolist()]
-                for i in range(self.boxes_lo.shape[0])
-            ]
-        return self._boxes
-
-    def _materialize_cells(self) -> Optional[list]:
-        if self._cells is None and self.cells_array is not None:
-            self._cells = self.cells_array.tolist()
-        return self._cells
-
     def __getitem__(self, key: str):
-        if key == "boxes":
-            boxes = self._materialize_boxes()
-            if boxes is None:
-                raise KeyError("boxes")
-            return boxes
-        if key == "cells":
-            cells = self._materialize_cells()
-            if cells is None:
-                raise KeyError("cells")
-            return cells
-        return self._header[key]
+        if key == "hops":
+            return self.hops
+        if key == "boxes" and self.boxes_lo is not None:
+            if self._boxes is None:
+                self._boxes = [list(pair) for pair in zip(self.boxes_lo.tolist(), self.boxes_hi.tolist())]
+            return self._boxes
+        if key == "cells" and self.cells_array is not None:
+            if self._cells is None:
+                self._cells = self.cells_array.tolist()
+            return self._cells
+        if key in _POSITION:
+            return self._row[_POSITION[key]]
+        raise KeyError(key)
 
     def get(self, key: str, default=None):
         try:
@@ -413,81 +454,23 @@ class RPCResult:
             return default
 
     def __contains__(self, key: str) -> bool:
-        return self.get(key, _MISSING) is not _MISSING
+        return key in tuple(self.keys())
 
     def keys(self) -> Iterator[str]:
-        keys = [k for k in self._header if k not in ("boxes_lo", "boxes_hi", "cells")]
+        keys = list(_LEADING)
         if self.boxes_lo is not None:
             keys.append("boxes")
         if self.cells_array is not None:
             keys.append("cells")
-        return iter(keys)
+        return iter(keys + list(_TRAILING))
 
     def to_payload(self) -> dict:
         """The HTTP-shaped result dict (what ``POST /query`` would have
         returned for the same request) — byte-identical modulo timing."""
-        payload = {
-            k: v for k, v in self._header.items() if k not in ("boxes_lo", "boxes_hi", "cells")
-        }
-        boxes = self._materialize_boxes()
-        if boxes is not None:
-            payload["boxes"] = boxes
-        cells = self._materialize_cells()
-        if cells is not None:
-            payload["cells"] = cells
-        return payload
+        return {key: self[key] for key in self.keys()}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"RPCResult(array={self.array!r}, count={self.count}, "
             f"boxes_merged={self.boxes_merged}, cached={self.cached})"
         )
-
-
-_MISSING = object()
-
-
-# ----------------------------------------------------------------------
-# batched results
-# ----------------------------------------------------------------------
-def encode_batch(
-    entries: List[Union[bytes, dict]], elapsed_ms: float = 0.0
-) -> bytes:
-    """One ``OP_QUERY_BATCH`` response payload.
-
-    Each entry is either an encoded binary result (``bytes``, from
-    :func:`encode_result`) or a per-item structured error dict
-    ``{"error": {"type", "message", "status"}}``; the manifest records
-    which, item payloads are concatenated after the header in order.
-    """
-    manifest: List[dict] = []
-    blobs: List[bytes] = []
-    for entry in entries:
-        if isinstance(entry, (bytes, bytearray)):
-            manifest.append({"length": len(entry)})
-            blobs.append(bytes(entry))
-        else:
-            manifest.append(entry)
-    header = {
-        "items": manifest,
-        "batch_size": len(entries),
-        "elapsed_ms": float(elapsed_ms),
-    }
-    return json_frame(_RESULT_MAGIC, header, b"".join(blobs))
-
-
-def decode_batch(payload: bytes) -> Tuple[List[Union["RPCResult", dict]], dict]:
-    """Decode an ``OP_QUERY_BATCH`` response; returns ``(results, meta)``
-    where each result is an :class:`RPCResult` or the per-item error dict,
-    and *meta* carries ``batch_size`` / ``elapsed_ms``."""
-    header, offset = parse_json_frame(payload, _RESULT_MAGIC, "RPC batch result")
-    results: List[Union[RPCResult, dict]] = []
-    for item in header["items"]:
-        if "length" in item:
-            blob = payload[offset : offset + item["length"]]
-            offset += item["length"]
-            results.append(decode_result(blob))
-        else:
-            results.append(item)
-    meta = {"batch_size": header["batch_size"], "elapsed_ms": header["elapsed_ms"]}
-    return results, meta
