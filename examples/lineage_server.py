@@ -6,7 +6,7 @@ serving tier makes the lineage reachable from anywhere:
     writer (this process)                    readers (child processes)
     DSLog -> dslog.serve(port)  <-- HTTP --  LineageClient.connect(url)
 
-The server is a stdlib ``ThreadingHTTPServer`` fronting a
+The server is a thread-per-connection HTTP/1.1 listener fronting a
 ``QueryExecutor``: queries fan out per shard on a thread pool, and hot
 results are served from a generation-keyed LRU — the ``cached`` flag in
 each response shows it working.  A cached result depends on the lineage

@@ -13,9 +13,9 @@ Design points:
   handler config, level filtering) keeps working.
 * Quiet by default: the root obs logger starts at WARNING, so routine
   request logs (INFO) stay silent until ``DSLOG_LOG_LEVEL=INFO`` or
-  :func:`set_level` opts in — this is the satellite fix for
-  ``log_message``: requests are *routed* through the logger rather than
-  swallowed, and verbosity is a level knob instead of a code edit.
+  :func:`set_level` opts in; verbosity is a level knob instead of a code
+  edit.  Each component's logger is looked up once, so an event the level
+  filters out costs one ``isEnabledFor`` check.
 * ``propagate`` stays on, and our stderr handler is attached to the
   ``repro.obs`` root only, so records reach pytest's caplog while
   ``logging.lastResort`` never double-prints.
@@ -28,7 +28,7 @@ import logging
 import os
 import sys
 import threading
-from typing import Any, Optional
+from typing import Any, Dict, Optional
 
 __all__ = [
     "get_logger",
@@ -50,6 +50,8 @@ _LEVELS = {
 
 _configure_lock = threading.Lock()
 _configured = False
+# component -> its logger, so a filtered event costs one level check
+_loggers: Dict[str, logging.Logger] = {}
 
 
 class JsonLinesFormatter(logging.Formatter):
@@ -122,7 +124,9 @@ def log_event(
     ``"breaker_transition"``, ``"fault_injected"``, ``"scrub_complete"``,
     ``"slow_trace"``); ``fields`` become top-level JSON keys.
     """
-    logger = get_logger(component)
+    logger = _loggers.get(component)
+    if logger is None:
+        logger = _loggers.setdefault(component, get_logger(component))
     lvl = _LEVELS.get(level.lower(), logging.INFO)
     if not logger.isEnabledFor(lvl):
         return

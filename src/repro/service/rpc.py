@@ -41,12 +41,10 @@ from __future__ import annotations
 import socket
 import socketserver
 import threading
-import time
 from collections import deque
-from contextlib import nullcontext
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..obs import REGISTRY, log_event, tracing
+from ..obs import REGISTRY, log_event
 from .api import ENDPOINTS, MAX_BODY_BYTES, BodyTooLarge, Endpoint, ServiceCore, error_info
 from .query import DEFAULT_CACHE_ENTRIES, QueryExecutor
 from .server import (
@@ -54,6 +52,7 @@ from .server import (
     LineageServerError,
     _Client,
     _Listener,
+    _RequestMeter,
     _Server,
 )
 from .wire import (
@@ -90,6 +89,7 @@ _RPC_CONNECTIONS = REGISTRY.gauge(
     "dslog_rpc_connections",
     "Currently open RPC client connections",
 )
+_RPC_METER = _RequestMeter("rpc", _RPC_REQUESTS, _RPC_SECONDS, "op", "rpc_request", "rpc")
 
 
 class _ConnectionDropped(Exception):
@@ -186,47 +186,29 @@ class _ConnectionHandler(socketserver.BaseRequestHandler):
     def _serve_one(self, opcode: int, request_id: int, payload: Union[bytes, Exception]) -> None:
         """Answer one request frame; *payload* is its bytes, or the reason
         the frame was refused unread."""
-        started = time.monotonic()
-        op_name = OPCODES.get(opcode, f"op{opcode}")
         row = _HANDLERS.get(opcode)
-        trace: Optional[tracing.Trace] = None
-        if row is not None and row.traced and tracing.tracing_enabled():
-            trace = tracing.Trace("rpc", op=op_name)
-        status = "ok"
-        try:
-            if isinstance(payload, Exception):
-                raise payload
-            if row is None:
-                raise ValueError(f"unknown RPC opcode {opcode}")
-            body = decode_json(payload) if payload else {}
-            if not isinstance(body, dict):
-                raise ValueError("the request payload must be a JSON object")
-            with trace.activate() if trace is not None else nullcontext():
-                response_payload = _ENCODERS[row.reply](row.run(self.server.core, body))
-            response_op = opcode
-        except Exception as error:  # noqa: BLE001 - must answer, never hang
-            http_status, kind, message = error_info(error)
-            status = str(http_status)
-            response_op = OP_ERROR
-            response_payload = encode_json(
-                {"status": http_status, "type": kind, "message": message}
+
+        def answer() -> Tuple[str, bytes]:
+            try:
+                if isinstance(payload, Exception):
+                    raise payload
+                if row is None:
+                    raise ValueError(f"unknown RPC opcode {opcode}")
+                body = decode_json(payload) if payload else {}
+                if not isinstance(body, dict):
+                    raise ValueError("the request payload must be a JSON object")
+                reply = _ENCODERS[row.reply](row.run(self.server.core, body))
+                return "ok", encode_frame(opcode, request_id, reply)
+            except Exception as error:  # noqa: BLE001 - must answer, never hang
+                status, kind, message = error_info(error)
+                error_payload = encode_json({"status": status, "type": kind, "message": message})
+                return str(status), encode_frame(OP_ERROR, request_id, error_payload)
+
+        self._send_frame(
+            _RPC_METER.serve(
+                row, {"op": OPCODES.get(opcode, f"op{opcode}")}, self.client_address[0], answer
             )
-        elapsed = time.monotonic() - started
-        if trace is not None:
-            trace.set_tag("status", status)
-            trace.finish()
-        _RPC_REQUESTS.labels(op=op_name, status=status).inc()
-        _RPC_SECONDS.labels(op=op_name).observe(elapsed)
-        log_event(
-            "rpc_request",
-            component="rpc",
-            op=op_name,
-            status=status,
-            ms=round(elapsed * 1000.0, 3),
-            client=self.client_address[0],
-            trace_id=trace.trace_id if trace is not None else None,
         )
-        self._send_frame(encode_frame(response_op, request_id, response_payload))
 
     def _send_frame(self, frame: bytes) -> None:
         sock: socket.socket = self.request

@@ -12,10 +12,13 @@ the stdlib.  Which file owns what:
   ownership, listener threads, ``start`` / ``serve_forever`` / ``close``,
   hanging up on open connections) and what a client is whatever it speaks
   (:class:`_Client`: retry policy and loop, ``connect`` rendezvous, request
-  building, one method per endpoint over a transport's ``call``); then the
-  HTTP codec and sockets: a :class:`http.server.ThreadingHTTPServer` (one
-  handler thread per connection) and an ``http.client`` client with
-  **persistent keep-alive connections**, one per calling thread;
+  building, one method per endpoint over a transport's ``call``); what a
+  request costs in bookkeeping on either wire (:class:`_RequestMeter`:
+  trace, counter, latency histogram, log event); then one lean HTTP/1.1
+  codec for both ends: a ``socketserver`` listener (one handler thread per
+  connection, reading request heads line by line) and a client with
+  **persistent keep-alive connections**, one per calling thread, that
+  sends each request as one buffer;
 * :mod:`repro.service.rpc` — the binary codec and sockets: framed
   persistent connections, a pooled client, pipelining.
 
@@ -72,9 +75,23 @@ Every failure returns a *structured* payload — over HTTP ``{"error":
 plus the fault taxonomy: 504 ``deadline-exceeded``, 503 ``shard-unavailable``
 / ``overloaded`` / ``io-error``) — never a hung socket: the handler catches
 everything, and the server always finishes the response it started.
+
 Query replies carry a ``"degraded"`` flag: ``true`` means the home shard
 was unavailable and a stale cached result was served instead
 (:class:`~repro.service.query.QueryExecutor`'s circuit-breaker path).
+
+The head of a request is bounded before it is routed: a request line or a
+header line over :data:`MAX_LINE_BYTES` is 414 / 431, more than
+:data:`MAX_HEADERS` header lines is 431, any ``Transfer-Encoding`` is 501
+(a body is framed by ``Content-Length`` only, so no two parsers can
+disagree on where it ends), a version other than HTTP/1.0 or 1.1 is 505,
+a method with no route on the path is 405.  Those replies close the connection, and so
+does every reply sent without reading a declared body; otherwise HTTP/1.1
+keeps the connection open unless ``Connection: close`` is sent, HTTP/1.0
+only when ``Connection: keep-alive`` is.  ``Expect: 100-continue`` is
+answered before the body is read.  The client applies the same line and
+header bounds to a reply, and reads at most
+:data:`~repro.service.wire.MAX_FRAME_BYTES` of body.
 
 Construction sugar: ``DSLog.serve(port)`` / ``LineageService.serve(port)``
 start a server on a background thread; ``LineageClient.connect(url)``
@@ -83,15 +100,16 @@ polls ``/healthz`` until the server answers.
 
 from __future__ import annotations
 
-import http.client
 import json
 import socket
+import socketserver
 import threading
 import time
 import urllib.parse
 from contextlib import nullcontext
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from email.utils import formatdate
+from http import HTTPStatus
+from typing import Any, BinaryIO, Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..obs import REGISTRY, log_event, tracing
 from .api import (
@@ -107,6 +125,7 @@ from .api import (
 )
 from .query import DEFAULT_CACHE_ENTRIES, QueryExecutor
 from .retry import RetryPolicy
+from .wire import MAX_FRAME_BYTES, ShortRead, recv_exact
 
 _HTTP_REQUESTS = REGISTRY.counter(
     "dslog_http_requests_total",
@@ -125,9 +144,17 @@ __all__ = [
     "LineageServerError",
     "LineageConnectionError",
     "MAX_BODY_BYTES",
+    "MAX_HEADERS",
+    "MAX_LINE_BYTES",
     "QueryCoalescer",
     "result_payload",
 ]
+
+# the bounds on one HTTP message head, on both ends: a request, status or
+# header line of at most MAX_LINE_BYTES (its CRLF included), and at most
+# MAX_HEADERS header lines
+MAX_LINE_BYTES = 64 * 1024
+MAX_HEADERS = 100
 
 
 class LineageServerError(RuntimeError):
@@ -292,6 +319,115 @@ class _Server:
         self.close()
 
 
+class _RequestMeter(NamedTuple):
+    """What one request costs in bookkeeping, whichever wire it came over:
+    a trace (traced rows, tracing on), a request counter and a latency
+    histogram labelled by the operation, and one log event.  A wire
+    differs only in the names."""
+
+    trace: str
+    requests: Any  # counter labelled (<label>, status)
+    seconds: Any  # histogram labelled (<label>,)
+    label: str
+    event: str
+    component: str
+
+    def serve(
+        self,
+        row: Optional[Endpoint],
+        tags: Dict[str, str],
+        client: str,
+        answer: Callable[[], Tuple[Any, bytes]],
+    ) -> bytes:
+        """Run *answer* (→ ``(status, reply bytes)``) inside the request's
+        trace and book it; *tags* name the request in the trace and the
+        log event, ``tags[label]`` in the metrics.  Returns the reply for
+        the caller to send — only now, so a client never sees a reply
+        before its trace is in the ring."""
+        started = time.monotonic()
+        trace: Optional[tracing.Trace] = None
+        if row is not None and row.traced and tracing.tracing_enabled():
+            trace = tracing.Trace(self.trace, **tags)
+        with trace.activate() if trace is not None else nullcontext():
+            status, reply = answer()
+        elapsed = time.monotonic() - started
+        if trace is not None:
+            trace.set_tag("status", status)
+            trace.finish()
+        name = tags[self.label]
+        self.requests.labels(name, str(status)).inc()
+        self.seconds.labels(name).observe(elapsed)
+        log_event(
+            self.event,
+            component=self.component,
+            **tags,
+            status=status,
+            ms=round(elapsed * 1000.0, 3),
+            client=client,
+            trace_id=trace.trace_id if trace is not None else None,
+        )
+        return reply
+
+
+# ----------------------------------------------------------------------
+# the HTTP codec: message heads, both ends
+# ----------------------------------------------------------------------
+class _HeadRefused(ValueError):
+    """A message head the codec will not take: the server answers
+    ``status`` / ``kind`` and hangs up, the client gives up on the reply."""
+
+    def __init__(self, status: int, kind: str, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+        self.kind = kind
+
+
+def _read_line(
+    rfile: BinaryIO, what: str, status: int = 431, kind: str = "header-too-large"
+) -> bytes:
+    """One CRLF-terminated line of at most :data:`MAX_LINE_BYTES`; a longer
+    one is refused with *status* / *kind*, EOF first is :class:`ShortRead`."""
+    line = rfile.readline(MAX_LINE_BYTES + 1)
+    if len(line) > MAX_LINE_BYTES:
+        raise _HeadRefused(status, kind, f"{what} exceeds {MAX_LINE_BYTES} bytes")
+    if not line.endswith(b"\n"):
+        raise ShortRead(f"connection closed inside {what}")
+    return line
+
+
+def _read_headers(rfile: BinaryIO) -> Dict[str, str]:
+    """The header lines up to the blank one, as ``{lower-cased name:
+    value}``; a repeated name's values are joined by ``", "`` (so two
+    different ``Content-Length`` values never parse as a number)."""
+    headers: Dict[str, str] = {}
+    for _ in range(MAX_HEADERS + 1):
+        line = _read_line(rfile, "a header line")
+        if line == b"\r\n" or line == b"\n":
+            return headers
+        name, sep, value = line.partition(b":")
+        if not sep or not name or name != name.strip():
+            # no colon, an empty name, whitespace before the colon, or a
+            # continuation line (obsolete line folding)
+            raise _HeadRefused(400, "bad-request", f"malformed header line {line[:64]!r}")
+        key = name.decode("latin-1").lower()
+        text = value.strip().decode("latin-1")
+        headers[key] = f"{headers[key]}, {text}" if key in headers else text
+    raise _HeadRefused(431, "header-too-large", f"more than {MAX_HEADERS} header lines")
+
+
+def _tokens(value: Optional[str]) -> FrozenSet[str]:
+    """A comma-separated header value (``Connection``) as lower-cased tokens."""
+    if not value:
+        return frozenset()
+    return frozenset(token.strip() for token in value.lower().split(","))
+
+
+def _content_length(value: Optional[str]) -> int:
+    """A declared ``Content-Length``, or -1 when absent or not a plain
+    non-negative decimal."""
+    return int(value) if value and value.isascii() and value.isdigit() else -1
+
+
 # ----------------------------------------------------------------------
 # the HTTP server
 # ----------------------------------------------------------------------
@@ -327,64 +463,148 @@ _ENCODERS: Dict[str, Callable[[Any], str]] = {
     "query": lambda reply: json.dumps(_outcome_fields(*reply)),
     "batch": lambda reply: json.dumps(_batch_fields(*reply)),
 }
-_TEXT = "text/plain; version=0.0.4; charset=utf-8"
-_JSON = "application/json"
+_TEXT = b"text/plain; version=0.0.4; charset=utf-8"
+_JSON = b"application/json"
 _ROUTES: Dict[Tuple[str, str], Endpoint] = {
     (row.method, row.route): row for row in ENDPOINTS.values() if row.route is not None
 }
+_METHODS = frozenset(method for method, _ in _ROUTES)
+_PATHS = frozenset(route for _, route in _ROUTES)
+_STATUS_LINES = {
+    status.value: f"HTTP/1.1 {status.value} {status.phrase}\r\n".encode("ascii")
+    for status in HTTPStatus
+}
+_CONTINUE = b"HTTP/1.1 100 Continue\r\n\r\n"
+# status line, Date, Content-Type, Content-Length, Connection (or nothing), body
+_REPLY = b"%sServer: dslog-lineage\r\nDate: %s\r\nContent-Type: %s\r\nContent-Length: %d\r\n%s\r\n%s"
+_HTTP_METER = _RequestMeter(
+    "http", _HTTP_REQUESTS, _HTTP_SECONDS, "endpoint", "request", "server"
+)
+_date: Tuple[int, bytes] = (0, b"")
 
 
-class _Handler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-    server_version = "dslog-lineage"
-    # buffer the response and push it in one segment: the stdlib default
-    # (unbuffered writes + Nagle) turns every keep-alive response into a
-    # small-write sequence that trips the ~40 ms delayed-ACK stall
-    wbufsize = 64 * 1024
-    disable_nagle_algorithm = True
+def _http_date() -> bytes:
+    """The ``Date`` header's value, formatted at most once a second."""
+    global _date
+    now = int(time.time())
+    if _date[0] != now:
+        _date = (now, formatdate(now, usegmt=True).encode("ascii"))
+    return _date[1]
 
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        # BaseHTTPRequestHandler's per-response log line, routed through
-        # the structured logger at DEBUG — quiet by default, one
-        # DSLOG_LOG_LEVEL=DEBUG away when needed.  The richer per-request
-        # event (endpoint, status, latency) is emitted by _dispatch at INFO.
-        log_event(
-            "http_log",
-            level="debug",
-            component="server",
-            client=self.client_address[0],
-            line=format % args,
-        )
 
-    # -- plumbing -------------------------------------------------------
-    def _send(self, status: int, content_type: str, text: str) -> None:
+class _Handler(socketserver.StreamRequestHandler):
+    """One thread per connection: read a request head, answer the request
+    with one ``sendall``, and loop while the connection may stay open."""
+
+    disable_nagle_algorithm = True  # a reply is one small write; send it now
+
+    def handle(self) -> None:
+        try:
+            while self._handle_one():
+                pass
+        except OSError:
+            return  # the peer reset, or the closing server hung up
+
+    def _handle_one(self) -> bool:
+        """Read and answer one request; returns whether the connection
+        stays open for the next."""
+        self._keep = self._unread = False
+        try:
+            method, target = self._read_head()
+        except ShortRead:
+            return False  # the peer hung up, between requests or inside a head
+        except _HeadRefused as refused:
+            self.request.sendall(self._error_reply(refused.status, refused.kind, str(refused)))
+            return False
+        path, _, query = target.partition("?")
+        endpoint = path.rstrip("/") or "/"
+        row = _ROUTES.get((method, endpoint))
+        if row is None:
+            reply = self._unrouted(method, path, endpoint)
+        else:
+            reply = _HTTP_METER.serve(
+                row,
+                {"method": method, "endpoint": endpoint},
+                self.client_address[0],
+                lambda: self._answer(row, query),
+            )
+        self.request.sendall(reply)
+        return self._keep
+
+    # -- the head -------------------------------------------------------
+    def _read_head(self) -> Tuple[str, str]:
+        """The request line and headers; sets what the connection does
+        after the reply.  Returns ``(method, target)``."""
+        line = _read_line(self.rfile, "the request line", 414, "uri-too-long")
+        parts = line.split()
+        if len(parts) != 3 or not parts[2].startswith(b"HTTP/"):
+            raise _HeadRefused(400, "bad-request", f"malformed request line {line[:64]!r}")
+        method, target, version = (part.decode("latin-1") for part in parts)
+        if version not in ("HTTP/1.0", "HTTP/1.1"):
+            raise _HeadRefused(
+                505, "version-not-supported", f"{version} is not supported: this server speaks HTTP/1.1"
+            )
+        self.headers = headers = _read_headers(self.rfile)
+        if "transfer-encoding" in headers:
+            raise _HeadRefused(
+                501, "not-implemented", "a request body is framed by Content-Length only, "
+                "Transfer-Encoding is not supported"
+            )
+        self._http10 = version == "HTTP/1.0"
+        connection = _tokens(headers.get("connection"))
+        self._keep = "keep-alive" in connection if self._http10 else "close" not in connection
+        self._unread = (headers.get("content-length") or "0") != "0"
+        self._continue = not self._http10 and headers.get("expect", "").lower() == "100-continue"
+        return method, target
+
+    # -- the reply ------------------------------------------------------
+    def _reply(self, status: int, content_type: bytes, text: str) -> bytes:
+        """The whole response, head and body.  A reply sent without
+        reading a declared body closes the connection: the stream cannot
+        frame another request."""
+        self._keep = self._keep and not self._unread
+        if not self._keep:
+            connection = b"Connection: close\r\n"
+        else:
+            connection = b"Connection: keep-alive\r\n" if self._http10 else b""
         body = text.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        return _REPLY % (_STATUS_LINES[status], _http_date(), content_type, len(body), connection, body)
 
-    def _send_error_payload(self, status: int, kind: str, message: str) -> None:
-        self._send(status, _JSON, json.dumps({"error": {"type": kind, "message": message}}))
+    def _error_reply(self, status: int, kind: str, message: str) -> bytes:
+        return self._reply(status, _JSON, json.dumps({"error": {"type": kind, "message": message}}))
 
+    def _unrouted(self, method: str, path: str, endpoint: str) -> bytes:
+        if method in _METHODS and endpoint not in _PATHS:
+            status, kind, message = 404, "not-found", f"unknown endpoint {path!r}"
+        else:
+            self._keep = False
+            status, kind, message = 405, "method-not-allowed", f"{method} is not supported on {path}"
+        # unknown paths share one label value so a URL scanner cannot
+        # blow up the endpoint cardinality
+        _HTTP_REQUESTS.labels("(unrouted)", str(status)).inc()
+        return self._error_reply(status, kind, message)
+
+    # -- a routed request -----------------------------------------------
     def _read_body(self) -> dict:
-        declared = (self.headers.get("Content-Length") or "").strip()
-        length = int(declared) if declared.isascii() and declared.isdigit() else -1
+        declared = self.headers.get("content-length")
+        length = _content_length(declared)
         if not 0 <= length <= MAX_BODY_BYTES:
             # whatever body follows stays unread (a negative length would
             # block until the peer hangs up, an oversized one is refused
             # unseen), so this stream cannot frame another request
-            self.close_connection = True
+            self._keep = False
             if length > MAX_BODY_BYTES:
                 raise BodyTooLarge(
                     f"request body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
                 )
             raise ValueError(
                 "a JSON request body is required: Content-Length must be a "
-                f"non-negative integer, got {declared!r}"
+                f"non-negative integer, got {declared or ''!r}"
             )
-        raw = self.rfile.read(length)
+        if self._continue:
+            self.request.sendall(_CONTINUE)
+        raw = recv_exact(self.rfile, length)
+        self._unread = False
         try:
             body = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
@@ -393,77 +613,30 @@ class _Handler(BaseHTTPRequestHandler):
             raise BadJson("the request body must be a JSON object")
         return body
 
-    def _dispatch(self, method: str) -> None:
-        parsed = urllib.parse.urlparse(self.path)
-        endpoint = parsed.path.rstrip("/") or "/"
-        row = _ROUTES.get((method, endpoint))
-        if row is None:
-            if any(existing[1] == endpoint for existing in _ROUTES):
-                self._send_error_payload(
-                    405, "method-not-allowed", f"{method} is not supported on {parsed.path}"
-                )
-            else:
-                self._send_error_payload(
-                    404, "not-found", f"unknown endpoint {parsed.path!r}"
-                )
-            # unknown paths share one label value so a URL scanner cannot
-            # blow up the endpoint cardinality
-            _HTTP_REQUESTS.labels(endpoint="(unrouted)", status="404").inc()
-            return
-        started = time.monotonic()
-        trace: Optional[tracing.Trace] = None
-        if row.traced and tracing.tracing_enabled():
-            trace = tracing.Trace("http", endpoint=endpoint, method=method)
-        status = self._answer(row, parsed.query, trace)
-        elapsed = time.monotonic() - started
-        if trace is not None:
-            trace.set_tag("status", status)
-            trace.finish()
-        _HTTP_REQUESTS.labels(endpoint=endpoint, status=str(status)).inc()
-        _HTTP_SECONDS.labels(endpoint=endpoint).observe(elapsed)
-        log_event(
-            "request",
-            component="server",
-            method=method,
-            endpoint=endpoint,
-            status=status,
-            ms=round(elapsed * 1000.0, 3),
-            client=self.client_address[0],
-            trace_id=trace.trace_id if trace is not None else None,
-        )
-
     def _run(self, row: Endpoint, query: str) -> str:
         """Gather the row's arguments (query string of a GET, JSON body of
         a POST), run it against the core and encode its reply."""
         if row.method == "GET":
             args = {key: values[0] for key, values in urllib.parse.parse_qs(query).items()}
-        elif row.bare_ok and (self.headers.get("Content-Length") or "0").strip() == "0":
+        elif row.bare_ok and not self._unread:
             args = {}
         else:
             args = self._read_body()
         return _ENCODERS[row.reply](row.run(self.server.core, args))
 
-    def _answer(self, row: Endpoint, query: str, trace: "Optional[tracing.Trace]") -> int:
-        """Run one routed request inside its trace context and send the
-        response; returns the HTTP status actually sent."""
+    def _answer(self, row: Endpoint, query: str) -> Tuple[int, bytes]:
+        """Run one routed request; returns its status and whole reply."""
         try:
-            with trace.activate() if trace is not None else nullcontext():
-                text = self._run(row, query)
+            text = self._run(row, query)
+        except ShortRead:
+            raise  # the peer hung up inside its body: nobody to answer
         except Exception as error:  # noqa: BLE001 - must never hang the socket
             status, kind, message = error_info(error)
-            self._send_error_payload(status, kind, message)
-            return status
-        self._send(200, _TEXT if row.reply == "text" else _JSON, text)
-        return 200
-
-    def do_GET(self) -> None:  # noqa: N802 - stdlib naming
-        self._dispatch("GET")
-
-    def do_POST(self) -> None:  # noqa: N802 - stdlib naming
-        self._dispatch("POST")
+            return status, self._error_reply(status, kind, message)
+        return 200, self._reply(200, _TEXT if row.reply == "text" else _JSON, text)
 
 
-class _HTTPListener(_Listener, ThreadingHTTPServer):
+class _HTTPListener(_Listener, socketserver.ThreadingTCPServer):
     pass
 
 
@@ -680,28 +853,71 @@ class _Client:
 # ----------------------------------------------------------------------
 # the HTTP client
 # ----------------------------------------------------------------------
+class _HTTPConnection:
+    """One persistent socket plus the buffered reader its replies are
+    parsed from."""
+
+    __slots__ = ("sock", "rfile")
+
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock = sock
+        self.rfile = sock.makefile("rb")
+
+    def exchange(self, request: bytes) -> Tuple[int, bytes, bool]:
+        """Send one whole request and read its reply, within the head
+        bounds and at most :data:`~repro.service.wire.MAX_FRAME_BYTES` of
+        body; returns ``(status, body, whether the connection stays
+        open)``."""
+        self.sock.sendall(request)
+        try:
+            line = _read_line(self.rfile, "the status line")
+        except ShortRead:
+            # the keep-alive case: the server hung up between requests
+            raise ConnectionResetError("the server closed the connection without a reply") from None
+        version, _, rest = line.partition(b" ")
+        status = rest[:3]
+        if not version.startswith(b"HTTP/1.") or not (status.isdigit() and len(status) == 3):
+            raise ValueError(f"malformed status line {line[:64]!r}")
+        headers = _read_headers(self.rfile)
+        length = _content_length(headers.get("content-length"))
+        if not 0 <= length <= MAX_FRAME_BYTES or "transfer-encoding" in headers:
+            raise ValueError(
+                f"a reply must declare a Content-Length of at most {MAX_FRAME_BYTES} "
+                f"bytes, got {headers.get('content-length')!r}"
+            )
+        body = recv_exact(self.rfile, length)
+        connection = _tokens(headers.get("connection"))
+        keep = "keep-alive" in connection if version == b"HTTP/1.0" else "close" not in connection
+        return int(status), body, keep
+
+    def close(self) -> None:
+        for closeable in (self.rfile, self.sock):
+            try:
+                closeable.close()
+            except OSError:
+                pass
+
+
 class LineageClient(_Client):
-    """Stdlib HTTP client for a :class:`LineageServer` with **persistent
-    connections**: each calling thread keeps one ``http.client.
-    HTTPConnection`` alive across requests (HTTP/1.1 keep-alive), so the
-    steady-state round trip pays no TCP connect/teardown — the connection
-    is re-dialed transparently when the server restarts or the idle socket
-    is reset (``RemoteDisconnected``).  Retries and errors: :class:`_Client`.
+    """HTTP client for a :class:`LineageServer` with **persistent
+    connections**: each calling thread keeps one socket alive across
+    requests (HTTP/1.1 keep-alive), so the steady-state round trip pays no
+    TCP connect/teardown and sends each request, head and body, with one
+    ``sendall``.  The connection is re-dialed transparently when the server
+    restarts, hangs up between requests or says ``Connection: close``.
+    Retries and errors: :class:`_Client`; a reply outside the codec's
+    bounds is a :class:`LineageConnectionError`.
     """
 
     # transport-level failures worth a retry: the server restarting, a
-    # listen backlog reset, a half-closed keep-alive connection
-    # (RemoteDisconnected is exactly the keep-alive case: the server hung
-    # up between requests)
+    # listen backlog reset, a half-closed keep-alive connection (the
+    # server hung up between requests: EOF before a status line reads as
+    # ConnectionResetError), a timeout
     _RETRYABLE = (
         ConnectionResetError,
         ConnectionRefusedError,
         ConnectionAbortedError,
         BrokenPipeError,
-        http.client.RemoteDisconnected,
-        http.client.BadStatusLine,
-        http.client.CannotSendRequest,
-        http.client.ResponseNotReady,
         socket.timeout,
     )
 
@@ -721,24 +937,22 @@ class LineageClient(_Client):
             raise ValueError(f"LineageClient speaks http:// only, got {url!r}")
         self._host = parsed.hostname or "127.0.0.1"
         self._port = parsed.port or 80
+        self._netloc = parsed.netloc or f"{self._host}:{self._port}"
         # one keep-alive connection per calling thread: threads fan out in
         # parallel, and every opened connection is registered so close()
         # can drop them all
         self._local = threading.local()
         self._conns_lock = threading.Lock()
-        self._conns: List[http.client.HTTPConnection] = []
+        self._conns: List[_HTTPConnection] = []
 
     # -- transport ------------------------------------------------------
-    def _connection(self) -> http.client.HTTPConnection:
+    def _connection(self) -> _HTTPConnection:
         conn = getattr(self._local, "conn", None)
         if conn is None:
-            conn = http.client.HTTPConnection(
-                self._host, self._port, timeout=self.timeout
-            )
-            conn.connect()
+            sock = socket.create_connection((self._host, self._port), timeout=self.timeout)
             # request frames are small; ship them without Nagle batching
-            conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            self._local.conn = conn
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            conn = self._local.conn = _HTTPConnection(sock)
             with self._conns_lock:
                 self._conns.append(conn)
         return conn
@@ -753,10 +967,7 @@ class LineageClient(_Client):
                 self._conns.remove(conn)
             except ValueError:
                 pass
-        try:
-            conn.close()
-        except OSError:
-            pass
+        conn.close()
 
     def close(self) -> None:
         """Close every keep-alive connection this client has opened (any
@@ -765,43 +976,41 @@ class LineageClient(_Client):
             conns, self._conns = self._conns, []
         self._local = threading.local()
         for conn in conns:
-            try:
-                conn.close()
-            except OSError:
-                pass
+            conn.close()
 
-    def _round_trip(self, method: str, route: str, data: Optional[bytes]) -> Tuple[int, bytes]:
+    def _round_trip(self, request: bytes) -> Tuple[int, bytes]:
         """One attempt over the thread's persistent connection; a failed
         one drops the connection, so the next attempt re-dials."""
         self.requests_sent += 1
-        headers = {"Content-Type": "application/json"} if data is not None else {}
         try:
             # dial errors are retryable too: the connection is opened
-            # eagerly (to set TCP_NODELAY), inside the retry loop
-            conn = self._connection()
-            conn.request(method, route, body=data, headers=headers)
-            response = conn.getresponse()
-            # read fully so the connection is reusable for the next call
-            return response.status, response.read()
-        except (http.client.HTTPException, OSError) as error:
+            # inside the retry loop
+            status, payload, keep = self._connection().exchange(request)
+        except (OSError, ValueError) as error:
             self._drop_connection()
             if isinstance(error, self._RETRYABLE):
                 raise
-            # unexpected transport state (half-written request, DNS
-            # failure): not retryable-by-policy, but the connection is
+            # a reply the codec refuses, a peer gone mid-body, a DNS
+            # failure: not retryable-by-policy, but the connection is
             # poisoned either way
             raise LineageConnectionError(str(error)) from error
+        if not keep:
+            self._drop_connection()
+        return status, payload
 
     def call(self, name: str, body: Optional[dict] = None):
         row = ENDPOINTS[name]
-        route, data = row.route, None
-        if row.method == "GET":
-            if body:
-                route += "?" + urllib.parse.urlencode(body)
-        elif body is not None:
-            data = json.dumps(body).encode("utf-8")
+        route, data = row.route, b""
+        if row.method == "GET" and body:
+            route += "?" + urllib.parse.urlencode(body)
+        head = f"{row.method} {route} HTTP/1.1\r\nHost: {self._netloc}\r\n"
+        if row.method == "POST":
+            if body is not None:
+                data = json.dumps(body).encode("utf-8")
+            head += f"Content-Type: application/json\r\nContent-Length: {len(data)}\r\n"
+        request = (head + "\r\n").encode("ascii") + data
         status, payload = self._retrying(
-            f"{row.method} {route}", lambda: self._round_trip(row.method, route, data)
+            f"{row.method} {route}", lambda: self._round_trip(request)
         )
         text = payload.decode("utf-8", "replace")
         if status >= 400:

@@ -65,7 +65,7 @@ from __future__ import annotations
 import json
 import socket
 import struct
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, BinaryIO, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -200,8 +200,10 @@ def parse_frame_header(data: bytes) -> Tuple[int, int, int]:
     return opcode, request_id, length
 
 
-def recv_exact(sock: socket.socket, n: int) -> bytes:
-    """Read exactly *n* bytes from a stream socket.
+def recv_exact(source: Union[socket.socket, BinaryIO], n: int) -> bytes:
+    """Read exactly *n* bytes from a stream socket or a buffered binary
+    file over one, in chunks of at most 1 MiB — memory follows the bytes
+    that arrive, never a length the peer merely declared.
 
     Raises :class:`ShortRead` if the peer closes first — a clean EOF at a
     frame boundary is the caller's case (*n* bytes expected means we are
@@ -209,10 +211,11 @@ def recv_exact(sock: socket.socket, n: int) -> bytes:
     """
     if n == 0:
         return b""
+    read = source.recv if isinstance(source, socket.socket) else source.read
     chunks: List[bytes] = []
     remaining = n
     while remaining > 0:
-        chunk = sock.recv(min(remaining, 1 << 20))
+        chunk = read(min(remaining, 1 << 20))
         if not chunk:
             raise ShortRead(
                 f"connection closed mid-frame: wanted {n} bytes, got {n - remaining}"

@@ -247,7 +247,7 @@ def test_request_log_quiet_by_default(client, capfd):
     client.prov_query(["b", "a"], cells=[(0, 0)])
     captured = capfd.readouterr()
     assert '"event":"request"' not in captured.err
-    assert "POST /query" not in captured.err  # BaseHTTPRequestHandler's default
+    assert "POST /query" not in captured.err  # no access-log line either
 
 
 # ----------------------------------------------------------------------

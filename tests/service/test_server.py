@@ -247,27 +247,33 @@ def test_queries_during_compaction(log, server):
 # ----------------------------------------------------------------------
 # client retry
 # ----------------------------------------------------------------------
-def test_client_retries_on_connection_reset(client, monkeypatch):
-    real_request = http.client.HTTPConnection.request
-    failures = {"left": 2}
+def _count_dials(monkeypatch, failures: int = 0) -> dict:
+    """Count the client's dials (``socket.create_connection``); the first
+    *failures* of them raise ``ConnectionResetError``."""
+    real_dial = socket.create_connection
+    dials = {"count": 0}
 
-    def flaky(self, *args, **kwargs):
-        if failures["left"] > 0:
-            failures["left"] -= 1
+    def dial(*args, **kwargs):
+        dials["count"] += 1
+        if dials["count"] <= failures:
             raise ConnectionResetError("peer reset")
-        return real_request(self, *args, **kwargs)
+        return real_dial(*args, **kwargs)
 
-    monkeypatch.setattr(http.client.HTTPConnection, "request", flaky)
+    monkeypatch.setattr(socket, "create_connection", dial)
+    return dials
+
+
+def test_client_retries_on_connection_reset(client, monkeypatch):
+    client.close()  # the next request dials
+    dials = _count_dials(monkeypatch, failures=2)
     assert client.healthz()["status"] == "ok"
-    assert failures["left"] == 0
+    assert dials["count"] == 3
     assert client.retries_used == 2
 
 
 def test_client_retries_exhausted(client, monkeypatch):
-    def always_reset(self, *args, **kwargs):
-        raise ConnectionResetError("peer reset")
-
-    monkeypatch.setattr(http.client.HTTPConnection, "request", always_reset)
+    client.close()
+    _count_dials(monkeypatch, failures=1_000)
     client.retry.retries = 2
     client.retry.backoff = 0.001
     with pytest.raises(LineageConnectionError) as excinfo:
@@ -275,32 +281,19 @@ def test_client_retries_exhausted(client, monkeypatch):
     assert "3 attempts" in str(excinfo.value)
 
 
-def test_client_does_not_retry_http_errors(client, monkeypatch):
+def test_client_does_not_retry_http_errors(client):
     """A structured server error must surface immediately, not be retried."""
-    calls = {"count": 0}
-    real_request = http.client.HTTPConnection.request
-
-    def counting(self, *args, **kwargs):
-        calls["count"] += 1
-        return real_request(self, *args, **kwargs)
-
-    monkeypatch.setattr(http.client.HTTPConnection, "request", counting)
+    sent = client.requests_sent
     with pytest.raises(LineageServerError):
         client.impact("missing")
-    assert calls["count"] == 1
+    assert client.requests_sent - sent == 1
+    assert client.retries_used == 0
 
 
 def test_client_reuses_keepalive_connection(server, monkeypatch):
     """The steady state is one persistent connection per thread — repeated
     requests must not dial a new socket each time."""
-    dials = {"count": 0}
-    real_connect = http.client.HTTPConnection.connect
-
-    def counting_connect(self):
-        dials["count"] += 1
-        return real_connect(self)
-
-    monkeypatch.setattr(http.client.HTTPConnection, "connect", counting_connect)
+    dials = _count_dials(monkeypatch)
     fresh = LineageClient(server.url)
     try:
         for _ in range(5):
