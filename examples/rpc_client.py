@@ -13,7 +13,8 @@ The example:
 1. builds a 3-hop sharded catalog and serves it over both transports,
 2. proves HTTP and RPC return byte-identical payloads for the same query,
    one at a time and as one ``prov_query_batch`` (one reply layout: a
-   single RPC result is a batch of one),
+   single RPC result is a batch of one) whose one failing item (an
+   unknown array) comes back as the same structured error on both,
 3. races the two transports over an uncached query mix, sequential and
    request-id pipelined (`prov_query_pipelined`: N frames in flight on
    one socket, responses matched by id),
@@ -78,6 +79,8 @@ def query_mix():
 
 def stable(payload):
     """Strip the per-run timing fields so payloads compare equal."""
+    if "error" in payload:
+        return json.dumps(payload, sort_keys=True)
     payload = dict(payload)
     payload.pop("elapsed_ms", None)
     payload.pop("cached", None)
@@ -114,10 +117,18 @@ def main():
             assert stable(http.prov_query(path, **request)) == stable(
                 rpc.prov_query(path, **request)
             )
-        http_batch = http.prov_query_batch(mix)
-        rpc_batch = rpc.prov_query_batch(mix)
+        # one item of the batch fails alone: both wires carry the same
+        # per-item error (over RPC, the reply's error-item record)
+        batch = mix + [{"path": ["ghost", CHAIN[1]], "cells": [[0, 0]]}]
+        http_batch = http.prov_query_batch(batch)
+        rpc_batch = rpc.prov_query_batch(batch)
         assert [stable(r) for r in http_batch] == [stable(r) for r in rpc_batch]
-        print(f"byte-identical answers across transports: {len(mix)} query shapes, alone and batched")
+        http_error, rpc_error = http_batch[-1]["error"], rpc_batch[-1]["error"]
+        assert (rpc_error["type"], rpc_error["status"]) == (http_error["type"], http_error["status"]) == ("not-found", 404)
+        print(
+            f"byte-identical answers across transports: {len(mix)} query shapes, alone and batched, "
+            f"and the same per-item error ({rpc_error['status']} {rpc_error['type']})"
+        )
 
         # -- 2. uncached round-trip race -------------------------------
         run_mix(http.prov_query, mix, 1)  # warm tables + connections

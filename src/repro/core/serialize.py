@@ -231,18 +231,24 @@ def _minmax(flat: np.ndarray) -> Tuple[int, int]:
     return int(lo), int(hi)
 
 
+# (min, max, dtype) of each signed width, narrowest first: np.iinfo built per
+# candidate cost more than the min/max scan of a small array
+_INT_RANGES = tuple(
+    (int(np.iinfo(t).min), int(np.iinfo(t).max), np.dtype(t)) for t in (np.int8, np.int16, np.int32, np.int64)
+)
+
+
 def _smallest_int_dtype(array: np.ndarray) -> np.dtype:
     """Pick the narrowest signed integer dtype that can hold *array*."""
-    if array.size == 0 or array.dtype == np.int8:
+    if array.size == 0 or array.dtype == _INT_RANGES[0][2]:
         # int8 is the floor: an empty column (or one already at the floor)
         # needs no value scan at all
-        return np.dtype(np.int8)
+        return _INT_RANGES[0][2]
     lo, hi = _minmax(array.reshape(-1))
-    for dtype in (np.int8, np.int16, np.int32, np.int64):
-        info = np.iinfo(dtype)
-        if info.min <= lo and hi <= info.max:
-            return np.dtype(dtype)
-    return np.dtype(np.int64)
+    for low, high, dtype in _INT_RANGES:
+        if low <= lo and hi <= high:
+            return dtype
+    return _INT_RANGES[-1][2]
 
 
 # the RPC wire layer narrows result boxes the same way table columns are

@@ -19,7 +19,7 @@ Three pieces, one import surface:
 from __future__ import annotations
 
 from . import log, metrics, tracing
-from .log import get_logger, log_event, set_level
+from .log import get_logger, log_enabled, log_event, set_level
 from .metrics import (
     DEFAULT_LATENCY_BUCKETS,
     DEFAULT_SIZE_BUCKETS,
@@ -54,6 +54,7 @@ __all__ = [
     "tracing",
     "get_logger",
     "log_event",
+    "log_enabled",
     "set_level",
     "Counter",
     "Gauge",

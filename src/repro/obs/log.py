@@ -33,6 +33,7 @@ from typing import Any, Dict, Optional
 __all__ = [
     "get_logger",
     "log_event",
+    "log_enabled",
     "set_level",
     "configure",
     "JsonLinesFormatter",
@@ -110,6 +111,19 @@ def get_logger(name: str = "") -> logging.Logger:
     return logging.getLogger(f"{ROOT_NAME}.{name}" if name else ROOT_NAME)
 
 
+def _logger(component: str) -> logging.Logger:
+    logger = _loggers.get(component)
+    if logger is None:
+        logger = _loggers.setdefault(component, get_logger(component))
+    return logger
+
+
+def log_enabled(component: str = "", level: str = "info") -> bool:
+    """Whether :func:`log_event` would emit an event of *level* from
+    *component* — so a hot caller builds an event's fields only then."""
+    return _logger(component).isEnabledFor(_LEVELS.get(level.lower(), logging.INFO))
+
+
 def log_event(
     event: str,
     *,
@@ -124,9 +138,7 @@ def log_event(
     ``"breaker_transition"``, ``"fault_injected"``, ``"scrub_complete"``,
     ``"slow_trace"``); ``fields`` become top-level JSON keys.
     """
-    logger = _loggers.get(component)
-    if logger is None:
-        logger = _loggers.setdefault(component, get_logger(component))
+    logger = _logger(component)
     lvl = _LEVELS.get(level.lower(), logging.INFO)
     if not logger.isEnabledFor(lvl):
         return

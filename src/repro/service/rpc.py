@@ -147,10 +147,11 @@ class _ConnectionHandler(socketserver.BaseRequestHandler):
         log_event(
             "rpc_connect", level="debug", component="rpc", client=self.client_address[0]
         )
+        rfile = sock.makefile("rb")  # a small frame is one recv; a pipelined next one waits in the buffer
         try:
             while True:
                 try:
-                    header = recv_exact(sock, FRAME_HEADER_SIZE)
+                    header = recv_exact(rfile, FRAME_HEADER_SIZE)
                     opcode, request_id, length = parse_frame_header(header)
                     if length > MAX_BODY_BYTES:
                         # refused unread, like an oversized HTTP body: the
@@ -164,7 +165,7 @@ class _ConnectionHandler(socketserver.BaseRequestHandler):
                             ),
                         )
                         return
-                    payload = recv_exact(sock, length)
+                    payload = recv_exact(rfile, length)
                 except ShortRead:
                     return  # peer closed; between frames this is graceful
                 except ValueError as error:
@@ -181,6 +182,7 @@ class _ConnectionHandler(socketserver.BaseRequestHandler):
         except (_ConnectionDropped, OSError):
             return
         finally:
+            rfile.close()
             _RPC_CONNECTIONS.dec()
 
     def _serve_one(self, opcode: int, request_id: int, payload: Union[bytes, Exception]) -> None:
@@ -275,12 +277,14 @@ class RPCServer(_Server):
 # client
 # ----------------------------------------------------------------------
 class _PooledConnection:
-    """One persistent socket plus its monotonically increasing request id."""
+    """One persistent socket, the buffered file its replies are read from
+    (a small one in one ``recv``) and its increasing request id."""
 
-    __slots__ = ("sock", "next_request_id")
+    __slots__ = ("sock", "rfile", "next_request_id")
 
     def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
+        self.rfile = sock.makefile("rb")
         self.next_request_id = 0
 
     def take_request_id(self) -> int:
@@ -291,7 +295,7 @@ class _PooledConnection:
     def read_reply(self, rid: int) -> Tuple[int, bytes]:
         """The ``(opcode, payload)`` of the response to request *rid*."""
         while True:
-            opcode, response_id, payload = read_frame(self.sock)
+            opcode, response_id, payload = read_frame(self.rfile)
             if response_id == rid:
                 return opcode, payload
             # stale response from an abandoned request on a recycled
@@ -299,6 +303,7 @@ class _PooledConnection:
 
     def close(self) -> None:
         try:
+            self.rfile.close()  # the socket's descriptor stays open until its file closes
             self.sock.close()
         except OSError:
             pass

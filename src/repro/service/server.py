@@ -111,7 +111,7 @@ from email.utils import formatdate
 from http import HTTPStatus
 from typing import Any, BinaryIO, Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
-from ..obs import REGISTRY, log_event, tracing
+from ..obs import REGISTRY, log_enabled, log_event, tracing
 from .api import (
     ENDPOINTS,
     MAX_BODY_BYTES,
@@ -357,15 +357,16 @@ class _RequestMeter(NamedTuple):
         name = tags[self.label]
         self.requests.labels(name, str(status)).inc()
         self.seconds.labels(name).observe(elapsed)
-        log_event(
-            self.event,
-            component=self.component,
-            **tags,
-            status=status,
-            ms=round(elapsed * 1000.0, 3),
-            client=client,
-            trace_id=trace.trace_id if trace is not None else None,
-        )
+        if log_enabled(self.component):
+            log_event(
+                self.event,
+                component=self.component,
+                **tags,
+                status=status,
+                ms=round(elapsed * 1000.0, 3),
+                client=client,
+                trace_id=trace.trace_id if trace is not None else None,
+            )
         return reply
 
 

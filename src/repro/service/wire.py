@@ -13,7 +13,7 @@ Every message in either direction is one *frame*::
 
     offset  size  field
     0       4     magic  b"DRPC"
-    4       2     u16    protocol version (currently 2)
+    4       2     u16    protocol version (currently 3)
     6       4     u32    payload length in bytes
     10      2     u16    opcode (requests: the operation; responses: the
                          request's opcode, or OP_ERROR for failures)
@@ -33,26 +33,33 @@ version is refused at the first frame header, never misread.
 Binary result payloads
 ----------------------
 Every query reply — ``OP_QUERY`` and ``OP_QUERY_BATCH`` alike — has one
-layout: a single result is a batch of one.  It is one
-:func:`~repro.core.serialize.json_frame` (magic ``b"DRES"``) whose
-compact JSON header holds the reply's ``elapsed_ms``, the ``dtype`` of
-the coordinate block and the ``items``, each either a *row* or a
-per-item ``{"error": {...}}`` dict.  A row is a list in the order of
-:data:`_ROW`: array, shape, box count, exact cell count, hop rows (the
-fields of :data:`_HOP`), the cached / degraded flags, elapsed ms, the
-include-boxes / include-cells flags and the row count of the cell
-listing.
+layout: a single result is a batch of one.  Its header is fixed-size
+records read with :class:`struct.Struct`, never a parser::
 
-One coordinate block follows the header: every item's box lows, box
+    reply   b"DRES", u8 block itemsize, f64 elapsed_ms, u32 item count
+    item    u8 flags (cached 1, degraded 2, include_boxes 4, include_cells 8,
+            error 16), u8 ndim, u32 name bytes, u32 boxes, u64 exact cell
+            count, f64 elapsed_ms, u32 cell-listing rows, u16 hop count,
+            then ndim × u64 shape, the UTF-8 array name, and per hop:
+    hop     u16 from / to name bytes, u64 rows_scanned, u32 boxes_in,
+            u32 boxes_out_raw, u32 boxes_out_merged, f64 seconds,
+            then the two UTF-8 names
+
+An error item (rare) sets only the error flag and the name length, and
+carries its ``{"error": {...}}`` dict as JSON in place of the name.  Box
+and row counts are u32: every box they count is held in memory as int64
+coordinates; the unmaterialised counts are u64.
+
+One coordinate block follows the last item: every item's box lows, box
 highs and optional cell listing, flattened in item order, narrowed
 *once* to the smallest signed little-endian integer dtype that holds
 them all (:func:`~repro.core.serialize.smallest_int_dtype`, the ProvRC
 trick applied to the wire) and written with one ``tobytes``.  The
-decoder checks every row against that block — the rows × ndim the
-items claim must be exactly the values it holds — then makes one
-``np.frombuffer`` over it: every ``boxes_lo`` / ``boxes_hi`` /
-``cells_array`` is a reshaped, read-only view into that one buffer.
-Zero copies, no per-integer work, for a batch as for a single result.
+decoder checks every count against the bytes left before it slices or
+allocates by it, then makes one ``np.frombuffer`` over the block: every
+``boxes_lo`` / ``boxes_hi`` / ``cells_array`` is a reshaped, read-only
+view into that one buffer.  Zero copies, no per-integer work, for a
+batch as for a single result.
 
 :class:`RPCResult` wraps a decoded row.  It is mapping-compatible with
 the HTTP result dict (``result["count"]``, ``result["boxes"]`` …) so
@@ -69,13 +76,7 @@ from typing import Any, BinaryIO, Dict, Iterator, List, Optional, Sequence, Tupl
 
 import numpy as np
 
-from ..core.serialize import (
-    frame_header,
-    json_frame,
-    parse_header,
-    parse_json_frame,
-    smallest_int_dtype,
-)
+from ..core.serialize import frame_header, parse_header, smallest_int_dtype
 
 __all__ = [
     "WIRE_MAGIC",
@@ -109,7 +110,7 @@ __all__ = [
 ]
 
 WIRE_MAGIC = b"DRPC"
-WIRE_VERSION = 2
+WIRE_VERSION = 3
 _HEADER_LAYOUT = "HIHI"  # version, payload length, opcode, request id
 FRAME_HEADER_SIZE = len(WIRE_MAGIC) + struct.calcsize("<" + _HEADER_LAYOUT)
 
@@ -144,16 +145,19 @@ OPCODES: Dict[int, str] = {
 }
 
 _RESULT_MAGIC = b"DRES"
-# the fields of a result row and of one of its hop rows, by position
+# the fixed records of a reply (the module docstring has their fields)
+_REPLY = struct.Struct("<4sBdI")
+_ITEM = struct.Struct("<BBIIQdIH")
+_HOP_RECORD = struct.Struct("<HHQIIId")
+_CACHED, _DEGRADED, _BOXES, _CELLS, _ERROR = 1, 2, 4, 8, 16
+# the fields of a decoded result row and of one of its hop rows, by position
 _ROW = (
     "array", "shape", "boxes_merged", "count", "hops", "cached", "degraded",
     "elapsed_ms", "include_boxes", "include_cells", "cell_rows",
 )
-# the JSON type of each row field; every int is a count (>= 0)
-_ROW_TYPES = (str, list, int, int, list, bool, bool, float, bool, bool, int)
 _HOP = ("from", "to", "rows_scanned", "boxes_in", "boxes_out_raw", "boxes_out_merged", "seconds")
-# what a coordinate block may be stored as, by the header's dtype string
-_BLOCK_DTYPES = {spec: np.dtype(spec) for spec in ("<i1", "|i1", "<i2", "<i4", "<i8")}
+# what a coordinate block may be stored as, by the header's itemsize
+_BLOCK_DTYPES = {size: np.dtype(f"<i{size}") for size in (1, 2, 4, 8)}
 
 
 class ShortRead(ConnectionError):
@@ -225,17 +229,18 @@ def recv_exact(source: Union[socket.socket, BinaryIO], n: int) -> bytes:
     return chunks[0] if len(chunks) == 1 else b"".join(chunks)
 
 
-def read_frame(sock: socket.socket) -> Tuple[int, int, bytes]:
-    """Read one complete frame; returns ``(opcode, request_id, payload)``.
+def read_frame(source: Union[socket.socket, BinaryIO]) -> Tuple[int, int, bytes]:
+    """Read one complete frame from a socket or a buffered binary file over
+    one; returns ``(opcode, request_id, payload)``.
 
     Raises :class:`ShortRead` on EOF inside the frame and ``ValueError``
     on a corrupt header.  An EOF *before any byte* of the header is also a
     :class:`ShortRead` — the caller decides whether that was a graceful
     close (no request in flight) or a failure.
     """
-    header = recv_exact(sock, FRAME_HEADER_SIZE)
+    header = recv_exact(source, FRAME_HEADER_SIZE)
     opcode, request_id, length = parse_frame_header(header)
-    return opcode, request_id, recv_exact(sock, length)
+    return opcode, request_id, recv_exact(source, length)
 
 
 def encode_json(obj: Any) -> bytes:
@@ -263,11 +268,12 @@ def encode_batch(entries: Sequence[Union[tuple, dict]], elapsed_ms: float = 0.0)
     hops' ``rows_scanned`` likewise counts the pairs compared), its
     coordinates go to the reply's one block.
     """
-    items: List[Union[list, dict]] = []
+    records: List[bytes] = []
     parts: List[np.ndarray] = []
     for entry in entries:
         if isinstance(entry, dict):
-            items.append(entry)
+            text = encode_json(entry)
+            records += (_ITEM.pack(_ERROR, 0, len(text), 0, 0, 0.0, 0, 0), text)
             continue
         result, include_boxes, include_cells, cached, degraded, item_ms = entry
         cells = result.cells
@@ -278,18 +284,22 @@ def encode_batch(entries: Sequence[Union[tuple, dict]], elapsed_ms: float = 0.0)
             listing = result.to_cells_array()
             cell_rows = len(listing)
             parts.append(listing)
-        hops = [
-            [h.array_from, h.array_to, h.rows_scanned, h.boxes_in, h.boxes_out_raw, h.boxes_out_merged, h.seconds]
-            for h in result.hops
-        ]
-        items.append([
-            cells.array_name, list(cells.shape), len(cells), int(result.count_cells()), hops,
-            bool(cached), bool(degraded), float(item_ms), bool(include_boxes), bool(include_cells), cell_rows,
-        ])
+        flags = (_CACHED if cached else 0) | (_DEGRADED if degraded else 0) | (_BOXES if include_boxes else 0)
+        flags |= _CELLS if include_cells else 0
+        name, ndim = cells.array_name.encode("utf-8"), len(cells.shape)
+        records += (
+            _ITEM.pack(flags, ndim, len(name), len(cells), int(result.count_cells()), item_ms, cell_rows, len(result.hops)),
+            struct.pack(f"<{ndim}Q", *cells.shape),
+            name,
+        )
+        for h in result.hops:
+            source, target = h.array_from.encode("utf-8"), h.array_to.encode("utf-8")
+            stats = (h.rows_scanned, h.boxes_in, h.boxes_out_raw, h.boxes_out_merged, h.seconds)
+            records += (_HOP_RECORD.pack(len(source), len(target), *stats), source, target)
     block = np.concatenate(parts, axis=None) if parts else np.empty(0, np.int8)
-    dtype = smallest_int_dtype(block).newbyteorder("<")
-    header = {"dtype": dtype.str, "elapsed_ms": float(elapsed_ms), "items": items}
-    return json_frame(_RESULT_MAGIC, header, block.astype(dtype, copy=False).tobytes())
+    dtype = _BLOCK_DTYPES[smallest_int_dtype(block).itemsize]
+    head = _REPLY.pack(_RESULT_MAGIC, dtype.itemsize, elapsed_ms, len(entries))
+    return b"".join((head, *records, block.astype(dtype, copy=False).tobytes()))
 
 
 def encode_result(
@@ -304,18 +314,8 @@ def encode_result(
     return encode_batch([(result, include_boxes, include_cells, cached, degraded, elapsed_ms)], elapsed_ms)
 
 
-def _row_fault(row: list) -> Optional[str]:
-    """The first field of a result row that breaks the layout, or None."""
-    if tuple(map(type, row)) != _ROW_TYPES or min(row[2], row[3], row[10]) < 0:
-        for field, kind, value in zip(_ROW, _ROW_TYPES, row):
-            if type(value) is not kind or (kind is int and value < 0):
-                return f"field {field!r} = {value!r:.60}"
-        return f"arity: {len(row)} fields, not {len(_ROW)}"
-    if not all(type(d) is int and d >= 0 for d in row[1]):
-        return f"field 'shape' = {row[1]!r:.60}"
-    if not all(type(h) is list and len(h) == len(_HOP) for h in row[4]):
-        return f"field 'hops': a hop row is not a list of {len(_HOP)}"
-    return None
+def _overrun(index: int, field: str, value: int, left: int) -> ValueError:
+    return ValueError(f"corrupt RPC result: item {index}: {field} = {value} overruns the {left} bytes left")
 
 
 def decode_batch(payload: bytes) -> Tuple[List[Union["RPCResult", dict]], dict]:
@@ -323,37 +323,71 @@ def decode_batch(payload: bytes) -> Tuple[List[Union["RPCResult", dict]], dict]:
     is an :class:`RPCResult` or the per-item error dict, and *meta* carries
     ``batch_size`` / ``elapsed_ms``.
 
-    Every field the header gives is checked before any byte is sliced —
-    the dtype, each row's arity and field types, and that the rows claim
-    exactly the values the block holds — and a bad one raises
-    ``ValueError`` naming it.  The arrays are views over *payload*, which
-    backs the results' lifetime.
+    Every count the records give is checked against the bytes left before
+    anything is sliced or allocated by it, and the items must claim
+    exactly the values the block holds; a bad field raises ``ValueError``
+    naming it.  The arrays are views over *payload*, which backs the
+    results' lifetime.
     """
-    header, offset = parse_json_frame(payload, _RESULT_MAGIC, "RPC result")
-    spec, items, elapsed_ms = header.get("dtype"), header.get("items"), header.get("elapsed_ms")
-    dtype = _BLOCK_DTYPES.get(spec) if type(spec) is str else None
+    end = len(payload)
+    if end < _REPLY.size:
+        raise ValueError(f"truncated RPC result: {end} bytes, the reply header needs {_REPLY.size}")
+    magic, itemsize, elapsed_ms, count = _REPLY.unpack_from(payload)
+    if magic != _RESULT_MAGIC:
+        raise ValueError(f"not an RPC result: bad magic {magic!r} (want {_RESULT_MAGIC!r})")
+    dtype = _BLOCK_DTYPES.get(itemsize)
     if dtype is None:
-        raise ValueError(f"corrupt RPC result: 'dtype' = {spec!r:.60} is not a signed little-endian integer")
-    if type(items) is not list:
-        raise ValueError(f"corrupt RPC result: 'items' = {items!r:.60} is not a list")
-    if type(elapsed_ms) is not float:
-        raise ValueError(f"corrupt RPC result: 'elapsed_ms' = {elapsed_ms!r:.60}")
-    block_bytes = len(payload) - offset
-    size, ragged = divmod(block_bytes, dtype.itemsize)
-    need = 0
-    for index, item in enumerate(items):
-        if type(item) is dict and "error" in item:
-            continue
-        fault = _row_fault(item) if type(item) is list else "neither a row nor an error"
-        if fault is not None:
-            raise ValueError(f"corrupt RPC result: item {index}: {fault}")
-        need += len(item[1]) * (2 * item[2] * item[8] + item[10] * item[9])
-    if ragged or need != size:
+        raise ValueError(f"corrupt RPC result: 'itemsize' = {itemsize} is not a signed integer's")
+    # lists grow per record read, never by a count: a hostile count overruns first
+    items: List[Union[list, dict]] = []
+    at, need, index = _REPLY.size, 0, 0
+    try:
+        for index in range(count):
+            if at + _ITEM.size > end:
+                raise _overrun(index, "'items'", count, end - at)
+            flags, ndim, name_size, boxes, cell_count, item_ms, cell_rows, hop_count = _ITEM.unpack_from(payload, at)
+            at += _ITEM.size
+            if flags & _ERROR:
+                if at + name_size > end:
+                    raise _overrun(index, "'error bytes'", name_size, end - at)
+                error = decode_json(payload[at : at + name_size])
+                if type(error) is not dict or "error" not in error:
+                    raise ValueError(f"corrupt RPC result: item {index}: neither a row nor an error")
+                items.append(error)
+                at += name_size
+                continue
+            if ndim == 0:  # no catalog array is 0-d, and an (n, 0) view would back any box count
+                raise ValueError(f"corrupt RPC result: item {index}: 'ndim' = 0")
+            if at + 8 * ndim + name_size > end:
+                raise _overrun(index, "'ndim' + 'name bytes'", 8 * ndim + name_size, end - at)
+            shape = list(struct.unpack_from(f"<{ndim}Q", payload, at))
+            at += 8 * ndim + name_size
+            name = payload[at - name_size : at].decode("utf-8")
+            hops = []
+            for _ in range(hop_count):
+                if at + _HOP_RECORD.size > end:
+                    raise _overrun(index, "'hops'", hop_count, end - at)
+                source_size, target_size, *stats = _HOP_RECORD.unpack_from(payload, at)
+                names = at + _HOP_RECORD.size
+                at = names + source_size + target_size
+                if at > end:
+                    raise _overrun(index, "a hop's name bytes", source_size + target_size, end - names)
+                source = payload[names : names + source_size].decode("utf-8")
+                hops.append([source, payload[names + source_size : at].decode("utf-8"), *stats])
+            include_boxes, include_cells = bool(flags & _BOXES), bool(flags & _CELLS)
+            need += ndim * (2 * boxes * include_boxes + cell_rows * include_cells)
+            items.append([
+                name, shape, boxes, cell_count, hops, bool(flags & _CACHED), bool(flags & _DEGRADED),
+                item_ms, include_boxes, include_cells, cell_rows,
+            ])
+    except UnicodeDecodeError:
+        raise ValueError(f"corrupt RPC result: item {index}: a name is not UTF-8") from None
+    if need * dtype.itemsize != end - at:
         raise ValueError(
-            f"corrupt RPC result: the rows claim {need} coordinates of {dtype.str}, "
-            f"the block holds {block_bytes} bytes"
+            f"corrupt RPC result: the items claim {need} coordinates of {dtype.str}, "
+            f"the block holds {end - at} bytes"
         )
-    flat = np.frombuffer(payload, dtype, size, offset)
+    flat = np.frombuffer(payload, dtype, need, at)
     results: List[Union[RPCResult, dict]] = []
     at = 0
     for item in items:
@@ -363,7 +397,8 @@ def decode_batch(payload: bytes) -> Tuple[List[Union["RPCResult", dict]], dict]:
         ndim, lo, hi, listing = len(item[1]), None, None, None
         if item[8]:
             n = 2 * item[2] * ndim
-            lo, hi = flat[at : at + n].reshape(2, item[2], ndim)
+            boxes = flat[at : at + n].reshape(2, item[2], ndim)
+            lo, hi = boxes[0], boxes[1]  # indexing: unpacking would iterate
             at += n
         if item[9]:
             n = item[10] * ndim

@@ -695,14 +695,21 @@ class TestSmallestDtypeScan:
     @pytest.mark.parametrize(
         "values,expected",
         [
+            # every edge of every width, from both sides
             ([0, 127], np.int8),
+            ([-128, 0], np.int8),
             ([0, 128], np.int16),
             ([-129, 0], np.int16),
             ([0, 2**15 - 1], np.int16),
+            ([-(2**15), 0], np.int16),
             ([0, 2**15], np.int32),
+            ([-(2**15) - 1, 0], np.int32),
             ([0, 2**31 - 1], np.int32),
+            ([-(2**31), 0], np.int32),
+            ([0, 2**31], np.int64),
             ([-(2**31) - 1, 0], np.int64),
             ([0, 2**40], np.int64),
+            ([-(2**63), 2**63 - 1], np.int64),
         ],
     )
     def test_boundaries(self, values, expected):

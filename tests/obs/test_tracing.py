@@ -37,6 +37,12 @@ def _by_name(trace_dict):
     return {s["name"]: s for s in trace_dict["spans"]}
 
 
+def test_trace_ids_are_16_hex_digits_and_unique():
+    ids = [Trace("t").trace_id for _ in range(10_000)]
+    assert len(set(ids)) == len(ids)
+    assert all(len(trace_id) == 16 and int(trace_id, 16) >= 0 for trace_id in ids)
+
+
 def test_span_nesting_parent_ids():
     trace = Trace("t")
     with trace.activate():

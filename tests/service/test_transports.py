@@ -5,6 +5,7 @@ trips.  Transport-only behavior (keep-alive reuse, ``Content-Length``
 edges, pooling, pipelining, frame corruption) stays in ``test_server.py``
 and ``test_rpc.py``."""
 
+import logging
 import select
 import socket
 import threading
@@ -15,6 +16,7 @@ import pytest
 
 from repro import DSLog
 from repro.core.relation import LineageRelation
+from repro.service import server as server_module
 from repro.service import wire
 from repro.service.api import ENDPOINTS
 from repro.service.rpc import DualServer, RPCClient, RPCServer
@@ -217,6 +219,34 @@ def test_healthz_scrub_traces_metrics(client):
     client.prov_query(["a", "b"], cells=[[0, 1]])
     text = client.metrics_text()
     assert "dslog_http_requests_total" in text or "dslog_rpc_requests_total" in text
+
+
+def test_request_log_event_names_the_request_and_its_trace(transport, client, caplog):
+    """At level info every request logs one event (``request`` over HTTP,
+    ``rpc_request`` over RPC) whose fields name the request and whose trace
+    id is the one ``/debug/traces`` shows for it."""
+    if transport.server is LineageServer:
+        event, tags, status = "request", {"method": "POST", "endpoint": "/query"}, 200
+    else:
+        event, tags, status = "rpc_request", {"op": "query"}, "ok"
+    with caplog.at_level(logging.INFO, logger="repro.obs"):
+        client.prov_query(["a", "b"], cells=[[1, 1]])
+    (record,) = [r for r in caplog.records if getattr(r, "event", None) == event]
+    fields = record.fields
+    assert set(fields) == {*tags, "status", "ms", "client", "trace_id", "component"}
+    assert {key: fields[key] for key in tags} == tags and fields["status"] == status
+    (trace,) = client.traces(limit=1)
+    assert trace["trace_id"] == fields["trace_id"]
+    assert dict(tags, status=status).items() <= trace["tags"].items()
+    assert len(fields["trace_id"]) == 16 and int(fields["trace_id"], 16) >= 0
+
+
+def test_a_filtered_request_event_is_not_built(client, monkeypatch):
+    """Below info (the default) a request builds no log event at all."""
+    built = []
+    monkeypatch.setattr(server_module, "log_event", lambda *args, **fields: built.append(fields))
+    assert client.prov_query(["a", "b"], cells=[[1, 1]])["count"] == 1
+    assert built == []
 
 
 def test_structured_errors(client):

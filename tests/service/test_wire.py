@@ -1,12 +1,14 @@
 """The binary wire format in isolation: frame round trips, header
-validation (truncation, bad magic, a v1 peer, hostile lengths), the one
-result layout (a single result is a batch of one: rows plus one narrowed
-coordinate block of zero-copy views) across every integer width, crafted
-headers, byte-level fuzzing of every decoder, and >64 KiB frames."""
+validation (truncation, bad magic, a v1 or v2 peer, hostile lengths),
+buffered frame reads, the one result layout (a single result is a batch
+of one: struct records plus one narrowed coordinate block of zero-copy
+views) across every integer width, crafted records, byte-level fuzzing
+of every decoder, and >64 KiB frames."""
 
 import json
 import socket
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.query import CellBoxSet, HopStats, QueryResult
-from repro.core.serialize import frame_header, json_frame, parse_json_frame
+from repro.core.serialize import frame_header
 from repro.service import wire
 from repro.service.api import result_payload
 from repro.service.wire import (
@@ -85,18 +87,20 @@ def test_frame_wrong_version():
         parse_frame_header(bytes(bad))
 
 
-def test_frame_from_a_v1_peer_is_refused():
-    """Version 1 carried the nested per-result layout: a v1 frame gets the
-    structured version error, over a socket as from bytes, and no byte of
-    its payload is read as a v2 reply."""
-    v1 = frame_header(wire.WIRE_MAGIC, "HIHI", 1, 3, OP_QUERY, 9) + b"{}x"
-    assert wire.WIRE_VERSION == 2
-    with pytest.raises(ValueError, match=r"unsupported RPC protocol version 1 \(this build speaks 2\)"):
-        parse_frame_header(v1)
+@pytest.mark.parametrize("version", [1, 2])
+def test_frame_from_an_older_peer_is_refused(version):
+    """Version 1 carried a nested per-result layout, version 2 a JSON reply
+    header: a frame of either gets the structured version error, over a
+    socket as from bytes, and no byte of its payload is read as a v3
+    reply."""
+    old = frame_header(wire.WIRE_MAGIC, "HIHI", version, 3, OP_QUERY, 9) + b"{}x"
+    assert wire.WIRE_VERSION == 3
+    with pytest.raises(ValueError, match=rf"unsupported RPC protocol version {version} \(this build speaks 3\)"):
+        parse_frame_header(old)
     a, b = socket_pair()
     try:
-        a.sendall(v1)
-        with pytest.raises(ValueError, match="unsupported RPC protocol version 1"):
+        a.sendall(old)
+        with pytest.raises(ValueError, match=f"unsupported RPC protocol version {version}"):
             read_frame(b)
     finally:
         a.close()
@@ -132,6 +136,24 @@ def test_read_frame_over_socket():
         opcode, request_id, received = read_frame(b)
         assert (opcode, request_id) == (OP_QUERY, 3)
         assert received == payload
+    finally:
+        a.close()
+        b.close()
+
+
+def test_buffered_reads_keep_the_next_frame():
+    """Both RPC ends read through ``makefile("rb")``: one recv may pull in
+    several pipelined frames, and each read_frame still returns exactly
+    one, whatever its size."""
+    a, b = socket_pair()
+    frames = [(OP_QUERY, 1, b"small"), (OP_PING, 2, b""), (OP_QUERY, 3, b"z" * (100 * 1024))]
+    try:
+        a.sendall(b"".join(encode_frame(*frame) for frame in frames))
+        with b.makefile("rb") as rfile:
+            assert [read_frame(rfile) for _ in frames] == frames
+            a.close()
+            with pytest.raises(ShortRead):
+                read_frame(rfile)
     finally:
         a.close()
         b.close()
@@ -323,74 +345,138 @@ def test_a_query_reply_holds_exactly_one_result():
 
 
 # ----------------------------------------------------------------------
-# crafted headers: every field is checked before a byte is sliced
+# crafted records: every count is checked before a byte is sliced
 # ----------------------------------------------------------------------
-def reframed(payload: bytes, mutate) -> bytes:
-    """*payload* with its JSON header passed through *mutate*."""
-    header, offset = parse_json_frame(payload, b"DRES")
-    mutate(header)
-    return json_frame(b"DRES", header, payload[offset:])
+def one_hop() -> bytes:
+    """Reply header, one item record, shape (8, 8), name "arr", one hop
+    record and its names "a" / "arr", then a block of eight int8 values."""
+    result = make_result([((0, 0), (1, 1)), ((4, 4), (7, 7))], shape=(8, 8))
+    result.hops.append(HopStats("a", "arr", 3, 1, 2, 2, 0.5))
+    return encode_result(result)
 
 
-def two_boxes() -> bytes:
-    return encode_result(make_result([((0, 0), (1, 1)), ((4, 4), (7, 7))], shape=(8, 8)))
+ITEM_AT = wire._REPLY.size
+NAME_AT = ITEM_AT + wire._ITEM.size + 16  # past the two u64 dims
+HOP_AT = NAME_AT + len("arr")
+FIELDS = {
+    wire._REPLY: ("magic", "itemsize", "elapsed_ms", "items"),
+    wire._ITEM: ("flags", "ndim", "name_bytes", "boxes", "count", "elapsed_ms", "cell_rows", "hops"),
+    wire._HOP_RECORD: ("from_bytes", "to_bytes", "rows_scanned", "boxes_in", "boxes_out_raw", "boxes_out_merged", "seconds"),
+}
 
 
-def set_row(**fields):
-    """A header mutation setting the first row's *fields* by name."""
+def repacked(record, at: int, **fields):
+    """A mutation repacking the *record* at offset *at* of a reply with
+    *fields* (by name) replaced."""
 
-    def mutate(header):
-        for name, value in fields.items():
-            header["items"][0][wire._ROW.index(name)] = value
+    def mutate(payload: bytes) -> bytes:
+        values = dict(zip(FIELDS[record], record.unpack_from(payload, at)))
+        values.update(fields)
+        out = bytearray(payload)
+        record.pack_into(out, at, *values.values())
+        return bytes(out)
 
     return mutate
 
 
+def reply(**fields):
+    return repacked(wire._REPLY, 0, **fields)
+
+
+def item(**fields):
+    return repacked(wire._ITEM, ITEM_AT, **fields)
+
+
+def hop(**fields):
+    return repacked(wire._HOP_RECORD, HOP_AT, **fields)
+
+
+def spliced(at: int, data: bytes):
+    return lambda payload: payload[:at] + data + payload[at + len(data) :]
+
+
 def test_a_negative_box_count_is_refused():
-    """A box count of -1 used to mean "the rest of the buffer" to
-    np.frombuffer: the decoder returned (4, 2) lows and (5, 2) highs cut
-    from garbage bytes."""
-    with pytest.raises(ValueError, match="'boxes_merged' = -1"):
-        decode_result(reframed(two_boxes(), set_row(boxes_merged=-1)))
+    """In v2 a box count of -1 meant "the rest of the buffer" to
+    np.frombuffer, and the decoder returned lows and highs cut from garbage
+    bytes.  A u32 count cannot be negative; -1's bit pattern claims far
+    more coordinates than the block holds."""
+    with pytest.raises(ValueError, match="claim 17179869180 coordinates"):
+        decode_result(item(boxes=0xFFFFFFFF)(one_hop()))
 
 
 @pytest.mark.parametrize(
     "mutate, message",
     [
-        (set_row(boxes_merged=True), "'boxes_merged' = True"),
-        (set_row(boxes_merged=2.0), "'boxes_merged' = 2.0"),
-        (set_row(cell_rows=-3), "'cell_rows' = -3"),
-        (set_row(count=-1), "'count' = -1"),
-        (set_row(shape=[8, -8]), "'shape'"),
-        (set_row(shape=[8, True]), "'shape'"),
-        (set_row(shape="8x8"), "'shape'"),
-        (set_row(hops=[["a", "b", 1]]), "'hops'"),
-        (set_row(cached=1), "'cached' = 1"),
-        (set_row(include_boxes=None), "'include_boxes' = None"),
-        (lambda h: h["items"][0].append(0), "arity: 12 fields"),
-        (lambda h: h["items"][0].pop(), "arity: 10 fields"),
-        (lambda h: h["items"].append({"oops": 1}), "item 1: neither a row nor an error"),
-        (lambda h: h.update(items={"0": []}), "'items'"),
-        (lambda h: h.update(dtype="<f8"), "'dtype'"),
-        (lambda h: h.update(dtype="<u1"), "'dtype'"),
-        (lambda h: h.update(dtype=">i2"), "'dtype'"),
-        (lambda h: h.update(dtype=["<i1"]), "'dtype'"),
-        (lambda h: h.pop("dtype"), "'dtype'"),
-        (lambda h: h.update(dtype="<i2"), "block holds"),  # 16 bytes read as 8 values
-        (lambda h: h.update(elapsed_ms="soon"), "'elapsed_ms'"),
-        (set_row(boxes_merged=3), "claim 12 coordinates"),  # values missing
-        (set_row(boxes_merged=1), "claim 4 coordinates"),  # values left over
-        (set_row(include_cells=True, cell_rows=1_000_000), "claim 2000008 coordinates"),
+        (reply(magic=b"DRPC"), "bad magic"),
+        (reply(itemsize=0), "'itemsize' = 0"),
+        (reply(itemsize=3), "'itemsize' = 3"),
+        (reply(itemsize=2), "claim 8 coordinates of <i2, the block holds 8 bytes"),
+        (reply(items=0), "claim 0 coordinates"),  # the records read as block bytes
+        (reply(items=2), "'items' = 2"),
+        (reply(items=0xFFFFFFFF), "'items' = 4294967295"),
+        (item(ndim=0), "'ndim' = 0"),
+        (item(ndim=255), "'ndim'"),
+        (item(name_bytes=0xFFFFFFFF), "'name bytes'"),
+        (item(boxes=3), "claim 12 coordinates"),  # values missing
+        (item(boxes=1), "claim 4 coordinates"),  # values left over
+        (item(flags=4 | 8, cell_rows=1_000_000), "claim 2000008 coordinates"),
+        (item(hops=2), "'hops' = 2"),
+        (item(hops=0xFFFF), "'hops' = 65535"),
+        (item(flags=16), "corrupt JSON"),  # an error item: the shape bytes are no JSON
+        (item(flags=16, name_bytes=0xFFFFFFFF), "'error bytes'"),
+        (hop(from_bytes=0xFFFF), "a hop's name bytes"),
+        (hop(to_bytes=40), "a hop's name bytes"),
+        (spliced(NAME_AT, b"\xff\xfe\xfd"), "item 0: a name is not UTF-8"),
+        (spliced(HOP_AT + wire._HOP_RECORD.size, b"\xc3"), "item 0: a name is not UTF-8"),
+        (lambda payload: payload[: wire._REPLY.size - 1], "truncated RPC result"),
+        (lambda payload: payload[:-1], "the block holds 7 bytes"),
     ],
 )
 def test_crafted_headers_are_refused_by_name(mutate, message):
     with pytest.raises(ValueError, match=message):
-        decode_batch(reframed(two_boxes(), mutate))
+        decode_batch(mutate(one_hop()))
+
+
+def error_item(text: bytes) -> bytes:
+    return wire._REPLY.pack(b"DRES", 1, 0.0, 1) + wire._ITEM.pack(16, 0, len(text), 0, 0, 0.0, 0, 0) + text
+
+
+def test_an_error_item_must_be_an_error_dict():
+    for text in (b"[]", b'{"oops": 1}', b"7"):
+        with pytest.raises(ValueError, match="item 0: neither a row nor an error"):
+            decode_batch(error_item(text))
+    assert decode_batch(error_item(encode_json(ERROR)))[0] == [ERROR]
 
 
 def test_a_deeply_nested_header_is_a_value_error():
-    with pytest.raises(ValueError, match="corrupt RPC result header"):
-        decode_batch(b"DRES" + struct.pack("<I", 200_000) + b"[" * 200_000)
+    """An error item's JSON is the one parsed part of a reply."""
+    with pytest.raises(ValueError, match="corrupt JSON"):
+        decode_batch(error_item(b"[" * 200_000))
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        reply(items=0xFFFFFFFF),
+        item(ndim=255),
+        item(name_bytes=0xFFFFFFFF),
+        item(boxes=0xFFFFFFFF),
+        item(flags=4 | 8, cell_rows=0xFFFFFFFF),
+        item(hops=0xFFFF),
+        item(flags=16, name_bytes=0xFFFFFFFF),
+        hop(from_bytes=0xFFFF, to_bytes=0xFFFF),
+    ],
+)
+def test_huge_counts_are_refused_before_any_allocation_sized_by_them(mutate):
+    payload = mutate(one_hop())
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            decode_batch(payload)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 # ----------------------------------------------------------------------
@@ -414,9 +500,10 @@ def query_results(draw):
     lo = np.array([box[:ndim] for box in boxes], dtype=np.int64).reshape(-1, ndim)
     hi = [[min(c + extent, high) for c, extent in zip(box[:ndim], box[ndim:])] for box in boxes]
     hi = np.array(hi, dtype=np.int64).reshape(-1, ndim)
+    # rows_scanned is u64 on the wire, the three box counts u32
     hop = st.builds(
-        HopStats, st.text(max_size=4), st.text(max_size=4), *([st.integers(0, 1 << 40)] * 4),
-        st.floats(0, 10, allow_nan=False),
+        HopStats, st.text(max_size=4), st.text(max_size=4), st.integers(0, 1 << 40),
+        *([st.integers(0, (1 << 32) - 1)] * 3), st.floats(0, 10, allow_nan=False),
     )
     cells = CellBoxSet(draw(st.text(max_size=6)), (1 << 40,) * ndim, lo, hi)
     # the merge kernel behind count_cells assumes in-bounds coordinates and
@@ -527,8 +614,8 @@ def test_every_truncation_is_refused():
 
 @settings(max_examples=300, deadline=None)
 @given(st.binary(max_size=256))
-@example(b"DRES\x02\x00\x00\x00{}")
-@example(b"DRES\x0b\x00\x00\x00{\"items\":[]}")
+@example(wire._REPLY.pack(b"DRES", 1, 0.0, 0))
+@example(wire._REPLY.pack(b"DRES", 8, 0.0, 1) + wire._ITEM.pack(4, 1, 0, 1, 1, 0.0, 0, 0) + bytes(24))
 def test_fuzz_random_bytes(payload):
     decodes_or_refuses(payload)
     decodes_or_refuses(b"DRES" + payload)
