@@ -13,17 +13,13 @@ The example:
 1. builds a 4-hop sharded catalog,
 2. sweeps 64 cells via ``LineageClient.prov_query_batch`` vs 64 individual
    ``/query`` round trips, printing both wall times,
-3. shows per-item error containment (a bad query rides along harmlessly),
-4. restarts the server with request coalescing (``coalesce_ms``) and shows
-   concurrent single ``/query`` requests being grouped server-side — watch
-   ``dslog_coalesced_batch_size`` in ``/healthz``.
+3. shows per-item error containment (a bad query rides along harmlessly).
 
 Run with:  python examples/batch_queries.py
 """
 
 import sys
 import tempfile
-import threading
 import time
 from pathlib import Path
 
@@ -108,28 +104,6 @@ def main():
         print(f"  good query -> count={mixed[0]['count']}")
         print(f"  bad query  -> {mixed[1]['error']['type']}: ", end="")
         print(mixed[1]["error"]["message"])
-        server.close()
-
-        # -- 3. request coalescing: single /query calls, batched serving --
-        server = log.serve(port=0, cache_entries=0, coalesce_ms=25)
-        url = server.url
-        LineageClient.connect(url)
-
-        def worker(cell):
-            LineageClient(url, timeout=30).prov_query(
-                path, cells=[list(cell)], include_boxes=False
-            )
-
-        threads = [threading.Thread(target=worker, args=(c,)) for c in flagged_cells()]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        stats = LineageClient(url).healthz()["coalescer"]
-        print(f"\ncoalescing (window {stats['window_ms']:.0f} ms), "
-              f"{BATCH} concurrent /query requests:")
-        print(f"  flushes        : {stats['flushes']}")
-        print(f"  largest batch  : {stats['largest_batch']}")
         server.close()
         log.close()
 

@@ -49,7 +49,6 @@ __all__ = [
     "HopStats",
     "QueryResult",
     "theta_join",
-    "theta_join_batch",
     "execute_path",
     "execute_path_batch",
     "merge_boxes",
@@ -878,38 +877,6 @@ def _split_by_query(
         )
         for q in which
     ]
-
-
-def theta_join_batch(
-    queries: Sequence[CellBoxSet],
-    table: CompressedLineage,
-    merge: bool = True,
-    stats: Optional[Dict[str, int]] = None,
-) -> List[CellBoxSet]:
-    """θ-join a whole batch of queries against one table in a single
-    kernel pass.
-
-    Returns one result box set per query, bit-identical to calling
-    :func:`theta_join` on each query alone, but the window lookup, the
-    interval test and ``rel_back`` run once over the stacked boxes of the
-    whole batch, so 64 single-box queries pay one round of numpy call
-    overhead instead of 64.  Per-query segmentation is an offsets array
-    over the query-ordered output — no Python-level loop touches the box
-    data.  *stats* is filled as by :func:`theta_join`, summed over the batch.
-    """
-    queries = list(queries)
-    if not queries:
-        return []
-    for query in queries:
-        _check_joinable(query.array_name, query.ndim, table)
-    lo, hi, qid, _ = _stack_box_sets(queries)
-    out_lo, out_hi, out_qid, count = _theta_join_batch_raw(table, lo, hi, qid, stats=stats)
-    if stats is not None:
-        stats["rows_scanned"] = int(count.sum())
-    if merge:
-        out_lo, out_hi, out_qid = merge_boxes(out_lo, out_hi, out_qid)
-    counts = _per_query(out_qid, len(queries))
-    return _split_by_query(table, out_lo, out_hi, counts, range(len(queries)))
 
 
 def execute_path_batch(

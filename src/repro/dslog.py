@@ -688,7 +688,6 @@ class DSLog:
         host: str = "127.0.0.1",
         max_workers: Optional[int] = None,
         cache_entries: Optional[int] = None,
-        coalesce_ms: Optional[float] = None,
         start: bool = True,
         transport: str = "http",
         rpc_port: int = 0,
@@ -704,11 +703,8 @@ class DSLog:
         HTTP listener, *rpc_port* the RPC one).
 
         ``port=0`` picks a free port; read it (or the full URL / RPC
-        address) off the returned server.  ``coalesce_ms`` opts into
-        query-request coalescing (``None`` defers to the
-        ``DSLOG_COALESCE_MS`` environment variable).  Pass
-        ``start=False`` to get an unstarted server for
-        ``serve_forever()`` in a dedicated process.
+        address) off the returned server.  Pass ``start=False`` to get an
+        unstarted server for ``serve_forever()`` in a dedicated process.
         """
         from .service.query import DEFAULT_CACHE_ENTRIES
         from .service.rpc import DualServer, RPCServer
@@ -718,7 +714,6 @@ class DSLog:
             host=host,
             max_workers=max_workers,
             cache_entries=DEFAULT_CACHE_ENTRIES if cache_entries is None else cache_entries,
-            coalesce_ms=coalesce_ms,
         )
         if transport == "http":
             server = LineageServer(self, port=port, **options)

@@ -14,8 +14,8 @@ Everything about the **service** rather than the **wire** lives here, once:
 * :func:`parse_query_request` — validate a query body (``path`` +
   ``cells``/``slices`` + flags) into a :class:`QuerySpec`;
 * :class:`ServiceCore` — one object owning the
-  :class:`~repro.service.query.QueryExecutor`, the optional
-  :class:`QueryCoalescer` and the health/scrub/traces plumbing; servers
+  :class:`~repro.service.query.QueryExecutor` and the health/scrub/traces
+  plumbing; servers
   sharing a core share its executor, so a result cached through one
   transport is a cache hit through the other;
 * :func:`error_info` — the one exception → ``(status, type, message)``
@@ -34,13 +34,11 @@ its sockets.
 from __future__ import annotations
 
 import json
-import os
-import threading
 import time
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..faults import DeadlineExceeded, IngestOverloaded, ShardUnavailable
-from ..obs import DEFAULT_SIZE_BUCKETS, REGISTRY, tracing
+from ..obs import REGISTRY, tracing
 from ..storage.catalog import AmbiguousLineageError
 from .query import DEFAULT_CACHE_ENTRIES, QueryExecutor, QueryOutcome
 
@@ -54,22 +52,9 @@ __all__ = [
     "error_info",
     "BadJson",
     "BodyTooLarge",
-    "QueryCoalescer",
     "ServiceCore",
     "storage_stats",
 ]
-
-_COALESCED_BATCH = REGISTRY.histogram(
-    "dslog_coalesced_batch_size",
-    "Single /query requests grouped into one executor batch per flush",
-    buckets=DEFAULT_SIZE_BUCKETS,
-)
-_COALESCE_FLUSHES = REGISTRY.counter(
-    "dslog_coalesce_flushes_total",
-    "Coalescer flushes, by trigger (idle = lone request on an idle queue, "
-    "window = the coalescing tick expired)",
-    labelnames=("reason",),
-)
 
 
 class BadJson(ValueError):
@@ -251,146 +236,9 @@ def _limit_arg(args: dict) -> Optional[int]:
     return limit
 
 
-class _PendingQuery:
-    """One query parked in the coalescer, waiting for a flush."""
-
-    __slots__ = ("path", "query", "merge", "deadline", "arrival", "event", "outcome", "error")
-
-    def __init__(self, path, query, merge: bool, deadline: Optional[float]) -> None:
-        self.path = path
-        self.query = query
-        self.merge = merge
-        self.deadline = deadline
-        self.arrival = time.monotonic()
-        self.event = threading.Event()
-        self.outcome: Optional[QueryOutcome] = None
-        self.error: Optional[BaseException] = None
-
-
-class QueryCoalescer:
-    """Group single queries arriving within a window into one executor
-    batch — the read-path mirror of the ingest committer's group commit.
-
-    A background flusher owns the pending queue.  The flush rule keeps
-    single-threaded clients deadlock- and latency-free: woken with exactly
-    one pending request and nothing else inbound, the flusher flushes it
-    *immediately* (counted as reason ``idle``); with two or more pending it
-    waits out the coalescing tick from the *earliest* arrival, letting more
-    requests pile on, then flushes them as one batch (reason ``window``).
-    Requests arriving while a batch executes accumulate for the next flush,
-    so batches form under sustained load without ever parking a lone caller.
-
-    Transport-agnostic: the HTTP server's ``/query`` handlers and the RPC
-    server's ``OP_QUERY`` handlers submit into the same instance, so
-    cross-transport traffic coalesces into shared batches.
-    """
-
-    def __init__(self, executor: QueryExecutor, window_ms: float) -> None:
-        self.executor = executor
-        self.window = max(0.0, float(window_ms)) / 1000.0
-        self._lock = threading.Lock()
-        self._wakeup = threading.Condition(self._lock)
-        self._pending: List[_PendingQuery] = []
-        self._closed = False
-        self.flushes = {"idle": 0, "window": 0}
-        self.queries = 0
-        self.largest_batch = 0
-        self._thread = threading.Thread(
-            target=self._run, name="query-coalescer", daemon=True
-        )
-        self._thread.start()
-
-    def submit(
-        self,
-        path,
-        query,
-        merge: bool = True,
-        deadline: Optional[float] = None,
-    ) -> QueryOutcome:
-        """Park the query until the next flush; returns its outcome (or
-        re-raises its per-item error) once the batch it joined executes."""
-        item = _PendingQuery(path, query, merge, deadline)
-        with self._wakeup:
-            if self._closed:
-                raise RuntimeError("the query coalescer is closed")
-            self._pending.append(item)
-            self._wakeup.notify()
-        item.event.wait()
-        if item.error is not None:
-            raise item.error
-        assert item.outcome is not None
-        return item.outcome
-
-    def _run(self) -> None:
-        while True:
-            with self._wakeup:
-                while not self._pending and not self._closed:
-                    self._wakeup.wait()
-                if not self._pending:
-                    return  # closed and drained
-                if len(self._pending) > 1 and not self._closed:
-                    # several waiters: let the tick fill the batch
-                    expires = self._pending[0].arrival + self.window
-                    while not self._closed:
-                        remaining = expires - time.monotonic()
-                        if remaining <= 0:
-                            break
-                        self._wakeup.wait(timeout=remaining)
-                batch, self._pending = self._pending, []
-            self._flush(batch)
-
-    def _flush(self, batch: List[_PendingQuery]) -> None:
-        reason = "idle" if len(batch) == 1 else "window"
-        self.flushes[reason] += 1
-        self.queries += len(batch)
-        self.largest_batch = max(self.largest_batch, len(batch))
-        _COALESCE_FLUSHES.labels(reason=reason).inc()
-        _COALESCED_BATCH.observe(len(batch))
-        # executor batches share one merge flag and one deadline; flush
-        # each distinct combination as its own sub-batch
-        groups: Dict[Tuple[bool, Optional[float]], List[_PendingQuery]] = {}
-        for item in batch:
-            groups.setdefault((item.merge, item.deadline), []).append(item)
-        for (merge, deadline), items in groups.items():
-            try:
-                outcomes = self.executor.query_batch(
-                    [(item.path, item.query) for item in items],
-                    merge=merge,
-                    deadline=deadline,
-                )
-            except BaseException as error:  # noqa: BLE001 - waiters must wake
-                outcomes = [error] * len(items)
-            for item, outcome in zip(items, outcomes):
-                if isinstance(outcome, BaseException):
-                    item.error = outcome
-                else:
-                    item.outcome = outcome
-                item.event.set()
-
-    def stats(self) -> dict:
-        with self._lock:
-            pending = len(self._pending)
-        return {
-            "window_ms": self.window * 1000.0,
-            "pending": pending,
-            "flushes": dict(self.flushes),
-            "queries": self.queries,
-            "largest_batch": self.largest_batch,
-        }
-
-    def close(self) -> None:
-        """Stop the flusher; pending requests are flushed before it exits."""
-        with self._wakeup:
-            if self._closed:
-                return
-            self._closed = True
-            self._wakeup.notify_all()
-        self._thread.join(timeout=5)
-
-
 class ServiceCore:
-    """Everything both transports share: the executor, the optional
-    coalescer, and the catalog-level request handlers.
+    """Everything both transports share: the executor and the
+    catalog-level request handlers.
 
     Parameters
     ----------
@@ -404,12 +252,6 @@ class ServiceCore:
         owns one (and closes it on :meth:`close`).
     max_workers / cache_entries:
         Forwarded to the owned executor.
-    coalesce_ms:
-        Opt-in request coalescing: single queries arriving within this
-        window are grouped into one executor batch
-        (:class:`QueryCoalescer`).  ``None`` reads the
-        ``DSLOG_COALESCE_MS`` environment variable; ``0`` (the default
-        when the variable is unset) disables coalescing.
     """
 
     def __init__(
@@ -418,26 +260,11 @@ class ServiceCore:
         executor: Optional[QueryExecutor] = None,
         max_workers: Optional[int] = None,
         cache_entries: int = DEFAULT_CACHE_ENTRIES,
-        coalesce_ms: Optional[float] = None,
     ) -> None:
         self.log = log
         self._owns_executor = executor is None
         self.executor = executor or QueryExecutor(
             log, max_workers=max_workers, cache_entries=cache_entries
-        )
-        if coalesce_ms is None:
-            raw = os.environ.get("DSLOG_COALESCE_MS", "").strip()
-            if raw:
-                try:
-                    coalesce_ms = float(raw)
-                except ValueError:
-                    raise ValueError(
-                        f"DSLOG_COALESCE_MS must be a number of milliseconds, got {raw!r}"
-                    ) from None
-        self.coalescer: Optional[QueryCoalescer] = (
-            QueryCoalescer(self.executor, coalesce_ms)
-            if coalesce_ms is not None and coalesce_ms > 0
-            else None
         )
         self._closed = False
 
@@ -450,14 +277,9 @@ class ServiceCore:
         to encode (JSON or binary)."""
         started = time.monotonic()
         spec = parse_query_request(body)
-        if self.coalescer is not None:
-            outcome = self.coalescer.submit(
-                spec.path, spec.query, merge=spec.merge, deadline=spec.deadline
-            )
-        else:
-            outcome = self.executor.query(
-                spec.path, spec.query, merge=spec.merge, deadline=spec.deadline
-            )
+        outcome = self.executor.query(
+            spec.path, spec.query, merge=spec.merge, deadline=spec.deadline
+        )
         return outcome, spec, (time.monotonic() - started) * 1000.0
 
     def execute_query_batch(self, body: dict) -> Tuple[List[Any], float]:
@@ -542,7 +364,6 @@ class ServiceCore:
             "generations": generations,
             "breakers": {str(shard): stats for shard, stats in breakers.items()},
             "executor": self.executor.stats(),
-            "coalescer": self.coalescer.stats() if self.coalescer is not None else None,
             "storage": storage_stats(store),
             "metrics": REGISTRY.snapshot(),
         }
@@ -563,13 +384,10 @@ class ServiceCore:
 
     # -- lifecycle ------------------------------------------------------
     def close(self) -> None:
-        """Release the coalescer and (when owned) the executor; only the
-        first call acts."""
+        """Release the executor (when owned); only the first call acts."""
         if self._closed:
             return
         self._closed = True
-        if self.coalescer is not None:
-            self.coalescer.close()
         if self._owns_executor:
             self.executor.close()
 

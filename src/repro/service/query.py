@@ -146,7 +146,7 @@ _PREFETCH_SECONDS = REGISTRY.histogram(
 )
 _BATCH_SIZE = REGISTRY.histogram(
     "dslog_query_batch_size",
-    "Queries per executor batch (query_batch calls, coalesced or explicit)",
+    "Queries per executor batch (query_batch calls)",
     buckets=DEFAULT_SIZE_BUCKETS,
 )
 

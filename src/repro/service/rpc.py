@@ -260,11 +260,10 @@ class RPCServer(_Server):
         executor: Optional[QueryExecutor] = None,
         max_workers: Optional[int] = None,
         cache_entries: int = DEFAULT_CACHE_ENTRIES,
-        coalesce_ms: Optional[float] = None,
         core: Optional[ServiceCore] = None,
         fault_plan=None,
     ) -> None:
-        super().__init__(log, executor, max_workers, cache_entries, coalesce_ms, core)
+        super().__init__(log, executor, max_workers, cache_entries, core)
         self.fault_plan = fault_plan
         listener = _RPCListener((host, port), _ConnectionHandler, self.core)
         listener.fault_plan = fault_plan
@@ -491,10 +490,10 @@ class DualServer(_Server):
 
     :attr:`http` and :attr:`rpc` borrow the one
     :class:`~repro.service.api.ServiceCore` owned here, so they answer
-    identically and share the executor, the result cache (a query cached
-    via HTTP is a cache hit via RPC and vice versa) and the optional
-    coalescer; this server runs both their listeners and releases the core
-    once, after both have stopped.
+    identically and share the executor and the result cache (a query
+    cached via HTTP is a cache hit via RPC and vice versa); this server
+    runs both their listeners and releases the core once, after both have
+    stopped.
     """
 
     def __init__(
@@ -506,10 +505,9 @@ class DualServer(_Server):
         executor: Optional[QueryExecutor] = None,
         max_workers: Optional[int] = None,
         cache_entries: int = DEFAULT_CACHE_ENTRIES,
-        coalesce_ms: Optional[float] = None,
         fault_plan=None,
     ) -> None:
-        super().__init__(log, executor, max_workers, cache_entries, coalesce_ms)
+        super().__init__(log, executor, max_workers, cache_entries)
         self.http = LineageServer(log, host=host, port=http_port, core=self.core)
         self.rpc = RPCServer(
             log, host=host, port=rpc_port, core=self.core, fault_plan=fault_plan

@@ -118,7 +118,6 @@ from .api import (
     BadJson,
     BodyTooLarge,
     Endpoint,
-    QueryCoalescer,
     ServiceCore,
     error_info,
     result_payload,
@@ -146,7 +145,6 @@ __all__ = [
     "MAX_BODY_BYTES",
     "MAX_HEADERS",
     "MAX_LINE_BYTES",
-    "QueryCoalescer",
     "result_payload",
 ]
 
@@ -229,14 +227,12 @@ class _Server:
         owns one (and closes it on :meth:`close`).
     max_workers / cache_entries:
         Forwarded to the owned executor.
-    coalesce_ms:
-        Opt-in request coalescing (see :class:`~repro.service.api.ServiceCore`).
     core:
         A pre-built :class:`~repro.service.api.ServiceCore` to serve — how
         :class:`~repro.service.rpc.DualServer` makes HTTP and RPC share one
         executor and cache.  Mutually exclusive with *executor* /
-        *max_workers* / *cache_entries* / *coalesce_ms*; a borrowed core is
-        not closed by this server.
+        *max_workers* / *cache_entries*; a borrowed core is not closed by
+        this server.
     """
 
     def __init__(
@@ -245,7 +241,6 @@ class _Server:
         executor: Optional[QueryExecutor],
         max_workers: Optional[int],
         cache_entries: int,
-        coalesce_ms: Optional[float],
         core: Optional[ServiceCore] = None,
     ) -> None:
         self._owns_core = core is None
@@ -254,7 +249,6 @@ class _Server:
             executor=executor,
             max_workers=max_workers,
             cache_entries=cache_entries,
-            coalesce_ms=coalesce_ms,
         )
         self._listeners: List[_Listener] = []
         self._threads: List[threading.Thread] = []
@@ -272,10 +266,6 @@ class _Server:
     @property
     def executor(self) -> QueryExecutor:
         return self.core.executor
-
-    @property
-    def coalescer(self) -> Optional[QueryCoalescer]:
-        return self.core.coalescer
 
     def start(self):
         """Serve on daemon threads; returns self (``server = log.serve()``)."""
@@ -656,10 +646,9 @@ class LineageServer(_Server):
         executor: Optional[QueryExecutor] = None,
         max_workers: Optional[int] = None,
         cache_entries: int = DEFAULT_CACHE_ENTRIES,
-        coalesce_ms: Optional[float] = None,
         core: Optional[ServiceCore] = None,
     ) -> None:
-        super().__init__(log, executor, max_workers, cache_entries, coalesce_ms, core)
+        super().__init__(log, executor, max_workers, cache_entries, core)
         self.host, self.port = self._listen(_HTTPListener((host, port), _Handler, self.core))
         self.url = f"http://{self.host}:{self.port}"
 

@@ -23,7 +23,7 @@ from repro.core._reference import (
     theta_join_reference,
     value_range_pass_reference,
 )
-from repro.core.compressed import KIND_REL, CompressedLineage
+from repro.core.compressed import KIND_ABS, KIND_REL, CompressedLineage
 from repro.core.provrc import _key_range_pass, _value_range_pass, compress, compress_both
 from repro.core.query import (
     THETA_JOIN_BLOCK_BUDGET_BYTES,
@@ -33,7 +33,6 @@ from repro.core.query import (
     execute_path_batch,
     merge_boxes,
     theta_join,
-    theta_join_batch,
 )
 from repro.core.relation import LineageRelation
 
@@ -181,6 +180,25 @@ class TestThetaJoinEquivalence:
         stats = {}
         theta_join(query, table, stats=stats)
         assert stats["join_blocks"] == (1 if len(table) else 0)
+        # 1000 disjoint span-4 key ranges, every other row relative: a box of
+        # at most 8 cells meets at most 3 of them, and 100 such boxes fit one
+        # chunk of pair scratch
+        n_rows, span = 1000, 4
+        starts = np.arange(n_rows, dtype=np.int64) * span
+        kinds = np.where(np.arange(n_rows) % 2 == 0, KIND_REL, KIND_ABS).astype(np.int8)
+        table = CompressedLineage(
+            "output", "B", "A", (n_rows * span,), (n_rows * span,),
+            starts[:, None], starts[:, None] + span - 1,
+            kinds[:, None], np.where(kinds == KIND_REL, 0, -1).astype(np.int16)[:, None],
+            np.where(kinds == KIND_REL, 0, starts)[:, None],
+            np.where(kinds == KIND_REL, span - 1, starts + span - 1)[:, None],
+        )
+        rng = np.random.default_rng(0)
+        lo = rng.integers(0, n_rows * span - 8, size=(100, 1))
+        query = CellBoxSet("B", table.key_shape, lo, lo + rng.integers(0, 8, (100, 1)))
+        hop = execute_path([table], query).hops[0]
+        assert hop.rows_scanned <= 3 * 100
+        assert hop.join_blocks == 1
 
 
 class TestKeyRangePassEquivalence:
@@ -222,11 +240,12 @@ class TestKeyRangePassEquivalence:
         assert len(table) == 0
         assert table.decompress().rows.shape[0] == 0
 
-    def test_structured_lineage_collapses_to_single_row(self):
-        pairs = [((i,), (i,)) for i in range(5000)]
-        relation = LineageRelation.from_pairs(pairs, (5000,), (5000,))
+    @pytest.mark.parametrize("n", [5000, 50_000])
+    def test_structured_lineage_collapses_to_single_row(self, n):
+        pairs = [((i,), (i,)) for i in range(n)]
+        relation = LineageRelation.from_pairs(pairs, (n,), (n,))
         assert len(compress(relation)) == 1
-        assert len(compress(relation, relative=False)) == 5000
+        assert len(compress(relation, relative=False)) == n
 
 
 TABLE_COLUMNS = ("key_lo", "key_hi", "val_kind", "val_ref", "val_lo", "val_hi")
@@ -623,14 +642,15 @@ class TestMergeBoxesBatchEquivalence:
 
 
 def assert_joins_match_oracle(queries, table, merge):
-    """A batch of N equals ``theta_join_reference`` per query and N
-    batches of one."""
-    got = theta_join_batch(queries, table, merge=merge)
+    """One hop over a batch of N equals ``theta_join_reference`` per query
+    and N batches of one."""
+    got = execute_path_batch([table], queries, merge=merge)
     assert len(got) == len(queries)
     for query, g in zip(queries, got):
-        assert_box_sets_identical(g, theta_join_reference(query, table, merge=merge))
-        (alone,) = theta_join_batch([query], table, merge=merge)
-        assert_box_sets_identical(g, alone)
+        assert_box_sets_identical(g.cells, theta_join_reference(query, table, merge=merge))
+        (alone,) = execute_path_batch([table], [query], merge=merge)
+        assert_box_sets_identical(g.cells, alone.cells)
+    return got
 
 
 class TestThetaJoinBatchEquivalence:
@@ -650,7 +670,7 @@ class TestThetaJoinBatchEquivalence:
     def test_empty_batch(self):
         relation = random_relation(np.random.default_rng(0))
         table = compress(relation, key="output")
-        assert theta_join_batch([], table) == []
+        assert execute_path_batch([table], []) == []
 
     def test_blocked_batch_matches_oracle(self, monkeypatch):
         rng = np.random.default_rng(13)
@@ -658,19 +678,17 @@ class TestThetaJoinBatchEquivalence:
         table = compress(relation, key="output")
         shape = relation.out_shape
         queries = random_query_batch(rng, relation.out_name, shape, max_queries=16, max_boxes=6)
-        stats = {}
         monkeypatch.setattr(query_mod, "THETA_JOIN_BLOCK_BUDGET_BYTES", 256)
-        assert_joins_match_oracle(queries, table, False)
-        query_mod.theta_join_batch(queries, table, merge=False, stats=stats)
+        results = assert_joins_match_oracle(queries, table, False)
         if len(table) and sum(len(q) for q in queries):
-            assert stats["join_blocks"] > 1
+            assert results[0].hops[0].join_blocks > 1
 
     def test_wrong_array_name_raises(self):
         relation = random_relation(np.random.default_rng(1))
         table = compress(relation, key="output")
         bad = CellBoxSet.empty("someone-else", (3,) * table.key_ndim)
         with pytest.raises(ValueError):
-            theta_join_batch([bad], table)
+            execute_path_batch([table], [bad])
 
     @pytest.mark.parametrize("merge", [True, False])
     @pytest.mark.parametrize("budget", [40, 70, THETA_JOIN_BLOCK_BUDGET_BYTES])
@@ -746,6 +764,32 @@ class TestExecutePathBatchEquivalence:
         # the dead query's empty result lives on the array where it died
         assert got[0].cells.array_name == "B"
         assert got[1].cells.array_name == "A"
+
+    def test_a_batch_is_one_kernel_pass_per_hop(self, monkeypatch):
+        # 64 queries down a 3-hop chain share one θ-join pass per hop; as 64
+        # batches of one they make 64 passes per hop
+        calls = []
+        kernel = query_mod._theta_join_batch_raw
+
+        def counted(table, *args, **kwargs):
+            calls.append(table.key_name)
+            return kernel(table, *args, **kwargs)
+
+        monkeypatch.setattr(query_mod, "_theta_join_batch_raw", counted)
+        names = ["n0", "n1", "n2", "n3"]
+        identity = [((i,), (i,)) for i in range(64)]
+        tables = [
+            compress(LineageRelation.from_pairs(identity, (64,), (64,), out_name=a, in_name=b))
+            for a, b in zip(names, names[1:])
+        ]
+        queries = [CellBoxSet.from_cells("n0", (64,), [(i,)]) for i in range(64)]
+        results = execute_path_batch(tables, queries)
+        assert calls == names[:-1]
+        assert all(len(r.hops) == 3 and r.count_cells() == 1 for r in results)
+        calls.clear()
+        for query in queries:
+            execute_path(tables, query)
+        assert len(calls) == 64 * len(tables)
 
     def test_empty_batch_and_empty_chain(self):
         assert execute_path_batch([], []) == []
@@ -900,7 +944,7 @@ class TestWindowIndexProperty:
         stats = {}
         with pair_budget(budget):
             single = [theta_join(q, tables[0], merge=merge, stats=stats) for q in queries]
-            batch = theta_join_batch(queries, tables[0], merge=merge)
+            batch = [r.cells for r in execute_path_batch(tables[:1], queries, merge=merge)]
             paths = [execute_path(tables, q, merge=merge) for q in queries]
             path_batch = execute_path_batch(tables, queries, merge=merge)
         for q, got, in_batch, path, in_path_batch in zip(

@@ -484,7 +484,6 @@ def test_batch_racing_replace_and_compaction(tmp_path):
 # one pipeline: every way in agrees
 # ----------------------------------------------------------------------
 from repro.faults import ShardUnavailable  # noqa: E402
-from repro.service.api import QueryCoalescer  # noqa: E402
 
 OTHER = [(0, 5), (3, 3)]
 # healthy shards: a cache hit, direct misses (two sharing a path, so a batch
@@ -518,35 +517,10 @@ def _one_at_a_time(ex, requests):
     return answers
 
 
-def _coalesced(ex, requests):
-    """Every request from its own thread through one QueryCoalescer, so
-    they reach the executor as batches of whatever the window caught."""
-    coalescer = QueryCoalescer(ex, window_ms=20)
-    answers = [None] * len(requests)
-
-    def submit(i, path, cells):
-        try:
-            answers[i] = coalescer.submit(path, cells)
-        except Exception as error:  # noqa: BLE001 - compared by type below
-            answers[i] = error
-
-    threads = [
-        threading.Thread(target=submit, args=(i, path, cells))
-        for i, (path, cells) in enumerate(requests)
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    coalescer.close()
-    return answers
-
-
 WAYS_IN = {
     "query": _one_at_a_time,
     "query_batch": lambda ex, requests: ex.query_batch(requests),
     "singleton batches": lambda ex, requests: [ex.query_batch([r])[0] for r in requests],
-    "coalescer": _coalesced,
 }
 
 
@@ -565,9 +539,8 @@ def _comparable(answer):
 
 def test_every_way_in_agrees(log):
     """One request list through ``query`` one at a time, ``query_batch``
-    whole, ``query_batch`` as singletons and a ``QueryCoalescer``: answers,
-    flags, error types and the counters agree, and fresh answers are
-    ``DSLog.prov_query``'s."""
+    whole and ``query_batch`` as singletons: answers, flags, error types
+    and the counters agree, and fresh answers are ``DSLog.prov_query``'s."""
     for name in ("d", "x"):
         log.define_array(name, SHAPE)
     for a, b in (("c", "d"), ("a", "x"), ("x", "c")):

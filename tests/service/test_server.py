@@ -8,7 +8,6 @@ import http.client
 import json
 import socket
 import threading
-import time
 import urllib.error
 import urllib.request
 
@@ -318,12 +317,8 @@ def test_service_serve_reads_applied_state(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# batched queries: /query_batch and the request coalescer
+# batched queries: /query_batch
 # ----------------------------------------------------------------------
-from repro.service.query import QueryOutcome  # noqa: E402
-from repro.service.server import QueryCoalescer  # noqa: E402
-
-
 def test_query_batch_matches_single(client):
     queries = [(["c", "b", "a"], [[i, i]]) for i in range(4)]
     batch = client.prov_query_batch(queries)
@@ -380,130 +375,3 @@ def test_query_batch_mixed_merge_flags(client):
     )
     assert results[0]["count"] == results[1]["count"] == 9
     assert results[0]["boxes_merged"] <= results[1]["boxes_merged"]
-
-
-# -- coalescer unit tests (fake executor: deterministic, no HTTP timing) --
-class _FakeExecutor:
-    def __init__(self):
-        self.calls = []
-        self.entered = threading.Event()  # set when a flush reaches us
-        self.release = threading.Event()
-        self.release.set()
-        self.error = None
-
-    def query_batch(self, requests, merge=True, deadline=None):
-        self.entered.set()
-        self.release.wait(timeout=5)
-        self.calls.append([path for path, _ in requests])
-        if self.error is not None:
-            raise self.error
-        return [QueryOutcome(("result", tuple(p)), False, False) for p, _ in requests]
-
-
-def test_coalescer_lone_request_flushes_immediately():
-    """The no-deadlock rule: one waiter on an otherwise idle queue must not
-    wait out the window (here an absurd 10s — an immediate flush is the
-    only way this test finishes)."""
-    ex = _FakeExecutor()
-    coalescer = QueryCoalescer(ex, window_ms=10_000)
-    try:
-        start = time.monotonic()
-        outcome = coalescer.submit(["a", "b"], [(0, 0)])
-        elapsed = time.monotonic() - start
-        assert outcome.result == ("result", ("a", "b"))
-        assert elapsed < 2.0
-        assert coalescer.stats()["flushes"] == {"idle": 1, "window": 0}
-    finally:
-        coalescer.close()
-
-
-def test_coalescer_window_groups_concurrent_requests():
-    """Requests piling up while a batch executes are flushed together once
-    the tick expires; requests after that flush start a new batch."""
-    ex = _FakeExecutor()
-    ex.release.clear()  # park the flusher inside the first batch
-    coalescer = QueryCoalescer(ex, window_ms=20)
-    try:
-        threads = [
-            threading.Thread(target=coalescer.submit, args=([name, "x"], [(0, 0)]))
-            for name in ("first", "second", "third")
-        ]
-        threads[0].start()
-        # wait until the flusher is *inside* the executor with the first
-        # request — only then is it guaranteed to be a batch of one
-        assert ex.entered.wait(timeout=5)
-        threads[1].start()
-        threads[2].start()
-        while coalescer.stats()["pending"] < 2:
-            time.sleep(0.001)  # 2 and 3 pile up behind the parked flush
-        ex.release.set()  # unblock: first flush finishes, tick groups 2 and 3
-        for thread in threads:
-            thread.join(timeout=5)
-        assert [len(call) for call in ex.calls] == [1, 2]
-        stats = coalescer.stats()
-        assert stats["flushes"] == {"idle": 1, "window": 1}
-        assert stats["largest_batch"] == 2
-        # tick boundary: a request arriving after the flush is its own batch
-        coalescer.submit(["late", "x"], [(0, 0)])
-        assert [len(call) for call in ex.calls] == [1, 2, 1]
-    finally:
-        coalescer.close()
-
-
-def test_coalescer_propagates_batch_errors():
-    ex = _FakeExecutor()
-    ex.error = RuntimeError("boom")
-    coalescer = QueryCoalescer(ex, window_ms=5)
-    try:
-        with pytest.raises(RuntimeError, match="boom"):
-            coalescer.submit(["a", "b"], [(0, 0)])
-    finally:
-        coalescer.close()
-
-
-def test_coalescer_rejects_after_close():
-    ex = _FakeExecutor()
-    coalescer = QueryCoalescer(ex, window_ms=5)
-    coalescer.close()
-    with pytest.raises(RuntimeError):
-        coalescer.submit(["a", "b"], [(0, 0)])
-
-
-# -- coalescer over HTTP --
-def test_coalesced_server_single_thread_client(log):
-    """Regression for the single-request deadlock: a 1-thread client against
-    a coalescing server must get every answer promptly, and the answers must
-    match the non-coalesced path bit for bit."""
-    server = log.serve(port=0, coalesce_ms=100)
-    try:
-        client = LineageClient.connect(server.url, timeout=5.0, retries=0)
-        plain = log.prov_query(["a", "b", "c"], [(1, 1), (2, 3)])
-        start = time.monotonic()
-        for _ in range(3):
-            payload = client.prov_query(["a", "b", "c"], cells=[[1, 1], [2, 3]])
-            assert payload["count"] == plain.count_cells()
-        elapsed = time.monotonic() - start
-        assert elapsed < 3 * 0.1 + 2.0  # nowhere near 3 full windows + slack
-        health = client.healthz()
-        assert health["coalescer"]["queries"] == 3
-        assert health["coalescer"]["flushes"]["idle"] >= 1
-    finally:
-        server.close()
-
-
-def test_coalescing_disabled_by_default(server, client):
-    assert server.coalescer is None
-    assert client.healthz()["coalescer"] is None
-
-
-def test_coalesce_env_knob(log, monkeypatch):
-    monkeypatch.setenv("DSLOG_COALESCE_MS", "25")
-    server = log.serve(port=0)
-    try:
-        assert server.coalescer is not None
-        assert server.coalescer.window == pytest.approx(0.025)
-    finally:
-        server.close()
-    monkeypatch.setenv("DSLOG_COALESCE_MS", "not-a-number")
-    with pytest.raises(ValueError):
-        log.serve(port=0)
