@@ -73,7 +73,7 @@ def main() -> None:
     root = Path(tempfile.mkdtemp()) / "catalog"
 
     # --- the writer process owns the catalog and serves it ----------------
-    log = DSLog(root, backend="sharded", num_shards=4)
+    log = DSLog(root, num_shards=4)
     for name in CHAIN:
         log.define_array(name, SHAPE)
     for a, b in zip(CHAIN, CHAIN[1:]):

@@ -119,7 +119,7 @@ def show_slowest_trace(client):
 
 def main():
     with tempfile.TemporaryDirectory() as tmp:
-        log = DSLog(Path(tmp) / "db", backend="sharded", num_shards=2)
+        log = DSLog(Path(tmp) / "db", num_shards=2)
         for name in CHAIN:
             log.define_array(name, SHAPE)
         for a, b in zip(CHAIN, CHAIN[1:]):

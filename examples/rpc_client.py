@@ -57,7 +57,7 @@ def scatter(in_name, out_name):
 
 
 def build_catalog(root):
-    log = DSLog(root, backend="sharded", num_shards=4, autosync=False)
+    log = DSLog(root, num_shards=4, autosync=False)
     for name in CHAIN:
         log.define_array(name, SHAPE)
     for a, b in zip(CHAIN, CHAIN[1:]):

@@ -45,10 +45,14 @@ def _empty_provenance(shape: Tuple[int, ...]) -> np.ndarray:
     return prov
 
 
-class TrackedArray:
-    """A numpy array annotated with per-cell contribution provenance."""
+class TrackedArray(np.lib.mixins.NDArrayOperatorsMixin):
+    """A numpy array annotated with per-cell contribution provenance.
 
-    __array_priority__ = 1000  # win binary-op dispatch against plain ndarrays
+    Python's operators (``-t``, ``t + 1``, ``2 * t``, ``t // 3``, ``t < 4``,
+    ``a @ b`` …) come from :class:`numpy.lib.mixins.NDArrayOperatorsMixin`,
+    which routes each to its ufunc and so through ``__array_ufunc__``.  Its
+    ``__eq__`` is element-wise, so a ``TrackedArray`` is not hashable.
+    """
 
     def __init__(self, data: np.ndarray, name: Optional[str] = None, provenance: Optional[np.ndarray] = None):
         self.data = np.asarray(data)
@@ -92,40 +96,6 @@ class TrackedArray:
         # Allow plain-numpy consumers to read the values (provenance is lost).
         return np.asarray(self.data, dtype=dtype)
 
-    # arithmetic operators route through __array_ufunc__
-    def __neg__(self):
-        return np.negative(self)
-
-    def __add__(self, other):
-        return np.add(self, other)
-
-    def __radd__(self, other):
-        return np.add(other, self)
-
-    def __sub__(self, other):
-        return np.subtract(self, other)
-
-    def __rsub__(self, other):
-        return np.subtract(other, self)
-
-    def __mul__(self, other):
-        return np.multiply(self, other)
-
-    def __rmul__(self, other):
-        return np.multiply(other, self)
-
-    def __truediv__(self, other):
-        return np.true_divide(self, other)
-
-    def __rtruediv__(self, other):
-        return np.true_divide(other, self)
-
-    def __pow__(self, other):
-        return np.power(self, other)
-
-    def __matmul__(self, other):
-        return np.matmul(self, other)
-
     # ------------------------------------------------------------------
     # provenance export
     # ------------------------------------------------------------------
@@ -162,7 +132,9 @@ class TrackedArray:
     # ufunc protocol (element-wise ops, reductions, accumulations)
     # ------------------------------------------------------------------
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        if kwargs.get("out") is not None:
+        # one provenance array per output: a two-output ufunc (``divmod``,
+        # ``modf``, ``frexp``) would broadcast it onto a stacked result
+        if kwargs.get("out") is not None or ufunc.nout != 1:
             return NotImplemented
         datas = [x.data if isinstance(x, TrackedArray) else np.asarray(x) for x in inputs]
         provs = [

@@ -47,13 +47,11 @@ as its side of the relation has axes (``key_side`` says which of
 disagree on a row count.  ``out_axes`` / ``in_axes`` appear only when they
 are not the defaults (``b1, b2, ...`` / ``a1, a2, ...``).
 
-**Older payloads** keep reading through the same entry points:
-``"layout": "row-delta"`` (PRs 15-17: the same deltas and extents,
-row-major, under a header that lists ``dtype``, ``shape`` and ``decoded``
-per column) and payloads with no ``layout`` field (before PR 15: six
-verbatim columns under that header).  Writers emit only ``attr-delta``.
-Whatever the layout, the reader validates each header field before acting
-on it and raises ``ValueError`` naming the field.
+This is the one layout the reader reads.  A payload in any other (the
+layouts older builds wrote) is a ``ValueError`` that names ``python -m
+repro.tools.upgrade``, which rewrites such a store in place.  The reader
+validates each header field before acting on it and raises ``ValueError``
+naming the field.
 
 **Hydration** hands back read-only, C-contiguous columns at those narrow
 dtypes — no ``astype(int64)`` upcast, so a table stored as int8 is charged
@@ -65,10 +63,7 @@ straight into its column of the row-major result) into arrays of their
 own, and ``val_kind`` / ``val_ref`` are two views over one copy of their
 ``rows × nval`` items, so the buffer :func:`deserialize_compressed` was
 given (an inflate result, an mmap'd segment record) is referenced by
-nothing once the call returns.  The older layouts hydrate as before —
-``row-delta`` with its two verbatim columns as views into that buffer,
-pre-layout payloads as six views — and keep it alive for as long as a
-view references it.
+nothing once the call returns.
 """
 
 from __future__ import annotations
@@ -77,7 +72,7 @@ import json
 import struct
 import zlib
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -93,7 +88,6 @@ __all__ = [
     "deserialize_table",
     "write_compressed",
     "read_compressed",
-    "read_column_arrays",
     "frame_header",
     "parse_header",
     "json_frame",
@@ -105,7 +99,7 @@ _MAGIC = b"PRVC"
 _WHAT = "ProvRC serialized table"
 _COLUMNS = ("key_lo", "key_hi", "val_kind", "val_ref", "val_lo", "val_hi")
 _INTERVAL_PAIRS = (("key_lo", "key_hi"), ("val_lo", "val_hi"))
-# the one layout writers emit; "row-delta" and layout-less payloads still read
+# the one layout writers emit and the reader reads
 _LAYOUT = "attr-delta"
 # the four dtypes a column is ever stored at or decoded to, by item size —
 # what the terse header records of a dtype; little-endian at rest
@@ -181,27 +175,6 @@ def parse_json_frame(data, magic: bytes, what: str = "frame") -> Tuple[dict, int
     if not isinstance(header, dict):
         raise ValueError(f"corrupt {what} header: not a JSON object")
     return header, offset + header_len
-
-# dtype-string -> np.dtype cache: hydration decodes six columns per table
-# and np.dtype('<i1') parsing is a measurable share of a small-table decode
-_DTYPE_CACHE: Dict[str, np.dtype] = {}
-
-
-def _dtype_of(spec, column: str) -> np.dtype:
-    """The signed integer dtype a ``row-delta`` / pre-layout header names
-    for *column*; only those are ever cached."""
-    dtype = _DTYPE_CACHE.get(spec) if type(spec) is str else None
-    if dtype is None:
-        try:
-            dtype = np.dtype(spec)
-        except (TypeError, ValueError):
-            dtype = None
-        if type(spec) is not str or dtype is None or dtype.kind != "i":
-            raise ValueError(
-                f"corrupt {_WHAT} header: {column} dtype {spec!r} is not a signed integer"
-            )
-        _DTYPE_CACHE[spec] = dtype
-    return dtype
 
 # chunk size of the single-pass min/max scan: large enough to amortize the
 # numpy call overhead, small enough that each chunk stays in L2 so the max
@@ -340,7 +313,7 @@ def _axis_names(header: dict, field: str, prefix: str, ndim: int) -> tuple:
 
 
 def _table_fields(header: dict) -> tuple:
-    """The validated non-column fields of any layout's header:
+    """The validated non-column fields of a table header:
     ``(key_side, out_name, in_name, out_shape, in_shape, out_axes, in_axes)``."""
     key_side = header.get("key_side")
     if key_side != "output" and key_side != "input":
@@ -434,103 +407,35 @@ def _read_attr_delta(header: dict, nkey: int, nval: int, view: memoryview, offse
     )
 
 
-def _read_listed_columns(header: dict, deltas: bool, view: memoryview, offset: int) -> tuple:
-    """The six columns of a ``row-delta`` (*deltas*) or pre-layout payload:
-    row-major, each with its own dtype and shape in the header."""
-    listed = header.get("columns")
-    if type(listed) is not dict:
-        raise _corrupt("'columns'", "is not an object")
-    columns = []
-    end = len(view)
-    for name in _COLUMNS:
-        meta = listed.get(name)
-        if type(meta) is not dict:
-            raise _corrupt(f"column {name!r}", "is missing")
-        dtype = _dtype_of(meta.get("dtype"), name)
-        shape = meta.get("shape")
-        count = _dims(shape, f"{name} 'shape'")
-        nbytes = count * dtype.itemsize
-        if nbytes > end - offset:
-            raise ValueError(
-                f"corrupt {_WHAT}: {name} needs {nbytes} bytes, {end - offset} are left"
-            )
-        columns.append(np.frombuffer(view, dtype=dtype, count=count, offset=offset).reshape(shape))
-        offset += nbytes
-    if offset != end:
-        raise ValueError(f"corrupt {_WHAT}: {end - offset} bytes left over behind val_hi")
-    if deltas:
-        for lo_at, hi_at in ((0, 1), (4, 5)):
-            delta, extent = columns[lo_at], columns[hi_at]
-            if not delta.ndim or delta.shape != extent.shape:
-                raise _corrupt(
-                    f"{_COLUMNS[lo_at]} / {_COLUMNS[hi_at]} 'shape'",
-                    f"are {delta.shape} and {extent.shape}, not one (rows, attributes) pair",
-                )
-            # a running sum down the rows, then one add: both wrap at the
-            # decoded dtype exactly as the writer's subtractions did
-            lo = np.add.accumulate(
-                delta, axis=0, dtype=_dtype_of(listed[_COLUMNS[lo_at]].get("decoded"), _COLUMNS[lo_at])
-            )
-            hi = np.add(
-                lo, extent, dtype=_dtype_of(listed[_COLUMNS[hi_at]].get("decoded"), _COLUMNS[hi_at])
-            )
-            lo.flags.writeable = hi.flags.writeable = False
-            columns[lo_at], columns[hi_at] = lo, hi
-    return tuple(columns)
+def deserialize_compressed(data) -> CompressedLineage:
+    """Inverse of :func:`serialize_compressed`.
 
+    *data* may be any buffer (``bytes``, ``memoryview``, mmap record).  The
+    table's columns are **read-only**, C-contiguous and at the narrow
+    dtypes the table was written from — no upcast — and none of them
+    references *data*: the four interval columns are undone in one pass
+    each (``lo = cumsum(delta)``, then ``hi = lo + extent``) and the two
+    verbatim ones share one small copy, so an inflate buffer or a segment
+    mmap record passed here is free to go when the call returns.
 
-def _read_table(data) -> Tuple[dict, tuple, tuple]:
-    """``(header, table fields, six columns)`` of a serialized table of any
-    layout, every header field validated before it is acted on."""
+    The header is validated before it is acted on: item sizes name signed
+    integer dtypes, dimensions are non-negative ints, and the six columns
+    account for exactly the bytes behind the header.  Every failure is a
+    ``ValueError`` naming the field.
+    """
     view = memoryview(data)
     header, offset = parse_json_frame(view, _MAGIC, _WHAT)
     fields = _table_fields(header)
     layout = header.get("layout")
-    if layout == _LAYOUT:
-        nkey, nval = len(fields[3]), len(fields[4])
-        if fields[0] == "input":
-            nkey, nval = nval, nkey
-        columns = _read_attr_delta(header, nkey, nval, view, offset)
-    elif layout is None or layout == "row-delta":
-        columns = _read_listed_columns(header, layout is not None, view, offset)
-    else:
-        raise ValueError(f"unknown ProvRC column layout {layout!r}")
-    return header, fields, columns
-
-
-def read_column_arrays(data) -> Tuple[dict, Dict[str, np.ndarray]]:
-    """Decode the header and the six columns of a serialized table.
-
-    *data* may be any buffer (``bytes``, ``memoryview``, mmap record).  The
-    returned arrays are **read-only**, C-contiguous and at the narrow
-    dtypes the table was written from — no upcast.  Under ``attr-delta``
-    none of them references *data*: the four interval columns are undone
-    in one pass each (``lo = cumsum(delta)``, then ``hi = lo + extent``)
-    and the two verbatim ones share one small copy.  Under ``row-delta``
-    the interval columns are undone the same way and the verbatim ones are
-    views into *data* at an offset; a header without a ``layout`` field is
-    a payload from before any layout existed: all six columns are views.
-
-    The header is validated before it is acted on, whatever the layout:
-    dtypes are signed integers, dimensions non-negative ints, and the six
-    columns account for exactly the bytes behind the header.  Every
-    failure is a ``ValueError`` naming the field.
-    """
-    header, _fields, columns = _read_table(data)
-    return header, dict(zip(_COLUMNS, columns))
-
-
-def deserialize_compressed(data) -> CompressedLineage:
-    """Inverse of :func:`serialize_compressed`.
-
-    The table's columns are read-only and narrow (see
-    :func:`read_column_arrays`).  An ``attr-delta`` table (the only layout
-    writers emit) holds no reference to *data*: an inflate buffer or a
-    segment mmap record passed here is free to go when the call returns.
-    The columns of the two older layouts that are views keep *data* alive
-    through their ``base`` chain until the table is dropped.
-    """
-    _header, fields, columns = _read_table(data)
+    if layout != _LAYOUT:
+        raise ValueError(
+            f"{_WHAT} in column layout {layout!r}, which this build does not read; "
+            "run `python -m repro.tools.upgrade <root>` once on the catalog that holds it"
+        )
+    nkey, nval = len(fields[3]), len(fields[4])
+    if fields[0] == "input":
+        nkey, nval = nval, nkey
+    columns = _read_attr_delta(header, nkey, nval, view, offset)
     return CompressedLineage._hydrate(*fields[:5], *columns, *fields[5:])
 
 
@@ -557,20 +462,26 @@ def deserialize_table(data) -> CompressedLineage:
     return deserialize_compressed_gzip(data)
 
 
-def peek_table(data) -> Tuple[str, str, str, str]:
-    """Decode only ``(key_side, in_name, out_name, layout)`` from a
-    serialized table payload (plain or gzip), without touching the column
-    bytes: of a gzip payload only the header's own bytes are inflated.
-    *layout* is the column layout the payload was written in —
-    ``"attr-delta"``, ``"row-delta"``, or ``"verbatim"`` for a payload from
-    before any layout was named.
+def peek_table(data) -> Tuple[str, str, str]:
+    """Decode only ``(key_side, in_name, out_name)`` from a serialized
+    table payload (plain or gzip), without touching the column bytes: of a
+    gzip payload only the header's own bytes are inflated.  The header
+    fields are read whatever the column layout, so a payload in a layout
+    older builds wrote still peeks.
 
     The scrub subsystem uses this to verify that the record a manifest ref
     points at really *is* the table the row claims — a checksum proves the
-    payload is intact, not that it belongs to this entry — and to count the
-    layouts a store still holds.  Raises ``ValueError`` (or ``zlib.error``)
-    when the payload is not a table.
+    payload is intact, not that it belongs to this entry.  Raises
+    ``ValueError`` (or ``zlib.error``) when the payload is not a table.
     """
+    key_side, out_name, in_name = _table_fields(_peek_header(data))[:3]
+    return key_side, in_name, out_name
+
+
+def _peek_header(data) -> dict:
+    """The JSON header of a serialized table payload (plain or gzip),
+    unvalidated; of a gzip payload only the header's own bytes are
+    inflated."""
     view = memoryview(data)
     if bytes(view[:4]) != _MAGIC:
         # inflate the fixed prefix, then exactly the JSON header it sizes —
@@ -581,12 +492,7 @@ def peek_table(data) -> Tuple[str, str, str, str]:
         if header_len:  # max_length 0 would mean "no limit"
             head += inflater.decompress(inflater.unconsumed_tail, header_len)
         view = memoryview(head)
-    header, _offset = parse_json_frame(view, _MAGIC, _WHAT)
-    key_side, out_name, in_name = _table_fields(header)[:3]
-    layout = header.get("layout", "verbatim")
-    if type(layout) is not str:
-        raise _corrupt("'layout'", f"is {layout!r}, not a string")
-    return key_side, in_name, out_name, layout
+    return parse_json_frame(view, _MAGIC, _WHAT)[0]
 
 
 def write_compressed(

@@ -22,7 +22,7 @@ query processing.
 Storage
 -------
 Without a *root* the catalog lives in RAM.  With one it lives in the
-durable store (:mod:`repro.service.shards`): tables are appended to
+durable store (:mod:`repro.storage.sharded`): tables are appended to
 segment files, all metadata (op names, operation records, reuse-predictor
 state) rides in atomic manifests, and reopening a directory is
 O(manifest) — tables materialize lazily, through one table cache bounded
@@ -59,7 +59,6 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from .service.query import QueryExecutor
     from .service.server import LineageServer
-    from .service.shards import ShardedLineageStore
 
 from .core.compressed import CompressedLineage
 from .core.query import CellBoxSet, QueryResult, execute_path
@@ -69,6 +68,7 @@ from .graph import LineageGraph
 from .obs import REGISTRY
 from .reuse.signatures import OperationSignature, ReuseManager
 from .storage.catalog import ArrayInfo, Catalog, LineageEntry, OperationRecord
+from .storage.sharded import DEFAULT_NUM_SHARDS, ShardedCatalog, ShardedLineageStore
 from .storage.store import (
     DEFAULT_CACHE_BYTES,
     DEFAULT_SEGMENT_MAX_BYTES,
@@ -102,10 +102,6 @@ class DSLog:
         format wins.
     reuse_confirmations:
         The ``m`` parameter of the automatic reuse predictor.
-    backend:
-        Follows from *root* and need not be passed: ``"sharded"`` (the
-        durable store) with a root, ``"memory"`` without.  Naming the one
-        that contradicts *root* raises.
     cache_bytes:
         Byte budget of the durable store's table cache: hydrated tables
         of all shards together never exceed it (a table larger than the
@@ -128,21 +124,21 @@ class DSLog:
         root: Optional[Union[str, Path]] = None,
         gzip: bool = True,
         reuse_confirmations: int = 1,
-        backend: Optional[str] = None,
         cache_bytes: int = DEFAULT_CACHE_BYTES,
         autosync: bool = True,
         segment_max_bytes: int = DEFAULT_SEGMENT_MAX_BYTES,
         num_shards: Optional[int] = None,
         faults: Optional[FaultPlan] = None,
+        *,
+        backend: Optional[str] = None,
     ) -> None:
-        implied = "memory" if root is None else "sharded"
-        if backend not in (None, implied):
+        # ``backend`` is not a choice (see the property); callers that still
+        # name the value *root* implies are accepted, any other is refused
+        if backend not in (None, "memory" if root is None else "sharded"):
             raise ValueError(
                 f"backend={backend!r} does not go with root={root!r}: a root "
-                "directory means the durable store ('sharded'; num_shards=1 "
-                "is the single-writer layout), no root means 'memory'"
+                "means the durable store, no root means memory"
             )
-        self.backend = implied
         self.root = Path(root) if root is not None else None
         self.gzip = gzip
         self.faults = faults
@@ -159,12 +155,10 @@ class DSLog:
         self._query_box_cache: Dict[Tuple[str, Tuple[Cell, ...]], CellBoxSet] = {}
 
         if self.root is None:
-            self.store: Optional["ShardedLineageStore"] = None
+            self.store: Optional[ShardedLineageStore] = None
             self.catalog: Catalog = Catalog()
             self._reuse = ReuseManager(confirmations_required=self.reuse_confirmations)
         else:
-            from .service.shards import DEFAULT_NUM_SHARDS, ShardedCatalog, ShardedLineageStore
-
             self.store = ShardedLineageStore(
                 self.root,
                 num_shards=num_shards if num_shards is not None else DEFAULT_NUM_SHARDS,
@@ -176,6 +170,12 @@ class DSLog:
             self.gzip = self.store.gzip
             self.catalog = ShardedCatalog(self.store)
             self._hydrate_from_shards()
+
+    @property
+    def backend(self) -> str:
+        """``"sharded"`` when the catalog lives in the durable store,
+        ``"memory"`` when it does not; follows from ``store``."""
+        return "memory" if self.store is None else "sharded"
 
     # ------------------------------------------------------------------
     # lazy state (durable store)
@@ -762,7 +762,7 @@ class DSLog:
 
         A directory in a layout older builds wrote (a root-level manifest,
         one ``.provrc[.gz]`` file per entry, wire-v1 segments) raises a
-        ``ValueError`` naming ``python -m repro.tools.upgrade``.
+        ``ValueError`` naming ``python -m repro.tools.upgrade``; so does
+        the first query of a table stored in an older column layout.
         """
-        kwargs.pop("backend", None)  # a root always means the durable store
         return cls(root=root, gzip=gzip, **kwargs)

@@ -6,7 +6,7 @@ recovery path that is never executed is a recovery path that does not
 work.  This module makes every such path *testable* without monkeypatching
 internals: a :class:`FaultPlan` is threaded through segment I/O
 (:mod:`repro.storage.segments`), the store (:mod:`repro.storage.store`),
-the sharded store (:mod:`repro.service.shards`) and the ingest pipeline
+the sharded store (:mod:`repro.storage.sharded`) and the ingest pipeline
 (:mod:`repro.service.pipeline`), and each layer calls ``plan.check(site,
 scope)`` at its fault points.  A plan with no matching rule costs one dict
 lookup; a matching rule raises (or stalls, or truncates a write) exactly

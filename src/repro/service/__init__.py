@@ -1,10 +1,7 @@
-"""The concurrent lineage service: sharded multi-writer storage, async
-ingest and snapshot-isolated readers.
+"""The concurrent lineage service over the durable store
+(:mod:`repro.storage.sharded`): async ingest, snapshot-isolated readers
+and the serving tier.
 
-* :mod:`repro.service.shards` — the sharded store: entries partitioned
-  over N single-writer segment stores by a stable hash of the
-  ``(input, output)`` pair, one manifest per shard, one root
-  ``SHARDS.json``.
 * :mod:`repro.service.pipeline` — :class:`LineageService`: bounded ingest
   queue, worker threads running ProvRC compression off the caller's path,
   and a group-commit committer that amortizes manifest publishes across
@@ -32,22 +29,12 @@ from .server import (
     LineageServer,
     LineageServerError,
 )
-from .shards import (
-    DEFAULT_NUM_SHARDS,
-    ShardedCatalog,
-    ShardedLineageStore,
-    shard_index,
-)
 from .snapshot import SnapshotDSLog, SnapshotReadOnlyError, take_snapshot
 
 __all__ = [
     "LineageService",
     "IngestTicket",
     "ServiceClosedError",
-    "ShardedLineageStore",
-    "ShardedCatalog",
-    "shard_index",
-    "DEFAULT_NUM_SHARDS",
     "SnapshotDSLog",
     "SnapshotReadOnlyError",
     "take_snapshot",

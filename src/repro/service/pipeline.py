@@ -23,7 +23,7 @@ round trip.  The service decouples the three:
 * **Workers** pop operations and run the expensive part — signature
   fingerprinting, reuse lookup, ProvRC compression, table serialization —
   with no lock held; only the per-shard segment append and the catalog
-  dict insert are serialized (:mod:`repro.service.shards`).
+  dict insert are serialized (:mod:`repro.storage.sharded`).
 * The **committer** publishes manifests in *group commits*: every pending
   applied operation rides the same per-shard fsync + manifest swap.  A
   ticket resolves only once a publish covers it, so ``ticket.result()``
@@ -58,7 +58,8 @@ from ..faults import DeadlineExceeded, IngestOverloaded
 from ..obs import REGISTRY, tracing
 from ..obs.metrics import DEFAULT_SIZE_BUCKETS
 from ..storage.store import DEFAULT_CACHE_BYTES, DEFAULT_SEGMENT_MAX_BYTES
-from .shards import DEFAULT_NUM_SHARDS
+from ..storage.sharded import DEFAULT_NUM_SHARDS
+from .snapshot import SnapshotDSLog
 
 __all__ = ["IngestTicket", "LineageService", "ServiceClosedError"]
 
@@ -256,9 +257,10 @@ class LineageService:
                 segment_max_bytes=segment_max_bytes,
                 autosync=False,
             )
-        if log.backend != "sharded":
+        if log.store is None or isinstance(log, SnapshotDSLog):
             raise ValueError(
-                f"LineageService needs a durable DSLog, got backend={log.backend!r}"
+                "LineageService needs a durable DSLog (one opened with a root), "
+                f"got a {'snapshot view' if log.store is not None else 'memory log'}"
             )
         log.autosync = False  # the committer owns publishing
         self.log = log

@@ -83,7 +83,7 @@ With no stale result to fall back on it raises the structured
 :class:`~repro.faults.ShardUnavailable`, never a hang or a bare
 ``OSError``.  A half-open breaker lets exactly one query probe recovery:
 the shard is reopened-with-scrub
-(:meth:`~repro.service.shards.ShardedLineageStore.reopen_shard`), and the
+(:meth:`~repro.storage.sharded.ShardedLineageStore.reopen_shard`), and the
 breaker closes only when that heal succeeds.
 
 Deadlines: ``deadline=seconds`` (or the constructor-wide

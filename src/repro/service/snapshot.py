@@ -75,7 +75,6 @@ class SnapshotDSLog(DSLog):
     ) -> None:
         # deliberately does NOT call DSLog.__init__: a snapshot opens no
         # stores and owns no directory — it borrows the source's
-        self.backend = "snapshot"
         self.root = source.root
         self.gzip = source.gzip
         self.reuse_confirmations = source.reuse_confirmations

@@ -1,7 +1,8 @@
-"""Storage manager internals: catalog, durable segment store, manifest.
-
-The sharded multi-writer layer built on these pieces lives in
-:mod:`repro.service.shards`."""
+"""The durable half of DSLog: catalog, segments, manifests, and the one
+engine built on them — :class:`ShardedLineageStore` /
+:class:`ShardedCatalog` (:mod:`repro.storage.sharded`), ProvRC tables
+packed into per-shard segments and queried in situ.  Nothing here imports
+the serving tier (:mod:`repro.service`), the tools or :mod:`repro.dslog`."""
 
 from .catalog import (
     AmbiguousLineageError,
@@ -13,6 +14,15 @@ from .catalog import (
 )
 from .manifest import Manifest, load_manifest, save_manifest
 from .segments import SegmentWriter, iter_records, read_record, valid_length
+from .sharded import (
+    DEFAULT_NUM_SHARDS,
+    SHARDS_NAME,
+    ShardedCatalog,
+    ShardedLineageStore,
+    load_shards_file,
+    shard_index,
+    write_shards_file,
+)
 from .store import (
     DEFAULT_CACHE_BYTES,
     DEFAULT_SEGMENT_MAX_BYTES,
@@ -42,4 +52,11 @@ __all__ = [
     "read_record",
     "iter_records",
     "valid_length",
+    "ShardedLineageStore",
+    "ShardedCatalog",
+    "shard_index",
+    "DEFAULT_NUM_SHARDS",
+    "SHARDS_NAME",
+    "load_shards_file",
+    "write_shards_file",
 ]

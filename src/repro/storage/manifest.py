@@ -35,6 +35,7 @@ __all__ = [
     "save_manifest",
     "dump_manifest",
     "write_manifest",
+    "atomic_write",
     "tuplify",
 ]
 
@@ -138,19 +139,23 @@ def dump_manifest(manifest: Manifest) -> str:
     return json.dumps(manifest.to_json(), separators=(",", ":"), default=_json_safe)
 
 
-def write_manifest(root: Union[str, Path], data: str) -> None:
-    """Atomically replace ``MANIFEST.json`` with pre-serialized text.
+def atomic_write(path: Path, data: str) -> None:
+    """Atomically replace the JSON file *path* with *data*.
 
     The temp file is fsynced before the rename so a crash can only ever
-    observe the old or the new complete manifest, never a torn one.
+    observe the old or the new complete file, never a torn one.
     """
-    path = Path(root) / MANIFEST_NAME
     tmp = path.with_suffix(".json.tmp")
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(data)
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
+
+
+def write_manifest(root: Union[str, Path], data: str) -> None:
+    """Atomically replace ``MANIFEST.json`` with pre-serialized text."""
+    atomic_write(Path(root) / MANIFEST_NAME, data)
 
 
 def save_manifest(root: Union[str, Path], manifest: Manifest) -> int:

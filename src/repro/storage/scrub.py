@@ -43,8 +43,14 @@ Repair contract
   into the store's remap chain — in-memory lazy entries keep resolving,
   exactly as across a compaction.
 
+A record is verified by its checksum and its identity (the table names
+and orientation its header declares, read by ``peek_table``), never by
+decoding its columns: a table in a column layout only
+``python -m repro.tools.upgrade`` reads is intact here, and is never
+quarantined or dropped for its layout.
+
 Entry points: :func:`scrub_store` (one shard directory),
-:meth:`repro.service.shards.ShardedLineageStore.scrub` (per shard),
+:meth:`repro.storage.sharded.ShardedLineageStore.scrub` (per shard),
 :meth:`repro.dslog.DSLog.scrub`, the ``python -m repro.tools.scrub`` CLI,
 and the server's ``POST /admin/scrub``.
 """
@@ -171,9 +177,6 @@ def scrub_store(store: LineageStore, repair: bool = False, serialize_lock=None) 
         "repaired": False,
         "segments_checked": 0,
         "records_checked": 0,
-        # intact table payloads per column layout: an old read branch of the
-        # serializer may go once no store reports its layout here
-        "layouts": {},
         "corrupt_records": [],
         "damaged_segments": [],
         "orphan_segments": [],
@@ -202,13 +205,6 @@ def scrub_store(store: LineageStore, repair: bool = False, serialize_lock=None) 
         report["corrupt_records"].append(row)
         bad_refs.setdefault(ref.segment, []).append(row)
 
-    counted = set()  # reuse state references records entries own: count each once
-
-    def count_layout(ref: TableRef, layout: str) -> None:
-        if ref not in counted:
-            counted.add(ref)
-            report["layouts"][layout] = report["layouts"].get(layout, 0) + 1
-
     # entry refs, both orientations, resolved through any prior remaps
     entry_state: List[dict] = []  # per manifest row: refs, statuses, payloads
     for row in manifest.entries:
@@ -220,16 +216,15 @@ def scrub_store(store: LineageStore, repair: bool = False, serialize_lock=None) 
             report["records_checked"] += 1
             if status == "ok":
                 # the checksum proves the payload is intact, not that it
-                # belongs to this row: verify the table's own identity
-                expected_key = "output" if orient == "backward" else "input"
+                # belongs to this row: verify the table's own identity (read
+                # from the header alone, so a payload in a column layout only
+                # the upgrader reads is verified, never dropped)
+                expected = ("output" if orient == "backward" else "input", *pair)
                 try:
-                    key_side, in_name, out_name, layout = peek_table(payload)
-                    identity_ok = (in_name, out_name) == pair and key_side == expected_key
-                except Exception:
+                    identity_ok = peek_table(payload) == expected
+                except (ValueError, zlib.error):
                     identity_ok = False
-                if identity_ok:
-                    count_layout(ref, layout)
-                else:
+                if not identity_ok:
                     status, payload = "misdirected", None
             state[orient] = (ref, status, payload)
             if status != "ok":
@@ -248,13 +243,6 @@ def scrub_store(store: LineageStore, repair: bool = False, serialize_lock=None) 
                     reuse_refs.append((ref, status))
                     if status != "ok":
                         note_bad(ref, status, "reuse-state", {})
-                        continue
-                    try:
-                        count_layout(ref, peek_table(payload)[3])
-                    except (ValueError, zlib.error):
-                        # advisory state is checked by checksum only; the
-                        # census still says a payload no reader understands
-                        count_layout(ref, "unreadable")
 
     # per-segment structural damage (torn tails, unreferenced rot)
     for name in list(manifest.segments):

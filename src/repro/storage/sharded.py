@@ -25,7 +25,9 @@ shard live in the root's one :class:`~repro.storage.store.TableCache`,
 whose budget is ``cache_bytes`` — not a share of it — and from which a
 shard's compaction or reset drops that shard's tables only.
 ``num_shards=1`` is the single-writer layout: one directory, one manifest,
-one lock — for catalogs one thread ingests.
+one lock — for catalogs one thread ingests.  :class:`repro.dslog.DSLog`,
+the serving tier (:mod:`repro.service`) and the tools open catalogs
+through this module; it imports none of them.
 
 Global catalog metadata — tracked arrays, operation records, the reuse
 predictor's state — is not per-pair and lives in the manifest of shard 0,
@@ -53,7 +55,6 @@ of every row.
 from __future__ import annotations
 
 import json
-import os
 import threading
 import zlib
 from contextlib import contextmanager
@@ -64,9 +65,10 @@ from ..core.compressed import CompressedLineage
 from ..core.serialize import serialize_table
 from ..faults import FaultPlan
 from ..obs import REGISTRY, log_event
-from ..storage.catalog import Catalog, LineageConflictError, LineageEntry, OperationRecord
-from ..storage.manifest import MANIFEST_NAME
-from ..storage.store import (
+from .catalog import Catalog, LineageConflictError, LineageEntry, OperationRecord
+from .manifest import MANIFEST_NAME, atomic_write
+from .scrub import scrub_store
+from .store import (
     DEFAULT_CACHE_BYTES,
     DEFAULT_SEGMENT_MAX_BYTES,
     LineageStore,
@@ -80,6 +82,8 @@ __all__ = [
     "SHARDS_FORMAT",
     "DEFAULT_NUM_SHARDS",
     "shard_index",
+    "load_shards_file",
+    "write_shards_file",
     "ShardedLineageStore",
     "ShardedCatalog",
 ]
@@ -126,22 +130,13 @@ def load_shards_file(root: Union[str, Path]) -> Optional[dict]:
 
 def write_shards_file(root: Path, num_shards: int, gzip: bool) -> None:
     """Create ``SHARDS.json`` atomically (written once, never updated)."""
-    path = root / SHARDS_NAME
-    tmp = path.with_suffix(".json.tmp")
-    data = json.dumps(
-        {
-            "format": SHARDS_FORMAT,
-            "format_version": SHARDS_FORMAT_VERSION,
-            "num_shards": num_shards,
-            "gzip": gzip,
-        },
-        separators=(",", ":"),
-    )
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(data)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    data = {
+        "format": SHARDS_FORMAT,
+        "format_version": SHARDS_FORMAT_VERSION,
+        "num_shards": num_shards,
+        "gzip": gzip,
+    }
+    atomic_write(root / SHARDS_NAME, json.dumps(data, separators=(",", ":")))
 
 
 def _refuse_old_layout(root: Path) -> None:
@@ -351,8 +346,6 @@ class ShardedLineageStore:
         quarantine and heal (see :mod:`repro.storage.scrub`).  Each shard
         is scrubbed under its own append lock; the maintenance lock keeps
         compaction and manifest publishes out of the way."""
-        from ..storage.scrub import scrub_store
-
         indices = range(self.num_shards) if shard is None else [shard]
         reports: Dict[int, dict] = {}
         with self.maintenance_lock:
@@ -374,8 +367,6 @@ class ShardedLineageStore:
         the remap chain.  Returns the scrub report; raises when the
         shard's I/O is still failing (the circuit breaker's cue to stay
         open)."""
-        from ..storage.scrub import scrub_store
-
         with self.maintenance_lock:
             with self._shard_locks[idx]:
                 shard = self.shards[idx]

@@ -1,7 +1,7 @@
 """The durable, segment-based lineage store (``LineageStore``).
 
 One ``LineageStore`` is one shard directory of a durable ``DSLog``
-(:mod:`repro.service.shards` puts N of them behind one root): many
+(:mod:`repro.storage.sharded` puts N of them behind one root): many
 ProvRC tables packed into append-only segment files
 (:mod:`repro.storage.segments`), indexed by one atomic JSON manifest
 (:mod:`repro.storage.manifest`), read back *lazily* through a
@@ -37,9 +37,7 @@ Design points
   arrays of the table's own.  The cache charges each table exactly those
   arrays (``nbytes()``), and that is all a resident table holds: neither
   the inflated payload nor the mapped record outlives the decode, so
-  compaction can retire a mapped segment whatever is hydrated.  (Payloads
-  in the two layouts older builds wrote still decode to views; such a
-  table keeps its payload referenced until it is dropped.)
+  compaction can retire a mapped segment whatever is hydrated.
 * **Coalesced appends** — the active ``SegmentWriter`` buffers appends
   and hands each batch to the OS as one write + one fsync at ``sync()``
   (the group-commit step), instead of two writes and a flush per record.

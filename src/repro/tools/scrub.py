@@ -1,9 +1,7 @@
 """``python -m repro.tools.scrub`` — fsck a DSLog catalog directory.
 
 Verifies every manifest-referenced record (structure and CRC32 checksums),
-reports torn tails, truncated and missing segments, and orphan files, and
-counts the intact table payloads per column layout (``attr-delta`` is what
-this build writes; ``row-delta`` and ``verbatim`` are older ones it reads); with
+reports torn tails, truncated and missing segments, and orphan files; with
 ``--repair``, quarantines the damage into ``<root>/quarantine/`` and heals
 the catalog with zero valid-record loss (see :mod:`repro.storage.scrub`).
 
@@ -25,7 +23,7 @@ import json
 import sys
 
 from ..dslog import DSLog
-from ..service.shards import load_shards_file
+from ..storage.sharded import load_shards_file
 
 __all__ = ["main"]
 
@@ -104,15 +102,8 @@ def main(argv=None) -> int:
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True, default=str))
     else:
-        census: dict = {}
         for idx in sorted(shards):
             _summarize(shards[idx], sys.stdout)
-            for layout, count in shards[idx]["layouts"].items():
-                census[layout] = census.get(layout, 0) + count
-        print(
-            f"{args.root}: table payloads by column layout: "
-            + (", ".join(f"{name} {census[name]}" for name in sorted(census)) or "none")
-        )
     return 0 if all(r["clean"] or r["repaired"] for r in shards.values()) else 1
 
 

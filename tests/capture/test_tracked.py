@@ -58,6 +58,36 @@ class TestUfuncs:
             assert isinstance(out, TrackedArray)
             assert out.provenance[0] == frozenset({("A", (0,))})
 
+    def test_mixin_operators(self):
+        a = TrackedArray(np.arange(6.0).reshape(2, 3), name="A")
+        plain = np.ones((2, 3))
+        # reflected against an ndarray, floor division, modulo, a comparison
+        for out, want in (
+            (plain - a, plain - a.data),
+            (7 // a[:, 1:], 7 // a.data[:, 1:]),
+            (a % 4, a.data % 4),
+            (a < 3, a.data < 3),
+        ):
+            assert isinstance(out, TrackedArray)
+            assert np.array_equal(out.data, want)
+            assert out.provenance[1, 1] == frozenset({("A", (1, 2 if out.shape[1] == 2 else 1))})
+        b = TrackedArray(np.ones((3, 2)), name="B")
+        assert (a @ b).provenance[0, 0] == frozenset(
+            {("A", (0, c)) for c in range(3)} | {("B", (r, 0)) for r in range(3)}
+        )
+
+    def test_two_output_ufuncs_are_refused(self):
+        # one provenance array cannot describe a stacked (2, n) result
+        a = TrackedArray(np.arange(4.0), name="A")
+        for call in (lambda: divmod(a, 2), lambda: np.divmod(a, 2), lambda: np.modf(a)):
+            with pytest.raises(TypeError):
+                call()
+
+    def test_unhashable(self):
+        # element-wise __eq__: no set or dict may key on a TrackedArray
+        with pytest.raises(TypeError):
+            hash(TrackedArray(np.arange(2.0), name="A"))
+
     def test_reduce(self):
         a = TrackedArray(np.ones((2, 3)), name="A")
         out = np.add.reduce(a, axis=1)

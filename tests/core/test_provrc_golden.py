@@ -13,8 +13,9 @@ columns are laid out at rest.  A format PR changes it deliberately, once,
 with the column digest unchanged beside it as the proof that only the
 layout moved (re-recorded for the row-delta layout, PR 15, and for the
 attr-delta layout and its terse header, PR 18).  Payloads of the earlier
-layouts stay readable; ``tests/core/test_serialize.py`` holds a copy of
-each of their writers.
+layouts are read only by ``python -m repro.tools.upgrade``, which rewrites
+them; ``tests/tools/test_upgrade.py`` holds a copy of each of their
+writers.
 
 ``python tests/core/test_provrc_golden.py`` prints both.
 """

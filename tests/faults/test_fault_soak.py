@@ -98,7 +98,7 @@ def test_storage_soak_scrub_always_heals(seed, tmp_path):
 def test_service_soak_durable_tickets_never_lost(seed, tmp_path):
     root = tmp_path / "db"
     plan = mixed_plan(seed)
-    log = DSLog(root, backend="sharded", num_shards=2, autosync=False, faults=plan)
+    log = DSLog(root, num_shards=2, autosync=False, faults=plan)
     svc = LineageService(log=log, workers=2, commit_interval=0.001, submit_timeout=10)
     names = [f"B{i}" for i in range(25)]
     for name in names:

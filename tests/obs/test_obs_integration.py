@@ -43,7 +43,7 @@ def identity(in_name, out_name):
 
 @pytest.fixture
 def server(tmp_path):
-    log = DSLog(tmp_path / "db", backend="sharded", num_shards=2)
+    log = DSLog(tmp_path / "db", num_shards=2)
     for name in ("a", "b", "c"):
         log.define_array(name, SHAPE)
     log.add_lineage("a", "b", relation=identity("a", "b"))

@@ -28,7 +28,7 @@ from repro.service.server import (
     LineageServer,
     LineageServerError,
 )
-from repro.service.shards import shard_index
+from repro.storage.sharded import shard_index
 
 SHAPE = (4,)
 QUERY = [(1,)]
@@ -60,7 +60,7 @@ def add_pair(log, a, b):
 def build_sharded(root, plan):
     """A sharded catalog with one entry homed on every shard."""
     log = DSLog(
-        root, backend="sharded", num_shards=NUM_SHARDS, autosync=False, faults=plan
+        root, num_shards=NUM_SHARDS, autosync=False, faults=plan
     )
     pairs = {}
     for shard in range(NUM_SHARDS):
@@ -84,7 +84,7 @@ class TestPipelineFaults:
     def test_worker_fault_fails_ticket_structurally(self, tmp_path):
         plan = FaultPlan().on("service.worker", at=1)
         log = DSLog(
-            tmp_path / "db", backend="sharded", num_shards=2, autosync=False, faults=plan
+            tmp_path / "db", num_shards=2, autosync=False, faults=plan
         )
         with LineageService(log=log, workers=1) as svc:
             svc.define_array("x", SHAPE)
@@ -123,7 +123,7 @@ class TestPipelineFaults:
     def test_commit_fault_fails_the_whole_batch(self, tmp_path):
         plan = FaultPlan().on("service.commit", at=1)
         log = DSLog(
-            tmp_path / "db", backend="sharded", num_shards=2, autosync=False, faults=plan
+            tmp_path / "db", num_shards=2, autosync=False, faults=plan
         )
         with LineageService(log=log, workers=2, commit_interval=30.0) as svc:
             svc.define_array("x", SHAPE)

@@ -58,6 +58,16 @@ class TestTickets:
             ok = svc.submit("op", ["x"], ["y"], relations={("x", "y"): elementwise("x", "y")})
             assert ok.result(timeout=10).op_name == "op"
 
+    def test_a_log_it_cannot_publish_is_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="memory log"):
+            LineageService(log=DSLog())
+        log = DSLog(tmp_path / "db")
+        view = log.snapshot()
+        with pytest.raises(ValueError, match="snapshot view"):
+            LineageService(log=view)
+        view.close()
+        log.close()
+
     def test_submit_after_close_raises(self, tmp_path):
         svc = LineageService(tmp_path / "db")
         svc.close()

@@ -13,7 +13,7 @@ import pytest
 from repro import DeadlineExceeded, DSLog, FaultPlan, QueryExecutor
 from repro.core.relation import LineageRelation
 from repro.obs import tracing
-from repro.service.shards import shard_index
+from repro.storage.sharded import shard_index
 
 SHAPE = (4,)
 QUERY = [(1,)]
@@ -49,7 +49,7 @@ class Harness:
     def __init__(self, root):
         self.plan = FaultPlan()
         self.log = DSLog(
-            root, backend="sharded", num_shards=NUM_SHARDS, autosync=False, faults=self.plan
+            root, num_shards=NUM_SHARDS, autosync=False, faults=self.plan
         )
         self.path = two_shard_path()
         for name in self.path:
@@ -195,7 +195,7 @@ def test_batch_larger_than_the_cache_hydrates_each_table_once(tmp_path):
     # its prefetch loaded would hydrate every one a second time
     paths = two_shard_paths(3)
     log = DSLog(
-        tmp_path / "db", backend="sharded", num_shards=NUM_SHARDS, autosync=False,
+        tmp_path / "db", num_shards=NUM_SHARDS, autosync=False,
         cache_bytes=NUM_SHARDS,  # two bytes: no table fits
     )
     for path in paths:
@@ -219,7 +219,7 @@ def test_single_query_over_the_budget_hydrates_each_table_once(tmp_path):
     # pool) and both tables over budget (so the cache keeps neither)
     path = two_shard_path()
     log = DSLog(
-        tmp_path / "db", backend="sharded", num_shards=NUM_SHARDS, autosync=False,
+        tmp_path / "db", num_shards=NUM_SHARDS, autosync=False,
         cache_bytes=NUM_SHARDS,
     )
     for name in path:

@@ -7,7 +7,7 @@ import pytest
 from repro import DSLog
 from repro.core.relation import LineageRelation
 from repro.service.query import QueryExecutor, ResultCache
-from repro.service.shards import shard_index
+from repro.storage.sharded import shard_index
 
 SHAPE = (6, 6)
 
@@ -31,7 +31,7 @@ def log(request, tmp_path):
     if request.param == "memory":
         log = DSLog()
     else:
-        log = DSLog(tmp_path / "db", backend="sharded", num_shards=4)
+        log = DSLog(tmp_path / "db", num_shards=4)
     build_chain(log, ["a", "b", "c"])
     yield log
     log.close()
@@ -106,7 +106,7 @@ def _pairs_in_distinct_shards(num_shards):
 
 
 def test_write_invalidates_only_touched_entries(tmp_path):
-    log = DSLog(tmp_path / "db", backend="sharded", num_shards=4)
+    log = DSLog(tmp_path / "db", num_shards=4)
     (a, b), (u, v) = _pairs_in_distinct_shards(4)
     home = shard_index(a, b, 4)
     c, d = next(
@@ -159,7 +159,7 @@ def test_backward_path_invalidated_by_replace(tmp_path):
         if shard_index(a, b, 4) != shard_index(b, a, 4):
             break
     assert shard_index(a, b, 4) != shard_index(b, a, 4)
-    log = DSLog(tmp_path / "db", backend="sharded", num_shards=4)
+    log = DSLog(tmp_path / "db", num_shards=4)
     log.define_array(a, SHAPE)
     log.define_array(b, SHAPE)
     log.add_lineage(a, b, relation=identity(a, b))
@@ -179,7 +179,7 @@ def test_planned_query_turns_over_when_the_plan_does(tmp_path):
     # a graph-planned (two-array, no direct entry) result depends on the
     # plan as well as on its hops: a new entry that creates a shorter or
     # an additional equally short path must invalidate it
-    log = DSLog(tmp_path / "db", backend="sharded", num_shards=4)
+    log = DSLog(tmp_path / "db", num_shards=4)
     build_chain(log, ["a", "b", "c"])
     with QueryExecutor(log, max_workers=2) as ex:
         before = ex.prov_query(["a", "c"], QUERY).to_cells()
@@ -449,7 +449,7 @@ def test_batch_racing_replace_and_compaction(tmp_path):
     """Batches racing replace=True rewrites plus compaction churn must keep
     returning consistent results — the batch pins one snapshot for all of
     its queries, so segment retirement can't yank tables mid-pass."""
-    log = DSLog(tmp_path / "db", backend="sharded", num_shards=4)
+    log = DSLog(tmp_path / "db", num_shards=4)
     build_chain(log, ["a", "b", "c"])
     expected = log.prov_query(["a", "b", "c"], QUERY).count_cells()
     stop = threading.Event()

@@ -38,7 +38,7 @@ def lane_arrays(lane, hops):
 
 
 def build_catalog(root, shape, lanes, hops, num_shards):
-    log = DSLog(root, backend="sharded", num_shards=num_shards, autosync=False)
+    log = DSLog(root, num_shards=num_shards, autosync=False)
     for lane in range(lanes):
         names = lane_arrays(lane, hops)
         for name in names:
@@ -232,7 +232,7 @@ RPC_REQUESTS = {
 
 @pytest.fixture(scope="module")
 def transports(tmp_path_factory):
-    log = DSLog(tmp_path_factory.mktemp("rpc") / "db", backend="sharded", num_shards=4, autosync=False)
+    log = DSLog(tmp_path_factory.mktemp("rpc") / "db", num_shards=4, autosync=False)
     names = ["a0", "a1", "a2"]
     for name in names:
         log.define_array(name, RPC_SHAPE)
@@ -323,7 +323,7 @@ def test_durable_concurrent_ingest(tmp_path, writers):
 def test_sync_autosync_ingest_reopens_whole(tmp_path):
     """The single-writer path the service replaces: one synchronous
     ``register_operation`` and a manifest sync per operation."""
-    log = DSLog(tmp_path / "db", backend="sharded", num_shards=4, autosync=True)
+    log = DSLog(tmp_path / "db", num_shards=4, autosync=True)
     names = [f"a{i}" for i in range(21)]
     for name in names:
         log.define_array(name, INGEST_SHAPE)

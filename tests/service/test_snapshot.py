@@ -31,7 +31,7 @@ def chain(log, n, prefix="A"):
 
 class TestIsolation:
     def test_later_ingest_is_invisible(self, tmp_path):
-        log = DSLog(tmp_path / "db", backend="sharded", num_shards=2, autosync=False)
+        log = DSLog(tmp_path / "db", num_shards=2, autosync=False)
         chain(log, 3)
         snap = log.snapshot()
         assert len(snap.catalog) == 3
@@ -58,7 +58,7 @@ class TestIsolation:
         snap.close()
 
     def test_read_api_works_and_write_api_raises(self, tmp_path):
-        log = DSLog(tmp_path / "db", backend="sharded", autosync=False)
+        log = DSLog(tmp_path / "db", autosync=False)
         names = chain(log, 4)
         snap = log.snapshot()
         assert snap.prov_query([names[0], names[2]], [(2,)]).to_cells() == {(2,)}
@@ -82,7 +82,7 @@ class TestIsolation:
         log.close()
 
     def test_generation_vector_recorded(self, tmp_path):
-        log = DSLog(tmp_path / "db", backend="sharded", num_shards=3, autosync=False)
+        log = DSLog(tmp_path / "db", num_shards=3, autosync=False)
         chain(log, 3)
         log.sync()
         snap = log.snapshot()
@@ -98,7 +98,7 @@ class TestCompactionUnderSnapshot:
         """The satellite case: ``compact()`` while a reader holds hydrated
         tables.  The pre-compaction segment files must stay on disk and
         readable until the snapshot drops its pin — then be deleted."""
-        log = DSLog(tmp_path / "db", backend="sharded", num_shards=2, autosync=False)
+        log = DSLog(tmp_path / "db", num_shards=2, autosync=False)
         names = chain(log, 6)
         log.sync()
 
@@ -136,7 +136,7 @@ class TestCompactionUnderSnapshot:
         log.close()
 
     def test_compact_without_pins_deletes_immediately(self, tmp_path):
-        log = DSLog(tmp_path / "db", backend="sharded", num_shards=2, autosync=False)
+        log = DSLog(tmp_path / "db", num_shards=2, autosync=False)
         names = chain(log, 4)
         log.sync()
         old_segments = [

@@ -71,7 +71,7 @@ def identity(in_name, out_name):
 
 @pytest.fixture
 def log(tmp_path):
-    log = DSLog(tmp_path / "db", backend="sharded", num_shards=4)
+    log = DSLog(tmp_path / "db", num_shards=4)
     for name in ("a", "b", "c"):
         log.define_array(name, SHAPE)
     log.add_lineage("a", "b", relation=identity("a", "b"))

@@ -218,7 +218,7 @@ class TestGroupCommitFaults:
     whose record is missing after a cold reopen."""
 
     def _run_service(self, root, plan, n=12):
-        log = DSLog(root, backend="sharded", num_shards=2, autosync=False, faults=plan)
+        log = DSLog(root, num_shards=2, autosync=False, faults=plan)
         svc = LineageService(log=log, workers=2, commit_interval=0.001)
         names = [f"A{i}" for i in range(n + 1)]
         for name in names:

@@ -79,13 +79,18 @@ class TestDefineAndIngest:
 
 
 class TestBackendFollowsRoot:
-    """``backend`` is no longer a choice: a root means the durable store,
-    no root means memory, and naming anything else raises."""
+    """``backend`` is not a choice: it is read off ``store`` (a root means
+    the durable store, no root means memory), and naming anything else
+    raises."""
 
-    def test_defaults(self, tmp_path):
+    def test_derived_from_the_store(self, tmp_path):
         assert DSLog().backend == "memory" and DSLog().store is None
         durable = DSLog(tmp_path / "db")
         assert durable.backend == "sharded" and durable.store is not None
+        with durable.snapshot() as view:
+            assert view.backend == "sharded"  # the view reads the same store
+        with pytest.raises(AttributeError):
+            durable.backend = "memory"
         durable.close()
 
     def test_the_implied_name_is_accepted(self, tmp_path):

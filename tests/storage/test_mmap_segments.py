@@ -285,7 +285,7 @@ class TestMmapLifecycle:
             reader.read(offset, length)
 
     def test_sharded_reader_stats_aggregate(self, tmp_path):
-        log = DSLog(tmp_path / "db", backend="sharded", num_shards=3, autosync=False)
+        log = DSLog(tmp_path / "db", num_shards=3, autosync=False)
         names = [f"A{i}" for i in range(6)]
         for name in names:
             log.define_array(name, SHAPE)

@@ -193,9 +193,3 @@ class TestSingleShardRoundTrip:
         reopened = DSLog.load(tmp_path / "db")
         assert reopened.reuse.confirmations_required == 3
 
-    def test_load_ignores_a_backend_kwarg(self, tmp_path):
-        log = self._write(tmp_path / "db")
-        log.close()
-        reopened = DSLog.load(tmp_path / "db", backend="memory")
-        assert reopened.backend == "sharded"
-        assert reopened.catalog.entry("A", "B").op_name == "negative"

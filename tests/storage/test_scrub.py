@@ -10,14 +10,11 @@ from disk sees the healed state.
 """
 
 import json
-import shutil
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro import DSLog, QueryExecutor
-from repro.core.reference import query_path_reference
 from repro.core.relation import LineageRelation
 from repro.storage.manifest import MANIFEST_NAME, load_manifest
 from repro.storage.scrub import QUARANTINE_DIR
@@ -408,79 +405,3 @@ class TestScrubCLI:
         log = DSLog()
         with pytest.raises(RuntimeError, match="durable log"):
             log.scrub()
-
-
-# ----------------------------------------------------------------------
-# one store, two column layouts
-# ----------------------------------------------------------------------
-# written at the commit before the attr-delta layout: its six live payloads
-# are "row-delta" (the history is tests/tools/test_upgrade.py::populate)
-ROW_DELTA_FIXTURE = Path(__file__).parents[1] / "tools" / "fixtures" / "parent_sharded"
-
-
-def mixed_layout_store(root):
-    """The fixture plus four relations this build writes, compacted so each
-    shard is one segment.  Returns ``{(in, out): relation}`` for every entry."""
-    def rel(pairs, in_shape, out_shape, a, b):
-        return LineageRelation.from_pairs(pairs, out_shape, in_shape, in_name=a, out_name=b)
-
-    grid = list(np.ndindex(6, 3))
-    relations = {
-        ("A", "B"): rel([(c, c) for c in grid], (6, 3), (6, 3), "A", "B"),
-        ("B", "C"): rel([((r,), (r, c)) for r, c in grid], (6, 3), (6,), "B", "C"),
-        ("C", "D"): rel([(((i + 1) % 6,), (i,)) for i in range(6)], (6,), (6,), "C", "D"),
-    }
-    new = {
-        ("D", "E"): rel([((i,), (5 - i,)) for i in range(6)], (6,), (6,), "D", "E"),
-        ("B", "F"): rel([((c, r), (r, c)) for r, c in grid], (6, 3), (3, 6), "B", "F"),
-        ("F", "G"): rel([((r, c), ((r + c) % 3, c)) for r, c in np.ndindex(3, 6)], (3, 6), (3, 6), "F", "G"),
-        ("G", "H"): rel([((c,), (r, c)) for r, c in np.ndindex(3, 6)], (3, 6), (6,), "G", "H"),
-    }
-    shutil.copytree(ROW_DELTA_FIXTURE, root)
-    log = DSLog.load(root)
-    for (a, b), relation in new.items():
-        log.define_array(b, relation.out_shape)
-        log.add_lineage(a, b, relation=relation)
-    log.compact()
-    log.close()
-    return {**relations, **new}
-
-
-class TestMixedLayouts:
-    def test_old_and_new_payloads_answer_from_one_segment(self, tmp_path):
-        root = tmp_path / "db"
-        relations = mixed_layout_store(root)
-        log = DSLog.load(root)
-        try:
-            for (a, b), relation in relations.items():
-                for cells, path, direction in (
-                    (list(np.ndindex(*relation.out_shape)), [b, a], "backward"),
-                    (list(np.ndindex(*relation.in_shape)), [a, b], "forward"),
-                ):
-                    for cell in cells:
-                        want = query_path_reference([relation], [direction], [cell])
-                        assert log.prov_query(path, [cell]).to_cells() == want, (path, cell)
-            report = log.scrub()
-            assert report["clean"]
-            # compaction copies payloads as opaque bytes: both layouts now
-            # sit side by side in a shard's only segment
-            mixed = [r for r in report["shards"].values() if len(r["layouts"]) == 2]
-            assert mixed and all(r["segments_checked"] == 1 for r in mixed)
-        finally:
-            log.close()
-
-    def test_scrub_counts_payloads_per_layout(self, tmp_path, capsys):
-        root = tmp_path / "db"
-        mixed_layout_store(root)
-        log = DSLog.load(root)
-        try:
-            shards = log.scrub()["shards"].values()
-        finally:
-            log.close()
-        census = {}
-        for report in shards:
-            for layout, count in report["layouts"].items():
-                census[layout] = census.get(layout, 0) + count
-        assert census == {"row-delta": 6, "attr-delta": 8}
-        assert scrub_main([str(root)]) == 0
-        assert "by column layout: attr-delta 8, row-delta 6" in capsys.readouterr().out

@@ -7,7 +7,7 @@ import pytest
 
 from repro import DSLog
 from repro.core.relation import LineageRelation
-from repro.service.shards import (
+from repro.storage.sharded import (
     DEFAULT_NUM_SHARDS,
     SHARDS_NAME,
     ShardedLineageStore,
@@ -47,7 +47,7 @@ class TestShardRouting:
         assert hits == {0, 1, 2, 3}
 
     def test_entries_land_in_their_hash_shard(self, tmp_path):
-        log = DSLog(tmp_path / "db", backend="sharded", num_shards=4, autosync=False)
+        log = DSLog(tmp_path / "db", num_shards=4, autosync=False)
         names = build_chain(log, 12)
         log.close()
         for a, b in zip(names, names[1:]):
@@ -75,14 +75,14 @@ class TestShardsFile:
             load_shards_file(tmp_path)
 
     def test_default_shard_count(self, tmp_path):
-        log = DSLog(tmp_path / "db", backend="sharded")
+        log = DSLog(tmp_path / "db")
         assert log.store.num_shards == DEFAULT_NUM_SHARDS
         log.close()
 
 
 class TestDurability:
     def test_reopen_reproduces_catalog(self, tmp_path):
-        log = DSLog(tmp_path / "db", backend="sharded", num_shards=4, autosync=False)
+        log = DSLog(tmp_path / "db", num_shards=4, autosync=False)
         names = build_chain(log, 10)
         log.define_array("OUT", SHAPE)
         log.register_operation(
@@ -109,7 +109,7 @@ class TestDurability:
         reopened.close()
 
     def test_generation_vector_moves_per_shard(self, tmp_path):
-        log = DSLog(tmp_path / "db", backend="sharded", num_shards=4, autosync=False)
+        log = DSLog(tmp_path / "db", num_shards=4, autosync=False)
         log.define_array("x", SHAPE)
         log.define_array("y", SHAPE)
         log.add_lineage("x", "y", relation=elementwise("x", "y"))
@@ -122,7 +122,7 @@ class TestDurability:
         log.close()
 
     def test_replace_versions_and_updates_row_in_place(self, tmp_path):
-        log = DSLog(tmp_path / "db", backend="sharded", num_shards=2, autosync=False)
+        log = DSLog(tmp_path / "db", num_shards=2, autosync=False)
         log.define_array("x", SHAPE)
         log.define_array("y", SHAPE)
         log.add_lineage("x", "y", relation=elementwise("x", "y"), op_name="first")
@@ -144,7 +144,7 @@ class TestDurability:
         reopened.close()
 
     def test_four_shards_match_one_shard_answers(self, tmp_path):
-        sharded = DSLog(tmp_path / "sharded", backend="sharded", num_shards=4, autosync=False)
+        sharded = DSLog(tmp_path / "sharded", num_shards=4, autosync=False)
         single = DSLog(tmp_path / "single", num_shards=1, autosync=False)
         for log in (sharded, single):
             build_chain(log, 8)
@@ -165,7 +165,7 @@ class TestDurability:
 
 class TestPerShardMaintenance:
     def test_compact_single_shard_leaves_others_alone(self, tmp_path):
-        log = DSLog(tmp_path / "db", backend="sharded", num_shards=3, autosync=False)
+        log = DSLog(tmp_path / "db", num_shards=3, autosync=False)
         build_chain(log, 12)
         log.sync()
         # replace a few entries to create dead bytes in their home shards
@@ -182,7 +182,7 @@ class TestPerShardMaintenance:
         log.close()
 
     def test_compact_all_shards(self, tmp_path):
-        log = DSLog(tmp_path / "db", backend="sharded", num_shards=2, autosync=False)
+        log = DSLog(tmp_path / "db", num_shards=2, autosync=False)
         build_chain(log, 6)
         log.sync()
         stats = log.compact()
@@ -201,7 +201,7 @@ class TestPerShardMaintenance:
         store.close()
 
     def test_storage_accounting_sums_shards(self, tmp_path):
-        log = DSLog(tmp_path / "db", backend="sharded", num_shards=4, autosync=False)
+        log = DSLog(tmp_path / "db", num_shards=4, autosync=False)
         build_chain(log, 8)
         log.sync()
         assert log.store.segment_bytes() == sum(
