@@ -1,9 +1,10 @@
 """Binary RPC transport: one catalog served over HTTP and frames at once.
 
-``log.serve(transport="both")`` runs the JSON HTTP API and the framed
-binary RPC protocol side by side over one shared ``ServiceCore`` — same
-executor, same result cache, same handlers, so the two transports can
-never disagree about an answer.  What differs is the envelope: HTTP pays
+``log.serve(rpc_port=0)`` runs the JSON HTTP API and the framed binary
+RPC protocol side by side: one server, a listener per port, over one
+shared ``ServiceCore`` — same executor, same result cache, same
+handlers, so the two transports can never disagree about an answer.
+What differs is the envelope: HTTP pays
 header parsing and numpy → list → JSON double-encoding per round trip,
 while RPC ships length-prefixed frames over persistent pooled sockets
 and hydrates result boxes with ``np.frombuffer`` (zero copies).
@@ -104,7 +105,7 @@ def main():
         log = build_catalog(root)
         # cache off so every round trip re-runs the θ-join chain — the
         # difference between the transports is pure envelope cost
-        server = log.serve(transport="both", cache_entries=0)
+        server = log.serve(rpc_port=0, cache_entries=0)
         http = LineageClient.connect(server.url)
         rpc = RPCClient.connect(server.rpc_address)
         print(f"HTTP at {server.url}, RPC at {server.rpc_address}\n")

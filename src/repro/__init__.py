@@ -16,9 +16,10 @@ Public entry points
   multi-writer storage, async compression off the caller's path, group
   commit and snapshot-isolated readers.
 * :class:`repro.QueryExecutor` / :class:`repro.LineageServer` /
-  :class:`repro.LineageClient` — the serving tier: parallel shard
-  fan-out behind a generation-keyed result cache, exposed over a stdlib
-  HTTP JSON API (``dslog.serve(port)`` / ``LineageClient.connect(url)``).
+  :class:`repro.LineageClient` / :class:`repro.RPCClient` — the serving
+  tier: batched θ-joins behind a generation-keyed result cache, served
+  over a stdlib HTTP JSON API and a framed binary RPC wire by one server
+  (``dslog.serve(port, rpc_port=None)`` / ``LineageClient.connect(url)``).
 * :mod:`repro.faults` — deterministic fault injection (:class:`FaultPlan`)
   and the failure-domain primitives (:class:`CircuitBreaker`, the
   structured :class:`DeadlineExceeded` / :class:`IngestOverloaded` /
@@ -51,7 +52,6 @@ from .service import (
     LineageService,
     QueryExecutor,
     RPCClient,
-    RPCServer,
     SnapshotDSLog,
 )
 from .storage.store import LineageStore
@@ -76,7 +76,6 @@ __all__ = [
     "QueryExecutor",
     "LineageServer",
     "LineageClient",
-    "RPCServer",
     "RPCClient",
     "CompressedLineage",
     "CellBoxSet",

@@ -670,9 +670,9 @@ class DSLog:
         max_workers: Optional[int] = None,
         cache_entries: Optional[int] = None,
     ) -> "QueryExecutor":
-        """A scale-out query executor over this catalog: parallel per-shard
-        fan-out behind a generation-keyed result cache
-        (:mod:`repro.service.query`).  The caller owns it (close it, or use
+        """A scale-out query executor over this catalog: batched θ-joins
+        and deadline-bounded shard hydration behind a generation-keyed
+        result cache (:mod:`repro.service.query`).  The caller owns it (close it, or use
         it as a context manager)."""
         from .service.query import DEFAULT_CACHE_ENTRIES, QueryExecutor
 
@@ -684,47 +684,34 @@ class DSLog:
 
     def serve(
         self,
-        port: int = 0,
+        port: Optional[int] = 0,
         host: str = "127.0.0.1",
         max_workers: Optional[int] = None,
         cache_entries: Optional[int] = None,
         start: bool = True,
-        transport: str = "http",
-        rpc_port: int = 0,
+        rpc_port: Optional[int] = None,
     ) -> "LineageServer":
         """Expose this catalog over the network on a background thread.
 
-        *transport* picks the wire: ``"http"`` (the default) returns a
-        :class:`~repro.service.server.LineageServer` speaking the JSON
-        API, ``"rpc"`` an :class:`~repro.service.rpc.RPCServer` speaking
-        the framed binary protocol, and ``"both"`` a
-        :class:`~repro.service.rpc.DualServer` running the two side by
-        side over one shared executor and result cache (*port* binds the
-        HTTP listener, *rpc_port* the RPC one).
-
-        ``port=0`` picks a free port; read it (or the full URL / RPC
-        address) off the returned server.  Pass ``start=False`` to get an
-        unstarted server for ``serve_forever()`` in a dedicated process.
+        Returns a :class:`~repro.service.server.LineageServer` with a
+        listener per port: the JSON HTTP API on *port*, the framed binary
+        protocol on *rpc_port*, both over one executor and result cache.
+        A port of ``None`` leaves that wire out; ``0`` picks a free port
+        (read it, or the URL / RPC address, off the server).  Pass
+        ``start=False`` to get an unstarted server for ``serve_forever()``
+        in a dedicated process.
         """
         from .service.query import DEFAULT_CACHE_ENTRIES
-        from .service.rpc import DualServer, RPCServer
         from .service.server import LineageServer
 
-        options = dict(
+        server = LineageServer(
+            self,
             host=host,
+            port=port,
+            rpc_port=rpc_port,
             max_workers=max_workers,
             cache_entries=DEFAULT_CACHE_ENTRIES if cache_entries is None else cache_entries,
         )
-        if transport == "http":
-            server = LineageServer(self, port=port, **options)
-        elif transport == "rpc":
-            server = RPCServer(self, port=port, **options)
-        elif transport == "both":
-            server = DualServer(self, http_port=port, rpc_port=rpc_port, **options)
-        else:
-            raise ValueError(
-                f"unknown transport {transport!r}; use 'http', 'rpc' or 'both'"
-            )
         return server.start() if start else server
 
     def snapshot(self) -> "DSLog":

@@ -10,19 +10,21 @@ and the serving tier.
   catalog views pinned at a per-shard generation vector, isolated from
   concurrent ingest and compaction.
 * :mod:`repro.service.query` — :class:`QueryExecutor`: the scale-out read
-  path — parallel per-shard fan-out over a thread pool behind a
-  generation-keyed :class:`ResultCache` (writers invalidate exactly the
-  results computed from the entries they replaced).
+  path — batched θ-joins behind a generation-keyed :class:`ResultCache`
+  (writers invalidate exactly the results computed from the entries they
+  replaced); a query with a deadline awaits each cold shard's tables on a
+  thread pool against its budget.
 * :mod:`repro.service.server` — :class:`LineageServer` /
   :class:`LineageClient`: the catalog over a stdlib HTTP JSON API
   (``/query``, ``/graph/impact``, ``/graph/dependencies``,
-  ``/graph/summary``, ``/healthz``).
+  ``/graph/summary``, ``/healthz``) and, on an ``rpc_port``, the framed
+  binary wire of :mod:`repro.service.rpc` (:class:`RPCClient`).
 """
 
 from .api import ServiceCore
 from .pipeline import IngestTicket, LineageService, ServiceClosedError
 from .query import QueryExecutor, QueryOutcome, ResultCache
-from .rpc import DualServer, RPCClient, RPCServer
+from .rpc import RPCClient
 from .server import (
     LineageClient,
     LineageConnectionError,
@@ -46,7 +48,5 @@ __all__ = [
     "LineageServerError",
     "LineageConnectionError",
     "ServiceCore",
-    "RPCServer",
     "RPCClient",
-    "DualServer",
 ]

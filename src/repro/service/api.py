@@ -334,16 +334,15 @@ class ServiceCore:
     # -- graph ----------------------------------------------------------
     def impact_payload(self, args: dict) -> dict:
         name = _array_arg(args)
-        return {"array": name, "impact": self.executor.impact(name)}
+        return {"array": name, "impact": self.log.impact(name)}
 
     def dependencies_payload(self, args: dict) -> dict:
         name = _array_arg(args)
-        return {"array": name, "dependencies": self.executor.dependencies(name)}
+        return {"array": name, "dependencies": self.log.dependencies(name)}
 
     def summary_payload(self, args: dict) -> dict:
-        # copy before annotating: the summary dict is shared with the cache
-        payload = dict(self.executor.lineage_summary())
-        payload["edges"] = [list(pair) for pair in self.executor.graph_edges()]
+        payload = self.log.lineage_summary()
+        payload["edges"] = [list(pair) for pair in self.log.graph.edges()]
         return payload
 
     # -- health / admin -------------------------------------------------

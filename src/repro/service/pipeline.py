@@ -581,9 +581,10 @@ class LineageService:
         applied* right now (durability may lag by one commit window)."""
         return self.log.snapshot()
 
-    def serve(self, port: int = 0, host: str = "127.0.0.1", **kwargs):
-        """Expose this service's catalog over the HTTP JSON API
-        (:mod:`repro.service.server`) on a background thread.  Readers see
+    def serve(self, port: Optional[int] = 0, host: str = "127.0.0.1", **kwargs):
+        """Expose this service's catalog over the HTTP JSON API (and the
+        RPC wire, given ``rpc_port=``; :meth:`DSLog.serve
+        <repro.dslog.DSLog.serve>`) on a background thread.  Readers see
         *applied* state — the same cut snapshots see — and the result
         cache invalidates per lineage entry as the workers land writes: a
         cached answer turns stale only when one of its own hops is

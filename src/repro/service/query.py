@@ -1,10 +1,11 @@
 """The scale-out query executor (``QueryExecutor``) and its result cache.
 
 PR 3 made the *write* path concurrent; this module is the read-side
-counterpart: one executor object that plans a ``prov_query`` / ``impact`` /
-``dependencies`` request against the catalog, fans the per-shard work out
-over a thread pool, and fronts everything with a generation-keyed LRU so a
-hot query never re-runs the θ-join chain at all.
+counterpart: one executor object that plans ``prov_query`` requests against
+the catalog, runs each path's requests as one batched θ-join chain, and
+fronts everything with a generation-keyed LRU so a hot query never re-runs
+the chain at all.  (The graph queries — ``impact``, ``dependencies``, the
+summary — are :class:`~repro.dslog.DSLog`'s own; nothing here caches them.)
 
 The read pipeline
 -----------------
@@ -29,12 +30,11 @@ is that pipeline on a list of one (re-raising its item's error) and
    (compaction retires rather than deletes segments while the pipeline
    reads), the group's home shards pass their circuit breakers, and each
    hop's table is resolved once and held for the join: resident ones from
-   the table cache, the others hydrated *per shard* on the thread pool —
-   shards are independent single-writer stores, so their segment reads,
-   gunzips and deserializations overlap instead of queueing behind one
-   another.  The group then runs as one θ-join chain
-   (:func:`~repro.core.query.execute_path_batch`), one kernel pass per hop
-   however many requests share the path.  Equally short planned paths run
+   the table cache, the others hydrated shard by shard on the calling
+   thread — or, under a deadline, each cold shard on the thread pool,
+   awaited against the remaining budget.  The group then runs as one
+   θ-join chain (:func:`~repro.core.query.execute_path_batch`), one kernel
+   pass per hop however many requests share the path.  Equally short planned paths run
    one after the other on the calling thread, and their per-path
    :class:`~repro.core.query.QueryResult`\\ s are combined with
    ``QueryResult.union``.
@@ -58,9 +58,7 @@ version it was last validated at:
   same planned paths over the same tokens restamp the result and hit: a
   write costs the readers only what it changed.  Anything else — a replaced
   or dropped hop, a new edge that shortens or widens a graph-planned path —
-  is an invalidation;
-* ``impact`` / ``dependencies`` / ``lineage_summary`` / ``graph_edges``
-  depend on the whole catalog: any version change invalidates them.
+  is an invalidation.
 
 Memory logs, one-shard and N-shard stores get the same precision from the
 same code; a snapshot view's frozen catalog never leaves the first case.
@@ -87,12 +85,15 @@ the shard is reopened-with-scrub
 breaker closes only when that heal succeeds.
 
 Deadlines: ``deadline=seconds`` (or the constructor-wide
-``default_deadline``) bounds the pooled per-shard hydration and is re-checked
-before the join; a shard that stalls past the budget raises
-:class:`~repro.faults.DeadlineExceeded` (and counts against its breaker)
-instead of wedging the request.  An executor without a pool
-(``max_workers=1``) hydrates in-line, where a stalled read cannot be
-abandoned; it still refuses a join whose budget is already spent.
+``default_deadline``) puts each cold shard's hydration on the pool, awaited
+against the budget, and is re-checked before the join; a shard that stalls
+past the budget raises :class:`~repro.faults.DeadlineExceeded` (and counts
+against its breaker) instead of wedging the request.  Without a deadline
+there is no read to abandon, and concurrent requests already overlap their
+loads on their own threads: every table hydrates on the calling thread.
+An executor without a pool (``max_workers=1``) hydrates in-line even under
+a deadline, where a stalled read cannot be abandoned; it still refuses a
+join whose budget is already spent.
 """
 
 from __future__ import annotations
@@ -169,12 +170,11 @@ class QueryOutcome(NamedTuple):
 class ResultCache:
     """LRU of query results keyed on digest, validated per lineage entry.
 
-    Thread-safe: the HTTP server's handler threads and the executor's own
-    pool all go through here.  An item is ``(value, path, deps, version)``:
-    the request path, what resolving it gave when the value was computed
-    (the planned paths and the token of every hop; ``path`` and ``deps``
-    are ``None`` for an answer that depends on the whole catalog) and the
-    catalog version it was last validated at.  It *hits* while resolving
+    Thread-safe: the server's handler threads all go through here.  An
+    item is ``(value, path, deps, version)``: the request path, what
+    resolving it gave when the value was computed (the planned paths and
+    the token of every hop) and the catalog version it was last validated
+    at.  It *hits* while resolving
     the path would still give ``deps``; a stale item is counted as an
     invalidation but **kept** — it is the degraded answer
     :meth:`lookup_stale` serves while the shard that could refresh it is
@@ -222,7 +222,7 @@ class ResultCache:
         # the catalog changed since this item was last validated: resolve
         # its path again, outside the mutex — once per item per change
         try:
-            valid = path is not None and resolve(path) == deps
+            valid = resolve(path) == deps
         except Exception:  # noqa: BLE001 - a hop is gone: not what was cached
             valid = False
         with self._lock:
@@ -256,7 +256,7 @@ class ResultCache:
             _RESULT_STALE_SERVES.inc()
             return True, item[0]
 
-    def store(self, key: bytes, value: Any, version: int, path=None, deps=None) -> None:
+    def store(self, key: bytes, value: Any, version: int, path, deps) -> None:
         if not self.enabled:
             return
         with self._lock:
@@ -292,9 +292,9 @@ class QueryExecutor:
         Any :class:`~repro.dslog.DSLog` (memory or durable; a snapshot
         view works too).  The executor only reads.
     max_workers:
-        Thread-pool width for the per-shard prefetch; ``1`` means no pool
-        (tables hydrate in-line).  Defaults to
-        ``min(8, max(2, os.cpu_count()))``.
+        Thread-pool width for the per-shard hydration of a query with a
+        deadline; ``1`` means no pool (tables hydrate in-line, unbounded).
+        Defaults to ``min(8, max(2, os.cpu_count()))``.
     cache_entries:
         Capacity of the :class:`ResultCache`; ``0`` disables caching.
     default_deadline:
@@ -428,23 +428,18 @@ class QueryExecutor:
     # digests
     # ------------------------------------------------------------------
     @staticmethod
-    def _digest(kind: str, *parts: bytes) -> bytes:
-        h = hashlib.blake2b(digest_size=16)
-        h.update(kind.encode("utf-8"))
-        for part in parts:
-            h.update(b"\x1f")
-            h.update(part)
-        return h.digest()
-
-    def _query_digest(self, path: Sequence[str], box_set, merge: bool) -> bytes:
-        return self._digest(
-            "prov_query",
+    def _query_digest(path: Sequence[str], box_set, merge: bool) -> bytes:
+        h = hashlib.blake2b(b"prov_query", digest_size=16)
+        for part in (
             "\x00".join(path).encode("utf-8"),
             repr(box_set.shape).encode("utf-8"),
             box_set.lo.tobytes(),
             box_set.hi.tobytes(),
             b"1" if merge else b"0",
-        )
+        ):
+            h.update(b"\x1f")
+            h.update(part)
+        return h.digest()
 
     # ------------------------------------------------------------------
     # the read API
@@ -689,36 +684,6 @@ class QueryExecutor:
             shard=shard,
         )
 
-    def impact(self, name: str) -> Dict[str, int]:
-        """Cached :meth:`DSLog.impact` (valid for one catalog version —
-        any new entry can extend the closure)."""
-        return self._graph_cached("impact", name, lambda: self.log.impact(name))
-
-    def dependencies(self, name: str) -> Dict[str, int]:
-        """Cached :meth:`DSLog.dependencies`."""
-        return self._graph_cached(
-            "dependencies", name, lambda: self.log.dependencies(name)
-        )
-
-    def lineage_summary(self) -> dict:
-        """Cached :meth:`DSLog.lineage_summary`."""
-        return self._graph_cached("summary", "", self.log.lineage_summary)
-
-    def graph_edges(self):
-        """Cached edge list of the lineage DAG (sorted ``(in, out)`` pairs)."""
-        return self._graph_cached("edges", "", lambda: self.log.graph.edges())
-
-    def _graph_cached(self, kind: str, name: str, compute):
-        self._check_open()
-        key = self._digest(kind, name.encode("utf-8"))
-        version = self.log.catalog.version
-        hit, value = self.cache.lookup(key, version, self._dependencies)
-        if hit:
-            return value
-        value = compute()
-        self.cache.store(key, value, version)  # no path: the whole catalog
-        return value
-
     # ------------------------------------------------------------------
     # fan-out
     # ------------------------------------------------------------------
@@ -745,15 +710,10 @@ class QueryExecutor:
         nothing of what is loaded here.
 
         A resident table is a cache ``get``.  The others hydrate through
-        their shard's segment reader, grouped by home shard: when two or
-        more shards have tables to load, each shard's group goes to the
-        pool so their reads + gunzips overlap while one shard's own reads
-        stay sequential (one file cursor) — the per-shard fan-out of the
-        serving tier.  One cold shard has nothing to overlap with and
-        hydrates on the calling thread; with every table resident the
-        common warm query pays no thread round trip at all.
+        their shard's segment reader, grouped by home shard, on the calling
+        thread: a query pays no pool round trip.
 
-        With a deadline, cold shards always go to the pool and each is
+        With a deadline, each cold shard's group goes to the pool and is
         awaited against the remaining budget: one slow/stalled shard raises
         :class:`~repro.faults.DeadlineExceeded` naming it, instead of
         wedging the whole query.  An executor without a pool hydrates
@@ -784,10 +744,9 @@ class QueryExecutor:
                     time.monotonic() - started
                 )
 
-        cold = [shard for shard, tasks in by_shard.items() if tasks]
-        pooled = cold if len(cold) >= 2 or deadline_at is not None else []
-        if self._pool is None:
-            pooled = []
+        pooled = []  # only a deadline needs a load it can stop waiting for
+        if deadline_at is not None and self._pool is not None:
+            pooled = [shard for shard, tasks in by_shard.items() if tasks]
         futures = {
             self._pool.submit(tracing.wrap_context(load), shard): shard for shard in pooled
         }

@@ -1,15 +1,17 @@
-"""The binary RPC transport: persistent-connection server and pooled client.
+"""The binary RPC wire: the framed connection handler and pooled client.
 
-The HTTP tier (:mod:`repro.service.server`) optimizes for reach — curl,
-browsers, load balancers.  This tier optimizes for the common production
-shape instead: a handful of long-lived clients hammering the catalog with
-small queries, where the per-request costs HTTP cannot shed (request-line
-and header parsing, JSON-encoding every box coordinate) dominate the
-round trip.  The operations are the rows of :data:`repro.service.api.
-ENDPOINTS` (the table is in :mod:`repro.service.server`'s docstring), keyed
-here by opcode; this module owns only the binary codec and the sockets.
+HTTP (:mod:`repro.service.server`) optimizes for reach — curl, browsers,
+load balancers.  This wire optimizes for the common production shape
+instead: a handful of long-lived clients hammering the catalog with small
+queries, where the per-request costs HTTP cannot shed (request-line and
+header parsing, JSON-encoding every box coordinate) dominate the round
+trip.  The operations are the rows of :data:`repro.service.api.ENDPOINTS`
+(the table is in :mod:`repro.service.server`'s docstring), keyed here by
+opcode; this module owns only the binary codec and the sockets.  The
+server is :class:`~repro.service.server.LineageServer` given an
+``rpc_port``.
 
-* :class:`RPCServer` — a ``socketserver.ThreadingTCPServer`` speaking the
+* :class:`_ConnectionHandler` — the RPC listener's handler, speaking the
   framed protocol of :mod:`repro.service.wire`: one daemon thread per
   connection reading length-prefixed frames in a loop (the connection
   persists across requests; request ids let a client pipeline), dispatching
@@ -26,10 +28,9 @@ here by opcode; this module owns only the binary codec and the sockets.
   and the (idempotent) request re-sent until the attempt count or retry
   budget runs out.  Query results come back as zero-copy
   :class:`~repro.service.wire.RPCResult` views.
-* :class:`DualServer` — both transports' listeners over one core.
 
 Fault injection: pass a :class:`~repro.faults.FaultPlan` to the server
-and the response path consults site ``"rpc.send"`` — ``stall`` rules
+and the RPC response path consults site ``"rpc.send"`` — ``stall`` rules
 delay the response, ``error`` rules drop the connection before answering,
 ``short_write`` rules transmit a partial frame and then drop it.  The
 soak tests drive these to prove the client degrades to retry, never to a
@@ -45,16 +46,8 @@ from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..obs import REGISTRY, log_event
-from .api import ENDPOINTS, MAX_BODY_BYTES, BodyTooLarge, Endpoint, ServiceCore, error_info
-from .query import DEFAULT_CACHE_ENTRIES, QueryExecutor
-from .server import (
-    LineageServer,
-    LineageServerError,
-    _Client,
-    _Listener,
-    _RequestMeter,
-    _Server,
-)
+from .api import ENDPOINTS, MAX_BODY_BYTES, BodyTooLarge, Endpoint, error_info
+from .server import LineageServer, LineageServerError, _Client, _RequestMeter
 from .wire import (
     FRAME_HEADER_SIZE,
     OP_ERROR,
@@ -73,7 +66,7 @@ from .wire import (
     recv_exact,
 )
 
-__all__ = ["RPCServer", "RPCClient", "DualServer"]
+__all__ = ["RPCClient"]
 
 _RPC_REQUESTS = REGISTRY.counter(
     "dslog_rpc_requests_total",
@@ -135,9 +128,9 @@ def _error_fields(payload: bytes) -> dict:
 # server
 # ----------------------------------------------------------------------
 class _ConnectionHandler(socketserver.BaseRequestHandler):
-    """One thread per connection: read frames in a loop until the peer
-    hangs up (or the closing server does), answering each on the same
-    socket."""
+    """The RPC listener's handler, one thread per connection: read frames
+    in a loop until the peer hangs up (or the closing server does, or the
+    listener's idle timeout), answering each on the same socket."""
 
     def handle(self) -> None:
         sock: socket.socket = self.request
@@ -239,39 +232,6 @@ class _ConnectionHandler(socketserver.BaseRequestHandler):
         sock.sendall(frame)
 
 
-class _RPCListener(_Listener, socketserver.ThreadingTCPServer):
-    fault_plan = None  # the RPCServer's injection hook
-
-
-class RPCServer(_Server):
-    """Serve a DSLog catalog over the binary framed protocol.
-
-    *host* / *port* are the bind address (``port=0`` picks a free port; read
-    it, or the whole ``address``, off the server); *fault_plan* is the
-    injection hook used by the soak tests.  The other parameters are
-    :class:`~repro.service.server._Server`'s.
-    """
-
-    def __init__(
-        self,
-        log,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        executor: Optional[QueryExecutor] = None,
-        max_workers: Optional[int] = None,
-        cache_entries: int = DEFAULT_CACHE_ENTRIES,
-        core: Optional[ServiceCore] = None,
-        fault_plan=None,
-    ) -> None:
-        super().__init__(log, executor, max_workers, cache_entries, core)
-        self.fault_plan = fault_plan
-        listener = _RPCListener((host, port), _ConnectionHandler, self.core)
-        listener.fault_plan = fault_plan
-        self.host, self.port = self._listen(listener)
-        self.address = f"{self.host}:{self.port}"
-        self.url = f"rpc://{self.address}"
-
-
 # ----------------------------------------------------------------------
 # client
 # ----------------------------------------------------------------------
@@ -309,7 +269,8 @@ class _PooledConnection:
 
 
 class RPCClient(_Client):
-    """Pooled persistent-connection client for an :class:`RPCServer`.
+    """Pooled persistent-connection client for the RPC listener of a
+    :class:`~repro.service.server.LineageServer`.
 
     Connections are created on demand up to *pool_size*, parked in an idle
     pool between requests (LIFO, so the hottest socket stays hot) and
@@ -482,36 +443,10 @@ class RPCClient(_Client):
 
 
 # ----------------------------------------------------------------------
-# both transports over one core
+# compatibility
 # ----------------------------------------------------------------------
-class DualServer(_Server):
-    """One catalog served over HTTP *and* RPC simultaneously — what
-    ``DSLog.serve(transport="both")`` returns.
+class DualServer(LineageServer):
+    """A :class:`~repro.service.server.LineageServer` that serves RPC by default."""
 
-    :attr:`http` and :attr:`rpc` borrow the one
-    :class:`~repro.service.api.ServiceCore` owned here, so they answer
-    identically and share the executor and the result cache (a query
-    cached via HTTP is a cache hit via RPC and vice versa); this server
-    runs both their listeners and releases the core once, after both have
-    stopped.
-    """
-
-    def __init__(
-        self,
-        log,
-        host: str = "127.0.0.1",
-        http_port: int = 0,
-        rpc_port: int = 0,
-        executor: Optional[QueryExecutor] = None,
-        max_workers: Optional[int] = None,
-        cache_entries: int = DEFAULT_CACHE_ENTRIES,
-        fault_plan=None,
-    ) -> None:
-        super().__init__(log, executor, max_workers, cache_entries)
-        self.http = LineageServer(log, host=host, port=http_port, core=self.core)
-        self.rpc = RPCServer(
-            log, host=host, port=rpc_port, core=self.core, fault_plan=fault_plan
-        )
-        self._listeners = self.http._listeners + self.rpc._listeners
-        self.url = self.http.url  # the HTTP URL; the RPC one is rpc_address
-        self.rpc_address = self.rpc.address
+    def __init__(self, log, rpc_port: Optional[int] = 0, **options) -> None:
+        super().__init__(log, rpc_port=rpc_port, **options)

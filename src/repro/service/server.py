@@ -1,5 +1,5 @@
-"""The serving tier: the lifecycle and client core both transports share,
-and the HTTP transport (``LineageServer`` / ``LineageClient``).
+"""The serving tier: the one server (``LineageServer``), the client core
+both wires share, and the HTTP wire (``LineageClient``).
 
 Everything before this module answered queries in-process; the serving
 tier makes the catalog reachable from other processes with nothing beyond
@@ -8,22 +8,24 @@ the stdlib.  Which file owns what:
 * :mod:`repro.service.api` — the endpoint table (:data:`~repro.service.
   api.ENDPOINTS`), argument validation, the error taxonomy and the
   :class:`~repro.service.api.ServiceCore` every request runs against;
-* this module — what a server is whatever it speaks (:class:`_Server`: core
-  ownership, listener threads, ``start`` / ``serve_forever`` / ``close``,
-  hanging up on open connections) and what a client is whatever it speaks
-  (:class:`_Client`: retry policy and loop, ``connect`` rendezvous, request
-  building, one method per endpoint over a transport's ``call``); what a
-  request costs in bookkeeping on either wire (:class:`_RequestMeter`:
+* this module — the server (:class:`LineageServer`: one core, a listener
+  per port — HTTP on ``port``, RPC on ``rpc_port`` — ``start`` /
+  ``serve_forever`` / ``close``, hanging up on open connections; each
+  listener caps its connections at :data:`MAX_CONNECTIONS` and hangs up on
+  a peer idle for :data:`IDLE_TIMEOUT_S`) and what a client is whatever it
+  speaks (:class:`_Client`: retry policy and loop, ``connect`` rendezvous,
+  request building, one method per endpoint over a wire's ``call``); what
+  a request costs in bookkeeping on either wire (:class:`_RequestMeter`:
   trace, counter, latency histogram, log event); then one lean HTTP/1.1
-  codec for both ends: a ``socketserver`` listener (one handler thread per
-  connection, reading request heads line by line) and a client with
-  **persistent keep-alive connections**, one per calling thread, that
-  sends each request as one buffer;
-* :mod:`repro.service.rpc` — the binary codec and sockets: framed
-  persistent connections, a pooled client, pipelining.
+  codec for both ends: a handler thread per connection reading request
+  heads line by line, and a client with **persistent keep-alive
+  connections**, one per calling thread, that sends each request as one
+  buffer;
+* :mod:`repro.service.rpc` — the binary codec and sockets: the framed
+  connection handler, a pooled client, pipelining.
 
-Pick HTTP for interoperability (curl, browsers, load balancers); pick RPC
-when the round trip itself is the cost that matters.
+Serve HTTP for interoperability (curl, browsers, load balancers), RPC
+when the round trip itself is the cost that matters, or both at once.
 
 The API
 -------
@@ -93,9 +95,9 @@ answered before the body is read.  The client applies the same line and
 header bounds to a reply, and reads at most
 :data:`~repro.service.wire.MAX_FRAME_BYTES` of body.
 
-Construction sugar: ``DSLog.serve(port)`` / ``LineageService.serve(port)``
-start a server on a background thread; ``LineageClient.connect(url)``
-polls ``/healthz`` until the server answers.
+Construction sugar: ``DSLog.serve(port, rpc_port=None)`` /
+``LineageService.serve(...)`` start a server on a background thread;
+``LineageClient.connect(url)`` polls ``/healthz`` until the server answers.
 """
 
 from __future__ import annotations
@@ -142,7 +144,9 @@ __all__ = [
     "LineageClient",
     "LineageServerError",
     "LineageConnectionError",
+    "IDLE_TIMEOUT_S",
     "MAX_BODY_BYTES",
+    "MAX_CONNECTIONS",
     "MAX_HEADERS",
     "MAX_LINE_BYTES",
     "result_payload",
@@ -170,27 +174,46 @@ class LineageConnectionError(ConnectionError):
 
 
 # ----------------------------------------------------------------------
-# the server lifecycle (either transport, or both over one core)
+# the server: one core, a listener per port
 # ----------------------------------------------------------------------
-class _Listener:
-    """``socketserver`` mix-in for a transport's listening socket: carries
-    the core its handler threads serve from and remembers every established
-    connection, so that a closing server can hang up on idle keep-alive and
-    pooled peers instead of leaving their threads to answer from a released
-    core."""
+# the bounds on one listener, either wire: at most MAX_CONNECTIONS open
+# connections (one more is closed unserved), and a peer that leaves a read
+# or a write waiting IDLE_TIMEOUT_S seconds is hung up on
+MAX_CONNECTIONS = 256
+IDLE_TIMEOUT_S = 120.0
+
+
+class _Listener(socketserver.ThreadingTCPServer):
+    """One wire's listening socket: carries the core its handler threads
+    serve from (and the fault plan the RPC handler consults), bounds its
+    connections (:data:`MAX_CONNECTIONS`, :data:`IDLE_TIMEOUT_S`) and
+    remembers every established one, so that a closing server can hang up
+    on idle keep-alive and pooled peers instead of leaving their threads to
+    answer from a released core."""
 
     daemon_threads = True
     allow_reuse_address = True
 
-    def __init__(self, address: Tuple[str, int], handler, core: ServiceCore) -> None:
+    def __init__(self, address: Tuple[str, int], handler, core: ServiceCore, fault_plan) -> None:
         self.core = core
+        self.fault_plan = fault_plan
         self._open: set = set()
         self._open_lock = threading.Lock()
         super().__init__(address, handler)
 
     def process_request(self, request, client_address) -> None:
         with self._open_lock:
-            self._open.add(request)
+            admitted = len(self._open) < MAX_CONNECTIONS
+            if admitted:
+                self._open.add(request)
+        if not admitted:
+            log_event(
+                "connection_refused", level="warning", component="server",
+                client=client_address[0], max_connections=MAX_CONNECTIONS,
+            )
+            self.shutdown_request(request)  # no thread: the peer reads EOF
+            return
+        request.settimeout(IDLE_TIMEOUT_S)  # the OSError it raises ends either wire's handler
         super().process_request(request, client_address)
 
     def shutdown_request(self, request) -> None:
@@ -210,10 +233,13 @@ class _Listener:
                 pass  # the peer already went away
 
 
-class _Server:
-    """What every server is, whatever it speaks: the owner (or borrower) of
-    one :class:`~repro.service.api.ServiceCore` and of the listeners that
-    serve from it.
+class LineageServer:
+    """Serve a DSLog catalog: one :class:`~repro.service.api.ServiceCore`
+    and a listener for each port that is not ``None`` — the HTTP JSON API
+    on *port*, the framed binary protocol (:mod:`repro.service.rpc`) on
+    *rpc_port*.  Both wires answer from the one core, so they share its
+    executor and result cache (a query cached over HTTP is a hit over RPC
+    and vice versa).
 
     Parameters
     ----------
@@ -222,42 +248,59 @@ class _Server:
         server only reads; a colocated writer keeps ingesting through the
         same log object and the result cache invalidates per replaced
         lineage entry.
+    host / port / rpc_port:
+        The bind address.  ``0`` picks a free port; read it off the server
+        (``port`` / ``url``, ``rpc_port`` / ``rpc_address``, each ``None``
+        for a wire not served).  At least one port must be given.
     executor:
-        A pre-built :class:`QueryExecutor` to share; by default the server
+        A pre-built :class:`QueryExecutor` to share; by default the core
         owns one (and closes it on :meth:`close`).
     max_workers / cache_entries:
         Forwarded to the owned executor.
-    core:
-        A pre-built :class:`~repro.service.api.ServiceCore` to serve — how
-        :class:`~repro.service.rpc.DualServer` makes HTTP and RPC share one
-        executor and cache.  Mutually exclusive with *executor* /
-        *max_workers* / *cache_entries*; a borrowed core is not closed by
-        this server.
+    fault_plan:
+        A :class:`~repro.faults.FaultPlan` the RPC reply path consults
+        (site ``"rpc.send"``; see :mod:`repro.service.rpc`).
     """
 
     def __init__(
         self,
         log,
-        executor: Optional[QueryExecutor],
-        max_workers: Optional[int],
-        cache_entries: int,
-        core: Optional[ServiceCore] = None,
+        host: str = "127.0.0.1",
+        port: Optional[int] = 0,
+        rpc_port: Optional[int] = None,
+        executor: Optional[QueryExecutor] = None,
+        max_workers: Optional[int] = None,
+        cache_entries: int = DEFAULT_CACHE_ENTRIES,
+        fault_plan=None,
     ) -> None:
-        self._owns_core = core is None
-        self.core = core or ServiceCore(
-            log,
-            executor=executor,
-            max_workers=max_workers,
-            cache_entries=cache_entries,
+        if port is None and rpc_port is None:
+            raise ValueError("a server needs a port to listen on: port (HTTP), rpc_port (RPC) or both")
+        self.core = ServiceCore(
+            log, executor=executor, max_workers=max_workers, cache_entries=cache_entries
         )
         self._listeners: List[_Listener] = []
         self._threads: List[threading.Thread] = []
         self._closed = False
+        self.host = host
+        self.port = self.url = self.rpc_port = self.rpc_address = None
+        try:
+            if port is not None:
+                self.port = self._listen(port, _Handler, fault_plan)
+                self.url = f"http://{self.host}:{self.port}"
+            if rpc_port is not None:
+                from .rpc import _ConnectionHandler  # rpc imports this module
 
-    def _listen(self, listener: _Listener) -> Tuple[str, int]:
-        """Adopt a bound listener; returns the ``(host, port)`` it got."""
+                self.rpc_port = self._listen(rpc_port, _ConnectionHandler, fault_plan)
+                self.rpc_address = f"{self.host}:{self.rpc_port}"
+        except OSError:
+            self.close()  # a port already taken releases what came before it
+            raise
+
+    def _listen(self, port: int, handler, fault_plan) -> int:
+        """Bind a listener for *handler*; returns the port it got."""
+        listener = _Listener((self.host, port), handler, self.core, fault_plan)
         self._listeners.append(listener)
-        return listener.server_address[:2]
+        return listener.server_address[1]
 
     @property
     def log(self):
@@ -288,7 +331,7 @@ class _Server:
 
     def close(self) -> None:
         """Stop accepting, hang up on every open connection, join the
-        serving threads, release the core (when owned)."""
+        serving threads, release the core."""
         if self._closed:
             return
         self._closed = True
@@ -299,8 +342,7 @@ class _Server:
             listener.hang_up()
         for thread in self._threads:
             thread.join(timeout=5)
-        if self._owns_core:
-            self.core.close()
+        self.core.close()
 
     def __enter__(self):
         return self.start()
@@ -625,32 +667,6 @@ class _Handler(socketserver.StreamRequestHandler):
             status, kind, message = error_info(error)
             return status, self._error_reply(status, kind, message)
         return 200, self._reply(200, _TEXT if row.reply == "text" else _JSON, text)
-
-
-class _HTTPListener(_Listener, socketserver.ThreadingTCPServer):
-    pass
-
-
-class LineageServer(_Server):
-    """Serve a DSLog catalog over HTTP.
-
-    *host* / *port* are the bind address; ``port=0`` picks a free port
-    (read it, or the whole ``url``, off the server).  The other parameters are :class:`_Server`'s.
-    """
-
-    def __init__(
-        self,
-        log,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        executor: Optional[QueryExecutor] = None,
-        max_workers: Optional[int] = None,
-        cache_entries: int = DEFAULT_CACHE_ENTRIES,
-        core: Optional[ServiceCore] = None,
-    ) -> None:
-        super().__init__(log, executor, max_workers, cache_entries, core)
-        self.host, self.port = self._listen(_HTTPListener((host, port), _Handler, self.core))
-        self.url = f"http://{self.host}:{self.port}"
 
 
 # ----------------------------------------------------------------------

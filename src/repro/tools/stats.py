@@ -1,7 +1,9 @@
 """``python -m repro.tools.stats`` — inspect a lineage server's metrics.
 
-Fetches ``GET /metrics`` from a running :class:`~repro.service.server.
-LineageServer`, parses the Prometheus text exposition, and pretty-prints
+Fetches ``GET /metrics`` from the HTTP port of a running
+:class:`~repro.service.server.LineageServer` (its RPC counters included,
+when it serves an ``rpc_port`` too), parses the Prometheus text
+exposition, and pretty-prints
 every counter, gauge and histogram (histograms show count, sum and the
 p50/p95/p99 estimated from the cumulative buckets).  With ``--watch SECS``
 it keeps sampling and additionally prints per-second rates for counters

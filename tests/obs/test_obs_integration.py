@@ -3,7 +3,6 @@ unified /healthz snapshot, structured request logging, and the
 fault-injection accounting invariant (observed == planned)."""
 
 import logging
-import time
 
 import pytest
 
@@ -71,15 +70,8 @@ def _counter_value(name, **labels):
 # /metrics
 # ----------------------------------------------------------------------
 def test_metrics_endpoint_serves_valid_prometheus(client):
+    # a request is metered before its reply is sent: no scrape can race it
     client.prov_query(["c", "a"], cells=[(1, 1)])
-    # the handler meters after sending the response, so the scrape below
-    # can win the race against the /query handler thread; poll briefly
-    deadline = time.monotonic() + 5.0
-    while (
-        _counter_value("dslog_http_requests_total", endpoint="/query", status="200") < 1
-        and time.monotonic() < deadline
-    ):
-        time.sleep(0.01)
     text = client.metrics_text()
     families = parse_prometheus_text(text)  # raises on malformed text
     for name in REQUIRED_METRICS:
@@ -108,40 +100,27 @@ def test_http_error_statuses_are_metered(client):
     before = _counter_value("dslog_http_requests_total", endpoint="/graph/impact", status="404")
     with pytest.raises(Exception):
         client.impact("no-such-array")
-    # the handler meters after sending the error response; poll briefly
-    deadline = time.monotonic() + 5.0
-    while time.monotonic() < deadline:
-        after = _counter_value(
-            "dslog_http_requests_total", endpoint="/graph/impact", status="404"
-        )
-        if after == before + 1:
-            break
-        time.sleep(0.01)
+    after = _counter_value("dslog_http_requests_total", endpoint="/graph/impact", status="404")
     assert after == before + 1
 
 
 # ----------------------------------------------------------------------
 # /debug/traces
 # ----------------------------------------------------------------------
-def _wait_query_traces(client, deadline_s=5.0):
-    """The handler thread finishes its trace after sending the response,
-    so the trace may land in the ring just after the client call returns."""
-    deadline = time.monotonic() + deadline_s
-    while True:
-        matches = [
-            t
-            for t in client.traces()
-            if t["name"] == "http" and t["tags"].get("endpoint") == "/query"
-        ]
-        if matches or time.monotonic() >= deadline:
-            return matches
-        time.sleep(0.01)
+def _query_traces(client):
+    """The ``/query`` traces in the ring: a request's trace is finished
+    before its reply is sent."""
+    return [
+        t
+        for t in client.traces()
+        if t["name"] == "http" and t["tags"].get("endpoint") == "/query"
+    ]
 
 
 def test_query_produces_full_trace(client):
     tracing.clear_traces()
     client.prov_query(["c", "a"], cells=[(2, 3)])
-    http_traces = _wait_query_traces(client)
+    http_traces = _query_traces(client)
     assert http_traces, "no /query trace reached the ring"
     trace = http_traces[0]
     assert trace["tags"]["status"] == 200
@@ -161,7 +140,7 @@ def test_cached_query_trace_tags_hit(client):
     client.prov_query(["c", "a"], cells=[(2, 3)])
     tracing.clear_traces()
     client.prov_query(["c", "a"], cells=[(2, 3)])
-    (trace,) = _wait_query_traces(client)
+    (trace,) = _query_traces(client)
     assert trace["tags"]["cache"] == "hit"
 
 
@@ -169,9 +148,7 @@ def test_traces_limit_param(client):
     tracing.clear_traces()
     for i in range(3):
         client.prov_query(["b", "a"], cells=[(i, i)])
-    deadline = time.monotonic() + 5.0
-    while len(client.traces()) < 3 and time.monotonic() < deadline:
-        time.sleep(0.01)
+    assert len(client.traces()) == 3
     assert len(client.traces(limit=2)) == 2
 
 
@@ -229,12 +206,7 @@ def test_request_log_event(client, caplog):
 
     with caplog.at_level(logging.INFO, logger="repro.obs"):
         client.prov_query(["b", "a"], cells=[(0, 0)])
-        # the handler thread logs after it finishes sending the response,
-        # i.e. possibly after the client call returns — poll briefly
-        deadline = time.monotonic() + 5.0
-        while not query_logs() and time.monotonic() < deadline:
-            time.sleep(0.01)
-    requests = query_logs()
+    requests = query_logs()  # logged before the reply was sent
     assert requests, "no structured request log event"
     entry = requests[-1]
     assert entry["method"] == "POST"

@@ -1,9 +1,9 @@
-"""``QueryExecutor._resolve_tables``: the pool is for overlap, not for
-every query.  Resident tables cost no thread hop, one cold shard hydrates
-on the calling thread, two cold shards fan out, and a deadline still puts
-every cold shard on the pool so a stall is a ``DeadlineExceeded`` naming
-the shard.  Whatever the route, each hop's table is loaded once and the
-join runs on that object — the table cache may keep none of them."""
+"""``QueryExecutor._resolve_tables``: the pool is for deadlines, not for
+every query.  Resident tables cost no thread hop, cold shards hydrate on
+the calling thread, and a deadline puts every cold shard on the pool so a
+stall is a ``DeadlineExceeded`` naming the shard.  Whatever the route,
+each hop's table is loaded once and the join runs on that object — the
+table cache may keep none of them."""
 
 import time
 
@@ -100,12 +100,12 @@ def test_resident_tables_never_reach_the_pool(harness):
     assert harness.executor.stats()["parallel_loads"] == 0
 
 
-def test_two_cold_shards_hydrate_on_the_pool(harness):
+def test_two_cold_shards_hydrate_on_the_calling_thread(harness):
     harness.evict(0, 1)
     assert harness.resident() == [False, False]
     assert harness.executor.query(harness.path, QUERY).result.to_cells() == {(1,)}
-    assert harness.submits == 2
-    assert harness.executor.stats()["parallel_loads"] == 2
+    assert harness.submits == 0
+    assert harness.executor.stats()["parallel_loads"] == 0
     assert harness.resident() == [True, True]
 
 
@@ -176,7 +176,7 @@ def test_traced_query_records_one_span_per_home_shard(harness, cold):
 
 
 def test_traced_resolve_loads_what_an_untraced_one_does(harness):
-    # a lone cold shard stays off the pool with a trace active as well
+    # a cold shard stays off the pool with a trace active as well
     harness.evict(1)
     trace = tracing.start_trace("test")
     try:
@@ -215,8 +215,8 @@ def test_batch_larger_than_the_cache_hydrates_each_table_once(tmp_path):
 
 
 def test_single_query_over_the_budget_hydrates_each_table_once(tmp_path):
-    # the single-query twin: both shards cold (so both loads run on the
-    # pool) and both tables over budget (so the cache keeps neither)
+    # the single-query twin: both shards cold (both loads run on the
+    # calling thread) and both tables over budget (the cache keeps neither)
     path = two_shard_path()
     log = DSLog(
         tmp_path / "db", num_shards=NUM_SHARDS, autosync=False,
@@ -232,7 +232,7 @@ def test_single_query_over_the_budget_hydrates_each_table_once(tmp_path):
         [before] = log.store.cache_stats()
         outcome = executor.query(path, QUERY)
         [after] = log.store.cache_stats()
-        assert executor.stats()["parallel_loads"] == 2
+        assert executor.stats()["parallel_loads"] == 0
     assert outcome.result.to_cells() == {(1,)}
     assert after["misses"] - before["misses"] == 2
     assert after["hits"] == before["hits"]

@@ -242,20 +242,6 @@ def test_replace_landing_mid_query_leaves_a_stale_entry_never_a_wrong_one(log, m
         assert ex.query(path, QUERY).cached is True
 
 
-def test_graph_queries_cached_and_invalidated(log):
-    with QueryExecutor(log) as ex:
-        assert ex.impact("a") == log.impact("a")
-        hits_before = ex.stats()["cache"]["hits"]
-        ex.impact("a")
-        assert ex.stats()["cache"]["hits"] == hits_before + 1
-
-        log.define_array("w", SHAPE)
-        log.add_lineage("c", "w", relation=identity("c", "w"))
-        assert "w" in ex.impact("a")
-        assert ex.dependencies("w") == log.dependencies("w")
-        assert ex.lineage_summary()["entries"] == len(log.catalog)
-
-
 def _never_resolved(path):
     raise AssertionError("an unchanged catalog version must hit without resolving")
 
@@ -300,14 +286,6 @@ def test_result_cache_version_mismatch_keeps_stale_entry():
     assert cache.stats()["stale_hits"] == 1
 
 
-def test_result_cache_whole_catalog_entry_turns_over_on_any_version():
-    cache = ResultCache(max_entries=4)
-    cache.store(b"impact", "closure", 7)
-    assert cache.lookup(b"impact", 7, _never_resolved) == (True, "closure")
-    assert cache.lookup(b"impact", 8, _never_resolved) == (False, None)
-    assert cache.stats()["invalidations"] == 1
-
-
 def test_closed_executor_rejects_queries(log):
     ex = QueryExecutor(log)
     ex.close()
@@ -315,8 +293,6 @@ def test_closed_executor_rejects_queries(log):
         ex.prov_query(["a", "b"], QUERY)
     with pytest.raises(RuntimeError):
         ex.prov_query_batch([(["a", "b"], QUERY), (["b", "c"], QUERY)])
-    with pytest.raises(RuntimeError):
-        ex.impact("a")
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,7 @@ import pytest
 from repro import DSLog
 from repro.core.relation import LineageRelation
 from repro.obs import REGISTRY
-from repro.service.rpc import DualServer, RPCClient, RPCServer
+from repro.service.rpc import RPCClient
 from repro.service.server import (
     LineageClient,
     LineageServer,
@@ -57,14 +57,14 @@ def log(tmp_path):
 
 @pytest.fixture
 def server(log):
-    server = RPCServer(log).start()
+    server = LineageServer(log, port=None, rpc_port=0).start()
     yield server
     server.close()
 
 
 @pytest.fixture
 def client(server):
-    client = RPCClient.connect(server.address)
+    client = RPCClient.connect(server.rpc_address)
     yield client
     client.close()
 
@@ -103,7 +103,7 @@ def test_query_batch_mixed(client):
 
 
 def test_unknown_opcode_gets_error_frame(server):
-    with socket.create_connection((server.host, server.port), timeout=5) as sock:
+    with socket.create_connection((server.host, server.rpc_port), timeout=5) as sock:
         sock.sendall(encode_frame(240, 1, b"{}"))
         opcode, request_id, payload = read_frame(sock)
     assert opcode == OP_ERROR
@@ -119,7 +119,7 @@ def test_oversized_request_frame_is_413_without_reading_the_payload(server):
     block until the socket timeout fails this test."""
     declared = 17 * 1024 * 1024
     assert MAX_BODY_BYTES < declared
-    with socket.create_connection((server.host, server.port), timeout=5) as sock:
+    with socket.create_connection((server.host, server.rpc_port), timeout=5) as sock:
         sock.sendall(WIRE_MAGIC + struct.pack("<HIHI", WIRE_VERSION, declared, OP_QUERY, 7))
         opcode, request_id, payload = read_frame(sock)
         assert (opcode, request_id) == (OP_ERROR, 7)
@@ -130,7 +130,7 @@ def test_oversized_request_frame_is_413_without_reading_the_payload(server):
 
 
 def test_corrupt_frame_closes_connection(server):
-    with socket.create_connection((server.host, server.port), timeout=5) as sock:
+    with socket.create_connection((server.host, server.rpc_port), timeout=5) as sock:
         sock.sendall(b"JUNKJUNKJUNKJUNKJUNK")
         assert sock.recv(1024) == b""  # server hangs up, no reply possible
 
@@ -141,9 +141,9 @@ def test_corrupt_frame_closes_connection(server):
 def test_results_identical_across_transports(log):
     """The RPC result, rendered to the HTTP payload shape, must be
     byte-identical to the HTTP response (modulo timing fields)."""
-    with DualServer(log) as dual:
-        http = LineageClient.connect(dual.url)
-        rpc = RPCClient.connect(dual.rpc_address)
+    with LineageServer(log, rpc_port=0) as server:
+        http = LineageClient.connect(server.url)
+        rpc = RPCClient.connect(server.rpc_address)
         requests = [
             {"cells": [[1, 1], [4, 5]]},
             {"cells": [[0, 0]], "merge": False},
@@ -171,9 +171,9 @@ def test_results_identical_across_transports(log):
 
 
 def test_cache_shared_across_transports(log):
-    with DualServer(log) as dual:
-        http = LineageClient.connect(dual.url)
-        rpc = RPCClient.connect(dual.rpc_address)
+    with LineageServer(log, rpc_port=0) as server:
+        http = LineageClient.connect(server.url)
+        rpc = RPCClient.connect(server.rpc_address)
         first = http.prov_query(["a", "b"], cells=[[3, 3]])
         assert first["cached"] is False
         warm = rpc.prov_query(["a", "b"], cells=[[3, 3]])
@@ -182,29 +182,50 @@ def test_cache_shared_across_transports(log):
         rpc.close()
 
 
-def test_dslog_serve_transport_param(log):
-    rpc_server = log.serve(transport="rpc")
+def test_one_server_class_serves_either_wire_or_both(log):
+    """A listener per port that is not ``None``; each wire's address is
+    ``None`` on a server that does not speak it."""
+    with LineageServer(log) as http_only:
+        assert http_only.url and http_only.rpc_port is None and http_only.rpc_address is None
+        assert len(http_only._listeners) == 1
+        with LineageClient.connect(http_only.url) as http:
+            assert http.prov_query(["a", "b"], cells=[[0, 0]])["count"] == 1
+    with LineageServer(log, port=None, rpc_port=0) as rpc_only:
+        assert rpc_only.port is None and rpc_only.url is None
+        assert len(rpc_only._listeners) == 1
+        with RPCClient.connect(rpc_only.rpc_address) as rpc:
+            assert rpc.prov_query(["a", "b"], cells=[[0, 0]])["count"] == 1
+    with LineageServer(log, rpc_port=0) as both:
+        assert both.port != both.rpc_port and len(both._listeners) == 2
+        with pytest.raises(OSError):  # a port already taken
+            LineageServer(log, port=0, rpc_port=both.rpc_port)
+    with pytest.raises(ValueError, match="port"):
+        LineageServer(log, port=None, rpc_port=None)
+
+
+def test_dslog_serve_takes_its_wires_from_the_ports(log):
+    server = log.serve(rpc_port=0)
     try:
-        assert isinstance(rpc_server, RPCServer)
-        client = RPCClient.connect(rpc_server.address)
-        assert client.prov_query(["a", "b"], cells=[[0, 0]])["count"] == 1
-        client.close()
+        assert isinstance(server, LineageServer)
+        with LineageClient.connect(server.url) as http, RPCClient.connect(server.rpc_address) as rpc:
+            assert http.prov_query(["a", "b"], cells=[[0, 0]])["cached"] is False
+            assert rpc.prov_query(["a", "b"], cells=[[0, 0]]).cached is True
     finally:
-        rpc_server.close()
-    http_server = log.serve()
+        server.close()
+    server = log.serve(port=None, rpc_port=0, start=False)
     try:
-        assert isinstance(http_server, LineageServer)
+        assert server.url is None and server.rpc_port > 0
     finally:
-        http_server.close()
-    with pytest.raises(ValueError, match="unknown transport"):
-        log.serve(transport="carrier-pigeon")
+        server.close()
+    with pytest.raises(ValueError):
+        log.serve(port=None)
 
 
 # ----------------------------------------------------------------------
 # connection lifecycle
 # ----------------------------------------------------------------------
 def test_connection_reused_across_requests(server):
-    client = RPCClient.connect(server.address)
+    client = RPCClient.connect(server.rpc_address)
     try:
         for _ in range(10):
             client.ping()
@@ -215,7 +236,7 @@ def test_connection_reused_across_requests(server):
 
 
 def test_pool_grows_under_concurrency(server):
-    client = RPCClient.connect(server.address, pool_size=4)
+    client = RPCClient.connect(server.rpc_address, pool_size=4)
     barrier = threading.Barrier(4)
     errors = []
 
@@ -283,7 +304,7 @@ def test_prov_query_pipelined_mixed_errors(client):
 
 
 def test_prov_query_pipelined_single_connection(server):
-    client = RPCClient.connect(server.address)
+    client = RPCClient.connect(server.rpc_address)
     try:
         queries = [(["a", "b"], [[i % 6, i % 6]]) for i in range(32)]
         results = client.prov_query_pipelined(queries, window=8)
@@ -297,7 +318,7 @@ def test_request_id_pipelining_order(server):
     """Many requests written before any response is read: responses come
     back in order, each echoing its request id."""
     body = encode_json({"path": ["a", "b"], "cells": [[1, 1]]})
-    with socket.create_connection((server.host, server.port), timeout=10) as sock:
+    with socket.create_connection((server.host, server.rpc_port), timeout=10) as sock:
         ids = [17, 3, 99, 41, 7]
         for rid in ids:
             sock.sendall(encode_frame(OP_QUERY, rid, body))
@@ -328,7 +349,7 @@ def test_rpc_metrics_per_opcode(client):
 def test_connection_gauge_tracks_open_sockets(server):
     gauge = REGISTRY.gauge("dslog_rpc_connections")
     base = gauge.value
-    client = RPCClient.connect(server.address)
+    client = RPCClient.connect(server.rpc_address)
     client.ping()
     assert gauge.value == base + 1
     client.close()
@@ -341,7 +362,7 @@ def test_connection_gauge_tracks_open_sockets(server):
 def test_rpc_requests_traced(server):
     from repro.obs import tracing
 
-    client = RPCClient.connect(server.address)
+    client = RPCClient.connect(server.rpc_address)
     client.prov_query(["a", "b", "c"], cells=[[1, 1]])
     client.close()
     traces = tracing.recent_traces(20)

@@ -15,8 +15,8 @@ import pytest
 from repro import DSLog, FaultPlan
 from repro.core.relation import LineageRelation
 from repro.faults import FaultRule
-from repro.service.rpc import RPCClient, RPCServer
-from repro.service.server import LineageConnectionError
+from repro.service.rpc import RPCClient
+from repro.service.server import LineageConnectionError, LineageServer
 
 pytestmark = pytest.mark.faults
 
@@ -42,7 +42,7 @@ def log():
 
 
 def serve_with_plan(log, plan):
-    return RPCServer(log, fault_plan=plan).start()
+    return LineageServer(log, port=None, rpc_port=0, fault_plan=plan).start()
 
 
 def test_short_write_mid_frame_degrades_to_retry(log):
@@ -51,7 +51,7 @@ def test_short_write_mid_frame_degrades_to_retry(log):
     plan = FaultPlan().on("rpc.send", kind="short_write", at=2, fraction=0.3)
     server = serve_with_plan(log, plan)
     try:
-        client = RPCClient.connect(server.address)  # consumes send #1
+        client = RPCClient.connect(server.rpc_address)  # consumes send #1
         plan.arm()
         result = client.prov_query(["a", "b", "c"], cells=[[1, 1]])  # send #2 torn
         assert result["count"] == 1
@@ -67,7 +67,7 @@ def test_connection_kill_before_response_degrades_to_retry(log):
     plan = FaultPlan().on("rpc.send", kind="error", at=2)
     server = serve_with_plan(log, plan)
     try:
-        client = RPCClient.connect(server.address)
+        client = RPCClient.connect(server.rpc_address)
         plan.arm()
         result = client.prov_query(["a", "b"], cells=[[2, 3]])
         assert result["count"] == 1
@@ -83,7 +83,7 @@ def test_stall_is_waited_out_not_hung(log):
     plan = FaultPlan().on("rpc.send", kind="stall", at=2, seconds=0.2)
     server = serve_with_plan(log, plan)
     try:
-        client = RPCClient.connect(server.address, timeout=5.0)
+        client = RPCClient.connect(server.rpc_address, timeout=5.0)
         plan.arm()
         result = client.prov_query(["a", "b"], cells=[[0, 0]])
         assert result["count"] == 1
@@ -102,7 +102,7 @@ def test_stall_past_socket_timeout_is_retried(log):
     try:
         # construct directly: RPCClient.connect's timeout is the rendezvous
         # deadline, while this test needs a short per-socket timeout
-        client = RPCClient(server.address, timeout=0.2, backoff=0.01)
+        client = RPCClient(server.rpc_address, timeout=0.2, backoff=0.01)
         client.ping()  # send #1, warms the pooled connection
         plan.arm()
         result = client.prov_query(["a", "b"], cells=[[1, 2]])
@@ -121,7 +121,7 @@ def test_persistent_faults_exhaust_budget_with_structured_error(log):
     try:
         plan.arm()
         client = RPCClient(
-            server.address, retries=2, backoff=0.01, retry_budget=1.0
+            server.rpc_address, retries=2, backoff=0.01, retry_budget=1.0
         )
         with pytest.raises(LineageConnectionError, match="attempts"):
             client.prov_query(["a", "b"], cells=[[0, 1]])
@@ -146,7 +146,7 @@ def test_random_send_faults_soak(log, seed):
     server = serve_with_plan(log, plan)
     try:
         client = RPCClient.connect(
-            server.address, retries=8, backoff=0.005, retry_budget=10.0
+            server.rpc_address, retries=8, backoff=0.005, retry_budget=10.0
         )
         plan.arm()
         expected = [(cell, 1) for cell in ([[0, 0]], [[1, 2]], [[3, 3]])]

@@ -1,10 +1,10 @@
 """The serving tier on the multi-hop scatter catalogs its throughput is
 measured on, checked for agreement instead of speed: a batch answers like
 its queries one at a time, a result-cache hit like the θ-join chain it
-skips, the pooled shard fan-out like the in-line executor, HTTP, RPC and
-pipelined RPC like one another, observability switched off like on, and
-concurrent durable ingest publishes every operation it was handed.  The
-rates themselves come from ``bench/``."""
+skips, a deadline's pooled shard fan-out like the in-line executor, HTTP,
+RPC and pipelined RPC like one another, observability switched off like
+on, and concurrent durable ingest publishes every operation it was
+handed.  The rates themselves come from ``bench/``."""
 
 import threading
 
@@ -16,7 +16,8 @@ from repro.core.query import execute_path, execute_path_batch
 from repro.core.relation import LineageRelation
 from repro.obs import REGISTRY, set_enabled
 from repro.service.query import QueryExecutor
-from repro.service.rpc import DualServer, RPCClient
+from repro.service.rpc import RPCClient
+from repro.service.server import LineageServer
 
 
 def scatter(shape, in_name, out_name):
@@ -166,7 +167,8 @@ def test_pooled_fanout_matches_sequential(serving_catalogs, num_shards):
         sequential = ex.prov_query_batch(mix)
     log.store.cache.clear()
     with QueryExecutor(log, max_workers=4, cache_entries=0) as ex:
-        pooled = ex.prov_query_batch(mix)
+        # only a deadline sends cold shards to the pool
+        pooled = [outcome.result for outcome in ex.query_batch(mix, deadline=60.0)]
         assert ex.stats()["parallel_loads"] > 0
     same_results(pooled, sequential)
 
@@ -239,9 +241,9 @@ def transports(tmp_path_factory):
     for a, b in zip(names, names[1:]):
         log.add_lineage(a, b, relation=scatter(RPC_SHAPE, a, b))
     log.sync()
-    with DualServer(log, cache_entries=0) as dual:
-        with LineageClient.connect(dual.url, timeout=30.0) as http:
-            with RPCClient.connect(dual.rpc_address, timeout=30.0) as rpc:
+    with LineageServer(log, rpc_port=0, cache_entries=0) as server:
+        with LineageClient.connect(server.url, timeout=30.0) as http:
+            with RPCClient.connect(server.rpc_address, timeout=30.0) as rpc:
                 yield http, rpc
     log.close()
 

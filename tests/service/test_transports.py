@@ -19,7 +19,7 @@ from repro.core.relation import LineageRelation
 from repro.service import server as server_module
 from repro.service import wire
 from repro.service.api import ENDPOINTS
-from repro.service.rpc import DualServer, RPCClient, RPCServer
+from repro.service.rpc import RPCClient
 from repro.service.server import (
     LineageClient,
     LineageConnectionError,
@@ -31,9 +31,11 @@ SHAPE = (6, 6)
 
 
 class Transport(NamedTuple):
-    server: type
+    name: str
+    server: Callable  # (log, port=0) -> a server listening on this wire only
     client: type
     address: Callable  # server -> what its client dials
+    port: Callable  # server -> the port this wire got
     dead: str  # an address nothing listens on
     sockets: Callable  # client -> the sockets it holds open (idle, this thread)
 
@@ -41,9 +43,11 @@ class Transport(NamedTuple):
 TRANSPORTS = [
     pytest.param(
         Transport(
-            LineageServer,
+            "http",
+            lambda log, port=0: LineageServer(log, port=port),
             LineageClient,
             lambda server: server.url,
+            lambda server: server.port,
             "http://127.0.0.1:9",
             lambda client: [client._local.conn.sock],
         ),
@@ -51,9 +55,11 @@ TRANSPORTS = [
     ),
     pytest.param(
         Transport(
-            RPCServer,
+            "rpc",
+            lambda log, port=0: LineageServer(log, port=None, rpc_port=port),
             RPCClient,
-            lambda server: server.address,
+            lambda server: server.rpc_address,
+            lambda server: server.rpc_port,
             "127.0.0.1:9",
             lambda client: [conn.sock for conn in client._idle],
         ),
@@ -177,8 +183,8 @@ def test_every_endpoint_answers_alike_on_both_wires(log):
         except LineageServerError as error:
             return (error.status, error.kind, error.message)
 
-    with DualServer(log) as dual:
-        with LineageClient.connect(dual.url) as http, RPCClient.connect(dual.rpc_address) as rpc:
+    with LineageServer(log, rpc_port=0) as server:
+        with LineageClient.connect(server.url) as http, RPCClient.connect(server.rpc_address) as rpc:
             rejected = 0
             for name, args in EQUIVALENT_CALLS:
                 over_http, over_rpc = answer(http, name, args), answer(rpc, name, args)
@@ -225,7 +231,7 @@ def test_request_log_event_names_the_request_and_its_trace(transport, client, ca
     """At level info every request logs one event (``request`` over HTTP,
     ``rpc_request`` over RPC) whose fields name the request and whose trace
     id is the one ``/debug/traces`` shows for it."""
-    if transport.server is LineageServer:
+    if transport.name == "http":
         event, tags, status = "request", {"method": "POST", "endpoint": "/query"}, 200
     else:
         event, tags, status = "rpc_request", {"op": "query"}, "ok"
@@ -338,14 +344,62 @@ def test_closed_server_hangs_up_and_client_finds_its_successor(transport, log):
         first.close()
         held.settimeout(5.0)
         assert held.recv(1) == b""  # EOF: the closed server hung up
-        with transport.server(log, port=first.port) as second:
-            assert second.port == first.port
+        port = transport.port(first)
+        with transport.server(log, port=port) as second:
+            assert transport.port(second) == port
             assert client.prov_query(["a", "b", "c"], cells=[[2, 3]])["count"] == 1
             assert client.retries_used >= 1
             assert client.healthz()["status"] == "ok"
     finally:
         first.close()
         client.close()
+
+
+# ----------------------------------------------------------------------
+# the listener's bounds: a connection cap and an idle timeout
+# ----------------------------------------------------------------------
+def _reads_eof(sock: socket.socket) -> bool:
+    """Block until the server hangs up (the socket timeout bounds a
+    regression)."""
+    sock.settimeout(5.0)
+    return sock.recv(1) == b""
+
+
+def test_connection_over_the_cap_is_closed_and_a_freed_slot_is_served(
+    transport, log, monkeypatch, caplog
+):
+    monkeypatch.setattr(server_module, "MAX_CONNECTIONS", 2)
+    with transport.server(log) as server:
+        dial = (server.host, transport.port(server))
+        held = [socket.create_connection(dial, timeout=5.0) for _ in range(3)]
+        try:
+            with caplog.at_level(logging.WARNING, logger="repro.obs"):
+                assert _reads_eof(held[2])  # accepted third: closed, no handler
+            (event,) = [r for r in caplog.records if getattr(r, "event", None) == "connection_refused"]
+            assert event.fields["max_connections"] == 2
+            # a half-close ends the first connection's handler, which gives
+            # its slot back before it hangs up
+            held[0].shutdown(socket.SHUT_WR)
+            assert _reads_eof(held[0])
+            with transport.client.connect(transport.address(server), timeout=5.0) as client:
+                assert client.prov_query(["a", "b"], cells=[[1, 1]])["count"] == 1
+        finally:
+            for sock in held:
+                sock.close()
+
+
+def test_idle_connection_is_hung_up_and_the_client_redials(transport, log, monkeypatch):
+    monkeypatch.setattr(server_module, "IDLE_TIMEOUT_S", 0.2)
+    with transport.server(log) as server:
+        with socket.create_connection((server.host, transport.port(server)), timeout=5.0) as idle:
+            assert _reads_eof(idle)
+        with transport.client(transport.address(server), timeout=5.0, backoff=0.01) as client:
+            assert client.prov_query(["a", "b"], cells=[[1, 1]])["count"] == 1
+            (held,) = transport.sockets(client)
+            assert _reads_eof(held)  # the server idled the connection out
+            assert client.prov_query(["a", "b"], cells=[[2, 2]])["count"] == 1
+            assert client.retries_used >= 1
+            assert getattr(client, "dials", 2) == 2  # the pooled client counts its dials
 
 
 def test_close_before_start_does_not_block(transport, log):
