@@ -31,7 +31,7 @@ Public entry points
 """
 
 from .core.compressed import CompressedLineage
-from .core.provrc import compress, compress_both
+from .core.provrc import compress
 from .core.query import CellBoxSet, QueryResult
 from .core.relation import LineageRelation
 from .dslog import DSLog
@@ -81,6 +81,5 @@ __all__ = [
     "CellBoxSet",
     "QueryResult",
     "compress",
-    "compress_both",
     "__version__",
 ]

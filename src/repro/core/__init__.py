@@ -11,7 +11,7 @@
 
 from .compressed import CompressedLineage, CompressedRow, ValueAttr
 from .intervals import Box, Interval, merge_adjacent_intervals, ranges_from_integers
-from .provrc import ProvRCStats, compress, compress_both
+from .provrc import ProvRCStats, compress
 from .query import CellBoxSet, QueryResult, execute_path, theta_join
 from .reference import query_path_reference, single_hop_reference
 from .relation import LineageRelation
@@ -34,7 +34,6 @@ __all__ = [
     "CompressedRow",
     "ValueAttr",
     "compress",
-    "compress_both",
     "ProvRCStats",
     "CellBoxSet",
     "QueryResult",

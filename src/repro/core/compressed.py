@@ -4,8 +4,9 @@ A :class:`CompressedLineage` stores a lineage relation as a small number of
 *compressed rows*.  Each compressed row describes a set of contribution
 edges in "union of Cartesian products" form (Section IV.B of the paper):
 
-* every **key attribute** (the output axes for a backward table, the input
-  axes for a forward table) holds an absolute closed interval;
+* every **key attribute** (the side named by ``key_side``: the output axes
+  of the backward table, the one orientation an entry stores) holds an
+  absolute closed interval;
 * every **value attribute** (the other side) holds either an absolute
   interval, or a *relative* (delta) interval that references one key
   attribute.  A relative value ``[dlo, dhi]`` referencing key attribute
@@ -66,6 +67,81 @@ def _as_int_column(array) -> np.ndarray:
     if arr.dtype.kind != "i":
         arr = arr.astype(np.int64)
     return arr
+
+
+def _stable_sort(column: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(order, column[order])`` for ``order = np.argsort(column,
+    kind="stable")``, several times faster.
+
+    Distinct values over a span of at most twice as many slots (a
+    permutation, the reach of a ``sort``-like table) are placed by value and
+    read back in slot order, with no sort at all.  Otherwise a column that
+    spans fewer than ``2**31`` values is sorted once, in place, as its
+    values packed above their row numbers into unique int64 keys."""
+    n_rows, base = column.shape[0], int(column.min())
+    span = int(column.max()) - base + 1
+    keys = np.subtract(column, base, dtype=np.int64)
+    if span <= 2 * n_rows:
+        slots = np.full(span, -1, np.int64)
+        slots[keys] = np.arange(n_rows)
+        taken = np.flatnonzero(slots >= 0)
+        if taken.shape[0] == n_rows:
+            return slots[taken], (taken + base).astype(column.dtype)
+    if span > 1 << 31:
+        order = np.argsort(column, kind="stable")
+        return order, column[order]
+    keys <<= 32
+    keys |= np.arange(n_rows)
+    keys.sort()
+    values = (keys >> 32) + base
+    keys &= 0xFFFFFFFF
+    return keys, values.astype(column.dtype)
+
+
+def _window_index(
+    lo_cols: np.ndarray, hi_cols: np.ndarray
+) -> Tuple[int, Optional[np.ndarray], np.ndarray, np.ndarray]:
+    """``(attr, order, lo, reach)``: a window index over the per-row
+    intervals ``[lo_cols[:, a], hi_cols[:, a]]`` of one attribute ``a``.
+
+    ``order`` lists the rows by ascending ``lo_cols[:, attr]`` — ``None``
+    when they are stored that way; ``lo`` is that column in index order and
+    ``reach`` the running maximum of ``hi_cols[:, attr]`` in the same order.
+    A row overlaps ``[q_lo, q_hi]`` on the attribute only if it sits at an
+    index position in ``[searchsorted(reach, q_lo, "left"),
+    searchsorted(lo, q_hi, "right"))``: every earlier row ends before
+    ``q_lo`` (the running maximum covers nested and overlapping
+    intervals), every later one starts after ``q_hi``.
+
+    ``attr`` is the attribute whose index discriminates best: the one with
+    the smallest expected window for a uniformly drawn index,
+    ``sum(reach - lo + 1) / extent`` (ties go to the lower attribute).  A
+    row-broadcast table, whose every row spans attribute 0, is thus indexed
+    on the attribute its rows differ on.  The arrays keep the columns'
+    width (``order`` the narrowest that holds a row number).
+    """
+    n_rows, best, index = lo_cols.shape[0], None, None
+    # a lone row is its own window on any attribute
+    attrs = range(lo_cols.shape[1] if n_rows > 1 else 1)
+    for attr in attrs:
+        lo, reach = lo_cols[:, attr], hi_cols[:, attr]
+        order = None
+        if (lo[1:] < lo[:-1]).any():
+            order, lo = _stable_sort(lo)
+            reach = reach[order]
+            order = order.astype(np.min_scalar_type(-n_rows))
+        lo = np.ascontiguousarray(lo)
+        if (reach[1:] >= reach[:-1]).all():  # its own running maximum
+            reach = np.ascontiguousarray(reach)
+        else:
+            reach = np.maximum.accumulate(reach)
+        window = 0.0
+        if len(attrs) > 1:
+            covered = reach.sum(dtype=np.float64) - lo.sum(dtype=np.float64) + n_rows
+            window = covered / (float(reach[-1]) - float(lo[0]) + 1.0)
+        if best is None or window < best:
+            best, index = window, (attr, order, lo, reach)
+    return index
 
 
 @dataclass(frozen=True)
@@ -349,49 +425,47 @@ class CompressedLineage:
 
     @property
     def key_index(self) -> Tuple[int, Optional[np.ndarray], np.ndarray, np.ndarray]:
-        """``(attr, order, lo, reach)``: the θ-join's window index, computed
-        once and cached.
+        """``(attr, order, lo, reach)``: the θ-join's window index over the
+        key boxes (:func:`_window_index`), computed once and cached.
 
-        ``order`` lists the rows by ascending ``key_lo[:, attr]`` — ``None``
-        when they are stored that way (ProvRC emits its rows sorted on the
-        key, so attribute 0 never pays the one stable ``argsort``); ``lo`` is
-        that column in index order and ``reach`` the running maximum of
-        ``key_hi[:, attr]`` in the same order.  A row overlaps
-        ``[q_lo, q_hi]`` on the attribute only if it sits at an index
-        position in ``[searchsorted(reach, q_lo, "left"),
-        searchsorted(lo, q_hi, "right"))``: every earlier row ends before
-        ``q_lo`` (the running maximum covers nested and overlapping
-        intervals), every later one starts after ``q_hi``.
-
-        ``attr`` is the key attribute whose index discriminates best: the
-        one with the smallest expected window for a uniformly drawn index,
-        ``sum(reach - lo + 1) / extent`` (ties go to the lower attribute).
-        A row-broadcast table, whose every row spans attribute 0, is thus
-        indexed on the attribute its rows differ on.  The arrays keep the
-        columns' stored width (``order`` the narrowest that holds a row
-        number), so the index of a hydrated int8/int16 table — resident
-        with it but not charged by :meth:`nbytes` — stays a fraction of it.
+        ProvRC emits its rows sorted on the key, so attribute 0 never pays
+        the one stable ``argsort``.  The arrays keep the columns' stored
+        width, so the index of a hydrated int8/int16 table — resident with
+        it but not charged by :meth:`nbytes` — stays a fraction of it.
         """
         cached = getattr(self, "_key_index", None)
         if cached is None:
-            n_rows, best = len(self), None
-            # a lone row is its own window on any attribute
-            attrs = range(self.key_ndim if n_rows > 1 else 1)
-            for attr in attrs:
-                lo, reach = self.key_lo[:, attr], self.key_hi[:, attr]
-                order = None
-                if (lo[1:] < lo[:-1]).any():
-                    order = np.argsort(lo, kind="stable")
-                    lo, reach = lo[order], reach[order]
-                    order = order.astype(np.min_scalar_type(-n_rows))
-                lo, reach = np.ascontiguousarray(lo), np.maximum.accumulate(reach)
-                window = 0.0
-                if len(attrs) > 1:
-                    covered = reach.sum(dtype=np.float64) - lo.sum(dtype=np.float64) + n_rows
-                    window = covered / (float(reach[-1]) - float(lo[0]) + 1.0)
-                if best is None or window < best:
-                    best, cached = window, (attr, order, lo, reach)
-            self._key_index = cached
+            cached = self._key_index = _window_index(self.key_lo, self.key_hi)
+        return cached
+
+    @property
+    def value_index(self) -> Tuple[int, Optional[np.ndarray], np.ndarray, np.ndarray]:
+        """``(attr, order, lo, reach)``: the inverse θ-join's window index,
+        computed once and cached.
+
+        It is :func:`_window_index` over each row's projection on the value
+        axes — ``[key_lo[j] + lo_i, key_hi[j] + hi_i]`` for a value
+        attribute relative to key attribute ``j``, ``[lo_i, hi_i]`` for an
+        absolute one — the cells of the value array the row can reach at
+        all.  The projection is int64: a key plus a delta can overflow a
+        narrow column.
+        """
+        cached = getattr(self, "_value_index", None)
+        if cached is None:
+            lo = self.val_lo.astype(np.int64)
+            hi = self.val_hi.astype(np.int64)
+            encoding = self.uniform_value_encoding
+            if encoding is not None:
+                for column, (kind, ref) in enumerate(encoding):
+                    if kind == KIND_REL:
+                        lo[:, column] += self.key_lo[:, ref]
+                        hi[:, column] += self.key_hi[:, ref]
+            elif self.has_relative:
+                rows, cols = np.nonzero(self.val_kind == KIND_REL)
+                refs = self.val_ref[rows, cols]
+                lo[rows, cols] += self.key_lo[rows, refs]
+                hi[rows, cols] += self.key_hi[rows, refs]
+            cached = self._value_index = _window_index(lo, hi)
         return cached
 
     @property
@@ -436,8 +510,8 @@ class CompressedLineage:
 
         Every key box is expanded to its cells, the value intervals are
         de-relativized at each key cell, and every value box is expanded in
-        turn; :func:`repro.core._reference.decompress_reference` is the
-        per-cell loop this must equal row for row.
+        turn; the per-cell loop ``decompress_reference`` in
+        ``tests/core/_reference.py`` must equal this row for row.
         """
         if len(self) == 0:
             rows = np.empty(0, dtype=np.int64)  # LineageRelation gives it its columns

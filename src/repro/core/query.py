@@ -1,7 +1,11 @@
 """In-situ query processing over ProvRC-compressed lineage (Section V).
 
 Forward and backward ``prov_query`` calls over a path of arrays are chains
-of θ-joins executed directly on the compressed tables:
+of θ-joins executed directly on the compressed tables.  Every entry stores
+one table, the backward one (keyed on the output), and a hop joins it from
+whichever side the query's array is on.
+
+A **backward hop** (query over the output) is the paper's θ-join:
 
 1. **Range join** — the query (itself encoded as a set of index boxes) is
    intersected with each compressed row's key intervals; any overlap joins.
@@ -12,6 +16,16 @@ of θ-joins executed directly on the compressed tables:
    axes and adjacent boxes are coalesced with a range-encoding-style merge
    before the next hop (the "DSLog-NoMerge" ablation skips this step).
 
+A **forward hop** (query over the input) is the inverse θ-join, in place
+of the paper's second, forward-keyed table.  A row with key box ``K``
+answers a query box ``Q`` when every absolute value attribute ``i`` meets
+``Q_i`` and ``K`` stays non-empty once each key attribute ``j`` that a
+relative attribute ``i`` references is narrowed to ``[Q_i.lo - hi_i,
+Q_i.hi - lo_i]``; the narrowed ``K`` is the answer box.  Attributes that
+share a reference (the diagonal the backward hop expands point by point)
+just intersect their narrowings, so the answer is one box per matching row
+and exact.  Step 3 follows as for a backward hop.
+
 No decompression of the lineage tables happens at any point.
 
 Every kernel here is vectorized.  The θ-join never scans a table: each
@@ -20,16 +34,18 @@ table carries a window index on its most selective key attribute
 the running maximum of ``key_hi`` in that order), two binary searches per
 query box bound the rows that could overlap it, and only those candidate
 (box, row) pairs get the exact interval test on every key attribute,
-``rel_back`` and the clip.  A hop costs O(Q log N + pairs·d) for Q boxes
-against N rows of key arity d, where ``pairs`` is the total window size
-(the matches themselves when the key intervals are disjoint on the
-indexed attribute; Q·N when no attribute tells the rows apart); candidates are processed in chunks of whole boxes so pair scratch
-never exceeds :data:`THETA_JOIN_BLOCK_BUDGET_BYTES`.  The box merge is a
-segmented scan (lexsort + group-boundary detection + segmented running
-maxima), and result counting uses an exact sweep over a
-coordinate-compressed disjoint box decomposition.  The original per-row
-loop implementations live on in :mod:`repro.core._reference` as oracles for
-the equivalence tests.
+``rel_back`` and the clip.  The inverse θ-join does the same over each
+row's projection on the value axes (:attr:`CompressedLineage.value_index`).
+A hop costs O(Q log N + pairs·d) for Q boxes against N rows of arity d,
+where ``pairs`` is the total window size (the matches themselves when the
+rows' intervals are disjoint on the indexed attribute; Q·N when no
+attribute tells the rows apart); candidates are processed in chunks of
+whole boxes so pair scratch never exceeds
+:data:`THETA_JOIN_BLOCK_BUDGET_BYTES`.  The box merge is a segmented scan
+(lexsort + group-boundary detection + segmented running maxima), and
+result counting uses an exact sweep over a coordinate-compressed disjoint
+box decomposition.  The original per-row loop implementations live on in
+``tests/core/_reference.py`` as oracles for the equivalence tests.
 """
 
 from __future__ import annotations
@@ -626,13 +642,26 @@ def _rel_back(
     return res_lo, res_hi
 
 
-def _check_joinable(array_name: str, ndim: int, table: CompressedLineage) -> None:
-    if table.key_name != array_name:
+def _joins_inverse(array_name: str, ndim: int, table: CompressedLineage) -> bool:
+    """Which join a query over *array_name* takes through *table*: the
+    θ-join when the array is on the table's key side, the inverse θ-join
+    (``True``) when it is on the value side."""
+    inverse = array_name != table.key_name
+    if inverse and array_name != table.value_name:
         raise ValueError(
-            f"table is keyed on array {table.key_name!r} but the query targets {array_name!r}"
+            f"table links {table.in_name!r} -> {table.out_name!r} but the query "
+            f"targets {array_name!r}"
         )
-    if table.key_ndim != ndim:
-        raise ValueError("query dimensionality does not match the table's key arity")
+    if ndim != (table.value_ndim if inverse else table.key_ndim):
+        raise ValueError("query dimensionality does not match the table's arity on its side")
+    return inverse
+
+
+def _far_side(table: CompressedLineage, inverse: bool) -> Tuple[str, Tuple[int, ...]]:
+    """Name and shape of the array a join through *table* arrives at."""
+    if inverse:
+        return table.key_name, table.key_shape
+    return table.value_name, table.value_shape
 
 
 def _at_width(ends: np.ndarray, dtype: np.dtype) -> np.ndarray:
@@ -646,28 +675,33 @@ def _at_width(ends: np.ndarray, dtype: np.dtype) -> np.ndarray:
 
 
 def _candidate_pairs(
-    table: CompressedLineage, lo: np.ndarray, hi: np.ndarray
+    index: Tuple[int, Optional[np.ndarray], np.ndarray, np.ndarray],
+    lo: np.ndarray,
+    hi: np.ndarray,
+    width: int,
 ) -> Tuple[np.ndarray, Iterator[Tuple[np.ndarray, np.ndarray]]]:
-    """The rows each query box could join, from the table's window index.
+    """The rows each query box could join, from a window *index*
+    (:attr:`CompressedLineage.key_index` or ``value_index``).
 
     Returns ``(count, chunks)``: ``count[b]`` is the size of box *b*'s
-    window on the indexed key attribute (:attr:`CompressedLineage.key_index`) —
-    two binary searches per box, no row is read — and ``chunks`` yields
-    those windows expanded to ``(box_idx, row_idx)`` pair arrays in
-    (box, stored row) order.  A chunk is a run of whole boxes holding at
-    most ``THETA_JOIN_BLOCK_BUDGET_BYTES`` of pair scratch (one box with a
-    wider window than that still goes through alone).  The windows are a
-    superset of the matches: the caller tests every key attribute exactly.
+    window on the indexed attribute — two binary searches per box, no row
+    is read — and ``chunks`` yields those windows expanded to ``(box_idx,
+    row_idx)`` pair arrays in (box, stored row) order.  A chunk is a run of
+    whole boxes holding at most ``THETA_JOIN_BLOCK_BUDGET_BYTES`` of pair
+    scratch, *width* int64 interval pairs per candidate pair (one box with
+    a wider window than that still goes through alone).  The windows are a
+    superset of the matches: the caller tests every attribute exactly.
     """
-    attr, order, index_lo, reach = table.key_index
+    attr, order, index_lo, reach = index
+    n_rows = reach.shape[0]
     start = reach.searchsorted(_at_width(lo[:, attr], reach.dtype), side="left")
     count = index_lo.searchsorted(_at_width(hi[:, attr], index_lo.dtype), side="right") - start
     np.maximum(count, 0, out=count)
     ends = count.cumsum()
     # ragged expansion: pair g of the stacked windows sits at index g + shift
     shift = start - ends + count
-    # per pair: box + row index, two key intersections, the match flag
-    max_pairs = max(1, THETA_JOIN_BLOCK_BUDGET_BYTES // (16 * lo.shape[1] + 17))
+    # per pair: box + row index, the interval scratch, the match flag
+    max_pairs = max(1, THETA_JOIN_BLOCK_BUDGET_BYTES // (16 * width + 17))
     n_boxes = count.shape[0]
 
     def chunks() -> Iterator[Tuple[np.ndarray, np.ndarray]]:
@@ -683,9 +717,9 @@ def _candidate_pairs(
             if order is not None:
                 # back to stored rows, ascending within each box (which
                 # leaves box_idx as it is): one sort of a packed key
-                packed = box_idx * len(table) + order[row_idx]
+                packed = box_idx * n_rows + order[row_idx]
                 packed.sort()
-                row_idx = packed - box_idx * len(table)
+                row_idx = packed - box_idx * n_rows
             yield box_idx, row_idx
             first, done = last, total
 
@@ -700,12 +734,14 @@ def theta_join(
 ) -> CellBoxSet:
     """One θ-join of a query box set against a compressed lineage table.
 
-    The table's key side must correspond to the query's array; the result is
-    a box set over the table's value-side array.  This is the batch kernel
+    The query's array must be one side of the table; the result is a box
+    set over the other side.  A query over the key side takes the θ-join,
+    one over the value side the inverse θ-join.  This is the batch kernel
     (:func:`_theta_join_batch_raw`) run on a batch of one: window lookup,
-    exact interval test and ``rel_back`` on the candidate pairs only.  When
-    *stats* is given it receives ``"join_blocks"`` (candidate chunks
-    processed) and ``"rows_scanned"`` (candidate pairs compared).
+    exact interval test and ``rel_back`` (or the key narrowing) on the
+    candidate pairs only.  When *stats* is given it receives
+    ``"join_blocks"`` (candidate chunks processed) and ``"rows_scanned"``
+    (candidate pairs compared).
 
     Narrow (int8/int16) table columns are consumed as-is: the interval
     intersections promote against the int64 query boxes, and only the
@@ -713,13 +749,13 @@ def theta_join(
     hydrated table is read at its on-disk width.  Query box sets are
     int64 throughout — results are bit-identical to the int64 oracle.
     """
-    _check_joinable(query.array_name, query.ndim, table)
+    inverse = _joins_inverse(query.array_name, query.ndim, table)
     lo, hi, _, count = _theta_join_batch_raw(
-        table, query.lo, query.hi, np.zeros(len(query), np.int64), stats=stats
+        table, query.lo, query.hi, np.zeros(len(query), np.int64), inverse, stats=stats
     )
     if stats is not None:
         stats["rows_scanned"] = int(count.sum())
-    result = CellBoxSet._wrap(table.value_name, table.value_shape, lo, hi)
+    result = CellBoxSet._wrap(*_far_side(table, inverse), lo, hi)
     if merge:
         result = result.merged()
     return result
@@ -760,9 +796,12 @@ def _theta_join_batch_raw(
     lo: np.ndarray,
     hi: np.ndarray,
     qid: np.ndarray,
+    inverse: bool = False,
     stats: Optional[Dict[str, int]] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The θ-join kernel: stacked query boxes against one table.
+    """The θ-join kernel: stacked query boxes against one table — over its
+    key side, or with *inverse* over its value side
+    (:func:`_inverse_join_batch_raw`).
 
     :func:`_candidate_pairs` names the (box, row) pairs worth comparing;
     each chunk of them gets the exact interval test on every key attribute,
@@ -785,6 +824,8 @@ def _theta_join_batch_raw(
     The fourth return value is the number of candidate pairs per box.
     *stats* receives ``"join_blocks"``, the number of chunks processed.
     """
+    if inverse:
+        return _inverse_join_batch_raw(table, lo, hi, qid, stats)
     n_boxes = lo.shape[0]
     if stats is not None:
         stats["join_blocks"] = 0
@@ -797,7 +838,7 @@ def _theta_join_batch_raw(
     out_qid_parts: List[np.ndarray] = []
     split_parts: List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
     shared_mask = table.shared_ref_mask
-    count, chunks = _candidate_pairs(table, lo, hi)
+    count, chunks = _candidate_pairs(table.key_index, lo, hi, table.key_ndim)
     for box_idx, row_idx in chunks:
         if stats is not None:
             stats["join_blocks"] += 1
@@ -852,6 +893,88 @@ def _theta_join_batch_raw(
     return res_lo, res_hi, res_qid, count
 
 
+def _inverse_join_batch_raw(
+    table: CompressedLineage,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    qid: np.ndarray,
+    stats: Optional[Dict[str, int]] = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The inverse θ-join kernel: stacked query boxes over the table's
+    value array, answered as boxes over its key array.
+
+    A row with key box ``K`` reaches a value cell ``a`` from key cell ``b``
+    when every value attribute holds it: an absolute one when ``a_i`` lies
+    in ``[lo_i, hi_i]``, a relative one (on key attribute ``j``) when
+    ``a_i - b_j`` does.  So a query box ``Q`` reaches exactly the key cells
+    of ``K`` whose every referenced ``b_j`` lies in ``[Q_i.lo - hi_i,
+    Q_i.hi - lo_i]`` — one box, however many attributes share a reference
+    (their narrowings simply intersect) — provided every absolute
+    attribute meets ``Q_i``.  That test is the same narrowing applied to a
+    virtual key attribute pinned at ``[0, 0]``, so one code path serves
+    both kinds.  The candidate pairs come from
+    :attr:`CompressedLineage.value_index`; the answer is clipped to the key
+    array's bounds, as the θ-join clips to the value array's, and the
+    output keeps the order contract of :func:`_theta_join_batch_raw` with
+    no expanded pairs at all.
+    """
+    n_boxes = lo.shape[0]
+    if stats is not None:
+        stats["join_blocks"] = 0
+    n_keys = table.key_ndim
+    if len(table) == 0 or n_boxes == 0:
+        empty = np.empty((0, n_keys), np.int64)
+        return empty, empty.copy(), np.empty(0, np.int64), np.zeros(n_boxes, np.int64)
+
+    encoding = table.uniform_value_encoding
+    bounds = np.append(np.asarray(table.key_shape, np.int64) - 1, 0)
+    out_lo_parts: List[np.ndarray] = []
+    out_hi_parts: List[np.ndarray] = []
+    out_qid_parts: List[np.ndarray] = []
+    count, chunks = _candidate_pairs(table.value_index, lo, hi, n_keys + 1)
+    for box_idx, row_idx in chunks:
+        if stats is not None:
+            stats["join_blocks"] += 1
+        n_pairs = row_idx.shape[0]
+        # the key box narrowed so far, plus the virtual attribute at [0, 0]
+        key_lo = np.zeros((n_pairs, n_keys + 1), np.int64)
+        key_hi = np.zeros((n_pairs, n_keys + 1), np.int64)
+        key_lo[:, :n_keys] = table.key_lo[row_idx]
+        key_hi[:, :n_keys] = table.key_hi[row_idx]
+        # where each value attribute allows its referenced key to lie
+        floor = lo[box_idx] - table.val_hi[row_idx]
+        ceil = hi[box_idx] - table.val_lo[row_idx]
+        if encoding is not None:
+            for column, (kind, ref) in enumerate(encoding):
+                target = ref if kind == KIND_REL else n_keys
+                np.maximum(key_lo[:, target], floor[:, column], out=key_lo[:, target])
+                np.minimum(key_hi[:, target], ceil[:, column], out=key_hi[:, target])
+        else:
+            target = np.where(
+                table.val_kind[row_idx] == KIND_REL, table.val_ref[row_idx], n_keys
+            ) + np.arange(0, n_pairs * (n_keys + 1), n_keys + 1)[:, None]
+            flat_lo, flat_hi = key_lo.reshape(-1), key_hi.reshape(-1)
+            # one target per pair within a column: no duplicate positions
+            for column in range(target.shape[1]):
+                at = target[:, column]
+                flat_lo[at] = np.maximum(flat_lo[at], floor[:, column])
+                flat_hi[at] = np.minimum(flat_hi[at], ceil[:, column])
+        np.maximum(key_lo, 0, out=key_lo)
+        np.minimum(key_hi, bounds, out=key_hi)
+        matched = (key_lo <= key_hi).all(axis=1)
+        out_lo_parts.append(key_lo[matched, :n_keys])
+        out_hi_parts.append(key_hi[matched, :n_keys])
+        out_qid_parts.append(qid[box_idx[matched]])
+    if len(out_lo_parts) == 1:
+        return out_lo_parts[0], out_hi_parts[0], out_qid_parts[0], count
+    return (
+        np.concatenate(out_lo_parts, axis=0),
+        np.concatenate(out_hi_parts, axis=0),
+        np.concatenate(out_qid_parts, axis=0),
+        count,
+    )
+
+
 def _per_query(qid: np.ndarray, n_queries: int, weights: Optional[np.ndarray] = None) -> list:
     """Per-query totals over stacked rows: how many rows carry each query
     id, or the sum of their *weights*.  A one-query batch owns every row,
@@ -862,16 +985,21 @@ def _per_query(qid: np.ndarray, n_queries: int, weights: Optional[np.ndarray] = 
 
 
 def _split_by_query(
-    table: CompressedLineage, lo: np.ndarray, hi: np.ndarray, counts: List[int], which: Iterable[int]
+    array_name: str,
+    shape: Tuple[int, ...],
+    lo: np.ndarray,
+    hi: np.ndarray,
+    counts: List[int],
+    which: Iterable[int],
 ) -> List[CellBoxSet]:
-    """Slice stacked, query-ordered result rows of *table*'s value array
-    back into one box set for each query in *which* (``counts[q]`` rows
-    belong to query *q*)."""
+    """Slice stacked, query-ordered result rows over one array back into
+    one box set for each query in *which* (``counts[q]`` rows belong to
+    query *q*)."""
     ends = list(itertools.accumulate(counts))
     return [
         CellBoxSet._wrap(
-            table.value_name,
-            table.value_shape,
+            array_name,
+            shape,
             lo[ends[q] - counts[q] : ends[q]],
             hi[ends[q] - counts[q] : ends[q]],
         )
@@ -887,17 +1015,18 @@ def execute_path_batch(
     """Run queries down one hop-table chain: a left-to-right plan of
     θ-joins, one kernel pass per hop for the whole batch.
 
-    ``tables[i]`` must be keyed on the array produced by hop ``i - 1`` (or
-    the queries' own array for ``i = 0``); DSLog's catalog takes care of
-    picking the right backward/forward orientation for each hop.  This is
-    the one hop-chain driver — a single query is a batch of one
-    (:func:`execute_path`).  Each query gets exactly the result and hop
-    list it would get alone (a query whose intermediate result empties
-    records the hop that emptied it and then drops out; its empty result
-    lives on the array where it died), but the batch shares each hop's
-    θ-join pass and segmented merge, so numpy dispatch and small-array
-    overhead are paid per hop, not per query.  ``HopStats.seconds`` and
-    ``join_blocks`` are those of the shared pass.
+    ``tables[i]`` must have the array produced by hop ``i - 1`` (or the
+    queries' own array for ``i = 0``) on one of its sides: a hop from the
+    output side is the θ-join, a hop from the input side the inverse
+    θ-join (:func:`_theta_join_batch_raw`), so one stored orientation
+    serves both directions.  This is the one hop-chain driver — a single
+    query is a batch of one (:func:`execute_path`).  Each query gets
+    exactly the result and hop list it would get alone (a query whose
+    intermediate result empties records the hop that emptied it and then
+    drops out; its empty result lives on the array where it died), but the
+    batch shares each hop's θ-join pass and segmented merge, so numpy
+    dispatch and small-array overhead are paid per hop, not per query.
+    ``HopStats.seconds`` and ``join_blocks`` are those of the shared pass.
     """
     queries = list(queries)
     n_queries = len(queries)
@@ -906,17 +1035,18 @@ def execute_path_batch(
     if not tables:
         return [QueryResult(cells=query, hops=[]) for query in queries]
     lo, hi, qid, boxes_in = _stack_box_sets(queries)
-    array_name, ndim = queries[0].array_name, queries[0].ndim
+    array_name, shape = queries[0].array_name, queries[0].shape
     hops: List[List[HopStats]] = [[] for _ in range(n_queries)]
     final: List[Optional[CellBoxSet]] = [None] * n_queries
     alive = list(range(n_queries))  # the queries that take part in the next hop
     join_stats: Dict[str, int] = {}
     for table in tables:
         start = time.perf_counter()
-        _check_joinable(array_name, ndim, table)
+        inverse = _joins_inverse(array_name, len(shape), table)
         out_lo, out_hi, out_qid, count = _theta_join_batch_raw(
-            table, lo, hi, qid, stats=join_stats
+            table, lo, hi, qid, inverse, stats=join_stats
         )
+        to_name, to_shape = _far_side(table, inverse)
         rows_scanned = _per_query(qid, n_queries, weights=count)
         raw_counts = _per_query(out_qid, n_queries)
         if merge:
@@ -928,8 +1058,8 @@ def execute_path_batch(
         for q in alive:
             hops[q].append(
                 HopStats(
-                    array_from=table.key_name,
-                    array_to=table.value_name,
+                    array_from=array_name,
+                    array_to=to_name,
                     rows_scanned=int(rows_scanned[q]),
                     boxes_in=boxes_in[q],
                     boxes_out_raw=raw_counts[q],
@@ -939,14 +1069,14 @@ def execute_path_batch(
                 )
             )
             if not merged_counts[q]:
-                final[q] = CellBoxSet.empty(table.value_name, table.value_shape)
+                final[q] = CellBoxSet.empty(to_name, to_shape)
         alive = [q for q in alive if merged_counts[q]]
         # this hop's merged counts are the next hop's boxes_in
         lo, hi, qid, boxes_in = out_lo, out_hi, out_qid, merged_counts
-        array_name, ndim = table.value_name, table.value_ndim
+        array_name, shape = to_name, to_shape
         if not alive:
             break
-    for q, cells in zip(alive, _split_by_query(tables[-1], lo, hi, boxes_in, alive)):
+    for q, cells in zip(alive, _split_by_query(array_name, shape, lo, hi, boxes_in, alive)):
         final[q] = cells
     return [QueryResult(cells=cells, hops=hops_of) for cells, hops_of in zip(final, hops)]
 

@@ -220,7 +220,6 @@ class DSLog:
                         in_name=row["in"],
                         out_name=row["out"],
                         backward_ref=TableRef.from_json(row["backward"]),
-                        forward_ref=TableRef.from_json(row["forward"]),
                         op_name=row.get("op_name"),
                         reused=bool(row.get("reused", False)),
                         version=int(row.get("version", 1)),
@@ -406,20 +405,8 @@ class DSLog:
             in_axes=source.in_axes,
         )
         return self.catalog.add_compressed(
-            backward, self._reorient(backward), op_name=op_name, reused=True, replace=replace
+            backward, op_name=op_name, reused=True, replace=replace
         )
-
-    @staticmethod
-    def _reorient(backward: CompressedLineage) -> CompressedLineage:
-        """Build the forward orientation by re-compressing the decompressed rows.
-
-        Reused tables arrive only in backward orientation; the forward table
-        is rebuilt once at ingest (never during queries).
-        """
-        from .core.provrc import _compress_canonical
-
-        # decompress() returns the canonical relation: no second dedup
-        return _compress_canonical(backward.decompress(), key="input")
 
     def _capture_pair(self, pair, relations, captures, in_arrs, out_arrs):
         in_name, out_name = pair
@@ -627,43 +614,24 @@ class DSLog:
     def scrub(self, repair: bool = False) -> dict:
         """fsck the durable catalog: verify every manifest-referenced
         record (structure and checksums), find torn tails and orphan
-        segments; with ``repair=True``, quarantine the damage and heal
-        with zero valid-record loss (a damaged orientation is rebuilt from
-        its intact sibling; see :mod:`repro.storage.scrub`).  Entries
-        whose *both* orientations were damaged are dropped from the
-        catalog.  Returns ``{"clean": ..., "shards": {index: report}}``."""
+        segments; with ``repair=True``, quarantine the damage, evacuate
+        every valid record and drop from the catalog each entry whose one
+        table is damaged (see :mod:`repro.storage.scrub`).  Returns
+        ``{"clean": ..., "shards": {index: report}}``."""
         if self.store is None:
             raise RuntimeError("scrub() requires a durable log (one opened with a root)")
         report = self.store.scrub(repair=repair)
-        dropped = [
-            tuple(pair)
-            for shard_report in report["shards"].values()
-            for pair in shard_report["dropped_entries"]
-        ]
-        if repair and dropped:
-            # the manifest rows are already gone; drop the in-memory lazy
-            # entries too, or the next sync would resurrect dangling refs
-            self.catalog.drop_entries(dropped)
-            self._graph = None
-        if repair and not report["clean"]:
-            self.refresh_entry_refs()
+        for shard_report in report["shards"].values():
+            self.drop_entries(shard_report["dropped_entries"])
         return report
 
-    def refresh_entry_refs(self) -> None:
-        """Re-point in-memory entries at the manifest's current refs.
-
-        A repair (scrub, shard reopen) can rebuild an orientation at a new
-        address that the remap chain cannot carry: a misdirected ref
-        aliases another entry's *valid* record, so remapping it would
-        misdirect that donor in turn.  The healed manifest rows are
-        authoritative — fold their refs back into the catalog so live
-        queries resolve the healed records.
-        """
-        for pair, row in list(self.catalog._rows.items()):
-            entry = self.catalog._entries.get(pair)
-            if isinstance(entry, StoredLineageEntry):
-                entry.backward_ref = TableRef.from_json(row["backward"])
-                entry.forward_ref = TableRef.from_json(row["forward"])
+    def drop_entries(self, pairs) -> None:
+        """Forget the ``(input, output)`` entries a repair dropped from their
+        manifests: the rows are already gone, and an in-memory entry left
+        behind would keep resolving its damaged record."""
+        if pairs:
+            self.catalog.drop_entries([tuple(pair) for pair in pairs])
+            self._graph = None
 
     def executor(
         self,

@@ -33,12 +33,12 @@ def mb(nbytes: float) -> float:
 
 def provrc_bytes(relations: Iterable[LineageRelation]) -> int:
     """Long-term ProvRC storage (backward tables) of a set of relations."""
-    return sum(len(serialize_compressed(compress(rel, key="output"))) for rel in relations)
+    return sum(len(serialize_compressed(compress(rel))) for rel in relations)
 
 
 def provrc_gzip_bytes(relations: Iterable[LineageRelation]) -> int:
     """ProvRC-GZip storage of a set of relations."""
-    return sum(len(serialize_compressed_gzip(compress(rel, key="output"))) for rel in relations)
+    return sum(len(serialize_compressed_gzip(compress(rel))) for rel in relations)
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]], title: str = "") -> str:

@@ -54,7 +54,7 @@ def run(
                     target = tmp_path / f"{kind}-{fmt}-{n_cells}.bin"
                     start = time.perf_counter()
                     if fmt == "ProvRC-GZip":
-                        payload = serialize_compressed_gzip(compress(relation, key="output"))
+                        payload = serialize_compressed_gzip(compress(relation))
                     else:
                         payload = stores[fmt].encode(relation.rows)
                     target.write_bytes(payload)

@@ -54,7 +54,7 @@ def _evaluate_op(op: CatalogOp, runs: int, base_size: int, seed: int) -> Dict[st
             size = base_size + int(rng.integers(1, max(base_size // 2, 2)))
         data = _input_for(op, rng, size)
         relation = op.lineage(data)
-        table = compress(relation, key="output")
+        table = compress(relation)
 
         raw_csv = len(relation.to_csv_bytes())
         if len(serialize_compressed(table)) >= 0.5 * raw_csv:

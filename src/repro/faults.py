@@ -397,6 +397,12 @@ def plan_from_env(environ=os.environ) -> Optional[FaultPlan]:
 # ----------------------------------------------------------------------
 # circuit breaker
 # ----------------------------------------------------------------------
+def clock() -> float:
+    """The breakers' time source (``time.monotonic``); a test moves it by
+    replacing this function instead of sleeping out a reset window."""
+    return time.monotonic()
+
+
 class CircuitBreaker:
     """Closed → open → half-open breaker around one failure domain.
 
@@ -439,7 +445,7 @@ class CircuitBreaker:
     def state(self) -> str:
         with self._lock:
             if self._state == "open" and (
-                time.monotonic() - self._opened_at >= self.reset_after
+                clock() - self._opened_at >= self.reset_after
             ):
                 return "half-open"
             return self._state
@@ -454,7 +460,7 @@ class CircuitBreaker:
         with self._lock:
             if self._state != "open" or self._probing:
                 return False
-            if time.monotonic() - self._opened_at < self.reset_after:
+            if clock() - self._opened_at < self.reset_after:
                 return False
             self._probing = True
         self._transition("half-open")
@@ -471,7 +477,7 @@ class CircuitBreaker:
             if self._state != "open":
                 self.trips += 1
             self._state = "open"
-            self._opened_at = time.monotonic()
+            self._opened_at = clock()
         self._transition("open")
         return True
 

@@ -33,6 +33,7 @@ its sockets.
 
 from __future__ import annotations
 
+import ipaddress
 import json
 import time
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
@@ -52,6 +53,8 @@ __all__ = [
     "error_info",
     "BadJson",
     "BodyTooLarge",
+    "Forbidden",
+    "run_endpoint",
     "ServiceCore",
     "storage_stats",
 ]
@@ -63,6 +66,10 @@ class BadJson(ValueError):
 
 class BodyTooLarge(ValueError):
     """A request declared a body above :data:`MAX_BODY_BYTES` (413)."""
+
+
+class Forbidden(Exception):
+    """A request this server answers only for a peer on its own host (403)."""
 
 
 # requests are small JSON on either wire (a 64-query batch of 256-cell
@@ -185,6 +192,8 @@ def error_info(error: BaseException) -> Tuple[int, str, str]:
         return 400, "bad-json", f"malformed JSON body: {error}"
     if isinstance(error, BodyTooLarge):
         return 413, "payload-too-large", str(error)
+    if isinstance(error, Forbidden):
+        return 403, "forbidden", str(error)
     if isinstance(error, (ValueError, AmbiguousLineageError)):
         return 400, "bad-request", str(error)
     if isinstance(error, KeyError):
@@ -415,6 +424,26 @@ class Endpoint(NamedTuple):
     reply: str
     run: Callable[[ServiceCore, dict], Any]
     bare_ok: bool = False
+
+
+def _is_loopback(peer: str) -> bool:
+    try:
+        address = ipaddress.ip_address(peer.partition("%")[0])
+    except ValueError:
+        return False
+    return (getattr(address, "ipv4_mapped", None) or address).is_loopback
+
+
+def run_endpoint(row: Endpoint, core: ServiceCore, args: dict, peer: str) -> Any:
+    """Run *row* for a request from the IP address *peer*, on either wire.
+
+    A scrub with ``"repair": true`` rewrites the store and drops every
+    entry whose one table is damaged, so it is refused (:class:`Forbidden`)
+    unless *peer* is a loopback address: repair is for an operator on the
+    server's own host."""
+    if row.name == "scrub" and args.get("repair") and not _is_loopback(peer):
+        raise Forbidden(f"a repairing scrub is accepted from this host only, not from {peer}")
+    return row.run(core, args)
 
 
 ENDPOINTS: Dict[str, Endpoint] = {

@@ -369,7 +369,7 @@ class QueryExecutor:
     def _plan(self, path: Sequence[str]) -> Tuple[List[List[str]], List[List[Any]]]:
         """Plan *path* and resolve every hop of every planned path to its
         catalog entry: ``(paths, entries)``, ``entries[p][h]`` linking
-        ``paths[p][h]`` and ``paths[p][h + 1]`` in either orientation."""
+        ``paths[p][h]`` and ``paths[p][h + 1]`` in either direction."""
         paths = self.log.plan_paths(path)
         between = self.log.catalog.entry_between
         return paths, [
@@ -413,11 +413,8 @@ class QueryExecutor:
             return
         try:
             if self.log.store is not None:
-                self.log.store.reopen_shard(shard)
-                # the repair may have rebuilt records at addresses the remap
-                # chain cannot reach (misdirected refs alias valid records);
-                # re-point the in-memory entries at the healed manifest rows
-                self.log.refresh_entry_refs()
+                report = self.log.store.reopen_shard(shard)
+                self.log.drop_entries(report["dropped_entries"])
             breaker.record_success()
             with self._stats_lock:
                 self.shard_reopens += 1
@@ -600,7 +597,7 @@ class QueryExecutor:
         try:
             with tracing.span("plan") as plan_span:
                 paths, entries = self._plan(path)
-                # home shards by *stored* orientation: routing hashes the
+                # home shards by *stored* pair: routing hashes the
                 # (input, output) pair, whichever way the hop is queried
                 shards = {
                     catalog.entry_shard((entry.in_name, entry.out_name))

@@ -46,7 +46,7 @@ from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..obs import REGISTRY, log_event
-from .api import ENDPOINTS, MAX_BODY_BYTES, BodyTooLarge, Endpoint, error_info
+from .api import ENDPOINTS, MAX_BODY_BYTES, BodyTooLarge, Endpoint, error_info, run_endpoint
 from .server import LineageServer, LineageServerError, _Client, _RequestMeter
 from .wire import (
     FRAME_HEADER_SIZE,
@@ -192,7 +192,9 @@ class _ConnectionHandler(socketserver.BaseRequestHandler):
                 body = decode_json(payload) if payload else {}
                 if not isinstance(body, dict):
                     raise ValueError("the request payload must be a JSON object")
-                reply = _ENCODERS[row.reply](row.run(self.server.core, body))
+                reply = _ENCODERS[row.reply](
+                    run_endpoint(row, self.server.core, body, self.client_address[0])
+                )
                 return "ok", encode_frame(opcode, request_id, reply)
             except Exception as error:  # noqa: BLE001 - must answer, never hang
                 status, kind, message = error_info(error)

@@ -63,7 +63,8 @@ op               HTTP  route                    traced  request → reply
 ``scrub``        POST  ``/admin/scrub``         yes     ``{"repair": bool}`` (body optional) → full
                                                         scrub report; with ``"repair": true`` the
                                                         catalog is healed in place
-                                                        (:mod:`repro.storage.scrub`)
+                                                        (:mod:`repro.storage.scrub`), for a
+                                                        loopback peer only (403 otherwise)
 ``ping``         —     —                        no      RPC only: an empty frame, echoed
 ===============  ====  =======================  ======  ==========================================
 
@@ -72,7 +73,8 @@ RPC arguments in the frame's JSON payload; the checks are the same code.
 
 Every failure returns a *structured* payload — over HTTP ``{"error":
 {"type", "message"}}`` with a matching status code (400 malformed request,
-404 unknown array or endpoint, 405 wrong method, 413 a declared body above
+403 a repairing scrub from a peer that is not loopback, 404 unknown array
+or endpoint, 405 wrong method, 413 a declared body above
 :data:`~repro.service.api.MAX_BODY_BYTES`, refused unread, 500 internal;
 plus the fault taxonomy: 504 ``deadline-exceeded``, 503 ``shard-unavailable``
 / ``overloaded`` / ``io-error``) — never a hung socket: the handler catches
@@ -123,6 +125,7 @@ from .api import (
     ServiceCore,
     error_info,
     result_payload,
+    run_endpoint,
 )
 from .query import DEFAULT_CACHE_ENTRIES, QueryExecutor
 from .retry import RetryPolicy
@@ -655,7 +658,7 @@ class _Handler(socketserver.StreamRequestHandler):
             args = {}
         else:
             args = self._read_body()
-        return _ENCODERS[row.reply](row.run(self.server.core, args))
+        return _ENCODERS[row.reply](run_endpoint(row, self.server.core, args, self.client_address[0]))
 
     def _answer(self, row: Endpoint, query: str) -> Tuple[int, bytes]:
         """Run one routed request; returns its status and whole reply."""

@@ -105,9 +105,9 @@ class SnapshotDSLog(DSLog):
     compact = _read_only("compact")
     scrub = _read_only("scrub")
 
-    def refresh_entry_refs(self) -> None:
-        """Nothing to re-point: the view shares its entry objects with the
-        live log, whose own refresh moves them."""
+    def drop_entries(self, pairs) -> None:
+        """Nothing to drop: the view is a frozen cut of the catalog; the
+        live log forgets what a repair removed."""
 
     def snapshot(self) -> "SnapshotDSLog":
         """Snapshotting a snapshot returns itself (it is already frozen)."""

@@ -1,10 +1,11 @@
 """The DSLog catalog: tracked arrays, lineage entries and operation records.
 
 The catalog is the normalized relational layer of DSLog: every lineage
-relationship between two tracked arrays is one entry holding both ProvRC
-orientations (the backward table is the one counted for long-term storage,
-mirroring the paper), and every ``register_operation`` call is one operation
-record linking the per-pair lineage entries with the operation metadata.
+relationship between two tracked arrays is one entry holding one ProvRC
+table, the backward one (keyed on the output), which answers queries in
+both directions and is what the paper counts as long-term storage; every
+``register_operation`` call is one operation record linking the per-pair
+lineage entries with the operation metadata.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..core.compressed import CompressedLineage
-from ..core.provrc import compress_both
+from ..core.provrc import compress
 from ..core.relation import LineageRelation
 from ..core.serialize import serialize_compressed, serialize_compressed_gzip
 
@@ -36,7 +37,7 @@ class LineageConflictError(ValueError):
 
 
 class AmbiguousLineageError(ValueError):
-    """Raised when both orientations of a pair exist and a direction-less
+    """Raised when both directions of a pair are stored and a direction-less
     lookup (``entry_between``) cannot tell which entry the caller means."""
 
 
@@ -66,7 +67,6 @@ class LineageEntry:
     in_name: str
     out_name: str
     backward: CompressedLineage
-    forward: CompressedLineage
     op_name: Optional[str] = None
     reused: bool = False
     # bumped each time the pair is explicitly re-ingested with replace=True,
@@ -79,12 +79,12 @@ class LineageEntry:
     token: int = 0
 
     def table_keyed_on(self, array_name: str) -> CompressedLineage:
-        """Return the orientation whose key side is *array_name*."""
-        if array_name == self.out_name:
-            return self.backward
-        if array_name == self.in_name:
-            return self.forward
-        raise KeyError(f"array {array_name!r} is not part of this lineage entry")
+        """The table a hop from *array_name* joins: the backward table,
+        from either side (``core.query`` takes the inverse θ-join from the
+        input side)."""
+        if array_name != self.out_name and array_name != self.in_name:
+            raise KeyError(f"array {array_name!r} is not part of this lineage entry")
+        return self.backward
 
     def is_resident(self, array_name: str) -> bool:
         """In-memory entries hold their tables; stored entries probe the
@@ -159,22 +159,20 @@ class Catalog:
         reused: bool = False,
         replace: bool = False,
     ) -> LineageEntry:
-        """Compress a relation into both orientations and store the entry."""
-        backward, forward = compress_both(relation)
+        """Compress a relation into its backward table and store the entry."""
         return self.add_compressed(
-            backward, forward, op_name=op_name, reused=reused, replace=replace
+            compress(relation), op_name=op_name, reused=reused, replace=replace
         )
 
     def add_compressed(
         self,
         backward: CompressedLineage,
-        forward: CompressedLineage,
         op_name: Optional[str] = None,
         reused: bool = False,
         replace: bool = False,
     ) -> LineageEntry:
-        if backward.key_side != "output" or forward.key_side != "input":
-            raise ValueError("backward/forward tables have the wrong orientation")
+        if backward.key_side != "output":
+            raise ValueError("an entry stores its backward table (keyed on the output)")
         pair = (backward.in_name, backward.out_name)
         existing = self._entries.get(pair)
         if existing is not None and not replace:
@@ -186,7 +184,6 @@ class Catalog:
             in_name=pair[0],
             out_name=pair[1],
             backward=backward,
-            forward=forward,
             op_name=op_name,
             reused=reused,
             version=existing.version + 1 if existing is not None else 1,
@@ -214,9 +211,9 @@ class Catalog:
 
         Returns ``(entry, direction)`` where direction is ``"forward"`` when
         *first* is the entry's input array and ``"backward"`` otherwise.
-        When both orientations were ingested (a cycle of length two), the
+        When both directions were ingested (a cycle of length two), the
         lookup is ambiguous — picking one would silently answer the query
-        with the stale orientation — so it raises instead; use
+        with the stale direction — so it raises instead; use
         :meth:`entry` with the explicit ``(in, out)`` pair.
         """
         forward = self._entries.get((first, second))
@@ -241,14 +238,12 @@ class Catalog:
         return 0
 
     def materialize_all(self) -> int:
-        """Force-load every entry's tables (the eager-open code path);
+        """Force-load every entry's table (the eager-open code path);
         returns the number of tables materialized or found cached."""
-        count = 0
-        for entry in self.entries():
+        entries = self.entries()
+        for entry in entries:
             entry.backward
-            entry.forward
-            count += 2
-        return count
+        return len(entries)
 
     # ------------------------------------------------------------------
     # operations

@@ -3,7 +3,7 @@
 ``MANIFEST.json`` is the single source of truth for a segment-backed DSLog
 directory.  It records every tracked array, every lineage entry (operation
 name, reuse flag, entry version, and the ``(segment, offset, length)``
-references of both ProvRC orientations), every operation record, the
+reference of its backward ProvRC table), every operation record, the
 serialized reuse-predictor state, and the list of live segment files.
 
 Durability protocol
@@ -41,7 +41,9 @@ __all__ = [
 
 MANIFEST_NAME = "MANIFEST.json"
 MANIFEST_FORMAT = "dslog-segment-store"
-MANIFEST_FORMAT_VERSION = 1
+# 2: an entry row holds one table ref (version 1 rows also held a forward
+# table's, which ``python -m repro.tools.upgrade`` drops)
+MANIFEST_FORMAT_VERSION = 2
 
 
 @dataclass
@@ -92,13 +94,12 @@ class Manifest:
         )
 
     def iter_table_refs(self) -> Iterator[dict]:
-        """Yield every table-reference dict the manifest holds (entries in
-        both orientations plus reuse-state tables) — the live-record set a
+        """Yield every table-reference dict the manifest holds (entry
+        tables plus reuse-state tables) — the live-record set a
         compaction must preserve.  The dicts are yielded by reference so a
         compaction can rewrite them in place before the next save."""
         for row in self.entries:
             yield row["backward"]
-            yield row["forward"]
         if self.reuse:
             for section in ("base", "dim", "gen"):
                 for item in self.reuse.get(section, []):

@@ -25,11 +25,10 @@ Corruption classes
 
 Repair contract
 ---------------
-* A damaged **entry orientation** is rebuilt from its intact sibling:
-  the backward and forward ProvRC tables are mutually derivable
-  (``compress(other.decompress(), key=...)``), so one flipped byte never
-  loses a lineage entry.  Only when *both* orientations are damaged is
-  the entry dropped (reported in ``dropped_entries``).
+* An entry stores one table, its backward ProvRC table, and no second
+  copy to rebuild it from: an entry whose record is damaged is dropped
+  from the manifest (reported in ``dropped_entries``; the caller drops it
+  from the live catalog).  Every other entry keeps its record.
 * A damaged **reuse-state table** clears the reuse predictor's persisted
   state — it is advisory (re-learned from future ingests), never worth
   failing a repair over.
@@ -44,7 +43,7 @@ Repair contract
   exactly as across a compaction.
 
 A record is verified by its checksum and its identity (the table names
-and orientation its header declares, read by ``peek_table``), never by
+and key side its header declares, read by ``peek_table``), never by
 decoding its columns: a table in a column layout only
 ``python -m repro.tools.upgrade`` reads is intact here, and is never
 quarantined or dropped for its layout.
@@ -62,7 +61,7 @@ import zlib
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from ..core.serialize import peek_table, serialize_table
+from ..core.serialize import peek_table
 from ..obs import REGISTRY, log_event
 from .segments import CorruptRecordError, read_record, scan_segment
 from .store import LineageStore, TableRef
@@ -76,10 +75,6 @@ _SCRUBS = REGISTRY.counter(
 )
 _SCRUB_CORRUPT = REGISTRY.counter(
     "dslog_scrub_corrupt_records_total", "Corrupt records found by scrub passes"
-)
-_SCRUB_REBUILT = REGISTRY.counter(
-    "dslog_scrub_rebuilt_orientations_total",
-    "Entry orientations rebuilt from their intact sibling",
 )
 _SCRUB_EVACUATED = REGISTRY.counter(
     "dslog_scrub_evacuated_records_total",
@@ -143,25 +138,12 @@ def _segment_damage(root: Path, name: str, bad_refs: Dict[str, List[dict]]) -> O
     }
 
 
-def _rebuild_orientation(store: LineageStore, sibling_payload: bytes, key: str) -> bytes:
-    """Re-derive one orientation's serialized payload from the intact
-    sibling: deserialize → decompress to the cell relation → re-compress
-    keyed the other way → serialize in the store's on-disk format."""
-    from ..core.provrc import _compress_canonical
-    from ..core.serialize import deserialize_table
-
-    table = deserialize_table(sibling_payload)
-    # decompress() returns the canonical relation: no second dedup
-    rebuilt = _compress_canonical(table.decompress(), key=key)
-    return serialize_table(rebuilt, gzip=store.gzip)
-
-
 def scrub_store(store: LineageStore, repair: bool = False, serialize_lock=None) -> dict:
     """fsck one :class:`LineageStore` directory; see the module docstring.
 
     Detection always runs; *repair* additionally quarantines damaged and
-    orphan segment files, evacuates their valid records, rebuilds or drops
-    damaged entries, and atomically publishes the healed manifest.  The
+    orphan segment files, evacuates their valid records, drops damaged
+    entries, and atomically publishes the healed manifest.  The
     caller is responsible for exclusive access (DSLog and the sharded
     store's ``reopen_shard`` hold the appropriate locks).
     """
@@ -180,7 +162,6 @@ def scrub_store(store: LineageStore, repair: bool = False, serialize_lock=None) 
         "corrupt_records": [],
         "damaged_segments": [],
         "orphan_segments": [],
-        "rebuilt_orientations": 0,
         "evacuated_records": 0,
         "dropped_entries": [],
         "reuse_state_dropped": False,
@@ -205,31 +186,27 @@ def scrub_store(store: LineageStore, repair: bool = False, serialize_lock=None) 
         report["corrupt_records"].append(row)
         bad_refs.setdefault(ref.segment, []).append(row)
 
-    # entry refs, both orientations, resolved through any prior remaps
-    entry_state: List[dict] = []  # per manifest row: refs, statuses, payloads
+    # entry refs, resolved through any prior remaps
+    entry_state: List[dict] = []  # per manifest row: ref, status, payload
     for row in manifest.entries:
         pair = (row["in"], row["out"])
-        state = {"row": row, "pair": pair}
-        for orient in ("backward", "forward"):
-            ref = store.resolve(TableRef.from_json(row[orient]))
-            status, payload = _ref_status(root, ref)
-            report["records_checked"] += 1
-            if status == "ok":
-                # the checksum proves the payload is intact, not that it
-                # belongs to this row: verify the table's own identity (read
-                # from the header alone, so a payload in a column layout only
-                # the upgrader reads is verified, never dropped)
-                expected = ("output" if orient == "backward" else "input", *pair)
-                try:
-                    identity_ok = peek_table(payload) == expected
-                except (ValueError, zlib.error):
-                    identity_ok = False
-                if not identity_ok:
-                    status, payload = "misdirected", None
-            state[orient] = (ref, status, payload)
-            if status != "ok":
-                note_bad(ref, status, f"entry-{orient}", {"pair": list(pair)})
-        entry_state.append(state)
+        ref = store.resolve(TableRef.from_json(row["backward"]))
+        status, payload = _ref_status(root, ref)
+        report["records_checked"] += 1
+        if status == "ok":
+            # the checksum proves the payload is intact, not that it belongs
+            # to this row: verify the table's own identity (read from the
+            # header alone, so a payload in a column layout only the
+            # upgrader reads is verified, never dropped)
+            try:
+                identity_ok = peek_table(payload) == ("output", *pair)
+            except (ValueError, zlib.error):
+                identity_ok = False
+            if not identity_ok:
+                status, payload = "misdirected", None
+        if status != "ok":
+            note_bad(ref, status, "entry", {"pair": list(pair)})
+        entry_state.append({"row": row, "pair": pair, "ref": ref, "status": status, "payload": payload})
 
     # reuse-state refs
     reuse_refs: List[Tuple[TableRef, str]] = []
@@ -309,48 +286,16 @@ def scrub_store(store: LineageStore, repair: bool = False, serialize_lock=None) 
             remap[old_ref] = new_ref
         return new_ref
 
-    # refs that belong to a valid record: a damaged ref that ALIASES one of
-    # these (a misdirected row) must not claim it in the remap, or the
-    # aliased entry's own evacuation would be misdirected in turn
-    valid_refs = {
-        ref
-        for state in entry_state
-        for orient in ("backward", "forward")
-        for ref, status, _payload in [state[orient]]
-        if status == "ok"
-    }
-    valid_refs.update(ref for ref, status in reuse_refs if status == "ok")
-
-    def rebuild_ref(payload: bytes, old_ref: TableRef) -> TableRef:
-        new_ref = place(payload)
-        if old_ref not in valid_refs and old_ref not in remap:
-            remap[old_ref] = new_ref  # in-memory lazy entries keep resolving
-        return new_ref
-
-    # heal every entry: evacuate good refs out of damaged segments,
-    # rebuild damaged orientations from their siblings, drop only the
-    # doubly-damaged
+    # heal every entry: drop the damaged ones, evacuate the rest out of
+    # damaged segments
     surviving_rows = []
     for state in entry_state:
         row = state["row"]
-        (b_ref, b_status, b_payload) = state["backward"]
-        (f_ref, f_status, f_payload) = state["forward"]
-        if b_status != "ok" and f_status != "ok":
+        if state["status"] != "ok":
             report["dropped_entries"].append(list(state["pair"]))
             continue
-        if b_status != "ok":
-            payload = _rebuild_orientation(store, f_payload, key="output")
-            row["backward"] = rebuild_ref(payload, b_ref).to_json()
-            report["rebuilt_orientations"] += 1
-        elif b_ref.segment in damaged_set:
-            row["backward"] = relocate(b_payload, b_ref).to_json()
-            report["evacuated_records"] += 1
-        if f_status != "ok":
-            payload = _rebuild_orientation(store, b_payload, key="input")
-            row["forward"] = rebuild_ref(payload, f_ref).to_json()
-            report["rebuilt_orientations"] += 1
-        elif f_ref.segment in damaged_set:
-            row["forward"] = relocate(f_payload, f_ref).to_json()
+        if state["ref"].segment in damaged_set:
+            row["backward"] = relocate(state["payload"], state["ref"]).to_json()
             report["evacuated_records"] += 1
         surviving_rows.append(row)
     manifest.entries = surviving_rows
@@ -402,8 +347,6 @@ def scrub_store(store: LineageStore, repair: bool = False, serialize_lock=None) 
 
     report["repaired"] = True
     _SCRUBS.labels(outcome="repaired").inc()
-    if report["rebuilt_orientations"]:
-        _SCRUB_REBUILT.inc(report["rebuilt_orientations"])
     if report["evacuated_records"]:
         _SCRUB_EVACUATED.inc(report["evacuated_records"])
     if report["quarantined"]:
@@ -413,7 +356,6 @@ def scrub_store(store: LineageStore, repair: bool = False, serialize_lock=None) 
         level="warning",
         component="scrub",
         root=str(root),
-        rebuilt_orientations=report["rebuilt_orientations"],
         evacuated_records=report["evacuated_records"],
         dropped_entries=len(report["dropped_entries"]),
         quarantined=len(report["quarantined"]),

@@ -471,19 +471,17 @@ class ShardedCatalog(Catalog):
     def add_compressed(
         self,
         backward: CompressedLineage,
-        forward: CompressedLineage,
         op_name: Optional[str] = None,
         reused: bool = False,
         replace: bool = False,
     ) -> LineageEntry:
-        if backward.key_side != "output" or forward.key_side != "input":
-            raise ValueError("backward/forward tables have the wrong orientation")
+        if backward.key_side != "output":
+            raise ValueError("an entry stores its backward table (keyed on the output)")
         pair = (backward.in_name, backward.out_name)
         shard_idx = self.store.shard_for(*pair)
         # serialize (and gzip) outside every lock: this is the CPU-heavy
         # part of an append and must overlap across writer threads
-        payload_b = serialize_table(backward, gzip=self.store.gzip)
-        payload_f = serialize_table(forward, gzip=self.store.gzip)
+        payload = serialize_table(backward, gzip=self.store.gzip)
 
         with self._meta_lock:
             existing = self._entries.get(pair)
@@ -501,8 +499,7 @@ class ShardedCatalog(Catalog):
             # into the gap and delete the just-written segment before the
             # catalog row referencing it exists
             with self.store.shard_lock(shard_idx):
-                backward_ref = shard.append_payload(payload_b, table=backward)
-                forward_ref = shard.append_payload(payload_f, table=forward)
+                backward_ref = shard.append_payload(payload, table=backward)
                 with self._meta_lock:
                     # the reservation is released only together with the
                     # install, so no second writer can slip between the two
@@ -513,7 +510,6 @@ class ShardedCatalog(Catalog):
                         in_name=pair[0],
                         out_name=pair[1],
                         backward_ref=backward_ref,
-                        forward_ref=forward_ref,
                         op_name=op_name,
                         reused=reused,
                         version=existing.version + 1 if existing is not None else 1,
@@ -527,7 +523,6 @@ class ShardedCatalog(Catalog):
                         "reused": entry.reused,
                         "version": entry.version,
                         "backward": backward_ref.to_json(),
-                        "forward": forward_ref.to_json(),
                     }
                     old_row = self._rows.get(pair)
                     if old_row is not None:

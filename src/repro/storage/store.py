@@ -15,10 +15,11 @@ Design points
   deserialized until a query touches an entry.
   ``LineageStore.tables_deserialized`` counts actual decodes so tests and
   benchmarks can prove it.
-* **Both orientations persisted** — so reopening never has to rebuild the
-  forward table from the backward one.  Storage accounting
-  (``storage_bytes``) still counts only the backward orientation, matching
-  the paper's long-term storage metric.
+* **One table per entry** — the backward ProvRC table, keyed on the
+  output; a forward query is the inverse θ-join over it, so no forward
+  table is ever written or rebuilt.  Storage accounting
+  (``storage_bytes``) counts that table, the paper's long-term storage
+  metric.
 * **Crash safety** — segment appends happen before the manifest save; the
   manifest is swapped in atomically.  Unreferenced segment bytes are inert
   garbage until :meth:`LineageStore.compact` rewrites the live records into
@@ -256,14 +257,13 @@ class StoredLineageEntry:
 
     Duck-typed against :class:`~repro.storage.catalog.LineageEntry`
     (``in_name`` / ``out_name`` / ``op_name`` / ``reused`` / ``version`` /
-    ``token`` / ``backward`` / ``forward`` / ``table_keyed_on`` /
-    ``is_resident`` / ``storage_bytes``);
-    the two orientation attributes are properties that pull the table
-    through the store's LRU cache on access.
+    ``token`` / ``backward`` / ``table_keyed_on`` / ``is_resident`` /
+    ``storage_bytes``); ``backward`` is a property that pulls the table
+    through the store's cache on access.
     """
 
     __slots__ = ("store", "in_name", "out_name", "op_name", "reused", "version",
-                 "token", "backward_ref", "forward_ref")
+                 "token", "backward_ref")
 
     def __init__(
         self,
@@ -271,7 +271,6 @@ class StoredLineageEntry:
         in_name: str,
         out_name: str,
         backward_ref: TableRef,
-        forward_ref: TableRef,
         op_name: Optional[str] = None,
         reused: bool = False,
         version: int = 1,
@@ -281,7 +280,6 @@ class StoredLineageEntry:
         self.in_name = in_name
         self.out_name = out_name
         self.backward_ref = backward_ref
-        self.forward_ref = forward_ref
         self.op_name = op_name
         self.reused = reused
         self.version = version
@@ -292,21 +290,23 @@ class StoredLineageEntry:
         return self.store.load_table(self.backward_ref)
 
     @property
-    def forward(self) -> CompressedLineage:
-        return self.store.load_table(self.forward_ref)
+    def forward_ref(self) -> TableRef:
+        """Read-only alias of :attr:`backward_ref`, the one table's ref:
+        the frozen benchmark harness still reads this name.  It goes with
+        the next edit of ``bench/``."""
+        return self.backward_ref
 
     def table_keyed_on(self, array_name: str) -> CompressedLineage:
-        if array_name == self.out_name:
-            return self.backward
-        if array_name == self.in_name:
-            return self.forward
-        raise KeyError(f"array {array_name!r} is not part of this lineage entry")
+        """The table a hop from *array_name* joins: the one backward
+        table, from either side."""
+        if array_name != self.out_name and array_name != self.in_name:
+            raise KeyError(f"array {array_name!r} is not part of this lineage entry")
+        return self.backward
 
     def is_resident(self, array_name: str) -> bool:
         """Whether :meth:`table_keyed_on` would be served from the table
         cache (a probe: it loads nothing and counts as no cache lookup)."""
-        ref = self.backward_ref if array_name == self.out_name else self.forward_ref
-        return self.store.cache_key(ref) in self.store.cache
+        return self.store.cache_key(self.backward_ref) in self.store.cache
 
     def storage_bytes(self, gzip: bool = True) -> int:
         """Long-term (backward) footprint.  When the requested format is the

@@ -3,7 +3,8 @@
 Verifies every manifest-referenced record (structure and CRC32 checksums),
 reports torn tails, truncated and missing segments, and orphan files; with
 ``--repair``, quarantines the damage into ``<root>/quarantine/`` and heals
-the catalog with zero valid-record loss (see :mod:`repro.storage.scrub`).
+the catalog with zero valid-record loss: an entry whose one table is
+damaged is dropped (see :mod:`repro.storage.scrub`).
 
 Usage::
 
@@ -55,15 +56,14 @@ def _summarize(report: dict, out) -> None:
         print(f"  orphan segment {name}", file=out)
     if report.get("repaired"):
         print(
-            f"  healed: {report['rebuilt_orientations']} orientations rebuilt, "
-            f"{report['evacuated_records']} records evacuated, "
+            f"  healed: {report['evacuated_records']} records evacuated, "
             f"{len(report['dropped_entries'])} entries dropped, "
             f"{len(report['quarantined'])} files quarantined "
             f"-> generation {report['generation']}",
             file=out,
         )
         for pair in report["dropped_entries"]:
-            print(f"  DROPPED entry {pair[0]} -> {pair[1]} (both orientations damaged)", file=out)
+            print(f"  DROPPED entry {pair[0]} -> {pair[1]} (its table is damaged)", file=out)
 
 
 def main(argv=None) -> int:

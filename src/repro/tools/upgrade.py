@@ -11,9 +11,12 @@ idempotent; an interrupted run is finished by running it again.
   operation records and reuse state carry over as they are.
 * **Per-entry directory** (one ``.provrc[.gz]`` backward table per entry,
   which never held op names or operation records): every table is
-  re-ingested, its forward orientation rebuilt, into a one-shard store
-  staged beside the files and moved into place; the old files are kept
-  under ``legacy/``.
+  re-ingested into a one-shard store staged beside the files and moved
+  into place; the old files are kept under ``legacy/``.
+* **Forward tables** (every store written while an entry held two
+  orientations): each manifest row drops its ``forward`` ref, and every
+  segment that held a forward record is rewritten below with its live
+  records only, so no forward record survives.
 * **Segments the reader cannot serve**, in any shard: wire-v1 segments
   (no per-record checksum) and segments holding a live table in an older
   column layout — ``"layout": "row-delta"`` (the same row deltas and
@@ -89,7 +92,7 @@ def _reingest_per_entry(root: Path, files: list) -> None:
             backward = deserialize_table(_current(path.read_bytes()))
             log.define_array(backward.in_name, backward.in_shape)
             log.define_array(backward.out_name, backward.out_shape)
-            log.catalog.add_compressed(backward, DSLog._reorient(backward))
+            log.catalog.add_compressed(backward)
     (staging / "shard-00").rename(root / "shard-00")
     shutil.rmtree(staging)
 
@@ -196,14 +199,18 @@ def _iter_v1_records(path: Path) -> Iterator[Tuple[int, bytes]]:
 
 def _rewrite_segments(shard: Path) -> bool:
     """Rewrite each of one shard's segments the reader cannot serve —
-    wire-v1, or holding a live table in an older column layout — as a
-    fresh v2 segment of its live records in the current layout; returns
-    whether there were any.  The manifest publish is the commit point:
-    before it the new files are unreferenced (a second run overwrites
-    them), after it the old files are, and are removed."""
+    wire-v1, or holding a live table in an older column layout — or that
+    holds a forward table, as a fresh v2 segment of its live records in the
+    current layout; returns whether there were any.  The manifest publish
+    is the commit point: before it the new files are unreferenced (a
+    second run overwrites them), after it the old files are, and are
+    removed."""
     manifest = load_manifest(shard)
     if manifest is None:
         return False
+    # a forward table is no live record: dropping its ref here leaves it
+    # out of the rewrite of its segment
+    forward = {row.pop("forward")["segment"] for row in manifest.entries if "forward" in row}
     live: Dict[str, Dict[int, int]] = {}  # segment -> {record offset: length}
     for ref in manifest.iter_table_refs():
         live.setdefault(ref["segment"], {})[ref["offset"]] = ref["length"]
@@ -218,7 +225,9 @@ def _rewrite_segments(shard: Path) -> bool:
             v1 = fh.read(SEGMENT_HEADER_SIZE) == _V1_HEADER
         if v1:
             records = ((offset, p) for offset, p in _iter_v1_records(path) if offset in refs)
-        elif any(_is_legacy(path, offset, length) for offset, length in refs.items()):
+        elif name in forward or any(
+            _is_legacy(path, offset, length) for offset, length in refs.items()
+        ):
             records = ((offset, read_record(path, offset, refs[offset])) for offset in sorted(refs))
         else:
             continue
@@ -229,7 +238,7 @@ def _rewrite_segments(shard: Path) -> bool:
         with SegmentWriter(shard / renamed[name]) as writer:
             for offset, payload in records:
                 moved[(name, offset)] = writer.append(_current(payload))
-    if not renamed:
+    if not renamed and not forward:
         return False
     for ref in manifest.iter_table_refs():
         if ref["segment"] in renamed:

@@ -1,14 +1,16 @@
 """Loop-based oracle implementations of the vectorized query/compression kernels.
 
 These are the original (pre-vectorization) per-row Python implementations of
-``theta_join``, ``merge_boxes``, ``decompress`` and the ProvRC passes.
+``theta_join``, ``merge_boxes``, ``decompress`` and the ProvRC passes, plus
+a per-(box, row) loop for the inverse θ-join.
 They are intentionally simple — one interpreted loop iteration per row or
 box, one plain ``np.lexsort`` per sort — and define the exact semantics the
 vectorized kernels in :mod:`repro.core.query` and :mod:`repro.core.provrc`
 must reproduce, down to output row ordering.  ``tests/core/test_query_equivalence.py`` checks the
 kernels against these oracles on randomized relations.
 
-Not to be confused with :mod:`repro.core.reference`, which holds the
+They live beside the tests because only tests read them.  Not to be
+confused with :mod:`repro.core.reference`, which holds the
 set-based brute-force oracles for whole *queries* (ground truth for both the
 in-situ processor and the baselines).  This module pins down the *kernels*.
 """
@@ -20,13 +22,14 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .compressed import KIND_REL, CompressedLineage
-from .intervals import Interval
-from .provrc import _run_lengths
-from .relation import LineageRelation
+from repro.core.compressed import KIND_REL, CompressedLineage
+from repro.core.intervals import Interval
+from repro.core.provrc import _run_lengths
+from repro.core.relation import LineageRelation
 
 __all__ = [
     "theta_join_reference",
+    "inverse_join_reference",
     "merge_boxes_reference",
     "value_range_pass_reference",
     "key_range_pass_reference",
@@ -81,11 +84,51 @@ def merge_boxes_reference(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, n
     return lo, hi
 
 
+def inverse_join_reference(query, table: CompressedLineage, merge: bool = True):
+    """One inverse θ-join (a query over the table's value array) done one
+    (query box, row, attribute) at a time: narrow each referenced key
+    attribute to ``[q_lo - hi, q_hi - lo]``, test each absolute attribute
+    against the box, keep the narrowed key box when it is non-empty."""
+    from repro.core.query import CellBoxSet
+
+    if table.value_name != query.array_name:
+        raise ValueError(
+            f"table's value array is {table.value_name!r} but the query targets {query.array_name!r}"
+        )
+    if table.value_ndim != query.ndim:
+        raise ValueError("query dimensionality does not match the table's value arity")
+    out_lo: List[List[int]] = []
+    out_hi: List[List[int]] = []
+    for qi in range(len(query)):
+        for r in range(len(table)):
+            lo = [int(v) for v in table.key_lo[r]]
+            hi = [int(v) for v in table.key_hi[r]]
+            meets = True
+            for i in range(table.value_ndim):
+                floor = int(query.lo[qi, i]) - int(table.val_hi[r, i])
+                ceil = int(query.hi[qi, i]) - int(table.val_lo[r, i])
+                if table.val_kind[r, i] == KIND_REL:
+                    j = int(table.val_ref[r, i])
+                    lo[j], hi[j] = max(lo[j], floor), min(hi[j], ceil)
+                elif floor > 0 or ceil < 0:
+                    meets = False
+            if meets and all(l <= h for l, h in zip(lo, hi)):
+                out_lo.append(lo)
+                out_hi.append(hi)
+    if not out_lo:
+        return CellBoxSet.empty(table.key_name, table.key_shape)
+    result = CellBoxSet(table.key_name, table.key_shape, np.array(out_lo), np.array(out_hi)).clipped()
+    return result.merged() if merge else result
+
+
 def theta_join_reference(query, table: CompressedLineage, merge: bool = True):
-    """One θ-join done with the original one-broadcast-per-query-box loop."""
-    from .query import CellBoxSet
+    """One θ-join done with the original one-broadcast-per-query-box loop
+    (a query over the table's value array: :func:`inverse_join_reference`)."""
+    from repro.core.query import CellBoxSet
 
     if table.key_name != query.array_name:
+        if table.value_name == query.array_name:
+            return inverse_join_reference(query, table, merge)
         raise ValueError(
             f"table is keyed on array {table.key_name!r} but the query targets {query.array_name!r}"
         )
@@ -232,7 +275,7 @@ def key_range_pass_reference(
     relative: bool,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The original sequential greedy run scan of the ProvRC key pass."""
-    from .compressed import KIND_ABS
+    from repro.core.compressed import KIND_ABS
 
     nkey = klo.shape[1]
     nval = vlo.shape[1]
@@ -382,10 +425,7 @@ def decompress_reference(table: CompressedLineage) -> LineageRelation:
                 row.value_interval(i, key_cell) for i in range(table.value_ndim)
             )
             for value_cell in _iter_box(value_intervals):
-                if table.key_side == "output":
-                    pairs.append((key_cell, value_cell))
-                else:
-                    pairs.append((value_cell, key_cell))
+                pairs.append((key_cell, value_cell))
     relation = LineageRelation.from_pairs(
         pairs,
         table.out_shape,

@@ -75,25 +75,23 @@ class TestTableII_RelativeTransformation:
         assert compress(relation).decompress() == relation
 
 
-class TestTableIII_ForwardRepresentation:
-    """The forward table keeps input attributes absolute (Table III)."""
+class TestTableIII_ForwardQueries:
+    """Table III's forward table is not stored: the inverse θ-join answers
+    forward queries over the Table II backward table instead."""
 
-    def test_forward_table_structure(self):
-        table = compress(axis_sum_relation(), key="input")
-        assert table.key_side == "input"
-        assert len(table) == 1
-        row = table.row(0)
-        # keys are (a1, a2): a1 spans [0,2], a2 spans [0,1]
-        assert (row.key[0].lo, row.key[0].hi) == (0, 2)
-        assert (row.key[1].lo, row.key[1].hi) == (0, 1)
-        # b1 is relative to a1 with delta 0
-        b1 = row.values[0]
-        assert b1.kind == KIND_REL and b1.ref == 0
-        assert (b1.interval.lo, b1.interval.hi) == (0, 0)
-
-    def test_forward_table_lossless(self):
+    def test_forward_hops_over_the_backward_table(self):
         relation = axis_sum_relation()
-        assert compress(relation, key="input").decompress() == relation
+        table = compress(relation)
+        for cells in ([(1, 0)], [(0, 1), (2, 0)], [(r, c) for r in range(3) for c in range(2)]):
+            query = CellBoxSet.from_cells(relation.in_name, relation.in_shape, cells)
+            assert theta_join(query, table).to_cells() == relation.forward(cells)
+
+    def test_one_box_per_matching_row(self):
+        # a1 in [1, 2], a2 = 1 narrows the one row's b1 in [0, 2] to [1, 2]
+        relation = axis_sum_relation()
+        query = CellBoxSet.from_boxes(relation.in_name, relation.in_shape, [[(1, 2), (1, 1)]])
+        result = theta_join(query, compress(relation), merge=False)
+        assert result.lo.tolist() == [[1]] and result.hi.tolist() == [[2]]
 
 
 class TestFigure2_AggregatePattern:

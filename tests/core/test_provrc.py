@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.compressed import KIND_ABS, KIND_REL
-from repro.core.provrc import ProvRCStats, compress, compress_both
+from repro.core.provrc import ProvRCStats, compress
 from repro.core.relation import LineageRelation
 
 
@@ -90,13 +90,11 @@ class TestStructuredPatterns:
         assert stats.after_key_pass == 1
         assert stats.as_dict()["after_value_pass"] == 30
 
-    def test_compress_both_orientations(self):
+    def test_compress_builds_the_backward_table(self):
         relation = aggregate_axis_relation((6, 4), axis=1)
-        backward, forward = compress_both(relation)
+        backward = compress(relation)
         assert backward.key_side == "output"
-        assert forward.key_side == "input"
         assert backward.decompress() == relation
-        assert forward.decompress() == relation
 
 
 class TestEdgeCases:
@@ -118,10 +116,6 @@ class TestEdgeCases:
         )
         table = compress(relation)
         assert table.decompress() == relation.deduplicated()
-
-    def test_invalid_key_side(self):
-        with pytest.raises(ValueError):
-            compress(elementwise_relation((4,)), key="sideways")
 
     def test_scalar_arrays_rejected(self):
         relation = LineageRelation((), (3,), np.empty((0, 1)))
@@ -169,13 +163,7 @@ class TestLosslessnessProperties:
     @settings(max_examples=120, deadline=None)
     @given(relation_strategy())
     def test_backward_roundtrip(self, relation):
-        table = compress(relation, key="output")
-        assert table.decompress() == relation.deduplicated()
-
-    @settings(max_examples=120, deadline=None)
-    @given(relation_strategy())
-    def test_forward_roundtrip(self, relation):
-        table = compress(relation, key="input")
+        table = compress(relation)
         assert table.decompress() == relation.deduplicated()
 
     @settings(max_examples=60, deadline=None)

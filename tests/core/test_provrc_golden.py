@@ -17,6 +17,10 @@ layouts are read only by ``python -m repro.tools.upgrade``, which rewrites
 them; ``tests/tools/test_upgrade.py`` holds a copy of each of their
 writers.
 
+Both digests cover the backward table of each relation, the one table an
+entry stores; they were recomputed over backward tables alone at the last
+commit that also built forward tables, when the forward table was dropped.
+
 ``python tests/core/test_provrc_golden.py`` prints both.
 """
 
@@ -25,7 +29,7 @@ import hashlib
 import numpy as np
 
 from repro.capture.numpy_catalog import pipeline_ops
-from repro.core.provrc import compress_both
+from repro.core.provrc import compress
 from repro.core.serialize import _COLUMNS, serialize_compressed
 from repro.workloads.pipelines import (
     image_pipeline,
@@ -33,9 +37,9 @@ from repro.workloads.pipelines import (
     resnet_block_pipeline,
 )
 
-COLUMNS_SHA256 = "00e719f2db2d9eb76985ccab169e26ca2b291e57bcf40caa4e00003b71f4f01a"
-PAYLOAD_SHA256 = "c33993017ba5fd09484ddf10e5459c2ad14c160d47cfc72c25b35a02c1ce8078"
-GOLDEN_TABLES = 186
+COLUMNS_SHA256 = "77ebea853ead11d38bc5859a69d9961876c701b8ae4eb235bffe05ceb067c364"
+PAYLOAD_SHA256 = "2929998f084d60264596b9f8b40a5dae8d8721c355517da4ac63af2502021797"
+GOLDEN_TABLES = 93
 
 
 def _relations():
@@ -55,15 +59,15 @@ def golden_digests():
     payloads = hashlib.sha256()
     tables = 0
     for relation in _relations():
-        for table in compress_both(relation):
-            for name in _COLUMNS:
-                column = np.ascontiguousarray(getattr(table, name), dtype=np.int64)
-                columns.update(repr(column.shape).encode())
-                columns.update(column.tobytes())
-            payload = serialize_compressed(table)
-            payloads.update(len(payload).to_bytes(8, "little"))
-            payloads.update(payload)
-            tables += 1
+        table = compress(relation)
+        for name in _COLUMNS:
+            column = np.ascontiguousarray(getattr(table, name), dtype=np.int64)
+            columns.update(repr(column.shape).encode())
+            columns.update(column.tobytes())
+        payload = serialize_compressed(table)
+        payloads.update(len(payload).to_bytes(8, "little"))
+        payloads.update(payload)
+        tables += 1
     return columns.hexdigest(), payloads.hexdigest(), tables
 
 

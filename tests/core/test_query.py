@@ -87,7 +87,7 @@ class TestMergeBoxes:
 class TestThetaJoin:
     def test_backward_matches_reference(self):
         relation = aggregate_relation((6, 5), axis=1)
-        table = compress(relation, key="output")
+        table = compress(relation)
         cells = [(0,), (3,)]
         query = CellBoxSet.from_cells("B", relation.out_shape, cells)
         result = theta_join(query, table)
@@ -95,7 +95,7 @@ class TestThetaJoin:
 
     def test_forward_matches_reference(self):
         relation = aggregate_relation((6, 5), axis=1)
-        table = compress(relation, key="input")
+        table = compress(relation)
         cells = [(2, 3), (5, 0)]
         query = CellBoxSet.from_cells("A", relation.in_shape, cells)
         result = theta_join(query, table)
@@ -129,7 +129,7 @@ class TestThetaJoin:
 
     def test_merge_flag_only_affects_box_count(self):
         relation = aggregate_relation((8, 3), axis=1)
-        table = compress(relation, key="input")
+        table = compress(relation)
         query = CellBoxSet.from_cells("A", relation.in_shape, [(r, c) for r in range(8) for c in range(3)])
         merged = theta_join(query, table, merge=True)
         unmerged = theta_join(query, table, merge=False)
@@ -151,25 +151,25 @@ class TestSharedRefExpansion:
 
     def test_diagonal_backward_range_query_exact(self):
         relation = diagonal_relation(6)
-        table = compress(relation, key="output")
+        table = compress(relation)
         assert table.shared_ref_mask is not None
         query = CellBoxSet.from_boxes("B", (6,), [[(1, 4)]])
         cells = sorted(query.to_cells())
         assert theta_join(query, table).to_cells() == relation.backward(cells)
         assert theta_join(query, table).to_cells() == {(i, i) for i in range(1, 5)}
 
-    def test_diagonal_forward_unaffected(self):
-        # forward table: diagonal (i, i) keys never form runs, each row's
-        # single relative value stays on the exact vector path
+    def test_diagonal_forward_range_query_exact(self):
+        # the inverse join intersects the two attributes' narrowings of the
+        # shared key attribute, so a box over A meets only its diagonal
         relation = diagonal_relation(5)
-        table = compress(relation, key="input")
+        table = compress(relation)
         query = CellBoxSet.from_boxes("A", (5, 5), [[(0, 4), (0, 4)]])
         cells = list(query.to_cells())
         assert theta_join(query, table).to_cells() == relation.forward(cells)
 
     def test_point_queries_unaffected(self):
         relation = diagonal_relation(6)
-        table = compress(relation, key="output")
+        table = compress(relation)
         for i in range(6):
             query = CellBoxSet.from_cells("B", (6,), [(i,)])
             assert theta_join(query, table).to_cells() == {(i, i)}
@@ -181,7 +181,7 @@ class TestSharedRefExpansion:
         collapse = LineageRelation.from_pairs(
             [((0,), (i,)) for i in range(6)], (1,), (6,), in_name="B", out_name="C"
         )
-        tables = [compress(collapse, key="output"), compress(diag, key="output")]
+        tables = [compress(collapse), compress(diag)]
         query = CellBoxSet.from_cells("C", (1,), [(0,)])
         result = execute_path(tables, query)
         expected = query_path_reference([collapse, diag], ["backward", "backward"], [(0,)])
@@ -190,7 +190,7 @@ class TestSharedRefExpansion:
 
     def test_merge_flag_agrees(self):
         relation = diagonal_relation(7)
-        table = compress(relation, key="output")
+        table = compress(relation)
         query = CellBoxSet.from_boxes("B", (7,), [[(0, 6)]])
         assert (
             theta_join(query, table, merge=True).to_cells()
@@ -207,7 +207,7 @@ class TestExecutePath:
 
     def test_forward_two_hops(self):
         r1, r2 = self.make_chain()
-        tables = [compress(r1, key="input"), compress(r2, key="input")]
+        tables = [compress(r1), compress(r2)]
         cells = [(0, 0), (2, 3)]
         query = CellBoxSet.from_cells("A", (6, 4), cells)
         result = execute_path(tables, query)
@@ -216,7 +216,7 @@ class TestExecutePath:
 
     def test_backward_two_hops(self):
         r1, r2 = self.make_chain()
-        tables = [compress(r2, key="output"), compress(r1, key="output")]
+        tables = [compress(r2), compress(r1)]
         cells = [(1,), (4,)]
         query = CellBoxSet.from_cells("C", (6,), cells)
         result = execute_path(tables, query)
@@ -225,7 +225,7 @@ class TestExecutePath:
 
     def test_hop_stats_recorded(self):
         r1, r2 = self.make_chain()
-        tables = [compress(r1, key="input"), compress(r2, key="input")]
+        tables = [compress(r1), compress(r2)]
         query = CellBoxSet.from_cells("A", (6, 4), [(0, 0)])
         result = execute_path(tables, query)
         assert len(result.hops) == 2
@@ -235,7 +235,7 @@ class TestExecutePath:
     def test_empty_frontier_short_circuits(self):
         r1 = LineageRelation.from_pairs([((0,), (0,))], (4,), (4,), in_name="A", out_name="B")
         r2 = elementwise_relation((4,), in_name="B", out_name="C")
-        tables = [compress(r1, key="input"), compress(r2, key="input")]
+        tables = [compress(r1), compress(r2)]
         query = CellBoxSet.from_cells("A", (4,), [(3,)])
         result = execute_path(tables, query)
         assert result.to_cells() == set()
@@ -243,7 +243,7 @@ class TestExecutePath:
 
     def test_no_merge_matches_merge(self):
         r1, r2 = self.make_chain()
-        tables = [compress(r1, key="input"), compress(r2, key="input")]
+        tables = [compress(r1), compress(r2)]
         cells = [(r, c) for r in range(6) for c in range(4) if (r + c) % 2 == 0]
         query = CellBoxSet.from_cells("A", (6, 4), cells)
         with_merge = execute_path(tables, query, merge=True)
@@ -282,7 +282,7 @@ class TestQueryProperties:
     @given(relation_and_query())
     def test_backward_equals_reference(self, data):
         relation, out_cells, _ = data
-        table = compress(relation, key="output")
+        table = compress(relation)
         query = CellBoxSet.from_cells("B", relation.out_shape, out_cells)
         result = theta_join(query, table)
         assert result.to_cells() == relation.backward(out_cells)
@@ -291,7 +291,7 @@ class TestQueryProperties:
     @given(relation_and_query())
     def test_forward_equals_reference(self, data):
         relation, _, in_cells = data
-        table = compress(relation, key="input")
+        table = compress(relation)
         query = CellBoxSet.from_cells("A", relation.in_shape, in_cells)
         result = theta_join(query, table)
         assert result.to_cells() == relation.forward(in_cells)
@@ -300,8 +300,87 @@ class TestQueryProperties:
     @given(relation_and_query())
     def test_merge_never_changes_answer(self, data):
         relation, out_cells, _ = data
-        table = compress(relation, key="output")
+        table = compress(relation)
         query = CellBoxSet.from_cells("B", relation.out_shape, out_cells)
         merged = theta_join(query, table, merge=True)
         plain = theta_join(query, table, merge=False)
         assert merged.to_cells() == plain.to_cells()
+
+
+# ----------------------------------------------------------------------
+# property-based: a forward hop is the inverse θ-join over the backward
+# table, and it agrees with brute force on every lineage shape
+# ----------------------------------------------------------------------
+def _pairs(kind, n, shift):
+    """``(out_shape, in_shape, pairs)`` of one lineage shape over extent *n*."""
+    cells = list(np.ndindex(n, n))
+    if kind == "diagonal":  # two value attributes sharing one key reference
+        return (n,), (n, n + shift), [((i,), (i, i + shift)) for i in range(n)]
+    if kind == "transpose":
+        return (n, n), (n, n), [((i, j), (j, i)) for i, j in cells]
+    if kind == "negative-delta":  # out[i] <- in[i - shift .. i]
+        pairs = [((i,), (j,)) for i in range(n) for j in range(max(0, i - shift), i + 1)]
+        return (n,), (n,), pairs
+    if kind == "absolute":  # every row absolute: out[0] <- all of in
+        return (1,), (n, n), [((0,), cell) for cell in cells]
+    if kind == "broadcast":  # out[i, j] <- in[j]
+        return (n, n), (n,), [((i, j), (j,)) for i, j in cells]
+    if kind == "empty":
+        return (n,), (n, n), []
+    if kind == "1d-to-3d":  # a flatten: out[k] <- in[unravel(k)]
+        shape = (n, 2, 2)
+        return (n * 4,), shape, [((k,), np.unravel_index(k, shape)) for k in range(n * 4)]
+    if kind == "3d-to-1d":  # out[i, j, k] <- in[2 * i + j]: a reshape and a broadcast
+        shape = (n, 2, 2)
+        return shape, (n * 2,), [(c, (c[0] * 2 + c[1],)) for c in np.ndindex(*shape)]
+    raise AssertionError(kind)
+
+
+KINDS = ["diagonal", "transpose", "negative-delta", "absolute", "broadcast", "empty", "1d-to-3d", "3d-to-1d", "random"]
+
+
+@st.composite
+def forward_cases(draw):
+    """A relation of one of :data:`KINDS` and a set of input cells."""
+    kind = draw(st.sampled_from(KINDS))
+    n, shift = draw(st.integers(1, 6)), draw(st.integers(0, 3))
+    if kind == "random":
+        out_shape = tuple(draw(st.integers(1, 4)) for _ in range(draw(st.integers(1, 3))))
+        in_shape = tuple(draw(st.integers(1, 4)) for _ in range(draw(st.integers(1, 3))))
+        cell = lambda shape: tuple(draw(st.integers(0, d - 1)) for d in shape)  # noqa: E731
+        pairs = [(cell(out_shape), cell(in_shape)) for _ in range(draw(st.integers(0, 30)))]
+    else:
+        out_shape, in_shape, pairs = _pairs(kind, n, shift)
+    relation = LineageRelation.from_pairs(pairs, out_shape, in_shape)
+    in_cells = draw(
+        st.lists(st.tuples(*(st.integers(0, d - 1) for d in in_shape)), max_size=8)
+    )
+    return relation, in_cells
+
+
+class TestInverseJoinProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(forward_cases(), st.booleans())
+    def test_forward_hop_equals_reference(self, case, merge):
+        relation, in_cells = case
+        table = compress(relation)
+        query = CellBoxSet.from_cells(relation.in_name, relation.in_shape, in_cells)
+        result = execute_path([table], query, merge=merge)
+        assert result.to_cells() == query_path_reference([relation], ["forward"], in_cells)
+        assert result.cells.array_name == relation.out_name
+        # one box per matching row before the merge
+        raw = theta_join(query, table, merge=False)
+        assert len(raw) <= len(query) * len(table)
+
+    @settings(max_examples=100, deadline=None)
+    @given(forward_cases(), st.data())
+    def test_forward_chain_equals_reference(self, case, data):
+        # a second hop of random pairs from the first one's output
+        first, cells = case
+        out_shape = tuple(data.draw(st.integers(1, 4)) for _ in range(data.draw(st.integers(1, 3))))
+        cell = lambda shape: tuple(data.draw(st.integers(0, d - 1)) for d in shape)  # noqa: E731
+        pairs = [(cell(out_shape), cell(first.out_shape)) for _ in range(data.draw(st.integers(0, 30)))]
+        second = LineageRelation.from_pairs(pairs, out_shape, first.out_shape, in_name="B", out_name="C")
+        query = CellBoxSet.from_cells("A", first.in_shape, cells)
+        result = execute_path([compress(first), compress(second)], query)
+        assert result.to_cells() == query_path_reference([first, second], ["forward"] * 2, cells)

@@ -2,7 +2,7 @@
 
 The vectorized θ-join, segmented box merge and ProvRC key-pass run scan in
 :mod:`repro.core.query` / :mod:`repro.core.provrc` must reproduce the
-original per-row loop implementations (kept in :mod:`repro.core._reference`)
+original per-row loop implementations (kept in ``tests/core/_reference.py``)
 *exactly* — same rows, same order, same dtypes — on randomized 1-D/2-D/3-D
 relations, including relative encodings, out-of-bounds queries and empty
 results.  Seeded numpy generators keep every run reproducible.
@@ -16,15 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.query as query_mod
-from repro.core._reference import (
+from _reference import (
     decompress_reference,
     key_range_pass_reference,
     merge_boxes_reference,
     theta_join_reference,
     value_range_pass_reference,
 )
-from repro.core.compressed import KIND_ABS, KIND_REL, CompressedLineage
-from repro.core.provrc import _key_range_pass, _value_range_pass, compress, compress_both
+from repro.core.compressed import KIND_ABS, KIND_REL, CompressedLineage, _stable_sort
+from repro.core.provrc import _key_range_pass, _value_range_pass, compress
 from repro.core.query import (
     THETA_JOIN_BLOCK_BUDGET_BYTES,
     CellBoxSet,
@@ -98,15 +98,17 @@ class TestMergeBoxesEquivalence:
 
 class TestThetaJoinEquivalence:
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("key", ["output", "input"])
+    @pytest.mark.parametrize("side", ["output", "input"])
     @pytest.mark.parametrize("merge", [True, False])
-    def test_random_relations_match_oracle(self, seed, key, merge):
+    def test_random_relations_match_oracle(self, seed, side, merge):
+        # a query over the output takes the θ-join, one over the input the
+        # inverse θ-join — both over the one backward table
         rng = np.random.default_rng(seed)
         for _ in range(30):
             relation = random_relation(rng)
-            table = compress(relation, key=key)
-            shape = relation.out_shape if key == "output" else relation.in_shape
-            name = relation.out_name if key == "output" else relation.in_name
+            table = compress(relation)
+            shape = relation.out_shape if side == "output" else relation.in_shape
+            name = relation.out_name if side == "output" else relation.in_name
             n_boxes = int(rng.integers(0, 8))
             lo, hi = random_boxes(rng, len(shape), n_boxes, coord_range=max(shape), max_extent=2)
             query = CellBoxSet(name, shape, lo, hi)
@@ -122,7 +124,7 @@ class TestThetaJoinEquivalence:
         shape = (int(rng.integers(4, 40)),) * 2
         pairs = [(cell, cell) for cell in np.ndindex(*shape)]
         relation = LineageRelation.from_pairs(pairs, shape, shape)
-        table = compress(relation, key="output")
+        table = compress(relation)
         assert (table.val_kind == KIND_REL).any()
         cells = [
             tuple(int(rng.integers(0, d)) for d in shape) for _ in range(10)
@@ -135,18 +137,18 @@ class TestThetaJoinEquivalence:
 
     def test_empty_query_and_empty_table(self):
         relation = random_relation(np.random.default_rng(0))
-        table = compress(relation, key="output")
+        table = compress(relation)
         empty = CellBoxSet.empty(relation.out_name, relation.out_shape)
         assert theta_join(empty, table).is_empty()
 
         no_rows = LineageRelation.from_pairs([], (4,), (4,))
-        empty_table = compress(no_rows, key="output")
+        empty_table = compress(no_rows)
         query = CellBoxSet.from_cells(no_rows.out_name, (4,), [(1,)])
         assert theta_join(query, empty_table).is_empty()
 
     def test_no_match_returns_empty(self):
         relation = LineageRelation.from_pairs([((0,), (0,))], (8,), (8,))
-        table = compress(relation, key="output")
+        table = compress(relation)
         query = CellBoxSet.from_cells(relation.out_name, (8,), [(7,)])
         got = theta_join(query, table)
         want = theta_join_reference(query, table)
@@ -157,7 +159,7 @@ class TestThetaJoinEquivalence:
         # then check the result is identical to the unblocked oracle
         rng = np.random.default_rng(11)
         relation = random_relation(rng, max_ndim=2, max_dim=8, max_rows=120)
-        table = compress(relation, key="output")
+        table = compress(relation)
         shape = relation.out_shape
         lo, hi = random_boxes(rng, len(shape), 64, coord_range=max(shape), max_extent=1)
         query = CellBoxSet(relation.out_name, shape, lo, hi)
@@ -173,7 +175,7 @@ class TestThetaJoinEquivalence:
 
     def test_block_stats_reported(self):
         relation = random_relation(np.random.default_rng(3))
-        table = compress(relation, key="output")
+        table = compress(relation)
         query = CellBoxSet.from_cells(
             relation.out_name, relation.out_shape, [tuple(0 for _ in relation.out_shape)]
         )
@@ -229,14 +231,12 @@ class TestKeyRangePassEquivalence:
         rng = np.random.default_rng(seed + 100)
         for _ in range(10):
             relation = random_relation(rng)
-            for key in ("output", "input"):
-                table = compress(relation, key=key)
-                restored = table.decompress()
-                assert restored.rows.tolist() == relation.deduplicated().rows.tolist()
+            restored = compress(relation).decompress()
+            assert restored.rows.tolist() == relation.deduplicated().rows.tolist()
 
     def test_empty_relation(self):
         relation = LineageRelation.from_pairs([], (3, 3), (3,))
-        table = compress(relation, key="output")
+        table = compress(relation)
         assert len(table) == 0
         assert table.decompress().rows.shape[0] == 0
 
@@ -251,16 +251,12 @@ class TestKeyRangePassEquivalence:
 TABLE_COLUMNS = ("key_lo", "key_hi", "val_kind", "val_ref", "val_lo", "val_hi")
 
 
-def compress_oracle(relation, key, relative):
+def compress_oracle(relation, relative):
     """The six columns ProvRC must emit, from numpy's own row dedup and the
     two ``_reference`` passes."""
     rows = np.unique(relation.rows, axis=0) if len(relation) else relation.rows
     l = relation.out_ndim
-    if key == "output":
-        key_cols, val_cols = rows[:, :l], rows[:, l:]
-    else:
-        key_cols, val_cols = rows[:, l:], rows[:, :l]
-    klo, khi, vlo, vhi = value_range_pass_reference(key_cols, val_cols)
+    klo, khi, vlo, vhi = value_range_pass_reference(rows[:, :l], rows[:, l:])
     vkind = np.zeros(vlo.shape, dtype=np.int8)
     vref = np.full(vlo.shape, -1, dtype=np.int16)
     return key_range_pass_reference(klo, khi, vkind, vref, vlo, vhi, relative=relative)
@@ -275,19 +271,15 @@ def assert_table_is(table, columns):
 
 class TestCompressEquivalence:
     """Whole ``compress`` runs — canonicalisation, value pass, key pass —
-    against the oracle, bit for bit, in both orientations."""
+    against the oracle, bit for bit."""
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("relative", [True, False])
-    def test_both_orientations_match_oracle(self, seed, relative):
+    def test_backward_table_matches_oracle(self, seed, relative):
         rng = np.random.default_rng(seed + 4000)
         for _ in range(25):
             relation = random_relation(rng)  # keeps its duplicate rows
-            both = compress_both(relation, relative=relative)
-            for key, table in zip(("output", "input"), both):
-                want = compress_oracle(relation, key, relative)
-                assert_table_is(table, want)
-                assert_table_is(compress(relation, key=key, relative=relative), want)
+            assert_table_is(compress(relation, relative=relative), compress_oracle(relation, relative))
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_indices_outside_the_declared_shape(self, seed):
@@ -297,8 +289,7 @@ class TestCompressEquivalence:
         for _ in range(10):
             relation = random_relation(rng)
             relation.rows = relation.rows * int(rng.integers(1, 2**20)) - int(rng.integers(0, 2**40))
-            for key, table in zip(("output", "input"), compress_both(relation)):
-                assert_table_is(table, compress_oracle(relation, key, True))
+            assert_table_is(compress(relation), compress_oracle(relation, True))
 
     def test_value_pass_matches_reference_on_larger_relations(self):
         rng = np.random.default_rng(6000)
@@ -314,15 +305,14 @@ class TestCompressEquivalence:
 
 class TestDecompressEquivalence:
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("key", ["output", "input"])
     @pytest.mark.parametrize("relative", [True, False])
-    def test_rows_match_the_per_cell_loop(self, seed, key, relative):
+    def test_rows_match_the_per_cell_loop(self, seed, relative):
         from repro.core.serialize import deserialize_compressed, serialize_compressed
 
         rng = np.random.default_rng(seed + 7000)
         for _ in range(15):
             relation = random_relation(rng)
-            table = compress(relation, key=key, relative=relative)
+            table = compress(relation, relative=relative)
             want = decompress_reference(table)
             hydrated = deserialize_compressed(serialize_compressed(table))  # narrow columns
             for got in (table.decompress(), hydrated.decompress()):
@@ -354,20 +344,20 @@ class TestNarrowDtypeEquivalence:
     path must not change a single output bit."""
 
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("key", ["output", "input"])
-    def test_theta_join_on_hydrated_tables(self, seed, key):
+    @pytest.mark.parametrize("side", ["output", "input"])
+    def test_theta_join_on_hydrated_tables(self, seed, side):
         from repro.core.serialize import deserialize_compressed, serialize_compressed
 
         rng = np.random.default_rng(seed + 1000)
         narrow_seen = False
         for _ in range(25):
             relation = random_relation(rng)
-            table = compress(relation, key=key)
+            table = compress(relation)
             hydrated = deserialize_compressed(serialize_compressed(table))
             if len(table) and hydrated.key_lo.dtype != np.int64:
                 narrow_seen = True
-            shape = relation.out_shape if key == "output" else relation.in_shape
-            name = relation.out_name if key == "output" else relation.in_name
+            shape = relation.out_shape if side == "output" else relation.in_shape
+            name = relation.out_name if side == "output" else relation.in_name
             n_boxes = int(rng.integers(0, 8))
             lo, hi = random_boxes(rng, len(shape), n_boxes, coord_range=max(shape), max_extent=2)
             query = CellBoxSet(name, shape, lo, hi)
@@ -493,8 +483,10 @@ class TestFromCells:
 # ----------------------------------------------------------------------
 # batched kernels vs the loop-over-queries oracles
 # ----------------------------------------------------------------------
-def random_chain(rng, max_hops=3, max_dim=6, max_rows=50):
-    """A chain of compressed hop tables n0 -> n1 -> ... plus n0's shape."""
+def random_chain(rng, max_hops=3, max_dim=6, max_rows=50, mixed=False):
+    """A chain of compressed hop tables n0 -> n1 -> ... plus n0's shape;
+    with *mixed*, each hop's relation points either way (a hop from its
+    input side is an inverse θ-join)."""
     hops = int(rng.integers(1, max_hops + 1))
     ndims = [int(rng.integers(1, 3)) for _ in range(hops + 1)]
     shapes = [
@@ -511,7 +503,12 @@ def random_chain(rng, max_hops=3, max_dim=6, max_rows=50):
         relation = LineageRelation.from_pairs(
             pairs, shapes[k], shapes[k + 1], out_name=f"n{k}", in_name=f"n{k + 1}"
         )
-        tables.append(compress(relation, key="output"))
+        if mixed and rng.integers(0, 2):
+            relation = LineageRelation.from_pairs(
+                [(b, a) for a, b in pairs], shapes[k + 1], shapes[k],
+                out_name=f"n{k + 1}", in_name=f"n{k}",
+            )
+        tables.append(compress(relation))
     return tables, shapes[0]
 
 
@@ -550,7 +547,7 @@ def execute_path_oracle(tables, query, merge):
             joined = CellBoxSet(
                 joined.array_name, joined.shape, *merge_boxes_reference(joined.lo, joined.hi)
             )
-        hops.append((table.key_name, table.value_name, len(current), raw, len(joined)))
+        hops.append((current.array_name, joined.array_name, len(current), raw, len(joined)))
         current = joined
         if current.is_empty():
             break
@@ -655,27 +652,27 @@ def assert_joins_match_oracle(queries, table, merge):
 
 class TestThetaJoinBatchEquivalence:
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("key", ["output", "input"])
+    @pytest.mark.parametrize("side", ["output", "input"])
     @pytest.mark.parametrize("merge", [True, False])
-    def test_random_batches_match_oracle(self, seed, key, merge):
+    def test_random_batches_match_oracle(self, seed, side, merge):
         rng = np.random.default_rng(seed)
         for _ in range(25):
             relation = random_relation(rng)
-            table = compress(relation, key=key)
-            shape = relation.out_shape if key == "output" else relation.in_shape
-            name = relation.out_name if key == "output" else relation.in_name
+            table = compress(relation)
+            shape = relation.out_shape if side == "output" else relation.in_shape
+            name = relation.out_name if side == "output" else relation.in_name
             queries = random_query_batch(rng, name, shape)
             assert_joins_match_oracle(queries, table, merge)
 
     def test_empty_batch(self):
         relation = random_relation(np.random.default_rng(0))
-        table = compress(relation, key="output")
+        table = compress(relation)
         assert execute_path_batch([table], []) == []
 
     def test_blocked_batch_matches_oracle(self, monkeypatch):
         rng = np.random.default_rng(13)
         relation = random_relation(rng, max_ndim=2, max_dim=8, max_rows=120)
-        table = compress(relation, key="output")
+        table = compress(relation)
         shape = relation.out_shape
         queries = random_query_batch(rng, relation.out_name, shape, max_queries=16, max_boxes=6)
         monkeypatch.setattr(query_mod, "THETA_JOIN_BLOCK_BUDGET_BYTES", 256)
@@ -685,7 +682,7 @@ class TestThetaJoinBatchEquivalence:
 
     def test_wrong_array_name_raises(self):
         relation = random_relation(np.random.default_rng(1))
-        table = compress(relation, key="output")
+        table = compress(relation)
         bad = CellBoxSet.empty("someone-else", (3,) * table.key_ndim)
         with pytest.raises(ValueError):
             execute_path_batch([table], [bad])
@@ -747,6 +744,43 @@ class TestExecutePathBatchEquivalence:
             queries = random_query_batch(rng, tables[0].key_name, shape)
             assert_path_results_match_oracle(tables, queries, merge)
 
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("merge", [True, False])
+    def test_random_mixed_direction_chains_match_oracle(self, seed, merge):
+        rng = np.random.default_rng(seed + 9000)
+        for _ in range(25):
+            tables, shape = random_chain(rng, mixed=True)
+            queries = random_query_batch(rng, "n0", shape)
+            assert_path_results_match_oracle(tables, queries, merge)
+
+    @pytest.mark.parametrize("merge", [True, False])
+    @pytest.mark.parametrize("budget", [40, 70, THETA_JOIN_BLOCK_BUDGET_BYTES])
+    def test_forward_batch_is_n_single_runs(self, monkeypatch, merge, budget):
+        # The inverse join's order contract: N forward queries in one batch
+        # come back bit for bit as N runs alone, whatever the chunking (a
+        # diagonal row, broadcast rows, and relative rows in one table)
+        pairs = (
+            [((i,), (i, i + 1)) for i in range(6)]
+            + [((i,), (0, j)) for i in range(6, 9) for j in range(13)]
+            + [((i,), (i - 3, 2)) for i in range(9, 12)]
+        )
+        relation = LineageRelation.from_pairs(pairs, (12,), (12, 13), out_name="n0", in_name="n1")
+        table = compress(relation)
+        assert table.shared_ref_mask is not None
+        rng = np.random.default_rng(11)
+        queries = [CellBoxSet.empty("n1", (12, 13))] + [
+            CellBoxSet("n1", (12, 13), *random_boxes(rng, 2, int(n), coord_range=13, max_extent=3))
+            for n in rng.integers(1, 5, 7)
+        ]
+        monkeypatch.setattr(query_mod, "THETA_JOIN_BLOCK_BUDGET_BYTES", budget)
+        batch = execute_path_batch([table], queries, merge=merge)
+        for query, got in zip(queries, batch):
+            alone = execute_path([table], query, merge=merge)
+            assert_box_sets_identical(got.cells, alone.cells)
+            assert_hops_identical(got.hops, alone.hops)
+            assert got.cells.to_cells() == relation.forward(query.to_cells())
+        assert_joins_match_oracle(queries, table, merge)
+
     def test_early_exit_per_query(self):
         # query 0 dies at hop 1 of 2; query 1 survives both hops — each
         # must get exactly the hop list it records alone
@@ -756,7 +790,7 @@ class TestExecutePathBatchEquivalence:
         r2 = LineageRelation.from_pairs(
             [((i,), (i,)) for i in range(4)], (4,), (4,), out_name="B", in_name="A"
         )
-        tables = [compress(r1, key="output"), compress(r2, key="output")]
+        tables = [compress(r1), compress(r2)]
         dead = CellBoxSet.from_cells("C", (4,), [(3,)])  # no lineage rows
         live = CellBoxSet.from_cells("C", (4,), [(0,)])
         got = assert_path_results_match_oracle(tables, [dead, live], True)
@@ -798,17 +832,19 @@ class TestExecutePathBatchEquivalence:
         assert len(results) == 1
         assert results[0].cells is query and results[0].hops == []
 
-    def test_table_keyed_on_another_array_is_rejected(self):
-        # every hop is checked, as theta_join checks its one
-        relation = LineageRelation.from_pairs(
-            [((i,), (i,)) for i in range(4)], (4,), (4,), out_name="B", in_name="A"
-        )
-        table = compress(relation, key="output")
+    def test_table_without_the_query_array_is_rejected(self):
+        # every hop is checked, as theta_join checks its one: a table joins
+        # from either of its arrays and from no third one
+        def identity(out_name, in_name):
+            return compress(LineageRelation.from_pairs(
+                [((i,), (i,)) for i in range(4)], (4,), (4,), out_name=out_name, in_name=in_name
+            ))
+
         query = CellBoxSet.from_cells("B", (4,), [(1,)])
-        with pytest.raises(ValueError, match="keyed on array"):
-            execute_path_batch([table, table], [query])
-        with pytest.raises(ValueError, match="keyed on array"):
-            execute_path([table], CellBoxSet.from_cells("A", (4,), [(1,)]))
+        with pytest.raises(ValueError, match="the query targets 'A'"):
+            execute_path_batch([identity("B", "A"), identity("D", "C")], [query])
+        with pytest.raises(ValueError, match="the query targets 'B'"):
+            execute_path([identity("D", "C")], query)
 
 
 # ----------------------------------------------------------------------
@@ -867,16 +903,36 @@ def box_sets(draw, name, shape):
 
 @st.composite
 def join_cases(draw):
-    """A two-hop chain ``n0 -> n1 -> n2``, a batch of queries on ``n0`` and
-    a pair-scratch budget (a few pairs per chunk, or the default)."""
+    """A two-hop chain of tables keyed ``n0 -> n1 -> n2`` and a batch of
+    queries on ``n0`` — or, inverse, the chain reversed and the queries on
+    ``n2``, so every hop is an inverse θ-join — plus a pair-scratch budget
+    (a few pairs per chunk, or the default)."""
     shapes = [(10,) * draw(st.integers(1, 3)) for _ in range(3)]
     tables = [
         draw(hand_built_tables(f"n{k}", f"n{k + 1}", shapes[k], shapes[k + 1]))
         for k in range(2)
     ]
-    queries = draw(st.lists(box_sets("n0", shapes[0]), min_size=1, max_size=4))
+    start = 0
+    if draw(st.booleans()):
+        tables, start = tables[::-1], 2
+    queries = draw(st.lists(box_sets(f"n{start}", shapes[start]), min_size=1, max_size=4))
     budget = draw(st.sampled_from([100, THETA_JOIN_BLOCK_BUDGET_BYTES]))
     return tables, queries, budget
+
+
+def index_intervals(table, inverse):
+    """The per-row intervals a join's window index covers: the key boxes,
+    or (inverse) each row's reach on the value axes, attribute by
+    attribute."""
+    if not inverse:
+        return table.key_lo.astype(np.int64), table.key_hi.astype(np.int64)
+    lo = table.val_lo.astype(np.int64)
+    hi = table.val_hi.astype(np.int64)
+    for r, i in zip(*np.nonzero(table.val_kind == KIND_REL)):
+        j = table.val_ref[r, i]
+        lo[r, i] += table.key_lo[r, j]
+        hi[r, i] += table.key_hi[r, j]
+    return lo, hi
 
 
 @contextlib.contextmanager
@@ -891,12 +947,12 @@ def pair_budget(budget):
         query_mod.THETA_JOIN_BLOCK_BUDGET_BYTES = old
 
 
-def mean_windows(table):
-    """Per key attribute: the mean number of rows the window index would
-    name for one index point, over every point of the attribute's extent."""
+def mean_windows(lo_cols, hi_cols):
+    """Per attribute: the mean number of rows the window index would name
+    for one index point, over every point of the attribute's extent."""
     means = []
-    for attr in range(table.key_ndim):
-        lo, hi = (c[:, attr].astype(np.int64) for c in (table.key_lo, table.key_hi))
+    for attr in range(lo_cols.shape[1]):
+        lo, hi = lo_cols[:, attr], hi_cols[:, attr]
         order = np.argsort(lo, kind="stable")
         lo, reach = lo[order], np.maximum.accumulate(hi[order])
         points = np.arange(lo.min(), hi.max() + 1)
@@ -914,12 +970,14 @@ class TestWindowIndexProperty:
         hi = np.concatenate([q.hi for q in queries])
         if len(table) == 0 or lo.shape[0] == 0:
             return  # the kernel returns before it asks for candidates
-        overlap = (
-            (table.key_lo[None, :, :] <= hi[:, None, :])
-            & (table.key_hi[None, :, :] >= lo[:, None, :])
-        ).all(axis=2)
+        inverse = queries[0].array_name != table.key_name
+        row_lo, row_hi = index_intervals(table, inverse)
+        # every match meets the row's intervals on every attribute
+        overlap = ((row_lo[None, :, :] <= hi[:, None, :]) & (row_hi[None, :, :] >= lo[:, None, :])).all(axis=2)
+        index = table.value_index if inverse else table.key_index
+        width = table.key_ndim + inverse
         with pair_budget(budget):
-            count, chunks = _candidate_pairs(table, lo, hi)
+            count, chunks = _candidate_pairs(index, lo, hi, width)
             chunks = list(chunks)
         pairs = [pair for chunk in chunks for pair in zip(*map(np.ndarray.tolist, chunk))]
         # (box, stored row) order, no pair twice, every true match present
@@ -927,15 +985,16 @@ class TestWindowIndexProperty:
         assert count.tolist() == [sum(box == b for box, _ in pairs) for b in range(lo.shape[0])]
         assert set(zip(*map(np.ndarray.tolist, np.nonzero(overlap)))) <= set(pairs)
         # chunks are runs of whole boxes within the budget (or one wide box)
-        bytes_per_pair = 16 * table.key_ndim + 17
+        bytes_per_pair = 16 * width + 17
         for box_idx, _ in chunks:
             assert box_idx.size * bytes_per_pair <= budget or len(set(box_idx.tolist())) == 1
-        attr, order, index_lo, reach = table.key_index
-        assert (order is None) == bool((np.diff(table.key_lo[:, attr].astype(np.int64)) >= 0).all())
+        attr, order, index_lo, reach = index
+        assert (order is None) == bool((np.diff(row_lo[:, attr]) >= 0).all())
         assert (np.diff(index_lo) >= 0).all() and (np.diff(reach) >= 0).all()
-        assert index_lo.dtype == table.key_lo.dtype and reach.dtype == table.key_hi.dtype
+        if not inverse:  # the key index keeps the stored width
+            assert index_lo.dtype == table.key_lo.dtype and reach.dtype == table.key_hi.dtype
         # the indexed attribute has the smallest mean window over its extent
-        assert attr == int(np.argmin(mean_windows(table)))
+        assert attr == int(np.argmin(mean_windows(row_lo, row_hi)))
 
     @given(join_cases(), st.booleans())
     @settings(max_examples=300, deadline=None)
@@ -961,14 +1020,35 @@ class TestWindowIndexProperty:
         # rows_scanned is the candidate pairs of the query's own boxes
         last = queries[-1]
         if len(tables[0]) and len(last):
-            count, _ = _candidate_pairs(tables[0], last.lo, last.hi)
+            inverse = last.array_name != tables[0].key_name
+            index = tables[0].value_index if inverse else tables[0].key_index
+            count, _ = _candidate_pairs(index, last.lo, last.hi, 1)
             assert stats["rows_scanned"] == int(count.sum()) <= len(last) * len(tables[0])
             assert paths[-1].hops[0].rows_scanned == stats["rows_scanned"]
 
-    @pytest.mark.parametrize("key", ["output", "input"])
-    def test_row_broadcast_table_is_indexed_on_the_attribute_that_differs(self, key):
+    @given(
+        st.sampled_from(COLUMN_DTYPES),
+        st.lists(st.integers(-130, 130), min_size=2, max_size=40),
+        st.sampled_from([1, 1, 400, 2**33]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_stable_sort_is_a_stable_argsort(self, dtype, values, stretch):
+        # permutations (placed by value), duplicates (the packed sort) and
+        # spans past 2**31 (numpy's own stable sort), at every width
+        if dtype != np.int64:
+            stretch = 1
+        column = np.asarray(values, np.int64) * stretch
+        column = column.clip(np.iinfo(dtype).min, np.iinfo(dtype).max).astype(dtype)
+        order, ordered = _stable_sort(column)
+        want = np.argsort(column, kind="stable")
+        assert np.array_equal(order, want) and np.array_equal(ordered, column[want])
+        assert ordered.dtype == column.dtype
+
+    @pytest.mark.parametrize("side", ["output", "input"])
+    def test_row_broadcast_table_is_indexed_on_the_attribute_that_differs(self, side):
         # out[i, j] = in[perm[j]]: keyed on the output every row spans
-        # attribute 0 (the broadcast axis), so only attribute 1 can narrow
+        # attribute 0 (the broadcast axis), so only attribute 1 can narrow;
+        # from the input, each row reaches one input cell
         rng = np.random.default_rng(7)
         n_rows, n_cols = 6, 400
         perm = rng.permutation(n_cols)
@@ -976,10 +1056,14 @@ class TestWindowIndexProperty:
         out_cells = out_cells.reshape(-1, 2)
         rows = np.concatenate([out_cells, perm[out_cells[:, 1:]]], axis=1)
         relation = LineageRelation((n_rows, n_cols), (n_cols,), rows)
-        table = compress(relation, key=key)
+        table = compress(relation)
         assert len(table) > n_cols // 2
-        cells = rng.integers(0, [n_rows, n_cols] if key == "output" else [n_cols], (25, table.key_ndim))
-        query = CellBoxSet.from_cells(table.key_name, table.key_shape, cells)
+        if side == "output":
+            cells = rng.integers(0, [n_rows, n_cols], (25, 2))
+            query = CellBoxSet.from_cells(relation.out_name, relation.out_shape, cells)
+        else:
+            cells = rng.integers(0, [n_cols], (25, 1))
+            query = CellBoxSet.from_cells(relation.in_name, relation.in_shape, cells)
         stats = {}
         got = theta_join(query, table, merge=False, stats=stats)
         assert_box_sets_identical(got, theta_join_reference(query, table, merge=False))

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core._reference import theta_join_reference
+from _reference import theta_join_reference
 from repro.core.compressed import CompressedLineage
 from repro.core.provrc import compress
 from repro.core.query import CellBoxSet, theta_join
@@ -338,7 +338,7 @@ class TestColumnLayout:
         return [
             sample_table()[0],
             compress(LineageRelation.from_pairs(shuffled, (300,), (300,))),
-            compress(LineageRelation.from_pairs(windows, (200,), (200,)), key="input"),
+            compress(LineageRelation.from_pairs([(a, b) for b, a in windows], (200,), (200,))),
             _interval_table(2**40, 1_000),
         ]
 

@@ -47,7 +47,7 @@ def forward_reference(pipeline, cells):
 @pytest.mark.parametrize("fmt", ["Raw", "Parquet", "Parquet-GZip", "Turbo-RC", "ProvRC-GZip"])
 def test_fig7_payload_round_trips(fmt, size, kind):
     relation = _build_relation(kind, size)
-    provrc = serialize_compressed_gzip(compress(relation, key="output"))
+    provrc = serialize_compressed_gzip(compress(relation))
     if fmt == "ProvRC-GZip":
         assert deserialize_compressed_gzip(provrc).decompress() == relation.deduplicated()
         return
@@ -162,7 +162,7 @@ def test_table7_provrc_round_trips_through_storage(operation, gzip):
     )
     total = 0
     for relation in relations:
-        payload = serialize(compress(relation, key="output"))
+        payload = serialize(compress(relation))
         assert deserialize(payload).decompress() == relation.deduplicated()
         total += len(payload)
     if not gzip:

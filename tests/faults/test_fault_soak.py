@@ -6,7 +6,9 @@ Every seed drives a deterministic :class:`FaultPlan` (mixed EIO, ENOSPC,
 torn short writes and fsync faults) through a full ingest run; afterwards
 the catalog must be mechanically recoverable: ``scrub(repair=True)`` never
 raises, a second scrub is clean, every surviving entry hydrates and
-answers queries correctly, and no durably-acknowledged write is lost.
+answers queries correctly, and no durably-acknowledged write is lost.  An
+entry stores one table, so the repair drops exactly the entries whose
+sole record the scrub found corrupt — no entry with a valid record.
 
 Marked ``faults`` so tier-1 stays fast: CI's fault-soak job runs
 ``pytest -m faults`` over a seed matrix (``DSLOG_SOAK_SEEDS`` /
@@ -51,15 +53,23 @@ def mixed_plan(seed):
 
 
 def assert_recovered_consistent(root):
-    """Cold-open the catalog, heal it, and prove every surviving entry is
-    fully readable; returns the surviving (in, out) pairs."""
+    """Cold-open the catalog, heal it, and prove that only entries with a
+    corrupt record were dropped and every surviving entry is fully
+    readable; returns the surviving (in, out) pairs."""
     recovered = DSLog.load(root, autosync=False)
     try:
-        recovered.scrub(repair=True)  # must never raise
+        opened = {(e.in_name, e.out_name) for e in recovered.catalog.entries()}
+        report = recovered.scrub(repair=True)  # must never raise
+        corrupt, dropped = set(), set()
+        for shard in report["shards"].values():
+            corrupt |= {tuple(r["pair"]) for r in shard["corrupt_records"] if "pair" in r}
+            dropped |= {tuple(pair) for pair in shard["dropped_entries"]}
+        assert dropped == corrupt  # a corrupt sole record drops its entry, nothing else
         second = recovered.scrub(repair=False)
         assert all(r["clean"] for r in second["shards"].values())
-        assert recovered.catalog.materialize_all() == 2 * len(recovered.catalog)
+        assert recovered.catalog.materialize_all() == len(recovered.catalog)
         survivors = {(e.in_name, e.out_name) for e in recovered.catalog.entries()}
+        assert survivors == opened - dropped
         for a, b in survivors:
             assert recovered.prov_query([a, b], [(1,)]).to_cells() == {(1,)}
     finally:

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from repro import faults
 from repro.faults import (
     CircuitBreaker,
     DeadlineExceeded,
@@ -15,6 +16,26 @@ from repro.faults import (
     ShardUnavailable,
     plan_from_env,
 )
+
+
+class FakeClock:
+    """The breakers' clock, moved by hand instead of slept out."""
+
+    def __init__(self) -> None:
+        self.now = 1000.0
+
+    def __call__(self) -> float:
+        return self.now
+
+    def advance(self, seconds: float) -> None:
+        self.now += seconds
+
+
+@pytest.fixture
+def clock(monkeypatch):
+    fake = FakeClock()
+    monkeypatch.setattr(faults, "clock", fake)
+    return fake
 
 
 class TestFaultPlan:
@@ -151,22 +172,23 @@ class TestCircuitBreaker:
         assert not breaker.allows()
         assert breaker.trips == 1
 
-    def test_half_open_single_probe_then_close(self):
+    def test_half_open_single_probe_then_close(self, clock):
         breaker = CircuitBreaker(failures=1, reset_after=0.05)
         breaker.record_failure()
         assert breaker.state == "open"
+        clock.advance(0.04)
         assert not breaker.try_probe()  # clock not expired yet
-        time.sleep(0.06)
+        clock.advance(0.02)
         assert breaker.state == "half-open"
         assert breaker.try_probe()
         assert not breaker.try_probe()  # only one caller wins the probe
         breaker.record_success()
         assert breaker.state == "closed" and breaker.allows()
 
-    def test_failed_probe_reopens_and_restarts_clock(self):
+    def test_failed_probe_reopens_and_restarts_clock(self, clock):
         breaker = CircuitBreaker(failures=1, reset_after=0.05)
         breaker.record_failure()
-        time.sleep(0.06)
+        clock.advance(0.06)
         assert breaker.try_probe()
         breaker.record_failure()  # probe failed
         assert breaker.state == "open"

@@ -93,7 +93,7 @@ class TestRandomChains:
     def test_serialization_roundtrip_preserves_queries(self, data):
         shapes, relations, query = data
         relation = relations[0]
-        table = compress(relation, key="input")
+        table = compress(relation)
         restored = deserialize_compressed_gzip(serialize_compressed_gzip(table))
         from repro.core.query import CellBoxSet, theta_join
 

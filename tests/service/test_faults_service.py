@@ -21,6 +21,7 @@ from repro import (
     QueryExecutor,
     ShardUnavailable,
 )
+from repro import faults
 from repro.core.relation import LineageRelation
 from repro.service.server import (
     LineageClient,
@@ -28,6 +29,7 @@ from repro.service.server import (
     LineageServer,
     LineageServerError,
 )
+from repro.storage.segments import CorruptRecordError, record_overhead
 from repro.storage.sharded import shard_index
 
 SHAPE = (4,)
@@ -159,7 +161,9 @@ class TestExecutorDeadlines:
 
 
 class TestBreakerDegradedServing:
-    def test_trip_degrade_and_heal(self, tmp_path):
+    def test_trip_degrade_and_heal(self, tmp_path, monkeypatch):
+        now = [1000.0]  # the breakers' clock, moved by hand
+        monkeypatch.setattr(faults, "clock", lambda: now[0])
         plan = FaultPlan()
         log, pairs = build_sharded(tmp_path / "db", plan)
         home = 1
@@ -207,12 +211,48 @@ class TestBreakerDegradedServing:
             # heal the disk; after reset_after the half-open probe runs
             # reopen-with-scrub, closes the breaker and serves fresh again
             plan.disarm()
-            time.sleep(0.25)
+            now[0] += 0.25
             healed = ex.query([a, b], QUERY)
             assert not healed.degraded
             assert healed.result.to_cells() == expected
             assert ex.breaker_stats()[home]["state"] == "closed"
             assert ex.stats()["shard_reopens"] == 1
+        finally:
+            ex.close()
+            log.close()
+
+
+    def test_probe_that_drops_an_entry_forgets_it(self, tmp_path, monkeypatch):
+        # an entry stores one table: when the half-open probe's repair
+        # drops an entry whose record is corrupt, the live catalog forgets
+        # it too, and the pair then answers as a missing one, not as a
+        # shard fault forever
+        now = [1000.0]
+        monkeypatch.setattr(faults, "clock", lambda: now[0])
+        log, pairs = build_sharded(tmp_path / "db", FaultPlan())
+        a, b = pairs[1]
+        entry = log.catalog.entry(a, b)
+        shard_dir = tmp_path / "db" / "shard-01"
+        record = shard_dir / entry.backward_ref.segment
+        data = bytearray(record.read_bytes())
+        data[entry.backward_ref.offset + record_overhead() + entry.backward_ref.length // 2] ^= 0xFF
+        record.write_bytes(bytes(data))
+        log.store.cache.clear(scope="shard-01")
+        ex = QueryExecutor(log, max_workers=2, breaker_failures=1, breaker_reset_after=0.2)
+        try:
+            with pytest.raises(CorruptRecordError):
+                ex.query([a, b], QUERY)
+            assert ex.breaker_stats()[1]["state"] == "open"
+            now[0] += 0.25  # the probe reopens and repairs the shard
+            with pytest.raises(OSError):
+                ex.query([a, b], QUERY)  # this query planned the entry first
+            assert ex.stats()["shard_reopens"] == 1
+            with pytest.raises(KeyError):
+                log.catalog.entry(a, b)
+            with pytest.raises(KeyError):
+                ex.query([a, b], QUERY)
+            c, d = pairs[0]
+            assert ex.query([c, d], QUERY).result.to_cells() == {QUERY[0]}
         finally:
             ex.close()
             log.close()

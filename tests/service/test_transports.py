@@ -16,6 +16,7 @@ import pytest
 
 from repro import DSLog
 from repro.core.relation import LineageRelation
+from repro.service import rpc as rpc_module
 from repro.service import server as server_module
 from repro.service import wire
 from repro.service.api import ENDPOINTS
@@ -225,6 +226,31 @@ def test_healthz_scrub_traces_metrics(client):
     client.prov_query(["a", "b"], cells=[[0, 1]])
     text = client.metrics_text()
     assert "dslog_http_requests_total" in text or "dslog_rpc_requests_total" in text
+
+
+def test_repair_scrub_is_refused_from_a_remote_peer(transport, log, monkeypatch):
+    """A repairing scrub rewrites the store and drops every entry whose
+    table is damaged: from a peer that is not loopback it is refused — HTTP
+    403, an RPC error item — while a detecting scrub is still answered."""
+    handler = server_module._Handler if transport.name == "http" else rpc_module._ConnectionHandler
+    setup = handler.setup
+
+    def remote_peer(self):
+        setup(self)
+        self.client_address = ("192.0.2.7", self.client_address[1])
+
+    monkeypatch.setattr(handler, "setup", remote_peer)
+    with transport.server(log) as server:
+        with transport.client.connect(transport.address(server), timeout=5.0) as client:
+            assert client.scrub(repair=False)["clean"] is True
+            with pytest.raises(LineageServerError) as refused:
+                client.scrub(repair=True)
+            assert (refused.value.status, refused.value.kind) == (403, "forbidden")
+            assert "192.0.2.7" in refused.value.message
+    monkeypatch.undo()
+    with transport.server(log) as server:  # the same request from this host
+        with transport.client.connect(transport.address(server), timeout=5.0) as client:
+            assert client.scrub(repair=True)["clean"] is True
 
 
 def test_request_log_event_names_the_request_and_its_trace(transport, client, caplog):

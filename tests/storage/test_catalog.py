@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.compressed import CompressedLineage
 from repro.core.provrc import compress
 from repro.core.relation import LineageRelation
 from repro.storage.catalog import (
@@ -43,13 +44,13 @@ class TestArrays:
 
 
 class TestLineageEntries:
-    def test_add_relation_and_orientations(self):
+    def test_add_relation_stores_one_backward_table(self):
         catalog = Catalog()
         entry = catalog.add_relation(relation())
         assert entry.backward.key_side == "output"
-        assert entry.forward.key_side == "input"
-        assert entry.table_keyed_on("A").key_side == "input"
-        assert entry.table_keyed_on("B").key_side == "output"
+        assert not hasattr(entry, "forward")
+        # a hop from either side joins the one table
+        assert entry.table_keyed_on("A") is entry.table_keyed_on("B") is entry.backward
 
     def test_table_keyed_on_unknown_array(self):
         catalog = Catalog()
@@ -71,10 +72,13 @@ class TestLineageEntries:
 
     def test_add_compressed_validates_orientation(self):
         catalog = Catalog()
-        rel = relation()
-        backward = compress(rel, key="output")
+        t = compress(relation())
+        forward = CompressedLineage(
+            "input", t.out_name, t.in_name, t.out_shape, t.in_shape,
+            t.key_lo, t.key_hi, t.val_kind, t.val_ref, t.val_lo, t.val_hi,
+        )
         with pytest.raises(ValueError):
-            catalog.add_compressed(backward, backward)
+            catalog.add_compressed(forward)
 
     def test_storage_bytes_positive_and_gzip_smaller_or_close(self):
         catalog = Catalog()
@@ -149,7 +153,7 @@ class TestStoreProtocol:
         catalog.add_relation(relation("A", "B"))
         catalog.add_relation(relation("B", "C"))
         assert catalog.entry_shard(("A", "B")) == catalog.entry_shard(("B", "C")) == 0
-        assert catalog.materialize_all() == 4  # both orientations of both entries
+        assert catalog.materialize_all() == 2  # one table per entry
 
     def test_every_mutation_bumps_the_one_counter(self):
         catalog = Catalog()

@@ -137,10 +137,10 @@ class TestCoalescedWrites:
     def test_group_commit_write_stats(self, tmp_path, n):
         log, _names = build(tmp_path / "db", n)
         stats = log.store.write_stats()
-        # n entries x 2 orientations (+ possible reuse-state records), but
-        # the single sync coalesced them into very few writes (at n=200,
-        # over 100 records per OS write)
-        assert stats["coalesced_records"] >= 2 * n
+        # one record per entry (+ possible reuse-state records), but the
+        # single sync coalesced them into very few writes (at n=200, over
+        # 60 records per OS write)
+        assert stats["coalesced_records"] >= n
         assert stats["coalesced_writes"] <= 3
         log.close()
 
@@ -156,7 +156,7 @@ class TestCoalescedWrites:
         assert valid_length(segment) == segment.stat().st_size
         reopened = DSLog.load(root)
         assert len(reopened.catalog) == 3  # the unsynced entry is gone
-        assert reopened.catalog.materialize_all() == 6
+        assert reopened.catalog.materialize_all() == 3
         reopened.close()
 
 
@@ -200,10 +200,7 @@ class TestMmapLifecycle:
             assert len(column.base) == table.val_kind.nbytes + table.val_ref.nbytes
         # the cache charges the narrow width, well under the int64 inflation
         reopened.catalog.materialize_all()
-        inflated = sum(
-            int64_inflated_nbytes(entry.backward) + int64_inflated_nbytes(entry.forward)
-            for entry in reopened.catalog.entries()
-        )
+        inflated = sum(int64_inflated_nbytes(entry.backward) for entry in reopened.catalog.entries())
         assert reopened.store.cache.stats()["bytes"] <= 0.40 * inflated
         reopened.close()
 
@@ -292,7 +289,7 @@ class TestMmapLifecycle:
         for a, b in zip(names, names[1:]):
             log.add_lineage(a, b, relation=elementwise(a, b))
         log.sync()
-        assert log.store.write_stats()["coalesced_records"] >= 10
+        assert log.store.write_stats()["coalesced_records"] >= 5  # one record per entry
         log.close()
         reopened = DSLog.load(tmp_path / "db")
         reopened.catalog.materialize_all()

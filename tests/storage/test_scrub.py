@@ -1,12 +1,14 @@
 """Scrub-and-repair: every injected corruption class must be detected, and
-repair must heal with zero valid-record loss.
+repair must heal with zero valid-record loss: an entry stores one table,
+so an entry whose record is damaged is dropped and every other entry is
+kept.
 
 Corruption classes exercised (against a catalog whose ground truth we can
 recompute): a flipped payload byte mid-record (CRC mismatch), a torn tail,
 a segment truncated mid-record, a segment deleted outright, and an orphan
 segment file.  Repair is verified three ways: the catalog still answers
-every query correctly, a second scrub comes back clean, and a cold reopen
-from disk sees the healed state.
+every query of every entry it kept correctly, a second scrub comes back
+clean, and a cold reopen from disk sees the healed state.
 """
 
 import json
@@ -57,25 +59,31 @@ def flip_payload_byte(root, ref: TableRef) -> None:
     path.write_bytes(bytes(data))
 
 
-def entry_ref(root, index=0, orient="backward") -> TableRef:
+def entry_ref(root, index=0) -> TableRef:
     manifest = load_manifest(root)
-    return TableRef.from_json(manifest.entries[index][orient])
+    return TableRef.from_json(manifest.entries[index]["backward"])
 
 
-def redirect_ref(root, victim=0, donor=1, orient="forward") -> None:
+def redirect_ref(root, victim=0, donor=1) -> None:
     """Point one entry's ref at another entry's (perfectly valid) record."""
     path = root / MANIFEST_NAME
     data = json.loads(path.read_text())
-    data["entries"][victim][orient] = dict(data["entries"][donor][orient])
+    data["entries"][victim]["backward"] = dict(data["entries"][donor]["backward"])
     path.write_text(json.dumps(data))
 
 
-def assert_fully_readable(root, names):
-    """The zero-loss check: reopen cold and recompute every entry."""
+def assert_fully_readable(root, names, dropped=()):
+    """The zero-loss check: reopen cold and recompute every entry of the
+    chain *names* but the *dropped* ``(in, out)`` pairs, which are gone."""
     log = DSLog.load(root, autosync=False)
     try:
-        assert log.catalog.materialize_all() == 2 * (len(names) - 1)
-        for a, b in zip(names, names[1:]):
+        pairs = list(zip(names, names[1:]))
+        assert log.catalog.materialize_all() == len(pairs) - len(dropped)
+        for a, b in pairs:
+            if (a, b) in dropped:
+                with pytest.raises(KeyError):
+                    log.catalog.entry(a, b)
+                continue
             assert log.prov_query([a, b], [(1,)]).to_cells() == {(1,)}
             assert log.prov_query([b, a], [(2,)]).to_cells() == {(2,)}
     finally:
@@ -91,21 +99,20 @@ class TestDetect:
         log.close()
         assert report["clean"]
         assert report["repaired"] is False
-        assert report["records_checked"] >= 8
+        assert report["records_checked"] >= 4  # one record per entry
         assert not report["corrupt_records"]
 
     def test_flipped_byte_detected_as_checksum(self, tmp_path):
         root = tmp_path / "db"
         build(root, 3)
-        ref = entry_ref(root / STORE, index=1, orient="backward")
-        flip_payload_byte(root / STORE, ref)
+        flip_payload_byte(root / STORE, entry_ref(root / STORE, index=1))
         log = DSLog.load(root, autosync=False)
         report = log.scrub(repair=False)["shards"][0]
         log.close()
         assert not report["clean"]
         classes = {r["class"] for r in report["corrupt_records"]}
         assert classes == {"checksum"}
-        assert report["corrupt_records"][0]["kind"] == "entry-backward"
+        assert report["corrupt_records"][0]["kind"] == "entry"
         assert any(
             "checksum-mismatch" in d["reason"] for d in report["damaged_segments"]
         )
@@ -131,7 +138,7 @@ class TestDetect:
         manifest = load_manifest(root / STORE)
         segment = root / STORE / manifest.segments[-1]
         last = max(
-            (TableRef.from_json(row[o]) for row in manifest.entries for o in ("backward", "forward")),
+            (TableRef.from_json(row["backward"]) for row in manifest.entries),
             key=lambda r: r.offset,
         )
         with open(segment, "r+b") as fh:
@@ -173,14 +180,14 @@ class TestDetect:
         # reassigned): only the identity check can see it
         root = tmp_path / "db"
         build(root, 3)
-        redirect_ref(root / STORE, victim=0, donor=1, orient="forward")
+        redirect_ref(root / STORE, victim=0, donor=1)
         log = DSLog.load(root, autosync=False)
         report = log.scrub(repair=False)["shards"][0]
         log.close()
         assert not report["clean"]
         [bad] = report["corrupt_records"]
         assert bad["class"] == "misdirected"
-        assert bad["kind"] == "entry-forward"
+        assert bad["kind"] == "entry"
         assert bad["pair"] == ["A0", "A1"]
 
     def test_orphan_segment_detected(self, tmp_path):
@@ -197,42 +204,41 @@ class TestDetect:
 
 
 class TestRepair:
-    def test_misdirected_ref_rebuilt_from_sibling(self, tmp_path):
+    def test_misdirected_ref_drops_only_that_entry(self, tmp_path):
+        # the donor's record is valid and stays its own
         root = tmp_path / "db"
         names = build(root, 3)
-        redirect_ref(root / STORE, victim=0, donor=1, orient="forward")
+        redirect_ref(root / STORE, victim=0, donor=1)
         log = DSLog.load(root, autosync=False)
         report = log.scrub(repair=True)["shards"][0]
         assert report["repaired"]
-        assert report["rebuilt_orientations"] == 1
-        assert report["dropped_entries"] == []
+        assert report["dropped_entries"] == [["A0", "A1"]]
         assert log.scrub(repair=False)["clean"]
         log.close()
-        assert_fully_readable(root, names)
+        assert_fully_readable(root, names, dropped=[("A0", "A1")])
 
-    def test_flipped_byte_rebuilt_from_sibling(self, tmp_path):
+    def test_flipped_byte_drops_only_that_entry(self, tmp_path):
         root = tmp_path / "db"
         names = build(root, 4)
-        flip_payload_byte(root / STORE, entry_ref(root / STORE, index=2, orient="backward"))
+        flip_payload_byte(root / STORE, entry_ref(root / STORE, index=2))
         log = DSLog.load(root, autosync=False)
         report = log.scrub(repair=True)["shards"][0]
         assert report["repaired"]
-        assert report["rebuilt_orientations"] == 1
-        assert report["dropped_entries"] == []
+        assert report["dropped_entries"] == [["A2", "A3"]]
+        assert report["evacuated_records"] == 3  # the others, out of the damaged segment
         assert log.scrub(repair=False)["clean"]
         log.close()
-        assert_fully_readable(root, names)
+        assert_fully_readable(root, names, dropped=[("A2", "A3")])
         qdir = root / STORE / QUARANTINE_DIR
         quarantined = list(qdir.glob("segment-*.seg"))
         assert len(quarantined) == 1
         why = json.loads((qdir / f"{quarantined[0].name}.json").read_text())
         assert "corrupt-records" in why["reason"]
 
-    def test_both_orientations_damaged_drops_only_that_entry(self, tmp_path):
+    def test_dropped_entry_leaves_the_live_catalog(self, tmp_path):
         root = tmp_path / "db"
-        names = build(root, 4)
-        flip_payload_byte(root / STORE, entry_ref(root / STORE, index=1, orient="backward"))
-        flip_payload_byte(root / STORE, entry_ref(root / STORE, index=1, orient="forward"))
+        build(root, 4)
+        flip_payload_byte(root / STORE, entry_ref(root / STORE, index=1))
         manifest = load_manifest(root / STORE)
         dropped_pair = [manifest.entries[1]["in"], manifest.entries[1]["out"]]
         log = DSLog.load(root, autosync=False)
@@ -240,7 +246,7 @@ class TestRepair:
         assert report["dropped_entries"] == [dropped_pair]
         # the catalog pruned the dropped entry: no dangling refs anywhere
         assert len(log.catalog) == 3
-        assert log.catalog.materialize_all() == 6
+        assert log.catalog.materialize_all() == 3
         assert log.scrub(repair=False)["clean"]
         log.close()
         reopened = DSLog.load(root)
@@ -258,8 +264,7 @@ class TestRepair:
             for path in (["A2", "A1"], ["A1", "A0"]):
                 cached.query(path, [(1,)])
                 assert cached.query(path, [(1,)]).cached
-            flip_payload_byte(root / STORE, entry_ref(root / STORE, index=1, orient="backward"))
-            flip_payload_byte(root / STORE, entry_ref(root / STORE, index=1, orient="forward"))
+            flip_payload_byte(root / STORE, entry_ref(root / STORE, index=1))
             report = log.scrub(repair=True)["shards"][0]
             assert report["dropped_entries"] == [["A1", "A2"]]
             for executor in (uncached, cached):
@@ -299,7 +304,7 @@ class TestRepair:
         manifest = load_manifest(root / STORE)
         segment = root / STORE / manifest.segments[-1]
         last = max(
-            (TableRef.from_json(row[o]) for row in manifest.entries for o in ("backward", "forward")),
+            (TableRef.from_json(row["backward"]) for row in manifest.entries),
             key=lambda r: r.offset,
         )
         with open(segment, "r+b") as fh:
@@ -307,12 +312,11 @@ class TestRepair:
         log = DSLog.load(root, autosync=False)
         report = log.scrub(repair=True)["shards"][0]
         assert report["repaired"]
-        assert report["rebuilt_orientations"] == 1  # the cut record, from sibling
-        assert report["evacuated_records"] >= 1  # everything before the cut
-        assert report["dropped_entries"] == []
+        assert report["dropped_entries"] == [["A3", "A4"]]  # the cut record's
+        assert report["evacuated_records"] == 3  # everything before the cut
         assert log.scrub(repair=False)["clean"]
         log.close()
-        assert_fully_readable(root, names)
+        assert_fully_readable(root, names, dropped=[("A3", "A4")])
 
     def test_orphan_quarantined_not_deleted(self, tmp_path):
         root = tmp_path / "db"
@@ -332,16 +336,16 @@ class TestRepair:
     def test_repair_survives_cold_restart_and_keeps_ingesting(self, tmp_path):
         root = tmp_path / "db"
         names = build(root, 3)
-        flip_payload_byte(root / STORE, entry_ref(root / STORE, index=0, orient="forward"))
+        flip_payload_byte(root / STORE, entry_ref(root / STORE, index=0))
         log = DSLog.load(root, autosync=False)
-        log.scrub(repair=True)
+        assert log.scrub(repair=True)["shards"][0]["dropped_entries"] == [["A0", "A1"]]
         log.close()
         log = DSLog.load(root, autosync=False)
         log.define_array("B", SHAPE)
         log.add_lineage(names[3], "B", relation=elementwise(names[3], "B"))
         log.sync()
         log.close()
-        assert_fully_readable(root, names + ["B"])
+        assert_fully_readable(root, names + ["B"], dropped=[("A0", "A1")])
 
 
 class TestShardedScrub:
@@ -355,6 +359,7 @@ class TestShardedScrub:
                 damaged = idx
                 ref = TableRef.from_json(manifest.entries[0]["backward"])
                 flip_payload_byte(root / f"shard-{idx:02d}", ref)
+                lost = (manifest.entries[0]["in"], manifest.entries[0]["out"])
                 break
         assert damaged is not None
         log = DSLog.load(root, autosync=False)
@@ -363,28 +368,24 @@ class TestShardedScrub:
         assert all(r["clean"] for i, r in detect["shards"].items() if i != damaged)
         report = log.scrub(repair=True)
         assert report["shards"][damaged]["repaired"]
+        assert report["shards"][damaged]["dropped_entries"] == [list(lost)]
         again = log.scrub(repair=False)
         assert again["clean"] and all(r["clean"] for r in again["shards"].values())
         log.close()
-        reopened = DSLog.load(root)
-        assert len(reopened.catalog) == 8
-        assert reopened.catalog.materialize_all() == 16
-        for a, b in zip(names, names[1:]):
-            assert reopened.prov_query([a, b], [(1,)]).to_cells() == {(1,)}
-        reopened.close()
+        assert_fully_readable(root, names, dropped=[lost])
 
 
 class TestScrubCLI:
     def test_exit_codes_detect_repair_clean(self, tmp_path, capsys):
         root = tmp_path / "db"
         build(root, 3)
-        flip_payload_byte(root / STORE, entry_ref(root / STORE, index=0, orient="backward"))
+        flip_payload_byte(root / STORE, entry_ref(root / STORE, index=0))
         assert scrub_main([str(root)]) == 1  # damage found, left in place
         out = capsys.readouterr().out
         assert "DAMAGED" in out and "checksum" in out
         assert scrub_main([str(root), "--repair"]) == 0
         out = capsys.readouterr().out
-        assert "repaired" in out and "healed" in out
+        assert "repaired" in out and "healed" in out and "DROPPED entry A0 -> A1" in out
         assert scrub_main([str(root)]) == 0  # clean after the repair
         assert "clean" in capsys.readouterr().out
 

@@ -76,7 +76,7 @@ class TestSegmentFiles:
 
 class TestTableCache:
     def _table(self, n, name):
-        return compress(elementwise((n,), name, name + "_out"), key="output")
+        return compress(elementwise((n,), name, name + "_out"))
 
     def test_hit_miss_accounting(self):
         cache = TableCache(budget_bytes=1 << 20)
@@ -112,7 +112,7 @@ class TestTableCache:
 class TestLineageStore:
     def test_append_load_roundtrip(self, tmp_path):
         store = LineageStore(tmp_path / "db")
-        table = compress(elementwise((5,)), key="output")
+        table = compress(elementwise((5,)))
         ref = store.append_table(table)
         store.cache.clear()
         loaded = store.load_table(ref)
@@ -121,7 +121,7 @@ class TestLineageStore:
 
     def test_cache_serves_repeat_loads(self, tmp_path):
         store = LineageStore(tmp_path / "db")
-        ref = store.append_table(compress(elementwise((5,)), key="output"))
+        ref = store.append_table(compress(elementwise((5,))))
         store.load_table(ref)
         store.load_table(ref)
         assert store.tables_deserialized == 0  # appended table stayed cached
@@ -129,7 +129,7 @@ class TestLineageStore:
     def test_segment_rollover(self, tmp_path):
         store = LineageStore(tmp_path / "db", segment_max_bytes=256)
         for i in range(6):
-            store.append_table(compress(elementwise((32,), f"I{i}", f"O{i}"), key="output"))
+            store.append_table(compress(elementwise((32,), f"I{i}", f"O{i}")))
         assert len(store.manifest.segments) > 1
 
     def test_gzip_flag_recorded_in_manifest(self, tmp_path):
@@ -205,13 +205,13 @@ class TestLazyOpen:
         log.close()
         reopened = DSLog.load(tmp_path / "db")
         count = reopened.catalog.materialize_all()
-        assert count == 20  # both orientations of every entry
-        assert reopened.store.tables_deserialized == 20
+        assert count == 10  # one table per entry
+        assert reopened.store.tables_deserialized == 10
 
     def test_lru_budget_bounds_resident_tables(self, tmp_path):
         log, names = chain_log(tmp_path / "db", 30, shape=(64,), autosync=False)
         log.close()
-        one_table = compress(elementwise((64,)), key="output").nbytes()
+        one_table = compress(elementwise((64,))).nbytes()
         reopened = DSLog.load(tmp_path / "db", cache_bytes=one_table * 4)
         reopened.catalog.materialize_all()
         [stats] = reopened.store.cache_stats()

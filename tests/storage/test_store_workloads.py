@@ -81,8 +81,8 @@ def test_eager_materialize_all(chain_db):
     root, _names = chain_db
     log = DSLog.load(root)
     try:
-        assert log.catalog.materialize_all() == 2 * N_ENTRIES
-        assert log.store.tables_deserialized == 2 * N_ENTRIES
+        assert log.catalog.materialize_all() == N_ENTRIES
+        assert log.store.tables_deserialized == N_ENTRIES
     finally:
         log.close()
 
@@ -124,7 +124,7 @@ def test_cold_hydration_materializes_every_table(mixed_db):
     root, _chain, _wide, _relations = mixed_db
     log = DSLog.load(root)
     try:
-        assert log.catalog.materialize_all() == 2 * (400 + 4)
+        assert log.catalog.materialize_all() == 400 + 4
         assert log.store.cache.stats()["bytes"] > 0
     finally:
         log.close()

@@ -158,7 +158,7 @@ def permutation(n, in_name, out_name, seed):
 
 
 def test_load_table_serves_what_the_cache_declines(tmp_path):
-    table = compress(permutation(64, "a", "b", 0), key="output")
+    table = compress(permutation(64, "a", "b", 0))
     narrow = deserialize_table(serialize_table(table)).nbytes()  # as hydrated
     store = LineageStore(tmp_path / "db", cache=TableCache(narrow - 1))
     ref = store.append_table(table)

@@ -53,7 +53,8 @@ from repro.tools.upgrade import main as upgrade_main
 from repro.tools.upgrade import upgrade
 
 FIXTURES = Path(__file__).parent / "fixtures"
-# written by ``populate(DSLog(root, num_shards=2))`` at the parent commit
+# written by ``populate(DSLog(root, num_shards=2))`` at the last commit
+# whose entries stored a forward table beside the backward one
 FIXTURE = FIXTURES / "parent_sharded"
 # the same history, written at the commit before the attr-delta layout: its
 # six live payloads are "row-delta"
@@ -254,6 +255,17 @@ def live_payloads(root):
     return found
 
 
+def assert_no_forward_record(root):
+    """No manifest row names a forward table and no segment holds one:
+    every record of every shard is a backward table."""
+    for store_dir in sorted(root.glob("shard-*")):
+        manifest = load_manifest(store_dir)
+        assert not any("forward" in row for row in manifest.entries)
+        for name in manifest.segments:
+            for _offset, payload in iter_records(store_dir / name):
+                assert peek_table(payload)[0] == "output"
+
+
 def assert_refused(root):
     with pytest.raises(ValueError, match=r"python -m repro\.tools\.upgrade"):
         DSLog.load(root)
@@ -438,7 +450,7 @@ class TestLegacyReader:
         windows = [((i,), (j,)) for i in range(200) for j in range(max(0, i - 2), i + 1)]
         for table in (
             compress(LineageRelation.from_pairs(shuffled, (300,), (300,))),
-            compress(LineageRelation.from_pairs(windows, (200,), (200,)), key="input"),
+            compress(LineageRelation.from_pairs([(a, b) for b, a in windows], (200,), (200,))),
         ):
             top = table.key_shape[0] - 1
             query = CellBoxSet(
@@ -714,6 +726,7 @@ class TestRowDeltaStore:
         assert set(live_payloads(root)) == {(True, "row-delta")}
         assert upgrade(root) is True
         assert set(live_payloads(root)) == {(True, "attr-delta")}
+        assert_no_forward_record(root)
         assert_upgraded(root, expected)
         log = DSLog.load(root)
         entry = log.catalog.entry("A", "B")
@@ -768,21 +781,37 @@ class TestRowDeltaStore:
             log.close()
 
 
-class TestCurrentLayout:
-    def test_directory_written_by_the_parent_commit_opens_unchanged(self, tmp_path):
+class TestForwardTables:
+    def test_directory_with_forward_tables_drops_them_at_rewrite(self, tmp_path, expected):
         root = tmp_path / "db"
         shutil.copytree(FIXTURE, root)
-        before = tree_bytes(root)
-        assert set(live_payloads(root)) == {(True, "attr-delta")}
-        assert upgrade(root) is False
+        rows = [row for shard in root.glob("shard-*") for row in load_manifest(shard).entries]
+        assert rows and all("forward" in row for row in rows)
+        # the read path ignores them: the log answers before the upgrade
         log = DSLog.load(root)
-        assert answers(log) == answers(populate(DSLog()))
+        assert answers(log) == expected
+        log.close()
+        assert upgrade(root) is True
+        assert_no_forward_record(root)
+        assert set(live_payloads(root)) == {(True, "attr-delta")}
+        assert_upgraded(root, expected)  # answers unchanged, scrub clean, idempotent
+        log = DSLog.load(root)
         entry = log.catalog.entry("A", "B")
         assert (entry.version, entry.op_name) == (2, "negative-v2")
         assert [op.op_name for op in log.catalog.operations] == ["shift"]
-        assert log.scrub()["clean"]
+        assert log.reuse.stats()["base_entries"] == 1
         log.close()
+
+
+class TestCurrentLayout:
+    def test_directory_this_build_wrote_opens_unchanged(self, tmp_path, expected):
+        root = tmp_path / "db"
+        populate(DSLog(root, num_shards=2)).close()
+        before = tree_bytes(root)
+        assert_no_forward_record(root)
+        assert upgrade(root) is False
         assert tree_bytes(root) == before
+        assert_upgraded(root, expected)
 
 
 class TestCLI:
