@@ -7,8 +7,9 @@ traffic (queries, a cache hit, a graph call, one deliberate 404), then
   Prometheus text exposition format 0.0.4,
 * asserts the metric names every dashboard would alert on are present
   (storage, ingest, serving, cache, breaker, fault families),
-* fetches ``GET /debug/traces`` and shows the span tree of the slowest
-  request,
+* fetches ``GET /debug/traces``, checks that every request that sent a
+  trace id was traced under it (a request that sends none is traced only
+  when it runs slow), and shows the span tree of the slowest,
 * points ``python -m repro.tools.stats`` at the same server.
 
 The exit status is the contract: 0 only if every check passed — CI runs
@@ -23,6 +24,7 @@ paste example for wiring a real Prometheus scrape::
 Run with:  python examples/metrics_scrape.py
 """
 
+import secrets
 import sys
 import tempfile
 from pathlib import Path
@@ -64,14 +66,17 @@ def identity(in_name, out_name):
 
 
 def drive_traffic(client):
-    client.prov_query(CHAIN, slices=[(0, 4), (0, 4)])
-    client.prov_query(CHAIN, slices=[(0, 4), (0, 4)])  # cache hit
-    client.prov_query(list(reversed(CHAIN)), cells=[(3, 3)])
+    """Returns the trace ids the queries sent."""
+    ids = [secrets.token_hex(16) for _ in range(3)]  # W3C trace ids: 32 hex digits
+    client.prov_query(CHAIN, slices=[(0, 4), (0, 4)], trace_id=ids[0])
+    client.prov_query(CHAIN, slices=[(0, 4), (0, 4)], trace_id=ids[1])  # cache hit
+    client.prov_query(list(reversed(CHAIN)), cells=[(3, 3)], trace_id=ids[2])
     client.impact("raw")
     try:
         client.impact("no-such-array")  # a deliberate 404 for the status axis
     except LineageServerError:
         pass
+    return ids
 
 
 def check_metrics(client):
@@ -100,10 +105,11 @@ def check_metrics(client):
     return True
 
 
-def show_slowest_trace(client):
+def show_slowest_trace(client, ids):
     traces = client.traces()
-    if not traces:
-        print("FAIL: no traces in the ring after traced requests")
+    missing = set(ids) - {t["trace_id"] for t in traces}
+    if missing:
+        print(f"FAIL: requests that sent a trace id were not traced: {sorted(missing)}")
         return False
     slowest = max(traces, key=lambda t: t["duration_s"] or 0)
     print(
@@ -129,10 +135,10 @@ def main():
         server.start()
         try:
             client = LineageClient.connect(server.url)
-            drive_traffic(client)
+            ids = drive_traffic(client)
 
             ok = check_metrics(client)
-            ok = show_slowest_trace(client) and ok
+            ok = show_slowest_trace(client, ids) and ok
 
             print("\n--- python -m repro.tools.stats", server.url, "--grep http ---")
             ok = stats_cli.main([server.url, "--grep", "dslog_http"]) == 0 and ok

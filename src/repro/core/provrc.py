@@ -23,10 +23,11 @@ the sorts is linear in the rows it sees.  A relation is canonicalised
 pass keeps its columns as the rows of one attribute-major table, so an
 encoding step is: one stable sort of one packed int64 row key
 (:func:`repro.core.relation.row_order`; skipped when the rows are already
-in order, as they are for the first step), one gather of the whole table
-by that permutation, neighbour comparisons, and one gather of the
-surviving rows.  The key pass measures every candidate run with one
-reversed running minimum (``O(n)``), resolves its greedy run scan by
+in order, and not even checked at the first step, whose order is the
+deduplicated relation's), one gather of the whole table by that
+permutation, neighbour comparisons, and one gather of the surviving rows.
+The key pass measures every candidate run with one reversed running
+minimum (``O(n)``), resolves its greedy run scan by
 pointer doubling over those run lengths (at most ``log2 n`` vectorized
 rounds, fewer when the runs are long), and leaves a step as soon as no two
 neighbouring rows are key-contiguous — which is every step of an
@@ -171,9 +172,12 @@ def _value_range_pass(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Range-encode each value attribute, last to first.
 
-    Returns ``(key_lo, key_hi, val_lo, val_hi)`` where key intervals are
-    still degenerate (``lo == hi``) and value attributes have become
-    closed intervals.
+    The rows must be a deduplicated relation's (keys first, then values,
+    as :meth:`~repro.core.relation.LineageRelation.deduplicated` orders
+    them): that is already the order of the first step.  Returns
+    ``(key_lo, key_hi, val_lo, val_hi)`` where key intervals are still
+    degenerate (``lo == hi``) and value attributes have become closed
+    intervals.
     """
     nkey = key_cols.shape[1]
     nval = val_cols.shape[1]
@@ -191,7 +195,8 @@ def _value_range_pass(
         # Sort so rows agreeing on every other attribute are adjacent and
         # ordered by the attribute being encoded.
         others = keys + [a for j in range(nval) if j != vi for a in (lo[j], hi[j])]
-        table = _sorted_on(table, others + [lo[vi]])
+        if vi < nval - 1:  # the first step's order, keys then values, is the input's
+            table = _sorted_on(table, others + [lo[vi]])
 
         joins = _same_as_previous(table, others)
         # int64 subtract: ``hi + 1`` would wrap at a narrow dtype's ceiling

@@ -208,7 +208,11 @@ class LineageRelation:
         order = row_order(list(rows.T))
         if order is not None:
             rows = rows[order]
-        distinct = (rows[1:] != rows[:-1]).any(axis=1)
+        # column by column: a row is two to four values wide, too narrow
+        # for numpy's reduction along it to pay
+        distinct = np.zeros(max(len(rows) - 1, 0), dtype=bool)
+        for column in rows.T:
+            distinct |= column[1:] != column[:-1]
         if not distinct.all():
             rows = rows[np.concatenate(([True], distinct))]
         return self if rows is self.rows else self._replace_rows(rows)

@@ -5,9 +5,10 @@ Three pieces, one import surface:
 * :mod:`repro.obs.metrics` — thread-safe counters/gauges/histograms in a
   process-wide registry, rendered as Prometheus text by ``GET /metrics``
   and embedded in ``/healthz``.
-* :mod:`repro.obs.tracing` — per-request / per-ticket traces of nested
-  spans, contextvars-propagated across thread pools, retrievable from a
-  bounded ring via ``GET /debug/traces``.
+* :mod:`repro.obs.tracing` — per-ticket traces, and traces of the
+  requests that ask for one (a W3C ``traceparent``) or run slow, of
+  nested spans, contextvars-propagated across thread pools, retrievable
+  from a bounded ring via ``GET /debug/traces``.
 * :mod:`repro.obs.log` — one JSON-lines structured logger
   (``repro.obs``) for request logs, breaker/scrub/repair events, fault
   injections, and slow traces.

@@ -2,11 +2,18 @@
 propagation, a bounded in-memory ring of finished traces, and a
 slow-trace log.
 
-A :class:`Trace` is opened per HTTP request (by the server) and per
-ingest ticket (by ``LineagePipeline.submit``).  Within a trace, work is
-recorded as nested spans — ``plan``, ``prefetch`` with one child per
-shard, ``join``, ``cache-install`` — each carrying wall-clock duration
-and free-form tags.  Propagation uses a single :class:`~contextvars.ContextVar`
+A :class:`Trace` is opened per ingest ticket (by ``LineagePipeline.submit``)
+and, on either wire, per request that asks for one: the caller sends a W3C
+``traceparent`` (an HTTP header, or the same value under that key of an
+RPC request's JSON payload) and the server's trace takes the caller's
+trace id (:func:`parse_traceparent`; a client builds the value with
+:func:`traceparent`).  A request that asked for nothing but ran slow
+leaves a root-only trace, recorded after the fact (the server's
+``SLOW_REQUEST_S``); every other request records nothing, so
+``GET /debug/traces`` holds requested and slow traces only (and ingest
+tickets').  Within a trace, work is recorded as nested spans — ``plan``,
+``prefetch`` with one child per shard, ``join``, ``cache-install`` — each
+carrying wall-clock duration and free-form tags.  Propagation uses a single :class:`~contextvars.ContextVar`
 holding ``(trace, parent span id)``; crossing a thread boundary is one
 ``contextvars.copy_context()`` at submit time (see
 :func:`wrap_context`), which is how spans opened inside the executor's
@@ -29,6 +36,7 @@ import contextlib
 import contextvars
 import itertools
 import os
+import re
 import threading
 import time
 from collections import deque
@@ -48,6 +56,8 @@ __all__ = [
     "slow_threshold_ms",
     "set_enabled",
     "tracing_enabled",
+    "traceparent",
+    "parse_traceparent",
 ]
 
 _enabled = True
@@ -161,12 +171,19 @@ class Trace:
     ``slow_trace`` log event when over threshold.
     """
 
-    def __init__(self, name: str, **tags: Any) -> None:
-        self.trace_id = os.urandom(8).hex()  # 16 hex digits, a fifth of uuid4's cost
+    def __init__(
+        self, name: str, *, trace_id: Optional[str] = None, t0: Optional[float] = None, **tags: Any
+    ) -> None:
+        """*trace_id* is the caller's (a fresh one by default); *t0*, a
+        ``time.monotonic()`` reading, opens the trace that long ago."""
+        # 16 hex digits, a fifth of uuid4's cost
+        self.trace_id = trace_id if trace_id is not None else os.urandom(8).hex()
         self.name = name
         self.tags: Dict[str, Any] = dict(tags)
-        self.start = time.time()
-        self._t0 = time.monotonic()
+        if t0 is None:
+            self.start, self._t0 = time.time(), time.monotonic()
+        else:
+            self.start, self._t0 = time.time() - (time.monotonic() - t0), t0
         self._lock = threading.Lock()
         self._spans: List[Span] = []
         self._ids = itertools.count(1)
@@ -285,6 +302,35 @@ def start_trace(name: str, **tags: Any) -> Optional[Trace]:
     trace = Trace(name, **tags)
     _CURRENT.set((trace, None))
     return trace
+
+
+# a W3C trace context: version, trace id, parent span id, flags; a version
+# after 00 may append fields
+_TRACEPARENT = re.compile(r"([0-9a-f]{2})-([0-9a-f]{32})-([0-9a-f]{16})-[0-9a-f]{2}(-.*)?")
+
+
+def parse_traceparent(value: Any) -> Optional[str]:
+    """The trace id a W3C ``traceparent`` value carries, or ``None`` when
+    *value* is absent or malformed (ignored, as the W3C recommendation
+    says: the request is then as good as one that sent none)."""
+    if type(value) is not str:
+        return None
+    match = _TRACEPARENT.fullmatch(value.strip())
+    if match is None:
+        return None
+    version, trace_id, parent_id, more = match.groups()
+    if version == "ff" or (version == "00" and more) or not trace_id.strip("0") or not parent_id.strip("0"):
+        return None
+    return trace_id
+
+
+def traceparent(trace_id: str) -> str:
+    """The ``traceparent`` value a client sends to have its request traced
+    under *trace_id* (32 lower-case hex digits, not all zero)."""
+    value = f"00-{trace_id}-{os.urandom(8).hex()}-01"
+    if parse_traceparent(value) != trace_id:
+        raise ValueError(f"a trace id is 32 lower-case hex digits, not all zero: got {trace_id!r}")
+    return value
 
 
 def current_trace() -> Optional[Trace]:

@@ -5,7 +5,7 @@ Everything about the **service** rather than the **wire** lives here, once:
 * :data:`ENDPOINTS` — the serving surface, one :class:`Endpoint` row per
   operation: its name (the :data:`~repro.service.wire.OPCODES` name, also
   the RPC metric label), its HTTP method and route, whether a request
-  opens a trace, which reply kind the transport encodes, and ``run(core,
+  may be traced, which reply kind the transport encodes, and ``run(core,
   args)``.  :mod:`repro.service.server` derives ``{(method, route): row}``
   from it and :mod:`repro.service.rpc` ``{opcode: row}``; the argument
   checks (``array``, ``limit``, ``repair``) take the HTTP query-string
@@ -408,8 +408,10 @@ class Endpoint(NamedTuple):
 
     *name* is the :data:`~repro.service.wire.OPCODES` name — the RPC
     dispatch key and metric label; *method* and *route* place the row over
-    HTTP (``None``: RPC only); a *traced* row opens a per-request trace (the
-    observability endpoints themselves would only self-spam);
+    HTTP (``None``: RPC only); a request of a *traced* row may be traced —
+    when it sends a trace id or runs slow (:class:`~repro.service.server.
+    _RequestMeter`); the observability endpoints themselves would only
+    self-spam;
     ``run(core, args)`` produces the reply and *reply* names its kind for
     the transport's encoder — ``"json"`` (a dict), ``"text"`` (a str),
     ``"query"`` or ``"batch"`` (what :meth:`ServiceCore.execute_query` /

@@ -39,7 +39,12 @@ is that pipeline on a list of one (re-raising its item's error) and
    :class:`~repro.core.query.QueryResult`\\ s are combined with
    ``QueryResult.union``.
 4. **Install** — each fresh result goes into the result cache under its
-   own digest, with the planned paths and the tokens of their hop entries.
+   own digest, with the planned paths and the tokens of their hop entries,
+   and with an empty *reply memo*: the dict a transport keeps the static
+   bytes of this result's single-query reply in, once it has encoded them.
+   The memo lives exactly as long as its cache entry — a hit, a restamp
+   and a stale ``degraded`` serve reuse it, a recompute installs a fresh
+   one, an eviction drops it.
 
 Result cache
 ------------
@@ -159,12 +164,16 @@ class QueryOutcome(NamedTuple):
     says whether it came from the result cache; ``degraded`` marks a
     stale cache entry served because the query's home shard is behind a
     tripped circuit breaker (the freshness contract is then "last known
-    answer", not "current generation").
+    answer", not "current generation").  ``memo`` is the reply memo of
+    the result's cache entry (``None`` with the cache disabled): a
+    transport may keep what no request changes of its encoded reply there,
+    keyed by its own name (see the module docstring).
     """
 
     result: Any
     cached: bool
     degraded: bool
+    memo: Optional[dict] = None
 
 
 class ResultCache:
@@ -449,8 +458,8 @@ class QueryExecutor:
         deadline: Optional[float] = None,
     ) -> QueryOutcome:
         """Run one lineage query; returns a :class:`QueryOutcome`
-        (``result, cached, degraded`` — index ``[0]``/``[1]`` keeps the
-        old 2-tuple call sites working).
+        (``result, cached, degraded, memo`` — index ``[0]``/``[1]`` keeps
+        the old 2-tuple call sites working).
 
         Semantics match :meth:`DSLog.prov_query` exactly (including graph
         planning of two-array paths); the differences are the cache in
@@ -550,7 +559,8 @@ class QueryExecutor:
                 continue
             hit, value = self.cache.lookup(key, version, self._dependencies)
             if hit:
-                outcomes[i] = QueryOutcome(value, True, False)
+                result, memo = value  # what _execute_group installs
+                outcomes[i] = QueryOutcome(result, True, False, memo)
             else:
                 groups.setdefault(path, []).append((i, box_set, key))
                 misses += 1
@@ -643,10 +653,11 @@ class QueryExecutor:
         # at the catalog: a replace that landed meanwhile must find this
         # result stale
         deps = self._computed_from(paths, entries)
+        memos = [{} if self.cache.enabled else None for _ in results]
         with tracing.span("cache-install"):
-            for (_, _, key), result in zip(items, results):
-                self.cache.store(key, result, version, path, deps)
-        return [QueryOutcome(result, False, False) for result in results]
+            for (_, _, key), result, memo in zip(items, results, memos):
+                self.cache.store(key, (result, memo), version, path, deps)
+        return [QueryOutcome(result, False, False, memo) for result, memo in zip(results, memos)]
 
     def _breaker_allows(self, shard: int) -> bool:
         """Gate one home shard: closed passes; half-open triggers (at most)
@@ -665,13 +676,14 @@ class QueryExecutor:
         :class:`~repro.faults.ShardUnavailable` when there is neither."""
         stale_hit, stale = self.cache.lookup_stale(key)
         if stale_hit:
+            result, memo = stale
             trace = tracing.current_trace()
             if trace is not None:
                 trace.set_tag("cache", "stale")
                 trace.set_tag("degraded", True)
             with self._stats_lock:
                 self.degraded_serves += 1
-            return QueryOutcome(stale, True, True)
+            return QueryOutcome(result, True, True, memo)
         if cause is not None:
             return cause
         shard = min(blocked)

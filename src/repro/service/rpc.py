@@ -45,7 +45,7 @@ import threading
 from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..obs import REGISTRY, log_event
+from ..obs import REGISTRY, log_event, tracing
 from .api import ENDPOINTS, MAX_BODY_BYTES, BodyTooLarge, Endpoint, error_info, run_endpoint
 from .server import LineageServer, LineageServerError, _Client, _RequestMeter
 from .wire import (
@@ -61,6 +61,7 @@ from .wire import (
     encode_batch,
     encode_frame,
     encode_json,
+    encode_memoized,
     parse_frame_header,
     read_frame,
     recv_exact,
@@ -92,15 +93,24 @@ class _ConnectionDropped(Exception):
 # ----------------------------------------------------------------------
 # the codec: one encoder and one decoder per reply kind
 # ----------------------------------------------------------------------
-def _entry(outcome, spec, elapsed_ms: float = 0.0) -> tuple:
-    """A query outcome as an :func:`~repro.service.wire.encode_batch` entry."""
-    return (outcome.result, spec.include_boxes, spec.include_cells, outcome.cached, outcome.degraded, elapsed_ms)
+def _entry(outcome, spec) -> tuple:
+    """A batch's query outcome as an :func:`~repro.service.wire.encode_batch` entry."""
+    return (outcome.result, spec.include_boxes, spec.include_cells, outcome.cached, outcome.degraded, 0.0)
+
+
+def _query_reply(reply) -> bytes:
+    """An ``OP_QUERY`` reply, its static bytes kept in the outcome's reply memo."""
+    outcome, spec, elapsed_ms = reply
+    return encode_memoized(
+        outcome.memo, outcome.result, spec.include_boxes, spec.include_cells,
+        outcome.cached, outcome.degraded, elapsed_ms,
+    )
 
 
 _ENCODERS: Dict[str, Callable[[Any], bytes]] = {
     "json": encode_json,
     "text": lambda reply: reply.encode("utf-8"),
-    "query": lambda reply: encode_batch([_entry(*reply)], reply[2]),
+    "query": _query_reply,
     "batch": lambda reply: encode_batch([e if isinstance(e, dict) else _entry(*e) for e in reply[0]], reply[1]),
 }
 _DECODERS: Dict[str, Callable[[bytes], Any]] = {
@@ -182,6 +192,18 @@ class _ConnectionHandler(socketserver.BaseRequestHandler):
         """Answer one request frame; *payload* is its bytes, or the reason
         the frame was refused unread."""
         row = _HANDLERS.get(opcode)
+        # the body is decoded before the request is metered: its
+        # "traceparent" key decides whether the request is traced
+        body: Union[dict, Exception] = {}
+        trace_id = None
+        if isinstance(payload, bytes) and payload:
+            try:
+                body = decode_json(payload)
+                if not isinstance(body, dict):
+                    raise ValueError("the request payload must be a JSON object")
+                trace_id = tracing.parse_traceparent(body.pop("traceparent", None))
+            except ValueError as error:
+                body = error
 
         def answer() -> Tuple[str, bytes]:
             try:
@@ -189,9 +211,8 @@ class _ConnectionHandler(socketserver.BaseRequestHandler):
                     raise payload
                 if row is None:
                     raise ValueError(f"unknown RPC opcode {opcode}")
-                body = decode_json(payload) if payload else {}
-                if not isinstance(body, dict):
-                    raise ValueError("the request payload must be a JSON object")
+                if isinstance(body, Exception):
+                    raise body
                 reply = _ENCODERS[row.reply](
                     run_endpoint(row, self.server.core, body, self.client_address[0])
                 )
@@ -203,7 +224,7 @@ class _ConnectionHandler(socketserver.BaseRequestHandler):
 
         self._send_frame(
             _RPC_METER.serve(
-                row, {"op": OPCODES.get(opcode, f"op{opcode}")}, self.client_address[0], answer
+                row, {"op": OPCODES.get(opcode, f"op{opcode}")}, self.client_address[0], answer, trace_id
             )
         )
 
@@ -365,8 +386,10 @@ class RPCClient(_Client):
 
         return self._retrying(what, attempt)
 
-    def call(self, name: str, body: Optional[dict] = None):
+    def call(self, name: str, body: Optional[dict] = None, trace_id: Optional[str] = None):
         opcode = _OPCODE_OF[name]
+        if trace_id is not None:
+            body = dict(body or {}, traceparent=tracing.traceparent(trace_id))
         payload = encode_json(body) if body is not None else b""
 
         def exchange(conn: _PooledConnection) -> Tuple[int, bytes]:

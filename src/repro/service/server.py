@@ -16,7 +16,7 @@ the stdlib.  Which file owns what:
   speaks (:class:`_Client`: retry policy and loop, ``connect`` rendezvous,
   request building, one method per endpoint over a wire's ``call``); what
   a request costs in bookkeeping on either wire (:class:`_RequestMeter`:
-  trace, counter, latency histogram, log event); then one lean HTTP/1.1
+  trace on demand, counter, latency histogram, log event); then one lean HTTP/1.1
   codec for both ends: a handler thread per connection reading request
   heads line by line, and a client with **persistent keep-alive
   connections**, one per calling thread, that sends each request as one
@@ -30,7 +30,11 @@ when the round trip itself is the cost that matters, or both at once.
 The API
 -------
 One table, two wires.  *op* is the RPC opcode name (:data:`repro.service.
-wire.OPCODES`); *traced* rows open a per-request trace.
+wire.OPCODES`).  A request of a *traced* row is traced when it asks to be
+— a W3C ``traceparent`` HTTP header, or the same value under the
+``"traceparent"`` key of an RPC request's JSON payload; the trace takes
+the caller's trace id — or when it runs :data:`SLOW_REQUEST_S` or longer,
+which leaves a root-only trace.  Any other request records none.
 
 ===============  ====  =======================  ======  ==========================================
 op               HTTP  route                    traced  request → reply
@@ -56,10 +60,11 @@ op               HTTP  route                    traced  request → reply
                                                         Prometheus text exposition format
                                                         (``text/plain; version=0.0.4``) — the only
                                                         non-JSON reply
-``traces``       GET   ``/debug/traces``        no      recently finished traces, newest first
-                                                        (``limit=N`` caps the reply); spans carry
-                                                        wall time and tags (shard, cache outcome,
-                                                        fault site)
+``traces``       GET   ``/debug/traces``        no      recently finished traces — of requests
+                                                        that sent a trace id or ran slow, and of
+                                                        ingest tickets — newest first (``limit=N``
+                                                        caps the reply); spans carry wall time and
+                                                        tags (shard, cache outcome, fault site)
 ``scrub``        POST  ``/admin/scrub``         yes     ``{"repair": bool}`` (body optional) → full
                                                         scrub report; with ``"repair": true`` the
                                                         catalog is healed in place
@@ -110,7 +115,6 @@ import socketserver
 import threading
 import time
 import urllib.parse
-from contextlib import nullcontext
 from email.utils import formatdate
 from http import HTTPStatus
 from typing import Any, BinaryIO, Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
@@ -152,6 +156,7 @@ __all__ = [
     "MAX_CONNECTIONS",
     "MAX_HEADERS",
     "MAX_LINE_BYTES",
+    "SLOW_REQUEST_S",
     "result_payload",
 ]
 
@@ -354,9 +359,15 @@ class LineageServer:
         self.close()
 
 
+# a request of a traced row that asked for no trace but ran at least this
+# long still leaves one: a root-only trace, recorded after the fact
+SLOW_REQUEST_S = 0.1
+
+
 class _RequestMeter(NamedTuple):
     """What one request costs in bookkeeping, whichever wire it came over:
-    a trace (traced rows, tracing on), a request counter and a latency
+    a trace (traced rows, tracing on, and only when the caller sent a
+    trace id or the request ran slow), a request counter and a latency
     histogram labelled by the operation, and one log event.  A wire
     differs only in the names."""
 
@@ -373,19 +384,27 @@ class _RequestMeter(NamedTuple):
         tags: Dict[str, str],
         client: str,
         answer: Callable[[], Tuple[Any, bytes]],
+        trace_id: Optional[str] = None,
     ) -> bytes:
-        """Run *answer* (→ ``(status, reply bytes)``) inside the request's
-        trace and book it; *tags* name the request in the trace and the
-        log event, ``tags[label]`` in the metrics.  Returns the reply for
-        the caller to send — only now, so a client never sees a reply
-        before its trace is in the ring."""
+        """Run *answer* (→ ``(status, reply bytes)``) and book it; *tags*
+        name the request in its trace and the log event, ``tags[label]`` in
+        the metrics.  *trace_id*, the caller's, runs *answer* inside a
+        trace of that id; without one, only a request that took
+        :data:`SLOW_REQUEST_S` or longer is traced, root-only.  Returns the
+        reply for the caller to send — only now, so a client never sees a
+        reply before its trace is in the ring."""
         started = time.monotonic()
+        traced = row is not None and row.traced and tracing.tracing_enabled()
         trace: Optional[tracing.Trace] = None
-        if row is not None and row.traced and tracing.tracing_enabled():
-            trace = tracing.Trace(self.trace, **tags)
-        with trace.activate() if trace is not None else nullcontext():
+        if traced and trace_id is not None:
+            trace = tracing.Trace(self.trace, trace_id=trace_id, **tags)
+            with trace.activate():
+                status, reply = answer()
+        else:
             status, reply = answer()
         elapsed = time.monotonic() - started
+        if traced and trace is None and elapsed >= SLOW_REQUEST_S:
+            trace = tracing.Trace(self.trace, t0=started, **tags)
         if trace is not None:
             trace.set_tag("status", status)
             trace.finish()
@@ -467,7 +486,7 @@ def _content_length(value: Optional[str]) -> int:
 # ----------------------------------------------------------------------
 # the HTTP server
 # ----------------------------------------------------------------------
-def _outcome_fields(outcome, spec, elapsed_ms: Optional[float] = None) -> dict:
+def _outcome_fields(outcome, spec) -> dict:
     """A query outcome as its JSON result payload plus the outcome flags."""
     payload = result_payload(
         outcome.result,
@@ -476,9 +495,32 @@ def _outcome_fields(outcome, spec, elapsed_ms: Optional[float] = None) -> dict:
     )
     payload["cached"] = outcome.cached
     payload["degraded"] = outcome.degraded
-    if elapsed_ms is not None:
-        payload["elapsed_ms"] = elapsed_ms
     return payload
+
+
+_JSON_BOOL = ("false", "true")
+
+
+def _query_text(reply) -> str:
+    """A ``/query`` reply: the JSON of the result's payload, kept without
+    its closing brace in the outcome's reply memo the first time, then the
+    three keys a request stamps — the text ``json.dumps`` would give the
+    whole dict (a float's JSON is its ``repr``)."""
+    outcome, spec, elapsed_ms = reply
+    key = ("http", spec.include_boxes, spec.include_cells)
+    memo = outcome.memo
+    static = memo.get(key) if memo is not None else None
+    if static is None:
+        payload = result_payload(
+            outcome.result, include_boxes=spec.include_boxes, include_cells=spec.include_cells
+        )
+        static = json.dumps(payload)[:-1]
+        if memo is not None:
+            memo[key] = static
+    return (
+        f'{static}, "cached": {_JSON_BOOL[outcome.cached]}, '
+        f'"degraded": {_JSON_BOOL[outcome.degraded]}, "elapsed_ms": {elapsed_ms!r}}}'
+    )
 
 
 def _batch_fields(entries: list, elapsed_ms: float) -> dict:
@@ -496,7 +538,7 @@ def _batch_fields(entries: list, elapsed_ms: float) -> dict:
 _ENCODERS: Dict[str, Callable[[Any], str]] = {
     "json": json.dumps,
     "text": str,
-    "query": lambda reply: json.dumps(_outcome_fields(*reply)),
+    "query": _query_text,
     "batch": lambda reply: json.dumps(_batch_fields(*reply)),
 }
 _TEXT = b"text/plain; version=0.0.4; charset=utf-8"
@@ -563,6 +605,7 @@ class _Handler(socketserver.StreamRequestHandler):
                 {"method": method, "endpoint": endpoint},
                 self.client_address[0],
                 lambda: self._answer(row, query),
+                tracing.parse_traceparent(self.headers.get("traceparent")),
             )
         self.request.sendall(reply)
         return self._keep
@@ -725,9 +768,11 @@ class _Client:
                     ) from None
                 time.sleep(min(0.05, client.retry.backoff))
 
-    def call(self, name: str, body: Optional[dict] = None):
+    def call(self, name: str, body: Optional[dict] = None, trace_id: Optional[str] = None):
         """One round trip to endpoint *name* (a key of :data:`~repro.
-        service.api.ENDPOINTS`); returns the decoded reply."""
+        service.api.ENDPOINTS`); returns the decoded reply.  With a
+        *trace_id* (32 hex digits) the request carries a ``traceparent``
+        and the server traces it under that id."""
         raise NotImplementedError
 
     def _retrying(self, what: str, attempt: Callable[[], Any]):
@@ -762,13 +807,14 @@ class _Client:
         include_boxes: bool = True,
         include_cells: bool = False,
         deadline: Optional[float] = None,
+        trace_id: Optional[str] = None,
     ):
         """Run a lineage query; returns the server's result (``boxes``,
         exact ``count``, per-hop stats, ``cached`` and ``degraded`` flags)
         — a dict over HTTP, a mapping-compatible zero-copy
         :class:`~repro.service.wire.RPCResult` over RPC.  *deadline* bounds
         the server-side fan-out — a slow shard turns into a structured 504,
-        never a hang."""
+        never a hang.  *trace_id*: see :meth:`call`."""
         body: Dict[str, Any] = {"path": list(path), "merge": merge}
         if cells is not None:
             body["cells"] = [list(cell) for cell in cells]
@@ -778,7 +824,7 @@ class _Client:
         body["include_cells"] = include_cells
         if deadline is not None:
             body["deadline"] = deadline
-        return self.call("query", body)
+        return self.call("query", body, trace_id)
 
     @staticmethod
     def _normalize_queries(
@@ -814,6 +860,7 @@ class _Client:
         include_boxes: bool = True,
         include_cells: bool = False,
         deadline: Optional[float] = None,
+        trace_id: Optional[str] = None,
     ) -> list:
         """Run many lineage queries in one round trip — the server executes
         them as one θ-join pass per resolved path.
@@ -824,13 +871,14 @@ class _Client:
         ``(path, cells)`` pair.  Returns one entry per query, in order:
         a result, or ``{"error": {...}}`` for queries that failed
         individually (a bad query never fails its batch-mates).
+        *trace_id*: see :meth:`call`.
         """
         body: Dict[str, Any] = {
             "queries": self._normalize_queries(queries, merge, include_boxes, include_cells)
         }
         if deadline is not None:
             body["deadline"] = deadline
-        return self.call("query_batch", body)
+        return self.call("query_batch", body, trace_id)
 
     def impact(self, name: str) -> Dict[str, int]:
         return self.call("impact", {"array": name})["impact"]
@@ -1007,12 +1055,14 @@ class LineageClient(_Client):
             self._drop_connection()
         return status, payload
 
-    def call(self, name: str, body: Optional[dict] = None):
+    def call(self, name: str, body: Optional[dict] = None, trace_id: Optional[str] = None):
         row = ENDPOINTS[name]
         route, data = row.route, b""
         if row.method == "GET" and body:
             route += "?" + urllib.parse.urlencode(body)
         head = f"{row.method} {route} HTTP/1.1\r\nHost: {self._netloc}\r\n"
+        if trace_id is not None:
+            head += f"traceparent: {tracing.traceparent(trace_id)}\r\n"
         if row.method == "POST":
             if body is not None:
                 data = json.dumps(body).encode("utf-8")

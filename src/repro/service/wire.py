@@ -61,6 +61,16 @@ allocates by it, then makes one ``np.frombuffer`` over the block: every
 view into that one buffer.  Zero copies, no per-integer work, for a
 batch as for a single result.
 
+Of a one-result reply, a request changes only three fields, all in its
+first 43 bytes: the item's cached and degraded flag bits and the two
+``elapsed_ms``.  Everything else — the rest of the item record, the shape,
+the name, the hop records and the coordinate block — is a function of the
+result and the two ``include_*`` flags alone.  :func:`encode_memoized`
+keeps those static bytes in a result-cache entry's reply memo the first
+time the entry goes out, and a later hit stamps the three fields into a
+fresh head and appends them: the same bytes :func:`encode_result` would
+build, for a pack and a concatenation.
+
 :class:`RPCResult` wraps a decoded row.  It is mapping-compatible with
 the HTTP result dict (``result["count"]``, ``result["boxes"]`` …) so
 callers can switch transports without rewriting, and exposes the
@@ -103,6 +113,7 @@ __all__ = [
     "encode_json",
     "decode_json",
     "encode_result",
+    "encode_memoized",
     "decode_result",
     "encode_batch",
     "decode_batch",
@@ -149,6 +160,9 @@ _RESULT_MAGIC = b"DRES"
 _REPLY = struct.Struct("<4sBdI")
 _ITEM = struct.Struct("<BBIIQdIH")
 _HOP_RECORD = struct.Struct("<HHQIIId")
+# a one-result reply from its magic through its item's elapsed_ms: every
+# byte a request stamps lies in here (the rest of the reply is static)
+_STAMPED = struct.Struct("<4sBdI" "BBIIQd")  # _REPLY, then _ITEM up to its cell-listing rows
 _CACHED, _DEGRADED, _BOXES, _CELLS, _ERROR = 1, 2, 4, 8, 16
 # the fields of a decoded result row and of one of its hop rows, by position
 _ROW = (
@@ -312,6 +326,36 @@ def encode_result(
 ) -> bytes:
     """An ``OP_QUERY`` reply: :func:`encode_batch` of one result."""
     return encode_batch([(result, include_boxes, include_cells, cached, degraded, elapsed_ms)], elapsed_ms)
+
+
+def encode_memoized(
+    memo: Optional[dict],
+    result,
+    include_boxes: bool,
+    include_cells: bool,
+    cached: bool,
+    degraded: bool,
+    elapsed_ms: float,
+) -> bytes:
+    """:func:`encode_result`, byte for byte, from the static bytes of the
+    reply kept in *memo* (a result-cache entry's reply memo; ``None``
+    keeps nothing).  The first call per ``(include_boxes, include_cells)``
+    encodes the reply and keeps everything but its stamped fields; every
+    later one packs the stamped head and appends the rest."""
+    key = ("rpc", include_boxes, include_cells)
+    static = memo.get(key) if memo is not None else None
+    if static is None:
+        reply = encode_result(result, include_boxes, include_cells)
+        _, itemsize, _, _, flags, ndim, name_size, boxes, cell_count, _ = _STAMPED.unpack_from(reply)
+        static = (itemsize, flags, ndim, name_size, boxes, cell_count, reply[_STAMPED.size :])
+        if memo is not None:
+            memo[key] = static
+    itemsize, flags, ndim, name_size, boxes, cell_count, rest = static
+    flags |= (_CACHED if cached else 0) | (_DEGRADED if degraded else 0)
+    head = _STAMPED.pack(
+        _RESULT_MAGIC, itemsize, elapsed_ms, 1, flags, ndim, name_size, boxes, cell_count, elapsed_ms
+    )
+    return head + rest
 
 
 def _overrun(index: int, field: str, value: int, left: int) -> ValueError:

@@ -14,6 +14,7 @@ from repro.obs.metrics import parse_prometheus_text, sample_value
 from repro.service.server import LineageServer
 
 SHAPE = (6, 6)
+TRACE_ID = "4bf92f3577b34da6a3ce929d0e0e4736"  # a request that sends it is traced under it
 
 # names the CI smoke and this test both require on the wire; one per
 # instrumented subsystem (storage, ingest happens via service tests,
@@ -119,10 +120,11 @@ def _query_traces(client):
 
 def test_query_produces_full_trace(client):
     tracing.clear_traces()
-    client.prov_query(["c", "a"], cells=[(2, 3)])
+    client.prov_query(["c", "a"], cells=[(2, 3)], trace_id=TRACE_ID)
     http_traces = _query_traces(client)
     assert http_traces, "no /query trace reached the ring"
     trace = http_traces[0]
+    assert trace["trace_id"] == TRACE_ID
     assert trace["tags"]["status"] == 200
     assert trace["tags"]["cache"] == "miss"
     assert trace["duration_s"] > 0
@@ -139,7 +141,7 @@ def test_query_produces_full_trace(client):
 def test_cached_query_trace_tags_hit(client):
     client.prov_query(["c", "a"], cells=[(2, 3)])
     tracing.clear_traces()
-    client.prov_query(["c", "a"], cells=[(2, 3)])
+    client.prov_query(["c", "a"], cells=[(2, 3)], trace_id=TRACE_ID)
     (trace,) = _query_traces(client)
     assert trace["tags"]["cache"] == "hit"
 
@@ -147,7 +149,7 @@ def test_cached_query_trace_tags_hit(client):
 def test_traces_limit_param(client):
     tracing.clear_traces()
     for i in range(3):
-        client.prov_query(["b", "a"], cells=[(i, i)])
+        client.prov_query(["b", "a"], cells=[(i, i)], trace_id=f"{i + 1:032x}")
     assert len(client.traces()) == 3
     assert len(client.traces(limit=2)) == 2
 
@@ -205,14 +207,14 @@ def test_request_log_event(client, caplog):
         ]
 
     with caplog.at_level(logging.INFO, logger="repro.obs"):
-        client.prov_query(["b", "a"], cells=[(0, 0)])
+        client.prov_query(["b", "a"], cells=[(0, 0)], trace_id=TRACE_ID)
     requests = query_logs()  # logged before the reply was sent
     assert requests, "no structured request log event"
     entry = requests[-1]
     assert entry["method"] == "POST"
     assert entry["status"] == 200
     assert entry["ms"] >= 0
-    assert entry["trace_id"]
+    assert entry["trace_id"] == TRACE_ID
 
 
 def test_request_log_quiet_by_default(client, capfd):

@@ -70,10 +70,10 @@ def test_planned_diamond_union(log):
 
 def test_cache_hit_and_flag(log):
     with QueryExecutor(log, max_workers=2) as ex:
-        result, cached, degraded = ex.query(["a", "b"], QUERY)
-        assert not cached and not degraded
-        again, cached, degraded = ex.query(["a", "b"], QUERY)
-        assert cached and not degraded
+        result, cached, degraded, memo = ex.query(["a", "b"], QUERY)
+        assert not cached and not degraded and memo == {}
+        again, cached, degraded, again_memo = ex.query(["a", "b"], QUERY)
+        assert cached and not degraded and again_memo is memo  # the entry's reply memo
         assert again.to_cells() == result.to_cells()
         stats = ex.stats()["cache"]
         assert stats["hits"] == 1 and stats["entries"] >= 1
@@ -168,7 +168,7 @@ def test_backward_path_invalidated_by_replace(tmp_path):
         assert ex.query([b, a], QUERY)[1] is True
 
         log.add_lineage(a, b, relation=shift(a, b), replace=True)
-        result, cached, _degraded = ex.query([b, a], QUERY)
+        result, cached, _degraded, _memo = ex.query([b, a], QUERY)
         assert cached is False
         assert result.to_cells() == log.prov_query([b, a], QUERY).to_cells()
         assert result.to_cells() != before
@@ -188,7 +188,7 @@ def test_planned_query_turns_over_when_the_plan_does(tmp_path):
         log.define_array("x", SHAPE)
         log.add_lineage("a", "x", relation=identity("a", "x"))
         log.add_lineage("x", "c", relation=identity("x", "c"))
-        result, cached, _degraded = ex.query(["a", "c"], QUERY)
+        result, cached, _degraded, _memo = ex.query(["a", "c"], QUERY)
         assert cached is False
         assert result.to_cells() == before  # identity chains: same cells, two paths
     log.close()
@@ -208,7 +208,7 @@ def test_memory_backend_invalidates_per_entry():
         assert ex.stats()["cache"]["invalidations"] == 0
 
         log.add_lineage("a", "b", relation=shift("a", "b"), replace=True)
-        result, cached, _degraded = ex.query(["a", "b"], QUERY)
+        result, cached, _degraded, _memo = ex.query(["a", "b"], QUERY)
         assert cached is False
         assert result.to_cells() == log.prov_query(["a", "b"], QUERY).to_cells()
         assert result.to_cells() != before

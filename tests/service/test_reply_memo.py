@@ -1,0 +1,269 @@
+"""A result-cache hit is a lookup and a send: a cached result's
+single-query reply is encoded once per wire and kept with its cache entry,
+every later request restamps only its own fields (byte-identical to a
+fresh encode), and a request is traced only when it sends a trace id or
+runs slow."""
+
+import itertools
+import json
+import sys
+import threading
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_wire import query_results
+
+from repro import DSLog, faults
+from repro.core.relation import LineageRelation
+from repro.obs import tracing
+from repro.service import rpc as rpc_module
+from repro.service import server as server_module
+from repro.service.api import QuerySpec, result_payload
+from repro.service.query import QueryExecutor, QueryOutcome
+from repro.service.rpc import RPCClient
+from repro.service.server import LineageClient, LineageServer
+from repro.service.wire import decode_result, encode_memoized, encode_result
+
+SHAPE = (6, 6)
+QUERY = [(1, 1), (2, 3)]
+FLAGS = list(itertools.product([False, True], repeat=2))  # include_boxes × include_cells
+STAMPS = st.tuples(st.booleans(), st.booleans(), st.floats(0, 1e3, allow_nan=False))
+
+
+def relation(in_name, out_name, shift=0):
+    pairs = [((i, j), ((i + shift) % SHAPE[0], j)) for i in range(SHAPE[0]) for j in range(SHAPE[1])]
+    return LineageRelation.from_pairs(pairs, SHAPE, SHAPE, in_name=in_name, out_name=out_name)
+
+
+def spec(include_boxes, include_cells) -> QuerySpec:
+    return QuerySpec(["a", "b"], QUERY, True, include_boxes, include_cells, None)
+
+
+def fresh_http(outcome, include_boxes, include_cells, elapsed_ms) -> str:
+    """What ``POST /query`` sent before replies were memoized."""
+    payload = result_payload(outcome.result, include_boxes=include_boxes, include_cells=include_cells)
+    payload.update(cached=outcome.cached, degraded=outcome.degraded, elapsed_ms=elapsed_ms)
+    return json.dumps(payload)
+
+
+def replies(outcome, include_boxes, include_cells, elapsed_ms):
+    """The ``query`` reply of each wire: ``(rpc bytes, http text)``."""
+    reply = (outcome, spec(include_boxes, include_cells), elapsed_ms)
+    return rpc_module._ENCODERS["query"](reply), server_module._ENCODERS["query"](reply)
+
+
+def assert_fresh(outcome, elapsed_ms=0.25):
+    """Every reply of *outcome* is byte-identical to a fresh encode; returns them."""
+    sent = []
+    for include_boxes, include_cells in FLAGS:
+        over_rpc, over_http = replies(outcome, include_boxes, include_cells, elapsed_ms)
+        fresh = encode_result(
+            outcome.result, include_boxes, include_cells, outcome.cached, outcome.degraded, elapsed_ms
+        )
+        assert over_rpc == fresh
+        assert over_http == fresh_http(outcome, include_boxes, include_cells, elapsed_ms)
+        sent.append((over_rpc, over_http))
+    return sent
+
+
+# ----------------------------------------------------------------------
+# byte identity: the memo restamps exactly the per-request fields
+# ----------------------------------------------------------------------
+@settings(max_examples=100, deadline=None)
+@given(query_results(), st.booleans(), st.booleans(), STAMPS, STAMPS)
+def test_a_memoized_reply_is_a_fresh_encode(result, include_boxes, include_cells, first, later):
+    """The first encode fills the memo, a later one with other flags and
+    another ``elapsed_ms`` reads it: both equal a fresh encode, on both
+    wires; with no memo (a disabled cache) nothing is kept."""
+    memo = {}
+    for cached, degraded, elapsed_ms in (first, later):
+        fresh = encode_result(result, include_boxes, include_cells, cached, degraded, elapsed_ms)
+        assert encode_memoized(memo, result, include_boxes, include_cells, cached, degraded, elapsed_ms) == fresh
+        assert encode_memoized(None, result, include_boxes, include_cells, cached, degraded, elapsed_ms) == fresh
+        for kept in (memo, None):
+            outcome = QueryOutcome(result, cached, degraded, kept)
+            text = server_module._ENCODERS["query"]((outcome, spec(include_boxes, include_cells), elapsed_ms))
+            assert text == fresh_http(outcome, include_boxes, include_cells, elapsed_ms)
+    assert set(memo) == {("rpc", include_boxes, include_cells), ("http", include_boxes, include_cells)}
+
+
+# ----------------------------------------------------------------------
+# the memo lives as long as its result-cache entry
+# ----------------------------------------------------------------------
+@pytest.fixture
+def log():
+    log = DSLog()
+    log.define_array("a", SHAPE)
+    log.define_array("b", SHAPE)
+    log.add_lineage("a", "b", relation=relation("a", "b"))
+    return log
+
+
+def test_the_memo_follows_its_cache_entry(log, monkeypatch):
+    now = [1000.0]  # the breakers' clock, moved by hand
+    monkeypatch.setattr(faults, "clock", lambda: now[0])
+    with QueryExecutor(log, max_workers=1, breaker_failures=1, breaker_reset_after=1.0) as ex:
+        # the first encode after a miss fills the fresh entry's memo
+        miss = ex.query(["b", "a"], QUERY)
+        assert not miss.cached and miss.memo == {}
+        first = assert_fresh(miss)
+        assert len(miss.memo) == 2 * len(FLAGS)
+
+        # a later hit reads it, restamped with its own flags and time
+        hit = ex.query(["b", "a"], QUERY)
+        assert hit.cached and not hit.degraded and hit.memo is miss.memo
+        assert_fresh(hit, elapsed_ms=7.5)
+
+        # a replace makes the entry stale; behind a tripped breaker it is
+        # served degraded, from the memo it filled while fresh
+        log.add_lineage("a", "b", relation=relation("a", "b", shift=1), replace=True)
+        ex._breaker(0).record_failure()
+        stale = ex.query(["b", "a"], QUERY)
+        assert stale.cached and stale.degraded and stale.memo is miss.memo
+        for over_rpc, over_http in assert_fresh(stale):
+            assert decode_result(over_rpc).degraded and json.loads(over_http)["degraded"] is True
+
+        # the breaker heals: the recompute installs a new entry, new bytes
+        now[0] += 2.0
+        recomputed = ex.query(["b", "a"], QUERY)
+        assert not recomputed.cached and not recomputed.degraded
+        assert recomputed.memo == {} and recomputed.memo is not miss.memo
+        assert recomputed.result.to_cells() != miss.result.to_cells()
+        again = assert_fresh(recomputed)
+        assert all(new[0] != old[0] and new[1] != old[1] for new, old in zip(again, first))
+
+
+def test_concurrent_hits_fill_one_memo_and_all_send_fresh_bytes(log):
+    """Handler threads share an entry's memo: whichever fills it first, and
+    however the fills interleave, every reply is a fresh encode."""
+    with QueryExecutor(log, max_workers=1) as ex:
+        ex.query(["b", "a"], QUERY)
+        hit = ex.query(["b", "a"], QUERY)
+        wrong = []
+
+        def serve(worker: int) -> None:
+            for i in range(50):
+                include_boxes, include_cells = FLAGS[(worker + i) % len(FLAGS)]
+                elapsed_ms = worker + i / 64
+                over_rpc, over_http = replies(hit, include_boxes, include_cells, elapsed_ms)
+                fresh = encode_result(hit.result, include_boxes, include_cells, True, False, elapsed_ms)
+                if over_rpc != fresh or over_http != fresh_http(hit, include_boxes, include_cells, elapsed_ms):
+                    wrong.append((worker, i))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=serve, args=(worker,)) for worker in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == [] and len(hit.memo) == 2 * len(FLAGS)
+
+
+def test_a_disabled_cache_keeps_no_memo(log):
+    with QueryExecutor(log, max_workers=1, cache_entries=0) as ex:
+        outcome = ex.query(["b", "a"], QUERY)
+        assert outcome.memo is None
+        assert_fresh(outcome)
+
+
+# ----------------------------------------------------------------------
+# trace on demand
+# ----------------------------------------------------------------------
+@pytest.fixture
+def server(log):
+    with LineageServer(log, port=0, rpc_port=0) as server:
+        yield server
+
+
+@pytest.fixture
+def clients(server):
+    http = LineageClient.connect(server.url, timeout=5.0)
+    rpc = RPCClient.connect(server.rpc_address, timeout=5.0)
+    yield {"http": http, "rpc": rpc}
+    http.close()
+    rpc.close()
+
+
+@pytest.mark.parametrize("wire", ["http", "rpc"])
+def test_a_request_that_sends_an_id_is_traced_under_it(clients, wire):
+    tracing.clear_traces()
+    trace_id = "0af7651916cd43dd8448eb211c80319c"
+    clients[wire].prov_query(["b", "a"], cells=QUERY, trace_id=trace_id)
+    (trace,) = tracing.recent_traces()
+    assert trace["trace_id"] == trace_id and trace["name"] == wire
+    assert trace["tags"]["cache"] == "miss"
+    assert {"plan", "join"} <= {span["name"] for span in trace["spans"]}
+    batch_id = "0af7651916cd43dd8448eb211c80319d"
+    clients[wire].prov_query_batch([(["b", "a"], QUERY)], trace_id=batch_id)
+    assert tracing.recent_traces(1)[0]["trace_id"] == batch_id
+
+
+def test_a_request_that_sends_none_is_not_traced(clients):
+    tracing.clear_traces()
+    for client in clients.values():
+        client.prov_query(["b", "a"], cells=QUERY)  # a miss, then a hit
+        client.prov_query_batch([(["b", "a"], [(0, 0)])])
+        client.impact("a")
+    assert tracing.recent_traces() == []
+
+
+@pytest.mark.parametrize("wire", ["http", "rpc"])
+def test_a_slow_request_leaves_a_root_only_trace(clients, wire, monkeypatch):
+    monkeypatch.setattr(server_module, "SLOW_REQUEST_S", 0.0)  # every request is slow
+    tracing.clear_traces()
+    clients[wire].prov_query(["b", "a"], cells=QUERY)
+    (trace,) = tracing.recent_traces()
+    assert trace["name"] == wire and trace["spans"] == []
+    assert trace["duration_s"] > 0 and len(trace["trace_id"]) == 16
+    assert trace["tags"]["status"] == (200 if wire == "http" else "ok")
+    clients[wire].healthz()  # an untraced row stays untraced, slow or not
+    assert len(tracing.recent_traces()) == 1
+
+
+def test_a_malformed_traceparent_is_ignored(server):
+    """Over HTTP a raw header the client would never build: answered, not traced."""
+    tracing.clear_traces()
+    client = LineageClient(server.url)
+    body = json.dumps({"path": ["b", "a"], "cells": QUERY}).encode()
+    head = (
+        f"POST /query HTTP/1.1\r\nHost: x\r\ntraceparent: 00-xyz-0-01\r\n"
+        f"Content-Length: {len(body)}\r\n\r\n"
+    )
+    status, payload = client._round_trip(head.encode() + body)
+    client.close()
+    assert status == 200 and json.loads(payload)["count"] == len(QUERY)
+    assert tracing.recent_traces() == []
+
+
+@pytest.mark.parametrize(
+    "value, trace_id",
+    [
+        ("00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", "4bf92f3577b34da6a3ce929d0e0e4736"),
+        (" 00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-00 ", "4bf92f3577b34da6a3ce929d0e0e4736"),
+        ("01-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-later", "4bf92f3577b34da6a3ce929d0e0e4736"),
+        ("00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-later", None),
+        ("ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", None),
+        ("00-00000000000000000000000000000000-00f067aa0ba902b7-01", None),
+        ("00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01", None),
+        ("00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01", None),
+        ("00-4bf92f3577b34da6-00f067aa0ba902b7-01", None),
+        (None, None),
+        (42, None),
+    ],
+)
+def test_parse_traceparent(value, trace_id):
+    assert tracing.parse_traceparent(value) == trace_id
+
+
+def test_a_client_sends_only_a_well_formed_id():
+    trace_id = "4bf92f3577b34da6a3ce929d0e0e4736"
+    assert tracing.parse_traceparent(tracing.traceparent(trace_id)) == trace_id
+    for bad in ("4bf92f35", "4BF92F3577B34DA6A3CE929D0E0E4736", "0" * 32, trace_id + "-x"):
+        with pytest.raises(ValueError, match="32 lower-case hex"):
+            tracing.traceparent(bad)

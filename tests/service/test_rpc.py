@@ -362,10 +362,11 @@ def test_connection_gauge_tracks_open_sockets(server):
 def test_rpc_requests_traced(server):
     from repro.obs import tracing
 
+    trace_id = "0af7651916cd43dd8448eb211c80319c"
     client = RPCClient.connect(server.rpc_address)
-    client.prov_query(["a", "b", "c"], cells=[[1, 1]])
+    client.prov_query(["a", "b", "c"], cells=[[1, 1]], trace_id=trace_id)
     client.close()
     traces = tracing.recent_traces(20)
     rpc_traces = [t for t in traces if t["name"] == "rpc"]
-    assert rpc_traces
+    assert rpc_traces and rpc_traces[0]["trace_id"] == trace_id
     assert rpc_traces[0]["tags"]["op"] == "query"

@@ -182,6 +182,32 @@ def test_read_frame_eof_mid_payload():
         b.close()
 
 
+@pytest.mark.parametrize("buffered", [False, True], ids=["socket", "buffered"])
+def test_reader_memory_follows_the_bytes_received_not_the_declared_length(buffered):
+    """The RPC twin of the HTTP client's lying ``Content-Length``: a frame
+    header claiming :data:`~repro.service.wire.MAX_FRAME_BYTES`, ten body
+    bytes, then EOF.  The body is read in chunks of at most 1 MiB, so the
+    reader holds about one chunk, never the claimed gigabyte."""
+    a, b = socket_pair()
+    source = b.makefile("rb") if buffered else b
+    try:
+        a.sendall(frame_header(wire.WIRE_MAGIC, "HIHI", wire.WIRE_VERSION, wire.MAX_FRAME_BYTES, OP_QUERY, 1))
+        a.sendall(b"0123456789")
+        a.close()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ShortRead, match="got 10"):
+                read_frame(source)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * (1 << 20)
+    finally:
+        if buffered:
+            source.close()
+        b.close()
+
+
 def test_json_payload_round_trip():
     body = {"path": ["a", "b"], "cells": [[1, 2]], "merge": True}
     assert decode_json(encode_json(body)) == body
