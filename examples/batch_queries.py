@@ -1,19 +1,25 @@
-"""Batched lineage queries: one θ-join pass for many queries.
+"""Batched lineage queries: one plan for many queries.
 
 The per-request serving path answers one query at a time — fine when the
 result cache absorbs the traffic, but an uncached audit sweep (say, "trace
 every flagged output cell back to its raw inputs") pays planning, snapshot
-pinning and numpy dispatch once *per query*.  ``POST /query_batch`` runs
-the whole sweep as one blocked kernel pass per hop: the server groups the
-batch by resolved path, stacks all query boxes, and segments the results
-back out per query — bit-identical to asking one at a time.
+pinning, table hydration and numpy dispatch once *per query*.  ``POST
+/query_batch`` runs the whole sweep as one plan: each distinct hop table
+hydrates once, and every (table, direction) the batch crosses is joined in
+one kernel pass over all the queries that reach it — whatever path they
+came from, backward or forward, long or short, explicit or planned by the
+lineage graph.  Results are segmented back out per query, bit-identical to
+asking one at a time.
 
 The example:
 
 1. builds a 4-hop sharded catalog,
 2. sweeps 64 cells via ``LineageClient.prov_query_batch`` vs 64 individual
    ``/query`` round trips, printing both wall times,
-3. shows per-item error containment (a bad query rides along harmlessly).
+3. sends one mixed batch — backward and forward paths of different lengths
+   over the same chain plus a graph-planned two-array query — and exits
+   non-zero unless every item equals its single ``/query`` answer,
+4. shows per-item error containment (a bad query rides along harmlessly).
 
 Run with:  python examples/batch_queries.py
 """
@@ -93,7 +99,31 @@ def main():
             f"({single_wall / batch_wall:.1f}x)"
         )
 
-        # -- 2. per-item error containment --
+        # -- 2. one plan for a mixed batch: every item as if asked alone --
+        mixed_paths = [
+            path,                                        # backward, 4 hops
+            ["features", "normalized", "cleaned"],       # backward, 2 hops
+            list(CHAIN),                                 # forward, 4 hops
+            ["cleaned", "normalized", "features"],       # forward, 2 hops
+            ["normalized", "cleaned", "normalized"],     # back, then forward
+            ["scores", "normalized"],                    # planned by the graph
+        ]
+        sweep = [
+            (p, [cell]) for p in mixed_paths for cell in flagged_cells()[:4]
+        ]
+
+        def answer(result):
+            hops = [{k: v for k, v in h.items() if k != "seconds"} for h in result["hops"]]
+            return result["count"], result["boxes"], hops
+
+        batch_items = client.prov_query_batch(sweep)
+        alone = [client.prov_query(p, cells=c) for p, c in sweep]
+        agree = sum(answer(b) == answer(a) for b, a in zip(batch_items, alone))
+        print(f"\nmixed batch: {agree}/{len(sweep)} items equal their single /query answer")
+        if agree != len(sweep):
+            raise SystemExit("a batch item differs from its single /query answer")
+
+        # -- 3. per-item error containment --
         mixed = client.prov_query_batch(
             [
                 (path, [flagged_cells()[0]]),

@@ -50,6 +50,7 @@ box decomposition.  The original per-row loop implementations live on in
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import time
 from dataclasses import dataclass, field
@@ -65,6 +66,7 @@ __all__ = [
     "HopStats",
     "QueryResult",
     "theta_join",
+    "execute_chains",
     "execute_path",
     "execute_path_batch",
     "merge_boxes",
@@ -205,11 +207,21 @@ class CellBoxSet:
     def from_slices(
         cls, array_name: str, shape: Sequence[int], slices: Sequence[slice]
     ) -> "CellBoxSet":
-        """Build a single box from per-axis slices (stop is exclusive, numpy-style)."""
+        """Build a single box from per-axis slices with numpy's semantics:
+        bounds resolve through ``slice.indices`` (negative, omitted and
+        out-of-range ones included) and missing trailing axes are whole.
+        More slices than axes, or a step other than 1 (a box cannot hold a
+        stride), is a ``ValueError``."""
+        shape = tuple(int(d) for d in shape)
+        if len(slices) > len(shape):
+            raise ValueError(f"{len(slices)} slices for an array of {len(shape)} axes")
         pairs = []
-        for dim, sl in zip(shape, slices):
-            start = 0 if sl.start is None else int(sl.start)
-            stop = int(dim) if sl.stop is None else int(sl.stop)
+        for dim, sl in itertools.zip_longest(shape, slices, fillvalue=slice(None)):
+            start, stop, step = sl.indices(dim)
+            if step != 1:
+                raise ValueError(f"slice step {step} cannot be a box: only step 1 is supported")
+            if stop <= start:
+                return cls.empty(array_name, shape)
             pairs.append((start, stop - 1))
         return cls.from_boxes(array_name, shape, [pairs])
 
@@ -496,8 +508,10 @@ class HopStats:
 
     ``rows_scanned`` counts the rows the hop actually compared: the
     candidate (box, row) pairs the window index gave this query's boxes —
-    not ``len(table)``.  ``join_blocks`` is the number of candidate chunks
-    the kernel pass processed (shared by every query of a batch).
+    not ``len(table)``.  ``seconds`` and ``join_blocks`` (the candidate
+    chunks processed) are the hop's kernel pass's: in a batch, that pass is
+    shared by every query that took this (table, direction) in the same
+    sweep (:func:`execute_chains`).
     """
 
     array_from: str
@@ -762,12 +776,12 @@ def theta_join(
 
 
 # ----------------------------------------------------------------------
-# path execution: any number of queries, one kernel pass per hop
+# path execution: any number of queries, one kernel pass per (table, direction)
 # ----------------------------------------------------------------------
 def _stack_box_sets(
     queries: Sequence[CellBoxSet],
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[int]]:
-    """Stack a batch of box sets over one array into ``(lo, hi, qid,
+    """Stack the box sets waiting at one node into ``(lo, hi, qid,
     counts)``, ``counts[q]`` being query *q*'s number of boxes.
 
     Queries are stacked in order, so ``qid`` is non-decreasing and each
@@ -775,16 +789,9 @@ def _stack_box_sets(
     the batched kernels rests on.  A batch of one is its query's own
     arrays (the kernels only read them).
     """
-    first = queries[0]
     if len(queries) == 1:
-        return first.lo, first.hi, np.zeros(len(first), np.int64), [len(first)]
-    for other in queries[1:]:
-        if other.array_name != first.array_name or other.shape != first.shape:
-            raise ValueError(
-                "all queries in a batch must target the same array: "
-                f"{first.array_name!r} vs {other.array_name!r}"
-            )
-    counts = [len(q) for q in queries]
+        return queries[0].lo, queries[0].hi, np.zeros(len(queries[0]), np.int64), [len(queries[0])]
+    counts = [q.lo.shape[0] for q in queries]
     lo = np.concatenate([q.lo for q in queries], axis=0)
     hi = np.concatenate([q.hi for q in queries], axis=0)
     qid = np.repeat(np.arange(len(queries), dtype=np.int64), counts)
@@ -990,21 +997,154 @@ def _split_by_query(
     lo: np.ndarray,
     hi: np.ndarray,
     counts: List[int],
-    which: Iterable[int],
 ) -> List[CellBoxSet]:
     """Slice stacked, query-ordered result rows over one array back into
-    one box set for each query in *which* (``counts[q]`` rows belong to
-    query *q*)."""
+    one box set per query (``counts[q]`` rows belong to query *q*)."""
+    if len(counts) == 1:
+        return [CellBoxSet._wrap(array_name, shape, lo, hi)]
     ends = list(itertools.accumulate(counts))
     return [
-        CellBoxSet._wrap(
-            array_name,
-            shape,
-            lo[ends[q] - counts[q] : ends[q]],
-            hi[ends[q] - counts[q] : ends[q]],
-        )
-        for q in which
+        CellBoxSet._wrap(array_name, shape, lo[end - n : end], hi[end - n : end])
+        for n, end in zip(counts, ends)
     ]
+
+
+def _sweep_order(plans: List[List[int]], n_nodes: int) -> List[int]:
+    """The nodes of the hop graph (an edge from each hop of a plan to its
+    next) in topological order, ties to the lower node number — the earlier
+    first appearance.  A cycle, which only paths that revisit a table can
+    form, is entered at its lowest node.  One plan is its own order."""
+    if len(plans) == 1:
+        return plans[0]
+    after: List[Set[int]] = [set() for _ in range(n_nodes)]
+    before = [0] * n_nodes
+    for plan in plans:
+        for a, b in zip(plan, plan[1:]):
+            if b not in after[a]:
+                after[a].add(b)
+                before[b] += 1
+    ready = [v for v in range(n_nodes) if not before[v]]  # ascending: a heap
+    order: List[int] = []
+    placed = [False] * n_nodes
+    while len(order) < n_nodes:
+        v = heapq.heappop(ready) if ready else placed.index(False)
+        if not placed[v]:
+            placed[v] = True
+            order.append(v)
+            for b in after[v]:
+                before[b] -= 1
+                if not before[b]:
+                    heapq.heappush(ready, b)
+    return order
+
+
+def execute_chains(
+    chains: Sequence[Sequence[CompressedLineage]],
+    queries: Sequence[CellBoxSet],
+    merge: bool = True,
+    stats: Optional[Dict[str, int]] = None,
+) -> List[QueryResult]:
+    """The one hop-chain driver: run each query down its own table chain,
+    the whole batch together.
+
+    ``chains[q][i]`` must have the array hop ``i - 1`` of query *q* arrived
+    at (the query's own array for ``i = 0``) on one of its sides: from the
+    output side a hop is the θ-join, from the input side the inverse θ-join
+    (:func:`_theta_join_batch_raw`).  Each (table, direction) is a node of
+    the batch's hop graph, swept in :func:`_sweep_order`: one kernel pass
+    and one segmented merge over every query waiting there, stacked in
+    query order (a path that comes back to a swept node gets another
+    sweep).  Each query gets exactly the result and hop list it would get
+    alone — one whose result empties records that hop and drops out, its
+    empty result on the array where it died — with ``HopStats.seconds``
+    and ``join_blocks`` those of the shared pass.  *stats* receives
+    ``"passes"``, the kernel passes run (and the last one's ``"join_blocks"``).
+    """
+    node_of: Dict[Tuple[int, bool], int] = {}
+    nodes: List[tuple] = []  # (table, inverse, from, to, to_shape)
+    plans: List[List[int]] = []
+    plan_of: Dict[tuple, List[int]] = {}  # queries sharing a chain share a plan
+    for chain, query in zip(chains, queries, strict=True):
+        name, shape = query.array_name, query.shape
+        plan = plan_of.get((id(chain), name, shape))
+        if plan is None:
+            plan = plan_of[id(chain), name, shape] = []
+            for table in chain:
+                inverse = _joins_inverse(name, len(shape), table)
+                node = node_of.setdefault((id(table), inverse), len(nodes))
+                if node == len(nodes):
+                    nodes.append((table, inverse, name, *_far_side(table, inverse)))
+                plan.append(node)
+                name, shape = nodes[node][3:]
+        plans.append(plan)
+    cells = list(queries)
+    hops: List[List[HopStats]] = [[] for _ in cells]
+    waiting: List[List[int]] = [[] for _ in nodes]
+    for q, plan in enumerate(plans):
+        if plan:
+            waiting[plan[0]].append(q)
+    order = _sweep_order(plans, len(nodes)) if nodes else []
+    stats = {} if stats is None else stats
+    passes = 0
+    # the last sweep's output while all of it goes on, still stacked:
+    # [queries, lo, hi, qid, counts, array, shape]
+    carried: list = [[]]
+    while any(waiting):  # one round per revisit of a node
+        for node in order:
+            streams = waiting[node]
+            if not streams:
+                continue
+            waiting[node] = []
+            k = len(streams)
+            passes += 1
+            streams.sort()
+            table, inverse, array_from, to_name, to_shape = nodes[node]
+            if streams == carried[0]:
+                lo, hi, qid, boxes_in = carried[1:5]
+            else:
+                if carried[0]:  # the stack parts ways: its queries get their cells
+                    split = _split_by_query(*carried[5:], carried[1], carried[2], carried[4])
+                    for q, box_set in zip(carried[0], split):
+                        cells[q] = box_set
+                lo, hi, qid, boxes_in = _stack_box_sets([cells[q] for q in streams])
+            start = time.perf_counter()
+            out_lo, out_hi, out_qid, count = _theta_join_batch_raw(
+                table, lo, hi, qid, inverse, stats=stats
+            )
+            rows_scanned = _per_query(qid, k, weights=count)
+            raw_counts = _per_query(out_qid, k)
+            if merge:
+                out_lo, out_hi, out_qid = merge_boxes(out_lo, out_hi, out_qid)
+                merged_counts = _per_query(out_qid, k)
+            else:
+                merged_counts = raw_counts
+            elapsed = time.perf_counter() - start
+            onward, kept = [], 0
+            for j, q in enumerate(streams):
+                n, trail, plan = merged_counts[j], hops[q], plans[q]
+                trail.append(HopStats(
+                    array_from, to_name, int(rows_scanned[j]), boxes_in[j], raw_counts[j],
+                    n, elapsed, stats["join_blocks"],
+                ))
+                if n and len(trail) < len(plan):
+                    waiting[plan[len(trail)]].append(q)
+                    onward.append(q)
+                    kept += n
+            if kept == len(out_lo):  # every row goes on: keep the stack
+                if len(onward) < k:  # the others died: empty, and numbered past
+                    for q, n in zip(streams, merged_counts):
+                        if not n:
+                            cells[q] = CellBoxSet.empty(to_name, to_shape)
+                    out_qid = (np.cumsum(np.asarray(merged_counts) > 0) - 1)[out_qid]
+                    merged_counts = [n for n in merged_counts if n]
+                carried = [onward, out_lo, out_hi, out_qid, merged_counts, to_name, to_shape]
+            else:
+                carried = [[]]
+                split = _split_by_query(to_name, to_shape, out_lo, out_hi, merged_counts)
+                for q, box_set in zip(streams, split):
+                    cells[q] = box_set
+    stats["passes"] = passes
+    return [QueryResult(cells=c, hops=h) for c, h in zip(cells, hops)]
 
 
 def execute_path_batch(
@@ -1012,73 +1152,11 @@ def execute_path_batch(
     queries: Sequence[CellBoxSet],
     merge: bool = True,
 ) -> List[QueryResult]:
-    """Run queries down one hop-table chain: a left-to-right plan of
-    θ-joins, one kernel pass per hop for the whole batch.
-
-    ``tables[i]`` must have the array produced by hop ``i - 1`` (or the
-    queries' own array for ``i = 0``) on one of its sides: a hop from the
-    output side is the θ-join, a hop from the input side the inverse
-    θ-join (:func:`_theta_join_batch_raw`), so one stored orientation
-    serves both directions.  This is the one hop-chain driver — a single
-    query is a batch of one (:func:`execute_path`).  Each query gets
-    exactly the result and hop list it would get alone (a query whose
-    intermediate result empties records the hop that emptied it and then
-    drops out; its empty result lives on the array where it died), but the
-    batch shares each hop's θ-join pass and segmented merge, so numpy
-    dispatch and small-array overhead are paid per hop, not per query.
-    ``HopStats.seconds`` and ``join_blocks`` are those of the shared pass.
-    """
+    """Run queries down one shared hop-table chain: :func:`execute_chains`
+    with the same chain for every query, so one kernel pass per hop serves
+    the whole batch."""
     queries = list(queries)
-    n_queries = len(queries)
-    if n_queries == 0:
-        return []
-    if not tables:
-        return [QueryResult(cells=query, hops=[]) for query in queries]
-    lo, hi, qid, boxes_in = _stack_box_sets(queries)
-    array_name, shape = queries[0].array_name, queries[0].shape
-    hops: List[List[HopStats]] = [[] for _ in range(n_queries)]
-    final: List[Optional[CellBoxSet]] = [None] * n_queries
-    alive = list(range(n_queries))  # the queries that take part in the next hop
-    join_stats: Dict[str, int] = {}
-    for table in tables:
-        start = time.perf_counter()
-        inverse = _joins_inverse(array_name, len(shape), table)
-        out_lo, out_hi, out_qid, count = _theta_join_batch_raw(
-            table, lo, hi, qid, inverse, stats=join_stats
-        )
-        to_name, to_shape = _far_side(table, inverse)
-        rows_scanned = _per_query(qid, n_queries, weights=count)
-        raw_counts = _per_query(out_qid, n_queries)
-        if merge:
-            out_lo, out_hi, out_qid = merge_boxes(out_lo, out_hi, out_qid)
-            merged_counts = _per_query(out_qid, n_queries)
-        else:
-            merged_counts = raw_counts
-        elapsed = time.perf_counter() - start
-        for q in alive:
-            hops[q].append(
-                HopStats(
-                    array_from=array_name,
-                    array_to=to_name,
-                    rows_scanned=int(rows_scanned[q]),
-                    boxes_in=boxes_in[q],
-                    boxes_out_raw=raw_counts[q],
-                    boxes_out_merged=merged_counts[q],
-                    seconds=elapsed,
-                    join_blocks=join_stats["join_blocks"],
-                )
-            )
-            if not merged_counts[q]:
-                final[q] = CellBoxSet.empty(to_name, to_shape)
-        alive = [q for q in alive if merged_counts[q]]
-        # this hop's merged counts are the next hop's boxes_in
-        lo, hi, qid, boxes_in = out_lo, out_hi, out_qid, merged_counts
-        array_name, shape = to_name, to_shape
-        if not alive:
-            break
-    for q, cells in zip(alive, _split_by_query(array_name, shape, lo, hi, boxes_in, alive)):
-        final[q] = cells
-    return [QueryResult(cells=cells, hops=hops_of) for cells, hops_of in zip(final, hops)]
+    return execute_chains([tables] * len(queries), queries, merge=merge)
 
 
 def execute_path(

@@ -61,7 +61,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from .service.server import LineageServer
 
 from .core.compressed import CompressedLineage
-from .core.query import CellBoxSet, QueryResult, execute_path
+from .core.query import CellBoxSet, QueryResult, execute_chains
 from .core.relation import LineageRelation
 from .faults import FaultPlan
 from .graph import LineageGraph
@@ -464,8 +464,8 @@ class DSLog:
                 self.catalog.array(name)  # raises KeyError for unknown arrays
             paths = self.plan_paths(path)
             query = self._as_box_set(path[0], query_cells)
-            results = [execute_path(self.hop_tables(p), query, merge=merge) for p in paths]
-            return QueryResult.union(results, merge=merge)
+            chains = [self.hop_tables(p) for p in paths]
+            return QueryResult.union(execute_chains(chains, [query] * len(paths), merge=merge), merge=merge)
         finally:
             _PROV_QUERIES.inc()
             _PROV_SECONDS.observe(time.monotonic() - started)

@@ -2,7 +2,7 @@
 
 PR 3 made the *write* path concurrent; this module is the read-side
 counterpart: one executor object that plans ``prov_query`` requests against
-the catalog, runs each path's requests as one batched θ-join chain, and
+the catalog, runs a whole batch of them as one plan of θ-join chains, and
 fronts everything with a generation-keyed LRU so a hot query never re-runs
 the chain at all.  (The graph queries — ``impact``, ``dependencies``, the
 summary — are :class:`~repro.dslog.DSLog`'s own; nothing here caches them.)
@@ -18,26 +18,28 @@ is that pipeline on a list of one (re-raising its item's error) and
    boxes) and digested, and result-cache hits are answered on the spot.  A
    request that fails here, or at any later step, fails alone: its slot in
    the answer carries the exception.
-2. **Plan and group** — the misses are grouped by path and each group is
+2. **Plan and gate** — the misses are grouped by path and each group is
    planned once: an explicit multi-hop path resolves hop-by-hop through
    ``entry_between``; a two-array path with no direct entry is planned by
    the lineage graph (shortest stored path(s), diamond paths unioned).
    Planning is :class:`~repro.dslog.DSLog`'s (``plan_paths``) — the same
-   code ``DSLog.prov_query`` runs.  The hop entries are resolved here,
-   once: the gate, the join and the cache install below all work on these
-   very objects.
-3. **Gate, resolve, join** — every backing store is snapshot-pinned
-   (compaction retires rather than deletes segments while the pipeline
-   reads), the group's home shards pass their circuit breakers, and each
-   hop's table is resolved once and held for the join: resident ones from
-   the table cache, the others hydrated shard by shard on the calling
-   thread — or, under a deadline, each cold shard on the thread pool,
-   awaited against the remaining budget.  The group then runs as one
-   θ-join chain (:func:`~repro.core.query.execute_path_batch`), one kernel
-   pass per hop however many requests share the path.  Equally short planned paths run
-   one after the other on the calling thread, and their per-path
-   :class:`~repro.core.query.QueryResult`\\ s are combined with
-   ``QueryResult.union``.
+   code ``DSLog.prov_query`` runs.  Each group's home shards then pass
+   their circuit breakers.  A planning error or a tripped breaker is that
+   group's alone.
+3. **Resolve and join, one plan per batch** — every backing store is
+   snapshot-pinned (compaction retires rather than deletes segments while
+   the pipeline reads), and each *distinct* hop entry of the whole batch
+   is resolved once and held for the join: resident tables from the table
+   cache, the others hydrated shard by shard on the calling thread — or,
+   under a deadline, each cold shard on the thread pool, awaited against
+   the remaining budget.  A shard whose hydration faults fails every group
+   that touches it and counts once against its breaker.  Then one
+   :func:`~repro.core.query.execute_chains` call runs every planned path
+   of every request: one kernel pass per (table, direction) the batch
+   crosses, whatever request or path brought a query there, each result
+   bit-identical to running alone; a request's planned paths are combined
+   with ``QueryResult.union``.  A single query is this step on a batch of
+   one.
 4. **Install** — each fresh result goes into the result cache under its
    own digest, with the planned paths and the tokens of their hop entries,
    and with an empty *reply memo*: the dict a transport keeps the static
@@ -111,7 +113,7 @@ from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from ..core.query import QueryResult, execute_path_batch
+from ..core.query import QueryResult, execute_chains
 from ..faults import CircuitBreaker, DeadlineExceeded, ShardUnavailable
 from ..obs import DEFAULT_SIZE_BUCKETS, REGISTRY, tracing
 from ..storage.segments import CorruptRecordError
@@ -124,6 +126,9 @@ __all__ = [
 ]
 
 DEFAULT_CACHE_ENTRIES = 256
+
+# what hydrating a shard's tables can raise: the shard's fault, not the batch's
+_SHARD_FAULTS = (OSError, CorruptRecordError)
 
 _QUERIES = REGISTRY.counter(
     "dslog_queries_total", "Queries planned and executed (cache misses included)"
@@ -395,24 +400,6 @@ class QueryExecutor:
         """What a result for *path* would be computed from now."""
         return self._computed_from(*self._plan(path))
 
-    def _fault_shard(self, exc: BaseException, shards: Set[int]) -> int:
-        """Attribute a fault to the shard it came from: the exception's
-        own scope/shard/path metadata when present, else the query's only
-        home shard, else the lowest (deterministic) candidate."""
-        shard = getattr(exc, "shard", None)
-        if isinstance(shard, int):
-            return shard
-        for hint in (getattr(exc, "scope", None), getattr(exc, "path", None)):
-            if hint is None:
-                continue
-            name = hint if isinstance(hint, str) else hint.parent.name
-            if isinstance(name, str) and name.startswith("shard-"):
-                try:
-                    return int(name.split("-", 1)[1])
-                except ValueError:
-                    pass
-        return min(shards) if shards else 0
-
     def _maybe_probe(self, shard: int) -> None:
         """Claim a half-open breaker's single recovery probe and attempt
         reopen-with-scrub; success closes the breaker, failure re-opens it
@@ -492,12 +479,13 @@ class QueryExecutor:
         alone raised (unknown array, planning failure, unavailable shard
         with nothing cached).  One bad request never fails the batch.
 
-        A batch amortizes what a request pays alone: the catalog-version
-        read and snapshot pin happen once, requests sharing a path are
-        planned once and execute as a *single* blocked θ-join pass per hop
-        with per-query result segmentation — results are bit-identical to
-        running the requests one at a time, and each fresh result is
-        installed in the result cache under its own key.
+        A batch is one plan: the catalog-version read and snapshot pin
+        happen once, requests sharing a path are planned once, each
+        distinct hop table hydrates once, and every (table, direction)
+        the batch crosses is joined in *one* kernel pass over all the
+        queries that reach it, whatever path they came from — results are
+        bit-identical to running the requests one at a time, and each
+        fresh result is installed in the result cache under its own key.
         """
         self._check_open()
         requests = list(requests)
@@ -559,7 +547,7 @@ class QueryExecutor:
                 continue
             hit, value = self.cache.lookup(key, version, self._dependencies)
             if hit:
-                result, memo = value  # what _execute_group installs
+                result, memo = value  # what _execute_misses installs
                 outcomes[i] = QueryOutcome(result, True, False, memo)
             else:
                 groups.setdefault(path, []).append((i, box_set, key))
@@ -579,85 +567,110 @@ class QueryExecutor:
         deadline_at = time.monotonic() + deadline if deadline is not None else None
         pin = self._pin_stores()
         try:
-            for path, items in groups.items():
-                if trace is not None:
-                    trace.set_tag("path_len", len(path))
-                for (i, _, _), outcome in zip(
-                    items, self._execute_group(path, items, merge, version, deadline_at)
-                ):
-                    outcomes[i] = outcome
+            self._execute_misses(groups, merge, version, deadline_at, outcomes)
         finally:
             if pin is not None:
                 pin()
         return outcomes
 
-    def _execute_group(
+    def _execute_misses(
         self,
-        path: Tuple[str, ...],
-        items: List[Tuple[int, Any, bytes]],
+        groups: Dict[Tuple[str, ...], List[Tuple[int, Any, bytes]]],
         merge: bool,
         version: int,
         deadline_at: Optional[float],
-    ) -> List[Any]:
-        """Answer the misses that share *path*: plan it, breaker-gate its
-        home shards, prefetch its tables, run the θ-join chain(s) over the
-        whole group, install per-query cache entries.  A failure is every
-        item's: each degrades to its own stale entry or carries the error."""
+        outcomes: List[Any],
+    ) -> None:
+        """Answer the batch's misses as one plan (steps 2-4 of the module
+        docstring), writing each request's outcome into *outcomes*."""
         catalog = self.log.catalog
-        try:
-            with tracing.span("plan") as plan_span:
-                paths, entries = self._plan(path)
-                # home shards by *stored* pair: routing hashes the
-                # (input, output) pair, whichever way the hop is queried
-                shards = {
-                    catalog.entry_shard((entry.in_name, entry.out_name))
-                    for hops in entries
-                    for entry in hops
-                }
-                plan_span.set_tag("paths", len(paths))
-                plan_span.set_tag("shards", sorted(shards))
-        except Exception as error:  # noqa: BLE001 - per-item containment
-            return [error] * len(items)
-        # breaker gate: a tripped home shard means the failing disk is not
-        # touched at all — serve the stale answer or refuse cleanly
-        blocked = {s for s in shards if not self._breaker_allows(s)}
-        if blocked:
-            return [self._degrade(key, blocked) for _, _, key in items]
-        box_sets = [box_set for _, box_set, _ in items]
-        try:
-            # per group, not per call: a batch holds one group's tables at
-            # a time, whatever the cache kept of the groups before it
-            with tracing.span("prefetch"):
-                tables = self._resolve_tables(paths, entries, deadline_at=deadline_at)
-            self._remaining(deadline_at, None)  # refuse doomed kernel work
-            with tracing.span("join", paths=len(paths), queries=len(items)):
-                per_path = [
-                    execute_path_batch(of_path, box_sets, merge=merge) for of_path in tables
-                ]
-                results = [
-                    QueryResult.union(of_query, merge=merge) for of_query in zip(*per_path)
-                ]
-        except (DeadlineExceeded, OSError, CorruptRecordError) as exc:
-            if isinstance(exc, DeadlineExceeded):
-                _DEADLINE_MISSES.inc()
-                with self._stats_lock:
-                    self.deadline_misses += 1
-            shard = self._fault_shard(exc, shards)
+        trace = tracing.current_trace()
+        planned = []  # (path, items, paths, entries, shards) of each gated group
+        for path, items in groups.items():
+            if trace is not None:
+                trace.set_tag("path_len", len(path))
+            try:
+                with tracing.span("plan") as plan_span:
+                    paths, entries = self._plan(path)
+                    # home shards by *stored* pair: routing hashes the
+                    # (input, output) pair, whichever way the hop is queried
+                    shards = {catalog.entry_shard((e.in_name, e.out_name)) for hops in entries for e in hops}
+                    plan_span.set_tag("paths", len(paths))
+                    plan_span.set_tag("shards", sorted(shards))
+            except Exception as error:  # noqa: BLE001 - per-group containment
+                for i, _, _ in items:
+                    outcomes[i] = error
+                continue
+            # breaker gate: a tripped home shard means the failing disk is
+            # not touched at all — serve the stale answer or refuse cleanly
+            blocked = {s for s in shards if not self._breaker_allows(s)}
+            if blocked:
+                for i, _, key in items:
+                    outcomes[i] = self._degrade(key, blocked)
+                continue
+            planned.append((path, items, paths, entries, shards))
+        # each distinct entry once, with an array a hop joins it from; the
+        # batch holds these tables until its join is done
+        hops = {id(entry): (entry, first) for _, _, paths, entries, _ in planned
+                for names, of_path in zip(paths, entries) for first, entry in zip(names, of_path)}
+        with tracing.span("prefetch", tables=len(hops)):
+            tables, failed = self._resolve_tables(hops, deadline_at)
+        live = []
+        for group in planned:
+            faulted = failed.keys() & group[4]
+            if faulted:
+                self._fail_group(group[1], min(faulted), failed[min(faulted)], outcomes)
+            else:
+                live.append(group)
+        if live:
+            try:
+                self._remaining(deadline_at, None)  # refuse doomed kernel work
+            except DeadlineExceeded as exc:
+                for group in live:
+                    failed.setdefault(min(group[4]), exc)
+                    self._fail_group(group[1], min(group[4]), exc, outcomes)
+                live = []
+        for shard in failed:
             self._breaker(shard).record_failure()
-            return [self._degrade(key, {shard}, cause=exc) for _, _, key in items]
-        for shard in shards:
-            breaker = self._breakers.get(shard)
-            if breaker is not None:
-                breaker.record_success()
-        # the tokens of the entry objects the join read, never a second look
-        # at the catalog: a replace that landed meanwhile must find this
-        # result stale
-        deps = self._computed_from(paths, entries)
-        memos = [{} if self.cache.enabled else None for _ in results]
+        if not live:
+            return
+        chains, queries, n_paths, n_items = [], [], 0, 0
+        for _, items, _, entries, _ in live:
+            of_paths = [[tables[id(entry)] for entry in of_path] for of_path in entries]
+            n_paths, n_items = n_paths + len(of_paths), n_items + len(items)
+            for _, box_set, _ in items:
+                chains.extend(of_paths)
+                queries.extend([box_set] * len(of_paths))
+        join_stats: Dict[str, int] = {}
+        with tracing.span("join", paths=n_paths, queries=n_items, streams=len(queries)) as join_span:
+            streams = execute_chains(chains, queries, merge=merge, stats=join_stats)
+            join_span.set_tag("passes", join_stats["passes"])
+        done = 0
         with tracing.span("cache-install"):
-            for (_, _, key), result, memo in zip(items, results, memos):
-                self.cache.store(key, (result, memo), version, path, deps)
-        return [QueryOutcome(result, False, False, memo) for result, memo in zip(results, memos)]
+            for path, items, paths, entries, shards in live:
+                for shard in shards:
+                    breaker = self._breakers.get(shard)
+                    if breaker is not None:
+                        breaker.record_success()
+                # the tokens of the entry objects the join read, never a
+                # second look at the catalog: a replace that landed
+                # meanwhile must find this result stale
+                deps = self._computed_from(paths, entries)
+                for i, _, key in items:
+                    result = QueryResult.union(streams[done : done + len(paths)], merge=merge)
+                    done += len(paths)
+                    memo = {} if self.cache.enabled else None
+                    self.cache.store(key, (result, memo), version, path, deps)
+                    outcomes[i] = QueryOutcome(result, False, False, memo)
+
+    def _fail_group(self, items: List[Tuple[int, Any, bytes]], shard: int, exc: BaseException, outcomes: List[Any]):
+        """A fault on *shard* stopped a group: each request degrades or carries the fault."""
+        if isinstance(exc, DeadlineExceeded):
+            _DEADLINE_MISSES.inc()
+            with self._stats_lock:
+                self.deadline_misses += 1
+        for i, _, key in items:
+            outcomes[i] = self._degrade(key, {shard}, cause=exc)
 
     def _breaker_allows(self, shard: int) -> bool:
         """Gate one home shard: closed passes; half-open triggers (at most)
@@ -708,46 +721,51 @@ class QueryExecutor:
 
     def _resolve_tables(
         self,
-        paths: Sequence[Sequence[str]],
-        entries: Sequence[Sequence[Any]],
+        hops: Dict[int, Tuple[Any, str]],
         deadline_at: Optional[float] = None,
-    ) -> List[List[Any]]:
-        """The table of every hop of every path (*entries* as
-        :meth:`_plan` resolved them), each keyed on the array its hop
-        starts from — resolved exactly once, and held by the caller for
-        its join: the table cache is hard-bounded and may keep
-        nothing of what is loaded here.
+    ) -> Tuple[Dict[int, Any], Dict[int, BaseException]]:
+        """The table of every entry in *hops* (``id(entry)`` to ``(entry,
+        keyed_on)``, the array a hop joins it from) — resolved exactly once,
+        and held by the caller for its join: the table cache is
+        hard-bounded and may keep nothing of what is loaded here.
 
         A resident table is a cache ``get``.  The others hydrate through
         their shard's segment reader, grouped by home shard, on the calling
         thread: a query pays no pool round trip.
 
         With a deadline, each cold shard's group goes to the pool and is
-        awaited against the remaining budget: one slow/stalled shard raises
-        :class:`~repro.faults.DeadlineExceeded` naming it, instead of
-        wedging the whole query.  An executor without a pool hydrates
+        awaited against the remaining budget: a slow/stalled shard fails
+        with :class:`~repro.faults.DeadlineExceeded` naming it, instead of
+        wedging the whole batch.  An executor without a pool hydrates
         in-line, unbounded.
+
+        Returns ``(tables, failed)``: the tables by ``id(entry)``, and the
+        fault of each home shard whose hydration failed (its entries may
+        have no table); the other shards' tables are all there.
         """
         catalog = self.log.catalog
-        tables: List[List[Any]] = [[None] * (len(path) - 1) for path in paths]
-        # home shard -> its hops still to hydrate, as (path, hop, entry,
+        tables: Dict[int, Any] = {}
+        # home shard -> its entries still to hydrate, as (id, entry,
         # keyed-on); the residency probe moves no cache counter
-        by_shard: Dict[int, List[Tuple[int, int, Any, str]]] = {}
-        for p, path in enumerate(paths):
-            for h, (first, entry) in enumerate(zip(path, entries[p])):
-                shard = catalog.entry_shard((entry.in_name, entry.out_name))
-                tasks = by_shard.setdefault(shard, [])
-                if entry.is_resident(first):
-                    tables[p][h] = entry.table_keyed_on(first)
-                else:
-                    tasks.append((p, h, entry, first))
+        by_shard: Dict[int, List[Tuple[int, Any, str]]] = {}
+        failed: Dict[int, BaseException] = {}
+        for key, (entry, keyed_on) in hops.items():
+            shard = catalog.entry_shard((entry.in_name, entry.out_name))
+            tasks = by_shard.setdefault(shard, [])
+            if entry.is_resident(keyed_on):
+                try:  # an eviction racing the probe makes this a hydration
+                    tables[key] = entry.table_keyed_on(keyed_on)
+                except _SHARD_FAULTS as exc:
+                    failed[shard] = exc
+            else:
+                tasks.append((key, entry, keyed_on))
 
         def load(shard: int) -> None:
             tasks = by_shard[shard]
             started = time.monotonic()
             with tracing.span("prefetch-shard", shard=shard, tables=len(tasks)):
-                for p, h, entry, keyed_on in tasks:
-                    tables[p][h] = entry.table_keyed_on(keyed_on)
+                for key, entry, keyed_on in tasks:
+                    tables[key] = entry.table_keyed_on(keyed_on)
             if tasks:
                 _PREFETCH_SECONDS.labels(shard=str(shard)).observe(
                     time.monotonic() - started
@@ -768,21 +786,23 @@ class QueryExecutor:
                 # trace contract: one prefetch-shard span per home shard,
                 # warm ones included
                 if shard not in pooled and (tasks or traced):
-                    load(shard)
+                    try:
+                        load(shard)
+                    except _SHARD_FAULTS as exc:
+                        failed[shard] = exc
             for future, shard in futures.items():
                 try:
                     future.result(timeout=self._remaining(deadline_at, shard))
                 except TimeoutError as exc:
-                    if isinstance(exc, DeadlineExceeded):
-                        raise
-                    raise DeadlineExceeded(
-                        f"shard {shard} did not hydrate within the deadline",
-                        shard=shard,
-                    ) from None
+                    failed[shard] = exc if isinstance(exc, DeadlineExceeded) else DeadlineExceeded(
+                        f"shard {shard} did not hydrate within the deadline", shard=shard
+                    )
+                except _SHARD_FAULTS as exc:
+                    failed[shard] = exc
         finally:
             for future in futures:
-                future.cancel()  # not-yet-started loads of a doomed query
-        return tables
+                future.cancel()  # not-yet-started loads of a doomed batch
+        return tables, failed
 
     def _pin_stores(self):
         """Snapshot-pin the backing store(s) for the query's lifetime so a

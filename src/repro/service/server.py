@@ -863,7 +863,7 @@ class _Client:
         trace_id: Optional[str] = None,
     ) -> list:
         """Run many lineage queries in one round trip — the server executes
-        them as one θ-join pass per resolved path.
+        them as one plan: one θ-join pass per (table, direction) crossed.
 
         Each entry of *queries* is either a full request dict (the same
         shape :meth:`prov_query` builds: ``path`` plus ``cells`` or

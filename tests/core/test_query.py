@@ -35,6 +35,50 @@ class TestCellBoxSet:
         box_set = CellBoxSet.from_slices("A", (10, 10), [slice(0, 3), slice(None)])
         assert box_set.count_cells() == 30
 
+    @pytest.mark.parametrize(
+        "sl, want",
+        [(slice(-2, None), {8, 9}), (slice(None, -8), {0, 1}), (slice(3, 3), set()),
+         (slice(7, 100), {7, 8, 9}), (slice(-100, 2), {0, 1})],
+    )
+    def test_from_slices_resolves_like_numpy(self, sl, want):
+        relation = elementwise_relation((10,))
+        table = compress(relation)
+        query = CellBoxSet.from_slices("B", (10,), [sl])
+        assert {c for (c,) in execute_path([table], query).to_cells()} == want
+
+    @pytest.mark.parametrize(
+        "slices", [[slice(0, 10, 2)], [slice(None, None, -1)], [slice(None), slice(None)]]
+    )
+    def test_from_slices_refuses_what_a_box_cannot_hold(self, slices):
+        # a stride, and more slices than axes
+        with pytest.raises(ValueError):
+            CellBoxSet.from_slices("A", (10,), slices)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(1, 6), min_size=1, max_size=3).flatmap(
+            lambda shape: st.tuples(
+                st.just(tuple(shape)),
+                st.lists(
+                    st.builds(
+                        slice,
+                        st.none() | st.integers(-8, 8),
+                        st.none() | st.integers(-8, 8),
+                        st.none() | st.just(1),
+                    ),
+                    max_size=len(shape),
+                ),
+            )
+        )
+    )
+    def test_from_slices_matches_numpy_indexing(self, case):
+        shape, slices = case
+        want = set(np.arange(int(np.prod(shape))).reshape(shape)[tuple(slices)].ravel().tolist())
+        box_set = CellBoxSet.from_slices("A", shape, slices)
+        got = {int(np.ravel_multi_index(cell, shape)) for cell in box_set.to_cells()}
+        assert got == want
+        assert box_set.count_cells() == len(want)
+
     def test_empty(self):
         box_set = CellBoxSet.empty("A", (4, 4))
         assert box_set.is_empty()

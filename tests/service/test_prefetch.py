@@ -179,12 +179,16 @@ def test_traced_resolve_loads_what_an_untraced_one_does(harness):
     # a cold shard stays off the pool with a trace active as well
     harness.evict(1)
     trace = tracing.start_trace("test")
+    [names], [entries] = harness.executor._plan(harness.path)
     try:
-        [tables] = harness.executor._resolve_tables(*harness.executor._plan(harness.path))
+        tables, failed = harness.executor._resolve_tables(
+            {id(entry): (entry, first) for first, entry in zip(names, entries)}
+        )
     finally:
         trace.finish()
         tracing._CURRENT.set(None)
-    assert [t.in_name for t in tables] == harness.path[:2]
+    assert not failed
+    assert [tables[id(entry)].in_name for entry in entries] == harness.path[:2]
     assert harness.resident() == [True, True]
     assert harness.submits == 0
 
