@@ -4,10 +4,11 @@ A :class:`CompressedLineage` stores a lineage relation as a small number of
 *compressed rows*.  Each compressed row describes a set of contribution
 edges in "union of Cartesian products" form (Section IV.B of the paper):
 
-* every **key attribute** (the side named by ``key_side``: the output axes
-  of the backward table, the one orientation an entry stores) holds an
-  absolute closed interval;
-* every **value attribute** (the other side) holds either an absolute
+* every **key attribute** (an output axis: a table is always keyed on the
+  output side, the backward orientation, and a forward hop is answered by
+  the inverse θ-join over the same table) holds an absolute closed
+  interval;
+* every **value attribute** (an input axis) holds either an absolute
   interval, or a *relative* (delta) interval that references one key
   attribute.  A relative value ``[dlo, dhi]`` referencing key attribute
   ``k`` means: for each key index ``v`` in that row's ``k`` interval, the
@@ -197,7 +198,6 @@ class CompressedLineage:
 
     def __init__(
         self,
-        key_side: str,
         out_name: str,
         in_name: str,
         out_shape: Tuple[int, ...],
@@ -211,9 +211,6 @@ class CompressedLineage:
         out_axes: Optional[AxisNames] = None,
         in_axes: Optional[AxisNames] = None,
     ) -> None:
-        if key_side not in ("output", "input"):
-            raise ValueError("key_side must be 'output' or 'input'")
-        self.key_side = key_side
         self.out_name = out_name
         self.in_name = in_name
         self.out_shape = tuple(int(d) for d in out_shape)
@@ -260,7 +257,6 @@ class CompressedLineage:
     @classmethod
     def _hydrate(
         cls,
-        key_side: str,
         out_name: str,
         in_name: str,
         out_shape: Tuple[int, ...],
@@ -286,7 +282,6 @@ class CompressedLineage:
         for absolute attributes, so the probe is exact).
         """
         self = cls.__new__(cls)
-        self.key_side = key_side
         self.out_name = out_name
         self.in_name = in_name
         self.out_shape = out_shape
@@ -300,7 +295,7 @@ class CompressedLineage:
         self.val_lo = val_lo
         self.val_hi = val_hi
         if val_ref.size:
-            nkey = len(out_shape if key_side == "output" else in_shape)
+            nkey = len(out_shape)
             if (
                 int(val_ref.min()) < -1
                 or int(val_ref.max()) >= nkey
@@ -319,19 +314,11 @@ class CompressedLineage:
     # ------------------------------------------------------------------
     @property
     def key_shape(self) -> Tuple[int, ...]:
-        return self.out_shape if self.key_side == "output" else self.in_shape
+        return self.out_shape
 
     @property
     def value_shape(self) -> Tuple[int, ...]:
-        return self.in_shape if self.key_side == "output" else self.out_shape
-
-    @property
-    def key_axes(self) -> AxisNames:
-        return self.out_axes if self.key_side == "output" else self.in_axes
-
-    @property
-    def value_axes(self) -> AxisNames:
-        return self.in_axes if self.key_side == "output" else self.out_axes
+        return self.in_shape
 
     @property
     def key_ndim(self) -> int:
@@ -343,11 +330,11 @@ class CompressedLineage:
 
     @property
     def key_name(self) -> str:
-        return self.out_name if self.key_side == "output" else self.in_name
+        return self.out_name
 
     @property
     def value_name(self) -> str:
-        return self.in_name if self.key_side == "output" else self.out_name
+        return self.in_name
 
     def __len__(self) -> int:
         if self.key_lo.ndim == 2:
@@ -524,8 +511,7 @@ class CompressedLineage:
             cell_of, value_cells = _expand_boxes(
                 self.val_lo[row_of] + shift, self.val_hi[row_of] + shift
             )
-            sides = (key_cells[cell_of], value_cells)
-            rows = np.concatenate(sides if self.key_side == "output" else sides[::-1], axis=1)
+            rows = np.concatenate((key_cells[cell_of], value_cells), axis=1)
         return LineageRelation(
             self.out_shape,
             self.in_shape,
@@ -551,7 +537,4 @@ class CompressedLineage:
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"CompressedLineage({self.in_name}->{self.out_name}, key={self.key_side}, "
-            f"rows={len(self)})"
-        )
+        return f"CompressedLineage({self.in_name}->{self.out_name}, rows={len(self)})"

@@ -35,10 +35,11 @@ incompressible (``sort``-like) table.  The original sequential scan
 survives as ``key_range_pass_reference`` in ``tests/core/_reference.py``
 and the equivalence tests assert identical output tables.
 
-One orientation is built: the backward table, keyed on the output
-(predicates push down on output indices).  The paper's forward table of
-Section IV.C is not stored — a forward query is the inverse θ-join over
-the backward table (:mod:`repro.core.query`).
+One orientation is built, and it is the only one a
+:class:`CompressedLineage` can hold: the backward table, keyed on the
+output (predicates push down on output indices).  The paper's forward
+table of Section IV.C is neither stored nor modelled — a forward query is
+the inverse θ-join over the backward table (:mod:`repro.core.query`).
 """
 
 from __future__ import annotations
@@ -113,7 +114,6 @@ def compress(
     stats.after_key_pass = klo.shape[0]
 
     return CompressedLineage(
-        key_side="output",
         out_name=relation.out_name,
         in_name=relation.in_name,
         out_shape=relation.out_shape,

@@ -658,8 +658,9 @@ def _rel_back(
 
 def _joins_inverse(array_name: str, ndim: int, table: CompressedLineage) -> bool:
     """Which join a query over *array_name* takes through *table*: the
-    θ-join when the array is on the table's key side, the inverse θ-join
-    (``True``) when it is on the value side."""
+    θ-join when the array is the table's output (its key side: a backward
+    hop), the inverse θ-join (``True``) when it is the table's input (its
+    value side: a forward hop)."""
     inverse = array_name != table.key_name
     if inverse and array_name != table.value_name:
         raise ValueError(
@@ -749,8 +750,9 @@ def theta_join(
     """One θ-join of a query box set against a compressed lineage table.
 
     The query's array must be one side of the table; the result is a box
-    set over the other side.  A query over the key side takes the θ-join,
-    one over the value side the inverse θ-join.  This is the batch kernel
+    set over the other side.  A query over the table's output (its key
+    side) takes the θ-join, one over its input (the value side) the
+    inverse θ-join.  This is the batch kernel
     (:func:`_theta_join_batch_raw`) run on a batch of one: window lookup,
     exact interval test and ``rel_back`` (or the key narrowing) on the
     candidate pairs only.  When *stats* is given it receives
@@ -807,7 +809,7 @@ def _theta_join_batch_raw(
     stats: Optional[Dict[str, int]] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The θ-join kernel: stacked query boxes against one table — over its
-    key side, or with *inverse* over its value side
+    output (key) side, or with *inverse* over its input (value) side
     (:func:`_inverse_join_batch_raw`).
 
     :func:`_candidate_pairs` names the (box, row) pairs worth comparing;

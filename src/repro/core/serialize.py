@@ -30,11 +30,17 @@ exact over the whole int64 range and neither needs more bits than the
 values it encodes.  ``val_kind`` and ``val_ref`` are stored verbatim,
 row-major.
 
-**Header.**  What cannot be derived, and nothing else::
+**Header.**  What cannot be derived, plus one fixed tag::
 
     {"layout": "attr-delta", "key_side": "output",
      "out_name": "B", "in_name": "A", "out_shape": [50], "in_shape": [50, 4],
      "rows": 50, "stored": [1, 1, 1, 1, 1, 1], "decoded": [1, 1, 1, 1]}
+
+``"key_side": "output"`` is that tag: every table is keyed on its output
+side (the backward orientation; a forward hop is the inverse θ-join over
+the same table), and the reader refuses any other value with a
+``ValueError`` naming the field — only builds that stored a second,
+input-keyed orientation per entry wrote one.
 
 ``stored`` is the item size in bytes of the six columns as written, in the
 order ``key_lo, key_hi, val_kind, val_ref, val_lo, val_hi`` (the order
@@ -42,10 +48,10 @@ their bytes follow in); ``decoded`` the item size each of the four
 interval columns decodes to — the dtype it would have been written at
 verbatim.  An item size names a signed integer dtype, so no other dtype
 can be described.  Every column has ``rows`` rows and as many attributes
-as its side of the relation has axes (``key_side`` says which of
-``out_shape`` / ``in_shape`` is the key's), so the six columns cannot
-disagree on a row count.  ``out_axes`` / ``in_axes`` appear only when they
-are not the defaults (``b1, b2, ...`` / ``a1, a2, ...``).
+as its side of the relation has axes (``out_shape`` for the two key
+columns, ``in_shape`` for the four value columns), so the six columns
+cannot disagree on a row count.  ``out_axes`` / ``in_axes`` appear only
+when they are not the defaults (``b1, b2, ...`` / ``a1, a2, ...``).
 
 This is the one layout the reader reads.  A payload in any other (the
 layouts older builds wrote) is a ``ValueError`` that names ``python -m
@@ -101,6 +107,7 @@ _COLUMNS = ("key_lo", "key_hi", "val_kind", "val_ref", "val_lo", "val_hi")
 _INTERVAL_PAIRS = (("key_lo", "key_hi"), ("val_lo", "val_hi"))
 # the one layout writers emit and the reader reads
 _LAYOUT = "attr-delta"
+_KEY_SIDE = "output"  # fixed header tag: every table is keyed on its output side
 # the four dtypes a column is ever stored at or decoded to, by item size —
 # what the terse header records of a dtype; little-endian at rest
 _INT_DTYPES = {size: np.dtype(f"<i{size}") for size in (1, 2, 4, 8)}
@@ -266,7 +273,7 @@ def serialize_compressed(table: CompressedLineage) -> bytes:
         payload += column.astype(_INT_DTYPES[column.dtype.itemsize], copy=False).tobytes()
     header = {
         "layout": _LAYOUT,
-        "key_side": table.key_side,
+        "key_side": _KEY_SIDE,
         "out_name": table.out_name,
         "in_name": table.in_name,
         "out_shape": list(table.out_shape),
@@ -314,10 +321,10 @@ def _axis_names(header: dict, field: str, prefix: str, ndim: int) -> tuple:
 
 def _table_fields(header: dict) -> tuple:
     """The validated non-column fields of a table header:
-    ``(key_side, out_name, in_name, out_shape, in_shape, out_axes, in_axes)``."""
+    ``(out_name, in_name, out_shape, in_shape, out_axes, in_axes)``."""
     key_side = header.get("key_side")
-    if key_side != "output" and key_side != "input":
-        raise _corrupt("'key_side'", f"is {key_side!r}, not 'output' or 'input'")
+    if key_side != _KEY_SIDE:
+        raise _corrupt("'key_side'", f"is {key_side!r}, not {_KEY_SIDE!r}")
     out_name, in_name = header.get("out_name"), header.get("in_name")
     if type(out_name) is not str or type(in_name) is not str:
         raise _corrupt("'out_name' / 'in_name'", "is not a string")
@@ -325,7 +332,6 @@ def _table_fields(header: dict) -> tuple:
     _dims(out_shape, "'out_shape'")
     _dims(in_shape, "'in_shape'")
     return (
-        key_side,
         out_name,
         in_name,
         tuple(out_shape),
@@ -432,11 +438,8 @@ def deserialize_compressed(data) -> CompressedLineage:
             f"{_WHAT} in column layout {layout!r}, which this build does not read; "
             "run `python -m repro.tools.upgrade <root>` once on the catalog that holds it"
         )
-    nkey, nval = len(fields[3]), len(fields[4])
-    if fields[0] == "input":
-        nkey, nval = nval, nkey
-    columns = _read_attr_delta(header, nkey, nval, view, offset)
-    return CompressedLineage._hydrate(*fields[:5], *columns, *fields[5:])
+    columns = _read_attr_delta(header, len(fields[2]), len(fields[3]), view, offset)
+    return CompressedLineage._hydrate(*fields[:4], *columns, *fields[4:])
 
 
 def serialize_compressed_gzip(table: CompressedLineage) -> bytes:
@@ -462,8 +465,8 @@ def deserialize_table(data) -> CompressedLineage:
     return deserialize_compressed_gzip(data)
 
 
-def peek_table(data) -> Tuple[str, str, str]:
-    """Decode only ``(key_side, in_name, out_name)`` from a serialized
+def peek_table(data) -> Tuple[str, str]:
+    """Decode only ``(in_name, out_name)`` from a serialized
     table payload (plain or gzip), without touching the column bytes: of a
     gzip payload only the header's own bytes are inflated.  The header
     fields are read whatever the column layout, so a payload in a layout
@@ -474,8 +477,8 @@ def peek_table(data) -> Tuple[str, str, str]:
     payload is intact, not that it belongs to this entry.  Raises
     ``ValueError`` (or ``zlib.error``) when the payload is not a table.
     """
-    key_side, out_name, in_name = _table_fields(_peek_header(data))[:3]
-    return key_side, in_name, out_name
+    out_name, in_name = _table_fields(_peek_header(data))[:2]
+    return in_name, out_name
 
 
 def _peek_header(data) -> dict:

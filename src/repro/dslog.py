@@ -390,7 +390,6 @@ class DSLog:
     def _store_reused(self, source: CompressedLineage, pair, op_name, replace=False) -> LineageEntry:
         in_name, out_name = pair
         backward = CompressedLineage(
-            key_side="output",
             out_name=out_name,
             in_name=in_name,
             out_shape=self.catalog.array(out_name).shape,
@@ -488,12 +487,13 @@ class DSLog:
         return [list(path)]
 
     def hop_tables(self, path: Sequence[str]) -> List[CompressedLineage]:
-        """The table of every hop of *path*, each keyed on the array the
-        hop starts from.  Entries are looked up per call, so the only
-        references that keep a hydrated table alive are the caller's and
-        the store's byte-budgeted ``TableCache``."""
+        """The backward table of every hop of *path*, whichever way the
+        hop runs (``core.query`` joins a forward hop inversely).  Entries
+        are looked up per call, so the only references that keep a
+        hydrated table alive are the caller's and the store's
+        byte-budgeted ``TableCache``."""
         return [
-            self.catalog.entry_between(first, second)[0].table_keyed_on(first)
+            self.catalog.entry_between(first, second)[0].backward
             for first, second in zip(path, path[1:])
         ]
 

@@ -42,17 +42,11 @@ class GeneralizedTable:
         if self.val_full.shape != (n, template.value_ndim):
             raise ValueError("val_full mask has the wrong shape")
 
-    @property
-    def key_side(self) -> str:
-        return self.template.key_side
-
     def instantiate(self, out_shape: Tuple[int, ...], in_shape: Tuple[int, ...]) -> CompressedLineage:
         """Materialize the table for concrete output/input array shapes."""
         template = self.template
         if len(out_shape) != len(template.out_shape) or len(in_shape) != len(template.in_shape):
             raise ValueError("instantiation shapes must have the same dimensionality as the template")
-        key_shape = out_shape if template.key_side == "output" else in_shape
-        value_shape = in_shape if template.key_side == "output" else out_shape
 
         # int64 copies: the template may hold narrow hydrated views, and the
         # symbolic bounds written below (`axis_length - 1`) can exceed the
@@ -64,14 +58,13 @@ class GeneralizedTable:
         for j in range(template.key_ndim):
             rows = self.key_full[:, j]
             key_lo[rows, j] = 0
-            key_hi[rows, j] = int(key_shape[j]) - 1
+            key_hi[rows, j] = int(out_shape[j]) - 1
         for i in range(template.value_ndim):
             rows = self.val_full[:, i]
             val_lo[rows, i] = 0
-            val_hi[rows, i] = int(value_shape[i]) - 1
+            val_hi[rows, i] = int(in_shape[i]) - 1
 
         return CompressedLineage(
-            key_side=template.key_side,
             out_name=template.out_name,
             in_name=template.in_name,
             out_shape=tuple(out_shape),
@@ -87,7 +80,7 @@ class GeneralizedTable:
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"GeneralizedTable(rows={len(self.template)}, key={self.key_side})"
+        return f"GeneralizedTable(rows={len(self.template)})"
 
 
 def generalize(table: CompressedLineage) -> GeneralizedTable:

@@ -105,8 +105,6 @@ class OperationSignature:
 
 def tables_equal(left: CompressedLineage, right: CompressedLineage) -> bool:
     """Structural equality of two compressed tables (row order insensitive)."""
-    if left.key_side != right.key_side:
-        return False
     if left.out_shape != right.out_shape or left.in_shape != right.in_shape:
         return False
     if len(left) != len(right):

@@ -609,10 +609,10 @@ class QueryExecutor:
                     outcomes[i] = self._degrade(key, blocked)
                 continue
             planned.append((path, items, paths, entries, shards))
-        # each distinct entry once, with an array a hop joins it from; the
-        # batch holds these tables until its join is done
-        hops = {id(entry): (entry, first) for _, _, paths, entries, _ in planned
-                for names, of_path in zip(paths, entries) for first, entry in zip(names, of_path)}
+        # each distinct entry once; the batch holds these tables until its
+        # join is done
+        hops = {id(entry): entry for _, _, _, entries, _ in planned
+                for of_path in entries for entry in of_path}
         with tracing.span("prefetch", tables=len(hops)):
             tables, failed = self._resolve_tables(hops, deadline_at)
         live = []
@@ -721,13 +721,13 @@ class QueryExecutor:
 
     def _resolve_tables(
         self,
-        hops: Dict[int, Tuple[Any, str]],
+        hops: Dict[int, Any],
         deadline_at: Optional[float] = None,
     ) -> Tuple[Dict[int, Any], Dict[int, BaseException]]:
-        """The table of every entry in *hops* (``id(entry)`` to ``(entry,
-        keyed_on)``, the array a hop joins it from) — resolved exactly once,
-        and held by the caller for its join: the table cache is
-        hard-bounded and may keep nothing of what is loaded here.
+        """The backward table of every entry in *hops* (``id(entry)`` to
+        entry) — resolved exactly once, and held by the caller for its
+        join: the table cache is hard-bounded and may keep nothing of what
+        is loaded here.
 
         A resident table is a cache ``get``.  The others hydrate through
         their shard's segment reader, grouped by home shard, on the calling
@@ -745,27 +745,27 @@ class QueryExecutor:
         """
         catalog = self.log.catalog
         tables: Dict[int, Any] = {}
-        # home shard -> its entries still to hydrate, as (id, entry,
-        # keyed-on); the residency probe moves no cache counter
-        by_shard: Dict[int, List[Tuple[int, Any, str]]] = {}
+        # home shard -> its entries still to hydrate, as (id, entry); the
+        # residency probe moves no cache counter
+        by_shard: Dict[int, List[Tuple[int, Any]]] = {}
         failed: Dict[int, BaseException] = {}
-        for key, (entry, keyed_on) in hops.items():
+        for key, entry in hops.items():
             shard = catalog.entry_shard((entry.in_name, entry.out_name))
             tasks = by_shard.setdefault(shard, [])
-            if entry.is_resident(keyed_on):
+            if entry.is_resident():
                 try:  # an eviction racing the probe makes this a hydration
-                    tables[key] = entry.table_keyed_on(keyed_on)
+                    tables[key] = entry.backward
                 except _SHARD_FAULTS as exc:
                     failed[shard] = exc
             else:
-                tasks.append((key, entry, keyed_on))
+                tasks.append((key, entry))
 
         def load(shard: int) -> None:
             tasks = by_shard[shard]
             started = time.monotonic()
             with tracing.span("prefetch-shard", shard=shard, tables=len(tasks)):
-                for key, entry, keyed_on in tasks:
-                    tables[key] = entry.table_keyed_on(keyed_on)
+                for key, entry in tasks:
+                    tables[key] = entry.backward
             if tasks:
                 _PREFETCH_SECONDS.labels(shard=str(shard)).observe(
                     time.monotonic() - started

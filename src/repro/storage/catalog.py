@@ -41,6 +41,18 @@ class AmbiguousLineageError(ValueError):
     lookup (``entry_between``) cannot tell which entry the caller means."""
 
 
+def _entry_pair(backward: CompressedLineage) -> Tuple[str, str]:
+    """The ``(in_name, out_name)`` pair *backward* is stored under.  A
+    relation from an array to itself is refused: no query path could
+    name its hop apart from the hop back."""
+    if backward.in_name == backward.out_name:
+        raise ValueError(
+            f"lineage between {backward.in_name!r} and {backward.out_name!r} "
+            "is from an array to itself; an entry joins two different arrays"
+        )
+    return backward.in_name, backward.out_name
+
+
 @dataclass(frozen=True)
 class ArrayInfo:
     """A tracked array: a name plus a declared shape."""
@@ -78,15 +90,7 @@ class LineageEntry:
     # of its hops is valid exactly while those installs are the current ones
     token: int = 0
 
-    def table_keyed_on(self, array_name: str) -> CompressedLineage:
-        """The table a hop from *array_name* joins: the backward table,
-        from either side (``core.query`` takes the inverse θ-join from the
-        input side)."""
-        if array_name != self.out_name and array_name != self.in_name:
-            raise KeyError(f"array {array_name!r} is not part of this lineage entry")
-        return self.backward
-
-    def is_resident(self, array_name: str) -> bool:
+    def is_resident(self) -> bool:
         """In-memory entries hold their tables; stored entries probe the
         table cache (:meth:`StoredLineageEntry.is_resident`)."""
         return True
@@ -171,9 +175,7 @@ class Catalog:
         reused: bool = False,
         replace: bool = False,
     ) -> LineageEntry:
-        if backward.key_side != "output":
-            raise ValueError("an entry stores its backward table (keyed on the output)")
-        pair = (backward.in_name, backward.out_name)
+        pair = _entry_pair(backward)
         existing = self._entries.get(pair)
         if existing is not None and not replace:
             raise LineageConflictError(

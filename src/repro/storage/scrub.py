@@ -42,8 +42,8 @@ Repair contract
   into the store's remap chain — in-memory lazy entries keep resolving,
   exactly as across a compaction.
 
-A record is verified by its checksum and its identity (the table names
-and key side its header declares, read by ``peek_table``), never by
+A record is verified by its checksum and its identity (the two table
+names its header declares, read by ``peek_table``), never by
 decoding its columns: a table in a column layout only
 ``python -m repro.tools.upgrade`` reads is intact here, and is never
 quarantined or dropped for its layout.
@@ -199,7 +199,7 @@ def scrub_store(store: LineageStore, repair: bool = False, serialize_lock=None) 
             # header alone, so a payload in a column layout only the
             # upgrader reads is verified, never dropped)
             try:
-                identity_ok = peek_table(payload) == ("output", *pair)
+                identity_ok = peek_table(payload) == pair
             except (ValueError, zlib.error):
                 identity_ok = False
             if not identity_ok:

@@ -65,7 +65,7 @@ from ..core.compressed import CompressedLineage
 from ..core.serialize import serialize_table
 from ..faults import FaultPlan
 from ..obs import REGISTRY, log_event
-from .catalog import Catalog, LineageConflictError, LineageEntry, OperationRecord
+from .catalog import Catalog, LineageConflictError, LineageEntry, OperationRecord, _entry_pair
 from .manifest import MANIFEST_NAME, atomic_write
 from .scrub import scrub_store
 from .store import (
@@ -475,9 +475,7 @@ class ShardedCatalog(Catalog):
         reused: bool = False,
         replace: bool = False,
     ) -> LineageEntry:
-        if backward.key_side != "output":
-            raise ValueError("an entry stores its backward table (keyed on the output)")
-        pair = (backward.in_name, backward.out_name)
+        pair = _entry_pair(backward)
         shard_idx = self.store.shard_for(*pair)
         # serialize (and gzip) outside every lock: this is the CPU-heavy
         # part of an append and must overlap across writer threads

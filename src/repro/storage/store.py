@@ -257,9 +257,9 @@ class StoredLineageEntry:
 
     Duck-typed against :class:`~repro.storage.catalog.LineageEntry`
     (``in_name`` / ``out_name`` / ``op_name`` / ``reused`` / ``version`` /
-    ``token`` / ``backward`` / ``table_keyed_on`` / ``is_resident`` /
-    ``storage_bytes``); ``backward`` is a property that pulls the table
-    through the store's cache on access.
+    ``token`` / ``backward`` / ``is_resident`` / ``storage_bytes``);
+    ``backward`` is a property that pulls the table through the store's
+    cache on access.
     """
 
     __slots__ = ("store", "in_name", "out_name", "op_name", "reused", "version",
@@ -297,15 +297,14 @@ class StoredLineageEntry:
         return self.backward_ref
 
     def table_keyed_on(self, array_name: str) -> CompressedLineage:
-        """The table a hop from *array_name* joins: the one backward
-        table, from either side."""
-        if array_name != self.out_name and array_name != self.in_name:
-            raise KeyError(f"array {array_name!r} is not part of this lineage entry")
+        """:attr:`backward`, under the name (and argument) the frozen
+        benchmark harness still calls.  It goes with the next edit of
+        ``bench/``."""
         return self.backward
 
-    def is_resident(self, array_name: str) -> bool:
-        """Whether :meth:`table_keyed_on` would be served from the table
-        cache (a probe: it loads nothing and counts as no cache lookup)."""
+    def is_resident(self) -> bool:
+        """Whether :attr:`backward` would be served from the table cache
+        (a probe: it loads nothing and counts as no cache lookup)."""
         return self.store.cache_key(self.backward_ref) in self.store.cache
 
     def storage_bytes(self, gzip: bool = True) -> int:

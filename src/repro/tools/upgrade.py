@@ -140,9 +140,7 @@ def _read_legacy(data) -> CompressedLineage:
         offset += count * dtype.itemsize
     if offset != len(view):
         raise ValueError(f"corrupt {_WHAT}: {len(view) - offset} bytes left over behind val_hi")
-    nkey, nval = len(fields[3]), len(fields[4])
-    if fields[0] == "input":
-        nkey, nval = nval, nkey
+    nkey, nval = len(fields[2]), len(fields[3])
     rows = columns[0].shape[0] if columns[0].ndim == 2 else None
     for name, column, width in zip(_COLUMNS, columns, (nkey, nkey, nval, nval, nval, nval)):
         if column.shape != (rows, width):
@@ -158,7 +156,7 @@ def _read_legacy(data) -> CompressedLineage:
             columns[hi_at] = np.add(columns[lo_at], extent, dtype=hi_dtype)
     for column in columns:
         column.flags.writeable = False
-    return CompressedLineage._hydrate(*fields[:5], *columns, *fields[5:])
+    return CompressedLineage._hydrate(*fields[:4], *columns, *fields[4:])
 
 
 def _current(payload) -> bytes:

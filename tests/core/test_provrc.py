@@ -93,7 +93,8 @@ class TestStructuredPatterns:
     def test_compress_builds_the_backward_table(self):
         relation = aggregate_axis_relation((6, 4), axis=1)
         backward = compress(relation)
-        assert backward.key_side == "output"
+        # keyed on the output: the one orientation a table has
+        assert (backward.key_name, backward.key_shape) == (relation.out_name, relation.out_shape)
         assert backward.decompress() == relation
 
 

@@ -189,7 +189,7 @@ class TestThetaJoinEquivalence:
         starts = np.arange(n_rows, dtype=np.int64) * span
         kinds = np.where(np.arange(n_rows) % 2 == 0, KIND_REL, KIND_ABS).astype(np.int8)
         table = CompressedLineage(
-            "output", "B", "A", (n_rows * span,), (n_rows * span,),
+            "B", "A", (n_rows * span,), (n_rows * span,),
             starts[:, None], starts[:, None] + span - 1,
             kinds[:, None], np.where(kinds == KIND_REL, 0, -1).astype(np.int16)[:, None],
             np.where(kinds == KIND_REL, 0, starts)[:, None],
@@ -881,7 +881,7 @@ def hand_built_tables(draw, key_name, value_name, key_shape, value_shape):
     val_lo = draw(int_columns(rows, nval, -3, 8, val_dtype))
     val_hi = val_lo + draw(int_columns(rows, nval, 0, 3, val_dtype))
     return CompressedLineage(
-        "output", key_name, value_name, key_shape, value_shape,
+        key_name, value_name, key_shape, value_shape,
         key_lo, key_hi, val_kind, val_ref, val_lo, val_hi,
     )
 

@@ -23,7 +23,6 @@ def synthetic_table(n_rows: int) -> CompressedLineage:
     val_hi = np.where(kinds == KIND_REL, SPAN - 1, starts + SPAN - 1).astype(np.int64)
     dim = n_rows * SPAN
     return CompressedLineage(
-        key_side="output",
         out_name="B",
         in_name="A",
         out_shape=(dim,),

@@ -47,7 +47,6 @@ class TestSerializationRoundTrip:
     def test_plain_roundtrip(self):
         table, relation = sample_table()
         restored = deserialize_compressed(serialize_compressed(table))
-        assert restored.key_side == table.key_side
         assert restored.out_shape == table.out_shape
         assert restored.in_shape == table.in_shape
         assert restored.decompress() == relation
@@ -103,7 +102,7 @@ def _interval_table(magnitude, rows):
     if rows == 0:
         empty = np.empty((0, 1), np.int64)
         return CompressedLineage(
-            "output", "B", "A", shape, shape,
+            "B", "A", shape, shape,
             key_lo=empty, key_hi=empty,
             val_kind=np.empty((0, 1), np.int8), val_ref=np.empty((0, 1), np.int16),
             val_lo=empty, val_hi=empty,
@@ -117,7 +116,7 @@ def _interval_table(magnitude, rows):
     ref = np.where(kind == 1, 0, -1)
     val_lo = np.where(kind == 1, 0, points)
     return CompressedLineage(
-        "output", "B", "A", shape, shape,
+        "B", "A", shape, shape,
         key_lo=points, key_hi=points,
         val_kind=kind, val_ref=ref,
         val_lo=val_lo, val_hi=val_lo,
@@ -192,7 +191,7 @@ class TestDtypePreservation:
         refuse, so only the bytes can carry it."""
         zero = np.zeros((1, 1), np.int8)
         table = CompressedLineage(
-            "output", "B", "A", (4,), (4,),
+            "B", "A", (4,), (4,),
             key_lo=zero, key_hi=zero + 3, val_kind=zero, val_ref=zero - 1, val_lo=zero, val_hi=zero,
         )
         data = bytearray(serialize_compressed(table))
@@ -249,14 +248,10 @@ def arbitrary_tables(draw):
         draw(st.lists(st.integers(0, nkey - 1), min_size=rows * nval, max_size=rows * nval)),
         dtype=np.int64,
     ).reshape(rows, nval)
-    key_side = draw(st.sampled_from(["output", "input"]))
-    key_shape, value_shape = (5,) * nkey, (7,) * nval
-    out_shape, in_shape = (
-        (key_shape, value_shape) if key_side == "output" else (value_shape, key_shape)
-    )
+    out_shape, in_shape = (5,) * nkey, (7,) * nval
     custom = draw(st.booleans())
     return CompressedLineage(
-        key_side, "B", "A", out_shape, in_shape,
+        "B", "A", out_shape, in_shape,
         key_lo=interval_column(nkey), key_hi=interval_column(nkey),
         val_kind=kind, val_ref=np.where(kind == 1, refs, -1),
         val_lo=interval_column(nval), val_hi=interval_column(nval),
@@ -294,7 +289,7 @@ class TestColumnLayout:
             hi = lo[::-1].copy()
             kind = np.zeros((4, 2), np.int8)
             table = CompressedLineage(
-                "output", "B", "A", (9, 9), (9, 9),
+                "B", "A", (9, 9), (9, 9),
                 key_lo=lo, key_hi=hi, val_kind=kind, val_ref=kind - 1, val_lo=hi, val_hi=lo,
             )
             hydrated = deserialize_compressed(serialize_compressed(table))
@@ -323,7 +318,7 @@ class TestColumnLayout:
         key_lo = np.array([[1, 10], [2, 20], [4, 40]], np.int64)
         kind = np.zeros((3, 1), np.int8)
         table = CompressedLineage(
-            "output", "B", "A", (50, 50), (50,),
+            "B", "A", (50, 50), (50,),
             key_lo=key_lo, key_hi=key_lo + [[0, 5]], val_kind=kind, val_ref=kind - 1,
             val_lo=kind, val_hi=kind,
         )
@@ -398,21 +393,24 @@ class TestHeaderValidation:
         "field,value",
         [
             ("key_side", "sideways"), ("key_side", None),
+            # an input-keyed table: only builds that stored two orientations wrote one
+            ("key_side", "input"),
             ("out_name", None), ("in_name", 7),
             ("out_shape", ["100"]), ("in_shape", [-1]), ("in_shape", None), ("out_shape", 100),
             ("out_axes", ["b1", "b2"]), ("in_axes", [1]), ("in_axes", "a1"),
         ],
     )
     def test_table_fields(self, field, value):
-        data = serialize_compressed(_interval_table(100, 10))
-        with pytest.raises(ValueError, match=field.split("_")[1]):
-            deserialize_compressed(reheader(data, **{field: value}))
+        data = reheader(serialize_compressed(_interval_table(100, 10)), **{field: value})
+        for read in (deserialize_compressed, deserialize_table, peek_table):
+            with pytest.raises(ValueError, match=f"'{field}'"):
+                read(data)
 
 
 class TestPeekTable:
     def test_plain_and_gzip(self):
         table, _ = sample_table()
-        peeked = (table.key_side, table.in_name, table.out_name)
+        peeked = (table.in_name, table.out_name)
         assert peek_table(serialize_compressed(table)) == peeked
         assert peek_table(memoryview(serialize_compressed_gzip(table))) == peeked
         # the identity reads whatever the column layout: scrub verifies a
@@ -429,7 +427,7 @@ class TestPeekTable:
         head_only = deflater.compress(plain[: 8 + header_len]) + deflater.flush(zlib.Z_SYNC_FLUSH)
         with pytest.raises(zlib.error):
             zlib.decompress(head_only)
-        assert peek_table(head_only) == (table.key_side, table.in_name, table.out_name)
+        assert peek_table(head_only) == (table.in_name, table.out_name)
 
     def test_truncated_and_garbage_rejected(self):
         table, _ = sample_table()

@@ -48,7 +48,7 @@ def _tables():
     return [
         compress(LineageRelation.from_pairs(rows, (50,), (50, 4))),
         CompressedLineage(
-            "input", "B", "A", (40,), (30, 70_000),
+            "B", "A", (30, 70_000), (40,),
             key_lo=wide, key_hi=wide + 7, val_kind=kind, val_ref=kind - 1, val_lo=kind, val_hi=kind + 39,
         ),
         compress(LineageRelation((4,), (4,), np.empty((0, 2)))),
@@ -83,14 +83,14 @@ def decodes_or_refuses(data, plain_size=None):
     if isinstance(table, CompressedLineage):
         stored = sum(getattr(table, name).size for name in ("key_lo", "val_kind", "val_ref", "val_lo"))
         assert stored <= 8 * max(len(data), plain_size or 0)
-        assert peek_table(data) == (table.key_side, table.in_name, table.out_name)
+        assert peek_table(data) == (table.in_name, table.out_name)
     if plain_size is not None:
         assert peak <= MEMORY_MULTIPLE * plain_size + SLACK, peak
     try:
-        key_side, in_name, out_name = peek_table(data)
+        in_name, out_name = peek_table(data)
     except REFUSALS:
         return
-    assert key_side in ("output", "input") and type(in_name) is type(out_name) is str
+    assert type(in_name) is type(out_name) is str
 
 
 @FUZZ

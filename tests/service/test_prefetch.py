@@ -72,10 +72,10 @@ class Harness:
             self.log.store.cache.clear(scope=f"shard-{shard:02d}")
 
     def resident(self):
-        """Per hop: is its table on the query's side in the table cache?"""
+        """Per hop: is its table in the table cache?"""
         catalog = self.log.catalog
         return [
-            catalog.entry_between(a, b)[0].is_resident(a)
+            catalog.entry_between(a, b)[0].is_resident()
             for a, b in zip(self.path, self.path[1:])
         ]
 
@@ -179,11 +179,9 @@ def test_traced_resolve_loads_what_an_untraced_one_does(harness):
     # a cold shard stays off the pool with a trace active as well
     harness.evict(1)
     trace = tracing.start_trace("test")
-    [names], [entries] = harness.executor._plan(harness.path)
+    _, [entries] = harness.executor._plan(harness.path)
     try:
-        tables, failed = harness.executor._resolve_tables(
-            {id(entry): (entry, first) for first, entry in zip(names, entries)}
-        )
+        tables, failed = harness.executor._resolve_tables({id(entry): entry for entry in entries})
     finally:
         trace.finish()
         tracing._CURRENT.set(None)

@@ -221,19 +221,24 @@ def test_replace_landing_mid_query_leaves_a_stale_entry_never_a_wrong_one(log, m
     path = ["a", "b", "c"]
     old = log.prov_query(path, QUERY).to_cells()
     target = log.catalog.entry("b", "c")
-    resolve = type(target).table_keyed_on
+    # the hop read is ``entry.backward``: a property of a stored entry, a
+    # field of an in-memory one (shadowed here by a property that keeps it)
+    stored = type(target).__dict__.get("backward")
     struck = []
 
-    def strike_then_resolve(entry, array_name):
+    def strike_then_resolve(entry):
         if entry is target and not struck:
-            struck.append(array_name)
+            struck.append((entry.in_name, entry.out_name))
             log.add_lineage("b", "c", relation=shift("b", "c"), replace=True)
-        return resolve(entry, array_name)
+        return stored.fget(entry) if stored is not None else entry.__dict__["backward"]
 
-    monkeypatch.setattr(type(target), "table_keyed_on", strike_then_resolve)
+    def keep(entry, table):
+        entry.__dict__["backward"] = table
+
+    monkeypatch.setattr(type(target), "backward", property(strike_then_resolve, keep), raising=False)
     with QueryExecutor(log, max_workers=2) as ex:
         in_flight = ex.query(path, QUERY)
-        assert struck == ["b"] and not in_flight.cached
+        assert struck == [("b", "c")] and not in_flight.cached
         new = log.prov_query(path, QUERY).to_cells()
         assert new != old and in_flight.result.to_cells() in (old, new)
         after = ex.query(path, QUERY)

@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.core.compressed import CompressedLineage
-from repro.core.provrc import compress
+from repro.core.query import CellBoxSet, theta_join
 from repro.core.relation import LineageRelation
+from repro.dslog import DSLog
+from repro.service.pipeline import LineageService
+from repro.storage import sharded
 from repro.storage.catalog import (
     AmbiguousLineageError,
     ArrayInfo,
@@ -47,16 +49,20 @@ class TestLineageEntries:
     def test_add_relation_stores_one_backward_table(self):
         catalog = Catalog()
         entry = catalog.add_relation(relation())
-        assert entry.backward.key_side == "output"
-        assert not hasattr(entry, "forward")
+        # keyed on the output: the one orientation a table has
+        assert (entry.backward.key_name, entry.backward.value_name) == ("B", "A")
+        assert not hasattr(entry, "forward") and not hasattr(entry.backward, "key_side")
+        assert entry.is_resident()
         # a hop from either side joins the one table
-        assert entry.table_keyed_on("A") is entry.table_keyed_on("B") is entry.backward
+        for start, end in (("A", "B"), ("B", "A")):
+            hop = theta_join(CellBoxSet.from_cells(start, (8,), [(3,)]), entry.backward)
+            assert (hop.array_name, hop.to_cells()) == (end, {(3,)})
 
-    def test_table_keyed_on_unknown_array(self):
+    def test_hop_from_unknown_array(self):
         catalog = Catalog()
         entry = catalog.add_relation(relation())
-        with pytest.raises(KeyError):
-            entry.table_keyed_on("Z")
+        with pytest.raises(ValueError, match="'Z'"):
+            theta_join(CellBoxSet.from_cells("Z", (8,), [(3,)]), entry.backward)
 
     def test_entry_between_directions(self):
         catalog = Catalog()
@@ -70,15 +76,45 @@ class TestLineageEntries:
         with pytest.raises(KeyError):
             Catalog().entry_between("A", "B")
 
-    def test_add_compressed_validates_orientation(self):
-        catalog = Catalog()
-        t = compress(relation())
-        forward = CompressedLineage(
-            "input", t.out_name, t.in_name, t.out_shape, t.in_shape,
-            t.key_lo, t.key_hi, t.val_kind, t.val_ref, t.val_lo, t.val_hi,
-        )
-        with pytest.raises(ValueError):
-            catalog.add_compressed(forward)
+    @pytest.mark.parametrize("durable", [False, True])
+    def test_self_loop_refused(self, tmp_path, durable):
+        """An entry from an array to itself could never be queried (the
+        path ``["a", "a"]`` names both directions), so every way in
+        refuses it, naming the pair, and stores nothing."""
+        loop = "lineage between 'a' and 'a' is from an array to itself"
+        log = DSLog(tmp_path / "db" if durable else None)
+        for name in ("a", "x", "y"):
+            log.define_array(name, (8,))
+        with pytest.raises(ValueError, match=loop):
+            log.add_lineage("a", "a", relation=relation("a", "a"))
+        with pytest.raises(ValueError, match=loop):
+            log.register_operation("op", ["a"], ["a"], relations={("a", "a"): relation("a", "a")})
+        # reused: the second call's table comes from the first's signature
+        log.register_operation("op", ["x"], ["y"], relations={("x", "y"): relation("x", "y")})
+        with pytest.raises(ValueError, match=loop):
+            log.register_operation("op", ["a"], ["a"])
+        assert [(e.in_name, e.out_name) for e in log.catalog.entries()] == [("x", "y")]
+        log.close()
+
+    def test_self_loop_refused_by_a_service_ticket(self, tmp_path):
+        with LineageService(tmp_path / "db", workers=1) as svc:
+            svc.define_array("a", (8,))
+            ticket = svc.submit_lineage("a", "a", relation=relation("a", "a"))
+            with pytest.raises(ValueError, match="'a' and 'a'"):
+                ticket.result(timeout=10)
+            assert ticket.failed and len(svc.log.catalog) == 0
+
+    def test_stored_self_loop_still_opens(self, tmp_path, monkeypatch):
+        """A store an older build wrote with a self-loop row opens as it
+        is: the refusal is at ingest, and there is no migration."""
+        monkeypatch.setattr(sharded, "_entry_pair", lambda t: (t.in_name, t.out_name))
+        with DSLog(tmp_path / "db") as log:
+            log.define_array("a", (8,))
+            log.add_lineage("a", "a", relation=relation("a", "a"))
+        monkeypatch.undo()
+        with DSLog.load(tmp_path / "db") as log:
+            assert [(e.in_name, e.out_name) for e in log.catalog.entries()] == [("a", "a")]
+            assert log.scrub()["clean"]
 
     def test_storage_bytes_positive_and_gzip_smaller_or_close(self):
         catalog = Catalog()
