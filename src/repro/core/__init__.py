@@ -1,6 +1,5 @@
 """Core data structures and algorithms: the paper's primary contribution.
 
-* :mod:`repro.core.intervals` — integer intervals and boxes.
 * :mod:`repro.core.relation` — the relational lineage model.
 * :mod:`repro.core.provrc` — the ProvRC compression algorithm.
 * :mod:`repro.core.compressed` — the compressed table representation.
@@ -9,8 +8,7 @@
 * :mod:`repro.core.reference` — brute-force ground-truth queries.
 """
 
-from .compressed import CompressedLineage, CompressedRow, ValueAttr
-from .intervals import Box, Interval, merge_adjacent_intervals, ranges_from_integers
+from .compressed import CompressedLineage
 from .provrc import ProvRCStats, compress
 from .query import CellBoxSet, QueryResult, execute_path, theta_join
 from .reference import query_path_reference, single_hop_reference
@@ -25,14 +23,8 @@ from .serialize import (
 )
 
 __all__ = [
-    "Box",
-    "Interval",
-    "ranges_from_integers",
-    "merge_adjacent_intervals",
     "LineageRelation",
     "CompressedLineage",
-    "CompressedRow",
-    "ValueAttr",
     "compress",
     "ProvRCStats",
     "CellBoxSet",

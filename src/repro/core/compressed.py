@@ -22,15 +22,13 @@ the representation lossless and what the in-situ range join exploits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .intervals import Interval
 from .relation import AxisNames, LineageRelation, default_axis_names
 
-__all__ = ["ValueAttr", "CompressedRow", "CompressedLineage", "KIND_ABS", "KIND_REL"]
+__all__ = ["CompressedLineage", "KIND_ABS", "KIND_REL"]
 
 KIND_ABS = 0
 KIND_REL = 1
@@ -143,42 +141,6 @@ def _window_index(
         if best is None or window < best:
             best, index = window, (attr, order, lo, reach)
     return index
-
-
-@dataclass(frozen=True)
-class ValueAttr:
-    """One value attribute of a compressed row (absolute or relative)."""
-
-    kind: int
-    interval: Interval
-    ref: int = -1  # index of the referenced key attribute when kind == KIND_REL
-
-    @classmethod
-    def absolute(cls, lo: int, hi: int) -> "ValueAttr":
-        return cls(KIND_ABS, Interval(lo, hi))
-
-    @classmethod
-    def relative(cls, ref: int, lo: int, hi: int) -> "ValueAttr":
-        return cls(KIND_REL, Interval(lo, hi), ref)
-
-    @property
-    def is_relative(self) -> bool:
-        return self.kind == KIND_REL
-
-
-@dataclass(frozen=True)
-class CompressedRow:
-    """A single row of a compressed lineage table (a UCP term)."""
-
-    key: Tuple[Interval, ...]
-    values: Tuple[ValueAttr, ...]
-
-    def value_interval(self, index: int, key_point: Sequence[int]) -> Interval:
-        """Absolute interval of value attribute *index* at a fixed key cell."""
-        attr = self.values[index]
-        if attr.kind == KIND_ABS:
-            return attr.interval
-        return attr.interval.shift(int(key_point[attr.ref]))
 
 
 class CompressedLineage:
@@ -467,26 +429,6 @@ class CompressedLineage:
             cached = bool((self.val_kind == KIND_REL).any()) if self.val_kind.size else False
             self._has_relative = cached
         return cached
-
-    # ------------------------------------------------------------------
-    # row views
-    # ------------------------------------------------------------------
-    def row(self, index: int) -> CompressedRow:
-        key = tuple(
-            Interval(int(self.key_lo[index, j]), int(self.key_hi[index, j]))
-            for j in range(self.key_ndim)
-        )
-        values = []
-        for i in range(self.value_ndim):
-            kind = int(self.val_kind[index, i])
-            interval = Interval(int(self.val_lo[index, i]), int(self.val_hi[index, i]))
-            ref = int(self.val_ref[index, i])
-            values.append(ValueAttr(kind, interval, ref))
-        return CompressedRow(key, tuple(values))
-
-    def rows(self) -> Iterator[CompressedRow]:
-        for index in range(len(self)):
-            yield self.row(index)
 
     # ------------------------------------------------------------------
     # decompression (the lossless inverse)

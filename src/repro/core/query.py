@@ -59,7 +59,6 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tupl
 import numpy as np
 
 from .compressed import KIND_REL, CompressedLineage
-from .intervals import Box, Interval, union_length
 
 __all__ = [
     "CellBoxSet",
@@ -236,18 +235,9 @@ class CellBoxSet:
     def is_empty(self) -> bool:
         return len(self) == 0
 
-    def boxes(self) -> List[Box]:
-        return [
-            Box(tuple(Interval(int(l), int(h)) for l, h in zip(self.lo[i], self.hi[i])))
-            for i in range(len(self))
-        ]
-
     def to_cells(self) -> Set[Cell]:
         """Expand to the explicit set of cells (use only for small results)."""
-        out: Set[Cell] = set()
-        for box in self.boxes():
-            out.update(box.cells())
-        return out
+        return set(map(tuple, self.to_cells_array().tolist()))
 
     def to_cells_array(self) -> np.ndarray:
         """Explicit cells as a deduplicated ``(n, ndim)`` int64 array in
@@ -320,7 +310,8 @@ class CellBoxSet:
         if lo.shape[0] == 1:
             return int(np.prod(hi[0] - lo[0] + 1))
         if self.ndim == 1:
-            return union_length(lo[:, 0], hi[:, 0])
+            # merge_boxes leaves 1-D boxes disjoint: the volumes just add up
+            return int((hi - lo + 1).sum())
         count = _count_union_grid(lo, hi)
         if count >= 0:
             return count
@@ -328,7 +319,7 @@ class CellBoxSet:
         total_cells = int(np.prod(self.shape))
         if total_cells <= 50_000_000:
             return int(CellBoxSet(self.array_name, self.shape, lo, hi).to_mask().sum())
-        return len(self.to_cells())
+        return len(self.to_cells_array())
 
     def clipped(self) -> "CellBoxSet":
         """Clip boxes to the array bounds, dropping boxes that fall outside."""

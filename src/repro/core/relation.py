@@ -271,20 +271,6 @@ class LineageRelation:
                 result.add(tuple(int(v) for v in row[:l]))
         return result
 
-    def inverted(self) -> "LineageRelation":
-        """Return the relation with input and output roles swapped."""
-        l = self.out_ndim
-        rows = np.concatenate([self.rows[:, l:], self.rows[:, :l]], axis=1)
-        return LineageRelation(
-            self.in_shape,
-            self.out_shape,
-            rows,
-            out_name=self.in_name,
-            in_name=self.out_name,
-            out_axes=self.in_axes,
-            in_axes=self.out_axes,
-        )
-
     # ------------------------------------------------------------------
     # size accounting
     # ------------------------------------------------------------------

@@ -62,7 +62,6 @@ successful probe — a reopen-with-scrub — closes it again).
 from __future__ import annotations
 
 import errno
-import os
 import threading
 import time
 import zlib
@@ -89,7 +88,6 @@ __all__ = [
     "FaultRule",
     "FaultPlan",
     "CircuitBreaker",
-    "plan_from_env",
 ]
 
 
@@ -374,24 +372,6 @@ class FaultPlan:
                 site, scope, errno.ENOSPC, f"injected ENOSPC at {site} ({scope})"
             )
         raise InjectedFault(site, scope, errno.EIO, f"injected EIO at {site} ({scope})")
-
-
-def plan_from_env(environ=os.environ) -> Optional[FaultPlan]:
-    """Build a seeded random plan from ``DSLOG_FAULT_SEED`` /
-    ``DSLOG_FAULT_RATE`` / ``DSLOG_FAULT_SITES`` (the fault-soak CI job's
-    entry point), or ``None`` when unset."""
-    seed = environ.get("DSLOG_FAULT_SEED")
-    if seed is None:
-        return None
-    rate = float(environ.get("DSLOG_FAULT_RATE", "0.02"))
-    sites = tuple(
-        s.strip()
-        for s in environ.get(
-            "DSLOG_FAULT_SITES", "segment.write,segment.fsync,service.worker"
-        ).split(",")
-        if s.strip()
-    )
-    return FaultPlan.seeded(int(seed), rate=rate, sites=sites)
 
 
 # ----------------------------------------------------------------------

@@ -119,11 +119,6 @@ class LineageGraph:
         self._check(name)
         return list(self._out[name])
 
-    def predecessors(self, name: str) -> List[str]:
-        """Arrays *name* was directly derived from (one hop backward)."""
-        self._check(name)
-        return list(self._in[name])
-
     def edges(self) -> List[Tuple[str, str]]:
         """Every stored lineage edge as a sorted ``(input, output)`` list —
         the full DAG, so remote clients (the HTTP ``/graph/summary``

@@ -15,7 +15,6 @@ stand-ins with the properties the experiments actually exercise:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -30,14 +29,6 @@ class ImdbLike:
 
     basics: np.ndarray  # columns: tconst, startYear, isAdult, runtime, genres_code
     episode: np.ndarray  # columns: tconst, parent_tconst, season, episode
-
-    @property
-    def basics_columns(self) -> Tuple[str, ...]:
-        return ("tconst", "startYear", "isAdult", "runtimeMinutes", "genres")
-
-    @property
-    def episode_columns(self) -> Tuple[str, ...]:
-        return ("tconst", "parentTconst", "seasonNumber", "episodeNumber")
 
 
 def make_imdb_like(n_basics: int = 5000, n_episodes: int = 3000, seed: int = 0) -> ImdbLike:

@@ -23,7 +23,6 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.core.compressed import KIND_REL, CompressedLineage
-from repro.core.intervals import Interval
 from repro.core.provrc import _run_lengths
 from repro.core.relation import LineageRelation
 
@@ -405,26 +404,28 @@ def key_range_pass_reference(
     return klo, khi, vkind, vref, vlo, vhi
 
 
-def _iter_box(intervals: Tuple[Interval, ...]):
-    if not intervals:
-        yield ()
-        return
-    head, tail = intervals[0], intervals[1:]
-    for value in head:
-        for rest in _iter_box(tail):
-            yield (value,) + rest
+def _closed_range(lo, hi) -> range:
+    if lo > hi:
+        raise ValueError(f"empty interval: lo={lo} > hi={hi}")
+    return range(lo, hi + 1)
 
 
 def decompress_reference(table: CompressedLineage) -> LineageRelation:
     """The original per-cell expansion of a compressed table: one Python
-    iteration per key cell and per contribution edge."""
+    iteration per key cell and per contribution edge, read straight off
+    the columns."""
+    key_lo, key_hi = table.key_lo.tolist(), table.key_hi.tolist()
+    val_kind, val_ref = table.val_kind.tolist(), table.val_ref.tolist()
+    val_lo, val_hi = table.val_lo.tolist(), table.val_hi.tolist()
     pairs: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []
-    for row in table.rows():
-        for key_cell in _iter_box(row.key):
-            value_intervals = tuple(
-                row.value_interval(i, key_cell) for i in range(table.value_ndim)
-            )
-            for value_cell in _iter_box(value_intervals):
+    for r in range(len(table)):
+        key_ranges = [_closed_range(lo, hi) for lo, hi in zip(key_lo[r], key_hi[r])]
+        for key_cell in itertools.product(*key_ranges):
+            value_ranges = []
+            for kind, ref, lo, hi in zip(val_kind[r], val_ref[r], val_lo[r], val_hi[r]):
+                shift = key_cell[ref] if kind == KIND_REL else 0
+                value_ranges.append(_closed_range(lo + shift, hi + shift))
+            for value_cell in itertools.product(*value_ranges):
                 pairs.append((key_cell, value_cell))
     relation = LineageRelation.from_pairs(
         pairs,

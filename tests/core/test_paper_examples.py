@@ -5,6 +5,8 @@ structure (number of compressed rows, which attributes become relative,
 which become ranges) is identical.
 """
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.compressed import KIND_ABS, KIND_REL
 from repro.core.provrc import compress
@@ -33,6 +35,47 @@ def one_to_one_relation(n=2):
     return LineageRelation.from_pairs(pairs, out_shape=(n,), in_shape=(n,))
 
 
+class TestSectionIV_RangeEncoding:
+    def test_paper_example(self):
+        # range({1,2,3,4,9,12,13,14,15}) = {[1,4],[9],[12,15]}
+        keys = [1, 2, 3, 4, 9, 12, 13, 14, 15]
+        relation = LineageRelation.from_pairs([((k,), (0,)) for k in keys], (16,), (1,))
+        table = compress(relation)
+        assert len(table) == 3
+        ranges = sorted(zip(table.key_lo[:, 0].tolist(), table.key_hi[:, 0].tolist()))
+        assert ranges == [(1, 4), (9, 9), (12, 15)]
+
+    @staticmethod
+    def key_ranges(keys, size=16):
+        relation = LineageRelation.from_pairs([((k,), (0,)) for k in keys], (size,), (1,))
+        table = compress(relation)
+        return sorted(zip(table.key_lo[:, 0].tolist(), table.key_hi[:, 0].tolist()))
+
+    def test_single_value(self):
+        assert self.key_ranges([5]) == [(5, 5)]
+
+    def test_duplicates_ignored(self):
+        assert self.key_ranges([1, 1, 2, 2]) == [(1, 2)]
+
+    def test_adjacent_runs_merge_in_any_order(self):
+        assert self.key_ranges([5, 6, 7, 1, 2, 3, 4]) == [(1, 7)]
+
+    def test_disjoint_runs_preserved(self):
+        assert self.key_ranges([1, 2, 9, 10]) == [(1, 2), (9, 10)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sets(st.integers(min_value=0, max_value=200), max_size=60))
+    def test_ranges_cover_the_keys_minimally(self, keys):
+        ranges = self.key_ranges(keys, size=201)
+        recovered = set()
+        for lo, hi in ranges:
+            recovered.update(range(lo, hi + 1))
+        assert recovered == keys
+        # minimality: consecutive ranges are separated by a gap
+        for (_, left_hi), (right_lo, _) in zip(ranges, ranges[1:]):
+            assert right_lo > left_hi + 1
+
+
 class TestTableI_MultiAttributeRangeEncoding:
     """Step 1 collapses the 6-row axis-sum lineage to 3 rows (Table I)."""
 
@@ -46,11 +89,11 @@ class TestTableI_MultiAttributeRangeEncoding:
         # three rows, each with a2 encoded as the full range [0, 1].
         table = compress(axis_sum_relation(), relative=False)
         assert len(table) == 3
-        for row in table.rows():
-            a1, a2 = row.values
-            assert a1.kind == KIND_ABS and a1.interval.is_point
-            assert a2.kind == KIND_ABS
-            assert (a2.interval.lo, a2.interval.hi) == (0, 1)
+        assert (table.val_kind == KIND_ABS).all()
+        # a1 is one point per row, a2 the full range [0, 1]
+        assert (table.val_lo[:, 0] == table.val_hi[:, 0]).all()
+        assert table.val_lo[:, 1].tolist() == [0, 0, 0]
+        assert table.val_hi[:, 1].tolist() == [1, 1, 1]
 
 
 class TestTableII_RelativeTransformation:
@@ -59,16 +102,14 @@ class TestTableII_RelativeTransformation:
     def test_final_single_row(self):
         table = compress(axis_sum_relation())
         assert len(table) == 1
-        row = table.row(0)
         # b1 spans all three output rows
-        assert (row.key[0].lo, row.key[0].hi) == (0, 2)
-        a1, a2 = row.values
+        assert (table.key_lo[0, 0], table.key_hi[0, 0]) == (0, 2)
         # a1 is stored relative to b1 with delta 0 (a1 = b1)
-        assert a1.kind == KIND_REL and a1.ref == 0
-        assert (a1.interval.lo, a1.interval.hi) == (0, 0)
+        assert table.val_kind[0, 0] == KIND_REL and table.val_ref[0, 0] == 0
+        assert (table.val_lo[0, 0], table.val_hi[0, 0]) == (0, 0)
         # a2 keeps its absolute range [0, 1]
-        assert a2.kind == KIND_ABS
-        assert (a2.interval.lo, a2.interval.hi) == (0, 1)
+        assert table.val_kind[0, 1] == KIND_ABS
+        assert (table.val_lo[0, 1], table.val_hi[0, 1]) == (0, 1)
 
     def test_lossless(self):
         relation = axis_sum_relation()
@@ -98,22 +139,18 @@ class TestFigure2_AggregatePattern:
     def test_single_row_with_full_range(self):
         table = compress(full_aggregate_relation(4))
         assert len(table) == 1
-        row = table.row(0)
-        assert (row.key[0].lo, row.key[0].hi) == (0, 0)
-        value = row.values[0]
-        assert value.kind == KIND_ABS
-        assert (value.interval.lo, value.interval.hi) == (0, 3)
+        assert (table.key_lo[0, 0], table.key_hi[0, 0]) == (0, 0)
+        assert table.val_kind[0, 0] == KIND_ABS
+        assert (table.val_lo[0, 0], table.val_hi[0, 0]) == (0, 3)
 
 
 class TestFigure3_OneToOnePattern:
     def test_single_row_with_zero_delta(self):
         table = compress(one_to_one_relation(2))
         assert len(table) == 1
-        row = table.row(0)
-        assert (row.key[0].lo, row.key[0].hi) == (0, 1)
-        value = row.values[0]
-        assert value.kind == KIND_REL and value.ref == 0
-        assert (value.interval.lo, value.interval.hi) == (0, 0)
+        assert (table.key_lo[0, 0], table.key_hi[0, 0]) == (0, 1)
+        assert table.val_kind[0, 0] == KIND_REL and table.val_ref[0, 0] == 0
+        assert (table.val_lo[0, 0], table.val_hi[0, 0]) == (0, 0)
 
 
 class TestTableIV_to_VI_QueryExample:

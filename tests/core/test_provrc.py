@@ -183,9 +183,6 @@ class TestLosslessnessProperties:
     @given(relation_strategy(max_out=4, max_in=4, max_rows=25))
     def test_relative_rows_reference_valid_keys(self, relation):
         table = compress(relation)
-        for row in table.rows():
-            for value in row.values:
-                if value.kind == KIND_REL:
-                    assert 0 <= value.ref < len(row.key)
-                else:
-                    assert value.kind == KIND_ABS
+        relative = table.val_kind == KIND_REL
+        assert np.isin(table.val_kind, (KIND_ABS, KIND_REL)).all()
+        assert ((0 <= table.val_ref[relative]) & (table.val_ref[relative] < table.key_ndim)).all()

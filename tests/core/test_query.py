@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.compressed import KIND_REL
 from repro.core.provrc import compress
 from repro.core.query import CellBoxSet, execute_path, merge_boxes, theta_join
 from repro.core.reference import query_path_reference
@@ -98,6 +99,61 @@ class TestCellBoxSet:
         with pytest.raises(ValueError):
             CellBoxSet("A", (4,), np.zeros((2, 1)), np.zeros((3, 1)))
 
+    def test_single_cell(self):
+        box_set = CellBoxSet.from_cells("A", (4, 5), [(2, 3)])
+        assert len(box_set) == 1 and box_set.count_cells() == 1
+        assert box_set.lo.tolist() == box_set.hi.tolist() == [[2, 3]]
+        assert box_set.to_cells() == {(2, 3)}
+
+    def test_box_enumerates_its_cells(self):
+        box_set = CellBoxSet.from_boxes("A", (4, 4), [[(0, 1), (2, 3)]])
+        assert box_set.to_cells() == {(0, 2), (0, 3), (1, 2), (1, 3)}
+        assert box_set.to_cells_array().tolist() == [[0, 2], [0, 3], [1, 2], [1, 3]]
+        assert box_set.count_cells() == 4
+
+    def test_cells_array_of_disjoint_boxes_is_sorted(self):
+        box_set = CellBoxSet.from_boxes("A", (6, 6), [[(4, 5), (0, 0)], [(0, 1), (3, 4)]])
+        cells = box_set.to_cells_array()
+        assert cells.tolist() == [list(c) for c in sorted(box_set.to_cells())]
+        assert len(cells) == box_set.count_cells() == 6
+
+    def test_cells_array_of_overlapping_boxes_is_deduplicated(self):
+        box_set = CellBoxSet.from_boxes("A", (6, 6), [[(0, 3), (0, 3)], [(2, 5), (2, 5)]])
+        cells = box_set.to_cells_array()
+        assert cells.tolist() == [list(c) for c in sorted(box_set.to_cells())]
+        assert len(cells) == box_set.count_cells() == 16 + 16 - 4
+
+    def test_empty_expands_to_nothing(self):
+        box_set = CellBoxSet.empty("A", (4, 4))
+        assert box_set.to_cells() == set()
+        assert box_set.to_cells_array().shape == (0, 2)
+        assert not box_set.to_mask().any()
+
+    def test_mask_marks_exactly_the_cells(self):
+        box_set = CellBoxSet.from_boxes("A", (5, 5), [[(0, 1), (1, 2)], [(4, 4), (0, 4)]])
+        assert set(zip(*np.nonzero(box_set.to_mask()))) == box_set.to_cells()
+
+    def test_clipped_trims_a_box_on_both_sides(self):
+        box_set = CellBoxSet.from_boxes("A", (4, 4), [[(-3, 2), (1, 9)]])
+        clipped = box_set.clipped()
+        assert clipped.lo.tolist() == [[0, 1]] and clipped.hi.tolist() == [[2, 3]]
+
+    def test_count_of_many_overlapping_1d_boxes(self):
+        # past the 64-box disjointness probe: 50 overlapping pairs merge to
+        # 50 disjoint 1-D boxes of 6 cells, whose lengths are summed
+        lo = np.sort(np.concatenate([np.arange(0, 500, 10), np.arange(2, 500, 10)])).reshape(-1, 1)
+        box_set = CellBoxSet("A", (500,), lo, lo + 3)
+        assert len(box_set) == 100 and len(box_set.merged()) == 50
+        assert box_set.count_cells() == 300 == len(box_set.to_cells())
+
+    def test_clipped_drops_inverted_boxes(self):
+        box_set = CellBoxSet("A", (6,), np.array([[3], [1]]), np.array([[1], [2]]))
+        assert box_set.clipped().to_cells() == {(1,), (2,)}
+
+    def test_count_of_disjoint_boxes_is_the_sum_of_volumes(self):
+        box_set = CellBoxSet.from_boxes("A", (9, 9), [[(0, 1), (0, 2)], [(3, 8), (3, 3)], [(5, 5), (6, 8)]])
+        assert box_set.count_cells() == 6 + 6 + 3 == int(box_set.to_mask().sum())
+
 
 class TestMergeBoxes:
     def test_merges_adjacent_on_one_axis(self):
@@ -126,6 +182,32 @@ class TestMergeBoxes:
         hi = np.array([[4], [4]])
         mlo, _ = merge_boxes(lo, hi)
         assert mlo.shape[0] == 1
+
+    def test_adjacent_runs_merge_in_any_order(self):
+        box_set = CellBoxSet.from_boxes("A", (10,), [[(5, 7)], [(1, 2)], [(3, 4)]])
+        merged = box_set.merged()
+        assert merged.lo.tolist() == [[1]] and merged.hi.tolist() == [[7]]
+
+    def test_disjoint_runs_preserved(self):
+        box_set = CellBoxSet.from_boxes("A", (12,), [[(9, 10)], [(1, 2)]])
+        merged = box_set.merged()
+        assert merged.lo.tolist() == [[1], [9]] and merged.hi.tolist() == [[2], [10]]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(0, 3), st.integers(0, 3)),
+            max_size=12,
+        )
+    )
+    def test_merged_keeps_the_cells(self, boxes):
+        box_set = CellBoxSet.from_boxes(
+            "A", (8, 8), [[(r, min(r + h, 7)), (c, min(c + w, 7))] for r, c, h, w in boxes]
+        )
+        merged = box_set.merged()
+        assert len(merged) <= len(box_set)
+        assert merged.to_cells() == box_set.to_cells()
+        assert merged.count_cells() == box_set.count_cells()
 
 
 class TestThetaJoin:
@@ -179,6 +261,66 @@ class TestThetaJoin:
         unmerged = theta_join(query, table, merge=False)
         assert merged.to_cells() == unmerged.to_cells()
         assert len(merged) <= len(unmerged)
+
+
+class TestThetaJoinIntervalArithmetic:
+    """A hop intersects the query with each row's key ranges and maps the
+    overlap through the value ranges: absolute ranges are copied, relative
+    ones are shifted by the matching key."""
+
+    @staticmethod
+    def hop(relation, array_name, shape, box):
+        query = CellBoxSet.from_boxes(array_name, shape, [box])
+        return theta_join(query, compress(relation)).to_cells()
+
+    def partial_identity(self):
+        # keys 0..4 of a length-10 output
+        return LineageRelation.from_pairs([((i,), (i,)) for i in range(5)], (10,), (10,))
+
+    def test_overlapping_query_is_intersected(self):
+        assert self.hop(self.partial_identity(), "B", (10,), [(3, 8)]) == {(3,), (4,)}
+
+    def test_query_touching_one_end_gives_one_cell(self):
+        assert self.hop(self.partial_identity(), "B", (10,), [(4, 9)]) == {(4,)}
+
+    def test_disjoint_query_is_empty(self):
+        assert self.hop(self.partial_identity(), "B", (10,), [(6, 9)]) == set()
+
+    def test_2d_query_is_intersected_per_axis(self):
+        pairs = [((i, j), (i, j)) for i in range(5) for j in range(5)]
+        relation = LineageRelation.from_pairs(pairs, (10, 10), (10, 10))
+        got = self.hop(relation, "B", (10, 10), [(3, 8), (2, 3)])
+        assert got == {(3, 2), (3, 3), (4, 2), (4, 3)}
+
+    def shifted(self):
+        # B(b) <- A(b + 4)
+        return LineageRelation.from_pairs([((b,), (b + 4,)) for b in range(6)], (6,), (12,))
+
+    def test_relative_value_is_shifted_by_the_key(self):
+        relation = self.shifted()
+        table = compress(relation)
+        assert len(table) == 1 and table.val_kind[0, 0] == KIND_REL
+        assert (table.val_lo[0, 0], table.val_hi[0, 0]) == (4, 4)
+        assert self.hop(relation, "B", (6,), [(1, 3)]) == {(5,), (6,), (7,)}
+
+    def test_forward_hop_undoes_the_shift(self):
+        assert self.hop(self.shifted(), "A", (12,), [(5, 7)]) == {(1,), (2,), (3,)}
+
+    def widened(self):
+        # B(b) <- A(b - 1 .. b + 2) for b in 1..5
+        pairs = [((b,), (b + d,)) for b in range(1, 6) for d in range(-1, 3)]
+        return LineageRelation.from_pairs(pairs, (8,), (10,))
+
+    def test_relative_range_is_added_to_the_key_range(self):
+        relation = self.widened()
+        assert len(compress(relation)) == 1
+        got = self.hop(relation, "B", (8,), [(1, 3)])
+        assert got == {(a,) for a in range(0, 6)} == relation.backward([(1,), (2,), (3,)])
+
+    def test_forward_hop_over_a_relative_range(self):
+        relation = self.widened()
+        for a in range(10):
+            assert self.hop(relation, "A", (10,), [(a, a)]) == relation.forward([(a,)])
 
 
 def diagonal_relation(n, in_name="A", out_name="B"):

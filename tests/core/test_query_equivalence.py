@@ -434,8 +434,8 @@ class TestCountCells:
         rng = np.random.default_rng(seed)
         for _ in range(60):
             ndim = int(rng.integers(1, 4))
-            shape = tuple(int(rng.integers(2, 10)) for _ in range(ndim))
-            n = int(rng.integers(0, 30))
+            shape = tuple(int(rng.integers(2, 100)) for _ in range(ndim))
+            n = int(rng.integers(0, 101))
             lo = np.stack(
                 [rng.integers(0, shape[d], size=n) for d in range(ndim)], axis=1
             ).astype(np.int64) if n else np.empty((0, ndim), np.int64)
@@ -443,7 +443,9 @@ class TestCountCells:
                 lo + rng.integers(0, 4, size=(n, ndim)), np.asarray(shape) - 1
             ).astype(np.int64) if n else lo
             box_set = CellBoxSet("A", shape, lo, hi)
-            assert box_set.count_cells() == int(box_set.to_mask().sum())
+            count = box_set.count_cells()
+            assert count == int(box_set.to_mask().sum())
+            assert len(box_set.to_cells()) == count
 
     def test_large_sparse_boxes_never_materialize_mask(self):
         # 1e12-cell array: the old mask/cell-set fallbacks would be unusable

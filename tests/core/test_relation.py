@@ -67,12 +67,6 @@ class TestSemantics:
         rel = axis_sum_relation()
         assert rel.forward([(0, 0), (1, 1)]) == {(0,), (1,)}
 
-    def test_inverted(self):
-        rel = axis_sum_relation()
-        inv = rel.inverted()
-        assert inv.out_shape == rel.in_shape
-        assert inv.backward([(0, 1)]) == {(0,)}
-
     def test_deduplicated(self):
         pairs = [((0,), (0, 0)), ((0,), (0, 0))]
         rel = LineageRelation.from_pairs(pairs, out_shape=(1,), in_shape=(1, 1))

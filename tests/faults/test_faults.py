@@ -14,7 +14,6 @@ from repro.faults import (
     IngestOverloaded,
     InjectedFault,
     ShardUnavailable,
-    plan_from_env,
 )
 
 
@@ -136,14 +135,6 @@ class TestFaultPlan:
             plan.check("x", "s")
         assert plan.events == [("x", "s", "error", 2)]
         assert plan.stats()["injected"] == 1
-
-    def test_plan_from_env(self):
-        assert plan_from_env({}) is None
-        plan = plan_from_env(
-            {"DSLOG_FAULT_SEED": "5", "DSLOG_FAULT_RATE": "0.5", "DSLOG_FAULT_SITES": "x,y"}
-        )
-        assert plan is not None and not plan.armed
-        assert {r["site"] for r in plan.stats()["rules"]} == {"x", "y"}
 
 
 class TestStructuredErrors:

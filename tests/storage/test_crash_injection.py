@@ -217,7 +217,9 @@ class TestGroupCommitFaults:
     all-or-nothing at the ticket level — no ticket may resolve durable
     whose record is missing after a cold reopen."""
 
-    def _run_service(self, root, plan, n=12):
+    def _run_service(self, root, plan, n=12, flush_after=None):
+        """Submit *n* tickets; with *flush_after*, flush after that many so
+        the tickets span at least two group commits whatever the timing."""
         log = DSLog(root, num_shards=2, autosync=False, faults=plan)
         svc = LineageService(log=log, workers=2, commit_interval=0.001)
         names = [f"A{i}" for i in range(n + 1)]
@@ -226,6 +228,8 @@ class TestGroupCommitFaults:
         plan.arm()
         tickets = []
         for a, b in zip(names, names[1:]):
+            if len(tickets) == flush_after:
+                svc.flush(timeout=60)
             tickets.append(
                 svc.submit_lineage(a, b, relation=elementwise(a, b), op_name=f"op_{a}")
             )
@@ -255,7 +259,7 @@ class TestGroupCommitFaults:
     def test_fsync_fault_mid_batch_is_all_or_nothing(self, tmp_path):
         root = tmp_path / "db"
         plan = FaultPlan().on("segment.fsync", scope="shard-01", at=1, times=1)
-        tickets = self._run_service(root, plan)
+        tickets = self._run_service(root, plan, flush_after=6)
         assert plan.fired("segment.fsync") == 1
         durable, failed = self._assert_durable_tickets_survive_reopen(root, tickets)
         # the faulted publish failed its whole batch together
