@@ -51,8 +51,9 @@ REQUIRED = (
     "dslog_queries_total",            # serving: executor queries
     "dslog_result_cache_misses_total",# serving: result cache
     "dslog_prefetch_seconds",         # serving: per-shard hydration
-    "dslog_http_requests_total",      # serving: HTTP tier
-    "dslog_http_request_seconds",     # serving: request latency histogram
+    "dslog_requests_total",           # serving: both wires, by wire/op/status
+    "dslog_request_seconds",          # serving: request latency histogram
+    "dslog_connections",              # serving: open connections per wire
     "dslog_breaker_transitions_total",# resilience: circuit breakers
     "dslog_faults_injected_total",    # resilience: fault accounting
 )
@@ -90,10 +91,10 @@ def check_metrics(client):
         return False
 
     served = sample_value(
-        families, "dslog_http_requests_total", {"endpoint": "/query", "status": "200"}
+        families, "dslog_requests_total", {"wire": "http", "op": "query", "status": "200"}
     )
     not_found = sample_value(
-        families, "dslog_http_requests_total", {"endpoint": "/graph/impact", "status": "404"}
+        families, "dslog_requests_total", {"wire": "http", "op": "impact", "status": "404"}
     )
     queries = sample_value(families, "dslog_queries_total")
     hits = sample_value(families, "dslog_result_cache_hits_total")
@@ -140,8 +141,8 @@ def main():
             ok = check_metrics(client)
             ok = show_slowest_trace(client, ids) and ok
 
-            print("\n--- python -m repro.tools.stats", server.url, "--grep http ---")
-            ok = stats_cli.main([server.url, "--grep", "dslog_http"]) == 0 and ok
+            print("\n--- python -m repro.tools.stats", server.url, "--grep dslog_request ---")
+            ok = stats_cli.main([server.url, "--grep", "dslog_request"]) == 0 and ok
         finally:
             server.close()
             log.close()

@@ -19,8 +19,9 @@ The example:
 3. races the two transports over an uncached query mix, sequential and
    request-id pipelined (`prov_query_pipelined`: N frames in flight on
    one socket, responses matched by id),
-4. scrapes the per-opcode RPC counters from the *HTTP* ``/metrics``
-   endpoint — observability stays on the debuggable port.
+4. scrapes the RPC request counters (``dslog_requests_total{wire="rpc"}``,
+   one series per op and status) from the *HTTP* ``/metrics`` endpoint —
+   observability stays on the debuggable port.
 
 Run with:  python examples/rpc_client.py
 """
@@ -156,7 +157,7 @@ def main():
         families = http.metrics_text()
         print("\nper-opcode RPC counters (from HTTP /metrics):")
         for line in families.splitlines():
-            if line.startswith("dslog_rpc_requests_total"):
+            if line.startswith('dslog_requests_total{wire="rpc"'):
                 print(f"  {line}")
 
         http.close()

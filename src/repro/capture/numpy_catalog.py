@@ -29,7 +29,6 @@ import numpy as np
 
 from ..core.relation import LineageRelation
 from .analytic import (
-    axis_reduction_lineage,
     cumulative_lineage,
     elementwise_lineage,
     full_reduction_lineage,

@@ -38,7 +38,6 @@ snapshot-isolated view pinned at the current catalog state.
 from __future__ import annotations
 
 import threading
-import time
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
@@ -65,7 +64,6 @@ from .core.query import CellBoxSet, QueryResult, execute_chains
 from .core.relation import LineageRelation
 from .faults import FaultPlan
 from .graph import LineageGraph
-from .obs import REGISTRY
 from .reuse.signatures import OperationSignature, ReuseManager
 from .storage.catalog import ArrayInfo, Catalog, LineageEntry, OperationRecord
 from .storage.sharded import DEFAULT_NUM_SHARDS, ShardedCatalog, ShardedLineageStore
@@ -80,13 +78,6 @@ __all__ = ["DSLog"]
 
 Cell = Tuple[int, ...]
 CaptureFn = Callable[[Cell], Iterable[Cell]]
-
-_PROV_QUERIES = REGISTRY.counter(
-    "dslog_prov_queries_total", "In-process prov_query calls"
-)
-_PROV_SECONDS = REGISTRY.histogram(
-    "dslog_prov_query_seconds", "Wall time per in-process prov_query"
-)
 
 
 class DSLog:
@@ -457,17 +448,12 @@ class DSLog:
         """
         if len(path) < 2:
             raise ValueError("a query path needs at least two arrays")
-        started = time.monotonic()
-        try:
-            for name in path:
-                self.catalog.array(name)  # raises KeyError for unknown arrays
-            paths = self.plan_paths(path)
-            query = self._as_box_set(path[0], query_cells)
-            chains = [self.hop_tables(p) for p in paths]
-            return QueryResult.union(execute_chains(chains, [query] * len(paths), merge=merge), merge=merge)
-        finally:
-            _PROV_QUERIES.inc()
-            _PROV_SECONDS.observe(time.monotonic() - started)
+        for name in path:
+            self.catalog.array(name)  # raises KeyError for unknown arrays
+        paths = self.plan_paths(path)
+        query = self._as_box_set(path[0], query_cells)
+        chains = [self.hop_tables(p) for p in paths]
+        return QueryResult.union(execute_chains(chains, [query] * len(paths), merge=merge), merge=merge)
 
     def plan_paths(self, path: Sequence[str]) -> List[List[str]]:
         """Resolve a query path to the hop list(s) to execute: the path as

@@ -378,8 +378,9 @@ class FaultPlan:
 # circuit breaker
 # ----------------------------------------------------------------------
 def clock() -> float:
-    """The breakers' time source (``time.monotonic``); a test moves it by
-    replacing this function instead of sleeping out a reset window."""
+    """The time source of the breakers and of the ingest committer's
+    commit window (``time.monotonic``); a test moves or freezes it by
+    replacing this function instead of sleeping out a window."""
     return time.monotonic()
 
 

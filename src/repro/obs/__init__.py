@@ -41,9 +41,6 @@ from .tracing import (
     clear_traces,
     current_trace,
     recent_traces,
-    set_ring_capacity,
-    set_slow_threshold_ms,
-    slow_threshold_ms,
     span,
     start_trace,
     wrap_context,
@@ -74,9 +71,6 @@ __all__ = [
     "clear_traces",
     "current_trace",
     "recent_traces",
-    "set_ring_capacity",
-    "set_slow_threshold_ms",
-    "slow_threshold_ms",
     "span",
     "start_trace",
     "wrap_context",

@@ -14,7 +14,7 @@ Instrument semantics
 * :class:`Counter` — monotonically increasing float; ``inc(amount)``.
   Named ``*_total`` by convention.
 * :class:`Gauge` — a value that goes both ways; ``set`` / ``inc`` / ``dec``
-  (queue depth, cache bytes, open readers).
+  (cache bytes, open connections).
 * :class:`Histogram` — fixed cumulative buckets plus sum and count;
   ``observe(value)``.  Quantiles (p50/p95/p99) are estimated by linear
   interpolation *within* the bucket containing the target rank — exact at

@@ -2,27 +2,27 @@
 propagation, a bounded in-memory ring of finished traces, and a
 slow-trace log.
 
-A :class:`Trace` is opened per ingest ticket (by ``LineagePipeline.submit``)
-and, on either wire, per request that asks for one: the caller sends a W3C
-``traceparent`` (an HTTP header, or the same value under that key of an
-RPC request's JSON payload) and the server's trace takes the caller's
-trace id (:func:`parse_traceparent`; a client builds the value with
-:func:`traceparent`).  A request that asked for nothing but ran slow
-leaves a root-only trace, recorded after the fact (the server's
-``SLOW_REQUEST_S``); every other request records nothing, so
-``GET /debug/traces`` holds requested and slow traces only (and ingest
-tickets').  Within a trace, work is recorded as nested spans — ``plan``,
-``prefetch`` with one child per shard, ``join``, ``cache-install`` — each
-carrying wall-clock duration and free-form tags.  Propagation uses a single :class:`~contextvars.ContextVar`
-holding ``(trace, parent span id)``; crossing a thread boundary is one
-``contextvars.copy_context()`` at submit time (see
-:func:`wrap_context`), which is how spans opened inside the executor's
-prefetch pool and the pipeline's worker/committer threads still parent
-correctly.
+A :class:`Trace` is opened per ingest ticket (by
+``LineageService._enqueue``) and, on either wire, per request that asks
+for one — a trace named ``request``, tagged with its ``wire`` and ``op``:
+the caller sends a W3C ``traceparent`` (an HTTP header, or the same value
+under that key of an RPC request's JSON payload) and the server's trace
+takes the caller's trace id (:func:`parse_traceparent`; a client builds
+the value with :func:`traceparent`).  A request that asked for nothing
+but ran :data:`SLOW_S` or longer leaves a root-only trace, recorded after
+the fact; every other request records nothing, so ``GET /debug/traces``
+holds requested and slow traces only (and ingest tickets').  Within a
+trace, work is recorded as nested spans — ``plan``, ``prefetch`` with one
+child per shard, ``join``, ``cache-install`` — each carrying wall-clock
+duration and free-form tags.  Propagation uses a single
+:class:`~contextvars.ContextVar` holding ``(trace, parent span id)``;
+crossing a thread boundary is one ``contextvars.copy_context()`` at
+submit time (see :func:`wrap_context`), which is how spans opened inside
+the executor's prefetch pool and the pipeline's worker/committer threads
+still parent correctly.
 
 Finished traces land in a bounded deque served by ``GET /debug/traces``;
-traces slower than the threshold (``DSLOG_SLOW_TRACE_MS`` env or
-:func:`set_slow_threshold_ms`) are additionally emitted to the
+traces that took :data:`SLOW_S` or longer are additionally emitted to the
 structured log as ``slow_trace`` events.
 
 The module-level :func:`span` helper is the only API hot paths touch:
@@ -51,9 +51,7 @@ __all__ = [
     "wrap_context",
     "recent_traces",
     "clear_traces",
-    "set_ring_capacity",
-    "set_slow_threshold_ms",
-    "slow_threshold_ms",
+    "SLOW_S",
     "set_enabled",
     "tracing_enabled",
     "traceparent",
@@ -77,37 +75,13 @@ _CURRENT: "contextvars.ContextVar[Optional[Tuple[Trace, Optional[int]]]]" = (
     contextvars.ContextVar("repro_obs_trace", default=None)
 )
 
-_DEFAULT_RING_CAPACITY = 256
 _ring_lock = threading.Lock()
-_ring: "deque[dict]" = deque(maxlen=_DEFAULT_RING_CAPACITY)
+_ring: "deque[dict]" = deque(maxlen=256)
 
-
-def _env_slow_ms() -> float:
-    try:
-        return float(os.environ.get("DSLOG_SLOW_TRACE_MS", "250"))
-    except ValueError:
-        return 250.0
-
-
-_slow_threshold_ms = _env_slow_ms()
-
-
-def set_slow_threshold_ms(value: float) -> None:
-    """Traces at least this many milliseconds long are logged as
-    ``slow_trace`` events (0 logs every trace, ``inf`` disables)."""
-    global _slow_threshold_ms
-    _slow_threshold_ms = float(value)
-
-
-def slow_threshold_ms() -> float:
-    return _slow_threshold_ms
-
-
-def set_ring_capacity(capacity: int) -> None:
-    """Resize the finished-trace ring (keeps the newest entries)."""
-    global _ring
-    with _ring_lock:
-        _ring = deque(_ring, maxlen=max(1, int(capacity)))
+# what "slow" means, for every trace: one that took at least this long is
+# logged as a ``slow_trace`` event, and a request that asked for no trace
+# but ran this long still leaves a root-only one
+SLOW_S = 0.1
 
 
 def recent_traces(limit: Optional[int] = None) -> List[dict]:
@@ -278,8 +252,7 @@ class Trace:
             return payload
         with _ring_lock:
             _ring.append(payload)
-        duration_ms = (self.duration_s or 0.0) * 1000.0
-        if duration_ms >= _slow_threshold_ms:
+        if self.duration_s >= SLOW_S:
             from . import log as _log
 
             _log.log_event(
@@ -287,7 +260,7 @@ class Trace:
                 component="tracing",
                 trace_id=self.trace_id,
                 trace_name=self.name,
-                duration_ms=round(duration_ms, 3),
+                duration_ms=round(self.duration_s * 1000.0, 3),
                 spans=len(payload["spans"]),
                 tags=payload["tags"],
             )

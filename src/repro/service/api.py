@@ -4,9 +4,9 @@ Everything about the **service** rather than the **wire** lives here, once:
 
 * :data:`ENDPOINTS` — the serving surface, one :class:`Endpoint` row per
   operation: its name (the :data:`~repro.service.wire.OPCODES` name, also
-  the RPC metric label), its HTTP method and route, whether a request
-  may be traced, which reply kind the transport encodes, and ``run(core,
-  args)``.  :mod:`repro.service.server` derives ``{(method, route): row}``
+  the ``op`` metric label on both wires), its HTTP method and route,
+  whether a request may be traced, which reply kind the transport
+  encodes, and ``run(core, args)``.  :mod:`repro.service.server` derives ``{(method, route): row}``
   from it and :mod:`repro.service.rpc` ``{opcode: row}``; the argument
   checks (``array``, ``limit``, ``repair``) take the HTTP query-string
   dict and the JSON body alike, so both wires reject the same requests
@@ -407,10 +407,10 @@ class Endpoint(NamedTuple):
     """One operation of the serving surface (a row of :data:`ENDPOINTS`).
 
     *name* is the :data:`~repro.service.wire.OPCODES` name — the RPC
-    dispatch key and metric label; *method* and *route* place the row over
+    dispatch key and the ``op`` label of either wire's request metrics; *method* and *route* place the row over
     HTTP (``None``: RPC only); a request of a *traced* row may be traced —
-    when it sends a trace id or runs slow (:class:`~repro.service.server.
-    _RequestMeter`); the observability endpoints themselves would only
+    when it sends a trace id or runs slow (:func:`~repro.service.server.
+    _meter_request`); the observability endpoints themselves would only
     self-spam;
     ``run(core, args)`` produces the reply and *reply* names its kind for
     the transport's encoder — ``"json"`` (a dict), ``"text"`` (a str),

@@ -28,7 +28,8 @@ round trip.  The service decouples the three:
   applied operation rides the same per-shard fsync + manifest swap.  A
   ticket resolves only once a publish covers it, so ``ticket.result()``
   means *durable*, and N concurrent writers share one publish instead of
-  paying one each — the commit window (``commit_interval``) trades a few
+  paying one each — the commit window (``commit_interval``, timed on
+  :func:`repro.faults.clock`, the clock a test freezes) trades a few
   milliseconds of single-op latency for multi-writer throughput, exactly
   like a database's group commit delay.  At the storage layer the batch is
   *physically* coalesced too: worker appends only extend each dirty
@@ -54,6 +55,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..dslog import DSLog
+from .. import faults
 from ..faults import DeadlineExceeded, IngestOverloaded
 from ..obs import REGISTRY, tracing
 from ..obs.metrics import DEFAULT_SIZE_BUCKETS
@@ -63,21 +65,6 @@ from .snapshot import SnapshotDSLog
 
 __all__ = ["IngestTicket", "LineageService", "ServiceClosedError"]
 
-_SUBMITTED = REGISTRY.counter(
-    "dslog_ingest_submitted_total", "Operations accepted by submit()"
-)
-_FAILED = REGISTRY.counter(
-    "dslog_ingest_failed_total", "Tickets resolved with an error"
-)
-_OVERLOADED = REGISTRY.counter(
-    "dslog_ingest_overloaded_total", "submit() calls shed by backpressure timeout"
-)
-_COMMITS = REGISTRY.counter(
-    "dslog_ingest_commits_total", "Group-commit manifest publishes"
-)
-_QUEUE_DEPTH = REGISTRY.gauge(
-    "dslog_ingest_queue_depth", "Operations waiting in the ingest queue"
-)
 _SUBMIT_WAIT = REGISTRY.histogram(
     "dslog_ingest_submit_wait_seconds",
     "Time submit() blocked on a full queue (backpressure)",
@@ -86,9 +73,6 @@ _COMMIT_BATCH = REGISTRY.histogram(
     "dslog_ingest_commit_batch_size",
     "Tickets covered per group commit",
     buckets=DEFAULT_SIZE_BUCKETS,
-)
-_TICKET_SECONDS = REGISTRY.histogram(
-    "dslog_ingest_ticket_seconds", "Submit-to-durable latency per ticket"
 )
 
 _SENTINEL = object()
@@ -275,7 +259,7 @@ class LineageService:
         self._stop = False
         self._closed = False
         self._flush_requested = False
-        self._last_commit = time.monotonic() - self.commit_interval
+        self._last_commit = faults.clock() - self.commit_interval
         # counters (read under _cv)
         self.submitted = 0
         self.failed = 0
@@ -380,7 +364,6 @@ class LineageService:
                 self.submitted -= 1
                 self.overloaded += isinstance(error, queue.Full)
             if isinstance(error, queue.Full):
-                _OVERLOADED.inc()
                 _SUBMIT_WAIT.observe(time.monotonic() - waited)
                 raise IngestOverloaded(
                     f"ingest queue full ({self._queue.maxsize} deep) for "
@@ -389,9 +372,7 @@ class LineageService:
                     queue_depth=self._queue.qsize(),
                 ) from None
             raise
-        _SUBMITTED.inc()
         _SUBMIT_WAIT.observe(time.monotonic() - waited)
-        _QUEUE_DEPTH.set(self._queue.qsize())
         return ticket
 
     def _check_open(self) -> None:
@@ -454,7 +435,6 @@ class LineageService:
             else:
                 record = self._apply_spec(spec)
         except BaseException as error:
-            _FAILED.inc()
             with self._cv:
                 self._inflight -= 1
                 self.failed += 1
@@ -474,7 +454,7 @@ class LineageService:
     def _committer_loop(self) -> None:
         while True:
             with self._cv:
-                now = time.monotonic()
+                now = faults.clock()
                 due = bool(self._applied) and (
                     self._flush_requested
                     or self._stop
@@ -492,7 +472,7 @@ class LineageService:
                 batch = self._applied
                 self._applied = []
                 self._committing = True
-            self._last_commit = time.monotonic()
+            self._last_commit = faults.clock()
             try:
                 self._commit(batch)
             finally:
@@ -510,7 +490,6 @@ class LineageService:
             self.log.sync()
         except BaseException as error:
             commit_seconds = time.monotonic() - commit_started
-            _FAILED.inc(len(batch))
             with self._cv:
                 for ticket in batch:
                     self.failed += 1
@@ -529,9 +508,7 @@ class LineageService:
             epoch = self.log.store.torn_epoch()
             now = time.monotonic()
             commit_seconds = now - commit_started
-            _COMMITS.inc()
             _COMMIT_BATCH.observe(len(batch))
-            failed_tickets = 0
             with self._cv:
                 self.commits += 1
                 for ticket in batch:
@@ -541,7 +518,6 @@ class LineageService:
                         )
                     if ticket._applied_epoch != epoch:
                         self.failed += 1
-                        failed_tickets += 1
                         ticket._mark_failed(
                             OSError(
                                 errno.EIO,
@@ -551,12 +527,9 @@ class LineageService:
                         )
                         continue
                     self.committed_ops += 1
-                    _TICKET_SECONDS.observe(now - ticket.submitted_at)
                     ticket._mark_durable(now)
                 self.largest_commit = max(self.largest_commit, len(batch))
                 self._cv.notify_all()
-            if failed_tickets:
-                _FAILED.inc(failed_tickets)
 
     # ------------------------------------------------------------------
     # flush / close / maintenance
@@ -567,14 +540,17 @@ class LineageService:
         soon as the queue drains."""
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._cv:
-            while self._inflight > 0 or self._applied or self._committing:
-                self._flush_requested = True
-                self._cv.notify_all()
-                remaining = None if deadline is None else deadline - time.monotonic()
-                if remaining is not None and remaining <= 0:
-                    raise TimeoutError("flush() timed out")
-                self._cv.wait(0.05 if remaining is None else min(0.05, remaining))
-            self._flush_requested = False
+            try:
+                while self._inflight > 0 or self._applied or self._committing:
+                    self._flush_requested = True
+                    self._cv.notify_all()
+                    remaining = None if deadline is None else deadline - time.monotonic()
+                    if remaining is not None and remaining <= 0:
+                        raise TimeoutError("flush() timed out")
+                    self._cv.wait(0.05 if remaining is None else min(0.05, remaining))
+            finally:
+                # a timed-out flush must not leave the commit window overridden
+                self._flush_requested = False
 
     def snapshot(self):
         """A snapshot-isolated, read-only DSLog view of the catalog *as

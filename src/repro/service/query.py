@@ -115,7 +115,7 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Se
 
 from ..core.query import QueryResult, execute_chains
 from ..faults import CircuitBreaker, DeadlineExceeded, ShardUnavailable
-from ..obs import DEFAULT_SIZE_BUCKETS, REGISTRY, tracing
+from ..obs import REGISTRY, tracing
 from ..storage.segments import CorruptRecordError
 
 __all__ = [
@@ -147,18 +147,10 @@ _RESULT_STALE_SERVES = REGISTRY.counter(
     "dslog_result_cache_stale_serves_total",
     "Stale cached results served degraded behind a tripped breaker",
 )
-_DEADLINE_MISSES = REGISTRY.counter(
-    "dslog_query_deadline_misses_total", "Queries that ran out of deadline budget"
-)
 _PREFETCH_SECONDS = REGISTRY.histogram(
     "dslog_prefetch_seconds",
     "Per-shard hop-table hydration latency during query fan-out",
     labelnames=("shard",),
-)
-_BATCH_SIZE = REGISTRY.histogram(
-    "dslog_query_batch_size",
-    "Queries per executor batch (query_batch calls)",
-    buckets=DEFAULT_SIZE_BUCKETS,
 )
 
 
@@ -491,7 +483,6 @@ class QueryExecutor:
         requests = list(requests)
         if not requests:
             return []
-        _BATCH_SIZE.observe(len(requests))
         with self._stats_lock:
             self.batches += 1
             self.batched_queries += len(requests)
@@ -666,7 +657,6 @@ class QueryExecutor:
     def _fail_group(self, items: List[Tuple[int, Any, bytes]], shard: int, exc: BaseException, outcomes: List[Any]):
         """A fault on *shard* stopped a group: each request degrades or carries the fault."""
         if isinstance(exc, DeadlineExceeded):
-            _DEADLINE_MISSES.inc()
             with self._stats_lock:
                 self.deadline_misses += 1
         for i, _, key in items:

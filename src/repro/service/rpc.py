@@ -45,9 +45,9 @@ import threading
 from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..obs import REGISTRY, log_event, tracing
+from ..obs import log_event, tracing
 from .api import ENDPOINTS, MAX_BODY_BYTES, BodyTooLarge, Endpoint, error_info, run_endpoint
-from .server import LineageServer, LineageServerError, _Client, _RequestMeter
+from .server import LineageServer, LineageServerError, _Client, _meter_request
 from .wire import (
     FRAME_HEADER_SIZE,
     OP_ERROR,
@@ -68,22 +68,6 @@ from .wire import (
 )
 
 __all__ = ["RPCClient"]
-
-_RPC_REQUESTS = REGISTRY.counter(
-    "dslog_rpc_requests_total",
-    "RPC requests served, by opcode and outcome status",
-    labelnames=("op", "status"),
-)
-_RPC_SECONDS = REGISTRY.histogram(
-    "dslog_rpc_request_seconds",
-    "Wall time per RPC request, by opcode",
-    labelnames=("op",),
-)
-_RPC_CONNECTIONS = REGISTRY.gauge(
-    "dslog_rpc_connections",
-    "Currently open RPC client connections",
-)
-_RPC_METER = _RequestMeter("rpc", _RPC_REQUESTS, _RPC_SECONDS, "op", "rpc_request", "rpc")
 
 
 class _ConnectionDropped(Exception):
@@ -142,11 +126,12 @@ class _ConnectionHandler(socketserver.BaseRequestHandler):
     in a loop until the peer hangs up (or the closing server does, or the
     listener's idle timeout), answering each on the same socket."""
 
+    wire = "rpc"
+
     def handle(self) -> None:
         sock: socket.socket = self.request
         # small frames dominate; never trade latency for Nagle batching
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        _RPC_CONNECTIONS.inc()
         log_event(
             "rpc_connect", level="debug", component="rpc", client=self.client_address[0]
         )
@@ -186,7 +171,6 @@ class _ConnectionHandler(socketserver.BaseRequestHandler):
             return
         finally:
             rfile.close()
-            _RPC_CONNECTIONS.dec()
 
     def _serve_one(self, opcode: int, request_id: int, payload: Union[bytes, Exception]) -> None:
         """Answer one request frame; *payload* is its bytes, or the reason
@@ -205,7 +189,7 @@ class _ConnectionHandler(socketserver.BaseRequestHandler):
             except ValueError as error:
                 body = error
 
-        def answer() -> Tuple[str, bytes]:
+        def answer() -> Tuple[int, bytes]:
             try:
                 if isinstance(payload, Exception):
                     raise payload
@@ -216,17 +200,13 @@ class _ConnectionHandler(socketserver.BaseRequestHandler):
                 reply = _ENCODERS[row.reply](
                     run_endpoint(row, self.server.core, body, self.client_address[0])
                 )
-                return "ok", encode_frame(opcode, request_id, reply)
+                return 200, encode_frame(opcode, request_id, reply)
             except Exception as error:  # noqa: BLE001 - must answer, never hang
                 status, kind, message = error_info(error)
                 error_payload = encode_json({"status": status, "type": kind, "message": message})
-                return str(status), encode_frame(OP_ERROR, request_id, error_payload)
+                return status, encode_frame(OP_ERROR, request_id, error_payload)
 
-        self._send_frame(
-            _RPC_METER.serve(
-                row, {"op": OPCODES.get(opcode, f"op{opcode}")}, self.client_address[0], answer, trace_id
-            )
-        )
+        self._send_frame(_meter_request(self.wire, row, self.client_address[0], answer, trace_id))
 
     def _send_frame(self, frame: bytes) -> None:
         sock: socket.socket = self.request

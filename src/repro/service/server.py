@@ -15,8 +15,9 @@ the stdlib.  Which file owns what:
   a peer idle for :data:`IDLE_TIMEOUT_S`) and what a client is whatever it
   speaks (:class:`_Client`: retry policy and loop, ``connect`` rendezvous,
   request building, one method per endpoint over a wire's ``call``); what
-  a request costs in bookkeeping on either wire (:class:`_RequestMeter`:
-  trace on demand, counter, latency histogram, log event); then one lean HTTP/1.1
+  a request costs in bookkeeping on either wire (:func:`_meter_request`:
+  trace on demand, counter, latency histogram, log event — one vocabulary,
+  labelled with the ``wire``); then one lean HTTP/1.1
   codec for both ends: a handler thread per connection reading request
   heads line by line, and a client with **persistent keep-alive
   connections**, one per calling thread, that sends each request as one
@@ -33,8 +34,12 @@ One table, two wires.  *op* is the RPC opcode name (:data:`repro.service.
 wire.OPCODES`).  A request of a *traced* row is traced when it asks to be
 — a W3C ``traceparent`` HTTP header, or the same value under the
 ``"traceparent"`` key of an RPC request's JSON payload; the trace takes
-the caller's trace id — or when it runs :data:`SLOW_REQUEST_S` or longer,
-which leaves a root-only trace.  Any other request records none.
+the caller's trace id — or when it runs :data:`~repro.obs.tracing.SLOW_S`
+(0.1 s) or longer, which leaves a root-only trace.  Any other request
+records none.  Every request is booked in one vocabulary on both wires:
+``dslog_requests_total{wire, op, status}`` (a numeric status, 200 for an
+RPC success too), ``dslog_request_seconds{wire, op}`` and one ``request``
+log event; its trace, if any, is named ``request``.
 
 ===============  ====  =======================  ======  ==========================================
 op               HTTP  route                    traced  request → reply
@@ -117,7 +122,7 @@ import time
 import urllib.parse
 from email.utils import formatdate
 from http import HTTPStatus
-from typing import Any, BinaryIO, Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, BinaryIO, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..obs import REGISTRY, log_enabled, log_event, tracing
 from .api import (
@@ -135,15 +140,18 @@ from .query import DEFAULT_CACHE_ENTRIES, QueryExecutor
 from .retry import RetryPolicy
 from .wire import MAX_FRAME_BYTES, ShortRead, recv_exact
 
-_HTTP_REQUESTS = REGISTRY.counter(
-    "dslog_http_requests_total",
-    "HTTP requests served, by endpoint and status code",
-    labelnames=("endpoint", "status"),
+_REQUESTS = REGISTRY.counter(
+    "dslog_requests_total",
+    "Requests served, by wire, operation and status code",
+    labelnames=("wire", "op", "status"),
 )
-_HTTP_SECONDS = REGISTRY.histogram(
-    "dslog_http_request_seconds",
-    "Wall time per HTTP request, by endpoint",
-    labelnames=("endpoint",),
+_REQUEST_SECONDS = REGISTRY.histogram(
+    "dslog_request_seconds",
+    "Wall time per request, by wire and operation",
+    labelnames=("wire", "op"),
+)
+_CONNECTIONS = REGISTRY.gauge(
+    "dslog_connections", "Open client connections, by wire", labelnames=("wire",)
 )
 
 __all__ = [
@@ -156,7 +164,6 @@ __all__ = [
     "MAX_CONNECTIONS",
     "MAX_HEADERS",
     "MAX_LINE_BYTES",
-    "SLOW_REQUEST_S",
     "result_payload",
 ]
 
@@ -197,7 +204,9 @@ class _Listener(socketserver.ThreadingTCPServer):
     connections (:data:`MAX_CONNECTIONS`, :data:`IDLE_TIMEOUT_S`) and
     remembers every established one, so that a closing server can hang up
     on idle keep-alive and pooled peers instead of leaving their threads to
-    answer from a released core."""
+    answer from a released core.  The ``dslog_connections`` gauge of its
+    handler's wire counts the connections it holds: up when one is
+    admitted, down before a socket it held is closed or hung up on."""
 
     daemon_threads = True
     allow_reuse_address = True
@@ -207,6 +216,7 @@ class _Listener(socketserver.ThreadingTCPServer):
         self.fault_plan = fault_plan
         self._open: set = set()
         self._open_lock = threading.Lock()
+        self._connections = _CONNECTIONS.labels(handler.wire)
         super().__init__(address, handler)
 
     def process_request(self, request, client_address) -> None:
@@ -214,6 +224,7 @@ class _Listener(socketserver.ThreadingTCPServer):
             admitted = len(self._open) < MAX_CONNECTIONS
             if admitted:
                 self._open.add(request)
+                self._connections.inc()
         if not admitted:
             log_event(
                 "connection_refused", level="warning", component="server",
@@ -226,7 +237,9 @@ class _Listener(socketserver.ThreadingTCPServer):
 
     def shutdown_request(self, request) -> None:
         with self._open_lock:
-            self._open.discard(request)
+            if request in self._open:
+                self._open.remove(request)
+                self._connections.dec()
         super().shutdown_request(request)
 
     def hang_up(self) -> None:
@@ -234,6 +247,8 @@ class _Listener(socketserver.ThreadingTCPServer):
         EOF and exits, a peer mid-request sees a reset and re-dials."""
         with self._open_lock:
             connections = list(self._open)
+            self._open.clear()
+            self._connections.dec(len(connections))
         for connection in connections:
             try:
                 connection.shutdown(socket.SHUT_RDWR)
@@ -359,69 +374,54 @@ class LineageServer:
         self.close()
 
 
-# a request of a traced row that asked for no trace but ran at least this
-# long still leaves one: a root-only trace, recorded after the fact
-SLOW_REQUEST_S = 0.1
-
-
-class _RequestMeter(NamedTuple):
-    """What one request costs in bookkeeping, whichever wire it came over:
-    a trace (traced rows, tracing on, and only when the caller sent a
-    trace id or the request ran slow), a request counter and a latency
-    histogram labelled by the operation, and one log event.  A wire
-    differs only in the names."""
-
-    trace: str
-    requests: Any  # counter labelled (<label>, status)
-    seconds: Any  # histogram labelled (<label>,)
-    label: str
-    event: str
-    component: str
-
-    def serve(
-        self,
-        row: Optional[Endpoint],
-        tags: Dict[str, str],
-        client: str,
-        answer: Callable[[], Tuple[Any, bytes]],
-        trace_id: Optional[str] = None,
-    ) -> bytes:
-        """Run *answer* (→ ``(status, reply bytes)``) and book it; *tags*
-        name the request in its trace and the log event, ``tags[label]`` in
-        the metrics.  *trace_id*, the caller's, runs *answer* inside a
-        trace of that id; without one, only a request that took
-        :data:`SLOW_REQUEST_S` or longer is traced, root-only.  Returns the
-        reply for the caller to send — only now, so a client never sees a
-        reply before its trace is in the ring."""
-        started = time.monotonic()
-        traced = row is not None and row.traced and tracing.tracing_enabled()
-        trace: Optional[tracing.Trace] = None
-        if traced and trace_id is not None:
-            trace = tracing.Trace(self.trace, trace_id=trace_id, **tags)
-            with trace.activate():
-                status, reply = answer()
-        else:
+def _meter_request(
+    wire: str,
+    row: Optional[Endpoint],
+    client: str,
+    answer: Callable[[], Tuple[int, bytes]],
+    trace_id: Optional[str] = None,
+) -> bytes:
+    """Run *answer* (→ ``(status code, reply bytes)``) and book it the same
+    way on either wire: the ``dslog_requests_total`` counter and the
+    ``dslog_request_seconds`` histogram, one ``request`` log event and, for
+    a traced row with tracing on, a trace named ``request`` — all labelled
+    or tagged with *wire* and ``op``, the row's name (``(unrouted)`` for a
+    route or opcode with no row, so a scanner cannot blow up the label
+    cardinality).  *trace_id*, the caller's, runs *answer* inside a trace
+    of that id; without one, only a request that took
+    :data:`~repro.obs.tracing.SLOW_S` or longer is traced, root-only.
+    Returns the reply for the caller to send — only now, so a client never
+    sees a reply before its trace is in the ring."""
+    started = time.monotonic()
+    op = row.name if row is not None else "(unrouted)"
+    traced = row is not None and row.traced and tracing.tracing_enabled()
+    trace: Optional[tracing.Trace] = None
+    if traced and trace_id is not None:
+        trace = tracing.Trace("request", trace_id=trace_id, wire=wire, op=op)
+        with trace.activate():
             status, reply = answer()
-        elapsed = time.monotonic() - started
-        if traced and trace is None and elapsed >= SLOW_REQUEST_S:
-            trace = tracing.Trace(self.trace, t0=started, **tags)
-        if trace is not None:
-            trace.set_tag("status", status)
-            trace.finish()
-        name = tags[self.label]
-        self.requests.labels(name, str(status)).inc()
-        self.seconds.labels(name).observe(elapsed)
-        if log_enabled(self.component):
-            log_event(
-                self.event,
-                component=self.component,
-                **tags,
-                status=status,
-                ms=round(elapsed * 1000.0, 3),
-                client=client,
-                trace_id=trace.trace_id if trace is not None else None,
-            )
-        return reply
+    else:
+        status, reply = answer()
+    elapsed = time.monotonic() - started
+    if traced and trace is None and elapsed >= tracing.SLOW_S:
+        trace = tracing.Trace("request", t0=started, wire=wire, op=op)
+    if trace is not None:
+        trace.set_tag("status", status)
+        trace.finish()
+    _REQUESTS.labels(wire, op, str(status)).inc()
+    _REQUEST_SECONDS.labels(wire, op).observe(elapsed)
+    if log_enabled("server"):
+        log_event(
+            "request",
+            component="server",
+            wire=wire,
+            op=op,
+            status=status,
+            ms=round(elapsed * 1000.0, 3),
+            client=client,
+            trace_id=trace.trace_id if trace is not None else None,
+        )
+    return reply
 
 
 # ----------------------------------------------------------------------
@@ -555,9 +555,6 @@ _STATUS_LINES = {
 _CONTINUE = b"HTTP/1.1 100 Continue\r\n\r\n"
 # status line, Date, Content-Type, Content-Length, Connection (or nothing), body
 _REPLY = b"%sServer: dslog-lineage\r\nDate: %s\r\nContent-Type: %s\r\nContent-Length: %d\r\n%s\r\n%s"
-_HTTP_METER = _RequestMeter(
-    "http", _HTTP_REQUESTS, _HTTP_SECONDS, "endpoint", "request", "server"
-)
 _date: Tuple[int, bytes] = (0, b"")
 
 
@@ -574,6 +571,7 @@ class _Handler(socketserver.StreamRequestHandler):
     """One thread per connection: read a request head, answer the request
     with one ``sendall``, and loop while the connection may stay open."""
 
+    wire = "http"
     disable_nagle_algorithm = True  # a reply is one small write; send it now
 
     def handle(self) -> None:
@@ -598,11 +596,13 @@ class _Handler(socketserver.StreamRequestHandler):
         endpoint = path.rstrip("/") or "/"
         row = _ROUTES.get((method, endpoint))
         if row is None:
-            reply = self._unrouted(method, path, endpoint)
+            reply = _meter_request(
+                self.wire, None, self.client_address[0], lambda: self._unrouted(method, path, endpoint)
+            )
         else:
-            reply = _HTTP_METER.serve(
+            reply = _meter_request(
+                self.wire,
                 row,
-                {"method": method, "endpoint": endpoint},
                 self.client_address[0],
                 lambda: self._answer(row, query),
                 tracing.parse_traceparent(self.headers.get("traceparent")),
@@ -652,16 +652,13 @@ class _Handler(socketserver.StreamRequestHandler):
     def _error_reply(self, status: int, kind: str, message: str) -> bytes:
         return self._reply(status, _JSON, json.dumps({"error": {"type": kind, "message": message}}))
 
-    def _unrouted(self, method: str, path: str, endpoint: str) -> bytes:
+    def _unrouted(self, method: str, path: str, endpoint: str) -> Tuple[int, bytes]:
         if method in _METHODS and endpoint not in _PATHS:
             status, kind, message = 404, "not-found", f"unknown endpoint {path!r}"
         else:
             self._keep = False
             status, kind, message = 405, "method-not-allowed", f"{method} is not supported on {path}"
-        # unknown paths share one label value so a URL scanner cannot
-        # blow up the endpoint cardinality
-        _HTTP_REQUESTS.labels("(unrouted)", str(status)).inc()
-        return self._error_reply(status, kind, message)
+        return status, self._error_reply(status, kind, message)
 
     # -- a routed request -----------------------------------------------
     def _read_body(self) -> dict:

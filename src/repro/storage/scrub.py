@@ -62,28 +62,13 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from ..core.serialize import peek_table
-from ..obs import REGISTRY, log_event
+from ..obs import log_event
 from .segments import CorruptRecordError, read_record, scan_segment
 from .store import LineageStore, TableRef
 
 __all__ = ["scrub_store", "QUARANTINE_DIR"]
 
 QUARANTINE_DIR = "quarantine"
-
-_SCRUBS = REGISTRY.counter(
-    "dslog_scrubs_total", "Scrub passes by outcome", labelnames=("outcome",)
-)
-_SCRUB_CORRUPT = REGISTRY.counter(
-    "dslog_scrub_corrupt_records_total", "Corrupt records found by scrub passes"
-)
-_SCRUB_EVACUATED = REGISTRY.counter(
-    "dslog_scrub_evacuated_records_total",
-    "Valid records evacuated out of damaged segments",
-)
-_SCRUB_QUARANTINED = REGISTRY.counter(
-    "dslog_scrub_quarantined_total", "Segment files moved to quarantine"
-)
-
 
 def _ref_status(root: Path, ref: TableRef) -> Tuple[str, Optional[bytes]]:
     """Validate one manifest ref against the bytes on disk.
@@ -239,9 +224,6 @@ def scrub_store(store: LineageStore, repair: bool = False, serialize_lock=None) 
         or report["damaged_segments"]
         or report["orphan_segments"]
     )
-    _SCRUBS.labels(outcome="clean" if report["clean"] else "corrupt").inc()
-    if report["corrupt_records"]:
-        _SCRUB_CORRUPT.inc(len(report["corrupt_records"]))
     log_event(
         "scrub_detect",
         level="info" if report["clean"] else "warning",
@@ -346,11 +328,6 @@ def scrub_store(store: LineageStore, repair: bool = False, serialize_lock=None) 
         quarantine(name, {"reason": "orphan"})
 
     report["repaired"] = True
-    _SCRUBS.labels(outcome="repaired").inc()
-    if report["evacuated_records"]:
-        _SCRUB_EVACUATED.inc(report["evacuated_records"])
-    if report["quarantined"]:
-        _SCRUB_QUARANTINED.inc(len(report["quarantined"]))
     log_event(
         "scrub_repair",
         level="warning",

@@ -72,20 +72,8 @@ _SEG_FLUSHES = REGISTRY.counter(
 _SEG_FLUSH_BYTES = REGISTRY.counter(
     "dslog_segment_flush_bytes_total", "Bytes handed to the OS by coalesced writes"
 )
-_SEG_FLUSH_RECORDS = REGISTRY.counter(
-    "dslog_segment_flush_records_total", "Records covered by coalesced writes"
-)
-_SEG_TORN_WRITES = REGISTRY.counter(
-    "dslog_segment_torn_writes_total", "Short writes that destroyed pending bytes"
-)
 _SEG_FSYNCS = REGISTRY.counter(
     "dslog_segment_fsyncs_total", "fsync durability barriers on segment files"
-)
-_SEG_READS = REGISTRY.counter(
-    "dslog_segment_reads_total", "Record hydrations served from mapped segments"
-)
-_SEG_REMAPS = REGISTRY.counter(
-    "dslog_segment_mmap_remaps_total", "Segment mmap creations and growth remaps"
 )
 
 __all__ = [
@@ -267,7 +255,6 @@ class SegmentWriter:
                     self._pending_bytes = 0
                     self._pending_records = 0
                     self.torn_writes += 1
-                    _SEG_TORN_WRITES.inc()
                     raise InjectedFault(
                         "segment.write",
                         self.scope,
@@ -281,11 +268,9 @@ class SegmentWriter:
             self._pending_bytes = 0
             self.coalesced_writes += 1
             self.coalesced_records += self._pending_records
-            records = self._pending_records
             self._pending_records = 0
         _SEG_FLUSHES.inc()
         _SEG_FLUSH_BYTES.inc(len(buffer))
-        _SEG_FLUSH_RECORDS.inc(records)
         return len(buffer)
 
     def sync(self) -> int:
@@ -357,7 +342,6 @@ class SegmentReader:
         # outstanding views keep it alive, and GC reclaims it afterwards
         self._mm = mmap.mmap(self._fh.fileno(), size, access=mmap.ACCESS_READ)
         self._mapped = size
-        _SEG_REMAPS.inc()
 
     @property
     def mapped_size(self) -> int:
@@ -377,7 +361,6 @@ class SegmentReader:
         """
         if self.faults is not None:
             self.faults.check("segment.read", self.scope)
-        _SEG_READS.inc()
         end = offset + _FRAME.size + length
         with self._lock:
             if self._mm is None:

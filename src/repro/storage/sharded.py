@@ -64,7 +64,7 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
 from ..core.compressed import CompressedLineage
 from ..core.serialize import serialize_table
 from ..faults import FaultPlan
-from ..obs import REGISTRY, log_event
+from ..obs import log_event
 from .catalog import Catalog, LineageConflictError, LineageEntry, OperationRecord, _entry_pair
 from .manifest import MANIFEST_NAME, atomic_write
 from .scrub import scrub_store
@@ -92,11 +92,6 @@ SHARDS_NAME = "SHARDS.json"
 SHARDS_FORMAT = "dslog-sharded-store"
 SHARDS_FORMAT_VERSION = 1
 
-_SHARD_REOPENS = REGISTRY.counter(
-    "dslog_shard_reopens_total",
-    "Shard recovery probes (reset + scrub-and-repair) by outcome",
-    labelnames=("outcome",),
-)
 DEFAULT_NUM_SHARDS = 4
 META_SHARD = 0
 
@@ -383,7 +378,6 @@ class ShardedLineageStore:
                         )
                         break
                 except Exception as exc:
-                    _SHARD_REOPENS.labels(outcome="failed").inc()
                     log_event(
                         "shard_reopen",
                         level="error",
@@ -393,7 +387,6 @@ class ShardedLineageStore:
                         error=str(exc),
                     )
                     raise
-                _SHARD_REOPENS.labels(outcome="ok").inc()
                 log_event(
                     "shard_reopen",
                     level="info",

@@ -74,25 +74,13 @@ DEFAULT_SEGMENT_MAX_BYTES = 16 * 1024 * 1024
 _CACHE_HITS = REGISTRY.counter(
     "dslog_table_cache_hits_total", "Table cache lookups served from memory"
 )
-_CACHE_MISSES = REGISTRY.counter(
-    "dslog_table_cache_misses_total", "Table cache lookups that fell through to a segment"
-)
-_CACHE_EVICTIONS = REGISTRY.counter(
-    "dslog_table_cache_evictions_total", "Tables evicted to keep a cache within its byte budget"
-)
 # process-wide resident table bytes, maintained as inc/dec deltas because
 # every TableCache (one per open store root) feeds the same series
 _CACHE_BYTES = REGISTRY.gauge(
     "dslog_table_cache_bytes", "Materialized table bytes resident across all caches"
 )
-_TABLES_DESERIALIZED = REGISTRY.counter(
-    "dslog_tables_deserialized_total", "Segment payloads decoded into tables"
-)
 _MANIFEST_PUBLISHES = REGISTRY.counter(
     "dslog_manifest_publishes_total", "Atomic manifest publishes (durability points)"
-)
-_COMPACTIONS = REGISTRY.counter(
-    "dslog_compactions_total", "Store compactions (live-record rewrites)"
 )
 
 
@@ -193,7 +181,6 @@ class TableCache:
             item = self._items.get(key)
             if item is None:
                 self.misses += 1
-                _CACHE_MISSES.inc()
                 return None
             priority = self._floor + item.credit
             if priority > item.priority:
@@ -204,7 +191,6 @@ class TableCache:
 
     def put(self, key: Hashable, table: CompressedLineage, scope: Optional[str] = None) -> None:
         nbytes = table.nbytes()
-        evicted = 0
         evicted_bytes = 0
         with self._lock:
             if nbytes > self.budget_bytes or key in self._items:
@@ -221,11 +207,8 @@ class TableCache:
                 self._floor = priority
                 self.current_bytes -= old.nbytes
                 self.evictions += 1
-                evicted += 1
                 evicted_bytes += old.nbytes
         _CACHE_BYTES.inc(nbytes - evicted_bytes)
-        if evicted:
-            _CACHE_EVICTIONS.inc(evicted)
 
     def clear(self, scope: Optional[str] = None) -> None:
         """Drop the tables tagged *scope*; every table when it is ``None``."""
@@ -576,7 +559,6 @@ class LineageStore:
                 continue
             table = deserialize_table(payload)
             self.tables_deserialized += 1
-            _TABLES_DESERIALIZED.inc()
             table._segment_ref = resolved
             table._segment_owner = self
             self.cache.put(key, table, self.scope)
@@ -751,7 +733,6 @@ class LineageStore:
         # mappings' reference chain until the last view is released
         self._drop_readers(old_segments)
         self.cache.clear(self.scope)
-        _COMPACTIONS.inc()
         return {
             "records_copied": copied,
             "segments_before": len(old_segments),

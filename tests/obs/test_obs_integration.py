@@ -28,8 +28,8 @@ REQUIRED_METRICS = (
     "dslog_result_cache_misses_total",
     "dslog_breaker_transitions_total",
     "dslog_faults_injected_total",
-    "dslog_http_requests_total",
-    "dslog_http_request_seconds",
+    "dslog_requests_total",
+    "dslog_request_seconds",
     "dslog_prefetch_seconds",
 )
 
@@ -77,14 +77,14 @@ def test_metrics_endpoint_serves_valid_prometheus(client):
     families = parse_prometheus_text(text)  # raises on malformed text
     for name in REQUIRED_METRICS:
         assert name in families, f"{name} missing from /metrics"
-    assert families["dslog_http_requests_total"]["type"] == "counter"
-    assert families["dslog_http_request_seconds"]["type"] == "histogram"
+    assert families["dslog_requests_total"]["type"] == "counter"
+    assert families["dslog_request_seconds"]["type"] == "histogram"
     assert families["dslog_table_cache_bytes"]["type"] == "gauge"
     assert (
         sample_value(
             families,
-            "dslog_http_requests_total",
-            {"endpoint": "/query", "status": "200"},
+            "dslog_requests_total",
+            {"wire": "http", "op": "query", "status": "200"},
         )
         >= 1
     )
@@ -98,10 +98,11 @@ def test_metrics_content_type(server):
 
 
 def test_http_error_statuses_are_metered(client):
-    before = _counter_value("dslog_http_requests_total", endpoint="/graph/impact", status="404")
+    labels = {"wire": "http", "op": "impact", "status": "404"}
+    before = _counter_value("dslog_requests_total", **labels)
     with pytest.raises(Exception):
         client.impact("no-such-array")
-    after = _counter_value("dslog_http_requests_total", endpoint="/graph/impact", status="404")
+    after = _counter_value("dslog_requests_total", **labels)
     assert after == before + 1
 
 
@@ -114,7 +115,7 @@ def _query_traces(client):
     return [
         t
         for t in client.traces()
-        if t["name"] == "http" and t["tags"].get("endpoint") == "/query"
+        if t["name"] == "request" and {"wire": "http", "op": "query"}.items() <= t["tags"].items()
     ]
 
 
@@ -203,7 +204,7 @@ def test_request_log_event(client, caplog):
             getattr(r, "fields", {})
             for r in caplog.records
             if getattr(r, "event", None) == "request"
-            and getattr(r, "fields", {}).get("endpoint") == "/query"
+            and getattr(r, "fields", {}).get("op") == "query"
         ]
 
     with caplog.at_level(logging.INFO, logger="repro.obs"):
@@ -211,7 +212,7 @@ def test_request_log_event(client, caplog):
     requests = query_logs()  # logged before the reply was sent
     assert requests, "no structured request log event"
     entry = requests[-1]
-    assert entry["method"] == "POST"
+    assert entry["wire"] == "http"
     assert entry["status"] == 200
     assert entry["ms"] >= 0
     assert entry["trace_id"] == TRACE_ID

@@ -4,6 +4,7 @@ trace is active, and the slow-trace log hook."""
 
 import json
 import logging
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -14,9 +15,6 @@ from repro.obs.tracing import (
     clear_traces,
     current_trace,
     recent_traces,
-    set_ring_capacity,
-    set_slow_threshold_ms,
-    slow_threshold_ms,
     span,
     start_trace,
     wrap_context,
@@ -125,20 +123,17 @@ def test_finish_pushes_to_ring_once():
     assert traces[0]["duration_s"] >= 0
 
 
-def test_ring_is_bounded_and_newest_first():
-    set_ring_capacity(4)
-    try:
-        ids = []
-        for i in range(8):
-            t = Trace("t", seq=i)
-            ids.append(t.trace_id)
-            t.finish()
-        traces = recent_traces()
-        assert len(traces) == 4
-        assert [t["trace_id"] for t in traces] == ids[-1:-5:-1]
-        assert [t["trace_id"] for t in recent_traces(limit=2)] == ids[-1:-3:-1]
-    finally:
-        set_ring_capacity(256)
+def test_ring_is_bounded_and_newest_first(monkeypatch):
+    monkeypatch.setattr(tracing, "_ring", deque(maxlen=4))
+    ids = []
+    for i in range(8):
+        t = Trace("t", seq=i)
+        ids.append(t.trace_id)
+        t.finish()
+    traces = recent_traces()
+    assert len(traces) == 4
+    assert [t["trace_id"] for t in traces] == ids[-1:-5:-1]
+    assert [t["trace_id"] for t in recent_traces(limit=2)] == ids[-1:-3:-1]
 
 
 def test_start_trace_none_when_disabled():
@@ -150,14 +145,10 @@ def test_start_trace_none_when_disabled():
         tracing.set_enabled(True)
 
 
-def test_slow_trace_emits_log_event(caplog):
-    previous = slow_threshold_ms()
-    set_slow_threshold_ms(0.0)
-    try:
-        with caplog.at_level(logging.INFO, logger="repro.obs"):
-            Trace("slowpoke").finish()
-    finally:
-        set_slow_threshold_ms(previous)
+def test_slow_trace_emits_log_event(caplog, monkeypatch):
+    monkeypatch.setattr(tracing, "SLOW_S", 0.0)  # every trace is slow
+    with caplog.at_level(logging.INFO, logger="repro.obs"):
+        Trace("slowpoke").finish()
     events = [r for r in caplog.records if getattr(r, "fields", {}).get("trace_name") == "slowpoke"]
     assert len(events) == 1
     assert events[0].getMessage() == "slow_trace"

@@ -8,8 +8,9 @@ import threading
 import numpy as np
 import pytest
 
-from repro import DSLog, IngestOverloaded, LineageService
+from repro import DSLog, IngestOverloaded, LineageService, faults
 from repro.core.relation import LineageRelation
+from repro.faults import FaultPlan
 from repro.service import ServiceClosedError
 
 SHAPE = (4,)
@@ -149,6 +150,49 @@ class TestTickets:
                 "x", "y", relation=elementwise("x", "y"), op_name="pairwise"
             ).result(timeout=10)
             assert entry.op_name == "pairwise"
+
+
+class TestCommitWindow:
+    """The committer's window runs on ``faults.clock`` and only a flush in
+    progress overrides it."""
+
+    @staticmethod
+    def define(svc, names="wxyz"):
+        for name in names:
+            svc.define_array(name, SHAPE)
+
+    def test_a_frozen_clock_commits_only_when_asked(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(faults, "clock", lambda: 1000.0)
+        svc = LineageService(tmp_path / "db", workers=1, commit_interval=0.01)
+        self.define(svc)
+        first = svc.submit_lineage("w", "x", relation=elementwise("w", "x"))
+        svc.flush(timeout=10)  # stamps the last commit at the frozen instant
+        assert first.done and not first.failed
+        ticket = svc.submit_lineage("x", "y", relation=elementwise("x", "y"))
+        assert not ticket.wait(0.2)  # twenty windows of wall time, none on the clock
+        svc.flush(timeout=10)
+        assert ticket.done and not ticket.failed
+        last = svc.submit_lineage("y", "z", relation=elementwise("y", "z"))
+        assert not last.wait(0.1)
+        svc.close()
+        assert last.done and not last.failed
+
+    def test_a_timed_out_flush_does_not_disable_the_window(self, tmp_path):
+        plan = FaultPlan().on("service.commit", kind="stall", every=1, seconds=0.1)
+        log = DSLog(tmp_path / "db", num_shards=2, autosync=False, faults=plan)
+        with LineageService(log=log, workers=1, commit_interval=30.0) as svc:
+            self.define(svc)
+            # the first commit window is immediately due; burn it
+            svc.submit_lineage("w", "x", relation=elementwise("w", "x")).result(timeout=10)
+            plan.arm()
+            svc.submit_lineage("x", "y", relation=elementwise("x", "y"))
+            with pytest.raises(TimeoutError):
+                svc.flush(timeout=0.05)  # the commit it asked for stalls
+            plan.disarm()
+            ticket = svc.submit_lineage("y", "z", relation=elementwise("y", "z"))
+            assert not ticket.wait(0.2)  # the 30 s window holds again
+            svc.flush(timeout=10)
+            assert ticket.done and not ticket.failed
 
 
 class TestStress:

@@ -196,7 +196,7 @@ def test_a_request_that_sends_an_id_is_traced_under_it(clients, wire):
     trace_id = "0af7651916cd43dd8448eb211c80319c"
     clients[wire].prov_query(["b", "a"], cells=QUERY, trace_id=trace_id)
     (trace,) = tracing.recent_traces()
-    assert trace["trace_id"] == trace_id and trace["name"] == wire
+    assert trace["trace_id"] == trace_id and trace["name"] == "request" and trace["tags"]["wire"] == wire
     assert trace["tags"]["cache"] == "miss"
     assert {"plan", "join"} <= {span["name"] for span in trace["spans"]}
     batch_id = "0af7651916cd43dd8448eb211c80319d"
@@ -215,13 +215,13 @@ def test_a_request_that_sends_none_is_not_traced(clients):
 
 @pytest.mark.parametrize("wire", ["http", "rpc"])
 def test_a_slow_request_leaves_a_root_only_trace(clients, wire, monkeypatch):
-    monkeypatch.setattr(server_module, "SLOW_REQUEST_S", 0.0)  # every request is slow
+    monkeypatch.setattr(tracing, "SLOW_S", 0.0)  # every request is slow
     tracing.clear_traces()
     clients[wire].prov_query(["b", "a"], cells=QUERY)
     (trace,) = tracing.recent_traces()
-    assert trace["name"] == wire and trace["spans"] == []
+    assert trace["name"] == "request" and trace["spans"] == []
     assert trace["duration_s"] > 0 and len(trace["trace_id"]) == 16
-    assert trace["tags"]["status"] == (200 if wire == "http" else "ok")
+    assert trace["tags"] == {"wire": wire, "op": "query", "status": 200}
     clients[wire].healthz()  # an untraced row stays untraced, slow or not
     assert len(tracing.recent_traces()) == 1
 

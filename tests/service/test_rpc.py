@@ -9,7 +9,6 @@ import json
 import socket
 import struct
 import threading
-import time
 
 import pytest
 
@@ -111,6 +110,24 @@ def test_unknown_opcode_gets_error_frame(server):
     info = json.loads(payload)
     assert info["status"] == 400
     assert "opcode" in info["message"]
+
+
+def test_unknown_opcodes_share_one_metric_label(server):
+    """An opcode is a u16: a peer cycling through unknown ones must not mint
+    a counter and a histogram series per opcode.  Like an unknown HTTP
+    route, every one is booked as ``op="(unrouted)"``."""
+
+    def rpc_ops(family):
+        values = REGISTRY.snapshot().get(family, {"values": {}})["values"]
+        return {dict(pair.split("=", 1) for pair in key.split(","))["op"] for key in values if "wire=rpc" in key}
+
+    before = {family: rpc_ops(family) for family in ("dslog_requests_total", "dslog_request_seconds")}
+    with socket.create_connection((server.host, server.rpc_port), timeout=5) as sock:
+        for request_id, opcode in enumerate(range(1000, 1050)):
+            sock.sendall(encode_frame(opcode, request_id, b"{}"))
+            assert read_frame(sock)[:2] == (OP_ERROR, request_id)
+    for family, ops in before.items():
+        assert rpc_ops(family) == ops | {"(unrouted)"}, family
 
 
 def test_oversized_request_frame_is_413_without_reading_the_payload(server):
@@ -339,24 +356,11 @@ def test_rpc_metrics_per_opcode(client):
     with pytest.raises(LineageServerError):
         client.impact("missing")
     text = client.metrics_text()
-    assert 'dslog_rpc_requests_total{op="query",status="ok"}' in text
-    assert 'dslog_rpc_requests_total{op="impact",status="ok"}' in text
-    assert 'dslog_rpc_requests_total{op="impact",status="404"}' in text
-    assert 'dslog_rpc_request_seconds_count{op="query"}' in text
-    assert "dslog_rpc_connections" in text
-
-
-def test_connection_gauge_tracks_open_sockets(server):
-    gauge = REGISTRY.gauge("dslog_rpc_connections")
-    base = gauge.value
-    client = RPCClient.connect(server.rpc_address)
-    client.ping()
-    assert gauge.value == base + 1
-    client.close()
-    deadline = time.monotonic() + 5
-    while gauge.value > base and time.monotonic() < deadline:
-        time.sleep(0.01)  # the handler thread notices the close async
-    assert gauge.value == base
+    assert 'dslog_requests_total{wire="rpc",op="query",status="200"}' in text
+    assert 'dslog_requests_total{wire="rpc",op="impact",status="200"}' in text
+    assert 'dslog_requests_total{wire="rpc",op="impact",status="404"}' in text
+    assert 'dslog_request_seconds_count{wire="rpc",op="query"}' in text
+    assert 'dslog_connections{wire="rpc"}' in text
 
 
 def test_rpc_requests_traced(server):
@@ -367,6 +371,6 @@ def test_rpc_requests_traced(server):
     client.prov_query(["a", "b", "c"], cells=[[1, 1]], trace_id=trace_id)
     client.close()
     traces = tracing.recent_traces(20)
-    rpc_traces = [t for t in traces if t["name"] == "rpc"]
+    rpc_traces = [t for t in traces if t["name"] == "request" and t["tags"]["wire"] == "rpc"]
     assert rpc_traces and rpc_traces[0]["trace_id"] == trace_id
     assert rpc_traces[0]["tags"]["op"] == "query"

@@ -16,6 +16,7 @@ import pytest
 
 from repro import DSLog
 from repro.core.relation import LineageRelation
+from repro.obs import REGISTRY
 from repro.service import rpc as rpc_module
 from repro.service import server as server_module
 from repro.service import wire
@@ -198,7 +199,7 @@ def test_every_endpoint_answers_alike_on_both_wires(log):
                 {line.split()[2] for line in text.splitlines() if line.startswith("# TYPE")}
                 for text in (http.metrics_text(), rpc.metrics_text())
             )
-            assert over_http == over_rpc and "dslog_rpc_requests_total" in over_rpc
+            assert over_http == over_rpc and "dslog_requests_total" in over_rpc
             assert rpc.ping() is None
 
 
@@ -225,7 +226,7 @@ def test_healthz_scrub_traces_metrics(client):
     assert isinstance(client.traces(limit=5), list)
     client.prov_query(["a", "b"], cells=[[0, 1]])
     text = client.metrics_text()
-    assert "dslog_http_requests_total" in text or "dslog_rpc_requests_total" in text
+    assert "dslog_requests_total" in text
 
 
 def test_repair_scrub_is_refused_from_a_remote_peer(transport, log, monkeypatch):
@@ -253,25 +254,30 @@ def test_repair_scrub_is_refused_from_a_remote_peer(transport, log, monkeypatch)
             assert client.scrub(repair=True)["clean"] is True
 
 
-def test_request_log_event_names_the_request_and_its_trace(transport, client, caplog):
-    """At level info every request logs one event (``request`` over HTTP,
-    ``rpc_request`` over RPC) whose fields name the request and whose trace
-    id — the one the request sent — is the one ``/debug/traces`` shows for
-    it."""
-    if transport.name == "http":
-        event, tags, status = "request", {"method": "POST", "endpoint": "/query"}, 200
-    else:
-        event, tags, status = "rpc_request", {"op": "query"}, "ok"
-    trace_id = "4bf92f3577b34da6a3ce929d0e0e4736"
+def test_one_request_vocabulary_on_both_wires(transport, client, caplog):
+    """The same query is booked alike over either wire: counted under the
+    same ``op`` and numeric ``status`` labels, logged at level info as one
+    ``request`` event and traced as a trace named ``request``, whose fields
+    and tags differ only in ``wire``.  The event's trace id — the one the
+    request sent — is the one ``/debug/traces`` shows for it."""
+    wire, trace_id = transport.name, "4bf92f3577b34da6a3ce929d0e0e4736"
+    served = REGISTRY.get("dslog_requests_total").labels(wire, "query", "200")
+    before = served.value
     with caplog.at_level(logging.INFO, logger="repro.obs"):
         client.prov_query(["a", "b"], cells=[[1, 1]], trace_id=trace_id)
-    (record,) = [r for r in caplog.records if getattr(r, "event", None) == event]
-    fields = record.fields
-    assert set(fields) == {*tags, "status", "ms", "client", "trace_id", "component"}
-    assert {key: fields[key] for key in tags} == tags and fields["status"] == status
+    assert served.value == before + 1
+    (record,) = [r for r in caplog.records if getattr(r, "event", None) == "request"]
+    fields = dict(record.fields)
+    assert fields.pop("ms") >= 0
+    assert fields == {
+        "component": "server", "wire": wire, "op": "query", "status": 200,
+        "client": "127.0.0.1", "trace_id": trace_id,
+    }
     (trace,) = client.traces(limit=1)
-    assert trace["trace_id"] == fields["trace_id"] == trace_id
-    assert dict(tags, status=status).items() <= trace["tags"].items()
+    assert (trace["name"], trace["trace_id"]) == ("request", trace_id)
+    assert trace["tags"] == {
+        "wire": wire, "op": "query", "status": 200, "cache": "miss", "batch_misses": 1, "path_len": 2,
+    }
 
 
 def test_a_filtered_request_event_is_not_built(client, monkeypatch):
@@ -395,24 +401,36 @@ def _reads_eof(sock: socket.socket) -> bool:
 def test_connection_over_the_cap_is_closed_and_a_freed_slot_is_served(
     transport, log, monkeypatch, caplog
 ):
+    """The ``dslog_connections`` gauge of the wire counts what the listener
+    holds, with no wait anywhere: a connection is counted when admitted,
+    never when refused, and uncounted before the listener hangs up on it."""
     monkeypatch.setattr(server_module, "MAX_CONNECTIONS", 2)
+    connections = REGISTRY.get("dslog_connections").labels(transport.name)
+    base = connections.value  # a closed server's connections are all uncounted
     with transport.server(log) as server:
-        dial = (server.host, transport.port(server))
-        held = [socket.create_connection(dial, timeout=5.0) for _ in range(3)]
+        # connect() answers a request: each client now holds an admitted slot
+        held = [transport.client.connect(transport.address(server), timeout=5.0) for _ in range(2)]
+        refused = socket.create_connection((server.host, transport.port(server)), timeout=5.0)
         try:
+            assert connections.value == base + 2
             with caplog.at_level(logging.WARNING, logger="repro.obs"):
-                assert _reads_eof(held[2])  # accepted third: closed, no handler
+                assert _reads_eof(refused)  # accepted third: closed, no handler
             (event,) = [r for r in caplog.records if getattr(r, "event", None) == "connection_refused"]
             assert event.fields["max_connections"] == 2
+            assert connections.value == base + 2
             # a half-close ends the first connection's handler, which gives
             # its slot back before it hangs up
-            held[0].shutdown(socket.SHUT_WR)
-            assert _reads_eof(held[0])
+            (first,) = transport.sockets(held[0])
+            first.shutdown(socket.SHUT_WR)
+            assert _reads_eof(first)
+            assert connections.value == base + 1
             with transport.client.connect(transport.address(server), timeout=5.0) as client:
                 assert client.prov_query(["a", "b"], cells=[[1, 1]])["count"] == 1
         finally:
-            for sock in held:
-                sock.close()
+            refused.close()
+            for client in held:
+                client.close()
+    assert connections.value == base
 
 
 def test_idle_connection_is_hung_up_and_the_client_redials(transport, log, monkeypatch):
