@@ -54,7 +54,7 @@ def main() -> None:
     root = Path(tempfile.mkdtemp()) / "catalog"
     print(f"catalog root: {root}\n")
 
-    with LineageService(root, workers=2, num_shards=4, commit_interval=0.005) as service:
+    with LineageService(root, num_shards=4) as service:
         # --- declare every pipeline's arrays up front (cheap metadata) ---
         for w in range(WRITERS):
             for step in range(STEPS + 1):

@@ -56,7 +56,6 @@ from typing import (
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
-    from .service.query import QueryExecutor
     from .service.server import LineageServer
 
 from .core.compressed import CompressedLineage
@@ -69,7 +68,6 @@ from .storage.catalog import ArrayInfo, Catalog, LineageEntry, OperationRecord
 from .storage.sharded import DEFAULT_NUM_SHARDS, ShardedCatalog, ShardedLineageStore
 from .storage.store import (
     DEFAULT_CACHE_BYTES,
-    DEFAULT_SEGMENT_MAX_BYTES,
     StoredLineageEntry,
     TableRef,
 )
@@ -103,8 +101,6 @@ class DSLog:
         call.  Bulk ingest should pass ``False`` and call :meth:`sync` (or
         :meth:`close`) once at the end; the concurrent service always runs
         with ``False`` and group-commits.
-    segment_max_bytes:
-        Roll-over threshold for segment files.
     num_shards:
         Shard count of a new durable directory (an existing directory's
         ``SHARDS.json`` wins); ``1`` is the single-writer layout.
@@ -117,7 +113,6 @@ class DSLog:
         reuse_confirmations: int = 1,
         cache_bytes: int = DEFAULT_CACHE_BYTES,
         autosync: bool = True,
-        segment_max_bytes: int = DEFAULT_SEGMENT_MAX_BYTES,
         num_shards: Optional[int] = None,
         faults: Optional[FaultPlan] = None,
         *,
@@ -155,7 +150,6 @@ class DSLog:
                 num_shards=num_shards if num_shards is not None else DEFAULT_NUM_SHARDS,
                 gzip=gzip,
                 cache_bytes=cache_bytes,
-                segment_max_bytes=segment_max_bytes,
                 faults=faults,
             )
             self.gzip = self.store.gzip
@@ -619,28 +613,10 @@ class DSLog:
             self.catalog.drop_entries([tuple(pair) for pair in pairs])
             self._graph = None
 
-    def executor(
-        self,
-        max_workers: Optional[int] = None,
-        cache_entries: Optional[int] = None,
-    ) -> "QueryExecutor":
-        """A scale-out query executor over this catalog: batched θ-joins
-        and deadline-bounded shard hydration behind a generation-keyed
-        result cache (:mod:`repro.service.query`).  The caller owns it (close it, or use
-        it as a context manager)."""
-        from .service.query import DEFAULT_CACHE_ENTRIES, QueryExecutor
-
-        return QueryExecutor(
-            self,
-            max_workers=max_workers,
-            cache_entries=DEFAULT_CACHE_ENTRIES if cache_entries is None else cache_entries,
-        )
-
     def serve(
         self,
         port: Optional[int] = 0,
         host: str = "127.0.0.1",
-        max_workers: Optional[int] = None,
         cache_entries: Optional[int] = None,
         start: bool = True,
         rpc_port: Optional[int] = None,
@@ -663,7 +639,6 @@ class DSLog:
             host=host,
             port=port,
             rpc_port=rpc_port,
-            max_workers=max_workers,
             cache_entries=DEFAULT_CACHE_ENTRIES if cache_entries is None else cache_entries,
         )
         return server.start() if start else server

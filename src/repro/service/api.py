@@ -96,6 +96,17 @@ def _parse_deadline(value) -> Optional[float]:
     return float(value)
 
 
+def _flag_arg(args: dict, name: str, default: bool) -> bool:
+    """A JSON boolean argument, *default* when absent: any other value
+    (``"false"``, ``0``, ``null``) is refused rather than read by truthiness."""
+    if name not in args:
+        return default
+    value = args[name]
+    if not isinstance(value, bool):
+        raise ValueError(f"'{name}' must be true or false, got {value!r}")
+    return value
+
+
 def parse_query_request(body: dict) -> QuerySpec:
     """Validate one query request body (shared by both transports)."""
     path = body.get("path")
@@ -111,10 +122,12 @@ def parse_query_request(body: dict) -> QuerySpec:
         if not isinstance(cells, list):
             raise ValueError("'cells' must be a list of cell coordinates")
         query: Any = []
+        # ``type(c) is int``, not isinstance: JSON true / false decode to
+        # bools, which isinstance counts as ints, and are no coordinate
         for cell in cells:
-            if isinstance(cell, list) and all(isinstance(c, int) for c in cell):
+            if isinstance(cell, list) and all(type(c) is int for c in cell):
                 query.append(tuple(cell))
-            elif isinstance(cell, int):
+            elif type(cell) is int:
                 query.append(cell)
             else:
                 raise ValueError(
@@ -131,7 +144,7 @@ def parse_query_request(body: dict) -> QuerySpec:
             elif (
                 isinstance(pair, list)
                 and len(pair) == 2
-                and all(p is None or isinstance(p, int) for p in pair)
+                and all(p is None or type(p) is int for p in pair)
             ):
                 query.append(slice(pair[0], pair[1]))
             else:
@@ -141,9 +154,9 @@ def parse_query_request(body: dict) -> QuerySpec:
     return QuerySpec(
         path=path,
         query=query,
-        merge=bool(body.get("merge", True)),
-        include_boxes=bool(body.get("include_boxes", True)),
-        include_cells=bool(body.get("include_cells", False)),
+        merge=_flag_arg(body, "merge", True),
+        include_boxes=_flag_arg(body, "include_boxes", True),
+        include_cells=_flag_arg(body, "include_cells", False),
         deadline=_parse_deadline(body.get("deadline")),
     )
 
@@ -238,7 +251,7 @@ def _limit_arg(args: dict) -> Optional[int]:
         return None
     if isinstance(limit, str) and limit.removeprefix("-").isdecimal():
         limit = int(limit)  # the query-string form
-    if not isinstance(limit, int) or isinstance(limit, bool):
+    if type(limit) is not int:
         raise ValueError("the 'limit' parameter must be an integer")
     if limit <= 0:
         raise ValueError("the 'limit' parameter must be positive")
@@ -259,22 +272,19 @@ class ServiceCore:
     executor:
         A pre-built :class:`QueryExecutor` to share; by default the core
         owns one (and closes it on :meth:`close`).
-    max_workers / cache_entries:
-        Forwarded to the owned executor.
+    cache_entries:
+        Result-cache capacity of the owned executor.
     """
 
     def __init__(
         self,
         log,
         executor: Optional[QueryExecutor] = None,
-        max_workers: Optional[int] = None,
         cache_entries: int = DEFAULT_CACHE_ENTRIES,
     ) -> None:
         self.log = log
         self._owns_executor = executor is None
-        self.executor = executor or QueryExecutor(
-            log, max_workers=max_workers, cache_entries=cache_entries
-        )
+        self.executor = executor or QueryExecutor(log, cache_entries=cache_entries)
         self._closed = False
 
     # -- queries --------------------------------------------------------
@@ -381,7 +391,7 @@ class ServiceCore:
 
     def scrub_payload(self, args: dict) -> dict:
         try:
-            report = self.log.scrub(repair=bool(args.get("repair", False)))
+            report = self.log.scrub(repair=_flag_arg(args, "repair", False))
         except RuntimeError as error:  # a memory log has nothing on disk to scrub
             raise ValueError(str(error)) from None
         # reports may carry Paths / int shard keys; normalize to pure JSON
@@ -443,7 +453,7 @@ def run_endpoint(row: Endpoint, core: ServiceCore, args: dict, peer: str) -> Any
     entry whose one table is damaged, so it is refused (:class:`Forbidden`)
     unless *peer* is a loopback address: repair is for an operator on the
     server's own host."""
-    if row.name == "scrub" and args.get("repair") and not _is_loopback(peer):
+    if row.name == "scrub" and _flag_arg(args, "repair", False) and not _is_loopback(peer):
         raise Forbidden(f"a repairing scrub is accepted from this host only, not from {peer}")
     return row.run(core, args)
 

@@ -16,7 +16,7 @@ round trip.  The service decouples the three:
   capture callables, exactly the ``register_operation`` surface — and
   returns an :class:`IngestTicket` immediately.  When the queue is full the
   call blocks: backpressure, so an ingest storm cannot grow memory without
-  bound.  The wait is *bounded*: after ``submit_timeout`` seconds the call
+  bound.  The wait is *bounded*: after :data:`SUBMIT_TIMEOUT_S` the call
   raises a structured :class:`repro.faults.IngestOverloaded` (carrying the
   queue depth) instead of blocking indefinitely, so a stalled committer
   cannot wedge every producer thread.
@@ -28,7 +28,7 @@ round trip.  The service decouples the three:
   applied operation rides the same per-shard fsync + manifest swap.  A
   ticket resolves only once a publish covers it, so ``ticket.result()``
   means *durable*, and N concurrent writers share one publish instead of
-  paying one each — the commit window (``commit_interval``, timed on
+  paying one each — the commit window (:data:`COMMIT_INTERVAL_S`, timed on
   :func:`repro.faults.clock`, the clock a test freezes) trades a few
   milliseconds of single-op latency for multi-writer throughput, exactly
   like a database's group commit delay.  At the storage layer the batch is
@@ -48,6 +48,7 @@ round trip.  The service decouples the three:
 from __future__ import annotations
 
 import errno
+import math
 import queue
 import threading
 import time
@@ -59,8 +60,6 @@ from .. import faults
 from ..faults import DeadlineExceeded, IngestOverloaded
 from ..obs import REGISTRY, tracing
 from ..obs.metrics import DEFAULT_SIZE_BUCKETS
-from ..storage.store import DEFAULT_CACHE_BYTES, DEFAULT_SEGMENT_MAX_BYTES
-from ..storage.sharded import DEFAULT_NUM_SHARDS
 from .snapshot import SnapshotDSLog
 
 __all__ = ["IngestTicket", "LineageService", "ServiceClosedError"]
@@ -76,7 +75,15 @@ _COMMIT_BATCH = REGISTRY.histogram(
 )
 
 _SENTINEL = object()
-_DEFAULT_TIMEOUT = object()  # submit(timeout=...) not given: use the service default
+
+# bound of the ingest queue; a full queue blocks submit() (backpressure)
+QUEUE_SIZE = 256
+# seconds submit() may block on a full queue before IngestOverloaded
+SUBMIT_TIMEOUT_S = 30.0
+# the group-commit window: the committer publishes at most once per window
+# (a flush() overrides it), so concurrent writers amortize the per-shard
+# fsync + manifest swap; single-op durable latency is at least one window
+COMMIT_INTERVAL_S = 0.002
 
 
 class ServiceClosedError(RuntimeError):
@@ -186,32 +193,17 @@ class LineageService:
 
     Parameters
     ----------
-    root:
-        Directory of the catalog (created if absent).  Ignored when *log*
-        is given.
+    root / num_shards:
+        Directory of the catalog (created if absent) and the shard count
+        of a new one: the service opens ``DSLog(root, num_shards=...)``.
     log:
         An existing durable DSLog (one opened with a root) to serve instead
-        of opening one.  The service takes ownership: ``close()`` closes it.
+        of opening one — the way to pass any other :class:`DSLog` option.
+        It excludes *root* and *num_shards*.  The service takes ownership:
+        ``close()`` closes it.
     workers:
         Ingest worker threads.  Compression and serialization run here with
         no lock held, overlapping each other and the committer's fsyncs.
-    queue_size:
-        Bound of the ingest queue; a full queue blocks ``submit``
-        (backpressure).
-    submit_timeout:
-        Default bound, in seconds, on how long ``submit`` may block on a
-        full queue before raising :class:`repro.faults.IngestOverloaded`.
-        ``None`` restores the old block-forever behaviour; a per-call
-        ``timeout=`` overrides it.
-    commit_interval:
-        Group-commit window in seconds.  The committer publishes at most
-        once per window (a ``flush()`` overrides it), so concurrent writers
-        amortize the per-shard fsync + manifest swap across the batch.
-        Single-op durable latency is at least one window — the group-commit
-        trade.
-    num_shards / gzip / cache_bytes / segment_max_bytes / reuse_confirmations:
-        Forwarded to :class:`DSLog` when the service opens the catalog
-        (``cache_bytes`` bounds the hydrated tables of all shards together).
     """
 
     def __init__(
@@ -220,26 +212,16 @@ class LineageService:
         *,
         log: Optional[DSLog] = None,
         workers: int = 2,
-        queue_size: int = 256,
-        submit_timeout: Optional[float] = 30.0,
-        commit_interval: float = 0.002,
-        num_shards: int = DEFAULT_NUM_SHARDS,
-        gzip: bool = True,
-        reuse_confirmations: int = 1,
-        cache_bytes: int = DEFAULT_CACHE_BYTES,
-        segment_max_bytes: int = DEFAULT_SEGMENT_MAX_BYTES,
+        num_shards: Optional[int] = None,
     ) -> None:
         if log is None:
             if root is None:
                 raise ValueError("LineageService needs a root directory or a log")
-            log = DSLog(
-                root,
-                num_shards=num_shards,
-                gzip=gzip,
-                reuse_confirmations=reuse_confirmations,
-                cache_bytes=cache_bytes,
-                segment_max_bytes=segment_max_bytes,
-                autosync=False,
+            log = DSLog(root, num_shards=num_shards, autosync=False)
+        elif root is not None or num_shards is not None:
+            raise ValueError(
+                "LineageService takes a log or a root (+ num_shards), not both: "
+                "open the DSLog with the options it needs and pass log= alone"
             )
         if log.store is None or isinstance(log, SnapshotDSLog):
             raise ValueError(
@@ -249,9 +231,7 @@ class LineageService:
         log.autosync = False  # the committer owns publishing
         self.log = log
         self.faults = log.faults
-        self.submit_timeout = submit_timeout
-        self.commit_interval = float(commit_interval)
-        self._queue: "queue.Queue" = queue.Queue(maxsize=int(queue_size))
+        self._queue: "queue.Queue" = queue.Queue(maxsize=QUEUE_SIZE)
         self._cv = threading.Condition()
         self._applied: List[IngestTicket] = []
         self._inflight = 0  # submitted, not yet applied or failed
@@ -259,7 +239,7 @@ class LineageService:
         self._stop = False
         self._closed = False
         self._flush_requested = False
-        self._last_commit = faults.clock() - self.commit_interval
+        self._last_commit = -math.inf  # the first window is due at once
         # counters (read under _cv)
         self.submitted = 0
         self.failed = 0
@@ -299,13 +279,13 @@ class LineageService:
         op_args: Optional[Mapping[str, Any]] = None,
         reuse: bool = True,
         replace: bool = False,
-        timeout: Any = _DEFAULT_TIMEOUT,
+        timeout: Optional[float] = SUBMIT_TIMEOUT_S,
     ) -> IngestTicket:
         """Enqueue one operation for async ingest; returns immediately.
 
         Mirrors :meth:`DSLog.register_operation`.  Blocks only when the
         ingest queue is full (backpressure).  The wait is bounded by
-        *timeout* (default: the service's ``submit_timeout``); on expiry a
+        *timeout* seconds (:data:`SUBMIT_TIMEOUT_S` by default); on expiry a
         structured :class:`repro.faults.IngestOverloaded` carrying the
         queue depth is raised.  ``timeout=None`` blocks indefinitely.
         """
@@ -331,7 +311,7 @@ class LineageService:
         capture=None,
         op_name: Optional[str] = None,
         replace: bool = False,
-        timeout: Any = _DEFAULT_TIMEOUT,
+        timeout: Optional[float] = SUBMIT_TIMEOUT_S,
     ) -> IngestTicket:
         """Enqueue a single lineage pair (mirrors :meth:`DSLog.add_lineage`)."""
         spec = dict(
@@ -345,10 +325,8 @@ class LineageService:
         )
         return self._enqueue(spec, timeout)
 
-    def _enqueue(self, spec: Dict[str, Any], timeout: Any) -> IngestTicket:
+    def _enqueue(self, spec: Dict[str, Any], timeout: Optional[float]) -> IngestTicket:
         self._check_open()
-        if timeout is _DEFAULT_TIMEOUT:
-            timeout = self.submit_timeout
         ticket = IngestTicket(spec)
         if tracing.tracing_enabled():
             ticket._trace = tracing.Trace("ingest", kind=spec["kind"])
@@ -458,13 +436,13 @@ class LineageService:
                 due = bool(self._applied) and (
                     self._flush_requested
                     or self._stop
-                    or now - self._last_commit >= self.commit_interval
+                    or now - self._last_commit >= COMMIT_INTERVAL_S
                 )
                 if not due:
                     if self._stop and not self._applied and self._inflight == 0:
                         return
                     if self._applied:
-                        wait = max(0.0005, self.commit_interval - (now - self._last_commit))
+                        wait = max(0.0005, COMMIT_INTERVAL_S - (now - self._last_commit))
                     else:
                         wait = 0.1  # idle: re-check stop periodically
                     self._cv.wait(wait)
@@ -556,21 +534,6 @@ class LineageService:
         """A snapshot-isolated, read-only DSLog view of the catalog *as
         applied* right now (durability may lag by one commit window)."""
         return self.log.snapshot()
-
-    def serve(self, port: Optional[int] = 0, host: str = "127.0.0.1", **kwargs):
-        """Expose this service's catalog over the HTTP JSON API (and the
-        RPC wire, given ``rpc_port=``; :meth:`DSLog.serve
-        <repro.dslog.DSLog.serve>`) on a background thread.  Readers see
-        *applied* state — the same cut snapshots see — and the result
-        cache invalidates per lineage entry as the workers land writes: a
-        cached answer turns stale only when one of its own hops is
-        replaced."""
-        return self.log.serve(port=port, host=host, **kwargs)
-
-    def executor(self, **kwargs):
-        """A :class:`~repro.service.query.QueryExecutor` over this
-        service's catalog (for in-process scale-out reads)."""
-        return self.log.executor(**kwargs)
 
     def compact(self, shard: Optional[int] = None) -> dict:
         """Publish pending state, then compact one shard (or all) while

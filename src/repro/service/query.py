@@ -91,16 +91,13 @@ the shard is reopened-with-scrub
 (:meth:`~repro.storage.sharded.ShardedLineageStore.reopen_shard`), and the
 breaker closes only when that heal succeeds.
 
-Deadlines: ``deadline=seconds`` (or the constructor-wide
-``default_deadline``) puts each cold shard's hydration on the pool, awaited
-against the budget, and is re-checked before the join; a shard that stalls
-past the budget raises :class:`~repro.faults.DeadlineExceeded` (and counts
-against its breaker) instead of wedging the request.  Without a deadline
-there is no read to abandon, and concurrent requests already overlap their
-loads on their own threads: every table hydrates on the calling thread.
-An executor without a pool (``max_workers=1``) hydrates in-line even under
-a deadline, where a stalled read cannot be abandoned; it still refuses a
-join whose budget is already spent.
+Deadlines: a call's ``deadline=seconds`` puts each cold shard's hydration
+on the pool, awaited against the budget, and is re-checked before the
+join; a shard that stalls past the budget raises
+:class:`~repro.faults.DeadlineExceeded` (and counts against its breaker)
+instead of wedging the request.  Without a deadline there is no read to
+abandon, and concurrent requests already overlap their loads on their own
+threads: every table hydrates on the calling thread.
 """
 
 from __future__ import annotations
@@ -297,49 +294,23 @@ class QueryExecutor:
     log:
         Any :class:`~repro.dslog.DSLog` (memory or durable; a snapshot
         view works too).  The executor only reads.
-    max_workers:
-        Thread-pool width for the per-shard hydration of a query with a
-        deadline; ``1`` means no pool (tables hydrate in-line, unbounded).
-        Defaults to ``min(8, max(2, os.cpu_count()))``.
     cache_entries:
         Capacity of the :class:`ResultCache`; ``0`` disables caching.
-    default_deadline:
-        Seconds each call may spend before its joins start (pooled
-        prefetch included) before :class:`~repro.faults.DeadlineExceeded`;
-        ``None`` (default) means unbounded.  Per-call ``deadline``
-        overrides it.
-    breaker_failures / breaker_reset_after:
-        Per-shard circuit-breaker tuning: consecutive faults before a
-        shard is declared unavailable, and seconds before a half-open
-        recovery probe is allowed.
+
+    The pool that hydrates the cold shards of a query with a deadline is
+    ``min(8, max(2, os.cpu_count()))`` threads wide; each shard's circuit
+    breaker has :class:`~repro.faults.CircuitBreaker`'s defaults.
     """
 
-    def __init__(
-        self,
-        log,
-        max_workers: Optional[int] = None,
-        cache_entries: int = DEFAULT_CACHE_ENTRIES,
-        default_deadline: Optional[float] = None,
-        breaker_failures: int = 3,
-        breaker_reset_after: float = 30.0,
-    ) -> None:
-        if max_workers is None:
-            max_workers = min(8, max(2, os.cpu_count() or 1))
+    def __init__(self, log, cache_entries: int = DEFAULT_CACHE_ENTRIES) -> None:
         self.log = log
-        self.max_workers = max(1, int(max_workers))
+        self.max_workers = min(8, max(2, os.cpu_count() or 1))
         self.cache = ResultCache(cache_entries)
-        self.default_deadline = default_deadline
-        self.breaker_failures = int(breaker_failures)
-        self.breaker_reset_after = float(breaker_reset_after)
         # per-shard breakers, created on a shard's first recorded fault
         self._breakers: Dict[int, CircuitBreaker] = {}
         self._breaker_lock = threading.Lock()
-        self._pool = (
-            ThreadPoolExecutor(
-                max_workers=self.max_workers, thread_name_prefix="lineage-query"
-            )
-            if self.max_workers > 1
-            else None
+        self._pool = ThreadPoolExecutor(
+            max_workers=self.max_workers, thread_name_prefix="lineage-query"
         )
         self._closed = False
         self._stats_lock = threading.Lock()
@@ -358,11 +329,7 @@ class QueryExecutor:
         with self._breaker_lock:
             breaker = self._breakers.get(shard)
             if breaker is None:
-                breaker = CircuitBreaker(
-                    failures=self.breaker_failures,
-                    reset_after=self.breaker_reset_after,
-                    scope=f"shard-{shard:02d}",
-                )
+                breaker = CircuitBreaker(scope=f"shard-{shard:02d}")
                 self._breakers[shard] = breaker
             return breaker
 
@@ -443,7 +410,7 @@ class QueryExecutor:
         Semantics match :meth:`DSLog.prov_query` exactly (including graph
         planning of two-array paths); the differences are the cache in
         front, the per-shard prefetch behind, and the failure envelope: a
-        *deadline* (seconds; ``default_deadline`` when omitted) bounds the
+        *deadline* (seconds; unbounded when omitted) bounds the
         pooled prefetch with :class:`~repro.faults.DeadlineExceeded`, and a
         query whose home shard is faulting serves its last cached answer
         flagged degraded (or raises the structured
@@ -553,8 +520,6 @@ class QueryExecutor:
         _QUERIES.inc(misses)
         with self._stats_lock:
             self.queries += misses
-        if deadline is None:
-            deadline = self.default_deadline
         deadline_at = time.monotonic() + deadline if deadline is not None else None
         pin = self._pin_stores()
         try:
@@ -726,8 +691,7 @@ class QueryExecutor:
         With a deadline, each cold shard's group goes to the pool and is
         awaited against the remaining budget: a slow/stalled shard fails
         with :class:`~repro.faults.DeadlineExceeded` naming it, instead of
-        wedging the whole batch.  An executor without a pool hydrates
-        in-line, unbounded.
+        wedging the whole batch.
 
         Returns ``(tables, failed)``: the tables by ``id(entry)``, and the
         fault of each home shard whose hydration failed (its entries may
@@ -762,7 +726,7 @@ class QueryExecutor:
                 )
 
         pooled = []  # only a deadline needs a load it can stop waiting for
-        if deadline_at is not None and self._pool is not None:
+        if deadline_at is not None:
             pooled = [shard for shard, tasks in by_shard.items() if tasks]
         futures = {
             self._pool.submit(tracing.wrap_context(load), shard): shard for shard in pooled
@@ -830,8 +794,7 @@ class QueryExecutor:
         if self._closed:
             return
         self._closed = True
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
+        self._pool.shutdown(wait=True)
         self.cache.clear()
 
     def __enter__(self) -> "QueryExecutor":

@@ -107,9 +107,9 @@ answered before the body is read.  The client applies the same line and
 header bounds to a reply, and reads at most
 :data:`~repro.service.wire.MAX_FRAME_BYTES` of body.
 
-Construction sugar: ``DSLog.serve(port, rpc_port=None)`` /
-``LineageService.serve(...)`` start a server on a background thread;
-``LineageClient.connect(url)`` polls ``/healthz`` until the server answers.
+Construction sugar: ``DSLog.serve(port, rpc_port=None)`` starts a server
+on a background thread; ``LineageClient.connect(url)`` polls ``/healthz``
+until the server answers.
 """
 
 from __future__ import annotations
@@ -278,8 +278,8 @@ class LineageServer:
     executor:
         A pre-built :class:`QueryExecutor` to share; by default the core
         owns one (and closes it on :meth:`close`).
-    max_workers / cache_entries:
-        Forwarded to the owned executor.
+    cache_entries:
+        Result-cache capacity of the owned executor.
     fault_plan:
         A :class:`~repro.faults.FaultPlan` the RPC reply path consults
         (site ``"rpc.send"``; see :mod:`repro.service.rpc`).
@@ -292,15 +292,12 @@ class LineageServer:
         port: Optional[int] = 0,
         rpc_port: Optional[int] = None,
         executor: Optional[QueryExecutor] = None,
-        max_workers: Optional[int] = None,
         cache_entries: int = DEFAULT_CACHE_ENTRIES,
         fault_plan=None,
     ) -> None:
         if port is None and rpc_port is None:
             raise ValueError("a server needs a port to listen on: port (HTTP), rpc_port (RPC) or both")
-        self.core = ServiceCore(
-            log, executor=executor, max_workers=max_workers, cache_entries=cache_entries
-        )
+        self.core = ServiceCore(log, executor=executor, cache_entries=cache_entries)
         self._listeners: List[_Listener] = []
         self._threads: List[threading.Thread] = []
         self._closed = False

@@ -70,7 +70,6 @@ from .manifest import MANIFEST_NAME, atomic_write
 from .scrub import scrub_store
 from .store import (
     DEFAULT_CACHE_BYTES,
-    DEFAULT_SEGMENT_MAX_BYTES,
     LineageStore,
     StoredLineageEntry,
     TableCache,
@@ -155,7 +154,6 @@ class ShardedLineageStore:
         num_shards: int = DEFAULT_NUM_SHARDS,
         gzip: bool = True,
         cache_bytes: int = DEFAULT_CACHE_BYTES,
-        segment_max_bytes: int = DEFAULT_SEGMENT_MAX_BYTES,
         faults: Optional[FaultPlan] = None,
     ) -> None:
         self.root = Path(root)
@@ -179,7 +177,6 @@ class ShardedLineageStore:
                 self.root / f"shard-{idx:02d}",
                 gzip=self.gzip,
                 cache=self.cache,
-                segment_max_bytes=segment_max_bytes,
                 faults=faults,
                 scope=f"shard-{idx:02d}",
             )

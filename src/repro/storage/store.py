@@ -69,6 +69,7 @@ __all__ = [
 ]
 
 DEFAULT_CACHE_BYTES = 256 * 1024 * 1024
+# a segment file this large is rolled over: the next append opens a new one
 DEFAULT_SEGMENT_MAX_BYTES = 16 * 1024 * 1024
 
 _CACHE_HITS = REGISTRY.counter(
@@ -315,7 +316,6 @@ class LineageStore:
         root: Union[str, Path],
         gzip: bool = True,
         cache: Optional[TableCache] = None,
-        segment_max_bytes: int = DEFAULT_SEGMENT_MAX_BYTES,
         faults: Optional[FaultPlan] = None,
         scope: Optional[str] = None,
     ) -> None:
@@ -334,7 +334,6 @@ class LineageStore:
         else:
             self.manifest = Manifest(gzip=gzip)
             self.gzip = gzip
-        self.segment_max_bytes = int(segment_max_bytes)
         self.cache = cache if cache is not None else TableCache()
         self.tables_deserialized = 0
         self._writer: Optional[SegmentWriter] = None
@@ -414,13 +413,13 @@ class LineageStore:
         return torn
 
     def _active_writer(self) -> SegmentWriter:
-        if self._writer is not None and self._writer.size < self.segment_max_bytes:
+        if self._writer is not None and self._writer.size < DEFAULT_SEGMENT_MAX_BYTES:
             return self._writer
         if self._writer is not None:
             self._retire_writer()
         if self.manifest.segments:
             last = self._segment_path(self.manifest.segments[-1])
-            if last.exists() and last.stat().st_size < self.segment_max_bytes:
+            if last.exists() and last.stat().st_size < DEFAULT_SEGMENT_MAX_BYTES:
                 self._writer = SegmentWriter(last, faults=self.faults, scope=self.scope)
                 return self._writer
         name = self._new_segment_name()

@@ -109,7 +109,7 @@ def test_service_soak_durable_tickets_never_lost(seed, tmp_path):
     root = tmp_path / "db"
     plan = mixed_plan(seed)
     log = DSLog(root, num_shards=2, autosync=False, faults=plan)
-    svc = LineageService(log=log, workers=2, commit_interval=0.001, submit_timeout=10)
+    svc = LineageService(log=log, workers=2)
     names = [f"B{i}" for i in range(25)]
     for name in names:
         svc.define_array(name, SHAPE)

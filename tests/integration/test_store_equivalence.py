@@ -55,7 +55,7 @@ class Side:
     def __init__(self, root, num_shards):
         self.root, self.num_shards = root, num_shards
         self.log = DSLog(root, num_shards=num_shards, autosync=False) if root else DSLog()
-        self.executor = QueryExecutor(self.log, max_workers=2)
+        self.executor = QueryExecutor(self.log)
 
     def apply(self, step, model):
         kind = step[0]
@@ -77,7 +77,7 @@ class Side:
             self.close()
             self.log = DSLog.load(self.root, autosync=False)
             assert self.log.store.num_shards == self.num_shards
-            self.executor = QueryExecutor(self.log, max_workers=2)
+            self.executor = QueryExecutor(self.log)
 
     def close(self):
         self.executor.close()

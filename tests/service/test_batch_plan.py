@@ -95,7 +95,7 @@ def test_mixed_batch_answers_like_each_request_alone(edge_pairs, requests, merge
         log.add_lineage(a, b, relation=rel)
     dupes = requests[:2]
     requests = requests + dupes  # duplicates ride along
-    with QueryExecutor(log, max_workers=1, cache_entries=0) as ex:
+    with QueryExecutor(log, cache_entries=0) as ex:
         batch = ex.query_batch(requests, merge=merge)
         for (path, cells), outcome in zip(requests, batch):
             try:
@@ -179,7 +179,7 @@ def test_each_distinct_entry_decodes_once_with_a_cache_that_keeps_nothing(tmp_pa
         for planned in log.plan_paths(path)
         for a, b in zip(planned, planned[1:])
     }
-    with QueryExecutor(log, max_workers=2, cache_entries=0) as ex:
+    with QueryExecutor(log, cache_entries=0) as ex:
         before = log.store.tables_deserialized
         outcomes = ex.query_batch(requests)
         assert log.store.tables_deserialized - before == len(entries)
@@ -233,7 +233,7 @@ def test_a_faulted_shard_stops_only_the_requests_that_need_it(tmp_path):
     (p, q), (r, s) = pair_on(1, "p"), pair_on(1, "r")
     build(log, [(u, v), (w, x), (p, q), (r, s)])
     log.sync()
-    with QueryExecutor(log, max_workers=2) as ex:
+    with QueryExecutor(log) as ex:
         primed = ex.query([p, q], [(1,)])
         # invalidate the primed answer, then make shard 1's disk unreadable
         log.add_lineage(p, q, relation=identity(p, q), replace=True)
@@ -273,8 +273,8 @@ def test_a_tripped_breaker_gates_only_its_groups(tmp_path):
     (u, v), (p, q) = pair_on(0, "u"), pair_on(1, "p")
     build(log, [(u, v), (p, q)])
     log.sync()
-    with QueryExecutor(log, max_workers=2, cache_entries=0) as ex:
-        for _ in range(ex.breaker_failures):
+    with QueryExecutor(log, cache_entries=0) as ex:
+        for _ in range(3):  # the breaker trips on its third consecutive fault
             ex._breaker(1).record_failure()
         ok, refused = ex.query_batch([([u, v], [(1,)]), ([p, q], [(1,)])])
     assert ok.result.to_cells() == {(1,)} and not ok.degraded

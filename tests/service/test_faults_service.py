@@ -105,15 +105,17 @@ class TestPipelineFaults:
             assert entry is not None
         assert plan.fired("service.worker") == 1
 
-    def test_ticket_result_deadline_is_structured(self, tmp_path):
-        # a long commit window: the op applies but durability lags, so a
-        # short result() wait must raise DeadlineExceeded (a TimeoutError)
-        with LineageService(tmp_path / "db", workers=1, commit_interval=30.0) as svc:
+    def test_ticket_result_deadline_is_structured(self, tmp_path, monkeypatch):
+        # a frozen clock never ends the commit window: the op applies but
+        # durability lags, so a short result() wait must raise
+        # DeadlineExceeded (a TimeoutError)
+        monkeypatch.setattr(faults, "clock", lambda: 1000.0)
+        with LineageService(tmp_path / "db", workers=1) as svc:
             svc.define_array("x", SHAPE)
             svc.define_array("y", SHAPE)
             svc.define_array("w", SHAPE)
             # the first commit window is immediately due; burn it so the
-            # ticket under test really waits out the 30s window
+            # ticket under test really waits on the window
             svc.submit_lineage("w", "x", relation=elementwise("w", "x")).result(timeout=10)
             ticket = svc.submit_lineage("x", "y", relation=elementwise("x", "y"))
             with pytest.raises(DeadlineExceeded):
@@ -122,12 +124,13 @@ class TestPipelineFaults:
             svc.flush(timeout=30)
             assert ticket.result(timeout=10) is not None
 
-    def test_commit_fault_fails_the_whole_batch(self, tmp_path):
+    def test_commit_fault_fails_the_whole_batch(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(faults, "clock", lambda: 1000.0)  # commit on flush only
         plan = FaultPlan().on("service.commit", at=1)
         log = DSLog(
             tmp_path / "db", num_shards=2, autosync=False, faults=plan
         )
-        with LineageService(log=log, workers=2, commit_interval=30.0) as svc:
+        with LineageService(log=log, workers=2) as svc:
             svc.define_array("x", SHAPE)
             svc.define_array("y", SHAPE)
             plan.arm()
@@ -149,7 +152,7 @@ class TestExecutorDeadlines:
         )
         log.store.cache.clear(scope="shard-01")
         plan.arm()
-        with QueryExecutor(log, max_workers=2) as ex:
+        with QueryExecutor(log) as ex:
             start = time.monotonic()
             with pytest.raises(DeadlineExceeded) as excinfo:
                 ex.query([a, b], QUERY, deadline=0.05)
@@ -169,9 +172,7 @@ class TestBreakerDegradedServing:
         home = 1
         a, b = pairs[home]
         other_a, other_b = pairs[0]
-        ex = QueryExecutor(
-            log, max_workers=2, breaker_failures=1, breaker_reset_after=0.2
-        )
+        ex = QueryExecutor(log)
         try:
             fresh = ex.query([a, b], QUERY)
             assert not fresh.degraded
@@ -184,18 +185,20 @@ class TestBreakerDegradedServing:
             log.sync()
             kill_shard_reads(log, plan, home)
 
-            # first faulting query: breaker records the failure (threshold
-            # 1 -> trips) and the stale cached answer is served degraded
-            degraded = ex.query([a, b], QUERY)
-            assert degraded.degraded and degraded.cached
-            assert degraded.result.to_cells() == expected
+            # each faulting query counts one failure against the breaker
+            # and is served its stale cached answer, degraded; the third
+            # trips the breaker
+            for _ in range(3):
+                degraded = ex.query([a, b], QUERY)
+                assert degraded.degraded and degraded.cached
+                assert degraded.result.to_cells() == expected
             assert ex.breaker_stats()[home]["state"] == "open"
 
             # breaker open: the dead disk is not touched again, the stale
             # answer keeps flowing
             again = ex.query([a, b], QUERY)
             assert again.degraded
-            assert ex.stats()["degraded_serves"] == 2
+            assert ex.stats()["degraded_serves"] == 4
 
             # the healthy shard is unaffected
             ok = ex.query([other_a, other_b], QUERY)
@@ -208,10 +211,11 @@ class TestBreakerDegradedServing:
                 ex.query([e, f], QUERY)
             assert excinfo.value.shard == home
 
-            # heal the disk; after reset_after the half-open probe runs
-            # reopen-with-scrub, closes the breaker and serves fresh again
+            # heal the disk; after the breaker's 30 s reset window the
+            # half-open probe runs reopen-with-scrub, closes the breaker and
+            # serves fresh again
             plan.disarm()
-            now[0] += 0.25
+            now[0] += 31.0
             healed = ex.query([a, b], QUERY)
             assert not healed.degraded
             assert healed.result.to_cells() == expected
@@ -238,12 +242,13 @@ class TestBreakerDegradedServing:
         data[entry.backward_ref.offset + record_overhead() + entry.backward_ref.length // 2] ^= 0xFF
         record.write_bytes(bytes(data))
         log.store.cache.clear(scope="shard-01")
-        ex = QueryExecutor(log, max_workers=2, breaker_failures=1, breaker_reset_after=0.2)
+        ex = QueryExecutor(log)
         try:
-            with pytest.raises(CorruptRecordError):
-                ex.query([a, b], QUERY)
+            for _ in range(3):  # the breaker trips on its third consecutive fault
+                with pytest.raises(CorruptRecordError):
+                    ex.query([a, b], QUERY)
             assert ex.breaker_stats()[1]["state"] == "open"
-            now[0] += 0.25  # the probe reopens and repairs the shard
+            now[0] += 31.0  # the probe reopens and repairs the shard
             with pytest.raises(OSError):
                 ex.query([a, b], QUERY)  # this query planned the entry first
             assert ex.stats()["shard_reopens"] == 1
@@ -264,9 +269,7 @@ class TestServerFaultSurface:
         log, pairs = build_sharded(tmp_path / "db", plan)
         home = 1
         a, b = pairs[home]
-        ex = QueryExecutor(
-            log, max_workers=2, breaker_failures=1, breaker_reset_after=60.0
-        )
+        ex = QueryExecutor(log)
         with LineageServer(log, executor=ex) as server:
             client = LineageClient(server.url, retries=0)
             first = client.prov_query([a, b], cells=QUERY)
@@ -277,9 +280,10 @@ class TestServerFaultSurface:
             log.sync()
             kill_shard_reads(log, plan, home)
 
-            served = client.prov_query([a, b], cells=QUERY)
-            assert served["degraded"] is True and served["cached"] is True
-            assert served["count"] == first["count"]
+            for _ in range(3):  # the breaker trips on its third consecutive fault
+                served = client.prov_query([a, b], cells=QUERY)
+                assert served["degraded"] is True and served["cached"] is True
+                assert served["count"] == first["count"]
 
             health = client.healthz()
             assert health["status"] == "degraded"

@@ -11,7 +11,7 @@ import pytest
 from repro import DSLog, IngestOverloaded, LineageService, faults
 from repro.core.relation import LineageRelation
 from repro.faults import FaultPlan
-from repro.service import ServiceClosedError
+from repro.service import ServiceClosedError, pipeline
 
 SHAPE = (4,)
 
@@ -69,16 +69,24 @@ class TestTickets:
         view.close()
         log.close()
 
+    @pytest.mark.parametrize("extra", [{"root": "other-db"}, {"num_shards": 2}], ids=["root", "num_shards"])
+    def test_a_log_comes_alone(self, tmp_path, extra):
+        # the service opens no catalog when given one, so a root or shard
+        # count beside it would be dropped without a word
+        log = DSLog(tmp_path / "db", num_shards=1)
+        with pytest.raises(ValueError, match="not both"):
+            LineageService(log=log, **extra)
+        log.close()
+
     def test_submit_after_close_raises(self, tmp_path):
         svc = LineageService(tmp_path / "db")
         svc.close()
         with pytest.raises(ServiceClosedError):
             svc.submit("op", ["x"], ["y"])
 
-    def test_group_commit_batches_concurrent_writers(self, tmp_path):
-        with LineageService(
-            tmp_path / "db", workers=4, commit_interval=0.02, num_shards=2
-        ) as svc:
+    def test_group_commit_batches_concurrent_writers(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(pipeline, "COMMIT_INTERVAL_S", 0.02)
+        with LineageService(tmp_path / "db", workers=4, num_shards=2) as svc:
             n = 24
             for i in range(n + 1):
                 svc.define_array(f"a{i}", SHAPE)
@@ -110,10 +118,11 @@ class TestTickets:
             assert stats["commits"] < n
             assert stats["largest_commit"] >= 2
 
-    def test_backpressure_bounded_queue(self, tmp_path):
+    def test_backpressure_bounded_queue(self, tmp_path, monkeypatch):
         # a queue of 1 with no room must raise the structured overload
         # error on a zero-ish timeout rather than growing without bound
-        with LineageService(tmp_path / "db", workers=1, queue_size=1) as svc:
+        monkeypatch.setattr(pipeline, "QUEUE_SIZE", 1)
+        with LineageService(tmp_path / "db", workers=1) as svc:
             svc.define_array("x", SHAPE)
             blocked = threading.Event()
             release = threading.Event()
@@ -163,7 +172,7 @@ class TestCommitWindow:
 
     def test_a_frozen_clock_commits_only_when_asked(self, tmp_path, monkeypatch):
         monkeypatch.setattr(faults, "clock", lambda: 1000.0)
-        svc = LineageService(tmp_path / "db", workers=1, commit_interval=0.01)
+        svc = LineageService(tmp_path / "db", workers=1)
         self.define(svc)
         first = svc.submit_lineage("w", "x", relation=elementwise("w", "x"))
         svc.flush(timeout=10)  # stamps the last commit at the frozen instant
@@ -177,10 +186,11 @@ class TestCommitWindow:
         svc.close()
         assert last.done and not last.failed
 
-    def test_a_timed_out_flush_does_not_disable_the_window(self, tmp_path):
+    def test_a_timed_out_flush_does_not_disable_the_window(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(faults, "clock", lambda: 1000.0)  # the window never ends
         plan = FaultPlan().on("service.commit", kind="stall", every=1, seconds=0.1)
         log = DSLog(tmp_path / "db", num_shards=2, autosync=False, faults=plan)
-        with LineageService(log=log, workers=1, commit_interval=30.0) as svc:
+        with LineageService(log=log, workers=1) as svc:
             self.define(svc)
             # the first commit window is immediately due; burn it
             svc.submit_lineage("w", "x", relation=elementwise("w", "x")).result(timeout=10)
@@ -190,7 +200,7 @@ class TestCommitWindow:
                 svc.flush(timeout=0.05)  # the commit it asked for stalls
             plan.disarm()
             ticket = svc.submit_lineage("y", "z", relation=elementwise("y", "z"))
-            assert not ticket.wait(0.2)  # the 30 s window holds again
+            assert not ticket.wait(0.2)  # the window holds again
             svc.flush(timeout=10)
             assert ticket.done and not ticket.failed
 
@@ -204,15 +214,10 @@ class TestStress:
     WRITERS = 8
     OPS_PER_WRITER = 12
 
-    def test_concurrent_writers_and_readers(self, tmp_path):
+    def test_concurrent_writers_and_readers(self, tmp_path, monkeypatch):
         total = self.WRITERS * self.OPS_PER_WRITER
-        svc = LineageService(
-            tmp_path / "db",
-            workers=4,
-            num_shards=4,
-            queue_size=64,
-            commit_interval=0.005,
-        )
+        monkeypatch.setattr(pipeline, "QUEUE_SIZE", 64)  # writers meet backpressure
+        svc = LineageService(tmp_path / "db", workers=4, num_shards=4)
         for w in range(self.WRITERS):
             for i in range(self.OPS_PER_WRITER + 1):
                 svc.define_array(f"w{w}_a{i}", SHAPE)

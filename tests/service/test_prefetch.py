@@ -57,7 +57,7 @@ class Harness:
         for a, b in zip(self.path, self.path[1:]):
             self.log.add_lineage(a, b, relation=elementwise(a, b))
         self.log.sync()
-        self.executor = QueryExecutor(self.log, max_workers=2, cache_entries=0)
+        self.executor = QueryExecutor(self.log, cache_entries=0)
         self.submits = 0
         submit = self.executor._pool.submit
 
@@ -207,7 +207,7 @@ def test_batch_larger_than_the_cache_hydrates_each_table_once(tmp_path):
             log.add_lineage(a, b, relation=elementwise(a, b))
     log.sync()
     log.store.cache.clear()
-    with QueryExecutor(log, max_workers=2, cache_entries=0) as executor:
+    with QueryExecutor(log, cache_entries=0) as executor:
         before = sum(s["misses"] for s in log.store.cache_stats())
         outcomes = executor.query_batch([(path, QUERY) for path in paths])
         hydrations = sum(s["misses"] for s in log.store.cache_stats()) - before
@@ -230,7 +230,7 @@ def test_single_query_over_the_budget_hydrates_each_table_once(tmp_path):
         log.add_lineage(a, b, relation=elementwise(a, b))
     log.sync()
     assert len(log.store.cache) == 0
-    with QueryExecutor(log, max_workers=2, cache_entries=0) as executor:
+    with QueryExecutor(log, cache_entries=0) as executor:
         [before] = log.store.cache_stats()
         outcome = executor.query(path, QUERY)
         [after] = log.store.cache_stats()

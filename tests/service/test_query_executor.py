@@ -41,7 +41,7 @@ QUERY = [(1, 1), (2, 3), (4, 4)]
 
 
 def test_executor_matches_dslog(log):
-    with QueryExecutor(log, max_workers=4) as ex:
+    with QueryExecutor(log) as ex:
         for path in (["a", "b"], ["a", "b", "c"], ["c", "b", "a"]):
             assert ex.prov_query(path, QUERY).to_cells() == log.prov_query(
                 path, QUERY
@@ -49,12 +49,13 @@ def test_executor_matches_dslog(log):
 
 
 def test_sequential_equals_parallel(log):
-    with QueryExecutor(log, max_workers=1, cache_entries=0) as seq, QueryExecutor(
-        log, max_workers=4, cache_entries=0
-    ) as par:
-        assert seq.prov_query(["a", "c"], QUERY).to_cells() == par.prov_query(
-            ["a", "c"], QUERY
-        ).to_cells()
+    # without a deadline tables hydrate on the calling thread; with one,
+    # every cold shard hydrates on the pool
+    with QueryExecutor(log, cache_entries=0) as ex:
+        sequential = ex.prov_query(["a", "c"], QUERY).to_cells()
+        if log.store is not None:
+            log.store.cache.clear()
+        assert ex.query(["a", "c"], QUERY, deadline=60.0).result.to_cells() == sequential
 
 
 def test_planned_diamond_union(log):
@@ -63,13 +64,13 @@ def test_planned_diamond_union(log):
     log.define_array("x", SHAPE)
     log.add_lineage("a", "x", relation=identity("a", "x"))
     log.add_lineage("x", "c", relation=identity("x", "c"))
-    with QueryExecutor(log, max_workers=4) as ex:
+    with QueryExecutor(log) as ex:
         expected = log.prov_query(["a", "c"], QUERY).to_cells()
         assert ex.prov_query(["a", "c"], QUERY).to_cells() == expected
 
 
 def test_cache_hit_and_flag(log):
-    with QueryExecutor(log, max_workers=2) as ex:
+    with QueryExecutor(log) as ex:
         result, cached, degraded, memo = ex.query(["a", "b"], QUERY)
         assert not cached and not degraded and memo == {}
         again, cached, degraded, again_memo = ex.query(["a", "b"], QUERY)
@@ -80,7 +81,7 @@ def test_cache_hit_and_flag(log):
 
 
 def test_cache_disabled(log):
-    with QueryExecutor(log, max_workers=2, cache_entries=0) as ex:
+    with QueryExecutor(log, cache_entries=0) as ex:
         assert ex.query(["a", "b"], QUERY)[1] is False
         assert ex.query(["a", "b"], QUERY)[1] is False
         assert ex.stats()["cache"]["entries"] == 0
@@ -119,7 +120,7 @@ def test_write_invalidates_only_touched_entries(tmp_path):
     log.add_lineage(a, b, relation=identity(a, b))
     log.add_lineage(u, v, relation=identity(u, v))
 
-    with QueryExecutor(log, max_workers=2) as ex:
+    with QueryExecutor(log) as ex:
         ex.prov_query([a, b], QUERY)
         assert ex.query([a, b], QUERY)[1] is True
 
@@ -163,7 +164,7 @@ def test_backward_path_invalidated_by_replace(tmp_path):
     log.define_array(a, SHAPE)
     log.define_array(b, SHAPE)
     log.add_lineage(a, b, relation=identity(a, b))
-    with QueryExecutor(log, max_workers=2) as ex:
+    with QueryExecutor(log) as ex:
         before = ex.prov_query([b, a], QUERY).to_cells()
         assert ex.query([b, a], QUERY)[1] is True
 
@@ -181,7 +182,7 @@ def test_planned_query_turns_over_when_the_plan_does(tmp_path):
     # an additional equally short path must invalidate it
     log = DSLog(tmp_path / "db", num_shards=4)
     build_chain(log, ["a", "b", "c"])
-    with QueryExecutor(log, max_workers=2) as ex:
+    with QueryExecutor(log) as ex:
         before = ex.prov_query(["a", "c"], QUERY).to_cells()
         assert ex.query(["a", "c"], QUERY)[1] is True
 
@@ -236,7 +237,7 @@ def test_replace_landing_mid_query_leaves_a_stale_entry_never_a_wrong_one(log, m
         entry.__dict__["backward"] = table
 
     monkeypatch.setattr(type(target), "backward", property(strike_then_resolve, keep), raising=False)
-    with QueryExecutor(log, max_workers=2) as ex:
+    with QueryExecutor(log) as ex:
         in_flight = ex.query(path, QUERY)
         assert struck == [("b", "c")] and not in_flight.cached
         new = log.prov_query(path, QUERY).to_cells()
@@ -347,7 +348,7 @@ def test_readers_racing_a_replacing_writer_never_keep_a_stale_answer(log):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        with QueryExecutor(log, max_workers=2) as ex:
+        with QueryExecutor(log) as ex:
             threads = [threading.Thread(target=read) for _ in range(6)]
             threads.append(threading.Thread(target=write))
             for thread in threads:
@@ -371,7 +372,7 @@ def test_batch_matches_individual(log):
         (["c", "b", "a"], [(0, 0)]),
         (["a", "b"], [(5, 5)]),
     ]
-    with QueryExecutor(log, max_workers=2, cache_entries=0) as ex:
+    with QueryExecutor(log, cache_entries=0) as ex:
         batched = ex.prov_query_batch(requests)
         for (path, cells), got in zip(requests, batched):
             want = ex.prov_query(path, cells)
@@ -384,7 +385,7 @@ def test_batch_mixed_cached_uncached_unknown(log):
     """One batch mixing a cache hit, a miss and an unknown array: the hit
     peels off before the kernel, the miss executes, and the bad request
     comes back as its own exception — never a whole-batch failure."""
-    with QueryExecutor(log, max_workers=2) as ex:
+    with QueryExecutor(log) as ex:
         warm = ex.query(["a", "b"], QUERY)  # prime the cache
         assert not warm.cached
         outcomes = ex.query_batch(
@@ -403,7 +404,7 @@ def test_batch_mixed_cached_uncached_unknown(log):
 
 
 def test_batch_all_cached_skips_kernel(log):
-    with QueryExecutor(log, max_workers=2) as ex:
+    with QueryExecutor(log) as ex:
         ex.query(["a", "c"], QUERY)
         before = ex.stats()["queries"]
         outcomes = ex.query_batch([(["a", "c"], QUERY)] * 3)
@@ -448,7 +449,7 @@ def test_batch_racing_replace_and_compaction(tmp_path):
     thread = threading.Thread(target=churn)
     thread.start()
     try:
-        with QueryExecutor(log, max_workers=2, cache_entries=0) as ex:
+        with QueryExecutor(log, cache_entries=0) as ex:
             for _ in range(15):
                 results = ex.prov_query_batch(
                     [(["a", "b", "c"], QUERY), (["c", "b", "a"], QUERY)]
@@ -529,14 +530,14 @@ def test_every_way_in_agrees(log):
     home = log.catalog.entry_shard(("a", "b"))
     seen = {}
     for way, run in WAYS_IN.items():
-        with QueryExecutor(log, max_workers=2) as ex:
+        with QueryExecutor(log) as ex:
             ex.query(["a", "b"], QUERY)
             first = run(ex, ROUND_1)
             assert ex.query(["a", "b", "c"], QUERY).cached  # the misses were installed
             # a write makes (a, b)'s entry stale; then its shard starts failing
             log.add_lineage("a", "b", relation=identity("a", "b"), replace=True)
             ex.query(["c", "d"], QUERY)
-            for _ in range(ex.breaker_failures):
+            for _ in range(3):  # the breaker trips on its third consecutive fault
                 ex._breaker(home).record_failure()
             second = run(ex, ROUND_2)
             stats = ex.stats()

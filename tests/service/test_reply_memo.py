@@ -103,7 +103,7 @@ def log():
 def test_the_memo_follows_its_cache_entry(log, monkeypatch):
     now = [1000.0]  # the breakers' clock, moved by hand
     monkeypatch.setattr(faults, "clock", lambda: now[0])
-    with QueryExecutor(log, max_workers=1, breaker_failures=1, breaker_reset_after=1.0) as ex:
+    with QueryExecutor(log) as ex:
         # the first encode after a miss fills the fresh entry's memo
         miss = ex.query(["b", "a"], QUERY)
         assert not miss.cached and miss.memo == {}
@@ -118,14 +118,15 @@ def test_the_memo_follows_its_cache_entry(log, monkeypatch):
         # a replace makes the entry stale; behind a tripped breaker it is
         # served degraded, from the memo it filled while fresh
         log.add_lineage("a", "b", relation=relation("a", "b", shift=1), replace=True)
-        ex._breaker(0).record_failure()
+        for _ in range(3):  # the breaker trips on its third consecutive fault
+            ex._breaker(0).record_failure()
         stale = ex.query(["b", "a"], QUERY)
         assert stale.cached and stale.degraded and stale.memo is miss.memo
         for over_rpc, over_http in assert_fresh(stale):
             assert decode_result(over_rpc).degraded and json.loads(over_http)["degraded"] is True
 
         # the breaker heals: the recompute installs a new entry, new bytes
-        now[0] += 2.0
+        now[0] += 31.0  # past the breaker's 30 s reset window
         recomputed = ex.query(["b", "a"], QUERY)
         assert not recomputed.cached and not recomputed.degraded
         assert recomputed.memo == {} and recomputed.memo is not miss.memo
@@ -137,7 +138,7 @@ def test_the_memo_follows_its_cache_entry(log, monkeypatch):
 def test_concurrent_hits_fill_one_memo_and_all_send_fresh_bytes(log):
     """Handler threads share an entry's memo: whichever fills it first, and
     however the fills interleave, every reply is a fresh encode."""
-    with QueryExecutor(log, max_workers=1) as ex:
+    with QueryExecutor(log) as ex:
         ex.query(["b", "a"], QUERY)
         hit = ex.query(["b", "a"], QUERY)
         wrong = []
@@ -166,7 +167,7 @@ def test_concurrent_hits_fill_one_memo_and_all_send_fresh_bytes(log):
 
 
 def test_a_disabled_cache_keeps_no_memo(log):
-    with QueryExecutor(log, max_workers=1, cache_entries=0) as ex:
+    with QueryExecutor(log, cache_entries=0) as ex:
         outcome = ex.query(["b", "a"], QUERY)
         assert outcome.memo is None
         assert_fresh(outcome)

@@ -122,8 +122,8 @@ class Model:
 class Side:
     def __init__(self, root):
         self.log = DSLog(root, num_shards=4, autosync=False) if root else DSLog()
-        self.cached = QueryExecutor(self.log, max_workers=2, cache_entries=1024)
-        self.uncached = QueryExecutor(self.log, max_workers=2, cache_entries=0)
+        self.cached = QueryExecutor(self.log, cache_entries=1024)
+        self.uncached = QueryExecutor(self.log, cache_entries=0)
         self.steps = 0
 
     def apply(self, step):

@@ -311,7 +311,7 @@ def test_service_serve_reads_applied_state(tmp_path):
         service.submit("op", ["a"], ["b"], relations={("a", "b"): identity("a", "b")}).result(
             timeout=30
         )
-        with service.serve(port=0) as server:
+        with service.log.serve(port=0) as server:
             client = LineageClient.connect(server.url, timeout=5.0)
             assert client.prov_query(["a", "b"], cells=[[2, 2]])["count"] == 1
 

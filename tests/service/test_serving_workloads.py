@@ -80,7 +80,7 @@ def test_batch_matches_one_at_a_time(batch_catalog):
     tables = log.hop_tables(path)
     box_sets = [log._as_box_set(path[0], cells) for _, cells in requests]
     same_results(execute_path_batch(tables, box_sets), [execute_path(tables, b) for b in box_sets])
-    with QueryExecutor(log, max_workers=1, cache_entries=0) as ex:
+    with QueryExecutor(log, cache_entries=0) as ex:
         batched = ex.prov_query_batch(requests)
         same_results(batched, [ex.prov_query(p, cells) for p, cells in requests])
         assert ex.stats()["cache"]["hits"] == 0
@@ -88,7 +88,7 @@ def test_batch_matches_one_at_a_time(batch_catalog):
 
 def test_http_batch_matches_single_round_trips(batch_catalog):
     log, requests = batch_catalog
-    server = log.serve(port=0, max_workers=1, cache_entries=0)
+    server = log.serve(port=0, cache_entries=0)
     try:
         with LineageClient.connect(server.url, timeout=30.0) as client:
             batch = client.prov_query_batch(requests)
@@ -136,9 +136,9 @@ def serving_catalogs(tmp_path_factory):
 def test_cached_mix_matches_uncached(serving_catalogs):
     log = serving_catalogs(4)
     mix = serving_mix()
-    with QueryExecutor(log, max_workers=1, cache_entries=0) as ex:
+    with QueryExecutor(log, cache_entries=0) as ex:
         uncached = ex.prov_query_batch(mix)
-    with QueryExecutor(log, max_workers=1, cache_entries=512) as ex:
+    with QueryExecutor(log, cache_entries=512) as ex:
         ex.prov_query_batch(mix)
         same_results(ex.prov_query_batch(mix), uncached)
 
@@ -147,7 +147,7 @@ def test_second_pass_is_all_result_cache_hits(serving_catalogs):
     """A hot pass runs no θ-join: every query is a hit, none is executed."""
     log = serving_catalogs(4)
     mix = serving_mix()
-    with QueryExecutor(log, max_workers=1, cache_entries=512) as ex:
+    with QueryExecutor(log, cache_entries=512) as ex:
         ex.prov_query_batch(mix)
         before = ex.stats()
         outcomes = ex.query_batch(mix)
@@ -163,10 +163,10 @@ def test_pooled_fanout_matches_sequential(serving_catalogs, num_shards):
     log = serving_catalogs(num_shards)
     mix = serving_mix()
     log.store.cache.clear()
-    with QueryExecutor(log, max_workers=1, cache_entries=0) as ex:
+    with QueryExecutor(log, cache_entries=0) as ex:
         sequential = ex.prov_query_batch(mix)
     log.store.cache.clear()
-    with QueryExecutor(log, max_workers=4, cache_entries=0) as ex:
+    with QueryExecutor(log, cache_entries=0) as ex:
         # only a deadline sends cold shards to the pool
         pooled = [outcome.result for outcome in ex.query_batch(mix, deadline=60.0)]
         assert ex.stats()["parallel_loads"] > 0
@@ -200,7 +200,7 @@ def test_disabled_observability_changes_no_answer(tmp_path):
         mix.append((list(reversed(names)), [(1, 1), (5, 9)]))
     queries = REGISTRY.get("dslog_queries_total")
     try:
-        with QueryExecutor(log, max_workers=1, cache_entries=0) as ex:
+        with QueryExecutor(log, cache_entries=0) as ex:
             enabled = ex.prov_query_batch(mix)
             set_enabled(False)
             before = queries.value
@@ -282,9 +282,7 @@ def test_durable_concurrent_ingest(tmp_path, writers):
     """Each writer submits a chain of operations and waits for each to be
     durable; afterwards a reopened catalog holds every chain whole."""
     ops_per_writer = 32 // writers
-    service = LineageService(
-        tmp_path / "db", workers=4, num_shards=4, commit_interval=0.005, queue_size=128
-    )
+    service = LineageService(tmp_path / "db", workers=4, num_shards=4)
     for w in range(writers):
         for i in range(ops_per_writer + 1):
             service.define_array(f"w{w}a{i}", INGEST_SHAPE)

@@ -28,6 +28,7 @@ from repro.service.server import (
     LineageServer,
     LineageServerError,
 )
+from repro.storage.sharded import ShardedLineageStore
 
 SHAPE = (6, 6)
 
@@ -229,10 +230,9 @@ def test_healthz_scrub_traces_metrics(client):
     assert "dslog_requests_total" in text
 
 
-def test_repair_scrub_is_refused_from_a_remote_peer(transport, log, monkeypatch):
-    """A repairing scrub rewrites the store and drops every entry whose
-    table is damaged: from a peer that is not loopback it is refused — HTTP
-    403, an RPC error item — while a detecting scrub is still answered."""
+def _serve_as_remote_peer(transport, monkeypatch) -> None:
+    """Make every connection this wire accepts look as if it came from
+    192.0.2.7, a host that is not loopback."""
     handler = server_module._Handler if transport.name == "http" else rpc_module._ConnectionHandler
     setup = handler.setup
 
@@ -241,6 +241,13 @@ def test_repair_scrub_is_refused_from_a_remote_peer(transport, log, monkeypatch)
         self.client_address = ("192.0.2.7", self.client_address[1])
 
     monkeypatch.setattr(handler, "setup", remote_peer)
+
+
+def test_repair_scrub_is_refused_from_a_remote_peer(transport, log, monkeypatch):
+    """A repairing scrub rewrites the store and drops every entry whose
+    table is damaged: from a peer that is not loopback it is refused — HTTP
+    403, an RPC error item — while a detecting scrub is still answered."""
+    _serve_as_remote_peer(transport, monkeypatch)
     with transport.server(log) as server:
         with transport.client.connect(transport.address(server), timeout=5.0) as client:
             assert client.scrub(repair=False)["clean"] is True
@@ -252,6 +259,42 @@ def test_repair_scrub_is_refused_from_a_remote_peer(transport, log, monkeypatch)
     with transport.server(log) as server:  # the same request from this host
         with transport.client.connect(transport.address(server), timeout=5.0) as client:
             assert client.scrub(repair=True)["clean"] is True
+
+
+NOT_A_FLAG = [
+    ("scrub", {"repair": "false"}),
+    ("scrub", {"repair": 1}),
+    ("query", {**QUERY, "merge": "false"}),
+    ("query", {**QUERY, "include_cells": "false"}),
+    ("query", {**QUERY, "include_boxes": None}),
+    ("query", {"path": ["a", "b"], "cells": [[True, 1]]}),
+    ("query", {"path": ["a", "b"], "slices": [[0, False], None]}),
+]
+
+
+@pytest.mark.parametrize("remote", [False, True], ids=["loopback", "remote"])
+def test_a_flag_is_a_json_boolean(transport, log, monkeypatch, remote):
+    """``"false"`` is not false: a string, number or null where a JSON
+    boolean belongs, or a boolean where a coordinate or slice bound
+    belongs, is a 400 on both wires and from any peer, and the store is
+    never asked for a repairing scrub."""
+    repairs = []
+    scrub = ShardedLineageStore.scrub
+
+    def spy(self, repair=False, shard=None):
+        repairs.append(repair)
+        return scrub(self, repair=repair, shard=shard)
+
+    monkeypatch.setattr(ShardedLineageStore, "scrub", spy)
+    if remote:
+        _serve_as_remote_peer(transport, monkeypatch)
+    with transport.server(log) as server:
+        with transport.client.connect(transport.address(server), timeout=5.0) as client:
+            for name, args in NOT_A_FLAG:
+                with pytest.raises(LineageServerError) as refused:
+                    client.call(name, args)
+                assert (refused.value.status, refused.value.kind) == (400, "bad-request"), args
+    assert True not in repairs
 
 
 def test_one_request_vocabulary_on_both_wires(transport, client, caplog):

@@ -221,7 +221,7 @@ class TestGroupCommitFaults:
         """Submit *n* tickets; with *flush_after*, flush after that many so
         the tickets span at least two group commits whatever the timing."""
         log = DSLog(root, num_shards=2, autosync=False, faults=plan)
-        svc = LineageService(log=log, workers=2, commit_interval=0.001)
+        svc = LineageService(log=log, workers=2)
         names = [f"A{i}" for i in range(n + 1)]
         for name in names:
             svc.define_array(name, SHAPE)

@@ -9,6 +9,7 @@ from repro import DSLog
 from repro.core.provrc import compress
 from repro.core.relation import LineageRelation
 from repro.storage.manifest import MANIFEST_NAME, load_manifest
+from repro.storage import store as store_module
 from repro.storage.segments import SegmentWriter, iter_records, read_record
 from repro.storage.store import (
     LineageStore,
@@ -126,8 +127,9 @@ class TestLineageStore:
         store.load_table(ref)
         assert store.tables_deserialized == 0  # appended table stayed cached
 
-    def test_segment_rollover(self, tmp_path):
-        store = LineageStore(tmp_path / "db", segment_max_bytes=256)
+    def test_segment_rollover(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(store_module, "DEFAULT_SEGMENT_MAX_BYTES", 256)
+        store = LineageStore(tmp_path / "db")
         for i in range(6):
             store.append_table(compress(elementwise((32,), f"I{i}", f"O{i}")))
         assert len(store.manifest.segments) > 1
