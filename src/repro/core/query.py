@@ -258,9 +258,6 @@ class CellBoxSet:
         n = len(self)
         if n == 1:
             return cells  # an ij meshgrid ravels in lexicographic order
-        if n <= 64 and _boxes_disjoint(self.lo, self.hi):
-            # disjoint boxes produce no duplicate cells: sorting suffices
-            return cells[np.lexsort(cells.T[::-1])]
         # np.unique sorts rows lexicographically — same order as
         # sorted(set(...)) over the equivalent tuples
         return np.unique(cells, axis=0)
@@ -300,11 +297,6 @@ class CellBoxSet:
             return 0
         lo, hi = self.lo, self.hi
         n = lo.shape[0]
-        if 1 < n <= 64 and _boxes_disjoint(lo, hi):
-            # small sets: when the boxes are pairwise disjoint the union
-            # volume is just the sum of volumes — one O(n²·ndim) broadcast
-            # beats the constant cost of the merge + compressed-grid sweep
-            return int((hi - lo + 1).prod(axis=1).sum())
         if n > 1:
             lo, hi = merge_boxes(lo, hi)
         if lo.shape[0] == 1:
@@ -342,14 +334,6 @@ class CellBoxSet:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CellBoxSet({self.array_name}, boxes={len(self)})"
-
-
-def _boxes_disjoint(lo: np.ndarray, hi: np.ndarray) -> bool:
-    """True when no two boxes overlap (O(n²·ndim) broadcast — callers cap n)."""
-    overlap = np.logical_and(
-        lo[:, None, :] <= hi[None, :, :], hi[:, None, :] >= lo[None, :, :]
-    ).all(axis=2)
-    return int(overlap.sum()) == lo.shape[0]  # only the diagonal self-overlaps
 
 
 def _count_union_grid(lo: np.ndarray, hi: np.ndarray) -> int:

@@ -76,7 +76,6 @@ DEFAULT_SIZE_BUCKETS: Tuple[float, ...] = (
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 
 # one switch for the whole layer: the overhead benchmark's control arm
-_STATE = threading.local  # placeholder so linters see usage below
 _enabled = True
 
 

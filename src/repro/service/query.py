@@ -422,10 +422,6 @@ class QueryExecutor:
             raise outcome
         return outcome
 
-    def prov_query(self, path: Sequence[str], query_cells, merge: bool = True) -> QueryResult:
-        """:meth:`query` without the outcome flags — drop-in for ``DSLog.prov_query``."""
-        return self.query(path, query_cells, merge=merge)[0]
-
     def query_batch(
         self,
         requests: Sequence[Tuple[Sequence[str], Any]],
@@ -457,19 +453,6 @@ class QueryExecutor:
         if trace is not None:
             trace.set_tag("batch_size", len(requests))
         return self._answer(requests, merge, deadline)
-
-    def prov_query_batch(
-        self, requests: Sequence[Tuple[Sequence[str], Any]], merge: bool = True
-    ) -> List[QueryResult]:
-        """:meth:`query_batch` without the outcome flags: one
-        :class:`~repro.core.query.QueryResult` per request, in order.
-        Unlike the containment semantics of :meth:`query_batch`, a failed
-        request raises (the first failure, after the batch ran)."""
-        outcomes = self.query_batch(requests, merge=merge)
-        for outcome in outcomes:
-            if isinstance(outcome, BaseException):
-                raise outcome
-        return [outcome.result for outcome in outcomes]
 
     # ------------------------------------------------------------------
     # the pipeline

@@ -213,8 +213,10 @@ def scrub_store(store: LineageStore, repair: bool = False, serialize_lock=None) 
         if damage is not None:
             report["damaged_segments"].append(damage)
 
-    # orphans: segment files no manifest generation references
-    live = set(manifest.segments)
+    # orphans: segment files no manifest generation references, except
+    # those a compaction retired under a snapshot pin (deleted when the
+    # last pin is released; until then a snapshot may still read them)
+    live = set(manifest.segments) | set(store._retired)
     for path in sorted(root.glob("segment-*.seg")):
         if path.name not in live:
             report["orphan_segments"].append(path.name)

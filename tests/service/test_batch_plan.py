@@ -1,13 +1,9 @@
 """A batch is one plan: whatever paths its requests take, each distinct hop
 table hydrates once and each (table, direction) is joined in one kernel
-pass, and every request still gets exactly the answer it gets alone.
+pass, and every request still gets exactly the answer it gets alone (that
+last part, over random catalogs and batches, is the query_batch rule of
+``tests/integration/test_model.py``).
 
-* Randomised: catalogs with a chain, a fork and a diamond, and batches that
-  mix both directions, overlapping sub-paths, graph-planned two-array paths
-  (a diamond's is a union), paths that go empty midway, duplicates and bad
-  requests.  Every outcome equals the request run alone — boxes bit for
-  bit, ``HopStats`` counts equal — and its cells equal
-  ``query_path_reference`` over the uncompressed relations.
 * Counted: one kernel pass per (entry, direction), one decode per distinct
   entry with a table cache that keeps nothing, and the trace tags that
   report both.
@@ -16,12 +12,9 @@ pass, and every request still gets exactly the answer it gets alone.
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 import repro.core.query as query_mod
 from repro import DSLog, FaultPlan, QueryExecutor, ShardUnavailable
-from repro.core.reference import query_path_reference
 from repro.core.relation import LineageRelation
 from repro.obs import tracing
 from repro.storage.sharded import shard_index
@@ -31,7 +24,6 @@ CELLS = [(c,) for c in range(SHAPE[0])]
 # a chain A -> B -> C -> D -> F, a fork at B (B -> E), and a diamond
 # B -> {C, E} -> D, so B..D is a two-path union when graph-planned
 EDGES = [("A", "B"), ("B", "C"), ("C", "D"), ("D", "F"), ("B", "E"), ("E", "D")]
-NAMES = sorted({name for edge in EDGES for name in edge})
 EXPLICIT = [
     ["A", "B", "C", "D", "F"], ["F", "D", "C", "B", "A"],  # the whole chain, both ways
     ["B", "C", "D"], ["C", "D"], ["D", "C", "B"], ["C", "B"],  # overlapping sub-paths
@@ -39,25 +31,10 @@ EXPLICIT = [
     ["C", "B", "C"], ["D", "E", "D", "C"],  # paths that revisit an entry
 ]
 PLANNED = [["B", "D"], ["D", "B"], ["A", "D"], ["F", "A"], ["A", "F"]]
-BAD = [["A", "nope"], ["A"], ["A", "C", "D"], ["F", "A", "B"]]
 
 
 def relation(src, dst, pairs):
     return LineageRelation.from_pairs(pairs, SHAPE, SHAPE, in_name=src, out_name=dst)
-
-
-def reference(relations, log, path, cells):
-    """The brute-force answer over every path the planner runs."""
-    found = set()
-    for planned in log.plan_paths(path):
-        hops = [
-            ((a, b), "forward") if (a, b) in relations else ((b, a), "backward")
-            for a, b in zip(planned, planned[1:])
-        ]
-        found |= query_path_reference(
-            [relations[pair] for pair, _ in hops], [d for _, d in hops], cells
-        )
-    return found
 
 
 def comparable(outcome):
@@ -70,44 +47,6 @@ def comparable(outcome):
     ]
     cells = result.cells
     return cells.array_name, cells.shape, cells.lo.tolist(), cells.hi.tolist(), hops
-
-
-PAIRS = st.lists(st.tuples(st.sampled_from(CELLS), st.sampled_from(CELLS)), max_size=6)
-REQUEST = st.tuples(
-    st.sampled_from(EXPLICIT + PLANNED + BAD),
-    st.lists(st.sampled_from(CELLS), max_size=3),
-)
-
-
-@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(
-    st.lists(PAIRS, min_size=len(EDGES), max_size=len(EDGES)),
-    st.lists(REQUEST, min_size=1, max_size=14),
-    st.booleans(),
-)
-def test_mixed_batch_answers_like_each_request_alone(edge_pairs, requests, merge):
-    # sparse random relations: some paths die midway, some cells have no lineage
-    relations = {(a, b): relation(a, b, pairs) for (a, b), pairs in zip(EDGES, edge_pairs)}
-    log = DSLog()
-    for name in NAMES:
-        log.define_array(name, SHAPE)
-    for (a, b), rel in relations.items():
-        log.add_lineage(a, b, relation=rel)
-    dupes = requests[:2]
-    requests = requests + dupes  # duplicates ride along
-    with QueryExecutor(log, cache_entries=0) as ex:
-        batch = ex.query_batch(requests, merge=merge)
-        for (path, cells), outcome in zip(requests, batch):
-            try:
-                alone = ex.query(path, cells, merge=merge)
-            except Exception as error:  # noqa: BLE001 - compared by type
-                alone = error
-            assert comparable(outcome) == comparable(alone), path
-            if not isinstance(alone, BaseException):
-                assert outcome.result.to_cells() == reference(relations, log, path, cells)
-    assert [comparable(o) for o in batch[len(requests) - len(dupes) :]] == [
-        comparable(o) for o in batch[: len(dupes)]
-    ]
 
 
 # ----------------------------------------------------------------------

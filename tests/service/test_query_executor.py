@@ -43,16 +43,14 @@ QUERY = [(1, 1), (2, 3), (4, 4)]
 def test_executor_matches_dslog(log):
     with QueryExecutor(log) as ex:
         for path in (["a", "b"], ["a", "b", "c"], ["c", "b", "a"]):
-            assert ex.prov_query(path, QUERY).to_cells() == log.prov_query(
-                path, QUERY
-            ).to_cells()
+            assert ex.query(path, QUERY).result.to_cells() == log.prov_query(path, QUERY).to_cells()
 
 
 def test_sequential_equals_parallel(log):
     # without a deadline tables hydrate on the calling thread; with one,
     # every cold shard hydrates on the pool
     with QueryExecutor(log, cache_entries=0) as ex:
-        sequential = ex.prov_query(["a", "c"], QUERY).to_cells()
+        sequential = ex.query(["a", "c"], QUERY).result.to_cells()
         if log.store is not None:
             log.store.cache.clear()
         assert ex.query(["a", "c"], QUERY, deadline=60.0).result.to_cells() == sequential
@@ -66,7 +64,7 @@ def test_planned_diamond_union(log):
     log.add_lineage("x", "c", relation=identity("x", "c"))
     with QueryExecutor(log) as ex:
         expected = log.prov_query(["a", "c"], QUERY).to_cells()
-        assert ex.prov_query(["a", "c"], QUERY).to_cells() == expected
+        assert ex.query(["a", "c"], QUERY).result.to_cells() == expected
 
 
 def test_cache_hit_and_flag(log):
@@ -90,9 +88,9 @@ def test_cache_disabled(log):
 def test_unknown_array_raises(log):
     with QueryExecutor(log) as ex:
         with pytest.raises(KeyError):
-            ex.prov_query(["a", "nope"], QUERY)
+            ex.query(["a", "nope"], QUERY)
         with pytest.raises(ValueError):
-            ex.prov_query(["a"], QUERY)
+            ex.query(["a"], QUERY)
 
 
 def _pairs_in_distinct_shards(num_shards):
@@ -121,7 +119,7 @@ def test_write_invalidates_only_touched_entries(tmp_path):
     log.add_lineage(u, v, relation=identity(u, v))
 
     with QueryExecutor(log) as ex:
-        ex.prov_query([a, b], QUERY)
+        ex.query([a, b], QUERY)
         assert ex.query([a, b], QUERY)[1] is True
 
         # a write to another pair must not invalidate this result, whether
@@ -165,7 +163,7 @@ def test_backward_path_invalidated_by_replace(tmp_path):
     log.define_array(b, SHAPE)
     log.add_lineage(a, b, relation=identity(a, b))
     with QueryExecutor(log) as ex:
-        before = ex.prov_query([b, a], QUERY).to_cells()
+        before = ex.query([b, a], QUERY).result.to_cells()
         assert ex.query([b, a], QUERY)[1] is True
 
         log.add_lineage(a, b, relation=shift(a, b), replace=True)
@@ -183,7 +181,7 @@ def test_planned_query_turns_over_when_the_plan_does(tmp_path):
     log = DSLog(tmp_path / "db", num_shards=4)
     build_chain(log, ["a", "b", "c"])
     with QueryExecutor(log) as ex:
-        before = ex.prov_query(["a", "c"], QUERY).to_cells()
+        before = ex.query(["a", "c"], QUERY).result.to_cells()
         assert ex.query(["a", "c"], QUERY)[1] is True
 
         log.define_array("x", SHAPE)
@@ -199,7 +197,7 @@ def test_memory_backend_invalidates_per_entry():
     log = DSLog()
     build_chain(log, ["a", "b"])
     with QueryExecutor(log) as ex:
-        before = ex.prov_query(["a", "b"], QUERY).to_cells()
+        before = ex.query(["a", "b"], QUERY).result.to_cells()
         assert ex.query(["a", "b"], QUERY)[1] is True
         # a memory log gets the sharded store's precision from the same
         # code: a write that touches no hop of the query keeps the hit
@@ -296,9 +294,9 @@ def test_closed_executor_rejects_queries(log):
     ex = QueryExecutor(log)
     ex.close()
     with pytest.raises(RuntimeError):
-        ex.prov_query(["a", "b"], QUERY)
+        ex.query(["a", "b"], QUERY)
     with pytest.raises(RuntimeError):
-        ex.prov_query_batch([(["a", "b"], QUERY), (["b", "c"], QUERY)])
+        ex.query_batch([(["a", "b"], QUERY), (["b", "c"], QUERY)])
 
 
 # ----------------------------------------------------------------------
@@ -364,8 +362,8 @@ def test_readers_racing_a_replacing_writer_never_keep_a_stale_answer(log):
 
 
 def test_batch_matches_individual(log):
-    """prov_query_batch over mixed paths is bit-identical to one query at
-    a time — the executor-level face of the kernel equivalence tests."""
+    """query_batch over mixed paths is bit-identical to one query at a
+    time — the executor-level face of the kernel equivalence tests."""
     requests = [
         (["a", "b"], QUERY),
         (["a", "b", "c"], QUERY),
@@ -373,12 +371,12 @@ def test_batch_matches_individual(log):
         (["a", "b"], [(5, 5)]),
     ]
     with QueryExecutor(log, cache_entries=0) as ex:
-        batched = ex.prov_query_batch(requests)
+        batched = ex.query_batch(requests)
         for (path, cells), got in zip(requests, batched):
-            want = ex.prov_query(path, cells)
-            assert got.cells.array_name == want.cells.array_name
-            assert np.array_equal(got.cells.lo, want.cells.lo)
-            assert np.array_equal(got.cells.hi, want.cells.hi)
+            want = ex.query(path, cells).result
+            assert got.result.cells.array_name == want.cells.array_name
+            assert np.array_equal(got.result.cells.lo, want.cells.lo)
+            assert np.array_equal(got.result.cells.hi, want.cells.hi)
 
 
 def test_batch_mixed_cached_uncached_unknown(log):
@@ -421,10 +419,15 @@ def test_batch_empty_and_stats(log):
         assert stats["batched_queries"] == 1
 
 
-def test_batch_prov_raises_first_failure(log):
+def test_a_failed_request_does_not_fail_its_batch(log):
+    # query_batch never raises for a request: each failure is returned in
+    # its own slot, and the requests after it are still answered
     with QueryExecutor(log) as ex:
-        with pytest.raises(KeyError):
-            ex.prov_query_batch([(["a", "b"], QUERY), (["nope", "b"], QUERY)])
+        missing, short, good = ex.query_batch(
+            [(["nope", "b"], QUERY), (["a"], QUERY), (["a", "b"], QUERY)]
+        )
+        assert isinstance(missing, KeyError) and isinstance(short, ValueError)
+        assert good.result.to_cells() == log.prov_query(["a", "b"], QUERY).to_cells()
 
 
 def test_batch_racing_replace_and_compaction(tmp_path):
@@ -451,108 +454,12 @@ def test_batch_racing_replace_and_compaction(tmp_path):
     try:
         with QueryExecutor(log, cache_entries=0) as ex:
             for _ in range(15):
-                results = ex.prov_query_batch(
+                results = [outcome.result for outcome in ex.query_batch(
                     [(["a", "b", "c"], QUERY), (["c", "b", "a"], QUERY)]
-                )
+                )]
                 assert [r.count_cells() for r in results] == [expected, expected]
     finally:
         stop.set()
         thread.join()
         log.close()
     assert not errors
-
-
-# ----------------------------------------------------------------------
-# one pipeline: every way in agrees
-# ----------------------------------------------------------------------
-from repro.faults import ShardUnavailable  # noqa: E402
-
-OTHER = [(0, 5), (3, 3)]
-# healthy shards: a cache hit, direct misses (two sharing a path, so a batch
-# joins them in one pass), a graph-planned path, a planned diamond, and two
-# requests that fail validation
-ROUND_1 = [
-    (["a", "b"], QUERY),  # primed: hit
-    (["a", "b", "c"], QUERY),
-    (["a", "b", "c"], OTHER),
-    (["d", "c", "b"], QUERY),
-    (["b", "d"], QUERY),  # no entry: planned b -> c -> d
-    (["a", "c"], QUERY),  # no entry: planned a -> b -> c and a -> x -> c
-    (["a", "nope"], QUERY),  # KeyError
-    (["a"], QUERY),  # ValueError
-]
-# (a, b)'s home shard behind an open breaker
-ROUND_2 = [
-    (["c", "d"], QUERY),  # primed after the write: hit, the gate is not reached
-    (["a", "b"], QUERY),  # stale since the write: served degraded
-    (["a", "b"], OTHER),  # never cached: ShardUnavailable
-]
-
-
-def _one_at_a_time(ex, requests):
-    answers = []
-    for path, cells in requests:
-        try:
-            answers.append(ex.query(path, cells))
-        except Exception as error:  # noqa: BLE001 - compared by type below
-            answers.append(error)
-    return answers
-
-
-WAYS_IN = {
-    "query": _one_at_a_time,
-    "query_batch": lambda ex, requests: ex.query_batch(requests),
-    "singleton batches": lambda ex, requests: [ex.query_batch([r])[0] for r in requests],
-}
-
-
-def _comparable(answer):
-    if isinstance(answer, BaseException):
-        return type(answer)
-    cells = answer.result.cells
-    hops = [
-        (h.array_from, h.array_to, h.rows_scanned, h.boxes_in, h.boxes_out_raw,
-         h.boxes_out_merged, h.join_blocks)
-        for h in answer.result.hops
-    ]
-    return (cells.array_name, cells.lo.tolist(), cells.hi.tolist(), hops,
-            answer.cached, answer.degraded)
-
-
-def test_every_way_in_agrees(log):
-    """One request list through ``query`` one at a time, ``query_batch``
-    whole and ``query_batch`` as singletons: answers, flags, error types
-    and the counters agree, and fresh answers are ``DSLog.prov_query``'s."""
-    for name in ("d", "x"):
-        log.define_array(name, SHAPE)
-    for a, b in (("c", "d"), ("a", "x"), ("x", "c")):
-        log.add_lineage(a, b, relation=identity(a, b))
-    home = log.catalog.entry_shard(("a", "b"))
-    seen = {}
-    for way, run in WAYS_IN.items():
-        with QueryExecutor(log) as ex:
-            ex.query(["a", "b"], QUERY)
-            first = run(ex, ROUND_1)
-            assert ex.query(["a", "b", "c"], QUERY).cached  # the misses were installed
-            # a write makes (a, b)'s entry stale; then its shard starts failing
-            log.add_lineage("a", "b", relation=identity("a", "b"), replace=True)
-            ex.query(["c", "d"], QUERY)
-            for _ in range(3):  # the breaker trips on its third consecutive fault
-                ex._breaker(home).record_failure()
-            second = run(ex, ROUND_2)
-            stats = ex.stats()
-        answers = [_comparable(answer) for answer in first + second]
-        cache = stats["cache"]
-        seen[way] = (answers, stats["queries"], cache["hits"], cache["misses"], cache["stale_hits"])
-
-    answers = seen["query"][0]
-    assert answers[6] is KeyError and answers[7] is ValueError
-    assert answers[10] is ShardUnavailable
-    assert [a[-2:] for a in answers[:6]] == [(True, False)] + [(False, False)] * 5
-    assert [a[-2:] for a in answers[8:10]] == [(True, False), (True, True)]
-    for (path, cells), answer in zip(ROUND_1[:6], answers):
-        want = log.prov_query(path, cells)
-        assert answer[:3] == (want.cells.array_name, want.cells.lo.tolist(), want.cells.hi.tolist())
-        assert [hop[:2] for hop in answer[3]] == [(h.array_from, h.array_to) for h in want.hops]
-    for way, got in seen.items():
-        assert got == seen["query"], way

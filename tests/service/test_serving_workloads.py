@@ -50,6 +50,12 @@ def build_catalog(root, shape, lanes, hops, num_shards):
     return log
 
 
+def answered(outcomes):
+    """The results of a batch, none of whose requests may have failed."""
+    assert not any(isinstance(outcome, BaseException) for outcome in outcomes), outcomes
+    return [outcome.result for outcome in outcomes]
+
+
 def same_results(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -81,8 +87,8 @@ def test_batch_matches_one_at_a_time(batch_catalog):
     box_sets = [log._as_box_set(path[0], cells) for _, cells in requests]
     same_results(execute_path_batch(tables, box_sets), [execute_path(tables, b) for b in box_sets])
     with QueryExecutor(log, cache_entries=0) as ex:
-        batched = ex.prov_query_batch(requests)
-        same_results(batched, [ex.prov_query(p, cells) for p, cells in requests])
+        batched = answered(ex.query_batch(requests))
+        same_results(batched, [ex.query(p, cells).result for p, cells in requests])
         assert ex.stats()["cache"]["hits"] == 0
 
 
@@ -137,10 +143,10 @@ def test_cached_mix_matches_uncached(serving_catalogs):
     log = serving_catalogs(4)
     mix = serving_mix()
     with QueryExecutor(log, cache_entries=0) as ex:
-        uncached = ex.prov_query_batch(mix)
+        uncached = answered(ex.query_batch(mix))
     with QueryExecutor(log, cache_entries=512) as ex:
-        ex.prov_query_batch(mix)
-        same_results(ex.prov_query_batch(mix), uncached)
+        answered(ex.query_batch(mix))
+        same_results(answered(ex.query_batch(mix)), uncached)
 
 
 def test_second_pass_is_all_result_cache_hits(serving_catalogs):
@@ -148,7 +154,7 @@ def test_second_pass_is_all_result_cache_hits(serving_catalogs):
     log = serving_catalogs(4)
     mix = serving_mix()
     with QueryExecutor(log, cache_entries=512) as ex:
-        ex.prov_query_batch(mix)
+        answered(ex.query_batch(mix))
         before = ex.stats()
         outcomes = ex.query_batch(mix)
         after = ex.stats()
@@ -164,7 +170,7 @@ def test_pooled_fanout_matches_sequential(serving_catalogs, num_shards):
     mix = serving_mix()
     log.store.cache.clear()
     with QueryExecutor(log, cache_entries=0) as ex:
-        sequential = ex.prov_query_batch(mix)
+        sequential = answered(ex.query_batch(mix))
     log.store.cache.clear()
     with QueryExecutor(log, cache_entries=0) as ex:
         # only a deadline sends cold shards to the pool
@@ -201,13 +207,13 @@ def test_disabled_observability_changes_no_answer(tmp_path):
     queries = REGISTRY.get("dslog_queries_total")
     try:
         with QueryExecutor(log, cache_entries=0) as ex:
-            enabled = ex.prov_query_batch(mix)
+            enabled = answered(ex.query_batch(mix))
             set_enabled(False)
             before = queries.value
-            disabled = ex.prov_query_batch(mix)
+            disabled = answered(ex.query_batch(mix))
             assert queries.value == before
             set_enabled(True)
-            again = ex.prov_query_batch(mix)
+            again = answered(ex.query_batch(mix))
             assert queries.value == before + len(mix)
     finally:
         set_enabled(True)

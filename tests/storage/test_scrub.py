@@ -333,6 +333,26 @@ class TestRepair:
         why = json.loads((moved.parent / "segment-000099.seg.json").read_text())
         assert why["reason"] == "orphan"
 
+    def test_segment_retired_under_a_snapshot_pin_is_not_an_orphan(self, tmp_path):
+        # a compaction under a pin retires the old segments instead of
+        # deleting them; until the pin goes, a snapshot still reads them
+        root = tmp_path / "db"
+        names = build(root, 2)
+        log = DSLog.load(root, autosync=False)
+        view = log.snapshot()
+        log.add_lineage(names[0], names[1], relation=elementwise(names[0], names[1]),
+                        op_name="v2", replace=True)
+        log.sync()
+        log.compact()
+        report = log.scrub(repair=True)["shards"][0]
+        assert report["orphan_segments"] == [] and report["quarantined"] == []
+        assert view.catalog.entry(names[0], names[1]).backward.decompress() == elementwise(
+            names[0], names[1]
+        )
+        view.close()
+        log.close()
+        assert_fully_readable(root, names)
+
     def test_repair_survives_cold_restart_and_keeps_ingesting(self, tmp_path):
         root = tmp_path / "db"
         names = build(root, 3)
