@@ -169,10 +169,6 @@ class LineageRelation:
         return len(self.in_shape)
 
     @property
-    def ncols(self) -> int:
-        return self.out_ndim + self.in_ndim
-
-    @property
     def attribute_names(self) -> Tuple[str, ...]:
         return tuple(self.out_axes) + tuple(self.in_axes)
 

@@ -293,10 +293,6 @@ class FaultPlan:
         with self._lock:
             self._armed = False
 
-    @property
-    def armed(self) -> bool:
-        return self._armed
-
     def fired(self, site: Optional[str] = None) -> int:
         """How many faults were injected (at *site*, or in total)."""
         with self._lock:

@@ -126,14 +126,6 @@ class LineageGraph:
         with self._lock:
             return sorted(self._known_pairs)
 
-    def fan_out(self, name: str) -> int:
-        self._check(name)
-        return len(self._out[name])
-
-    def fan_in(self, name: str) -> int:
-        self._check(name)
-        return len(self._in[name])
-
     # ------------------------------------------------------------------
     # path planning
     # ------------------------------------------------------------------

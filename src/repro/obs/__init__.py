@@ -29,7 +29,6 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
     REGISTRY,
-    get_registry,
     parse_prometheus_text,
     quantile_from_buckets,
     render_prometheus,
@@ -59,7 +58,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "REGISTRY",
-    "get_registry",
     "parse_prometheus_text",
     "quantile_from_buckets",
     "render_prometheus",
@@ -75,7 +73,6 @@ __all__ = [
     "start_trace",
     "wrap_context",
     "set_enabled",
-    "enabled",
 ]
 
 
@@ -83,7 +80,3 @@ def set_enabled(value: bool) -> None:
     """Enable/disable the whole layer (metrics + tracing) in one call."""
     metrics.set_enabled(value)
     tracing.set_enabled(value)
-
-
-def enabled() -> bool:
-    return metrics.metrics_enabled() and tracing.tracing_enabled()

@@ -53,9 +53,7 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "REGISTRY",
-    "get_registry",
     "set_enabled",
-    "metrics_enabled",
     "DEFAULT_LATENCY_BUCKETS",
     "DEFAULT_SIZE_BUCKETS",
     "render_prometheus",
@@ -85,10 +83,6 @@ def set_enabled(value: bool) -> None:
     module-global read."""
     global _enabled
     _enabled = bool(value)
-
-
-def metrics_enabled() -> bool:
-    return _enabled
 
 
 class _Instrument:
@@ -380,19 +374,8 @@ class MetricsRegistry:
         """The Prometheus text exposition format (version 0.0.4)."""
         return render_prometheus(self.metrics())
 
-    def reset(self) -> None:
-        """Drop every registered instrument (tests only — module-level
-        instrument handles become dangling, so production code never calls
-        this)."""
-        with self._lock:
-            self._metrics.clear()
-
 
 REGISTRY = MetricsRegistry()
-
-
-def get_registry() -> MetricsRegistry:
-    return REGISTRY
 
 
 # ----------------------------------------------------------------------

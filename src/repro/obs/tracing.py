@@ -221,11 +221,6 @@ class Trace:
         with self._lock:
             self.tags[key] = value
 
-    @property
-    def spans(self) -> List[Span]:
-        with self._lock:
-            return list(self._spans)
-
     def as_dict(self) -> dict:
         with self._lock:
             spans = [sp.as_dict() for sp in self._spans]

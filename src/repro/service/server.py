@@ -275,11 +275,8 @@ class LineageServer:
         The bind address.  ``0`` picks a free port; read it off the server
         (``port`` / ``url``, ``rpc_port`` / ``rpc_address``, each ``None``
         for a wire not served).  At least one port must be given.
-    executor:
-        A pre-built :class:`QueryExecutor` to share; by default the core
-        owns one (and closes it on :meth:`close`).
     cache_entries:
-        Result-cache capacity of the owned executor.
+        Result-cache capacity of the server's executor.
     fault_plan:
         A :class:`~repro.faults.FaultPlan` the RPC reply path consults
         (site ``"rpc.send"``; see :mod:`repro.service.rpc`).
@@ -291,13 +288,12 @@ class LineageServer:
         host: str = "127.0.0.1",
         port: Optional[int] = 0,
         rpc_port: Optional[int] = None,
-        executor: Optional[QueryExecutor] = None,
         cache_entries: int = DEFAULT_CACHE_ENTRIES,
         fault_plan=None,
     ) -> None:
         if port is None and rpc_port is None:
             raise ValueError("a server needs a port to listen on: port (HTTP), rpc_port (RPC) or both")
-        self.core = ServiceCore(log, executor=executor, cache_entries=cache_entries)
+        self.core = ServiceCore(log, cache_entries=cache_entries)
         self._listeners: List[_Listener] = []
         self._threads: List[threading.Thread] = []
         self._closed = False

@@ -32,15 +32,18 @@ Repair contract
 * A damaged **reuse-state table** clears the reuse predictor's persisted
   state — it is advisory (re-learned from future ingests), never worth
   failing a repair over.
-* Every still-valid record in a damaged segment is **evacuated**
-  (byte-copied, checksums recomputed) into a fresh segment; the damaged
-  file is then moved whole into a ``quarantine/`` sidecar directory next
-  to a small JSON report of what was wrong with it, so no corrupt byte is
-  ever silently destroyed.  Orphan files are quarantined the same way.
-* The rewritten manifest is published through the store's normal atomic
-  protocol (temp file + fsync + rename), and ref relocations are pushed
-  into the store's remap chain — in-memory lazy entries keep resolving,
-  exactly as across a compaction.
+* Every still-valid record in a damaged segment is **evacuated** by
+  :meth:`LineageStore.rewrite <repro.storage.store.LineageStore.rewrite>`,
+  the same step a compaction takes: byte-copied into fresh segments,
+  fsynced, then one manifest publish (temp file + fsync + rename), then
+  the remap — in-memory lazy entries keep resolving, exactly as across a
+  compaction.  Only after that publish is the damaged file moved whole
+  into a ``quarantine/`` sidecar directory next to a small JSON report of
+  what was wrong with it, so no corrupt byte is ever silently destroyed.
+  Orphan files are quarantined the same way.
+* A repair that fails (an I/O error while moving or publishing) raises
+  and leaves the manifest, on disk and in memory, as it was; nothing is
+  quarantined.
 
 A record is verified by its checksum and its identity (the two table
 names its header declares, read by ``peek_table``), never by
@@ -172,7 +175,7 @@ def scrub_store(store: LineageStore, repair: bool = False, serialize_lock=None) 
         bad_refs.setdefault(ref.segment, []).append(row)
 
     # entry refs, resolved through any prior remaps
-    entry_state: List[dict] = []  # per manifest row: ref, status, payload
+    checked: List[Tuple[dict, str]] = []  # (manifest row, status)
     for row in manifest.entries:
         pair = (row["in"], row["out"])
         ref = store.resolve(TableRef.from_json(row["backward"]))
@@ -188,22 +191,22 @@ def scrub_store(store: LineageStore, repair: bool = False, serialize_lock=None) 
             except (ValueError, zlib.error):
                 identity_ok = False
             if not identity_ok:
-                status, payload = "misdirected", None
+                status = "misdirected"
         if status != "ok":
             note_bad(ref, status, "entry", {"pair": list(pair)})
-        entry_state.append({"row": row, "pair": pair, "ref": ref, "status": status, "payload": payload})
+        checked.append((row, status))
 
     # reuse-state refs
-    reuse_refs: List[Tuple[TableRef, str]] = []
+    reuse_damaged = False
     if manifest.reuse:
         for section in ("base", "dim", "gen"):
             for item in manifest.reuse.get(section, []):
                 for _key, ref_dict in item.get("tables", []):
                     ref = store.resolve(TableRef.from_json(ref_dict))
-                    status, payload = _ref_status(root, ref)
+                    status, _payload = _ref_status(root, ref)
                     report["records_checked"] += 1
-                    reuse_refs.append((ref, status))
                     if status != "ok":
+                        reuse_damaged = True
                         note_bad(ref, status, "reuse-state", {})
 
     # per-segment structural damage (torn tails, unreferenced rot)
@@ -245,69 +248,36 @@ def scrub_store(store: LineageStore, repair: bool = False, serialize_lock=None) 
     # repair
     # ------------------------------------------------------------------
     damaged_names = [d["segment"] for d in report["damaged_segments"]]
+
+    # drop I/O state first: the active writer may sit on a damaged segment
+    store.reset_io()
+
+    # drop the damaged entries, and the whole reuse state if any of its
+    # tables is damaged (it is advisory and re-learnable); what is left in
+    # a damaged segment is valid, and moves out with the store's one
+    # rewrite, which publishes the healed manifest before the damaged
+    # files are touched — or, failing, leaves the manifest as it was
+    entries, reuse = manifest.entries, manifest.reuse
+    manifest.entries = [row for row, status in checked if status == "ok"]
+    report["dropped_entries"] = [[row["in"], row["out"]] for row, status in checked if status != "ok"]
+    if reuse_damaged:
+        manifest.reuse = None
+        report["reuse_state_dropped"] = True
+    report["evacuated_records"] = sum(
+        store.resolve(TableRef.from_json(ref)).segment in damaged_names
+        for ref in manifest.iter_table_refs()
+    )
+    try:
+        store.rewrite(damaged_names, serialize_lock=serialize_lock)
+    except BaseException:
+        manifest.entries, manifest.reuse = entries, reuse
+        raise
+    report["generation"] = manifest.generation
+
+    # quarantine: move damaged + orphan files aside with a description
     qdir = root / QUARANTINE_DIR
     qdir.mkdir(exist_ok=True)
 
-    # drop I/O state first: the active writer may sit on a damaged
-    # segment, and evacuation must not race cached readers of moved files
-    store.reset_io()
-
-    # salvage target: a brand-new segment, never a damaged one
-    damaged_set = set(damaged_names)
-    manifest.segments = [n for n in manifest.segments if n not in damaged_set]
-    writer = store.start_fresh_segment() if damaged_set else None
-    remap: Dict[TableRef, TableRef] = {}
-
-    def place(payload: bytes) -> TableRef:
-        target = writer if writer is not None else store._active_writer()
-        offset, length = target.append(payload)
-        return TableRef(target.path.name, offset, length)
-
-    def relocate(payload: bytes, old_ref: TableRef) -> TableRef:
-        new_ref = remap.get(old_ref)
-        if new_ref is None:
-            new_ref = place(payload)
-            remap[old_ref] = new_ref
-        return new_ref
-
-    # heal every entry: drop the damaged ones, evacuate the rest out of
-    # damaged segments
-    surviving_rows = []
-    for state in entry_state:
-        row = state["row"]
-        if state["status"] != "ok":
-            report["dropped_entries"].append(list(state["pair"]))
-            continue
-        if state["ref"].segment in damaged_set:
-            row["backward"] = relocate(state["payload"], state["ref"]).to_json()
-            report["evacuated_records"] += 1
-        surviving_rows.append(row)
-    manifest.entries = surviving_rows
-
-    # reuse state: evacuate intact tables, drop the whole state if any
-    # table is damaged (it is advisory and re-learnable)
-    if manifest.reuse:
-        if any(status != "ok" for _ref, status in reuse_refs):
-            manifest.reuse = None
-            report["reuse_state_dropped"] = True
-        else:
-            for ref, _status in reuse_refs:
-                if ref.segment in damaged_set:
-                    payload = bytes(read_record(root / ref.segment, ref.offset, ref.length))
-                    relocate(payload, ref)
-                    report["evacuated_records"] += 1
-            if remap:
-                for ref_dict in manifest.iter_table_refs():
-                    old = TableRef.from_json(ref_dict)
-                    if old in remap:
-                        ref_dict.update(remap[old].to_json())
-
-    # publish the healed manifest before touching the damaged files: a
-    # crash here leaves them referenced by nothing but the quarantine move
-    report["generation"] = store.sync(serialize_lock=serialize_lock)
-    store._remap.update(remap)
-
-    # quarantine: move damaged + orphan files aside with a description
     def quarantine(name: str, why: dict) -> None:
         src = root / name
         if src.exists():

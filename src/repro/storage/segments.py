@@ -397,12 +397,6 @@ class SegmentReader:
             if not self._fh.closed:
                 self._fh.close()
 
-    def __enter__(self) -> "SegmentReader":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
 
 def read_record(path: Union[str, Path], offset: int, length: int) -> bytes:
     """Read one record's payload, validating the stored length prefix and

@@ -22,8 +22,13 @@ Design points
   metric.
 * **Crash safety** — segment appends happen before the manifest save; the
   manifest is swapped in atomically.  Unreferenced segment bytes are inert
-  garbage until :meth:`LineageStore.compact` rewrites the live records into
-  fresh segments and deletes the old files.
+  garbage until :meth:`LineageStore.compact` moves the live records out and
+  deletes the old files.  Records move in one place,
+  :meth:`LineageStore.rewrite` (compaction and scrub-repair both call it),
+  in the MANIFEST order: copy the live records into fresh files, fsync,
+  publish one manifest, dispose of the inputs last.  A rewrite that fails
+  before its publish lands leaves the manifest — on disk and in memory —
+  and every file it names exactly as they were.
 * **A byte budget that is a bound** — materialized tables live in
   :class:`TableCache`, never more than ``cache_bytes`` of them: eviction
   is GreedyDual-Size (small tables, which cost as much to miss per byte
@@ -412,36 +417,33 @@ class LineageStore:
             torn += writer.torn_writes
         return torn
 
+    def _drop_writer(self) -> None:
+        """Retire the active writer without flushing what it still buffers:
+        those bytes are lost, as in a crash."""
+        if self._writer is not None:
+            self._writer._fh.close()
+        self._retire_writer()  # the handle is closed: this folds the counters
+
+    def _fresh_writer(self, names: List[str]) -> SegmentWriter:
+        """Retire the active writer and open a new segment file in its
+        place, listing the file's name in *names* first."""
+        self._retire_writer()
+        names.append(self._new_segment_name())
+        self._writer = SegmentWriter(
+            self._segment_path(names[-1]), faults=self.faults, scope=self.scope
+        )
+        return self._writer
+
     def _active_writer(self) -> SegmentWriter:
         if self._writer is not None and self._writer.size < DEFAULT_SEGMENT_MAX_BYTES:
             return self._writer
-        if self._writer is not None:
-            self._retire_writer()
+        self._retire_writer()
         if self.manifest.segments:
             last = self._segment_path(self.manifest.segments[-1])
             if last.exists() and last.stat().st_size < DEFAULT_SEGMENT_MAX_BYTES:
                 self._writer = SegmentWriter(last, faults=self.faults, scope=self.scope)
                 return self._writer
-        name = self._new_segment_name()
-        self.manifest.segments.append(name)
-        self._writer = SegmentWriter(
-            self._segment_path(name), faults=self.faults, scope=self.scope
-        )
-        return self._writer
-
-    def start_fresh_segment(self) -> SegmentWriter:
-        """Retire the active writer and open a brand-new segment file.
-
-        Scrub-and-repair uses this so salvage writes never land in the very
-        segment being evacuated (the normal ``_active_writer`` would happily
-        keep appending to a damaged tail segment)."""
-        self._retire_writer()
-        name = self._new_segment_name()
-        self.manifest.segments.append(name)
-        self._writer = SegmentWriter(
-            self._segment_path(name), faults=self.faults, scope=self.scope
-        )
-        return self._writer
+        return self._fresh_writer(self.manifest.segments)
 
     # ------------------------------------------------------------------
     # table I/O
@@ -605,16 +607,10 @@ class LineageStore:
         scrub's to find), all mmap readers closed, its cached tables dropped.
         The store stays usable; writers and readers reopen lazily.
         """
-        writer, self._writer = self._writer, None
-        if writer is not None:
-            try:
-                writer.close()
-            except OSError:
-                if not writer._fh.closed:
-                    writer._fh.close()
-            self._closed_coalesced_writes += writer.coalesced_writes
-            self._closed_coalesced_records += writer.coalesced_records
-            self._closed_torn_writes += writer.torn_writes
+        try:
+            self._retire_writer()
+        except OSError:
+            self._drop_writer()
         with self._reader_lock:
             for reader in self._readers.values():
                 reader.close()
@@ -636,10 +632,6 @@ class LineageStore:
             self._pins -= 1
             if self._pins == 0:
                 self._delete_retired()
-
-    @property
-    def pins(self) -> int:
-        return self._pins
 
     def _delete_retired(self) -> None:
         """Delete segment files a compaction retired while pins were held.
@@ -673,16 +665,78 @@ class LineageStore:
         """Payload bytes reachable from the manifest (live records only)."""
         return sum(ref["length"] for ref in self.manifest.iter_table_refs())
 
-    def compact(self, serialize_lock: Optional[threading.RLock] = None) -> dict:
-        """Rewrite every live record into fresh segments, drop the rest.
+    def rewrite(
+        self, segments: List[str], serialize_lock: Optional[threading.RLock] = None
+    ) -> int:
+        """Move the live records of *segments* into fresh segment files and
+        publish the manifest that names those instead; returns how many
+        records were copied.  The files of *segments* are left for the
+        caller to delete, retire or quarantine.
 
-        The manifest must reflect the state to preserve (callers sync
-        first).  Live payloads are copied byte-for-byte — no table is
-        deserialized — into new segment files; every ref dict inside the
-        manifest is rewritten in place, the manifest is atomically swapped,
-        and only then are the old segment files deleted.  A crash anywhere
-        in between leaves either the old or the new generation fully
-        intact.  Returns a stats dict (bytes before/after, records copied).
+        The one code path that moves records, in the MANIFEST order:
+
+        1. read and checksum-verify every live record of *segments*;
+        2. append them, byte for byte, to fresh files the manifest does not
+           name yet, and fsync;
+        3. re-point the refs, swap the segment list, publish the manifest;
+        4. install the remap, so refs resolved before the call keep
+           resolving (lazy entries, snapshots, readers mid-flight).
+
+        If anything fails before the publish lands, the in-memory manifest
+        is restored and the fresh files are removed: the manifest, on disk
+        and in memory, is exactly as it was.  The last fresh file stays the
+        active writer.
+        """
+        moving = set(segments)
+        self._retire_writer()  # buffered records must reach the file first
+        moves: Dict[TableRef, List[dict]] = {}
+        for ref_dict in self.manifest.iter_table_refs():
+            ref = self.resolve(TableRef.from_json(ref_dict))
+            if ref.segment in moving:
+                moves.setdefault(ref, []).append(ref_dict)
+        manifest = self.manifest
+        saved = (manifest.segments, manifest.next_segment_id, manifest.generation)
+        before = [(ref_dict, dict(ref_dict)) for group in moves.values() for ref_dict in group]
+        fresh: List[str] = []
+        mapping: Dict[TableRef, TableRef] = {}
+        try:
+            payloads = [self._reader_for(ref.segment).read(ref.offset, ref.length) for ref in moves]
+            writer = None
+            for ref, payload in zip(moves, payloads):
+                if writer is None or writer.size >= DEFAULT_SEGMENT_MAX_BYTES:
+                    writer = self._fresh_writer(fresh)
+                offset, length = writer.append(payload)
+                mapping[ref] = TableRef(fresh[-1], offset, length)
+            del payloads  # views into the old segments' mappings
+            for ref, group in moves.items():
+                for ref_dict in group:
+                    ref_dict.update(mapping[ref].to_json())
+            manifest.segments = [name for name in saved[0] if name not in moving] + fresh
+            self.sync(serialize_lock=serialize_lock)  # fsyncs the last fresh file first
+        except BaseException:
+            self._drop_writer()
+            for name in fresh:
+                self._segment_path(name).unlink(missing_ok=True)
+            for ref_dict, old in before:
+                ref_dict.update(old)
+            manifest.segments, manifest.next_segment_id, manifest.generation = saved
+            raise
+        # the remap goes in BEFORE the caller disposes of the old files: a
+        # reader that resolves a stale ref from here on lands on the new
+        # address, and one caught mid-read when an old file disappears
+        # re-resolves through it (load_table's retry loop).  Dropping the
+        # old mmap readers is safe either way: tables hydrated before keep
+        # their views valid through the mappings' reference chain
+        self._remap.update(mapping)
+        self._drop_readers(segments)
+        self.cache.clear(self.scope)
+        return len(mapping)
+
+    def compact(self, serialize_lock: Optional[threading.RLock] = None) -> dict:
+        """Move every live record into fresh segments (:meth:`rewrite`),
+        then delete the old files.  Returns a stats dict (bytes
+        before/after, records copied).  A failed compaction raises and
+        leaves the manifest and the files it names as they were.
 
         While snapshot readers hold pins (:meth:`pin`), the old segment
         files are *retired* instead of deleted: refs resolved before the
@@ -691,47 +745,14 @@ class LineageStore:
         """
         bytes_before = self.segment_bytes()
         old_segments = list(self.manifest.segments)
-        self.close()
-
-        self.manifest.segments = []
-        copied = 0
-        mapping: Dict[TableRef, TableRef] = {}
-        for ref_dict in self.manifest.iter_table_refs():
-            old_ref = self.resolve(TableRef.from_json(ref_dict))
-            new_ref = mapping.get(old_ref)
-            if new_ref is None:
-                payload = bytes(
-                    self._reader_for(old_ref.segment).read(old_ref.offset, old_ref.length)
-                )
-                writer = self._active_writer()
-                offset, length = writer.append(payload)
-                new_ref = TableRef(writer.path.name, offset, length)
-                mapping[old_ref] = new_ref
-                copied += 1
-            ref_dict.update(new_ref.to_json())
-        self.sync(serialize_lock=serialize_lock)
-
-        # publish the remap BEFORE deleting the old files: a concurrent
-        # reader that resolves a stale ref from here on lands on the new
-        # address, and one caught mid-read when the old file disappears
-        # re-resolves through this remap (load_table's retry loop)
-        self._remap.update(mapping)
+        copied = self.rewrite(old_segments, serialize_lock=serialize_lock)
         with self._pin_lock:
-            if self._pins > 0:
+            retired = self._pins > 0
+            if retired:
                 self._retired.extend(old_segments)
-                retired = True
             else:
                 for name in old_segments:
-                    path = self._segment_path(name)
-                    if path.exists():
-                        path.unlink()
-                retired = False
-        # drop the retired segments' mmap readers either way: deleting a
-        # mapped file is safe (POSIX keeps the pages), and tables hydrated
-        # before the compaction keep their views valid through the
-        # mappings' reference chain until the last view is released
-        self._drop_readers(old_segments)
-        self.cache.clear(self.scope)
+                    self._segment_path(name).unlink(missing_ok=True)
         return {
             "records_copied": copied,
             "segments_before": len(old_segments),

@@ -6,7 +6,9 @@ Every seed drives a deterministic :class:`FaultPlan` (mixed EIO, ENOSPC,
 torn short writes and fsync faults) through a full ingest run; afterwards
 the catalog must be mechanically recoverable: ``scrub(repair=True)`` never
 raises, a second scrub is clean, every surviving entry hydrates and
-answers queries correctly, and no durably-acknowledged write is lost.  An
+answers queries correctly, and no durably-acknowledged write is lost.
+Compactions that meet seeded read and publish faults must leave every
+record where the manifest says, so their recovery drops nothing.  An
 entry stores one table, so the repair drops exactly the entries whose
 sole record the scrub found corrupt — no entry with a valid record.
 
@@ -131,3 +133,38 @@ def test_service_soak_durable_tickets_never_lost(seed, tmp_path):
         if not ticket.failed:
             entry = ticket._record
             assert (entry.in_name, entry.out_name) in survivors
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_compaction_soak_under_read_faults_loses_nothing(seed, tmp_path):
+    """Compactions that meet seeded read and publish faults raise or
+    finish, and either way leave every record where the manifest says:
+    nothing on disk is corrupt, so recovery drops no entry and every
+    entry ingested before the compactions still answers."""
+    root = tmp_path / "db"
+    plan = FaultPlan(
+        [
+            FaultRule("segment.read", kind="error", rate=RATE, seed=seed),
+            FaultRule("manifest.write", kind="error", rate=RATE, seed=seed + 1),
+        ]
+    )
+    log = DSLog(root, num_shards=2, autosync=False, faults=plan)
+    names = [f"C{i}" for i in range(25)] + ["Z"]
+    for name in names:
+        log.define_array(name, SHAPE)
+    pairs = list(zip(names[:-1], names[1:-1]))
+    for a, b in pairs:
+        log.add_lineage(a, b, relation=elementwise(a, b), op_name=f"op_{a}")
+    log.sync()
+    plan.arm()
+    for shard in log.store.shards:
+        shard.reset_io()  # every record is read from disk again
+    for _ in range(4):
+        try:
+            log.compact()
+        except OSError:
+            pass
+    plan.disarm()
+    log.add_lineage(names[-2], "Z", relation=elementwise(names[-2], "Z"))
+    log.close()
+    assert assert_recovered_consistent(root) == set(pairs) | {(names[-2], "Z")}

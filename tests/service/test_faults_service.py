@@ -269,8 +269,7 @@ class TestServerFaultSurface:
         log, pairs = build_sharded(tmp_path / "db", plan)
         home = 1
         a, b = pairs[home]
-        ex = QueryExecutor(log)
-        with LineageServer(log, executor=ex) as server:
+        with LineageServer(log) as server:
             client = LineageClient(server.url, retries=0)
             first = client.prov_query([a, b], cells=QUERY)
             assert first["degraded"] is False
@@ -301,7 +300,6 @@ class TestServerFaultSurface:
             plan.disarm()
             report = client.scrub(repair=False)
             assert set(report["shards"]) == {"0", "1"}
-        ex.close()
         log.close()
 
     def test_slow_shard_maps_to_504(self, tmp_path):
