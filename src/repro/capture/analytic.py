@@ -134,17 +134,11 @@ def window_lineage(n: int, radius: int, mode: str = "same", **names) -> LineageR
         offset = radius
     else:
         raise ValueError("mode must be 'same' or 'valid'")
-    out_parts, in_parts = [], []
-    for i in range(out_n):
-        center = i + offset
-        lo = max(0, center - radius)
-        hi = min(n - 1, center + radius)
-        span = np.arange(lo, hi + 1)
-        out_parts.append(np.full((span.size, 1), i, dtype=np.int64))
-        in_parts.append(span[:, None].astype(np.int64))
-    return _relation(
-        np.concatenate(out_parts), np.concatenate(in_parts), (out_n,), (n,), **names
-    )
+    outputs = np.arange(out_n, dtype=np.int64)[:, None]
+    inputs = outputs + offset + np.arange(-radius, radius + 1, dtype=np.int64)
+    keep = (inputs >= 0) & (inputs < n)
+    out_cells = np.broadcast_to(outputs, inputs.shape)[keep][:, None]
+    return _relation(out_cells, inputs[keep][:, None], (out_n,), (n,), **names)
 
 
 def matvec_lineage(rows: int, cols: int, **names) -> LineageRelation:

@@ -602,16 +602,24 @@ class DSLog:
             raise RuntimeError("scrub() requires a durable log (one opened with a root)")
         report = self.store.scrub(repair=repair)
         for shard_report in report["shards"].values():
-            self.drop_entries(shard_report["dropped_entries"])
+            self._apply_repair(shard_report)
         return report
 
-    def drop_entries(self, pairs) -> None:
-        """Forget the ``(input, output)`` entries a repair dropped from their
-        manifests: the rows are already gone, and an in-memory entry left
-        behind would keep resolving its damaged record."""
-        if pairs:
-            self.catalog.drop_entries([tuple(pair) for pair in pairs])
+    def _apply_repair(self, report: dict) -> None:
+        """Bring the live log in line with one shard's repair report: forget
+        the entries it dropped from their manifest (an in-memory entry left
+        behind would keep resolving its damaged record) and, when it dropped
+        the reuse state, the live reuse manager too, so the next touch
+        rehydrates from the manifest's now-empty state instead of
+        republishing refs to quarantined records."""
+        if report["dropped_entries"]:
+            self.catalog.drop_entries([tuple(pair) for pair in report["dropped_entries"]])
             self._graph = None
+        if report["reuse_state_dropped"]:
+            with self._reuse_init_lock:
+                self._reuse = None
+                self._reuse_synced_count = None
+                self._pending_reuse_state = self.store.meta.manifest.reuse
 
     def serve(
         self,

@@ -114,11 +114,6 @@ class LineageGraph:
         if name not in self._out:
             raise KeyError(f"array {name!r} is not defined in the catalog")
 
-    def successors(self, name: str) -> List[str]:
-        """Arrays directly derived from *name* (one lineage hop forward)."""
-        self._check(name)
-        return list(self._out[name])
-
     def edges(self) -> List[Tuple[str, str]]:
         """Every stored lineage edge as a sorted ``(input, output)`` list —
         the full DAG, so remote clients (the HTTP ``/graph/summary``
@@ -148,14 +143,6 @@ class LineageGraph:
                 paths = self._bfs_all_shortest(src, dst, self._in)
             self._path_memo[(src, dst)] = [list(path) for path in paths]
             return paths
-
-    def shortest_path(self, src: str, dst: str) -> List[str]:
-        """The first (lexicographically smallest) shortest path, or a
-        ``KeyError`` when no stored path connects the two arrays."""
-        paths = self.shortest_paths(src, dst)
-        if not paths:
-            raise KeyError(f"no lineage path between {src!r} and {dst!r}")
-        return paths[0]
 
     @staticmethod
     def _bfs_all_shortest(

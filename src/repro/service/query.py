@@ -368,8 +368,7 @@ class QueryExecutor:
             return
         try:
             if self.log.store is not None:
-                report = self.log.store.reopen_shard(shard)
-                self.log.drop_entries(report["dropped_entries"])
+                self.log._apply_repair(self.log.store.reopen_shard(shard))
             breaker.record_success()
             with self._stats_lock:
                 self.shard_reopens += 1

@@ -105,8 +105,8 @@ class SnapshotDSLog(DSLog):
     compact = _read_only("compact")
     scrub = _read_only("scrub")
 
-    def drop_entries(self, pairs) -> None:
-        """Nothing to drop: the view is a frozen cut of the catalog; the
+    def _apply_repair(self, report: dict) -> None:
+        """Nothing to apply: the view is a frozen cut of the catalog; the
         live log forgets what a repair removed."""
 
     def snapshot(self) -> "SnapshotDSLog":

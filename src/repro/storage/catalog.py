@@ -64,13 +64,6 @@ class ArrayInfo:
     def ndim(self) -> int:
         return len(self.shape)
 
-    @property
-    def ncells(self) -> int:
-        count = 1
-        for dim in self.shape:
-            count *= int(dim)
-        return count
-
 
 @dataclass
 class LineageEntry:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.capture.analytic import (
     axis_reduction_lineage,
@@ -73,6 +74,17 @@ class TestBuilders:
         rel = window_lineage(5, radius=1, mode="valid")
         assert rel.out_shape == (3,)
         assert rel.backward([(0,)]) == {(0,), (1,), (2,)}
+
+    @given(n=st.integers(1, 12), radius=st.integers(0, 4), valid=st.booleans())
+    def test_window_pairs_in_order(self, n, radius, valid):
+        offset = radius if valid else 0
+        out_n = n - 2 * offset
+        if out_n < 1:
+            return
+        rel = window_lineage(n, radius, mode="valid" if valid else "same")
+        want = [[i, j] for i in range(out_n) for j in range(i + offset - radius, i + offset + radius + 1) if 0 <= j < n]
+        assert rel.rows.tolist() == want
+        assert {tuple(r) for r in rel.rows.tolist()} == {(i, j) for i, j in want}
 
     def test_window_invalid_mode(self):
         with pytest.raises(ValueError):

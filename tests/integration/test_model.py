@@ -1,52 +1,56 @@
 """One stateful model of the lineage store: every store, every way in, both
-wires, one oracle.
+wires, faults and crashes, one oracle.
 
 :class:`LineageModel` is a Hypothesis ``RuleBasedStateMachine``.  Its state
-is the uncompressed relations, what each entry's installs were (version,
-reuse flag) and a planner model that knows every shortest stored path; its
-oracle is :func:`~repro.core.reference.query_path_reference` over those
-relations.  Three *sides* take every write:
+is the uncompressed relations, every install of each entry, what each
+store's reuse predictor knows and what its last returned publish named;
+its oracle is :func:`~repro.core.reference.query_path_reference` over those
+relations.  Three *sides* take every write: ``memory`` (``DSLog()``),
+``one-shard`` (``DSLog(root, num_shards=1, autosync=False)``) and
+``sharded``, a four-shard log written through a ``LineageService`` while
+``faults.clock`` is frozen, so its tickets turn durable only at ``commit``
+(the first window is due at once: the write that finds it open is flushed
+on the spot).  The ``fixture`` start opens this side on an upgraded copy of
+``tests/tools/fixtures/parent_sharded`` and replays its history into the
+other two.  Each side is read through ``DSLog.prov_query``, a caching
+``QueryExecutor``, a ``cache_entries=0`` one and, on the sharded side, both
+wires of one ``LineageServer``; each durable side carries a ``FaultPlan``.
 
-* ``memory`` — ``DSLog()``;
-* ``one-shard`` — ``DSLog(root, num_shards=1, autosync=False)``;
-* ``sharded`` — a four-shard log written through a ``LineageService``
-  while ``faults.clock`` is frozen, so its tickets turn durable only at the
-  ``commit`` rule (the committer's first window is due at once: the write
-  that finds it open is flushed on the spot).  The ``fixture`` start opens
-  this side on an upgraded copy of ``tests/tools/fixtures/parent_sharded``
-  (two shards) and replays the history it was written from into the other
-  two.
+Rules: define; add; ``register_operation`` with reuse (a repeat stores the
+first call's table); a refused self-loop; sync; compact; scrub; reopen;
+snapshot; commit; query and query_batch; the graph endpoints; and
 
-Each side is read through ``DSLog.prov_query``, a caching
-``QueryExecutor``, a ``cache_entries=0`` executor and, on the sharded side,
-both wires of one ``LineageServer(port=0, rpc_port=0)``.
+* ``fault_write`` / ``fault_compact`` — a one-shot disk fault met by a
+  write made durable at once or by a compaction: what raised changed no
+  answer (a failed compaction leaves its shard byte for byte), a torn
+  write loses only what no publish named, and the retry succeeds — on a
+  crashed copy, if drawn;
+* ``crash`` — the open side's directory copied, unsynced tails torn off:
+  ``DSLog.load`` holds every entry at least at the version its last
+  returned publish named, whole; the model writes what was lost again;
+* ``corrupt`` — a payload byte of an entry's or a reuse table's record
+  flipped, met by a compaction, by ``scrub(repair=True)`` or by the
+  breaker's probe: the repair drops exactly what that record held, the
+  live reuse predictor too, and the next scrub is clean;
+* ``trip`` / ``heal`` — three real read faults trip a shard's breakers;
+  after their window the next query probes (reopen + scrub) and heals.
 
-Rules: define; add (new and ``replace=True``); ``register_operation`` with
-reuse on repeated shapes (a repeat stores the first call's table); a
-self-loop every side refuses with its catalog unchanged; sync; compact;
-``scrub(repair=True)`` of an undamaged store; close + ``DSLog.load``;
-snapshot; commit; trip and heal one shard's breakers; query and
-query_batch with ``merge`` drawn (cells or slices, valid or not); the graph
-endpoints.  After every rule:
-
-* every reader returns the oracle's cells, every entry has the model's
-  version, and an open snapshot answers as of when it was taken;
-* ``cached`` and the caching executor's counters are what the model
-  predicts (a result is fresh while its planned paths and the installs of
-  their hops are unchanged), and a stale answer comes back only flagged
-  ``degraded=True``, from a shard whose breaker is open;
-* the sharded side's tickets are durable exactly up to the last commit.
-
-The query_batch rule also holds each batch to its requests run alone, bit
-for bit (boxes, ``HopStats`` counts, error types), and both wires to each
-other, word for word.  Histories the model shrank are pinned in
-``PINNED`` and replayed on every run.
+After every rule every reader returns the oracle's cells, every entry has
+the model's version and reuse flag, every predictor knows the model's ops,
+an open snapshot answers as of when it was taken, the caching executors'
+``cached`` / ``degraded`` flags and counters are what the model predicts,
+and tickets are durable exactly up to the last commit.  Batches equal
+their requests run alone, bit for bit, and the two wires each other.
+Histories the model shrank, and the soaks and hand-built fault cases it
+replaced, are pinned in ``PINNED``.
 """
 
 import itertools
 import json
+import random
 import shutil
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -55,13 +59,16 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
-from repro import DSLog, LineageService, QueryExecutor, ShardUnavailable, faults
+from repro import DSLog, FaultPlan, FaultRule, LineageService, QueryExecutor, ShardUnavailable, faults
 from repro.core.query import CellBoxSet
 from repro.core.reference import query_path_reference
 from repro.core.relation import LineageRelation
 from repro.service.rpc import RPCClient
 from repro.service.server import LineageClient, LineageServer, LineageServerError
+from repro.storage.manifest import MANIFEST_NAME, load_manifest
+from repro.storage.segments import SEGMENT_HEADER_SIZE, CorruptRecordError, record_overhead
 from repro.storage.sharded import shard_index
+from repro.storage.store import TableRef
 from repro.tools.upgrade import upgrade
 
 FIXTURE = Path(__file__).parents[1] / "tools" / "fixtures" / "parent_sharded"
@@ -71,7 +78,10 @@ CACHE = 4096  # no eviction: the model cannot observe eviction order
 TRIPS = 3  # a breaker opens on its third consecutive fault
 ERRORS = {KeyError: (404, "not-found"), ValueError: (400, "bad-request"),
           ShardUnavailable: (503, "shard-unavailable")}
+SITES = ["segment.read", "segment.write", "segment.fsync", "manifest.write"]
+KINDS = ["error", "enospc", "short_write"]
 ROWS = st.lists(st.tuples(st.integers(0, 63), st.integers(0, 63)), max_size=16)
+EDGE = st.tuples(st.integers(0, 15), st.integers(0, 15), ROWS)
 # a request: (walk the stored graph?, array indices, cells as flat indices
 # or one [start, stop) slice of the first axis)
 REQUEST = st.tuples(
@@ -146,6 +156,53 @@ def over_wire(client, name, body):
         return error.status, error.kind, error.message
 
 
+@contextmanager
+def armed(plan, site, scope, kind="error", nth=1, times=1):
+    """One rule on *plan* for the span of the block: *site* in *scope*
+    fails at its *nth* next reach (and the *times* - 1 after it; ``None``:
+    every one)."""
+    rule = FaultRule(site, scope=scope, kind=kind, at=plan._counts.get((site, scope), 0) + nth, times=times)
+    plan._rules.append(rule)
+    try:
+        yield rule
+    finally:
+        plan._rules.remove(rule)
+
+
+def rows_of(relation):
+    return {tuple(row) for row in relation.rows.tolist()}
+
+
+def ops_of(log):
+    """The ops *log*'s reuse predictor knows (hydrating it)."""
+    return {key[0] for key in log.reuse._base}
+
+
+def shard_state(shard):
+    """What a failed compaction of *shard* must leave alone: the published
+    manifest, the in-memory one, and the bytes of every segment file."""
+    published = shard.root / MANIFEST_NAME
+    return (published.read_bytes() if published.exists() else None,
+            json.dumps(shard.manifest.to_json(), sort_keys=True),
+            {p.name: p.read_bytes() for p in sorted(shard.root.glob("segment-*.seg"))})
+
+
+def tear(shard_dir, quarters):
+    """Cut *quarters*/4 of the bytes past the last record the published
+    manifest names off the active segment: what a crash loses of unsynced
+    appends."""
+    manifest = load_manifest(shard_dir)
+    path = shard_dir / (manifest.segments[-1] if manifest and manifest.segments else "none")
+    if not path.exists():
+        return
+    named = [TableRef.from_json(ref) for ref in manifest.iter_table_refs()]
+    keep = max([r.offset + record_overhead() + r.length for r in named if r.segment == path.name],
+               default=SEGMENT_HEADER_SIZE)
+    size = path.stat().st_size
+    with open(path, "r+b") as fh:
+        fh.truncate(size - (size - keep) * quarters // 4)
+
+
 class Request:
     """One request resolved against the model: the path, the query as the
     executor takes it, its cells, and the cache key the model expects."""
@@ -186,13 +243,18 @@ class Request:
 
 
 class Side:
-    """One store under test, how it is written, and its readers."""
+    """One store under test, how it is written, its readers, and what the
+    model knows of it: per entry its reuse flag and install, the ops its
+    reuse predictor knows, and what its last returned publish named."""
 
     def __init__(self, name, root=None, num_shards=1, log=None):
         self.name, self.root, self.num_shards = name, root, num_shards
         if log is None:
-            log = DSLog(root, num_shards=num_shards, autosync=False) if root else DSLog()
-        self.log, self.service = log, LineageService(log=log, workers=1) if name == "sharded" else None
+            log = DSLog(root, num_shards=num_shards, autosync=False, faults=FaultPlan()) if root else DSLog()
+        self.log, self.plan = log, log.faults
+        if self.plan is not None:
+            self.plan.arm()  # no rule until the model adds one
+        self.service = LineageService(log=log, workers=1) if name == "sharded" else None
         self.cached = QueryExecutor(self.log, cache_entries=CACHE)
         self.uncached = QueryExecutor(self.log, cache_entries=0)
         self.server = self.clients = None
@@ -200,6 +262,13 @@ class Side:
             self.server = LineageServer(self.log, port=0, rpc_port=0, cache_entries=CACHE).start()
             self.clients = [LineageClient.connect(self.server.url), RPCClient.connect(self.server.rpc_address)]
         self.snapshot = None
+        self.reused, self.tokens, self.ops = {}, {}, set()
+        self.durable, self.durable_ops, self.torn = {}, set(), False
+        self.operations = self.durable_operations = 0  # operation records
+
+    def breakered(self):
+        """The executors whose cache the model predicts, by reader."""
+        return [("cached", self.cached)] + ([("server", self.server.executor)] if self.server else [])
 
     def write(self, kind, *args, **kwargs):
         """One write; a refused one raises here.  The service's ticket is
@@ -214,10 +283,13 @@ class Side:
             ticket.result(0)
         return ticket
 
-    def close(self):
+    def close_snapshot(self):
         if self.snapshot is not None:
             self.snapshot[0].close()
             self.snapshot = None
+
+    def close(self):
+        self.close_snapshot()
         for client in self.clients or ():
             client.close()
         if self.server is not None:
@@ -234,8 +306,8 @@ class LineageModel(RuleBasedStateMachine):
         self.sides = []
         self.clock, self.now = faults.clock, 1000.0
         faults.clock = lambda: self.now
-        self.shapes, self.relations, self.versions, self.reused = {}, {}, {}, {}
-        self.installs, self.reuse_bases = 0, {}
+        self.shapes, self.relations, self.versions, self.history = {}, {}, {}, {}
+        self.installs, self.reuse_bases, self.crashes = 0, {}, 0
         self.pending, self.committed, self.window_open = [], [], True
         self.seen, self.counters, self.tripped = {}, {}, {}
 
@@ -271,13 +343,14 @@ class LineageModel(RuleBasedStateMachine):
             found |= query_path_reference([self.relations[p] for p, _ in hops], [d for _, d in hops], cells)
         return found
 
-    def deps(self, path):
-        """What a result for *path* is computed from: the planned paths and
-        the install of every hop (``None`` when it cannot be planned)."""
+    def deps(self, path, side):
+        """What a result of *side* for *path* is computed from: the planned
+        paths and the install of every hop (``None`` when it cannot be
+        planned)."""
         planned = self.plan(path)
         if planned is None:
             return None
-        return tuple((p, tuple(self.versions[self.hop(a, b)[0]][1] for a, b in zip(p, p[1:]))) for p in planned)
+        return tuple((p, tuple(side.tokens[self.hop(a, b)[0]] for a, b in zip(p, p[1:]))) for p in planned)
 
     def stored_requests(self):
         """Every one-hop path both ways and every planned two-array path,
@@ -285,6 +358,18 @@ class LineageModel(RuleBasedStateMachine):
         names = sorted(self.shapes)
         paths = [[a, b] for a in names for b in names if a != b and self.plan([a, b])]
         return [Request(self, (False, [names.index(n) for n in path], [1, 5])) for path in paths]
+
+    def unasked(self, side, reader, pairs):
+        """A one-hop request over one of *pairs* that *reader* holds no fresh
+        answer to, so it reads the table."""
+        names = sorted(self.shapes)
+        for pair, flat in itertools.product(pairs, range(64)):
+            for path in (list(pair), list(pair[::-1])):
+                request = Request(self, (False, [names.index(n) for n in path], [flat]))
+                old = self.seen[side.name, reader].get(request.key + (True,))
+                if old is None or old[0] != self.deps(path, side):
+                    return request
+        raise AssertionError("every request is cached")
 
     # -- starts ---------------------------------------------------------
     def open_sides(self, sharded_log=None, num_shards=4):
@@ -313,8 +398,9 @@ class LineageModel(RuleBasedStateMachine):
         root = self.tmp / "sharded"
         shutil.copytree(FIXTURE, root)
         assert upgrade(root) is True
-        self.open_sides(DSLog.load(root, autosync=False), num_shards=2)
+        self.open_sides(DSLog.load(root, autosync=False, faults=FaultPlan()), num_shards=2)
         self.replay_fixture_history()
+        self.published(self.sides[2])
 
     def replay_fixture_history(self):
         """What ``parent_sharded`` was written from: a three-hop pipeline,
@@ -335,6 +421,8 @@ class LineageModel(RuleBasedStateMachine):
                 for side in self.sides[:2]:
                     side.log.add_lineage(src, dst, relation=relation, replace=replace)
             self.install(src, dst, relation)
+        for side in self.sides:
+            side.operations, side.ops = 1, {"shift"}
 
     # -- writes ---------------------------------------------------------
     def define(self, name, shape):
@@ -347,10 +435,11 @@ class LineageModel(RuleBasedStateMachine):
 
     def install(self, src, dst, relation, reused=False):
         self.installs += 1
-        version = self.versions.get((src, dst), (0, 0))[0] + 1
         self.relations[src, dst] = relation
-        self.versions[src, dst] = (version, self.installs)
-        self.reused[src, dst] = reused
+        self.history.setdefault((src, dst), []).append((relation, self.installs))
+        self.versions[src, dst] = len(self.history[src, dst])
+        for side in self.sides:
+            side.reused[src, dst], side.tokens[src, dst] = reused, self.installs
 
     def pair(self, src, dst):
         names = sorted(self.shapes)
@@ -359,14 +448,48 @@ class LineageModel(RuleBasedStateMachine):
             b = names[(dst + 1) % len(names)]
         return (b, a) if (b, a) in self.relations else (a, b)
 
+    def edge(self, src, dst, rows):
+        src, dst = self.pair(src, dst)
+        pairs = [(cell_of(self.shapes[dst], o), cell_of(self.shapes[src], i)) for o, i in rows]
+        return src, dst, pairs
+
     def write(self, kind, *args, **kwargs):
         for side in self.sides:
-            ticket = side.write(kind, *args, **kwargs)
-            if side.service is not None:
-                self.pending.append(ticket)
-                if self.window_open:  # the first window is due at once
-                    self.commit()
-                    self.window_open = False
+            self.write_side(side, kind, *args, **kwargs)
+
+    def write_side(self, side, kind, *args, **kwargs):
+        ticket = side.write(kind, *args, **kwargs)
+        if side.service is not None:
+            self.pending.append(ticket)
+            if self.window_open:  # the first window is due at once
+                self.commit()
+                self.window_open = False
+
+    def published(self, side):
+        """*side*'s publish returned: everything it holds is durable."""
+        side.durable, side.durable_ops = dict(self.versions), set(side.ops)
+        side.durable_operations = side.operations
+
+    def restore(self, side):
+        """Re-apply to *side*, in install order, every write it lost."""
+        for name, shape in self.shapes.items():
+            side.log.define_array(name, shape)
+        have = {(e.in_name, e.out_name): e.version for e in side.log.catalog.entries()}
+        lost = sorted((number, pair, version) for pair, installs in self.history.items()
+                      for version, (_, number) in enumerate(installs, 1) if version > have.get(pair, 0))
+        for _, (src, dst), version in lost:
+            side.log.add_lineage(src, dst, relation=self.history[src, dst][version - 1][0], replace=version > 1)
+            self.installs += 1
+            side.reused[src, dst], side.tokens[src, dst] = False, self.installs
+
+    def forget(self, side, pairs, reuse):
+        """A repair dropped *pairs* (and the reuse state): nothing of them
+        is durable now; the model writes them again."""
+        for pair in pairs:
+            side.durable.pop(pair, None)
+        if reuse:
+            side.ops, side.durable_ops = set(), set()
+        self.restore(side)
 
     @rule(k=st.integers(0, len(EXTRA) - 1))
     def define_array(self, k):
@@ -374,8 +497,7 @@ class LineageModel(RuleBasedStateMachine):
 
     @rule(src=st.integers(0, 15), dst=st.integers(0, 15), rows=ROWS)
     def add(self, src, dst, rows):
-        src, dst = self.pair(src, dst)
-        pairs = [(cell_of(self.shapes[dst], o), cell_of(self.shapes[src], i)) for o, i in rows]
+        src, dst, pairs = self.edge(src, dst, rows)
         relation = self.relation(src, dst, pairs)
         self.write("add", src, dst, relation=relation, replace=(src, dst) in self.relations)
         self.install(src, dst, relation)
@@ -383,14 +505,21 @@ class LineageModel(RuleBasedStateMachine):
     @rule(src=st.integers(0, 15), dst=st.integers(0, 15), rows=ROWS)
     def register_reused(self, src, dst, rows):
         """``register_operation(reuse=True)`` under one name per shape
-        pair: the first call is captured, a repeat reuses its table."""
-        src, dst = self.pair(src, dst)
+        pair: the first call is captured, a repeat reuses its table; a side
+        whose predictor forgot the op captures that first table again."""
+        src, dst, pairs = self.edge(src, dst, rows)
         op = f"op{self.shapes[src]}->{self.shapes[dst]}"
-        pairs = [(cell_of(self.shapes[dst], o), cell_of(self.shapes[src], i)) for o, i in rows]
         base = self.reuse_bases.setdefault(op, pairs)
-        self.write("op", op, [src], [dst], relations={(src, dst): self.relation(src, dst, pairs)},
-                   reuse=True, replace=(src, dst) in self.relations)
-        self.install(src, dst, self.relation(src, dst, base), reused=base is not pairs)
+        replace, known = (src, dst) in self.relations, {side.name: op in side.ops for side in self.sides}
+        for side in self.sides:
+            given = pairs if known[side.name] else base
+            self.write_side(side, "op", op, [src], [dst], relations={(src, dst): self.relation(src, dst, given)},
+                            reuse=True, replace=replace)
+            side.ops.add(op)
+            side.operations += 1
+        self.install(src, dst, self.relation(src, dst, base))
+        for side in self.sides:
+            side.reused[src, dst] = known[side.name]
 
     @rule(k=st.integers(0, 15), as_operation=st.booleans())
     def self_loop(self, k, as_operation):
@@ -409,24 +538,33 @@ class LineageModel(RuleBasedStateMachine):
     def sync(self):
         for side in self.sides[1:]:
             side.log.sync()
+            self.published(side)
 
     @rule()
     def compact(self):
         for side in self.sides[1:]:
             (side.service or side.log).compact()
+            self.published(side)
 
     @rule()
     def scrub(self):
+        """Repair drops nothing from an undamaged store; a torn tail a crash
+        left is evacuated and quarantined."""
         for side in self.sides[1:]:
             report = side.log.scrub(repair=True)
-            assert report["clean"], report
+            assert report["clean"] or side.torn, report
             assert not any(shard["dropped_entries"] for shard in report["shards"].values())
+            assert side.log.scrub()["clean"]
+            side.torn = False
 
     @rule()
     def commit(self):
-        self.sides[2].service.flush(timeout=30)
+        side = self.sides[2]
+        side.service.flush(timeout=30)
         for ticket in self.pending:
             assert ticket.done and not ticket.failed
+        if self.pending:
+            self.published(side)
         self.committed += self.pending
         self.pending = []
 
@@ -436,47 +574,247 @@ class LineageModel(RuleBasedStateMachine):
         new service whose first window is due at once."""
         for i, side in enumerate(self.sides[1:], 1):
             side.close()
-            log = DSLog.load(side.root, autosync=False)
+            log = DSLog.load(side.root, autosync=False, faults=FaultPlan())
             assert log.store.num_shards == side.num_shards
-            self.sides[i] = Side(side.name, side.root, side.num_shards, log=log)
-            self.reset_readers(self.sides[i])
+            new = self.sides[i] = Side(side.name, side.root, side.num_shards, log=log)
+            new.reused, new.tokens, new.ops, new.torn = side.reused, side.tokens, side.ops, side.torn
+            new.operations = side.operations
+            self.published(new)
+            self.reset_readers(new)
         self.committed += self.pending
         self.pending, self.window_open = [], True
 
     @rule()
     def snapshot(self):
         for side in self.sides:
-            if side.snapshot is not None:
-                side.snapshot[0].close()
+            side.close_snapshot()
             asked = [(r, self.answer(r.path, r.cells)) for r in self.stored_requests()]
             side.snapshot = ((side.service or side.log).snapshot(), asked)
 
+    # -- faults, crashes, corruption ------------------------------------
+    @rule(durable=st.integers(1, 2), site=st.sampled_from(SITES), kind=st.sampled_from(KINDS),
+          crash=st.sampled_from([None, 0, 2, 4]), edge=EDGE)
+    def fault_write(self, durable, site, kind, crash, edge):
+        """*edge*'s write, made durable at once (on the sharded side by the
+        service's commit), meets a one-shot fault at its home shard."""
+        side = self.sides[durable]
+        src, dst, pairs = self.edge(*edge)
+        relation, replace = self.relation(src, dst, pairs), (src, dst) in self.relations
+        for other in self.sides:
+            if other is not side:
+                self.write_side(other, "add", src, dst, relation=relation, replace=replace)
+        with armed(side.plan, site, f"shard-{shard_index(src, dst, side.num_shards):02d}", kind) as rule:
+            error = self.durable_write(side, src, dst, relation, replace)
+        self.install(src, dst, relation)
+        self.after_fault(durable, rule, error, kind, crash, lambda side: side.log.sync())
+
+    @precondition(lambda self: self.relations)
+    @rule(durable=st.integers(1, 2), site=st.sampled_from(SITES), kind=st.sampled_from(KINDS),
+          nth=st.integers(1, 3), crash=st.sampled_from([None, 0, 2, 4]), k=st.integers(0, 15))
+    def fault_compact(self, durable, site, kind, nth, crash, k):
+        """A compaction meets a one-shot fault on the home shard of a stored
+        entry — at its *nth* read, or its publish — and changes nothing."""
+        side = self.sides[durable]
+        if side.service is not None:  # a torn write fails every pending ticket, touched or not
+            self.commit()
+        side.log.sync()
+        self.published(side)
+        index = shard_index(*sorted(self.relations)[k % len(self.relations)], side.num_shards)
+        faulted = side.log.store.shards[index]
+        before = shard_state(faulted)
+        with armed(side.plan, site, f"shard-{index:02d}", kind, nth if site == "segment.read" else 1) as rule:
+            error = ask((side.service or side.log).compact)
+        if rule.fired:
+            assert shard_state(faulted) == before
+        self.after_fault(durable, rule, error, kind, crash, lambda side: (side.service or side.log).compact())
+        for store in self.sides[durable].log.store.shards:  # and leaves no file behind
+            names = {p.name for p in store.root.glob("segment-*.seg")}
+            assert names == set(store.manifest.segments) | set(store._retired)
+
+    def after_fault(self, durable, rule, error, kind, crash, retry):
+        """What raised was the fault; after a torn write repair drops only
+        unpublished entries; then, on a crashed copy if *crash* is drawn,
+        the call is retried and succeeds."""
+        assert isinstance(error, OSError) == bool(rule.fired), (rule.site, kind, error)
+        if rule.fired:
+            if crash is not None:
+                self.crash(durable, crash)
+            elif kind == "short_write":
+                self.repair_torn(self.sides[durable])
+            retry(self.sides[durable])
+        self.published(self.sides[durable])
+
+    def durable_write(self, side, src, dst, relation, replace):
+        """A write on *side* and the publish that makes it durable; what
+        that publish raised, or ``None``.  A failed service commit fails
+        every ticket of its batch, and their writes stay applied."""
+        if side.service is None:
+            side.log.add_lineage(src, dst, relation=relation, replace=replace)
+            error = ask(side.log.sync)
+            return error if isinstance(error, BaseException) else None
+        ticket = side.service.submit_lineage(src, dst, relation=relation, replace=replace)
+        side.service._queue.join()  # applied, so the earlier tickets ride its commit
+        side.service.flush(timeout=30)
+        batch, self.pending, self.window_open = self.pending + [ticket], [], False
+        assert all(t.done and t.failed == ticket.failed for t in batch)
+        if not ticket.failed:
+            self.committed += batch
+        return ticket._error
+
+    def repair_torn(self, side):
+        """After a torn write: repair drops only entries no returned publish
+        named, and the model writes them again."""
+        side.close_snapshot()
+        report = side.log.scrub(repair=True)
+        dropped = {tuple(pair) for shard in report["shards"].values() for pair in shard["dropped_entries"]}
+        for pair in dropped:
+            assert self.versions[pair] > side.durable.get(pair, 0), ("a published entry was lost", pair)
+        assert side.log.scrub()["clean"]
+        side.torn = False
+        self.forget(side, dropped, any(shard["reuse_state_dropped"] for shard in report["shards"].values()))
+
+    @rule(durable=st.integers(1, 2), quarters=st.integers(0, 4))
+    def crash(self, durable, quarters):
+        """What survives a process crash: the side's directory copied while
+        it is open, *quarters*/4 of each active segment's unpublished tail
+        torn off.  ``DSLog.load`` on the copy holds every entry at least at
+        the version its last returned publish named, whole; the model then
+        writes what was lost again."""
+        side = self.sides[durable]
+        self.crashes += 1
+        root = self.tmp / f"{side.name}-crash{self.crashes}"
+        shutil.copytree(side.root, root)
+        for shard_dir in sorted(root.glob("shard-*")):
+            tear(shard_dir, quarters)
+        side.close()  # the old process's last writes reach only its own directory
+        log = DSLog.load(root, autosync=False, faults=FaultPlan())
+        new = self.sides[durable] = Side(side.name, root, side.num_shards, log=log)
+        entries = {(e.in_name, e.out_name): e for e in log.catalog.entries()}
+        assert set(entries) <= set(self.versions), (side.name, set(entries) - set(self.versions))
+        for pair, version in self.versions.items():
+            got = entries[pair].version if pair in entries else 0
+            assert side.durable.get(pair, 0) <= got <= version, (side.name, pair, got, side.durable.get(pair))
+            if got:
+                assert rows_of(entries[pair].backward.decompress()) == rows_of(self.history[pair][got - 1][0])
+                assert got < version or entries[pair].reused == side.reused[pair]
+                new.reused[pair], new.tokens[pair] = entries[pair].reused, side.tokens[pair]
+        new.ops, new.operations = ops_of(log), len(log.catalog.operations)
+        assert side.durable_ops <= new.ops <= side.ops
+        assert side.durable_operations <= new.operations <= side.operations
+        new.durable, new.durable_ops, new.torn = {p: e.version for p, e in entries.items()}, set(new.ops), quarters < 4
+        self.reset_readers(new)
+        if new.service is not None:
+            self.pending, self.window_open = [], True
+        self.restore(new)
+
+    @rule(durable=st.integers(1, 2), k=st.integers(0, 63), reuse=st.booleans(),
+          meet=st.sampled_from(["scrub", "compact", "probe"]))
+    def corrupt(self, durable, k, reuse, meet):
+        """Flip one payload byte of a stored record — a reuse table's, if
+        drawn and there is one — and meet it by *meet*."""
+        side = self.sides[durable]
+        side.log.sync()
+        self.published(side)
+        side.close_snapshot()
+        store = side.log.store
+        records = {}  # (shard, ref) -> [entries it holds, a reuse table?]
+        for i, shard in enumerate(store.shards):
+            for row in shard.manifest.entries:
+                ref = shard.resolve(TableRef.from_json(row["backward"]))
+                records.setdefault((i, ref), [set(), False])[0].add((row["in"], row["out"]))
+        for ref in list(store.meta.manifest.iter_table_refs())[len(store.meta.manifest.entries):]:  # reuse tables
+            records.setdefault((0, store.meta.resolve(TableRef.from_json(ref))), [set(), False])[1] = True
+        pool = sorted(r for r in records if records[r][1] and reuse) or sorted(records)
+        if not pool:
+            return
+        i, ref = pool[k % len(pool)]
+        held, is_reuse = records[i, ref]
+        shard = store.shards[i]
+        with open(shard.root / ref.segment, "r+b") as fh:
+            fh.seek(ref.offset + record_overhead() + ref.length // 2)
+            byte = fh.read(1)[0]
+            fh.seek(-1, 1)
+            fh.write(bytes([byte ^ 0xFF]))
+        if meet == "compact":
+            before = shard_state(shard)
+            assert isinstance(ask(side.log.compact), CorruptRecordError)
+            assert shard_state(shard) == before
+        if meet == "probe" and held and i not in self.tripped[side.name]:
+            self.probe(side, i, held)
+        else:
+            report = side.log.scrub(repair=True)["shards"]
+            assert {tuple(p) for r in report.values() for p in r["dropped_entries"]} == held
+            assert any(r["reuse_state_dropped"] for r in report.values()) == is_reuse
+            side.torn = False
+        for pair in held:
+            with pytest.raises(KeyError):
+                side.log.catalog.entry(*pair)
+        assert side.log.scrub()["clean"] or side.torn
+        self.forget(side, held, is_reuse)
+
+    def probe(self, side, shard, held):
+        """Meet the damage through the breaker: three reads of the damaged
+        record trip the caching executor's breaker on its shard; once the
+        window has passed, the next query there probes (reopen + scrub), and
+        the repair drops the entry under that very query, which had planned
+        it."""
+        side.log.store.cache.clear(scope=f"shard-{shard:02d}")
+        self.trip_executor(side, "cached", side.cached, shard, sorted(held), CorruptRecordError)
+        self.heal()
+        self.probe_query(side, "cached", side.cached, shard, sorted(held), failing=({shard}, OSError))
+
+    def trip_executor(self, side, reader, executor, shard, pairs, error):
+        request = self.unasked(side, reader, pairs)
+        for _ in range(TRIPS):
+            (want,) = self.predict(side, reader, [request], True, failing=({shard}, error))
+            self.check(ask(executor.query, request.path, request.query), want, (side.name, reader, "trip"))
+
+    def probe_query(self, side, reader, executor, shard, pairs, failing=(frozenset(), None)):
+        """A query through a half-open breaker probes: one more reopen."""
+        reopens = executor.stats()["shard_reopens"]
+        request = self.unasked(side, reader, pairs)
+        (want,) = self.predict(side, reader, [request], True, failing)
+        self.check(ask(executor.query, request.path, request.query), want, (side.name, reader, "probe"))
+        assert executor.stats()["shard_reopens"] == reopens + 1
+
+    def on_shard(self, side, shard):
+        return sorted(p for p in self.relations if shard_index(*p, side.num_shards) == shard)
+
     @rule(shard=st.integers(0, 3))
     def trip(self, shard):
-        for side in self.sides:
-            if shard < side.num_shards:  # the executors whose cache the model predicts
-                for executor in [side.cached] + ([side.server.executor] if side.server else []):
-                    for _ in range(TRIPS):
-                        executor._breaker(shard).record_failure()
-                self.tripped[side.name].add(shard)
+        """Three real read faults on *shard*, its tables dropped from the
+        cache first, trip the breaker of every executor the model predicts."""
+        for side in self.sides[1:]:
+            if shard >= side.num_shards or not self.on_shard(side, shard):
+                continue
+            scope = f"shard-{shard:02d}"
+            side.log.store.cache.clear(scope=scope)
+            with armed(side.plan, "segment.read", scope, times=None):
+                for reader, executor in side.breakered():
+                    self.trip_executor(side, reader, executor, shard, self.on_shard(side, shard), OSError)
+            self.tripped[side.name].add(shard)
 
     @precondition(lambda self: any(self.tripped.values()))
     @rule()
     def heal(self):
-        """Let the breakers' window pass: the next query through an open
+        """Let the breakers' window pass: the next query through each open
         breaker probes (reopen + scrub) and closes it.  Everything is made
         durable first, as the moved clock ends the commit window too."""
         self.sides[1].log.sync()
+        self.published(self.sides[1])
         self.commit()
         self.now += 31.0
         self.window_open = True
-        for tripped in self.tripped.values():
-            tripped.clear()
+        for side in self.sides:
+            tripped, self.tripped[side.name] = self.tripped[side.name], set()
+            for shard, (reader, executor) in itertools.product(sorted(tripped), side.breakered()):
+                self.probe_query(side, reader, executor, shard, self.on_shard(side, shard))
 
     # -- reads ----------------------------------------------------------
-    def predict(self, side, reader, requests, merge):
+    def predict(self, side, reader, requests, merge, failing=(frozenset(), None)):
         """What *reader* of *side* answers: per request ``("error", type)``
-        or ``(cells, cached, degraded)``, counting what its cache counts."""
+        or ``(cells, cached, degraded)``, counting what its cache counts.
+        A request on a shard in ``failing[0]`` fails with ``failing[1]``."""
         seen, count = self.seen[side.name, reader], self.counters[side.name, reader]
         caching = reader != "uncached"
         before, expected = dict(seen), []
@@ -484,7 +822,7 @@ class LineageModel(RuleBasedStateMachine):
             if request.error is not None:
                 expected.append(("error", request.error))
                 continue
-            key, deps = request.key + (merge,), self.deps(request.path)
+            key, deps = request.key + (merge,), self.deps(request.path, side)
             old = before.get(key) if caching else None
             if old is not None and old[0] == deps:
                 count["hits"] += 1
@@ -497,9 +835,10 @@ class LineageModel(RuleBasedStateMachine):
                 expected.append(("error", KeyError))
                 continue
             shards = {shard_index(*self.hop(a, b)[0], side.num_shards) for p, _ in deps for a, b in zip(p, p[1:])}
-            if caching and shards & self.tripped[side.name]:
+            down = ShardUnavailable if shards & self.tripped[side.name] else shards & failing[0] and failing[1]
+            if caching and down:
                 count["stale_hits"] += old is not None
-                expected.append((old[1], True, True) if old else ("error", ShardUnavailable))
+                expected.append((old[1], True, True) if old else ("error", down))
                 continue
             cells = self.answer(request.path, request.cells)
             if caching:
@@ -602,12 +941,15 @@ class LineageModel(RuleBasedStateMachine):
         edges = sorted(list(pair) for pair in self.relations)
         summaries = [dict(json.loads(json.dumps(side.log.lineage_summary())), edges=edges) for side in self.sides]
         summaries += [over_wire(client, "summary", None) for client in self.sides[2].clients]
+        for summary, side in zip(summaries, self.sides + self.sides[2:] * 2):
+            assert summary.pop("reused_entries") == sum(side.reused.values()), side.name
+            assert summary.pop("operations") == side.operations, side.name
+            summary.pop("avg_arrays_per_operation")  # 2.0: every operation links two arrays
         assert all(summary == summaries[0] for summary in summaries)
         produced, derived = {a for a, _ in self.relations}, {b for _, b in self.relations}
         assert summaries[0]["entries"] == len(self.relations) and summaries[0]["arrays"] == len(names)
         assert summaries[0]["roots"] == sorted(produced - derived)
         assert summaries[0]["leaves"] == sorted(derived - produced)
-        assert summaries[0]["reused_entries"] == sum(self.reused.values())
 
     # -- after every rule -----------------------------------------------
     @invariant()
@@ -616,9 +958,10 @@ class LineageModel(RuleBasedStateMachine):
             return
         requests = self.stored_requests()
         pairs = [(r.path, r.query) for r in requests]
-        versions = {pair: version for pair, (version, _) in self.versions.items()}
         for side in self.sides:
-            assert {(e.in_name, e.out_name): e.version for e in side.log.catalog.entries()} == versions
+            entries = {(e.in_name, e.out_name): (e.version, e.reused) for e in side.log.catalog.entries()}
+            assert entries == {pair: (v, side.reused[pair]) for pair, v in self.versions.items()}, side.name
+            assert ops_of(side.log) == side.ops, side.name
             assert counters(side.cached) == self.counters[side.name, "cached"], side.name
             fresh = side.uncached.query_batch(pairs)
             one_by_one = [ask(side.cached.query, path, query) for path, query in pairs]
@@ -694,6 +1037,29 @@ def test_a_new_edge_shortens_then_widens_a_planned_path():
 
 
 REPLACE_A_B = ("add", dict(src=0, dst=0, rows=[]))  # on the fixture: (A, B), emptied
+ADDS = [("add", dict(src=i, dst=i + 1, rows=[(i, i), (5, 1)])) for i in range(3)]  # X0 -> X1 -> X2 -> X3
+MIXED = [("segment.write", "short_write"), ("segment.write", "error"), ("segment.fsync", "error"),
+         ("segment.fsync", "enospc"), ("manifest.write", "error")]
+READS = [("segment.read", "error"), ("manifest.write", "error")]
+FSYNC = dict(durable=2, site="segment.fsync", kind="error", edge=(2, 3, [(1, 1)]))  # X2 -> X3, with X1 -> X2 pending
+
+
+def soak(seed, durable, sites, write=True):
+    """A seeded fault soak as one history: six writes, or after three adds
+    six compactions, each meeting one drawn fault; then a reopen."""
+    rng = random.Random(seed)
+    steps = [] if write else list(ADDS)
+    for _ in range(6):
+        site, kind = rng.choice(sites)
+        drawn = dict(durable=durable, site=site, kind=kind, crash=rng.choice([None, 0, 2, 4]))
+        if write:
+            edge = (rng.randrange(16), rng.randrange(16), [(rng.randrange(64), rng.randrange(64))])
+            steps.append(("fault_write", dict(drawn, edge=edge)))
+        else:
+            steps.append(("fault_compact", dict(drawn, nth=rng.randint(1, 3), k=rng.randrange(16))))
+    return "fresh", steps + [("reopen", {})]
+
+
 PINNED = {
     # shrunk by the model from defects planted in a throwaway copy of the
     # code: the result cache's token check, the inverse join's value bounds,
@@ -705,6 +1071,44 @@ PINNED = {
     # that a compaction had retired under an open snapshot
     "a-retired-segment-is-no-orphan": ("fresh", [("add", dict(src=0, dst=0, rows=[])), ("snapshot", {}),
                                                  ("compact", {}), ("scrub", {})]),
+    # a bug: a repair that dropped the reuse state left the live predictor
+    # holding the damaged table, and the next sync published refs into the
+    # quarantined segment (the reopen then failed)
+    "a-dropped-reuse-state-is-forgotten": ("fresh", [
+        ("register_reused", dict(src=0, dst=1, rows=[(1, 2)])),
+        ("corrupt", dict(durable=1, k=0, reuse=True, meet="scrub")),
+        ("register_reused", dict(src=0, dst=1, rows=[(3, 3)])), ("sync", {}), ("reopen", {})]),
+    # a compaction that meets a read fault, a publish fault or a damaged
+    # record raises and changes nothing; the retry keeps every entry
+    "a-compaction-read-fault": ("fresh", ADDS + [
+        ("fault_compact", dict(durable=1, site="segment.read", kind="error", nth=2, crash=None, k=0)), ("reopen", {})]),
+    "a-compaction-publish-fault": ("fresh", ADDS + [
+        ("fault_compact", dict(durable=1, site="manifest.write", kind="error", nth=1, crash=None, k=0)),
+        ("reopen", {})]),
+    "a-compaction-meets-a-flipped-byte": ("fresh", ADDS + [
+        ("corrupt", dict(durable=1, k=1, reuse=False, meet="compact")), ("reopen", {})]),
+    # a shard whose reads fail serves its stale answer degraded, a query
+    # with none refuses, and the probe heals it; a probe whose repair drops
+    # a damaged entry makes the live catalog forget it
+    "a-tripped-shard-serves-stale-then-heals": ("fresh", ADDS[:1] + [
+        ("query", dict(spec=(False, [0, 1], [1]), merge=True, singleton=False, include=(True, False))),
+        ADDS[0], ("trip", dict(shard=shard_index("X0", "X1", 4))),
+        ("query", dict(spec=(False, [0, 1], [1]), merge=True, singleton=True, include=(False, True))),
+        ("heal", {})]),
+    "a-probe-drops-the-damaged-entry": ("fresh", ADDS[:1] + [
+        ("corrupt", dict(durable=d, k=0, reuse=False, meet="probe")) for d in (1, 2)]),
+    # a failed group commit fails every ticket of its batch, and the retry
+    # republishes the shard: no durable ticket is lost to a crash or reopen
+    "a-failed-commit-fails-its-batch": ("fresh", ADDS[:2] + [
+        ("fault_write", dict(FSYNC, crash=0)), ("crash", dict(durable=2, quarters=4))]),
+    "a-failed-commit-is-republished": ("fresh", ADDS[:2] + [
+        ("fault_write", dict(FSYNC, crash=None)), ("reopen", {})]),
+    # the seeded fault soaks, as histories: torn, failed and unsynced
+    # writes and publishes, on each durable side; compactions under read
+    # and publish faults
+    **{f"storage-soak-{seed}": soak(seed, 1, MIXED) for seed in (101, 202, 303)},
+    **{f"service-soak-{seed}": soak(seed, 2, MIXED) for seed in (101, 202, 303)},
+    **{f"compaction-soak-{seed}": soak(seed, 2, READS, write=False) for seed in (101, 202, 303)},
 }
 
 

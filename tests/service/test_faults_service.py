@@ -1,11 +1,11 @@
 """The failure envelope of the service tier: injected worker/commit faults
 fail tickets structurally, slow shards turn into deadline errors instead of
-hangs, a faulting shard trips its circuit breaker and the executor keeps
-answering from the stale cache flagged degraded, the breaker's half-open
-probe heals the shard with a reopen-and-scrub, and the HTTP surface maps
-all of it to structured status codes (504 deadline, 503 unavailable /
-overloaded) plus the ``degraded`` response flag and ``/healthz`` breaker
-states."""
+hangs, and the HTTP surface maps them to structured status codes (504
+deadline, 503 unavailable / overloaded) plus the ``degraded`` response
+flag and ``/healthz`` breaker states.  How a faulting shard trips its
+breaker, serves stale answers flagged degraded and heals through the
+half-open probe is a rule of the stateful model
+(``tests/integration/test_model.py``)."""
 
 import time
 
@@ -19,7 +19,6 @@ from repro import (
     InjectedFault,
     LineageService,
     QueryExecutor,
-    ShardUnavailable,
 )
 from repro import faults
 from repro.core.relation import LineageRelation
@@ -29,7 +28,6 @@ from repro.service.server import (
     LineageServer,
     LineageServerError,
 )
-from repro.storage.segments import CorruptRecordError, record_overhead
 from repro.storage.sharded import shard_index
 
 SHAPE = (4,)
@@ -161,106 +159,6 @@ class TestExecutorDeadlines:
             assert ex.stats()["deadline_misses"] == 1
         plan.disarm()
         log.close()
-
-
-class TestBreakerDegradedServing:
-    def test_trip_degrade_and_heal(self, tmp_path, monkeypatch):
-        now = [1000.0]  # the breakers' clock, moved by hand
-        monkeypatch.setattr(faults, "clock", lambda: now[0])
-        plan = FaultPlan()
-        log, pairs = build_sharded(tmp_path / "db", plan)
-        home = 1
-        a, b = pairs[home]
-        other_a, other_b = pairs[0]
-        ex = QueryExecutor(log)
-        try:
-            fresh = ex.query([a, b], QUERY)
-            assert not fresh.degraded
-            expected = fresh.result.to_cells()
-
-            # invalidate the cached result (re-ingest the queried pair:
-            # same relation, so ``expected`` stands), then make that
-            # shard's disk unreadable
-            log.add_lineage(a, b, relation=elementwise(a, b), replace=True)
-            log.sync()
-            kill_shard_reads(log, plan, home)
-
-            # each faulting query counts one failure against the breaker
-            # and is served its stale cached answer, degraded; the third
-            # trips the breaker
-            for _ in range(3):
-                degraded = ex.query([a, b], QUERY)
-                assert degraded.degraded and degraded.cached
-                assert degraded.result.to_cells() == expected
-            assert ex.breaker_stats()[home]["state"] == "open"
-
-            # breaker open: the dead disk is not touched again, the stale
-            # answer keeps flowing
-            again = ex.query([a, b], QUERY)
-            assert again.degraded
-            assert ex.stats()["degraded_serves"] == 4
-
-            # the healthy shard is unaffected
-            ok = ex.query([other_a, other_b], QUERY)
-            assert not ok.degraded
-
-            # a query with no cached fallback refuses structurally
-            e, f = pair_for_shard(home, prefix="fresh")
-            add_pair(log, e, f)
-            with pytest.raises(ShardUnavailable) as excinfo:
-                ex.query([e, f], QUERY)
-            assert excinfo.value.shard == home
-
-            # heal the disk; after the breaker's 30 s reset window the
-            # half-open probe runs reopen-with-scrub, closes the breaker and
-            # serves fresh again
-            plan.disarm()
-            now[0] += 31.0
-            healed = ex.query([a, b], QUERY)
-            assert not healed.degraded
-            assert healed.result.to_cells() == expected
-            assert ex.breaker_stats()[home]["state"] == "closed"
-            assert ex.stats()["shard_reopens"] == 1
-        finally:
-            ex.close()
-            log.close()
-
-
-    def test_probe_that_drops_an_entry_forgets_it(self, tmp_path, monkeypatch):
-        # an entry stores one table: when the half-open probe's repair
-        # drops an entry whose record is corrupt, the live catalog forgets
-        # it too, and the pair then answers as a missing one, not as a
-        # shard fault forever
-        now = [1000.0]
-        monkeypatch.setattr(faults, "clock", lambda: now[0])
-        log, pairs = build_sharded(tmp_path / "db", FaultPlan())
-        a, b = pairs[1]
-        entry = log.catalog.entry(a, b)
-        shard_dir = tmp_path / "db" / "shard-01"
-        record = shard_dir / entry.backward_ref.segment
-        data = bytearray(record.read_bytes())
-        data[entry.backward_ref.offset + record_overhead() + entry.backward_ref.length // 2] ^= 0xFF
-        record.write_bytes(bytes(data))
-        log.store.cache.clear(scope="shard-01")
-        ex = QueryExecutor(log)
-        try:
-            for _ in range(3):  # the breaker trips on its third consecutive fault
-                with pytest.raises(CorruptRecordError):
-                    ex.query([a, b], QUERY)
-            assert ex.breaker_stats()[1]["state"] == "open"
-            now[0] += 31.0  # the probe reopens and repairs the shard
-            with pytest.raises(OSError):
-                ex.query([a, b], QUERY)  # this query planned the entry first
-            assert ex.stats()["shard_reopens"] == 1
-            with pytest.raises(KeyError):
-                log.catalog.entry(a, b)
-            with pytest.raises(KeyError):
-                ex.query([a, b], QUERY)
-            c, d = pairs[0]
-            assert ex.query([c, d], QUERY).result.to_cells() == {QUERY[0]}
-        finally:
-            ex.close()
-            log.close()
 
 
 class TestServerFaultSurface:

@@ -4,8 +4,7 @@ reconnect-and-retry on the client — bounded by the retry budget, never a
 hang, and never a corrupt result.
 
 Marked ``faults`` so tier-1 stays fast; CI's fault-soak job re-runs these
-under the widened ``DSLOG_SOAK_SEEDS`` matrix alongside the storage and
-service soaks."""
+under the widened ``DSLOG_SOAK_SEEDS`` matrix."""
 
 import os
 

@@ -1,5 +1,6 @@
 """Tests for the DSLog catalog layer."""
 
+import numpy as np
 import pytest
 
 from repro.core.query import CellBoxSet, theta_join
@@ -26,7 +27,7 @@ class TestArrays:
         catalog = Catalog()
         info = catalog.define_array("A", (4, 5))
         assert info == ArrayInfo("A", (4, 5))
-        assert catalog.array("A").ncells == 20
+        assert np.prod(catalog.array("A").shape) == 20
         assert catalog.array("A").ndim == 2
 
     def test_redefine_same_shape_ok(self):
