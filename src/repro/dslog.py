@@ -563,9 +563,10 @@ class DSLog:
         if self.store is None:
             return None
         with self.store.maintenance_lock:
-            if self._reuse is not None and self._reuse_synced_count != self._reuse.mutation_count:
-                count = self._reuse.mutation_count
-                state = self._reuse.export_state(self._save_reuse_table)
+            reuse = self._reuse
+            if reuse is not None and self._reuse_synced_count != reuse.mutation_count:
+                count = reuse.mutation_count
+                state = reuse.export_state(self._save_reuse_table)
                 with self.store.meta_lock:
                     self.store.meta.manifest.reuse = state
                     self.store.mark_dirty(0)
@@ -600,9 +601,10 @@ class DSLog:
         ``{"clean": ..., "shards": {index: report}}``."""
         if self.store is None:
             raise RuntimeError("scrub() requires a durable log (one opened with a root)")
-        report = self.store.scrub(repair=repair)
-        for shard_report in report["shards"].values():
-            self._apply_repair(shard_report)
+        with self.store.maintenance_lock:  # no publish between repair and reset
+            report = self.store.scrub(repair=repair)
+            for shard_report in report["shards"].values():
+                self._apply_repair(shard_report)
         return report
 
     def _apply_repair(self, report: dict) -> None:

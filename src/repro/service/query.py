@@ -368,7 +368,8 @@ class QueryExecutor:
             return
         try:
             if self.log.store is not None:
-                self.log._apply_repair(self.log.store.reopen_shard(shard))
+                with self.log.store.maintenance_lock:  # no publish between repair and reset
+                    self.log._apply_repair(self.log.store.reopen_shard(shard))
             breaker.record_success()
             with self._stats_lock:
                 self.shard_reopens += 1

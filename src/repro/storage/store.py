@@ -689,6 +689,7 @@ class LineageStore:
         """
         moving = set(segments)
         self._retire_writer()  # buffered records must reach the file first
+        torn = self._closed_torn_writes
         moves: Dict[TableRef, List[dict]] = {}
         for ref_dict in self.manifest.iter_table_refs():
             ref = self.resolve(TableRef.from_json(ref_dict))
@@ -715,6 +716,8 @@ class LineageStore:
             self.sync(serialize_lock=serialize_lock)  # fsyncs the last fresh file first
         except BaseException:
             self._drop_writer()
+            # a torn write into a fresh file destroyed no record a row names
+            self._closed_torn_writes = torn
             for name in fresh:
                 self._segment_path(name).unlink(missing_ok=True)
             for ref_dict, old in before:
