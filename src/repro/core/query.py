@@ -58,7 +58,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tupl
 
 import numpy as np
 
-from .compressed import KIND_REL, CompressedLineage
+from .compressed import KIND_REL, CompressedLineage, _expand_boxes
 
 __all__ = [
     "CellBoxSet",
@@ -244,23 +244,13 @@ class CellBoxSet:
         lexicographic row order — the vectorized counterpart of
         ``sorted(to_cells())``, used by the serving tier to build cell
         listings without materializing per-cell Python tuples."""
-        if self.is_empty():
+        keep = (self.lo <= self.hi).all(axis=1)  # a box with lo > hi holds no cell
+        if not keep.any():
             return np.empty((0, self.ndim), dtype=np.int64)
-        parts = []
-        for i in range(len(self)):
-            axes = [
-                np.arange(int(self.lo[i, d]), int(self.hi[i, d]) + 1)
-                for d in range(self.ndim)
-            ]
-            grid = np.meshgrid(*axes, indexing="ij")
-            parts.append(np.stack([g.ravel() for g in grid], axis=1))
-        cells = np.concatenate(parts, axis=0).astype(np.int64, copy=False)
-        n = len(self)
-        if n == 1:
-            return cells  # an ij meshgrid ravels in lexicographic order
-        # np.unique sorts rows lexicographically — same order as
-        # sorted(set(...)) over the equivalent tuples
-        return np.unique(cells, axis=0)
+        _, cells = _expand_boxes(self.lo[keep], self.hi[keep])
+        # one box expands in row-major, i.e. lexicographic, order; np.unique
+        # sorts rows lexicographically — the order of sorted(set(...))
+        return cells if keep.sum() == 1 else np.unique(cells, axis=0)
 
     def to_mask(self) -> np.ndarray:
         """Return a boolean mask over the array shape marking member cells."""

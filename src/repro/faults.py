@@ -447,15 +447,17 @@ class CircuitBreaker:
         """Count one fault; returns True when the breaker is now open
         (first trip or a failed half-open probe restarting the window)."""
         with self._lock:
-            self._probing = False
+            probing, self._probing = self._probing, False
             self._consecutive += 1
             if self._consecutive < self.failure_threshold:
                 return False
+            opened = self._state != "open" or probing  # not a failure racing the trip
             if self._state != "open":
                 self.trips += 1
             self._state = "open"
             self._opened_at = clock()
-        self._transition("open")
+        if opened:
+            self._transition("open")
         return True
 
     def record_success(self) -> None:

@@ -353,22 +353,12 @@ class ReuseManager:
             self.mutation_count += 1
 
     # ------------------------------------------------------------------
-    # introspection (used by the Table IX coverage experiment)
+    # introspection
     # ------------------------------------------------------------------
     def record_misprediction(self) -> None:
         with self._lock:
             self.mispredictions += 1
             self.mutation_count += 1
-
-    def has_dim_mapping(self, signature: OperationSignature) -> bool:
-        with self._lock:
-            candidate = self._dim.get(signature.dim_key)
-            return bool(candidate and candidate.permanent and not candidate.blocked)
-
-    def has_gen_mapping(self, signature: OperationSignature) -> bool:
-        with self._lock:
-            candidate = self._gen.get(signature.gen_key)
-            return bool(candidate and candidate.permanent and not candidate.blocked)
 
     def stats(self) -> dict:
         with self._lock:

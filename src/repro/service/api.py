@@ -189,9 +189,7 @@ def result_payload(
         ],
     }
     if include_boxes:
-        payload["boxes"] = [
-            [cells.lo[i].tolist(), cells.hi[i].tolist()] for i in range(len(cells))
-        ]
+        payload["boxes"] = [list(box) for box in zip(cells.lo.tolist(), cells.hi.tolist())]
     if include_cells:
         payload["cells"] = result.to_cells_array().tolist()
     return payload

@@ -102,7 +102,6 @@ class IngestTicket:
     __slots__ = (
         "spec",
         "submitted_at",
-        "applied_at",
         "durable_at",
         "_record",
         "_error",
@@ -114,7 +113,6 @@ class IngestTicket:
     def __init__(self, spec: Dict[str, Any]) -> None:
         self.spec = spec
         self.submitted_at = time.monotonic()
-        self.applied_at: Optional[float] = None
         self.durable_at: Optional[float] = None
         self._record: Any = None
         self._error: Optional[BaseException] = None
@@ -127,7 +125,6 @@ class IngestTicket:
     # -- service-side transitions --------------------------------------
     def _mark_applied(self, record: Any) -> None:
         self._record = record
-        self.applied_at = time.monotonic()
         # the spec holds relations/captures/input_data — potentially large
         # arrays; once applied, nothing reads it again, so don't let a
         # long-held ticket pin those objects in memory

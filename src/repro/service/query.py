@@ -472,7 +472,7 @@ class QueryExecutor:
         version = self.log.catalog.version
         # the misses, grouped by path: (request index, box set, cache key)
         groups: Dict[Tuple[str, ...], List[Tuple[int, Any, bytes]]] = {}
-        misses = 0
+        hits = misses = 0
         for i, request in enumerate(requests):
             try:
                 path, query_cells = request
@@ -490,12 +490,14 @@ class QueryExecutor:
             if hit:
                 result, memo = value  # what _execute_misses installs
                 outcomes[i] = QueryOutcome(result, True, False, memo)
+                hits += 1
             else:
                 groups.setdefault(path, []).append((i, box_set, key))
                 misses += 1
         trace = tracing.current_trace()
         if trace is not None:
-            trace.set_tag("cache", "miss" if misses else "hit")
+            if hits or misses:  # a refused request never reached the cache
+                trace.set_tag("cache", "miss" if misses else "hit")
             trace.set_tag("batch_misses", misses)
         if not misses:
             return outcomes

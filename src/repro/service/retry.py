@@ -4,7 +4,7 @@ Both lineage clients make **read-only (idempotent) requests**, so any
 transport failure — a reset keep-alive connection, a server restart, a
 short read mid-frame — is safe to retry.  The policy here is the one that
 landed with the fault-injection PR: exponential backoff with *decorrelated
-jitter* (each delay scaled by a random factor in ``[1, 1 + jitter]`` so a
+jitter* (each delay scaled by a random factor in ``[1, 1 + JITTER]`` so a
 fleet of clients bounced off the same restart does not retry in lockstep),
 bounded by both an attempt count and a total *retry budget* of sleep
 seconds — whichever runs out first ends the loop.
@@ -32,27 +32,26 @@ class RetryPolicy:
         Attempts beyond the first (``retries=3`` means up to 4 sends).
     backoff:
         Base delay in seconds; attempt *n* waits ``backoff * 2**(n-1)``
-        before jitter.
-    jitter:
-        Upper bound of the random scale factor: each delay is multiplied
-        by a uniform draw from ``[1, 1 + jitter]``.
+        before jitter: each delay is multiplied by a uniform draw from
+        ``[1, 1 + JITTER]``.
     retry_budget:
         Total seconds the schedule may spend sleeping across all retries
         of one request; ``None`` means unbounded.
     """
 
-    __slots__ = ("retries", "backoff", "jitter", "retry_budget")
+    __slots__ = ("retries", "backoff", "retry_budget")
+
+    #: upper bound of the random scale factor of each delay
+    JITTER = 0.5
 
     def __init__(
         self,
         retries: int = 3,
         backoff: float = 0.05,
-        jitter: float = 0.5,
         retry_budget: Optional[float] = 10.0,
     ) -> None:
         self.retries = int(retries)
         self.backoff = float(backoff)
-        self.jitter = max(0.0, float(jitter))
         self.retry_budget = None if retry_budget is None else float(retry_budget)
 
     def schedule(self) -> "RetrySchedule":
@@ -86,7 +85,7 @@ class RetrySchedule:
             self.budget_exhausted = True
             return False
         delay = policy.backoff * (2 ** (self.attempts - 1))
-        delay *= 1.0 + policy.jitter * random.random()
+        delay *= 1.0 + policy.JITTER * random.random()
         if budget is not None:
             delay = min(delay, budget - self.slept)
         self.attempts += 1

@@ -296,11 +296,10 @@ class RPCClient(_Client):
         timeout: float = 30.0,
         retries: int = 3,
         backoff: float = 0.05,
-        jitter: float = 0.5,
         retry_budget: Optional[float] = 10.0,
         pool_size: int = 4,
     ) -> None:
-        super().__init__(timeout, retries, backoff, jitter, retry_budget)
+        super().__init__(timeout, retries, backoff, retry_budget)
         if isinstance(address, str):
             trimmed = address
             if "//" in trimmed:

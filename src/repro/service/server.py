@@ -731,13 +731,10 @@ class _Client:
         timeout: float,
         retries: int,
         backoff: float,
-        jitter: float,
         retry_budget: Optional[float],
     ) -> None:
         self.timeout = float(timeout)
-        self.retry = RetryPolicy(
-            retries=retries, backoff=backoff, jitter=jitter, retry_budget=retry_budget
-        )
+        self.retry = RetryPolicy(retries=retries, backoff=backoff, retry_budget=retry_budget)
         self.requests_sent = 0
         self.retries_used = 0
 
@@ -974,10 +971,9 @@ class LineageClient(_Client):
         timeout: float = 30.0,
         retries: int = 3,
         backoff: float = 0.05,
-        jitter: float = 0.5,
         retry_budget: Optional[float] = 10.0,
     ) -> None:
-        super().__init__(timeout, retries, backoff, jitter, retry_budget)
+        super().__init__(timeout, retries, backoff, retry_budget)
         self.url = url.rstrip("/")
         parsed = urllib.parse.urlsplit(self.url)
         if parsed.scheme not in ("http", ""):

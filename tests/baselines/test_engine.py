@@ -5,13 +5,9 @@ import pytest
 
 from repro.baselines.engine import ArrayDatabase, BaselineDatabase
 from repro.baselines.stores import ColumnarGzipStore, ColumnarStore, RawStore, TurboRCStore
+from repro.capture.analytic import elementwise_lineage
 from repro.core.reference import query_path_reference
 from repro.core.relation import LineageRelation
-
-
-def elementwise(shape, in_name, out_name):
-    pairs = [(cell, cell) for cell in np.ndindex(*shape)]
-    return LineageRelation.from_pairs(pairs, shape, shape, in_name=in_name, out_name=out_name)
 
 
 def axis_sum(rows, cols, in_name, out_name):
@@ -26,7 +22,7 @@ def database(request):
 
 
 def build(db):
-    r1 = elementwise((6, 4), "A", "B")
+    r1 = elementwise_lineage((6, 4))
     r2 = axis_sum(6, 4, "B", "C")
     db.ingest(r1)
     db.ingest(r2)
@@ -93,7 +89,7 @@ class TestAgainstDSLog:
 
         rng = np.random.default_rng(0)
         shape = (12, 5)
-        r1 = elementwise(shape, "A", "B")
+        r1 = elementwise_lineage(shape)
         r2 = axis_sum(*shape, "B", "C")
 
         log = DSLog()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.capture.analytic import elementwise_lineage
 from repro.core.compressed import KIND_ABS, KIND_REL
 from repro.core.provrc import ProvRCStats, compress
 from repro.core.relation import LineageRelation
@@ -13,11 +14,6 @@ from repro.core.relation import LineageRelation
 # ----------------------------------------------------------------------
 # structured lineage generators (mirroring the Table VII operations)
 # ----------------------------------------------------------------------
-def elementwise_relation(shape):
-    pairs = [(cell, cell) for cell in np.ndindex(*shape)]
-    return LineageRelation.from_pairs(pairs, shape, shape)
-
-
 def aggregate_axis_relation(shape, axis):
     out_shape = tuple(d for i, d in enumerate(shape) if i != axis)
     pairs = []
@@ -47,7 +43,7 @@ def permutation_relation(n, seed=0):
 
 class TestStructuredPatterns:
     def test_elementwise_collapses_to_one_row(self):
-        relation = elementwise_relation((20, 15))
+        relation = elementwise_lineage((20, 15))
         table = compress(relation)
         assert len(table) == 1
         assert table.decompress() == relation
@@ -85,7 +81,7 @@ class TestStructuredPatterns:
 
     def test_stats_collected(self):
         stats = ProvRCStats()
-        compress(elementwise_relation((30,)), stats=stats)
+        compress(elementwise_lineage((30,)), stats=stats)
         assert stats.input_rows == 30
         assert stats.after_key_pass == 1
         assert stats.as_dict()["after_value_pass"] == 30
@@ -133,7 +129,7 @@ class TestEdgeCases:
         assert len(table) <= 3
 
     def test_relative_disabled_still_lossless(self):
-        relation = elementwise_relation((9, 4))
+        relation = elementwise_lineage((9, 4))
         table = compress(relation, relative=False)
         assert table.decompress() == relation
         assert len(table) > 1  # without deltas the element-wise pattern cannot collapse

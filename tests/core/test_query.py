@@ -1,20 +1,18 @@
 """Correctness tests for in-situ query processing (θ-joins over compressed tables)."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.capture.analytic import elementwise_lineage
 from repro.core.compressed import KIND_REL
 from repro.core.provrc import compress
 from repro.core.query import CellBoxSet, execute_path, merge_boxes, theta_join
 from repro.core.reference import query_path_reference
 from repro.core.relation import LineageRelation
-
-
-def elementwise_relation(shape, in_name="A", out_name="B"):
-    pairs = [(cell, cell) for cell in np.ndindex(*shape)]
-    return LineageRelation.from_pairs(pairs, shape, shape, in_name=in_name, out_name=out_name)
 
 
 def aggregate_relation(shape, axis, in_name="A", out_name="B"):
@@ -42,7 +40,7 @@ class TestCellBoxSet:
          (slice(7, 100), {7, 8, 9}), (slice(-100, 2), {0, 1})],
     )
     def test_from_slices_resolves_like_numpy(self, sl, want):
-        relation = elementwise_relation((10,))
+        relation = elementwise_lineage((10,))
         table = compress(relation)
         query = CellBoxSet.from_slices("B", (10,), [sl])
         assert {c for (c,) in execute_path([table], query).to_cells()} == want
@@ -122,6 +120,20 @@ class TestCellBoxSet:
         cells = box_set.to_cells_array()
         assert cells.tolist() == [list(c) for c in sorted(box_set.to_cells())]
         assert len(cells) == box_set.count_cells() == 16 + 16 - 4
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_cells_array_is_the_sorted_cell_set(self, data):
+        """Overlapping, duplicate and empty (``lo > hi`` on some axis) boxes
+        expand to the sorted set of the cells they hold."""
+        ndim = data.draw(st.integers(1, 3))
+        corner = st.lists(st.integers(0, 4), min_size=ndim, max_size=ndim)
+        boxes = data.draw(st.lists(st.tuples(corner, corner), max_size=5))
+        boxes += data.draw(st.lists(st.sampled_from(boxes), max_size=2)) if boxes else []
+        lo, hi = np.array([b[0] for b in boxes]), np.array([b[1] for b in boxes])
+        box_set = CellBoxSet("A", (5,) * ndim, lo, hi)
+        brute = {cell for a, b in boxes for cell in itertools.product(*map(range, a, np.add(b, 1).tolist()))}
+        assert box_set.to_cells_array().tolist() == [list(cell) for cell in sorted(brute)]
 
     def test_empty_expands_to_nothing(self):
         box_set = CellBoxSet.empty("A", (4, 4))
@@ -228,7 +240,7 @@ class TestThetaJoin:
         assert result.to_cells() == relation.forward(cells)
 
     def test_wrong_array_name_raises(self):
-        relation = elementwise_relation((4,))
+        relation = elementwise_lineage((4,))
         table = compress(relation)
         query = CellBoxSet.from_cells("C", (4,), [(0,)])
         with pytest.raises(ValueError):
@@ -242,7 +254,7 @@ class TestThetaJoin:
             theta_join(query, table)
 
     def test_empty_query(self):
-        relation = elementwise_relation((4,))
+        relation = elementwise_lineage((4,))
         table = compress(relation)
         query = CellBoxSet.empty("B", (4,))
         assert theta_join(query, table).is_empty()
@@ -387,7 +399,7 @@ class TestSharedRefExpansion:
 class TestExecutePath:
     def make_chain(self):
         """A -> B (element-wise) -> C (sum over axis 1)."""
-        r1 = elementwise_relation((6, 4), in_name="A", out_name="B")
+        r1 = elementwise_lineage((6, 4))
         r2 = aggregate_relation((6, 4), axis=1, in_name="B", out_name="C")
         return r1, r2
 
@@ -420,7 +432,7 @@ class TestExecutePath:
 
     def test_empty_frontier_short_circuits(self):
         r1 = LineageRelation.from_pairs([((0,), (0,))], (4,), (4,), in_name="A", out_name="B")
-        r2 = elementwise_relation((4,), in_name="B", out_name="C")
+        r2 = elementwise_lineage((4,), in_name="B", out_name="C")
         tables = [compress(r1), compress(r2)]
         query = CellBoxSet.from_cells("A", (4,), [(3,)])
         result = execute_path(tables, query)

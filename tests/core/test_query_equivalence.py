@@ -23,6 +23,7 @@ from _reference import (
     theta_join_reference,
     value_range_pass_reference,
 )
+from repro.capture.analytic import elementwise_lineage
 from repro.core.compressed import KIND_ABS, KIND_REL, CompressedLineage, _stable_sort
 from repro.core.provrc import _key_range_pass, _value_range_pass, compress
 from repro.core.query import (
@@ -837,16 +838,12 @@ class TestExecutePathBatchEquivalence:
     def test_table_without_the_query_array_is_rejected(self):
         # every hop is checked, as theta_join checks its one: a table joins
         # from either of its arrays and from no third one
-        def identity(out_name, in_name):
-            return compress(LineageRelation.from_pairs(
-                [((i,), (i,)) for i in range(4)], (4,), (4,), out_name=out_name, in_name=in_name
-            ))
-
+        b_of_a, d_of_c = (compress(elementwise_lineage((4,), in_name=i, out_name=o)) for i, o in ("AB", "CD"))
         query = CellBoxSet.from_cells("B", (4,), [(1,)])
         with pytest.raises(ValueError, match="the query targets 'A'"):
-            execute_path_batch([identity("B", "A"), identity("D", "C")], [query])
+            execute_path_batch([b_of_a, d_of_c], [query])
         with pytest.raises(ValueError, match="the query targets 'B'"):
-            execute_path([identity("D", "C")], query)
+            execute_path([d_of_c], query)
 
 
 # ----------------------------------------------------------------------

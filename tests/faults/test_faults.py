@@ -15,6 +15,7 @@ from repro.faults import (
     InjectedFault,
     ShardUnavailable,
 )
+from repro.obs import REGISTRY
 
 
 class FakeClock:
@@ -175,6 +176,20 @@ class TestCircuitBreaker:
         assert not breaker.try_probe()  # only one caller wins the probe
         breaker.record_success()
         assert breaker.state == "closed" and breaker.allows()
+
+    def test_only_a_transition_is_metered(self, clock):
+        """A failure that lands on a breaker already open (a query racing
+        the one that tripped it) changes no state; a failed probe does."""
+        opened = REGISTRY.get("dslog_breaker_transitions_total").labels(scope="racing", to="open")
+        before = opened.value
+        breaker = CircuitBreaker(failures=1, reset_after=0.05, scope="racing")
+        breaker.record_failure()
+        breaker.record_failure()
+        assert opened.value == before + 1
+        clock.advance(0.06)
+        assert breaker.try_probe()
+        breaker.record_failure()
+        assert opened.value == before + 2
 
     def test_failed_probe_reopens_and_restarts_clock(self, clock):
         breaker = CircuitBreaker(failures=1, reset_after=0.05)

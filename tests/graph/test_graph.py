@@ -1,16 +1,11 @@
 """Tests for the lineage graph planner (automatic paths, closures, summary)."""
 
-import numpy as np
 import pytest
 
 from repro import DSLog, LineageGraph
+from repro.capture.analytic import elementwise_lineage
 from repro.core.query import QueryResult
 from repro.core.relation import LineageRelation
-
-
-def elementwise(shape, in_name, out_name):
-    pairs = [(cell, cell) for cell in np.ndindex(*shape)]
-    return LineageRelation.from_pairs(pairs, shape, shape, in_name=in_name, out_name=out_name)
 
 
 def shift(shape, delta, in_name, out_name):
@@ -25,7 +20,7 @@ def chain_log(names, shape=(6,)):
     for name in names:
         log.define_array(name, shape)
     for a, b in zip(names, names[1:]):
-        log.add_lineage(a, b, relation=elementwise(shape, a, b))
+        log.add_lineage(a, b, relation=elementwise_lineage(shape, in_name=a, out_name=b))
     return log
 
 
@@ -34,10 +29,10 @@ def diamond_log(shape=(6,)):
     log = DSLog()
     for name in "ABCD":
         log.define_array(name, shape)
-    log.add_lineage("A", "B", relation=elementwise(shape, "A", "B"))
-    log.add_lineage("B", "D", relation=elementwise(shape, "B", "D"))
+    log.add_lineage("A", "B", relation=elementwise_lineage(shape))
+    log.add_lineage("B", "D", relation=elementwise_lineage(shape, in_name="B", out_name="D"))
     log.add_lineage("A", "C", relation=shift(shape, 1, "A", "C"))
-    log.add_lineage("C", "D", relation=elementwise(shape, "C", "D"))
+    log.add_lineage("C", "D", relation=elementwise_lineage(shape, in_name="C", out_name="D"))
     return log
 
 
@@ -63,7 +58,7 @@ class TestShortestPaths:
     def test_shortest_wins_over_longer(self):
         names = [f"A{i}" for i in range(5)]
         log = chain_log(names)
-        log.add_lineage("A0", "A3", relation=elementwise((6,), "A0", "A3"))
+        log.add_lineage("A0", "A3", relation=elementwise_lineage((6,), in_name="A0", out_name="A3"))
         assert log.graph.shortest_paths("A0", "A4")[0] == ["A0", "A3", "A4"]
 
     def test_unconnected_returns_empty(self):
@@ -87,7 +82,7 @@ class TestShortestPaths:
         graph = log.graph
         assert graph.shortest_paths("A", "C")[0] == ["A", "B", "C"]
         log.define_array("D", (6,))
-        log.add_lineage("C", "D", relation=elementwise((6,), "C", "D"))
+        log.add_lineage("C", "D", relation=elementwise_lineage((6,), in_name="C", out_name="D"))
         # same instance, incrementally refreshed — not rebuilt from scratch
         assert log.graph is graph
         assert graph.version == log.catalog.version
@@ -170,8 +165,8 @@ class TestSummary:
         log = DSLog()
         log.define_array("A", (4,))
         log.define_array("B", (4,))
-        log.add_lineage("A", "B", relation=elementwise((4,), "A", "B"))
-        log.add_lineage("B", "A", relation=elementwise((4,), "B", "A"))
+        log.add_lineage("A", "B", relation=elementwise_lineage((4,)))
+        log.add_lineage("B", "A", relation=elementwise_lineage((4,), in_name="B", out_name="A"))
         assert log.lineage_summary()["max_depth"] is None
 
     def test_operations_counted(self):
@@ -182,7 +177,7 @@ class TestSummary:
             "negative",
             in_arrs=["A"],
             out_arrs=["B"],
-            relations={("A", "B"): elementwise((4,), "A", "B")},
+            relations={("A", "B"): elementwise_lineage((4,))},
         )
         summary = log.lineage_summary()
         assert summary["operations"] == 1
@@ -205,7 +200,7 @@ class TestQueryResultUnion:
         for name in "ABCD":
             log.define_array(name, (4,))
         for a, b in (("A", "B"), ("B", "D"), ("C", "D")):
-            log.add_lineage(a, b, relation=elementwise((4,), a, b))
+            log.add_lineage(a, b, relation=elementwise_lineage((4,), in_name=a, out_name=b))
         log.add_lineage(
             "A", "C",
             relation=LineageRelation.from_pairs([((0,), (0,))], (4,), (4,), in_name="A", out_name="C"),
@@ -251,7 +246,7 @@ class TestIncrementalRefresh:
         assert graph.shortest_paths("A", "C") == [["A", "B", "C"]]
         assert ("A", "C") in graph._path_memo
         # add a shortcut edge: the memoized 2-hop path would now be wrong
-        log.add_lineage("A", "C", relation=elementwise((6,), "A", "C"))
+        log.add_lineage("A", "C", relation=elementwise_lineage((6,), in_name="A", out_name="C"))
         assert log.graph is graph
         assert graph.shortest_paths("A", "C") == [["A", "C"]]
 
@@ -262,7 +257,7 @@ class TestIncrementalRefresh:
         # arrays alone don't bump the entry version, but refresh still sees
         # them (the old rebuild-on-version design missed this case)
         assert log.graph.shortest_paths("C", "B") == []
-        log.add_lineage("B", "C", relation=elementwise((6,), "B", "C"))
+        log.add_lineage("B", "C", relation=elementwise_lineage((6,), in_name="B", out_name="C"))
         assert log.graph.shortest_paths("A", "C")[0] == ["A", "B", "C"]
         assert log.graph is graph
 
@@ -275,8 +270,8 @@ class TestIncrementalRefresh:
         for name in names[4:]:
             log.define_array(name, (6,))
         for a, b in zip(names[3:], names[4:]):
-            log.add_lineage(a, b, relation=elementwise((6,), a, b))
-        log.add_lineage("N0", "N5", relation=elementwise((6,), "N0", "N5"))
+            log.add_lineage(a, b, relation=elementwise_lineage((6,), in_name=a, out_name=b))
+        log.add_lineage("N0", "N5", relation=elementwise_lineage((6,), in_name="N0", out_name="N5"))
         refreshed = log.graph
         fresh = LineageGraph(log.catalog)
         assert refreshed._out == fresh._out
@@ -288,7 +283,7 @@ class TestIncrementalRefresh:
         log = chain_log(["A", "B", "C"])
         graph = log.graph
         out_before = {k: list(v) for k, v in graph._out.items()}
-        log.add_lineage("A", "B", relation=elementwise((6,), "A", "B"), replace=True)
+        log.add_lineage("A", "B", relation=elementwise_lineage((6,)), replace=True)
         assert log.graph is graph
         assert graph.version == log.catalog.version
         assert graph._out == out_before  # same edges, no duplicates

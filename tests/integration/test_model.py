@@ -35,7 +35,10 @@ snapshot; commit; query and query_batch; the graph endpoints; and
   nothing, the repair drops exactly what that record held, the live reuse
   predictor too, and the next scrub is clean;
 * ``trip`` / ``heal`` — three real read faults trip a shard's breakers;
-  after their window the next query probes (reopen + scrub) and heals.
+  after their window the next query probes (reopen + scrub) and heals;
+* ``unobserved`` — with metrics and tracing off every reader and both
+  wires still answer like the oracle, and no counter moves and no trace is
+  recorded.
 
 After every rule every reader returns the oracle's cells, every entry has
 the model's version and reuse flag, every predictor knows the model's ops,
@@ -43,8 +46,18 @@ an open snapshot answers as of when it was taken, the caching executors'
 ``cached`` / ``degraded`` flags and counters are what the model predicts,
 and tickets are durable exactly up to the last commit.  Batches equal
 their requests run alone, bit for bit, and the two wires each other.
-Histories the model shrank, and the soaks and hand-built fault cases it
-replaced, are pinned in ``PINNED``.
+
+The model is also the one statement of what a request's trace and the
+counters say (:meth:`LineageModel.check_trace`).  Every wire request
+carries a trace id; its ``request`` trace names its wire, op and status,
+how it met the result cache, how many of its requests missed and, for a
+miss, the spans of its plan; ``dslog_requests_total`` moves by one on
+that request's row.  Every committed ticket has a finished ``ingest``
+trace, a failed one names its fault's site; every injected fault is
+counted once in ``dslog_faults_injected_total``, and every breaker
+transition the model predicts, and no other, in
+``dslog_breaker_transitions_total``.  Histories the model shrank, and the
+soaks and hand-built cases it replaced, are pinned in ``PINNED``.
 """
 
 import itertools
@@ -52,6 +65,7 @@ import json
 import random
 import shutil
 import tempfile
+from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -61,10 +75,11 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
-from repro import DSLog, FaultPlan, LineageService, QueryExecutor, ShardUnavailable, faults
+from repro import DSLog, FaultPlan, LineageService, QueryExecutor, ShardUnavailable, faults, obs
 from repro.core.query import CellBoxSet
 from repro.core.reference import query_path_reference
 from repro.core.relation import LineageRelation
+from repro.obs import REGISTRY, tracing
 from repro.service.rpc import RPCClient
 from repro.service.server import LineageClient, LineageServer, LineageServerError
 from repro.storage.manifest import MANIFEST_NAME, load_manifest
@@ -80,10 +95,11 @@ CACHE = 4096  # no eviction: the model cannot observe eviction order
 TRIPS = 3  # a breaker opens on its third consecutive fault
 ERRORS = {KeyError: (404, "not-found"), ValueError: (400, "bad-request"),
           ShardUnavailable: (503, "shard-unavailable")}
-# the (site, kind) pairs that can fire: a torn write acts only where bytes
-# are written; a write and its publish read nothing (FAULTS[2:])
-FAULTS = [(site, kind) for site in ("segment.read", "segment.write", "segment.fsync", "manifest.write")
-          for kind in ("error", "enospc", "short_write") if kind != "short_write" or site == "segment.write"]
+# the (site, kind) pairs drawn: a torn write tears only where bytes are
+# written; anywhere else the plan undoes it, and it fires nothing
+FAULTS = list(itertools.product(("segment.read", "segment.write", "segment.fsync", "manifest.write"),
+                                ("error", "enospc", "short_write")))
+WRITE_FAULTS = FAULTS[3:]  # a write and its publish read nothing
 ROWS = st.lists(st.tuples(st.integers(0, 63), st.integers(0, 63)), max_size=16)
 EDGE = st.tuples(st.integers(0, 15), st.integers(0, 15), ROWS)
 # a request: (walk the stored graph?, array indices, cells as flat indices
@@ -153,11 +169,28 @@ def ask(query, *args, **kwargs):
         return error
 
 
-def over_wire(client, name, body):
+def over_wire(client, name, body, trace_id=None):
     try:
-        return client.call(name, body)
+        return client.call(name, body, trace_id)
     except LineageServerError as error:
         return error.status, error.kind, error.message
+
+
+def rows(family):
+    """Every row of counter *family*: its label values and count."""
+    return {labels: leaf.value for labels, leaf in REGISTRY.get(family)._series()}
+
+
+def growth(before, after):
+    """What moved from *before* to *after*, by row."""
+    return Counter({row: after[row] - before.get(row, 0) for row in after if after[row] != before.get(row, 0)})
+
+
+def ingest_trace(ticket):
+    """*ticket*'s finished ``ingest`` trace, the one in the ring."""
+    (trace,) = [t for t in tracing.recent_traces() if t["trace_id"] == ticket._trace.trace_id]
+    assert trace["name"] == "ingest" and trace["duration_s"] is not None
+    return trace
 
 
 @contextmanager
@@ -318,6 +351,12 @@ class LineageModel(RuleBasedStateMachine):
         self.installs, self.reuse_bases, self.crashes = 0, {}, 0
         self.pending, self.committed, self.window_open = [], [], True
         self.seen, self.counters, self.tripped = {}, {}, {}
+        # what the fault plans and breakers have metered since the start,
+        # and the breaker transitions the model predicts
+        self.plans, self.transitions = [], Counter()
+        self.metered = {name: rows(name) for name in ("dslog_faults_injected_total", "dslog_breaker_transitions_total")}
+        tracing.clear_traces()
+        self.trace_ids = (f"{n:032x}" for n in itertools.count(1))
 
     # -- state the rules share ------------------------------------------
     def linked(self, a, b):
@@ -380,11 +419,17 @@ class LineageModel(RuleBasedStateMachine):
         raise AssertionError("every request is cached")
 
     # -- starts ---------------------------------------------------------
+    def open_side(self, *args, **kwargs):
+        side = Side(*args, **kwargs)
+        if side.plan is not None:
+            self.plans.append(side.plan)
+        return side
+
     def open_sides(self, sharded_log=None, num_shards=4):
         self.sides = [
-            Side("memory"),
-            Side("one-shard", self.tmp / "one", 1),
-            Side("sharded", self.tmp / "sharded", num_shards, log=sharded_log),
+            self.open_side("memory"),
+            self.open_side("one-shard", self.tmp / "one", 1),
+            self.open_side("sharded", self.tmp / "sharded", num_shards, log=sharded_log),
         ]
         for side in self.sides:
             self.reset_readers(side)
@@ -464,6 +509,15 @@ class LineageModel(RuleBasedStateMachine):
     def write(self, kind, *args, **kwargs):
         for side in self.sides:
             self.write_side(side, kind, *args, **kwargs)
+
+    def commit_tickets(self, tickets):
+        """*tickets* turned durable, and each one's trace says so."""
+        for ticket in tickets:
+            assert ticket.done and not ticket.failed
+            trace = ingest_trace(ticket)
+            assert trace["tags"]["outcome"] == "durable"
+            assert [span["name"] for span in trace["spans"]] == ["queued", "apply", "commit"]
+        self.committed += tickets
 
     def write_side(self, side, kind, *args, **kwargs):
         ticket = side.write(kind, *args, **kwargs)
@@ -569,11 +623,9 @@ class LineageModel(RuleBasedStateMachine):
     def commit(self):
         side = self.sides[2]
         side.service.flush(timeout=30)
-        for ticket in self.pending:
-            assert ticket.done and not ticket.failed
         if self.pending:
             self.published(side)
-        self.committed += self.pending
+        self.commit_tickets(self.pending)
         self.pending = []
 
     @rule()
@@ -584,12 +636,12 @@ class LineageModel(RuleBasedStateMachine):
             side.close()
             log = DSLog.load(side.root, autosync=False, faults=FaultPlan())
             assert log.store.num_shards == side.num_shards
-            new = self.sides[i] = Side(side.name, side.root, side.num_shards, log=log)
+            new = self.sides[i] = self.open_side(side.name, side.root, side.num_shards, log=log)
             new.reused, new.tokens, new.ops, new.torn = side.reused, side.tokens, side.ops, side.torn
             new.operations = side.operations
             self.published(new)
             self.reset_readers(new)
-        self.committed += self.pending
+        self.commit_tickets(self.pending)
         self.pending, self.window_open = [], True
 
     @rule()
@@ -600,7 +652,7 @@ class LineageModel(RuleBasedStateMachine):
             side.snapshot = ((side.service or side.log).snapshot(), asked)
 
     # -- faults, crashes, corruption ------------------------------------
-    @rule(durable=st.integers(1, 2), fault=st.sampled_from(FAULTS[2:]), crash=st.sampled_from([None, 0, 2, 4]),
+    @rule(durable=st.integers(1, 2), fault=st.sampled_from(WRITE_FAULTS), crash=st.sampled_from([None, 0, 2, 4]),
           edge=EDGE)
     def fault_write(self, durable, fault, crash, edge):
         """*edge*'s write, made durable at once (on the sharded side by the
@@ -643,6 +695,7 @@ class LineageModel(RuleBasedStateMachine):
         unpublished entries; then, on a crashed copy if *crash* is drawn,
         the call is retried and succeeds."""
         assert isinstance(error, OSError) == bool(rule.fired), (rule.site, rule.kind, error)
+        assert getattr(error, "site", rule.site) == rule.site
         if rule.fired:
             if crash is not None:
                 self.crash(durable, crash)
@@ -663,9 +716,12 @@ class LineageModel(RuleBasedStateMachine):
         side.service._queue.join()  # applied, so the earlier tickets ride its commit
         side.service.flush(timeout=30)
         batch, self.pending, self.window_open = self.pending + [ticket], [], False
-        assert all(t.done and t.failed == ticket.failed for t in batch)
         if not ticket.failed:
-            self.committed += batch
+            self.commit_tickets(batch)
+        for failed in batch if ticket.failed else ():  # failed together; each trace names the fault
+            tags = ingest_trace(failed)["tags"]
+            assert failed.failed and tags["outcome"] == "failed", tags
+            assert tags.get("fault_site") == getattr(failed._error, "site", None)
         return ticket._error
 
     def repair_torn(self, side):
@@ -695,7 +751,7 @@ class LineageModel(RuleBasedStateMachine):
             tear(shard_dir, quarters)
         side.close()  # the old process's last writes reach only its own directory
         log = DSLog.load(root, autosync=False, faults=FaultPlan())
-        new = self.sides[durable] = Side(side.name, root, side.num_shards, log=log)
+        new = self.sides[durable] = self.open_side(side.name, root, side.num_shards, log=log)
         entries = {(e.in_name, e.out_name): e for e in log.catalog.entries()}
         assert set(entries) <= set(self.versions), (side.name, set(entries) - set(self.versions))
         for pair, version in self.versions.items():
@@ -781,6 +837,8 @@ class LineageModel(RuleBasedStateMachine):
         for _ in range(TRIPS):
             (want,) = self.predict(side, reader, [request], True, failing=({shard}, error))
             self.check(ask(executor.query, request.path, request.query), want, (side.name, reader, "trip"))
+        if shard not in self.tripped[side.name]:
+            self.transitions[f"shard-{shard:02d}", "open"] += 1
 
     def probe_query(self, side, reader, executor, shard, pairs, failing=(frozenset(), None)):
         """A query through a half-open breaker probes: one more reopen."""
@@ -789,6 +847,7 @@ class LineageModel(RuleBasedStateMachine):
         (want,) = self.predict(side, reader, [request], True, failing)
         self.check(ask(executor.query, request.path, request.query), want, (side.name, reader, "probe"))
         assert executor.stats()["shard_reopens"] == reopens + 1
+        self.transitions.update({(f"shard-{shard:02d}", "half-open"): 1, (f"shard-{shard:02d}", "closed"): 1})
 
     def on_shard(self, side, shard):
         return sorted(p for p in self.relations if shard_index(*p, side.num_shards) == shard)
@@ -847,7 +906,7 @@ class LineageModel(RuleBasedStateMachine):
             if deps is None:
                 expected.append(("error", KeyError))
                 continue
-            shards = {shard_index(*self.hop(a, b)[0], side.num_shards) for p, _ in deps for a, b in zip(p, p[1:])}
+            shards = self.home_shards(side, deps)
             down = ShardUnavailable if shards & self.tripped[side.name] else shards & failing[0] and failing[1]
             if caching and down:
                 count["stale_hits"] += old is not None
@@ -859,6 +918,9 @@ class LineageModel(RuleBasedStateMachine):
             expected.append((cells, False, False))
         return expected
 
+    def home_shards(self, side, deps):
+        return {shard_index(*self.hop(a, b)[0], side.num_shards) for p, _ in deps for a, b in zip(p, p[1:])}
+
     @staticmethod
     def check(outcome, want, where):
         if want[0] == "error":
@@ -867,14 +929,75 @@ class LineageModel(RuleBasedStateMachine):
             assert not isinstance(outcome, BaseException), (where, outcome)
             assert (outcome.result.to_cells(), outcome.cached, outcome.degraded) == want, where
 
-    def check_wires(self, side, name, requests, bodies, merge):
-        """Both wires answer alike, word for word, and as the model says."""
-        replies = [over_wire(client, name, bodies) for client in side.clients]
+    def send(self, client, name, body, observed=True):
+        """*body* to endpoint *name* over *client*'s wire under a fresh
+        trace id: the reply and, observed, its one ``request`` trace, which
+        names the wire, op and status; the request counter moved by one,
+        on that row."""
+        wire, trace_id = "http" if isinstance(client, LineageClient) else "rpc", next(self.trace_ids)
+        before = rows("dslog_requests_total")
+        reply = over_wire(client, name, body, trace_id)
+        if not observed:
+            return reply, None
+        status = reply[0] if isinstance(reply, tuple) else 200
+        assert growth(before, rows("dslog_requests_total")) == {(wire, name, str(status)): 1}, (name, body)
+        (trace,) = [t for t in tracing.recent_traces() if t["trace_id"] == trace_id]
+        assert trace["name"] == "request" and trace["duration_s"] is not None
+        assert (trace["tags"]["wire"], trace["tags"]["op"], trace["tags"]["status"]) == (wire, name, status)
+        return reply, trace
+
+    def check_trace(self, side, trace, requests, want):
+        """A request's trace, as the model predicts it from its *requests*
+        and their predicted outcomes *want*.  ``cache`` is ``stale`` if a
+        degraded answer was served, else ``miss`` if any request missed,
+        else ``hit`` if any was looked up, else absent; ``batch_misses``
+        counts the misses when any request reached the executor.  A miss
+        leaves its plan: one ``plan`` per missed path, ``prefetch`` with
+        one ``prefetch-shard`` child per home shard it reads, then ``join``
+        and ``cache-install`` if any answer was computed; no miss, no span."""
+        looked = [(r, w) for r, w in zip(requests, want) if r.error is None]
+        missed = [(r, w) for r, w in looked if w[0] == "error" or not w[1] or w[2]]
+        served = [w for _, w in looked if w[0] != "error"]  # (cells, cached, degraded)
+        cache = "stale" if any(w[2] for w in served) else "miss" if missed else "hit" if looked else None
+        reached = any(len(r.path) >= 2 for r in requests)
+        tags, spans = trace["tags"], trace["spans"]
+        assert (tags.get("cache"), tags.get("batch_misses")) == (cache, len(missed) if reached else None), tags
+        if not missed:
+            assert spans == [], spans
+            return
+        shards = set()
+        for request, _ in missed:
+            deps = self.deps(request.path, side)
+            home = self.home_shards(side, deps) if deps else set()
+            shards |= set() if home & self.tripped[side.name] else home
+        paths = len({tuple(r.path) for r, _ in missed})
+        computed = ["join", "cache-install"] if any(not w[1] for w in served) else []
+        names = ["plan"] * paths + ["prefetch"] + ["prefetch-shard"] * len(shards) + computed
+        assert [span["name"] for span in spans] == names, (names, spans)
+        reads = [span for span in spans if span["name"] == "prefetch-shard"]
+        assert sorted(span["tags"]["shard"] for span in reads) == sorted(shards)
+        assert {span["parent_id"] for span in reads} <= {spans[paths]["span_id"]}
+
+    def over_wires(self, side, name, args):
+        """*args* to *name*, an endpoint that reads no lineage table, over
+        both wires: the replies, whose traces name no cache and no span."""
+        sent = [self.send(client, name, args) for client in side.clients]
+        for _, trace in sent:
+            self.check_trace(side, trace, [], [])
+        return [reply for reply, _ in sent]
+
+    def check_wires(self, side, name, requests, bodies, merge, observed=True):
+        """Both wires answer alike, word for word, and as the model says;
+        so does each request's trace, when observed."""
+        sent = [self.send(client, name, bodies, observed) for client in side.clients]
+        replies = [reply for reply, _ in sent]
         assert stable(replies[0]) == stable(replies[1]), (name, bodies)
         if not requests:  # an empty batch is refused whole
             assert replies[0][:2] == (400, "bad-request")
-        for reply in replies:
+        for reply, trace in sent:
             want = self.predict(side, "server", requests, merge)
+            if observed:
+                self.check_trace(side, trace, requests, want)
             items = reply if name == "query_batch" else [reply]
             for item, expected in zip(items, want):
                 if expected[0] == "error":
@@ -943,7 +1066,7 @@ class LineageModel(RuleBasedStateMachine):
                 else:
                     assert getattr(side.log, endpoint)(name) == want[endpoint]
                 if side.clients:
-                    http, rpc = (over_wire(client, endpoint, args) for client in side.clients)
+                    http, rpc = self.over_wires(side, endpoint, args)
                     assert http == rpc
                     if arg != "name":
                         assert http[:2] == (400, "bad-request")
@@ -953,7 +1076,7 @@ class LineageModel(RuleBasedStateMachine):
                         assert http == {"array": name, endpoint: want[endpoint]}
         edges = sorted(list(pair) for pair in self.relations)
         summaries = [dict(json.loads(json.dumps(side.log.lineage_summary())), edges=edges) for side in self.sides]
-        summaries += [over_wire(client, "summary", None) for client in self.sides[2].clients]
+        summaries += self.over_wires(self.sides[2], "summary", None)
         for summary, side in zip(summaries, self.sides + self.sides[2:] * 2):
             assert summary.pop("reused_entries") == sum(side.reused.values()), side.name
             assert summary.pop("operations") == side.operations, side.name
@@ -964,7 +1087,42 @@ class LineageModel(RuleBasedStateMachine):
         assert summaries[0]["roots"] == sorted(produced - derived)
         assert summaries[0]["leaves"] == sorted(derived - produced)
 
+    @rule()
+    def unobserved(self):
+        """With metrics and tracing off the stored requests, through every
+        reader and both wires, give the oracle's answers; no counter moves
+        and no trace is recorded."""
+        requests = self.stored_requests()
+        pairs = [(r.path, r.query) for r in requests]
+        metrics, traces = REGISTRY.snapshot(), tracing.recent_traces()
+        obs.set_enabled(False)
+        try:
+            for side in self.sides:
+                for reader in ("cached", "uncached"):
+                    batch = getattr(side, reader).query_batch(pairs)
+                    for outcome, want in zip(batch, self.predict(side, reader, requests, True)):
+                        self.check(outcome, want, (side.name, reader, "unobserved"))
+                for request in requests:
+                    got = side.log.prov_query(request.path, request.query).to_cells()
+                    assert got == self.answer(request.path, request.cells), (side.name, request.path)
+                if side.clients and requests:
+                    bodies = {"queries": [dict(r.body, include_cells=True) for r in requests]}
+                    self.check_wires(side, "query_batch", requests, bodies, True, observed=False)
+        finally:
+            obs.set_enabled(True)
+        assert REGISTRY.snapshot() == metrics
+        assert tracing.recent_traces() == traces
+
     # -- after every rule -----------------------------------------------
+    @invariant()
+    def every_fault_and_transition_is_metered(self):
+        """Each fault any plan injected is counted once, and each breaker
+        transition the model predicts, and no other."""
+        injected = Counter((site, kind) for plan in self.plans for site, _, kind, _ in plan.events)
+        for family, want in (("dslog_faults_injected_total", injected),
+                             ("dslog_breaker_transitions_total", self.transitions)):
+            assert growth(self.metered[family], rows(family)) == want, family
+
     @invariant()
     def every_reader_answers_like_the_oracle(self):
         if not self.sides:
@@ -1016,12 +1174,12 @@ def replay(start, *steps):
     every invariant checked."""
     state = LineageModel()
     try:
-        state.begin(start=start)
-        state.every_reader_answers_like_the_oracle()
-        for rule, kwargs in steps:
+        for rule, kwargs in [("begin", dict(start=start)), *steps]:
             getattr(state, rule)(**kwargs)
             state.every_reader_answers_like_the_oracle()
-            yield state
+            state.every_fault_and_transition_is_metered()
+            if rule != "begin":
+                yield state
     finally:
         state.teardown()
 
@@ -1054,6 +1212,7 @@ ADDS = [("add", dict(src=i, dst=i + 1, rows=[(i, i), (5, 1)])) for i in range(3)
 MIXED = [("segment.write", "short_write"), ("segment.write", "error"), ("segment.fsync", "error"),
          ("segment.fsync", "enospc"), ("manifest.write", "error")]
 READS = [("segment.read", "error"), ("manifest.write", "error")]
+ONE_QUERY = dict(merge=True, singleton=False, include=(True, False))
 
 
 def soak(seed, durable, sites, write=True):
@@ -1116,6 +1275,23 @@ PINNED = {
         ("heal", {})]),
     "a-probe-drops-the-damaged-entry": ("fresh", ADDS[:1] + [
         ("corrupt", dict(durable=d, k=0, reuse=False, meet="probe")) for d in (1, 2)]),
+    # what a request's trace and the counters say: a refused query meets
+    # no cache (a bug: its trace said "hit"); a refusal is booked on its
+    # status; a miss leaves its plan, a hit no span; observability off
+    # changes no answer; a torn write is metered once where it tears and
+    # not at all where nothing is written; a failed ticket names its fault
+    "a-refused-query-is-no-cache-hit": ("fresh", [("query", dict(spec=(False, [0, 4], [1]), **ONE_QUERY))]),
+    "a-refusal-is-metered-on-its-status": ("fresh", [("graph", dict(k=4, arg="name"))]),
+    "a-miss-leaves-its-plan-a-hit-none": ("fresh", ADDS[:2] + [("query", dict(spec=(False, [2, 0], [1]), **ONE_QUERY))]),
+    "observability-off-changes-no-answer": ("fresh", ADDS + [("unobserved", {})]),
+    "a-torn-write-is-metered-once": ("fresh", [
+        ("fault_write", dict(durable=d, fault=("segment.write", "short_write"), crash=None, edge=(0, 1, [(1, 2)])))
+        for d in (1, 2)]),
+    "a-torn-fsync-tears-nothing": ("fresh", [
+        ("fault_write", dict(durable=d, fault=("segment.fsync", "short_write"), crash=None, edge=(0, 1, [(1, 2)])))
+        for d in (1, 2)]),
+    "a-failed-ticket-names-its-fault": ("fresh", ADDS[:1] + [
+        ("fault_write", dict(durable=2, fault=("manifest.write", "error"), crash=None, edge=(1, 2, [(3, 3)])))]),
     # the seeded fault soaks, as histories: torn, failed and unsynced
     # writes and publishes, on each durable side; compactions under read
     # and publish faults

@@ -3,14 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.capture.analytic import elementwise_lineage
 from repro.core.provrc import compress
 from repro.core.relation import LineageRelation
 from repro.reuse.reshape import GeneralizedTable, generalize, instantiate
-
-
-def elementwise(shape):
-    pairs = [(cell, cell) for cell in np.ndindex(*shape)]
-    return LineageRelation.from_pairs(pairs, shape, shape)
 
 
 def full_aggregate(n):
@@ -34,10 +30,10 @@ class TestGeneralize:
         assert len(instantiated) == len(expected)
 
     def test_elementwise_reshaping(self):
-        small = compress(elementwise((6,)))
+        small = compress(elementwise_lineage((6,)))
         generalized = generalize(small)
         bigger = generalized.instantiate(out_shape=(50,), in_shape=(50,))
-        assert bigger.decompress() == elementwise((50,))
+        assert bigger.decompress() == elementwise_lineage((50,))
 
     def test_axis_sum_reshaping(self):
         small = compress(axis_sum(4, 3))
@@ -46,7 +42,7 @@ class TestGeneralize:
         assert bigger.decompress() == axis_sum(9, 5)
 
     def test_relative_attrs_not_marked(self):
-        table = compress(elementwise((8,)))
+        table = compress(elementwise_lineage((8,)))
         generalized = generalize(table)
         # the single value attribute is relative (delta 0) and must not be marked
         assert not generalized.val_full.any()
@@ -66,16 +62,16 @@ class TestGeneralize:
         assert len(generalized.instantiate((7,), (7,))) == 0
 
     def test_dimension_mismatch_rejected(self):
-        generalized = generalize(compress(elementwise((4,))))
+        generalized = generalize(compress(elementwise_lineage((4,))))
         with pytest.raises(ValueError):
             generalized.instantiate(out_shape=(4, 4), in_shape=(4,))
 
     def test_bad_mask_shape_rejected(self):
-        table = compress(elementwise((4,)))
+        table = compress(elementwise_lineage((4,)))
         with pytest.raises(ValueError):
             GeneralizedTable(table, np.zeros((99, 1), bool), np.zeros((len(table), 1), bool))
 
     def test_functional_alias(self):
-        generalized = generalize(compress(elementwise((5,))))
+        generalized = generalize(compress(elementwise_lineage((5,))))
         table = instantiate(generalized, (12,), (12,))
-        assert table.decompress() == elementwise((12,))
+        assert table.decompress() == elementwise_lineage((12,))

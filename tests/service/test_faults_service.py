@@ -9,7 +9,6 @@ half-open probe is a rule of the stateful model
 
 import time
 
-import numpy as np
 import pytest
 
 from repro import (
@@ -21,7 +20,7 @@ from repro import (
     QueryExecutor,
 )
 from repro import faults
-from repro.core.relation import LineageRelation
+from repro.capture.analytic import elementwise_lineage
 from repro.service.server import (
     LineageClient,
     LineageConnectionError,
@@ -33,13 +32,6 @@ from repro.storage.sharded import shard_index
 SHAPE = (4,)
 QUERY = [(1,)]
 NUM_SHARDS = 2
-
-
-def elementwise(in_name, out_name, shape=SHAPE):
-    pairs = [(cell, cell) for cell in np.ndindex(*shape)]
-    return LineageRelation.from_pairs(
-        pairs, shape, shape, in_name=in_name, out_name=out_name
-    )
 
 
 def pair_for_shard(target, prefix="p"):
@@ -54,7 +46,7 @@ def pair_for_shard(target, prefix="p"):
 def add_pair(log, a, b):
     log.define_array(a, SHAPE)
     log.define_array(b, SHAPE)
-    log.add_lineage(a, b, relation=elementwise(a, b))
+    log.add_lineage(a, b, relation=elementwise_lineage(SHAPE, in_name=a, out_name=b))
 
 
 def build_sharded(root, plan):
@@ -90,14 +82,14 @@ class TestPipelineFaults:
             svc.define_array("x", SHAPE)
             svc.define_array("y", SHAPE)
             plan.arm()
-            ticket = svc.submit_lineage("x", "y", relation=elementwise("x", "y"))
+            ticket = svc.submit_lineage("x", "y", relation=elementwise_lineage(SHAPE, in_name="x", out_name="y"))
             with pytest.raises(InjectedFault):
                 ticket.result(timeout=10)
             assert ticket.failed
             plan.disarm()
             # the service keeps ingesting after the fault
             svc.define_array("z", SHAPE)
-            entry = svc.submit_lineage("y", "z", relation=elementwise("y", "z")).result(
+            entry = svc.submit_lineage("y", "z", relation=elementwise_lineage(SHAPE, in_name="y", out_name="z")).result(
                 timeout=10
             )
             assert entry is not None
@@ -114,8 +106,10 @@ class TestPipelineFaults:
             svc.define_array("w", SHAPE)
             # the first commit window is immediately due; burn it so the
             # ticket under test really waits on the window
-            svc.submit_lineage("w", "x", relation=elementwise("w", "x")).result(timeout=10)
-            ticket = svc.submit_lineage("x", "y", relation=elementwise("x", "y"))
+            svc.submit_lineage("w", "x", relation=elementwise_lineage(SHAPE, in_name="w", out_name="x")).result(
+                timeout=10
+            )
+            ticket = svc.submit_lineage("x", "y", relation=elementwise_lineage(SHAPE, in_name="x", out_name="y"))
             with pytest.raises(DeadlineExceeded):
                 ticket.result(timeout=0.05)
             assert isinstance(DeadlineExceeded("x"), TimeoutError)  # contract
@@ -132,7 +126,7 @@ class TestPipelineFaults:
             svc.define_array("x", SHAPE)
             svc.define_array("y", SHAPE)
             plan.arm()
-            ticket = svc.submit_lineage("x", "y", relation=elementwise("x", "y"))
+            ticket = svc.submit_lineage("x", "y", relation=elementwise_lineage(SHAPE, in_name="x", out_name="y"))
             svc.flush(timeout=30)
             plan.disarm()
             assert ticket.failed
@@ -173,7 +167,7 @@ class TestServerFaultSurface:
             assert first["degraded"] is False
 
             # only a write to the queried pair itself invalidates its result
-            log.add_lineage(a, b, relation=elementwise(a, b), replace=True)
+            log.add_lineage(a, b, relation=elementwise_lineage(SHAPE, in_name=a, out_name=b), replace=True)
             log.sync()
             kill_shard_reads(log, plan, home)
 

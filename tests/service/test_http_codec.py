@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import DSLog
-from repro.core.relation import LineageRelation
+from repro.capture.analytic import elementwise_lineage
 from repro.service.server import (
     MAX_HEADERS,
     MAX_LINE_BYTES,
@@ -33,18 +33,13 @@ from repro.service.wire import MAX_FRAME_BYTES
 SHAPE = (4, 4)
 
 
-def identity(in_name, out_name):
-    pairs = [((i, j), (i, j)) for i in range(SHAPE[0]) for j in range(SHAPE[1])]
-    return LineageRelation.from_pairs(pairs, SHAPE, SHAPE, in_name=in_name, out_name=out_name)
-
-
 @pytest.fixture(scope="module")
 def server():
     log = DSLog()
     for name in ("a", "b", "c"):
         log.define_array(name, SHAPE)
-    log.add_lineage("a", "b", relation=identity("a", "b"))
-    log.add_lineage("b", "c", relation=identity("b", "c"))
+    log.add_lineage("a", "b", relation=elementwise_lineage(SHAPE, in_name="a", out_name="b"))
+    log.add_lineage("b", "c", relation=elementwise_lineage(SHAPE, in_name="b", out_name="c"))
     with log.serve(port=0) as server:
         yield server
     log.close()

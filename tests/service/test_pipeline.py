@@ -9,18 +9,12 @@ import numpy as np
 import pytest
 
 from repro import DSLog, IngestOverloaded, LineageService, faults
-from repro.core.relation import LineageRelation
+from repro.capture.analytic import elementwise_lineage
 from repro.faults import FaultPlan
 from repro.service import ServiceClosedError, pipeline
 
 SHAPE = (4,)
-
-
-def elementwise(in_name, out_name, shape=SHAPE):
-    pairs = [(cell, cell) for cell in np.ndindex(*shape)]
-    return LineageRelation.from_pairs(
-        pairs, shape, shape, in_name=in_name, out_name=out_name
-    )
+X_TO_Y = elementwise_lineage(SHAPE, in_name="x", out_name="y")
 
 
 class TestTickets:
@@ -28,7 +22,7 @@ class TestTickets:
         with LineageService(tmp_path / "db", workers=2) as svc:
             svc.define_array("x", SHAPE)
             svc.define_array("y", SHAPE)
-            ticket = svc.submit("op", ["x"], ["y"], relations={("x", "y"): elementwise("x", "y")})
+            ticket = svc.submit("op", ["x"], ["y"], relations={("x", "y"): X_TO_Y})
             record = ticket.result(timeout=10)
             assert record.op_name == "op"
             assert record.entries == [("x", "y")]
@@ -39,7 +33,7 @@ class TestTickets:
         svc = LineageService(tmp_path / "db", workers=1, num_shards=2)
         svc.define_array("x", SHAPE)
         svc.define_array("y", SHAPE)
-        svc.submit("op", ["x"], ["y"], relations={("x", "y"): elementwise("x", "y")}).result(timeout=10)
+        svc.submit("op", ["x"], ["y"], relations={("x", "y"): X_TO_Y}).result(timeout=10)
         # the entry must be readable from disk *now*, before close()
         reopened = DSLog.load(tmp_path / "db")
         assert len(reopened.catalog) == 1
@@ -56,7 +50,7 @@ class TestTickets:
             assert ticket.failed
             # the service keeps serving after a failed op
             svc.define_array("y", SHAPE)
-            ok = svc.submit("op", ["x"], ["y"], relations={("x", "y"): elementwise("x", "y")})
+            ok = svc.submit("op", ["x"], ["y"], relations={("x", "y"): X_TO_Y})
             assert ok.result(timeout=10).op_name == "op"
 
     def test_a_log_it_cannot_publish_is_refused(self, tmp_path):
@@ -99,7 +93,9 @@ class TestTickets:
                             f"op{i}",
                             [f"a{i}"],
                             [f"a{i+1}"],
-                            relations={(f"a{i}", f"a{i+1}"): elementwise(f"a{i}", f"a{i+1}")},
+                            relations={
+                                (f"a{i}", f"a{i+1}"): elementwise_lineage(SHAPE, in_name=f"a{i}", out_name=f"a{i+1}")
+                            },
                         )
                     )
 
@@ -137,13 +133,13 @@ class TestTickets:
             assert blocked.wait(10)  # worker is busy inside the capture
             svc.define_array("y", SHAPE)
             svc.define_array("z", SHAPE)
-            svc.submit("fill", ["x"], ["y"], relations={("x", "y"): elementwise("x", "y")})
+            svc.submit("fill", ["x"], ["y"], relations={("x", "y"): X_TO_Y})
             with pytest.raises(IngestOverloaded) as excinfo:
                 svc.submit(
                     "wont-fit",
                     ["x"],
                     ["z"],
-                    relations={("x", "z"): elementwise("x", "z")},
+                    relations={("x", "z"): elementwise_lineage(SHAPE, in_name="x", out_name="z")},
                     timeout=0.05,
                 )
             assert excinfo.value.queue_depth >= 1
@@ -156,7 +152,7 @@ class TestTickets:
             svc.define_array("x", SHAPE)
             svc.define_array("y", SHAPE)
             entry = svc.submit_lineage(
-                "x", "y", relation=elementwise("x", "y"), op_name="pairwise"
+                "x", "y", relation=elementwise_lineage(SHAPE, in_name="x", out_name="y"), op_name="pairwise"
             ).result(timeout=10)
             assert entry.op_name == "pairwise"
 
@@ -174,14 +170,14 @@ class TestCommitWindow:
         monkeypatch.setattr(faults, "clock", lambda: 1000.0)
         svc = LineageService(tmp_path / "db", workers=1)
         self.define(svc)
-        first = svc.submit_lineage("w", "x", relation=elementwise("w", "x"))
+        first = svc.submit_lineage("w", "x", relation=elementwise_lineage(SHAPE, in_name="w", out_name="x"))
         svc.flush(timeout=10)  # stamps the last commit at the frozen instant
         assert first.done and not first.failed
-        ticket = svc.submit_lineage("x", "y", relation=elementwise("x", "y"))
+        ticket = svc.submit_lineage("x", "y", relation=elementwise_lineage(SHAPE, in_name="x", out_name="y"))
         assert not ticket.wait(0.2)  # twenty windows of wall time, none on the clock
         svc.flush(timeout=10)
         assert ticket.done and not ticket.failed
-        last = svc.submit_lineage("y", "z", relation=elementwise("y", "z"))
+        last = svc.submit_lineage("y", "z", relation=elementwise_lineage(SHAPE, in_name="y", out_name="z"))
         assert not last.wait(0.1)
         svc.close()
         assert last.done and not last.failed
@@ -193,13 +189,15 @@ class TestCommitWindow:
         with LineageService(log=log, workers=1) as svc:
             self.define(svc)
             # the first commit window is immediately due; burn it
-            svc.submit_lineage("w", "x", relation=elementwise("w", "x")).result(timeout=10)
+            svc.submit_lineage("w", "x", relation=elementwise_lineage(SHAPE, in_name="w", out_name="x")).result(
+                timeout=10
+            )
             plan.arm()
-            svc.submit_lineage("x", "y", relation=elementwise("x", "y"))
+            svc.submit_lineage("x", "y", relation=elementwise_lineage(SHAPE, in_name="x", out_name="y"))
             with pytest.raises(TimeoutError):
                 svc.flush(timeout=0.05)  # the commit it asked for stalls
             plan.disarm()
-            ticket = svc.submit_lineage("y", "z", relation=elementwise("y", "z"))
+            ticket = svc.submit_lineage("y", "z", relation=elementwise_lineage(SHAPE, in_name="y", out_name="z"))
             assert not ticket.wait(0.2)  # the window holds again
             svc.flush(timeout=10)
             assert ticket.done and not ticket.failed
@@ -235,7 +233,7 @@ class TestStress:
                             f"op_w{w}_{i}",
                             [a],
                             [b],
-                            relations={(a, b): elementwise(a, b)},
+                            relations={(a, b): elementwise_lineage(SHAPE, in_name=a, out_name=b)},
                             input_data={a: data},
                             op_args={"writer": w, "step": i},
                         )

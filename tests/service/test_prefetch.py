@@ -7,22 +7,16 @@ table cache may keep none of them."""
 
 import time
 
-import numpy as np
 import pytest
 
 from repro import DeadlineExceeded, DSLog, FaultPlan, QueryExecutor
-from repro.core.relation import LineageRelation
+from repro.capture.analytic import elementwise_lineage
 from repro.obs import tracing
 from repro.storage.sharded import shard_index
 
 SHAPE = (4,)
 QUERY = [(1,)]
 NUM_SHARDS = 2
-
-
-def elementwise(in_name, out_name):
-    pairs = [(cell, cell) for cell in np.ndindex(*SHAPE)]
-    return LineageRelation.from_pairs(pairs, SHAPE, SHAPE, in_name=in_name, out_name=out_name)
 
 
 def two_shard_paths(count):
@@ -55,7 +49,7 @@ class Harness:
         for name in self.path:
             self.log.define_array(name, SHAPE)
         for a, b in zip(self.path, self.path[1:]):
-            self.log.add_lineage(a, b, relation=elementwise(a, b))
+            self.log.add_lineage(a, b, relation=elementwise_lineage(SHAPE, in_name=a, out_name=b))
         self.log.sync()
         self.executor = QueryExecutor(self.log, cache_entries=0)
         self.submits = 0
@@ -164,11 +158,7 @@ def test_traced_query_records_one_span_per_home_shard(harness, cold):
     finally:
         trace.finish()
         tracing._CURRENT.set(None)
-    spans = trace.as_dict()["spans"]
-    by_id = {s["span_id"]: s for s in spans}
-    shard_spans = [s for s in spans if s["name"] == "prefetch-shard"]
-    assert sorted(s["tags"]["shard"] for s in shard_spans) == [0, 1]
-    assert all(by_id[s["parent_id"]]["name"] == "prefetch" for s in shard_spans)
+    shard_spans = [s for s in trace.as_dict()["spans"] if s["name"] == "prefetch-shard"]
     # the span says how many tables the shard had to hydrate
     assert {s["tags"]["shard"]: s["tags"]["tables"] for s in shard_spans} == {
         shard: int(shard in cold) for shard in (0, 1)
@@ -204,7 +194,7 @@ def test_batch_larger_than_the_cache_hydrates_each_table_once(tmp_path):
         for name in path:
             log.define_array(name, SHAPE)
         for a, b in zip(path, path[1:]):
-            log.add_lineage(a, b, relation=elementwise(a, b))
+            log.add_lineage(a, b, relation=elementwise_lineage(SHAPE, in_name=a, out_name=b))
     log.sync()
     log.store.cache.clear()
     with QueryExecutor(log, cache_entries=0) as executor:
@@ -227,7 +217,7 @@ def test_single_query_over_the_budget_hydrates_each_table_once(tmp_path):
     for name in path:
         log.define_array(name, SHAPE)
     for a, b in zip(path, path[1:]):
-        log.add_lineage(a, b, relation=elementwise(a, b))
+        log.add_lineage(a, b, relation=elementwise_lineage(SHAPE, in_name=a, out_name=b))
     log.sync()
     assert len(log.store.cache) == 0
     with QueryExecutor(log, cache_entries=0) as executor:

@@ -5,6 +5,7 @@ entries it replaced)."""
 import pytest
 
 from repro import DSLog
+from repro.capture.analytic import elementwise_lineage
 from repro.core.relation import LineageRelation
 from repro.service.query import QueryExecutor, ResultCache
 from repro.storage.sharded import shard_index
@@ -12,18 +13,11 @@ from repro.storage.sharded import shard_index
 SHAPE = (6, 6)
 
 
-def identity(in_name, out_name):
-    pairs = [((i, j), (i, j)) for i in range(SHAPE[0]) for j in range(SHAPE[1])]
-    return LineageRelation.from_pairs(
-        pairs, SHAPE, SHAPE, in_name=in_name, out_name=out_name
-    )
-
-
 def build_chain(log, names):
     for name in names:
         log.define_array(name, SHAPE)
     for a, b in zip(names, names[1:]):
-        log.add_lineage(a, b, relation=identity(a, b))
+        log.add_lineage(a, b, relation=elementwise_lineage(SHAPE, in_name=a, out_name=b))
 
 
 @pytest.fixture(params=["memory", "sharded"])
@@ -60,8 +54,8 @@ def test_planned_diamond_union(log):
     # a -> b -> c exists; add a second parallel branch a -> x -> c so the
     # two-array query (a, c) plans both paths and unions them
     log.define_array("x", SHAPE)
-    log.add_lineage("a", "x", relation=identity("a", "x"))
-    log.add_lineage("x", "c", relation=identity("x", "c"))
+    log.add_lineage("a", "x", relation=elementwise_lineage(SHAPE, in_name="a", out_name="x"))
+    log.add_lineage("x", "c", relation=elementwise_lineage(SHAPE, in_name="x", out_name="c"))
     with QueryExecutor(log) as ex:
         expected = log.prov_query(["a", "c"], QUERY).to_cells()
         assert ex.query(["a", "c"], QUERY).result.to_cells() == expected
@@ -115,8 +109,8 @@ def test_write_invalidates_only_touched_entries(tmp_path):
     )
     for name in (a, b, u, v, c, d):
         log.define_array(name, SHAPE)
-    log.add_lineage(a, b, relation=identity(a, b))
-    log.add_lineage(u, v, relation=identity(u, v))
+    log.add_lineage(a, b, relation=elementwise_lineage(SHAPE, in_name=a, out_name=b))
+    log.add_lineage(u, v, relation=elementwise_lineage(SHAPE, in_name=u, out_name=v))
 
     with QueryExecutor(log) as ex:
         ex.query([a, b], QUERY)
@@ -124,14 +118,14 @@ def test_write_invalidates_only_touched_entries(tmp_path):
 
         # a write to another pair must not invalidate this result, whether
         # it lands in another shard or in the queried pair's own
-        log.add_lineage(u, v, relation=identity(u, v), replace=True)
+        log.add_lineage(u, v, relation=elementwise_lineage(SHAPE, in_name=u, out_name=v), replace=True)
         assert ex.query([a, b], QUERY)[1] is True
-        log.add_lineage(c, d, relation=identity(c, d))
+        log.add_lineage(c, d, relation=elementwise_lineage(SHAPE, in_name=c, out_name=d))
         assert ex.query([a, b], QUERY)[1] is True
         assert ex.stats()["cache"]["invalidations"] == 0
 
         # a write to the queried pair itself must
-        log.add_lineage(a, b, relation=identity(a, b), replace=True)
+        log.add_lineage(a, b, relation=elementwise_lineage(SHAPE, in_name=a, out_name=b), replace=True)
         assert ex.query([a, b], QUERY)[1] is False
         assert ex.stats()["cache"]["invalidations"] == 1
     log.close()
@@ -139,7 +133,7 @@ def test_write_invalidates_only_touched_entries(tmp_path):
 
 def shift(in_name, out_name):
     """Output (i, j) reads input (i, (j+1) mod cols) — distinguishable from
-    :func:`identity` so a replace visibly changes query results."""
+    the one-to-one lineage so a replace visibly changes query results."""
     rows, cols = SHAPE
     pairs = [((i, j), (i, (j + 1) % cols)) for i in range(rows) for j in range(cols)]
     return LineageRelation.from_pairs(
@@ -161,7 +155,7 @@ def test_backward_path_invalidated_by_replace(tmp_path):
     log = DSLog(tmp_path / "db", num_shards=4)
     log.define_array(a, SHAPE)
     log.define_array(b, SHAPE)
-    log.add_lineage(a, b, relation=identity(a, b))
+    log.add_lineage(a, b, relation=elementwise_lineage(SHAPE, in_name=a, out_name=b))
     with QueryExecutor(log) as ex:
         before = ex.query([b, a], QUERY).result.to_cells()
         assert ex.query([b, a], QUERY)[1] is True
@@ -185,11 +179,11 @@ def test_planned_query_turns_over_when_the_plan_does(tmp_path):
         assert ex.query(["a", "c"], QUERY)[1] is True
 
         log.define_array("x", SHAPE)
-        log.add_lineage("a", "x", relation=identity("a", "x"))
-        log.add_lineage("x", "c", relation=identity("x", "c"))
+        log.add_lineage("a", "x", relation=elementwise_lineage(SHAPE, in_name="a", out_name="x"))
+        log.add_lineage("x", "c", relation=elementwise_lineage(SHAPE, in_name="x", out_name="c"))
         result, cached, _degraded, _memo = ex.query(["a", "c"], QUERY)
         assert cached is False
-        assert result.to_cells() == before  # identity chains: same cells, two paths
+        assert result.to_cells() == before  # one-to-one chains: same cells, two paths
     log.close()
 
 
@@ -202,7 +196,7 @@ def test_memory_backend_invalidates_per_entry():
         # a memory log gets the sharded store's precision from the same
         # code: a write that touches no hop of the query keeps the hit
         log.define_array("z", SHAPE)
-        log.add_lineage("a", "z", relation=identity("a", "z"))
+        log.add_lineage("a", "z", relation=elementwise_lineage(SHAPE, in_name="a", out_name="z"))
         assert ex.query(["a", "b"], QUERY)[1] is True
         assert ex.stats()["cache"]["invalidations"] == 0
 
@@ -319,7 +313,7 @@ def test_readers_racing_a_replacing_writer_never_keep_a_stale_answer(log):
     import time
 
     path = ["a", "b", "c"]
-    relations = [identity("b", "c"), shift("b", "c")]
+    relations = [elementwise_lineage(SHAPE, in_name="b", out_name="c"), shift("b", "c")]
     legal = []
     for relation in relations:
         log.add_lineage("b", "c", relation=relation, replace=True)
@@ -443,7 +437,7 @@ def test_batch_racing_replace_and_compaction(tmp_path):
     def churn():
         while not stop.is_set():
             try:
-                log.add_lineage("a", "b", relation=identity("a", "b"), replace=True)
+                log.add_lineage("a", "b", relation=elementwise_lineage(SHAPE, in_name="a", out_name="b"), replace=True)
                 log.compact()
             except Exception as error:  # pragma: no cover - fail below
                 errors.append(error)

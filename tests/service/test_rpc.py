@@ -13,7 +13,7 @@ import threading
 import pytest
 
 from repro import DSLog
-from repro.core.relation import LineageRelation
+from repro.capture.analytic import elementwise_lineage
 from repro.obs import REGISTRY
 from repro.service.rpc import RPCClient
 from repro.service.server import (
@@ -36,20 +36,13 @@ from repro.service.wire import (
 SHAPE = (6, 6)
 
 
-def identity(in_name, out_name):
-    pairs = [((i, j), (i, j)) for i in range(SHAPE[0]) for j in range(SHAPE[1])]
-    return LineageRelation.from_pairs(
-        pairs, SHAPE, SHAPE, in_name=in_name, out_name=out_name
-    )
-
-
 @pytest.fixture
 def log(tmp_path):
     log = DSLog(tmp_path / "db", num_shards=4)
     for name in ("a", "b", "c"):
         log.define_array(name, SHAPE)
-    log.add_lineage("a", "b", relation=identity("a", "b"))
-    log.add_lineage("b", "c", relation=identity("b", "c"))
+    log.add_lineage("a", "b", relation=elementwise_lineage(SHAPE, in_name="a", out_name="b"))
+    log.add_lineage("b", "c", relation=elementwise_lineage(SHAPE, in_name="b", out_name="c"))
     yield log
     log.close()
 

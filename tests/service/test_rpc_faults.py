@@ -8,11 +8,10 @@ under the widened ``DSLOG_SOAK_SEEDS`` matrix."""
 
 import os
 
-import numpy as np
 import pytest
 
 from repro import DSLog, FaultPlan
-from repro.core.relation import LineageRelation
+from repro.capture.analytic import elementwise_lineage
 from repro.faults import FaultRule
 from repro.service.rpc import RPCClient
 from repro.service.server import LineageConnectionError, LineageServer
@@ -23,20 +22,13 @@ SHAPE = (4, 4)
 SEEDS = [int(s) for s in os.environ.get("DSLOG_SOAK_SEEDS", "101,202,303").split(",")]
 
 
-def identity(in_name, out_name):
-    pairs = [(cell, cell) for cell in np.ndindex(*SHAPE)]
-    return LineageRelation.from_pairs(
-        pairs, SHAPE, SHAPE, in_name=in_name, out_name=out_name
-    )
-
-
 @pytest.fixture
 def log():
     log = DSLog()
     for name in ("a", "b", "c"):
         log.define_array(name, SHAPE)
-    log.add_lineage("a", "b", relation=identity("a", "b"))
-    log.add_lineage("b", "c", relation=identity("b", "c"))
+    log.add_lineage("a", "b", relation=elementwise_lineage(SHAPE, in_name="a", out_name="b"))
+    log.add_lineage("b", "c", relation=elementwise_lineage(SHAPE, in_name="b", out_name="c"))
     return log
 
 

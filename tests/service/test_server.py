@@ -14,7 +14,7 @@ import urllib.request
 import pytest
 
 from repro import DSLog, LineageClient
-from repro.core.relation import LineageRelation
+from repro.capture.analytic import elementwise_lineage
 from repro.service.server import (
     MAX_BODY_BYTES,
     LineageConnectionError,
@@ -24,20 +24,13 @@ from repro.service.server import (
 SHAPE = (6, 6)
 
 
-def identity(in_name, out_name):
-    pairs = [((i, j), (i, j)) for i in range(SHAPE[0]) for j in range(SHAPE[1])]
-    return LineageRelation.from_pairs(
-        pairs, SHAPE, SHAPE, in_name=in_name, out_name=out_name
-    )
-
-
 @pytest.fixture
 def log(tmp_path):
     log = DSLog(tmp_path / "db", num_shards=4)
     for name in ("a", "b", "c"):
         log.define_array(name, SHAPE)
-    log.add_lineage("a", "b", relation=identity("a", "b"))
-    log.add_lineage("b", "c", relation=identity("b", "c"))
+    log.add_lineage("a", "b", relation=elementwise_lineage(SHAPE, in_name="a", out_name="b"))
+    log.add_lineage("b", "c", relation=elementwise_lineage(SHAPE, in_name="b", out_name="c"))
     yield log
     log.close()
 
@@ -225,7 +218,7 @@ def test_queries_during_compaction(log, server):
     def churn():
         while not stop.is_set():
             try:
-                log.add_lineage("a", "b", relation=identity("a", "b"), replace=True)
+                log.add_lineage("a", "b", relation=elementwise_lineage(SHAPE, in_name="a", out_name="b"), replace=True)
                 log.compact()
             except Exception as error:  # pragma: no cover - fail the test below
                 errors.append(error)
@@ -308,7 +301,8 @@ def test_service_serve_reads_applied_state(tmp_path):
     with LineageService(tmp_path / "db", workers=2, num_shards=4) as service:
         service.define_array("a", SHAPE)
         service.define_array("b", SHAPE)
-        service.submit("op", ["a"], ["b"], relations={("a", "b"): identity("a", "b")}).result(
+        relation = elementwise_lineage(SHAPE, in_name="a", out_name="b")
+        service.submit("op", ["a"], ["b"], relations={("a", "b"): relation}).result(
             timeout=30
         )
         with service.log.serve(port=0) as server:

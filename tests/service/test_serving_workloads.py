@@ -2,9 +2,8 @@
 measured on, checked for agreement instead of speed: a batch answers like
 its queries one at a time, a result-cache hit like the θ-join chain it
 skips, a deadline's pooled shard fan-out like the in-line executor, HTTP,
-RPC and pipelined RPC like one another, observability switched off like
-on, and concurrent durable ingest publishes every operation it was
-handed.  The rates themselves come from ``bench/``."""
+RPC and pipelined RPC like one another, and concurrent durable ingest
+publishes every operation it was handed.  The rates themselves come from ``bench/``."""
 
 import threading
 
@@ -12,9 +11,9 @@ import numpy as np
 import pytest
 
 from repro import DSLog, LineageClient, LineageService
+from repro.capture.analytic import elementwise_lineage
 from repro.core.query import execute_path, execute_path_batch
 from repro.core.relation import LineageRelation
-from repro.obs import REGISTRY, set_enabled
 from repro.service.query import QueryExecutor
 from repro.service.rpc import RPCClient
 from repro.service.server import LineageServer
@@ -195,34 +194,6 @@ def test_http_roundtrip_serves_cached(serving_catalogs):
 
 
 # ----------------------------------------------------------------------
-# observability off changes no answer
-# ----------------------------------------------------------------------
-def test_disabled_observability_changes_no_answer(tmp_path):
-    log = build_catalog(tmp_path / "db", SERVING_SHAPE, lanes=2, hops=3, num_shards=2)
-    mix = []
-    for lane in range(2):
-        names = lane_arrays(lane, 3)
-        mix.append((names, [slice(0, 8), slice(0, 8)]))
-        mix.append((list(reversed(names)), [(1, 1), (5, 9)]))
-    queries = REGISTRY.get("dslog_queries_total")
-    try:
-        with QueryExecutor(log, cache_entries=0) as ex:
-            enabled = answered(ex.query_batch(mix))
-            set_enabled(False)
-            before = queries.value
-            disabled = answered(ex.query_batch(mix))
-            assert queries.value == before
-            set_enabled(True)
-            again = answered(ex.query_batch(mix))
-            assert queries.value == before + len(mix)
-    finally:
-        set_enabled(True)
-        log.close()
-    same_results(disabled, enabled)
-    same_results(again, enabled)
-
-
-# ----------------------------------------------------------------------
 # HTTP, RPC and pipelined RPC over one uncached core
 # ----------------------------------------------------------------------
 RPC_SHAPE = (32, 32)
@@ -278,11 +249,6 @@ def test_transports_carry_identical_answers(transports, name):
 INGEST_SHAPE = (16,)
 
 
-def elementwise(in_name, out_name):
-    pairs = [(cell, cell) for cell in np.ndindex(*INGEST_SHAPE)]
-    return LineageRelation.from_pairs(pairs, INGEST_SHAPE, INGEST_SHAPE, in_name=in_name, out_name=out_name)
-
-
 @pytest.mark.parametrize("writers", [1, 4, 8])
 def test_durable_concurrent_ingest(tmp_path, writers):
     """Each writer submits a chain of operations and waits for each to be
@@ -299,7 +265,8 @@ def test_durable_concurrent_ingest(tmp_path, writers):
             for i in range(ops_per_writer):
                 a, b = f"w{w}a{i}", f"w{w}a{i + 1}"
                 ticket = service.submit(
-                    f"op{w}_{i}", [a], [b], relations={(a, b): elementwise(a, b)}, reuse=False
+                    f"op{w}_{i}", [a], [b],
+                    relations={(a, b): elementwise_lineage(INGEST_SHAPE, in_name=a, out_name=b)}, reuse=False,
                 )
                 ticket.result(timeout=120)
         except Exception as error:  # noqa: BLE001 - reported below
@@ -334,7 +301,8 @@ def test_sync_autosync_ingest_reopens_whole(tmp_path):
     for name in names:
         log.define_array(name, INGEST_SHAPE)
     for a, b in zip(names, names[1:]):
-        log.register_operation(f"op_{a}", [a], [b], relations={(a, b): elementwise(a, b)}, reuse=False)
+        relation = elementwise_lineage(INGEST_SHAPE, in_name=a, out_name=b)
+        log.register_operation(f"op_{a}", [a], [b], relations={(a, b): relation}, reuse=False)
     log.close()
     log = DSLog.load(tmp_path / "db")
     try:

@@ -2,22 +2,14 @@
 compaction running under a live snapshot (stale segment files must remain
 readable until the reader drops its pin)."""
 
-import numpy as np
 import pytest
 
 from repro import DSLog, LineageService
-from repro.core.relation import LineageRelation
+from repro.capture.analytic import elementwise_lineage
 from repro.service.snapshot import SnapshotDSLog, SnapshotReadOnlyError
 from repro.storage.segments import read_record
 
 SHAPE = (4,)
-
-
-def elementwise(in_name, out_name, shape=SHAPE):
-    pairs = [(cell, cell) for cell in np.ndindex(*shape)]
-    return LineageRelation.from_pairs(
-        pairs, shape, shape, in_name=in_name, out_name=out_name
-    )
 
 
 def chain(log, n, prefix="A"):
@@ -25,7 +17,7 @@ def chain(log, n, prefix="A"):
     for name in names:
         log.define_array(name, SHAPE)
     for a, b in zip(names, names[1:]):
-        log.add_lineage(a, b, relation=elementwise(a, b), op_name=f"op_{a}")
+        log.add_lineage(a, b, relation=elementwise_lineage(SHAPE, in_name=a, out_name=b), op_name=f"op_{a}")
     return names
 
 
@@ -36,7 +28,7 @@ class TestIsolation:
         snap = log.snapshot()
         assert len(snap.catalog) == 3
         log.define_array("late", SHAPE)
-        log.add_lineage("A3", "late", relation=elementwise("A3", "late"))
+        log.add_lineage("A3", "late", relation=elementwise_lineage(SHAPE, in_name="A3", out_name="late"))
         assert len(log.catalog) == 4
         assert len(snap.catalog) == 3  # the cut does not move
         with pytest.raises(KeyError):
@@ -52,7 +44,7 @@ class TestIsolation:
         chain(log, 2)
         snap = log.snapshot()
         log.define_array("x", SHAPE)
-        log.add_lineage("A2", "x", relation=elementwise("A2", "x"))
+        log.add_lineage("A2", "x", relation=elementwise_lineage(SHAPE, in_name="A2", out_name="x"))
         assert len(snap.catalog) == 2
         assert snap.prov_query(["A0", "A1"], [(1,)]).to_cells() == {(1,)}
         snap.close()
@@ -67,7 +59,7 @@ class TestIsolation:
         assert snap.storage_bytes() > 0
         for call in (
             lambda: snap.define_array("nope", SHAPE),
-            lambda: snap.add_lineage("A0", "A1", relation=elementwise("A0", "A1")),
+            lambda: snap.add_lineage("A0", "A1", relation=elementwise_lineage(SHAPE, in_name="A0", out_name="A1")),
             lambda: snap.register_operation("op", ["A0"], ["A1"]),
             lambda: snap.sync(),
             lambda: snap.compact(),
@@ -114,7 +106,7 @@ class TestCompactionUnderSnapshot:
 
         # churn + compact while the snapshot is open
         log.add_lineage(
-            names[0], names[1], relation=elementwise(names[0], names[1]), replace=True
+            names[0], names[1], relation=elementwise_lineage(SHAPE, in_name=names[0], out_name=names[1]), replace=True
         )
         stats = log.compact()
         assert stats[home]["segments_retired"] >= 1
@@ -145,7 +137,7 @@ class TestCompactionUnderSnapshot:
             for name in shard.manifest.segments
         ]
         log.add_lineage(
-            names[0], names[1], relation=elementwise(names[0], names[1]), replace=True
+            names[0], names[1], relation=elementwise_lineage(SHAPE, in_name=names[0], out_name=names[1]), replace=True
         )
         stats = log.compact()
         assert all(s["segments_retired"] == 0 for s in stats.values())
@@ -161,13 +153,14 @@ class TestCompactionUnderSnapshot:
                     f"op{i}",
                     [f"a{i}"],
                     [f"a{i+1}"],
-                    relations={(f"a{i}", f"a{i+1}"): elementwise(f"a{i}", f"a{i+1}")},
+                    relations={(f"a{i}", f"a{i+1}"): elementwise_lineage(SHAPE, in_name=f"a{i}", out_name=f"a{i+1}")},
                 ).result(timeout=10)
             snap = svc.snapshot()
             baseline = len(snap.catalog)
             svc.compact()
             svc.submit(
-                "late", ["a0"], ["a2"], relations={("a0", "a2"): elementwise("a0", "a2")}
+                "late", ["a0"], ["a2"],
+                relations={("a0", "a2"): elementwise_lineage(SHAPE, in_name="a0", out_name="a2")},
             ).result(timeout=10)
             assert len(snap.catalog) == baseline
             assert snap.prov_query(["a0", "a3"], [(1,)]).to_cells() == {(1,)}

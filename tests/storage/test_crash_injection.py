@@ -13,11 +13,10 @@ Simulates the two crash windows of the durability protocol:
 
 import json
 
-import numpy as np
 import pytest
 
 from repro import DSLog, FaultPlan, LineageService
-from repro.core.relation import LineageRelation
+from repro.capture.analytic import elementwise_lineage
 from repro.storage.manifest import MANIFEST_NAME, load_manifest
 from repro.storage.segments import (
     SEGMENT_HEADER_SIZE,
@@ -32,13 +31,6 @@ SHAPE = (4,)
 STORE = "shard-00"
 
 
-def elementwise(in_name, out_name, shape=SHAPE):
-    pairs = [(cell, cell) for cell in np.ndindex(*shape)]
-    return LineageRelation.from_pairs(
-        pairs, shape, shape, in_name=in_name, out_name=out_name
-    )
-
-
 def build(root, n, num_shards=1, **kwargs):
     """A chain of *n* entries; with one shard the whole store is the
     ``shard-00`` directory (``STORE``)."""
@@ -47,7 +39,7 @@ def build(root, n, num_shards=1, **kwargs):
     for name in names:
         log.define_array(name, SHAPE)
     for a, b in zip(names, names[1:]):
-        log.add_lineage(a, b, relation=elementwise(a, b), op_name=f"op_{a}")
+        log.add_lineage(a, b, relation=elementwise_lineage(SHAPE, in_name=a, out_name=b), op_name=f"op_{a}")
     log.close()
     return names
 
@@ -67,7 +59,7 @@ class TestTornManifestTemp:
         assert reopened.prov_query([names[0], names[2]], [(1,)]).to_cells() == {(1,)}
         # the recovered store keeps publishing cleanly past the torn temp
         reopened.define_array("B", SHAPE)
-        reopened.add_lineage(names[5], "B", relation=elementwise(names[5], "B"))
+        reopened.add_lineage(names[5], "B", relation=elementwise_lineage(SHAPE, in_name=names[5], out_name="B"))
         reopened.sync()
         assert load_manifest(root / STORE).generation == published + 1
         reopened.close()
@@ -122,7 +114,7 @@ class TestDanglingSegmentTail:
         # new ingest appends after the physical end — never over the tail —
         # and remains readable
         reopened.define_array("B", SHAPE)
-        reopened.add_lineage(names[4], "B", relation=elementwise(names[4], "B"))
+        reopened.add_lineage(names[4], "B", relation=elementwise_lineage(SHAPE, in_name=names[4], out_name="B"))
         reopened.sync()
         entry = reopened.catalog.entry(names[4], "B")
         assert entry.backward_ref.offset >= size_with_tail
@@ -231,7 +223,7 @@ class TestGroupCommitFaults:
             if len(tickets) == flush_after:
                 svc.flush(timeout=60)
             tickets.append(
-                svc.submit_lineage(a, b, relation=elementwise(a, b), op_name=f"op_{a}")
+                svc.submit_lineage(a, b, relation=elementwise_lineage(SHAPE, in_name=a, out_name=b), op_name=f"op_{a}")
             )
         svc.flush(timeout=60)
         plan.disarm()

@@ -6,15 +6,11 @@ import numpy as np
 import pytest
 
 from repro import DSLog
+from repro.capture.analytic import elementwise_lineage
 from repro.core.compressed import CompressedLineage
 from repro.core.query import CellBoxSet
 from repro.core.reference import query_path_reference
 from repro.core.relation import LineageRelation
-
-
-def elementwise(shape, in_name, out_name):
-    pairs = [(cell, cell) for cell in np.ndindex(*shape)]
-    return LineageRelation.from_pairs(pairs, shape, shape, in_name=in_name, out_name=out_name)
 
 
 def axis_sum(rows, cols, in_name, out_name):
@@ -27,7 +23,7 @@ def build_pipeline(log: DSLog):
     log.define_array("A", (6, 4))
     log.define_array("B", (6, 4))
     log.define_array("C", (6,))
-    log.add_lineage("A", "B", relation=elementwise((6, 4), "A", "B"), op_name="negative")
+    log.add_lineage("A", "B", relation=elementwise_lineage((6, 4)), op_name="negative")
     log.add_lineage("B", "C", relation=axis_sum(6, 4, "B", "C"), op_name="sum_axis1")
 
 
@@ -61,7 +57,7 @@ class TestDefineAndIngest:
         log = DSLog()
         log.define_array("A", (4,))
         log.define_array("B", (4,))
-        wrong = elementwise((5,), "A", "B")
+        wrong = elementwise_lineage((5,))
         with pytest.raises(ValueError):
             log.add_lineage("A", "B", relation=wrong)
 
@@ -126,7 +122,7 @@ class TestQueries:
         cells = [(0, 0), (3, 2)]
         result = log.prov_query(["A", "B", "C"], cells)
         expected = query_path_reference(
-            [elementwise((6, 4), "A", "B"), axis_sum(6, 4, "B", "C")],
+            [elementwise_lineage((6, 4)), axis_sum(6, 4, "B", "C")],
             ["forward", "forward"],
             cells,
         )
@@ -266,7 +262,7 @@ class TestCapturePairValidation:
                 "negative",
                 in_arrs=["A"],
                 out_arrs=["B"],
-                relations={("X", "Y"): elementwise((4,), "A", "B")},
+                relations={("X", "Y"): elementwise_lineage((4,))},
             )
 
     def test_correctly_keyed_single_pair_accepted(self):
@@ -277,7 +273,7 @@ class TestCapturePairValidation:
             "negative",
             in_arrs=["A"],
             out_arrs=["B"],
-            relations={("A", "B"): elementwise((4,), "A", "B")},
+            relations={("A", "B"): elementwise_lineage((4,))},
         )
         assert record.entries == [("A", "B")]
 
@@ -289,7 +285,7 @@ class TestCapturePairValidation:
             "identity",
             in_arrs=["A"],
             out_arrs=["B"],
-            relations={("X", "Y"): elementwise((3,), "A", "B")},
+            relations={("X", "Y"): elementwise_lineage((3,))},
             captures={("A", "B"): lambda out: [out]},
         )
         assert record.entries == [("A", "B")]
@@ -303,7 +299,7 @@ class TestCapturePairValidation:
             "stack",
             in_arrs=["A", "B"],
             out_arrs=["C"],
-            relations={("A", "C"): elementwise((4,), "A", "C")},
+            relations={("A", "C"): elementwise_lineage((4,), in_name="A", out_name="C")},
         )
         # the (B, C) pair has no lineage and is skipped, not guessed
         assert record.entries == [("A", "C")]
@@ -318,11 +314,11 @@ class TestRegisterOperationAndReuse:
             "negative",
             in_arrs=["A"],
             out_arrs=["B"],
-            relations={("A", "B"): elementwise((8,), "A", "B")},
+            relations={("A", "B"): elementwise_lineage((8,))},
             input_data={"A": np.arange(8.0)},
         )
         assert record.reuse_level is None
-        assert log.catalog.entry("A", "B").backward.decompress() == elementwise((8,), "A", "B")
+        assert log.catalog.entry("A", "B").backward.decompress() == elementwise_lineage((8,))
 
     def test_dim_reuse_after_confirmation(self):
         log = DSLog()
@@ -337,7 +333,7 @@ class TestRegisterOperationAndReuse:
                     "negative",
                     in_arrs=[src],
                     out_arrs=[dst],
-                    relations={(src, dst): elementwise((8,), src, dst)},
+                    relations={(src, dst): elementwise_lineage((8,), in_name=src, out_name=dst)},
                     input_data={src: data},
                 )
             )
@@ -361,7 +357,7 @@ class TestRegisterOperationAndReuse:
                     "negative",
                     in_arrs=[src],
                     out_arrs=[dst],
-                    relations={(src, dst): elementwise(shape, src, dst)},
+                    relations={(src, dst): elementwise_lineage(shape, in_name=src, out_name=dst)},
                     input_data={src: np.arange(float(shape[0]))},
                 )
             )
@@ -380,7 +376,7 @@ class TestRegisterOperationAndReuse:
                 "negative",
                 in_arrs=[src],
                 out_arrs=[dst],
-                relations={(src, dst): elementwise((4,), src, dst)},
+                relations={(src, dst): elementwise_lineage((4,), in_name=src, out_name=dst)},
                 input_data={src: np.zeros(4)},
                 reuse=False,
             )

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro import DSLog
+from repro.capture.analytic import elementwise_lineage
 from repro.core.relation import LineageRelation
 from repro.storage.segments import (
     SEGMENT_HEADER_SIZE,
@@ -36,20 +37,13 @@ STORE = "shard-00"
 SHAPE = (8,)
 
 
-def elementwise(in_name, out_name, shape=SHAPE):
-    pairs = [(cell, cell) for cell in np.ndindex(*shape)]
-    return LineageRelation.from_pairs(
-        pairs, shape, shape, in_name=in_name, out_name=out_name
-    )
-
-
 def build(root, n, **kwargs):
     log = DSLog(root, num_shards=1, autosync=False, **kwargs)
     names = [f"A{i}" for i in range(n + 1)]
     for name in names:
         log.define_array(name, SHAPE)
     for a, b in zip(names, names[1:]):
-        log.add_lineage(a, b, relation=elementwise(a, b), op_name=f"op_{a}")
+        log.add_lineage(a, b, relation=elementwise_lineage(SHAPE, in_name=a, out_name=b), op_name=f"op_{a}")
     log.sync()
     return log, names
 
@@ -125,7 +119,7 @@ class TestCoalescedWrites:
         # commit flushed) must still see the appended record
         log, names = build(tmp_path / "db", 3)
         log.define_array("Z", SHAPE)
-        entry = log.add_lineage(names[3], "Z", relation=elementwise(names[3], "Z"))
+        entry = log.add_lineage(names[3], "Z", relation=elementwise_lineage(SHAPE, in_name=names[3], out_name="Z"))
         assert log.store.meta._writer.pending_bytes > 0  # not yet committed
         log.store.cache.clear()
         table = log.catalog.entry(names[3], "Z").backward
@@ -150,7 +144,7 @@ class TestCoalescedWrites:
         root = tmp_path / "db"
         log, names = build(root, 3)
         log.define_array("Z", SHAPE)
-        log.add_lineage(names[3], "Z", relation=elementwise(names[3], "Z"))
+        log.add_lineage(names[3], "Z", relation=elementwise_lineage(SHAPE, in_name=names[3], out_name="Z"))
         # no sync, no close: drop the store like a killed process would
         segment = root / STORE / log.store.meta.manifest.segments[-1]
         assert valid_length(segment) == segment.stat().st_size
@@ -231,7 +225,7 @@ class TestMmapLifecycle:
         for name, expected in snapshot_cols.items():
             assert np.array_equal(getattr(table, name), expected)
         # and the table still answers queries from the unlinked mapping
-        assert table.decompress() == elementwise(names[0], names[1])
+        assert table.decompress() == elementwise_lineage(SHAPE, in_name=names[0], out_name=names[1])
         log.close()
 
     def test_pinned_snapshot_retires_instead_of_deleting(self, tmp_path):
@@ -257,7 +251,7 @@ class TestMmapLifecycle:
         # the files, not leak its mapping for the store's lifetime
         log, names = build(tmp_path / "db", 3)
         view = log.snapshot()
-        log.add_lineage(names[0], names[1], relation=elementwise(names[0], names[1]),
+        log.add_lineage(names[0], names[1], relation=elementwise_lineage(SHAPE, in_name=names[0], out_name=names[1]),
                         op_name="v2", replace=True)
         log.sync()
         log.compact()  # old segments retired (the snapshot pin is held)
@@ -287,7 +281,7 @@ class TestMmapLifecycle:
         for name in names:
             log.define_array(name, SHAPE)
         for a, b in zip(names, names[1:]):
-            log.add_lineage(a, b, relation=elementwise(a, b))
+            log.add_lineage(a, b, relation=elementwise_lineage(SHAPE, in_name=a, out_name=b))
         log.sync()
         assert log.store.write_stats()["coalesced_records"] >= 5  # one record per entry
         log.close()

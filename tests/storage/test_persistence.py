@@ -3,12 +3,8 @@
 import numpy as np
 
 from repro import DSLog
+from repro.capture.analytic import elementwise_lineage
 from repro.core.relation import LineageRelation
-
-
-def elementwise(shape, in_name, out_name):
-    pairs = [(cell, cell) for cell in np.ndindex(*shape)]
-    return LineageRelation.from_pairs(pairs, shape, shape, in_name=in_name, out_name=out_name)
 
 
 def axis_sum(rows, cols, in_name, out_name):
@@ -22,7 +18,7 @@ class TestLoad:
         log.define_array("A", (8, 3))
         log.define_array("B", (8, 3))
         log.define_array("C", (8,))
-        log.add_lineage("A", "B", relation=elementwise((8, 3), "A", "B"))
+        log.add_lineage("A", "B", relation=elementwise_lineage((8, 3)))
         log.add_lineage("B", "C", relation=axis_sum(8, 3, "B", "C"))
         return log
 
@@ -52,7 +48,7 @@ class TestLoad:
         assert log.backend == "sharded" and log.store is not None
         log.define_array("A", (4,))
         log.define_array("B", (4,))
-        log.add_lineage("A", "B", relation=elementwise((4,), "A", "B"))
+        log.add_lineage("A", "B", relation=elementwise_lineage((4,)))
         log.close()
         assert DSLog.load(tmp_path / "empty").prov_query(["B", "A"], [(1,)]).to_cells() == {(1,)}
 
@@ -73,7 +69,7 @@ class TestSingleShardRoundTrip:
         log.define_array("A", (8, 3))
         log.define_array("B", (8, 3))
         log.define_array("C", (8,))
-        log.add_lineage("A", "B", relation=elementwise((8, 3), "A", "B"), op_name="negative")
+        log.add_lineage("A", "B", relation=elementwise_lineage((8, 3)), op_name="negative")
         log.add_lineage("B", "C", relation=axis_sum(8, 3, "B", "C"), op_name="sum_axis1")
         return log
 
@@ -103,7 +99,7 @@ class TestSingleShardRoundTrip:
             "negative",
             in_arrs=["A"],
             out_arrs=["B"],
-            relations={("A", "B"): elementwise((6,), "A", "B")},
+            relations={("A", "B"): elementwise_lineage((6,))},
             input_data={"A": np.arange(6.0)},
             op_args={"dtype": "float64"},
         )
@@ -127,7 +123,7 @@ class TestSingleShardRoundTrip:
                 "negative",
                 in_arrs=[src],
                 out_arrs=[dst],
-                relations={(src, dst): elementwise((8,), src, dst)},
+                relations={(src, dst): elementwise_lineage((8,), in_name=src, out_name=dst)},
                 input_data={src: np.arange(8.0) * (1 if src == "A" else 3)},
             )
         log.close()
@@ -140,7 +136,7 @@ class TestSingleShardRoundTrip:
             "negative",
             in_arrs=["E"],
             out_arrs=["F"],
-            relations={("E", "F"): elementwise((8,), "E", "F")},
+            relations={("E", "F"): elementwise_lineage((8,), in_name="E", out_name="F")},
             input_data={"E": np.arange(8.0) + 7},
         )
         assert record.reuse_level == "dim"
@@ -155,7 +151,7 @@ class TestSingleShardRoundTrip:
             "negative",
             in_arrs=["A"],
             out_arrs=["B"],
-            relations={("A", "B"): elementwise((8,), "A", "B")},
+            relations={("A", "B"): elementwise_lineage((8,))},
             input_data={"A": np.arange(8.0)},
         )
         log.close()
@@ -172,7 +168,7 @@ class TestSingleShardRoundTrip:
             "scale",
             in_arrs=["A"],
             out_arrs=["B"],
-            relations={("A", "B"): elementwise((4,), "A", "B")},
+            relations={("A", "B"): elementwise_lineage((4,))},
             op_args={"factor": np.float64(0.5), "k": np.int64(3)},
         )
         log.close()
@@ -187,7 +183,7 @@ class TestSingleShardRoundTrip:
             "negative",
             in_arrs=["A"],
             out_arrs=["B"],
-            relations={("A", "B"): elementwise((4,), "A", "B")},
+            relations={("A", "B"): elementwise_lineage((4,))},
         )
         log.close()
         reopened = DSLog.load(tmp_path / "db")

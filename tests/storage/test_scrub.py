@@ -13,11 +13,10 @@ clean, and a cold reopen from disk sees the healed state.
 
 import json
 
-import numpy as np
 import pytest
 
 from repro import DSLog, QueryExecutor
-from repro.core.relation import LineageRelation
+from repro.capture.analytic import elementwise_lineage
 from repro.storage.manifest import MANIFEST_NAME, load_manifest
 from repro.storage.scrub import QUARANTINE_DIR
 from repro.storage.segments import record_overhead
@@ -31,20 +30,13 @@ OVERHEAD = record_overhead()
 STORE = "shard-00"
 
 
-def elementwise(in_name, out_name, shape=SHAPE):
-    pairs = [(cell, cell) for cell in np.ndindex(*shape)]
-    return LineageRelation.from_pairs(
-        pairs, shape, shape, in_name=in_name, out_name=out_name
-    )
-
-
 def build(root, n, num_shards=1, **kwargs):
     log = DSLog(root, num_shards=num_shards, autosync=False, **kwargs)
     names = [f"A{i}" for i in range(n + 1)]
     for name in names:
         log.define_array(name, SHAPE)
     for a, b in zip(names, names[1:]):
-        log.add_lineage(a, b, relation=elementwise(a, b), op_name=f"op_{a}")
+        log.add_lineage(a, b, relation=elementwise_lineage(SHAPE, in_name=a, out_name=b), op_name=f"op_{a}")
     log.sync()
     log.close()
     return names
@@ -272,7 +264,7 @@ class TestRepair:
                     executor.query(["A2", "A1"], [(1,)])
             # re-ingested, the pair is a new install whose per-pair
             # ``version`` is 1 again: the old result must not come back
-            log.add_lineage("A1", "A2", relation=elementwise("A1", "A2"))
+            log.add_lineage("A1", "A2", relation=elementwise_lineage(SHAPE, in_name="A1", out_name="A2"))
             assert log.catalog.entry("A1", "A2").version == 1
             assert not cached.query(["A2", "A1"], [(1,)]).cached
             # the entries scrub kept still hit
@@ -340,15 +332,14 @@ class TestRepair:
         names = build(root, 2)
         log = DSLog.load(root, autosync=False)
         view = log.snapshot()
-        log.add_lineage(names[0], names[1], relation=elementwise(names[0], names[1]),
+        log.add_lineage(names[0], names[1], relation=elementwise_lineage(SHAPE, in_name=names[0], out_name=names[1]),
                         op_name="v2", replace=True)
         log.sync()
         log.compact()
         report = log.scrub(repair=True)["shards"][0]
         assert report["orphan_segments"] == [] and report["quarantined"] == []
-        assert view.catalog.entry(names[0], names[1]).backward.decompress() == elementwise(
-            names[0], names[1]
-        )
+        want = elementwise_lineage(SHAPE, in_name=names[0], out_name=names[1])
+        assert view.catalog.entry(names[0], names[1]).backward.decompress() == want
         view.close()
         log.close()
         assert_fully_readable(root, names)
@@ -362,7 +353,7 @@ class TestRepair:
         log.close()
         log = DSLog.load(root, autosync=False)
         log.define_array("B", SHAPE)
-        log.add_lineage(names[3], "B", relation=elementwise(names[3], "B"))
+        log.add_lineage(names[3], "B", relation=elementwise_lineage(SHAPE, in_name=names[3], out_name="B"))
         log.sync()
         log.close()
         assert_fully_readable(root, names + ["B"], dropped=[("A0", "A1")])

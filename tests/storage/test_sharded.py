@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro import DSLog
-from repro.core.relation import LineageRelation
+from repro.capture.analytic import elementwise_lineage
 from repro.storage.sharded import (
     DEFAULT_NUM_SHARDS,
     SHARDS_NAME,
@@ -19,19 +19,12 @@ from repro.storage.catalog import LineageConflictError
 SHAPE = (4,)
 
 
-def elementwise(in_name, out_name, shape=SHAPE):
-    pairs = [(cell, cell) for cell in np.ndindex(*shape)]
-    return LineageRelation.from_pairs(
-        pairs, shape, shape, in_name=in_name, out_name=out_name
-    )
-
-
 def build_chain(log, n, prefix="A"):
     names = [f"{prefix}{i:03d}" for i in range(n + 1)]
     for name in names:
         log.define_array(name, SHAPE)
     for a, b in zip(names, names[1:]):
-        log.add_lineage(a, b, relation=elementwise(a, b), op_name=f"op_{a}")
+        log.add_lineage(a, b, relation=elementwise_lineage(SHAPE, in_name=a, out_name=b), op_name=f"op_{a}")
     return names
 
 
@@ -112,7 +105,7 @@ class TestDurability:
         log = DSLog(tmp_path / "db", num_shards=4, autosync=False)
         log.define_array("x", SHAPE)
         log.define_array("y", SHAPE)
-        log.add_lineage("x", "y", relation=elementwise("x", "y"))
+        log.add_lineage("x", "y", relation=elementwise_lineage(SHAPE, in_name="x", out_name="y"))
         log.sync()
         vector = log.store.generation_vector()
         home = shard_index("x", "y", 4)
@@ -125,11 +118,11 @@ class TestDurability:
         log = DSLog(tmp_path / "db", num_shards=2, autosync=False)
         log.define_array("x", SHAPE)
         log.define_array("y", SHAPE)
-        log.add_lineage("x", "y", relation=elementwise("x", "y"), op_name="first")
+        log.add_lineage("x", "y", relation=elementwise_lineage(SHAPE, in_name="x", out_name="y"), op_name="first")
         with pytest.raises(LineageConflictError):
-            log.add_lineage("x", "y", relation=elementwise("x", "y"), op_name="again")
+            log.add_lineage("x", "y", relation=elementwise_lineage(SHAPE, in_name="x", out_name="y"), op_name="again")
         log.add_lineage(
-            "x", "y", relation=elementwise("x", "y"), op_name="second", replace=True
+            "x", "y", relation=elementwise_lineage(SHAPE, in_name="x", out_name="y"), op_name="second", replace=True
         )
         entry = log.catalog.entry("x", "y")
         assert entry.version == 2 and entry.op_name == "second"
@@ -169,7 +162,8 @@ class TestPerShardMaintenance:
         build_chain(log, 12)
         log.sync()
         # replace a few entries to create dead bytes in their home shards
-        log.add_lineage("A001", "A002", relation=elementwise("A001", "A002"), replace=True)
+        relation = elementwise_lineage(SHAPE, in_name="A001", out_name="A002")
+        log.add_lineage("A001", "A002", relation=relation, replace=True)
         home = shard_index("A001", "A002", 3)
         other = next(i for i in range(3) if i != home)
         before_other = log.store.shard(other).segment_bytes()

@@ -2,12 +2,11 @@
 
 import json
 
-import numpy as np
 import pytest
 
 from repro import DSLog
+from repro.capture.analytic import elementwise_lineage
 from repro.core.provrc import compress
-from repro.core.relation import LineageRelation
 from repro.storage.manifest import MANIFEST_NAME, load_manifest
 from repro.storage import store as store_module
 from repro.storage.segments import SegmentWriter, iter_records, read_record
@@ -19,11 +18,6 @@ from repro.storage.store import (
 )
 
 
-def elementwise(shape, in_name="A", out_name="B"):
-    pairs = [(cell, cell) for cell in np.ndindex(*shape)]
-    return LineageRelation.from_pairs(pairs, shape, shape, in_name=in_name, out_name=out_name)
-
-
 STORE = "shard-00"  # a one-shard catalog's whole store lives here
 
 
@@ -33,7 +27,7 @@ def chain_log(root, n, shape=(6,), **kwargs):
     for name in names:
         log.define_array(name, shape)
     for a, b in zip(names, names[1:]):
-        log.add_lineage(a, b, relation=elementwise(shape, a, b), op_name=f"op_{a}")
+        log.add_lineage(a, b, relation=elementwise_lineage(shape, in_name=a, out_name=b), op_name=f"op_{a}")
     return log, names
 
 
@@ -77,7 +71,7 @@ class TestSegmentFiles:
 
 class TestTableCache:
     def _table(self, n, name):
-        return compress(elementwise((n,), name, name + "_out"))
+        return compress(elementwise_lineage((n,), in_name=name, out_name=name + "_out"))
 
     def test_hit_miss_accounting(self):
         cache = TableCache(budget_bytes=1 << 20)
@@ -113,7 +107,7 @@ class TestTableCache:
 class TestLineageStore:
     def test_append_load_roundtrip(self, tmp_path):
         store = LineageStore(tmp_path / "db")
-        table = compress(elementwise((5,)))
+        table = compress(elementwise_lineage((5,)))
         ref = store.append_table(table)
         store.cache.clear()
         loaded = store.load_table(ref)
@@ -122,7 +116,7 @@ class TestLineageStore:
 
     def test_cache_serves_repeat_loads(self, tmp_path):
         store = LineageStore(tmp_path / "db")
-        ref = store.append_table(compress(elementwise((5,))))
+        ref = store.append_table(compress(elementwise_lineage((5,))))
         store.load_table(ref)
         store.load_table(ref)
         assert store.tables_deserialized == 0  # appended table stayed cached
@@ -131,7 +125,7 @@ class TestLineageStore:
         monkeypatch.setattr(store_module, "DEFAULT_SEGMENT_MAX_BYTES", 256)
         store = LineageStore(tmp_path / "db")
         for i in range(6):
-            store.append_table(compress(elementwise((32,), f"I{i}", f"O{i}")))
+            store.append_table(compress(elementwise_lineage((32,), in_name=f"I{i}", out_name=f"O{i}")))
         assert len(store.manifest.segments) > 1
 
     def test_gzip_flag_recorded_in_manifest(self, tmp_path):
@@ -146,7 +140,7 @@ class TestDurability:
         log, _ = chain_log(tmp_path / "db", 3)
         first = json.loads((tmp_path / "db" / STORE / MANIFEST_NAME).read_text())
         log.add_lineage(
-            "A0000", "A0002", relation=elementwise((6,), "A0000", "A0002"), op_name="skip"
+            "A0000", "A0002", relation=elementwise_lineage((6,), in_name="A0000", out_name="A0002"), op_name="skip"
         )
         second = json.loads((tmp_path / "db" / STORE / MANIFEST_NAME).read_text())
         assert second["generation"] > first["generation"]
@@ -158,7 +152,7 @@ class TestDurability:
         # more ingest without a sync: segment bytes exist, manifest does not
         # reference them — a crash here must reopen to the synced state
         log.add_lineage(
-            names[0], names[2], relation=elementwise((6,), names[0], names[2])
+            names[0], names[2], relation=elementwise_lineage((6,), in_name=names[0], out_name=names[2])
         )
         log.store.close()
         reopened = DSLog.load(tmp_path / "db")
@@ -213,7 +207,7 @@ class TestLazyOpen:
     def test_lru_budget_bounds_resident_tables(self, tmp_path):
         log, names = chain_log(tmp_path / "db", 30, shape=(64,), autosync=False)
         log.close()
-        one_table = compress(elementwise((64,))).nbytes()
+        one_table = compress(elementwise_lineage((64,))).nbytes()
         reopened = DSLog.load(tmp_path / "db", cache_bytes=one_table * 4)
         reopened.catalog.materialize_all()
         [stats] = reopened.store.cache_stats()
@@ -229,7 +223,7 @@ class TestCompaction:
         for _ in range(4):  # churn one edge to build up dead versions
             log.add_lineage(
                 names[0], names[1],
-                relation=elementwise((6,), names[0], names[1]),
+                relation=elementwise_lineage((6,), in_name=names[0], out_name=names[1]),
                 replace=True,
             )
         before = log.store.segment_bytes()
@@ -253,7 +247,7 @@ class TestCompaction:
         log, names = chain_log(tmp_path / "db", 3)
         log.compact()
         log.define_array("Z", (6,))
-        log.add_lineage(names[-1], "Z", relation=elementwise((6,), names[-1], "Z"))
+        log.add_lineage(names[-1], "Z", relation=elementwise_lineage((6,), in_name=names[-1], out_name="Z"))
         assert log.prov_query([names[0], "Z"], [(0,)]).to_cells() == {(0,)}
         log.close()
         assert DSLog.load(tmp_path / "db").prov_query(

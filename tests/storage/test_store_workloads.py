@@ -7,15 +7,11 @@ import numpy as np
 import pytest
 
 from repro import DSLog
+from repro.capture.analytic import elementwise_lineage
 from repro.core.relation import LineageRelation
 
 N_ENTRIES = 1_000
 SHAPE = (8,)
-
-
-def elementwise(shape, in_name, out_name):
-    pairs = [(cell, cell) for cell in np.ndindex(*shape)]
-    return LineageRelation.from_pairs(pairs, shape, shape, in_name=in_name, out_name=out_name)
 
 
 def scrambled(shape, in_name, out_name, seed):
@@ -32,7 +28,7 @@ def build_chain(root, n, prefix="A"):
     for name in names:
         log.define_array(name, SHAPE)
     for a, b in zip(names, names[1:]):
-        log.add_lineage(a, b, relation=elementwise(SHAPE, a, b), op_name=f"op_{a}")
+        log.add_lineage(a, b, relation=elementwise_lineage(SHAPE, in_name=a, out_name=b), op_name=f"op_{a}")
     return log, names
 
 

@@ -8,17 +8,12 @@ import json
 import pytest
 
 from repro import DSLog, LineageClient
-from repro.core.relation import LineageRelation
+from repro.capture.analytic import elementwise_lineage
 from repro.service.server import LineageServer
 from repro.tools.stats import fetch_families, main, render_report
 
 SHAPE = (4,)
 PATH = ["a", "b", "c"]
-
-
-def identity(in_name, out_name):
-    pairs = [((i,), (i,)) for i in range(SHAPE[0])]
-    return LineageRelation.from_pairs(pairs, SHAPE, SHAPE, in_name=in_name, out_name=out_name)
 
 
 def ask(client, n):
@@ -32,7 +27,7 @@ def server():
     for name in PATH:
         log.define_array(name, SHAPE)
     for a, b in zip(PATH, PATH[1:]):
-        log.add_lineage(a, b, relation=identity(a, b))
+        log.add_lineage(a, b, relation=elementwise_lineage(SHAPE, in_name=a, out_name=b))
     with LineageServer(log, port=0) as server:
         ask(LineageClient(server.url), 3)
         yield server
