@@ -19,7 +19,8 @@ Fault sites
 ``segment.fsync``      ``SegmentWriter.sync`` — the durability barrier
 ``segment.read``       ``SegmentReader.read`` — record hydration from mapped pages
 ``segment.mmap``       ``SegmentReader`` open / remap
-``manifest.write``     the atomic manifest publish (temp write + rename)
+``manifest.write``     a manifest publish: its edit record's append, or a
+                       checkpoint's temp write + rename
 ``service.worker``     the ingest worker, before an operation is applied
 ``service.commit``     the committer, before the group-commit publish
 =====================  ==========================================================

@@ -2,7 +2,7 @@
 bounded queues, worker threads and group commit.
 
 The single-threaded ``DSLog.register_operation`` runs ProvRC compression,
-segment appends and (with ``autosync``) a full manifest publish on the
+segment appends and (with ``autosync``) a manifest publish on the
 caller's thread — in-situ capture stalls the host pipeline for the whole
 round trip.  The service decouples the three:
 
@@ -25,7 +25,7 @@ round trip.  The service decouples the three:
   with no lock held; only the per-shard segment append and the catalog
   dict insert are serialized (:mod:`repro.storage.sharded`).
 * The **committer** publishes manifests in *group commits*: every pending
-  applied operation rides the same per-shard fsync + manifest swap.  A
+  applied operation rides the same per-shard manifest edit record + fsync.  A
   ticket resolves only once a publish covers it, so ``ticket.result()``
   means *durable*, and N concurrent writers share one publish instead of
   paying one each — the commit window (:data:`COMMIT_INTERVAL_S`, timed on
@@ -33,8 +33,9 @@ round trip.  The service decouples the three:
   milliseconds of single-op latency for multi-writer throughput, exactly
   like a database's group commit delay.  At the storage layer the batch is
   *physically* coalesced too: worker appends only extend each dirty
-  shard's pending write buffer, and the commit hands that buffer to the
-  OS as one preassembled write + one fsync per shard
+  shard's pending write buffer, and the commit appends the shard's
+  manifest edit record to it and hands the buffer to the OS as one
+  preassembled write + one fsync per shard
   (:class:`repro.storage.segments.SegmentWriter`), so syscall cost scales
   with dirty shards, not with batch size.  ``stats()["write_coalescing"]``
   reports the records-per-write actually achieved.
@@ -82,7 +83,7 @@ QUEUE_SIZE = 256
 SUBMIT_TIMEOUT_S = 30.0
 # the group-commit window: the committer publishes at most once per window
 # (a flush() overrides it), so concurrent writers amortize the per-shard
-# fsync + manifest swap; single-op durable latency is at least one window
+# edit record append + fsync; single-op durable latency is at least one window
 COMMIT_INTERVAL_S = 0.002
 
 

@@ -19,7 +19,8 @@ Corruption classes
                    length prefix disagrees with the manifest
 ``missing``        the referenced segment file does not exist at all
 ``torn tail``      unparseable bytes after a segment's structurally
-                   valid region (a crash or short write mid-append)
+                   valid region (a crash or short write mid-append; a
+                   torn manifest edit record is one)
 ``orphan``         a ``segment-*.seg`` file no manifest references
 ================== ====================================================
 
@@ -35,9 +36,12 @@ Repair contract
 * Every still-valid record in a damaged segment is **evacuated** by
   :meth:`LineageStore.rewrite <repro.storage.store.LineageStore.rewrite>`,
   the same step a compaction takes: byte-copied into fresh segments,
-  fsynced, then one manifest publish (temp file + fsync + rename), then
-  the remap — in-memory lazy entries keep resolving, exactly as across a
-  compaction.  Only after that publish is the damaged file moved whole
+  fsynced, then one manifest checkpoint (temp file + fsync + rename +
+  directory fsync), then the remap — in-memory lazy entries keep
+  resolving, exactly as across a compaction.  The manifest edit records
+  of a damaged segment are not copied: no ref names them, and the
+  checkpoint holds all they carried.  Only after that publish is the
+  damaged file moved whole
   into a ``quarantine/`` sidecar directory next to a small JSON report of
   what was wrong with it, so no corrupt byte is ever silently destroyed.
   Orphan files are quarantined the same way.

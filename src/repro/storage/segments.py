@@ -22,6 +22,15 @@ point at is garbage to be reclaimed by
 the *payload* length; :func:`record_overhead` bytes of framing (prefix +
 checksum) precede it.
 
+Records are of two kinds.  A *table* record's payload is a serialized
+ProvRC table (gzip or ``PRVC`` framed).  An *edit* record's payload starts
+with :data:`EDIT_MAGIC`: it is one publish of the manifest, appended to
+the shard's active segment and made durable by the same write + fsync as
+the tables it names.  Nothing references an edit record; the manifest
+finds its edits by walking the segment from its checkpoint
+(:func:`walk_records`), and a compaction, which copies referenced records
+only, leaves them behind with the other dead bytes.
+
 Corruption classes and their exceptions:
 
 * a length prefix that disagrees with the manifest, or bytes missing at
@@ -80,6 +89,7 @@ __all__ = [
     "SEGMENT_MAGIC",
     "SEGMENT_VERSION",
     "SEGMENT_HEADER_SIZE",
+    "EDIT_MAGIC",
     "CorruptRecordError",
     "SegmentWriter",
     "SegmentReader",
@@ -87,6 +97,7 @@ __all__ = [
     "iter_records",
     "valid_length",
     "scan_segment",
+    "walk_records",
     "record_overhead",
     "check_wire_version",
 ]
@@ -95,6 +106,9 @@ SEGMENT_MAGIC = b"DSEG"
 SEGMENT_VERSION = 2
 SEGMENT_HEADER_SIZE = len(SEGMENT_MAGIC) + 2
 _FRAME = struct.Struct("<II")  # payload length, payload crc32
+# the payload prefix of an edit record; a table payload starts with the
+# gzip magic or b"PRVC"
+EDIT_MAGIC = b"DSME"
 
 
 def _check_header(data: bytes, path: Path) -> None:
@@ -189,6 +203,9 @@ class SegmentWriter:
         self.coalesced_records = 0  # records covered by those flushes
         self.torn_writes = 0  # short writes that destroyed pending bytes
         self._pending_records = 0
+        # bytes reached the file that no fsync of this handle covers yet; a
+        # file opened again may hold such bytes from an earlier handle
+        self._unsynced = True
         if existing == 0:
             self._fh.write(frame_header(SEGMENT_MAGIC, "H", SEGMENT_VERSION))
             self._fh.flush()
@@ -251,6 +268,7 @@ class SegmentWriter:
                     self._fh.write(buffer[:partial])
                     self._fh.write(b"\x00" * (len(buffer) - partial))
                     self._fh.flush()
+                    self._unsynced = True
                     self._pending = []
                     self._pending_bytes = 0
                     self._pending_records = 0
@@ -264,6 +282,7 @@ class SegmentWriter:
                     )
             self._fh.write(buffer)
             self._fh.flush()
+            self._unsynced = True
             self._pending = []
             self._pending_bytes = 0
             self.coalesced_writes += 1
@@ -275,16 +294,20 @@ class SegmentWriter:
 
     def sync(self) -> int:
         """Force appended records to stable storage: one write of the whole
-        pending batch, then one fsync.  Returns the bytes flushed."""
+        pending batch, then one fsync — none when no byte reached the file
+        since this handle's last fsync.  Returns the bytes flushed."""
         flushed = self.flush_pending()
+        if not self._unsynced:
+            return flushed
         if self.faults is not None:
             self.faults.check("segment.fsync", self.scope)
         os.fsync(self._fh.fileno())
+        self._unsynced = False
         _SEG_FSYNCS.inc()
         return flushed
 
     def close(self) -> None:
-        """Fsync and close.  The fsync matters on segment rollover: a
+        """Sync and close.  The sync matters on segment rollover: a
         manifest may be published (and old segments deleted by a
         compaction) while this file is no longer the active writer, so its
         records must already be durable when the handle is dropped."""
@@ -423,15 +446,16 @@ def read_record(path: Union[str, Path], offset: int, length: int) -> bytes:
         return payload
 
 
-def _walk(path: Union[str, Path]) -> Iterator[Tuple[int, int, bytes]]:
+def _walk(path: Union[str, Path], start: int = SEGMENT_HEADER_SIZE) -> Iterator[Tuple[int, int, bytes]]:
     """Yield ``(offset, stored crc, payload)`` for every structurally
-    complete record, in append order.  A trailing partial record (a crash
-    mid-append) ends the walk silently — those bytes are by definition not
-    referenced by any manifest."""
+    complete record from *start* (a record boundary) on, in append order.
+    A trailing partial record (a crash mid-append) ends the walk silently —
+    those bytes are by definition not referenced by any manifest."""
     path = Path(path)
     with open(path, "rb") as fh:
         _check_header(fh.read(SEGMENT_HEADER_SIZE), path)
-        offset = SEGMENT_HEADER_SIZE
+        offset = max(start, SEGMENT_HEADER_SIZE)
+        fh.seek(offset)
         while True:
             framing = fh.read(_FRAME.size)
             if len(framing) < _FRAME.size:
@@ -464,6 +488,18 @@ def iter_records(path: Union[str, Path]) -> Iterator[Tuple[int, bytes]]:
     that care run :func:`scan_segment`)."""
     for offset, _crc, payload in _walk(path):
         yield offset, payload
+
+
+def walk_records(path: Union[str, Path], start: int) -> Iterator[Tuple[int, bytes, bool]]:
+    """Yield ``(offset, payload, checksum ok)`` of each record from *start*
+    (a manifest checkpoint's log offset) on, in append order.  The walk
+    ends at the end of the file or at the first record whose frame runs
+    past it — a torn tail, past which nothing is reachable.  A record whose
+    checksum fails (a flipped byte) does not end it: its length still says
+    where the next record starts, so one damaged table hides no later
+    record."""
+    for offset, crc, payload in _walk(path, start):
+        yield offset, payload, crc == (zlib.crc32(payload) & 0xFFFFFFFF)
 
 
 def scan_segment(path: Union[str, Path]) -> Dict[str, object]:

@@ -3,7 +3,8 @@ layout behind every ``DSLog`` that has a root directory.
 
 A catalog directory fans the entry set out over *N* shard
 subdirectories, each a complete single-writer store of its own —
-append-only segment files plus an atomic per-shard ``MANIFEST.json``
+append-only segment files plus a per-shard manifest, a ``MANIFEST.json``
+checkpoint and the edit records logged after it in the active segment
 (:mod:`repro.storage.store`) — indexed by one root ``SHARDS.json``:
 
     root/
@@ -38,18 +39,21 @@ per-shard compaction never has to rewrite another shard's files.
 
 Concurrency model
 -----------------
-* ``meta_lock`` — guards the in-memory catalog dicts and every manifest
-  row list.  Held briefly: never across table serialization, segment
-  appends, fsyncs or manifest file writes.
+* ``meta_lock`` — guards the in-memory catalog dicts, every manifest row
+  list and every shard's pending manifest edit.  Held briefly: never
+  across table serialization, segment appends, fsyncs or manifest file
+  writes.
 * one append lock per shard — serializes segment appends and manifest
   publishes of that shard.  Writers to different shards do not contend.
 * Lock order is ``reuse-manager lock → shard lock → meta_lock``; no code
   path acquires them in the opposite direction.
 
 :class:`ShardedCatalog` maintains each shard's manifest rows *incrementally*
-at apply time (one row dict appended or updated per ingested entry), so a
-manifest publish is serialize + fsync + rename — O(shard), never a rebuild
-of every row.
+at apply time (one row dict appended or updated per ingested entry) and
+notes each changed row and array in the shard's pending edit, so a publish
+serializes what changed since the last one — O(changed rows), never a
+rebuild or a dump of every row — and appends it to the segment batch it
+makes durable anyway.
 """
 
 from __future__ import annotations
@@ -212,18 +216,28 @@ class ShardedLineageStore:
     # ------------------------------------------------------------------
     # dirty tracking + group publish
     # ------------------------------------------------------------------
-    def mark_dirty(self, idx: int) -> None:
-        """Record that shard *idx* has unpublished appends or rows.  The
-        caller must hold ``meta_lock`` (every mutation path already does)."""
+    def mark_dirty(
+        self, idx: int, row: Optional[dict] = None, array: Optional[str] = None
+    ) -> None:
+        """Record that shard *idx* has unpublished appends or rows, and
+        note in its pending edit the entry *row* it upserted or the *array*
+        it added.  The caller must hold ``meta_lock`` (every mutation path
+        already does)."""
         self._dirty.add(idx)
+        edit = self.shards[idx].edit
+        if row is not None:
+            edit.rows[row["in"], row["out"]] = row
+        if array is not None:
+            edit.arrays.append(array)
 
     def sync_dirty(self) -> Dict[int, int]:
-        """Publish every dirty shard's manifest; the group-commit step.
+        """Publish every dirty shard's manifest — an edit record, or a
+        checkpoint where the log cannot carry it; the group-commit step.
 
         Returns ``{shard: new generation}``.  Each shard is synced under
-        its own append lock (no record may land between the segment fsync
-        and the manifest serialization), with ``meta_lock`` held only for
-        the in-memory JSON dump.
+        its own append lock (no record may land between the edit's
+        serialization and the segment fsync), with ``meta_lock`` held only
+        for the in-memory JSON dump.
         """
         with self.maintenance_lock:
             with self.meta_lock:
@@ -398,17 +412,18 @@ class ShardedLineageStore:
     def close(self) -> None:
         for idx, shard in enumerate(self.shards):
             with self._shard_locks[idx]:
-                shard.close()
+                shard.close(serialize_lock=self.meta_lock)
 
 
 class ShardedCatalog(Catalog):
     """A thread-safe :class:`Catalog` partitioned over a sharded store.
 
     Every mutation keeps the owning shard's manifest rows in step (the row
-    dicts appended here are the very objects the manifest serializes), so
-    publishing a shard never rebuilds anything.  Reads — ``array``,
-    ``entry_between``, ``entries`` — stay lock-free: the dicts only ever
-    grow or replace whole values, which is safe under concurrent readers.
+    dicts appended here are the very objects the manifest serializes) and
+    notes them in the shard's pending edit, so publishing a shard never
+    rebuilds anything.  Reads — ``array``, ``entry_between``, ``entries``
+    — stay lock-free: the dicts only ever grow or replace whole values,
+    which is safe under concurrent readers.
     """
 
     def __init__(self, store: ShardedLineageStore) -> None:
@@ -437,7 +452,7 @@ class ShardedCatalog(Catalog):
             manifest = self.store.meta.manifest
             if manifest.arrays.get(name) != list(info.shape):
                 manifest.arrays[name] = list(info.shape)
-                self.store.mark_dirty(META_SHARD)
+                self.store.mark_dirty(META_SHARD, array=name)
             return info
 
     def add_operation(self, record: OperationRecord) -> None:
@@ -517,11 +532,12 @@ class ShardedCatalog(Catalog):
                         # same dict object the shard manifest's entry list holds
                         old_row.clear()
                         old_row.update(row)
+                        row = old_row
                     else:
                         shard.manifest.entries.append(row)
                         self._rows[pair] = row
                     self.version = entry.token
-                    self.store.mark_dirty(shard_idx)
+                    self.store.mark_dirty(shard_idx, row=row)
         except BaseException:
             # on append failure the reservation must not wedge the pair
             with self._meta_lock:

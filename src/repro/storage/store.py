@@ -3,8 +3,9 @@
 One ``LineageStore`` is one shard directory of a durable ``DSLog``
 (:mod:`repro.storage.sharded` puts N of them behind one root): many
 ProvRC tables packed into append-only segment files
-(:mod:`repro.storage.segments`), indexed by one atomic JSON manifest
-(:mod:`repro.storage.manifest`), read back *lazily* through a
+(:mod:`repro.storage.segments`), indexed by one manifest — a JSON
+checkpoint plus a log of edit records in the active segment
+(:mod:`repro.storage.manifest`) — read back *lazily* through a
 size-aware table cache with a hard byte budget (one cache per root, shared
 by its shards).
 
@@ -20,14 +21,16 @@ Design points
   table is ever written or rebuilt.  Storage accounting
   (``storage_bytes``) counts that table, the paper's long-term storage
   metric.
-* **Crash safety** — segment appends happen before the manifest save; the
-  manifest is swapped in atomically.  Unreferenced segment bytes are inert
-  garbage until :meth:`LineageStore.compact` moves the live records out and
+* **Crash safety** — a publish appends one manifest edit record after the
+  table records it names, and one write + fsync makes both durable; a
+  checkpoint (``MANIFEST.json``) is swapped in atomically where the log
+  cannot carry a publish.  Unreferenced segment bytes are inert garbage
+  until :meth:`LineageStore.compact` moves the live records out and
   deletes the old files.  Records move in one place,
   :meth:`LineageStore.rewrite` (compaction and scrub-repair both call it),
   in the MANIFEST order: copy the live records into fresh files, fsync,
-  publish one manifest, dispose of the inputs last.  A rewrite that fails
-  before its publish lands leaves the manifest — on disk and in memory —
+  publish one checkpoint, dispose of the inputs last.  A rewrite that fails
+  before its checkpoint lands leaves the manifest — on disk and in memory —
   and every file it names exactly as they were.
 * **A byte budget that is a bound** — materialized tables live in
   :class:`TableCache`, never more than ``cache_bytes`` of them: eviction
@@ -45,8 +48,9 @@ Design points
   the inflated payload nor the mapped record outlives the decode, so
   compaction can retire a mapped segment whatever is hydrated.
 * **Coalesced appends** — the active ``SegmentWriter`` buffers appends
-  and hands each batch to the OS as one write + one fsync at ``sync()``
-  (the group-commit step), instead of two writes and a flush per record.
+  and hands each batch, its manifest edit record last, to the OS as one
+  write + one fsync at ``sync()`` (the group-commit step), instead of two
+  writes and a flush per record.
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ from ..core.compressed import CompressedLineage
 from ..core.serialize import deserialize_table, serialize_table
 from ..faults import FaultPlan
 from ..obs import REGISTRY
-from .manifest import Manifest, dump_manifest, load_manifest, write_manifest
+from .manifest import Edit, Manifest, dump_edit, dump_manifest, load_manifest, write_manifest
 from .segments import SegmentReader, SegmentWriter, check_wire_version
 
 __all__ = [
@@ -86,8 +90,14 @@ _CACHE_BYTES = REGISTRY.gauge(
     "dslog_table_cache_bytes", "Materialized table bytes resident across all caches"
 )
 _MANIFEST_PUBLISHES = REGISTRY.counter(
-    "dslog_manifest_publishes_total", "Atomic manifest publishes (durability points)"
+    "dslog_manifest_publishes_total",
+    "Manifest publishes, edit records and checkpoints (durability points)",
 )
+
+
+def _held(lock: Optional[threading.RLock]):
+    """*lock* as a context manager, or one that holds nothing."""
+    return lock if lock is not None else contextlib.nullcontext()
 
 
 class TableRef(NamedTuple):
@@ -361,6 +371,15 @@ class LineageStore:
         self._closed_coalesced_writes = 0
         self._closed_coalesced_records = 0
         self._closed_torn_writes = 0
+        # the manifest log: what changed since the last publish (writers add
+        # to it under the lock they mutate the manifest under), the torn
+        # epoch at the last publish, whether the log segment held bytes
+        # that do not walk when it was opened, and how many edit records
+        # this store appended since its last checkpoint
+        self.edit = Edit.since(self.manifest)
+        self._torn_published = 0
+        self._log_torn = self.manifest.log_torn
+        self._logged = 0
         self._drop_orphan_segments()
 
     # ------------------------------------------------------------------
@@ -569,35 +588,105 @@ class LineageStore:
     # durability
     # ------------------------------------------------------------------
     def sync(self, serialize_lock: Optional[threading.RLock] = None) -> int:
-        """Fsync appended records, then atomically publish the manifest.
+        """Publish: append one manifest edit record after the records
+        appended since the last publish, and make them durable with the
+        segment's one write + fsync — or, when the log cannot carry the
+        publish, write a checkpoint (:meth:`_checkpoint`).  Returns the new
+        generation.
 
-        *serialize_lock*, when given, is held only while the manifest is
-        serialized to JSON — concurrent writers mutate the manifest's row
-        lists under the same lock, and a dict resized mid-dump raises — and
-        released before the fsync'd file write, which needs no lock.
+        *serialize_lock*, when given, is held only while the edit or the
+        checkpoint is serialized — concurrent writers mutate the manifest
+        and :attr:`edit` under the same lock, and a dict resized mid-dump
+        raises — and released before any file I/O, which needs no lock.
         """
-        if self._writer is not None:
-            self._writer.sync()
-        with serialize_lock if serialize_lock is not None else contextlib.nullcontext():
-            data = dump_manifest(self.manifest)
-        if self.faults is not None:
-            self.faults.check("manifest.write", self.scope)
-        write_manifest(self.root, data)
+        torn = self.torn_epoch()
+        writer = self._log_writer(torn)
+        if writer is None:
+            return self._checkpoint(serialize_lock)
+        with _held(serialize_lock):
+            edit, self.edit = self.edit, Edit.since(self.manifest)
+            payload = dump_edit(self.manifest, edit)
+        try:
+            if self.faults is not None:
+                self.faults.check("manifest.write", self.scope)
+            writer.append(payload)
+            writer.sync()
+        except BaseException:
+            with _held(serialize_lock):
+                self.edit = edit.merge(self.edit)
+            raise
+        if self.torn_epoch() != torn:
+            # a reader's flush tore the batch mid-publish: the edit record
+            # lies past bytes a walk cannot step over
+            return self._checkpoint(serialize_lock)
+        self._logged += 1
         _MANIFEST_PUBLISHES.inc()
         return self.manifest.generation
 
-    def close(self) -> None:
-        self._retire_writer()
-        with self._reader_lock:
-            for reader in self._readers.values():
-                reader.close()
-            self._readers = {}
-        with self._pin_lock:
-            if self._pins == 0:
-                self._delete_retired()
-        # release this store's tables and their share of the resident-bytes
-        # gauge (compaction repopulates the cache lazily after its own close)
-        self.cache.clear(self.scope)
+    def _log_writer(self, torn: int) -> Optional[SegmentWriter]:
+        """The writer a publish appends its edit record to: the active one,
+        when the last checkpoint names its segment and every byte past the
+        checkpoint still walks (no torn write since the last publish, none
+        found at open).  ``None``: the publish must be a checkpoint."""
+        log = self.manifest.log
+        if log is None or self._log_torn or torn != self._torn_published:
+            return None
+        if self._writer is None:
+            if self.manifest.segments[-1:] != [log["segment"]]:
+                return None
+            self._active_writer()  # reopens the log segment, or rolls it over
+        return self._writer if self._writer.path.name == log["segment"] else None
+
+    def _checkpoint(self, serialize_lock: Optional[threading.RLock] = None) -> int:
+        """Publish the whole manifest as ``MANIFEST.json``, its log starting
+        just past it in the active segment: fsync the appended records,
+        then write the checkpoint atomically.  A failure leaves the
+        manifest's log position and :attr:`edit` as they were."""
+        writer = self._writer
+        if writer is not None:
+            writer.sync()
+            log = {"segment": writer.path.name, "offset": writer.size}
+        else:
+            last = self._segment_path(self.manifest.segments[-1]) if self.manifest.segments else None
+            log = {"segment": last.name, "offset": last.stat().st_size} if last and last.exists() else None
+        torn = self.torn_epoch()
+        manifest, saved = self.manifest, self.manifest.log
+        with _held(serialize_lock):
+            edit, self.edit = self.edit, Edit.since(manifest)
+            manifest.log = log
+            data = dump_manifest(manifest)
+        try:
+            if self.faults is not None:
+                self.faults.check("manifest.write", self.scope)
+            write_manifest(self.root, data)
+        except BaseException:
+            with _held(serialize_lock):
+                self.edit = edit.merge(self.edit)
+                manifest.log = saved
+            raise
+        self._torn_published, self._log_torn, self._logged = torn, False, 0
+        _MANIFEST_PUBLISHES.inc()
+        return manifest.generation
+
+    def close(self, serialize_lock: Optional[threading.RLock] = None) -> None:
+        """Release the store's files.  A store that appended edit records
+        since its checkpoint, and holds no unpublished change, checkpoints
+        first, so the next open replays no log."""
+        try:
+            if self._logged and not self.edit.pending(self.manifest):
+                self._checkpoint(serialize_lock)
+        finally:
+            self._retire_writer()
+            with self._reader_lock:
+                for reader in self._readers.values():
+                    reader.close()
+                self._readers = {}
+            with self._pin_lock:
+                if self._pins == 0:
+                    self._delete_retired()
+            # release this store's tables and their share of the resident-bytes
+            # gauge (compaction repopulates the cache lazily after its own close)
+            self.cache.clear(self.scope)
 
     def reset_io(self) -> None:
         """Drop every open file handle and cached table, as a process
@@ -678,7 +767,8 @@ class LineageStore:
         1. read and checksum-verify every live record of *segments*;
         2. append them, byte for byte, to fresh files the manifest does not
            name yet, and fsync;
-        3. re-point the refs, swap the segment list, publish the manifest;
+        3. re-point the refs, swap the segment list, publish a checkpoint
+           (an edit record cannot carry a new segment list);
         4. install the remap, so refs resolved before the call keep
            resolving (lazy entries, snapshots, readers mid-flight).
 
@@ -713,7 +803,7 @@ class LineageStore:
                 for ref_dict in group:
                     ref_dict.update(mapping[ref].to_json())
             manifest.segments = [name for name in saved[0] if name not in moving] + fresh
-            self.sync(serialize_lock=serialize_lock)  # fsyncs the last fresh file first
+            self._checkpoint(serialize_lock)  # fsyncs the last fresh file first
         except BaseException:
             self._drop_writer()
             # a torn write into a fresh file destroyed no record a row names

@@ -25,9 +25,11 @@ idempotent; an interrupted run is finished by running it again.
   (six verbatim columns under that header).  Each such segment's live
   records are rewritten into a fresh v2 segment, older layouts decoded by
   the validating reader below and re-encoded by the current writer
-  (plain or gzip as they were); the shard's manifest is re-pointed
-  (offset and length) and published atomically, and only then is the old
-  file removed.
+  (plain or gzip as they were); the shard's manifest — its checkpoint and
+  the edit records logged after it — is re-pointed (offset and length)
+  and published atomically as a checkpoint that starts no log, and only
+  then is the old file removed.  A manifest edit record is no live record
+  and is not copied.
 
 Exit status: 0 upgraded or already current, 2 not a DSLog directory.
 """
@@ -238,6 +240,9 @@ def _rewrite_segments(shard: Path) -> bool:
                 moved[(name, offset)] = writer.append(_current(payload))
     if not renamed and not forward:
         return False
+    # the checkpoint below holds every edit the log carried, and records
+    # may have moved: it starts no log (the store's next publish does)
+    manifest.log = None
     for ref in manifest.iter_table_refs():
         if ref["segment"] in renamed:
             try:

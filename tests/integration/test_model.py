@@ -44,7 +44,9 @@ After every rule every reader returns the oracle's cells, every entry has
 the model's version and reuse flag, every predictor knows the model's ops,
 an open snapshot answers as of when it was taken, the caching executors'
 ``cached`` / ``degraded`` flags and counters are what the model predicts,
-and tickets are durable exactly up to the last commit.  Batches equal
+and tickets are durable exactly up to the last commit.  After every
+returned publish each shard's manifest as ``load_manifest`` replays it
+from disk (checkpoint and edit records) is the one in memory.  Batches equal
 their requests run alone, bit for bit, and the two wires each other.
 
 The model is also the one statement of what a request's trace and the
@@ -82,7 +84,7 @@ from repro.core.relation import LineageRelation
 from repro.obs import REGISTRY, tracing
 from repro.service.rpc import RPCClient
 from repro.service.server import LineageClient, LineageServer, LineageServerError
-from repro.storage.manifest import MANIFEST_NAME, load_manifest
+from repro.storage.manifest import MANIFEST_NAME, Manifest, load_manifest
 from repro.storage.segments import SEGMENT_HEADER_SIZE, CorruptRecordError, record_overhead
 from repro.storage.sharded import shard_index
 from repro.storage.store import TableRef
@@ -229,16 +231,20 @@ def shard_state(shard):
 
 
 def tear(shard_dir, quarters):
-    """Cut *quarters*/4 of the bytes past the last record the published
-    manifest names off the active segment: what a crash loses of unsynced
-    appends."""
+    """Cut *quarters*/4 of the bytes past the published end off the active
+    segment — the end of the last edit record the log walk reaches, or the
+    checkpoint's log offset; past the last record it names where the
+    checkpoint starts no log: what a crash loses of unsynced appends."""
     manifest = load_manifest(shard_dir)
     path = shard_dir / (manifest.segments[-1] if manifest and manifest.segments else "none")
     if not path.exists():
         return
-    named = [TableRef.from_json(ref) for ref in manifest.iter_table_refs()]
-    keep = max([r.offset + record_overhead() + r.length for r in named if r.segment == path.name],
-               default=SEGMENT_HEADER_SIZE)
+    if manifest.log is not None and manifest.log["segment"] == path.name:
+        keep = manifest.log_end
+    else:
+        named = [TableRef.from_json(ref) for ref in manifest.iter_table_refs()]
+        keep = max([r.offset + record_overhead() + r.length for r in named if r.segment == path.name],
+                   default=SEGMENT_HEADER_SIZE)
     size = path.stat().st_size
     with open(path, "r+b") as fh:
         fh.truncate(size - (size - keep) * quarters // 4)
@@ -528,9 +534,15 @@ class LineageModel(RuleBasedStateMachine):
                 self.window_open = False
 
     def published(self, side):
-        """*side*'s publish returned: everything it holds is durable."""
+        """*side*'s publish returned: everything it holds is durable, and
+        every shard's manifest replayed from disk — checkpoint and edit
+        records — is the one in memory."""
         side.durable, side.durable_ops = dict(self.versions), set(side.ops)
         side.durable_operations = side.operations
+        for shard in side.log.store.shards:
+            on_disk = load_manifest(shard.root) or Manifest(gzip=shard.gzip)
+            in_memory = json.loads(json.dumps(shard.manifest.to_json()))  # tuples as JSON has them
+            assert on_disk.to_json() == in_memory, (side.name, shard.scope)
 
     def restore(self, side):
         """Re-apply to *side*, in install order, every write it lost."""
@@ -1248,6 +1260,13 @@ PINNED = {
         ("register_reused", dict(src=0, dst=1, rows=[(1, 2)])),
         ("corrupt", dict(durable=1, k=0, reuse=True, meet="scrub")),
         ("register_reused", dict(src=0, dst=1, rows=[(3, 3)])), ("sync", {}), ("reopen", {})]),
+    # a bug it found: a flipped byte in a table record past the manifest
+    # checkpoint ended the log walk, so the edit record published after
+    # that table replayed no more
+    "a-flipped-table-byte-hides-no-edit": ("fresh", [
+        ("add", dict(src=0, dst=0, rows=[])),
+        ("fault_write", dict(durable=1, fault=("segment.write", "error"), crash=None, edge=(0, 0, []))),
+        ("corrupt", dict(durable=2, k=0, reuse=False, meet="probe"))]),
     # a compaction that meets a read fault, a publish fault or a damaged
     # record, or a repair whose publish fails, raises and changes nothing;
     # the retry keeps every entry

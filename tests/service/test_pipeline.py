@@ -3,6 +3,7 @@ multi-writer stress test of the acceptance criteria (≥ 8 concurrent writer
 threads + concurrent readers, zero lost or duplicated entries, full
 metadata fidelity after reopen)."""
 
+import json
 import threading
 
 import numpy as np
@@ -12,6 +13,7 @@ from repro import DSLog, IngestOverloaded, LineageService, faults
 from repro.capture.analytic import elementwise_lineage
 from repro.faults import FaultPlan
 from repro.service import ServiceClosedError, pipeline
+from repro.storage.manifest import load_manifest
 
 SHAPE = (4,)
 X_TO_Y = elementwise_lineage(SHAPE, in_name="x", out_name="y")
@@ -288,6 +290,10 @@ class TestStress:
         assert stats["submitted"] == total
         assert stats["failed"] == 0
         assert stats["committed_ops"] == total
+        # what the concurrent publishes logged replays to the manifest in
+        # memory, before close() checkpoints it
+        for shard in svc.log.store.shards:
+            assert load_manifest(shard.root).to_json() == json.loads(json.dumps(shard.manifest.to_json()))
         svc.close()
 
         # ---- zero lost / duplicated entries, full metadata fidelity ----

@@ -1,7 +1,5 @@
 """Tests for the segment-based lineage store (segments, manifest, cache)."""
 
-import json
-
 import pytest
 
 from repro import DSLog
@@ -136,14 +134,19 @@ class TestLineageStore:
 
 
 class TestDurability:
-    def test_manifest_written_atomically_with_generation(self, tmp_path):
+    def test_publish_is_an_edit_record_with_generation(self, tmp_path):
         log, _ = chain_log(tmp_path / "db", 3)
-        first = json.loads((tmp_path / "db" / STORE / MANIFEST_NAME).read_text())
+        checkpoint = (tmp_path / "db" / STORE / MANIFEST_NAME).read_bytes()
+        first = load_manifest(tmp_path / "db" / STORE).generation
         log.add_lineage(
             "A0000", "A0002", relation=elementwise_lineage((6,), in_name="A0000", out_name="A0002"), op_name="skip"
         )
-        second = json.loads((tmp_path / "db" / STORE / MANIFEST_NAME).read_text())
-        assert second["generation"] > first["generation"]
+        # the publish went to the segment as an edit record: the checkpoint
+        # is untouched, the published manifest (checkpoint + log) moved on
+        assert (tmp_path / "db" / STORE / MANIFEST_NAME).read_bytes() == checkpoint
+        published = load_manifest(tmp_path / "db" / STORE)
+        assert published.generation > first
+        assert published.to_json() == log.store.meta.manifest.to_json()
         assert not (tmp_path / "db" / STORE / (MANIFEST_NAME + ".tmp")).exists()
 
     def test_unsynced_records_invisible_after_reopen(self, tmp_path):

@@ -46,7 +46,7 @@ from repro.core.serialize import (
     write_compressed,
 )
 from repro.storage.manifest import load_manifest, save_manifest
-from repro.storage.segments import SegmentWriter, iter_records, scan_segment
+from repro.storage.segments import EDIT_MAGIC, SegmentWriter, iter_records, scan_segment
 from repro.tools import upgrade as upgrade_module
 from repro.tools.upgrade import _current, _read_legacy
 from repro.tools.upgrade import main as upgrade_main
@@ -136,15 +136,22 @@ def per_entry_directory(root, gzip=True, writer=None):
             (root / name).write_bytes(zlib.compress(payload) if gzip else payload)
 
 
+def table_records(path):
+    """``(offset, payload)`` of every table record of a segment: what an
+    older build, which logged no manifest edit, wrote."""
+    return [(offset, payload) for offset, payload in iter_records(path) if payload[:4] != EDIT_MAGIC]
+
+
 def rewrite_as_v1(store_dir):
     """Re-frame every segment of one store directory as wire v1 (``u32
     length | payload``, no CRC) and re-point the manifest's offsets."""
     manifest = load_manifest(store_dir)
+    manifest.log = None  # the records after a checkpoint move: no log
     for name in manifest.segments:
         path = store_dir / name
         out = bytearray(b"DSEG" + struct.pack("<H", 1))
         moved = {}
-        for offset, payload in iter_records(path):
+        for offset, payload in table_records(path):
             moved[offset] = len(out)
             out += struct.pack("<I", len(payload)) + payload
         path.write_bytes(bytes(out))
@@ -226,9 +233,10 @@ def rewrite_payloads(store_dir, old_writer):
     """Re-encode every record of one store directory with *old_writer*
     (deflated again when it was) and re-point the manifest's refs."""
     manifest = load_manifest(store_dir)
+    manifest.log = None  # the records after a checkpoint move: no log
     for name in manifest.segments:
         path = store_dir / name
-        records = list(iter_records(path))
+        records = table_records(path)
         path.unlink()
         moved = {}
         with SegmentWriter(path) as writer:
@@ -262,7 +270,7 @@ def assert_no_forward_record(root):
         manifest = load_manifest(store_dir)
         assert not any("forward" in row for row in manifest.entries)
         for name in manifest.segments:
-            for _offset, payload in iter_records(store_dir / name):
+            for _offset, payload in table_records(store_dir / name):
                 peek_table(payload)  # refuses an input-keyed (forward) table
 
 
