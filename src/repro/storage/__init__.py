@@ -13,7 +13,7 @@ from .catalog import (
     OperationRecord,
 )
 from .manifest import Manifest, load_manifest, save_manifest
-from .segments import SegmentWriter, iter_records, read_record, valid_length
+from .segments import SegmentWriter, read_record
 from .sharded import (
     DEFAULT_NUM_SHARDS,
     SHARDS_NAME,
@@ -50,8 +50,6 @@ __all__ = [
     "save_manifest",
     "SegmentWriter",
     "read_record",
-    "iter_records",
-    "valid_length",
     "ShardedLineageStore",
     "ShardedCatalog",
     "shard_index",

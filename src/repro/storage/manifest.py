@@ -19,18 +19,18 @@ Durability protocol
   the previous publish intact.
 * ``MANIFEST.json`` is a **checkpoint**: the whole manifest plus where its
   log starts (``log``: the active segment, and the offset just past the
-  checkpoint).  A publish is written as a checkpoint instead of an edit,
-  via a temp file + ``fsync`` + atomic ``os.replace`` + an ``fsync`` of the
-  directory, only when the log cannot carry it: no checkpoint names the
-  shard's active segment yet (its first write, a segment roll, a
-  :meth:`~repro.storage.store.LineageStore.rewrite`), a torn write
-  happened since the last publish (zero-padded bytes a walk cannot step
-  past), or the store is closed with edit records it appended since its
-  checkpoint.  Replay is therefore bounded by one segment.
+  checkpoint).  A segment is written by one writer and never reopened, so
+  a checkpoint (temp file + ``fsync`` + atomic ``os.replace`` + directory
+  ``fsync``) is written in two cases only: it does not name the active
+  segment (a session's first publish, a roll, a torn write, a
+  :meth:`~repro.storage.store.LineageStore.rewrite`, which a close runs to
+  fold more than ``MAX_SMALL_SEGMENTS`` small segments into one), or a
+  close follows logged edits.  Replay is therefore bounded by one segment.
 * :func:`load_manifest` returns the **published** manifest: the
   checkpoint, then every edit record a walk of the log segment from the
-  checkpoint offset reaches.  The walk stops at the first record that
-  fails its length check or checksum — a torn edit record is a torn tail.
+  checkpoint offset reaches.  The walk stops at the first record whose
+  frame runs past the end of the file — a torn edit record is a torn tail —
+  and skips a record that fails its checksum.
 * ``generation`` increases by one per publish, edit or checkpoint, so
   stale copies are detectable and tests can assert on write counts.
 * Opening a directory costs O(manifest): when the log segment ends at the
@@ -87,10 +87,8 @@ class Manifest:
     # active segment when the checkpoint was written, or None (no log)
     log: Optional[dict] = None
     # what load_manifest found in the log (not serialized): the offset just
-    # past the last edit record it applied, and whether bytes that do not
-    # walk follow the last record that does
+    # past the last edit record it applied
     log_end: int = field(default=0, compare=False)
-    log_torn: bool = field(default=False, compare=False)
 
     def to_json(self) -> dict:
         return {
@@ -222,23 +220,19 @@ def _replay(root: Path, manifest: Manifest) -> None:
     offset = manifest.log_end = int(log["offset"])
     path = root / log["segment"]
     try:
-        size = path.stat().st_size
+        if path.stat().st_size == offset:
+            return  # no tail: the open reads no segment byte
     except FileNotFoundError:
         return  # a missing segment is scrub's to report
-    if size == offset:
-        return  # no tail: the open reads no segment byte
     check_wire_version(path)  # an older wire version names the upgrader
     rows = {(row["in"], row["out"]): i for i, row in enumerate(manifest.entries)}
-    end = offset
     try:
         for at, payload, intact in walk_records(path, offset):
-            end = at + record_overhead() + len(payload)
             if intact and payload[: len(EDIT_MAGIC)] == EDIT_MAGIC:
                 _apply_edit(manifest, json.loads(payload[len(EDIT_MAGIC) :]), rows)
-                manifest.log_end = end
+                manifest.log_end = at + record_overhead() + len(payload)
     except ValueError:
-        end = -1  # a garbled segment header: damage, scrub's to report
-    manifest.log_torn = end != size
+        pass  # a garbled segment header: damage, scrub's to report
 
 
 def load_manifest(root: Union[str, Path]) -> Optional[Manifest]:

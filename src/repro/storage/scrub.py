@@ -3,8 +3,8 @@
 PR 3's crash-injection tests proved the *manifest protocol* sound — a
 crash between segment append and manifest publish can only leave inert
 garbage.  What that protocol cannot defend is corruption **inside** sealed
-records: bit rot flipping payload bytes, a misdirected or short write
-tearing a batch mid-file, a segment file truncated or deleted outright.
+records: bit rot flipping payload bytes, a misdirected write, a short write
+tearing a batch, a segment file truncated or deleted outright.
 This module detects all of it against the manifest (the authoritative
 record index) and, in repair mode, heals with zero valid-record loss:
 
@@ -14,15 +14,20 @@ Corruption classes
 ``checksum``       record frame intact, payload CRC32 mismatch
 ``misdirected``    frame and checksum intact but the payload is not this
                    entry's table — the ref points at some other (or no)
-                   record, e.g. after a torn batch left dangling offsets
+                   record: a damaged manifest, since no offset is ever
+                   handed out twice (a torn batch's refs are ``truncated``)
 ``truncated``      manifest ref reaches past the file, or the stored
                    length prefix disagrees with the manifest
 ``missing``        the referenced segment file does not exist at all
 ``torn tail``      unparseable bytes after a segment's structurally
                    valid region (a crash or short write mid-append; a
-                   torn manifest edit record is one)
+                   torn manifest edit record is one); nothing is appended
+                   after them (one writer per file, none after a tear)
 ``orphan``         a ``segment-*.seg`` file no manifest references
 ================== ====================================================
+
+A session that writes leaves a new segment per shard it wrote, until a
+close or a compaction folds them; scrub checks each like any other.
 
 Repair contract
 ---------------
@@ -117,9 +122,8 @@ def _segment_damage(root: Path, name: str, bad_refs: Dict[str, List[dict]]) -> O
     if not all(crc_ok for _off, _len, crc_ok in scan["records"]):
         reasons.append("checksum-mismatch")
     if scan["tail_bytes"] > 0:
-        # bytes beyond the structurally valid prefix: either a torn tail
-        # at EOF or a torn region mid-file with valid appends after it —
-        # both leave unparseable bytes a byte-scan cannot skip
+        # bytes beyond the structurally valid prefix: a torn tail at EOF
+        # (no writer appends after a tear)
         reasons.append("torn")
     if not reasons:
         return None

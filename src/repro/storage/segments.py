@@ -13,7 +13,11 @@ truncation cases the length prefix already catches.  Wire version 1 (no
 checksum) is retired: ``python -m repro.tools.upgrade`` rewrites such
 files as version 2, and nothing here reads them.
 
-Records are only ever appended; a record becomes *live* when the manifest
+Records are only ever appended, and a segment file is written by one
+:class:`SegmentWriter`, from its creation to its retirement: whatever an
+old file's tail holds stays inert, and no offset is handed out twice.
+
+A record becomes *live* when the manifest
 (:mod:`repro.storage.manifest`) references its ``(segment, offset, length)``
 triple and *dead* when no manifest reference remains.  Readers never need
 a segment-level index: the manifest is the index, and anything it does not
@@ -94,8 +98,6 @@ __all__ = [
     "SegmentWriter",
     "SegmentReader",
     "read_record",
-    "iter_records",
-    "valid_length",
     "scan_segment",
     "walk_records",
     "record_overhead",
@@ -174,6 +176,10 @@ class SegmentWriter:
     not yet handed to the OS (see ``LineageStore.load_table``), so the
     pending buffer is guarded by its own mutex.
 
+    The writer creates its file and is its only writer.  Once appended
+    bytes are lost (a torn flush, or :meth:`abandon` with bytes pending or
+    unsynced), every further ``append`` raises ``OSError`` (``EIO``).
+
     *faults*/*scope*: injection points ``segment.write`` (inside
     ``flush_pending``; a ``short_write`` rule leaves a torn batch prefix
     on disk, exactly like a crash mid-write) and ``segment.fsync``
@@ -191,27 +197,19 @@ class SegmentWriter:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self.faults = faults
         self.scope = scope
-        existing = self.path.stat().st_size if self.path.exists() else 0
-        if existing:
-            with open(self.path, "rb") as fh:
-                _check_header(fh.read(SEGMENT_HEADER_SIZE), self.path)
-        self._fh = open(self.path, "ab")
+        self._fh = open(self.path, "xb")  # a segment is never reopened for writing
+        self._fh.write(frame_header(SEGMENT_MAGIC, "H", SEGMENT_VERSION))
+        self._fh.flush()
+        self._size = SEGMENT_HEADER_SIZE
         self._lock = threading.Lock()
         self._pending: List[bytes] = []
         self._pending_bytes = 0
         self.coalesced_writes = 0  # flushes that reached the OS
         self.coalesced_records = 0  # records covered by those flushes
-        self.torn_writes = 0  # short writes that destroyed pending bytes
+        self.torn_writes = 0  # 1 once pending bytes were lost: no appends after
         self._pending_records = 0
-        # bytes reached the file that no fsync of this handle covers yet; a
-        # file opened again may hold such bytes from an earlier handle
+        # bytes reached the file that no fsync of this handle covers yet
         self._unsynced = True
-        if existing == 0:
-            self._fh.write(frame_header(SEGMENT_MAGIC, "H", SEGMENT_VERSION))
-            self._fh.flush()
-            self._size = SEGMENT_HEADER_SIZE
-        else:
-            self._size = existing
 
     @property
     def size(self) -> int:
@@ -234,6 +232,11 @@ class SegmentWriter:
         coalesced write per batch.
         """
         with self._lock:
+            if self.torn_writes:
+                raise OSError(
+                    errno.EIO,
+                    f"{self.path.name} lost appended bytes; a torn segment takes no more records",
+                )
             offset = self._size
             self._pending.append(_FRAME.pack(len(payload), zlib.crc32(payload) & 0xFFFFFFFF))
             self._pending.append(payload)
@@ -260,19 +263,15 @@ class SegmentWriter:
                 partial = self.faults.short_write("segment.write", self.scope, len(buffer))
                 if partial is not None:
                     # a torn write: a prefix reaches the file, the rest is
-                    # gone — scrub's territory.  The dropped region is
-                    # padded with zeros so the promised offsets (already
-                    # referenced by manifest rows) are never reassigned to
-                    # later records: a dangling ref must read garbage, not
+                    # gone — scrub's territory.  The writer takes no more
+                    # appends, so the offsets it promised (which manifest
+                    # rows may already hold) are never handed out again: a
+                    # dangling ref reads past the end of the file, never
                     # some other entry's valid bytes.
                     self._fh.write(buffer[:partial])
-                    self._fh.write(b"\x00" * (len(buffer) - partial))
                     self._fh.flush()
                     self._unsynced = True
-                    self._pending = []
-                    self._pending_bytes = 0
-                    self._pending_records = 0
-                    self.torn_writes += 1
+                    self._lose_pending_locked()
                     raise InjectedFault(
                         "segment.write",
                         self.scope,
@@ -305,6 +304,21 @@ class SegmentWriter:
         self._unsynced = False
         _SEG_FSYNCS.inc()
         return flushed
+
+    def _lose_pending_locked(self) -> None:
+        self._pending = []
+        self._pending_bytes = 0
+        self._pending_records = 0
+        self.torn_writes = 1
+
+    def abandon(self) -> None:
+        """Close without writing what is pending or fsyncing what was
+        written: no handle writes this file again, so those bytes count as
+        lost, a torn write, as in a crash."""
+        with self._lock:
+            if self._pending or self._unsynced:
+                self._lose_pending_locked()
+        self._fh.close()
 
     def close(self) -> None:
         """Sync and close.  The sync matters on segment rollover: a
@@ -468,28 +482,6 @@ def _walk(path: Union[str, Path], start: int = SEGMENT_HEADER_SIZE) -> Iterator[
             offset += _FRAME.size + length
 
 
-def valid_length(path: Union[str, Path]) -> int:
-    """Length of the segment's *structurally* valid prefix: the offset just
-    past the last complete record.  Bytes beyond it are a dangling tail —
-    a crash mid-append — that no manifest can reference; recovery keeps
-    them inert (new appends land after the physical end of file) and
-    compaction drops them with the rest of the dead bytes.  Checksums are
-    deliberately not verified here (see :func:`scan_segment` for the full
-    fsck pass): a flipped byte mid-file does not end the valid prefix."""
-    end = SEGMENT_HEADER_SIZE
-    for offset, _crc, payload in _walk(path):
-        end = offset + _FRAME.size + len(payload)
-    return end
-
-
-def iter_records(path: Union[str, Path]) -> Iterator[Tuple[int, bytes]]:
-    """Yield every ``(offset, payload)`` in a segment, in append order,
-    stopping silently at a torn tail.  Checksums are not verified (callers
-    that care run :func:`scan_segment`)."""
-    for offset, _crc, payload in _walk(path):
-        yield offset, payload
-
-
 def walk_records(path: Union[str, Path], start: int) -> Iterator[Tuple[int, bytes, bool]]:
     """Yield ``(offset, payload, checksum ok)`` of each record from *start*
     (a manifest checkpoint's log offset) on, in append order.  The walk
@@ -505,8 +497,9 @@ def walk_records(path: Union[str, Path], start: int) -> Iterator[Tuple[int, byte
 def scan_segment(path: Union[str, Path]) -> Dict[str, object]:
     """Full fsck pass over one segment: structure *and* checksums.
 
-    Returns a dict with the ``file_size``, the ``valid_prefix`` offset
-    (same contract as :func:`valid_length`), ``tail_bytes`` beyond it, and
+    Returns a dict with the ``file_size``, the ``valid_prefix`` offset (just
+    past the last structurally complete record; a flipped byte mid-file
+    does not end it), the dangling ``tail_bytes`` beyond it, and
     ``records`` — one ``(offset, length, crc_ok)`` triple per complete
     record in append order.  The scrub subsystem drives its whole repair
     plan off this.

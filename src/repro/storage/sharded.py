@@ -410,9 +410,10 @@ class ShardedLineageStore:
                 return report
 
     def close(self) -> None:
-        for idx, shard in enumerate(self.shards):
-            with self._shard_locks[idx]:
-                shard.close(serialize_lock=self.meta_lock)
+        with self.maintenance_lock:  # a close may fold segments: as in compact()
+            for idx, shard in enumerate(self.shards):
+                with self._shard_locks[idx]:
+                    shard.close(serialize_lock=self.meta_lock)
 
 
 class ShardedCatalog(Catalog):

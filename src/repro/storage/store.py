@@ -21,10 +21,17 @@ Design points
   table is ever written or rebuilt.  Storage accounting
   (``storage_bytes``) counts that table, the paper's long-term storage
   metric.
+* **One writer per segment file** — a :class:`SegmentWriter` creates its
+  file and is the only handle that ever writes it, so an offset handed out
+  once is never handed out again.  A missing, full or torn writer means a
+  fresh segment: a session that writes opens one per shard it writes, and
+  a :meth:`~LineageStore.close` that finds more than
+  :data:`MAX_SMALL_SEGMENTS` below the roll size folds them into one.
 * **Crash safety** — a publish appends one manifest edit record after the
-  table records it names, and one write + fsync makes both durable; a
-  checkpoint (``MANIFEST.json``) is swapped in atomically where the log
-  cannot carry a publish.  Unreferenced segment bytes are inert garbage
+  table records it names, and one write + fsync makes both durable.  A
+  checkpoint (``MANIFEST.json``) is swapped in atomically in two cases:
+  the last checkpoint does not name the active segment, or :meth:`close`
+  follows logged edits.  Unreferenced segment bytes are inert garbage
   until :meth:`LineageStore.compact` moves the live records out and
   deletes the old files.  Records move in one place,
   :meth:`LineageStore.rewrite` (compaction and scrub-repair both call it),
@@ -64,13 +71,14 @@ from typing import Dict, Hashable, List, NamedTuple, Optional, Tuple, Union
 from ..core.compressed import CompressedLineage
 from ..core.serialize import deserialize_table, serialize_table
 from ..faults import FaultPlan
-from ..obs import REGISTRY
+from ..obs import REGISTRY, log_event
 from .manifest import Edit, Manifest, dump_edit, dump_manifest, load_manifest, write_manifest
 from .segments import SegmentReader, SegmentWriter, check_wire_version
 
 __all__ = [
     "DEFAULT_CACHE_BYTES",
     "DEFAULT_SEGMENT_MAX_BYTES",
+    "MAX_SMALL_SEGMENTS",
     "TableRef",
     "TableCache",
     "StoredLineageEntry",
@@ -80,6 +88,8 @@ __all__ = [
 DEFAULT_CACHE_BYTES = 256 * 1024 * 1024
 # a segment file this large is rolled over: the next append opens a new one
 DEFAULT_SEGMENT_MAX_BYTES = 16 * 1024 * 1024
+# a close that finds more segments than this below the roll size folds them
+MAX_SMALL_SEGMENTS = 4
 
 _CACHE_HITS = REGISTRY.counter(
     "dslog_table_cache_hits_total", "Table cache lookups served from memory"
@@ -372,13 +382,9 @@ class LineageStore:
         self._closed_coalesced_records = 0
         self._closed_torn_writes = 0
         # the manifest log: what changed since the last publish (writers add
-        # to it under the lock they mutate the manifest under), the torn
-        # epoch at the last publish, whether the log segment held bytes
-        # that do not walk when it was opened, and how many edit records
-        # this store appended since its last checkpoint
+        # to it under the lock they mutate the manifest under), and how many
+        # edit records this store appended since its last checkpoint
         self.edit = Edit.since(self.manifest)
-        self._torn_published = 0
-        self._log_torn = self.manifest.log_torn
         self._logged = 0
         self._drop_orphan_segments()
 
@@ -424,7 +430,8 @@ class LineageStore:
         return {"coalesced_writes": writes, "coalesced_records": records}
 
     def torn_epoch(self) -> int:
-        """Monotonic count of torn (short) writes this store has suffered.
+        """Monotonic count of torn writes this store has suffered: short
+        writes, and writers dropped with bytes unflushed or unsynced.
 
         A torn write destroys appended-but-unflushed bytes whose offsets
         manifest rows may already reference; the ingest pipeline compares
@@ -437,10 +444,10 @@ class LineageStore:
         return torn
 
     def _drop_writer(self) -> None:
-        """Retire the active writer without flushing what it still buffers:
-        those bytes are lost, as in a crash."""
+        """Retire the active writer without flushing or fsyncing: what it
+        buffers or wrote unsynced is lost, as in a crash, a torn write."""
         if self._writer is not None:
-            self._writer._fh.close()
+            self._writer.abandon()
         self._retire_writer()  # the handle is closed: this folds the counters
 
     def _fresh_writer(self, names: List[str]) -> SegmentWriter:
@@ -454,15 +461,12 @@ class LineageStore:
         return self._writer
 
     def _active_writer(self) -> SegmentWriter:
-        if self._writer is not None and self._writer.size < DEFAULT_SEGMENT_MAX_BYTES:
-            return self._writer
-        self._retire_writer()
-        if self.manifest.segments:
-            last = self._segment_path(self.manifest.segments[-1])
-            if last.exists() and last.stat().st_size < DEFAULT_SEGMENT_MAX_BYTES:
-                self._writer = SegmentWriter(last, faults=self.faults, scope=self.scope)
-                return self._writer
-        return self._fresh_writer(self.manifest.segments)
+        """The writer appends go to; a missing, full or torn one means a
+        fresh segment (a segment file is never reopened for writing)."""
+        writer = self._writer
+        if writer is None or writer.size >= DEFAULT_SEGMENT_MAX_BYTES or writer.torn_writes:
+            writer = self._fresh_writer(self.manifest.segments)
+        return writer
 
     # ------------------------------------------------------------------
     # table I/O
@@ -590,8 +594,9 @@ class LineageStore:
     def sync(self, serialize_lock: Optional[threading.RLock] = None) -> int:
         """Publish: append one manifest edit record after the records
         appended since the last publish, and make them durable with the
-        segment's one write + fsync — or, when the log cannot carry the
-        publish, write a checkpoint (:meth:`_checkpoint`).  Returns the new
+        segment's one write + fsync — or, when the last checkpoint does not
+        name the active segment (a fresh one, opened here if there is no
+        writer), write a checkpoint (:meth:`_checkpoint`).  Returns the new
         generation.
 
         *serialize_lock*, when given, is held only while the edit or the
@@ -599,9 +604,9 @@ class LineageStore:
         and :attr:`edit` under the same lock, and a dict resized mid-dump
         raises — and released before any file I/O, which needs no lock.
         """
-        torn = self.torn_epoch()
-        writer = self._log_writer(torn)
-        if writer is None:
+        writer = self._active_writer()
+        log = self.manifest.log
+        if log is None or log["segment"] != writer.path.name:
             return self._checkpoint(serialize_lock)
         with _held(serialize_lock):
             edit, self.edit = self.edit, Edit.since(self.manifest)
@@ -615,41 +620,26 @@ class LineageStore:
             with _held(serialize_lock):
                 self.edit = edit.merge(self.edit)
             raise
-        if self.torn_epoch() != torn:
-            # a reader's flush tore the batch mid-publish: the edit record
-            # lies past bytes a walk cannot step over
+        if writer.torn_writes:
+            # a reader's flush tore the batch mid-publish, edit record and
+            # all: the publish is a checkpoint in a fresh segment
+            self._active_writer()
             return self._checkpoint(serialize_lock)
         self._logged += 1
         _MANIFEST_PUBLISHES.inc()
         return self.manifest.generation
 
-    def _log_writer(self, torn: int) -> Optional[SegmentWriter]:
-        """The writer a publish appends its edit record to: the active one,
-        when the last checkpoint names its segment and every byte past the
-        checkpoint still walks (no torn write since the last publish, none
-        found at open).  ``None``: the publish must be a checkpoint."""
-        log = self.manifest.log
-        if log is None or self._log_torn or torn != self._torn_published:
-            return None
-        if self._writer is None:
-            if self.manifest.segments[-1:] != [log["segment"]]:
-                return None
-            self._active_writer()  # reopens the log segment, or rolls it over
-        return self._writer if self._writer.path.name == log["segment"] else None
-
     def _checkpoint(self, serialize_lock: Optional[threading.RLock] = None) -> int:
         """Publish the whole manifest as ``MANIFEST.json``, its log starting
-        just past it in the active segment: fsync the appended records,
-        then write the checkpoint atomically.  A failure leaves the
-        manifest's log position and :attr:`edit` as they were."""
+        just past it in the active segment (no log without a writer): fsync
+        the appended records, then write the checkpoint atomically.  A
+        failure leaves the manifest's log position and :attr:`edit` as they
+        were."""
         writer = self._writer
+        log = None
         if writer is not None:
             writer.sync()
             log = {"segment": writer.path.name, "offset": writer.size}
-        else:
-            last = self._segment_path(self.manifest.segments[-1]) if self.manifest.segments else None
-            log = {"segment": last.name, "offset": last.stat().st_size} if last and last.exists() else None
-        torn = self.torn_epoch()
         manifest, saved = self.manifest, self.manifest.log
         with _held(serialize_lock):
             edit, self.edit = self.edit, Edit.since(manifest)
@@ -664,17 +654,28 @@ class LineageStore:
                 self.edit = edit.merge(self.edit)
                 manifest.log = saved
             raise
-        self._torn_published, self._log_torn, self._logged = torn, False, 0
+        self._logged = 0
         _MANIFEST_PUBLISHES.inc()
         return manifest.generation
 
     def close(self, serialize_lock: Optional[threading.RLock] = None) -> None:
-        """Release the store's files.  A store that appended edit records
-        since its checkpoint, and holds no unpublished change, checkpoints
-        first, so the next open replays no log."""
+        """Release the store's files.  A store that holds no unpublished
+        change first folds its segments below the roll size into one when
+        there are more than :data:`MAX_SMALL_SEGMENTS` (a fold that fails
+        changes nothing, :meth:`rewrite`, and waits for a later close), or
+        else checkpoints after logged edits, so the next open replays no log."""
         try:
-            if self._logged and not self.edit.pending(self.manifest):
-                self._checkpoint(serialize_lock)
+            if not self.edit.pending(self.manifest):
+                paths = [self._segment_path(name) for name in self.manifest.segments]
+                small = [p.name for p in paths if p.exists() and p.stat().st_size < DEFAULT_SEGMENT_MAX_BYTES]
+                if len(small) > MAX_SMALL_SEGMENTS:
+                    try:
+                        self._move_out(small, serialize_lock)  # its publish is a checkpoint
+                        return
+                    except (OSError, ValueError) as exc:
+                        log_event("segment_fold", level="warning", component="store", shard=self.scope, error=str(exc))
+                if self._logged:
+                    self._checkpoint(serialize_lock)
         finally:
             self._retire_writer()
             with self._reader_lock:
@@ -691,10 +692,11 @@ class LineageStore:
     def reset_io(self) -> None:
         """Drop every open file handle and cached table, as a process
         restart would: best-effort close of the active writer (a final
-        flush that fails against a broken disk is *swallowed* — the bytes
-        are simply lost, exactly like a crash, and the dangling refs are
-        scrub's to find), all mmap readers closed, its cached tables dropped.
-        The store stays usable; writers and readers reopen lazily.
+        flush or fsync that fails against a broken disk is *swallowed* —
+        the bytes count as lost, exactly like a crash, a torn write, and
+        the dangling refs are scrub's to find), all mmap readers closed, its
+        cached tables dropped.  The store stays usable: the next append
+        opens a fresh segment, readers reopen lazily.
         """
         try:
             self._retire_writer()
@@ -825,6 +827,19 @@ class LineageStore:
         self.cache.clear(self.scope)
         return len(mapping)
 
+    def _move_out(self, segments: List[str], serialize_lock: Optional[threading.RLock]) -> Tuple[int, bool]:
+        """:meth:`rewrite` *segments*, then delete their files, or retire them
+        while pins are held.  Returns the records copied and whether retired."""
+        copied = self.rewrite(segments, serialize_lock=serialize_lock)
+        with self._pin_lock:
+            retired = self._pins > 0
+            if retired:
+                self._retired.extend(segments)
+            else:
+                for name in segments:
+                    self._segment_path(name).unlink(missing_ok=True)
+        return copied, retired
+
     def compact(self, serialize_lock: Optional[threading.RLock] = None) -> dict:
         """Move every live record into fresh segments (:meth:`rewrite`),
         then delete the old files.  Returns a stats dict (bytes
@@ -838,14 +853,7 @@ class LineageStore:
         """
         bytes_before = self.segment_bytes()
         old_segments = list(self.manifest.segments)
-        copied = self.rewrite(old_segments, serialize_lock=serialize_lock)
-        with self._pin_lock:
-            retired = self._pins > 0
-            if retired:
-                self._retired.extend(old_segments)
-            else:
-                for name in old_segments:
-                    self._segment_path(name).unlink(missing_ok=True)
+        copied, retired = self._move_out(old_segments, serialize_lock)
         return {
             "records_copied": copied,
             "segments_before": len(old_segments),

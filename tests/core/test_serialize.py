@@ -554,7 +554,7 @@ class TestSharedFraming:
             deserialize_compressed(data[:6])
 
     def test_segment_header_through_shared_helpers(self, tmp_path):
-        from repro.storage.segments import SegmentWriter, iter_records
+        from repro.storage.segments import SegmentWriter, walk_records
 
         path = tmp_path / "seg-000.seg"
         with SegmentWriter(path) as writer:
@@ -564,4 +564,4 @@ class TestSharedFraming:
         bad = tmp_path / "bad.seg"
         bad.write_bytes(b"XXXX" + raw[4:])
         with pytest.raises(ValueError, match="is not a DSLog segment file"):
-            list(iter_records(bad))
+            list(walk_records(bad, 0))

@@ -7,6 +7,7 @@ breaker, serves stale answers flagged degraded and heals through the
 half-open probe is a rule of the stateful model
 (``tests/integration/test_model.py``)."""
 
+import errno
 import time
 
 import pytest
@@ -115,6 +116,31 @@ class TestPipelineFaults:
             assert isinstance(DeadlineExceeded("x"), TimeoutError)  # contract
             svc.flush(timeout=30)
             assert ticket.result(timeout=10) is not None
+
+    def test_a_ticket_whose_bytes_a_reopen_dropped_is_not_acknowledged(self, tmp_path, monkeypatch):
+        """A recovery probe on a failing disk drops the shard's buffered
+        records, the ticket's among them: the commit after the disk heals
+        fails it with the torn-write ``EIO`` instead of acknowledging it."""
+        monkeypatch.setattr(faults, "clock", lambda: 1000.0)  # commit on flush only
+        plan = FaultPlan().on("segment.write", times=None)
+        log = DSLog(tmp_path / "db", num_shards=1, autosync=False, faults=plan)
+        with LineageService(log=log, workers=1) as svc:
+            for name in "wxy":
+                svc.define_array(name, SHAPE)
+            # the first commit window is immediately due; burn it
+            svc.submit_lineage("w", "x", relation=elementwise_lineage(SHAPE, in_name="w", out_name="x")).result(
+                timeout=10
+            )
+            ticket = svc.submit_lineage("x", "y", relation=elementwise_lineage(SHAPE, in_name="x", out_name="y"))
+            svc._queue.join()  # applied, not yet committed
+            plan.arm()
+            with pytest.raises(OSError):
+                log.store.reopen_shard(0)
+            plan.disarm()
+            svc.flush(timeout=10)
+            with pytest.raises(OSError, match="torn segment write") as raised:
+                ticket.result(timeout=1)
+            assert raised.value.errno == errno.EIO
 
     def test_commit_fault_fails_the_whole_batch(self, tmp_path, monkeypatch):
         monkeypatch.setattr(faults, "clock", lambda: 1000.0)  # commit on flush only

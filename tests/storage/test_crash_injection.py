@@ -7,8 +7,8 @@ Simulates the two crash windows of the durability protocol:
   last *published* generation, with the partial temp file ignored;
 * a **dangling segment tail** — the process died mid-append, after the
   manifest was published: the published records must stay readable, the
-  torn tail bytes inert, new appends must land safely after them, and
-  compaction must reclaim them.
+  torn tail bytes inert (no later write touches that file: new appends go
+  to a fresh segment), and compaction must reclaim them.
 """
 
 import json
@@ -20,11 +20,10 @@ from repro.capture.analytic import elementwise_lineage
 from repro.storage.manifest import MANIFEST_NAME, load_manifest
 from repro.storage.segments import (
     SEGMENT_HEADER_SIZE,
-    CorruptRecordError,
     SegmentWriter,
-    iter_records,
     read_record,
-    valid_length,
+    scan_segment,
+    walk_records,
 )
 
 SHAPE = (4,)
@@ -95,30 +94,32 @@ class TestDanglingSegmentTail:
             fh.write((5000).to_bytes(4, "little"))
             fh.write(b"only-a-few-bytes")
 
-    def test_reopen_recovers_and_new_appends_land_after_tail(self, tmp_path):
+    def test_reopen_recovers_and_new_appends_land_in_a_fresh_segment(self, tmp_path):
         root = tmp_path / "db"
         names = build(root, 4)
         manifest = load_manifest(root / STORE)
         segment = root / STORE / manifest.segments[-1]
-        complete = valid_length(segment)
+        complete = scan_segment(segment)["valid_prefix"]
         self._torn_append(segment)
-        assert valid_length(segment) == complete  # tail is not a record
-        size_with_tail = segment.stat().st_size
-        assert size_with_tail > complete
+        assert scan_segment(segment)["valid_prefix"] == complete  # tail is not a record
+        with_tail = segment.read_bytes()
+        assert len(with_tail) > complete
 
         reopened = DSLog.load(root)
         assert reopened.store.meta.manifest.generation == manifest.generation
         assert len(reopened.catalog) == 4
         # every published record still readable
         assert reopened.catalog.materialize_all() == 4
-        # new ingest appends after the physical end — never over the tail —
-        # and remains readable
+        # new ingest goes to a fresh segment, remains readable, and leaves
+        # the old file and its tail untouched
         reopened.define_array("B", SHAPE)
         reopened.add_lineage(names[4], "B", relation=elementwise_lineage(SHAPE, in_name=names[4], out_name="B"))
         reopened.sync()
         entry = reopened.catalog.entry(names[4], "B")
-        assert entry.backward_ref.offset >= size_with_tail
+        assert entry.backward_ref.segment not in manifest.segments
+        assert segment.read_bytes() == with_tail
         reopened.close()
+        assert segment.read_bytes() == with_tail
 
         again = DSLog.load(root)
         assert len(again.catalog) == 5
@@ -131,7 +132,7 @@ class TestDanglingSegmentTail:
         manifest = load_manifest(root / STORE)
         segment = root / STORE / manifest.segments[-1]
         self._torn_append(segment)
-        tail_bytes = segment.stat().st_size - valid_length(segment)
+        tail_bytes = scan_segment(segment)["tail_bytes"]
         assert tail_bytes > 0
 
         log = DSLog.load(root)
@@ -139,7 +140,7 @@ class TestDanglingSegmentTail:
         assert stats["reclaimed_bytes"] >= tail_bytes
         for name in log.store.meta.manifest.segments:
             path = root / STORE / name
-            assert valid_length(path) == path.stat().st_size  # no tails left
+            assert scan_segment(path)["tail_bytes"] == 0  # no tails left
         assert len(log.catalog) == 4
         log.close()
 
@@ -155,14 +156,14 @@ class TestDanglingSegmentTail:
         assert len(reopened.catalog) == 3
         reopened.close()
 
-    def test_iter_records_stops_at_tail(self, tmp_path):
+    def test_walk_records_stops_at_tail(self, tmp_path):
         root = tmp_path / "db"
         build(root, 3)
         manifest = load_manifest(root / STORE)
         segment = root / STORE / manifest.segments[-1]
-        records_before = list(iter_records(segment))
+        records_before = list(walk_records(segment, 0))
         self._torn_append(segment)
-        assert list(iter_records(segment)) == records_before
+        assert list(walk_records(segment, 0)) == records_before
         assert records_before[0][0] == SEGMENT_HEADER_SIZE
 
     def test_sharded_tail_in_one_shard(self, tmp_path):
@@ -182,26 +183,100 @@ class TestDanglingSegmentTail:
 class TestTornWriteOffsetStability:
     def test_short_write_never_reassigns_promised_offsets(self, tmp_path):
         """An append's offset is a promise manifest rows may already hold:
-        after a torn flush the dropped region must read as garbage, never
-        be silently reassigned to a later record."""
+        after a torn flush the writer refuses appends, so no later record
+        can take the dropped region; the store's next record lands in a
+        fresh segment and the torn ref reads as truncated."""
         path = tmp_path / "segment-000001.seg"
         plan = FaultPlan().on("segment.write", kind="short_write", at=1, times=1)
         writer = SegmentWriter(path, faults=plan)
         plan.arm()
         off_a, _len_a = writer.append(b"a" * 100)
-        promised_end = writer.size
         with pytest.raises(OSError):
             writer.flush_pending()
         assert writer.torn_writes == 1
-        # the next record lands after A's promised region, not over it
-        off_b, _len_b = writer.append(b"b" * 64)
-        assert off_b == promised_end
-        writer.sync()
-        assert bytes(read_record(path, off_b, 64)) == b"b" * 64
-        # A's region is torn garbage: its ref dangles, it never aliases B
-        with pytest.raises((ValueError, CorruptRecordError)):
-            read_record(path, off_a, 100)
+        with pytest.raises(OSError, match="takes no more records"):
+            writer.append(b"b" * 64)
         writer.close()
+        with pytest.raises(ValueError, match="truncated"):
+            read_record(path, off_a, 100)
+
+        plan = FaultPlan().on("segment.write", kind="short_write", at=1, times=1, fraction=0.1)
+        log = DSLog(tmp_path / "db", num_shards=1, autosync=False, faults=plan)
+        for name in ("A", "B", "C"):
+            log.define_array(name, SHAPE)
+        log.sync()
+        plan.arm()
+        log.add_lineage("A", "B", relation=elementwise_lineage(SHAPE, in_name="A", out_name="B"))
+        with pytest.raises(OSError):
+            log.sync()
+        torn = log.catalog.entry("A", "B").backward_ref
+        log.add_lineage("B", "C", relation=elementwise_lineage(SHAPE, in_name="B", out_name="C"))
+        log.sync()
+        ref = log.catalog.entry("B", "C").backward_ref
+        assert ref.segment != torn.segment
+        assert log.prov_query(["B", "C"], [(2,)]).to_cells() == {(2,)}
+        found = log.scrub()["shards"][0]["corrupt_records"]
+        assert {(tuple(r["pair"]), r["class"]) for r in found} == {(("A", "B"), "truncated")}
+        log.close()
+
+
+class TestDroppedWriter:
+    def test_a_dropped_batch_is_torn_and_its_offsets_never_reused(self, tmp_path):
+        """A recovery probe on a failing disk drops the writer's buffered
+        records: that is a torn write, and the next record goes to a fresh
+        segment, so the dropped entry's ref dangles instead of naming the
+        next entry's table."""
+        plan = FaultPlan().on("segment.write", times=None)  # a dead disk
+        log = DSLog(tmp_path / "db", num_shards=1, autosync=False, faults=plan)
+        for name in ("A", "B", "C", "D"):
+            log.define_array(name, SHAPE)
+        log.add_lineage("A", "B", relation=elementwise_lineage(SHAPE, in_name="A", out_name="B"))
+        log.sync()
+        shard = log.store.shards[0]
+        epoch = shard.torn_epoch()
+        plan.arm()
+        log.add_lineage("B", "C", relation=elementwise_lineage(SHAPE, in_name="B", out_name="C"))
+        with pytest.raises(OSError):
+            log.sync()
+        with pytest.raises(OSError):
+            log.store.reopen_shard(0)
+        plan.disarm()
+        log.add_lineage("C", "D", relation=elementwise_lineage(SHAPE, in_name="C", out_name="D"))
+        log.sync()
+        dropped, fresh = (log.catalog.entry(*pair).backward_ref for pair in (("B", "C"), ("C", "D")))
+        assert fresh.segment not in (dropped.segment, log.catalog.entry("A", "B").backward_ref.segment)
+        assert shard.torn_epoch() > epoch
+        assert log.prov_query(["C", "D"], [(1,)]).to_cells() == {(1,)}
+        found = log.scrub()["shards"][0]["corrupt_records"]
+        assert {(tuple(r["pair"]), r["class"]) for r in found} == {(("B", "C"), "truncated")}
+        log.close()
+
+    def test_a_dropped_writer_with_unsynced_bytes_is_torn(self, tmp_path):
+        """A writer dropped after its batch reached the OS but failed its
+        fsync: no later fsync covers those bytes (the next publish writes a
+        fresh segment), so they count as lost and the torn epoch moves."""
+        plan = FaultPlan().on("segment.fsync", times=None)
+        log = DSLog(tmp_path / "db", num_shards=1, autosync=False, faults=plan)
+        for name in ("A", "B", "C", "D"):
+            log.define_array(name, SHAPE)
+        log.add_lineage("A", "B", relation=elementwise_lineage(SHAPE, in_name="A", out_name="B"))
+        log.sync()
+        shard = log.store.shards[0]
+        epoch = shard.torn_epoch()
+        plan.arm()
+        log.add_lineage("B", "C", relation=elementwise_lineage(SHAPE, in_name="B", out_name="C"))
+        with pytest.raises(OSError):
+            log.sync()
+        assert shard._writer.pending_bytes == 0  # the batch is in the OS, not on disk
+        assert shard.torn_epoch() == epoch
+        log.store.reopen_shard(0)
+        plan.disarm()
+        assert shard.torn_epoch() > epoch
+        log.add_lineage("C", "D", relation=elementwise_lineage(SHAPE, in_name="C", out_name="D"))
+        log.sync()
+        dropped, fresh = (log.catalog.entry(*pair).backward_ref for pair in (("B", "C"), ("C", "D")))
+        assert fresh.segment != dropped.segment
+        log.close()
 
 
 class TestGroupCommitFaults:

@@ -1,7 +1,9 @@
 """A real process crash: a child ingests a seeded stream into a 4-shard
-catalog, syncing as it goes, and is ``SIGKILL``\\ ed at a seeded point —
-just before one of its ``os.fsync`` or ``os.replace`` calls, or, when the
-stream ends first, after it, with no close and so no checkpoint.
+catalog, syncing as it goes, and closing and reopening it halfway (so the
+second half writes the fresh segments a new session opens), and is
+``SIGKILL``\\ ed at a seeded point — just before one of its ``os.fsync``
+or ``os.replace`` calls, or, when the stream ends first, after it, with no
+close and so no checkpoint.
 
 The parent reopens the catalog: every entry whose ``sync()`` returned is
 there, at least at the version that sync published and with that
@@ -70,7 +72,10 @@ def child(root, seed):
 
     os.fsync, os.replace = deadly(os.fsync), deadly(os.replace)
     versions = {}
-    for _ in range(WRITES):
+    for i in range(WRITES):
+        if i == WRITES // 2:
+            log.close()
+            log = DSLog.load(root, autosync=False)
         a, b = rng.sample(ARRAYS, 2)
         if (b, a) in versions:
             a, b = b, a

@@ -19,7 +19,7 @@ from repro.capture.analytic import elementwise_lineage
 from repro.storage import manifest as manifest_module
 from repro.storage import store as store_module
 from repro.storage.manifest import MANIFEST_NAME, load_manifest
-from repro.storage.segments import EDIT_MAGIC, SegmentWriter, iter_records, record_overhead, walk_records
+from repro.storage.segments import EDIT_MAGIC, SegmentWriter, record_overhead, walk_records
 from repro.storage.sharded import shard_index
 
 SHAPE = (4,)
@@ -107,6 +107,22 @@ class TestIOBudget:
             pairs.append((a, b))
         log.close()
 
+    def test_a_fresh_catalog_checkpoints_each_shard_once(self, tmp_path, io):
+        """The meta shard publishes its arrays before it holds a table; that
+        publish opens the segment its tables then go to, so it is the
+        shard's only checkpoint until the close."""
+        log = DSLog(tmp_path / "db", num_shards=NUM_SHARDS, autosync=False)
+        pairs = [pair_on(shard) for shard in range(NUM_SHARDS)]
+        for a, b in pairs:
+            log.define_array(a, SHAPE)
+            log.define_array(b, SHAPE)
+        log.sync()
+        for a, b in pairs * 2:
+            log.add_lineage(a, b, relation=relation(a, b), replace=True)
+            log.sync()
+        assert io["checkpoints"] == NUM_SHARDS
+        log.close()
+
     def test_a_read_only_open_writes_nothing(self, tmp_path, io):
         root = tmp_path / "db"
         log, pairs = published_catalog(root)
@@ -181,7 +197,7 @@ class TestCheckpoints:
         with pytest.raises(OSError):
             log.sync()
         checkpoints = io["checkpoints"]
-        log.sync()  # the edit could not walk past the zero-padded bytes
+        log.sync()  # the torn segment takes no more records: a fresh one does
         assert io["checkpoints"] == checkpoints + 1
         shard = log.store.shards[0]
         assert load_manifest(shard.root).to_json() == as_written(shard.manifest)
@@ -249,11 +265,10 @@ class TestReplay:
             fh.truncate(segment.stat().st_size - 3)  # into the last edit record
         torn = load_manifest(shard.root)
         assert torn.to_json() == published
-        assert torn.log_torn
         reopened = DSLog.load(root, autosync=False)
         assert {(e.in_name, e.out_name) for e in reopened.catalog.entries()} == {("A", "B")}
-        # the next publish is a checkpoint: an edit after the torn bytes
-        # would be out of the walk's reach
+        # the next publish is a checkpoint in a fresh segment: nothing is
+        # ever appended after the torn bytes
         reopened.add_lineage("B", "C", relation=relation("B", "C"))
         reopened.sync()
         assert load_manifest(shard.root).to_json() == as_written(reopened.store.shards[0].manifest)
@@ -310,7 +325,7 @@ class TestReplay:
         log.compact()
         for shard in log.store.shards:
             for name in shard.manifest.segments:
-                assert not [p for _, p in iter_records(shard.root / name) if p[:4] == EDIT_MAGIC]
+                assert not [p for _, p, _ in walk_records(shard.root / name, 0) if p[:4] == EDIT_MAGIC]
         log.close()
 
     def test_a_version_2_checkpoint_opens_with_no_tail(self, tmp_path, io):
@@ -330,10 +345,15 @@ class TestReplay:
         reopened.define_array(b, SHAPE)
         reopened.add_lineage(a, b, relation=relation(a, b))
         checkpoints = io["checkpoints"]
-        reopened.sync()  # shard 1's log starts with its first version-3 checkpoint
-        assert io["checkpoints"] == checkpoints + 1
+        # each shard's first publish of a session is a checkpoint: the meta
+        # shard's (the arrays) and shard 1's, whose log starts there
+        reopened.sync()
+        assert io["checkpoints"] == checkpoints + 2
         upgraded = json.loads((shard_dir / MANIFEST_NAME).read_text())
         assert upgraded["format_version"] == 3 and upgraded["log"] is not None
+        reopened.add_lineage(a, b, relation=relation(a, b), replace=True)
+        reopened.sync()  # the second publish is an edit record
+        assert io["checkpoints"] == checkpoints + 2
         reopened.close()
 
 

@@ -26,7 +26,7 @@ from repro.storage.segments import (
     SegmentReader,
     SegmentWriter,
     record_overhead,
-    valid_length,
+    scan_segment,
 )
 
 OVERHEAD = record_overhead()
@@ -108,7 +108,7 @@ class TestCoalescedWrites:
         flushed = writer.sync()
         assert flushed == 10 * (OVERHEAD + 50)
         assert path.stat().st_size == writer.size
-        assert valid_length(path) == writer.size
+        assert scan_segment(path)["valid_prefix"] == writer.size
         # the whole batch went out as ONE coalesced write
         assert writer.coalesced_writes == 1
         assert writer.coalesced_records == 10
@@ -147,7 +147,7 @@ class TestCoalescedWrites:
         log.add_lineage(names[3], "Z", relation=elementwise_lineage(SHAPE, in_name=names[3], out_name="Z"))
         # no sync, no close: drop the store like a killed process would
         segment = root / STORE / log.store.meta.manifest.segments[-1]
-        assert valid_length(segment) == segment.stat().st_size
+        assert scan_segment(segment)["valid_prefix"] == segment.stat().st_size
         reopened = DSLog.load(root)
         assert len(reopened.catalog) == 3  # the unsynced entry is gone
         assert reopened.catalog.materialize_all() == 3

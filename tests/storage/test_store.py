@@ -4,10 +4,11 @@ import pytest
 
 from repro import DSLog
 from repro.capture.analytic import elementwise_lineage
+from repro.faults import FaultPlan
 from repro.core.provrc import compress
 from repro.storage.manifest import MANIFEST_NAME, load_manifest
 from repro.storage import store as store_module
-from repro.storage.segments import SegmentWriter, iter_records, read_record
+from repro.storage.segments import SegmentWriter, read_record, walk_records
 from repro.storage.store import (
     LineageStore,
     StoredLineageEntry,
@@ -37,12 +38,12 @@ class TestSegmentFiles:
         for (offset, length), payload in zip(offsets, (b"alpha", b"bravo", b"x" * 1000)):
             assert read_record(tmp_path / "segment-000001.seg", offset, length) == payload
 
-    def test_iter_records_in_append_order(self, tmp_path):
+    def test_walk_records_in_append_order(self, tmp_path):
         writer = SegmentWriter(tmp_path / "s.seg")
         writer.append(b"one")
         writer.append(b"two")
         writer.close()
-        assert [payload for _, payload in iter_records(tmp_path / "s.seg")] == [b"one", b"two"]
+        assert [payload for _, payload, _ in walk_records(tmp_path / "s.seg", 0)] == [b"one", b"two"]
 
     def test_length_mismatch_rejected(self, tmp_path):
         writer = SegmentWriter(tmp_path / "s.seg")
@@ -59,7 +60,7 @@ class TestSegmentFiles:
         # simulate a crash mid-append: a length prefix without its payload
         with open(path, "ab") as fh:
             fh.write(b"\xff\x00\x00\x00partial")
-        assert [payload for _, payload in iter_records(path)] == [b"complete"]
+        assert [payload for _, payload, _ in walk_records(path, 0)] == [b"complete"]
 
     def test_not_a_segment_rejected(self, tmp_path):
         (tmp_path / "bogus.seg").write_bytes(b"NOPE" + b"\x00" * 16)
@@ -256,3 +257,50 @@ class TestCompaction:
         assert DSLog.load(tmp_path / "db").prov_query(
             [names[0], "Z"], [(0,)]
         ).to_cells() == {(0,)}
+
+    def test_one_write_sessions_leave_a_bounded_number_of_segments(self, tmp_path):
+        """Each session that writes opens a fresh segment in every shard it
+        writes; a close folds them once there are more than
+        MAX_SMALL_SEGMENTS, so session count does not grow the file count."""
+        root = tmp_path / "db"
+        log = DSLog(root=root, num_shards=2)
+        log.define_array("X0", (6,))
+        log.close()
+        for i in range(3 * store_module.MAX_SMALL_SEGMENTS):
+            log = DSLog.load(root)
+            log.define_array(f"X{i + 1}", (6,))
+            log.add_lineage(f"X{i}", f"X{i + 1}", relation=elementwise_lineage((6,), in_name=f"X{i}", out_name=f"X{i + 1}"))
+            log.close()
+            for shard_dir in sorted(root.glob("shard-*")):
+                files = sorted(p.name for p in shard_dir.glob("segment-*.seg"))
+                assert len(files) <= store_module.MAX_SMALL_SEGMENTS, (i, shard_dir.name, files)
+                manifest = load_manifest(shard_dir)
+                assert files == sorted(manifest.segments if manifest else [])
+        reopened = DSLog.load(root)
+        for i in range(3 * store_module.MAX_SMALL_SEGMENTS):
+            assert reopened.prov_query([f"X{i}", f"X{i + 1}"], [(i % 6,)]).to_cells() == {(i % 6,)}
+        reopened.close()
+
+    def test_a_fold_that_fails_is_left_to_a_later_close(self, tmp_path):
+        root = tmp_path / "db"
+        DSLog(root=root, num_shards=1).close()
+        plan = FaultPlan().on("segment.read", times=None)
+        for i in range(store_module.MAX_SMALL_SEGMENTS + 1):
+            log = DSLog.load(root, faults=plan)
+            log.define_array(f"X{i}", (6,))
+            if i:
+                log.add_lineage(f"X{i - 1}", f"X{i}", relation=elementwise_lineage((6,), in_name=f"X{i - 1}", out_name=f"X{i}"))
+            if i == store_module.MAX_SMALL_SEGMENTS:
+                plan.arm()  # the fold's reads fail; the close still lands
+            log.close()
+        plan.disarm()
+        def segments():
+            return sorted(p.name for p in (root / STORE).glob("segment-*.seg"))
+
+        assert len(segments()) > store_module.MAX_SMALL_SEGMENTS
+        assert segments() == sorted(load_manifest(root / STORE).segments)
+        DSLog.load(root).close()  # a session that writes nothing still folds
+        assert len(segments()) == 1
+        reopened = DSLog.load(root)
+        assert reopened.prov_query(["X0", f"X{store_module.MAX_SMALL_SEGMENTS}"], [(3,)]).to_cells() == {(3,)}
+        reopened.close()

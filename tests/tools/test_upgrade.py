@@ -46,7 +46,7 @@ from repro.core.serialize import (
     write_compressed,
 )
 from repro.storage.manifest import load_manifest, save_manifest
-from repro.storage.segments import EDIT_MAGIC, SegmentWriter, iter_records, scan_segment
+from repro.storage.segments import EDIT_MAGIC, SegmentWriter, scan_segment, walk_records
 from repro.tools import upgrade as upgrade_module
 from repro.tools.upgrade import _current, _read_legacy
 from repro.tools.upgrade import main as upgrade_main
@@ -139,7 +139,7 @@ def per_entry_directory(root, gzip=True, writer=None):
 def table_records(path):
     """``(offset, payload)`` of every table record of a segment: what an
     older build, which logged no manifest edit, wrote."""
-    return [(offset, payload) for offset, payload in iter_records(path) if payload[:4] != EDIT_MAGIC]
+    return [(offset, payload) for offset, payload, _ in walk_records(path, 0) if payload[:4] != EDIT_MAGIC]
 
 
 def rewrite_as_v1(store_dir):
@@ -256,7 +256,7 @@ def live_payloads(root):
         manifest = load_manifest(store_dir)
         records = {}
         for name in manifest.segments:
-            records.update({(name, off): p for off, p in iter_records(store_dir / name)})
+            records.update({(name, off): p for off, p, _ in walk_records(store_dir / name, 0)})
         for ref in manifest.iter_table_refs():
             payload = records[(ref["segment"], ref["offset"])]
             found.append((payload[:4] != _MAGIC, _peek_header(payload).get("layout")))
