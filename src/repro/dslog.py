@@ -38,6 +38,7 @@ snapshot-isolated view pinned at the current catalog state.
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
@@ -73,6 +74,10 @@ from .storage.store import (
 )
 
 __all__ = ["DSLog"]
+
+# query box memo entries (cell lists and slices alike): room for a serving
+# pool of a few hundred re-issued queries, evicted least recently used
+QUERY_BOX_MEMO_ENTRIES = 256
 
 Cell = Tuple[int, ...]
 CaptureFn = Callable[[Cell], Iterable[Cell]]
@@ -136,9 +141,11 @@ class DSLog:
         self._pending_reuse_state: Optional[dict] = None
         self._graph: Optional[LineageGraph] = None
         self._graph_lock = threading.Lock()
-        # (array, cells) -> converted CellBoxSet; content-keyed (immutable
-        # tuples), so repeated queries skip the cell-to-box conversion
-        self._query_box_cache: Dict[Tuple[str, Tuple[Cell, ...]], CellBoxSet] = {}
+        # (array, cells) -> converted CellBoxSet, least recently used first;
+        # content-keyed (immutable tuples), so repeated queries skip the
+        # cell-to-box conversion
+        self._query_box_cache: "OrderedDict[tuple, CellBoxSet]" = OrderedDict()
+        self._query_box_lock = threading.Lock()
 
         if self.root is None:
             self.store: Optional[ShardedLineageStore] = None
@@ -516,25 +523,36 @@ class DSLog:
             return query_cells
         if not isinstance(query_cells, (list, tuple, np.ndarray)):
             query_cells = list(query_cells)
-        if len(query_cells) and isinstance(query_cells[0], slice):
-            return CellBoxSet.from_slices(array_name, info.shape, query_cells)
+        if isinstance(query_cells, np.ndarray):
+            return CellBoxSet.from_cells(array_name, info.shape, query_cells)
+        slices = len(query_cells) and isinstance(query_cells[0], slice)
         # memoize the conversion by content: the key is an immutable copy of
-        # the cells, so re-issued queries (dashboards, benchmark rounds) skip
-        # the cell-to-box merge without any staleness risk
-        if not isinstance(query_cells, np.ndarray):
-            try:
+        # the cells (of a slice, its start, stop and step), so re-issued
+        # queries (dashboards, benchmark rounds) skip the conversion without
+        # any staleness risk
+        try:
+            if slices:
+                bounds = ((q.start, q.stop, q.step) if isinstance(q, slice) else q for q in query_cells)
+                key = (array_name, "slices", tuple(bounds))
+            else:
                 key = (array_name, tuple(query_cells))
-                cached = self._query_box_cache.get(key)
-            except TypeError:  # cells not hashable (e.g. lists): no caching
-                key = None
-            if key is not None:
-                if cached is None:
-                    cached = CellBoxSet.from_cells(array_name, info.shape, query_cells)
-                    if len(self._query_box_cache) >= 128:
-                        self._query_box_cache.clear()
-                    self._query_box_cache[key] = cached
-                return cached
-        return CellBoxSet.from_cells(array_name, info.shape, query_cells)
+            with self._query_box_lock:
+                box_set = self._query_box_cache.get(key)
+                if box_set is not None:
+                    self._query_box_cache.move_to_end(key)
+                    return box_set
+        except TypeError:  # cells not hashable (e.g. lists): no caching
+            key = None
+        if slices:
+            box_set = CellBoxSet.from_slices(array_name, info.shape, query_cells)
+        else:
+            box_set = CellBoxSet.from_cells(array_name, info.shape, query_cells)
+        if key is not None:
+            with self._query_box_lock:
+                self._query_box_cache[key] = box_set
+                if len(self._query_box_cache) > QUERY_BOX_MEMO_ENTRIES:
+                    self._query_box_cache.popitem(last=False)
+        return box_set
 
     # ------------------------------------------------------------------
     # storage accounting and persistence

@@ -61,7 +61,6 @@ from .wire import (
     encode_batch,
     encode_frame,
     encode_json,
-    encode_memoized,
     parse_frame_header,
     read_frame,
     recv_exact,
@@ -77,24 +76,19 @@ class _ConnectionDropped(Exception):
 # ----------------------------------------------------------------------
 # the codec: one encoder and one decoder per reply kind
 # ----------------------------------------------------------------------
-def _entry(outcome, spec) -> tuple:
-    """A batch's query outcome as an :func:`~repro.service.wire.encode_batch` entry."""
-    return (outcome.result, spec.include_boxes, spec.include_cells, outcome.cached, outcome.degraded, 0.0)
-
-
-def _query_reply(reply) -> bytes:
-    """An ``OP_QUERY`` reply, its static bytes kept in the outcome's reply memo."""
-    outcome, spec, elapsed_ms = reply
-    return encode_memoized(
-        outcome.memo, outcome.result, spec.include_boxes, spec.include_cells,
-        outcome.cached, outcome.degraded, elapsed_ms,
+def _entry(outcome, spec, elapsed_ms: float = 0.0) -> tuple:
+    """A query outcome as an :func:`~repro.service.wire.encode_batch`
+    entry, its static bytes kept in the outcome's reply memo."""
+    return (
+        outcome.result, spec.include_boxes, spec.include_cells, outcome.cached, outcome.degraded, elapsed_ms,
+        outcome.memo,
     )
 
 
 _ENCODERS: Dict[str, Callable[[Any], bytes]] = {
     "json": encode_json,
     "text": lambda reply: reply.encode("utf-8"),
-    "query": _query_reply,
+    "query": lambda reply: encode_batch([_entry(*reply)], reply[2]),
     "batch": lambda reply: encode_batch([e if isinstance(e, dict) else _entry(*e) for e in reply[0]], reply[1]),
 }
 _DECODERS: Dict[str, Callable[[bytes], Any]] = {

@@ -93,6 +93,11 @@ everything, and the server always finishes the response it started.
 Query replies carry a ``"degraded"`` flag: ``true`` means the home shard
 was unavailable and a stale cached result was served instead
 (:class:`~repro.service.query.QueryExecutor`'s circuit-breaker path).
+A query reply, single or batched, is stamped from its result-cache
+entry's reply memo: each item's JSON is encoded the first time the entry
+goes out and kept; a later reply adds only the item's ``cached`` /
+``degraded`` (and, alone, ``elapsed_ms``), and a batch joins its items —
+the text ``json.dumps`` gives the dicts.
 
 The head of a request is bounded before it is routed: a request line or a
 header line over :data:`MAX_LINE_BYTES` is 414 / 431, more than
@@ -479,27 +484,19 @@ def _content_length(value: Optional[str]) -> int:
 # ----------------------------------------------------------------------
 # the HTTP server
 # ----------------------------------------------------------------------
-def _outcome_fields(outcome, spec) -> dict:
-    """A query outcome as its JSON result payload plus the outcome flags."""
-    payload = result_payload(
-        outcome.result,
-        include_boxes=spec.include_boxes,
-        include_cells=spec.include_cells,
-    )
-    payload["cached"] = outcome.cached
-    payload["degraded"] = outcome.degraded
-    return payload
+# the stamp of a result item's outcome flags, by (cached, degraded)
+_FLAGS = {
+    (cached, degraded): f', "cached": {json.dumps(cached)}, "degraded": {json.dumps(degraded)}'
+    for cached in (False, True)
+    for degraded in (False, True)
+}
 
 
-_JSON_BOOL = ("false", "true")
-
-
-def _query_text(reply) -> str:
-    """A ``/query`` reply: the JSON of the result's payload, kept without
-    its closing brace in the outcome's reply memo the first time, then the
-    three keys a request stamps — the text ``json.dumps`` would give the
-    whole dict (a float's JSON is its ``repr``)."""
-    outcome, spec, elapsed_ms = reply
+def _item_text(outcome, spec) -> str:
+    """A query outcome's result item without its closing brace: the JSON
+    of its result payload, kept without the brace in the outcome's reply
+    memo the first time, then the two stamped flags — the text
+    ``json.dumps`` gives the dict with them."""
     key = ("http", spec.include_boxes, spec.include_cells)
     memo = outcome.memo
     static = memo.get(key) if memo is not None else None
@@ -510,29 +507,23 @@ def _query_text(reply) -> str:
         static = json.dumps(payload)[:-1]
         if memo is not None:
             memo[key] = static
-    return (
-        f'{static}, "cached": {_JSON_BOOL[outcome.cached]}, '
-        f'"degraded": {_JSON_BOOL[outcome.degraded]}, "elapsed_ms": {elapsed_ms!r}}}'
-    )
+    return static + _FLAGS[outcome.cached, outcome.degraded]
 
 
-def _batch_fields(entries: list, elapsed_ms: float) -> dict:
-    return {
-        "results": [
-            entry if isinstance(entry, dict) else _outcome_fields(*entry)
-            for entry in entries
-        ],
-        "batch_size": len(entries),
-        "elapsed_ms": elapsed_ms,
-    }
+def _batch_text(entries: list, elapsed_ms: float) -> str:
+    """A ``/query_batch`` reply: the text ``json.dumps`` gives ``{"results":
+    [...], "batch_size": n, "elapsed_ms": x}`` (a float's JSON is its
+    ``repr``), each result item stamped from its reply memo."""
+    items = ", ".join(json.dumps(e) if isinstance(e, dict) else _item_text(*e) + "}" for e in entries)
+    return f'{{"results": [{items}], "batch_size": {len(entries)}, "elapsed_ms": {elapsed_ms!r}}}'
 
 
 # one encoder per reply kind: reply → body text (JSON, but for "text")
 _ENCODERS: Dict[str, Callable[[Any], str]] = {
     "json": json.dumps,
     "text": str,
-    "query": _query_text,
-    "batch": lambda reply: json.dumps(_batch_fields(*reply)),
+    "query": lambda reply: f'{_item_text(reply[0], reply[1])}, "elapsed_ms": {reply[2]!r}}}',
+    "batch": lambda reply: _batch_text(*reply),
 }
 _TEXT = b"text/plain; version=0.0.4; charset=utf-8"
 _JSON = b"application/json"

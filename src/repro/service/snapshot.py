@@ -36,6 +36,7 @@ Any mutating call on the view raises :class:`SnapshotReadOnlyError`.
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from typing import Tuple
 
 from ..dslog import DSLog
@@ -89,7 +90,8 @@ class SnapshotDSLog(DSLog):
         self._pending_reuse_state = None
         self._graph = None
         self._graph_lock = threading.Lock()
-        self._query_box_cache = {}
+        self._query_box_cache = OrderedDict()
+        self._query_box_lock = threading.Lock()
         self._closed = False
         self._pin_release = None
 

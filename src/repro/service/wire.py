@@ -61,15 +61,15 @@ allocates by it, then makes one ``np.frombuffer`` over the block: every
 view into that one buffer.  Zero copies, no per-integer work, for a
 batch as for a single result.
 
-Of a one-result reply, a request changes only three fields, all in its
-first 43 bytes: the item's cached and degraded flag bits and the two
-``elapsed_ms``.  Everything else — the rest of the item record, the shape,
-the name, the hop records and the coordinate block — is a function of the
-result and the two ``include_*`` flags alone.  :func:`encode_memoized`
-keeps those static bytes in a result-cache entry's reply memo the first
-time the entry goes out, and a later hit stamps the three fields into a
-fresh head and appends them: the same bytes :func:`encode_result` would
-build, for a pack and a concatenation.
+Of an item, a request changes only two fields: its cached and degraded
+flag bits and its ``elapsed_ms``.  Everything else — the rest of the item
+record, the shape, the name, the hop records and the item's share of the
+coordinate block, narrowed on its own — is a function of the result and
+the two ``include_*`` flags alone, kept in a result-cache entry's reply
+memo the first time the entry goes out, single or batched.  A later
+reply, of one result or of a batch, packs the stamped fields, joins the
+kept bytes and widens an item's coordinates only when a batch-mate needs
+a wider dtype: the same bytes a fresh encode (no memo) builds.
 
 :class:`RPCResult` wraps a decoded row.  It is mapping-compatible with
 the HTTP result dict (``result["count"]``, ``result["boxes"]`` …) so
@@ -113,7 +113,6 @@ __all__ = [
     "encode_json",
     "decode_json",
     "encode_result",
-    "encode_memoized",
     "decode_result",
     "encode_batch",
     "decode_batch",
@@ -160,9 +159,6 @@ _RESULT_MAGIC = b"DRES"
 _REPLY = struct.Struct("<4sBdI")
 _ITEM = struct.Struct("<BBIIQdIH")
 _HOP_RECORD = struct.Struct("<HHQIIId")
-# a one-result reply from its magic through its item's elapsed_ms: every
-# byte a request stamps lies in here (the rest of the reply is static)
-_STAMPED = struct.Struct("<4sBdI" "BBIIQd")  # _REPLY, then _ITEM up to its cell-listing rows
 _CACHED, _DEGRADED, _BOXES, _CELLS, _ERROR = 1, 2, 4, 8, 16
 # the fields of a decoded result row and of one of its hop rows, by position
 _ROW = (
@@ -271,49 +267,76 @@ def decode_json(payload: bytes) -> Any:
 # ----------------------------------------------------------------------
 # binary result payloads
 # ----------------------------------------------------------------------
+def _item_record(result, include_boxes: bool, include_cells: bool, memo: Optional[dict] = None) -> tuple:
+    """The static part of one result item: ``(flags, ndim, name bytes,
+    boxes, cell count, cell-listing rows, hop count, shape + name + hop
+    records, block itemsize, block bytes)``, its coordinates narrowed on
+    their own.  Kept in *memo* (a result-cache entry's reply memo;
+    ``None`` keeps nothing) under ``("rpc", include_boxes, include_cells)``."""
+    key = ("rpc", include_boxes, include_cells)
+    record = memo.get(key) if memo is not None else None
+    if record is not None:
+        return record
+    cells = result.cells
+    parts: List[np.ndarray] = [cells.lo, cells.hi] if include_boxes else []
+    cell_rows = 0
+    if include_cells:
+        listing = result.to_cells_array()
+        cell_rows = len(listing)
+        parts.append(listing)
+    block = np.concatenate(parts, axis=None) if parts else np.empty(0, np.int8)
+    dtype = _BLOCK_DTYPES[smallest_int_dtype(block).itemsize]
+    name, ndim = cells.array_name.encode("utf-8"), len(cells.shape)
+    tail = [struct.pack(f"<{ndim}Q", *cells.shape), name]
+    for h in result.hops:
+        source, target = h.array_from.encode("utf-8"), h.array_to.encode("utf-8")
+        stats = (h.rows_scanned, h.boxes_in, h.boxes_out_raw, h.boxes_out_merged, h.seconds)
+        tail += (_HOP_RECORD.pack(len(source), len(target), *stats), source, target)
+    flags = (_BOXES if include_boxes else 0) | (_CELLS if include_cells else 0)
+    record = (
+        flags, ndim, len(name), len(cells), int(result.count_cells()), cell_rows, len(result.hops),
+        b"".join(tail), dtype.itemsize, block.astype(dtype, copy=False).tobytes(),
+    )
+    if memo is not None:
+        memo[key] = record
+    return record
+
+
 def encode_batch(entries: Sequence[Union[tuple, dict]], elapsed_ms: float = 0.0) -> bytes:
     """One query reply.
 
     Each entry is either a result — the tuple ``(result, include_boxes,
-    include_cells, cached, degraded, elapsed_ms)`` over a
-    :class:`~repro.core.query.QueryResult` — or a per-item structured
+    include_cells, cached, degraded, elapsed_ms[, memo])`` over a
+    :class:`~repro.core.query.QueryResult`, *memo* being its result-cache
+    entry's reply memo (:func:`_item_record`) — or a per-item structured
     error dict ``{"error": {"type", "message", "status"}}``.  A result's
     fields are those of :func:`~repro.service.api.result_payload` (its
     hops' ``rows_scanned`` likewise counts the pairs compared), its
-    coordinates go to the reply's one block.
+    coordinates go to the reply's one block, at the widest of its items'
+    dtypes.
     """
     records: List[bytes] = []
-    parts: List[np.ndarray] = []
+    blocks: List[Tuple[int, bytes]] = []
+    width = 1
     for entry in entries:
         if isinstance(entry, dict):
             text = encode_json(entry)
             records += (_ITEM.pack(_ERROR, 0, len(text), 0, 0, 0.0, 0, 0), text)
             continue
-        result, include_boxes, include_cells, cached, degraded, item_ms = entry
-        cells = result.cells
-        cell_rows = 0
-        if include_boxes:
-            parts += (cells.lo, cells.hi)
-        if include_cells:
-            listing = result.to_cells_array()
-            cell_rows = len(listing)
-            parts.append(listing)
-        flags = (_CACHED if cached else 0) | (_DEGRADED if degraded else 0) | (_BOXES if include_boxes else 0)
-        flags |= _CELLS if include_cells else 0
-        name, ndim = cells.array_name.encode("utf-8"), len(cells.shape)
-        records += (
-            _ITEM.pack(flags, ndim, len(name), len(cells), int(result.count_cells()), item_ms, cell_rows, len(result.hops)),
-            struct.pack(f"<{ndim}Q", *cells.shape),
-            name,
+        cached, degraded, item_ms = entry[3:6]
+        flags, ndim, name_size, boxes, count, cell_rows, hop_count, tail, itemsize, block = _item_record(
+            *entry[:3], entry[6] if len(entry) > 6 else None
         )
-        for h in result.hops:
-            source, target = h.array_from.encode("utf-8"), h.array_to.encode("utf-8")
-            stats = (h.rows_scanned, h.boxes_in, h.boxes_out_raw, h.boxes_out_merged, h.seconds)
-            records += (_HOP_RECORD.pack(len(source), len(target), *stats), source, target)
-    block = np.concatenate(parts, axis=None) if parts else np.empty(0, np.int8)
-    dtype = _BLOCK_DTYPES[smallest_int_dtype(block).itemsize]
-    head = _REPLY.pack(_RESULT_MAGIC, dtype.itemsize, elapsed_ms, len(entries))
-    return b"".join((head, *records, block.astype(dtype, copy=False).tobytes()))
+        flags |= (_CACHED if cached else 0) | (_DEGRADED if degraded else 0)
+        records += (_ITEM.pack(flags, ndim, name_size, boxes, count, item_ms, cell_rows, hop_count), tail)
+        blocks.append((itemsize, block))
+        width = max(width, itemsize)
+    dtype = _BLOCK_DTYPES[width]
+    coords = [
+        block if itemsize == width else np.frombuffer(block, _BLOCK_DTYPES[itemsize]).astype(dtype).tobytes()
+        for itemsize, block in blocks
+    ]
+    return b"".join((_REPLY.pack(_RESULT_MAGIC, width, elapsed_ms, len(entries)), *records, *coords))
 
 
 def encode_result(
@@ -326,36 +349,6 @@ def encode_result(
 ) -> bytes:
     """An ``OP_QUERY`` reply: :func:`encode_batch` of one result."""
     return encode_batch([(result, include_boxes, include_cells, cached, degraded, elapsed_ms)], elapsed_ms)
-
-
-def encode_memoized(
-    memo: Optional[dict],
-    result,
-    include_boxes: bool,
-    include_cells: bool,
-    cached: bool,
-    degraded: bool,
-    elapsed_ms: float,
-) -> bytes:
-    """:func:`encode_result`, byte for byte, from the static bytes of the
-    reply kept in *memo* (a result-cache entry's reply memo; ``None``
-    keeps nothing).  The first call per ``(include_boxes, include_cells)``
-    encodes the reply and keeps everything but its stamped fields; every
-    later one packs the stamped head and appends the rest."""
-    key = ("rpc", include_boxes, include_cells)
-    static = memo.get(key) if memo is not None else None
-    if static is None:
-        reply = encode_result(result, include_boxes, include_cells)
-        _, itemsize, _, _, flags, ndim, name_size, boxes, cell_count, _ = _STAMPED.unpack_from(reply)
-        static = (itemsize, flags, ndim, name_size, boxes, cell_count, reply[_STAMPED.size :])
-        if memo is not None:
-            memo[key] = static
-    itemsize, flags, ndim, name_size, boxes, cell_count, rest = static
-    flags |= (_CACHED if cached else 0) | (_DEGRADED if degraded else 0)
-    head = _STAMPED.pack(
-        _RESULT_MAGIC, itemsize, elapsed_ms, 1, flags, ndim, name_size, boxes, cell_count, elapsed_ms
-    )
-    return head + rest
 
 
 def _overrun(index: int, field: str, value: int, left: int) -> ValueError:

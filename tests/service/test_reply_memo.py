@@ -1,8 +1,8 @@
-"""A result-cache hit is a lookup and a send: a cached result's
-single-query reply is encoded once per wire and kept with its cache entry,
-every later request restamps only its own fields (byte-identical to a
-fresh encode), and a request is traced only when it sends a trace id or
-runs slow."""
+"""A result-cache hit is a lookup and a send: a cached result's reply
+item is encoded once per wire and kept with its cache entry, every later
+reply, of one query or of a batch, restamps only its own fields
+(byte-identical to a fresh encode), and a request is traced only when it
+sends a trace id or runs slow."""
 
 import itertools
 import json
@@ -18,17 +18,19 @@ from repro import DSLog, faults
 from repro.core.relation import LineageRelation
 from repro.obs import tracing
 from repro.service import rpc as rpc_module
+from repro.service import wire
 from repro.service import server as server_module
 from repro.service.api import QuerySpec, result_payload
 from repro.service.query import QueryExecutor, QueryOutcome
 from repro.service.rpc import RPCClient
 from repro.service.server import LineageClient, LineageServer
-from repro.service.wire import decode_result, encode_memoized, encode_result
+from repro.service.wire import decode_batch, decode_result, encode_result
 
 SHAPE = (6, 6)
 QUERY = [(1, 1), (2, 3)]
 FLAGS = list(itertools.product([False, True], repeat=2))  # include_boxes × include_cells
 STAMPS = st.tuples(st.booleans(), st.booleans(), st.floats(0, 1e3, allow_nan=False))
+ERROR = {"error": {"type": "not-found", "message": "unknown array 'é'", "status": 404}}
 
 
 def relation(in_name, out_name, shift=0):
@@ -45,6 +47,26 @@ def fresh_http(outcome, include_boxes, include_cells, elapsed_ms) -> str:
     payload = result_payload(outcome.result, include_boxes=include_boxes, include_cells=include_cells)
     payload.update(cached=outcome.cached, degraded=outcome.degraded, elapsed_ms=elapsed_ms)
     return json.dumps(payload)
+
+
+def fresh_http_batch(entries, elapsed_ms) -> str:
+    """What ``POST /query_batch`` sent before its items were memoized."""
+    results = []
+    for entry in entries:
+        if isinstance(entry, dict):
+            results.append(entry)
+            continue
+        outcome, request = entry
+        payload = result_payload(outcome.result, request.include_boxes, request.include_cells)
+        payload.update(cached=outcome.cached, degraded=outcome.degraded)
+        results.append(payload)
+    return json.dumps({"results": results, "batch_size": len(entries), "elapsed_ms": elapsed_ms})
+
+
+def batch_replies(entries, elapsed_ms):
+    """The ``batch`` reply of each wire: ``(rpc bytes, http text)``."""
+    reply = (entries, elapsed_ms)
+    return rpc_module._ENCODERS["batch"](reply), server_module._ENCODERS["batch"](reply)
 
 
 def replies(outcome, include_boxes, include_cells, elapsed_ms):
@@ -71,21 +93,70 @@ def assert_fresh(outcome, elapsed_ms=0.25):
 # byte identity: the memo restamps exactly the per-request fields
 # ----------------------------------------------------------------------
 @settings(max_examples=100, deadline=None)
-@given(query_results(), st.booleans(), st.booleans(), STAMPS, STAMPS)
-def test_a_memoized_reply_is_a_fresh_encode(result, include_boxes, include_cells, first, later):
-    """The first encode fills the memo, a later one with other flags and
-    another ``elapsed_ms`` reads it: both equal a fresh encode, on both
-    wires; with no memo (a disabled cache) nothing is kept."""
-    memo = {}
-    for cached, degraded, elapsed_ms in (first, later):
-        fresh = encode_result(result, include_boxes, include_cells, cached, degraded, elapsed_ms)
-        assert encode_memoized(memo, result, include_boxes, include_cells, cached, degraded, elapsed_ms) == fresh
-        assert encode_memoized(None, result, include_boxes, include_cells, cached, degraded, elapsed_ms) == fresh
-        for kept in (memo, None):
-            outcome = QueryOutcome(result, cached, degraded, kept)
-            text = server_module._ENCODERS["query"]((outcome, spec(include_boxes, include_cells), elapsed_ms))
-            assert text == fresh_http(outcome, include_boxes, include_cells, elapsed_ms)
-    assert set(memo) == {("rpc", include_boxes, include_cells), ("http", include_boxes, include_cells)}
+@given(st.lists(query_results(), min_size=1, max_size=3), st.data())
+def test_a_memoized_reply_is_a_fresh_encode(results, data):
+    """Random batches over a few results — include flags, error items,
+    cached/degraded stamps and one outcome repeated — and each item as a
+    single reply: the first laps fill the results' memos, the later ones
+    read them, and every reply on both wires equals the encode with no
+    memo (a disabled cache) byte for byte, which is the dict ``json.dumps``
+    gave before over HTTP."""
+    memos = [{} for _ in results]
+    for _ in range(3):
+        entries, fresh_entries = [], []
+        for _ in range(data.draw(st.integers(1, 6))):
+            if data.draw(st.integers(0, 5)) == 0:
+                entries.append(ERROR)
+                fresh_entries.append(ERROR)
+                continue
+            i = data.draw(st.integers(0, len(results) - 1))
+            cached, degraded, _ = data.draw(STAMPS)
+            request = spec(*data.draw(st.sampled_from(FLAGS)))
+            entries.append((QueryOutcome(results[i], cached, degraded, memos[i]), request))
+            fresh_entries.append((QueryOutcome(results[i], cached, degraded, None), request))
+        elapsed_ms = data.draw(STAMPS)[2]
+        over_rpc, over_http = batch_replies(entries, elapsed_ms)
+        assert (over_rpc, over_http) == batch_replies(fresh_entries, elapsed_ms)
+        assert over_http == fresh_http_batch(entries, elapsed_ms)
+        assert [r if isinstance(r, dict) else r.to_payload() for r in decode_batch(over_rpc)[0]] == [
+            {**r, "elapsed_ms": 0.0} if "error" not in r else r for r in json.loads(over_http)["results"]
+        ]
+        for entry, fresh in zip(entries, fresh_entries):
+            if entry is not ERROR:
+                request = entry[1]
+                one = replies(entry[0], request.include_boxes, request.include_cells, elapsed_ms)
+                assert one == replies(fresh[0], request.include_boxes, request.include_cells, elapsed_ms)
+                assert one[1] == fresh_http(entry[0], request.include_boxes, request.include_cells, elapsed_ms)
+    for memo in memos:
+        assert set(memo) <= {(side, *flags) for side in ("rpc", "http") for flags in FLAGS}
+
+
+def test_a_repeated_batch_of_cached_outcomes_encodes_nothing(log, monkeypatch):
+    """The second identical batch is all result-cache hits: both wires
+    stamp every item from the memo the first batch's replies filled,
+    building no result payload and narrowing no coordinates."""
+    requests = [(["b", "a"], QUERY), (["b", "a"], [(0, 0)]), (["b", "a"], [slice(0, 2)])]
+    calls = []
+
+    def counting(original):
+        return lambda *args, **kwargs: calls.append(original) or original(*args, **kwargs)
+
+    with QueryExecutor(log) as ex:
+        for lap in range(2):
+            outcomes = ex.query_batch(requests)
+            assert all(outcome.cached for outcome in outcomes) == bool(lap)
+            entries = [(outcome, spec(True, True)) for outcome in outcomes[:2]] + [ERROR]
+            entries.append((outcomes[2], spec(True, False)))
+            if lap:
+                monkeypatch.setattr(server_module, "result_payload", counting(result_payload))
+                monkeypatch.setattr(wire, "smallest_int_dtype", counting(wire.smallest_int_dtype))
+            over_rpc, over_http = batch_replies(entries, 1.5)
+            encoded = list(calls)
+            assert over_http == fresh_http_batch(entries, 1.5)
+            assert over_rpc == rpc_module._ENCODERS["batch"](
+                ([e if e is ERROR else (QueryOutcome(e[0].result, *e[0][1:3], None), e[1]) for e in entries], 1.5)
+            )
+    assert encoded == []
 
 
 # ----------------------------------------------------------------------
@@ -137,7 +208,8 @@ def test_the_memo_follows_its_cache_entry(log, monkeypatch):
 
 def test_concurrent_hits_fill_one_memo_and_all_send_fresh_bytes(log):
     """Handler threads share an entry's memo: whichever fills it first, and
-    however the fills interleave, every reply is a fresh encode."""
+    however the fills interleave, every reply, single or batched, is a
+    fresh encode."""
     with QueryExecutor(log) as ex:
         ex.query(["b", "a"], QUERY)
         hit = ex.query(["b", "a"], QUERY)
@@ -151,6 +223,11 @@ def test_concurrent_hits_fill_one_memo_and_all_send_fresh_bytes(log):
                 fresh = encode_result(hit.result, include_boxes, include_cells, True, False, elapsed_ms)
                 if over_rpc != fresh or over_http != fresh_http(hit, include_boxes, include_cells, elapsed_ms):
                     wrong.append((worker, i))
+                entries = [(hit, spec(include_boxes, include_cells)), ERROR, (hit, spec(*FLAGS[i % len(FLAGS)]))]
+                over_rpc, over_http = batch_replies(entries, elapsed_ms)
+                fresh = [e if e is ERROR else (QueryOutcome(hit.result, True, False, None), e[1]) for e in entries]
+                if (over_rpc, over_http) != batch_replies(fresh, elapsed_ms):
+                    wrong.append((worker, i, "batch"))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

@@ -1,11 +1,14 @@
 """End-to-end tests for the DSLog public API."""
 
 import gc
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from repro import DSLog
+from repro import dslog as dslog_module
 from repro.capture.analytic import elementwise_lineage
 from repro.core.compressed import CompressedLineage
 from repro.core.query import CellBoxSet
@@ -229,20 +232,71 @@ class TestQueryCaches:
         log.prov_query(["A", "B"], cells)
         assert log._query_box_cache[("A", tuple(cells))] is cached
 
-    def test_query_box_cache_wholesale_clear_at_capacity(self):
+    def test_query_box_cache_evicts_least_recently_used_at_capacity(self):
         log = DSLog()
         build_pipeline(log)
-        for i in range(128):
-            log._query_box_cache[("X", ((i,),))] = None
         log.prov_query(["A", "B"], [(2, 2)])
-        assert set(log._query_box_cache) == {("A", ((2, 2),))}
+        for i in range(dslog_module.QUERY_BOX_MEMO_ENTRIES - 1):
+            log._query_box_cache[("X", ((i,),))] = None
+        log.prov_query(["A", "B"], [(2, 2)])  # a hit: now the most recent
+        log.prov_query(["A", "B"], [(1, 1)])  # one over the bound
+        assert len(log._query_box_cache) == dslog_module.QUERY_BOX_MEMO_ENTRIES
+        assert ("X", ((0,),)) not in log._query_box_cache
+        assert list(log._query_box_cache)[-2:] == [("A", ((2, 2),)), ("A", ((1, 1),))]
 
-    def test_slice_queries_bypass_box_cache(self):
+    def test_slice_queries_join_box_cache(self):
         log = DSLog()
         build_pipeline(log)
-        result = log.prov_query(["A", "B", "C"], [slice(0, 2), slice(None)])
+        slices = [slice(0, 2), slice(None)]
+        result = log.prov_query(["A", "B", "C"], slices)
         assert result.to_cells() == {(0,), (1,)}
-        assert len(log._query_box_cache) == 0
+        (key,) = log._query_box_cache
+        assert key == ("A", "slices", ((0, 2, None), (None, None, None)))
+        memoized = log._query_box_cache[key]
+        assert log._as_box_set("A", [slice(0, 2), slice(None)]) is memoized
+        slices[0] = slice(1, 2)  # mutated after the first call: a new key
+        moved = log._as_box_set("A", slices)
+        assert moved is not memoized and moved.lo.tolist() == [[1, 0]]
+        assert log.prov_query(["A", "B", "C"], slices).to_cells() == {(1,)}
+        # a cell tuple equal to a slice's bounds is another query
+        assert log._as_box_set("A", [(0, 2)]) is not log._as_box_set("A", [slice(0, 2)])
+
+    def test_concurrent_queries_share_a_bounded_box_cache(self, monkeypatch):
+        """Handler threads convert through one memo while it evicts: every
+        box set equals a fresh conversion and the bound holds."""
+        monkeypatch.setattr(dslog_module, "QUERY_BOX_MEMO_ENTRIES", 8)
+        log = DSLog()
+        build_pipeline(log)
+        queries = [[(i % 6, i % 4)] for i in range(12)] + [[slice(i % 6, 6), slice(i % 3)] for i in range(12)]
+        fresh = [
+            CellBoxSet.from_slices("A", (6, 4), q) if isinstance(q[0], slice) else CellBoxSet.from_cells("A", (6, 4), q)
+            for q in queries
+        ]
+        wrong, failed = [], []
+
+        def convert(worker: int) -> None:
+            try:
+                for i in range(300):
+                    k = (worker * 7 + i) % len(queries)
+                    got = log._as_box_set("A", queries[k])
+                    if got.lo.tolist() != fresh[k].lo.tolist() or got.hi.tolist() != fresh[k].hi.tolist():
+                        wrong.append((worker, k))
+            except Exception as error:  # noqa: BLE001 - reported below
+                failed.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=convert, args=(worker,)) for worker in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failed == [] and wrong == []
+        assert len(log._query_box_cache) <= 8
 
     def test_unhashable_cells_bypass_box_cache(self):
         log = DSLog()
