@@ -18,22 +18,22 @@ The algorithm has two passes over the sorted lineage relation:
    ``{a_i, a_i b_1, ..., a_i b_l}`` with the same value" condition.
 
 **Cost.**  Both passes are vectorized numpy end to end and every step but
-the sorts is linear in the rows it sees.  A relation is canonicalised
-(sorted, deduplicated) once, by :meth:`LineageRelation.deduplicated`.  Each
-pass keeps its columns as the rows of one attribute-major table, so an
-encoding step is: one stable sort of one packed int64 row key
+the sorts is linear in the rows it sees.  One attribute-major int64 table
+(a row per attribute) lives from the canonical (sorted, deduplicated)
+relation to the six output columns: the value pass adds each value
+attribute's ``hi`` row, the key pass each key attribute's ``hi`` row and
+a ``ref`` row per value attribute (``kind`` is ``ref >= 0``, never
+stored).  A step is one stable sort of one packed int64 key
 (:func:`repro.core.relation.row_order`; skipped when the rows are already
-in order, and not even checked at the first step, whose order is the
-deduplicated relation's), one gather of the whole table by that
-permutation, neighbour comparisons, and one gather of the surviving rows.
-The key pass measures every candidate run with one reversed running
-minimum (``O(n)``), resolves its greedy run scan by
-pointer doubling over those run lengths (at most ``log2 n`` vectorized
-rounds, fewer when the runs are long), and leaves a step as soon as no two
-neighbouring rows are key-contiguous — which is every step of an
-incompressible (``sort``-like) table.  The original sequential scan
-survives as ``key_range_pass_reference`` in ``tests/core/_reference.py``
-and the equivalence tests assert identical output tables.
+in order), one ``take`` of the table by it, neighbour differences of the
+attributes it compares, and one ``take`` of the survivors.  A ``hi`` row
+still equal to its ``lo`` row, and ``kind``, repeat attributes already
+compared, so sorts and comparisons leave them out.  The key pass measures
+candidate runs with one reversed running minimum (``O(n)``), resolves
+its greedy scan by pointer doubling, and leaves a step as soon as no two
+neighbouring rows are key-contiguous (every step of a ``sort``-like
+table).  The loop oracles in ``tests/core/_reference.py`` pin the output
+tables, bit for bit.
 
 One orientation is built, and it is the only one a
 :class:`CompressedLineage` can hold: the backward table, keyed on the
@@ -48,7 +48,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .compressed import KIND_ABS, KIND_REL, CompressedLineage
+from .compressed import CompressedLineage
 from .relation import LineageRelation, row_order
 
 __all__ = ["compress", "ProvRCStats"]
@@ -93,37 +93,21 @@ def compress(
     if relation.out_ndim == 0 or relation.in_ndim == 0:
         raise ValueError("ProvRC requires arrays with at least one axis; "
                          "reshape scalars to shape (1,) before capture")
-    relation = relation.deduplicated()
-
-    l = relation.out_ndim
-    key_cols = relation.rows[:, :l]
-    val_cols = relation.rows[:, l:]
-
+    l, m = relation.out_ndim, relation.in_ndim
     if stats is None:
         stats = ProvRCStats()
-    stats.input_rows = len(relation)
-
-    klo, khi, vlo, vhi = _value_range_pass(key_cols, val_cols)
-    stats.after_value_pass = klo.shape[0]
-
-    vkind = np.zeros(vlo.shape, dtype=np.int8)
-    vref = np.full(vlo.shape, -1, dtype=np.int16)
-    klo, khi, vkind, vref, vlo, vhi = _key_range_pass(
-        klo, khi, vkind, vref, vlo, vhi, relative=relative
-    )
-    stats.after_key_pass = klo.shape[0]
-
+    table = _canonical(relation.rows)
+    stats.input_rows = table.shape[1]
+    table = _value_pass(table, l)
+    stats.after_value_pass = table.shape[1]
+    table = _key_pass(np.concatenate((table[:l], table, np.full((m, table.shape[1]), -1))), l, relative)
+    stats.after_key_pass = table.shape[1]
     return CompressedLineage(
-        out_name=relation.out_name,
-        in_name=relation.in_name,
-        out_shape=relation.out_shape,
-        in_shape=relation.in_shape,
-        key_lo=klo,
-        key_hi=khi,
-        val_kind=vkind,
-        val_ref=vref,
-        val_lo=vlo,
-        val_hi=vhi,
+        relation.out_name,
+        relation.in_name,
+        relation.out_shape,
+        relation.in_shape,
+        *_columns(table, l, np.int64, np.int64),
         out_axes=relation.out_axes,
         in_axes=relation.in_axes,
     )
@@ -139,83 +123,102 @@ def compress_both(relation: LineageRelation) -> Tuple[CompressedLineage]:
 
 
 # ----------------------------------------------------------------------
-# the attribute-major working table of a pass
+# the attribute-major working table
 # ----------------------------------------------------------------------
-# A pass stacks its column blocks as the rows of one ``(attributes, n)``
-# matrix: every attribute is a contiguous vector for the comparisons, and
-# the whole table is regrouped by one fancy index instead of one per block.
+# One ``(attributes, n)`` int64 matrix, regrouped by one ``take``: the value
+# pass holds ``[keys, lo, hi]``, the key pass ``[key lo, key hi, lo, hi,
+# ref]`` (``ref`` -1 for an absolute value attribute).
+def _canonical(rows: np.ndarray) -> np.ndarray:
+    """``(n, l + m)`` relation rows as a sorted, deduplicated table."""
+    table = np.ascontiguousarray(rows.T)
+    order = row_order(table)
+    if order is not None:
+        table = table.take(order, axis=1)
+    distinct = (table[:, 1:] != table[:, :-1]).any(axis=0)
+    return table if distinct.all() else table.take(np.flatnonzero(np.concatenate(([True], distinct))), axis=1)
+
+
 def _sorted_on(table: np.ndarray, attrs: Sequence[int]) -> np.ndarray:
     """*table* with its columns ordered on attributes *attrs*, most
-    significant first (ties keep their order)."""
-    order = row_order([table[a] for a in attrs])
-    return table if order is None else table[:, order]
+    significant first.  The order of ties does not matter: the attributes
+    left out of *attrs* repeat ones in it, so columns that tie are
+    identical, and a table never holds two identical columns."""
+    order = row_order(table[attrs])
+    return table if order is None else table.take(order, axis=1)
 
 
-def _same_as_previous(table: np.ndarray, attrs: Sequence[int]) -> np.ndarray:
-    """``(n - 1,)`` flags: column ``t + 1`` equals column ``t`` on *attrs*."""
-    same = np.ones(table.shape[1] - 1, dtype=bool)
-    for a in attrs:
-        same &= table[a, 1:] == table[a, :-1]
-    return same
+def _intervals(lo: int, hi: int, merged: Sequence[bool], skip: int) -> list:
+    """Attributes ``lo + j``, with ``hi + j`` where interval ``j`` has merged
+    a run (else that row equals the ``lo`` row), for every ``j`` but *skip*."""
+    return [a for j, wide in enumerate(merged) if j != skip for a in ((lo + j, hi + j) if wide else (lo + j,))]
 
 
-def _block(table: np.ndarray, first: int, width: int, dtype) -> np.ndarray:
-    """Attributes ``first .. first + width`` as a fresh ``(n, width)`` array."""
-    return np.array(table[first : first + width].T, dtype=dtype, order="C")
+def _breaks(table: np.ndarray, same: Sequence[int], step: int) -> np.ndarray:
+    """``(n - 1,)`` flags: column ``t + 1`` does *not* equal column ``t`` on
+    attributes *same* plus one on attribute *step*.  The int64 difference
+    wraps exactly as the reference's explicit int64 subtract does."""
+    rows = [*same, step]
+    # a view when the rows are adjacent, as at the first step of each pass
+    rows = table[rows[0] : step + 1] if rows == [*range(rows[0], step + 1)] else table[rows]
+    gap = rows[:, 1:] - rows[:, :-1]
+    gap[-1] -= 1
+    return gap.any(axis=0)
+
+
+def _block(rows: np.ndarray, dtype) -> np.ndarray:
+    """Attribute rows as a C-ordered ``(n, width)`` column block, filled a
+    column at a time (numpy transposes a narrow block some 3x slower)."""
+    block = np.empty(rows.shape[::-1], dtype=dtype)
+    for i, row in enumerate(rows):
+        block[:, i] = row
+    return block
+
+
+def _columns(table: np.ndarray, l: int, key_dtype, val_dtype) -> Tuple[np.ndarray, ...]:
+    """A key-pass table's ``key_lo, key_hi, val_kind, val_ref, val_lo,
+    val_hi``; ``kind`` is ``KIND_REL`` exactly where a ref is set."""
+    m = (table.shape[0] - 2 * l) // 3
+    ref = table[2 * (l + m) :]
+    blocks = (table[:l], table[l : 2 * l], ref >= 0, ref, table[2 * l : 2 * l + m], table[2 * l + m : 2 * (l + m)])
+    dtypes = (key_dtype, key_dtype, np.int8, np.int16, val_dtype, val_dtype)
+    return tuple(_block(rows, dtype) for rows, dtype in zip(blocks, dtypes))
 
 
 # ----------------------------------------------------------------------
 # pass 1: multi-attribute range encoding over value attributes
 # ----------------------------------------------------------------------
-def _value_range_pass(
-    key_cols: np.ndarray, val_cols: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Range-encode each value attribute, last to first.
-
-    The rows must be a deduplicated relation's (keys first, then values,
-    as :meth:`~repro.core.relation.LineageRelation.deduplicated` orders
-    them): that is already the order of the first step.  Returns
-    ``(key_lo, key_hi, val_lo, val_hi)`` where key intervals are still
-    degenerate (``lo == hi``) and value attributes have become closed
-    intervals.
-    """
-    nkey = key_cols.shape[1]
-    nval = val_cols.shape[1]
-    # the pass only compares and regroups, so narrow input columns stay at
-    # their width; contiguity is probed with an explicitly-int64 subtract.
-    # Key intervals stay degenerate throughout, so one copy stands for both.
-    table = np.concatenate([key_cols.T, val_cols.T, val_cols.T])
-    keys = list(range(nkey))
-    lo = [nkey + i for i in range(nval)]
-    hi = [nkey + nval + i for i in range(nval)]
-
-    for vi in range(nval - 1, -1, -1):
+def _value_pass(table: np.ndarray, l: int) -> np.ndarray:
+    """Range-encode each value attribute of a canonical ``[keys, values]``
+    table, last to first; returns ``[keys, lo, hi]``."""
+    m = table.shape[0] - l
+    table = np.concatenate((table, table[l:]))
+    merged = [False] * m
+    for vi in range(m - 1, -1, -1):
         if table.shape[1] < 2:
             break
-        # Sort so rows agreeing on every other attribute are adjacent and
-        # ordered by the attribute being encoded.
-        others = keys + [a for j in range(nval) if j != vi for a in (lo[j], hi[j])]
-        if vi < nval - 1:  # the first step's order, keys then values, is the input's
-            table = _sorted_on(table, others + [lo[vi]])
-
-        joins = _same_as_previous(table, others)
-        # int64 subtract: ``hi + 1`` would wrap at a narrow dtype's ceiling
-        joins &= np.subtract(table[lo[vi], 1:], table[hi[vi], :-1], dtype=np.int64) == 1
-        if not joins.any():
+        # rows agreeing on every other attribute, ordered by this one
+        others = [*range(l)] + _intervals(l, l + m, merged, vi)
+        if vi < m - 1:  # the first step's order, keys then values, is the input's
+            table = _sorted_on(table, others + [l + vi])
+        breaks = _breaks(table, others, l + vi)
+        if breaks.all():
             continue
-        firsts = np.flatnonzero(np.concatenate(([True], ~joins)))
-        lasts = np.append(firsts[1:] - 1, table.shape[1] - 1)
-        run_hi = table[hi[vi], lasts]
-        table = table[:, firsts]
-        table[hi[vi]] = run_hi
+        breaks = breaks.nonzero()[0]
+        firsts = np.concatenate(([0], breaks + 1))
+        table[l + m + vi, firsts] = table[l + vi].take(np.append(breaks, table.shape[1] - 1))
+        table = table.take(firsts, axis=1)
+        merged[vi] = True
+    return table
 
-    klo = _block(table, 0, nkey, key_cols.dtype)
-    return (
-        klo,
-        klo.copy(),
-        _block(table, nkey, nval, val_cols.dtype),
-        _block(table, nkey + nval, nval, val_cols.dtype),
-    )
+
+def _value_range_pass(key_cols: np.ndarray, val_cols: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """The value pass on ``(n, width)`` column blocks of a deduplicated
+    relation, returning ``(key_lo, key_hi, val_lo, val_hi)`` at the input
+    widths (the pass only compares and regroups, so every value fits)."""
+    l, m = key_cols.shape[1], val_cols.shape[1]
+    table = _value_pass(np.concatenate((key_cols, val_cols), axis=1, dtype=np.int64).T.copy(), l)
+    key_lo = _block(table[:l], key_cols.dtype)
+    return key_lo, key_lo.copy(), _block(table[l : l + m], val_cols.dtype), _block(table[l + m :], val_cols.dtype)
 
 
 # ----------------------------------------------------------------------
@@ -226,23 +229,25 @@ def _run_lengths(flags: np.ndarray) -> np.ndarray:
     ``True`` values start at ``p`` (0 if ``flags[..., p]`` is ``False``)."""
     n = flags.shape[-1]
     positions = np.arange(n)
-    # the next False at or after p is a running minimum taken from the right
-    next_false = np.where(flags, n, positions)
+    # the next False at or after p (n if none) is a running minimum, taken
+    # from the right, of p for a False and p + n for a True
+    next_false = flags * n
+    next_false += positions
     reverse = next_false[..., ::-1]
     np.minimum.accumulate(reverse, axis=-1, out=reverse)
-    return next_false - positions
+    np.minimum(next_false, n, out=next_false)
+    next_false -= positions
+    return next_false
 
 
 def _greedy_scan_starts(jump: np.ndarray) -> np.ndarray:
-    """Positions visited starting from 0 under ``s -> jump[s]`` (``jump[s] > s``).
-
-    This resolves the greedy run scan without a per-run Python loop: the
-    scan's next start position is a function of the current one, so the set
-    of visited positions is the orbit of 0, computed here with pointer
-    doubling — at most ``ceil(log2(n + 1))`` rounds of vectorized
-    composition instead of one interpreted iteration per emitted row, and
-    only ``log2`` of the orbit's length when the runs are long.
-    """
+    """Positions visited from 0 under ``s -> jump[s]``, for a non-decreasing
+    *jump* with ``jump[s] > s`` (a run starting a row later never ends
+    earlier): the greedy run scan without a per-run Python loop.  A
+    position ``s`` with ``jump[s - 1] == s`` is visited whatever precedes
+    it, so the orbit of 0 is the union of the orbits of all of them, each
+    up to the next; pointer doubling computes them together in ``log2`` of
+    the longest such stretch vectorized rounds."""
     n = jump.shape[0]
     if n == 0:
         return np.empty(0, dtype=np.int64)
@@ -251,15 +256,84 @@ def _greedy_scan_starts(jump: np.ndarray) -> np.ndarray:
     hop[n] = n  # absorbing sentinel
     visited = np.zeros(n + 1, dtype=bool)
     visited[0] = True
-    span = 1
-    # invariant: visited holds the orbit prefix of < span steps and hop
-    # advances by span steps, so each round doubles the covered prefix;
-    # once span steps from 0 leave the array the prefix is the whole orbit
-    while span <= n and hop[0] < n:
+    np.equal(hop[: n - 1], np.arange(1, n), out=visited[1:n])
+    free = visited[:n].nonzero()[0]
+    bound = np.append(free[1:], n)
+    # invariant: visited holds the first 2^r positions of each orbit and hop
+    # advances 2^r steps; an orbit is complete once that reaches its bound
+    while (hop[free] < bound).any():
         visited[hop[visited]] = True
         hop = hop[hop]
-        span *= 2
-    return np.flatnonzero(visited[:n])
+    return visited[:n].nonzero()[0]
+
+
+def _key_pass(table: np.ndarray, l: int, relative: bool) -> np.ndarray:
+    """Range-encode each key attribute of a ``[klo, khi, lo, hi, ref]``
+    table, last to first, introducing relative value attributes.  Key
+    intervals enter degenerate, as the value pass leaves them."""
+    m = (table.shape[0] - 2 * l) // 3
+    lo, hi, ref = (slice(2 * l + i * m, 2 * l + (i + 1) * m) for i in range(3))
+    spans = (table[lo] != table[hi]).any(axis=1).tolist()
+    # value columns break the remaining ties so the scan is deterministic
+    values = [a for i in range(m) for a in (ref.start + i, lo.start + i, hi.start + i)[: 2 + spans[i]]]
+    # of [lo, hi, ref], the leading blocks neighbours can differ on: hi once
+    # a value attribute spans, ref once one is relative (all -1 before)
+    relativized = bool((table[ref] >= 0).any())
+    compared = m * (1 + (any(spans) or relativized) + relativized)
+    merged = [False] * l
+    for kj in range(l - 1, -1, -1):
+        n = table.shape[1]
+        if n < 2:
+            break
+        # group rows by the other key attributes, then order by this one
+        others = _intervals(0, l, merged, kj)
+        table = _sorted_on(table, others + [kj] + values)
+
+        # flags[., t]: row t + 1 may join row t — on the key attributes
+        # (row 0), keeping value attribute i as encoded (row 1 + i), or
+        # switching it to a delta on attribute kj (row 1 + m + i)
+        flags = np.zeros((1 + (2 if relative else 1) * m, n), dtype=bool)
+        np.logical_not(_breaks(table, others, kj), out=flags[0, :-1])
+        if not flags[0].any():
+            continue  # nothing is key-contiguous: the sorted rows stand
+        rows = table[lo.start : lo.start + compared]
+        gap = (rows[:, 1:] - rows[:, :-1]).reshape(-1, m, n - 1)
+        np.logical_not(gap.any(axis=0), out=flags[1 : 1 + m, :-1])
+        if relative:
+            # the delta on kj is constant where lo and hi step by one, as kj
+            # does wherever row 0 holds (the only rows that are read)
+            gap[:2] -= 1
+            np.logical_not(gap[:2].any(axis=0), out=flags[1 + m :, :-1])
+            if relativized:
+                flags[1 + m :, :-1] &= np.maximum(table[ref, 1:], table[ref, :-1]) < 0
+        del gap  # freed before the run lengths, this step's memory peak
+
+        # Maximal collapsible run length starting at each row: bounded by the
+        # key-contiguity run and, per value attribute, by the better of the
+        # two candidate encodings (keep absolute vs switch to delta).  The
+        # length is 0 exactly where no merge can start, so the greedy scan
+        # reduces to jumping run_length + 1 rows ahead from each emitted row.
+        runs = _run_lengths(flags)
+        best = np.maximum(runs[1 : 1 + m], runs[1 + m :]) if relative else runs[1:]
+        run_length = np.minimum(runs[0], best.min(axis=0))
+        starts = _greedy_scan_starts(np.arange(n) + run_length + 1)
+        if starts.shape[0] == n:
+            continue
+        length = run_length[starts]
+        run_hi = table[kj].take(starts + length)  # khi is still klo before the step
+        switch = runs[1 : 1 + m].take(starts, axis=1) < length
+        table = table.take(starts, axis=1)
+        table[l + kj] = run_hi
+        merged[kj] = True
+        if switch.any():
+            # keep the current encoding when it is constant across the run;
+            # otherwise switch to the delta relative to attribute kj
+            shift = switch * table[kj]
+            table[lo] -= shift
+            table[hi] -= shift
+            np.copyto(table[ref], kj, where=switch)
+            relativized, compared = True, 3 * m
+    return table
 
 
 def _key_range_pass(
@@ -271,88 +345,11 @@ def _key_range_pass(
     vhi: np.ndarray,
     relative: bool,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Range-encode each key attribute, introducing relative value attributes."""
-    nkey = klo.shape[1]
-    nval = vlo.shape[1]
+    """The key pass on ``(n, width)`` column blocks (``vkind`` is ``vref >=
+    0``).  Keys return at their input width, and values too unless deltas,
+    which can leave a narrow dtype's range, make them int64."""
     if klo.shape[0] == 0:
         return klo, khi, vkind, vref, vlo, vhi
-    # delta encoding stores value - key differences, which can exceed a
-    # narrow input dtype's range in either direction: this is the pass's
-    # arithmetic-overflow boundary, so the working table is int64.  Key
-    # columns (and value columns when nothing is relativized) are only ever
-    # copied, so they return at the width they came in.
+    table = np.concatenate((klo, khi, vlo, vhi, vref), axis=1, dtype=np.int64).T.copy()
     val_dtype = np.dtype(np.int64) if relative else vlo.dtype
-    table = np.concatenate([klo.T, khi.T, vkind.T, vref.T, vlo.T, vhi.T], dtype=np.int64)
-    key_lo = list(range(nkey))
-    key_hi = [nkey + j for j in range(nkey)]
-    kind, ref, val_lo, val_hi = (
-        [2 * nkey + block * nval + i for i in range(nval)] for block in range(4)
-    )
-    values = [[kind[i], ref[i], val_lo[i], val_hi[i]] for i in range(nval)]
-
-    for kj in range(nkey - 1, -1, -1):
-        n = table.shape[1]
-        if n < 2:
-            break
-        # Sort: group rows by the other key attributes, then order by the
-        # attribute being merged; value columns break remaining ties so the
-        # scan is deterministic.
-        other_keys = [a for j in range(nkey) if j != kj for a in (key_lo[j], key_hi[j])]
-        table = _sorted_on(table, other_keys + [key_lo[kj]] + [a for attr in values for a in attr])
-
-        base_ok = _same_as_previous(table, other_keys)
-        base_ok &= table[key_lo[kj], 1:] - table[key_hi[kj], :-1] == 1
-        if not base_ok.any():
-            continue  # nothing is key-contiguous: the sorted rows stand
-
-        # flags[., t]: row t + 1 may join row t — on the key attributes
-        # (row 0), keeping value attribute i as encoded (row 1 + i), or
-        # switching it to a delta on attribute kj (row 1 + nval + i)
-        flags = np.zeros((1 + 2 * nval, n), dtype=bool)
-        flags[0, :-1] = base_ok
-        for i in range(nval):
-            flags[1 + i, :-1] = _same_as_previous(table, values[i])
-            if relative:
-                is_abs = table[kind[i]] == KIND_ABS
-                dlo = table[val_lo[i]] - table[key_lo[kj]]
-                dhi = table[val_hi[i]] - table[key_lo[kj]]
-                flags[1 + nval + i, :-1] = (
-                    is_abs[1:] & is_abs[:-1] & (dlo[1:] == dlo[:-1]) & (dhi[1:] == dhi[:-1])
-                )
-
-        # Maximal collapsible run length starting at each row: bounded by the
-        # key-contiguity run and, per value attribute, by the better of the
-        # two candidate encodings (keep absolute vs switch to delta).  The
-        # length is 0 exactly where no merge can start, so the greedy scan
-        # reduces to jumping run_length + 1 rows ahead from each emitted row.
-        runs = _run_lengths(flags)
-        run_length = runs[0]
-        for i in range(nval):
-            np.minimum(run_length, np.maximum(runs[1 + i], runs[1 + nval + i]), out=run_length)
-
-        starts = _greedy_scan_starts(np.arange(n, dtype=np.int64) + run_length + 1)
-        if starts.shape[0] == n:
-            continue
-        length = run_length[starts]
-        run_hi = table[key_hi[kj], starts + length]
-        keep_run = runs[1 : 1 + nval, starts]
-        table = table[:, starts]
-        table[key_hi[kj]] = run_hi
-        for i in range(nval):
-            # keep the current encoding when it is constant across the run;
-            # otherwise switch to the delta relative to attribute kj
-            switch = np.flatnonzero(keep_run[i] < length)
-            if switch.size:
-                table[kind[i], switch] = KIND_REL
-                table[ref[i], switch] = kj
-                table[val_lo[i], switch] -= table[key_lo[kj], switch]
-                table[val_hi[i], switch] -= table[key_lo[kj], switch]
-
-    return (
-        _block(table, 0, nkey, klo.dtype),
-        _block(table, nkey, nkey, klo.dtype),
-        _block(table, kind[0], nval, np.int8),
-        _block(table, ref[0], nval, np.int16),
-        _block(table, val_lo[0], nval, val_dtype),
-        _block(table, val_hi[0], nval, val_dtype),
-    )
+    return _columns(_key_pass(table, klo.shape[1], relative), klo.shape[1], klo.dtype, val_dtype)

@@ -32,19 +32,21 @@ def _packed_key(columns: Sequence[np.ndarray]) -> Optional[np.ndarray]:
 
     Mixed radix over the *observed* range of each column (indices may be
     negative or lie outside any declared shape), most significant column
-    first; a constant column contributes no digit.  ``None`` when the
-    ranges multiply past int64 — a property of the input alone.
+    first; a constant column contributes no digit.  One ``min`` and one
+    ``max`` over the columns, made one contiguous array, give every range.
+    ``None`` when the ranges multiply past int64 — a property of the input
+    alone.
     """
+    columns = np.ascontiguousarray(columns)
     digits = []
     span = 1
-    for column in columns:
-        lo, hi = int(column.min()), int(column.max())
+    for column, lo, hi in zip(columns, columns.min(axis=1).tolist(), columns.max(axis=1).tolist()):
         if hi > lo:
             span *= hi - lo + 1
             if span > _INT64_SPAN:
                 return None
             digits.append((column, lo, hi - lo + 1))
-    key = np.zeros(columns[0].shape[0], dtype=np.int64)
+    key = np.zeros(columns.shape[1], dtype=np.int64)
     for position, (column, lo, extent) in enumerate(digits):
         if position:  # the leading extent (alone, it may be 2^63) is never a factor
             key *= extent
@@ -54,13 +56,14 @@ def _packed_key(columns: Sequence[np.ndarray]) -> Optional[np.ndarray]:
 
 def row_order(columns: Sequence[np.ndarray]) -> Optional[np.ndarray]:
     """The stable permutation that sorts rows lexicographically on
-    *columns* (equal-length 1-D integer arrays, most significant first), or
-    ``None`` when the rows are already in that order.
+    *columns* (equal-length 1-D integer arrays or the rows of a 2-D one,
+    most significant first), or ``None`` when the rows are already in that
+    order.
 
     Everything in ``core`` that orders rows does it here: one stable sort of
     one packed key, ``np.lexsort`` only when no such key fits in int64.
     """
-    if len(columns) == 0 or columns[0].shape[0] < 2:
+    if len(columns) == 0 or len(columns[0]) < 2:
         return None
     key = _packed_key(columns)
     if key is None:
@@ -201,7 +204,7 @@ class LineageRelation:
         ``b1..bl, a1..am`` with duplicates removed (set semantics).  A
         relation already in that form is returned as is."""
         rows = self.rows
-        order = row_order(list(rows.T))
+        order = row_order(rows.T)
         if order is not None:
             rows = rows[order]
         # column by column: a row is two to four values wide, too narrow
@@ -216,7 +219,7 @@ class LineageRelation:
     def sorted(self) -> "LineageRelation":
         """Return the relation sorted lexicographically on ``b1..bl, a1..am``
         (itself when already in order)."""
-        order = row_order(list(self.rows.T))
+        order = row_order(self.rows.T)
         return self if order is None else self._replace_rows(self.rows[order])
 
     def _replace_rows(self, rows: np.ndarray) -> "LineageRelation":

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from _reference import key_range_pass_reference, value_range_pass_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.relation as relation_module
 from repro.capture.analytic import elementwise_lineage
 from repro.core.compressed import KIND_ABS, KIND_REL
 from repro.core.provrc import ProvRCStats, compress
@@ -182,3 +184,58 @@ class TestLosslessnessProperties:
         relative = table.val_kind == KIND_REL
         assert np.isin(table.val_kind, (KIND_ABS, KIND_REL)).all()
         assert ((0 <= table.val_ref[relative]) & (table.val_ref[relative] < table.key_ndim)).all()
+
+
+# ----------------------------------------------------------------------
+# the served-write class and the packed sort key's reach
+# ----------------------------------------------------------------------
+def churn_relation(side, seed):
+    """Each cell of a ``side x side`` array reads itself and two cells up to
+    three places away in row-major order (clipped at the ends): three rows
+    per output cell that ProvRC mostly cannot merge, the rows a served
+    write of small relations carries."""
+    shape = (side, side)
+    rng = np.random.default_rng(seed)
+    cell = np.arange(side * side)
+    near = [np.clip(cell + rng.integers(-3, 4, cell.size), 0, cell.size - 1) for _ in range(2)]
+    out_flat = np.repeat(cell, 3)
+    in_flat = np.stack([cell, *near], axis=1).reshape(-1)
+    rows = np.concatenate(
+        [np.stack(np.unravel_index(flat, shape), axis=1) for flat in (out_flat, in_flat)], axis=1
+    )
+    return LineageRelation(shape, shape, rows)
+
+
+class TestServedWriteClass:
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(4, 32), st.integers(0, 2**32 - 1), st.booleans())
+    def test_tables_match_the_loop_oracles(self, side, seed, relative):
+        # the greedy scan's tie-break decides these rows: compress must emit
+        # the oracle's table column for column, dtypes included
+        relation = churn_relation(side, seed)
+        rows = np.unique(relation.rows, axis=0)
+        klo, khi, vlo, vhi = value_range_pass_reference(rows[:, :2], rows[:, 2:])
+        vkind = np.zeros(vlo.shape, dtype=np.int8)
+        vref = np.full(vlo.shape, -1, dtype=np.int16)
+        want = key_range_pass_reference(klo, khi, vkind, vref, vlo, vhi, relative=relative)
+        table = compress(relation, relative=relative)
+        for name, column in zip(("key_lo", "key_hi", "val_kind", "val_ref", "val_lo", "val_hi"), want):
+            got = getattr(table, name)
+            assert got.dtype == column.dtype, name
+            assert np.array_equal(got, column), name
+
+    def test_wide_coordinates_keep_a_packed_key(self, monkeypatch):
+        # 300 rows spread over 1000 x 1000 arrays: every sort key fits in
+        # int64 once degenerate hi rows and constant refs are left out, so
+        # no step falls back to an attribute-by-attribute lexsort
+        rng = np.random.default_rng(7)
+        rows = rng.integers(0, 1000, size=(300, 4))
+        rows[:2] = [[0, 0, 0, 0], [999, 999, 999, 999]]
+        relation = LineageRelation((1000, 1000), (1000, 1000), rows)
+
+        def no_lexsort(*args, **kwargs):
+            raise AssertionError("np.lexsort fallback taken")
+
+        monkeypatch.setattr(relation_module.np, "lexsort", no_lexsort)
+        table = compress(relation)
+        assert table.decompress() == relation
