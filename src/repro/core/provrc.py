@@ -211,16 +211,6 @@ def _value_pass(table: np.ndarray, l: int) -> np.ndarray:
     return table
 
 
-def _value_range_pass(key_cols: np.ndarray, val_cols: np.ndarray) -> Tuple[np.ndarray, ...]:
-    """The value pass on ``(n, width)`` column blocks of a deduplicated
-    relation, returning ``(key_lo, key_hi, val_lo, val_hi)`` at the input
-    widths (the pass only compares and regroups, so every value fits)."""
-    l, m = key_cols.shape[1], val_cols.shape[1]
-    table = _value_pass(np.concatenate((key_cols, val_cols), axis=1, dtype=np.int64).T.copy(), l)
-    key_lo = _block(table[:l], key_cols.dtype)
-    return key_lo, key_lo.copy(), _block(table[l : l + m], val_cols.dtype), _block(table[l + m :], val_cols.dtype)
-
-
 # ----------------------------------------------------------------------
 # pass 2: relative value transformation + key range encoding
 # ----------------------------------------------------------------------
@@ -334,22 +324,3 @@ def _key_pass(table: np.ndarray, l: int, relative: bool) -> np.ndarray:
             np.copyto(table[ref], kj, where=switch)
             relativized, compared = True, 3 * m
     return table
-
-
-def _key_range_pass(
-    klo: np.ndarray,
-    khi: np.ndarray,
-    vkind: np.ndarray,
-    vref: np.ndarray,
-    vlo: np.ndarray,
-    vhi: np.ndarray,
-    relative: bool,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The key pass on ``(n, width)`` column blocks (``vkind`` is ``vref >=
-    0``).  Keys return at their input width, and values too unless deltas,
-    which can leave a narrow dtype's range, make them int64."""
-    if klo.shape[0] == 0:
-        return klo, khi, vkind, vref, vlo, vhi
-    table = np.concatenate((klo, khi, vlo, vhi, vref), axis=1, dtype=np.int64).T.copy()
-    val_dtype = np.dtype(np.int64) if relative else vlo.dtype
-    return _columns(_key_pass(table, klo.shape[1], relative), klo.shape[1], klo.dtype, val_dtype)

@@ -54,10 +54,10 @@ cannot disagree on a row count.  ``out_axes`` / ``in_axes`` appear only
 when they are not the defaults (``b1, b2, ...`` / ``a1, a2, ...``).
 
 This is the one layout the reader reads.  A payload in any other (the
-layouts older builds wrote) is a ``ValueError`` that names ``python -m
-repro.tools.upgrade``, which rewrites such a store in place.  The reader
-validates each header field before acting on it and raises ``ValueError``
-naming the field.
+layouts older builds wrote) is a ``ValueError`` ending in
+:data:`OLD_FORMAT_HINT`: no upgrader ships, and the hint names the last
+commit that does.  The reader validates each header field before acting
+on it and raises ``ValueError`` naming the field.
 
 **Hydration** hands back read-only, C-contiguous columns at those narrow
 dtypes — no ``astype(int64)`` upcast, so a table stored as int8 is charged
@@ -99,6 +99,7 @@ __all__ = [
     "json_frame",
     "parse_json_frame",
     "smallest_int_dtype",
+    "OLD_FORMAT_HINT",
 ]
 
 _MAGIC = b"PRVC"
@@ -108,6 +109,13 @@ _INTERVAL_PAIRS = (("key_lo", "key_hi"), ("val_lo", "val_hi"))
 # the one layout writers emit and the reader reads
 _LAYOUT = "attr-delta"
 _KEY_SIDE = "output"  # fixed header tag: every table is keyed on its output side
+# How every refusal of an older on-disk format ends (a table layout, a
+# segment wire version, a directory without SHARDS.json): no upgrader is
+# kept, so the refusal names the last commit that ships one.
+OLD_FORMAT_HINT = (
+    "commit 33a91de is the last that reads it: run "
+    "`python -m repro.tools.upgrade <root>` there once on the catalog that holds it"
+)
 # the four dtypes a column is ever stored at or decoded to, by item size —
 # what the terse header records of a dtype; little-endian at rest
 _INT_DTYPES = {size: np.dtype(f"<i{size}") for size in (1, 2, 4, 8)}
@@ -436,7 +444,7 @@ def deserialize_compressed(data) -> CompressedLineage:
     if layout != _LAYOUT:
         raise ValueError(
             f"{_WHAT} in column layout {layout!r}, which this build does not read; "
-            "run `python -m repro.tools.upgrade <root>` once on the catalog that holds it"
+            + OLD_FORMAT_HINT
         )
     columns = _read_attr_delta(header, len(fields[2]), len(fields[3]), view, offset)
     return CompressedLineage._hydrate(*fields[:4], *columns, *fields[4:])

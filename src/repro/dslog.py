@@ -706,7 +706,7 @@ class DSLog:
 
         A directory in a layout older builds wrote (a root-level manifest,
         one ``.provrc[.gz]`` file per entry, wire-v1 segments) raises a
-        ``ValueError`` naming ``python -m repro.tools.upgrade``; so does
-        the first query of a table stored in an older column layout.
+        ``ValueError`` naming the last commit that reads it; so does the
+        first query of a table stored in an older column layout.
         """
         return cls(root=root, gzip=gzip, **kwargs)

@@ -12,7 +12,7 @@ from .catalog import (
     LineageEntry,
     OperationRecord,
 )
-from .manifest import Manifest, load_manifest, save_manifest
+from .manifest import Manifest, load_manifest
 from .segments import SegmentWriter, read_record
 from .sharded import (
     DEFAULT_NUM_SHARDS,
@@ -21,7 +21,6 @@ from .sharded import (
     ShardedLineageStore,
     load_shards_file,
     shard_index,
-    write_shards_file,
 )
 from .store import (
     DEFAULT_CACHE_BYTES,
@@ -47,7 +46,6 @@ __all__ = [
     "DEFAULT_SEGMENT_MAX_BYTES",
     "Manifest",
     "load_manifest",
-    "save_manifest",
     "SegmentWriter",
     "read_record",
     "ShardedLineageStore",
@@ -56,5 +54,4 @@ __all__ = [
     "DEFAULT_NUM_SHARDS",
     "SHARDS_NAME",
     "load_shards_file",
-    "write_shards_file",
 ]

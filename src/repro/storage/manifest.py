@@ -55,7 +55,6 @@ __all__ = [
     "Manifest",
     "Edit",
     "load_manifest",
-    "save_manifest",
     "dump_manifest",
     "dump_edit",
     "write_manifest",
@@ -66,8 +65,8 @@ __all__ = [
 MANIFEST_NAME = "MANIFEST.json"
 MANIFEST_FORMAT = "dslog-segment-store"
 # 2: an entry row holds one table ref (version 1 rows also held a forward
-# table's, which ``python -m repro.tools.upgrade`` drops); 3: the checkpoint
-# names where its log of edit records starts
+# table's, which the reader drops); 3: the checkpoint names where its log
+# of edit records starts
 MANIFEST_FORMAT_VERSION = 3
 
 
@@ -119,7 +118,9 @@ class Manifest:
             gzip=bool(data["gzip"]),
             next_segment_id=int(data.get("next_segment_id", 1)),
             arrays={name: list(shape) for name, shape in data.get("arrays", {}).items()},
-            entries=list(data.get("entries", [])),
+            # a format-1 row's forward table ref goes: nothing reads the table,
+            # and the segment holding it does not outlive a compaction
+            entries=[{k: v for k, v in row.items() if k != "forward"} for row in data.get("entries", [])],
             operations=list(data.get("operations", [])),
             segments=list(data.get("segments", [])),
             reuse=data.get("reuse"),
@@ -224,7 +225,7 @@ def _replay(root: Path, manifest: Manifest) -> None:
             return  # no tail: the open reads no segment byte
     except FileNotFoundError:
         return  # a missing segment is scrub's to report
-    check_wire_version(path)  # an older wire version names the upgrader
+    check_wire_version(path)  # an older wire version is refused by name
     rows = {(row["in"], row["out"]): i for i, row in enumerate(manifest.entries)}
     try:
         for at, payload, intact in walk_records(path, offset):
@@ -263,7 +264,7 @@ def _json_safe(obj: Any) -> Any:
 def dump_manifest(manifest: Manifest) -> str:
     """Bump the generation and serialize the manifest to its JSON text.
 
-    Split out of :func:`save_manifest` so concurrent stores can serialize
+    Kept apart from :func:`write_manifest` so concurrent stores can serialize
     under a mutation lock (the manifest's dicts and row lists must not
     change mid-dump) while the slow part — the fsync'd file write of
     :func:`write_manifest` — runs outside any lock.
@@ -297,12 +298,6 @@ def write_manifest(root: Union[str, Path], data: str) -> None:
     """Write a checkpoint: atomically replace ``MANIFEST.json`` with
     pre-serialized text."""
     atomic_write(Path(root) / MANIFEST_NAME, data)
-
-
-def save_manifest(root: Union[str, Path], manifest: Manifest) -> int:
-    """Write *manifest* as a checkpoint; returns the new generation."""
-    write_manifest(root, dump_manifest(manifest))
-    return manifest.generation
 
 
 def tuplify(obj: Any) -> Any:

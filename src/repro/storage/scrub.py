@@ -56,9 +56,8 @@ Repair contract
 
 A record is verified by its checksum and its identity (the two table
 names its header declares, read by ``peek_table``), never by
-decoding its columns: a table in a column layout only
-``python -m repro.tools.upgrade`` reads is intact here, and is never
-quarantined or dropped for its layout.
+decoding its columns: a table in a column layout this build refuses to
+read is intact here, and is never quarantined or dropped for its layout.
 
 Entry points: :func:`scrub_store` (one shard directory),
 :meth:`repro.storage.sharded.ShardedLineageStore.scrub` (per shard),
@@ -192,8 +191,8 @@ def scrub_store(store: LineageStore, repair: bool = False, serialize_lock=None) 
         if status == "ok":
             # the checksum proves the payload is intact, not that it belongs
             # to this row: verify the table's own identity (read from the
-            # header alone, so a payload in a column layout only the
-            # upgrader reads is verified, never dropped)
+            # header alone, so a payload in a column layout this build
+            # refuses to read is verified, never dropped)
             try:
                 identity_ok = peek_table(payload) == pair
             except (ValueError, zlib.error):

@@ -10,8 +10,8 @@ checksummed records:
 The CRC32 of the payload lets a reader tell *bit rot inside a sealed
 record* — flipped bytes, a misdirected write — from the torn-tail and
 truncation cases the length prefix already catches.  Wire version 1 (no
-checksum) is retired: ``python -m repro.tools.upgrade`` rewrites such
-files as version 2, and nothing here reads them.
+checksum) is retired: opening such a file is a ``ValueError`` ending in
+:data:`repro.core.serialize.OLD_FORMAT_HINT`, and nothing here reads it.
 
 Records are only ever appended, and a segment file is written by one
 :class:`SegmentWriter`, from its creation to its retirement: whatever an
@@ -75,7 +75,7 @@ import zlib
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-from ..core.serialize import frame_header, parse_header
+from ..core.serialize import OLD_FORMAT_HINT, frame_header, parse_header
 from ..faults import FaultPlan, InjectedFault
 from ..obs import REGISTRY
 
@@ -122,17 +122,16 @@ def _check_header(data: bytes, path: Path) -> None:
     if version != SEGMENT_VERSION:
         raise ValueError(
             f"{path} has segment version {version}, this build reads only "
-            f"{SEGMENT_VERSION}; run `python -m repro.tools.upgrade` on the "
-            "catalog directory once"
+            f"{SEGMENT_VERSION}; {OLD_FORMAT_HINT}"
         )
 
 
 def check_wire_version(path: Union[str, Path]) -> None:
-    """Open-time guard: raise (naming the upgrader) when *path* is a
-    well-formed segment of a wire version this build does not read.  A
-    store that opened lazily over such a file would otherwise hand it to
-    scrub, which can only see every record in it as damage.  A missing
-    file or a garbled header *is* damage, and stays scrub's to report."""
+    """Open-time guard: refuse *path* by name when it is a well-formed
+    segment of a wire version this build does not read.  A store that
+    opened lazily over such a file would otherwise hand it to scrub, which
+    can only see every record in it as damage.  A missing file or a
+    garbled header *is* damage, and stays scrub's to report."""
     try:
         with open(path, "rb") as fh:
             header = fh.read(SEGMENT_HEADER_SIZE)

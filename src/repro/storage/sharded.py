@@ -66,7 +66,7 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from ..core.compressed import CompressedLineage
-from ..core.serialize import serialize_table
+from ..core.serialize import OLD_FORMAT_HINT, serialize_table
 from ..faults import FaultPlan
 from ..obs import log_event
 from .catalog import Catalog, LineageConflictError, LineageEntry, OperationRecord, _entry_pair
@@ -86,7 +86,6 @@ __all__ = [
     "DEFAULT_NUM_SHARDS",
     "shard_index",
     "load_shards_file",
-    "write_shards_file",
     "ShardedLineageStore",
     "ShardedCatalog",
 ]
@@ -141,12 +140,9 @@ def _refuse_old_layout(root: Path) -> None:
     """A root without ``SHARDS.json`` must be a new catalog.  Creating one
     over a directory an older build wrote (a root-level manifest, or one
     ``.provrc[.gz]`` file per entry) would leave its lineage unreachable
-    beside an empty store, so name the one-shot upgrader instead."""
+    beside an empty store, so refuse it by name instead."""
     if (root / MANIFEST_NAME).exists() or any(root.glob("*.provrc*")):
-        raise ValueError(
-            f"{root} holds a DSLog layout this build no longer reads; run "
-            f"`python -m repro.tools.upgrade {root}` once, then open it again"
-        )
+        raise ValueError(f"{root} holds a DSLog layout this build no longer reads; {OLD_FORMAT_HINT}")
 
 
 class ShardedLineageStore:

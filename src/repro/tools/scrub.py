@@ -23,6 +23,7 @@ import argparse
 import json
 import sys
 
+from ..core.serialize import OLD_FORMAT_HINT
 from ..dslog import DSLog
 from ..storage.sharded import load_shards_file
 
@@ -87,7 +88,7 @@ def main(argv=None) -> int:
             # opening would create an empty catalog here; fsck must not write
             raise ValueError(
                 f"{args.root} holds no SHARDS.json: not a DSLog catalog, or one an "
-                "older build wrote (see python -m repro.tools.upgrade)"
+                f"older build wrote ({OLD_FORMAT_HINT})"
             )
         log = DSLog.load(args.root, autosync=False)
     except (ValueError, OSError) as exc:

@@ -12,10 +12,10 @@ what the commit before the packed-row-key kernel (PR 12) emitted.
 columns are laid out at rest.  A format PR changes it deliberately, once,
 with the column digest unchanged beside it as the proof that only the
 layout moved (re-recorded for the row-delta layout, PR 15, and for the
-attr-delta layout and its terse header, PR 18).  Payloads of the earlier
-layouts are read only by ``python -m repro.tools.upgrade``, which rewrites
-them; ``tests/tools/test_upgrade.py`` holds a copy of each of their
-writers.
+attr-delta layout and its terse header, PR 18).  Such a change bumps the
+layout's name, and no upgrader is kept: the reader refuses a payload in
+any earlier layout with ``serialize.OLD_FORMAT_HINT``, which names the last
+commit that reads it.
 
 Both digests cover the backward table of each relation, the one table an
 entry stores; they were recomputed over backward tables alone at the last

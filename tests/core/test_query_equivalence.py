@@ -25,7 +25,7 @@ from _reference import (
 )
 from repro.capture.analytic import elementwise_lineage
 from repro.core.compressed import KIND_ABS, KIND_REL, CompressedLineage, _stable_sort
-from repro.core.provrc import _key_range_pass, _value_range_pass, compress
+from repro.core.provrc import _block, _columns, _key_pass, _value_pass, compress
 from repro.core.query import (
     THETA_JOIN_BLOCK_BUDGET_BYTES,
     CellBoxSet,
@@ -38,6 +38,29 @@ from repro.core.query import (
 from repro.core.relation import LineageRelation
 
 SEEDS = [0, 1, 2, 3, 4]
+
+
+# ProvRC's two passes run on one attribute-major table; these wrap each on
+# ``(n, width)`` column blocks, the shape the loop oracles take and return.
+def _value_range_pass(key_cols: np.ndarray, val_cols: np.ndarray) -> tuple:
+    """The value pass on ``(n, width)`` column blocks of a deduplicated
+    relation, returning ``(key_lo, key_hi, val_lo, val_hi)`` at the input
+    widths (the pass only compares and regroups, so every value fits)."""
+    l, m = key_cols.shape[1], val_cols.shape[1]
+    table = _value_pass(np.concatenate((key_cols, val_cols), axis=1, dtype=np.int64).T.copy(), l)
+    key_lo = _block(table[:l], key_cols.dtype)
+    return key_lo, key_lo.copy(), _block(table[l : l + m], val_cols.dtype), _block(table[l + m :], val_cols.dtype)
+
+
+def _key_range_pass(klo, khi, vkind, vref, vlo, vhi, relative: bool) -> tuple:
+    """The key pass on ``(n, width)`` column blocks (``vkind`` is ``vref >=
+    0``).  Keys return at their input width, and values too unless deltas,
+    which can leave a narrow dtype's range, make them int64."""
+    if klo.shape[0] == 0:
+        return klo, khi, vkind, vref, vlo, vhi
+    table = np.concatenate((klo, khi, vlo, vhi, vref), axis=1, dtype=np.int64).T.copy()
+    val_dtype = np.dtype(np.int64) if relative else vlo.dtype
+    return _columns(_key_pass(table, klo.shape[1], relative), klo.shape[1], klo.dtype, val_dtype)
 
 
 def random_relation(rng, max_ndim=3, max_dim=6, max_rows=60):

@@ -2,9 +2,10 @@
 including the dtype-preservation contract: hydrated tables hold read-only
 columns at their narrow dtypes, re-serialize to identical bytes, and answer
 queries bit-identically to their int64 originals.  The reader reads the one
-layout the writer emits; the layouts earlier commits wrote are the
-upgrader's (``tests/tools/test_upgrade.py``)."""
+layout the writer emits and refuses any other with ``OLD_FORMAT_HINT``,
+which names the last commit that reads the layouts earlier commits wrote."""
 
+import re
 import struct
 import zlib
 
@@ -19,6 +20,7 @@ from repro.core.provrc import compress
 from repro.core.query import CellBoxSet, theta_join
 from repro.core.relation import LineageRelation
 from repro.core.serialize import (
+    OLD_FORMAT_HINT,
     _COLUMNS,
     _MAGIC,
     _minmax,
@@ -341,7 +343,7 @@ class TestColumnLayout:
     def test_any_other_layout_names_the_upgrader(self, layout):
         data = reheader(serialize_compressed(sample_table()[0]), layout=layout)
         for payload in (data, zlib.compress(data)):
-            with pytest.raises(ValueError, match=r"python -m repro\.tools\.upgrade"):
+            with pytest.raises(ValueError, match=re.escape(OLD_FORMAT_HINT)):
                 deserialize_table(payload)
 
 
@@ -414,7 +416,7 @@ class TestPeekTable:
         assert peek_table(serialize_compressed(table)) == peeked
         assert peek_table(memoryview(serialize_compressed_gzip(table))) == peeked
         # the identity reads whatever the column layout: scrub verifies a
-        # payload only the upgrader decodes without dropping it
+        # payload this build refuses to decode without dropping it
         assert peek_table(reheader(serialize_compressed(table), layout="row-delta")) == peeked
 
     def test_gzip_inflates_the_header_only(self):

@@ -4,8 +4,8 @@ valid plain and gzip payloads, and on crafted headers.  Every outcome is a
 table (or a header) or a ``ValueError`` / ``zlib.error`` — never another
 exception — and no allocation is sized by an unvalidated field: under
 ``tracemalloc`` a decode peaks at a small multiple of the bytes it was
-given, even when the header claims 2**40 rows.  (The upgrader's reader of
-older layouts is fuzzed in ``tests/tools/test_upgrade.py``.)"""
+given, even when the header claims 2**40 rows.  (Older layouts are refused
+by name, never decoded: no reader of them ships.)"""
 
 import struct
 import tracemalloc

@@ -10,11 +10,12 @@ relations.  Three *sides* take every write: ``memory`` (``DSLog()``),
 ``sharded``, a four-shard log written through a ``LineageService`` while
 ``faults.clock`` is frozen, so its tickets turn durable only at ``commit``
 (the first window is due at once: the write that finds it open is flushed
-on the spot).  The ``fixture`` start opens this side on an upgraded copy of
-``tests/tools/fixtures/parent_sharded`` and replays its history into the
-other two.  Each side is read through ``DSLog.prov_query``, a caching
-``QueryExecutor``, a ``cache_entries=0`` one and, on the sharded side, both
-wires of one ``LineageServer``; each durable side carries a ``FaultPlan``.
+on the spot).  The ``fixture`` start opens this side on a copy of
+``fixtures/sharded_v3``, a two-shard store in the current format, and
+replays its history into the other two.  Each side is read through
+``DSLog.prov_query``, a caching ``QueryExecutor``, a ``cache_entries=0``
+one and, on the sharded side, both wires of one ``LineageServer``; each
+durable side carries a ``FaultPlan``.
 
 Rules: define; add; ``register_operation`` with reuse (a repeat stores the
 first call's table); a refused self-loop; sync; compact; scrub; reopen;
@@ -88,9 +89,8 @@ from repro.storage.manifest import MANIFEST_NAME, Manifest, load_manifest
 from repro.storage.segments import SEGMENT_HEADER_SIZE, CorruptRecordError, record_overhead
 from repro.storage.sharded import shard_index
 from repro.storage.store import TableRef
-from repro.tools.upgrade import upgrade
 
-FIXTURE = Path(__file__).parents[1] / "tools" / "fixtures" / "parent_sharded"
+FIXTURE = Path(__file__).parent / "fixtures" / "sharded_v3"
 FRESH = {"X0": (4,), "X1": (3, 2), "X2": (4,), "X3": (2, 3)}
 EXTRA = [("Y0", (4,)), ("Y1", (3, 2)), ("Y2", (5,))]
 CACHE = 4096  # no eviction: the model cannot observe eviction order
@@ -456,13 +456,12 @@ class LineageModel(RuleBasedStateMachine):
             return
         root = self.tmp / "sharded"
         shutil.copytree(FIXTURE, root)
-        assert upgrade(root) is True
         self.open_sides(DSLog.load(root, autosync=False, faults=FaultPlan()), num_shards=2)
         self.replay_fixture_history()
         self.published(self.sides[2])
 
     def replay_fixture_history(self):
-        """What ``parent_sharded`` was written from: a three-hop pipeline,
+        """What ``sharded_v3`` was written from: a three-hop pipeline,
         one operation record with reuse state, one replaced entry."""
         for name, shape in (("A", (6, 3)), ("B", (6, 3)), ("C", (6,)), ("D", (6,))):
             self.define(name, shape)

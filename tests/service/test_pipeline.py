@@ -4,13 +4,16 @@ threads + concurrent readers, zero lost or duplicated entries, full
 metadata fidelity after reopen)."""
 
 import json
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro import DSLog, IngestOverloaded, LineageService, faults
 from repro.capture.analytic import elementwise_lineage
+from repro.core.relation import LineageRelation
 from repro.faults import FaultPlan
 from repro.service import ServiceClosedError, pipeline
 from repro.storage.manifest import load_manifest
@@ -157,6 +160,50 @@ class TestTickets:
                 "x", "y", relation=elementwise_lineage(SHAPE, in_name="x", out_name="y"), op_name="pairwise"
             ).result(timeout=10)
             assert entry.op_name == "pairwise"
+
+
+class TestSubmitOrder:
+    def test_writes_of_one_edge_apply_in_submit_order(self, tmp_path):
+        # the first write stalls in its worker; the second, popped by the
+        # other worker meanwhile, must still apply after it
+        plan = FaultPlan().on("service.worker", kind="stall", at=1, seconds=0.5)
+        log = DSLog(tmp_path / "db", num_shards=2, autosync=False, faults=plan)
+        with LineageService(log=log, workers=2) as svc:
+            svc.define_array("x", SHAPE)
+            svc.define_array("y", SHAPE)
+            plan.arm()
+            first = svc.submit_lineage("x", "y", relation=X_TO_Y, replace=True)
+            deadline = time.monotonic() + 10
+            while not plan.fired() and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert plan.fired() == 1  # the first write is stalled in its worker
+            one_row = LineageRelation.from_pairs([((0,), (1,))], SHAPE, SHAPE, in_name="x", out_name="y")
+            second = svc.submit_lineage("x", "y", relation=one_row, replace=True)
+            svc.flush(timeout=10)
+            assert first.result().version == 1 and second.result().version == 2
+            assert log.prov_query(["y", "x"], [(0,)]).to_cells() == {(1,)}
+
+    def test_more_workers_than_cores_keep_each_edges_last_write(self, tmp_path):
+        edges = [("x", "y"), ("y", "z"), ("x", "z")]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with LineageService(tmp_path / "db", workers=4, num_shards=2) as svc:
+                for name in "xyz":
+                    svc.define_array(name, SHAPE)
+                for k in range(48):
+                    a, b = edges[k % 3]
+                    shift = LineageRelation.from_pairs(
+                        [((i,), ((i + k) % 4,)) for i in range(4)], SHAPE, SHAPE, in_name=a, out_name=b
+                    )
+                    svc.submit_lineage(a, b, relation=shift, op_name=f"write-{k}", replace=True)
+                svc.flush(timeout=30)
+                for j, (a, b) in enumerate(edges):
+                    last = 45 + j
+                    assert svc.log.catalog.entry(a, b).op_name == f"write-{last}"
+                    assert svc.log.prov_query([b, a], [(0,)]).to_cells() == {(last % 4,)}
+        finally:
+            sys.setswitchinterval(switch)
 
 
 class TestCommitWindow:
