@@ -16,10 +16,8 @@ from .relation import LineageRelation
 from .serialize import (
     deserialize_compressed,
     deserialize_compressed_gzip,
-    read_compressed,
     serialize_compressed,
     serialize_compressed_gzip,
-    write_compressed,
 )
 
 __all__ = [
@@ -37,6 +35,4 @@ __all__ = [
     "deserialize_compressed",
     "serialize_compressed_gzip",
     "deserialize_compressed_gzip",
-    "write_compressed",
-    "read_compressed",
 ]

@@ -57,9 +57,8 @@ def _expand_boxes(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarra
 def _as_int_column(array) -> np.ndarray:
     """Coerce one interval column, preserving any signed-integer dtype.
 
-    Hydrated tables arrive as read-only narrow views into serialized bytes
-    (int8/int16/...) and must stay that way — upcasting here would undo the
-    zero-copy fast path.  Anything else (Python lists, floats, unsigned)
+    Hydrated tables arrive as read-only narrow columns (int8/int16/...) and
+    must stay that way — upcasting here would inflate them to int64.  Anything else (Python lists, floats, unsigned)
     falls back to the canonical int64.
     """
     arr = np.asarray(array)
@@ -151,9 +150,9 @@ class CompressedLineage:
     measured fairly against the columnar baselines.
 
     Columns are **dtype-polymorphic**: any signed integer dtype is kept
-    as-is, so a table hydrated from disk holds read-only int8/int16 views
-    straight into the serialized buffer (no ``astype(int64)`` inflation) and
-    :meth:`nbytes` charges the actual view footprint.  Kernels consuming the
+    as-is, so a table hydrated from disk holds read-only int8/int16 columns
+    of its own, at the widths it was written at (no ``astype(int64)``
+    inflation), and :meth:`nbytes` charges that footprint.  Kernels consuming the
     columns upcast only where arithmetic could overflow the narrow dtype
     (``rel_back`` additions, delta encodings, ``hi + 1`` contiguity probes).
     """

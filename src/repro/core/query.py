@@ -46,6 +46,15 @@ whole boxes so pair scratch never exceeds
 result counting uses an exact sweep over a coordinate-compressed disjoint
 box decomposition.  The original per-row loop implementations live on in
 ``tests/core/_reference.py`` as oracles for the equivalence tests.
+
+**Cost.**  On tables of a few thousand rows a hop is numpy call overhead
+more than arithmetic, so two rules hold throughout: rows of a 2-D array
+are gathered with ``take(idx, axis=0)`` (a boolean selection becomes
+``np.flatnonzero`` first), and a narrow ``(n, d)`` bool matrix is reduced
+one column at a time (:func:`_all_columns`, :func:`_any_columns`).  On a
+1,795-row int8 table, 2,355 candidate pairs: 3 µs against 35-47 µs per
+row gather, 4 µs against 47-64 µs per ``all(axis=1)``, 185 against 380-680
+µs per hop (2 vCPUs, numpy 2.4).
 """
 
 from __future__ import annotations
@@ -84,6 +93,29 @@ THETA_JOIN_BLOCK_BUDGET_BYTES = 64 * 1024 * 1024
 # count_cells builds an occupancy grid over the coordinate-compressed box
 # corners; above this many grid cells it falls back to slower exact paths.
 COUNT_GRID_CELL_LIMIT = 8_000_000
+
+
+def _all_columns(matrix: np.ndarray) -> np.ndarray:
+    """Row-wise ``all`` of a narrow ``(n, d)`` bool matrix, one column at a
+    time: ``matrix.all(axis=1)`` costs over ten times as much."""
+    out = np.ones(matrix.shape[0], dtype=bool)
+    for column in matrix.T:
+        out &= column
+    return out
+
+
+def _any_columns(matrix: np.ndarray) -> np.ndarray:
+    """Row-wise ``any`` of a narrow ``(n, d)`` bool matrix, one column at a
+    time (see :func:`_all_columns`)."""
+    out = np.zeros(matrix.shape[0], dtype=bool)
+    for column in matrix.T:
+        out |= column
+    return out
+
+
+def _select(rows: np.ndarray, *arrays: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """The *rows* of each array, in that order, by ``take`` along axis 0."""
+    return tuple(array.take(rows, axis=0) for array in arrays)
 
 
 # ----------------------------------------------------------------------
@@ -156,10 +188,10 @@ class CellBoxSet:
             flat = np.ravel_multi_index(tuple(arr.T), shape)
         except ValueError:
             bounds = np.asarray(shape, dtype=np.int64)
-            in_bounds = ((arr >= 0) & (arr < bounds[None, :])).all(axis=1)
-            arr = arr[in_bounds]
-            if arr.shape[0] == 0:
+            in_bounds = np.flatnonzero(_all_columns((arr >= 0) & (arr < bounds[None, :])))
+            if in_bounds.size == 0:
                 return cls.empty(array_name, shape)
+            arr = arr.take(in_bounds, axis=0)
             flat = np.ravel_multi_index(tuple(arr.T), shape)
 
         # Point boxes allow a cheap first merge pass: one sort+dedup over the
@@ -244,13 +276,13 @@ class CellBoxSet:
         lexicographic row order — the vectorized counterpart of
         ``sorted(to_cells())``, used by the serving tier to build cell
         listings without materializing per-cell Python tuples."""
-        keep = (self.lo <= self.hi).all(axis=1)  # a box with lo > hi holds no cell
-        if not keep.any():
+        keep = np.flatnonzero(_all_columns(self.lo <= self.hi))  # a box with lo > hi holds no cell
+        if not keep.size:
             return np.empty((0, self.ndim), dtype=np.int64)
-        _, cells = _expand_boxes(self.lo[keep], self.hi[keep])
+        _, cells = _expand_boxes(*_select(keep, self.lo, self.hi))
         # one box expands in row-major, i.e. lexicographic, order; np.unique
         # sorts rows lexicographically — the order of sorted(set(...))
-        return cells if keep.sum() == 1 else np.unique(cells, axis=0)
+        return cells if keep.size == 1 else np.unique(cells, axis=0)
 
     def to_mask(self) -> np.ndarray:
         """Return a boolean mask over the array shape marking member cells."""
@@ -310,9 +342,9 @@ class CellBoxSet:
         bounds = np.asarray(self.shape, dtype=np.int64) - 1
         lo = np.maximum(self.lo, 0)
         hi = np.minimum(self.hi, bounds)
-        keep = (lo <= hi).all(axis=1)
+        keep = _all_columns(lo <= hi)
         if not keep.all():
-            lo, hi = lo[keep], hi[keep]
+            lo, hi = _select(np.flatnonzero(keep), lo, hi)
         return CellBoxSet._wrap(self.array_name, self.shape, lo, hi)
 
     def merged(self) -> "CellBoxSet":
@@ -435,13 +467,11 @@ def _merge_axis_pass(boxes: np.ndarray, axis: int, ndim: int, span: int) -> np.n
             continue
         sort_cols.append(boxes[:, ndim + other])
         sort_cols.append(boxes[:, other])
-    order = np.lexsort(sort_cols)
-    boxes = boxes[order]
+    boxes = boxes.take(np.lexsort(sort_cols), axis=0)
 
-    others = boxes[:, [c for c in range(2 * ndim) if c != axis and c != ndim + axis]]
-    new_group = np.empty(n, dtype=bool)
-    new_group[0] = True
-    np.any(others[1:] != others[:-1], axis=1, out=new_group[1:])
+    others = boxes.take([c for c in range(2 * ndim) if c != axis and c != ndim + axis], axis=1)
+    new_group = np.ones(n, dtype=bool)
+    new_group[1:] = _any_columns(others[1:] != others[:-1])
 
     axis_lo = boxes[:, axis]
     axis_hi = boxes[:, ndim + axis]
@@ -459,7 +489,7 @@ def _merge_axis_pass(boxes: np.ndarray, axis: int, ndim: int, span: int) -> np.n
     run_firsts = np.flatnonzero(run_start)
     if run_firsts.size == n:
         return boxes  # nothing merged on this axis (rows stay sorted)
-    merged = boxes[run_firsts]
+    merged = boxes.take(run_firsts, axis=0)
     merged[:, ndim + axis] = np.maximum.reduceat(axis_hi, run_firsts)
     return merged
 
@@ -586,21 +616,18 @@ def _rel_back(
     """De-relativize the matched rows' value intervals (``rel_back``).
 
     ``inter_lo``/``inter_hi`` are the key intersections of the matched rows;
-    relative value attributes become absolute with one flat fancy-indexed
-    gather over every (row, attribute) pair at once.
+    relative value attributes become absolute with one flat ``take`` over
+    every relative (row, attribute) pair at once.
 
-    The stored value columns may be narrow (int8/int16 views hydrated
-    straight from disk); the matched gather is upcast to int64 here — the
-    one arithmetic-overflow boundary of the join, where int64 key
+    The stored value columns may be narrow (int8/int16, as hydrated from
+    disk); the matched gather is upcast to int64 here — the one
+    arithmetic-overflow boundary of the join, where int64 key
     intersections are added and the caller clips in place — so only the
     matched pairs pay for wide integers, never the resident table.
     """
-    # fancy indexing copies, so the in-place de-relativization is safe
-    res_lo = table.val_lo[row_idx]
-    res_hi = table.val_hi[row_idx]
-    if res_lo.dtype != np.int64:
-        res_lo = res_lo.astype(np.int64)
-        res_hi = res_hi.astype(np.int64)
+    # take copies, so the in-place de-relativization is safe
+    res_lo = table.val_lo.take(row_idx, axis=0).astype(np.int64, copy=False)
+    res_hi = table.val_hi.take(row_idx, axis=0).astype(np.int64, copy=False)
     if not table.has_relative:
         return res_lo, res_hi
     encoding = table.uniform_value_encoding
@@ -612,12 +639,13 @@ def _rel_back(
                 res_lo[:, column] += inter_lo[:, ref]
                 res_hi[:, column] += inter_hi[:, ref]
         return res_lo, res_hi
-    rel_r, rel_c = np.nonzero(table.val_kind[row_idx] == KIND_REL)
-    if rel_r.size:
-        refs = table.val_ref[row_idx[rel_r], rel_c]
-        # rel_back: absolute = key intersection + delta, one flat gather
-        res_lo[rel_r, rel_c] += inter_lo[rel_r, refs]
-        res_hi[rel_r, rel_c] += inter_hi[rel_r, refs]
+    rel = np.flatnonzero(table.val_kind.take(row_idx, axis=0) == KIND_REL)  # flat (pair, attribute)
+    if rel.size:
+        pair, column = np.divmod(rel, table.value_ndim)
+        # rel_back: absolute = key intersection + delta, one flat take
+        at = pair * table.key_ndim + table.val_ref.take(row_idx.take(pair) * table.value_ndim + column)
+        res_lo.reshape(-1)[rel] += inter_lo.take(at)
+        res_hi.reshape(-1)[rel] += inter_hi.take(at)
     return res_lo, res_hi
 
 
@@ -693,11 +721,11 @@ def _candidate_pairs(
             total = int(ends[last - 1])
             box_idx = np.arange(first, last).repeat(count[first:last])
             row_idx = np.arange(done, total)
-            row_idx += shift[box_idx]
+            row_idx += shift.take(box_idx)
             if order is not None:
                 # back to stored rows, ascending within each box (which
                 # leaves box_idx as it is): one sort of a packed key
-                packed = box_idx * n_rows + order[row_idx]
+                packed = box_idx * n_rows + order.take(row_idx)
                 packed.sort()
                 row_idx = packed - box_idx * n_rows
             yield box_idx, row_idx
@@ -816,25 +844,17 @@ def _theta_join_batch_raw(
     for box_idx, row_idx in chunks:
         if stats is not None:
             stats["join_blocks"] += 1
-        ilo = np.maximum(table.key_lo[row_idx], lo[box_idx])
-        ihi = np.minimum(table.key_hi[row_idx], hi[box_idx])
-        matched = (ilo <= ihi).all(axis=1)
+        ilo = np.maximum(table.key_lo.take(row_idx, axis=0), lo.take(box_idx, axis=0))
+        ihi = np.minimum(table.key_hi.take(row_idx, axis=0), hi.take(box_idx, axis=0))
+        matched = _all_columns(ilo <= ihi)
         if not matched.all():
-            box_idx, row_idx, ilo, ihi = box_idx[matched], row_idx[matched], ilo[matched], ihi[matched]
-        pair_qid = qid[box_idx]
+            box_idx, row_idx, ilo, ihi = _select(np.flatnonzero(matched), box_idx, row_idx, ilo, ihi)
+        pair_qid = qid.take(box_idx)
         if shared_mask is not None and row_idx.size:
-            needs = (shared_mask[row_idx] & (ihi > ilo)).any(axis=1)
+            needs = _any_columns(shared_mask.take(row_idx, axis=0) & (ihi > ilo))
             if needs.any():
-                split_parts.append(
-                    (row_idx[needs], ilo[needs], ihi[needs], pair_qid[needs])
-                )
-                keep = ~needs
-                row_idx, ilo, ihi, pair_qid = (
-                    row_idx[keep],
-                    ilo[keep],
-                    ihi[keep],
-                    pair_qid[keep],
-                )
+                split_parts.append(_select(np.flatnonzero(needs), row_idx, ilo, ihi, pair_qid))
+                row_idx, ilo, ihi, pair_qid = _select(np.flatnonzero(~needs), row_idx, ilo, ihi, pair_qid)
         res_lo, res_hi = _rel_back(table, row_idx, ilo, ihi)
         out_lo_parts.append(res_lo)
         out_hi_parts.append(res_hi)
@@ -843,7 +863,7 @@ def _theta_join_batch_raw(
         split_lo, split_hi = _expand_shared_refs(table, row_idx, ilo, ihi)
         # per-pair expansion count = the Cartesian product of the shared
         # attributes' intersection ranges, in the same pair order
-        spans = np.where(shared_mask[row_idx], ihi - ilo + 1, 1)
+        spans = np.where(shared_mask.take(row_idx, axis=0), ihi - ilo + 1, 1)
         out_lo_parts.append(split_lo)
         out_hi_parts.append(split_hi)
         out_qid_parts.append(np.repeat(pair_qid, spans.prod(axis=1)))
@@ -858,12 +878,11 @@ def _theta_join_batch_raw(
     # copies), dropping boxes that fall outside entirely
     np.maximum(res_lo, 0, out=res_lo)
     np.minimum(res_hi, table.value_bounds, out=res_hi)
-    keep = (res_lo <= res_hi).all(axis=1)
+    keep = _all_columns(res_lo <= res_hi)
     if not keep.all():
-        res_lo, res_hi, res_qid = res_lo[keep], res_hi[keep], res_qid[keep]
+        res_lo, res_hi, res_qid = _select(np.flatnonzero(keep), res_lo, res_hi, res_qid)
     if split_parts and qid[0] != qid[-1]:
-        order = np.argsort(res_qid, kind="stable")
-        res_lo, res_hi, res_qid = res_lo[order], res_hi[order], res_qid[order]
+        res_lo, res_hi, res_qid = _select(np.argsort(res_qid, kind="stable"), res_lo, res_hi, res_qid)
     return res_lo, res_hi, res_qid, count
 
 
@@ -913,11 +932,11 @@ def _inverse_join_batch_raw(
         # the key box narrowed so far, plus the virtual attribute at [0, 0]
         key_lo = np.zeros((n_pairs, n_keys + 1), np.int64)
         key_hi = np.zeros((n_pairs, n_keys + 1), np.int64)
-        key_lo[:, :n_keys] = table.key_lo[row_idx]
-        key_hi[:, :n_keys] = table.key_hi[row_idx]
+        key_lo[:, :n_keys] = table.key_lo.take(row_idx, axis=0)
+        key_hi[:, :n_keys] = table.key_hi.take(row_idx, axis=0)
         # where each value attribute allows its referenced key to lie
-        floor = lo[box_idx] - table.val_hi[row_idx]
-        ceil = hi[box_idx] - table.val_lo[row_idx]
+        floor = lo.take(box_idx, axis=0) - table.val_hi.take(row_idx, axis=0)
+        ceil = hi.take(box_idx, axis=0) - table.val_lo.take(row_idx, axis=0)
         if encoding is not None:
             for column, (kind, ref) in enumerate(encoding):
                 target = ref if kind == KIND_REL else n_keys
@@ -925,7 +944,7 @@ def _inverse_join_batch_raw(
                 np.minimum(key_hi[:, target], ceil[:, column], out=key_hi[:, target])
         else:
             target = np.where(
-                table.val_kind[row_idx] == KIND_REL, table.val_ref[row_idx], n_keys
+                table.val_kind.take(row_idx, axis=0) == KIND_REL, table.val_ref.take(row_idx, axis=0), n_keys
             ) + np.arange(0, n_pairs * (n_keys + 1), n_keys + 1)[:, None]
             flat_lo, flat_hi = key_lo.reshape(-1), key_hi.reshape(-1)
             # one target per pair within a column: no duplicate positions
@@ -935,10 +954,10 @@ def _inverse_join_batch_raw(
                 flat_hi[at] = np.minimum(flat_hi[at], ceil[:, column])
         np.maximum(key_lo, 0, out=key_lo)
         np.minimum(key_hi, bounds, out=key_hi)
-        matched = (key_lo <= key_hi).all(axis=1)
-        out_lo_parts.append(key_lo[matched, :n_keys])
-        out_hi_parts.append(key_hi[matched, :n_keys])
-        out_qid_parts.append(qid[box_idx[matched]])
+        matched = np.flatnonzero(_all_columns(key_lo <= key_hi))
+        out_lo_parts.append(key_lo[:, :n_keys].take(matched, axis=0))
+        out_hi_parts.append(key_hi[:, :n_keys].take(matched, axis=0))
+        out_qid_parts.append(qid.take(box_idx.take(matched)))
     if len(out_lo_parts) == 1:
         return out_lo_parts[0], out_hi_parts[0], out_qid_parts[0], count
     return (

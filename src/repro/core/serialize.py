@@ -77,8 +77,7 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from pathlib import Path
-from typing import Optional, Tuple, Union
+from typing import Tuple
 
 import numpy as np
 
@@ -92,8 +91,6 @@ __all__ = [
     "deserialize_compressed_gzip",
     "serialize_table",
     "deserialize_table",
-    "write_compressed",
-    "read_compressed",
     "frame_header",
     "parse_header",
     "json_frame",
@@ -505,26 +502,3 @@ def _peek_header(data) -> dict:
         view = memoryview(head)
     return parse_json_frame(view, _MAGIC, _WHAT)[0]
 
-
-def write_compressed(
-    table: CompressedLineage,
-    path: Union[str, Path],
-    gzip: bool = False,
-) -> int:
-    """Write a table to disk and return the file size in bytes."""
-    data = serialize_compressed_gzip(table) if gzip else serialize_compressed(table)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(data)
-    return len(data)
-
-
-def read_compressed(path: Union[str, Path], gzip: Optional[bool] = None) -> CompressedLineage:
-    """Read a table written by :func:`write_compressed`.
-
-    When *gzip* is ``None`` the format is sniffed from the magic bytes.
-    """
-    data = Path(path).read_bytes()
-    if gzip is None:
-        gzip = data[:4] != _MAGIC
-    return deserialize_compressed_gzip(data) if gzip else deserialize_compressed(data)

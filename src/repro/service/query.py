@@ -19,13 +19,14 @@ is that pipeline on a list of one (re-raising its item's error) and
    request that fails here, or at any later step, fails alone: its slot in
    the answer carries the exception.
 2. **Plan and gate** — the misses are grouped by path and each group is
-   planned once: an explicit multi-hop path resolves hop-by-hop through
-   ``entry_between``; a two-array path with no direct entry is planned by
-   the lineage graph (shortest stored path(s), diamond paths unioned).
-   Planning is :class:`~repro.dslog.DSLog`'s (``plan_paths``) — the same
-   code ``DSLog.prov_query`` runs.  Each group's home shards then pass
-   their circuit breakers.  A planning error or a tripped breaker is that
-   group's alone.
+   planned once (a repeated miss is planned and joined with its first
+   copy, whose outcome it takes).  An explicit multi-hop path resolves
+   hop-by-hop through ``entry_between``; a two-array path with no direct
+   entry is planned by the lineage graph (shortest stored path(s),
+   diamond paths unioned).  Planning is :class:`~repro.dslog.DSLog`'s
+   (``plan_paths``) — the same code ``DSLog.prov_query`` runs.  Each
+   group's home shards then pass their circuit breakers.  A planning
+   error or a tripped breaker is that group's alone.
 3. **Resolve and join, one plan per batch** — every backing store is
    snapshot-pinned (compaction retires rather than deletes segments while
    the pipeline reads), and each *distinct* hop entry of the whole batch
@@ -441,6 +442,8 @@ class QueryExecutor:
         queries that reach it, whatever path they came from — results are
         bit-identical to running the requests one at a time, and each
         fresh result is installed in the result cache under its own key.
+        A repeated request is joined once; each copy is its own cache
+        lookup and gets the first copy's outcome.
         """
         self._check_open()
         requests = list(requests)
@@ -470,8 +473,9 @@ class QueryExecutor:
         # landing mid-execution must make the cached entry stale, never
         # fresher than its key
         version = self.log.catalog.version
-        # the misses, grouped by path: (request index, box set, cache key)
-        groups: Dict[Tuple[str, ...], List[Tuple[int, Any, bytes]]] = {}
+        # the misses by path: one (request indices, box set, cache key) per key
+        groups: Dict[Tuple[str, ...], List[Tuple[List[int], Any, bytes]]] = {}
+        by_key: Dict[bytes, Tuple[List[int], Any, bytes]] = {}
         hits = misses = 0
         for i, request in enumerate(requests):
             try:
@@ -492,7 +496,11 @@ class QueryExecutor:
                 outcomes[i] = QueryOutcome(result, True, False, memo)
                 hits += 1
             else:
-                groups.setdefault(path, []).append((i, box_set, key))
+                item = by_key.get(key)
+                if item is None:
+                    item = by_key[key] = ([], box_set, key)
+                    groups.setdefault(path, []).append(item)
+                item[0].append(i)
                 misses += 1
         trace = tracing.current_trace()
         if trace is not None:
@@ -516,7 +524,7 @@ class QueryExecutor:
 
     def _execute_misses(
         self,
-        groups: Dict[Tuple[str, ...], List[Tuple[int, Any, bytes]]],
+        groups: Dict[Tuple[str, ...], List[Tuple[List[int], Any, bytes]]],
         merge: bool,
         version: int,
         deadline_at: Optional[float],
@@ -539,15 +547,15 @@ class QueryExecutor:
                     plan_span.set_tag("paths", len(paths))
                     plan_span.set_tag("shards", sorted(shards))
             except Exception as error:  # noqa: BLE001 - per-group containment
-                for i, _, _ in items:
-                    outcomes[i] = error
+                for copies, _, _ in items:
+                    for i in copies:
+                        outcomes[i] = error
                 continue
             # breaker gate: a tripped home shard means the failing disk is
             # not touched at all — serve the stale answer or refuse cleanly
             blocked = {s for s in shards if not self._breaker_allows(s)}
             if blocked:
-                for i, _, key in items:
-                    outcomes[i] = self._degrade(key, blocked)
+                self._fail_group(items, blocked, None, outcomes)
                 continue
             planned.append((path, items, paths, entries, shards))
         # each distinct entry once; the batch holds these tables until its
@@ -560,7 +568,7 @@ class QueryExecutor:
         for group in planned:
             faulted = failed.keys() & group[4]
             if faulted:
-                self._fail_group(group[1], min(faulted), failed[min(faulted)], outcomes)
+                self._fail_group(group[1], {min(faulted)}, failed[min(faulted)], outcomes)
             else:
                 live.append(group)
         if live:
@@ -569,7 +577,7 @@ class QueryExecutor:
             except DeadlineExceeded as exc:
                 for group in live:
                     failed.setdefault(min(group[4]), exc)
-                    self._fail_group(group[1], min(group[4]), exc, outcomes)
+                    self._fail_group(group[1], {min(group[4])}, exc, outcomes)
                 live = []
         for shard in failed:
             self._breaker(shard).record_failure()
@@ -597,20 +605,24 @@ class QueryExecutor:
                 # second look at the catalog: a replace that landed
                 # meanwhile must find this result stale
                 deps = self._computed_from(paths, entries)
-                for i, _, key in items:
+                for copies, _, key in items:
                     result = QueryResult.union(streams[done : done + len(paths)], merge=merge)
                     done += len(paths)
                     memo = {} if self.cache.enabled else None
                     self.cache.store(key, (result, memo), version, path, deps)
-                    outcomes[i] = QueryOutcome(result, False, False, memo)
+                    for i in copies:
+                        outcomes[i] = QueryOutcome(result, False, False, memo)
 
-    def _fail_group(self, items: List[Tuple[int, Any, bytes]], shard: int, exc: BaseException, outcomes: List[Any]):
-        """A fault on *shard* stopped a group: each request degrades or carries the fault."""
+    def _fail_group(self, items: List[Tuple[List[int], Any, bytes]], blocked: Set[int],
+                    exc: Optional[BaseException], outcomes: List[Any]) -> None:
+        """Shards *blocked* stopped a group (a tripped breaker, or the fault
+        *exc*): each request, every copy, degrades or carries the fault."""
         if isinstance(exc, DeadlineExceeded):
             with self._stats_lock:
                 self.deadline_misses += 1
-        for i, _, key in items:
-            outcomes[i] = self._degrade(key, {shard}, cause=exc)
+        for copies, _, key in items:
+            for i in copies:
+                outcomes[i] = self._degrade(key, blocked, cause=exc)
 
     def _breaker_allows(self, shard: int) -> bool:
         """Gate one home shard: closed passes; half-open triggers (at most)

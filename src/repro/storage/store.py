@@ -533,9 +533,9 @@ class LineageStore:
             return reader
 
     def _drop_readers(self, segments: List[str]) -> None:
-        """Release the cached readers of retired/deleted segments.  Views
-        already handed out stay valid — the mappings survive through the
-        hydrated tables' buffer references until the last view is dropped."""
+        """Release the cached readers of retired/deleted segments.  Hydrated
+        tables hold copies, so only a record caught mid-read still views a
+        mapping, which survives through that view until it is dropped."""
         with self._reader_lock:
             for name in segments:
                 reader = self._readers.pop(name, None)
@@ -820,8 +820,8 @@ class LineageStore:
         # reader that resolves a stale ref from here on lands on the new
         # address, and one caught mid-read when an old file disappears
         # re-resolves through it (load_table's retry loop).  Dropping the
-        # old mmap readers is safe either way: tables hydrated before keep
-        # their views valid through the mappings' reference chain
+        # old mmap readers is safe either way: hydrated tables hold copies,
+        # and a record caught mid-read keeps its mapping alive itself
         self._remap.update(mapping)
         self._drop_readers(segments)
         self.cache.clear(self.scope)

@@ -5,10 +5,12 @@ The vectorized θ-join, segmented box merge and ProvRC key-pass run scan in
 original per-row loop implementations (kept in ``tests/core/_reference.py``)
 *exactly* — same rows, same order, same dtypes — on randomized 1-D/2-D/3-D
 relations, including relative encodings, out-of-bounds queries and empty
-results.  Seeded numpy generators keep every run reproducible.
+results.  Seeded numpy generators keep every run reproducible; CI's
+kernel soak re-runs the file under a widened ``DSLOG_SOAK_SEEDS`` matrix.
 """
 
 import contextlib
+import os
 
 import numpy as np
 import pytest
@@ -30,14 +32,16 @@ from repro.core.query import (
     THETA_JOIN_BLOCK_BUDGET_BYTES,
     CellBoxSet,
     _candidate_pairs,
+    execute_chains,
     execute_path,
     execute_path_batch,
     merge_boxes,
     theta_join,
 )
 from repro.core.relation import LineageRelation
+from repro.core.serialize import deserialize_compressed, serialize_compressed
 
-SEEDS = [0, 1, 2, 3, 4]
+SEEDS = [int(s) for s in os.environ.get("DSLOG_SOAK_SEEDS", "0,1,2,3,4").split(",")]
 
 
 # ProvRC's two passes run on one attribute-major table; these wrap each on
@@ -392,6 +396,42 @@ class TestNarrowDtypeEquivalence:
                 assert_box_sets_identical(got, other)
             assert got.lo.dtype == np.int64  # box sets stay canonical int64
         assert narrow_seen, "the hydration path never produced a narrow table"
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("side", ["output", "input"])
+    @pytest.mark.parametrize("n, dtype", [(12, np.int8), (300, np.int16)])
+    def test_blocked_batch_on_hydrated_tables(self, monkeypatch, seed, side, n, dtype):
+        # a diagonal (two value attributes relative to key attribute 0)
+        # beside scattered absolute rows: per-row encodings and a shared
+        # key reference, joined as one batch in 256-byte chunks
+        rng = np.random.default_rng(seed + 2000)
+        pairs = [((i, j), (i, i + 1)) for i in range(n) for j in range(5)]
+        for _ in range(40):
+            out_cell = (int(rng.integers(0, n)), int(rng.integers(0, 5)))
+            pairs.append((out_cell, (int(rng.integers(0, n)), int(rng.integers(0, n + 1)))))
+        relation = LineageRelation.from_pairs(pairs, (n, 5), (n, n + 1))
+        table = compress(relation)  # int64 columns
+        hydrated = deserialize_compressed(serialize_compressed(table))
+        assert hydrated.key_lo.dtype == hydrated.val_lo.dtype == dtype
+        assert table.uniform_value_encoding is None and table.shared_ref_mask is not None
+        shape = relation.out_shape if side == "output" else relation.in_shape
+        name = relation.out_name if side == "output" else relation.in_name
+        queries = []
+        for _ in range(5):
+            lo, hi = random_boxes(rng, 2, int(rng.integers(1, 5)), coord_range=n, max_extent=3)
+            queries.append(CellBoxSet(name, shape, lo, hi))
+        queries.insert(3, queries[1])  # the same query twice in one batch
+        monkeypatch.setattr(query_mod, "THETA_JOIN_BLOCK_BUDGET_BYTES", 256)
+        for merge in (True, False):
+            stats = {}
+            got = execute_chains([[hydrated]] * len(queries), queries, merge=merge, stats=stats)
+            assert stats["join_blocks"] > 1  # the budget split the pass
+            wide = execute_path_batch([table], queries, merge=merge)
+            for query, g, w in zip(queries, got, wide):
+                assert_box_sets_identical(g.cells, theta_join_reference(query, hydrated, merge=merge))
+                assert_box_sets_identical(g.cells, w.cells)
+                assert_hops_identical(g.hops, w.hops)
+            assert_box_sets_identical(got[1].cells, got[3].cells)
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("relative", [True, False])

@@ -30,12 +30,10 @@ from repro.core.serialize import (
     json_frame,
     parse_json_frame,
     peek_table,
-    read_compressed,
     serialize_compressed,
     serialize_compressed_gzip,
     serialize_table,
     deserialize_table,
-    write_compressed,
 )
 
 
@@ -76,24 +74,12 @@ class TestSerializationRoundTrip:
 
 
 class TestOnDisk:
-    def test_write_read_plain(self, tmp_path):
-        table, relation = sample_table()
-        size = write_compressed(table, tmp_path / "t.provrc")
-        assert size == (tmp_path / "t.provrc").stat().st_size
-        assert read_compressed(tmp_path / "t.provrc").decompress() == relation
-
-    def test_write_read_gzip_sniffed(self, tmp_path):
-        table, relation = sample_table()
-        write_compressed(table, tmp_path / "t.provrc.gz", gzip=True)
-        assert read_compressed(tmp_path / "t.provrc.gz").decompress() == relation
-
-    def test_compressed_is_much_smaller_than_raw(self, tmp_path):
+    def test_compressed_is_much_smaller_than_raw(self):
         # A structured operation must compress far below the raw representation.
         pairs = [((i,), (i,)) for i in range(100_000)]
         relation = LineageRelation.from_pairs(pairs, (100_000,), (100_000,))
         table = compress(relation)
-        size = write_compressed(table, tmp_path / "big.provrc")
-        assert size < relation.nbytes_raw() / 1000
+        assert len(serialize_compressed(table)) < relation.nbytes_raw() / 1000
 
 
 def _interval_table(magnitude, rows):

@@ -219,3 +219,63 @@ def test_a_tripped_breaker_gates_only_its_groups(tmp_path):
     assert ok.result.to_cells() == {(1,)} and not ok.degraded
     assert isinstance(refused, ShardUnavailable) and refused.shard == 1
     log.close()
+
+
+# ----------------------------------------------------------------------
+# a request repeated in a batch
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("cache_entries", [256, 0])
+def test_a_repeated_miss_is_joined_once(counted_passes, cache_entries):
+    log = DSLog()
+    build(log, EDGES)
+    chain, fork = (["D", "C", "B", "A"], [(3,)]), (["B", "D"], [(1,)])
+    requests = [chain, fork, chain, chain, fork, chain]
+    trace = tracing.start_trace("test")
+    try:
+        with QueryExecutor(log, cache_entries=cache_entries) as ex:
+            outcomes = ex.query_batch(requests)
+            stats = ex.stats()
+    finally:
+        trace.finish()
+        tracing._CURRENT.set(None)
+    [join] = [s for s in trace.as_dict()["spans"] if s["name"] == "join"]
+    assert join["tags"]["queries"] == 2  # the distinct requests
+    assert join["tags"]["streams"] == 3  # the chain once, the diamond's two paths
+    assert len(counted_passes) == len(set(counted_passes))
+    # every copy is a miss of its own, counted and tagged as before
+    assert trace.as_dict()["tags"]["batch_misses"] == len(requests)
+    assert stats["queries"] == len(requests)
+    assert stats["cache"]["misses"] == (len(requests) if cache_entries else 0)
+    with QueryExecutor(log, cache_entries=0) as alone:
+        for (path, cells), outcome in zip(requests, outcomes):
+            assert not outcome.cached and not outcome.degraded
+            assert comparable(outcome) == comparable(alone.query(path, cells))
+    for copies in ([0, 2, 3, 5], [1, 4]):
+        first = outcomes[copies[0]]
+        assert all(outcomes[i] == first for i in copies)
+        assert all(outcomes[i].result is first.result and outcomes[i].memo is first.memo for i in copies)
+        assert (first.memo is None) == (cache_entries == 0)
+
+
+def test_copies_behind_a_tripped_breaker_share_their_outcome(tmp_path):
+    log = DSLog(tmp_path / "db", num_shards=2, autosync=False)
+    (u, v), (p, q) = pair_on(0, "u"), pair_on(1, "p")
+    build(log, [(u, v), (p, q)])
+    log.sync()
+    with QueryExecutor(log) as ex:
+        primed = ex.query([p, q], [(1,)])
+        log.add_lineage(p, q, relation=identity(p, q), replace=True)  # primed goes stale
+        for _ in range(3):  # the breaker trips on its third consecutive fault
+            ex._breaker(1).record_failure()
+        stale, unseen, fresh = ([p, q], [(1,)]), ([p, q], [(2,)]), ([u, v], [(1,)])
+        outcomes = ex.query_batch([stale, unseen, stale, fresh, unseen, stale])
+        stats = ex.stats()
+    degraded = [outcomes[i] for i in (0, 2, 5)]
+    assert all(o == degraded[0] and o.result is primed.result for o in degraded)
+    assert all(o.cached and o.degraded for o in degraded)
+    errors = [outcomes[i] for i in (1, 4)]
+    assert all(isinstance(e, ShardUnavailable) and e.shard == 1 for e in errors)
+    assert str(errors[0]) == str(errors[1])
+    assert outcomes[3].result.to_cells() == {(1,)} and not outcomes[3].cached
+    assert stats["cache"]["stale_hits"] == 3  # one stale serve per copy
+    log.close()

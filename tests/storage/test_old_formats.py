@@ -5,7 +5,7 @@ commit that reads it, and the refusal writes nothing.  No upgrader ships.
 Each refusal is checked on the smallest directory that triggers it and on
 a whole older store.  The older formats are built by test-local helpers
 (no production code writes them): a one-shard store lifted to the root is
-what ``backend="segment"`` left behind, a ``write_compressed`` loop is the
+what ``backend="segment"`` left behind, ``write_table_file`` writes the
 per-entry layout, ``rewrite_as_v1`` strips the per-record CRC the way
 wire-v1 segments were framed, and ``serialize_verbatim`` /
 ``serialize_row_delta`` are the two table writers before the
@@ -41,7 +41,6 @@ from repro.core.serialize import (
     peek_table,
     serialize_table,
     smallest_int_dtype,
-    write_compressed,
 )
 from repro.storage.manifest import dump_manifest, load_manifest, write_manifest
 from repro.storage.segments import EDIT_MAGIC, SEGMENT_MAGIC, SegmentWriter, walk_records
@@ -120,6 +119,14 @@ def single_store_directory(root):
     (root / "SHARDS.json").unlink()
 
 
+def write_table_file(table, path, gzip, writer=None):
+    """One table as a standalone ``.provrc[.gz]`` file, the per-entry
+    layout: the table's payload by *writer* (the current serializer when
+    omitted), zlib-compressed with *gzip*."""
+    payload = (writer or serialize_table)(table)
+    path.write_bytes(zlib.compress(payload) if gzip else payload)
+
+
 def per_entry_directory(root, gzip=True, writer=None):
     """What ``backend="memory"`` with a root wrote: one backward table per
     entry, nothing else — by *writer* (one of the older table writers)
@@ -127,11 +134,7 @@ def per_entry_directory(root, gzip=True, writer=None):
     root.mkdir()
     for entry in populate(DSLog()).catalog.entries():
         name = f"{entry.in_name}__{entry.out_name}.provrc" + (".gz" if gzip else "")
-        if writer is None:
-            write_compressed(entry.backward, root / name, gzip=gzip)
-        else:
-            payload = writer(entry.backward)
-            (root / name).write_bytes(zlib.compress(payload) if gzip else payload)
+        write_table_file(entry.backward, root / name, gzip=gzip, writer=writer)
 
 
 def as_v1(segment):
@@ -273,7 +276,7 @@ class TestRefusedAtOpen:
 
     @pytest.mark.parametrize("name", ["A__B.provrc", "A__B.provrc.gz"])
     def test_per_entry_table_file(self, tmp_path, name):
-        write_compressed(compress(identity()), tmp_path / name, gzip=name.endswith(".gz"))
+        write_table_file(compress(identity()), tmp_path / name, gzip=name.endswith(".gz"))
         assert_refused(tmp_path)
 
     def test_wire_v1_segment(self, tmp_path):
