@@ -237,10 +237,11 @@ class CompressedLineage:
         validation (six coercions, shape cross-checks, the relative-ref
         mask) costs more than the decode itself on small tables.  Columns
         arriving here were validated when the table was first constructed
-        and serialized, so only one cheap integrity probe remains: the
-        bounds of ``val_ref``, whose out-of-range values would silently
-        gather garbage in the θ-join (the serializer always stores ``-1``
-        for absolute attributes, so the probe is exact).
+        and serialized; the one integrity probe a payload read from disk
+        still needs, the bounds of ``val_ref``, is
+        :func:`~repro.core.serialize.deserialize_compressed`'s, and a table
+        a store writes through is built from columns that never left
+        memory.
         """
         self = cls.__new__(cls)
         self.out_name = out_name
@@ -255,19 +256,6 @@ class CompressedLineage:
         self.val_ref = val_ref
         self.val_lo = val_lo
         self.val_hi = val_hi
-        if val_ref.size:
-            nkey = len(out_shape)
-            if (
-                int(val_ref.min()) < -1
-                or int(val_ref.max()) >= nkey
-                # a relative attribute with ref -1 would silently gather
-                # the last key column (negative fancy index wraps)
-                or bool(((val_ref < 0) & (val_kind == KIND_REL)).any())
-            ):
-                raise ValueError(
-                    "hydrated table has value references outside the key "
-                    f"arity [0, {nkey}) — corrupt or foreign payload"
-                )
         return self
 
     # ------------------------------------------------------------------

@@ -129,6 +129,10 @@ class CellBoxSet:
     kept in this form so the whole pipeline stays in the compressed domain.
     """
 
+    #: values derived from the boxes of a frozen box set (:meth:`freeze`),
+    #: kept by whoever derives them; ``None`` while the boxes may change
+    derived: Optional[dict] = None
+
     def __init__(self, array_name: str, shape: Tuple[int, ...], lo: np.ndarray, hi: np.ndarray):
         self.array_name = array_name
         self.shape = tuple(int(d) for d in shape)
@@ -255,6 +259,14 @@ class CellBoxSet:
                 return cls.empty(array_name, shape)
             pairs.append((start, stop - 1))
         return cls.from_boxes(array_name, shape, [pairs])
+
+    def freeze(self) -> "CellBoxSet":
+        """Make ``lo`` and ``hi`` read-only and open :attr:`derived`: what
+        is computed from boxes nobody can change in place may be kept with
+        them.  Returns ``self``."""
+        self.lo.flags.writeable = self.hi.flags.writeable = False
+        self.derived = {}
+        return self
 
     # -- basic protocol ---------------------------------------------------
     @property

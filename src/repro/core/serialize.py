@@ -81,7 +81,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .compressed import CompressedLineage
+from .compressed import KIND_REL, CompressedLineage
 from .relation import default_axis_names
 
 __all__ = [
@@ -90,6 +90,7 @@ __all__ = [
     "serialize_compressed_gzip",
     "deserialize_compressed_gzip",
     "serialize_table",
+    "serialize_hydrated",
     "deserialize_table",
     "frame_header",
     "parse_header",
@@ -249,12 +250,19 @@ def _narrowed(array: np.ndarray) -> np.ndarray:
 
 def serialize_compressed(table: CompressedLineage) -> bytes:
     """Serialize a compressed lineage table to bytes (no general compression)."""
+    return _encoded(table)[0]
+
+
+def _encoded(table: CompressedLineage) -> Tuple[bytes, dict]:
+    """:func:`serialize_compressed`'s bytes, and the six columns at the
+    narrow dtypes they are stored at, by name: what a reader decodes."""
     rows = len(table)
-    stored = {"val_kind": _narrowed(table.val_kind), "val_ref": _narrowed(table.val_ref)}
+    narrow = {"val_kind": _narrowed(table.val_kind), "val_ref": _narrowed(table.val_ref)}
+    stored = dict(narrow)
     decoded = []
     for lo_name, hi_name in _INTERVAL_PAIRS:
-        lo = _narrowed(getattr(table, lo_name))
-        hi = _narrowed(getattr(table, hi_name))
+        lo = narrow[lo_name] = _narrowed(getattr(table, lo_name))
+        hi = narrow[hi_name] = _narrowed(getattr(table, hi_name))
         decoded += [lo.dtype.itemsize, hi.dtype.itemsize]
         # both wrap at the narrow dtype: exact modulo 2**bits, which is all
         # the decode (same arithmetic, same dtype) needs
@@ -291,7 +299,7 @@ def serialize_compressed(table: CompressedLineage) -> bytes:
         header["out_axes"] = list(table.out_axes)
     if tuple(table.in_axes) != default_axis_names("a", len(table.in_shape)):
         header["in_axes"] = list(table.in_axes)
-    return json_frame(_MAGIC, header, payload)
+    return json_frame(_MAGIC, header, payload), narrow
 
 
 def _corrupt(field: str, problem: str) -> ValueError:
@@ -444,6 +452,21 @@ def deserialize_compressed(data) -> CompressedLineage:
             + OLD_FORMAT_HINT
         )
     columns = _read_attr_delta(header, len(fields[2]), len(fields[3]), view, offset)
+    val_kind, val_ref = columns[2:4]
+    nkey = len(fields[2])
+    # the bounds of val_ref: an out-of-range one would silently gather
+    # garbage in the θ-join (the serializer always stores -1 for absolute
+    # attributes, so the probe is exact), and a relative attribute with
+    # ref -1 would gather the last key column (negative fancy index wraps)
+    if val_ref.size and (
+        int(val_ref.min()) < -1
+        or int(val_ref.max()) >= nkey
+        or bool(((val_ref < 0) & (val_kind == KIND_REL)).any())
+    ):
+        raise ValueError(
+            "hydrated table has value references outside the key "
+            f"arity [0, {nkey}) — corrupt or foreign payload"
+        )
     return CompressedLineage._hydrate(*fields[:4], *columns, *fields[4:])
 
 
@@ -459,6 +482,27 @@ def deserialize_compressed_gzip(data) -> CompressedLineage:
 def serialize_table(table: CompressedLineage, gzip: bool = False) -> bytes:
     """Serialize one table in either format (the segment-record payload)."""
     return serialize_compressed_gzip(table) if gzip else serialize_compressed(table)
+
+
+def serialize_hydrated(table: CompressedLineage, gzip: bool = False) -> Tuple[bytes, CompressedLineage]:
+    """:func:`serialize_table`'s payload, and the table a reader hydrates
+    from it — the same columns at the same narrow dtypes, read-only —
+    built from the narrowing the encode does anyway: what a store keeps
+    of a table it writes through."""
+    payload, narrow = _encoded(table)
+    columns = []
+    for name in _COLUMNS:
+        column = narrow[name]
+        if column is getattr(table, name):
+            column = column.view()  # read-only without freezing *table*'s own array
+        column.flags.writeable = False
+        columns.append(column)
+    hydrated = CompressedLineage._hydrate(
+        table.out_name, table.in_name,
+        tuple(int(d) for d in table.out_shape), tuple(int(d) for d in table.in_shape),
+        *columns, tuple(table.out_axes), tuple(table.in_axes),
+    )
+    return (zlib.compress(payload, _ZLIB_LEVEL) if gzip else payload), hydrated
 
 
 def deserialize_table(data) -> CompressedLineage:

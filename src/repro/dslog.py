@@ -37,6 +37,7 @@ snapshot-isolated view pinned at the current catalog state.
 
 from __future__ import annotations
 
+import operator
 import threading
 from collections import OrderedDict
 from pathlib import Path
@@ -78,6 +79,8 @@ __all__ = ["DSLog"]
 # query box memo entries (cell lists and slices alike): room for a serving
 # pool of a few hundred re-issued queries, evicted least recently used
 QUERY_BOX_MEMO_ENTRIES = 256
+# a slice query's memo key part, per slice
+_SLICE_BOUNDS = operator.attrgetter("start", "stop", "step")
 
 Cell = Tuple[int, ...]
 CaptureFn = Callable[[Cell], Iterable[Cell]]
@@ -514,8 +517,8 @@ class DSLog:
         return self.graph.lineage_summary()
 
     def _as_box_set(self, array_name: str, query_cells) -> CellBoxSet:
-        info = self.catalog.array(array_name)
         if isinstance(query_cells, CellBoxSet):
+            self.catalog.array(array_name)  # raises KeyError for unknown arrays
             if query_cells.array_name != array_name:
                 raise ValueError(
                     f"query targets array {query_cells.array_name!r} but the path starts at {array_name!r}"
@@ -524,16 +527,17 @@ class DSLog:
         if not isinstance(query_cells, (list, tuple, np.ndarray)):
             query_cells = list(query_cells)
         if isinstance(query_cells, np.ndarray):
-            return CellBoxSet.from_cells(array_name, info.shape, query_cells)
+            return CellBoxSet.from_cells(array_name, self.catalog.array(array_name).shape, query_cells)
         slices = len(query_cells) and isinstance(query_cells[0], slice)
         # memoize the conversion by content: the key is an immutable copy of
         # the cells (of a slice, its start, stop and step), so re-issued
         # queries (dashboards, benchmark rounds) skip the conversion without
-        # any staleness risk
+        # any staleness risk; a memoized box set is frozen, so what a reader
+        # derives from it (the result cache's key) may be kept with it.  An
+        # array's shape never changes, so a hit needs no catalog lookup.
         try:
             if slices:
-                bounds = ((q.start, q.stop, q.step) if isinstance(q, slice) else q for q in query_cells)
-                key = (array_name, "slices", tuple(bounds))
+                key = (array_name, "slices", tuple(map(_SLICE_BOUNDS, query_cells)))
             else:
                 key = (array_name, tuple(query_cells))
             with self._query_box_lock:
@@ -541,13 +545,15 @@ class DSLog:
                 if box_set is not None:
                     self._query_box_cache.move_to_end(key)
                     return box_set
-        except TypeError:  # cells not hashable (e.g. lists): no caching
+        except (TypeError, AttributeError):  # unhashable cells (lists), or not all slices: no caching
             key = None
+        shape = self.catalog.array(array_name).shape
         if slices:
-            box_set = CellBoxSet.from_slices(array_name, info.shape, query_cells)
+            box_set = CellBoxSet.from_slices(array_name, shape, query_cells)
         else:
-            box_set = CellBoxSet.from_cells(array_name, info.shape, query_cells)
+            box_set = CellBoxSet.from_cells(array_name, shape, query_cells)
         if key is not None:
+            box_set.freeze()
             with self._query_box_lock:
                 self._query_box_cache[key] = box_set
                 if len(self._query_box_cache) > QUERY_BOX_MEMO_ENTRIES:

@@ -105,6 +105,11 @@ class _Instrument:
 
     def labels(self, *values, **kwargs) -> "_Instrument":
         """The child instrument carrying these label values."""
+        # an existing child, named by its string values, is one dict read:
+        # children are only ever added, and a dict read needs no lock
+        child = self._children.get(values)
+        if child is not None:
+            return child
         if not self.labelnames:
             raise ValueError(f"{self.name} was registered without labels")
         if kwargs:

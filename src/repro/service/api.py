@@ -34,6 +34,7 @@ its sockets.
 from __future__ import annotations
 
 import ipaddress
+import itertools
 import json
 import time
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
@@ -99,65 +100,79 @@ def _parse_deadline(value) -> Optional[float]:
 def _flag_arg(args: dict, name: str, default: bool) -> bool:
     """A JSON boolean argument, *default* when absent: any other value
     (``"false"``, ``0``, ``null``) is refused rather than read by truthiness."""
-    if name not in args:
-        return default
-    value = args[name]
-    if not isinstance(value, bool):
+    value = args.get(name, default)
+    if type(value) is not bool:
         raise ValueError(f"'{name}' must be true or false, got {value!r}")
     return value
+
+
+# what a coordinate, and a slice bound, may be: ``type(c) is int``, not
+# isinstance, because JSON true / false decode to bools, which isinstance
+# counts as ints, and are no coordinate
+_INT = frozenset((int,))
+_BOUND = frozenset((int, type(None)))
+_LIST = frozenset((list,))
+
+
+def _cells_query(cells) -> list:
+    """A ``cells`` argument as the cells of a query: a tuple per coordinate
+    list, a bare integer (of a 1-D array) as it is.  The common shapes —
+    all lists of integers, or all integers — are checked by a fixed handful
+    of calls whatever their length; anything else goes cell by cell, which
+    names the first bad entry."""
+    if not isinstance(cells, list):
+        raise ValueError("'cells' must be a list of cell coordinates")
+    kinds = set(map(type, cells))
+    if kinds == _LIST and set(map(type, itertools.chain.from_iterable(cells))) <= _INT:
+        return list(map(tuple, cells))
+    if kinds <= _INT:
+        return list(cells)
+    query: list = []
+    for cell in cells:
+        if isinstance(cell, list) and all(type(c) is int for c in cell):
+            query.append(tuple(cell))
+        elif type(cell) is int:
+            query.append(cell)
+        else:
+            raise ValueError(
+                "'cells' entries must be integer coordinate lists (or bare "
+                f"integers for 1-D arrays), got {cell!r}"
+            )
+    return query
+
+
+def _slices_query(slices) -> list:
+    """A ``slices`` argument as a query's slices, ``null`` a whole axis: one
+    pair per axis, each checked by a few type tests."""
+    if not isinstance(slices, list):
+        raise ValueError("'slices' must be a list of [start, stop] pairs")
+    query: list = []
+    for pair in slices:
+        if type(pair) is list and len(pair) == 2 and type(pair[0]) in _BOUND and type(pair[1]) in _BOUND:
+            query.append(slice(*pair))
+        elif pair is None:
+            query.append(slice(None, None))
+        else:
+            raise ValueError(f"'slices' entries must be [start, stop] pairs or null, got {pair!r}")
+    return query
 
 
 def parse_query_request(body: dict) -> QuerySpec:
     """Validate one query request body (shared by both transports)."""
     path = body.get("path")
-    if not isinstance(path, list) or len(path) < 2 or not all(
-        isinstance(name, str) for name in path
-    ):
+    if not isinstance(path, list) or len(path) < 2 or not all(isinstance(name, str) for name in path):
         raise ValueError("'path' must be a list of at least two array names")
     cells = body.get("cells")
     slices = body.get("slices")
     if (cells is None) == (slices is None):
         raise ValueError("exactly one of 'cells' or 'slices' is required")
-    if cells is not None:
-        if not isinstance(cells, list):
-            raise ValueError("'cells' must be a list of cell coordinates")
-        query: Any = []
-        # ``type(c) is int``, not isinstance: JSON true / false decode to
-        # bools, which isinstance counts as ints, and are no coordinate
-        for cell in cells:
-            if isinstance(cell, list) and all(type(c) is int for c in cell):
-                query.append(tuple(cell))
-            elif type(cell) is int:
-                query.append(cell)
-            else:
-                raise ValueError(
-                    "'cells' entries must be integer coordinate lists (or bare "
-                    f"integers for 1-D arrays), got {cell!r}"
-                )
-    else:
-        if not isinstance(slices, list):
-            raise ValueError("'slices' must be a list of [start, stop] pairs")
-        query = []
-        for pair in slices:
-            if pair is None:
-                query.append(slice(None, None))
-            elif (
-                isinstance(pair, list)
-                and len(pair) == 2
-                and all(p is None or type(p) is int for p in pair)
-            ):
-                query.append(slice(pair[0], pair[1]))
-            else:
-                raise ValueError(
-                    f"'slices' entries must be [start, stop] pairs or null, got {pair!r}"
-                )
     return QuerySpec(
-        path=path,
-        query=query,
-        merge=_flag_arg(body, "merge", True),
-        include_boxes=_flag_arg(body, "include_boxes", True),
-        include_cells=_flag_arg(body, "include_cells", False),
-        deadline=_parse_deadline(body.get("deadline")),
+        path,
+        _cells_query(cells) if cells is not None else _slices_query(slices),
+        _flag_arg(body, "merge", True),
+        _flag_arg(body, "include_boxes", True),
+        _flag_arg(body, "include_cells", False),
+        _parse_deadline(body.get("deadline")),
     )
 
 

@@ -15,7 +15,9 @@ is that pipeline on a list of one (re-raising its item's error) and
 
 1. **Validate, digest, look up** — the catalog version is read first (see
    below), then each request is checked (path length, known arrays, cells →
-   boxes) and digested, and result-cache hits are answered on the spot.  A
+   boxes) and digested — once per ``(path, merge)`` for the frozen box set
+   ``DSLog`` memoizes its conversion as, every time for a caller's
+   ``CellBoxSet`` — and result-cache hits are answered on the spot.  A
    request that fails here, or at any later step, fails alone: its slot in
    the answer carries the exception.
 2. **Plan and gate** — the misses are grouped by path and each group is
@@ -42,7 +44,8 @@ is that pipeline on a list of one (re-raising its item's error) and
    with ``QueryResult.union``.  A single query is this step on a batch of
    one.
 4. **Install** — each fresh result goes into the result cache under its
-   own digest, with the planned paths and the tokens of their hop entries,
+   own digest, as the :class:`QueryOutcome` a hit returns, with the planned
+   paths and the tokens of their hop entries,
    and with an empty *reply memo*: the dict a transport keeps the static
    bytes of this result's single-query reply in, once it has encoded them.
    The memo lives exactly as long as its cache entry — a hit, a restamp
@@ -124,6 +127,9 @@ __all__ = [
 ]
 
 DEFAULT_CACHE_ENTRIES = 256
+# result-cache keys kept per frozen query box set, one per (path, merge):
+# a query's cells are re-sent along a few paths, not along every path
+_KEYS_PER_BOX_SET = 16
 
 # what hydrating a shard's tables can raise: the shard's fault, not the batch's
 _SHARD_FAULTS = (OSError, CorruptRecordError)
@@ -394,6 +400,22 @@ class QueryExecutor:
             h.update(part)
         return h.digest()
 
+    def _query_key(self, path: Tuple[str, ...], box_set, merge: bool) -> bytes:
+        """A request's result-cache key: its digest, kept in a frozen box
+        set's ``derived`` dict (``DSLog``'s memoized conversions are
+        frozen) per ``(path, merge)``, so a repeated query is hashed once.
+        Any other box set may have changed in place since the last call:
+        it is digested every time."""
+        derived = box_set.derived
+        if derived is None:
+            return self._query_digest(path, box_set, merge)
+        key = derived.get((path, merge))
+        if key is None:
+            if len(derived) >= _KEYS_PER_BOX_SET:
+                derived.clear()
+            key = derived[path, merge] = self._query_digest(path, box_set, merge)
+        return key
+
     # ------------------------------------------------------------------
     # the read API
     # ------------------------------------------------------------------
@@ -477,6 +499,7 @@ class QueryExecutor:
         groups: Dict[Tuple[str, ...], List[Tuple[List[int], Any, bytes]]] = {}
         by_key: Dict[bytes, Tuple[List[int], Any, bytes]] = {}
         hits = misses = 0
+        array, as_box_set, lookup = self.log.catalog.array, self.log._as_box_set, self.cache.lookup
         for i, request in enumerate(requests):
             try:
                 path, query_cells = request
@@ -484,16 +507,15 @@ class QueryExecutor:
                 if len(path) < 2:
                     raise ValueError("a query path needs at least two arrays")
                 for name in path:
-                    self.log.catalog.array(name)  # KeyError for unknown arrays
-                box_set = self.log._as_box_set(path[0], query_cells)
-                key = self._query_digest(path, box_set, merge)
+                    array(name)  # KeyError for unknown arrays
+                box_set = as_box_set(path[0], query_cells)
+                key = self._query_key(path, box_set, merge)
             except Exception as error:  # noqa: BLE001 - per-item containment
                 outcomes[i] = error
                 continue
-            hit, value = self.cache.lookup(key, version, self._dependencies)
+            hit, value = lookup(key, version, self._dependencies)
             if hit:
-                result, memo = value  # what _execute_misses installs
-                outcomes[i] = QueryOutcome(result, True, False, memo)
+                outcomes[i] = value  # the hit outcome _execute_misses installs
                 hits += 1
             else:
                 item = by_key.get(key)
@@ -609,7 +631,7 @@ class QueryExecutor:
                     result = QueryResult.union(streams[done : done + len(paths)], merge=merge)
                     done += len(paths)
                     memo = {} if self.cache.enabled else None
-                    self.cache.store(key, (result, memo), version, path, deps)
+                    self.cache.store(key, QueryOutcome(result, True, False, memo), version, path, deps)
                     for i in copies:
                         outcomes[i] = QueryOutcome(result, False, False, memo)
 
@@ -641,14 +663,13 @@ class QueryExecutor:
         :class:`~repro.faults.ShardUnavailable` when there is neither."""
         stale_hit, stale = self.cache.lookup_stale(key)
         if stale_hit:
-            result, memo = stale
             trace = tracing.current_trace()
             if trace is not None:
                 trace.set_tag("cache", "stale")
                 trace.set_tag("degraded", True)
             with self._stats_lock:
                 self.degraded_serves += 1
-            return QueryOutcome(result, True, True, memo)
+            return stale._replace(degraded=True)
         if cause is not None:
             return cause
         shard = min(blocked)

@@ -61,6 +61,7 @@ from .wire import (
     encode_batch,
     encode_frame,
     encode_json,
+    encode_result,
     parse_frame_header,
     read_frame,
     recv_exact,
@@ -78,7 +79,8 @@ class _ConnectionDropped(Exception):
 # ----------------------------------------------------------------------
 def _entry(outcome, spec, elapsed_ms: float = 0.0) -> tuple:
     """A query outcome as an :func:`~repro.service.wire.encode_batch`
-    entry, its static bytes kept in the outcome's reply memo."""
+    entry (:func:`~repro.service.wire.encode_result`'s arguments), its
+    static bytes kept in the outcome's reply memo."""
     return (
         outcome.result, spec.include_boxes, spec.include_cells, outcome.cached, outcome.degraded, elapsed_ms,
         outcome.memo,
@@ -88,7 +90,7 @@ def _entry(outcome, spec, elapsed_ms: float = 0.0) -> tuple:
 _ENCODERS: Dict[str, Callable[[Any], bytes]] = {
     "json": encode_json,
     "text": lambda reply: reply.encode("utf-8"),
-    "query": lambda reply: encode_batch([_entry(*reply)], reply[2]),
+    "query": lambda reply: encode_result(*_entry(*reply)),
     "batch": lambda reply: encode_batch([e if isinstance(e, dict) else _entry(*e) for e in reply[0]], reply[1]),
 }
 _DECODERS: Dict[str, Callable[[bytes], Any]] = {

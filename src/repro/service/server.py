@@ -757,12 +757,14 @@ class _Client:
         """Run *attempt* until it returns.  An attempt that raises one of
         the transport's ``_RETRYABLE`` exceptions has already discarded its
         connection; it is repeated after the schedule's next sleep."""
-        schedule = self.retry.schedule()
+        schedule = None  # made by the first failure: a request that succeeds needs none
         while True:
             try:
                 return attempt()
             except self._RETRYABLE as error:
                 last_error = error
+            if schedule is None:
+                schedule = self.retry.schedule()
             if not schedule.sleep():
                 raise LineageConnectionError(
                     f"{what} failed after {schedule.describe()}: {last_error}"
@@ -811,24 +813,21 @@ class _Client:
         include_boxes: bool,
         include_cells: bool,
     ) -> List[dict]:
-        """``(path, cells)`` tuples / raw body dicts → query body dicts."""
+        """``(path, cells)`` tuples / raw body dicts → query body dicts: a
+        dict's own keys win over the call's flags."""
+        flags = {"merge": merge, "include_boxes": include_boxes, "include_cells": include_cells}
         bodies: List[dict] = []
         for item in queries:
-            if isinstance(item, dict):
-                entry = dict(item)
-            else:
+            if not isinstance(item, dict):
                 path, cells = item
-                entry = {
+                item = {
                     "path": list(path),
                     "cells": [
                         list(cell) if isinstance(cell, (list, tuple)) else cell
                         for cell in cells
                     ],
                 }
-            entry.setdefault("merge", merge)
-            entry.setdefault("include_boxes", include_boxes)
-            entry.setdefault("include_cells", include_cells)
-            bodies.append(entry)
+            bodies.append({**flags, **item})
         return bodies
 
     def prov_query_batch(

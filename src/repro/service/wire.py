@@ -56,10 +56,11 @@ highs and optional cell listing, flattened in item order, narrowed
 them all (:func:`~repro.core.serialize.smallest_int_dtype`, the ProvRC
 trick applied to the wire) and written with one ``tobytes``.  The
 decoder checks every count against the bytes left before it slices or
-allocates by it, then makes one ``np.frombuffer`` over the block: every
-``boxes_lo`` / ``boxes_hi`` / ``cells_array`` is a reshaped, read-only
-view into that one buffer.  Zero copies, no per-integer work, for a
-batch as for a single result.
+allocates by it, and every name's UTF-8 as it reads it, then makes one
+``np.frombuffer`` over the block: every ``boxes_lo`` / ``boxes_hi`` /
+``cells_array`` is a reshaped, read-only view into that one buffer, made
+on first access.  Zero copies, no per-integer work, for a batch as for a
+single result.
 
 Of an item, a request changes only two fields: its cached and degraded
 flag bits and its ``elapsed_ms``.  Everything else — the rest of the item
@@ -163,11 +164,13 @@ _CACHED, _DEGRADED, _BOXES, _CELLS, _ERROR = 1, 2, 4, 8, 16
 # the fields of a decoded result row and of one of its hop rows, by position
 _ROW = (
     "array", "shape", "boxes_merged", "count", "hops", "cached", "degraded",
-    "elapsed_ms", "include_boxes", "include_cells", "cell_rows",
+    "elapsed_ms", "include_boxes", "include_cells", "cell_rows", "block_at",
 )
 _HOP = ("from", "to", "rows_scanned", "boxes_in", "boxes_out_raw", "boxes_out_merged", "seconds")
 # what a coordinate block may be stored as, by the header's itemsize
 _BLOCK_DTYPES = {size: np.dtype(f"<i{size}") for size in (1, 2, 4, 8)}
+# an item's shape record, by its u8 ndim
+_SHAPES = [struct.Struct(f"<{ndim}Q") for ndim in range(256)]
 
 
 class ShortRead(ConnectionError):
@@ -253,8 +256,12 @@ def read_frame(source: Union[socket.socket, BinaryIO]) -> Tuple[int, int, bytes]
     return opcode, request_id, recv_exact(source, length)
 
 
+# built once: ``json.dumps`` with separators builds an encoder per call
+_JSON_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def encode_json(obj: Any) -> bytes:
-    return json.dumps(obj, separators=(",", ":")).encode("utf-8")
+    return _JSON_ENCODER.encode(obj).encode("utf-8")
 
 
 def decode_json(payload: bytes) -> Any:
@@ -287,7 +294,7 @@ def _item_record(result, include_boxes: bool, include_cells: bool, memo: Optiona
     block = np.concatenate(parts, axis=None) if parts else np.empty(0, np.int8)
     dtype = _BLOCK_DTYPES[smallest_int_dtype(block).itemsize]
     name, ndim = cells.array_name.encode("utf-8"), len(cells.shape)
-    tail = [struct.pack(f"<{ndim}Q", *cells.shape), name]
+    tail = [_SHAPES[ndim].pack(*cells.shape), name]
     for h in result.hops:
         source, target = h.array_from.encode("utf-8"), h.array_to.encode("utf-8")
         stats = (h.rows_scanned, h.boxes_in, h.boxes_out_raw, h.boxes_out_merged, h.seconds)
@@ -300,6 +307,18 @@ def _item_record(result, include_boxes: bool, include_cells: bool, memo: Optiona
     if memo is not None:
         memo[key] = record
     return record
+
+
+def _stamped(result, include_boxes, include_cells, cached, degraded, item_ms, memo=None) -> tuple:
+    """One result item of a reply: ``(item record, tail, block itemsize,
+    block bytes)``, the record packed with the request's own fields (its
+    cached and degraded flags and *item_ms*) around the static ones of
+    :func:`_item_record`."""
+    flags, ndim, name_size, boxes, count, cell_rows, hop_count, tail, itemsize, block = _item_record(
+        result, include_boxes, include_cells, memo
+    )
+    flags |= (_CACHED if cached else 0) | (_DEGRADED if degraded else 0)
+    return _ITEM.pack(flags, ndim, name_size, boxes, count, item_ms, cell_rows, hop_count), tail, itemsize, block
 
 
 def encode_batch(entries: Sequence[Union[tuple, dict]], elapsed_ms: float = 0.0) -> bytes:
@@ -323,14 +342,11 @@ def encode_batch(entries: Sequence[Union[tuple, dict]], elapsed_ms: float = 0.0)
             text = encode_json(entry)
             records += (_ITEM.pack(_ERROR, 0, len(text), 0, 0, 0.0, 0, 0), text)
             continue
-        cached, degraded, item_ms = entry[3:6]
-        flags, ndim, name_size, boxes, count, cell_rows, hop_count, tail, itemsize, block = _item_record(
-            *entry[:3], entry[6] if len(entry) > 6 else None
-        )
-        flags |= (_CACHED if cached else 0) | (_DEGRADED if degraded else 0)
-        records += (_ITEM.pack(flags, ndim, name_size, boxes, count, item_ms, cell_rows, hop_count), tail)
+        record, tail, itemsize, block = _stamped(*entry)
+        records += (record, tail)
         blocks.append((itemsize, block))
-        width = max(width, itemsize)
+        if itemsize > width:
+            width = itemsize
     dtype = _BLOCK_DTYPES[width]
     coords = [
         block if itemsize == width else np.frombuffer(block, _BLOCK_DTYPES[itemsize]).astype(dtype).tobytes()
@@ -346,9 +362,14 @@ def encode_result(
     cached: bool = False,
     degraded: bool = False,
     elapsed_ms: float = 0.0,
+    memo: Optional[dict] = None,
 ) -> bytes:
-    """An ``OP_QUERY`` reply: :func:`encode_batch` of one result."""
-    return encode_batch([(result, include_boxes, include_cells, cached, degraded, elapsed_ms)], elapsed_ms)
+    """An ``OP_QUERY`` reply: the bytes :func:`encode_batch` gives a batch
+    of this one result, stamped without the batch's loop."""
+    record, tail, itemsize, block = _stamped(
+        result, include_boxes, include_cells, cached, degraded, elapsed_ms, memo
+    )
+    return b"".join((_REPLY.pack(_RESULT_MAGIC, itemsize, elapsed_ms, 1), record, tail, block))
 
 
 def _overrun(index: int, field: str, value: int, left: int) -> ValueError:
@@ -395,28 +416,29 @@ def decode_batch(payload: bytes) -> Tuple[List[Union["RPCResult", dict]], dict]:
                 continue
             if ndim == 0:  # no catalog array is 0-d, and an (n, 0) view would back any box count
                 raise ValueError(f"corrupt RPC result: item {index}: 'ndim' = 0")
-            if at + 8 * ndim + name_size > end:
+            name_at = at + 8 * ndim
+            if name_at + name_size > end:
                 raise _overrun(index, "'ndim' + 'name bytes'", 8 * ndim + name_size, end - at)
-            shape = list(struct.unpack_from(f"<{ndim}Q", payload, at))
-            at += 8 * ndim + name_size
-            name = payload[at - name_size : at].decode("utf-8")
+            shape = list(_SHAPES[ndim].unpack_from(payload, at))
+            at = name_at + name_size
+            name = payload[name_at:at].decode("utf-8")
             hops = []
             for _ in range(hop_count):
                 if at + _HOP_RECORD.size > end:
                     raise _overrun(index, "'hops'", hop_count, end - at)
-                source_size, target_size, *stats = _HOP_RECORD.unpack_from(payload, at)
+                hop = _HOP_RECORD.unpack_from(payload, at)
                 names = at + _HOP_RECORD.size
-                at = names + source_size + target_size
+                middle = names + hop[0]
+                at = middle + hop[1]
                 if at > end:
-                    raise _overrun(index, "a hop's name bytes", source_size + target_size, end - names)
-                source = payload[names : names + source_size].decode("utf-8")
-                hops.append([source, payload[names + source_size : at].decode("utf-8"), *stats])
+                    raise _overrun(index, "a hop's name bytes", hop[0] + hop[1], end - names)
+                hops.append((payload[names:middle].decode("utf-8"), payload[middle:at].decode("utf-8")) + hop[2:])
             include_boxes, include_cells = bool(flags & _BOXES), bool(flags & _CELLS)
-            need += ndim * (2 * boxes * include_boxes + cell_rows * include_cells)
             items.append([
                 name, shape, boxes, cell_count, hops, bool(flags & _CACHED), bool(flags & _DEGRADED),
-                item_ms, include_boxes, include_cells, cell_rows,
+                item_ms, include_boxes, include_cells, cell_rows, need,
             ])
+            need += ndim * (2 * boxes * include_boxes + cell_rows * include_cells)
     except UnicodeDecodeError:
         raise ValueError(f"corrupt RPC result: item {index}: a name is not UTF-8") from None
     if need * dtype.itemsize != end - at:
@@ -425,23 +447,7 @@ def decode_batch(payload: bytes) -> Tuple[List[Union["RPCResult", dict]], dict]:
             f"the block holds {end - at} bytes"
         )
     flat = np.frombuffer(payload, dtype, need, at)
-    results: List[Union[RPCResult, dict]] = []
-    at = 0
-    for item in items:
-        if type(item) is dict:
-            results.append(item)
-            continue
-        ndim, lo, hi, listing = len(item[1]), None, None, None
-        if item[8]:
-            n = 2 * item[2] * ndim
-            boxes = flat[at : at + n].reshape(2, item[2], ndim)
-            lo, hi = boxes[0], boxes[1]  # indexing: unpacking would iterate
-            at += n
-        if item[9]:
-            n = item[10] * ndim
-            listing = flat[at : at + n].reshape(item[10], ndim)
-            at += n
-        results.append(RPCResult(item, lo, hi, listing))
+    results = [item if type(item) is dict else RPCResult(item, flat) for item in items]
     return results, {"batch_size": len(items), "elapsed_ms": elapsed_ms}
 
 
@@ -460,36 +466,51 @@ _POSITION = {name: _ROW.index(name) for name in _LEADING + _TRAILING if name != 
 
 
 class RPCResult:
-    """A decoded binary query result: one row of its reply plus the views
-    of its coordinates.
+    """A decoded binary query result: one row of its reply over the reply's
+    coordinate block.
 
     Exposes the coordinate data as ndarrays (:attr:`boxes_lo` /
     :attr:`boxes_hi` / :attr:`cells_array`, each ``(n, ndim)``, read-only
     views into the reply's one coordinate block at its narrow dtype, so
-    every result of a batch shares one base) and is **mapping-compatible
-    with the HTTP result payload**: ``result["count"]``, ``result["boxes"]``,
-    ``result["hops"]`` … all answer exactly as the JSON dict does, the
-    list-shaped views (boxes, cells, hop dicts) being materialized lazily
-    on first access.  :meth:`to_payload` produces the full HTTP-shaped dict
-    (the transport-equivalence contract both test suites pin down).
+    every result of a batch shares one base; ``None`` when the request
+    left them out) and is **mapping-compatible with the HTTP result
+    payload**: ``result["count"]``, ``result["boxes"]``, ``result["hops"]``
+    … all answer exactly as the JSON dict does.  The views, and the
+    list-shaped forms (boxes, cells, hop dicts), are made on first access:
+    the decoder has already checked every count against the block.
+    :meth:`to_payload` produces the full HTTP-shaped dict (the
+    transport-equivalence contract both test suites pin down).
     """
 
-    __slots__ = ("_row", "boxes_lo", "boxes_hi", "cells_array", "_boxes", "_cells", "_hops")
+    __slots__ = ("_row", "_block", "_views", "_boxes", "_cells", "_hops")
 
-    def __init__(
-        self,
-        row: list,
-        boxes_lo: Optional[np.ndarray],
-        boxes_hi: Optional[np.ndarray],
-        cells: Optional[np.ndarray],
-    ) -> None:
+    def __init__(self, row: list, block: np.ndarray) -> None:
         self._row = row
-        self.boxes_lo = boxes_lo
-        self.boxes_hi = boxes_hi
-        self.cells_array = cells
+        self._block = block
+        self._views: Optional[Tuple[Optional[np.ndarray], ...]] = None
         self._boxes: Optional[list] = None
         self._cells: Optional[list] = None
         self._hops: Optional[List[dict]] = None
+
+    def _coordinates(self) -> Tuple[Optional[np.ndarray], ...]:
+        """``(boxes_lo, boxes_hi, cells_array)``, views made once."""
+        if self._views is None:
+            row = self._row
+            ndim, at = len(row[1]), row[11]
+            lo = hi = listing = None
+            if row[8]:
+                n = 2 * row[2] * ndim
+                boxes = self._block[at : at + n].reshape(2, row[2], ndim)
+                lo, hi = boxes[0], boxes[1]  # indexing: unpacking would iterate
+                at += n
+            if row[9]:
+                listing = self._block[at : at + row[10] * ndim].reshape(row[10], ndim)
+            self._views = (lo, hi, listing)
+        return self._views
+
+    boxes_lo = property(lambda self: self._coordinates()[0])
+    boxes_hi = property(lambda self: self._coordinates()[1])
+    cells_array = property(lambda self: self._coordinates()[2])
 
     # -- scalar fields --------------------------------------------------
     array = property(lambda self: self._row[0])
@@ -529,13 +550,15 @@ class RPCResult:
             return default
 
     def __contains__(self, key: str) -> bool:
-        return key in tuple(self.keys())
+        return key in _POSITION or key == "hops" or (key == "boxes" and self._row[8]) or (
+            key == "cells" and self._row[9]
+        )
 
     def keys(self) -> Iterator[str]:
         keys = list(_LEADING)
-        if self.boxes_lo is not None:
+        if self._row[8]:
             keys.append("boxes")
-        if self.cells_array is not None:
+        if self._row[9]:
             keys.append("cells")
         return iter(keys + list(_TRAILING))
 

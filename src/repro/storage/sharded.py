@@ -66,7 +66,7 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from ..core.compressed import CompressedLineage
-from ..core.serialize import OLD_FORMAT_HINT, serialize_table
+from ..core.serialize import OLD_FORMAT_HINT, serialize_hydrated
 from ..faults import FaultPlan
 from ..obs import log_event
 from .catalog import Catalog, LineageConflictError, LineageEntry, OperationRecord, _entry_pair
@@ -277,9 +277,9 @@ class ShardedLineageStore:
         """Append a reuse-state table to the meta shard.  Always meta-local
         (even when the table's bytes exist in another shard) so no manifest
         ever holds a cross-shard ref."""
-        payload = serialize_table(table, gzip=self.gzip)
+        payload, hydrated = serialize_hydrated(table, gzip=self.gzip)
         with self._shard_locks[META_SHARD]:
-            return self.meta.append_payload(payload, table=table)
+            return self.meta.append_payload(payload, table, hydrated)
 
     def ref_for(self, table: CompressedLineage) -> Optional[TableRef]:
         return self.meta.ref_for(table)
@@ -481,7 +481,7 @@ class ShardedCatalog(Catalog):
         shard_idx = self.store.shard_for(*pair)
         # serialize (and gzip) outside every lock: this is the CPU-heavy
         # part of an append and must overlap across writer threads
-        payload = serialize_table(backward, gzip=self.store.gzip)
+        payload, hydrated = serialize_hydrated(backward, gzip=self.store.gzip)
 
         with self._meta_lock:
             existing = self._entries.get(pair)
@@ -499,7 +499,7 @@ class ShardedCatalog(Catalog):
             # into the gap and delete the just-written segment before the
             # catalog row referencing it exists
             with self.store.shard_lock(shard_idx):
-                backward_ref = shard.append_payload(payload, table=backward)
+                backward_ref = shard.append_payload(payload, backward, hydrated)
                 with self._meta_lock:
                     # the reservation is released only together with the
                     # install, so no second writer can slip between the two

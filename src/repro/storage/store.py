@@ -53,7 +53,10 @@ Design points
   arrays of the table's own.  The cache charges each table exactly those
   arrays (``nbytes()``), and that is all a resident table holds: neither
   the inflated payload nor the mapped record outlives the decode, so
-  compaction can retire a mapped segment whatever is hydrated.
+  compaction can retire a mapped segment whatever is hydrated.  A table
+  the store writes is cached as exactly the table a read would decode
+  (written through at its stored widths), and a compaction keeps the
+  moved records' tables cached under their new refs.
 * **Coalesced appends** — the active ``SegmentWriter`` buffers appends
   and hands each batch, its manifest edit record last, to the OS as one
   write + one fsync at ``sync()`` (the group-commit step), instead of two
@@ -69,7 +72,7 @@ from pathlib import Path
 from typing import Dict, Hashable, List, NamedTuple, Optional, Tuple, Union
 
 from ..core.compressed import CompressedLineage
-from ..core.serialize import deserialize_table, serialize_table
+from ..core.serialize import deserialize_table, serialize_hydrated, serialize_table
 from ..faults import FaultPlan
 from ..obs import REGISTRY, log_event
 from .manifest import Edit, Manifest, dump_edit, dump_manifest, load_manifest, write_manifest
@@ -236,12 +239,18 @@ class TableCache:
                 evicted_bytes += old.nbytes
         _CACHE_BYTES.inc(nbytes - evicted_bytes)
 
-    def clear(self, scope: Optional[str] = None) -> None:
-        """Drop the tables tagged *scope*; every table when it is ``None``."""
+    def clear(self, scope: Optional[str] = None, moves: Optional[Dict[Hashable, Hashable]] = None) -> None:
+        """Drop the tables tagged *scope*; every table when it is ``None``.
+        A table whose key *moves* maps stays instead, under the key it maps
+        to, with its charge and priority (a compaction moved its record)."""
+        moves = moves or {}
         with self._lock:
-            kept = {} if scope is None else {
-                key: item for key, item in self._items.items() if item.scope != scope
-            }
+            kept = {}
+            for key, item in self._items.items():
+                if scope is not None and item.scope != scope:
+                    kept[key] = item
+                elif key in moves:
+                    kept[moves[key]] = item
             kept_bytes = sum(item.nbytes for item in kept.values())
             dropped = self.current_bytes - kept_bytes
             self._items = kept
@@ -472,31 +481,38 @@ class LineageStore:
     # table I/O
     # ------------------------------------------------------------------
     def append_table(self, table: CompressedLineage) -> TableRef:
-        """Serialize one table into the active segment; returns its ref.
-
-        The ref is also remembered on the table object itself
-        (``_segment_ref``) so a later reuse-state export can reference the
-        already-written bytes instead of appending a duplicate record.
-        """
-        payload = serialize_table(table, gzip=self.gzip)
-        return self.append_payload(payload, table=table)
+        """Serialize one table into the active segment; returns its ref
+        (:meth:`append_payload` says what the table remembers)."""
+        payload, hydrated = serialize_hydrated(table, gzip=self.gzip)
+        return self.append_payload(payload, table, hydrated)
 
     def append_payload(
-        self, payload: bytes, table: Optional[CompressedLineage] = None
+        self,
+        payload: bytes,
+        table: Optional[CompressedLineage] = None,
+        hydrated: Optional[CompressedLineage] = None,
     ) -> TableRef:
         """Append pre-serialized table bytes to the active segment.
 
         The concurrent ingest pipeline serializes (and gzips) tables outside
         the per-shard append lock and hands only the finished payload to the
         store, so the lock covers nothing but the file append itself.
+        *table* is the table *payload* encodes and *hydrated* the one a
+        reader decodes from it
+        (:func:`~repro.core.serialize.serialize_hydrated`): both remember
+        the ref (``_segment_ref``), so a later reuse-state export references
+        the already-written bytes instead of appending a duplicate record,
+        and *hydrated* is cached — written through at its stored widths.
         """
         writer = self._active_writer()
         offset, length = writer.append(payload)
         ref = TableRef(writer.path.name, offset, length)
-        if table is not None:
-            table._segment_ref = ref
-            table._segment_owner = self
-            self.cache.put(self.cache_key(ref), table, self.scope)
+        for written in (table, hydrated):
+            if written is not None:
+                written._segment_ref = ref
+                written._segment_owner = self
+        if hydrated is not None:
+            self.cache.put(self.cache_key(ref), hydrated, self.scope)
         return ref
 
     def ref_for(self, table: CompressedLineage) -> Optional[TableRef]:
@@ -772,12 +788,13 @@ class LineageStore:
         3. re-point the refs, swap the segment list, publish a checkpoint
            (an edit record cannot carry a new segment list);
         4. install the remap, so refs resolved before the call keep
-           resolving (lazy entries, snapshots, readers mid-flight).
+           resolving (lazy entries, snapshots, readers mid-flight), and
+           re-key the moved records' cached tables to their new refs.
 
         If anything fails before the publish lands, the in-memory manifest
         is restored and the fresh files are removed: the manifest, on disk
-        and in memory, is exactly as it was.  The last fresh file stays the
-        active writer.
+        and in memory, and the table cache are exactly as they were.  The
+        last fresh file stays the active writer.
         """
         moving = set(segments)
         self._retire_writer()  # buffered records must reach the file first
@@ -821,10 +838,15 @@ class LineageStore:
         # address, and one caught mid-read when an old file disappears
         # re-resolves through it (load_table's retry loop).  Dropping the
         # old mmap readers is safe either way: hydrated tables hold copies,
-        # and a record caught mid-read keeps its mapping alive itself
+        # and a record caught mid-read keeps its mapping alive itself.  A
+        # moved record's bytes are unchanged, so its hydrated table stays
+        # cached under the new address; the table's own ``_segment_ref``
+        # keeps the old one, which resolves through the remap.  The shard's
+        # other tables are dropped (a compaction moves every live record)
         self._remap.update(mapping)
         self._drop_readers(segments)
-        self.cache.clear(self.scope)
+        scope = self.scope
+        self.cache.clear(scope, moves={(scope, old): (scope, new) for old, new in mapping.items()})
         return len(mapping)
 
     def _move_out(self, segments: List[str], serialize_lock: Optional[threading.RLock]) -> Tuple[int, bool]:

@@ -6,6 +6,7 @@ import pytest
 
 from repro import DSLog
 from repro.capture.analytic import elementwise_lineage
+from repro.core.query import CellBoxSet
 from repro.core.relation import LineageRelation
 from repro.service.query import QueryExecutor, ResultCache
 from repro.storage.sharded import shard_index
@@ -70,6 +71,21 @@ def test_cache_hit_and_flag(log):
         assert again.to_cells() == result.to_cells()
         stats = ex.stats()["cache"]
         assert stats["hits"] == 1 and stats["entries"] >= 1
+
+
+def test_a_callers_box_set_changed_in_place_gets_the_new_answer(log):
+    """Only the box sets ``DSLog`` memoizes are frozen and keep their
+    result-cache key; a caller's may change between two queries, and the
+    second then answers the new cells, uncached."""
+    query = CellBoxSet.from_cells("a", SHAPE, QUERY)
+    with QueryExecutor(log) as ex:
+        first = ex.query(["a", "b", "c"], query)
+        assert ex.query(["a", "b", "c"], query).cached  # unchanged: a hit
+        query.lo[0] = query.hi[0] = (5, 0)  # (1, 1) becomes (5, 0), in place
+        moved = ex.query(["a", "b", "c"], query)
+        assert not moved.cached
+        expected = log.prov_query(["a", "b", "c"], [(5, 0), (2, 3), (4, 4)]).to_cells()
+        assert moved.result.to_cells() == expected != first.result.to_cells()
 
 
 def test_cache_disabled(log):

@@ -4,11 +4,13 @@ reply, of one query or of a batch, restamps only its own fields
 (byte-identical to a fresh encode), and a request is traced only when it
 sends a trace id or runs slow."""
 
+import hashlib
 import itertools
 import json
 import sys
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from test_wire import query_results
 
 from repro import DSLog, faults
 from repro.core.relation import LineageRelation
+from repro.core.query import CellBoxSet, HopStats, QueryResult
 from repro.obs import tracing
 from repro.service import rpc as rpc_module
 from repro.service import wire
@@ -157,6 +160,84 @@ def test_a_repeated_batch_of_cached_outcomes_encodes_nothing(log, monkeypatch):
                 ([e if e is ERROR else (QueryOutcome(e[0].result, *e[0][1:3], None), e[1]) for e in entries], 1.5)
             )
     assert encoded == []
+
+
+def test_a_second_identical_batch_computes_no_digest(log, monkeypatch):
+    """A repeated request's result-cache key is kept with the frozen box
+    set ``DSLog`` memoizes its cells as, per path and merge flag: the
+    second identical batch hashes nothing.  A caller's own ``CellBoxSet``
+    may change in place, so it is hashed on every request."""
+    digests = []
+    digest = QueryExecutor._query_digest
+    monkeypatch.setattr(QueryExecutor, "_query_digest", staticmethod(lambda *a: digests.append(a) or digest(*a)))
+    requests = [(["b", "a"], QUERY), (["b", "a"], [slice(0, 2), slice(1, 3)]), (["b", "a"], QUERY)]
+    with QueryExecutor(log) as ex:
+        ex.query_batch(requests)
+        assert len(digests) == 2  # the repeat is one box set, one key
+        ex.query_batch(requests, merge=False)
+        assert len(digests) == 4  # another merge flag is another key
+        del digests[:]
+        for merge in (True, False):
+            outcomes = ex.query_batch(requests, merge=merge)
+            assert all(outcome.cached for outcome in outcomes)
+        assert digests == []
+        own = ex.log._as_box_set("a", QUERY)  # the memoized, frozen box set
+        assert not own.lo.flags.writeable and not own.hi.flags.writeable
+        with pytest.raises(ValueError):
+            own.lo[0, 0] = 5
+        caller = CellBoxSet.from_cells("b", SHAPE, QUERY)
+        for _ in range(2):
+            assert ex.query(["b", "a"], caller).cached == bool(digests)
+        assert len(digests) == 2
+
+
+def golden_results():
+    """Three fixed results: a narrow 2-D one, a 1-D one whose coordinates
+    need int64 with a non-ASCII name and two hops, an empty 3-D one."""
+    return [
+        QueryResult(
+            CellBoxSet("b", (6, 6), np.array([[0, 1], [2, 2]]), np.array([[1, 3], [2, 5]])),
+            [HopStats("a", "b", 12, 1, 3, 2, 0.25)],
+        ),
+        QueryResult(
+            CellBoxSet("é", (1 << 40,), np.array([[5], [1 << 33]]), np.array([[9], [(1 << 33) + 2]])),
+            [HopStats("a", "é", 3, 2, 2, 2, 1.5), HopStats("é", "c", 7, 2, 4, 1, 0.125)],
+        ),
+        QueryResult(CellBoxSet.empty("z", (3, 4, 5)), []),
+    ]
+
+
+# sha256 of every reply golden_replies() builds, as the general encode
+# loop built them before a memoized item was stamped without it
+GOLDEN_REPLIES = "bb4c449933c85c6113324a5be99b77c7ae72a01b055f8be8c6e35d873605f227"
+
+
+def golden_replies() -> str:
+    """Single and batched replies of both wires over the golden results,
+    every include flag and outcome stamp, with no memo, a memo being
+    filled and a memo read back: the sha256 of all their bytes."""
+    digest = hashlib.sha256()
+    results = golden_results()
+    memos = [{} for _ in results]
+    for memo_lap in (None, "fill", "read"):
+        for include_boxes, include_cells in FLAGS:
+            entries = []
+            for i, (result, (cached, degraded)) in enumerate(zip(results, FLAGS[1:])):
+                memo = memos[i] if memo_lap else None
+                outcome = QueryOutcome(result, cached, degraded, memo)
+                request = spec(include_boxes, include_cells)
+                over_rpc, over_http = replies(outcome, include_boxes, include_cells, 0.5 + i)
+                digest.update(over_rpc)
+                digest.update(over_http.encode("utf-8"))
+                entries += [(outcome, request), ERROR]
+            over_rpc, over_http = batch_replies(entries, 2.25)
+            digest.update(over_rpc)
+            digest.update(over_http.encode("utf-8"))
+    return digest.hexdigest()
+
+
+def test_replies_are_byte_identical_to_the_general_encoders():
+    assert golden_replies() == GOLDEN_REPLIES
 
 
 # ----------------------------------------------------------------------

@@ -3,13 +3,18 @@
 The heap-with-lazy-deletion implementation is checked against a reference
 model that finds each victim by linear scan: same residents, same counters,
 same bytes after every step of random ``get`` / ``put`` / ``clear(scope)``
-histories.  Then the properties the policy is there for: the budget is a
-bound, a table over the whole budget is served but never kept, a stream of
-large tables cannot flush the small ones, and a shard's compaction, reset
-or close drops that shard's tables only.
+/ compaction re-key histories.  Then the properties the policy is there
+for: the budget is a bound, a table over the whole budget is served but
+never kept, a stream of large tables cannot flush the small ones, a
+shard's compaction keeps its tables under their records' new refs (and
+a failed one leaves them as they were), its reset or close drops that
+shard's tables only, and a written table is cached as a read decodes it.
 """
 
+import json
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -67,9 +72,10 @@ class ScanModel:
             self.floor = self.items.pop(victim)[2]
             self.evictions += 1
 
-    def clear(self, scope):
+    def clear(self, scope, moves=None):
+        moves = moves or {}
         self.items = {
-            k: v for k, v in self.items.items() if scope is not None and v[1] != scope
+            moves.get(k, k): v for k, v in self.items.items() if (scope is not None and v[1] != scope) or k in moves
         }
 
     def bytes(self):
@@ -83,6 +89,8 @@ steps = st.lists(
         st.tuples(st.just("load"), st.sampled_from(KEYS)),
         st.tuples(st.just("probe"), st.sampled_from(KEYS)),
         st.tuples(st.just("clear"), st.sampled_from(SCOPES + (None,))),
+        # a compaction of a scope: each drawn key's record moves one slot on
+        st.tuples(st.just("move"), st.tuples(st.sampled_from(SCOPES), st.sets(st.integers(0, 5)))),
     ),
     max_size=250,
 )
@@ -108,6 +116,12 @@ def test_cache_agrees_with_the_scan_model(sizes, history):
             before = cache.stats()
             assert (arg in cache) == (arg in model.items)
             assert cache.stats() == before
+        elif op == "move":
+            scope, moving = arg
+            moves = {(scope, i): (scope, (i + 1) % 6) for i in moving}
+            size_of.update({new: size_of[old] for old, new in moves.items() if old in model.items})
+            cache.clear(scope, moves)
+            model.clear(scope, moves)
         else:
             cache.clear(arg)
             model.clear(arg)
@@ -188,13 +202,141 @@ def test_a_shard_drops_only_its_own_tables(tmp_path):
 
     held = [resident(0), resident(1)]
     assert min(held) > 0 and sum(held) == len(cache)
+    # a compaction moves its shard's records byte for byte: their tables
+    # stay resident under the new refs, and answering needs no re-read
     log.compact(shard=1)
-    assert [resident(0), resident(1)] == [held[0], 0]
+    assert [resident(0), resident(1)] == held
+    deserialized = log.store.tables_deserialized
     log.catalog.materialize_all()
     assert [resident(0), resident(1)] == held
+    assert log.store.tables_deserialized == deserialized
     log.store.shards[0].reset_io()
     assert [resident(0), resident(1)] == [0, held[1]]
     assert store_module._CACHE_BYTES.value - gauge_before == cache.current_bytes > 0
     log.close()
     assert len(cache) == 0 and cache.current_bytes == 0
     assert store_module._CACHE_BYTES.value == gauge_before
+
+
+def test_a_failed_compaction_leaves_every_resident_where_it_was(tmp_path, monkeypatch):
+    log = DSLog(tmp_path / "db", num_shards=1)
+    for name in "abcd":
+        log.define_array(name, (32,))
+    for i, (a, b) in enumerate(zip("abc", "bcd")):
+        log.add_lineage(a, b, relation=permutation(32, a, b, i))
+    log.sync()
+    cache, shard = log.store.cache, log.store.shards[0]
+    before = {key: item.table for key, item in cache._items.items()}
+    charged = cache.current_bytes
+    assert len(before) == 3
+
+    def fail(serialize_lock=None):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(shard, "_checkpoint", fail)
+    with pytest.raises(OSError):
+        log.compact()
+    assert {key: item.table for key, item in cache._items.items()} == before
+    assert cache.current_bytes == charged
+    monkeypatch.undo()
+    log.compact()
+    after = {key: item.table for key, item in cache._items.items()}
+    assert set(after).isdisjoint(before) and list(after.values()) == list(before.values())
+    assert cache.current_bytes == charged
+    assert log.prov_query(["d", "c", "b", "a"], [(3,)]).count_cells() == 1
+    assert log.store.tables_deserialized == 0
+    log.close()
+
+
+def test_a_written_table_is_cached_as_a_reader_hydrates_it(tmp_path):
+    """Written through at its stored widths: each column equals the one
+    ``deserialize_table`` decodes, value, dtype and read-only flag."""
+    log = DSLog(tmp_path / "db", num_shards=2)
+    wide = LineageRelation.from_pairs(
+        [((i,), (i * 300,)) for i in range(40)], (40,), (40 * 300,), in_name="w", out_name="x"
+    )
+    log.define_array("w", (40 * 300,))
+    log.define_array("x", (40,))
+    log.define_array("y", (40,))
+    log.add_lineage("w", "x", relation=wide)
+    log.add_lineage("x", "y", relation=permutation(40, "x", "y", 3))
+    store = LineageStore(tmp_path / "one")
+    alone = compress(permutation(200, "p", "q", 1))
+    written = [
+        (log.catalog.entry_between("w", "x")[0].backward, compress(wide)),
+        (log.catalog.entry_between("x", "y")[0].backward, compress(permutation(40, "x", "y", 3))),
+        (store.cache.get(store.cache_key(store.append_table(alone))), alone),
+    ]
+    assert log.store.tables_deserialized == 0  # every table above was written through
+    for cached, source in written:
+        decoded = deserialize_table(serialize_table(source))
+        assert cached.nbytes() == decoded.nbytes() < source.nbytes()
+        for name in ("key_lo", "key_hi", "val_kind", "val_ref", "val_lo", "val_hi"):
+            mine, theirs = getattr(cached, name), getattr(decoded, name)
+            assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
+            assert not mine.flags.writeable and mine.flags.c_contiguous
+        assert (cached.out_shape, cached.in_shape, cached.out_axes, cached.in_axes) == (
+            decoded.out_shape, decoded.in_shape, decoded.out_axes, decoded.in_axes
+        )
+        assert source.key_lo.flags.writeable  # the writer's own table is left as it was
+    store.close()
+    log.close()
+
+
+def _segment_refs(state):
+    """Every ``{"segment", "offset", "length"}`` dict in a JSON value."""
+    if isinstance(state, dict):
+        if set(state) == {"segment", "offset", "length"}:
+            yield state
+        for value in state.values():
+            yield from _segment_refs(value)
+    elif isinstance(state, list):
+        for value in state:
+            yield from _segment_refs(value)
+
+
+def negate(log, src, dst, scale):
+    """One ``negative`` operation: the same lineage each time, so the
+    reuse state confirms it and the third call reuses it."""
+    return log.register_operation(
+        "negative", in_arrs=[src], out_arrs=[dst],
+        relations={(src, dst): permutation(8, src, dst, 0)},
+        input_data={src: np.arange(8.0) * scale},
+    )
+
+
+def exported_refs(log) -> list:
+    """The refs the meta shard's reuse state exports; each must name a
+    live record an entry row names too (referenced, never copied)."""
+    shard = log.store.shards[0]
+    rows = {json.dumps(row["backward"], sort_keys=True) for row in shard.manifest.entries}
+    refs = list(_segment_refs(shard.manifest.reuse))
+    assert {json.dumps(ref, sort_keys=True) for ref in refs} <= rows
+    assert all((shard.root / ref["segment"]).exists() for ref in refs)
+    return refs
+
+
+def test_a_table_shared_with_the_reuse_state_names_live_bytes(tmp_path):
+    """An entry's cached table is also the reuse state's: a compaction
+    keeps it resident, and every export after it — before a close and
+    after a reopen — names the entry's own live record."""
+    log = DSLog(tmp_path / "db", num_shards=1)
+    for name in "ABCDEF":
+        log.define_array(name, (8,))
+    negate(log, "A", "B", 1)
+    log.sync()
+    shared = log.catalog.entry_between("A", "B")[0].backward
+    log.compact()
+    assert log.catalog.entry_between("A", "B")[0].backward is shared
+    assert log.store.tables_deserialized == 0
+    negate(log, "C", "D", 3)  # the reuse state changes: it is exported again
+    log.sync()
+    assert exported_refs(log)
+    log.close()
+    reopened = DSLog.load(tmp_path / "db")
+    assert reopened.reuse.stats()["base_entries"] >= 1  # loads every exported ref
+    assert negate(reopened, "E", "F", 7).reuse_level == "dim"
+    reopened.compact()
+    reopened.sync()
+    assert exported_refs(reopened)
+    reopened.close()
