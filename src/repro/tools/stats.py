@@ -16,8 +16,9 @@ Usage::
     python -m repro.tools.stats http://127.0.0.1:8791 --json     # snapshot
     python -m repro.tools.stats http://127.0.0.1:8791 --grep cache
 
-Exit status: 0 on success, 1 when the server cannot be reached or serves
-unparseable metrics.  ``--watch`` runs until interrupted (also exit 0).
+Exit status: 0 on success, 1 when the server cannot be reached, serves
+unparseable metrics or a reply over ``MAX_METRICS_BYTES``.  ``--watch``
+runs until interrupted (also exit 0).
 """
 
 from __future__ import annotations
@@ -33,14 +34,20 @@ from ..obs.metrics import parse_prometheus_text, quantile_from_buckets
 
 __all__ = ["main"]
 
+# the longest /metrics reply read; a longer one is refused, not buffered
+MAX_METRICS_BYTES = 16 << 20
+
 
 def fetch_families(url: str, timeout: float = 5.0) -> dict:
     """GET ``<url>/metrics`` and parse it; raises on transport or format
-    errors (the caller turns both into exit status 1)."""
+    errors and on a reply over ``MAX_METRICS_BYTES`` (the caller turns
+    each into exit status 1)."""
     target = url.rstrip("/") + "/metrics"
     with urllib.request.urlopen(target, timeout=timeout) as response:
-        text = response.read().decode("utf-8")
-    return parse_prometheus_text(text)
+        body = response.read(MAX_METRICS_BYTES + 1)
+    if len(body) > MAX_METRICS_BYTES:
+        raise ValueError(f"{target} sent more than {MAX_METRICS_BYTES} bytes")
+    return parse_prometheus_text(body.decode("utf-8"))
 
 
 def _labels_suffix(labels: dict) -> str:
@@ -165,31 +172,31 @@ def main(argv=None) -> int:
 
     previous = None
     last_at = None
-    while True:
-        try:
-            families = fetch_families(args.url, timeout=args.timeout)
-        except (urllib.error.URLError, OSError, ValueError) as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 1
-        now = time.monotonic()
-        if args.grep:
-            families = _filter(families, args.grep)
-        if args.json:
-            json.dump(families, sys.stdout, indent=2, sort_keys=True, default=str)
-            print()
-        else:
-            interval = (now - last_at) if last_at is not None else 0.0
-            previous = render_report(
-                families, sys.stdout, previous=previous, interval=interval
-            )
-            last_at = now
-        if args.watch is None:
-            return 0
-        print(file=sys.stdout)
-        try:
+    try:  # Ctrl-C ends --watch wherever it lands: a fetch or the sleep
+        while True:
+            try:
+                families = fetch_families(args.url, timeout=args.timeout)
+            except (urllib.error.URLError, OSError, ValueError) as error:
+                print(f"error: {error}", file=sys.stderr)
+                return 1
+            now = time.monotonic()
+            if args.grep:
+                families = _filter(families, args.grep)
+            if args.json:
+                json.dump(families, sys.stdout, indent=2, sort_keys=True, default=str)
+                print()
+            else:
+                interval = (now - last_at) if last_at is not None else 0.0
+                previous = render_report(
+                    families, sys.stdout, previous=previous, interval=interval
+                )
+                last_at = now
+            if args.watch is None:
+                return 0
+            print(file=sys.stdout)
             time.sleep(args.watch)
-        except KeyboardInterrupt:
-            return 0
+    except KeyboardInterrupt:
+        return 0
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess

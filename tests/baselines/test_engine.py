@@ -5,14 +5,9 @@ import pytest
 
 from repro.baselines.engine import ArrayDatabase, BaselineDatabase
 from repro.baselines.stores import ColumnarGzipStore, ColumnarStore, RawStore, TurboRCStore
-from repro.capture.analytic import elementwise_lineage
+from repro.capture.analytic import axis_reduction_lineage, elementwise_lineage
 from repro.core.reference import query_path_reference
 from repro.core.relation import LineageRelation
-
-
-def axis_sum(rows, cols, in_name, out_name):
-    pairs = [((r,), (r, c)) for r in range(rows) for c in range(cols)]
-    return LineageRelation.from_pairs(pairs, (rows,), (rows, cols), in_name=in_name, out_name=out_name)
 
 
 @pytest.fixture(params=[RawStore, ColumnarStore, ColumnarGzipStore, TurboRCStore],
@@ -23,7 +18,7 @@ def database(request):
 
 def build(db):
     r1 = elementwise_lineage((6, 4))
-    r2 = axis_sum(6, 4, "B", "C")
+    r2 = axis_reduction_lineage((6, 4), axis=1, in_name="B", out_name="C")
     db.ingest(r1)
     db.ingest(r2)
     return r1, r2
@@ -90,7 +85,7 @@ class TestAgainstDSLog:
         rng = np.random.default_rng(0)
         shape = (12, 5)
         r1 = elementwise_lineage(shape)
-        r2 = axis_sum(*shape, "B", "C")
+        r2 = axis_reduction_lineage(shape, axis=1, in_name="B", out_name="C")
 
         log = DSLog()
         for name, s in [("A", shape), ("B", shape), ("C", (shape[0],))]:

@@ -14,12 +14,15 @@ on the spot).  The ``fixture`` start opens this side on a copy of
 ``fixtures/sharded_v3``, a two-shard store in the current format, and
 replays its history into the other two.  Each side is read through
 ``DSLog.prov_query``, a caching ``QueryExecutor``, a ``cache_entries=0``
-one and, on the sharded side, both wires of one ``LineageServer``; each
-durable side carries a ``FaultPlan``.
+one and, on the sharded side, both wires of one ``LineageServer`` (queries
+and batches sent through the clients' ``prov_query`` and
+``prov_query_batch``); each durable side carries a ``FaultPlan``.
 
 Rules: define; add; ``register_operation`` with reuse (a repeat stores the
 first call's table); a refused self-loop; sync; compact; scrub; reopen;
-snapshot; commit; query and query_batch; the graph endpoints; and
+snapshot; commit; query and query_batch (a batch with a deadline finds
+every table cold, so its shards hydrate on the executor's pool); the graph
+endpoints; and
 
 * ``fault_write`` / ``fault_compact`` — a one-shot disk fault, drawn from
   those the call can reach, met by a write made durable at once or by a
@@ -172,7 +175,13 @@ def ask(query, *args, **kwargs):
 
 
 def over_wire(client, name, body, trace_id=None):
+    """*body* to endpoint *name*; a query or batch goes through the client's
+    own request building."""
     try:
+        if name == "query":
+            return client.prov_query(**body, trace_id=trace_id)
+        if name == "query_batch":
+            return client.prov_query_batch(body["queries"], trace_id=trace_id)
         return client.call(name, body, trace_id)
     except LineageServerError as error:
         return error.status, error.kind, error.message
@@ -1010,7 +1019,8 @@ class LineageModel(RuleBasedStateMachine):
             if observed:
                 self.check_trace(side, trace, requests, want)
             items = reply if name == "query_batch" else [reply]
-            for item, expected in zip(items, want):
+            asked = bodies["queries"] if name == "query_batch" else [bodies]
+            for item, expected, body in zip(items, want, asked):
                 if expected[0] == "error":
                     status = item["error"] if isinstance(item, dict) and "error" in item else None
                     got = (status["status"], status["type"]) if status else item[:2]
@@ -1018,6 +1028,9 @@ class LineageModel(RuleBasedStateMachine):
                     continue
                 assert (item["cached"], item["degraded"]) == expected[1:], bodies
                 assert item["count"] == len(expected[0]), bodies
+                # what was asked for is there, and nothing else
+                flags = (body.get("include_boxes", True), body.get("include_cells", False))
+                assert ("boxes" in item, "cells" in item) == flags, bodies
                 if "boxes" in item:
                     assert box_cells(item["boxes"]) == expected[0], bodies
                 if "cells" in item:
@@ -1050,6 +1063,8 @@ class LineageModel(RuleBasedStateMachine):
         pairs = [(r.path, r.query) for r in requests]
         for side in self.sides:
             for reader in ("cached", "uncached"):
+                if deadline and side.log.store is not None:  # cold shards hydrate on the pool
+                    side.log.store.cache.clear()
                 batch = getattr(side, reader).query_batch(pairs, merge=merge, deadline=deadline)
                 want = self.predict(side, reader, requests, merge)
                 for outcome, expected, request in zip(batch, want, requests):

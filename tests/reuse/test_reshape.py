@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.capture.analytic import elementwise_lineage
+from repro.capture.analytic import axis_reduction_lineage, elementwise_lineage
 from repro.core.provrc import compress
 from repro.core.relation import LineageRelation
 from repro.reuse.reshape import GeneralizedTable, generalize, instantiate
@@ -12,11 +12,6 @@ from repro.reuse.reshape import GeneralizedTable, generalize, instantiate
 def full_aggregate(n):
     pairs = [((0,), (i,)) for i in range(n)]
     return LineageRelation.from_pairs(pairs, (1,), (n,))
-
-
-def axis_sum(rows, cols):
-    pairs = [((r,), (r, c)) for r in range(rows) for c in range(cols)]
-    return LineageRelation.from_pairs(pairs, (rows,), (rows, cols))
 
 
 class TestGeneralize:
@@ -36,10 +31,10 @@ class TestGeneralize:
         assert bigger.decompress() == elementwise_lineage((50,))
 
     def test_axis_sum_reshaping(self):
-        small = compress(axis_sum(4, 3))
+        small = compress(axis_reduction_lineage((4, 3), axis=1))
         generalized = generalize(small)
         bigger = generalized.instantiate(out_shape=(9,), in_shape=(9, 5))
-        assert bigger.decompress() == axis_sum(9, 5)
+        assert bigger.decompress() == axis_reduction_lineage((9, 5), axis=1)
 
     def test_relative_attrs_not_marked(self):
         table = compress(elementwise_lineage((8,)))

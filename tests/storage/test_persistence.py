@@ -3,13 +3,7 @@
 import numpy as np
 
 from repro import DSLog
-from repro.capture.analytic import elementwise_lineage
-from repro.core.relation import LineageRelation
-
-
-def axis_sum(rows, cols, in_name, out_name):
-    pairs = [((r,), (r, c)) for r in range(rows) for c in range(cols)]
-    return LineageRelation.from_pairs(pairs, (rows,), (rows, cols), in_name=in_name, out_name=out_name)
+from repro.capture.analytic import axis_reduction_lineage, elementwise_lineage
 
 
 class TestLoad:
@@ -19,7 +13,7 @@ class TestLoad:
         log.define_array("B", (8, 3))
         log.define_array("C", (8,))
         log.add_lineage("A", "B", relation=elementwise_lineage((8, 3)))
-        log.add_lineage("B", "C", relation=axis_sum(8, 3, "B", "C"))
+        log.add_lineage("B", "C", relation=axis_reduction_lineage((8, 3), axis=1, in_name="B", out_name="C"))
         return log
 
     def test_roundtrip_gzip(self, tmp_path):
@@ -70,7 +64,8 @@ class TestSingleShardRoundTrip:
         log.define_array("B", (8, 3))
         log.define_array("C", (8,))
         log.add_lineage("A", "B", relation=elementwise_lineage((8, 3)), op_name="negative")
-        log.add_lineage("B", "C", relation=axis_sum(8, 3, "B", "C"), op_name="sum_axis1")
+        relation = axis_reduction_lineage((8, 3), axis=1, in_name="B", out_name="C")
+        log.add_lineage("B", "C", relation=relation, op_name="sum_axis1")
         return log
 
     def test_roundtrip_queries(self, tmp_path):

@@ -1,15 +1,19 @@
 """``python -m repro.tools.stats`` against a live server: the report, the
-JSON snapshot, the exit status of an unreachable server, and the
-``--watch`` rates computed from a previous scrape."""
+JSON snapshot, the exit status of an unreachable server or an oversized
+reply, the ``--watch`` rates computed from a previous scrape, and a Ctrl-C
+under ``--watch``."""
 
+import http.server
 import io
 import json
+import threading
 
 import pytest
 
 from repro import DSLog, LineageClient
 from repro.capture.analytic import elementwise_lineage
 from repro.service.server import LineageServer
+from repro.tools import stats
 from repro.tools.stats import fetch_families, main, render_report
 
 SHAPE = (4,)
@@ -71,3 +75,37 @@ def test_report_given_a_previous_scrape_prints_rates(server):
     # four queries over a two-second interval, in the counter and the histogram count
     assert any(line.startswith("  {op=query,status=200,wire=http}") and line.endswith("[2.0/s]") for line in lines)
     assert any(line.startswith("  {op=query,wire=http}  count=") and line.endswith("[2.0/s]") for line in lines)
+
+
+def test_a_reply_over_the_bound_is_refused(monkeypatch, capsys):
+    """At most ``MAX_METRICS_BYTES`` are read: a reply of exactly that many
+    bytes is parsed, one byte more is exit status 1."""
+    body = b"# TYPE up counter\nup 1\n"
+
+    class Handler(http.server.BaseHTTPRequestHandler):
+        def do_GET(self):
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    with http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler) as server:
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        url = f"http://127.0.0.1:{server.server_address[1]}"
+        monkeypatch.setattr(stats, "MAX_METRICS_BYTES", len(body))
+        assert main([url, "--json"]) == 0
+        monkeypatch.setattr(stats, "MAX_METRICS_BYTES", len(body) - 1)
+        assert main([url, "--json"]) == 1
+        server.shutdown()
+    assert f"more than {len(body) - 1} bytes" in capsys.readouterr().err
+
+
+def test_ctrl_c_during_a_watch_fetch_exits_0(monkeypatch):
+    def interrupted(url, timeout):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(stats, "fetch_families", interrupted)
+    assert main(["http://127.0.0.1:9", "--watch", "1"]) == 0
