@@ -43,6 +43,18 @@ class TestShortestPaths:
         assert log.graph.shortest_paths("A0", "A5")[0] == names
         assert log.graph.shortest_paths("A0", "A5") == [names]
 
+    def test_backward_resolution(self):
+        names = [f"A{i}" for i in range(4)]
+        log = chain_log(names)
+        assert log.graph.shortest_paths("A3", "A0")[0] == ["A3", "A2", "A1", "A0"]
+
+    def test_diamond_returns_both_paths(self):
+        log = diamond_log()
+        assert log.graph.shortest_paths("A", "D") == [
+            ["A", "B", "D"],
+            ["A", "C", "D"],
+        ]
+
     def test_shortest_wins_over_longer(self):
         names = [f"A{i}" for i in range(5)]
         log = chain_log(names)
@@ -84,6 +96,20 @@ class TestAutomaticProvQuery:
         explicit = log.prov_query(names, [(2,)]).to_cells()
         assert log.prov_query(["A0", "A5"], [(2,)]).to_cells() == explicit
 
+    def test_backward_chain_matches_explicit(self):
+        names = [f"A{i}" for i in range(6)]
+        log = chain_log(names)
+        explicit = log.prov_query(list(reversed(names)), [(4,)]).to_cells()
+        assert log.prov_query(["A5", "A0"], [(4,)]).to_cells() == explicit
+
+    def test_diamond_unions_both_paths(self):
+        log = diamond_log()
+        via_b = log.prov_query(["A", "B", "D"], [(2,)]).to_cells()
+        via_c = log.prov_query(["A", "C", "D"], [(2,)]).to_cells()
+        assert via_b != via_c  # the shifted branch contributes new cells
+        auto = log.prov_query(["A", "D"], [(2,)]).to_cells()
+        assert auto == via_b | via_c
+
     def test_direct_entry_still_preferred(self):
         log = diamond_log()
         log.add_lineage("A", "D", relation=shift((6,), 2, "A", "D"))
@@ -104,6 +130,17 @@ class TestAutomaticProvQuery:
 
 
 class TestClosures:
+    def test_impact_with_depths(self):
+        log = diamond_log()
+        assert log.impact("A") == {"B": 1, "C": 1, "D": 2}
+        assert log.impact("B") == {"D": 1}
+        assert log.impact("D") == {}
+
+    def test_dependencies_with_depths(self):
+        log = diamond_log()
+        assert log.dependencies("D") == {"B": 1, "C": 1, "A": 2}
+        assert log.dependencies("A") == {}
+
     def test_unknown_array_rejected(self):
         log = diamond_log()
         with pytest.raises(KeyError):
@@ -111,6 +148,19 @@ class TestClosures:
 
 
 class TestSummary:
+    def test_diamond_summary(self):
+        log = diamond_log()
+        log.define_array("lonely", (3,))
+        summary = log.lineage_summary()
+        assert summary["arrays"] == 5
+        assert summary["entries"] == 4
+        assert summary["roots"] == ["A"]
+        assert summary["leaves"] == ["D"]
+        assert summary["isolated"] == ["lonely"]
+        assert summary["max_depth"] == 2
+        assert summary["fan_out"]["A"] == 2
+        assert summary["fan_in"]["D"] == 2
+
     def test_cycle_reports_undefined_depth(self):
         log = DSLog()
         log.define_array("A", (4,))
@@ -189,6 +239,27 @@ class TestIncrementalRefresh:
         for _ in range(5):
             assert log.graph is graph
         assert graph.refresh_count == refreshes  # version key short-circuits
+
+    def test_new_entry_invalidates_path_memo(self):
+        log = chain_log(["A", "B", "C"])
+        graph = log.graph
+        assert graph.shortest_paths("A", "C") == [["A", "B", "C"]]
+        assert ("A", "C") in graph._path_memo
+        # add a shortcut edge: the memoized 2-hop path would now be wrong
+        log.add_lineage("A", "C", relation=elementwise_lineage((6,), in_name="A", out_name="C"))
+        assert log.graph is graph
+        assert graph.shortest_paths("A", "C") == [["A", "C"]]
+
+    def test_refresh_picks_up_arrays_defined_after_build(self):
+        log = chain_log(["A", "B"])
+        graph = log.graph
+        log.define_array("C", (6,))
+        # arrays alone don't bump the entry version, but refresh still sees
+        # them (the old rebuild-on-version design missed this case)
+        assert log.graph.shortest_paths("C", "B") == []
+        log.add_lineage("B", "C", relation=elementwise_lineage((6,), in_name="B", out_name="C"))
+        assert log.graph.shortest_paths("A", "C")[0] == ["A", "B", "C"]
+        assert log.graph is graph
 
     def test_incremental_equals_fresh_build(self):
         from repro.graph import LineageGraph

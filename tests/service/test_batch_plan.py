@@ -8,8 +8,7 @@ last part, over random catalogs and batches, is the query_batch rule of
   entry with a table cache that keeps nothing, and the trace tags that
   report both.
 * Faults: a shard whose reads fail stops only the requests that need it,
-  and its breaker counts the batch once (that a tripped breaker gates
-  only its own requests is the model's ``trip`` rule).
+  and its breaker counts the batch once.
 """
 
 import pytest
@@ -205,6 +204,20 @@ def test_a_faulted_shard_stops_only_the_requests_that_need_it(tmp_path):
     for outcome in (outcomes[3], outcomes[4]):
         assert isinstance(outcome, (OSError, ShardUnavailable)), outcome
     assert isinstance(outcomes[6], KeyError)
+    log.close()
+
+
+def test_a_tripped_breaker_gates_only_its_groups(tmp_path):
+    log = DSLog(tmp_path / "db", num_shards=2, autosync=False)
+    (u, v), (p, q) = pair_on(0, "u"), pair_on(1, "p")
+    build(log, [(u, v), (p, q)])
+    log.sync()
+    with QueryExecutor(log, cache_entries=0) as ex:
+        for _ in range(3):  # the breaker trips on its third consecutive fault
+            ex._breaker(1).record_failure()
+        ok, refused = ex.query_batch([([u, v], [(1,)]), ([p, q], [(1,)])])
+    assert ok.result.to_cells() == {(1,)} and not ok.degraded
+    assert isinstance(refused, ShardUnavailable) and refused.shard == 1
     log.close()
 
 

@@ -349,6 +349,19 @@ def clients(server):
     rpc.close()
 
 
+@pytest.mark.parametrize("wire", ["http", "rpc"])
+def test_a_request_that_sends_an_id_is_traced_under_it(clients, wire):
+    tracing.clear_traces()
+    trace_id = "0af7651916cd43dd8448eb211c80319c"
+    clients[wire].prov_query(["b", "a"], cells=QUERY, trace_id=trace_id)
+    (trace,) = tracing.recent_traces()
+    assert trace["trace_id"] == trace_id and trace["name"] == "request" and trace["tags"]["wire"] == wire
+    assert trace["tags"]["cache"] == "miss"
+    batch_id = "0af7651916cd43dd8448eb211c80319d"
+    clients[wire].prov_query_batch([(["b", "a"], QUERY)], trace_id=batch_id)
+    assert tracing.recent_traces(1)[0]["trace_id"] == batch_id
+
+
 def test_a_request_that_sends_none_is_not_traced(clients):
     tracing.clear_traces()
     for client in clients.values():

@@ -1,10 +1,9 @@
 """The binary RPC transport end to end: queries against a live server,
-one server class for either wire, connection pooling, request-id
-pipelining, frame-level errors (unknown opcode, oversized request, corrupt
-header) and the per-opcode metrics.  What the RPC client and server share
-with their HTTP twins is in ``test_transports.py``; both wires' answers,
-the result cache they share and their traces are the stateful model's
-(``tests/integration/test_model.py``)."""
+byte-identical results across the HTTP and RPC transports, the shared
+result cache, connection pooling, request-id pipelining, frame-level
+errors (unknown opcode, oversized request, corrupt header) and the
+per-opcode observability surface.  What the RPC client and server share
+with their HTTP twins is in ``test_transports.py``."""
 
 import json
 import socket
@@ -65,6 +64,36 @@ def client(server):
 # ----------------------------------------------------------------------
 # the API surface
 # ----------------------------------------------------------------------
+def test_query_round_trip(client):
+    result = client.prov_query(["a", "b", "c"], cells=[[1, 1], [2, 3]])
+    assert result["count"] == 2
+    assert result["array"] == "c"  # the query lands on the path's final array
+    assert sorted(result["boxes"]) == [[[1, 1], [1, 1]], [[2, 3], [2, 3]]]
+    assert len(result["hops"]) == 2
+    assert result.boxes_lo.shape == (2, 2)
+
+
+def test_query_slices_and_cells_flag(client):
+    result = client.prov_query(
+        ["a", "b"], slices=[[1, 3], None], include_cells=True
+    )
+    assert result["count"] == 2 * SHAPE[1]
+    assert [1, 0] in result["cells"]
+
+
+def test_query_batch_mixed(client):
+    results = client.prov_query_batch(
+        [
+            (["a", "b"], [[2, 2]]),
+            {"path": ["missing", "b"], "cells": [[0, 0]]},
+            {"path": ["a"], "cells": [[0, 0]]},
+        ]
+    )
+    assert results[0]["count"] == 1
+    assert results[1]["error"]["type"] == "not-found"
+    assert results[2]["error"]["type"] == "bad-request"
+
+
 def test_unknown_opcode_gets_error_frame(server):
     with socket.create_connection((server.host, server.rpc_port), timeout=5) as sock:
         sock.sendall(encode_frame(240, 1, b"{}"))
@@ -119,6 +148,50 @@ def test_corrupt_frame_closes_connection(server):
 # ----------------------------------------------------------------------
 # transport equivalence
 # ----------------------------------------------------------------------
+def test_results_identical_across_transports(log):
+    """The RPC result, rendered to the HTTP payload shape, must be
+    byte-identical to the HTTP response (modulo timing fields)."""
+    with LineageServer(log, rpc_port=0) as server:
+        http = LineageClient.connect(server.url)
+        rpc = RPCClient.connect(server.rpc_address)
+        requests = [
+            {"cells": [[1, 1], [4, 5]]},
+            {"cells": [[0, 0]], "merge": False},
+            {"slices": [[0, 2], [3, 5]], "include_cells": True},
+            {"cells": [[2, 2]], "include_boxes": False},
+        ]
+        for req in requests:
+            h = http.prov_query(["a", "b", "c"], **req)
+            r = rpc.prov_query(["a", "b", "c"], **req)
+            strip = lambda p: {
+                k: v
+                for k, v in p.items()
+                if k not in ("elapsed_ms", "cached", "hops")
+            }
+            assert json.dumps(strip(h), sort_keys=True) == json.dumps(
+                strip(r.to_payload()), sort_keys=True
+            )
+            # hop stats agree on everything but wall time
+            for hh, rh in zip(h["hops"], r["hops"]):
+                assert {k: v for k, v in hh.items() if k != "seconds"} == {
+                    k: v for k, v in rh.items() if k != "seconds"
+                }
+        http.close()
+        rpc.close()
+
+
+def test_cache_shared_across_transports(log):
+    with LineageServer(log, rpc_port=0) as server:
+        http = LineageClient.connect(server.url)
+        rpc = RPCClient.connect(server.rpc_address)
+        first = http.prov_query(["a", "b"], cells=[[3, 3]])
+        assert first["cached"] is False
+        warm = rpc.prov_query(["a", "b"], cells=[[3, 3]])
+        assert warm.cached is True  # HTTP warmed it, RPC hit it
+        http.close()
+        rpc.close()
+
+
 def test_one_server_class_serves_either_wire_or_both(log):
     """A listener per port that is not ``None``; each wire's address is
     ``None`` on a server that does not speak it."""
@@ -283,3 +356,14 @@ def test_rpc_metrics_per_opcode(client):
     assert 'dslog_connections{wire="rpc"}' in text
 
 
+def test_rpc_requests_traced(server):
+    from repro.obs import tracing
+
+    trace_id = "0af7651916cd43dd8448eb211c80319c"
+    client = RPCClient.connect(server.rpc_address)
+    client.prov_query(["a", "b", "c"], cells=[[1, 1]], trace_id=trace_id)
+    client.close()
+    traces = tracing.recent_traces(20)
+    rpc_traces = [t for t in traces if t["name"] == "request" and t["tags"]["wire"] == "rpc"]
+    assert rpc_traces and rpc_traces[0]["trace_id"] == trace_id
+    assert rpc_traces[0]["tags"]["op"] == "query"

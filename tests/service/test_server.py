@@ -1,10 +1,8 @@
 """The HTTP serving tier: endpoint behavior, structured error payloads for
-malformed requests (bad JSON, bad headers, bad parameters), query
+every failure mode (malformed JSON, unknown arrays, bad parameters), query
 correctness under concurrent compaction, and keep-alive / retry behavior
 of the HTTP client.  What the HTTP client and server share with their RPC
-twins is in ``test_transports.py``; query and batch answers, their cache
-flags and per-item errors are the stateful model's
-(``tests/integration/test_model.py``)."""
+twins is in ``test_transports.py``."""
 
 import http.client
 import json
@@ -62,6 +60,26 @@ def _raw_post(url, route, data: bytes):
             return response.status, json.loads(response.read().decode("utf-8"))
     except urllib.error.HTTPError as error:
         return error.code, json.loads(error.read().decode("utf-8"))
+
+
+# ----------------------------------------------------------------------
+# happy paths
+# ----------------------------------------------------------------------
+def test_query_with_cells_and_cache_flag(client, log):
+    payload = client.prov_query(["a", "b", "c"], cells=[[1, 1], [2, 3]])
+    assert payload["array"] == "c"
+    assert payload["count"] == 2
+    assert len(payload["hops"]) == 2
+    assert payload["cached"] is False
+    assert client.prov_query(["a", "b", "c"], cells=[[1, 1], [2, 3]])["cached"] is True
+
+
+def test_query_with_slices_and_cells_payload(client, log):
+    payload = client.prov_query(["a", "b"], slices=[[0, 2], [0, 2]], include_cells=True)
+    assert payload["count"] == 4
+    assert payload["cells"] == [[0, 0], [0, 1], [1, 0], [1, 1]]
+    expected = log.prov_query(["a", "b"], [(i, j) for i in range(2) for j in range(2)])
+    assert payload["count"] == expected.count_cells()
 
 
 # ----------------------------------------------------------------------
@@ -131,6 +149,13 @@ def test_oversized_content_length_is_413_without_reading_the_body(server):
     assert payload["error"]["type"] == "payload-too-large"
     assert str(MAX_BODY_BYTES) in payload["error"]["message"]
     assert hung_up
+
+
+def test_disconnected_arrays_are_not_found(client, log):
+    log.define_array("island", SHAPE)
+    with pytest.raises(LineageServerError) as excinfo:
+        client.prov_query(["a", "island"], cells=[[1, 1]])
+    assert excinfo.value.status == 404
 
 
 @pytest.mark.parametrize(
@@ -288,6 +313,17 @@ def test_service_serve_reads_applied_state(tmp_path):
 # ----------------------------------------------------------------------
 # batched queries: /query_batch
 # ----------------------------------------------------------------------
+def test_query_batch_matches_single(client):
+    queries = [(["c", "b", "a"], [[i, i]]) for i in range(4)]
+    batch = client.prov_query_batch(queries)
+    assert len(batch) == 4
+    for (path, cells), entry in zip(queries, batch):
+        single = client.prov_query(path, cells=cells)
+        assert entry["boxes"] == single["boxes"]
+        assert entry["count"] == single["count"]
+        assert entry["hops"] == single["hops"] or len(entry["hops"]) == len(single["hops"])
+
+
 def test_query_batch_empty_is_400(client, server):
     for body in ({"queries": []}, {"queries": "nope"}, {}):
         status, payload = _raw_post(
@@ -295,6 +331,33 @@ def test_query_batch_empty_is_400(client, server):
         )
         assert status == 400
         assert payload["error"]["type"] == "bad-request"
+
+
+def test_query_batch_per_item_errors(client):
+    """One malformed entry and one unknown array must come back as per-item
+    structured errors while their batch-mates succeed."""
+    results = client.prov_query_batch(
+        [
+            (["a", "b"], [[1, 1]]),
+            {"path": ["a"]},  # too short: parse error
+            (["ghost", "b"], [[0, 0]]),  # unknown array
+            (["b", "c"], [[2, 2]]),
+        ]
+    )
+    assert results[0]["count"] == 1 and results[3]["count"] == 1
+    assert results[1]["error"]["type"] == "bad-request"
+    assert results[1]["error"]["status"] == 400
+    assert results[2]["error"]["type"] == "not-found"
+    assert results[2]["error"]["status"] == 404
+
+
+def test_query_batch_mixed_cached_uncached(client):
+    client.prov_query(["a", "b"], cells=[[1, 1]])  # prime the cache
+    results = client.prov_query_batch(
+        [(["a", "b"], [[1, 1]]), (["a", "b"], [[2, 2]])]
+    )
+    assert results[0]["cached"] is True
+    assert results[1]["cached"] is False
 
 
 def test_query_batch_mixed_merge_flags(client):

@@ -22,6 +22,33 @@ def chain(log, n, prefix="A"):
 
 
 class TestIsolation:
+    def test_later_ingest_is_invisible(self, tmp_path):
+        log = DSLog(tmp_path / "db", num_shards=2, autosync=False)
+        chain(log, 3)
+        snap = log.snapshot()
+        assert len(snap.catalog) == 3
+        log.define_array("late", SHAPE)
+        log.add_lineage("A3", "late", relation=elementwise_lineage(SHAPE, in_name="A3", out_name="late"))
+        assert len(log.catalog) == 4
+        assert len(snap.catalog) == 3  # the cut does not move
+        with pytest.raises(KeyError):
+            snap.catalog.array("late")
+        # the snapshot's graph is its own frozen instance
+        assert "late" in log.impact("A0")
+        assert "late" not in snap.impact("A0")
+        snap.close()
+        log.close()
+
+    def test_snapshot_of_memory_backend(self):
+        log = DSLog()
+        chain(log, 2)
+        snap = log.snapshot()
+        log.define_array("x", SHAPE)
+        log.add_lineage("A2", "x", relation=elementwise_lineage(SHAPE, in_name="A2", out_name="x"))
+        assert len(snap.catalog) == 2
+        assert snap.prov_query(["A0", "A1"], [(1,)]).to_cells() == {(1,)}
+        snap.close()
+
     def test_read_api_works_and_write_api_raises(self, tmp_path):
         log = DSLog(tmp_path / "db", autosync=False)
         names = chain(log, 4)

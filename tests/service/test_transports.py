@@ -1,11 +1,9 @@
 """What the two transports share, tested once over both: the endpoint
 table, the client core (retry loop, ``connect`` rendezvous, re-dial), the
-server lifecycle (a closed server hangs up), the admin round trips, the
-listener's bounds and the request vocabulary.  The query and graph
-endpoints' answers and structured errors on both wires are the stateful
-model's (``tests/integration/test_model.py``).  Transport-only behavior
-(keep-alive reuse, ``Content-Length`` edges, pooling, pipelining, frame
-corruption) stays in ``test_server.py`` and ``test_rpc.py``."""
+server lifecycle (a closed server hangs up) and the admin / graph round
+trips.  Transport-only behavior (keep-alive reuse, ``Content-Length``
+edges, pooling, pipelining, frame corruption) stays in ``test_server.py``
+and ``test_rpc.py``."""
 
 import logging
 import select
@@ -189,8 +187,17 @@ def test_every_endpoint_answers_alike_on_both_wires(log):
 
 
 # ----------------------------------------------------------------------
-# admin round trips
+# round trips (one per endpoint method of the client core)
 # ----------------------------------------------------------------------
+def test_graph_endpoints(client):
+    assert client.impact("a") == {"b": 1, "c": 2}
+    assert client.dependencies("c") == {"b": 1, "a": 2}
+    summary = client.lineage_summary()
+    assert summary["arrays"] == 3
+    assert summary["entries"] == 2 and summary["roots"] == ["a"]
+    assert summary["edges"] == [["a", "b"], ["b", "c"]]
+
+
 def test_healthz_scrub_traces_metrics(client):
     health = client.healthz()
     assert health["status"] == "ok"
@@ -304,6 +311,20 @@ def test_a_filtered_request_event_is_not_built(client, monkeypatch):
     monkeypatch.setattr(server_module, "log_event", lambda *args, **fields: built.append(fields))
     assert client.prov_query(["a", "b"], cells=[[1, 1]])["count"] == 1
     assert built == []
+
+
+def test_structured_errors(client):
+    with pytest.raises(LineageServerError) as excinfo:
+        client.impact("missing")
+    assert excinfo.value.status == 404
+    assert excinfo.value.kind == "not-found"
+    with pytest.raises(LineageServerError) as excinfo:
+        client.prov_query(["nope", "b"], cells=[[1, 1]])
+    assert (excinfo.value.status, excinfo.value.kind) == (404, "not-found")
+    assert "nope" in excinfo.value.message
+    with pytest.raises(LineageServerError) as excinfo:
+        client.prov_query(["a"], cells=[[0, 0]])
+    assert (excinfo.value.status, excinfo.value.kind) == (400, "bad-request")
 
 
 # ----------------------------------------------------------------------

@@ -144,6 +144,18 @@ class TestDanglingSegmentTail:
         assert len(log.catalog) == 4
         log.close()
 
+    def test_unreferenced_segment_dropped_on_reopen(self, tmp_path):
+        """A crash between writing a fresh segment and publishing the
+        manifest leaves a whole orphan file; reopening removes it."""
+        root = tmp_path / "db"
+        build(root, 3)
+        orphan = root / STORE / "segment-000099.seg"
+        orphan.write_bytes(b"DSEG" + (1).to_bytes(2, "little") + b"leftover")
+        reopened = DSLog.load(root)
+        assert not orphan.exists()
+        assert len(reopened.catalog) == 3
+        reopened.close()
+
     def test_walk_records_stops_at_tail(self, tmp_path):
         root = tmp_path / "db"
         build(root, 3)

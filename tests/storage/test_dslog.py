@@ -12,6 +12,7 @@ from repro import dslog as dslog_module
 from repro.capture.analytic import axis_reduction_lineage, elementwise_lineage
 from repro.core.compressed import CompressedLineage
 from repro.core.query import CellBoxSet
+from repro.core.reference import query_path_reference
 from repro.core.relation import LineageRelation
 
 
@@ -114,7 +115,36 @@ class TestBackendFollowsRoot:
 
 
 class TestQueries:
-    """Paths, slices and refusals are the stateful model's."""
+    def test_forward_path_query(self):
+        log = DSLog()
+        build_pipeline(log)
+        cells = [(0, 0), (3, 2)]
+        result = log.prov_query(["A", "B", "C"], cells)
+        expected = query_path_reference(
+            [elementwise_lineage((6, 4)), axis_reduction_lineage((6, 4), axis=1, in_name="B", out_name="C")],
+            ["forward", "forward"],
+            cells,
+        )
+        assert result.to_cells() == expected
+
+    def test_backward_path_query(self):
+        log = DSLog()
+        build_pipeline(log)
+        result = log.prov_query(["C", "B", "A"], [(2,)])
+        assert result.to_cells() == {(2, c) for c in range(4)}
+
+    def test_query_with_slices(self):
+        log = DSLog()
+        build_pipeline(log)
+        result = log.prov_query(["A", "B", "C"], [slice(0, 2), slice(None)])
+        assert result.to_cells() == {(0,), (1,)}
+
+    def test_query_with_boxset(self):
+        log = DSLog()
+        build_pipeline(log)
+        query = CellBoxSet.from_boxes("C", (6,), [[(0, 1)]])
+        result = log.prov_query(["C", "B", "A"], query)
+        assert result.count_cells() == 8
 
     def test_boxset_wrong_array_rejected(self):
         log = DSLog()
@@ -122,6 +152,25 @@ class TestQueries:
         query = CellBoxSet.from_boxes("A", (6, 4), [[(0, 1), (0, 1)]])
         with pytest.raises(ValueError):
             log.prov_query(["C", "B", "A"], query)
+
+    def test_short_path_rejected(self):
+        log = DSLog()
+        build_pipeline(log)
+        with pytest.raises(ValueError):
+            log.prov_query(["A"], [(0, 0)])
+
+    def test_unknown_array_rejected(self):
+        log = DSLog()
+        build_pipeline(log)
+        with pytest.raises(KeyError):
+            log.prov_query(["A", "Z"], [(0, 0)])
+
+    def test_unconnected_path_rejected(self):
+        log = DSLog()
+        build_pipeline(log)
+        log.define_array("D", (5,))
+        with pytest.raises(KeyError):
+            log.prov_query(["A", "D"], [(0, 0)])
 
 
 class TestQueryCaches:

@@ -3,11 +3,9 @@ segment, ``MANIFEST.json`` a checkpoint.
 
 What a commit costs in I/O (one ``os.fsync``, no checkpoint write), what a
 read-only open costs (nothing written, nothing fsynced), when a publish
-is a checkpoint instead, where the walk stops, the directory fsync that
-makes a checkpoint's rename durable, and the writer fsync a close skips
-when nothing is left to make durable.  That the edits replay to the
-manifest in memory, past a damaged table record too, is the stateful
-model's (``tests/integration/test_model.py``, after every publish).
+is a checkpoint instead, how an edit replays and where the walk stops, the
+directory fsync that makes a checkpoint's rename durable, and the writer
+fsync a close skips when nothing is left to make durable.
 """
 
 import json
@@ -21,7 +19,7 @@ from repro.capture.analytic import elementwise_lineage
 from repro.storage import manifest as manifest_module
 from repro.storage import store as store_module
 from repro.storage.manifest import MANIFEST_NAME, load_manifest
-from repro.storage.segments import EDIT_MAGIC, SegmentWriter, walk_records
+from repro.storage.segments import EDIT_MAGIC, SegmentWriter, record_overhead, walk_records
 from repro.storage.sharded import shard_index
 
 SHAPE = (4,)
@@ -223,6 +221,33 @@ class TestCheckpoints:
 
 
 class TestReplay:
+    def test_edits_replay_to_the_manifest_in_memory(self, tmp_path):
+        root = tmp_path / "db"
+        log = DSLog(root, num_shards=1, autosync=False)
+        for name in ("A", "B", "C", "D"):
+            log.define_array(name, SHAPE)
+        log.add_lineage("A", "B", relation=relation("A", "B"))
+        log.sync()  # the first write: a checkpoint
+        shard = log.store.shards[0]
+        log.register_operation("op", ["B"], ["C"], relations={("B", "C"): relation("B", "C")})
+        log.sync()
+        log.add_lineage("A", "B", relation=relation("A", "B"), replace=True)
+        log.define_array("E", (2, 2))
+        log.sync()
+        log.add_lineage("C", "D", relation=relation("C", "D"))
+        log.sync()
+        edits = [p for _, p, _ in walk_records(shard.root / shard.manifest.log["segment"], shard.manifest.log["offset"])
+                 if p[:4] == EDIT_MAGIC]
+        assert len(edits) == 3
+        assert load_manifest(shard.root).to_json() == as_written(shard.manifest)
+        log.store.shards[0].reset_io()
+        reopened = DSLog.load(root)
+        assert reopened.catalog.entry("A", "B").version == 2
+        assert reopened.catalog.array("E").shape == (2, 2)
+        assert [op.op_name for op in reopened.catalog.operations] == ["op"]
+        assert reopened.prov_query(["A", "B", "C", "D"], [(1,)]).to_cells() == {(1,)}
+        reopened.close()
+
     def test_a_torn_edit_record_is_a_torn_tail(self, tmp_path):
         root = tmp_path / "db"
         log = DSLog(root, num_shards=1, autosync=False)
@@ -250,6 +275,34 @@ class TestReplay:
         assert reopened.scrub(repair=True)["shards"][0]["dropped_entries"] == []
         reopened.close()
         assert {(e.in_name, e.out_name) for e in DSLog.load(root).catalog.entries()} == {("A", "B"), ("B", "C")}
+
+    def test_a_flipped_table_byte_hides_no_later_edit(self, tmp_path):
+        """A damaged table record past the checkpoint is passed over: the
+        edit records after it still replay, and only the damaged entry is
+        scrub's to drop."""
+        root = tmp_path / "db"
+        log = DSLog(root, num_shards=1, autosync=False)
+        for name in ("A", "B", "C", "D"):
+            log.define_array(name, SHAPE)
+        log.add_lineage("A", "B", relation=relation("A", "B"))
+        log.sync()  # the checkpoint
+        log.add_lineage("B", "C", relation=relation("B", "C"))
+        log.sync()
+        log.add_lineage("C", "D", relation=relation("C", "D"))
+        log.sync()
+        ref = log.catalog.entry("B", "C").backward_ref
+        log.store.shards[0].reset_io()  # no close, no checkpoint
+        with open(root / "shard-00" / ref.segment, "r+b") as fh:
+            fh.seek(ref.offset + record_overhead() + ref.length // 2)
+            byte = fh.read(1)[0]
+            fh.seek(-1, 1)
+            fh.write(bytes([byte ^ 0xFF]))
+        reopened = DSLog.load(root, autosync=False)
+        assert {(e.in_name, e.out_name) for e in reopened.catalog.entries()} == {("A", "B"), ("B", "C"), ("C", "D")}
+        report = reopened.scrub(repair=True)["shards"][0]
+        assert report["dropped_entries"] == [["B", "C"]]
+        reopened.close()
+        assert {(e.in_name, e.out_name) for e in DSLog.load(root).catalog.entries()} == {("A", "B"), ("C", "D")}
 
     def test_an_open_over_no_tail_reads_no_segment_record(self, tmp_path, monkeypatch):
         root = tmp_path / "db"

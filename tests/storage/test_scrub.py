@@ -15,7 +15,7 @@ import json
 
 import pytest
 
-from repro import DSLog
+from repro import DSLog, QueryExecutor
 from repro.capture.analytic import elementwise_lineage
 from repro.storage.manifest import MANIFEST_NAME, load_manifest
 from repro.storage.scrub import QUARANTINE_DIR
@@ -196,6 +196,120 @@ class TestDetect:
 
 
 class TestRepair:
+    def test_misdirected_ref_drops_only_that_entry(self, tmp_path):
+        # the donor's record is valid and stays its own
+        root = tmp_path / "db"
+        names = build(root, 3)
+        redirect_ref(root / STORE, victim=0, donor=1)
+        log = DSLog.load(root, autosync=False)
+        report = log.scrub(repair=True)["shards"][0]
+        assert report["repaired"]
+        assert report["dropped_entries"] == [["A0", "A1"]]
+        assert log.scrub(repair=False)["clean"]
+        log.close()
+        assert_fully_readable(root, names, dropped=[("A0", "A1")])
+
+    def test_flipped_byte_drops_only_that_entry(self, tmp_path):
+        root = tmp_path / "db"
+        names = build(root, 4)
+        flip_payload_byte(root / STORE, entry_ref(root / STORE, index=2))
+        log = DSLog.load(root, autosync=False)
+        report = log.scrub(repair=True)["shards"][0]
+        assert report["repaired"]
+        assert report["dropped_entries"] == [["A2", "A3"]]
+        assert report["evacuated_records"] == 3  # the others, out of the damaged segment
+        assert log.scrub(repair=False)["clean"]
+        log.close()
+        assert_fully_readable(root, names, dropped=[("A2", "A3")])
+        qdir = root / STORE / QUARANTINE_DIR
+        quarantined = list(qdir.glob("segment-*.seg"))
+        assert len(quarantined) == 1
+        why = json.loads((qdir / f"{quarantined[0].name}.json").read_text())
+        assert "corrupt-records" in why["reason"]
+
+    def test_dropped_entry_leaves_the_live_catalog(self, tmp_path):
+        root = tmp_path / "db"
+        build(root, 4)
+        flip_payload_byte(root / STORE, entry_ref(root / STORE, index=1))
+        manifest = load_manifest(root / STORE)
+        dropped_pair = [manifest.entries[1]["in"], manifest.entries[1]["out"]]
+        log = DSLog.load(root, autosync=False)
+        report = log.scrub(repair=True)["shards"][0]
+        assert report["dropped_entries"] == [dropped_pair]
+        # the catalog pruned the dropped entry: no dangling refs anywhere
+        assert len(log.catalog) == 3
+        assert log.catalog.materialize_all() == 3
+        assert log.scrub(repair=False)["clean"]
+        log.close()
+        reopened = DSLog.load(root)
+        assert len(reopened.catalog) == 3
+        reopened.close()
+
+    def test_dropped_entry_leaves_the_result_cache(self, tmp_path):
+        # the cached executor must answer as an uncached one does: before
+        # the cache validated per lineage entry, scrub's drop bumped no
+        # counter it read, and the dropped pair's result kept hitting
+        root = tmp_path / "db"
+        build(root, 4)
+        log = DSLog.load(root, autosync=False)
+        with QueryExecutor(log) as cached, QueryExecutor(log, cache_entries=0) as uncached:
+            for path in (["A2", "A1"], ["A1", "A0"]):
+                cached.query(path, [(1,)])
+                assert cached.query(path, [(1,)]).cached
+            flip_payload_byte(root / STORE, entry_ref(root / STORE, index=1))
+            report = log.scrub(repair=True)["shards"][0]
+            assert report["dropped_entries"] == [["A1", "A2"]]
+            for executor in (uncached, cached):
+                with pytest.raises(KeyError):
+                    executor.query(["A2", "A1"], [(1,)])
+            # re-ingested, the pair is a new install whose per-pair
+            # ``version`` is 1 again: the old result must not come back
+            log.add_lineage("A1", "A2", relation=elementwise_lineage(SHAPE, in_name="A1", out_name="A2"))
+            assert log.catalog.entry("A1", "A2").version == 1
+            assert not cached.query(["A2", "A1"], [(1,)]).cached
+            # the entries scrub kept still hit
+            kept = cached.query(["A1", "A0"], [(1,)])
+            assert kept.cached and not kept.degraded
+            assert kept.result.to_cells() == uncached.query(["A1", "A0"], [(1,)]).result.to_cells()
+        log.close()
+
+    def test_torn_tail_repair_evacuates_all_records(self, tmp_path):
+        root = tmp_path / "db"
+        names = build(root, 4)
+        segment = root / STORE / load_manifest(root / STORE).segments[-1]
+        with open(segment, "ab") as fh:
+            fh.write(b"\xff" * 17)
+        log = DSLog.load(root, autosync=False)
+        report = log.scrub(repair=True)["shards"][0]
+        assert report["repaired"]
+        assert report["evacuated_records"] >= 1
+        assert report["dropped_entries"] == []
+        assert log.scrub(repair=False)["clean"]
+        log.close()
+        assert_fully_readable(root, names)
+        assert not segment.exists()  # quarantined
+        assert (root / STORE / QUARANTINE_DIR / segment.name).exists()
+
+    def test_truncated_segment_salvages_valid_prefix(self, tmp_path):
+        root = tmp_path / "db"
+        names = build(root, 4)
+        manifest = load_manifest(root / STORE)
+        segment = root / STORE / manifest.segments[-1]
+        last = max(
+            (TableRef.from_json(row["backward"]) for row in manifest.entries),
+            key=lambda r: r.offset,
+        )
+        with open(segment, "r+b") as fh:
+            fh.truncate(last.offset + 3)  # cut mid-prefix of the last record
+        log = DSLog.load(root, autosync=False)
+        report = log.scrub(repair=True)["shards"][0]
+        assert report["repaired"]
+        assert report["dropped_entries"] == [["A3", "A4"]]  # the cut record's
+        assert report["evacuated_records"] == 3  # everything before the cut
+        assert log.scrub(repair=False)["clean"]
+        log.close()
+        assert_fully_readable(root, names, dropped=[("A3", "A4")])
+
     def test_orphan_quarantined_not_deleted(self, tmp_path):
         root = tmp_path / "db"
         build(root, 2)
@@ -210,6 +324,39 @@ class TestRepair:
         assert moved.exists()
         why = json.loads((moved.parent / "segment-000099.seg.json").read_text())
         assert why["reason"] == "orphan"
+
+    def test_segment_retired_under_a_snapshot_pin_is_not_an_orphan(self, tmp_path):
+        # a compaction under a pin retires the old segments instead of
+        # deleting them; until the pin goes, a snapshot still reads them
+        root = tmp_path / "db"
+        names = build(root, 2)
+        log = DSLog.load(root, autosync=False)
+        view = log.snapshot()
+        log.add_lineage(names[0], names[1], relation=elementwise_lineage(SHAPE, in_name=names[0], out_name=names[1]),
+                        op_name="v2", replace=True)
+        log.sync()
+        log.compact()
+        report = log.scrub(repair=True)["shards"][0]
+        assert report["orphan_segments"] == [] and report["quarantined"] == []
+        want = elementwise_lineage(SHAPE, in_name=names[0], out_name=names[1])
+        assert view.catalog.entry(names[0], names[1]).backward.decompress() == want
+        view.close()
+        log.close()
+        assert_fully_readable(root, names)
+
+    def test_repair_survives_cold_restart_and_keeps_ingesting(self, tmp_path):
+        root = tmp_path / "db"
+        names = build(root, 3)
+        flip_payload_byte(root / STORE, entry_ref(root / STORE, index=0))
+        log = DSLog.load(root, autosync=False)
+        assert log.scrub(repair=True)["shards"][0]["dropped_entries"] == [["A0", "A1"]]
+        log.close()
+        log = DSLog.load(root, autosync=False)
+        log.define_array("B", SHAPE)
+        log.add_lineage(names[3], "B", relation=elementwise_lineage(SHAPE, in_name=names[3], out_name="B"))
+        log.sync()
+        log.close()
+        assert_fully_readable(root, names + ["B"], dropped=[("A0", "A1")])
 
 
 class TestShardedScrub:

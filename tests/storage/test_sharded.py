@@ -14,6 +14,7 @@ from repro.storage.sharded import (
     load_shards_file,
     shard_index,
 )
+from repro.storage.catalog import LineageConflictError
 
 SHAPE = (4,)
 
@@ -112,6 +113,28 @@ class TestDurability:
         untouched = [g for i, g in enumerate(vector) if i not in (home, 0)]
         assert all(g == 0 for g in untouched)
         log.close()
+
+    def test_replace_versions_and_updates_row_in_place(self, tmp_path):
+        log = DSLog(tmp_path / "db", num_shards=2, autosync=False)
+        log.define_array("x", SHAPE)
+        log.define_array("y", SHAPE)
+        log.add_lineage("x", "y", relation=elementwise_lineage(SHAPE, in_name="x", out_name="y"), op_name="first")
+        with pytest.raises(LineageConflictError):
+            log.add_lineage("x", "y", relation=elementwise_lineage(SHAPE, in_name="x", out_name="y"), op_name="again")
+        log.add_lineage(
+            "x", "y", relation=elementwise_lineage(SHAPE, in_name="x", out_name="y"), op_name="second", replace=True
+        )
+        entry = log.catalog.entry("x", "y")
+        assert entry.version == 2 and entry.op_name == "second"
+        log.close()
+        reopened = DSLog.load(tmp_path / "db")
+        assert len(reopened.catalog) == 1
+        entry = reopened.catalog.entry("x", "y")
+        assert entry.version == 2 and entry.op_name == "second"
+        home = shard_index("x", "y", reopened.store.num_shards)
+        rows = reopened.store.shard(home).manifest.entries
+        assert len(rows) == 1  # replaced in place, not appended
+        reopened.close()
 
     def test_four_shards_match_one_shard_answers(self, tmp_path):
         sharded = DSLog(tmp_path / "sharded", num_shards=4, autosync=False)
